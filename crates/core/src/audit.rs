@@ -15,8 +15,9 @@
 //!   the support of any of its `(k-1)`-subsets.
 //!
 //! A violation means the engine was about to return wrong results, so the
-//! caller escalates (the YAFIM driver panics with the audit message rather
-//! than returning a poisoned [`crate::types::MiningResult`]).
+//! caller escalates (the YAFIM driver refuses the run with
+//! [`MineError::Audit`](crate::yafim::MineError::Audit) rather than
+//! returning a poisoned [`crate::types::MiningResult`]).
 
 use crate::types::{Itemset, Support};
 

@@ -53,6 +53,7 @@ use crate::types::{
     parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
     JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS,
 };
+use std::cell::RefCell;
 use std::sync::Arc;
 use yafim_cluster::{
     memgov, ByteSize, DfsError, EventKind, RecoveryCounters, SimDuration, SPILL_GRANULE,
@@ -60,9 +61,9 @@ use yafim_cluster::{
 use yafim_rdd::{Context, ExecError, Rdd};
 
 /// Why a mining run could not complete. [`Yafim::mine`] panics on the
-/// `Exec` side (faults are exceptional for the classic entry point);
-/// [`Yafim::try_mine`] surfaces both as typed errors so chaos harnesses
-/// and callers with fault plans can match on them.
+/// `Exec` and `Audit` sides (faults are exceptional for the classic entry
+/// point); [`Yafim::try_mine`] surfaces all three as typed errors so chaos
+/// harnesses and callers with fault plans can match on them.
 #[derive(Debug)]
 pub enum MineError {
     /// The input path is missing from simulated HDFS.
@@ -71,6 +72,15 @@ pub enum MineError {
     /// corruption proved unrepairable, a task exhausted its OOM retry
     /// ladder, or admission control refused the job's memory footprint.
     Exec(ExecError),
+    /// A counted level broke an Apriori invariant
+    /// ([`audit_level`](crate::audit::audit_level)): the run was about to
+    /// record wrong results and is refused instead.
+    Audit {
+        /// The pass whose level failed the audit.
+        pass: usize,
+        /// The first violated invariant, human-readable.
+        violation: String,
+    },
 }
 
 impl std::fmt::Display for MineError {
@@ -78,6 +88,12 @@ impl std::fmt::Display for MineError {
         match self {
             MineError::Dfs(e) => write!(f, "{e}"),
             MineError::Exec(e) => write!(f, "{e}"),
+            MineError::Audit { pass, violation } => {
+                write!(
+                    f,
+                    "mining-invariant audit failed after pass {pass}: {violation}"
+                )
+            }
         }
     }
 }
@@ -87,6 +103,7 @@ impl std::error::Error for MineError {
         match self {
             MineError::Dfs(e) => Some(e),
             MineError::Exec(e) => Some(e),
+            MineError::Audit { .. } => None,
         }
     }
 }
@@ -271,20 +288,21 @@ impl Yafim {
     /// Mine the text dataset at `input` (one whitespace-separated
     /// transaction per line) on simulated HDFS. Panics if the engine fails
     /// under an active fault plan (stage abort, unrepairable corruption,
-    /// out-of-memory); use [`Yafim::try_mine`] to receive those as typed
-    /// errors instead.
+    /// out-of-memory) or a counted level fails the mining-invariant audit;
+    /// use [`Yafim::try_mine`] to receive those as typed errors instead.
     pub fn mine(&self, input: &str) -> Result<MinerRun, DfsError> {
         match self.try_mine(input) {
             Ok(run) => Ok(run),
             Err(MineError::Dfs(e)) => Err(e),
-            Err(MineError::Exec(e)) => panic!("{e}"),
+            Err(e) => panic!("{e}"),
         }
     }
 
     /// Like [`Yafim::mine`], but engine failures under an active fault plan
     /// surface as [`MineError::Exec`] instead of panics — including the
     /// memory governor's typed refusal when the job's smallest viable
-    /// footprint cannot fit the execution budget.
+    /// footprint cannot fit the execution budget — and a level rejected by
+    /// the mining-invariant audit as [`MineError::Audit`].
     pub fn try_mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let ctx = &self.ctx;
         // Attribute the whole run to its scheduler pool; the guard reports
@@ -510,13 +528,12 @@ impl Yafim {
             // corrupted partition somehow produced counts that slipped past
             // every checksum, the Apriori invariants catch it here, before
             // the level is recorded — wrong results must never be returned.
-            if let Err(violation) = crate::audit::audit_level(
+            audit_pass(
                 levels.last().expect("levels never empty here"),
                 &lk,
                 n_candidates,
-            ) {
-                panic!("mining-invariant audit failed after pass {pass}: {violation}");
-            }
+                pass,
+            )?;
 
             metrics.record_span(EventKind::Iteration, format!("pass {pass}"), pass_start);
             passes.push(PassTiming {
@@ -632,12 +649,6 @@ impl Yafim {
         })
     }
 
-    /// Specialized pass 2 over dense ranks: a flat triangular count array
-    /// indexed by item pair — no candidate store, no broadcast, no
-    /// per-candidate allocation. Triangle cell `tri_index(a, b)` coincides
-    /// with `ap_gen(L1)`'s candidate index for `{a, b}`, so counts (and the
-    /// reported candidate total) are identical to the store path.
-    ///
     /// Record one driver-side counting-structure step-down (ladder rung 2):
     /// bump `mem.degradations` in the registry and the run's recovery
     /// block, and log the decision as a zero-cost event.
@@ -657,11 +668,30 @@ impl Yafim {
         );
     }
 
+    /// Driver: candidate generation (join + prune), charged as driver CPU —
+    /// shared by the store and bitmap passes, so their pass metadata agrees.
+    fn generate_candidates(&self, prev: &[Itemset], pass: usize) -> Vec<Itemset> {
+        let (candidates, gen_work) = ap_gen(prev);
+        let cpu = gen_work.units() + candidates.len() as u64;
+        let cost = self.ctx.cluster().cost().cpu(cpu);
+        let label = format!("ap_gen pass {pass}");
+        let metrics = self.ctx.metrics();
+        metrics.advance_with_event(cost, EventKind::Driver, label);
+        candidates
+    }
+
     /// Hard per-task memory cap when the governor is armed.
     fn task_limit(&self) -> Option<u64> {
         self.ctx.cluster().memory_budget().map(|b| b.per_task_limit)
     }
 
+    /// Specialized pass 2 over dense ranks: a flat triangular count array
+    /// indexed by item pair ([`count_pairs`]) — no candidate store, no
+    /// broadcast, no per-candidate allocation. Triangle cell
+    /// `tri_index(a, b)` coincides with `ap_gen(L1)`'s candidate index for
+    /// `{a, b}`, so counts (and the reported candidate total) are identical
+    /// to the store path.
+    ///
     /// Returns `(|C2|, surviving count, L2 in rank space)`, or `None` when
     /// there are no pairs to count.
     fn pass2_triangle(
@@ -687,28 +717,10 @@ impl Yafim {
                 // The triangle is this task's execution memory; an injected
                 // (or real) denial kills the attempt into the retry ladder.
                 tc.try_reserve(8 * n_candidates as u64, memgov::site::TRIANGLE, false);
-                let mut counts = vec![0u64; n_candidates];
-                let mut pairs = 0u64;
-                for t in txs {
-                    for i in 0..t.len().saturating_sub(1) {
-                        let base = tri_index(n_dense, t[i] as usize, t[i] as usize + 1);
-                        for &b in &t[i + 1..] {
-                            // Row-relative addressing keeps the inner loop a
-                            // single add + increment.
-                            counts[base + (b - t[i]) as usize - 1] += 1;
-                        }
-                    }
-                    pairs += (t.len() * t.len().saturating_sub(1) / 2) as u64;
-                }
+                let (pairs, out) = count_pairs(txs, n_dense);
                 // One cheap array touch per pair, plus one emission per
                 // nonzero cell — no tree descent, no subset checks.
                 tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
-                let mut out = Vec::new();
-                for (i, &c) in counts.iter().enumerate() {
-                    if c > 0 {
-                        out.push((i as u32, c));
-                    }
-                }
                 tc.add_cpu(out.len() as u64);
                 out
             })
@@ -716,15 +728,10 @@ impl Yafim {
             .filter(move |&(_, c)| c >= min_sup)
             .try_collect()?;
 
-        let mut counted = counted;
-        counted.sort_unstable_by_key(|&(i, _)| i);
-        let lk: Vec<(Itemset, u64)> = counted
-            .iter()
-            .map(|&(idx, c)| {
-                let (a, b) = tri_pair(n_dense, idx as usize);
-                (Itemset::from_sorted(vec![a as u32, b as u32]), c)
-            })
-            .collect();
+        let lk = resolve_survivors(counted, |idx| {
+            let (a, b) = tri_pair(n_dense, idx);
+            Itemset::from_sorted(vec![a as u32, b as u32])
+        });
         Ok(Some((n_candidates, lk.len(), lk)))
     }
 
@@ -746,14 +753,7 @@ impl Yafim {
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
 
-        // Driver: candidate generation (join + prune), charged as driver
-        // CPU.
-        let (candidates, gen_work) = ap_gen(prev);
-        metrics.advance_with_event(
-            cost.cpu(gen_work.units() + candidates.len() as u64),
-            EventKind::Driver,
-            format!("ap_gen pass {pass}"),
-        );
+        let candidates = self.generate_candidates(prev, pass);
         if candidates.is_empty() {
             return Ok(None);
         }
@@ -825,35 +825,12 @@ impl Yafim {
             .filter(move |&(_, c)| c >= min_sup)
             .try_collect()?;
 
-        // Resolve surviving indices against the store exactly once per
-        // pass. The tasks have dropped their broadcast handles by now, so
-        // the driver usually holds the last reference and can drain the
-        // candidate list by value — no per-frequent-itemset clone.
-        let mut counted = counted;
-        counted.sort_unstable_by_key(|&(i, _)| i);
-        let lk: Vec<(Itemset, u64)> = match Arc::try_unwrap(bc.into_value()) {
-            Ok(store) => {
-                let mut wanted = counted.iter().copied();
-                let mut next = wanted.next();
-                let mut out = Vec::with_capacity(counted.len());
-                for (i, cand) in store.into_candidates().into_iter().enumerate() {
-                    match next {
-                        Some((idx, c)) if idx as usize == i => {
-                            out.push((cand, c));
-                            next = wanted.next();
-                        }
-                        _ => {}
-                    }
-                }
-                out
-            }
-            // Something (e.g. an in-flight recompute) still shares the
-            // store; fall back to indexing the shared slice.
-            Err(store) => counted
-                .iter()
-                .map(|&(idx, c)| (store.candidates()[idx as usize].clone(), c))
-                .collect(),
-        };
+        let lk = drain_broadcast(
+            counted,
+            bc.into_value(),
+            |store| store.into_candidates(),
+            |store| store.candidates(),
+        );
         Ok(Some((n_candidates, lk.len(), lk)))
     }
 
@@ -914,14 +891,7 @@ impl Yafim {
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
 
-        // Driver: candidate generation (join + prune), charged as driver
-        // CPU — identical to the store path, so pass metadata agrees.
-        let (candidates, gen_work) = ap_gen(prev);
-        metrics.advance_with_event(
-            cost.cpu(gen_work.units() + candidates.len() as u64),
-            EventKind::Driver,
-            format!("ap_gen pass {pass}"),
-        );
+        let candidates = self.generate_candidates(prev, pass);
         if candidates.is_empty() {
             return Ok(None);
         }
@@ -979,34 +949,121 @@ impl Yafim {
             .filter(move |&(_, c)| c >= min_sup)
             .try_collect()?;
 
-        // Resolve surviving indices against the broadcast list once per
-        // pass, draining it by value when the driver holds the last
-        // reference (the mirror of the store path's drain).
-        let mut counted = counted;
-        counted.sort_unstable_by_key(|&(i, _)| i);
-        let lk: Vec<(Itemset, u64)> = match Arc::try_unwrap(bc.into_value()) {
-            Ok(list) => {
-                let mut wanted = counted.iter().copied();
-                let mut next = wanted.next();
-                let mut out = Vec::with_capacity(counted.len());
-                for (i, cand) in list.0.into_iter().enumerate() {
-                    match next {
-                        Some((idx, c)) if idx as usize == i => {
-                            out.push((cand, c));
-                            next = wanted.next();
-                        }
-                        _ => {}
-                    }
-                }
-                out
-            }
-            Err(list) => counted
-                .iter()
-                .map(|&(idx, c)| (list.0[idx as usize].clone(), c))
-                .collect(),
-        };
+        let lk = drain_broadcast(counted, bc.into_value(), |list| list.0, |list| &list.0);
         Ok(Some((n_candidates, lk.len(), lk)))
     }
+}
+
+/// The last-line tripwire behind the storage integrity layer, as a typed
+/// refusal: a level that breaks an Apriori invariant is never recorded.
+fn audit_pass(
+    prev: &[(Itemset, u64)],
+    lk: &[(Itemset, u64)],
+    n_candidates: usize,
+    pass: usize,
+) -> Result<(), MineError> {
+    crate::audit::audit_level(prev, lk, n_candidates)
+        .map_err(|violation| MineError::Audit { pass, violation })
+}
+
+/// Turn one pass's surviving `(candidate index, count)` records into `L_k`
+/// in candidate order; `candidate` is asked for each surviving index once,
+/// ascending.
+fn resolve_survivors(
+    mut counted: Vec<(u32, u64)>,
+    mut candidate: impl FnMut(usize) -> Itemset,
+) -> Vec<(Itemset, u64)> {
+    counted.sort_unstable_by_key(|&(idx, _)| idx);
+    counted
+        .into_iter()
+        .map(|(idx, c)| (candidate(idx as usize), c))
+        .collect()
+}
+
+/// [`resolve_survivors`] against a broadcast candidate container, exactly
+/// once per pass. The tasks have dropped their broadcast handles by now, so
+/// the driver usually holds the last reference and moves the survivors out
+/// by value — no per-frequent-itemset clone. When something (e.g. an
+/// in-flight recompute) still shares the container, clone out of it.
+fn drain_broadcast<T>(
+    counted: Vec<(u32, u64)>,
+    shared: Arc<T>,
+    into_candidates: impl FnOnce(T) -> Vec<Itemset>,
+    candidates: impl FnOnce(&T) -> &[Itemset],
+) -> Vec<(Itemset, u64)> {
+    match Arc::try_unwrap(shared) {
+        Ok(owned) => {
+            let mut all = into_candidates(owned);
+            resolve_survivors(counted, |idx| {
+                std::mem::replace(&mut all[idx], Itemset::from_sorted(Vec::new()))
+            })
+        }
+        Err(shared) => {
+            let all = candidates(&shared);
+            resolve_survivors(counted, |idx| all[idx].clone())
+        }
+    }
+}
+
+/// Per-thread scratch of the pass-2 triangle counter: the count cells and
+/// one touched bit per cell. It is all-zero whenever it rests in
+/// [`TRIANGLE_SCRATCH`]: [`count_pairs`] takes it out, zeroes exactly the
+/// cells it touched while emitting them, and only then puts it back — a
+/// task that unwinds in between drops it, and the next task on the thread
+/// starts from a fresh one.
+#[derive(Default)]
+struct TriangleScratch {
+    counts: Vec<u64>,
+    touched: Vec<u64>,
+}
+
+thread_local! {
+    static TRIANGLE_SCRATCH: RefCell<TriangleScratch> = RefCell::default();
+}
+
+/// Count every item pair of the dense-rank transactions `txs` in a
+/// triangular array over `n_dense` ranks. Returns the number of pair
+/// increments and one `(tri_index, count)` record per nonzero cell in
+/// ascending index order — found by walking the touched bits, not by
+/// scanning the (mostly empty) triangle.
+fn count_pairs(txs: &[Vec<Item>], n_dense: usize) -> (u64, Vec<(u32, u64)>) {
+    let n_cells = tri_len(n_dense);
+    let n_words = n_cells.div_ceil(64);
+    let mut scratch = TRIANGLE_SCRATCH.take();
+    if scratch.counts.len() < n_cells {
+        scratch.counts.resize(n_cells, 0);
+        scratch.touched.resize(n_words, 0);
+    }
+    let counts = &mut scratch.counts[..n_cells];
+    let touched = &mut scratch.touched[..n_words];
+
+    let mut pairs = 0u64;
+    for t in txs {
+        for i in 0..t.len().saturating_sub(1) {
+            // Row-relative addressing keeps the inner loop a single add +
+            // increment.
+            let base = tri_index(n_dense, t[i] as usize, t[i] as usize + 1);
+            for &b in &t[i + 1..] {
+                let cell = base + (b - t[i]) as usize - 1;
+                counts[cell] += 1;
+                touched[cell / 64] |= 1 << (cell % 64);
+            }
+        }
+        pairs += (t.len() * t.len().saturating_sub(1) / 2) as u64;
+    }
+
+    let nonzero: u32 = touched.iter().map(|w| w.count_ones()).sum();
+    let mut out = Vec::with_capacity(nonzero as usize);
+    for (w, word) in touched.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            let cell = w * 64 + bits.trailing_zeros() as usize;
+            out.push((cell as u32, std::mem::take(&mut counts[cell])));
+            bits &= bits - 1;
+        }
+    }
+    TRIANGLE_SCRATCH.set(scratch);
+    (pairs, out)
 }
 
 /// Convenience: one-call YAFIM over an in-memory transaction list, writing
@@ -1041,6 +1098,7 @@ mod tests {
     use super::*;
     use crate::sequential::{apriori, SequentialConfig};
     use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
+    use yafim_data::rng::StdRng;
 
     fn ctx() -> Context {
         Context::new(SimCluster::with_threads(
@@ -1309,6 +1367,90 @@ mod tests {
             bm.total_seconds,
             trie.total_seconds
         );
+    }
+
+    /// The pre-sparse emitter: a fresh zeroed triangle per task, scanned
+    /// end to end for its nonzero cells.
+    fn count_pairs_dense(txs: &[Vec<Item>], n_dense: usize) -> (u64, Vec<(u32, u64)>) {
+        let mut counts = vec![0u64; tri_len(n_dense)];
+        let mut pairs = 0u64;
+        for t in txs {
+            for (i, &a) in t.iter().enumerate() {
+                for &b in &t[i + 1..] {
+                    counts[tri_index(n_dense, a as usize, b as usize)] += 1;
+                    pairs += 1;
+                }
+            }
+        }
+        let out = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (i as u32, c))
+            .collect();
+        (pairs, out)
+    }
+
+    fn random_dense_partition(rng: &mut StdRng, n_dense: usize) -> Vec<Vec<Item>> {
+        (0..rng.gen_range(0..60usize))
+            .map(|_| {
+                let mut t: Vec<Item> = (0..rng.gen_range(0..9usize))
+                    .map(|_| rng.gen_range(0..n_dense) as Item)
+                    .collect();
+                t.sort_unstable();
+                t.dedup();
+                t
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_triangle_emit_equals_a_dense_scan() {
+        let mut rng = StdRng::seed_from_u64(0x7a11);
+        // Back to back on this one thread, so every call after the first
+        // runs on a reused scratch — with `n_dense` growing, shrinking and
+        // at its minimum of 2, and with empty partitions in between.
+        for n_dense in [40, 2, 130, 7, 2, 65, 64, 3] {
+            for _ in 0..6 {
+                let txs = random_dense_partition(&mut rng, n_dense);
+                assert_eq!(
+                    count_pairs(&txs, n_dense),
+                    count_pairs_dense(&txs, n_dense),
+                    "n_dense={n_dense} txs={txs:?}"
+                );
+            }
+            assert_eq!(count_pairs(&[], n_dense), (0, Vec::new()));
+        }
+    }
+
+    #[test]
+    fn an_unwound_triangle_task_leaks_no_counts_into_the_next() {
+        let good = vec![vec![0, 1, 4], vec![1, 4]];
+        // Rank 30 indexes past a 5-rank triangle: the task dies mid-count,
+        // after it already touched cells.
+        let poisoned = vec![vec![0, 1, 2, 3], vec![0, 30]];
+        count_pairs(&good, 5);
+        let unwound = std::panic::catch_unwind(|| count_pairs(&poisoned, 5));
+        assert!(unwound.is_err(), "out-of-range rank must not be counted");
+        assert_eq!(count_pairs(&good, 5), count_pairs_dense(&good, 5));
+    }
+
+    #[test]
+    fn a_poisoned_level_is_refused_typed() {
+        let l1 = vec![
+            (Itemset::single(1), 5u64),
+            (Itemset::single(2), 4),
+            (Itemset::single(3), 4),
+        ];
+        let sound = vec![(Itemset::from_sorted(vec![1, 2]), 3u64)];
+        assert!(audit_pass(&l1, &sound, 3, 2).is_ok());
+        // {1,2} cannot be more frequent than {2}: a corrupted count.
+        let poisoned = vec![(Itemset::from_sorted(vec![1, 2]), 40u64)];
+        let err = audit_pass(&l1, &poisoned, 3, 2).expect_err("anti-monotonicity broken");
+        assert!(matches!(err, MineError::Audit { pass: 2, .. }), "{err:?}");
+        let line = err.to_string();
+        assert!(line.starts_with("mining-invariant audit failed after pass 2: "));
+        assert_eq!(line.lines().count(), 1, "the CLI prints this as one line");
     }
 
     #[test]

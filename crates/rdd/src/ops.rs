@@ -81,7 +81,7 @@ impl<T: Data> Rdd<T> {
 
 impl<T> Rdd<T>
 where
-    T: Data + Hash + Eq,
+    T: Data + Hash + Ord,
 {
     /// Remove duplicates (one shuffle, like Spark's `distinct`).
     pub fn distinct(&self) -> Rdd<T> {
@@ -113,7 +113,10 @@ where
 
     /// Group all values per key (one shuffle). Value order within a group is
     /// deterministic (map-task order, as this engine's shuffle is).
-    pub fn group_by_key(&self) -> Rdd<(K, Vec<V>)> {
+    pub fn group_by_key(&self) -> Rdd<(K, Vec<V>)>
+    where
+        K: Ord,
+    {
         self.map(|(k, v)| (k, vec![v]))
             .reduce_by_key(|mut a, mut b| {
                 a.append(&mut b);
@@ -123,7 +126,10 @@ where
 
     /// Inner join on the key (one shuffle over both sides). For each key,
     /// every pair of a left and a right value is produced.
-    pub fn join<W: Data>(&self, other: &Rdd<(K, W)>) -> Rdd<(K, (V, W))> {
+    pub fn join<W: Data>(&self, other: &Rdd<(K, W)>) -> Rdd<(K, (V, W))>
+    where
+        K: Ord,
+    {
         let left = self.map(|(k, v)| (k, JoinSide::Left(v)));
         let right = other.map(|(k, w)| (k, JoinSide::Right(w)));
         left.union(&right)
@@ -149,7 +155,10 @@ where
 
     /// Action: collect into per-key counts — `count_by_key` (drives the
     /// Phase I frequency table in user code).
-    pub fn count_by_key(&self) -> Vec<(K, u64)> {
+    pub fn count_by_key(&self) -> Vec<(K, u64)>
+    where
+        K: Ord,
+    {
         self.map(|(k, _)| (k, 1u64))
             .reduce_by_key(|a, b| a + b)
             .collect()

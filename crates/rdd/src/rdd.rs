@@ -610,11 +610,13 @@ impl<T: Data> Rdd<T> {
 
 impl<K, V> Rdd<(K, V)>
 where
-    K: Data + Hash + Eq,
+    K: Data + Hash + Ord,
     V: Data,
 {
     /// Shuffle: combine values per key with `f`, map-side combining first.
-    /// Output has as many partitions as the parent.
+    /// Output has as many partitions as the parent. Keys need `Ord` so the
+    /// map side can recognise an already-combined (strictly ascending)
+    /// stream and the reduce side can order its output by key alone.
     pub fn reduce_by_key(&self, f: impl Fn(V, V) -> V + Send + Sync + 'static) -> Rdd<(K, V)> {
         self.reduce_by_key_with_partitions(f, self.num_partitions())
     }

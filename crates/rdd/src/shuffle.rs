@@ -13,19 +13,29 @@
 //! shuffle-file write; reduce side pays fetch (1/nodes local disk, the rest
 //! network), deserialization, and the merge CPU.
 //!
-//! Map output is kept *per map task*, tagged with the node the winning
-//! attempt ran on. When that node dies the registry marks just those map
-//! outputs lost (a reduce task would hit a fetch failure); the next
-//! `prepare` resubmits only the missing map partitions — Spark's
-//! partial-stage resubmission — and patches them back in. Reduce tasks read
-//! buckets in map-task order, so a patched shuffle is byte-identical to one
-//! materialized in a single healthy run.
+//! Map output is kept *per map task* — one flat, bucket-grouped block behind
+//! its own `Arc` — tagged with the node the winning attempt ran on. When that
+//! node dies the registry marks just those map outputs lost (a reduce task
+//! would hit a fetch failure); the next `prepare` resubmits only the missing
+//! map partitions — Spark's partial-stage resubmission — and patches them
+//! back in. Reduce tasks read buckets in map-task order, so a patched shuffle
+//! is byte-identical to one materialized in a single healthy run.
+//!
+//! The map side picks its combine strategy from the stream it sees: while
+//! keys arrive strictly ascending the records are already combined and are
+//! kept as they come (one comparison per record, no hashing); the first
+//! out-of-order key hands everything over to a hash combiner. Either way a
+//! key occurs at most once per map output, and the reduce side folds map
+//! outputs in map-task order and sorts its result by `(key hash, key)`, so
+//! the order of records *inside* a bucket can reach neither a reducer nor a
+//! result — the map side therefore routes without sorting.
 
 use crate::context::Context;
 use crate::exec::{self, ExecError};
 use crate::rdd::{materialize, Data, Pipe, RddImpl, RddMeta};
 use crate::task::TaskContext;
 use std::any::Any;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::sync::{Arc, Weak};
@@ -44,34 +54,95 @@ pub(crate) trait ShuffleStage: Send + Sync {
     fn prepare(&self) -> Result<(), ExecError>;
 }
 
+/// One map task's combined output: every record in one flat block, grouped
+/// by reduce partition. A key occurs at most once per map output.
+pub(crate) struct MapOutput<K, V> {
+    records: Vec<(K, V)>,
+    /// Bucket `r` is `records[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
+    /// Serialized byte estimate of each bucket.
+    bytes: Vec<u64>,
+}
+
+impl<K: Data + Hash, V: Data> MapOutput<K, V> {
+    /// Group `records` by reduce partition, in place: hash each key once,
+    /// count bucket sizes, then cycle every record into its bucket's range.
+    /// The order inside a bucket is unspecified (see the module docs).
+    fn route(mut records: Vec<(K, V)>, reduces: usize) -> Self {
+        records.shrink_to_fit();
+        let mut ids: Vec<u32> = records
+            .iter()
+            .map(|(k, _)| bucket_of(k, reduces) as u32)
+            .collect();
+        let mut offsets = vec![0usize; reduces + 1];
+        for &b in &ids {
+            offsets[b as usize + 1] += 1;
+        }
+        for r in 0..reduces {
+            offsets[r + 1] += offsets[r];
+        }
+        let mut next = offsets[..reduces].to_vec();
+        for b in 0..reduces {
+            while next[b] < offsets[b + 1] {
+                let i = next[b];
+                let home = ids[i] as usize;
+                if home != b {
+                    records.swap(i, next[home]);
+                    ids.swap(i, next[home]);
+                }
+                next[home] += 1;
+            }
+        }
+        let bytes = offsets
+            .windows(2)
+            .map(|w| slice_bytes(&records[w[0]..w[1]]))
+            .collect();
+        MapOutput {
+            records,
+            offsets,
+            bytes,
+        }
+    }
+}
+
+impl<K, V> MapOutput<K, V> {
+    fn bucket(&self, part: usize) -> &[(K, V)] {
+        &self.records[self.offsets[part]..self.offsets[part + 1]]
+    }
+}
+
 /// Materialized map output of one shuffle, kept per map task so individual
 /// map outputs can be invalidated and recomputed.
 pub(crate) struct Materialized<K, V> {
-    /// `per_map[m][r]` = the bucket map task `m` produced for reduce
-    /// partition `r`, in deterministic (map-task, key-hash) order.
-    pub per_map: Vec<Vec<Vec<(K, V)>>>,
+    /// `per_map[m]` = what map task `m` produced. Each output sits behind
+    /// its own `Arc`, so patching a few lost maps clones pointers, not data.
+    per_map: Vec<Arc<MapOutput<K, V>>>,
     /// Serialized byte estimate per reduce partition (summed over maps).
     pub bucket_bytes: Vec<u64>,
 }
 
-impl<K: Data, V: Data> Materialized<K, V> {
-    /// Iterate reduce partition `part`'s records in map-task order — the
-    /// same sequence the pre-loss concatenated layout produced.
-    pub fn bucket_iter(&self, part: usize) -> impl Iterator<Item = &(K, V)> {
-        self.per_map.iter().flat_map(move |m| m[part].iter())
+impl<K, V> Materialized<K, V> {
+    fn new(per_map: Vec<Arc<MapOutput<K, V>>>) -> Self {
+        let reduces = per_map.first().map_or(0, |m| m.bytes.len());
+        let bucket_bytes = (0..reduces)
+            .map(|r| per_map.iter().map(|m| m.bytes[r]).sum())
+            .collect();
+        Materialized {
+            per_map,
+            bucket_bytes,
+        }
     }
 
-    fn recount_bytes(&mut self) {
-        let reduces = self.per_map.first().map_or(0, |m| m.len());
-        self.bucket_bytes = (0..reduces)
-            .map(|r| self.per_map.iter().map(|m| slice_bytes(&m[r])).sum())
-            .collect();
+    /// Reduce partition `part`'s buckets, one per map task, in map-task
+    /// order.
+    fn buckets(&self, part: usize) -> impl Iterator<Item = &[(K, V)]> {
+        self.per_map.iter().map(move |m| m.bucket(part))
     }
 }
 
-/// A recomputed map output: `(map partition, its per-reduce buckets, node
-/// the resubmitted attempt ran on)`.
-pub(crate) type RecomputedMap<K, V> = (usize, Vec<Vec<(K, V)>>, NodeId);
+/// A recomputed map output: `(map partition, its output, node the
+/// resubmitted attempt ran on)`.
+pub(crate) type RecomputedMap<K, V> = (usize, MapOutput<K, V>, NodeId);
 
 /// One registered shuffle: the typed map output plus provenance — which node
 /// produced each map task's output, and which outputs are currently lost.
@@ -146,7 +217,8 @@ impl ShuffleRegistry {
     }
 
     /// Replace the lost map outputs of shuffle `id` with freshly recomputed
-    /// ones and record their new home nodes. Clears the lost set.
+    /// ones and record their new home nodes. Clears the lost set. Surviving
+    /// map outputs are shared with the previous entry, not copied.
     pub(crate) fn patch<K, V>(&self, id: u64, recomputed: Vec<RecomputedMap<K, V>>)
     where
         K: Data,
@@ -160,18 +232,11 @@ impl ShuffleRegistry {
             .downcast::<Materialized<K, V>>()
             .expect("shuffle type mismatch");
         let mut per_map = old.per_map.clone();
-        let mut map_nodes = entry.map_nodes.clone();
-        for (m, buckets, node) in recomputed {
-            per_map[m] = buckets;
-            map_nodes[m] = node;
+        for (m, output, node) in recomputed {
+            per_map[m] = Arc::new(output);
+            entry.map_nodes[m] = node;
         }
-        let mut mat = Materialized {
-            per_map,
-            bucket_bytes: Vec::new(),
-        };
-        mat.recount_bytes();
-        entry.data = Arc::new(mat);
-        entry.map_nodes = map_nodes;
+        entry.data = Arc::new(Materialized::new(per_map));
         entry.lost.clear();
     }
 
@@ -202,10 +267,70 @@ impl ShuffleRegistry {
     }
 }
 
+/// Why a combiner slot is never observed empty.
+const FOLDED: &str = "a combiner slot is only empty while its reducer call runs";
+
+/// Fold `v` into an occupied combiner slot without cloning the accumulated
+/// value: the reducer takes it by value, so it is moved out and back.
+fn fold_into<V>(slot: &mut Option<V>, v: V, reducer: &(dyn Fn(V, V) -> V + Send + Sync)) {
+    let prev = slot.take().expect(FOLDED);
+    *slot = Some(reducer(prev, v));
+}
+
+/// Map-side combine of one parent partition. Returns the number of records
+/// pulled and the combined records, each key at most once.
+///
+/// A strictly ascending key stream is already combined, so records are kept
+/// as they arrive for as long as each key exceeds the one before it; an
+/// owned upstream buffer is checked in place and reused. The first
+/// out-of-order key moves the run into a hash combiner, which takes the rest
+/// of the stream.
+fn combine<K, V>(
+    pipe: Pipe<'_, (K, V)>,
+    reducer: &(dyn Fn(V, V) -> V + Send + Sync),
+) -> (u64, Vec<(K, V)>)
+where
+    K: Data + Hash + Ord,
+    V: Data,
+{
+    let mut stream = match pipe {
+        Pipe::Owned(v) if v.windows(2).all(|w| w[0].0 < w[1].0) => return (v.len() as u64, v),
+        other => other.into_iter(),
+    };
+    let mut run: Vec<(K, V)> = Vec::new();
+    let late = loop {
+        let Some((k, v)) = stream.next() else {
+            return (run.len() as u64, run);
+        };
+        if run.last().is_some_and(|(last, _)| *last >= k) {
+            break (k, v);
+        }
+        run.push((k, v));
+    };
+
+    let mut records_in = 0u64;
+    let mut combined: FxHashMap<K, Option<V>> = FxHashMap::default();
+    combined.reserve(run.len());
+    for (k, v) in run.into_iter().chain(Some(late)).chain(stream) {
+        records_in += 1;
+        match combined.entry(k) {
+            Entry::Occupied(mut e) => fold_into(e.get_mut(), v, reducer),
+            Entry::Vacant(e) => {
+                e.insert(Some(v));
+            }
+        }
+    }
+    let combined = combined
+        .into_iter()
+        .map(|(k, v)| (k, v.expect(FOLDED)))
+        .collect();
+    (records_in, combined)
+}
+
 /// The `reduceByKey` operator node.
 pub(crate) struct ReduceByKeyRdd<K, V>
 where
-    K: Data + Hash + Eq,
+    K: Data + Hash + Ord,
     V: Data,
 {
     meta: RddMeta,
@@ -217,7 +342,7 @@ where
 
 impl<K, V> ReduceByKeyRdd<K, V>
 where
-    K: Data + Hash + Eq,
+    K: Data + Hash + Ord,
     V: Data,
 {
     pub(crate) fn new(
@@ -264,11 +389,10 @@ where
             .map(|&p| parent.preferred_node(p))
             .collect();
 
-        type MapOut<K, V> = Vec<Vec<(K, V)>>;
         let task_parts = map_parts.clone();
         let faults = ctx.cluster().faults().clone();
         let cost = ctx.cluster().cost().clone();
-        let (results, executed_on): (Vec<MapOut<K, V>>, Vec<NodeId>) = exec::try_run_stage(
+        let (results, executed_on): (Vec<MapOutput<K, V>>, Vec<NodeId>) = exec::try_run_stage(
             &ctx,
             label,
             EventKind::Shuffle,
@@ -281,42 +405,14 @@ where
                 // Map-side combine (Spark's aggregator): the parent's fused
                 // pipeline streams straight into the combiner — the shuffle
                 // write is the first pipeline breaker in the stage, so no
-                // intermediate partition buffer exists. Deterministic
-                // because stream order and the Fx hasher are deterministic.
-                let mut records_in = 0u64;
-                let mut combined: FxHashMap<K, V> = FxHashMap::default();
-                for (k, v) in materialize(&parent, part, tc) {
-                    records_in += 1;
-                    match combined.remove(&k) {
-                        Some(prev) => {
-                            combined.insert(k, reducer(prev, v));
-                        }
-                        None => {
-                            combined.insert(k, v);
-                        }
-                    }
-                }
+                // intermediate partition buffer exists.
+                let (records_in, combined) =
+                    combine(materialize(&parent, part, tc), reducer.as_ref());
                 tc.add_records_in(records_in);
 
-                let mut buckets: MapOut<K, V> = (0..out_parts).map(|_| Vec::new()).collect();
-                for (k, v) in combined {
-                    buckets[bucket_of(&k, out_parts)].push((k, v));
-                }
-                // Deterministic bucket contents regardless of hash-map
-                // iteration details would require an order; the Fx map with
-                // deterministic insertion already iterates deterministically,
-                // but sorting by insertion is not available — so the engine
-                // sorts by key hash to pin the order down completely.
-                for b in &mut buckets {
-                    b.sort_by_key(|(k, _)| yafim_cluster::fx_hash64(k));
-                }
-
-                let mut total_records = 0u64;
-                let mut total_bytes = 0u64;
-                for b in &buckets {
-                    total_records += b.len() as u64;
-                    total_bytes += slice_bytes(b);
-                }
+                let output = MapOutput::route(combined, out_parts);
+                let total_records = output.records.len() as u64;
+                let total_bytes: u64 = output.bytes.iter().sum();
                 // The combine buffer is execution memory; when the governor
                 // denies it (budget overflow or injected OOM) the buffer
                 // spills through local disk — `try_reserve` charges the
@@ -334,7 +430,7 @@ where
                 tc.note_records_written(total_records);
                 tc.note_materialized(total_bytes);
 
-                buckets
+                output
             }),
         )?;
 
@@ -344,16 +440,12 @@ where
                     .iter()
                     .zip(results)
                     .zip(executed_on)
-                    .map(|((&m, buckets), node)| (m, buckets, node))
+                    .map(|((&m, output), node)| (m, output, node))
                     .collect();
                 self.ctx().shuffles().patch(self.meta.id, recomputed);
             }
             None => {
-                let mut mat = Materialized {
-                    per_map: results,
-                    bucket_bytes: Vec::new(),
-                };
-                mat.recount_bytes();
+                let mat = Materialized::new(results.into_iter().map(Arc::new).collect());
                 self.ctx().shuffles().insert(self.meta.id, mat, executed_on);
             }
         }
@@ -363,7 +455,7 @@ where
 
 impl<K, V> ReduceByKeyRdd<K, V>
 where
-    K: Data + Hash + Eq,
+    K: Data + Hash + Ord,
     V: Data,
 {
     /// Walk the seeded transient-fetch ladder for every reduce partition of
@@ -445,7 +537,7 @@ where
 
 impl<K, V> ShuffleStage for ReduceByKeyRdd<K, V>
 where
-    K: Data + Hash + Eq,
+    K: Data + Hash + Ord,
     V: Data,
 {
     fn shuffle_id(&self) -> u64 {
@@ -486,7 +578,7 @@ where
 
 impl<K, V> RddImpl<(K, V)> for ReduceByKeyRdd<K, V>
 where
-    K: Data + Hash + Eq,
+    K: Data + Hash + Ord,
     V: Data,
 {
     fn meta(&self) -> &RddMeta {
@@ -558,27 +650,36 @@ where
                 .inc(t.backoff_micros);
         }
 
+        // Fold the buckets in map-task order, one probe per record. A key
+        // occurs at most once per map output, so the largest bucket is a
+        // lower bound on the distinct keys.
         let mut records = 0u64;
-        let mut agg: FxHashMap<K, V> = FxHashMap::default();
-        for (k, v) in mat.bucket_iter(part) {
-            records += 1;
-            match agg.remove(k) {
-                Some(prev) => {
-                    agg.insert(k.clone(), (self.reducer)(prev, v.clone()));
-                }
-                None => {
-                    agg.insert(k.clone(), v.clone());
+        let mut agg: FxHashMap<K, Option<V>> = FxHashMap::default();
+        agg.reserve(mat.buckets(part).map(<[_]>::len).max().unwrap_or(0));
+        for bucket in mat.buckets(part) {
+            records += bucket.len() as u64;
+            for (k, v) in bucket {
+                match agg.get_mut(k) {
+                    Some(slot) => fold_into(slot, v.clone(), self.reducer.as_ref()),
+                    None => {
+                        agg.insert(k.clone(), Some(v.clone()));
+                    }
                 }
             }
         }
         tc.add_records_in(records);
         tc.note_records_read(records);
-        let mut out: Vec<(K, V)> = agg.into_iter().collect();
-        // Pin down output order for run-to-run determinism. The sort makes
-        // the reduce output a genuine pipeline breaker: it owns one
-        // materialized buffer, which downstream narrow operators then
-        // stream out of.
-        out.sort_by_key(|(k, _)| yafim_cluster::fx_hash64(k));
+        // Pin down output order for run-to-run determinism: by key hash
+        // (computed once per key), ties by the key itself, so the order is a
+        // function of the key set alone. The sort makes the reduce output a
+        // genuine pipeline breaker: it owns one materialized buffer, which
+        // downstream narrow operators then stream out of.
+        let mut keyed: Vec<(u64, K, V)> = agg
+            .into_iter()
+            .map(|(k, v)| (fx_hash64(&k), k, v.expect(FOLDED)))
+            .collect();
+        keyed.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let out: Vec<(K, V)> = keyed.into_iter().map(|(_, k, v)| (k, v)).collect();
         tc.add_records_out(out.len() as u64);
         tc.note_materialized(slice_bytes(&out));
         Pipe::Owned(out)
@@ -600,5 +701,69 @@ where
 
     fn preflight(&self) -> Result<(), ExecError> {
         self.parent.preflight()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn add(a: u64, b: u64) -> u64 {
+        a + b
+    }
+
+    #[test]
+    fn an_ascending_owned_buffer_is_kept_as_is() {
+        let records: Vec<(u32, u64)> = (0..100).map(|k| (k * 3, k as u64)).collect();
+        let buffer = records.as_ptr();
+        let (n, combined) = combine(Pipe::Owned(records.clone()), &add);
+        assert_eq!((n, &combined), (100, &records));
+        let (_, reused) = combine(Pipe::Owned(records), &add);
+        assert_eq!(
+            reused.as_ptr(),
+            buffer,
+            "run path must reuse the upstream buffer"
+        );
+        assert_eq!(reused, combined);
+    }
+
+    #[test]
+    fn a_late_key_hands_the_run_over_to_the_hash_combiner() {
+        // Ascending up to the last record, which repeats an earlier key.
+        let mut records: Vec<(u32, u64)> = (0..50).map(|k| (k, 1)).collect();
+        records.push((7, 41));
+        for pipe in [
+            Pipe::Owned(records.clone()),
+            Pipe::Shared(Arc::new(records.clone())),
+            Pipe::Iter(Box::new(records.clone().into_iter())),
+        ] {
+            let (n, mut combined) = combine(pipe, &add);
+            combined.sort_unstable();
+            let expected: Vec<(u32, u64)> =
+                (0..50).map(|k| (k, if k == 7 { 42 } else { 1 })).collect();
+            assert_eq!((n, combined), (51, expected));
+        }
+    }
+
+    #[test]
+    fn route_groups_every_record_into_its_bucket() {
+        for reduces in [1, 2, 7, 64] {
+            let records: Vec<(u32, u64)> = (0..500).map(|k| (k * 7 + 1, k as u64)).collect();
+            let out = MapOutput::route(records.clone(), reduces);
+            assert_eq!(out.offsets.len(), reduces + 1);
+            assert_eq!(out.records.capacity(), out.records.len());
+            let mut seen = Vec::new();
+            for r in 0..reduces {
+                let bucket = out.bucket(r);
+                assert!(bucket.iter().all(|(k, _)| bucket_of(k, reduces) == r));
+                assert_eq!(out.bytes[r], slice_bytes(bucket));
+                seen.extend_from_slice(bucket);
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, records);
+        }
+        let empty = MapOutput::<u32, u64>::route(Vec::new(), 3);
+        assert_eq!(empty.bytes, vec![0, 0, 0]);
+        assert!(empty.bucket(2).is_empty());
     }
 }

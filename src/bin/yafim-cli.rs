@@ -216,9 +216,14 @@ fn run_distributed(miner: &str, tx: &[Vec<u32>], support: Support) -> (MinerRun,
     }
     c.hdfs().put_overwrite("input.dat", to_lines(tx));
     let run = match miner {
+        // A typed refusal (engine failure under the fault plan, or a level
+        // rejected by the mining-invariant audit) is one line and exit 1.
         "spark" => Yafim::new(Context::new(c.clone()), yafim_config(support))
-            .mine("input.dat")
-            .expect("input written"),
+            .try_mine("input.dat")
+            .unwrap_or_else(|e| {
+                eprintln!("spark miner refused the run: {e}");
+                exit(1)
+            }),
         "mapreduce" => MrApriori::new(c.clone(), MrAprioriConfig::new(support))
             .mine("input.dat")
             .expect("input written"),
