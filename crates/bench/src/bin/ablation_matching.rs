@@ -5,20 +5,19 @@
 //! 1. **MR-Apriori matcher** — hash tree vs naive list-scan in the MapReduce
 //!    baseline: quantifies how much of YAFIM's win comes from the framework
 //!    rather than the hash tree data structure.
-//! 2. **YAFIM Phase II** — the paper-faithful hash-tree engine vs the dense
-//!    projection + triangular pass-2 counter vs trie matching vs everything
-//!    combined (projection + triangle + trie + cross-pass trimming) vs the
-//!    vertical TID-bitmap counter (projection + triangle + columnar
-//!    word-wise counting for `k ≥ 3`), on a pass-2-dominated QUEST-style
-//!    workload (dense alphabet, low support, so
+//! 2. **YAFIM Phase II** — one row per [`Phase2Plan`]: the paper-faithful
+//!    hash-tree engine vs projection + triangular pass 2 + trie +
+//!    cross-pass trimming vs the vertical TID-bitmap counter (projection +
+//!    triangle + columnar word-wise counting for `k ≥ 3`), on a
+//!    pass-2-dominated QUEST-style workload (dense alphabet, low support, so
 //!    `|C_2| = |L1|·(|L1|−1)/2` dwarfs every other pass). Wall-clock
 //!    pass 2 is isolated as `median wall(max_passes=2) − median
 //!    wall(max_passes=1)`, and the `k ≥ 3` matching tail as
 //!    `median wall(all passes) − median wall(max_passes=2)`; the
-//!    transaction count is the numerator for every config, so records/sec
+//!    transaction count is the numerator for every plan, so records/sec
 //!    ratios equal time ratios.
 //!
-//! Every configuration must return byte-identical itemsets, supports and
+//! Every plan must return byte-identical itemsets, supports and
 //! per-pass candidate/frequent counts — the bench *fails* on any
 //! divergence, which is what the CI smoke step leans on.
 //!
@@ -29,7 +28,7 @@
 //!   pass-2 and `k ≥ 3` wall records/sec, peak cache bytes, pass-2
 //!   speedup, bitmap-vs-trie `k ≥ 3` speedup;
 //! * a [`RunManifest`] for the regression gate, captured from the
-//!   bitmap configuration's accounting run: smoke runs write
+//!   bitmap plan's accounting run: smoke runs write
 //!   `target/manifests/phase2.smoke.manifest.json` (compared by CI
 //!   against the committed `results/phase2.smoke.manifest.json`), full
 //!   runs write `results/phase2.manifest.json`.
@@ -43,74 +42,39 @@ use yafim_bench::{bench_dataset, experiment_cluster, load_dataset, write_manifes
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{ClusterSpec, CostModel, RunManifest, SimCluster, MANIFEST_SCHEMA_VERSION};
 use yafim_core::{
-    apriori, Matcher, MinerRun, MrApriori, MrAprioriConfig, MrMatching, Phase2Config,
-    SequentialConfig, Support, Yafim, YafimConfig,
+    apriori, MinerRun, MrApriori, MrAprioriConfig, MrMatching, Phase2Plan, SequentialConfig,
+    Support, Yafim, YafimConfig,
 };
 use yafim_data::{to_lines, PaperDataset, QuestConfig, QuestGenerator};
 use yafim_rdd::Context;
 
-/// The swept Phase-II configurations, mildest to most aggressive.
-fn phase2_configs() -> Vec<(&'static str, Phase2Config)> {
-    vec![
-        ("hash tree (paper)", Phase2Config::paper()),
-        (
-            "dense + trie",
-            Phase2Config {
-                project: true,
-                triangle_pass2: false,
-                matcher: Matcher::Trie,
-                trim: false,
-                checkpoint_interval: 0,
-            },
-        ),
-        (
-            "dense + triangle p2",
-            Phase2Config {
-                project: true,
-                triangle_pass2: true,
-                matcher: Matcher::HashTree,
-                trim: false,
-                checkpoint_interval: 0,
-            },
-        ),
-        ("triangle + trie + trim", Phase2Config::optimized()),
-        ("triangle + bitmap + trim", Phase2Config::bitmap()),
-    ]
+/// The row label of a plan (also the manifest's engine and config names).
+fn label(plan: Phase2Plan) -> &'static str {
+    match plan {
+        Phase2Plan::Paper => "hash tree (paper)",
+        Phase2Plan::Trie => "triangle + trie + trim",
+        Phase2Plan::Bitmap => "triangle + bitmap + trim",
+    }
 }
 
 fn cluster() -> SimCluster {
     SimCluster::with_threads(ClusterSpec::new(4, 4, 1 << 30), CostModel::hadoop_era(), 8)
 }
 
-fn miner(c: &SimCluster, support: Support, phase2: Phase2Config, max_passes: usize) -> Yafim {
-    let cfg = YafimConfig {
-        max_passes,
-        phase2,
-        ..YafimConfig::new(support)
-    };
-    Yafim::new(Context::new(c.clone()), cfg)
-}
-
 /// Deterministic accounting run: full mining, returning the run (virtual
 /// per-pass stats), the peak cache footprint, and the cluster (so the last
-/// configuration's metrics can feed the run manifest).
+/// plan's metrics can feed the run manifest).
 fn accounting_run(
     lines: &[String],
     support: Support,
-    phase2: &Phase2Config,
+    phase2: Phase2Plan,
 ) -> (MinerRun, u64, SimCluster) {
     let c = cluster();
     c.hdfs().put_overwrite("q.dat", lines.to_vec());
     let ctx = Context::new(c.clone());
-    let run = Yafim::new(
-        ctx.clone(),
-        YafimConfig {
-            phase2: phase2.clone(),
-            ..YafimConfig::new(support)
-        },
-    )
-    .mine("q.dat")
-    .expect("dataset written");
+    let run = Yafim::new(ctx.clone(), YafimConfig::with_plan(support, phase2))
+        .mine("q.dat")
+        .expect("dataset written");
     (run, ctx.cache().stats().peak_bytes, c)
 }
 
@@ -119,7 +83,7 @@ fn accounting_run(
 fn wall_seconds(
     lines: &[String],
     support: Support,
-    phase2: &Phase2Config,
+    phase2: Phase2Plan,
     max_passes: usize,
     samples: usize,
 ) -> f64 {
@@ -127,7 +91,11 @@ fn wall_seconds(
         .map(|_| {
             let c = cluster();
             c.hdfs().put_overwrite("q.dat", lines.to_vec());
-            let m = miner(&c, support, phase2.clone(), max_passes);
+            let cfg = YafimConfig {
+                max_passes,
+                ..YafimConfig::with_plan(support, phase2)
+            };
+            let m = Yafim::new(Context::new(c.clone()), cfg);
             let t0 = Instant::now();
             std::hint::black_box(m.mine("q.dat").expect("dataset written"));
             t0.elapsed().as_secs_f64()
@@ -138,7 +106,7 @@ fn wall_seconds(
 }
 
 struct ConfigRun {
-    label: &'static str,
+    plan: Phase2Plan,
     run: MinerRun,
     peak_cache_bytes: u64,
     /// Isolated pass-2 wall seconds (`wall(2 passes) − wall(1 pass)`).
@@ -243,16 +211,19 @@ fn main() {
     let reference = apriori(&tx, &SequentialConfig::new(support));
     let mut runs: Vec<ConfigRun> = Vec::new();
     let mut manifest_cluster: Option<SimCluster> = None;
-    for (label, p2) in phase2_configs() {
-        let (run, peak_cache_bytes, c) = accounting_run(&lines, support, &p2);
+    for plan in Phase2Plan::ALL {
+        let (run, peak_cache_bytes, c) = accounting_run(&lines, support, plan);
         if run.result != reference {
-            eprintln!("FAIL: '{label}' diverges from the sequential reference");
+            eprintln!(
+                "FAIL: '{}' diverges from the sequential reference",
+                label(plan)
+            );
             std::process::exit(1);
         }
-        // phase2_configs() ends with the bitmap config; keep its cluster.
+        // Phase2Plan::ALL ends with the bitmap plan; keep its cluster.
         manifest_cluster = Some(c);
         runs.push(ConfigRun {
-            label,
+            plan,
             run,
             peak_cache_bytes,
             pass2_seconds: f64::NAN,
@@ -278,7 +249,7 @@ fn main() {
         if got != baseline_passes {
             eprintln!(
                 "FAIL: '{}' pass metadata diverges from the paper engine",
-                r.label
+                label(r.plan)
             );
             std::process::exit(1);
         }
@@ -297,17 +268,17 @@ fn main() {
         ("seed", "0xab1a7104".into()),
         ("smoke", JsonValue::Bool(smoke)),
     ]);
+    let featured = runs.last().expect("plans swept");
     let config_doc = JsonValue::object(vec![
-        ("phase2", "triangle + bitmap + trim".into()),
+        ("phase2", label(featured.plan).into()),
         ("cluster", "4 nodes x 4 cores".into()),
     ]);
-    let featured = runs.last().expect("configs swept");
     let mut manifest = RunManifest::capture(
         "phase2",
-        "triangle + bitmap + trim",
+        label(featured.plan),
         dataset_doc.clone(),
         config_doc,
-        manifest_cluster.as_ref().expect("configs swept"),
+        manifest_cluster.as_ref().expect("plans swept"),
     );
     manifest.push_metric("frequent_itemsets", reference.total() as f64);
     manifest.push_metric("passes", featured.run.passes.len() as f64);
@@ -341,14 +312,9 @@ fn main() {
 
     // Wall-clock sweep: isolate pass 2 and the k≥3 tail per config.
     for r in &mut runs {
-        let p2 = phase2_configs()
-            .into_iter()
-            .find(|(l, _)| *l == r.label)
-            .expect("label round-trips")
-            .1;
-        let one = wall_seconds(&lines, support, &p2, 1, samples);
-        let two = wall_seconds(&lines, support, &p2, 2, samples);
-        r.total_wall_seconds = wall_seconds(&lines, support, &p2, 0, samples);
+        let one = wall_seconds(&lines, support, r.plan, 1, samples);
+        let two = wall_seconds(&lines, support, r.plan, 2, samples);
+        r.total_wall_seconds = wall_seconds(&lines, support, r.plan, 0, samples);
         r.pass2_seconds = (two - one).max(1e-9);
         r.pass2_records_per_sec = tx.len() as f64 / r.pass2_seconds;
         // The k≥3 tail carries the columnar build for the bitmap config
@@ -384,7 +350,7 @@ fn main() {
         let _ = writeln!(
             report,
             "{:<24} {:>10.3} s {:>14} {:>11.2}x {:>9.3} s {:>14} {:>12} B {:>10.3} s",
-            r.label,
+            label(r.plan),
             r.pass2_seconds,
             fmt_rate(r.pass2_records_per_sec),
             base_p2 / r.pass2_seconds,
@@ -409,13 +375,14 @@ fn main() {
         .iter()
         .map(|r| base_p2 / r.pass2_seconds)
         .fold(f64::NAN, f64::max);
-    let by_label = |l: &str| {
+    let k3_of = |plan: Phase2Plan| {
         runs.iter()
-            .find(|r| r.label == l)
-            .expect("config label present")
+            .find(|r| r.plan == plan)
+            .expect("every plan swept")
+            .k3_seconds
     };
-    let trie_k3 = by_label("triangle + trie + trim").k3_seconds;
-    let bitmap_k3 = by_label("triangle + bitmap + trim").k3_seconds;
+    let trie_k3 = k3_of(Phase2Plan::Trie);
+    let bitmap_k3 = k3_of(Phase2Plan::Bitmap);
     let _ = writeln!(
         report,
         "\nk>=3 matching tail: bitmap {bitmap_k3:.3} s vs trie {trie_k3:.3} s \
@@ -495,7 +462,11 @@ fn main() {
         ("frequent_itemsets", reference.total().into()),
         (
             "configs",
-            JsonValue::object(runs.iter().map(|r| (r.label, config_json(r))).collect()),
+            JsonValue::object(
+                runs.iter()
+                    .map(|r| (label(r.plan), config_json(r)))
+                    .collect(),
+            ),
         ),
         ("best_pass2_speedup", JsonValue::Number(best)),
         (

@@ -575,8 +575,9 @@ impl FaultPlan {
     /// Parse a plan from the JSON produced by [`FaultPlan::to_json`]. Every
     /// field is optional and falls back to [`FaultPlan::seeded`] defaults,
     /// so hand-written plans can stay minimal — but unknown fields are
-    /// rejected by name, so a typo (`fetch_retrys`) fails loudly instead of
-    /// silently running with the default.
+    /// rejected by name, and so is a known field holding the wrong type, so
+    /// a typo (`fetch_retrys`, `"task_crash_prob": "high"`) fails loudly
+    /// instead of silently running with the default.
     pub fn from_json(v: &JsonValue) -> Result<FaultPlan, String> {
         const KNOWN_FIELDS: &[&str] = &[
             "seed",
@@ -617,19 +618,34 @@ impl FaultPlan {
             }
             other => return Err(format!("fault plan must be a JSON object, got {other}")),
         };
-        let num = |name: &str| obj.get(name).and_then(JsonValue::as_f64);
-        let seed = num("seed").unwrap_or(0.0) as u64;
+        /// `obj[name]` through `as_t`: absent is `None`, the wrong type an
+        /// error naming the field.
+        fn field<'a, T>(
+            obj: &'a JsonValue,
+            name: &str,
+            expected: &str,
+            as_t: impl Fn(&'a JsonValue) -> Option<T>,
+        ) -> Result<Option<T>, String> {
+            let Some(v) = obj.get(name) else {
+                return Ok(None);
+            };
+            let wrong = || format!("fault plan field `{name}` must be {expected}, got {v}");
+            as_t(v).map(Some).ok_or_else(wrong)
+        }
+        let num = |name: &str| field(obj, name, "a number", JsonValue::as_f64);
+        let list = |name: &str| field(obj, name, "an array", JsonValue::as_array);
+        let seed = num("seed")?.unwrap_or(0.0) as u64;
         let mut plan = FaultPlan::seeded(seed);
-        if let Some(p) = num("task_crash_prob") {
+        if let Some(p) = num("task_crash_prob")? {
             plan.task_crash_prob = p.clamp(0.0, 1.0);
         }
-        if let Some(n) = num("max_task_failures") {
+        if let Some(n) = num("max_task_failures")? {
             plan.max_task_failures = (n as u32).max(1);
         }
-        if let Some(s) = num("resubmit_delay") {
+        if let Some(s) = num("resubmit_delay")? {
             plan.resubmit_delay = SimDuration::from_secs(s);
         }
-        if let Some(JsonValue::Array(items)) = obj.get("node_losses") {
+        if let Some(items) = list("node_losses")? {
             for item in items {
                 let pair = item
                     .as_array()
@@ -647,7 +663,7 @@ impl FaultPlan {
                 ));
             }
         }
-        if let Some(JsonValue::Array(items)) = obj.get("slow_nodes") {
+        if let Some(items) = list("slow_nodes")? {
             for item in items {
                 let pair = item
                     .as_array()
@@ -662,55 +678,64 @@ impl FaultPlan {
                 plan.slow_nodes.push((NodeId(node as u32), factor.max(1.0)));
             }
         }
-        if let Some(JsonValue::Bool(b)) = obj.get("speculation") {
-            plan.speculation = *b;
+        let as_bool = |v: &JsonValue| match v {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        };
+        if let Some(b) = field(obj, "speculation", "true or false", as_bool)? {
+            plan.speculation = b;
         }
-        if let Some(m) = num("speculation_multiplier") {
+        if let Some(m) = num("speculation_multiplier")? {
             plan.speculation_multiplier = m;
         }
-        if let Some(n) = num("blacklist_after") {
+        if let Some(n) = num("blacklist_after")? {
             plan.blacklist_after = (n as u32).max(1);
         }
-        if let Some(p) = num("fetch_failure_prob") {
+        if let Some(p) = num("fetch_failure_prob")? {
             plan.fetch_failure_prob = p.clamp(0.0, 1.0);
         }
-        if let Some(p) = num("hdfs_failure_prob") {
+        if let Some(p) = num("hdfs_failure_prob")? {
             plan.hdfs_failure_prob = p.clamp(0.0, 1.0);
         }
-        if let Some(n) = num("fetch_retries") {
+        if let Some(n) = num("fetch_retries")? {
             plan.fetch_retries = n as u32;
         }
-        if let Some(s) = num("fetch_backoff_base") {
+        if let Some(s) = num("fetch_backoff_base")? {
             plan.fetch_backoff_base = SimDuration::from_secs(s);
         }
-        if let Some(s) = num("heartbeat_interval") {
+        if let Some(s) = num("heartbeat_interval")? {
             plan.heartbeat_interval = SimDuration::from_secs(s.max(1e-6));
         }
-        if let Some(s) = num("heartbeat_timeout") {
+        if let Some(s) = num("heartbeat_timeout")? {
             plan.heartbeat_timeout = SimDuration::from_secs(s);
         }
-        if let Some(s) = num("blacklist_expiry") {
+        if let Some(s) = num("blacklist_expiry")? {
             plan.blacklist_expiry = SimDuration::from_secs(s);
         }
-        if let Some(n) = num("checkpoint_interval") {
+        if let Some(n) = num("checkpoint_interval")? {
             plan.checkpoint_interval = n as usize;
         }
-        if let Some(p) = num("shuffle_corruption_prob") {
+        if let Some(p) = num("shuffle_corruption_prob")? {
             plan.shuffle_corruption_prob = p.clamp(0.0, 1.0);
         }
-        if let Some(p) = num("cache_corruption_prob") {
+        if let Some(p) = num("cache_corruption_prob")? {
             plan.cache_corruption_prob = p.clamp(0.0, 1.0);
         }
-        if let Some(p) = num("hdfs_corruption_prob") {
+        if let Some(p) = num("hdfs_corruption_prob")? {
             plan.hdfs_corruption_prob = p.clamp(0.0, 1.0);
         }
-        if let Some(p) = num("oom_prob") {
+        if let Some(p) = num("oom_prob")? {
             plan.oom_prob = p.clamp(0.0, 1.0);
         }
-        if let Some(b) = num("mem_budget_override") {
-            plan.mem_budget_override = Some(b as u64);
+        // `to_json` writes an absent override as `null`.
+        let as_override = |v: &JsonValue| match v {
+            JsonValue::Null => Some(None),
+            v => v.as_f64().map(Some),
+        };
+        if let Some(b) = field(obj, "mem_budget_override", "a number or null", as_override)? {
+            plan.mem_budget_override = b.map(|b| b as u64);
         }
-        if let Some(JsonValue::Array(items)) = obj.get("targeted_corruptions") {
+        if let Some(items) = list("targeted_corruptions")? {
             for item in items {
                 let entry = item.as_array().filter(|e| e.len() == 4).ok_or_else(|| {
                     format!(
@@ -2098,6 +2123,20 @@ mod tests {
             err.contains("oom_prob") && err.contains("mem_budget_override"),
             "known-field list names the memory knobs: {err}"
         );
+        // A known field holding the wrong type is named too, not defaulted.
+        for (field, value) in [
+            ("task_crash_prob", r#""high""#),
+            ("seed", "null"),
+            ("speculation", "1"),
+            ("node_losses", "3"),
+            ("targeted_corruptions", "{}"),
+            ("mem_budget_override", r#""1g""#),
+        ] {
+            let v = crate::json::parse(&format!(r#"{{"{field}": {value}}}"#)).unwrap();
+            let err = FaultPlan::from_json(&v).expect_err("wrong-typed field must fail");
+            assert!(err.contains(field) && err.contains("must be"), "{err}");
+            assert_eq!(err.lines().count(), 1, "the CLI prints this as one line");
+        }
     }
 
     #[test]

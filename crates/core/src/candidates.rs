@@ -13,7 +13,8 @@ use yafim_cluster::{ByteSize, FxHashSet};
 /// candidates occur in a transaction. Implemented by the classic
 /// [`HashTree`](crate::hashtree::HashTree) (the paper-faithful reference,
 /// §IV.C) and the arena [`CandidateTrie`](crate::trie::CandidateTrie);
-/// [`YafimConfig`](crate::yafim::YafimConfig) selects which one Phase II
+/// the run's [`Phase2Plan`](crate::yafim::Phase2Plan) (and, under an armed
+/// memory governor, the per-task limit) selects which one Phase II
 /// broadcasts. Both report matches as indices into the same sorted candidate
 /// list, so the engines are byte-identical across stores.
 pub trait CandidateStore: Send + Sync {

@@ -55,4 +55,4 @@ pub use son::{Son, SonConfig};
 pub use summarize::{closed_itemsets, maximal_itemsets};
 pub use trie::CandidateTrie;
 pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support};
-pub use yafim::{mine_in_memory, Matcher, MineError, Phase2Config, Yafim, YafimConfig};
+pub use yafim::{mine_in_memory, MineError, Phase2Plan, Yafim, YafimConfig};

@@ -50,7 +50,7 @@ pub enum MrMatching {
 }
 
 /// A built matcher for one candidate level.
-enum LevelMatcher {
+enum LevelMatching {
     /// Hash-tree descent.
     Tree(HashTree),
     /// `k = 2` naive: enumerate item pairs and probe a set.
@@ -59,20 +59,20 @@ enum LevelMatcher {
     Scan(Vec<Itemset>),
 }
 
-impl LevelMatcher {
+impl LevelMatching {
     fn new(candidates: Vec<Itemset>, matching: MrMatching) -> Self {
         match matching {
-            MrMatching::HashTree => LevelMatcher::Tree(HashTree::build(candidates)),
+            MrMatching::HashTree => LevelMatching::Tree(HashTree::build(candidates)),
             MrMatching::NaiveScan => {
                 if candidates.first().is_some_and(|c| c.len() == 2) {
-                    LevelMatcher::Pairs(
+                    LevelMatching::Pairs(
                         candidates
                             .into_iter()
                             .map(|c| (c.items()[0], c.items()[1]))
                             .collect(),
                     )
                 } else {
-                    LevelMatcher::Scan(candidates)
+                    LevelMatching::Scan(candidates)
                 }
             }
         }
@@ -86,13 +86,13 @@ impl LevelMatcher {
         em: &mut Emitter<Itemset, u64>,
     ) -> u64 {
         match self {
-            LevelMatcher::Tree(tree) => {
+            LevelMatching::Tree(tree) => {
                 let visits = tree.for_each_match(t, scratch, |idx| {
                     em.emit(tree.candidates()[idx].clone(), 1);
                 });
                 visits * JVM_TREE_VISIT_UNITS
             }
-            LevelMatcher::Pairs(pairs) => {
+            LevelMatching::Pairs(pairs) => {
                 let mut units = 0;
                 for i in 0..t.len() {
                     for j in i + 1..t.len() {
@@ -104,7 +104,7 @@ impl LevelMatcher {
                 }
                 units
             }
-            LevelMatcher::Scan(candidates) => {
+            LevelMatching::Scan(candidates) => {
                 for c in candidates {
                     if c.is_subset_of_sorted(t) {
                         em.emit(c.clone(), 1);
@@ -280,10 +280,10 @@ impl MrApriori {
             // distributed cache, as serialized itemset text (PApriori).
             let side_bytes: u64 = level_candidates.iter().map(|l| slice_bytes(l)).sum();
             let matching = self.config.matching;
-            let matchers: Arc<Vec<LevelMatcher>> = Arc::new(
+            let matchers: Arc<Vec<LevelMatching>> = Arc::new(
                 level_candidates
                     .into_iter()
-                    .map(|c| LevelMatcher::new(c, matching))
+                    .map(|c| LevelMatching::new(c, matching))
                     .collect(),
             );
             let matchers_for_map = Arc::clone(&matchers);

@@ -16,12 +16,14 @@
 //! cluster memory in every later pass — the key memory-utilization property
 //! of §IV.B that the MapReduce baseline lacks.
 //!
-//! # The Phase-II hot path ([`Phase2Config`])
+//! # The Phase-II hot path ([`Phase2Plan`])
 //!
 //! All iterative cost lives in subset-matching every cached transaction
-//! against `C_k`. On top of the paper-faithful engine (hash tree, raw
-//! alphabet, untrimmed RDD) this module implements three independently
-//! switchable optimizations, all invisible to results:
+//! against `C_k`. Phase II runs as one of three plans, all invisible to
+//! results: [`Phase2Plan::Paper`] is the paper-faithful engine (hash tree,
+//! raw alphabet, untrimmed RDD); [`Phase2Plan::Trie`] and
+//! [`Phase2Plan::Bitmap`] share the three techniques below and differ in
+//! what counts the `k ≥ 3` passes (see the variants).
 //!
 //! * **dense projection** — after pass 1, re-encode the cached transactions
 //!   once ([`DenseEncoder`]): drop infrequent items, remap survivors to
@@ -31,18 +33,14 @@
 //! * **specialized pass 2** — `|C_2| = |L1|·(|L1|−1)/2` makes pass 2 the
 //!   dominant iteration; over dense ranks it needs no candidate store at
 //!   all, just a flat triangular count array indexed by item pair.
-//! * **trie matching + cross-pass trimming** — for `k ≥ 3`, an
-//!   arena-allocated prefix trie ([`CandidateTrie`]) replaces the hash
-//!   tree, and after each `L_k` a DHP-style trim drops items that occur in
-//!   no frequent `k`-itemset plus transactions too short to hold a
-//!   `(k+1)`-candidate, re-caching the shrunken RDD (and unpersisting the
-//!   one it replaces) so later passes stream monotonically less data.
-//! * **vertical bitmap counting** ([`Matcher::Bitmap`]) — project each
-//!   partition once into a [`ColumnarPartition`] (one `u64` bitset row per
-//!   dense rank) and count every `k ≥ 3` candidate by word-wise AND +
-//!   popcount over its item rows, with no per-transaction store descent at
-//!   all. Guarded by [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS);
-//!   too-large alphabets fall back to the trie.
+//! * **cross-pass trimming** — after each `L_k` a DHP-style trim drops items
+//!   that occur in no frequent `k`-itemset plus transactions too short to
+//!   hold a `(k+1)`-candidate, re-caching the shrunken RDD (and unpersisting
+//!   the one it replaces) so later passes stream monotonically less data.
+//!
+//! Which structure actually counts a given pass — the plan's own, or a
+//! smaller one when a size guard or the memory governor rules it out — is
+//! decided in one place, `Yafim::choose_counter`.
 
 use crate::bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition};
 use crate::candidates::{ap_gen, CandidateList, CandidateStore};
@@ -142,80 +140,99 @@ fn trie_footprint(n_candidates: usize, k: usize) -> u64 {
     (n_candidates * k) as u64 * 16 + 8 * n_candidates as u64
 }
 
-/// Which counting strategy Phase II uses for passes `k ≥ 3`.
+/// How Phase II counts. Every plan returns byte-identical mining results;
+/// only the cost of getting there moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Matcher {
-    /// The paper's candidate hash tree (Agrawal & Srikant) — the
-    /// paper-faithful reference.
-    HashTree,
-    /// Contiguous-arena prefix trie: merge-based descent, unique paths.
+pub enum Phase2Plan {
+    /// The paper's Phase II exactly: a broadcast candidate hash tree
+    /// (Agrawal & Srikant) on every pass, raw alphabet, untrimmed RDD.
+    Paper,
+    /// Dense projection, triangular pass 2, a contiguous-arena prefix trie
+    /// ([`CandidateTrie`]: merge-based descent, unique paths) for `k ≥ 3`,
+    /// and a DHP-style trim of the cached RDD after every pass.
     Trie,
-    /// Vertical TID bitmaps: project each partition once into a
-    /// [`ColumnarPartition`] and count candidates by word-wise AND +
-    /// popcount of item rows — no broadcast store, no per-transaction
-    /// descent. Requires [`Phase2Config::project`] and an alphabet within
-    /// [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS); otherwise the
-    /// engine counts with the trie and bumps the `bitmap.fallbacks` counter.
+    /// Like [`Phase2Plan::Trie`], but `k ≥ 3` passes count through vertical
+    /// TID bitmaps: each partition is projected once into a
+    /// [`ColumnarPartition`] (one `u64` bitset row per dense rank) and
+    /// candidates are counted by word-wise AND + popcount of item rows — no
+    /// broadcast store, no per-transaction descent — and trimming stops
+    /// once that store is built. An alphabet beyond
+    /// [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS) counts with the
+    /// trie instead and bumps the `bitmap.fallbacks` counter.
     Bitmap,
 }
 
-/// Phase-II hot-path switches. Every combination returns byte-identical
-/// mining results; only the cost of getting there moves.
-#[derive(Clone, Debug)]
-pub struct Phase2Config {
-    /// Re-encode the cached transactions to dense ranks after pass 1.
-    pub project: bool,
-    /// Count pass 2 with a triangular pair array instead of a candidate
-    /// store. Requires `project` (dense ranks bound the triangle); falls
-    /// back to the store when `|L1|` would need more than
-    /// [`TRIANGLE_MAX_CELLS`] cells.
-    pub triangle_pass2: bool,
-    /// Candidate store for passes `k ≥ 3`.
-    pub matcher: Matcher,
-    /// DHP-style cross-pass trimming of the cached RDD. Requires `project`.
-    pub trim: bool,
-    /// Checkpoint the work RDD to replicated HDFS blocks every this many
-    /// completed Phase-II passes, truncating its lineage (0 = never). When
-    /// 0, an active [`yafim_cluster::FaultPlan`] with a nonzero
-    /// `checkpoint_interval` supplies the cadence instead. Invisible to
-    /// results; after a node loss, recovery replays at most this many
-    /// passes of projection/trim work instead of the chain back to HDFS.
-    pub checkpoint_interval: usize,
+impl Phase2Plan {
+    /// Every plan, paper-faithful first.
+    pub const ALL: [Phase2Plan; 3] = [Phase2Plan::Paper, Phase2Plan::Trie, Phase2Plan::Bitmap];
+
+    /// The plan's CLI name (`--phase2 <paper|opt|bitmap>`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase2Plan::Paper => "paper",
+            Phase2Plan::Trie => "opt",
+            Phase2Plan::Bitmap => "bitmap",
+        }
+    }
+
+    /// The plan called `name`, if any.
+    pub fn parse(name: &str) -> Option<Phase2Plan> {
+        Phase2Plan::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    /// Whether the plan re-encodes the cached transactions to dense ranks
+    /// after pass 1 — what the triangle, the trims and the bitmaps rest on.
+    fn projects(self) -> bool {
+        self != Phase2Plan::Paper
+    }
 }
 
-impl Phase2Config {
-    /// The paper's Phase II exactly: hash tree, raw alphabet, untrimmed RDD.
-    pub fn paper() -> Self {
-        Phase2Config {
-            project: false,
-            triangle_pass2: false,
-            matcher: Matcher::HashTree,
-            trim: false,
-            checkpoint_interval: 0,
-        }
-    }
+/// The structure that counts one Phase-II pass, as picked by
+/// `Yafim::choose_counter`, with the pass's candidates.
+enum Counter {
+    /// Flat pair array over dense ranks (pass 2 only; `C_2` stays implicit).
+    Triangle,
+    /// Word-wise AND + popcount over the cached columnar store.
+    Bitmap(Vec<Itemset>),
+    /// Broadcast prefix trie.
+    Trie(Vec<Itemset>),
+    /// Broadcast hash tree.
+    HashTree(Vec<Itemset>),
+}
 
-    /// Everything on: dense projection, triangular pass 2, trie matching,
-    /// cross-pass trimming.
-    pub fn optimized() -> Self {
-        Phase2Config {
-            project: true,
-            triangle_pass2: true,
-            matcher: Matcher::Trie,
-            trim: true,
-            checkpoint_interval: 0,
-        }
-    }
+/// Everything a run holds in cluster memory or checkpoint blocks. Dropping
+/// it releases all of it, so a typed refusal (`?`) leaves the cluster as
+/// clean as a completed run does.
+struct Held {
+    /// The parsed input, cached by pass 1.
+    transactions: Rdd<Vec<Item>>,
+    /// The transactions RDD every counting job runs on, in "work space":
+    /// dense ranks when the plan projects, the raw alphabet otherwise.
+    work: Rdd<Vec<Item>>,
+    /// The RDD the current `work` supersedes; it stays cached until the job
+    /// that materializes (and re-caches) its successor has run, then is
+    /// unpersisted — the §IV.B memory property with correct cache
+    /// accounting for replaced RDDs.
+    replaced: Option<Rdd<Vec<Item>>>,
+    /// The columnar store, built lazily by the first bitmap-counted pass
+    /// and reused (from cache) by every later one.
+    columnar: Option<Rdd<ColumnarPartition>>,
+    /// The latest checkpoint reader, whose blocks are live in HDFS.
+    checkpointed: Option<Rdd<Vec<Item>>>,
+}
 
-    /// Like [`Phase2Config::optimized`], but `k ≥ 3` passes count through
-    /// the vertical TID bitmaps instead of the trie. One DHP trim may still
-    /// run after pass 2 (it shrinks the columnar build); once the columnar
-    /// store exists further trims are skipped — the bitmap counter never
-    /// rescans transactions, so there is nothing left for them to save.
-    pub fn bitmap() -> Self {
-        Phase2Config {
-            matcher: Matcher::Bitmap,
-            ..Phase2Config::optimized()
+impl Drop for Held {
+    fn drop(&mut self) {
+        if let Some(old) = &self.replaced {
+            old.unpersist();
+        }
+        if let Some(col) = &self.columnar {
+            col.unpersist();
+        }
+        self.work.unpersist();
+        self.transactions.unpersist();
+        if let Some(cp) = &self.checkpointed {
+            cp.discard_checkpoint();
         }
     }
 }
@@ -230,8 +247,8 @@ pub struct YafimConfig {
     pub min_partitions: usize,
     /// Stop after this many passes (0 = run to fixpoint).
     pub max_passes: usize,
-    /// Phase-II hot-path configuration.
-    pub phase2: Phase2Config,
+    /// Which Phase II runs.
+    pub phase2: Phase2Plan,
     /// Scheduler pool this run's jobs are attributed to (multi-job
     /// scheduling; see `yafim_cluster::JobQueue`).
     pub pool: String,
@@ -240,38 +257,35 @@ pub struct YafimConfig {
 impl YafimConfig {
     /// Defaults: run to fixpoint, default parallelism, the paper's Phase II.
     pub fn new(min_support: Support) -> Self {
+        YafimConfig::with_plan(min_support, Phase2Plan::Paper)
+    }
+
+    /// Like [`YafimConfig::new`] but with every Phase-II optimization on
+    /// ([`Phase2Plan::Trie`]).
+    pub fn optimized(min_support: Support) -> Self {
+        YafimConfig::with_plan(min_support, Phase2Plan::Trie)
+    }
+
+    /// Like [`YafimConfig::optimized`] but counting `k ≥ 3` passes through
+    /// the vertical TID bitmaps ([`Phase2Plan::Bitmap`]).
+    pub fn bitmap(min_support: Support) -> Self {
+        YafimConfig::with_plan(min_support, Phase2Plan::Bitmap)
+    }
+
+    /// Like [`YafimConfig::new`] but running Phase II as `phase2`.
+    pub fn with_plan(min_support: Support, phase2: Phase2Plan) -> Self {
         YafimConfig {
             min_support,
             min_partitions: 0,
             max_passes: 0,
-            phase2: Phase2Config::paper(),
+            phase2,
             pool: "default".to_string(),
-        }
-    }
-
-    /// Like [`YafimConfig::new`] but with every Phase-II optimization on.
-    pub fn optimized(min_support: Support) -> Self {
-        YafimConfig {
-            phase2: Phase2Config::optimized(),
-            ..YafimConfig::new(min_support)
-        }
-    }
-
-    /// Like [`YafimConfig::optimized`] but counting `k ≥ 3` passes through
-    /// the vertical TID bitmaps ([`Phase2Config::bitmap`]).
-    pub fn bitmap(min_support: Support) -> Self {
-        YafimConfig {
-            phase2: Phase2Config::bitmap(),
-            ..YafimConfig::new(min_support)
         }
     }
 }
 
-pub use crate::types::PassTiming as YafimPassTiming;
-
-/// Outcome of one counting pass: `(|C_k|, surviving count, L_k in work
-/// space)`; `None` when no candidates could be generated.
-type PassOutcome = Option<(usize, usize, Vec<(Itemset, u64)>)>;
+/// Outcome of one counting pass: `(|C_k|, L_k in work space)`.
+type PassOutcome = (usize, Vec<(Itemset, u64)>);
 
 /// The YAFIM miner bound to one driver [`Context`].
 pub struct Yafim {
@@ -310,7 +324,7 @@ impl Yafim {
         let _job = ctx.cluster().acquire_job(&self.config.pool, "yafim");
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
-        let p2 = self.config.phase2.clone();
+        let plan = self.config.phase2;
         let partitions = if self.config.min_partitions == 0 {
             ctx.config().default_parallelism
         } else {
@@ -344,11 +358,20 @@ impl Yafim {
             .text_file(input, partitions)?
             .map(|line| parse_transaction(&line))
             .cache();
+        // From here on every exit, `?` included, releases what the run holds.
+        let mut held = Held {
+            work: transactions.clone(),
+            transactions,
+            replaced: None,
+            columnar: None,
+            checkpointed: None,
+        };
 
         // This narrow chain runs as one fused pipeline per partition: each
         // transaction streams through flatMap and map straight into the
         // shuffle's map-side combiner without intermediate buffers.
-        let l1_pairs: Vec<(Item, u64)> = transactions
+        let l1_pairs: Vec<(Item, u64)> = held
+            .transactions
             .flat_map(|t| t)
             .map(|item| (item, 1u64))
             .reduce_by_key(|a, b| a + b)
@@ -369,7 +392,6 @@ impl Yafim {
         });
 
         if l1.is_empty() {
-            transactions.unpersist();
             return Ok(MinerRun {
                 result: MiningResult::default(),
                 total_seconds: metrics.now().since(run_start).as_secs(),
@@ -378,15 +400,7 @@ impl Yafim {
         }
 
         // ---- Projection: re-encode the cached RDD to dense ranks ----
-        //
-        // `work` is the transactions RDD every counting job runs on, in
-        // "work space": dense ranks when projecting, the raw alphabet
-        // otherwise. `replaced` holds the RDD the current `work` supersedes;
-        // it stays cached until the job that materializes (and re-caches)
-        // its successor has run, then is unpersisted — the §IV.B memory
-        // property with correct cache accounting for replaced RDDs.
-        let mut replaced: Option<Rdd<Vec<Item>>> = None;
-        let (work, encoder) = if p2.project {
+        let encoder = plan.projects().then(|| {
             let encoder = Arc::new(DenseEncoder::new(
                 l1.iter().map(|(s, _)| s.items()[0]).collect(),
             ));
@@ -399,16 +413,14 @@ impl Yafim {
             let enc = bc_enc.value();
             // A narrow map → filter chain: it fuses into the next pass's
             // pipeline and materializes only at its own cache insert.
-            let dense = transactions
+            let dense = held
+                .transactions
                 .map(move |t| enc.encode(&t))
                 .filter(|t| t.len() >= 2)
                 .cache();
-            replaced = Some(transactions.clone());
-            (dense, Some(encoder))
-        } else {
-            (transactions.clone(), None)
-        };
-        let mut work = work;
+            held.replaced = Some(std::mem::replace(&mut held.work, dense));
+            encoder
+        });
 
         // Work-space L1: ranks 0..n when projecting (l1 is item-sorted, so
         // rank order equals item order and counts carry over positionally).
@@ -423,36 +435,22 @@ impl Yafim {
 
         // ---- Phase II: iterate L_k → C_{k+1} → L_{k+1}, in work space ----
         //
-        // Checkpoint cadence: the explicit Phase-II knob wins; with it at 0,
-        // an active fault plan may still request one (chaos runs flip
-        // checkpointing on without touching the miner config).
-        let ckpt_every = if p2.checkpoint_interval != 0 {
-            p2.checkpoint_interval
-        } else {
-            ctx.cluster().faults().plan().checkpoint_interval
-        };
+        // Checkpoint cadence comes from the active fault plan (chaos runs
+        // flip checkpointing on without touching the miner config).
+        let ckpt_every = ctx.cluster().faults().plan().checkpoint_interval;
         let mut passes_since_ckpt = 0usize;
-        let mut checkpointed: Option<Rdd<Vec<Item>>> = None;
 
         // Bitmap density guard, decided once from driver-side metadata
         // (mirrors the pass-2 triangle guard): the columnar projection must
-        // fit BITMAP_MAX_WORDS across all partitions, and needs dense
-        // ranks to bound the row count. Otherwise the trie counts instead.
-        let n_dense_total = encoder.as_ref().map_or(0, |e| e.len());
-        let use_bitmap = p2.matcher == Matcher::Bitmap
-            && p2.project
-            && bitmap_fits(n_dense_total, file.num_lines(), partitions);
-        if p2.matcher == Matcher::Bitmap && !use_bitmap {
+        // fit BITMAP_MAX_WORDS across all partitions, or the trie counts
+        // instead. `Some(estimated per-task arena bytes)` when it may run.
+        let n_dense = encoder.as_ref().map_or(0, |e| e.len());
+        let lines = file.num_lines();
+        let bitmap_arena = (plan == Phase2Plan::Bitmap && bitmap_fits(n_dense, lines, partitions))
+            .then(|| bitmap_footprint(n_dense, lines, partitions));
+        if plan == Phase2Plan::Bitmap && bitmap_arena.is_none() {
             ctx.cluster().registry().counter("bitmap.fallbacks").inc(1);
         }
-        // The columnar store, built lazily by the first bitmap-counted pass
-        // and reused (from cache) by every later one.
-        let mut columnar: Option<Rdd<ColumnarPartition>> = None;
-
-        // Per-task budget cap, fixed for the whole run when the governor is
-        // armed: the driver checks each pass's preferred counting structure
-        // against it and steps down (ladder rung 2) *before* the pass runs.
-        let task_limit = ctx.cluster().memory_budget().map(|b| b.per_task_limit);
 
         let mut levels: Vec<Vec<(Itemset, u64)>> = vec![l1_work];
         let mut pass = 2usize;
@@ -461,58 +459,35 @@ impl Yafim {
                 break;
             }
             let pass_start = metrics.now();
+            let prev = levels.last().expect("levels never empty here");
 
-            let n_dense = encoder.as_ref().map_or(0, |e| e.len());
-            let mut use_triangle = pass == 2
-                && p2.project
-                && p2.triangle_pass2
-                && tri_len(n_dense) <= TRIANGLE_MAX_CELLS;
-            if use_triangle && task_limit.is_some_and(|l| triangle_footprint(n_dense) > l) {
-                self.note_degradation(pass, "triangle array -> candidate store");
-                use_triangle = false;
-            }
-
-            let (n_candidates, counted, mut lk) = if use_triangle {
-                match self.pass2_triangle(&work, n_dense, min_sup)? {
-                    Some(v) => v,
-                    None => break, // |L1| < 2: no pairs to count
+            let built = held.columnar.is_some();
+            let Some(counter) = self.choose_counter(pass, n_dense, bitmap_arena, built, prev)
+            else {
+                break; // nothing to count: |L1| < 2, or ap_gen came up empty
+            };
+            let (n_candidates, mut lk) = match counter {
+                Counter::Triangle => self.pass2_triangle(&held.work, n_dense, min_sup)?,
+                Counter::Bitmap(candidates) => {
+                    self.pass_bitmap(&mut held, n_dense, candidates, pass, min_sup)?
                 }
-            } else {
-                let prev: Vec<Itemset> = levels
-                    .last()
-                    .expect("levels never empty here")
-                    .iter()
-                    .map(|(s, _)| s.clone())
-                    .collect();
-                // An armed governor steps the bitmap down to the trie when
-                // its columnar arena cannot fit the per-task budget (the
-                // arena already built and cached keeps serving — only its
-                // construction is budgeted).
-                let bitmap_fits_budget = columnar.is_some()
-                    || !task_limit.is_some_and(|l| {
-                        bitmap_footprint(n_dense, file.num_lines(), partitions) > l
-                    });
-                let outcome = if use_bitmap && bitmap_fits_budget {
-                    self.pass_bitmap(&work, &mut columnar, n_dense, &prev, pass, min_sup)?
-                } else {
-                    if use_bitmap {
-                        self.note_degradation(pass, "bitmap arena -> trie matcher");
-                    }
-                    self.pass_with_store(&work, &prev, &p2, pass, min_sup)?
-                };
-                match outcome {
-                    Some(v) => v,
-                    None => break, // ap_gen produced no candidates
+                Counter::Trie(candidates) => {
+                    let store = Box::new(CandidateTrie::build(candidates));
+                    self.pass_with_store(&held.work, store, pass, min_sup)?
+                }
+                Counter::HashTree(candidates) => {
+                    let store = Box::new(HashTree::build(candidates));
+                    self.pass_with_store(&held.work, store, pass, min_sup)?
                 }
             };
 
             // The job above materialized (and cached) `work`; whatever it
             // replaced can now release its cluster memory.
-            if let Some(old) = replaced.take() {
+            if let Some(old) = held.replaced.take() {
                 old.unpersist();
             }
 
-            if counted == 0 {
+            if lk.is_empty() {
                 metrics.record_span(EventKind::Iteration, format!("pass {pass}"), pass_start);
                 passes.push(PassTiming {
                     pass,
@@ -528,12 +503,7 @@ impl Yafim {
             // corrupted partition somehow produced counts that slipped past
             // every checksum, the Apriori invariants catch it here, before
             // the level is recorded — wrong results must never be returned.
-            audit_pass(
-                levels.last().expect("levels never empty here"),
-                &lk,
-                n_candidates,
-                pass,
-            )?;
+            audit_pass(prev, &lk, n_candidates, pass)?;
 
             metrics.record_span(EventKind::Iteration, format!("pass {pass}"), pass_start);
             passes.push(PassTiming {
@@ -556,7 +526,7 @@ impl Yafim {
             // the bitmap counter never rescans the transactions RDD, so a
             // trim would cost a job and save nothing (pass-2's trim still
             // runs with the bitmap — it shrinks the columnar build itself).
-            if p2.trim && p2.project && columnar.is_none() {
+            if plan.projects() && held.columnar.is_none() {
                 let mask = TrimMask::from_frequent(n_dense, &lk);
                 metrics.advance_with_event(
                     cost.cpu((lk.len() * (pass)) as u64 + n_dense as u64),
@@ -570,15 +540,15 @@ impl Yafim {
                 let bc_mask = ctx.broadcast(mask);
                 let keep = bc_mask.value();
                 let min_len = pass + 1;
-                let trimmed = work
+                let trimmed = held
+                    .work
                     .map(move |mut t| {
                         t.retain(|&r| keep.keep[r as usize]);
                         t
                     })
                     .filter(move |t| t.len() >= min_len)
                     .cache();
-                replaced = Some(work);
-                work = trimmed;
+                held.replaced = Some(std::mem::replace(&mut held.work, trimmed));
             }
 
             // ---- Checkpoint: truncate lineage every `ckpt_every` passes --
@@ -592,18 +562,18 @@ impl Yafim {
                 passes_since_ckpt += 1;
                 if passes_since_ckpt >= ckpt_every {
                     passes_since_ckpt = 0;
-                    let cp = work.try_checkpoint()?.cache();
+                    let cp = held.work.try_checkpoint()?.cache();
                     // The checkpoint job materialized `work`; it and
                     // whatever it superseded can release cluster memory, and
                     // the previous checkpoint's blocks are now stale.
-                    if let Some(old) = replaced.take() {
+                    if let Some(old) = held.replaced.take() {
                         old.unpersist();
                     }
-                    work.unpersist();
-                    if let Some(prev) = checkpointed.replace(cp.clone()) {
+                    held.work.unpersist();
+                    if let Some(prev) = held.checkpointed.replace(cp.clone()) {
                         prev.discard_checkpoint();
                     }
-                    work = cp;
+                    held.work = cp;
                 }
             }
 
@@ -611,20 +581,7 @@ impl Yafim {
             pass += 1;
         }
 
-        // Unpersist every RDD still holding cluster memory (the final work
-        // RDD, the columnar bitmap store, plus a replaced RDD whose
-        // successor never ran a job).
-        if let Some(old) = replaced.take() {
-            old.unpersist();
-        }
-        if let Some(col) = columnar.take() {
-            col.unpersist();
-        }
-        work.unpersist();
-        transactions.unpersist();
-        if let Some(cp) = checkpointed.take() {
-            cp.discard_checkpoint();
-        }
+        drop(held);
 
         // Decode rank-space results back to the original alphabet; the
         // monotone encoding preserves itemset order, so per-level sort
@@ -649,6 +606,73 @@ impl Yafim {
         })
     }
 
+    /// Decide what counts pass `pass` and generate its candidates: the
+    /// plan's own counter, or the next smaller one when a size guard or the
+    /// armed governor's per-task limit rules it out (each governor
+    /// step-down is noted, ladder rung 2, *before* the pass runs).
+    ///
+    /// | plan     | pass 2                               | `k ≥ 3`                   |
+    /// |----------|--------------------------------------|---------------------------|
+    /// | `Paper`  | hash tree                            | hash tree                 |
+    /// | `Trie`   | triangle → trie → hash tree          | trie → hash tree          |
+    /// | `Bitmap` | triangle → bitmap → trie → hash tree | bitmap → trie → hash tree |
+    ///
+    /// `bitmap_arena` is the per-task columnar arena estimate when the run
+    /// may count through bitmaps at all. Returns `None` when there is
+    /// nothing to count.
+    fn choose_counter(
+        &self,
+        pass: usize,
+        n_dense: usize,
+        mut bitmap_arena: Option<u64>,
+        columnar_built: bool,
+        prev: &[(Itemset, u64)],
+    ) -> Option<Counter> {
+        let ctx = &self.ctx;
+        let plan = self.config.phase2;
+        // Hard per-task memory cap when the governor is armed.
+        let limit = ctx.cluster().memory_budget().map(|b| b.per_task_limit);
+        let over_limit = |bytes: u64| limit.is_some_and(|l| bytes > l);
+
+        let n_pairs = tri_len(n_dense);
+        if pass == 2 && plan.projects() && n_pairs <= TRIANGLE_MAX_CELLS {
+            if !over_limit(triangle_footprint(n_dense)) {
+                // |L1| < 2: no pairs to count.
+                return (n_pairs > 0).then_some(Counter::Triangle);
+            }
+            self.note_degradation(pass, "triangle array -> candidate store");
+        }
+
+        // An arena already built and cached keeps serving — only its
+        // construction is budgeted.
+        if !columnar_built && bitmap_arena.is_some_and(over_limit) {
+            self.note_degradation(pass, "bitmap arena -> trie matcher");
+            bitmap_arena = None;
+        }
+
+        // Candidate generation (join + prune), charged as driver CPU — one
+        // call whichever counter runs, so their pass metadata agrees.
+        let prev: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
+        let (candidates, gen_work) = ap_gen(&prev);
+        let cpu = gen_work.units() + candidates.len() as u64;
+        let label = format!("ap_gen pass {pass}");
+        ctx.metrics()
+            .advance_with_event(ctx.cluster().cost().cpu(cpu), EventKind::Driver, label);
+        if candidates.is_empty() {
+            return None;
+        }
+        Some(if bitmap_arena.is_some() {
+            Counter::Bitmap(candidates)
+        } else if plan == Phase2Plan::Paper {
+            Counter::HashTree(candidates)
+        } else if over_limit(trie_footprint(candidates.len(), pass)) {
+            self.note_degradation(pass, "trie -> hash tree");
+            Counter::HashTree(candidates)
+        } else {
+            Counter::Trie(candidates)
+        })
+    }
+
     /// Record one driver-side counting-structure step-down (ladder rung 2):
     /// bump `mem.degradations` in the registry and the run's recovery
     /// block, and log the decision as a zero-cost event.
@@ -668,23 +692,6 @@ impl Yafim {
         );
     }
 
-    /// Driver: candidate generation (join + prune), charged as driver CPU —
-    /// shared by the store and bitmap passes, so their pass metadata agrees.
-    fn generate_candidates(&self, prev: &[Itemset], pass: usize) -> Vec<Itemset> {
-        let (candidates, gen_work) = ap_gen(prev);
-        let cpu = gen_work.units() + candidates.len() as u64;
-        let cost = self.ctx.cluster().cost().cpu(cpu);
-        let label = format!("ap_gen pass {pass}");
-        let metrics = self.ctx.metrics();
-        metrics.advance_with_event(cost, EventKind::Driver, label);
-        candidates
-    }
-
-    /// Hard per-task memory cap when the governor is armed.
-    fn task_limit(&self) -> Option<u64> {
-        self.ctx.cluster().memory_budget().map(|b| b.per_task_limit)
-    }
-
     /// Specialized pass 2 over dense ranks: a flat triangular count array
     /// indexed by item pair ([`count_pairs`]) — no candidate store, no
     /// broadcast, no per-candidate allocation. Triangle cell
@@ -692,8 +699,7 @@ impl Yafim {
     /// `{a, b}`, so counts (and the reported candidate total) are identical
     /// to the store path.
     ///
-    /// Returns `(|C2|, surviving count, L2 in rank space)`, or `None` when
-    /// there are no pairs to count.
+    /// Returns `(|C2|, L2 in rank space)`.
     fn pass2_triangle(
         &self,
         work: &Rdd<Vec<Item>>,
@@ -703,9 +709,6 @@ impl Yafim {
         let metrics = self.ctx.metrics().clone();
         let cost = self.ctx.cluster().cost().clone();
         let n_candidates = tri_len(n_dense);
-        if n_candidates == 0 {
-            return Ok(None);
-        }
         metrics.advance_with_event(
             cost.cpu(n_dense as u64),
             EventKind::Driver,
@@ -732,52 +735,27 @@ impl Yafim {
             let (a, b) = tri_pair(n_dense, idx);
             Itemset::from_sorted(vec![a as u32, b as u32])
         });
-        Ok(Some((n_candidates, lk.len(), lk)))
+        Ok((n_candidates, lk))
     }
 
-    /// One Phase-II pass through a broadcast [`CandidateStore`] (hash tree
-    /// or trie, per config) — the generic path for `k ≥ 3`, and for pass 2
-    /// when the triangle is disabled or would not fit.
+    /// One Phase-II pass through a broadcast [`CandidateStore`] (the hash
+    /// tree or trie just built over the pass's candidates) — the generic
+    /// path for `k ≥ 3`, and for pass 2 without the triangle.
     ///
-    /// Returns `(|C_k|, surviving count, L_k in work space)`, or `None`
-    /// when candidate generation comes up empty.
+    /// Returns `(|C_k|, L_k in work space)`.
     fn pass_with_store(
         &self,
         work: &Rdd<Vec<Item>>,
-        prev: &[Itemset],
-        p2: &Phase2Config,
+        store: Box<dyn CandidateStore>,
         pass: usize,
         min_sup: u64,
     ) -> Result<PassOutcome, ExecError> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
+        let n_candidates = store.len();
 
-        let candidates = self.generate_candidates(prev, pass);
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-        let n_candidates = candidates.len();
-
-        // Driver: build the candidate store and broadcast it to the workers.
-        // Matcher::Bitmap lands here only when the density guard (or the
-        // memory governor) refused the columnar projection; the trie is its
-        // fallback store. An armed governor steps a trie whose arena would
-        // overflow the per-task budget down to the smaller hash tree.
-        let store: Box<dyn CandidateStore> = match p2.matcher {
-            Matcher::HashTree => Box::new(HashTree::build(candidates)),
-            Matcher::Trie | Matcher::Bitmap => {
-                if self
-                    .task_limit()
-                    .is_some_and(|l| trie_footprint(n_candidates, pass) > l)
-                {
-                    self.note_degradation(pass, "trie -> hash tree");
-                    Box::new(HashTree::build(candidates))
-                } else {
-                    Box::new(CandidateTrie::build(candidates))
-                }
-            }
-        };
+        // Driver: charge the store build and broadcast it to the workers.
         metrics.advance_with_event(
             cost.cpu(2 * n_candidates as u64),
             EventKind::Driver,
@@ -831,7 +809,7 @@ impl Yafim {
             |store| store.into_candidates(),
             |store| store.candidates(),
         );
-        Ok(Some((n_candidates, lk.len(), lk)))
+        Ok((n_candidates, lk))
     }
 
     /// Project `work` into the cached columnar bitmap store: one job,
@@ -870,42 +848,30 @@ impl Yafim {
         .cache()
     }
 
-    /// One Phase-II pass counted through the vertical TID bitmaps — the
-    /// `k ≥ 3` path when [`Matcher::Bitmap`] passed its density guard. The
+    /// One Phase-II pass counted through the vertical TID bitmaps. The
     /// columnar store is built (and cached) by the first such pass and
     /// reused from cluster memory afterwards; only the bare candidate list
     /// is broadcast.
     ///
-    /// Returns `(|C_k|, surviving count, L_k in work space)`, or `None`
-    /// when candidate generation comes up empty.
+    /// Returns `(|C_k|, L_k in work space)`.
     fn pass_bitmap(
         &self,
-        work: &Rdd<Vec<Item>>,
-        columnar: &mut Option<Rdd<ColumnarPartition>>,
+        held: &mut Held,
         n_dense: usize,
-        prev: &[Itemset],
+        candidates: Vec<Itemset>,
         pass: usize,
         min_sup: u64,
     ) -> Result<PassOutcome, ExecError> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
-
-        let candidates = self.generate_candidates(prev, pass);
-        if candidates.is_empty() {
-            return Ok(None);
-        }
         let n_candidates = candidates.len();
 
         // First bitmap pass: materialize the columnar store.
-        let columnar_rdd = match columnar {
-            Some(c) => c.clone(),
-            None => {
-                let built = self.build_columnar(work, n_dense);
-                *columnar = Some(built.clone());
-                built
-            }
-        };
+        let columnar_rdd = held
+            .columnar
+            .get_or_insert_with(|| self.build_columnar(&held.work, n_dense))
+            .clone();
 
         // Driver: no store to build — just assemble and broadcast the
         // sorted candidate list (indices into it are the shuffle keys,
@@ -950,7 +916,7 @@ impl Yafim {
             .try_collect()?;
 
         let lk = drain_broadcast(counted, bc.into_value(), |list| list.0, |list| &list.0);
-        Ok(Some((n_candidates, lk.len(), lk)))
+        Ok((n_candidates, lk))
     }
 }
 
@@ -1113,92 +1079,99 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_on_toy() {
-        let run = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Count(2)));
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        assert_eq!(run.result, seq);
-        assert_eq!(run.result.level_sizes(), vec![4, 4, 1]);
-    }
-
-    #[test]
-    fn optimized_phase2_matches_sequential_on_toy() {
-        let run = mine_in_memory(&ctx(), &toy(), YafimConfig::optimized(Support::Count(2)));
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        assert_eq!(run.result, seq);
-        assert_eq!(run.result.level_sizes(), vec![4, 4, 1]);
-    }
-
-    #[test]
-    fn every_phase2_combination_agrees_on_toy() {
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        for project in [false, true] {
-            for triangle in [false, true] {
-                for matcher in [Matcher::HashTree, Matcher::Trie, Matcher::Bitmap] {
-                    for trim in [false, true] {
-                        let mut cfg = YafimConfig::new(Support::Count(2));
-                        cfg.phase2 = Phase2Config {
-                            project,
-                            triangle_pass2: triangle,
-                            matcher,
-                            trim,
-                            checkpoint_interval: 0,
-                        };
-                        let run = mine_in_memory(&ctx(), &toy(), cfg);
-                        assert_eq!(
-                            run.result, seq,
-                            "project={project} triangle={triangle} \
-                             matcher={matcher:?} trim={trim}"
-                        );
-                    }
-                }
-            }
+    fn plan_names_round_trip_and_constructors_pick_their_plan() {
+        for plan in Phase2Plan::ALL {
+            assert_eq!(Phase2Plan::parse(plan.name()), Some(plan));
         }
+        assert_eq!(Phase2Plan::parse("turbo"), None);
+        let s = Support::Count(2);
+        assert_eq!(YafimConfig::new(s).phase2, Phase2Plan::Paper);
+        assert_eq!(YafimConfig::optimized(s).phase2, Phase2Plan::Trie);
+        assert_eq!(YafimConfig::bitmap(s).phase2, Phase2Plan::Bitmap);
     }
 
     #[test]
-    fn checkpointing_is_invisible_to_results() {
+    fn every_plan_matches_sequential_on_toy() {
         let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        for interval in [1, 2] {
-            for optimized in [false, true] {
-                let mut cfg = if optimized {
-                    YafimConfig::optimized(Support::Count(2))
-                } else {
-                    YafimConfig::new(Support::Count(2))
-                };
-                cfg.phase2.checkpoint_interval = interval;
-                let c = ctx();
-                let run = mine_in_memory(&c, &toy(), cfg);
-                assert_eq!(run.result, seq, "interval={interval} optimized={optimized}");
-                let rec = c.metrics().snapshot().recovery;
-                assert!(
-                    rec.checkpoint_writes > 0,
-                    "interval={interval}: checkpoints must have been written"
-                );
-                assert_eq!(
-                    c.cluster().hdfs().checkpoint_stats().0,
-                    0,
-                    "stale checkpoint blocks released at run end"
-                );
-                let stats = c.cache().stats();
-                assert_eq!(stats.entries, 0, "no leaked cached partitions");
-            }
+        for plan in Phase2Plan::ALL {
+            let c = ctx();
+            let run = mine_in_memory(&c, &toy(), YafimConfig::with_plan(Support::Count(2), plan));
+            assert_eq!(run.result, seq, "{plan:?}");
+            assert_eq!(run.result.level_sizes(), vec![4, 4, 1], "{plan:?}");
+            let stats = c.cache().stats();
+            assert_eq!(
+                stats.entries, 0,
+                "{plan:?}: replaced RDDs and columnar blocks released"
+            );
+            assert_eq!(stats.used_bytes, 0, "{plan:?}");
         }
     }
 
     #[test]
     fn fault_plan_supplies_checkpoint_cadence() {
         use yafim_cluster::FaultPlan;
-        let c = ctx();
-        c.cluster()
-            .faults()
-            .set_plan(FaultPlan::seeded(3).with_checkpoint_interval(1));
-        let run = mine_in_memory(&c, &toy(), YafimConfig::new(Support::Count(2)));
         let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        assert_eq!(run.result, seq);
-        assert!(
-            c.metrics().snapshot().recovery.checkpoint_writes > 0,
-            "plan-driven cadence must checkpoint without touching the miner config"
-        );
+        for interval in [1, 2] {
+            for plan in Phase2Plan::ALL {
+                let c = ctx();
+                c.cluster()
+                    .faults()
+                    .set_plan(FaultPlan::seeded(3).with_checkpoint_interval(interval));
+                let run =
+                    mine_in_memory(&c, &toy(), YafimConfig::with_plan(Support::Count(2), plan));
+                assert_eq!(run.result, seq, "interval={interval} {plan:?}");
+                assert!(
+                    c.metrics().snapshot().recovery.checkpoint_writes > 0,
+                    "interval={interval} {plan:?}: plan-driven cadence must checkpoint \
+                     without touching the miner config"
+                );
+                assert_eq!(
+                    c.cluster().hdfs().checkpoint_stats().0,
+                    0,
+                    "stale checkpoint blocks released at run end"
+                );
+                assert_eq!(c.cache().stats().entries, 0, "no leaked cached partitions");
+            }
+        }
+    }
+
+    #[test]
+    fn a_typed_refusal_releases_cache_and_checkpoint_blocks() {
+        use yafim_cluster::FaultPlan;
+        use yafim_data::{to_lines, PaperDataset};
+        let tx = PaperDataset::Medical.generate_scaled(0.01);
+        for plan in Phase2Plan::ALL {
+            let mut refused = 0;
+            for seed in 0..6 {
+                let c = ctx();
+                c.cluster().hdfs().put_overwrite("d.dat", to_lines(&tx));
+                // One crash aborts the stage, so most seeds die mid-run —
+                // some of them with a checkpoint already written.
+                c.cluster().faults().set_plan(
+                    FaultPlan::seeded(seed)
+                        .crash_tasks(0.02)
+                        .with_max_task_failures(1)
+                        .with_checkpoint_interval(1),
+                );
+                let miner = Yafim::new(
+                    c.clone(),
+                    YafimConfig::with_plan(Support::Fraction(0.05), plan),
+                );
+                if let Err(e) = miner.try_mine("d.dat") {
+                    assert!(matches!(e, MineError::Exec(_)), "{plan:?} seed {seed}: {e}");
+                    refused += 1;
+                }
+                let stats = c.cache().stats();
+                assert_eq!(stats.entries, 0, "{plan:?} seed {seed}: cached partitions");
+                assert_eq!(stats.used_bytes, 0, "{plan:?} seed {seed}: cache bytes");
+                assert_eq!(
+                    c.cluster().hdfs().checkpoint_stats().0,
+                    0,
+                    "{plan:?} seed {seed}: checkpoint blocks"
+                );
+            }
+            assert!(refused > 0, "{plan:?}: the fault plan must refuse some run");
+        }
     }
 
     #[test]
@@ -1213,19 +1186,6 @@ mod tests {
     }
 
     #[test]
-    fn optimized_pass_metadata_matches_paper_engine() {
-        let paper = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Count(2)));
-        let opt = mine_in_memory(&ctx(), &toy(), YafimConfig::optimized(Support::Count(2)));
-        assert_eq!(paper.passes.len(), opt.passes.len());
-        for (p, o) in paper.passes.iter().zip(&opt.passes) {
-            assert_eq!(
-                (p.pass, p.candidates, p.frequent),
-                (o.pass, o.candidates, o.frequent)
-            );
-        }
-    }
-
-    #[test]
     fn empty_result_when_support_too_high() {
         let run = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Count(50)));
         assert_eq!(run.result.total(), 0);
@@ -1233,23 +1193,15 @@ mod tests {
     }
 
     #[test]
-    fn max_passes_truncates() {
-        let cfg = YafimConfig {
-            max_passes: 2,
-            ..YafimConfig::new(Support::Count(2))
-        };
-        let run = mine_in_memory(&ctx(), &toy(), cfg);
-        assert_eq!(run.result.max_len(), 2);
-    }
-
-    #[test]
-    fn max_passes_truncates_optimized() {
-        let cfg = YafimConfig {
-            max_passes: 2,
-            ..YafimConfig::optimized(Support::Count(2))
-        };
-        let run = mine_in_memory(&ctx(), &toy(), cfg);
-        assert_eq!(run.result.max_len(), 2);
+    fn max_passes_truncates_under_every_plan() {
+        for plan in Phase2Plan::ALL {
+            let cfg = YafimConfig {
+                max_passes: 2,
+                ..YafimConfig::with_plan(Support::Count(2), plan)
+            };
+            let run = mine_in_memory(&ctx(), &toy(), cfg);
+            assert_eq!(run.result.max_len(), 2, "{plan:?}");
+        }
     }
 
     #[test]
@@ -1282,21 +1234,9 @@ mod tests {
     }
 
     #[test]
-    fn optimized_run_releases_all_cache_memory() {
+    fn bitmap_run_counts_through_the_columnar_store() {
         let c = ctx();
-        let run = mine_in_memory(&c, &toy(), YafimConfig::optimized(Support::Count(2)));
-        assert!(run.result.total() > 0);
-        let stats = c.cache().stats();
-        assert_eq!(stats.entries, 0, "projection/trim replacements unpersisted");
-        assert_eq!(stats.used_bytes, 0);
-    }
-
-    #[test]
-    fn bitmap_run_matches_sequential_and_releases_cache() {
-        let c = ctx();
-        let run = mine_in_memory(&c, &toy(), YafimConfig::bitmap(Support::Count(2)));
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        assert_eq!(run.result, seq);
+        mine_in_memory(&c, &toy(), YafimConfig::bitmap(Support::Count(2)));
         let reg = c.cluster().registry();
         assert!(
             reg.counter("bitmap.partitions_built").get() > 0,
@@ -1304,41 +1244,6 @@ mod tests {
         );
         assert!(reg.counter("bitmap.words_intersected").get() > 0);
         assert_eq!(reg.counter("bitmap.fallbacks").get(), 0);
-        let stats = c.cache().stats();
-        assert_eq!(stats.entries, 0, "columnar blocks unpersisted at run end");
-        assert_eq!(stats.used_bytes, 0);
-    }
-
-    #[test]
-    fn bitmap_pass_metadata_matches_paper_engine() {
-        let paper = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Count(2)));
-        let bm = mine_in_memory(&ctx(), &toy(), YafimConfig::bitmap(Support::Count(2)));
-        assert_eq!(paper.passes.len(), bm.passes.len());
-        for (p, b) in paper.passes.iter().zip(&bm.passes) {
-            assert_eq!(
-                (p.pass, p.candidates, p.frequent),
-                (b.pass, b.candidates, b.frequent)
-            );
-        }
-    }
-
-    #[test]
-    fn bitmap_without_projection_falls_back_to_the_trie() {
-        let c = ctx();
-        let mut cfg = YafimConfig::bitmap(Support::Count(2));
-        cfg.phase2.project = false;
-        cfg.phase2.triangle_pass2 = false;
-        cfg.phase2.trim = false;
-        let run = mine_in_memory(&c, &toy(), cfg);
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
-        assert_eq!(run.result, seq, "fallback still byte-identical");
-        let reg = c.cluster().registry();
-        assert_eq!(reg.counter("bitmap.fallbacks").get(), 1);
-        assert_eq!(
-            reg.counter("bitmap.partitions_built").get(),
-            0,
-            "no columnar store without dense ranks"
-        );
     }
 
     #[test]

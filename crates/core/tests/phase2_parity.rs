@@ -1,9 +1,8 @@
-//! Phase-II hot-path invariance: every combination of the dense-projection,
-//! triangular-pass-2, trie-matching and cross-pass-trimming switches must
-//! produce *byte-identical* mining output to both the sequential reference
-//! and the paper-faithful (hash tree, untrimmed) engine — identical itemsets
-//! and supports, identical per-level sizes, identical candidate/frequent
-//! counts per pass, identical pass count. Only virtual seconds may differ.
+//! Phase-II hot-path invariance: every [`Phase2Plan`] must produce
+//! *byte-identical* mining output to both the sequential reference and the
+//! paper-faithful (hash tree, untrimmed) engine — identical itemsets and
+//! supports, identical per-level sizes, identical candidate/frequent counts
+//! per pass, identical pass count. Only virtual seconds may differ.
 //!
 //! The optimizations rest on two invariance arguments (DESIGN.md §"Candidate
 //! matching & dataset trimming"): monotone dense re-encoding is a bijection
@@ -16,9 +15,7 @@
 use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
-use yafim_core::{
-    apriori, Matcher, MinerRun, Phase2Config, SequentialConfig, Support, Yafim, YafimConfig,
-};
+use yafim_core::{apriori, MinerRun, Phase2Plan, SequentialConfig, Support, Yafim, YafimConfig};
 use yafim_data::{to_lines, PaperDataset, QuestConfig, QuestGenerator};
 use yafim_rdd::Context;
 
@@ -26,39 +23,12 @@ fn cluster() -> SimCluster {
     SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 2)
 }
 
-fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Config) -> MinerRun {
+fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Plan) -> MinerRun {
     let c = cluster();
     c.hdfs().put_overwrite("d.dat", to_lines(tx));
-    let cfg = YafimConfig {
-        phase2,
-        ..YafimConfig::new(support)
-    };
-    Yafim::new(Context::new(c), cfg)
+    Yafim::new(Context::new(c), YafimConfig::with_plan(support, phase2))
         .mine("d.dat")
         .expect("written")
-}
-
-/// All 24 switch combinations (several are redundant — triangle/trim/bitmap
-/// without projection fall back to the store path — but redundant
-/// configurations must *still* agree).
-fn all_configs() -> Vec<Phase2Config> {
-    let mut out = Vec::new();
-    for project in [false, true] {
-        for triangle_pass2 in [false, true] {
-            for matcher in [Matcher::HashTree, Matcher::Trie, Matcher::Bitmap] {
-                for trim in [false, true] {
-                    out.push(Phase2Config {
-                        project,
-                        triangle_pass2,
-                        matcher,
-                        trim,
-                        checkpoint_interval: 0,
-                    });
-                }
-            }
-        }
-    }
-    out
 }
 
 fn assert_identical(paper: &MinerRun, other: &MinerRun, label: &str) {
@@ -87,7 +57,7 @@ fn assert_identical(paper: &MinerRun, other: &MinerRun, label: &str) {
 }
 
 #[test]
-fn every_phase2_config_is_invisible_on_quest_data() {
+fn every_phase2_plan_is_invisible_on_quest_data() {
     // Small dense QUEST-style instances with long patterns → 4-5 passes,
     // exercising triangle (pass 2), trie (k ≥ 3) and repeated trimming.
     for seed in [7u64, 99, 4242] {
@@ -104,7 +74,7 @@ fn every_phase2_config_is_invisible_on_quest_data() {
         .generate();
         let support = Support::Fraction(0.03);
         let reference = apriori(&tx, &SequentialConfig::new(support));
-        let paper = run(&tx, support, Phase2Config::paper());
+        let paper = run(&tx, support, Phase2Plan::Paper);
         assert_eq!(
             reference, paper.result,
             "seed {seed}: paper engine vs sequential"
@@ -114,24 +84,24 @@ fn every_phase2_config_is_invisible_on_quest_data() {
             "seed {seed}: workload too shallow to exercise k ≥ 3 matching"
         );
 
-        for p2 in all_configs() {
-            let r = run(&tx, support, p2.clone());
-            assert_identical(&paper, &r, &format!("seed {seed}, {p2:?}"));
+        for plan in Phase2Plan::ALL {
+            let r = run(&tx, support, plan);
+            assert_identical(&paper, &r, &format!("seed {seed}, {plan:?}"));
         }
     }
 }
 
 #[test]
-fn every_phase2_config_is_invisible_on_medical_data() {
+fn every_phase2_plan_is_invisible_on_medical_data() {
     let tx = PaperDataset::Medical.generate_scaled(0.01);
     let support = Support::Fraction(0.05);
     let reference = apriori(&tx, &SequentialConfig::new(support));
-    let paper = run(&tx, support, Phase2Config::paper());
+    let paper = run(&tx, support, Phase2Plan::Paper);
     assert_eq!(reference, paper.result);
 
-    for p2 in all_configs() {
-        let r = run(&tx, support, p2.clone());
-        assert_identical(&paper, &r, &format!("{p2:?}"));
+    for plan in Phase2Plan::ALL {
+        let r = run(&tx, support, plan);
+        assert_identical(&paper, &r, &format!("{plan:?}"));
     }
 }
 
@@ -183,14 +153,11 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
     let support = Support::Fraction(0.05);
     let reference = apriori(&tx, &SequentialConfig::new(support));
 
-    for (name, p2) in [
-        ("paper", Phase2Config::paper()),
-        ("optimized", Phase2Config::optimized()),
-        ("bitmap", Phase2Config::bitmap()),
-    ] {
+    for plan in Phase2Plan::ALL {
+        let name = plan.name();
         // A clean run maps pass number → cumulative virtual seconds, so
         // each loss lands just after "its" pass completed.
-        let clean = run(&tx, support, p2.clone());
+        let clean = run(&tx, support, plan);
         assert_eq!(reference, clean.result, "{name}: clean run");
         let mut cum = 0.0;
         let boundaries: Vec<f64> = clean
@@ -214,13 +181,12 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
                         )
                         .with_checkpoint_interval(ckpt),
                 );
-                let cfg = YafimConfig {
-                    phase2: p2.clone(),
-                    ..YafimConfig::new(support)
-                };
-                let r = Yafim::new(Context::new(c.clone()), cfg)
-                    .mine("d.dat")
-                    .expect("single node loss stays below the retry budget");
+                let r = Yafim::new(
+                    Context::new(c.clone()),
+                    YafimConfig::with_plan(support, plan),
+                )
+                .mine("d.dat")
+                .expect("single node loss stays below the retry budget");
                 assert_eq!(
                     reference,
                     r.result,
@@ -256,22 +222,18 @@ fn silent_corruption_is_invisible_to_every_engine() {
         ("cache", |p, r| p.corrupt_cache(r)),
         ("hdfs", |p, r| p.corrupt_hdfs(r)),
     ];
-    for (name, p2) in [
-        ("paper", Phase2Config::paper()),
-        ("optimized", Phase2Config::optimized()),
-        ("bitmap", Phase2Config::bitmap()),
-    ] {
+    for plan in Phase2Plan::ALL {
+        let name = plan.name();
         for (tier, corrupt) in &tiers {
             let c = cluster();
             c.hdfs().put_overwrite("d.dat", to_lines(&tx));
             c.faults().set_plan(corrupt(FaultPlan::seeded(11), 0.25));
-            let cfg = YafimConfig {
-                phase2: p2.clone(),
-                ..YafimConfig::new(support)
-            };
-            let r = Yafim::new(Context::new(c.clone()), cfg)
-                .mine("d.dat")
-                .expect("repairable corruption must not abort the job");
+            let r = Yafim::new(
+                Context::new(c.clone()),
+                YafimConfig::with_plan(support, plan),
+            )
+            .mine("d.dat")
+            .expect("repairable corruption must not abort the job");
             assert_eq!(
                 reference, r.result,
                 "{name}: {tier} corruption changed results"

@@ -23,7 +23,8 @@ use yafim::data::{read_dat, to_lines, PaperDataset};
 use yafim::rdd::Context;
 use yafim::{
     apriori, eclat, fp_growth, generate_rules, MinerRun, MrApriori, MrAprioriConfig, Pfp,
-    PfpConfig, RuleConfig, SequentialConfig, Son, SonConfig, Support, Yafim, YafimConfig,
+    PfpConfig, Phase2Plan, RuleConfig, SequentialConfig, Son, SonConfig, Support, Yafim,
+    YafimConfig,
 };
 
 fn usage() -> ! {
@@ -51,6 +52,24 @@ fn arg(name: &str) -> Option<String> {
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
+}
+
+/// `--name value` parsed as a `T` that passes `valid`. A value that is
+/// there but does not parse, or is out of range, is a one-line error and
+/// exit 1 — never a silent default.
+fn parsed_arg<T: std::str::FromStr>(
+    name: &str,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Option<T> {
+    let raw = arg(name)?;
+    match raw.parse::<T>() {
+        Ok(v) if valid(&v) => Some(v),
+        _ => {
+            eprintln!("bad {name} (expected {expected}): {raw}");
+            exit(1)
+        }
+    }
 }
 
 fn parse_support(s: &str) -> Support {
@@ -87,46 +106,40 @@ fn parse_dataset(s: &str) -> PaperDataset {
     }
 }
 
+/// `(0, 1]`: what `--scale` and `--memory-fraction` accept.
+fn in_unit_interval(x: &f64) -> bool {
+    *x > 0.0 && *x <= 1.0
+}
+
 fn cluster() -> SimCluster {
-    let nodes: u32 = arg("--nodes").and_then(|s| s.parse().ok()).unwrap_or(12);
-    let cores: u32 = arg("--cores").and_then(|s| s.parse().ok()).unwrap_or(8);
+    let at_least_one = |n: &u32| *n >= 1;
+    let nodes = parsed_arg("--nodes", "an integer >= 1", at_least_one).unwrap_or(12);
+    let cores = parsed_arg("--cores", "an integer >= 1", at_least_one).unwrap_or(8);
     let c = SimCluster::new(
-        ClusterSpec::new(nodes.max(1), cores.max(1), 24 * 1024 * 1024 * 1024),
+        ClusterSpec::new(nodes, cores, 24 * 1024 * 1024 * 1024),
         CostModel::hadoop_era(),
     );
     // `--locality-wait SECS` — delay-scheduling threshold: how long a task
     // waits for a core on its preferred node before spilling to any free
     // core. 0 disables delay scheduling; large values pin tasks to their
     // data. Virtual-time only: results never change.
-    if let Some(w) = arg("--locality-wait") {
-        match w.parse::<f64>() {
-            Ok(secs) if secs >= 0.0 => {
-                let mut cfg = c.scheduler_config();
-                cfg.locality_wait = secs;
-                c.set_scheduler_config(cfg);
-            }
-            _ => {
-                eprintln!("bad --locality-wait (expected seconds >= 0): {w}");
-                exit(2)
-            }
-        }
+    if let Some(secs) = parsed_arg("--locality-wait", "seconds >= 0", |s: &f64| *s >= 0.0) {
+        let mut cfg = c.scheduler_config();
+        cfg.locality_wait = secs;
+        c.set_scheduler_config(cfg);
     }
     // `--memory-fraction FRAC` — the storage (cache) share of each node's
     // memory; the rest is the execution region the memory governor budgets
     // tasks against. Must land in (0, 1]; the 0.6 default reproduces the
     // historical split bit-for-bit.
-    if let Some(f) = arg("--memory-fraction") {
-        match f.parse::<f64>() {
-            Ok(frac) if frac > 0.0 && frac <= 1.0 => {
-                let mut cfg = c.scheduler_config();
-                cfg.storage_fraction = frac;
-                c.set_scheduler_config(cfg);
-            }
-            _ => {
-                eprintln!("bad --memory-fraction (expected a fraction in (0, 1]): {f}");
-                exit(1)
-            }
-        }
+    if let Some(frac) = parsed_arg(
+        "--memory-fraction",
+        "a fraction in (0, 1]",
+        in_unit_interval,
+    ) {
+        let mut cfg = c.scheduler_config();
+        cfg.storage_fraction = frac;
+        c.set_scheduler_config(cfg);
     }
     c
 }
@@ -148,7 +161,7 @@ fn load_transactions(path: &str) -> Vec<Vec<u32>> {
 fn cmd_generate() {
     let dataset = parse_dataset(&arg("--dataset").unwrap_or_else(|| usage()));
     let out = arg("--out").unwrap_or_else(|| usage());
-    let scale: f64 = arg("--scale").and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let scale = parsed_arg("--scale", "a fraction in (0, 1]", in_unit_interval).unwrap_or(1.0);
     let tx = dataset.generate_scaled(scale);
     if let Err(e) = yafim::data::write_dat(&out, &tx) {
         eprintln!("{out}: {e}");
@@ -161,22 +174,20 @@ fn cmd_generate() {
     );
 }
 
-/// `--phase2 <paper|opt|bitmap>` — the Spark miner's Phase-II hot path:
-/// `paper` (default) is the paper-faithful hash-tree engine, `opt` enables
+/// `--phase2 <paper|opt|bitmap>` — the Spark miner's Phase-II plan:
+/// `paper` (default) is the paper-faithful hash-tree engine, `opt` runs
 /// dense re-encoding, the triangular pass-2 counter, trie matching and
 /// cross-pass trimming, and `bitmap` swaps the `k ≥ 3` trie for vertical
 /// TID-bitmap counting (word-wise AND + popcount over a columnar store).
 /// Results are identical; only the virtual timings move.
-fn yafim_config(support: Support) -> YafimConfig {
-    match arg("--phase2").as_deref() {
-        None | Some("paper") => YafimConfig::new(support),
-        Some("opt") => YafimConfig::optimized(support),
-        Some("bitmap") => YafimConfig::bitmap(support),
-        Some(other) => {
-            eprintln!("unknown --phase2 mode `{other}`: expected paper, opt or bitmap");
-            exit(1)
-        }
-    }
+fn phase2_plan() -> Phase2Plan {
+    let Some(name) = arg("--phase2") else {
+        return Phase2Plan::Paper;
+    };
+    Phase2Plan::parse(&name).unwrap_or_else(|| {
+        eprintln!("unknown --phase2 mode `{name}`: expected paper, opt or bitmap");
+        exit(1)
+    })
 }
 
 /// `--fault-plan FILE` — a JSON fault plan (see `results/*.fault.json` for
@@ -218,12 +229,15 @@ fn run_distributed(miner: &str, tx: &[Vec<u32>], support: Support) -> (MinerRun,
     let run = match miner {
         // A typed refusal (engine failure under the fault plan, or a level
         // rejected by the mining-invariant audit) is one line and exit 1.
-        "spark" => Yafim::new(Context::new(c.clone()), yafim_config(support))
-            .try_mine("input.dat")
-            .unwrap_or_else(|e| {
-                eprintln!("spark miner refused the run: {e}");
-                exit(1)
-            }),
+        "spark" => Yafim::new(
+            Context::new(c.clone()),
+            YafimConfig::with_plan(support, phase2_plan()),
+        )
+        .try_mine("input.dat")
+        .unwrap_or_else(|e| {
+            eprintln!("spark miner refused the run: {e}");
+            exit(1)
+        }),
         "mapreduce" => MrApriori::new(c.clone(), MrAprioriConfig::new(support))
             .mine("input.dat")
             .expect("input written"),
@@ -242,6 +256,15 @@ fn cmd_mine() {
     let input = arg("--input").unwrap_or_else(|| usage());
     let support = parse_support(&arg("--support").unwrap_or_else(|| usage()));
     let miner = arg("--miner").unwrap_or_else(|| "spark".to_string());
+    let phase2 = phase2_plan();
+    if miner != "spark" && arg("--phase2").is_some() {
+        eprintln!("--phase2 only applies to --miner spark, not `{miner}`");
+        exit(1)
+    }
+    let top = parsed_arg("--top", "a count", |_: &usize| true).unwrap_or(10);
+    let min_conf = parsed_arg("--rules", "a confidence in [0, 1]", |c: &f64| {
+        (0.0..=1.0).contains(c)
+    });
     let tx = load_transactions(&input);
 
     let start = std::time::Instant::now();
@@ -271,7 +294,6 @@ fn cmd_mine() {
         None => println!("wall time {wall:.2?}"),
     }
 
-    let top: usize = arg("--top").and_then(|s| s.parse().ok()).unwrap_or(10);
     let mut by_support: Vec<_> = result.iter().filter(|(s, _)| s.len() >= 2).collect();
     by_support.sort_by_key(|(_, sup)| std::cmp::Reverse(*sup));
     if !by_support.is_empty() {
@@ -281,7 +303,7 @@ fn cmd_mine() {
         }
     }
 
-    if let Some(min_conf) = arg("--rules").and_then(|s| s.parse::<f64>().ok()) {
+    if let Some(min_conf) = min_conf {
         let rules = generate_rules(&result, tx.len() as u64, &RuleConfig::new(min_conf));
         println!("\n{} rules at confidence >= {min_conf}:", rules.len());
         for rule in rules.iter().take(top) {
@@ -342,10 +364,7 @@ fn cmd_mine() {
             ]);
             let config = JsonValue::object(vec![
                 ("miner", miner.as_str().into()),
-                (
-                    "phase2",
-                    arg("--phase2").unwrap_or_else(|| "paper".into()).into(),
-                ),
+                ("phase2", phase2.name().into()),
                 ("nodes", (c.spec().nodes as u64).into()),
                 ("cores_per_node", (c.spec().cores_per_node as u64).into()),
                 ("locality_wait", c.scheduler_config().locality_wait.into()),

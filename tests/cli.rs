@@ -1,0 +1,93 @@
+//! The `yafim-cli` binary from the outside: every Phase-II plan prints the
+//! summary sequential Apriori prints, and a flag value the CLI cannot use
+//! is one line on stderr and a nonzero exit, never a silent default.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+use yafim::data::{write_dat, PaperDataset};
+use yafim::Phase2Plan;
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_yafim-cli"))
+        .args(args)
+        .output()
+        .expect("yafim-cli runs")
+}
+
+/// A small MushRoom-shaped input, one file per test (tests run in parallel).
+fn input(test: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("yafim-cli-{test}-{}.dat", std::process::id()));
+    write_dat(&path, &PaperDataset::Mushroom.generate_scaled(0.02)).expect("temp dir writable");
+    path
+}
+
+fn mine(input: &str, tail: &[&str]) -> Output {
+    let head = ["mine", "--input", input, "--support", "40%"];
+    cli(&[&head[..], tail].concat())
+}
+
+/// The summary line without the miner's name in front.
+fn summary(out: &Output) -> String {
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().next().expect("a summary line");
+    assert!(line.contains("frequent itemsets"), "{line}");
+    line.split_once(": ")
+        .expect("`miner: summary`")
+        .1
+        .to_string()
+}
+
+/// Exactly one line on stderr, a nonzero exit, nothing mined.
+fn refusal(out: &Output) -> String {
+    assert!(!out.status.success(), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    stderr
+}
+
+#[test]
+fn every_phase2_plan_prints_the_sequential_summary() {
+    let file = input("plans");
+    let file = file.to_str().expect("utf-8 temp path");
+    let reference = summary(&mine(file, &["--miner", "sequential"]));
+    for plan in Phase2Plan::ALL {
+        let tail = ["--nodes", "4", "--cores", "2", "--phase2", plan.name()];
+        assert_eq!(summary(&mine(file, &tail)), reference, "{plan:?}");
+    }
+    std::fs::remove_file(file).expect("own temp file");
+}
+
+#[test]
+fn an_unknown_phase2_mode_is_one_line_and_exit_1() {
+    let file = input("turbo");
+    let file = file.to_str().expect("utf-8 temp path");
+    let out = mine(file, &["--phase2", "turbo"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(refusal(&out).contains("unknown --phase2 mode `turbo`"));
+    // A real mode next to a miner that has no Phase II is refused too.
+    let out = mine(file, &["--miner", "mapreduce", "--phase2", "opt"]);
+    assert!(refusal(&out).contains("--phase2"));
+    std::fs::remove_file(file).expect("own temp file");
+}
+
+#[test]
+fn bad_numeric_flags_are_refused_not_defaulted() {
+    let file = input("flags");
+    let file = file.to_str().expect("utf-8 temp path");
+    for (flag, value) in [
+        ("--nodes", "abc"),
+        ("--nodes", "0"),
+        ("--cores", "x"),
+        ("--top", "k"),
+        ("--rules", "lots"),
+    ] {
+        let line = refusal(&mine(file, &[flag, value]));
+        assert!(line.contains(flag) && line.contains(value), "{line}");
+    }
+    let generate = ["generate", "--dataset", "mushroom", "--out", file];
+    let out = cli(&[&generate[..], &["--scale", "big"]].concat());
+    assert!(refusal(&out).contains("--scale"));
+    std::fs::remove_file(file).expect("own temp file");
+}

@@ -6,7 +6,7 @@
 use yafim::cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim::data::{to_lines, PaperDataset};
 use yafim::rdd::Context;
-use yafim::{apriori, SequentialConfig, Support, Yafim, YafimConfig};
+use yafim::{apriori, Phase2Plan, SequentialConfig, Support, Yafim, YafimConfig};
 
 #[test]
 fn every_plan_is_identical_at_1_2_and_8_pool_threads() {
@@ -20,12 +20,9 @@ fn every_plan_is_identical_at_1_2_and_8_pool_threads() {
         "input must reach the k >= 3 passes"
     );
 
-    let plans = [
-        ("paper", YafimConfig::new(support)),
-        ("opt", YafimConfig::optimized(support)),
-        ("bitmap", YafimConfig::bitmap(support)),
-    ];
-    for (name, plan) in plans {
+    for phase2 in Phase2Plan::ALL {
+        let name = phase2.name();
+        let plan = YafimConfig::with_plan(support, phase2);
         let mut virtual_secs: Option<(u64, u64)> = None;
         for threads in [1, 2, 8] {
             let cluster = SimCluster::with_threads(
