@@ -145,15 +145,10 @@ impl FromIterator<Item> for Itemset {
 
 /// Parse one whitespace-separated transaction line (the `.dat` format used
 /// by the FIMI / UCI repositories) into a sorted, deduplicated item vector.
-/// Unparseable tokens are skipped.
+/// Unparseable tokens are skipped. The rule itself is `yafim-data`'s, the
+/// one that cleaned the file on its way in; a line it drops has no items.
 pub fn parse_transaction(line: &str) -> Vec<Item> {
-    let mut items: Vec<Item> = line
-        .split_whitespace()
-        .filter_map(|t| t.parse().ok())
-        .collect();
-    items.sort_unstable();
-    items.dedup();
-    items
+    yafim_data::from_lines(&[line]).pop().unwrap_or_default()
 }
 
 /// A minimum-support threshold, absolute or relative.

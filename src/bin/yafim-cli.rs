@@ -19,11 +19,11 @@
 
 use std::process::exit;
 use yafim::cluster::{ClusterSpec, CostModel, SimCluster};
-use yafim::data::{read_dat, to_lines, PaperDataset};
+use yafim::data::{read_canonical_lines, read_dat, PaperDataset};
 use yafim::rdd::Context;
 use yafim::{
-    apriori, eclat, fp_growth, generate_rules, MinerRun, MrApriori, MrAprioriConfig, Pfp,
-    PfpConfig, Phase2Plan, RuleConfig, SequentialConfig, Son, SonConfig, Support, Yafim,
+    apriori, eclat, fp_growth, generate_rules, MinerRun, MiningResult, MrApriori, MrAprioriConfig,
+    Pfp, PfpConfig, Phase2Plan, RuleConfig, SequentialConfig, Son, SonConfig, Support, Yafim,
     YafimConfig,
 };
 
@@ -144,8 +144,11 @@ fn cluster() -> SimCluster {
     c
 }
 
-fn load_transactions(path: &str) -> Vec<Vec<u32>> {
-    match read_dat(path) {
+/// What reading the input file gave — [`read_dat`] for the single-node
+/// miners, [`read_canonical_lines`] for the distributed ones, which only ever
+/// see text; one entry per transaction either way — or one line and exit 1.
+fn loaded<T>(path: &str, read: std::io::Result<Vec<T>>) -> Vec<T> {
+    match read {
         Ok(tx) if !tx.is_empty() => tx,
         Ok(_) => {
             eprintln!("{path}: no transactions found");
@@ -220,12 +223,12 @@ fn fault_plan() -> Option<yafim::cluster::FaultPlan> {
     }
 }
 
-fn run_distributed(miner: &str, tx: &[Vec<u32>], support: Support) -> (MinerRun, SimCluster) {
+fn run_distributed(miner: &str, lines: Vec<String>, support: Support) -> (MinerRun, SimCluster) {
     let c = cluster();
     if let Some(plan) = fault_plan() {
         c.faults().set_plan(plan);
     }
-    c.hdfs().put_overwrite("input.dat", to_lines(tx));
+    c.hdfs().put_overwrite("input.dat", lines);
     let run = match miner {
         // A typed refusal (engine failure under the fault plan, or a level
         // rejected by the mining-invariant audit) is one line and exit 1.
@@ -265,23 +268,33 @@ fn cmd_mine() {
     let min_conf = parsed_arg("--rules", "a confidence in [0, 1]", |c: &f64| {
         (0.0..=1.0).contains(c)
     });
-    let tx = load_transactions(&input);
-
-    let start = std::time::Instant::now();
-    let (result, virtual_secs, cluster) = match miner.as_str() {
-        "sequential" => (apriori(&tx, &SequentialConfig::new(support)), None, None),
-        "eclat" => (eclat(&tx, support), None, None),
-        "fpgrowth" => (fp_growth(&tx, support), None, None),
-        "spark" | "mapreduce" | "son" | "pfp" => {
-            let (run, c) = run_distributed(&miner, &tx, support);
-            (run.result, Some(run.total_seconds), Some(c))
-        }
+    // The miner family picks the loader, so an unknown miner is refused
+    // before the input is touched.
+    type SingleNode = fn(&[Vec<u32>], Support) -> MiningResult;
+    let single_node: Option<SingleNode> = match miner.as_str() {
+        "sequential" => Some(|tx, support| apriori(tx, &SequentialConfig::new(support))),
+        "eclat" => Some(eclat),
+        "fpgrowth" => Some(fp_growth),
+        "spark" | "mapreduce" | "son" | "pfp" => None,
         other => {
             eprintln!("unknown miner: {other}");
             exit(2)
         }
     };
-    let wall = start.elapsed();
+
+    let (result, transactions, wall, virtual_secs, cluster) = if let Some(mine) = single_node {
+        let tx = loaded(&input, read_dat(&input));
+        let start = std::time::Instant::now();
+        let result = mine(&tx, support);
+        (result, tx.len(), start.elapsed(), None, None)
+    } else {
+        let lines = loaded(&input, read_canonical_lines(&input));
+        let n = lines.len();
+        let start = std::time::Instant::now();
+        let (run, c) = run_distributed(&miner, lines, support);
+        let wall = start.elapsed();
+        (run.result, n, wall, Some(run.total_seconds), Some(c))
+    };
 
     println!(
         "{miner}: {} frequent itemsets (longest {}), levels {:?}",
@@ -304,7 +317,7 @@ fn cmd_mine() {
     }
 
     if let Some(min_conf) = min_conf {
-        let rules = generate_rules(&result, tx.len() as u64, &RuleConfig::new(min_conf));
+        let rules = generate_rules(&result, transactions as u64, &RuleConfig::new(min_conf));
         println!("\n{} rules at confidence >= {min_conf}:", rules.len());
         for rule in rules.iter().take(top) {
             println!("  {rule}");
@@ -360,7 +373,7 @@ fn cmd_mine() {
             use yafim::cluster::json::JsonValue;
             let dataset = JsonValue::object(vec![
                 ("input", input.as_str().into()),
-                ("transactions", tx.len().into()),
+                ("transactions", transactions.into()),
             ]);
             let config = JsonValue::object(vec![
                 ("miner", miner.as_str().into()),
@@ -390,12 +403,12 @@ fn cmd_mine() {
 fn cmd_compare() {
     let input = arg("--input").unwrap_or_else(|| usage());
     let support = parse_support(&arg("--support").unwrap_or_else(|| usage()));
-    let tx = load_transactions(&input);
+    let lines = loaded(&input, read_canonical_lines(&input));
 
     println!("{:<12} {:>12} {:>10}", "miner", "virtual (s)", "itemsets");
     let mut reference = None;
     for miner in ["spark", "mapreduce", "son", "pfp"] {
-        let (run, _) = run_distributed(miner, &tx, support);
+        let (run, _) = run_distributed(miner, lines.clone(), support);
         if let Some(r) = &reference {
             assert_eq!(r, &run.result, "{miner} diverges — please report a bug");
         }
