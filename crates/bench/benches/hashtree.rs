@@ -34,6 +34,49 @@ fn transactions(n: usize, len: usize, universe: u32, seed: u64) -> Vec<Vec<u32>>
         .collect()
 }
 
+/// MushRoom-shaped input: 23 attributes of 5 values each (115 items, every
+/// transaction holds one value per attribute, skewed towards the first two)
+/// and `n` distinct `k`-candidates over the 46 common values. Dense
+/// transactions over few items make descent paths collide, which is the
+/// regime the paper's own datasets put the tree in.
+fn mushroom_shaped(n: usize, k: usize, seed: u64) -> (Vec<Itemset>, Vec<Vec<u32>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cands = std::collections::BTreeSet::new();
+    while cands.len() < n {
+        let set: Itemset = (0..k)
+            .map(|_| rng.gen_range(0..23u32) * 5 + rng.gen_range(0..2u32))
+            .collect();
+        if set.len() == k {
+            cands.insert(set);
+        }
+    }
+    let txs = (0..1_000)
+        .map(|_| {
+            (0..23u32)
+                .map(|attr| {
+                    let value = match rng.gen_range(0..10u32) {
+                        0..=5 => 0,
+                        6..=8 => 1,
+                        _ => rng.gen_range(2..5u32),
+                    };
+                    attr * 5 + value
+                })
+                .collect()
+        })
+        .collect();
+    (cands.into_iter().collect(), txs)
+}
+
+/// Match every transaction; returns `(matches, visits)`.
+fn match_all(tree: &HashTree, txs: &[Vec<u32>]) -> (u64, u64) {
+    let mut scratch = MatchScratch::default();
+    let (mut hits, mut visits) = (0u64, 0u64);
+    for t in txs {
+        visits += tree.for_each_match(t, &mut scratch, |_| hits += 1);
+    }
+    (hits, visits)
+}
+
 fn main() {
     header("hashtree_build");
     for &n in &[1_000usize, 10_000, 50_000] {
@@ -48,12 +91,7 @@ fn main() {
     for &n in &[1_000usize, 10_000] {
         let tree = HashTree::build(candidates(n, 3, 500, 1));
         bench(&format!("tree/{n}"), 10, || {
-            let mut scratch = MatchScratch::default();
-            let mut hits = 0u64;
-            for t in &txs {
-                tree.for_each_match(t, &mut scratch, |_| hits += 1);
-            }
-            black_box(hits)
+            match_all(black_box(&tree), &txs)
         });
         bench(&format!("naive/{n}"), 10, || {
             let mut hits = 0usize;
@@ -63,4 +101,21 @@ fn main() {
             black_box(hits)
         });
     }
+
+    header("hashtree_match_mushroom_shaped_1k_tx");
+    for k in 3..=5 {
+        let (cands, txs) = mushroom_shaped(500, k, 3);
+        let tree = HashTree::build(cands);
+        let visits = match_all(&tree, &txs).1 / txs.len() as u64;
+        let name = format!("tree/500/k{k} ({visits} visits per call)");
+        bench(&name, 20, || match_all(black_box(&tree), &txs));
+    }
+
+    // 12 candidates fit the root leaf: no descent, so no slot per item —
+    // only the membership stamps are precomputed.
+    header("hashtree_match_root_leaf_1k_tx");
+    let (cands, txs) = mushroom_shaped(12, 4, 4);
+    let tree = HashTree::build(cands);
+    assert_eq!(tree.num_nodes(), 1);
+    bench("tree/12/k4", 50, || match_all(black_box(&tree), &txs));
 }

@@ -9,23 +9,34 @@
 //! be reached along several paths — a per-call leaf stamp prevents double
 //! counting.
 //!
+//! The tree is one flat arena, and what every visit needs of the transaction
+//! (the hash slot of each item, which candidate items it holds) is computed
+//! once per call into [`MatchScratch`].
+//!
 //! Traversal work is reported as a node-visit count, which the engines feed
-//! into the virtual-time cost model.
+//! into the virtual-time cost model: one unit per node reached and one per
+//! leaf entry verified, as a pointer tree would spend them — a modelled
+//! quantity, not what this layout costs the host.
 
 use crate::types::{Item, Itemset};
-use yafim_cluster::{fx_hash64, ByteSize};
+use yafim_cluster::{fx_hash64, ByteSize, FxHashSet};
 
 /// Default fan-out of interior nodes.
 pub const DEFAULT_BRANCHING: usize = 8;
 /// Default maximum candidates per leaf before it splits.
 pub const DEFAULT_MAX_LEAF: usize = 16;
 
-enum Node {
-    Interior { children: Vec<Option<u32>> },
-    Leaf { entries: Vec<u32> },
-}
+/// Tag bit of a node reference: set, the other bits are a leaf number;
+/// clear, they are the offset of an interior node's slots in `children`.
+const LEAF: u32 = 1 << 31;
+/// An interior slot no candidate hashes to.
+const NO_CHILD: u32 = u32::MAX;
 
 /// A hash tree over candidate itemsets, all of the same length `k`.
+///
+/// A node at depth `d` is a leaf while at most `max_leaf` candidates share
+/// its hash path (or at `d = k`, where no item is left to split on);
+/// otherwise it routes on the hash of each candidate's `d`-th item.
 ///
 /// ```
 /// use yafim_core::{HashTree, Itemset, MatchScratch};
@@ -46,17 +57,53 @@ enum Node {
 pub struct HashTree {
     k: usize,
     branching: usize,
-    max_leaf: usize,
-    nodes: Vec<Node>,
+    root: u32,
+    /// `branching` node references per interior node.
+    children: Vec<u32>,
+    /// Leaf `l` holds entries `leaf_start[l]..leaf_start[l + 1]`, ascending
+    /// by candidate index.
+    leaf_start: Vec<u32>,
+    /// Per entry, the candidate's index into `candidates`.
+    entry_cand: Vec<u32>,
+    /// Per entry, the ids of the candidate's `k` items (see `items`).
+    entry_items: Vec<u32>,
+    /// Open-addressed set of the candidates' distinct items, at most half
+    /// full. An item's position is its id: memory follows the number of
+    /// distinct items, never their magnitude.
+    items: Vec<Option<Item>>,
     candidates: Vec<Itemset>,
 }
 
-/// Reusable per-caller scratch space for [`HashTree::for_each_match`]
-/// (leaf-visit stamps). One per task; never shared across threads.
+/// Reusable per-caller scratch space for [`HashTree::for_each_match`]. One
+/// per task; never shared across threads. It may go from one tree to the
+/// next: a stamp only counts while it equals `version`.
 #[derive(Default)]
 pub struct MatchScratch {
-    stamp: Vec<u32>,
+    /// `leaf_seen[l] == version`: leaf `l` was verified for this transaction.
+    leaf_seen: Vec<u32>,
+    /// `present[id] == version`: the transaction holds that candidate item.
+    present: Vec<u32>,
+    /// Hash slot of each transaction item.
+    slots: Vec<u32>,
     version: u32,
+}
+
+impl MatchScratch {
+    /// Start a transaction against a tree of `leaves` leaves and `ids` item
+    /// ids; returns the stamp that marks it.
+    fn begin(&mut self, leaves: usize, ids: usize) -> u32 {
+        self.version = self.version.wrapping_add(1);
+        if self.version == 0 {
+            // Wrapped: clear stale stamps that would now falsely match.
+            self.leaf_seen.clear();
+            self.present.clear();
+            self.version = 1;
+        }
+        // Grow only: stamps beyond this tree's range are older than `version`.
+        self.leaf_seen.resize(self.leaf_seen.len().max(leaves), 0);
+        self.present.resize(self.present.len().max(ids), 0);
+        self.version
+    }
 }
 
 impl HashTree {
@@ -86,18 +133,27 @@ impl HashTree {
             candidates.iter().all(|c| c.len() == k),
             "all candidates must have equal length"
         );
+        let n_items = candidates.len().saturating_mul(k.max(1));
+        assert!(n_items < LEAF as usize, "too many candidate items");
+        let distinct: FxHashSet<Item> =
+            candidates.iter().flat_map(|c| c.items()).copied().collect();
         let mut tree = HashTree {
             k,
             branching,
-            max_leaf,
-            nodes: vec![Node::Leaf {
-                entries: Vec::new(),
-            }],
+            root: NO_CHILD,
+            children: Vec::new(),
+            leaf_start: vec![0],
+            entry_cand: Vec::with_capacity(candidates.len()),
+            entry_items: Vec::with_capacity(n_items),
+            items: vec![None; (2 * distinct.len()).next_power_of_two()],
             candidates,
         };
-        for idx in 0..tree.candidates.len() {
-            tree.insert(idx as u32, 0, 0);
+        for item in distinct {
+            let free = tree.probe(item).expect_err("items are distinct");
+            tree.items[free] = Some(item);
         }
+        let all: Vec<u32> = (0..tree.candidates.len() as u32).collect();
+        tree.root = tree.lay_out(&all, 0, max_leaf);
         tree
     }
 
@@ -124,65 +180,61 @@ impl HashTree {
 
     /// Number of tree nodes (observability / tests).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.children.len() / self.branching + self.leaf_start.len() - 1
     }
 
+    /// Where `item` sits in `items`: `Ok(id)` if a candidate holds it, else
+    /// `Err` of the free position its probe ends at.
+    #[inline]
+    fn probe(&self, item: Item) -> Result<usize, usize> {
+        let mask = self.items.len() - 1;
+        // The multiplicative hash mixes upwards: take the high half.
+        let mut at = (fx_hash64(&item) >> 32) as usize & mask;
+        while let Some(held) = self.items[at] {
+            if held == item {
+                return Ok(at);
+            }
+            at = (at + 1) & mask;
+        }
+        Err(at)
+    }
+
+    #[inline]
     fn hash_slot(&self, item: Item) -> usize {
         (fx_hash64(&item) % self.branching as u64) as usize
     }
 
-    fn insert(&mut self, cand: u32, node: u32, depth: usize) {
-        let is_leaf = matches!(self.nodes[node as usize], Node::Leaf { .. });
-        if is_leaf {
-            let full = match &mut self.nodes[node as usize] {
-                Node::Leaf { entries } => {
-                    entries.push(cand);
-                    entries.len() > self.max_leaf
+    /// Append the subtree over `cands` — the candidates, ascending by index,
+    /// that share one hash path of length `depth` — and return its reference.
+    fn lay_out(&mut self, cands: &[u32], depth: usize, max_leaf: usize) -> u32 {
+        if cands.len() <= max_leaf || depth == self.k {
+            for &cand in cands {
+                for &item in self.candidates[cand as usize].items() {
+                    let id = self.probe(item).expect("every item was added");
+                    self.entry_items.push(id as u32);
                 }
-                Node::Interior { .. } => unreachable!("checked leaf above"),
-            };
-            if full && depth < self.k {
-                self.split_leaf(node, depth);
             }
-            return;
+            self.entry_cand.extend_from_slice(cands);
+            self.leaf_start.push(self.entry_cand.len() as u32);
+            return LEAF | (self.leaf_start.len() - 2) as u32;
         }
-
-        let item = self.candidates[cand as usize].items()[depth];
-        let slot = self.hash_slot(item);
-        let existing = match &self.nodes[node as usize] {
-            Node::Interior { children } => children[slot],
-            Node::Leaf { .. } => unreachable!("checked interior above"),
-        };
-        let child = match existing {
-            Some(c) => c,
-            None => {
-                let id = self.nodes.len() as u32;
-                self.nodes.push(Node::Leaf {
-                    entries: Vec::new(),
-                });
-                match &mut self.nodes[node as usize] {
-                    Node::Interior { children } => children[slot] = Some(id),
-                    Node::Leaf { .. } => unreachable!("node was interior"),
-                }
-                id
+        let base = self.children.len();
+        assert!(
+            base + self.branching < LEAF as usize,
+            "too many interior nodes"
+        );
+        self.children.resize(base + self.branching, NO_CHILD);
+        let mut by_slot = vec![Vec::new(); self.branching];
+        for &cand in cands {
+            let item = self.candidates[cand as usize].items()[depth];
+            by_slot[self.hash_slot(item)].push(cand);
+        }
+        for (slot, group) in by_slot.iter().enumerate() {
+            if !group.is_empty() {
+                self.children[base + slot] = self.lay_out(group, depth + 1, max_leaf);
             }
-        };
-        self.insert(cand, child, depth + 1);
-    }
-
-    fn split_leaf(&mut self, node: u32, depth: usize) {
-        let entries = match std::mem::replace(
-            &mut self.nodes[node as usize],
-            Node::Interior {
-                children: vec![None; self.branching],
-            },
-        ) {
-            Node::Leaf { entries } => entries,
-            Node::Interior { .. } => unreachable!("split target is a leaf"),
-        };
-        for cand in entries {
-            self.insert(cand, node, depth);
         }
+        base as u32
     }
 
     /// Invoke `f(candidate index)` once for every candidate contained in the
@@ -192,61 +244,34 @@ impl HashTree {
         &self,
         t: &[Item],
         scratch: &mut MatchScratch,
-        mut f: impl FnMut(usize),
+        f: impl FnMut(usize),
     ) -> u64 {
         if self.k == 0 || t.len() < self.k {
             return 0;
         }
-        scratch.version = scratch.version.wrapping_add(1);
-        if scratch.version == 0 {
-            // Wrapped: clear stale stamps that would now falsely match.
-            scratch.stamp.clear();
-            scratch.version = 1;
-        }
-        scratch.stamp.resize(self.nodes.len(), 0);
-        let mut visits = 0u64;
-        self.descend(0, t, 0, 1, scratch, &mut visits, &mut f);
-        visits
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        node: u32,
-        t: &[Item],
-        pos: usize,
-        depth: usize, // 1-based: items consumed on the path so far
-        scratch: &mut MatchScratch,
-        visits: &mut u64,
-        f: &mut impl FnMut(usize),
-    ) {
-        *visits += 1;
-        match &self.nodes[node as usize] {
-            Node::Leaf { entries } => {
-                if scratch.stamp[node as usize] == scratch.version {
-                    return; // already checked for this transaction
-                }
-                scratch.stamp[node as usize] = scratch.version;
-                for &cand in entries {
-                    *visits += 1;
-                    if self.candidates[cand as usize].is_subset_of_sorted(t) {
-                        f(cand as usize);
-                    }
-                }
+        let version = scratch.begin(self.leaf_start.len() - 1, self.items.len());
+        let descends = self.root & LEAF == 0;
+        scratch.slots.clear();
+        for &item in t {
+            if let Ok(id) = self.probe(item) {
+                scratch.present[id] = version;
             }
-            Node::Interior { children } => {
-                // Descend on every transaction item that could be the
-                // `depth`-th item of a candidate, leaving enough items to
-                // complete one.
-                let remaining_needed = self.k - depth;
-                let last = t.len() - remaining_needed;
-                for i in pos..last {
-                    if let Some(child) = children[self.hash_slot(t[i])] {
-                        self.descend(child, t, i + 1, depth + 1, scratch, visits, f);
-                    }
-                }
+            if descends {
+                scratch.slots.push(self.hash_slot(item) as u32);
             }
         }
+        let mut walk = Walk {
+            tree: self,
+            t_len: t.len(),
+            slots: &scratch.slots,
+            present: &scratch.present,
+            leaf_seen: &mut scratch.leaf_seen,
+            version,
+            visits: 0,
+            f,
+        };
+        walk.visit(self.root, 0, 1);
+        walk.visits
     }
 
     /// Brute-force reference: indices of all candidates contained in `t`.
@@ -258,6 +283,56 @@ impl HashTree {
             .filter(|(_, c)| c.is_subset_of_sorted(t))
             .map(|(i, _)| i)
             .collect()
+    }
+}
+
+/// One transaction's descent: the per-transaction precompute and the
+/// running visit count.
+struct Walk<'a, F> {
+    tree: &'a HashTree,
+    t_len: usize,
+    slots: &'a [u32],
+    present: &'a [u32],
+    leaf_seen: &'a mut [u32],
+    version: u32,
+    visits: u64,
+    f: F,
+}
+
+impl<F: FnMut(usize)> Walk<'_, F> {
+    /// `depth` is 1-based: the items consumed on the path so far, plus one.
+    fn visit(&mut self, node: u32, pos: usize, depth: usize) {
+        self.visits += 1;
+        let (tree, version) = (self.tree, self.version);
+        if node & LEAF != 0 {
+            let leaf = (node ^ LEAF) as usize;
+            if std::mem::replace(&mut self.leaf_seen[leaf], version) == version {
+                return; // already checked for this transaction
+            }
+            let lo = tree.leaf_start[leaf] as usize;
+            let hi = tree.leaf_start[leaf + 1] as usize;
+            self.visits += (hi - lo) as u64;
+            let items = tree.entry_items[lo * tree.k..hi * tree.k].chunks_exact(tree.k);
+            for (&cand, ids) in tree.entry_cand[lo..hi].iter().zip(items) {
+                // No early exit: on dense data a miss is a coin flip, and a
+                // mispredicted branch costs more than the loads it saves.
+                let held = |all, &id| all & (self.present[id as usize] == version);
+                if ids.iter().fold(true, held) {
+                    (self.f)(cand as usize);
+                }
+            }
+            return;
+        }
+        // Descend on every transaction item that could be the `depth`-th
+        // item of a candidate, leaving enough items to complete one.
+        let children = &tree.children[node as usize..][..tree.branching];
+        let last = self.t_len - (tree.k - depth);
+        for i in pos..last {
+            let child = children[self.slots[i] as usize];
+            if child != NO_CHILD {
+                self.visit(child, i + 1, depth + 1);
+            }
+        }
     }
 }
 
@@ -297,9 +372,11 @@ impl crate::candidates::CandidateStore for HashTree {
 }
 
 impl ByteSize for HashTree {
+    /// The modelled size of the shipped tree (candidates plus 16 bytes per
+    /// node), which the broadcast is charged on — not the arena's.
     fn byte_size(&self) -> u64 {
         let cands: u64 = self.candidates.iter().map(ByteSize::byte_size).sum();
-        cands + 16 * self.nodes.len() as u64
+        cands + 16 * self.num_nodes() as u64
     }
 }
 
@@ -418,6 +495,77 @@ mod tests {
         assert!(visits >= 2, "at least root + leaf checks, got {visits}");
         // Too-short transactions are rejected without any traversal.
         assert_eq!(tree.for_each_match(&[1], &mut s, |_| {}), 0);
+    }
+
+    /// `(visits, callbacks in order)` of one call.
+    fn observe(tree: &HashTree, t: &[Item], s: &mut MatchScratch) -> (u64, Vec<usize>) {
+        let mut out = Vec::new();
+        let visits = tree.for_each_match(t, s, |i| out.push(i));
+        (visits, out)
+    }
+
+    #[test]
+    fn version_wrap_clears_leaf_and_item_stamps() {
+        // Small branching: shared leaves, so the leaf stamps matter too.
+        let cands: Vec<Itemset> = (0u32..40)
+            .map(|i| Itemset::new(vec![i % 8, 8 + i % 5, 13 + i % 7]))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let tree = HashTree::with_params(cands, 2, 2);
+        let txs: [Vec<Item>; 3] = [
+            (0..20).collect(),
+            (0..20).step_by(2).collect(),
+            vec![1, 9, 14, 15],
+        ];
+        let fresh: Vec<_> = txs
+            .iter()
+            .map(|t| observe(&tree, t, &mut MatchScratch::default()))
+            .collect();
+        assert!(fresh.iter().all(|(_, found)| !found.is_empty()));
+
+        // Stamp everything with `u32::MAX`, wrap on the next call, then go on
+        // past the wrap: at no point may a stamp of an earlier call count.
+        let mut s = MatchScratch {
+            version: u32::MAX - 1,
+            ..MatchScratch::default()
+        };
+        assert_eq!(observe(&tree, &txs[0], &mut s), fresh[0]);
+        assert_eq!(s.version, u32::MAX);
+        assert_eq!(observe(&tree, &txs[1], &mut s), fresh[1]);
+        assert_eq!(s.version, 1, "wrapped past 0");
+        assert!(s.leaf_seen.iter().chain(&s.present).all(|&v| v <= 1));
+        assert_eq!(observe(&tree, &txs[2], &mut s), fresh[2]);
+        assert_eq!(observe(&tree, &txs[0], &mut s), fresh[0]);
+
+        // A stamp that survived the wrap would hide these: an array full of
+        // 1s left over from before must not read as "seen in call 1".
+        let mut s = MatchScratch {
+            version: u32::MAX,
+            leaf_seen: vec![1; tree.num_nodes()],
+            present: vec![1; tree.items.len()],
+            ..MatchScratch::default()
+        };
+        assert_eq!(observe(&tree, &txs[2], &mut s), fresh[2]);
+    }
+
+    #[test]
+    fn scratch_is_bounded_by_the_candidate_set_not_by_the_ids() {
+        let ids = [7, 1 << 20, u32::MAX / 2, u32::MAX - 1, u32::MAX];
+        let cands: Vec<Itemset> = (0..ids.len())
+            .flat_map(|a| (a + 1..ids.len()).map(move |b| Itemset::new(vec![ids[a], ids[b]])))
+            .collect();
+        let tree = HashTree::with_params(cands, 2, 1);
+        assert!(tree.num_nodes() > 1);
+        let mut s = MatchScratch::default();
+        let t = [0, 7, 8, 1 << 20, u32::MAX - 2, u32::MAX];
+        let (_, mut found) = observe(&tree, &t, &mut s);
+        found.sort_unstable();
+        assert_eq!(found, tree.matches_naive(&t));
+        assert_eq!(found.len(), 3, "{{7, 2^20}}, {{7, MAX}}, {{2^20, MAX}}");
+        assert!(s.leaf_seen.len() <= tree.num_nodes());
+        assert!(s.present.len() <= 4 * ids.len());
+        assert_eq!(s.slots.len(), t.len());
     }
 
     #[test]

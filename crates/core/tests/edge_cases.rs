@@ -92,6 +92,32 @@ fn large_item_ids() {
 }
 
 #[test]
+fn huge_item_ids_through_split_hash_trees() {
+    // Nine ids spread up to `u32::MAX`: C2 (36 pairs) and C3 (84 triples)
+    // overflow one leaf, so the hash tree splits and descends on ids no
+    // array could be indexed by. A structure sized by the largest id would
+    // not survive this test; the counts say the matches are right.
+    let mut ids: Vec<u32> = (1..9u32).map(|i| u32::MAX / 9 * i + i % 2).collect();
+    ids.push(u32::MAX);
+    let mut tx = vec![ids.clone(); 4];
+    tx.extend((0..9).map(|skip| {
+        let mut t = ids.clone();
+        t.remove(skip);
+        t
+    }));
+    tx.push(vec![0, 1, u32::MAX - 1]);
+    let r = assert_all_agree(&tx, Support::Count(4));
+    assert_eq!(r.max_len(), 9);
+    assert_eq!(r.support_of(&Itemset::new(ids.clone())), Some(4));
+    assert_eq!(r.support_of(&Itemset::new(ids[..8].to_vec())), Some(5));
+    assert_eq!(
+        r.support_of(&Itemset::new(vec![ids[0], u32::MAX])),
+        Some(11)
+    );
+    assert_eq!(r.support_of(&Itemset::single(u32::MAX - 1)), None);
+}
+
+#[test]
 fn wide_transaction_deep_levels() {
     // One 12-item transaction repeated: levels up to 12 — exercises deep
     // candidate generation and tree descent.

@@ -1,0 +1,444 @@
+//! The hash tree, differentially: the flat arena in `yafim_core::hashtree`
+//! against the pointer tree it replaced, which lives on here as the oracle.
+//!
+//! `visits` feeds the virtual-time cost model and the order of the match
+//! callbacks decides the order MapReduce mappers emit in, so both must stay
+//! exactly what the pointer tree produced, as must the node count (which
+//! sizes the modelled broadcast). Inputs are seeded random candidate sets and
+//! transactions from the in-repo RNG plus the shapes the arena treats
+//! specially: empty tree, root-is-a-leaf, `|t| < k`, `|t| = k`, one very long
+//! transaction, huge item ids, and one scratch carried across trees.
+
+use yafim::cluster::{fx_hash64, ByteSize};
+use yafim::data::rng::StdRng;
+use yafim::{CandidateStore, HashTree, Item, Itemset, MatchScratch};
+
+/// The pre-arena `HashTree`, kept verbatim apart from names: a `Vec` per
+/// node, `hash % branching` on every visit, a merge per leaf entry.
+mod oracle {
+    use super::{fx_hash64, ByteSize, Item, Itemset};
+
+    enum Node {
+        Interior { children: Vec<Option<u32>> },
+        Leaf { entries: Vec<u32> },
+    }
+
+    pub struct PointerTree {
+        k: usize,
+        branching: usize,
+        max_leaf: usize,
+        nodes: Vec<Node>,
+        candidates: Vec<Itemset>,
+    }
+
+    #[derive(Default)]
+    pub struct Scratch {
+        stamp: Vec<u32>,
+        version: u32,
+    }
+
+    impl PointerTree {
+        pub fn build(candidates: Vec<Itemset>) -> Self {
+            let k = candidates.first().map_or(1, Itemset::len).max(1);
+            let target_leaves = (candidates.len() as f64 / 16.0).max(1.0);
+            let branching = target_leaves.powf(1.0 / k as f64).ceil().clamp(8.0, 512.0) as usize;
+            Self::with_params(candidates, branching, 16)
+        }
+
+        pub fn with_params(candidates: Vec<Itemset>, branching: usize, max_leaf: usize) -> Self {
+            let k = candidates.first().map_or(0, Itemset::len);
+            let mut tree = PointerTree {
+                k,
+                branching,
+                max_leaf,
+                nodes: vec![Node::Leaf {
+                    entries: Vec::new(),
+                }],
+                candidates,
+            };
+            for idx in 0..tree.candidates.len() {
+                tree.insert(idx as u32, 0, 0);
+            }
+            tree
+        }
+
+        pub fn num_nodes(&self) -> usize {
+            self.nodes.len()
+        }
+
+        pub fn store_bytes(&self) -> u64 {
+            let cands: u64 = self.candidates.iter().map(ByteSize::byte_size).sum();
+            cands + 16 * self.nodes.len() as u64
+        }
+
+        fn hash_slot(&self, item: Item) -> usize {
+            (fx_hash64(&item) % self.branching as u64) as usize
+        }
+
+        fn insert(&mut self, cand: u32, node: u32, depth: usize) {
+            let is_leaf = matches!(self.nodes[node as usize], Node::Leaf { .. });
+            if is_leaf {
+                let full = match &mut self.nodes[node as usize] {
+                    Node::Leaf { entries } => {
+                        entries.push(cand);
+                        entries.len() > self.max_leaf
+                    }
+                    Node::Interior { .. } => unreachable!("checked leaf above"),
+                };
+                if full && depth < self.k {
+                    self.split_leaf(node, depth);
+                }
+                return;
+            }
+
+            let item = self.candidates[cand as usize].items()[depth];
+            let slot = self.hash_slot(item);
+            let existing = match &self.nodes[node as usize] {
+                Node::Interior { children } => children[slot],
+                Node::Leaf { .. } => unreachable!("checked interior above"),
+            };
+            let child = match existing {
+                Some(c) => c,
+                None => {
+                    let id = self.nodes.len() as u32;
+                    self.nodes.push(Node::Leaf {
+                        entries: Vec::new(),
+                    });
+                    match &mut self.nodes[node as usize] {
+                        Node::Interior { children } => children[slot] = Some(id),
+                        Node::Leaf { .. } => unreachable!("node was interior"),
+                    }
+                    id
+                }
+            };
+            self.insert(cand, child, depth + 1);
+        }
+
+        fn split_leaf(&mut self, node: u32, depth: usize) {
+            let entries = match std::mem::replace(
+                &mut self.nodes[node as usize],
+                Node::Interior {
+                    children: vec![None; self.branching],
+                },
+            ) {
+                Node::Leaf { entries } => entries,
+                Node::Interior { .. } => unreachable!("split target is a leaf"),
+            };
+            for cand in entries {
+                self.insert(cand, node, depth);
+            }
+        }
+
+        pub fn for_each_match(
+            &self,
+            t: &[Item],
+            scratch: &mut Scratch,
+            mut f: impl FnMut(usize),
+        ) -> u64 {
+            if self.k == 0 || t.len() < self.k {
+                return 0;
+            }
+            scratch.version = scratch.version.wrapping_add(1);
+            if scratch.version == 0 {
+                scratch.stamp.clear();
+                scratch.version = 1;
+            }
+            scratch.stamp.resize(self.nodes.len(), 0);
+            let mut visits = 0u64;
+            self.descend(0, t, 0, 1, scratch, &mut visits, &mut f);
+            visits
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn descend(
+            &self,
+            node: u32,
+            t: &[Item],
+            pos: usize,
+            depth: usize,
+            scratch: &mut Scratch,
+            visits: &mut u64,
+            f: &mut impl FnMut(usize),
+        ) {
+            *visits += 1;
+            match &self.nodes[node as usize] {
+                Node::Leaf { entries } => {
+                    if scratch.stamp[node as usize] == scratch.version {
+                        return;
+                    }
+                    scratch.stamp[node as usize] = scratch.version;
+                    for &cand in entries {
+                        *visits += 1;
+                        if self.candidates[cand as usize].is_subset_of_sorted(t) {
+                            f(cand as usize);
+                        }
+                    }
+                }
+                Node::Interior { children } => {
+                    let remaining_needed = self.k - depth;
+                    let last = t.len() - remaining_needed;
+                    for i in pos..last {
+                        if let Some(child) = children[self.hash_slot(t[i])] {
+                            self.descend(child, t, i + 1, depth + 1, scratch, visits, f);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+use oracle::PointerTree;
+
+/// `n` distinct `k`-itemsets (fewer if `items` cannot supply them) drawn from
+/// `items`, in random order — the trees number candidates by position.
+fn random_candidates(rng: &mut StdRng, items: &[Item], n: usize, k: usize) -> Vec<Itemset> {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut out = Vec::new();
+    for _ in 0..n * 4 {
+        if out.len() == n {
+            break;
+        }
+        let set: Itemset = (0..k * 3)
+            .map(|_| items[rng.gen_range(0..items.len())])
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .take(k)
+            .collect();
+        if set.len() == k && seen.insert(set.clone()) {
+            out.push(set);
+        }
+    }
+    out
+}
+
+/// A sorted, duplicate-free transaction of about `len` items of `items`.
+fn random_transaction(rng: &mut StdRng, items: &[Item], len: usize) -> Vec<Item> {
+    let mut t: Vec<Item> = (0..len)
+        .map(|_| items[rng.gen_range(0..items.len())])
+        .collect();
+    t.sort_unstable();
+    t.dedup();
+    t
+}
+
+/// Everything observable about matching `t`: the visit count and the
+/// callback sequence.
+type Seen = (u64, Vec<usize>);
+
+/// One scratch per tree; the tests carry a pair across trees on purpose.
+type Scratches = (MatchScratch, oracle::Scratch);
+
+/// The arena and the oracle over the same candidates.
+struct Pair {
+    new: HashTree,
+    old: PointerTree,
+}
+
+impl Pair {
+    fn of(new: HashTree, old: PointerTree, what: &str) -> Self {
+        assert_eq!(new.num_nodes(), old.num_nodes(), "num_nodes, {what}");
+        assert_eq!(new.store_bytes(), old.store_bytes(), "store_bytes, {what}");
+        assert_eq!(new.byte_size(), old.store_bytes(), "byte_size, {what}");
+        Pair { new, old }
+    }
+
+    fn build(cands: &[Itemset], what: &str) -> Self {
+        Self::of(
+            HashTree::build(cands.to_vec()),
+            PointerTree::build(cands.to_vec()),
+            what,
+        )
+    }
+
+    fn with_params(cands: &[Itemset], branching: usize, max_leaf: usize, what: &str) -> Self {
+        Self::of(
+            HashTree::with_params(cands.to_vec(), branching, max_leaf),
+            PointerTree::with_params(cands.to_vec(), branching, max_leaf),
+            what,
+        )
+    }
+
+    /// Match `t` on both trees and require the same visits and the same
+    /// callbacks in the same order; also checks the matches are right.
+    fn check(&self, t: &[Item], scratch: &mut Scratches, what: &str) -> Seen {
+        let mut got = Vec::new();
+        let visits = self.new.for_each_match(t, &mut scratch.0, |i| got.push(i));
+        let mut want = Vec::new();
+        let want_visits = self.old.for_each_match(t, &mut scratch.1, |i| want.push(i));
+        assert_eq!(got, want, "callback sequence, {what}, t = {t:?}");
+        assert_eq!(visits, want_visits, "visits, {what}, t = {t:?}");
+        let mut sorted = got.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, self.new.matches_naive(t), "matches, {what}");
+        (visits, got)
+    }
+}
+
+#[test]
+fn random_trees_visit_and_call_back_as_the_pointer_tree_did() {
+    let mut rng = StdRng::seed_from_u64(0x15);
+    let mut s = Scratches::default();
+    let mut total_visits = 0u64;
+    let mut total_matches = 0usize;
+    for round in 0..240 {
+        let k = 1 + round % 6;
+        let universe: Vec<Item> = (0..rng.gen_range(k as u32 + 2..80))
+            .map(|i| i * 3)
+            .collect();
+        let n = rng.gen_range(1..400usize);
+        let cands = random_candidates(&mut rng, &universe, n, k);
+        let branching = [2, 3, 8, 17, 64, 512][rng.gen_range(0..6usize)];
+        let max_leaf = [1, 2, 5, 16, 32][rng.gen_range(0..5usize)];
+        let what = format!("round {round}: k {k}, {n} candidates, {branching}/{max_leaf}");
+        let pair = if round % 4 == 0 {
+            Pair::build(&cands, &what)
+        } else {
+            Pair::with_params(&cands, branching, max_leaf, &what)
+        };
+        // The one scratch pair is never reset: every round sees stamps left
+        // by trees of other node counts and other dictionaries.
+        // Items between the candidates' (the universe is every third id)
+        // exercise the dictionary misses.
+        let wide: Vec<Item> = (0..universe.len() as u32 * 3 + 5).collect();
+        // A binary tree descends on every k-subset of `t`: keep C(|t|, k)
+        // affordable in a debug build.
+        let max_len = [200, 200, 60, 36, 28, 24][k - 1];
+        for _ in 0..12 {
+            let draws = rng.gen_range(0..2 * universe.len() + 8);
+            let mut t = random_transaction(&mut rng, &wide, draws);
+            t.truncate(max_len);
+            let (v, m) = pair.check(&t, &mut s, &what);
+            total_visits += v;
+            total_matches += m.len();
+        }
+        // |t| < k is refused without a visit; |t| = k on a candidate's own
+        // items finds it.
+        let own = cands[rng.gen_range(0..cands.len())].items().to_vec();
+        let (v, _) = pair.check(&own[..k - 1], &mut s, &what);
+        assert_eq!(v, 0, "|t| < k, {what}");
+        let (_, m) = pair.check(&own, &mut s, &what);
+        assert_eq!(m.len(), 1, "|t| = k, {what}");
+    }
+    assert!(
+        total_visits > 100_000 && total_matches > 1_000,
+        "the sweep must reach deep trees: {total_visits} visits, {total_matches} matches"
+    );
+}
+
+#[test]
+fn every_branching_and_leaf_size_keeps_the_shape() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let universe: Vec<Item> = (0..40).collect();
+    let cands = random_candidates(&mut rng, &universe, 300, 3);
+    let txs: Vec<Vec<Item>> = (0..6)
+        .map(|_| random_transaction(&mut rng, &universe, 18))
+        .collect();
+    let mut s = Scratches::default();
+    for branching in (2..=16).chain([31, 32, 33, 100, 511, 512]) {
+        for max_leaf in 1..=32 {
+            let what = format!("{branching}/{max_leaf}");
+            let pair = Pair::with_params(&cands, branching, max_leaf, &what);
+            for t in &txs {
+                pair.check(t, &mut s, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn degenerate_trees() {
+    let mut s = Scratches::default();
+
+    let empty = Pair::build(&[], "empty");
+    assert_eq!(empty.new.num_nodes(), 1);
+    assert_eq!(empty.check(&[1, 2, 3], &mut s, "empty"), (0, vec![]));
+    assert_eq!(empty.check(&[], &mut s, "empty"), (0, vec![]));
+
+    // 12 candidates under the leaf capacity: the root is the only node, and
+    // a visit is the root plus one check per entry whatever `t` holds.
+    let cands: Vec<Itemset> = (0..12u32)
+        .map(|i| Itemset::new(vec![i, i + 1, 20 + i]))
+        .collect();
+    let leaf = Pair::build(&cands, "root leaf");
+    assert_eq!(leaf.new.num_nodes(), 1);
+    let t: Vec<Item> = (0..40).collect();
+    let (visits, matches) = leaf.check(&t, &mut s, "root leaf");
+    assert_eq!((visits, matches.len()), (13, 12));
+    assert_eq!(
+        leaf.check(&[100, 200, 300], &mut s, "root leaf"),
+        (13, vec![])
+    );
+    assert_eq!(leaf.check(&[0, 1], &mut s, "root leaf, short"), (0, vec![]));
+
+    // Candidates that collide on every level end in one oversized leaf at
+    // depth k, which cannot split.
+    let same_path: Vec<Itemset> = (0..40u32)
+        .map(|i| Itemset::new(vec![2 * i, 2 * i + 100]))
+        .collect();
+    let deep = Pair::with_params(&same_path, 2, 1, "depth-k leaves");
+    let t: Vec<Item> = (0..200).collect();
+    deep.check(&t, &mut s, "depth-k leaves");
+
+    // Zero-length candidates: k = 0 matches nothing, as it always did.
+    let nothing = Pair::build(&[Itemset::new(vec![])], "k = 0");
+    assert_eq!(nothing.new.for_each_match(&[1, 2], &mut s.0, |_| ()), 0);
+    assert_eq!(nothing.old.for_each_match(&[1, 2], &mut s.1, |_| ()), 0);
+}
+
+#[test]
+fn one_five_hundred_item_transaction() {
+    let mut rng = StdRng::seed_from_u64(500);
+    let universe: Vec<Item> = (0..700).collect();
+    let mut s = Scratches::default();
+    for k in [2, 3] {
+        let cands = random_candidates(&mut rng, &universe, 2_000, k);
+        let pair = Pair::build(&cands, "long transaction");
+        let mut t = random_transaction(&mut rng, &universe, 2_000);
+        t.truncate(500);
+        assert_eq!(t.len(), 500);
+        let (visits, matches) = pair.check(&t, &mut s, "long transaction");
+        assert!(visits > 2_000 && !matches.is_empty());
+    }
+}
+
+#[test]
+fn huge_item_ids_match_as_small_ones_do() {
+    // The same candidate structure over ids 0..30 and over ids spread up to
+    // `u32::MAX` must need the same scratch: the arena ranks the candidate
+    // items, it never indexes by id.
+    let mut rng = StdRng::seed_from_u64(0xffff_ffff);
+    let small: Vec<Item> = (0..30).collect();
+    let mut huge: Vec<Item> = (0..28).map(|i| u32::MAX / 29 * (i + 1) + i).collect();
+    huge.extend([u32::MAX - 1, u32::MAX]);
+    huge.sort_unstable();
+    assert_eq!(huge.len(), small.len());
+    let mut s = Scratches::default();
+    for k in 1..=4 {
+        let cands = random_candidates(&mut rng, &small, 200, k);
+        let lifted: Vec<Itemset> = cands
+            .iter()
+            .map(|c| c.items().iter().map(|&i| huge[i as usize]).collect())
+            .collect();
+        let pair = Pair::with_params(&lifted, 4, 3, "huge ids");
+        for _ in 0..20 {
+            let t = random_transaction(&mut rng, &huge, 25);
+            pair.check(&t, &mut s, "huge ids");
+        }
+        // Ids around the candidates' that the tree has never seen.
+        let strangers = [
+            0,
+            1,
+            huge[3] - 1,
+            huge[3],
+            huge[3] + 1,
+            u32::MAX - 2,
+            u32::MAX,
+        ];
+        pair.check(&strangers, &mut s, "huge ids, strangers");
+        let top = Itemset::new(huge[30 - k..].to_vec());
+        let with_max = Pair::build(std::slice::from_ref(&top), "u32::MAX candidate");
+        let (_, m) = with_max.check(top.items(), &mut s, "u32::MAX candidate");
+        assert_eq!(m, vec![0]);
+    }
+}
