@@ -69,9 +69,7 @@ pub use costmodel::CostModel;
 pub use critical::{critical_path, CriticalPathBuckets, CriticalPathReport, StageSkew};
 pub use fault::{
     FaultController, FaultError, FaultPlan, FaultySchedule, IntegrityCounters, IntegrityTier,
-    MemoryCounters, RecoveryCounters, TransientKind, TransientOutcome, DEFAULT_BLACKLIST_AFTER,
-    DEFAULT_FETCH_BACKOFF_BASE, DEFAULT_FETCH_RETRIES, DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_MAX_TASK_FAILURES, DEFAULT_RESUBMIT_DELAY, DEFAULT_SPECULATION_MULTIPLIER,
+    MemoryCounters, RecoveryCounters, TransientKind, TransientOutcome,
 };
 pub use hash::{bucket_of, fx_hash64, FxHashMap, FxHashSet, FxHasher};
 pub use hdfs::{BlockInfo, CheckpointBlock, DfsError, DfsFile, SimHdfs, Split};

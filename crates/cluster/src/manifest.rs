@@ -80,48 +80,14 @@ impl RunManifest {
         for (name, secs) in report.buckets.named() {
             metrics.insert(format!("bucket.{name}"), secs);
         }
+        // Every row of the three recovery tables, under its group's prefix.
         let r = &snap.recovery;
-        for (name, v) in [
-            ("task_failures", r.task_failures),
-            ("task_retries", r.task_retries),
-            ("nodes_lost", r.nodes_lost),
-            ("nodes_blacklisted", r.nodes_blacklisted),
-            ("speculative_launched", r.speculative_launched),
-            ("speculative_wins", r.speculative_wins),
-            ("recomputed_partitions", r.recomputed_partitions),
-            ("fetch_failures", r.fetch_failures),
-            ("broadcast_refetches", r.broadcast_refetches),
-            ("fetch_retries", r.fetch_retries),
-            ("backoff_micros", r.backoff_micros),
-            ("checkpoint_writes", r.checkpoint_writes),
-            ("checkpoint_reads", r.checkpoint_reads),
-            ("max_replay_depth", r.max_replay_depth),
-        ] {
-            metrics.insert(format!("recovery.{name}"), v as f64);
-        }
-        let i = &r.integrity;
-        for (name, v) in [
-            ("corruptions_injected", i.corruptions_injected),
-            ("corruptions_detected", i.corruptions_detected),
-            ("corruptions_repaired", i.corruptions_repaired),
-            ("repaired_via_replica", i.repaired_via_replica),
-            ("repaired_via_recompute", i.repaired_via_recompute),
-            ("repaired_via_resubmit", i.repaired_via_resubmit),
-        ] {
-            metrics.insert(format!("integrity.{name}"), v as f64);
-        }
-        let m = &r.mem;
-        for (name, v) in [
-            ("peak_execution_bytes", m.peak_execution_bytes),
-            ("spills", m.spills),
-            ("spill_bytes", m.spill_bytes),
-            ("degradations", m.degradations),
-            ("oom_injected", m.oom_injected),
-            ("oom_killed", m.oom_killed),
-            ("oom_survived_by_degradation", m.oom_survived_by_degradation),
-        ] {
-            metrics.insert(format!("mem.{name}"), v as f64);
-        }
+        let mut put = |group: &str, f: crate::fault::CounterField| {
+            metrics.insert(format!("{group}.{}", f.key), f.value as f64);
+        };
+        r.fields().for_each(|f| put("recovery", f));
+        r.integrity.fields().for_each(|f| put("integrity", f));
+        r.mem.fields().for_each(|f| put("mem", f));
         for (name, v) in &registry.counters {
             metrics.insert(format!("counter.{name}"), *v as f64);
         }

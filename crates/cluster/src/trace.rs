@@ -75,16 +75,20 @@ fn complete(
     ])
 }
 
+/// `(key, value)` span args for the named counter fields of `$of`. The
+/// trace picks which counters a span shows; each key is its field's name.
+macro_rules! field_args {
+    ($of:expr; $($field:ident),*) => {
+        [$( (stringify!($field), JsonValue::from($of.$field)) ),*]
+    };
+}
+
 fn profile_args(p: &TaskProfile) -> Vec<(&'static str, JsonValue)> {
-    vec![
-        ("records_in", p.work.records_in.into()),
-        ("records_out", p.work.records_out.into()),
-        ("shuffle_read_bytes", p.shuffle_read_bytes.into()),
-        ("shuffle_write_bytes", p.shuffle_write_bytes.into()),
-        ("broadcast_read_bytes", p.broadcast_read_bytes.into()),
-        ("cache_hits", p.cache_hits.into()),
-        ("cache_misses", p.cache_misses.into()),
-    ]
+    let work = field_args!(p.work; records_in, records_out);
+    let attribution = field_args!(
+        p; shuffle_read_bytes, shuffle_write_bytes, broadcast_read_bytes, cache_hits, cache_misses
+    );
+    work.into_iter().chain(attribution).collect()
 }
 
 /// Build the Chrome trace document for a run as a [`JsonValue`].
@@ -150,28 +154,16 @@ pub fn chrome_trace_value(metrics: &Metrics, spec: &ClusterSpec) -> JsonValue {
         // byte-identical to pre-fault exports.
         let r = &stage.recovery;
         if r.any() {
-            args.extend([
-                ("task_failures", r.task_failures.into()),
-                ("task_retries", r.task_retries.into()),
-                ("speculative_launched", r.speculative_launched.into()),
-                ("fetch_retries", r.fetch_retries.into()),
-                ("backoff_us", r.backoff_micros.into()),
-                ("checkpoint_writes", r.checkpoint_writes.into()),
-                ("checkpoint_reads", r.checkpoint_reads.into()),
-            ]);
+            args.extend(field_args!(
+                r; task_failures, task_retries, speculative_launched, fetch_retries,
+                checkpoint_writes, checkpoint_reads
+            ));
+            args.push(("backoff_us", r.backoff_micros.into()));
             // Silent-corruption counters, only when the integrity layer
             // actually fired — clean-but-recovering stages keep the
             // pre-integrity arg set byte-identical.
-            let i = &r.integrity;
-            if i.any() {
-                args.extend([
-                    ("corruptions_injected", i.corruptions_injected.into()),
-                    ("corruptions_detected", i.corruptions_detected.into()),
-                    ("corruptions_repaired", i.corruptions_repaired.into()),
-                    ("repaired_via_replica", i.repaired_via_replica.into()),
-                    ("repaired_via_recompute", i.repaired_via_recompute.into()),
-                    ("repaired_via_resubmit", i.repaired_via_resubmit.into()),
-                ]);
+            if r.integrity.any() {
+                args.extend(r.integrity.fields().map(|f| (f.key, f.value.into())));
             }
         }
         events.push(complete(

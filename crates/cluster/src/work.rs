@@ -6,31 +6,33 @@
 //! the virtual timing deterministic.
 
 use crate::costmodel::CostModel;
+use crate::fault::counter_table;
 use crate::time::SimDuration;
 
-/// Everything a task did, in engine-neutral units.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkCounters {
-    /// Records consumed from the task's input iterator.
-    pub records_in: u64,
-    /// Records produced by the task.
-    pub records_out: u64,
-    /// Abstract CPU work units beyond per-record bookkeeping
-    /// (hash-tree node visits, candidate comparisons, sort comparisons…).
-    pub cpu_units: u64,
-    /// Bytes read from node-local disk (HDFS-local block reads, spill reads).
-    pub disk_read_bytes: u64,
-    /// Bytes written to node-local disk (spills).
-    pub disk_write_bytes: u64,
-    /// Bytes scanned from the in-memory cache.
-    pub mem_read_bytes: u64,
-    /// Bytes fetched over the network (remote blocks, shuffle fetches).
-    pub net_bytes: u64,
-    /// Bytes passed through a serialization boundary.
-    pub ser_bytes: u64,
-    /// Microseconds the task spent stalled waiting (transient-fetch retry
-    /// backoff). Kept in integer microseconds so the counters stay `Eq`.
-    pub stall_micros: u64,
+counter_table! {
+    /// Everything a task did, in engine-neutral units.
+    pub struct WorkCounters {
+        /// Records consumed from the task's input iterator.
+        records_in: sum,
+        /// Records produced by the task.
+        records_out: sum,
+        /// Abstract CPU work units beyond per-record bookkeeping
+        /// (hash-tree node visits, candidate comparisons, sort comparisons…).
+        cpu_units: sum,
+        /// Bytes read from node-local disk (HDFS-local block reads, spill reads).
+        disk_read_bytes: sum,
+        /// Bytes written to node-local disk (spills).
+        disk_write_bytes: sum,
+        /// Bytes scanned from the in-memory cache.
+        mem_read_bytes: sum,
+        /// Bytes fetched over the network (remote blocks, shuffle fetches).
+        net_bytes: sum,
+        /// Bytes passed through a serialization boundary.
+        ser_bytes: sum,
+        /// Microseconds the task spent stalled waiting (transient-fetch retry
+        /// backoff). Kept in integer microseconds so the counters stay `Eq`.
+        stall_micros: sum,
+    }
 }
 
 impl WorkCounters {
@@ -88,19 +90,6 @@ impl WorkCounters {
         self.stall_micros += micros;
     }
 
-    /// Merge another counter set into this one.
-    pub fn merge(&mut self, other: &WorkCounters) {
-        self.records_in += other.records_in;
-        self.records_out += other.records_out;
-        self.cpu_units += other.cpu_units;
-        self.disk_read_bytes += other.disk_read_bytes;
-        self.disk_write_bytes += other.disk_write_bytes;
-        self.mem_read_bytes += other.mem_read_bytes;
-        self.net_bytes += other.net_bytes;
-        self.ser_bytes += other.ser_bytes;
-        self.stall_micros += other.stall_micros;
-    }
-
     /// Convert the counters into a virtual duration under `model`, *excluding*
     /// framework per-task overheads (the engine adds those, because they
     /// differ between MapReduce and Spark). Stall time (retry backoff) is
@@ -116,60 +105,49 @@ impl WorkCounters {
     }
 }
 
-/// Full per-task profile: physical work plus the engine-level attribution
-/// the observability layer reports (shuffle/broadcast bytes, cache
-/// behaviour). The physical side of every attributed byte is *also* charged
-/// to [`WorkCounters`] — the attribution fields say *why* the bytes moved,
-/// not *that* they moved, so merging a profile never double-counts time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TaskProfile {
-    /// Physical work counters (drive virtual time).
-    pub work: WorkCounters,
-    /// Bytes fetched from shuffle map outputs (local + remote).
-    pub shuffle_read_bytes: u64,
-    /// Bytes written to shuffle files on the map side.
-    pub shuffle_write_bytes: u64,
-    /// Bytes of broadcast variables read by the task.
-    pub broadcast_read_bytes: u64,
-    /// Partition reads served from the cache (any tier).
-    pub cache_hits: u64,
-    /// Partition reads that missed the cache and recomputed.
-    pub cache_misses: u64,
-    /// Records entering the task's pipeline from a stable input: a source
-    /// partition, a cache hit, or a shuffle fetch.
-    pub records_read: u64,
-    /// Records leaving the task through a pipeline breaker: a shuffle
-    /// map-side write, a cache insert, or a driver fetch.
-    pub records_written: u64,
-    /// Bytes the task buffered into `Vec`s at pipeline breakers. Fused
-    /// stages only materialize at breakers; the eager reference evaluator
-    /// materializes at every operator, so this counter is the direct
-    /// measure of what fusion saves.
-    pub bytes_materialized: u64,
-    /// Execution-memory governor outcomes for this task (peak bytes held,
-    /// spills, OOM events). All-zero unless the fault plan arms the
-    /// governor. `peak_execution_bytes` merges with `max`, the rest sum.
-    pub mem: crate::fault::MemoryCounters,
+counter_table! {
+    /// Full per-task profile: physical work plus the engine-level attribution
+    /// the observability layer reports (shuffle/broadcast bytes, cache
+    /// behaviour). The physical side of every attributed byte is *also* charged
+    /// to [`WorkCounters`] — the attribution fields say *why* the bytes moved,
+    /// not *that* they moved, so merging a profile never double-counts time.
+    pub struct TaskProfile {
+        /// Bytes fetched from shuffle map outputs (local + remote).
+        shuffle_read_bytes: sum,
+        /// Bytes written to shuffle files on the map side.
+        shuffle_write_bytes: sum,
+        /// Bytes of broadcast variables read by the task.
+        broadcast_read_bytes: sum,
+        /// Partition reads served from the cache (any tier).
+        cache_hits: sum,
+        /// Partition reads that missed the cache and recomputed.
+        cache_misses: sum,
+        /// Records entering the task's pipeline from a stable input: a source
+        /// partition, a cache hit, or a shuffle fetch.
+        records_read: sum,
+        /// Records leaving the task through a pipeline breaker: a shuffle
+        /// map-side write, a cache insert, or a driver fetch.
+        records_written: sum,
+        /// Bytes the task buffered into `Vec`s at pipeline breakers. Fused
+        /// stages only materialize at breakers; the eager reference evaluator
+        /// materializes at every operator, so this counter is the direct
+        /// measure of what fusion saves.
+        bytes_materialized: sum,
+    }
+    nested {
+        /// Physical work counters (drive virtual time).
+        work: WorkCounters,
+        /// Execution-memory governor outcomes for this task (peak bytes held,
+        /// spills, OOM events). All-zero unless the fault plan arms the
+        /// governor.
+        mem: crate::fault::MemoryCounters,
+    }
 }
 
 impl TaskProfile {
     /// A fresh, all-zero profile.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Merge another profile into this one.
-    pub fn merge(&mut self, other: &TaskProfile) {
-        self.work.merge(&other.work);
-        self.shuffle_read_bytes += other.shuffle_read_bytes;
-        self.shuffle_write_bytes += other.shuffle_write_bytes;
-        self.broadcast_read_bytes += other.broadcast_read_bytes;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.records_read += other.records_read;
-        self.records_written += other.records_written;
-        self.bytes_materialized += other.bytes_materialized;
-        self.mem.merge(&other.mem);
     }
 }
 

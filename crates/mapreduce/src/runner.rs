@@ -125,29 +125,17 @@ impl MrRunner {
         retry_extra: Option<&[SimDuration]>,
     ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration, SimDuration), MrError> {
         let (queue, scheduler) = self.cluster.stage_admission();
-        let faults = self.cluster.faults();
-        if faults.active() {
-            let fs = faults
-                .schedule_stage(
-                    &scheduler,
-                    specs,
-                    retry_extra,
-                    self.cluster.metrics().now() + queue,
-                )
-                .map_err(|source| MrError::Fault {
-                    stage: label.to_string(),
-                    source,
-                })?;
-            let pad = fs.trailing_pad();
-            Ok((fs.schedule, fs.recovery, pad, queue))
-        } else {
-            Ok((
-                scheduler.schedule_detailed(specs),
-                RecoveryCounters::default(),
-                SimDuration::ZERO,
-                queue,
-            ))
-        }
+        let now = self.cluster.metrics().now() + queue;
+        let fs = self
+            .cluster
+            .faults()
+            .schedule_stage(&scheduler, specs, retry_extra, now)
+            .map_err(|source| MrError::Fault {
+                stage: label.to_string(),
+                source,
+            })?;
+        let pad = fs.trailing_pad();
+        Ok((fs.schedule, fs.recovery, pad, queue))
     }
 
     /// Post-stage scheduler bookkeeping for one recorded wave (queue-wait

@@ -73,12 +73,16 @@ struct Entry {
     bytes: u64,
     node: usize,
     last_use: u64,
+    /// Tick of the `put` that stored it (see [`CacheManager::watermark`]).
+    written: u64,
     level: StorageLevel,
 }
 
 struct DiskEntry {
     data: Arc<dyn Any + Send + Sync>,
     bytes: u64,
+    /// Tick of the `put` that first stored it, kept across the spill.
+    written: u64,
     /// Node whose local disk holds the spilled partition (node loss drops
     /// the disk tier too).
     node: usize,
@@ -147,17 +151,29 @@ impl CacheManager {
         }
     }
 
+    /// The cache's write clock right now. The executor reads it once when a
+    /// stage starts and every task of the stage passes it to
+    /// [`CacheManager::get`], so the stage sees exactly the entries that
+    /// existed before it began, however the host interleaves its tasks.
+    pub fn watermark(&self) -> u64 {
+        self.inner.lock().tick
+    }
+
     /// Look up a cached partition in memory, then on the disk tier. Returns
-    /// the shared data, its byte size, and the tier that served it.
+    /// the shared data, its byte size, and the tier that served it. An
+    /// entry written after `as_of` (a [`CacheManager::watermark`]) is not
+    /// there yet for this reader: it counts, and is charged, as a miss.
     pub fn get<T: Send + Sync + 'static>(
         &self,
         rdd: u64,
         part: usize,
+        as_of: u64,
     ) -> Option<(Arc<Vec<T>>, u64, CacheTier)> {
         let mut g = self.inner.lock();
         g.tick += 1;
         let tick = g.tick;
-        if let Some(e) = g.entries.get_mut(&(rdd, part)) {
+        let in_memory = g.entries.get_mut(&(rdd, part));
+        if let Some(e) = in_memory.filter(|e| e.written <= as_of) {
             e.last_use = tick;
             let data = Arc::clone(&e.data)
                 .downcast::<Vec<T>>()
@@ -166,7 +182,7 @@ impl CacheManager {
             g.hits += 1;
             return Some((data, bytes, CacheTier::Memory));
         }
-        if let Some(e) = g.disk.get(&(rdd, part)) {
+        if let Some(e) = g.disk.get(&(rdd, part)).filter(|e| e.written <= as_of) {
             let data = Arc::clone(&e.data)
                 .downcast::<Vec<T>>()
                 .expect("cached partition type mismatch");
@@ -211,7 +227,14 @@ impl CacheManager {
                 StorageLevel::MemoryOnly => false,
                 StorageLevel::MemoryAndDisk => {
                     g.disk_used += bytes;
-                    g.disk.insert((rdd, part), DiskEntry { data, bytes, node });
+                    let written = tick;
+                    let spilled = DiskEntry {
+                        data,
+                        bytes,
+                        written,
+                        node,
+                    };
+                    g.disk.insert((rdd, part), spilled);
                     true
                 }
             };
@@ -237,6 +260,7 @@ impl CacheManager {
                             DiskEntry {
                                 data: e.data,
                                 bytes: e.bytes,
+                                written: e.written,
                                 node: e.node,
                             },
                         );
@@ -256,6 +280,7 @@ impl CacheManager {
                 bytes,
                 node,
                 last_use: tick,
+                written: tick,
                 level,
             },
         );
@@ -365,6 +390,15 @@ mod tests {
         CacheManager::with_capacity(2, cap)
     }
 
+    /// Read as of now: everything stored so far is visible.
+    fn get<T: Send + Sync + 'static>(
+        c: &CacheManager,
+        rdd: u64,
+        part: usize,
+    ) -> Option<(Arc<Vec<T>>, u64, CacheTier)> {
+        c.get(rdd, part, c.watermark())
+    }
+
     fn mem_put(c: &CacheManager, rdd: u64, part: usize, node: usize, bytes: u64) -> bool {
         c.put(
             rdd,
@@ -387,13 +421,32 @@ mod tests {
             12,
             StorageLevel::MemoryOnly
         ));
-        let (data, bytes, tier) = c.get::<u32>(1, 0).expect("hit");
+        let (data, bytes, tier) = get::<u32>(&c, 1, 0).expect("hit");
         assert_eq!(*data, vec![1, 2, 3]);
         assert_eq!(bytes, 12);
         assert_eq!(tier, CacheTier::Memory);
-        assert!(c.get::<u32>(1, 1).is_none());
+        assert!(get::<u32>(&c, 1, 1).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_stage_sees_only_what_was_stored_before_it_began() {
+        let c = mgr(1000);
+        let stage = c.watermark();
+        assert!(mem_put(&c, 1, 0, 0, 12));
+        assert!(
+            c.get::<u8>(1, 0, stage).is_none(),
+            "written during the stage: not there yet for its tasks"
+        );
+        assert!(mem_put(&c, 1, 0, 0, 12), "a second task's put replaces");
+        assert!(c.get::<u8>(1, 0, stage).is_none());
+        assert!(
+            c.get::<u8>(1, 0, c.watermark()).is_some(),
+            "next stage hits"
+        );
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.entries, s.used_bytes), (1, 2, 1, 12));
     }
 
     #[test]
@@ -414,7 +467,7 @@ mod tests {
             100,
             StorageLevel::MemoryAndDisk
         ));
-        let (_, _, tier) = c.get::<u8>(1, 0).expect("disk hit");
+        let (_, _, tier) = get::<u8>(&c, 1, 0).expect("disk hit");
         assert_eq!(tier, CacheTier::Disk);
         assert_eq!(c.stats().disk_entries, 1);
         assert_eq!(c.stats().disk_bytes, 100);
@@ -426,10 +479,13 @@ mod tests {
         assert!(mem_put(&c, 1, 0, 0, 60));
         assert!(mem_put(&c, 1, 1, 0, 30));
         // Touch (1,0) so (1,1) becomes LRU.
-        c.get::<u8>(1, 0);
+        get::<u8>(&c, 1, 0);
         assert!(mem_put(&c, 1, 2, 0, 30));
-        assert!(c.get::<u8>(1, 1).is_none(), "LRU MemoryOnly entry dropped");
-        assert!(c.get::<u8>(1, 0).is_some(), "recently used survives");
+        assert!(
+            get::<u8>(&c, 1, 1).is_none(),
+            "LRU MemoryOnly entry dropped"
+        );
+        assert!(get::<u8>(&c, 1, 0).is_some(), "recently used survives");
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -453,9 +509,9 @@ mod tests {
             StorageLevel::MemoryAndDisk
         ));
         // (1,0) was evicted to disk.
-        let (_, _, tier0) = c.get::<u8>(1, 0).expect("spilled, not lost");
+        let (_, _, tier0) = get::<u8>(&c, 1, 0).expect("spilled, not lost");
         assert_eq!(tier0, CacheTier::Disk);
-        let (_, _, tier1) = c.get::<u8>(1, 1).expect("resident");
+        let (_, _, tier1) = get::<u8>(&c, 1, 1).expect("resident");
         assert_eq!(tier1, CacheTier::Memory);
         let s = c.stats();
         assert_eq!((s.entries, s.disk_entries, s.evictions), (1, 1, 1));
@@ -510,7 +566,7 @@ mod tests {
         assert_eq!(c.evict_rdd(7), 3, "one resident + two spilled");
         let s = c.stats();
         assert_eq!((s.entries, s.disk_entries), (1, 0));
-        assert!(c.get::<u8>(8, 0).is_some());
+        assert!(get::<u8>(&c, 8, 0).is_some());
     }
 
     #[test]
@@ -536,9 +592,9 @@ mod tests {
         );
         assert!(mem_put(&c, 2, 0, 1, 10));
         assert_eq!(c.evict_node(0), 2, "resident + spilled on node 0");
-        assert!(c.get::<u32>(1, 0).is_none());
-        assert!(c.get::<u32>(1, 1).is_none());
-        assert!(c.get::<u8>(2, 0).is_some(), "node 1 untouched");
+        assert!(get::<u32>(&c, 1, 0).is_none());
+        assert!(get::<u32>(&c, 1, 1).is_none());
+        assert!(get::<u8>(&c, 2, 0).is_some(), "node 1 untouched");
         let s = c.stats();
         assert_eq!((s.entries, s.disk_entries, s.disk_bytes), (1, 0, 0));
         assert_eq!(c.evict_node(0), 0, "idempotent");
@@ -587,7 +643,7 @@ mod tests {
         );
         assert!(c.evict(1, 0), "spilled entry evictable");
         assert!(!c.evict(1, 0));
-        assert!(c.get::<u32>(1, 0).is_none());
+        assert!(get::<u32>(&c, 1, 0).is_none());
         assert_eq!(c.stats().disk_bytes, 0);
     }
 }

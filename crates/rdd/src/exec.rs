@@ -28,6 +28,7 @@ use crate::rdd::{materialize, node_for, CheckpointRdd, Data, Rdd, RddImpl};
 use crate::shuffle::ShuffleStage;
 use crate::task::TaskContext;
 use std::sync::Arc;
+use yafim_cluster::fault::{CounterField, Merge};
 use yafim_cluster::{
     fx_hash64, memgov, slice_bytes, EventKind, FaultError, MemoryRefusal, NodeId, RecoveryCounters,
     SimDuration, StageExecution, TaskExecution, TaskProfile, TaskSpec,
@@ -165,13 +166,18 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
     let budget = cluster.memory_budget();
     let stage_key = fx_hash64(&(label.as_str(), cluster.metrics().now().as_secs().to_bits()));
 
+    // Every task reads the cache as of now, so a partition one task caches
+    // is not there yet for its siblings: who hits and who computes is a
+    // function of the plan, never of how the host interleaves the tasks.
+    let cache_as_of = ctx.cache().watermark();
+
     let preferred_for_tasks = preferred.clone();
     let outcomes: Vec<(R, TaskProfile, Option<yafim_cluster::OomAbort>)> =
         cluster
             .pool()
             .map((0..partitions).collect::<Vec<usize>>(), move |_, part| {
                 let node = preferred_for_tasks[part].unwrap_or_else(|| spec.home_node(part));
-                let tc = TaskContext::with_memory(part, node, budget, stage_key);
+                let tc = TaskContext::with_memory(part, node, budget, stage_key, cache_as_of);
                 let r = task(part, &tc);
                 let abort = tc.oom_abort();
                 (r, tc.into_profile(), abort)
@@ -240,27 +246,19 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         specs
     };
 
+    // Node-loss instants are absolute; anchor them to this stage's task
+    // window (stage start + queue wait + overhead).
     let faults = cluster.faults();
-    let (detailed, mut recovery, trailing) = if faults.active() {
-        // Node-loss instants are absolute; anchor them to this stage's task
-        // window (stage start + queue wait + overhead).
-        let window_start =
-            cluster.metrics().now() + queue + SimDuration::from_secs(cost.spark_stage_overhead);
-        let fs = faults
-            .schedule_stage(&scheduler, &sched_specs, None, window_start)
-            .map_err(|source| ExecError::StageAborted {
-                stage: label.clone(),
-                source,
-            })?;
-        let pad = fs.trailing_pad();
-        (fs.schedule, fs.recovery, pad)
-    } else {
-        (
-            scheduler.schedule_detailed(&sched_specs),
-            RecoveryCounters::default(),
-            SimDuration::ZERO,
-        )
-    };
+    let window_start =
+        cluster.metrics().now() + queue + SimDuration::from_secs(cost.spark_stage_overhead);
+    let fs = faults
+        .schedule_stage(&scheduler, &sched_specs, None, window_start)
+        .map_err(|source| ExecError::StageAborted {
+            stage: label.clone(),
+            source,
+        })?;
+    let trailing = fs.trailing_pad();
+    let (detailed, mut recovery) = (fs.schedule, fs.recovery);
 
     // The governor's per-task outcomes roll up into the stage's recovery
     // block (peak merges with max, the rest sum), so reports, manifests and
@@ -364,51 +362,30 @@ fn feed_registry(
         ("executor.records_read", merged.records_read),
         ("executor.records_written", merged.records_written),
         ("executor.bytes_materialized", merged.bytes_materialized),
-        ("fault.task_failures", recovery.task_failures),
-        ("fault.task_retries", recovery.task_retries),
-        ("fault.speculative_launched", recovery.speculative_launched),
-        ("fault.speculative_wins", recovery.speculative_wins),
-        (
-            "integrity.corruptions_injected",
-            recovery.integrity.corruptions_injected,
-        ),
-        (
-            "integrity.corruptions_detected",
-            recovery.integrity.corruptions_detected,
-        ),
-        (
-            "integrity.corruptions_repaired",
-            recovery.integrity.corruptions_repaired,
-        ),
-        (
-            "integrity.repaired_via_replica",
-            recovery.integrity.repaired_via_replica,
-        ),
-        (
-            "integrity.repaired_via_recompute",
-            recovery.integrity.repaired_via_recompute,
-        ),
-        (
-            "integrity.repaired_via_resubmit",
-            recovery.integrity.repaired_via_resubmit,
-        ),
-        ("mem.spills", recovery.mem.spills),
-        ("mem.spill_bytes", recovery.mem.spill_bytes),
-        ("mem.degradations", recovery.mem.degradations),
-        ("mem.oom_injected", recovery.mem.oom_injected),
-        ("mem.oom_killed", recovery.mem.oom_killed),
-        (
-            "mem.oom_survived_by_degradation",
-            recovery.mem.oom_survived_by_degradation,
-        ),
     ] {
         registry.counter(name).inc(v);
     }
-    // High-water marks, not sums: the run's peak is the max over stages.
-    let peak = registry.gauge("mem.peak_execution_bytes");
-    if recovery.mem.peak_execution_bytes as f64 > peak.get() {
-        peak.set(recovery.mem.peak_execution_bytes as f64);
-    }
+    // The rows the recovery tables mark `registry`: sums feed counters,
+    // maxima are high-water gauges (the run's peak is the max over stages).
+    let mirror = |group: &str, f: CounterField| {
+        if !f.registry {
+            return;
+        }
+        let name = format!("{group}.{}", f.key);
+        match f.merge {
+            Merge::Sum => registry.counter(&name).inc(f.value),
+            Merge::Max => {
+                let peak = registry.gauge(&name);
+                peak.set(peak.get().max(f.value as f64));
+            }
+        }
+    };
+    recovery.fields().for_each(|f| mirror("fault", f));
+    recovery
+        .integrity
+        .fields()
+        .for_each(|f| mirror("integrity", f));
+    recovery.mem.fields().for_each(|f| mirror("mem", f));
     // The hard per-task cap a fully-backed-off retry may grow into (the
     // node's evictable memory): per-task peaks can never exceed it, which
     // the bench gate checks as a coherence rule.

@@ -339,7 +339,9 @@ pub(crate) fn checksum_micros(ctx: &Context, bytes: u64) -> u64 {
 /// marked cached: hit → charge a memory scan and stream out of the stored
 /// `Arc` without copying it; miss → compute via lineage, collapse the pipe
 /// (a cache insert is a breaker), and store on the partition's home node
-/// (possibly evicting LRU entries).
+/// (possibly evicting LRU entries). The task reads the cache as of its
+/// stage's start, so tasks of one stage that share a cached partition all
+/// miss and all compute it; the stored copy serves later stages.
 ///
 /// Under [`ExecMode::Eager`] the pipe is additionally collapsed to a fresh
 /// buffer at *this* operator boundary, reproducing the pre-fusion engine's
@@ -359,7 +361,7 @@ pub(crate) fn materialize<'a, T: Data>(
             pipe
         };
     };
-    if let Some((data, bytes, tier)) = meta.ctx.cache().get::<T>(meta.id, part) {
+    if let Some((data, bytes, tier)) = meta.ctx.cache().get::<T>(meta.id, part, tc.cache_as_of) {
         let faults = meta.ctx.cluster().faults();
         let rotten = if faults.integrity_active() {
             // Verify the stored block's checksum before trusting it.

@@ -19,6 +19,9 @@ pub struct TaskContext {
     /// Virtual node the task runs on (locality decision made by the driver).
     pub node: NodeId,
     profile: Cell<TaskProfile>,
+    /// The cache's [`crate::cache::CacheManager::watermark`] when this task's
+    /// stage began: the task reads the cache as of then.
+    pub(crate) cache_as_of: u64,
     /// Execution-memory ledger (inert unless the fault plan arms the
     /// governor).
     memory: TaskMemory,
@@ -26,23 +29,26 @@ pub struct TaskContext {
 
 impl TaskContext {
     /// New context for `partition` running on `node`, without an armed
-    /// memory governor.
+    /// memory governor, reading an empty cache.
     pub fn new(partition: usize, node: NodeId) -> Self {
-        Self::with_memory(partition, node, None, 0)
+        Self::with_memory(partition, node, None, 0, 0)
     }
 
     /// New context carrying the stage's execution-memory budget (`None`
-    /// keeps the governor inert). `stage_key` seeds the OOM rolls so one
-    /// plan always denies the same acquisitions of the same stage.
+    /// keeps the governor inert) and cache watermark. `stage_key` seeds the
+    /// OOM rolls so one plan always denies the same acquisitions of the
+    /// same stage.
     pub fn with_memory(
         partition: usize,
         node: NodeId,
         budget: Option<MemoryBudget>,
         stage_key: u64,
+        cache_as_of: u64,
     ) -> Self {
         TaskContext {
             partition,
             node,
+            cache_as_of,
             profile: Cell::new(TaskProfile::new()),
             memory: TaskMemory::new(budget, stage_key, partition),
         }
@@ -265,7 +271,7 @@ mod tests {
             &CostModel::default(),
             &plan,
         );
-        let tc = TaskContext::with_memory(0, NodeId(0), budget, 1);
+        let tc = TaskContext::with_memory(0, NodeId(0), budget, 1, 0);
         // Fits the 400-byte execution slice: peak tracked, nothing else.
         assert_eq!(
             tc.try_reserve(100, yafim_cluster::memgov::site::TRIANGLE, false),

@@ -175,6 +175,42 @@ fn fused_and_eager_agree_on_narrow_chains() {
     }
 }
 
+/// The smallest lineage that used to make the virtual clock depend on the
+/// host scheduler (case 23 of the narrow-chain plans above, shrunk): tasks
+/// `i` and `i + n` of the one stage both read cached partition `i`, so who
+/// computed it, who got a hit, and whether both missed was a race (8 runs
+/// in 2 000 on four partitions, 26 on three). What a task sees of the cache
+/// must be a function of the plan alone: every run, on any number of pool
+/// threads, ends in the same metrics and the same cache stats.
+#[test]
+fn union_over_a_cached_rdd_is_interleaving_independent() {
+    const RUNS: usize = 2000;
+    for parts in [3, 4] {
+        let mut first: Option<String> = None;
+        for threads in [1, 2, 8] {
+            for run in 0..RUNS {
+                let cluster = SimCluster::with_threads(
+                    ClusterSpec::new(3, 2, 1 << 30),
+                    CostModel::hadoop_era(),
+                    threads,
+                );
+                let c = Context::new(cluster);
+                let r = c
+                    .parallelize_with_partitions((0..10u32).collect(), parts)
+                    .cache();
+                let twice: Vec<u32> = (0..10).chain(0..10).collect();
+                assert_eq!(r.union(&r).collect(), twice);
+                let seen = format!("{:?} {:?}", c.metrics().snapshot(), c.cache().stats());
+                let first = first.get_or_insert_with(|| seen.clone());
+                assert_eq!(
+                    &seen, first,
+                    "run {run}: {parts} partitions, {threads} threads"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn fused_and_eager_agree_through_shuffles() {
     let mut rng = Rng(seed(2));

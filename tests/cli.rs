@@ -91,3 +91,19 @@ fn bad_numeric_flags_are_refused_not_defaulted() {
     assert!(refusal(&out).contains("--scale"));
     std::fs::remove_file(file).expect("own temp file");
 }
+
+#[test]
+fn an_out_of_range_fault_plan_is_one_line_and_exit_1() {
+    let file = input("badplan");
+    let file = file.to_str().expect("utf-8 temp path");
+    let plan = std::env::temp_dir().join(format!("yafim-cli-badplan-{}.json", std::process::id()));
+    std::fs::write(&plan, r#"{"seed": 1, "resubmit_delay": -1}"#).expect("temp dir writable");
+    let plan = plan.to_str().expect("utf-8 temp path");
+    let out = mine(file, &["--fault-plan", plan]);
+    assert_eq!(out.status.code(), Some(1));
+    let line = refusal(&out);
+    let start = format!("{plan}: invalid fault plan: fault plan field `resubmit_delay` must be ");
+    assert!(line.starts_with(&start), "{line}");
+    std::fs::remove_file(file).expect("own temp file");
+    std::fs::remove_file(plan).expect("own temp file");
+}

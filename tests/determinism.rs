@@ -48,3 +48,30 @@ fn every_plan_is_identical_at_1_2_and_8_pool_threads() {
         }
     }
 }
+
+/// The miner plans above never share a cached partition inside a stage;
+/// this lineage does (tasks `i` and `i + 4` both read cached partition
+/// `i`), which used to make the clock and the hit/miss split depend on
+/// which task the host ran first. `crates/rdd/tests/pipelines.rs` holds the
+/// long version.
+#[test]
+fn a_stage_sharing_cached_partitions_is_identical_at_1_2_and_8_pool_threads() {
+    let mut first: Option<String> = None;
+    for threads in [1, 2, 8] {
+        for run in 0..200 {
+            let cluster = SimCluster::with_threads(
+                ClusterSpec::new(3, 2, 1 << 30),
+                CostModel::hadoop_era(),
+                threads,
+            );
+            let c = Context::new(cluster);
+            let r = c
+                .parallelize_with_partitions((0..10u32).collect(), 4)
+                .cache();
+            assert_eq!(r.union(&r).collect().len(), 20);
+            let seen = format!("{:?} {:?}", c.metrics().snapshot(), c.cache().stats());
+            let first = first.get_or_insert_with(|| seen.clone());
+            assert_eq!(&seen, first, "run {run} on {threads} pool threads");
+        }
+    }
+}
