@@ -53,7 +53,7 @@ fn main() {
                     em.emit(k.clone(), vs.into_iter().sum())
                 },
             )
-            .with_combiner(|_k: &String, vs: Vec<u64>| vs.into_iter().sum());
+            .with_combiner(|a, b| a + b);
             let out = runner.run(job).expect("input exists");
             black_box(out.pairs.len())
         });

@@ -31,7 +31,7 @@ use crate::types::{
     JVM_TREE_VISIT_UNITS,
 };
 use std::sync::Arc;
-use yafim_cluster::{slice_bytes, EventKind, FxHashSet, SimCluster};
+use yafim_cluster::{slice_bytes, EventKind, FxHashMap, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrError, MrRunner};
 
 /// Abstract CPU units per naive candidate subset-check (a short merge scan
@@ -49,12 +49,13 @@ pub enum MrMatching {
     NaiveScan,
 }
 
-/// A built matcher for one candidate level.
+/// A built matcher for one candidate level. Matches are reported as the
+/// candidate's index within the level.
 enum LevelMatching {
     /// Hash-tree descent.
     Tree(HashTree),
-    /// `k = 2` naive: enumerate item pairs and probe a set.
-    Pairs(FxHashSet<(Item, Item)>),
+    /// `k = 2` naive: enumerate item pairs and probe a map to the index.
+    Pairs(FxHashMap<(Item, Item), usize>),
     /// `k ≥ 3` naive: linear scan with subset tests.
     Scan(Vec<Itemset>),
 }
@@ -67,8 +68,9 @@ impl LevelMatching {
                 if candidates.first().is_some_and(|c| c.len() == 2) {
                     LevelMatching::Pairs(
                         candidates
-                            .into_iter()
-                            .map(|c| (c.items()[0], c.items()[1]))
+                            .iter()
+                            .enumerate()
+                            .map(|(idx, c)| ((c.items()[0], c.items()[1]), idx))
                             .collect(),
                     )
                 } else {
@@ -78,42 +80,98 @@ impl LevelMatching {
         }
     }
 
-    /// Emit every contained candidate; returns the CPU units spent.
-    fn match_into(
+    /// Call `hit` with the index of every contained candidate; returns the
+    /// CPU units spent.
+    fn for_each_match(
         &self,
         t: &[Item],
         scratch: &mut MatchScratch,
-        em: &mut Emitter<Itemset, u64>,
+        mut hit: impl FnMut(usize),
     ) -> u64 {
         match self {
             LevelMatching::Tree(tree) => {
-                let visits = tree.for_each_match(t, scratch, |idx| {
-                    em.emit(tree.candidates()[idx].clone(), 1);
-                });
-                visits * JVM_TREE_VISIT_UNITS
+                tree.for_each_match(t, scratch, hit) * JVM_TREE_VISIT_UNITS
             }
             LevelMatching::Pairs(pairs) => {
                 let mut units = 0;
                 for i in 0..t.len() {
                     for j in i + 1..t.len() {
                         units += 2;
-                        if pairs.contains(&(t[i], t[j])) {
-                            em.emit(Itemset::from_sorted(vec![t[i], t[j]]), 1);
+                        if let Some(&idx) = pairs.get(&(t[i], t[j])) {
+                            hit(idx);
                         }
                     }
                 }
                 units
             }
             LevelMatching::Scan(candidates) => {
-                for c in candidates {
+                for (idx, c) in candidates.iter().enumerate() {
                     if c.is_subset_of_sorted(t) {
-                        em.emit(c.clone(), 1);
+                        hit(idx);
                     }
                 }
                 candidates.len() as u64 * NAIVE_CHECK_UNITS
             }
         }
     }
+}
+
+/// The counting job MR-Apriori (passes ≥ 2) and SON (phase 2) share: count
+/// every candidate of `levels` over `input`, keep those reaching `min_sup`,
+/// commit them to `output`. The candidates ship through the distributed
+/// cache and double as the job's key table (the levels concatenated), so
+/// the mapper emits one index per match and never builds an `Itemset`.
+pub(crate) fn counting_job(
+    name: String,
+    input: &str,
+    output: String,
+    levels: Vec<Vec<Itemset>>,
+    matching: MrMatching,
+    min_sup: u64,
+) -> MapReduceJob<Itemset, u64, Itemset, u64> {
+    // Serialized itemset text, as PApriori ships it.
+    let side_bytes: u64 = levels.iter().map(|l| slice_bytes(l)).sum();
+    let table: Arc<[Itemset]> = levels.iter().flatten().cloned().collect();
+    let mut base = 0;
+    let matchers: Vec<(usize, LevelMatching)> = levels
+        .into_iter()
+        .map(|level| {
+            base += level.len();
+            (base - level.len(), LevelMatching::new(level, matching))
+        })
+        .collect();
+    MapReduceJob::new(
+        name,
+        input,
+        move |_off, line: &str, em: &mut Emitter<Itemset, u64>, w| {
+            let items = parse_transaction(line);
+            w.add_cpu(items.len() as u64);
+            // One scratch per worker thread: the stamp buffer is the
+            // hot allocation of hash-tree matching.
+            thread_local! {
+                static SCRATCH: std::cell::RefCell<MatchScratch> =
+                    std::cell::RefCell::new(MatchScratch::default());
+            }
+            SCRATCH.with(|s| {
+                let mut scratch = s.borrow_mut();
+                for (base, matcher) in &matchers {
+                    let units = matcher
+                        .for_each_match(&items, &mut scratch, |idx| em.emit_at(base + idx, 1));
+                    w.add_cpu(units);
+                }
+            });
+        },
+        move |k: &Itemset, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {
+            let sum: u64 = vs.into_iter().sum();
+            if sum >= min_sup {
+                em.emit(k.clone(), sum);
+            }
+        },
+    )
+    .with_combiner(|a, b| a + b)
+    .with_key_table(table)
+    .with_side_data(side_bytes)
+    .with_output(output, Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")))
 }
 
 /// Which job-combining scheme to run.
@@ -217,7 +275,7 @@ impl MrApriori {
                 }
             },
         )
-        .with_combiner(|_k: &Itemset, vs: Vec<u64>| vs.into_iter().sum())
+        .with_combiner(|a, b| a + b)
         .with_reduce_tasks(self.config.reduce_tasks)
         .with_output(
             format!("{input}.L1"),
@@ -276,62 +334,19 @@ impl MrApriori {
             let n_levels = level_candidates.len();
             let total_candidates: usize = level_candidates.iter().map(Vec::len).sum();
 
-            // Driver: the candidate lists ship to the mappers via the
-            // distributed cache, as serialized itemset text (PApriori).
-            let side_bytes: u64 = level_candidates.iter().map(|l| slice_bytes(l)).sum();
-            let matching = self.config.matching;
-            let matchers: Arc<Vec<LevelMatching>> = Arc::new(
-                level_candidates
-                    .into_iter()
-                    .map(|c| LevelMatching::new(c, matching))
-                    .collect(),
-            );
-            let matchers_for_map = Arc::clone(&matchers);
-
-            let label = if n_levels == 1 {
-                format!("MR-Apriori pass {next_pass}")
-            } else {
-                format!(
-                    "MR-Apriori passes {}-{}",
-                    next_pass,
-                    next_pass + n_levels - 1
-                )
+            let label = match n_levels {
+                1 => format!("MR-Apriori pass {next_pass}"),
+                n => format!("MR-Apriori passes {next_pass}-{}", next_pass + n - 1),
             };
-
-            let job = MapReduceJob::new(
+            let job = counting_job(
                 label,
                 input,
-                move |_off, line: &str, em: &mut Emitter<Itemset, u64>, w| {
-                    let items = parse_transaction(line);
-                    w.add_cpu(items.len() as u64);
-                    // One scratch per worker thread: the stamp buffer is the
-                    // hot allocation of hash-tree matching.
-                    thread_local! {
-                        static SCRATCH: std::cell::RefCell<MatchScratch> =
-                            std::cell::RefCell::new(MatchScratch::default());
-                    }
-                    SCRATCH.with(|s| {
-                        let mut scratch = s.borrow_mut();
-                        for matcher in matchers_for_map.iter() {
-                            let units = matcher.match_into(&items, &mut scratch, em);
-                            w.add_cpu(units);
-                        }
-                    });
-                },
-                move |k: &Itemset, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {
-                    let sum: u64 = vs.into_iter().sum();
-                    if sum >= min_sup {
-                        em.emit(k.clone(), sum);
-                    }
-                },
-            )
-            .with_combiner(|_k: &Itemset, vs: Vec<u64>| vs.into_iter().sum())
-            .with_reduce_tasks(self.config.reduce_tasks)
-            .with_side_data(side_bytes)
-            .with_output(
                 format!("{input}.L{next_pass}"),
-                Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")),
-            );
+                level_candidates,
+                self.config.matching,
+                min_sup,
+            )
+            .with_reduce_tasks(self.config.reduce_tasks);
             let job = match self.config.split_size {
                 Some(s) => job.with_split_size(s),
                 None => job,
@@ -402,13 +417,12 @@ impl MrApriori {
         };
         let mut units = 0u64;
         let mut out: Vec<Vec<Itemset>> = Vec::new();
-        let mut current = seed.to_vec();
         let mut total = 0usize;
         for level in 0..max_levels {
             if self.config.max_passes != 0 && first_pass + level > self.config.max_passes {
                 break;
             }
-            let (cands, work) = ap_gen(&current);
+            let (cands, work) = ap_gen(out.last().map_or(seed, Vec::as_slice));
             units += work.units();
             if cands.is_empty() {
                 break;
@@ -419,7 +433,6 @@ impl MrApriori {
                 }
             }
             total += cands.len();
-            current = cands.clone();
             out.push(cands);
         }
         (out, units)

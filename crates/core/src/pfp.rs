@@ -67,6 +67,7 @@ impl Pfp {
     /// Mine the text dataset at `input` on simulated HDFS.
     pub fn mine(&self, input: &str) -> Result<MinerRun, DfsError> {
         let ctx = &self.ctx;
+        let _job = ctx.cluster().acquire_job("default", "pfp");
         let metrics = ctx.metrics().clone();
         let partitions = if self.config.min_partitions == 0 {
             ctx.config().default_parallelism

@@ -20,12 +20,11 @@
 //! mining step (see the `compare_miners` bench).
 
 use crate::eclat::eclat;
-use crate::hashtree::{HashTree, MatchScratch};
+use crate::mrapriori::{counting_job, MrMatching};
 use crate::types::{
     parse_transaction, Itemset, MinerRun, MiningResult, PassTiming, Support, JVM_TREE_VISIT_UNITS,
 };
-use std::sync::Arc;
-use yafim_cluster::{slice_bytes, EventKind, SimCluster};
+use yafim_cluster::{EventKind, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrError, MrRunner};
 
 /// Options for a SON run.
@@ -70,6 +69,7 @@ impl Son {
     /// Mine the text dataset at `input` on simulated HDFS (two jobs total).
     pub fn mine(&self, input: &str) -> Result<MinerRun, MrError> {
         let cluster = self.runner.cluster().clone();
+        let _job = cluster.acquire_job("default", "son");
         let metrics = cluster.metrics().clone();
         let file = cluster.hdfs().get(input)?;
         let total_lines = file.num_lines() as u64;
@@ -131,7 +131,6 @@ impl Son {
         // ---- job 2: exact counting of all candidates at once ----
         let phase2_start = metrics.now();
         let n_candidates = candidates.len();
-        let side_bytes = slice_bytes(&candidates);
 
         // One hash tree per candidate length.
         let max_len = candidates
@@ -143,49 +142,15 @@ impl Son {
         for c in candidates {
             by_len[c.len() - 1].push(c);
         }
-        let trees: Arc<Vec<HashTree>> = Arc::new(
-            by_len
-                .into_iter()
-                .filter(|l| !l.is_empty())
-                .map(HashTree::build)
-                .collect(),
-        );
-        let trees_for_map = Arc::clone(&trees);
-
-        let job2 = MapReduceJob::new(
-            "SON phase 2 (global counting)",
+        let job2 = counting_job(
+            "SON phase 2 (global counting)".to_string(),
             input,
-            move |_off, line: &str, em: &mut Emitter<Itemset, u64>, w| {
-                let items = parse_transaction(line);
-                w.add_cpu(items.len() as u64);
-                thread_local! {
-                    static SCRATCH: std::cell::RefCell<MatchScratch> =
-                        std::cell::RefCell::new(MatchScratch::default());
-                }
-                SCRATCH.with(|s| {
-                    let mut scratch = s.borrow_mut();
-                    for tree in trees_for_map.iter() {
-                        let visits = tree.for_each_match(&items, &mut scratch, |idx| {
-                            em.emit(tree.candidates()[idx].clone(), 1);
-                        });
-                        w.add_cpu(visits * JVM_TREE_VISIT_UNITS);
-                    }
-                });
-            },
-            move |k: &Itemset, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {
-                let sum: u64 = vs.into_iter().sum();
-                if sum >= min_sup {
-                    em.emit(k.clone(), sum);
-                }
-            },
-        )
-        .with_combiner(|_k: &Itemset, vs: Vec<u64>| vs.into_iter().sum())
-        .with_reduce_tasks(self.config.reduce_tasks)
-        .with_side_data(side_bytes)
-        .with_output(
             format!("{input}.SON"),
-            Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")),
-        );
+            by_len.into_iter().filter(|l| !l.is_empty()).collect(),
+            MrMatching::HashTree,
+            min_sup,
+        )
+        .with_reduce_tasks(self.config.reduce_tasks);
         let result = self.runner.run(job2)?;
 
         let mut levels: Vec<Vec<(Itemset, u64)>> = vec![Vec::new(); max_len];

@@ -32,8 +32,10 @@ pub enum MapPhase<KM, VM> {
     /// Called once per input split with all its lines.
     PerSplit(SplitMapFn<KM, VM>),
 }
-/// Combiner: collapse one key's map-local values.
-pub type CombineFn<KM, VM> = Arc<dyn Fn(&KM, Vec<VM>) -> VM + Send + Sync>;
+/// Combiner: fold two of one key's map-local values into one
+/// (`reduce_by_key`'s shape). Must be associative and commutative, as in
+/// Hadoop: dense slots and host units fold a key's values in their own order.
+pub type CombineFn<VM> = Arc<dyn Fn(VM, VM) -> VM + Send + Sync>;
 /// Reducer: `(key, all values, collector, work counters)`.
 pub type ReduceFn<KM, VM, KO, VO> =
     Arc<dyn Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync>;
@@ -66,7 +68,8 @@ pub struct MapReduceJob<KM, VM, KO, VO> {
     /// before the job starts (MR-Apriori ships the candidate set this way).
     pub side_data_bytes: u64,
     pub(crate) mapper: MapPhase<KM, VM>,
-    pub(crate) combiner: Option<CombineFn<KM, VM>>,
+    pub(crate) combiner: Option<CombineFn<VM>>,
+    pub(crate) key_table: Arc<[KM]>,
     pub(crate) reducer: ReduceFn<KM, VM, KO, VO>,
     pub(crate) output: Option<OutputSpec<KO, VO>>,
 }
@@ -89,6 +92,7 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
             side_data_bytes: 0,
             mapper: MapPhase::PerLine(Arc::new(mapper)),
             combiner: None,
+            key_table: Arc::new([]),
             reducer: Arc::new(reducer),
             output: None,
         }
@@ -110,6 +114,7 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
             side_data_bytes: 0,
             mapper: MapPhase::PerSplit(Arc::new(mapper)),
             combiner: None,
+            key_table: Arc::new([]),
             reducer: Arc::new(reducer),
             output: None,
         }
@@ -118,9 +123,18 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
     /// Add a map-side combiner.
     pub fn with_combiner(
         mut self,
-        combiner: impl Fn(&KM, Vec<VM>) -> VM + Send + Sync + 'static,
+        combiner: impl Fn(VM, VM) -> VM + Send + Sync + 'static,
     ) -> Self {
         self.combiner = Some(Arc::new(combiner));
+        self
+    }
+
+    /// Declare the intermediate keys up front (in any order, unused ones are
+    /// fine), so the mapper can [`Emitter::emit_at`] an index into `table`.
+    /// Needs a combiner to fold one index's values. Results, counters and
+    /// virtual time are those of emitting `table[index].clone()`.
+    pub fn with_key_table(mut self, table: Arc<[KM]>) -> Self {
+        self.key_table = table;
         self
     }
 

@@ -7,16 +7,21 @@
 //! replication — is exactly what YAFIM's evaluation measures against. This
 //! crate reproduces that engine over the [`yafim_cluster`] substrate.
 //!
-//! One [`MapReduceJob`] is: text input splits → `mapper` per line →
-//! optional `combiner` → sort-based shuffle into `reduce_tasks` buckets →
-//! keys presented to `reducer` in sorted order → optional text output
-//! committed to simulated HDFS.
+//! One [`MapReduceJob`] is: text input splits → `mapper` per line → map
+//! output sorted by key → optional `combiner`, a binary fold over each run
+//! of one key → `reduce_tasks` buckets → keys presented to `reducer` in
+//! sorted order → optional text output committed to simulated HDFS. A job
+//! that knows its intermediate keys up front declares them as a key table
+//! ([`MapReduceJob::with_key_table`]) and emits indices
+//! ([`Emitter::emit_at`]): values fold into a dense slot array and only the
+//! slots emitted at become pairs, so a counting mapper builds no keys.
 //!
 //! As everywhere in this repository, the data processing is real and the
 //! time is virtual: map/reduce tasks run on the host thread pool while their
 //! work counters are converted to durations and list-scheduled onto the
 //! virtual cluster, with Hadoop's per-job, per-task and per-wave overheads
-//! added from the cost model.
+//! added from the cost model. A map task with pool threads to spare is cut
+//! into line-range units, merged again before anything is charged.
 
 mod emitter;
 mod job;
@@ -87,10 +92,7 @@ mod tests {
 
         let plain = runner.run(word_count_job("in.txt")).unwrap();
         let combined = runner
-            .run(
-                word_count_job("in.txt")
-                    .with_combiner(|_k: &String, vs: Vec<u64>| vs.into_iter().sum()),
-            )
+            .run(word_count_job("in.txt").with_combiner(|a, b| a + b))
             .unwrap();
         let mut a = plain.pairs.clone();
         let mut b = combined.pairs.clone();

@@ -1,16 +1,19 @@
 //! The job runner: executes a [`MapReduceJob`] for real and charges
 //! Hadoop-shaped virtual time.
 
-use crate::emitter::Emitter;
-use crate::job::{MapReduceJob, MrKey, MrValue};
-use std::collections::BTreeMap;
+use crate::emitter::{fold_into, Emitter};
+use crate::job::{MapPhase, MapReduceJob, MrKey, MrValue};
 use std::sync::Arc;
 use yafim_cluster::{
     bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsError, DfsFile, EventKind,
-    FaultError, IntegrityCounters, IntegrityTier, MemoryRefusal, RecoveryCounters, SimCluster,
-    SimDuration, StageExecution, TaskExecution, TaskMemory, TaskProfile, TaskSpec, WorkCounters,
-    SPILL_GRANULE,
+    FaultError, FxHashMap, IntegrityCounters, IntegrityTier, MemoryRefusal, RecoveryCounters,
+    SimCluster, SimDuration, StageExecution, TaskExecution, TaskMemory, TaskProfile, TaskSpec,
+    WorkCounters, SPILL_GRANULE,
 };
+
+/// The smallest split share worth a host unit: below it a unit's fixed cost
+/// (a slot array over the key table, a merge) rivals the lines it maps.
+const MIN_UNIT_BYTES: u64 = 16 << 10;
 
 /// Why a MapReduce job failed: the input is missing, or the active fault
 /// plan exhausted some task's retry budget.
@@ -235,143 +238,172 @@ impl MrRunner {
             }
         }
 
-        let mapper = match &job.mapper {
-            crate::job::MapPhase::PerLine(f) => crate::job::MapPhase::PerLine(Arc::clone(f)),
-            crate::job::MapPhase::PerSplit(f) => crate::job::MapPhase::PerSplit(Arc::clone(f)),
+        let (mapper, combiner, table) = (job.mapper, job.combiner, job.key_table);
+
+        // ---- host units ----
+        //
+        // A per-line task's host work is cut into line ranges, so a job with
+        // fewer map tasks than pool threads still uses them. Units never
+        // show: a task's unit outputs are concatenated in range order and
+        // combined again before the model reads anything.
+        let spare_threads = match mapper {
+            MapPhase::PerLine(_) => cluster.pool().size().div_ceil(map_tasks.max(1)),
+            MapPhase::PerSplit(_) => 1, // the mapper wants its split whole
         };
-        let combiner = job.combiner.clone();
+        let units: Vec<(usize, std::ops::Range<usize>)> = splits
+            .iter()
+            .enumerate()
+            .flat_map(|(i, split)| {
+                let n = spare_threads
+                    .min((split.bytes / MIN_UNIT_BYTES) as usize)
+                    .max(1);
+                let (start, len) = (split.lines.start, split.lines.len());
+                (0..n).map(move |u| (i, start + len * u / n..start + len * (u + 1) / n))
+            })
+            .collect();
+        let file_for_units = file.clone();
+        let unit_fold = combiner.clone();
+        let unit_outs = cluster.pool().map(units, move |_, (i, range)| {
+            let mut w = WorkCounters::new();
+            let mut em = Emitter::over_table(table.len(), unit_fold.clone());
+            let lines = &file_for_units.lines()[range.clone()];
+            match &mapper {
+                MapPhase::PerLine(f) => {
+                    for (j, line) in lines.iter().enumerate() {
+                        w.add_records_in(1);
+                        f((range.start + j) as u64, line, &mut em, &mut w);
+                    }
+                }
+                MapPhase::PerSplit(f) => {
+                    w.add_records_in(lines.len() as u64);
+                    f(range.start as u64, lines, &mut em, &mut w);
+                }
+            }
+            // `records_out` is modelled: emissions are counted where they
+            // happen. What the unit hands on is one pair per table slot
+            // emitted at and, under a combiner, per distinct key emitted.
+            w.add_records_out(em.len() as u64);
+            let (mut pairs, keyed) = (em.take_slot_pairs(&table), em.into_pairs());
+            match &unit_fold {
+                Some(fold) => {
+                    let mut folded: FxHashMap<KM, Option<VM>> = FxHashMap::default();
+                    for (k, v) in keyed {
+                        fold_into(folded.entry(k).or_insert(None), v, fold.as_ref());
+                    }
+                    pairs.extend(folded.into_iter().filter_map(|(k, v)| Some((k, v?))));
+                }
+                None => pairs.extend(keyed),
+            }
+            (i, pairs, w)
+        });
+        let mut mapped: Vec<(Vec<(KM, VM)>, WorkCounters)> = Vec::with_capacity(map_tasks);
+        for (i, pairs, w) in unit_outs {
+            match mapped.get_mut(i) {
+                Some((task_pairs, task_w)) => {
+                    task_pairs.extend(pairs);
+                    task_w.merge(&w);
+                }
+                None => mapped.push((pairs, w)),
+            }
+        }
+
         let side_bytes = job.side_data_bytes;
         let spill_factor = cost.mr_spill_factor;
-        let file_for_tasks = file.clone();
         let splits_for_tasks = splits.clone();
         let shuffle_integrity_id = fx_hash64(&job.name);
         let faults_map = faults.clone();
         let metrics_map = metrics.clone();
         let cost_map = cost.clone();
-        let replicas_map = split_replicas.clone();
         // Memory governor: every map task reserves its combine buffer
         // against the same per-task slice; rolls are keyed by (job, split).
         let mem_budget = cluster.memory_budget();
         let mem_stage_key = fx_hash64(&(job.name.as_str(), metrics.now().as_secs().to_bits()));
 
-        type MapOut<KM, VM> = (Vec<Vec<(KM, VM)>>, TaskProfile);
-        let map_outs: Vec<MapOut<KM, VM>> =
-            cluster
-                .pool()
-                .map((0..map_tasks).collect::<Vec<usize>>(), move |_, i| {
-                    let split = &splits_for_tasks[i];
-                    let mut w = WorkCounters::new();
-                    w.add_disk_read(split.bytes); // locality-scheduled: local read
-                    if side_bytes > 0 {
-                        w.add_disk_read(side_bytes); // localized cache file
-                    }
-                    // Verify the split's checksum; a rotten replica is
-                    // re-fetched from the next one (the preflight above
-                    // guarantees a clean copy exists).
-                    if integrity {
-                        for copy in 0..replicas_map[i] {
-                            w.add_stall_micros(
-                                (cost_map.checksum(split.bytes).as_secs() * 1e6) as u64,
-                            );
-                            if faults_map.take_corruption(
-                                IntegrityTier::Hdfs,
-                                integrity_id,
-                                i,
-                                copy,
-                            ) {
-                                w.add_net(split.bytes);
-                                metrics_map.note_recovery(&RecoveryCounters {
-                                    integrity: IntegrityCounters {
-                                        corruptions_injected: 1,
-                                        corruptions_detected: 1,
-                                        corruptions_repaired: 1,
-                                        repaired_via_replica: 1,
-                                        ..IntegrityCounters::default()
-                                    },
-                                    ..RecoveryCounters::default()
-                                });
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-
-                    let mut em = Emitter::new();
-                    let lines = &file_for_tasks.lines()[split.lines.clone()];
-                    match &mapper {
-                        crate::job::MapPhase::PerLine(f) => {
-                            for (j, line) in lines.iter().enumerate() {
-                                w.add_records_in(1);
-                                f((split.lines.start + j) as u64, line, &mut em, &mut w);
-                            }
-                        }
-                        crate::job::MapPhase::PerSplit(f) => {
-                            w.add_records_in(lines.len() as u64);
-                            f(split.lines.start as u64, lines, &mut em, &mut w);
-                        }
-                    }
-                    let mut pairs = em.into_pairs();
-                    w.add_records_out(pairs.len() as u64);
-
-                    // Optional combine: group map-local values per key.
-                    if let Some(comb) = &combiner {
-                        let mut groups: BTreeMap<KM, Vec<VM>> = BTreeMap::new();
-                        for (k, v) in pairs {
-                            groups.entry(k).or_default().push(v);
-                        }
-                        w.add_cpu(groups.len() as u64);
-                        pairs = groups
-                            .into_iter()
-                            .map(|(k, vs)| {
-                                let v = comb(&k, vs);
-                                (k, v)
-                            })
-                            .collect();
+        // ---- once per map task: everything the cost model reads ----
+        let map_outs = cluster.pool().map(mapped, move |i, (mut pairs, mut w)| {
+            let split = &splits_for_tasks[i];
+            w.add_disk_read(split.bytes); // locality-scheduled: local read
+            if side_bytes > 0 {
+                w.add_disk_read(side_bytes); // localized cache file
+            }
+            // Verify the split's checksum; a rotten replica is
+            // re-fetched from the next one (the preflight above
+            // guarantees a clean copy exists).
+            if integrity {
+                for copy in 0..split_replicas[i] {
+                    w.add_stall_micros((cost_map.checksum(split.bytes).as_secs() * 1e6) as u64);
+                    if faults_map.take_corruption(IntegrityTier::Hdfs, integrity_id, i, copy) {
+                        w.add_net(split.bytes);
+                        metrics_map.note_recovery(&RecoveryCounters {
+                            integrity: IntegrityCounters {
+                                corruptions_injected: 1,
+                                corruptions_detected: 1,
+                                corruptions_repaired: 1,
+                                repaired_via_replica: 1,
+                                ..IntegrityCounters::default()
+                            },
+                            ..RecoveryCounters::default()
+                        });
                     } else {
-                        // Hadoop sorts map output by key either way.
-                        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+                        break;
                     }
-                    let n = pairs.len() as u64;
-                    w.add_cpu(n * (64 - n.leading_zeros() as u64)); // sort comparisons
+                }
+            }
 
-                    // Partition into reduce buckets.
-                    let mut buckets: Vec<Vec<(KM, VM)>> =
-                        (0..reduce_tasks).map(|_| Vec::new()).collect();
-                    for (k, v) in pairs {
-                        buckets[bucket_of(&k, reduce_tasks)].push((k, v));
+            // Hadoop sorts map output by key either way. The sort is
+            // stable, so a key's values stay in emission order for the
+            // combiner, which folds each run of one key.
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            if let Some(fold) = &combiner {
+                pairs.dedup_by(|later, kept| {
+                    let same = later.0 == kept.0;
+                    if same {
+                        kept.1 = fold(kept.1.clone(), later.1.clone());
                     }
-                    let bytes: u64 = buckets.iter().map(|b| slice_bytes(b)).sum();
-                    w.add_ser(bytes);
-                    if integrity {
-                        // Checksum the map output at write time.
-                        w.add_stall_micros((cost_map.checksum(bytes).as_secs() * 1e6) as u64);
-                    }
-                    // The combine buffer is execution memory; a denial
-                    // (budget overflow or injected OOM) spills it through
-                    // local disk — the buffer is degradable, so the
-                    // governor never kills a map task.
-                    let tm = TaskMemory::new(mem_budget, mem_stage_key, i);
-                    let (_, fx) = tm.try_reserve(bytes, memgov::site::MR_COMBINE, true);
-                    w.add_stall_micros(fx.stall_micros);
-                    if fx.spill_disk_bytes > 0 {
-                        w.add_disk_write(fx.spill_disk_bytes);
-                        w.add_disk_read(fx.spill_disk_bytes);
-                    }
-                    // Spill traffic: write the sorted runs, read them back for
-                    // the merge.
-                    let spill = (bytes as f64 * spill_factor / 2.0) as u64;
-                    w.add_disk_write(spill);
-                    w.add_disk_read(spill);
-
-                    let profile = TaskProfile {
-                        work: w,
-                        shuffle_write_bytes: bytes,
-                        broadcast_read_bytes: side_bytes,
-                        mem: fx.mem,
-                        ..TaskProfile::new()
-                    };
-                    (buckets, profile)
+                    same
                 });
+                w.add_cpu(pairs.len() as u64);
+            }
+            let n = pairs.len() as u64;
+            w.add_cpu(n * (64 - n.leading_zeros() as u64)); // sort comparisons
+
+            // Partition into reduce buckets.
+            let mut buckets: Vec<Vec<(KM, VM)>> = (0..reduce_tasks).map(|_| Vec::new()).collect();
+            for (k, v) in pairs {
+                buckets[bucket_of(&k, reduce_tasks)].push((k, v));
+            }
+            let bytes: u64 = buckets.iter().map(|b| slice_bytes(b)).sum();
+            w.add_ser(bytes);
+            if integrity {
+                // Checksum the map output at write time.
+                w.add_stall_micros((cost_map.checksum(bytes).as_secs() * 1e6) as u64);
+            }
+            // The combine buffer is execution memory; a denial
+            // (budget overflow or injected OOM) spills it through
+            // local disk — the buffer is degradable, so the
+            // governor never kills a map task.
+            let tm = TaskMemory::new(mem_budget, mem_stage_key, i);
+            let (_, fx) = tm.try_reserve(bytes, memgov::site::MR_COMBINE, true);
+            w.add_stall_micros(fx.stall_micros);
+            if fx.spill_disk_bytes > 0 {
+                w.add_disk_write(fx.spill_disk_bytes);
+                w.add_disk_read(fx.spill_disk_bytes);
+            }
+            // Spill traffic: write the sorted runs, read them back for
+            // the merge.
+            let spill = (bytes as f64 * spill_factor / 2.0) as u64;
+            w.add_disk_write(spill);
+            w.add_disk_read(spill);
+
+            let profile = TaskProfile {
+                work: w,
+                shuffle_write_bytes: bytes,
+                broadcast_read_bytes: side_bytes,
+                mem: fx.mem,
+                ..TaskProfile::new()
+            };
+            (buckets, profile)
+        });
 
         // Charge the map wave. A retried map attempt cannot read its local
         // HDFS block again (the original attempt's machine may be the one
@@ -518,91 +550,87 @@ impl MrRunner {
         let faults_red = faults.clone();
         let metrics_red = metrics.clone();
         let cost_red = cost.clone();
-        let buckets = Arc::new(buckets);
-        let bucket_bytes_arc = Arc::new(bucket_bytes);
 
-        type ReduceOut<KO, VO> = (Vec<(KO, VO)>, Vec<String>, TaskProfile);
-        let reduce_outs: Vec<ReduceOut<KO, VO>> =
-            cluster
-                .pool()
-                .map((0..reduce_tasks).collect::<Vec<usize>>(), move |_, r| {
-                    let mut w = WorkCounters::new();
-                    let bytes = bucket_bytes_arc[r];
-                    let local = bytes / nodes.max(1);
-                    w.add_disk_read(local);
-                    w.add_net(bytes - local);
-                    w.add_ser(bytes);
-                    // Verify the fetched reduce input; on mismatch, re-run
-                    // the producing map task and fetch again.
-                    if integrity {
+        let reduce_outs = cluster.pool().map(
+            buckets.into_iter().zip(bucket_bytes).collect(),
+            move |r, (mut bucket, bytes)| {
+                let mut w = WorkCounters::new();
+                let local = bytes / nodes.max(1);
+                w.add_disk_read(local);
+                w.add_net(bytes - local);
+                w.add_ser(bytes);
+                // Verify the fetched reduce input; on mismatch, re-run
+                // the producing map task and fetch again.
+                if integrity {
+                    w.add_stall_micros((cost_red.checksum(bytes).as_secs() * 1e6) as u64);
+                    if faults_red.take_corruption(
+                        IntegrityTier::Shuffle,
+                        shuffle_integrity_id,
+                        r,
+                        0,
+                    ) {
+                        w.add_stall_micros(map_repair_micros);
+                        w.add_net(bytes);
                         w.add_stall_micros((cost_red.checksum(bytes).as_secs() * 1e6) as u64);
-                        if faults_red.take_corruption(
-                            IntegrityTier::Shuffle,
-                            shuffle_integrity_id,
-                            r,
-                            0,
-                        ) {
-                            w.add_stall_micros(map_repair_micros);
-                            w.add_net(bytes);
-                            w.add_stall_micros((cost_red.checksum(bytes).as_secs() * 1e6) as u64);
-                            metrics_red.note_recovery(&RecoveryCounters {
-                                recomputed_partitions: 1,
-                                integrity: IntegrityCounters {
-                                    corruptions_injected: 1,
-                                    corruptions_detected: 1,
-                                    corruptions_repaired: 1,
-                                    repaired_via_resubmit: 1,
-                                    ..IntegrityCounters::default()
-                                },
-                                ..RecoveryCounters::default()
-                            });
-                        }
+                        metrics_red.note_recovery(&RecoveryCounters {
+                            recomputed_partitions: 1,
+                            integrity: IntegrityCounters {
+                                corruptions_injected: 1,
+                                corruptions_detected: 1,
+                                corruptions_repaired: 1,
+                                repaired_via_resubmit: 1,
+                                ..IntegrityCounters::default()
+                            },
+                            ..RecoveryCounters::default()
+                        });
                     }
+                }
 
-                    let bucket = &buckets[r];
-                    w.add_records_in(bucket.len() as u64);
-                    let n = bucket.len() as u64;
-                    w.add_cpu(n * (64 - n.leading_zeros() as u64)); // merge sort
+                w.add_records_in(bucket.len() as u64);
+                let n = bucket.len() as u64;
+                w.add_cpu(n * (64 - n.leading_zeros() as u64)); // merge sort
 
-                    let mut groups: BTreeMap<KM, Vec<VM>> = BTreeMap::new();
-                    for (k, v) in bucket.iter() {
-                        groups.entry(k.clone()).or_default().push(v.clone());
+                // Merge the map tasks' sorted runs. The sort is stable,
+                // so a key's values reach the reducer in map-task order.
+                bucket.sort_by(|a, b| a.0.cmp(&b.0));
+                let mut em = Emitter::new();
+                let mut records = bucket.into_iter().peekable();
+                while let Some((k, v)) = records.next() {
+                    let mut vs = vec![v];
+                    while let Some((_, v)) = records.next_if(|(next, _)| *next == k) {
+                        vs.push(v);
                     }
+                    reducer(&k, vs, &mut em, &mut w);
+                }
+                let pairs = em.into_pairs();
+                w.add_records_out(pairs.len() as u64);
 
-                    let mut em = Emitter::new();
-                    for (k, vs) in groups {
-                        reducer(&k, vs, &mut em, &mut w);
+                let mut lines = Vec::new();
+                if let Some(fmt) = &format {
+                    lines.reserve(pairs.len());
+                    let mut out_bytes = 0u64;
+                    for (k, v) in &pairs {
+                        let line = fmt(k, v);
+                        out_bytes += line.len() as u64 + 1;
+                        lines.push(line);
                     }
-                    let pairs = em.into_pairs();
-                    w.add_records_out(pairs.len() as u64);
-
-                    let mut lines = Vec::new();
-                    if let Some(fmt) = &format {
-                        lines.reserve(pairs.len());
-                        let mut out_bytes = 0u64;
-                        for (k, v) in &pairs {
-                            let line = fmt(k, v);
-                            out_bytes += line.len() as u64 + 1;
-                            lines.push(line);
-                        }
-                        // HDFS commit: local write plus pipeline replication.
-                        w.add_disk_write(out_bytes);
-                        w.add_net(out_bytes * (replication.saturating_sub(1)));
-                        if integrity {
-                            // Checksum the committed blocks at write time.
-                            w.add_stall_micros(
-                                (cost_red.checksum(out_bytes).as_secs() * 1e6) as u64,
-                            );
-                        }
+                    // HDFS commit: local write plus pipeline replication.
+                    w.add_disk_write(out_bytes);
+                    w.add_net(out_bytes * (replication.saturating_sub(1)));
+                    if integrity {
+                        // Checksum the committed blocks at write time.
+                        w.add_stall_micros((cost_red.checksum(out_bytes).as_secs() * 1e6) as u64);
                     }
+                }
 
-                    let profile = TaskProfile {
-                        work: w,
-                        shuffle_read_bytes: bytes,
-                        ..TaskProfile::new()
-                    };
-                    (pairs, lines, profile)
-                });
+                let profile = TaskProfile {
+                    work: w,
+                    shuffle_read_bytes: bytes,
+                    ..TaskProfile::new()
+                };
+                (pairs, lines, profile)
+            },
+        );
 
         let task_specs: Vec<TaskSpec> = reduce_outs
             .iter()

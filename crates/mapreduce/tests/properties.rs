@@ -3,7 +3,8 @@
 //! configurations.
 
 use std::collections::HashMap;
-use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
+use std::sync::Arc;
+use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 fn cluster() -> SimCluster {
@@ -97,7 +98,7 @@ fn combiner_never_changes_results() {
             c.hdfs().put_overwrite("in.txt", lines.clone());
             let job = count_job("in.txt").with_split_size(split_size);
             let job = if with_combiner {
-                job.with_combiner(|_k: &u32, vs: Vec<u64>| vs.into_iter().sum())
+                job.with_combiner(|a, b| a + b)
             } else {
                 job
             };
@@ -184,5 +185,193 @@ fn reduce_task_count_only_affects_time() {
             p
         };
         assert_eq!(run(1), run(7));
+    }
+}
+
+// ---- key-table jobs: `emit_at(i, v)` is `emit(table[i].clone(), v)` ----
+
+/// Everything of one job run the model (or a caller) can see: pairs,
+/// `JobStats`, committed lines, metrics snapshot, clock bits, and (typed, to
+/// tell whether a plan fired) corruptions repaired and OOMs survived.
+type Observed = Result<
+    (
+        Vec<(Vec<u32>, u64)>,
+        String,
+        Vec<String>,
+        String,
+        u64,
+        (u64, u64),
+    ),
+    String,
+>;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Shape {
+    /// Today's shape: build the key, emit it.
+    Keyed,
+    /// Emit the key's index into the declared table.
+    Indexed,
+}
+
+fn example_plan(json: &str) -> FaultPlan {
+    FaultPlan::from_json(&yafim_cluster::json::parse(json).expect("committed plan parses"))
+        .expect("committed plan is valid")
+}
+
+/// Count, per table entry, the lines that hold all its tokens.
+fn run_subset_count(
+    shape: Shape,
+    threads: usize,
+    lines: &[String],
+    table: &[Vec<u32>],
+    split_size: u64,
+    reduce_tasks: usize,
+    plan: Option<&FaultPlan>,
+) -> Observed {
+    let c = SimCluster::with_threads(
+        ClusterSpec::new(3, 2, 1 << 30),
+        CostModel::hadoop_era(),
+        threads,
+    );
+    if let Some(plan) = plan {
+        c.faults().set_plan(plan.clone());
+    }
+    c.hdfs().put_overwrite("in.txt", lines.to_vec());
+    let table: Arc<[Vec<u32>]> = table.into();
+    let for_map = Arc::clone(&table);
+    let job = MapReduceJob::new(
+        "subset-count",
+        "in.txt",
+        move |_o, line: &str, em: &mut Emitter<Vec<u32>, u64>, w| {
+            let tokens: Vec<u32> = line
+                .split_whitespace()
+                .map(|t| t.parse().expect("numeric token"))
+                .collect();
+            w.add_cpu(for_map.len() as u64);
+            for (i, key) in for_map.iter().enumerate() {
+                if key.iter().all(|t| tokens.contains(t)) {
+                    match shape {
+                        Shape::Keyed => em.emit(key.clone(), 1),
+                        Shape::Indexed => em.emit_at(i, 1),
+                    }
+                }
+            }
+        },
+        |k: &Vec<u32>, vs: Vec<u64>, em: &mut Emitter<Vec<u32>, u64>, _w| {
+            em.emit(k.clone(), vs.into_iter().sum())
+        },
+    )
+    .with_combiner(|a, b| a + b)
+    .with_split_size(split_size)
+    .with_reduce_tasks(reduce_tasks)
+    .with_output(
+        "out/part",
+        Arc::new(|k: &Vec<u32>, v: &u64| format!("{k:?} {v}")),
+    );
+    let job = match shape {
+        Shape::Keyed => job,
+        Shape::Indexed => job.with_key_table(table),
+    };
+    let result = MrRunner::new(c.clone())
+        .run(job)
+        .map_err(|e| format!("{e:?}"))?;
+    let snapshot = c.metrics().snapshot();
+    Ok((
+        result.pairs,
+        format!("{:?}", result.stats),
+        result.output_file.expect("job commits").lines().to_vec(),
+        format!("{snapshot:?}"),
+        c.metrics().now().as_secs().to_bits(),
+        (
+            snapshot.recovery.integrity.corruptions_repaired,
+            snapshot.recovery.mem.oom_survived_by_degradation,
+        ),
+    ))
+}
+
+/// Singles then pairs over tokens `0..20` (each level sorted, the
+/// concatenation not: the FPC/DPC table shape), plus `[99]`, which no line
+/// holds.
+fn level_table(rng: &mut Rng) -> Vec<Vec<u32>> {
+    let mut singles: Vec<Vec<u32>> = (0..20)
+        .filter(|_| rng.range(0, 3) > 0)
+        .map(|t| vec![t])
+        .collect();
+    singles.push(vec![99]);
+    let pairs = (0..20u32)
+        .flat_map(|a| (a + 1..20).map(move |b| vec![a, b]))
+        .filter(|_| rng.range(0, 6) == 0);
+    singles.into_iter().chain(pairs).collect()
+}
+
+#[test]
+fn emitting_an_index_is_emitting_its_key() {
+    let corruption = example_plan(include_str!("../../../results/corruption.fault.json"));
+    // The committed 5 % would deny none of these few tiny tasks.
+    let oom = FaultPlan {
+        oom_prob: 0.5,
+        ..example_plan(include_str!("../../../results/oom.fault.json"))
+    };
+    let (mut corrupted, mut denied) = (false, false);
+    let mut rng = Rng(35);
+    for case in 0..6 {
+        let lines = rng.corpus();
+        let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
+        let mut table = level_table(&mut rng);
+        match case {
+            // Any order at all, not just level order, and a key twice.
+            1 | 4 => {
+                table.push(table[0].clone());
+                for i in (1..table.len()).rev() {
+                    table.swap(i, rng.range(0, i as u64 + 1) as usize);
+                }
+            }
+            2 => table.clear(),
+            _ => {}
+        }
+        // One line per split, something in between, the whole file.
+        for split_size in [1, rng.range(16, 256), bytes.max(1)] {
+            for reduce_tasks in [1, 3, 96] {
+                for plan in [None, Some(&corruption), Some(&oom)] {
+                    let run = |shape| {
+                        run_subset_count(shape, 2, &lines, &table, split_size, reduce_tasks, plan)
+                    };
+                    let (keyed, indexed) = (run(Shape::Keyed), run(Shape::Indexed));
+                    assert_eq!(
+                        keyed, indexed,
+                        "case {case}, split {split_size}, {reduce_tasks} reducers, plan {plan:?}"
+                    );
+                    if let Ok((pairs, .., (repaired, survived))) = &indexed {
+                        assert!(pairs.iter().all(|(k, v)| *k != [99] && *v > 0));
+                        corrupted |= *repaired > 0;
+                        denied |= *survived > 0;
+                    }
+                }
+            }
+        }
+    }
+    assert!(corrupted && denied, "both plans must have fired somewhere");
+}
+
+/// Enough lines for a one-split job to be cut into eight host units: the
+/// indexed job on eight pool threads is the keyed job on one.
+#[test]
+fn host_units_are_invisible_to_both_emit_shapes() {
+    let mut rng = Rng(36);
+    let lines: Vec<String> = (0..800).flat_map(|_| rng.corpus()).collect();
+    let bytes: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
+    assert!(
+        bytes >= 8 * 16 * 1024,
+        "{bytes} bytes is too few for 8 units"
+    );
+    let table = level_table(&mut rng);
+    let oom = example_plan(include_str!("../../../results/oom.fault.json"));
+    for plan in [None, Some(&oom)] {
+        let reference = run_subset_count(Shape::Keyed, 1, &lines, &table, bytes, 3, plan);
+        assert!(reference.is_ok());
+        for (shape, threads) in [(Shape::Indexed, 1), (Shape::Keyed, 8), (Shape::Indexed, 8)] {
+            let seen = run_subset_count(shape, threads, &lines, &table, bytes, 3, plan);
+            assert_eq!(seen, reference, "{shape:?} on {threads} threads");
+        }
     }
 }

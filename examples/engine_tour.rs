@@ -75,7 +75,7 @@ fn main() {
             em.emit(user.clone(), counts.into_iter().sum());
         },
     )
-    .with_combiner(|_u: &String, counts: Vec<u64>| counts.into_iter().sum())
+    .with_combiner(|a, b| a + b)
     .with_output(
         "activity.tsv",
         Arc::new(|u: &String, c: &u64| format!("{u}\t{c}")),

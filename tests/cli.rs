@@ -107,3 +107,25 @@ fn an_out_of_range_fault_plan_is_one_line_and_exit_1() {
     std::fs::remove_file(file).expect("own temp file");
     std::fs::remove_file(plan).expect("own temp file");
 }
+
+#[test]
+fn every_distributed_miner_registers_exactly_one_job() {
+    let file = input("jobs");
+    let file = file.to_str().expect("utf-8 temp path");
+    let manifest = std::env::temp_dir().join(format!("yafim-cli-jobs-{}.json", std::process::id()));
+    let manifest = manifest.to_str().expect("utf-8 temp path");
+    for miner in ["spark", "mapreduce", "son", "pfp"] {
+        let out = mine(file, &["--miner", miner, "--manifest", manifest]);
+        assert!(out.status.success(), "{miner}: {out:?}");
+        let text = std::fs::read_to_string(manifest).expect("manifest written");
+        let doc = yafim::cluster::json::parse(&text).expect("manifest is JSON");
+        let metrics = doc.get("metrics").expect("a metrics block");
+        for key in ["jobs_submitted", "jobs_completed", "pool.default.jobs"] {
+            let counter = metrics.get(&format!("counter.sched.{key}"));
+            let count = counter.and_then(|v| v.as_f64());
+            assert_eq!(count, Some(1.0), "{miner}: sched.{key}");
+        }
+    }
+    std::fs::remove_file(file).expect("own temp file");
+    std::fs::remove_file(manifest).expect("own temp file");
+}
