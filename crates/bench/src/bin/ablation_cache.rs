@@ -16,9 +16,9 @@
 //!
 //! Usage: `cargo run -p yafim-bench --release --bin ablation_cache [--scale X]`
 
-use yafim_bench::{bench_dataset, experiment_cluster, load_dataset};
+use yafim_bench::{bench_dataset, experiment_cluster, load_dataset, run};
 use yafim_cluster::ClusterSpec;
-use yafim_core::{MrApriori, MrAprioriConfig, Yafim, YafimConfig};
+use yafim_core::{Miner, Yafim, YafimConfig};
 use yafim_data::{replicate, PaperDataset};
 use yafim_rdd::{Context, RddConfig};
 
@@ -64,11 +64,9 @@ fn main() {
         );
     }
 
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &transactions);
-    let mr = MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support))
-        .mine("input.dat")
-        .expect("dataset written");
+    let spec = ClusterSpec::paper();
+    let (mr, cluster) = run(Miner::MapReduce, spec, &transactions, data.support, None)
+        .expect("a fault-free run over a file just written");
     let disk = cluster.metrics().snapshot().work.disk_read_bytes;
     println!(
         "{:<38} {:>10.2} {:>11.1} MB   re-reads HDFS every job",

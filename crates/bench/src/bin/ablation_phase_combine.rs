@@ -7,9 +7,9 @@
 //!
 //! Usage: `cargo run -p yafim-bench --release --bin ablation_phase_combine [--scale X]`
 
-use yafim_bench::{bench_dataset, experiment_cluster, load_dataset, run_yafim};
+use yafim_bench::{bench_dataset, experiment_cluster, load_dataset, run};
 use yafim_cluster::ClusterSpec;
-use yafim_core::{MrApriori, MrAprioriConfig, MrVariant};
+use yafim_core::{Miner, MrApriori, MrAprioriConfig, MrVariant, Phase2Plan};
 use yafim_data::PaperDataset;
 
 fn main() {
@@ -66,7 +66,9 @@ fn main() {
         );
     }
 
-    let yafim = run_yafim(ClusterSpec::paper(), &data.transactions, data.support);
+    let (yafim, spec) = (Miner::Spark(Phase2Plan::Paper), ClusterSpec::paper());
+    let (yafim, _) = run(yafim, spec, &data.transactions, data.support, None)
+        .expect("a fault-free run over a file just written");
     println!(
         "{:<28} {:>8} {:>12.2} {:>15.2}x   <- framework switch beats job combining",
         "YAFIM (Spark engine)",

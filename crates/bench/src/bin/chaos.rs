@@ -36,19 +36,25 @@
 
 use std::fmt::Write as _;
 
-use yafim_bench::{bench_dataset, experiment_cluster, load_dataset, write_manifest};
+use yafim_bench::{bench_dataset, experiment_cluster, load_dataset, run, write_manifest};
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{
-    critical_path, full_report, fx_hash64, ClusterSpec, EventKind, FaultPlan, IntegrityTier,
-    MemoryCounters, NodeId, RecoveryCounters, RunManifest, SimCluster, SimDuration, SimInstant,
+    critical_path, full_report, fx_hash64, ClusterSpec, EventKind, ExecError, FaultPlan,
+    IntegrityTier, MemoryCounters, NodeId, RecoveryCounters, RunManifest, SimCluster, SimDuration,
+    SimInstant,
 };
-use yafim_core::{MineError, MinerRun, MrApriori, MrAprioriConfig, Support, Yafim, YafimConfig};
+use yafim_core::{MineError, Miner, MinerRun, Phase2Plan};
 use yafim_data::PaperDataset;
-use yafim_mapreduce::MrError;
-use yafim_rdd::{Context, ExecError};
+use yafim_rdd::Context;
 
 /// Scenario C checkpoints the working RDD every this many Phase-II passes.
 const CKPT_INTERVAL: usize = 2;
+
+/// The paper's pair, under the names the reports print.
+const ENGINES: [(&str, Miner); 2] = [
+    ("YAFIM", Miner::Spark(Phase2Plan::Paper)),
+    ("MR-Apriori", Miner::MapReduce),
+];
 
 fn arg(name: &str) -> Option<String> {
     std::env::args().skip_while(|a| a != name).nth(1)
@@ -73,10 +79,10 @@ fn main() {
         data.name, data.support
     );
 
-    for engine in ["YAFIM", "MR-Apriori"] {
+    for (engine, miner) in ENGINES {
         // Fault-free baseline: reference results, makespan, and the virtual
         // instant halfway through pass 2 (mid-Phase-II) for the node loss.
-        let (base_run, base_cluster) = mine(engine, &data, None);
+        let (base_run, base_cluster) = mine(miner, &data, None);
         let t_loss = pass2_midpoint(&base_cluster).unwrap_or(base_run.total_seconds * 0.5);
         let _ = writeln!(out, "-- {engine} --");
         let _ = writeln!(
@@ -98,7 +104,7 @@ fn main() {
             .replicas[0];
         let plan_a = FaultPlan::seeded(seed)
             .lose_node_at(victim, SimInstant::EPOCH + SimDuration::from_secs(t_loss));
-        let (run_a, cluster_a) = mine(engine, &data, Some(plan_a));
+        let (run_a, cluster_a) = mine(miner, &data, Some(plan_a));
         assert_eq!(
             base_run.result, run_a.result,
             "{engine}: node loss changed mining results"
@@ -120,7 +126,7 @@ fn main() {
             .with_max_task_failures(10)
             .slow_node(NodeId(2), 3.0)
             .with_speculation();
-        let (run_b, cluster_b) = mine(engine, &data, Some(plan_b));
+        let (run_b, cluster_b) = mine(miner, &data, Some(plan_b));
         assert_eq!(
             base_run.result, run_b.result,
             "{engine}: crashes/speculation changed mining results"
@@ -243,20 +249,23 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
             FaultPlan::seeded(seed).with_mem_budget(E_TIGHT_BUDGET),
         ),
     ];
-    type Cfg = fn(Support) -> YafimConfig;
-    let matchers: [(&str, Cfg); 3] = [
-        ("YAFIM/hash-tree", YafimConfig::new),
-        ("YAFIM/trie", YafimConfig::optimized),
-        ("YAFIM/bitmap", YafimConfig::bitmap),
+    let miners: [(&str, Miner); 4] = [
+        ("YAFIM/hash-tree", Miner::Spark(Phase2Plan::Paper)),
+        ("YAFIM/trie", Miner::Spark(Phase2Plan::Trie)),
+        ("YAFIM/bitmap", Miner::Spark(Phase2Plan::Bitmap)),
+        ("MR-Apriori", Miner::MapReduce),
     ];
 
+    // Budgeted cells must complete via the degradation ladder (MapReduce's
+    // map-side combine degrades by spilling), so `mine` panics loudly on
+    // any typed failure here.
     let mut agg = MemoryCounters::default();
     let mut cells = 0u64;
     let mut representative: Option<(SimCluster, usize)> = None;
-    for (mname, cfg) in &matchers {
-        let (base, _) = mine_yafim_budgeted(&data, cfg(data.support), None);
+    for (mname, miner) in miners {
+        let (base, _) = mine(miner, &data, None);
         for (bname, plan) in &budgets {
-            let (run, cluster) = mine_yafim_budgeted(&data, cfg(data.support), Some(plan.clone()));
+            let (run, cluster) = mine(miner, &data, Some(plan.clone()));
             assert_eq!(
                 base.result, run.result,
                 "{mname} under the {bname} budget changed mining results"
@@ -277,35 +286,10 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
                 mem.oom_survived_by_degradation,
                 run.total_seconds - base.total_seconds
             );
-            if *mname == "YAFIM/trie" && *bname == "tight" {
+            if mname == "YAFIM/trie" && *bname == "tight" {
                 representative = Some((cluster, run.result.total()));
             }
         }
-    }
-
-    let (mr_base, _) = mine_mr_budgeted(&data, None);
-    for (bname, plan) in &budgets {
-        let (run, cluster) = mine_mr_budgeted(&data, Some(plan.clone()));
-        assert_eq!(
-            mr_base.result, run.result,
-            "MR-Apriori under the {bname} budget changed mining results"
-        );
-        let mem = cell_counters(&cluster, &format!("MR-Apriori {bname}"));
-        agg.merge(&mem);
-        cells += 1;
-        let _ = writeln!(
-            out,
-            "{:<20} {:>6} | {:>10} {:>6} {:>9} | {:>8} {:>6} {:>8} | {:>9.2}",
-            "MR-Apriori",
-            bname,
-            mem.peak_execution_bytes,
-            mem.spills,
-            mem.degradations,
-            mem.oom_injected,
-            mem.oom_killed,
-            mem.oom_survived_by_degradation,
-            run.total_seconds - mr_base.total_seconds
-        );
     }
 
     // Every rung of the ladder must have fired somewhere in the sweep.
@@ -336,30 +320,20 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
     // admission control must refuse the job with a typed error on both
     // engines — never return a partial result.
     let starved = FaultPlan::seeded(seed).with_mem_budget(E_REFUSAL_BUDGET);
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    cluster.faults().set_plan(starved.clone());
-    match Yafim::new(
-        Context::new(cluster.clone()),
-        YafimConfig::new(data.support),
-    )
-    .try_mine("input.dat")
-    {
-        Err(MineError::Exec(ExecError::MemoryRefused { refusal })) => {
-            let _ = writeln!(out, "\nstarved (YAFIM): {refusal}");
+    let _ = writeln!(out);
+    let pair = [
+        ("YAFIM", Miner::Spark(Phase2Plan::Paper)),
+        ("MR", Miner::MapReduce),
+    ];
+    for (engine, miner) in pair {
+        let (spec, plan) = (ClusterSpec::paper(), Some(starved.clone()));
+        match run(miner, spec, &data.transactions, data.support, plan) {
+            Err(MineError::Exec(ExecError::MemoryRefused { refusal })) => {
+                let _ = writeln!(out, "starved ({engine}): {refusal}");
+            }
+            Err(e) => panic!("expected a memory refusal, got: {e}"),
+            Ok(_) => panic!("a {E_REFUSAL_BUDGET}-byte node must be refused at admission"),
         }
-        Err(e) => panic!("expected a memory refusal, got: {e}"),
-        Ok(_) => panic!("a {E_REFUSAL_BUDGET}-byte node must be refused at admission"),
-    }
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    cluster.faults().set_plan(starved);
-    match MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support)).mine("input.dat") {
-        Err(MrError::MemoryRefused { refusal }) => {
-            let _ = writeln!(out, "starved (MR): {refusal}");
-        }
-        Err(e) => panic!("expected a memory refusal, got: {e}"),
-        Ok(_) => panic!("a {E_REFUSAL_BUDGET}-byte node must be refused at admission"),
     }
     let _ = writeln!(
         out,
@@ -431,43 +405,6 @@ fn cell_counters(cluster: &SimCluster, label: &str) -> MemoryCounters {
     mem
 }
 
-/// Run YAFIM through the typed path ([`Yafim::try_mine`]) — budgeted cells
-/// must complete via the degradation ladder, so any typed failure here is
-/// a harness bug worth a loud panic.
-fn mine_yafim_budgeted(
-    data: &yafim_bench::BenchDataset,
-    config: YafimConfig,
-    plan: Option<FaultPlan>,
-) -> (MinerRun, SimCluster) {
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    if let Some(p) = plan {
-        cluster.faults().set_plan(p);
-    }
-    let run = Yafim::new(Context::new(cluster.clone()), config)
-        .try_mine("input.dat")
-        .unwrap_or_else(|e| panic!("budgeted cell must survive the ladder: {e}"));
-    (run, cluster)
-}
-
-/// Run MR-Apriori (SPC) under an optional plan, panicking on any typed
-/// failure — its map-side combine degrades by spilling, so budgeted cells
-/// always complete.
-fn mine_mr_budgeted(
-    data: &yafim_bench::BenchDataset,
-    plan: Option<FaultPlan>,
-) -> (MinerRun, SimCluster) {
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    if let Some(p) = plan {
-        cluster.faults().set_plan(p);
-    }
-    let run = MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support))
-        .mine("input.dat")
-        .unwrap_or_else(|e| panic!("budgeted cell must survive the ladder: {e}"));
-    (run, cluster)
-}
-
 /// C: lose a node during every Phase-II pass, with checkpointing off vs
 /// every [`CKPT_INTERVAL`] passes, and compare the deepest lineage replay
 /// each loss forces.
@@ -480,8 +417,12 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
     // virtual timeline, so "just after pass k" must be read off a clean run
     // with the *same* checkpoint cadence for the loss to land where the
     // lineage truncation has actually happened.
-    let (clean, clean_cluster) = mine_optimized(data, None);
-    let (clean_ckpt, clean_ckpt_cluster) = mine_optimized(
+    // The optimized Phase II trims per pass, which grows the working
+    // RDD's lineage: the interesting case for checkpointing.
+    let optimized = Miner::Spark(Phase2Plan::Trie);
+    let (clean, clean_cluster) = mine(optimized, data, None);
+    let (clean_ckpt, clean_ckpt_cluster) = mine(
+        optimized,
         data,
         Some(FaultPlan::seeded(seed).with_checkpoint_interval(CKPT_INTERVAL)),
     );
@@ -528,7 +469,7 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
                     SimInstant::EPOCH + SimDuration::from_secs(start + 1e-3),
                 )
                 .with_checkpoint_interval(interval);
-            let (run, cluster) = mine_optimized(data, Some(plan));
+            let (run, cluster) = mine(optimized, data, Some(plan));
             assert_eq!(
                 clean.result, run.result,
                 "loss during pass {pass} (ckpt interval {interval}) changed results"
@@ -657,12 +598,12 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
         detected: 0,
         repaired: 0,
     };
-    for engine in ["YAFIM", "MR-Apriori"] {
-        let (base_run, _) = mine(engine, data, None);
+    for (engine, miner) in ENGINES {
+        let (base_run, _) = mine(miner, data, None);
         for &rate in &CORRUPTION_RATES {
             for (tier, corrupt) in &tiers {
                 let plan = corrupt(FaultPlan::seeded(seed), rate);
-                let (run, cluster) = mine(engine, data, Some(plan));
+                let (run, cluster) = mine(miner, data, Some(plan));
                 assert_eq!(
                     base_run.result, run.result,
                     "{engine}: {tier} corruption at {rate} changed mining results"
@@ -730,24 +671,17 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
 
     // Same escalation on the MapReduce engine: every replica of an input
     // split is poisoned and Hadoop has no lineage to recompute inputs.
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    cluster
-        .faults()
-        .set_plan(FaultPlan::seeded(seed).corrupt_all_replicas(
-            IntegrityTier::Hdfs,
-            fx_hash64(&"input.dat"),
-            0,
-        ));
-    match MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support)).mine("input.dat") {
-        Err(e) => {
-            let msg = e.to_string();
-            assert!(
-                msg.contains("data integrity failure"),
-                "expected an integrity failure, got: {msg}"
-            );
+    let poisoned = FaultPlan::seeded(seed).corrupt_all_replicas(
+        IntegrityTier::Hdfs,
+        fx_hash64(&"input.dat"),
+        0,
+    );
+    let (mr, spec) = (Miner::MapReduce, ClusterSpec::paper());
+    match run(mr, spec, &data.transactions, data.support, Some(poisoned)) {
+        Err(MineError::Exec(ExecError::IntegrityFailure { .. })) => {
             let _ = writeln!(out, "beyond repair (MR): refused with integrity failure");
         }
+        Err(e) => panic!("expected an integrity failure, got: {e}"),
         Ok(_) => panic!("all replicas poisoned must not return results"),
     }
     let _ = writeln!(
@@ -771,49 +705,17 @@ fn assert_bucket_sum(cluster: &SimCluster, label: &str) {
     );
 }
 
-/// Run one engine over the dataset, optionally under a fault plan.
+/// Run one miner over the dataset on the paper's cluster, optionally under
+/// a fault plan the run must survive: any typed failure is a harness bug
+/// worth a loud panic.
 fn mine(
-    engine: &str,
+    miner: Miner,
     data: &yafim_bench::BenchDataset,
     plan: Option<FaultPlan>,
 ) -> (MinerRun, SimCluster) {
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    if let Some(p) = plan {
-        cluster.faults().set_plan(p);
-    }
-    let run = match engine {
-        "YAFIM" => Yafim::new(
-            Context::new(cluster.clone()),
-            YafimConfig::new(data.support),
-        )
-        .mine("input.dat")
-        .expect("below-budget plan must not abort"),
-        _ => MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support))
-            .mine("input.dat")
-            .expect("below-budget plan must not abort"),
-    };
-    (run, cluster)
-}
-
-/// Run YAFIM with the optimized Phase-II (whose per-pass trimming grows the
-/// working RDD's lineage — the interesting case for checkpointing).
-fn mine_optimized(
-    data: &yafim_bench::BenchDataset,
-    plan: Option<FaultPlan>,
-) -> (MinerRun, SimCluster) {
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    if let Some(p) = plan {
-        cluster.faults().set_plan(p);
-    }
-    let run = Yafim::new(
-        Context::new(cluster.clone()),
-        YafimConfig::optimized(data.support),
-    )
-    .mine("input.dat")
-    .expect("below-budget plan must not abort");
-    (run, cluster)
+    let spec = ClusterSpec::paper();
+    run(miner, spec, &data.transactions, data.support, plan)
+        .unwrap_or_else(|e| panic!("{} must survive its plan: {e}", miner.name()))
 }
 
 /// Virtual instant (seconds) halfway through the `pass 2` iteration span.

@@ -6,13 +6,19 @@
 //!
 //! Usage: `cargo run -p yafim-bench --release --bin compare_miners [--scale X]`
 
-use yafim_bench::{bench_dataset, experiment_cluster, load_dataset};
+use yafim_bench::{bench_dataset, run};
 use yafim_cluster::ClusterSpec;
-use yafim_core::{
-    MinerRun, MrApriori, MrAprioriConfig, Pfp, PfpConfig, Son, SonConfig, Yafim, YafimConfig,
-};
+use yafim_core::{Miner, MiningResult, Phase2Plan};
 use yafim_data::PaperDataset;
-use yafim_rdd::Context;
+
+/// What each row is called: family and decomposition, the design-space
+/// corner the miner stands for.
+const LABELS: [(Miner, &str); 4] = [
+    (Miner::Spark(Phase2Plan::Paper), "YAFIM (Spark, k-phase)"),
+    (Miner::MapReduce, "MR-Apriori/SPC (k-phase)"),
+    (Miner::Son, "SON (MapReduce, one-phase)"),
+    (Miner::Pfp, "PFP (Spark, FP-Growth)"),
+];
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -32,71 +38,23 @@ fn main() {
             "miner", "jobs", "total (s)", "itemsets"
         );
 
-        let mut reference: Option<MinerRun> = None;
-        let mut report = |label: &str, jobs: u64, run: MinerRun| {
+        let mut reference: Option<MiningResult> = None;
+        for (miner, label) in LABELS {
+            let spec = ClusterSpec::paper();
+            let (mined, cluster) = run(miner, spec, &data.transactions, data.support, None)
+                .expect("a fault-free run over a file just written");
             if let Some(r) = &reference {
-                assert_eq!(r.result, run.result, "{label} diverges");
+                assert_eq!(r, &mined.result, "{label} diverges");
             }
             println!(
                 "{:<28} {:>8} {:>12.2} {:>10}",
                 label,
-                jobs,
-                run.total_seconds,
-                run.result.total()
+                cluster.metrics().snapshot().jobs,
+                mined.total_seconds,
+                mined.result.total()
             );
-            reference.get_or_insert(run);
-        };
-
-        // YAFIM (the paper's contribution).
-        let cluster = experiment_cluster(ClusterSpec::paper());
-        load_dataset(&cluster, "input.dat", &data.transactions);
-        let run = Yafim::new(
-            Context::new(cluster.clone()),
-            YafimConfig::new(data.support),
-        )
-        .mine("input.dat")
-        .expect("dataset written");
-        report(
-            "YAFIM (Spark, k-phase)",
-            cluster.metrics().snapshot().jobs,
-            run,
-        );
-
-        // MR-Apriori / SPC (the paper's baseline).
-        let cluster = experiment_cluster(ClusterSpec::paper());
-        load_dataset(&cluster, "input.dat", &data.transactions);
-        let run = MrApriori::new(cluster.clone(), MrAprioriConfig::new(data.support))
-            .mine("input.dat")
-            .expect("dataset written");
-        report(
-            "MR-Apriori/SPC (k-phase)",
-            cluster.metrics().snapshot().jobs,
-            run,
-        );
-
-        // SON (one-phase family from related work).
-        let cluster = experiment_cluster(ClusterSpec::paper());
-        load_dataset(&cluster, "input.dat", &data.transactions);
-        let run = Son::new(cluster.clone(), SonConfig::new(data.support))
-            .mine("input.dat")
-            .expect("dataset written");
-        report(
-            "SON (MapReduce, one-phase)",
-            cluster.metrics().snapshot().jobs,
-            run,
-        );
-
-        // PFP (no candidate generation, Spark-style).
-        let cluster = experiment_cluster(ClusterSpec::paper());
-        load_dataset(&cluster, "input.dat", &data.transactions);
-        let run = Pfp::new(Context::new(cluster.clone()), PfpConfig::new(data.support))
-            .mine("input.dat")
-            .expect("dataset written");
-        report(
-            "PFP (Spark, FP-Growth)",
-            cluster.metrics().snapshot().jobs,
-            run,
-        );
+            reference.get_or_insert(mined.result);
+        }
     }
     println!("\n(All miners are asserted to produce identical itemsets.)");
 }

@@ -8,10 +8,9 @@
 //! T10I4D100K which defaults to 0.25 to keep single-host wall time sane —
 //! relative shapes are scale-invariant, see EXPERIMENTS.md.)
 
-use yafim_bench::{
-    assert_same_results, bench_dataset, print_pass_table, run_mr, run_yafim_profiled,
-};
+use yafim_bench::{assert_same_results, bench_dataset, print_pass_table, run};
 use yafim_cluster::{iteration_report, ClusterSpec};
+use yafim_core::{Miner, Phase2Plan};
 use yafim_data::PaperDataset;
 
 /// (dataset, default scale, paper total-speedup target, paper last-pass speedup target)
@@ -32,9 +31,13 @@ fn main() {
     for (ds, default_scale, paper_total, paper_last) in PANELS {
         let scale = scale_override.unwrap_or(default_scale);
         let data = bench_dataset(ds, scale);
-        let (yafim, yafim_cluster) =
-            run_yafim_profiled(ClusterSpec::paper(), &data.transactions, data.support);
-        let mr = run_mr(ClusterSpec::paper(), &data.transactions, data.support);
+        let tx = &data.transactions;
+        let clean = |miner| {
+            run(miner, ClusterSpec::paper(), tx, data.support, None)
+                .expect("a fault-free run over a file just written")
+        };
+        let (yafim, yafim_cluster) = clean(Miner::Spark(Phase2Plan::Paper));
+        let (mr, _) = clean(Miner::MapReduce);
         assert_same_results(data.name, &yafim, &mr);
 
         let title = format!(

@@ -7,8 +7,9 @@
 //! (default base scale 1.0; T10I4D100K defaults to 0.2 so the ×6 point
 //! stays tractable on a single host — shapes are scale-invariant.)
 
-use yafim_bench::{bench_dataset, run_mr, run_yafim};
+use yafim_bench::{bench_dataset, run};
 use yafim_cluster::ClusterSpec;
+use yafim_core::{Miner, Phase2Plan};
 use yafim_data::{replicate, PaperDataset};
 
 const PANELS: [(PaperDataset, f64); 4] = [
@@ -19,6 +20,7 @@ const PANELS: [(PaperDataset, f64); 4] = [
 ];
 
 fn main() {
+    let sizeup = ClusterSpec::paper_sizeup();
     let scale_override: Option<f64> = std::env::args()
         .skip_while(|a| a != "--scale")
         .nth(1)
@@ -39,8 +41,13 @@ fn main() {
         let mut last: Option<(f64, f64)> = None;
         for times in 1..=6usize {
             let enlarged = replicate(&data.transactions, times);
-            let yafim = run_yafim(ClusterSpec::paper_sizeup(), &enlarged, data.support);
-            let mr = run_mr(ClusterSpec::paper_sizeup(), &enlarged, data.support);
+            let clean = |miner| {
+                run(miner, sizeup.clone(), &enlarged, data.support, None)
+                    .expect("a fault-free run over a file just written")
+                    .0
+            };
+            let yafim = clean(Miner::Spark(Phase2Plan::Paper));
+            let mr = clean(Miner::MapReduce);
             assert_eq!(
                 yafim.result.level_sizes(),
                 mr.result.level_sizes(),

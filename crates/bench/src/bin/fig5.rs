@@ -12,8 +12,9 @@
 //!
 //! Usage: `cargo run -p yafim-bench --release --bin fig5 [--scale X] [--replicate N]`
 
-use yafim_bench::{bench_dataset, run_yafim};
+use yafim_bench::{bench_dataset, run};
 use yafim_cluster::ClusterSpec;
+use yafim_core::{Miner, Phase2Plan};
 use yafim_data::{replicate, PaperDataset};
 
 const PANELS: [(PaperDataset, f64); 4] = [
@@ -50,14 +51,16 @@ fn main() {
         for spec in ClusterSpec::paper_speedup_sweep() {
             let cores = spec.total_cores();
             let nodes = spec.nodes;
-            let run = run_yafim(spec, &enlarged, data.support);
-            let baseline = *base.get_or_insert(run.total_seconds);
+            let yafim = Miner::Spark(Phase2Plan::Paper);
+            let (yafim, _) = run(yafim, spec, &enlarged, data.support, None)
+                .expect("a fault-free run over a file just written");
+            let baseline = *base.get_or_insert(yafim.total_seconds);
             println!(
                 "{:>8} {:>8}  {:>12.2}  {:>13.2}x",
                 nodes,
                 cores,
-                run.total_seconds,
-                baseline / run.total_seconds
+                yafim.total_seconds,
+                baseline / yafim.total_seconds
             );
         }
         println!("   (paper: time decreases near-linearly with added nodes; ideal 96/32 = 3x)");

@@ -6,8 +6,9 @@
 //!
 //! Usage: `cargo run -p yafim-bench --release --bin fig6 [--scale X]`
 
-use yafim_bench::{assert_same_results, bench_dataset, print_pass_table, run_mr, run_yafim};
+use yafim_bench::{assert_same_results, bench_dataset, print_pass_table, run};
 use yafim_cluster::ClusterSpec;
+use yafim_core::{Miner, Phase2Plan};
 use yafim_data::PaperDataset;
 
 fn main() {
@@ -18,8 +19,14 @@ fn main() {
         .unwrap_or(1.0);
 
     let data = bench_dataset(PaperDataset::Medical, scale);
-    let yafim = run_yafim(ClusterSpec::paper(), &data.transactions, data.support);
-    let mr = run_mr(ClusterSpec::paper(), &data.transactions, data.support);
+    let tx = &data.transactions;
+    let clean = |miner| {
+        run(miner, ClusterSpec::paper(), tx, data.support, None)
+            .expect("a fault-free run over a file just written")
+            .0
+    };
+    let yafim = clean(Miner::Spark(Phase2Plan::Paper));
+    let mr = clean(Miner::MapReduce);
     assert_same_results("medical", &yafim, &mr);
 
     print_pass_table(

@@ -1,5 +1,6 @@
-//! Throughput benchmark for fused iterator pipelines vs the retained
-//! naive-eager reference evaluator (`ExecMode`).
+//! Parity and materialization check of fused iterator pipelines against the
+//! retained naive-eager reference evaluator (`ExecMode`). Deterministic:
+//! wall clock is measured by `benchmark/`, not here.
 //!
 //! The workload is the shape fusion targets: a clone-heavy
 //! `flatMap → map → filter` chain over `String` records — the narrow
@@ -9,14 +10,12 @@
 //! fused engine streams each record through the whole chain and buffers
 //! nothing until the action.
 //!
-//! Before timing anything, both modes `collect` the same lineage and the
-//! results are compared element-for-element — the bench *fails* on any
-//! divergence, which is what the CI smoke step leans on.
+//! Both modes `collect` the same lineage and the results are compared
+//! element-for-element — the bench *fails* on any divergence, which is what
+//! the CI smoke step leans on.
 //!
 //! Output:
-//! * stdout + `results/pipeline.txt` — human-readable report
-//!   (wall-clock numbers vary run to run; everything else is deterministic);
-//! * `BENCH_pipeline.json` — machine-readable, seeds the perf trajectory;
+//! * stdout + `results/pipeline.txt` — human-readable report;
 //! * a [`RunManifest`] for the regression gate: smoke runs write
 //!   `target/manifests/pipeline.smoke.manifest.json` (compared by CI
 //!   against the committed `results/pipeline.smoke.manifest.json`), full
@@ -25,10 +24,9 @@
 //! Usage: `cargo run -p yafim-bench --release --bin pipeline [--smoke]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
 use yafim_bench::write_manifest;
 use yafim_cluster::json::JsonValue;
-use yafim_cluster::{ClusterSpec, CostModel, RunManifest, SimCluster, MANIFEST_SCHEMA_VERSION};
+use yafim_cluster::{ClusterSpec, CostModel, RunManifest, SimCluster};
 use yafim_rdd::{Context, ExecMode, Rdd, RddConfig};
 
 /// splitmix64 — deterministic synthetic data without a rand crate.
@@ -66,7 +64,7 @@ fn ctx_with(mode: ExecMode) -> Context {
     Context::with_config(cluster, config)
 }
 
-/// The measured chain: flatMap (split into words) → map (clone-heavy
+/// The checked chain: flatMap (split into words) → map (clone-heavy
 /// transform) → filter.
 fn chain(c: &Context, data: &[String], parts: usize) -> Rdd<String> {
     c.parallelize_with_partitions(data.to_vec(), parts)
@@ -81,12 +79,9 @@ fn chain(c: &Context, data: &[String], parts: usize) -> Rdd<String> {
 
 struct ModeRun {
     label: &'static str,
-    /// Median wall-clock seconds for one `count` over the chain.
-    seconds: f64,
     /// Records that flowed through operator inputs during one run
     /// (identical across modes by construction).
     pipeline_records: u64,
-    records_per_sec: f64,
     /// Largest `bytes_materialized` of any single stage.
     peak_stage_bytes: u64,
     total_bytes: u64,
@@ -97,9 +92,7 @@ fn run_mode(
     label: &'static str,
     data: &[String],
     parts: usize,
-    samples: usize,
 ) -> (ModeRun, Vec<String>, Context) {
-    // Accounting + parity pass (fresh context, deterministic).
     let c = ctx_with(mode);
     let collected = chain(&c, data, parts).collect();
     let snap = c.metrics().snapshot();
@@ -113,26 +106,10 @@ fn run_mode(
         .unwrap_or(0);
     let total_bytes = snap.profile.bytes_materialized;
 
-    // Timed pass: fresh context per sample so no cache/shuffle state
-    // carries over; only the action is inside the timer.
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let c = ctx_with(mode);
-            let rdd = chain(&c, data, parts);
-            let t0 = Instant::now();
-            std::hint::black_box(rdd.count());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    let seconds = times[times.len() / 2];
-
     (
         ModeRun {
             label,
-            seconds,
             pipeline_records,
-            records_per_sec: pipeline_records as f64 / seconds,
             peak_stage_bytes,
             total_bytes,
         },
@@ -141,29 +118,16 @@ fn run_mode(
     )
 }
 
-fn fmt_rate(r: f64) -> String {
-    if r >= 1e6 {
-        format!("{:.2} M/s", r / 1e6)
-    } else {
-        format!("{:.1} k/s", r / 1e3)
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (lines, words, samples) = if smoke { (500, 6, 2) } else { (20_000, 8, 5) };
+    let (lines, words) = if smoke { (500, 6) } else { (20_000, 8) };
     let parts = 16;
     let data = synthetic_lines(lines, words, 7);
 
-    let (eager, eager_out, _eager_ctx) = run_mode(
-        ExecMode::Eager,
-        "eager (per-op buffers)",
-        &data,
-        parts,
-        samples,
-    );
+    let (eager, eager_out, _eager_ctx) =
+        run_mode(ExecMode::Eager, "eager (per-op buffers)", &data, parts);
     let (fused, fused_out, fused_ctx) =
-        run_mode(ExecMode::Fused, "fused (pipelined)", &data, parts, samples);
+        run_mode(ExecMode::Fused, "fused (pipelined)", &data, parts);
 
     // The whole point of keeping the eager evaluator: it is the reference.
     assert_eq!(
@@ -180,7 +144,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    let speedup = eager.seconds / fused.seconds;
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -191,30 +154,25 @@ fn main() {
     );
     let _ = writeln!(
         report,
-        "{:<26} {:>10} {:>14} {:>16} {:>16}",
-        "mode", "time", "records/sec", "peak stage mat.", "total mat."
+        "{:<26} {:>16} {:>16}",
+        "mode", "peak stage mat.", "total mat."
     );
     for m in [&eager, &fused] {
         let _ = writeln!(
             report,
-            "{:<26} {:>8.3} s {:>14} {:>14} B {:>14} B",
-            m.label,
-            m.seconds,
-            fmt_rate(m.records_per_sec),
-            m.peak_stage_bytes,
-            m.total_bytes
+            "{:<26} {:>14} B {:>14} B",
+            m.label, m.peak_stage_bytes, m.total_bytes
         );
     }
     let _ = writeln!(
         report,
-        "\nfused speedup: {speedup:.2}x | records through pipeline per run: {} | parity: ok ({} output records)",
+        "\nrecords through pipeline per run: {} | parity: ok ({} output records)",
         fused.pipeline_records,
         fused_out.len()
     );
     print!("{report}");
 
-    // Regression-gate manifest: captured from the fused accounting context
-    // (deterministic: the parity `collect` pass, no wall-clock numbers).
+    // Regression-gate manifest: captured from the fused context.
     let dataset_doc = JsonValue::object(vec![
         ("name", "synthetic-lines".into()),
         ("lines", lines.into()),
@@ -232,7 +190,7 @@ fn main() {
     let mut manifest = RunManifest::capture(
         "pipeline",
         "fused",
-        dataset_doc.clone(),
+        dataset_doc,
         config_doc,
         fused_ctx.cluster(),
     );
@@ -261,29 +219,5 @@ fn main() {
     }
 
     std::fs::write("results/pipeline.txt", &report).expect("write results/pipeline.txt");
-
-    let mode_json = |m: &ModeRun| {
-        JsonValue::object(vec![
-            ("seconds", JsonValue::Number(m.seconds)),
-            ("records_per_sec", JsonValue::Number(m.records_per_sec)),
-            ("peak_stage_bytes_materialized", m.peak_stage_bytes.into()),
-            ("total_bytes_materialized", m.total_bytes.into()),
-        ])
-    };
-    let json = JsonValue::object(vec![
-        ("bench", "pipeline".into()),
-        ("schema_version", MANIFEST_SCHEMA_VERSION.into()),
-        ("dataset", dataset_doc),
-        ("config_fingerprint", manifest.fingerprint.as_str().into()),
-        ("chain", "flatMap -> map -> filter".into()),
-        ("source_records", data.len().into()),
-        ("pipeline_records", fused.pipeline_records.into()),
-        ("output_records", fused_out.len().into()),
-        ("eager", mode_json(&eager)),
-        ("fused", mode_json(&fused)),
-        ("fused_speedup", JsonValue::Number(speedup)),
-        ("parity", "ok".into()),
-    ]);
-    std::fs::write("BENCH_pipeline.json", format!("{json}\n")).expect("write BENCH_pipeline.json");
-    println!("wrote results/pipeline.txt, {manifest_path} and BENCH_pipeline.json");
+    println!("wrote results/pipeline.txt and {manifest_path}");
 }

@@ -9,11 +9,10 @@
 //!
 //! `--trace` writes the run's Chrome trace (Perfetto / chrome://tracing).
 
-use yafim_bench::{bench_dataset, experiment_cluster, load_dataset};
+use yafim_bench::bench_dataset;
 use yafim_cluster::{chrome_trace, full_report, ClusterSpec};
-use yafim_core::{Yafim, YafimConfig};
+use yafim_core::{Miner, Phase2Plan};
 use yafim_data::PaperDataset;
-use yafim_rdd::Context;
 
 fn arg(name: &str) -> Option<String> {
     std::env::args().skip_while(|a| a != name).nth(1)
@@ -34,14 +33,10 @@ fn main() {
     let scale: f64 = arg("--scale").and_then(|s| s.parse().ok()).unwrap_or(0.25);
 
     let data = bench_dataset(dataset, scale);
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
-    let run = Yafim::new(
-        Context::new(cluster.clone()),
-        YafimConfig::new(data.support),
-    )
-    .mine("input.dat")
-    .expect("dataset written");
+    let yafim = Miner::Spark(Phase2Plan::Paper);
+    let spec = ClusterSpec::paper();
+    let (run, cluster) = yafim_bench::run(yafim, spec, &data.transactions, data.support, None)
+        .expect("a fault-free run over a file just written");
 
     println!(
         "YAFIM on {} (scale {scale}): {} itemsets in {:.2} virtual s\n",

@@ -3,14 +3,13 @@
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
 //! (see `DESIGN.md` §4 and `EXPERIMENTS.md`); this library holds the common
 //! plumbing: building clusters, loading datasets onto simulated HDFS,
-//! running both miners, and printing aligned series.
+//! running a miner, and printing aligned series.
 
 pub mod microbench;
 
-use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
-use yafim_core::{MinerRun, MrApriori, MrAprioriConfig, Support, Yafim, YafimConfig};
+use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, SimCluster};
+use yafim_core::{MineError, Miner, MinerRun, Support};
 use yafim_data::{to_lines, PaperDataset, Transaction};
-use yafim_rdd::Context;
 
 /// Build the paper's cluster (or a resized one) with experiment settings.
 ///
@@ -29,44 +28,23 @@ pub fn load_dataset(cluster: &SimCluster, name: &str, transactions: &[Transactio
     cluster.hdfs().put_overwrite(name, to_lines(transactions));
 }
 
-/// Run YAFIM on a fresh paper-shaped cluster over `transactions`.
-pub fn run_yafim(spec: ClusterSpec, transactions: &[Transaction], support: Support) -> MinerRun {
-    run_yafim_profiled(spec, transactions, support).0
-}
-
-/// Like [`run_yafim`], but also hand back the cluster so callers can read
-/// its metrics (span log, per-stage report, Chrome trace) after the run.
-pub fn run_yafim_profiled(
+/// Run `miner` over `transactions` on a fresh cluster of shape `spec`,
+/// under `plan` if there is one, and hand back the cluster with the run so
+/// callers can read its metrics (span log, per-stage report, manifest).
+pub fn run(
+    miner: Miner,
     spec: ClusterSpec,
     transactions: &[Transaction],
     support: Support,
-) -> (MinerRun, SimCluster) {
+    plan: Option<FaultPlan>,
+) -> Result<(MinerRun, SimCluster), MineError> {
     let cluster = experiment_cluster(spec);
     load_dataset(&cluster, "input.dat", transactions);
-    let ctx = Context::new(cluster.clone());
-    let run = Yafim::new(ctx, YafimConfig::new(support))
-        .mine("input.dat")
-        .expect("input.dat was just written");
-    (run, cluster)
-}
-
-/// Run MR-Apriori (SPC) on a fresh paper-shaped cluster.
-pub fn run_mr(spec: ClusterSpec, transactions: &[Transaction], support: Support) -> MinerRun {
-    run_mr_profiled(spec, transactions, support).0
-}
-
-/// Like [`run_mr`], but also hand back the cluster for metrics inspection.
-pub fn run_mr_profiled(
-    spec: ClusterSpec,
-    transactions: &[Transaction],
-    support: Support,
-) -> (MinerRun, SimCluster) {
-    let cluster = experiment_cluster(spec);
-    load_dataset(&cluster, "input.dat", transactions);
-    let run = MrApriori::new(cluster.clone(), MrAprioriConfig::new(support))
-        .mine("input.dat")
-        .expect("input.dat was just written");
-    (run, cluster)
+    if let Some(plan) = plan {
+        cluster.faults().set_plan(plan);
+    }
+    let run = miner.mine(&cluster, "input.dat", support)?;
+    Ok((run, cluster))
 }
 
 /// Generated dataset with its paper metadata, shared by the binaries.
@@ -90,14 +68,6 @@ pub fn bench_dataset(dataset: PaperDataset, scale: f64) -> BenchDataset {
         support: Support::Fraction(profile.support),
         transactions: dataset.generate_scaled(scale),
     }
-}
-
-/// The four Table I benchmarks at `scale`.
-pub fn all_benchmarks(scale: f64) -> Vec<BenchDataset> {
-    PaperDataset::benchmarks()
-        .into_iter()
-        .map(|d| bench_dataset(d, scale))
-        .collect()
 }
 
 /// Print a per-pass comparison of two runs as an aligned text table

@@ -3,6 +3,8 @@
 use super::counters::RecoveryCounters;
 use super::plan::{FaultPlan, IntegrityTier, TransientKind, TransientOutcome};
 use crate::hash::{FxHashMap, FxHashSet};
+use crate::hdfs::DfsError;
+use crate::memgov::MemoryRefusal;
 use crate::sched::{DetailedSchedule, ScheduleOutcome, TaskPlacement, TaskSpec, VirtualScheduler};
 use crate::spec::NodeId;
 use crate::sync::Mutex;
@@ -51,6 +53,94 @@ impl std::fmt::Display for FaultError {
 }
 
 impl std::error::Error for FaultError {}
+
+/// Why an engine's job could not complete. Both engines (`yafim-rdd`,
+/// `yafim-mapreduce`) return this one type, so a cause reads the same
+/// whichever engine met it.
+#[derive(Clone, Debug)]
+pub enum ExecError {
+    /// The job's input is missing from simulated HDFS.
+    Dfs(DfsError),
+    /// A stage aborted: some task exhausted its retry budget or no healthy
+    /// node was left to run it.
+    StageAborted {
+        /// Label of the stage that aborted (a MapReduce wave is
+        /// `"<job>: map"` or `"<job>: reduce"`).
+        stage: String,
+        /// The underlying scheduler failure.
+        source: FaultError,
+    },
+    /// A corrupted block could not be repaired: every replica is poisoned
+    /// and there is no lineage (truncated, or MapReduce input) to recompute
+    /// a clean copy from. The engine refuses to return possibly-wrong
+    /// results.
+    IntegrityFailure {
+        /// What was corrupted and why it is unrepairable.
+        detail: String,
+    },
+    /// A task exhausted its OOM retry ladder: even the whole-node memory
+    /// slice (each retry doubles the grant, modelling reduced concurrency)
+    /// could not satisfy an acquisition. The job is killed rather than
+    /// returning a partial result.
+    OutOfMemory {
+        /// Label of the stage whose task died.
+        stage: String,
+        /// Partition whose task exhausted its retries.
+        partition: usize,
+        /// Acquisition site that overflowed (see [`crate::memgov::site`]).
+        site: u64,
+        /// Bytes the failing acquisition asked for.
+        bytes: u64,
+        /// Attempts consumed (first run plus retries).
+        attempts: u32,
+    },
+    /// Driver-side admission control refused the job before running it:
+    /// its smallest viable per-task footprint cannot fit the execution
+    /// budget even with full borrowing from storage.
+    MemoryRefused {
+        /// Required vs available bytes per task.
+        refusal: MemoryRefusal,
+    },
+}
+
+impl std::fmt::Display for ExecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExecError::Dfs(e) => write!(f, "{e}"),
+            ExecError::StageAborted { stage, source } => {
+                write!(f, "stage `{stage}` aborted: {source}")
+            }
+            ExecError::IntegrityFailure { detail } => {
+                write!(f, "data integrity failure: {detail}")
+            }
+            ExecError::OutOfMemory {
+                stage,
+                partition,
+                site,
+                bytes,
+                attempts,
+            } => write!(
+                f,
+                "stage `{stage}` out of memory: partition {partition} could not \
+                 acquire {bytes} bytes for its {} after {attempts} attempts",
+                crate::memgov::site::name(*site)
+            ),
+            ExecError::MemoryRefused { refusal } => write!(f, "{refusal}"),
+        }
+    }
+}
+
+impl std::error::Error for ExecError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ExecError::Dfs(e) => Some(e),
+            ExecError::StageAborted { source, .. } => Some(source),
+            ExecError::IntegrityFailure { .. }
+            | ExecError::OutOfMemory { .. }
+            | ExecError::MemoryRefused { .. } => None,
+        }
+    }
+}
 
 /// A fault-aware schedule: the winning placement per task plus what it took
 /// to get there.

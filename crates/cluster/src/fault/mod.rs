@@ -48,7 +48,7 @@ mod controller;
 mod counters;
 mod plan;
 
-pub use controller::{FaultController, FaultError, FaultySchedule};
+pub use controller::{ExecError, FaultController, FaultError, FaultySchedule};
 pub(crate) use counters::counter_table;
 pub use counters::{CounterField, IntegrityCounters, MemoryCounters, Merge, RecoveryCounters};
 pub use plan::{FaultPlan, IntegrityTier, TransientKind, TransientOutcome};

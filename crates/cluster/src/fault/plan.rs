@@ -568,17 +568,6 @@ impl FaultPlan {
         roll < prob
     }
 
-    /// True when the plan can actually disturb a run.
-    pub fn has_faults(&self) -> bool {
-        self.task_crash_prob > 0.0
-            || !self.node_losses.is_empty()
-            || self.slow_nodes.iter().any(|(_, f)| *f > 1.0)
-            || self.fetch_failure_prob > 0.0
-            || self.hdfs_failure_prob > 0.0
-            || self.integrity_active()
-            || self.memory_active()
-    }
-
     /// The virtual instant at which the driver *detects* a death at `death`:
     /// the heartbeat timeout past the victim's last beat, never earlier than
     /// the death itself. With a zero timeout this is `death` exactly.
@@ -738,7 +727,7 @@ mod tests {
         // A plan without the override round-trips the `null` too.
         let bare = FaultPlan::seeded(1).inject_oom(0.5);
         assert_eq!(FaultPlan::from_json(&bare.to_json()), Ok(bare.clone()));
-        assert!(bare.memory_active() && bare.has_faults());
+        assert!(bare.memory_active());
         assert!(!FaultPlan::seeded(1).memory_active());
     }
 
@@ -938,6 +927,6 @@ mod tests {
         assert!(targeted.corruption_roll(IntegrityTier::Hdfs, 7, 2, 0));
         assert!(targeted.corruption_roll(IntegrityTier::Hdfs, 7, 2, 5));
         assert!(!targeted.corruption_roll(IntegrityTier::Hdfs, 7, 3, 0));
-        assert!(targeted.integrity_active() && targeted.has_faults());
+        assert!(targeted.integrity_active());
     }
 }

@@ -50,13 +50,6 @@ pub struct BlockInfo {
     pub replicas: Vec<NodeId>,
 }
 
-impl BlockInfo {
-    /// Whether `node` holds a replica of this block.
-    pub fn is_local(&self, node: NodeId) -> bool {
-        self.replicas.contains(&node)
-    }
-}
-
 /// One input split handed to a task: a range of lines plus the node the
 /// scheduler should prefer (a replica holder).
 #[derive(Clone, Debug)]

@@ -37,16 +37,6 @@ use crate::sync::{Condvar, Mutex};
 use crate::time::SimDuration;
 use std::sync::Arc;
 
-/// Default dynamic-allocation ramp interval (seconds of virtual time per
-/// doubling). Zero disables dynamic allocation: jobs hold their full grant
-/// from the first stage.
-pub const DEFAULT_RAMP_INTERVAL: f64 = 0.0;
-
-/// Default straggler threshold for skew-aware partitioning, as a multiple
-/// of the stage's median estimated partition duration. Zero disables
-/// splitting.
-pub const DEFAULT_SKEW_THRESHOLD: f64 = 0.0;
-
 /// Default share of a node's memory given to the storage (cache) region —
 /// the `* 6 / 10` the cache manager has always used.
 pub const DEFAULT_STORAGE_FRACTION: f64 = 0.6;
@@ -54,28 +44,13 @@ pub const DEFAULT_STORAGE_FRACTION: f64 = 0.6;
 /// Tunable scheduler behavior, attached to a `SimCluster`.
 ///
 /// The default configuration reproduces the pre-multi-job scheduler
-/// bit-for-bit: default locality wait, no dynamic allocation, no skew
-/// splitting, full-cluster grant.
+/// bit-for-bit: default locality wait, the historical cache split.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SchedulerConfig {
     /// Delay-scheduling wait in virtual seconds (`spark.locality.wait`).
     /// `0` disables locality preference entirely; a very large value pins
     /// tasks strictly to their preferred node.
     pub locality_wait: f64,
-    /// Virtual seconds between executor-count doublings when a job ramps
-    /// up from `initial_executors`. `0` disables dynamic allocation.
-    pub ramp_interval: f64,
-    /// Executors (nodes) a ramping job starts with.
-    pub initial_executors: u32,
-    /// Idle gap (virtual seconds between consecutive stages) after which a
-    /// ramped-up job releases its executors back to `initial_executors`.
-    /// `0` means never release.
-    pub executor_idle_timeout: f64,
-    /// Split a partition whose estimated duration exceeds this multiple of
-    /// the stage's median estimate. `0` disables skew-aware splitting.
-    pub skew_threshold: f64,
-    /// Upper bound on the pieces one straggler partition splits into.
-    pub max_skew_splits: u32,
     /// Fraction of each node's memory given to the storage (cache) region;
     /// the rest is execution memory (`spark.memory.storageFraction`). Must
     /// lie in `(0, 1]`. The 0.6 default reproduces the historical
@@ -87,11 +62,6 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             locality_wait: crate::sched::DEFAULT_LOCALITY_WAIT,
-            ramp_interval: DEFAULT_RAMP_INTERVAL,
-            initial_executors: 1,
-            executor_idle_timeout: 0.0,
-            skew_threshold: DEFAULT_SKEW_THRESHOLD,
-            max_skew_splits: 4,
             storage_fraction: DEFAULT_STORAGE_FRACTION,
         }
     }
@@ -513,8 +483,6 @@ mod tests {
     fn default_config_is_the_legacy_scheduler() {
         let c = SchedulerConfig::default();
         assert_eq!(c.locality_wait, crate::sched::DEFAULT_LOCALITY_WAIT);
-        assert_eq!(c.ramp_interval, 0.0, "dynamic allocation off by default");
-        assert_eq!(c.skew_threshold, 0.0, "skew splitting off by default");
         assert_eq!(c.storage_fraction, 0.6, "legacy 60% cache split");
     }
 

@@ -68,8 +68,8 @@ pub use bytes::{slice_bytes, ByteSize};
 pub use costmodel::CostModel;
 pub use critical::{critical_path, CriticalPathBuckets, CriticalPathReport, StageSkew};
 pub use fault::{
-    FaultController, FaultError, FaultPlan, FaultySchedule, IntegrityCounters, IntegrityTier,
-    MemoryCounters, RecoveryCounters, TransientKind, TransientOutcome,
+    ExecError, FaultController, FaultError, FaultPlan, FaultySchedule, IntegrityCounters,
+    IntegrityTier, MemoryCounters, RecoveryCounters, TransientKind, TransientOutcome,
 };
 pub use hash::{bucket_of, fx_hash64, FxHashMap, FxHashSet, FxHasher};
 pub use hdfs::{BlockInfo, CheckpointBlock, DfsError, DfsFile, SimHdfs, Split};
@@ -123,6 +123,7 @@ struct ClusterInner {
 }
 
 /// Mutable multi-job scheduler state for one cluster (= one job's view).
+#[derive(Default)]
 struct SchedState {
     config: SchedulerConfig,
     /// Ticket binding this cluster to a job in a shared [`JobQueue`].
@@ -132,32 +133,6 @@ struct SchedState {
     /// FIFO queue time not yet charged to a stage (charged once, on the
     /// first stage admitted after binding).
     queue_pending: SimDuration,
-    /// When the dynamic-allocation ramp last (re)started.
-    ramp_start: SimInstant,
-    /// End of the most recently recorded stage (virtual time).
-    last_stage_end: SimInstant,
-    /// Whether any stage has been admitted yet.
-    ran_stage: bool,
-    /// Executors (nodes) currently held under dynamic allocation.
-    executors_now: usize,
-    /// Per-task durations of the previous stage in each label family —
-    /// the "prior pass" estimates skew-aware splitting decides from.
-    skew_history: std::collections::HashMap<(String, usize), Vec<f64>>,
-}
-
-impl SchedState {
-    fn new() -> Self {
-        SchedState {
-            config: SchedulerConfig::default(),
-            binding: None,
-            queue_pending: SimDuration::ZERO,
-            ramp_start: SimInstant::EPOCH,
-            last_stage_end: SimInstant::EPOCH,
-            ran_stage: false,
-            executors_now: 0,
-            skew_history: std::collections::HashMap::new(),
-        }
-    }
 }
 
 impl SimCluster {
@@ -185,7 +160,7 @@ impl SimCluster {
                 registry: MetricsRegistry::new(),
                 pool: ThreadPool::new(threads.max(1)),
                 faults: FaultController::new(),
-                sched: sync::Mutex::new(SchedState::new()),
+                sched: sync::Mutex::new(SchedState::default()),
             }),
         }
     }
@@ -246,25 +221,8 @@ impl SimCluster {
         MemoryBudget::from_plan(&self.inner.spec, fraction, &self.inner.cost, &plan)
     }
 
-    /// Convenience: a fresh [`VirtualScheduler`] for this cluster's current
-    /// view of the topology — the bound job's executor grant (full cluster
-    /// when unbound) and the configured locality wait.
-    pub fn scheduler(&self) -> VirtualScheduler {
-        let st = self.inner.sched.lock();
-        let (lo, count) = match &st.binding {
-            Some(t) => t.grant(),
-            None => (0, self.inner.spec.nodes as usize),
-        };
-        VirtualScheduler::with_slice(
-            self.inner.spec.clone(),
-            SimDuration::from_secs(st.config.locality_wait),
-            lo,
-            count,
-        )
-    }
-
-    /// Replace the scheduler configuration (locality wait, dynamic
-    /// allocation, skew splitting). Takes effect on the next admission.
+    /// Replace the scheduler configuration (locality wait, storage
+    /// fraction). Takes effect on the next admission.
     pub fn set_scheduler_config(&self, config: SchedulerConfig) {
         self.inner.sched.lock().config = config;
     }
@@ -291,17 +249,16 @@ impl SimCluster {
             .set_shared_blacklist(ticket.queue().shared_blacklist().clone(), ticket.id());
     }
 
-    /// Acquire a job slot in `pool` for engine `name`. The returned guard
+    /// Acquire a job slot in `pool`. The returned guard
     /// attributes the job to per-pool counters and, if the cluster is bound
     /// to a [`JobQueue`] ticket, reports completion (at the final virtual
     /// time) when dropped — including on panic, so FIFO successors and the
     /// shared blacklist never wedge on a failed job. A bound cluster hosts
     /// one logical job; only the first completion report counts.
-    pub fn acquire_job(&self, pool: &str, name: &str) -> JobGuard {
+    pub fn acquire_job(&self, pool: &str) -> JobGuard {
         let r = &self.inner.registry;
         r.counter("sched.jobs_submitted").inc(1);
         r.counter(&format!("sched.pool.{pool}.jobs")).inc(1);
-        let _ = name;
         JobGuard {
             cluster: self.clone(),
         }
@@ -309,120 +266,37 @@ impl SimCluster {
 
     /// Admit one stage: returns the queue time to charge to it (non-zero
     /// only on a FIFO job's first stage) and the scheduler to place it
-    /// with — restricted to the job's grant and, under dynamic allocation,
-    /// to the currently ramped executor count.
+    /// with, restricted to the job's grant (the `sched.executors_granted`
+    /// gauge).
     pub fn stage_admission(&self) -> (SimDuration, VirtualScheduler) {
         let mut st = self.inner.sched.lock();
-        let now = self.inner.metrics.now();
-        let (lo, full) = match &st.binding {
+        let (lo, count) = match &st.binding {
             Some(t) => t.grant(),
             None => (0, self.inner.spec.nodes as usize),
         };
         let wait = SimDuration::from_secs(st.config.locality_wait);
         let queue = std::mem::replace(&mut st.queue_pending, SimDuration::ZERO);
-        let count = if st.config.ramp_interval > 0.0 {
-            if !st.ran_stage {
-                st.ramp_start = now;
-            } else if st.config.executor_idle_timeout > 0.0
-                && now.since(st.last_stage_end).as_secs() > st.config.executor_idle_timeout
-                && st.executors_now > (st.config.initial_executors.max(1) as usize).min(full)
-            {
-                // The job went idle long enough to release its ramped
-                // executors; start growing again from the initial count.
-                st.ramp_start = now;
-                self.inner.registry.counter("sched.idle_releases").inc(1);
-            }
-            let steps = (now.since(st.ramp_start).as_secs() / st.config.ramp_interval) as u32;
-            let mut active = (st.config.initial_executors.max(1) as usize).min(full);
-            for _ in 0..steps {
-                if active >= full {
-                    break;
-                }
-                active = (active * 2).min(full);
-            }
-            if st.ran_stage && active > st.executors_now {
-                self.inner.registry.counter("sched.ramp_ups").inc(1);
-            }
-            st.executors_now = active;
-            active
-        } else {
-            st.executors_now = full;
-            full
-        };
+        let granted = self.inner.registry.gauge("sched.executors_granted");
+        granted.set(count as f64);
         (
             queue,
             VirtualScheduler::with_slice(self.inner.spec.clone(), wait, lo, count),
         )
     }
 
-    /// Decide skew-aware splits for a stage about to be scheduled. The
-    /// *previous* stage in the same label family (same shape: equal task
-    /// count) supplies per-task duration estimates; any task whose estimate
-    /// exceeds `skew_threshold × median(estimates)` is split into
-    /// `min(ceil(estimate / median), max_skew_splits)` equal pieces for
-    /// placement, so a straggler partition occupies several cores instead
-    /// of setting the stage makespan alone. Returns one split count per
-    /// task (`1` = unsplit). Always records the current durations as the
-    /// next pass's estimates; with `skew_threshold == 0` (the default) the
-    /// feature is off and every count is 1.
-    pub fn plan_skew_splits(&self, family: &str, durations: &[SimDuration]) -> Vec<usize> {
-        let mut st = self.inner.sched.lock();
-        let threshold = st.config.skew_threshold;
-        let max_splits = st.config.max_skew_splits.max(2) as usize;
-        let prior = st.skew_history.insert(
-            (family.to_string(), durations.len()),
-            durations.iter().map(|d| d.as_secs()).collect(),
-        );
-        let unsplit = vec![1usize; durations.len()];
-        if threshold <= 0.0 || durations.len() < 2 {
-            return unsplit;
-        }
-        let Some(est) = prior else { return unsplit };
-        let mut sorted = est.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = sorted[sorted.len() / 2];
-        if median <= 0.0 {
-            return unsplit;
-        }
-        est.iter()
-            .map(|&e| {
-                if e > threshold * median {
-                    ((e / median).ceil() as usize).clamp(2, max_splits)
-                } else {
-                    1
-                }
-            })
-            .collect()
-    }
-
     /// Record one admitted stage's scheduler-side observability: its queue
-    /// wait, the placement decision units spent, shared-blacklist hits and
-    /// skew splits. Also touches every `sched.*` metric so manifests carry
-    /// a stable name set whether or not the features fired.
-    pub fn record_sched_stage(
-        &self,
-        queue: SimDuration,
-        decision_units: u64,
-        shared_hits: u64,
-        skew_splits: u64,
-    ) {
+    /// wait, the placement decision units spent and shared-blacklist hits.
+    /// Also touches every `sched.*` metric so manifests carry a stable name
+    /// set whether or not the features fired.
+    pub fn record_sched_stage(&self, queue: SimDuration, decision_units: u64, shared_hits: u64) {
         let r = &self.inner.registry;
         r.counter("sched.stages_admitted").inc(1);
         r.counter("sched.decision_units").inc(decision_units);
         r.counter("sched.blacklist_shared_hits").inc(shared_hits);
-        r.counter("sched.skew_splits").inc(skew_splits);
-        r.counter("sched.ramp_ups").inc(0);
-        r.counter("sched.idle_releases").inc(0);
         r.counter("sched.jobs_submitted").inc(0);
         r.counter("sched.jobs_completed").inc(0);
         r.histogram("sched.queue_wait_seconds")
             .observe(queue.as_secs());
-        let mut st = self.inner.sched.lock();
-        st.ran_stage = true;
-        st.last_stage_end = self.inner.metrics.now();
-        let execs = st.executors_now;
-        drop(st);
-        r.gauge("sched.executors_granted").set(execs as f64);
     }
 }
 
@@ -472,74 +346,13 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_allocation_ramps_executors_up_over_virtual_time() {
-        let c = SimCluster::paper_cluster();
-        c.set_scheduler_config(SchedulerConfig {
-            ramp_interval: 1.0,
-            initial_executors: 1,
-            ..SchedulerConfig::default()
-        });
-        let (_, s0) = c.stage_admission();
-        assert_eq!(s0.node_slice().1, 1, "ramp starts from initial_executors");
-        c.record_sched_stage(SimDuration::ZERO, 0, 0, 0);
-        c.metrics().advance(SimDuration::from_secs(2.5));
-        let (_, s1) = c.stage_admission();
-        // Two full ramp intervals elapsed: 1 → 2 → 4 executors.
-        assert_eq!(s1.node_slice().1, 4);
-        c.record_sched_stage(SimDuration::ZERO, 0, 0, 0);
-        assert!(c.registry().counter("sched.ramp_ups").get() >= 1);
-        c.metrics().advance(SimDuration::from_secs(60.0));
-        c.set_scheduler_config(SchedulerConfig {
-            ramp_interval: 1.0,
-            initial_executors: 1,
-            executor_idle_timeout: 10.0,
-            ..SchedulerConfig::default()
-        });
-        let (_, s2) = c.stage_admission();
-        // Idle past the timeout: ramped executors released, growth restarts.
-        assert_eq!(s2.node_slice().1, 1);
-        assert_eq!(c.registry().counter("sched.idle_releases").get(), 1);
-    }
-
-    #[test]
-    fn skew_splits_come_from_prior_pass_estimates() {
-        let c = SimCluster::paper_cluster();
-        c.set_scheduler_config(SchedulerConfig {
-            skew_threshold: 2.0,
-            max_skew_splits: 4,
-            ..SchedulerConfig::default()
-        });
-        let durs: Vec<SimDuration> = [1.0, 1.0, 1.0, 10.0]
-            .iter()
-            .map(|&s| SimDuration::from_secs(s))
-            .collect();
-        // First pass: no history yet, nothing splits.
-        assert_eq!(c.plan_skew_splits("pass", &durs), vec![1, 1, 1, 1]);
-        // Second pass: the 10s straggler is 10× the 1s median → capped split.
-        assert_eq!(c.plan_skew_splits("pass", &durs), vec![1, 1, 1, 4]);
-        // A different family (or shape) has its own history.
-        assert_eq!(c.plan_skew_splits("other", &durs), vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn default_config_never_splits() {
-        let c = SimCluster::paper_cluster();
-        let durs: Vec<SimDuration> = [1.0, 100.0]
-            .iter()
-            .map(|&s| SimDuration::from_secs(s))
-            .collect();
-        assert_eq!(c.plan_skew_splits("f", &durs), vec![1, 1]);
-        assert_eq!(c.plan_skew_splits("f", &durs), vec![1, 1]);
-    }
-
-    #[test]
     fn job_guard_reports_completion_once() {
         let c = SimCluster::paper_cluster();
         let q = JobQueue::new(c.spec().nodes);
         let t = q.submit("default", "job");
         c.attach_job(&t);
         {
-            let _g = c.acquire_job("default", "yafim");
+            let _g = c.acquire_job("default");
         }
         assert_eq!(q.jobs_completed(), 1);
         assert_eq!(c.registry().counter("sched.jobs_submitted").get(), 1);

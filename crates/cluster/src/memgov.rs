@@ -380,11 +380,6 @@ impl TaskMemory {
         (MemGrant::Granted, fx)
     }
 
-    /// Return `bytes` to the pool (a structure was dropped mid-task).
-    pub fn release(&self, bytes: u64) {
-        self.acquired.set(self.acquired.get().saturating_sub(bytes));
-    }
-
     /// The abort mark, if any reservation exhausted its retry ladder.
     pub fn abort(&self) -> Option<OomAbort> {
         self.abort.get()
@@ -507,9 +502,6 @@ mod tests {
         assert_eq!(fx.stall_micros, 0, "no borrowing, no stall");
         let (_, fx2) = tm.try_reserve(200, site::BITMAP_ARENA, false);
         assert_eq!(fx2.mem.peak_execution_bytes, 300, "peak is cumulative");
-        tm.release(200);
-        let (_, fx3) = tm.try_reserve(50, site::CANDIDATE_STORE, false);
-        assert_eq!(fx3.mem.peak_execution_bytes, 150, "release frees bytes");
         assert!(tm.abort().is_none());
     }
 

@@ -536,26 +536,6 @@ impl Metrics {
         self.inner.lock().recovery.merge(counters);
     }
 
-    /// Count a finished job (legacy path for engines not using
-    /// [`Metrics::begin_job`]).
-    pub fn count_job(&self) {
-        self.inner.lock().jobs += 1;
-    }
-
-    /// Count a finished stage (legacy path for engines not using
-    /// [`Metrics::record_stage`]).
-    pub fn count_stage(&self) {
-        self.inner.lock().stages += 1;
-    }
-
-    /// Count `n` finished tasks and merge their work counters.
-    pub fn count_tasks(&self, n: u64, work: &WorkCounters) {
-        let mut g = self.inner.lock();
-        g.tasks += n;
-        g.work.merge(work);
-        g.profile.work.merge(work);
-    }
-
     /// Copy of the aggregate counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let g = self.inner.lock();
@@ -704,18 +684,6 @@ mod tests {
         m.record_span(EventKind::Job, "job", start);
         let ev = m.events();
         assert_eq!(ev[0].duration.as_secs(), 1.0);
-    }
-
-    #[test]
-    fn task_counters_merge() {
-        let m = Metrics::new();
-        let mut w = WorkCounters::new();
-        w.add_records_in(5);
-        m.count_tasks(3, &w);
-        m.count_tasks(2, &w);
-        let snap = m.snapshot();
-        assert_eq!(snap.tasks, 5);
-        assert_eq!(snap.work.records_in, 10);
     }
 
     #[test]
@@ -924,7 +892,7 @@ mod tests {
             tasks: 7,
         });
         m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Job, "j");
-        m.count_job();
+        m.end_job(m.begin_job("j"));
         m.reset();
         assert_eq!(m.now(), SimInstant::EPOCH);
         assert!(m.events().is_empty());

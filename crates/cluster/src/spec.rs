@@ -69,11 +69,6 @@ impl ClusterSpec {
         self.nodes * self.cores_per_node
     }
 
-    /// Total cache memory in the cluster.
-    pub fn total_memory(&self) -> u64 {
-        self.nodes as u64 * self.memory_per_node
-    }
-
     /// Deterministic home node for a partition/block index (round-robin).
     ///
     /// Engines use this for data placement so that "local" reads are
@@ -102,7 +97,6 @@ mod tests {
     fn paper_spec() {
         let s = ClusterSpec::paper();
         assert_eq!(s.total_cores(), 96);
-        assert_eq!(s.total_memory(), 12 * 24 * GIB);
     }
 
     #[test]

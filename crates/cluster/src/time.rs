@@ -29,19 +29,9 @@ impl SimDuration {
         Self::from_secs(ms / 1e3)
     }
 
-    /// Construct from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us / 1e6)
-    }
-
     /// Seconds as `f64`.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Milliseconds as `f64`.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// The larger of two durations.
@@ -248,10 +238,5 @@ mod tests {
     fn display_formats() {
         assert_eq!(SimDuration::from_secs(2.5).to_string(), "2.50s");
         assert_eq!(SimDuration::from_millis(12.0).to_string(), "12.0ms");
-    }
-
-    #[test]
-    fn micros_constructor() {
-        assert!((SimDuration::from_micros(1500.0).as_millis() - 1.5).abs() < 1e-12);
     }
 }

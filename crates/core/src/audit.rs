@@ -16,7 +16,7 @@
 //!
 //! A violation means the engine was about to return wrong results, so the
 //! caller escalates (the YAFIM driver refuses the run with
-//! [`MineError::Audit`](crate::yafim::MineError::Audit) rather than
+//! [`MineError::Audit`](crate::miner::MineError::Audit) rather than
 //! returning a poisoned [`crate::types::MiningResult`]).
 
 use crate::types::{Itemset, Support};

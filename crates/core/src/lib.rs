@@ -18,10 +18,12 @@
 //!   the paper (its refs 3 and 9).
 //! * [`rules`] — association-rule generation on top of a mining result
 //!   (used by the medical application example).
+//! * [`miner`] — [`Miner`], the closed list of all of the above behind one
+//!   `mine`, and [`MineError`], the one way any of them refuses a run.
 //!
 //! All miners return a [`MiningResult`]; on the same input and support they
 //! return *identical* results (the paper's correctness check), which the
-//! test suite enforces across every generator family.
+//! test suite enforces over [`Miner::ALL`] across every generator family.
 
 pub mod audit;
 pub mod bitmap;
@@ -30,6 +32,7 @@ pub mod eclat;
 pub mod encode;
 pub mod fpgrowth;
 pub mod hashtree;
+pub mod miner;
 pub mod mrapriori;
 pub mod pfp;
 pub mod rules;
@@ -47,6 +50,7 @@ pub use eclat::eclat;
 pub use encode::{DenseEncoder, TrimMask};
 pub use fpgrowth::fp_growth;
 pub use hashtree::{HashTree, MatchScratch};
+pub use miner::{MineError, Miner};
 pub use mrapriori::{MrApriori, MrAprioriConfig, MrMatching, MrVariant};
 pub use pfp::{Pfp, PfpConfig};
 pub use rules::{generate_rules, Rule, RuleConfig};
@@ -55,4 +59,4 @@ pub use son::{Son, SonConfig};
 pub use summarize::{closed_itemsets, maximal_itemsets};
 pub use trie::CandidateTrie;
 pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support};
-pub use yafim::{mine_in_memory, MineError, Phase2Plan, Yafim, YafimConfig};
+pub use yafim::{mine_in_memory, Phase2Plan, Yafim, YafimConfig};

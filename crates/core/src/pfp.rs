@@ -22,11 +22,12 @@
 //! oracle in the cross-miner test suite.
 
 use crate::fpgrowth::fp_growth;
+use crate::miner::MineError;
 use crate::types::{
     parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
     JVM_TREE_VISIT_UNITS,
 };
-use yafim_cluster::{DfsError, EventKind, FxHashMap};
+use yafim_cluster::{EventKind, FxHashMap};
 use yafim_rdd::{Context, Rdd};
 
 /// Options for a PFP run.
@@ -65,10 +66,9 @@ impl Pfp {
     }
 
     /// Mine the text dataset at `input` on simulated HDFS.
-    pub fn mine(&self, input: &str) -> Result<MinerRun, DfsError> {
+    pub fn mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let ctx = &self.ctx;
-        let _job = ctx.cluster().acquire_job("default", "pfp");
-        let metrics = ctx.metrics().clone();
+        let _job = ctx.cluster().acquire_job("default");
         let partitions = if self.config.min_partitions == 0 {
             ctx.config().default_parallelism
         } else {
@@ -77,20 +77,34 @@ impl Pfp {
         let file = ctx.cluster().hdfs().get(input)?;
         let min_sup = self.config.min_support.resolve(file.num_lines() as u64);
 
-        let run_start = metrics.now();
-
-        // ---- step 1: frequent items and ranking ----
-        let count_start = metrics.now();
         let transactions: Rdd<Vec<Item>> = ctx
             .text_file(input, partitions)?
             .map(|line| parse_transaction(&line))
             .cache();
+        // A typed refusal releases the cached input as a finished run does.
+        let run = self.mine_cached(&transactions, min_sup);
+        transactions.unpersist();
+        run
+    }
+
+    /// Steps 1 to 5 over the (lazily) cached, parsed input.
+    fn mine_cached(
+        &self,
+        transactions: &Rdd<Vec<Item>>,
+        min_sup: u64,
+    ) -> Result<MinerRun, MineError> {
+        let ctx = &self.ctx;
+        let metrics = ctx.metrics().clone();
+        let run_start = metrics.now();
+
+        // ---- step 1: frequent items and ranking ----
+        let count_start = metrics.now();
         let mut counts: Vec<(Item, u64)> = transactions
             .flat_map(|t| t)
             .map(|i| (i, 1u64))
             .reduce_by_key(|a, b| a + b)
             .filter(move |&(_, c)| c >= min_sup)
-            .collect();
+            .try_collect()?;
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let ranking: Vec<(Item, u32)> = counts
             .iter()
@@ -106,7 +120,6 @@ impl Pfp {
         };
 
         if ranking.is_empty() {
-            transactions.unpersist();
             return Ok(MinerRun {
                 result: MiningResult::default(),
                 total_seconds: metrics.now().since(run_start).as_secs(),
@@ -171,8 +184,7 @@ impl Pfp {
                 out
             });
 
-        let all = mined.collect();
-        transactions.unpersist();
+        let all = mined.try_collect()?;
 
         let max_len = all.iter().map(|(s, _)| s.len()).max().unwrap_or(0);
         let mut levels: Vec<Vec<(Itemset, u64)>> = vec![Vec::new(); max_len];
@@ -260,9 +272,15 @@ mod tests {
     }
 
     #[test]
-    fn missing_input_errors() {
-        assert!(Pfp::new(ctx(), PfpConfig::new(Support::Count(1)))
-            .mine("nope")
-            .is_err());
+    fn a_typed_refusal_releases_the_cached_input() {
+        let c = ctx();
+        let path = put(&c, &toy());
+        let plan = yafim_cluster::FaultPlan::seeded(5).crash_tasks(1.0);
+        c.cluster().faults().set_plan(plan);
+        let err = Pfp::new(c.clone(), PfpConfig::new(Support::Count(2)))
+            .mine(&path)
+            .expect_err("every attempt crashes");
+        assert!(matches!(err, MineError::Exec(_)), "{err}");
+        assert_eq!(c.cache().stats().entries, 0, "cached partitions");
     }
 }

@@ -105,11 +105,6 @@ impl Itemset {
         v.push(item);
         Itemset { items: v }
     }
-
-    /// Consume into the underlying item vector.
-    pub fn into_items(self) -> Vec<Item> {
-        self.items
-    }
 }
 
 impl fmt::Display for Itemset {

@@ -46,6 +46,7 @@ use crate::bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition};
 use crate::candidates::{ap_gen, CandidateList, CandidateStore};
 use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
+use crate::miner::MineError;
 use crate::trie::CandidateTrie;
 use crate::types::{
     parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
@@ -54,69 +55,9 @@ use crate::types::{
 use std::cell::RefCell;
 use std::sync::Arc;
 use yafim_cluster::{
-    memgov, ByteSize, DfsError, EventKind, RecoveryCounters, SimDuration, SPILL_GRANULE,
+    memgov, ByteSize, EventKind, ExecError, RecoveryCounters, SimDuration, SPILL_GRANULE,
 };
-use yafim_rdd::{Context, ExecError, Rdd};
-
-/// Why a mining run could not complete. [`Yafim::mine`] panics on the
-/// `Exec` and `Audit` sides (faults are exceptional for the classic entry
-/// point); [`Yafim::try_mine`] surfaces all three as typed errors so chaos
-/// harnesses and callers with fault plans can match on them.
-#[derive(Debug)]
-pub enum MineError {
-    /// The input path is missing from simulated HDFS.
-    Dfs(DfsError),
-    /// The engine failed under the active fault plan: a stage aborted, a
-    /// corruption proved unrepairable, a task exhausted its OOM retry
-    /// ladder, or admission control refused the job's memory footprint.
-    Exec(ExecError),
-    /// A counted level broke an Apriori invariant
-    /// ([`audit_level`](crate::audit::audit_level)): the run was about to
-    /// record wrong results and is refused instead.
-    Audit {
-        /// The pass whose level failed the audit.
-        pass: usize,
-        /// The first violated invariant, human-readable.
-        violation: String,
-    },
-}
-
-impl std::fmt::Display for MineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MineError::Dfs(e) => write!(f, "{e}"),
-            MineError::Exec(e) => write!(f, "{e}"),
-            MineError::Audit { pass, violation } => {
-                write!(
-                    f,
-                    "mining-invariant audit failed after pass {pass}: {violation}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for MineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MineError::Dfs(e) => Some(e),
-            MineError::Exec(e) => Some(e),
-            MineError::Audit { .. } => None,
-        }
-    }
-}
-
-impl From<DfsError> for MineError {
-    fn from(e: DfsError) -> Self {
-        MineError::Dfs(e)
-    }
-}
-
-impl From<ExecError> for MineError {
-    fn from(e: ExecError) -> Self {
-        MineError::Exec(e)
-    }
-}
+use yafim_rdd::{Context, Rdd};
 
 /// Driver-side footprint estimates for the memory-degradation ladder.
 /// Deliberately coarse: they only need to rank the counting structures
@@ -300,28 +241,17 @@ impl Yafim {
     }
 
     /// Mine the text dataset at `input` (one whitespace-separated
-    /// transaction per line) on simulated HDFS. Panics if the engine fails
-    /// under an active fault plan (stage abort, unrepairable corruption,
-    /// out-of-memory) or a counted level fails the mining-invariant audit;
-    /// use [`Yafim::try_mine`] to receive those as typed errors instead.
-    pub fn mine(&self, input: &str) -> Result<MinerRun, DfsError> {
-        match self.try_mine(input) {
-            Ok(run) => Ok(run),
-            Err(MineError::Dfs(e)) => Err(e),
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`Yafim::mine`], but engine failures under an active fault plan
-    /// surface as [`MineError::Exec`] instead of panics — including the
-    /// memory governor's typed refusal when the job's smallest viable
-    /// footprint cannot fit the execution budget — and a level rejected by
-    /// the mining-invariant audit as [`MineError::Audit`].
-    pub fn try_mine(&self, input: &str) -> Result<MinerRun, MineError> {
+    /// transaction per line) on simulated HDFS. An engine failure under an
+    /// active fault plan (stage abort, unrepairable corruption,
+    /// out-of-memory, the memory governor's refusal when the job's smallest
+    /// viable footprint cannot fit the execution budget) is a
+    /// [`MineError::Exec`], a level rejected by the mining-invariant audit a
+    /// [`MineError::Audit`]; either way the run has released what it held.
+    pub fn mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let ctx = &self.ctx;
         // Attribute the whole run to its scheduler pool; the guard reports
         // completion to any bound JobQueue ticket when dropped.
-        let _job = ctx.cluster().acquire_job(&self.config.pool, "yafim");
+        let _job = ctx.cluster().acquire_job(&self.config.pool);
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
         let plan = self.config.phase2;
@@ -1157,7 +1087,7 @@ mod tests {
                     c.clone(),
                     YafimConfig::with_plan(Support::Fraction(0.05), plan),
                 );
-                if let Err(e) = miner.try_mine("d.dat") {
+                if let Err(e) = miner.mine("d.dat") {
                     assert!(matches!(e, MineError::Exec(_)), "{plan:?} seed {seed}: {e}");
                     refused += 1;
                 }
@@ -1209,13 +1139,6 @@ mod tests {
         let run = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Fraction(0.5)));
         let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
         assert_eq!(run.result, seq);
-    }
-
-    #[test]
-    fn missing_input_errors() {
-        let c = ctx();
-        let miner = Yafim::new(c, YafimConfig::new(Support::Count(1)));
-        assert!(miner.mine("no-such-file.dat").is_err());
     }
 
     #[test]

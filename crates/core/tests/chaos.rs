@@ -8,7 +8,7 @@ use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{
-    apriori, MrApriori, MrAprioriConfig, SequentialConfig, Support, Yafim, YafimConfig,
+    apriori, Miner, MrApriori, MrAprioriConfig, SequentialConfig, Support, Yafim, YafimConfig,
 };
 use yafim_data::{to_lines, PaperDataset};
 use yafim_rdd::Context;
@@ -207,26 +207,18 @@ fn transient_chaos_runs_are_reproducible() {
 }
 
 #[test]
-fn mr_exceeding_retry_budget_aborts_descriptively() {
+fn every_distributed_miner_exceeding_its_retry_budget_aborts_descriptively() {
     let (tx, support) = dataset();
-    let c = cluster();
-    c.hdfs().put_overwrite("d.dat", to_lines(&tx));
-    c.faults().set_plan(FaultPlan::seeded(5).crash_tasks(1.0));
-    let err = MrApriori::new(c, MrAprioriConfig::new(support))
-        .mine("d.dat")
-        .expect_err("every attempt crashes");
-    let msg = err.to_string();
-    assert!(msg.contains("max_task_failures"), "got: {msg}");
-    assert!(msg.contains("aborted"), "got: {msg}");
-}
-
-#[test]
-#[should_panic(expected = "max_task_failures")]
-fn yafim_exceeding_retry_budget_panics_descriptively() {
-    let (tx, support) = dataset();
-    let c = cluster();
-    c.hdfs().put_overwrite("d.dat", to_lines(&tx));
-    c.faults().set_plan(FaultPlan::seeded(5).crash_tasks(1.0));
-    // The RDD actions' panicking variants surface the abort message.
-    let _ = Yafim::new(Context::new(c), YafimConfig::new(support)).mine("d.dat");
+    for miner in Miner::ALL.into_iter().filter(|m| m.is_distributed()) {
+        let c = cluster();
+        c.hdfs().put_overwrite("d.dat", to_lines(&tx));
+        c.faults().set_plan(FaultPlan::seeded(5).crash_tasks(1.0));
+        let err = miner
+            .mine(&c, "d.dat", support)
+            .expect_err("every attempt crashes");
+        let msg = err.to_string();
+        assert!(msg.contains("max_task_failures"), "{miner:?}: {msg}");
+        assert!(msg.contains("aborted"), "{miner:?}: {msg}");
+        assert_eq!(msg.lines().count(), 1, "{miner:?}: the CLI prints one line");
+    }
 }

@@ -1,58 +1,40 @@
 //! The paper's correctness check, generalized: every miner in the
-//! repository — sequential Apriori, Eclat, FP-Growth, YAFIM on the RDD
-//! engine, MR-Apriori (all three variants) on the MapReduce engine — must
-//! produce *identical* frequent itemsets on the same input and support.
+//! repository ([`Miner::ALL`]: sequential Apriori, Eclat, FP-Growth, YAFIM
+//! under each Phase-II plan, MR-Apriori, SON, PFP) must produce *identical*
+//! frequent itemsets on the same input and support.
 //!
 //! Datasets are scaled-down versions of the paper's Table I profiles, so
-//! all five generator families and both engines are exercised.
+//! all five generator families and both engines are exercised; the
+//! adversarial shapes at the end are the ones a generator never draws.
 
 use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim_core::{
-    apriori, eclat, fp_growth, mine_in_memory, MrApriori, MrAprioriConfig, MrVariant, Pfp,
-    PfpConfig, SequentialConfig, Son, SonConfig, Support, YafimConfig,
+    apriori, Miner, MiningResult, MrApriori, MrAprioriConfig, MrVariant, SequentialConfig, Support,
 };
 use yafim_data::{to_lines, PaperDataset};
-use yafim_rdd::Context;
 
-fn cluster() -> SimCluster {
-    SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 2)
+fn cluster(threads: usize) -> SimCluster {
+    SimCluster::with_threads(
+        ClusterSpec::new(4, 2, 1 << 30),
+        CostModel::hadoop_era(),
+        threads,
+    )
+}
+
+fn mine(miner: Miner, transactions: &[Vec<u32>], support: Support, threads: usize) -> MiningResult {
+    let c = cluster(threads);
+    c.hdfs().put_overwrite("in.dat", to_lines(transactions));
+    let run = miner.mine(&c, "in.dat", support);
+    run.unwrap_or_else(|e| panic!("{miner:?} refused a clean run: {e}"))
+        .result
 }
 
 fn check_all_miners(name: &str, transactions: &[Vec<u32>], support: Support) {
-    let reference = apriori(transactions, &SequentialConfig::new(support));
-
-    let e = eclat(transactions, support);
-    assert_eq!(reference, e, "{name}: eclat diverges");
-
-    let f = fp_growth(transactions, support);
-    assert_eq!(reference, f, "{name}: fp-growth diverges");
-
-    let ctx = Context::new(cluster());
-    let y = mine_in_memory(&ctx, transactions, YafimConfig::new(support));
-    assert_eq!(reference, y.result, "{name}: yafim diverges");
-
-    let c = cluster();
-    c.hdfs().put_overwrite("in.dat", to_lines(transactions));
-    let m = MrApriori::new(c, MrAprioriConfig::new(support))
-        .mine("in.dat")
-        .expect("input exists");
-    assert_eq!(reference, m.result, "{name}: mr-apriori diverges");
-
-    let c = cluster();
-    c.hdfs().put_overwrite("in.dat", to_lines(transactions));
-    let s = Son::new(c, SonConfig::new(support))
-        .mine("in.dat")
-        .expect("input exists");
-    assert_eq!(reference, s.result, "{name}: SON diverges");
-
-    let ctx = Context::new(cluster());
-    ctx.cluster()
-        .hdfs()
-        .put_overwrite("in.dat", to_lines(transactions));
-    let p = Pfp::new(ctx, PfpConfig::new(support))
-        .mine("in.dat")
-        .expect("input exists");
-    assert_eq!(reference, p.result, "{name}: PFP diverges");
+    let reference = mine(Miner::Sequential, transactions, support, 2);
+    for miner in Miner::ALL {
+        let got = mine(miner, transactions, support, 2);
+        assert_eq!(reference, got, "{name}: {miner:?} diverges");
+    }
 }
 
 #[test]
@@ -98,7 +80,7 @@ fn mr_variants_agree_on_medical() {
             max_candidates: 500,
         },
     ] {
-        let c = cluster();
+        let c = cluster(2);
         c.hdfs().put_overwrite("in.dat", to_lines(&tx));
         let mut cfg = MrAprioriConfig::new(Support::Fraction(0.05));
         cfg.variant = variant;
@@ -117,5 +99,63 @@ fn replication_preserves_results_and_scales_supports() {
     assert_eq!(a.level_sizes(), b.level_sizes());
     for (set, sup) in a.iter() {
         assert_eq!(b.support_of(set), Some(sup * 3), "{set}");
+    }
+}
+
+/// One adversarial input: what it is called, the transactions, the
+/// threshold, and the frequent itemsets per level it must give.
+struct Shape<'a> {
+    name: &'a str,
+    transactions: &'a [Vec<u32>],
+    support: Support,
+    levels: &'a [usize],
+}
+
+/// The shapes no generator draws, at 1, 2 and 8 pool threads: every miner
+/// against sequential Apriori, and sequential Apriori against what the
+/// shape must give.
+#[test]
+fn adversarial_shapes_all_miners_agree_at_1_2_and_8_pool_threads() {
+    let identical = vec![vec![3, 5, 9]; 40];
+    let tiny = vec![vec![1, 2], vec![2, 3], vec![1, 2, 3], vec![4]];
+    let disjoint: Vec<Vec<u32>> = (0..30).map(|i| vec![2 * i, 2 * i + 1]).collect();
+    let shape = |name, transactions, support, levels| Shape {
+        name,
+        transactions,
+        support,
+        levels,
+    };
+    let shapes = [
+        shape(
+            "one transaction",
+            &identical[..1],
+            Support::Count(1),
+            &[3, 3, 1],
+        ),
+        shape(
+            "all identical",
+            &identical,
+            Support::Fraction(1.0),
+            &[3, 3, 1],
+        ),
+        shape("minsup = 1", &tiny, Support::Count(1), &[4, 3, 1]),
+        shape("minsup = |D|", &tiny, Support::Count(4), &[]),
+        shape(
+            "minsup = |D|, one item in all",
+            &tiny[..3],
+            Support::Count(3),
+            &[1],
+        ),
+        shape("empty L1", &disjoint, Support::Count(2), &[]),
+    ];
+    for s in shapes {
+        let reference = mine(Miner::Sequential, s.transactions, s.support, 1);
+        assert_eq!(reference.level_sizes(), s.levels, "{}", s.name);
+        for threads in [1, 2, 8] {
+            for miner in Miner::ALL {
+                let got = mine(miner, s.transactions, s.support, threads);
+                assert_eq!(reference, got, "{}: {miner:?} at {threads} threads", s.name);
+            }
+        }
     }
 }

@@ -29,7 +29,7 @@ mod runner;
 
 pub use emitter::Emitter;
 pub use job::{MapPhase, MapReduceJob, MrKey, MrValue, OutputSpec};
-pub use runner::{JobStats, MrError, MrJobResult, MrRunner};
+pub use runner::{JobStats, MrJobResult, MrRunner};
 
 #[cfg(test)]
 mod tests {

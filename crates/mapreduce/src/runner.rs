@@ -5,71 +5,14 @@ use crate::emitter::{fold_into, Emitter};
 use crate::job::{MapPhase, MapReduceJob, MrKey, MrValue};
 use std::sync::Arc;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsError, DfsFile, EventKind,
-    FaultError, FxHashMap, IntegrityCounters, IntegrityTier, MemoryRefusal, RecoveryCounters,
-    SimCluster, SimDuration, StageExecution, TaskExecution, TaskMemory, TaskProfile, TaskSpec,
-    WorkCounters, SPILL_GRANULE,
+    bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsFile, EventKind, ExecError,
+    FxHashMap, IntegrityCounters, IntegrityTier, RecoveryCounters, SimCluster, SimDuration,
+    StageExecution, TaskExecution, TaskMemory, TaskProfile, TaskSpec, WorkCounters, SPILL_GRANULE,
 };
 
 /// The smallest split share worth a host unit: below it a unit's fixed cost
 /// (a slot array over the key table, a merge) rivals the lines it maps.
 const MIN_UNIT_BYTES: u64 = 16 << 10;
-
-/// Why a MapReduce job failed: the input is missing, or the active fault
-/// plan exhausted some task's retry budget.
-#[derive(Clone, Debug)]
-pub enum MrError {
-    /// HDFS input/output error.
-    Dfs(DfsError),
-    /// A task wave aborted under the active fault plan.
-    Fault {
-        /// The wave that aborted (`"<job>: map"` or `"<job>: reduce"`).
-        stage: String,
-        /// The underlying scheduler failure.
-        source: FaultError,
-    },
-    /// Every replica of some input split failed checksum verification:
-    /// there is no clean copy to read, and returning anything would mean
-    /// returning wrong results.
-    Integrity {
-        /// Human-readable description of the poisoned data.
-        detail: String,
-    },
-    /// The memory governor's admission control refused the job before
-    /// running it: its smallest viable per-task footprint cannot fit the
-    /// execution budget even with full borrowing from storage.
-    MemoryRefused {
-        /// Required vs available bytes per task.
-        refusal: MemoryRefusal,
-    },
-}
-
-impl std::fmt::Display for MrError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MrError::Dfs(e) => write!(f, "{e}"),
-            MrError::Fault { stage, source } => write!(f, "stage `{stage}` aborted: {source}"),
-            MrError::Integrity { detail } => write!(f, "data integrity failure: {detail}"),
-            MrError::MemoryRefused { refusal } => write!(f, "{refusal}"),
-        }
-    }
-}
-
-impl std::error::Error for MrError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            MrError::Dfs(e) => Some(e),
-            MrError::Fault { source, .. } => Some(source),
-            MrError::Integrity { .. } | MrError::MemoryRefused { .. } => None,
-        }
-    }
-}
-
-impl From<DfsError> for MrError {
-    fn from(e: DfsError) -> Self {
-        MrError::Dfs(e)
-    }
-}
 
 /// Aggregate facts about one executed job.
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,14 +69,14 @@ impl MrRunner {
         label: &str,
         specs: &[TaskSpec],
         retry_extra: Option<&[SimDuration]>,
-    ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration, SimDuration), MrError> {
+    ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration, SimDuration), ExecError> {
         let (queue, scheduler) = self.cluster.stage_admission();
         let now = self.cluster.metrics().now() + queue;
         let fs = self
             .cluster
             .faults()
             .schedule_stage(&scheduler, specs, retry_extra, now)
-            .map_err(|source| MrError::Fault {
+            .map_err(|source| ExecError::StageAborted {
                 stage: label.to_string(),
                 source,
             })?;
@@ -142,14 +85,12 @@ impl MrRunner {
     }
 
     /// Post-stage scheduler bookkeeping for one recorded wave (queue-wait
-    /// attribution, decision units, shared-blacklist hits). MapReduce waves
-    /// never skew-split: Hadoop repartitions only between jobs.
+    /// attribution, decision units, shared-blacklist hits).
     fn record_wave(&self, queue: SimDuration, detailed: &DetailedSchedule) {
         self.cluster.record_sched_stage(
             queue,
             detailed.decision_units,
             self.cluster.faults().drain_shared_hits(),
-            0,
         );
     }
 
@@ -157,12 +98,12 @@ impl MrRunner {
     pub fn run<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue>(
         &self,
         job: MapReduceJob<KM, VM, KO, VO>,
-    ) -> Result<MrJobResult<KO, VO>, MrError> {
+    ) -> Result<MrJobResult<KO, VO>, ExecError> {
         let cluster = &self.cluster;
         let cost = cluster.cost().clone();
         let spec = cluster.spec().clone();
         let metrics = cluster.metrics().clone();
-        let file = cluster.hdfs().get(&job.input)?;
+        let file = cluster.hdfs().get(&job.input).map_err(ExecError::Dfs)?;
 
         // ---- Admission control (memory governor, last ladder rung) ----
         //
@@ -171,7 +112,7 @@ impl MrRunner {
         // in OOM kills: refuse it up front with a typed error.
         if let Some(budget) = cluster.memory_budget() {
             if let Err(refusal) = budget.admit(SPILL_GRANULE) {
-                return Err(MrError::MemoryRefused { refusal });
+                return Err(ExecError::MemoryRefused { refusal });
             }
         }
 
@@ -227,7 +168,7 @@ impl MrRunner {
         if integrity {
             for (i, &copies) in split_replicas.iter().enumerate() {
                 if (0..copies).all(|c| faults.corrupted(IntegrityTier::Hdfs, integrity_id, i, c)) {
-                    return Err(MrError::Integrity {
+                    return Err(ExecError::IntegrityFailure {
                         detail: format!(
                             "input `{}` split {i}: all {copies} replicas failed checksum \
                              verification — no clean copy reachable",

@@ -30,90 +30,9 @@ use crate::task::TaskContext;
 use std::sync::Arc;
 use yafim_cluster::fault::{CounterField, Merge};
 use yafim_cluster::{
-    fx_hash64, memgov, slice_bytes, EventKind, FaultError, MemoryRefusal, NodeId, RecoveryCounters,
-    SimDuration, StageExecution, TaskExecution, TaskProfile, TaskSpec,
+    fx_hash64, slice_bytes, EventKind, ExecError, NodeId, RecoveryCounters, SimDuration,
+    StageExecution, TaskExecution, TaskProfile, TaskSpec,
 };
-
-/// A job could not complete under the active fault plan.
-#[derive(Clone, Debug)]
-pub enum ExecError {
-    /// A stage aborted: some task exhausted its retry budget or no healthy
-    /// node was left to run it.
-    StageAborted {
-        /// Label of the stage that aborted.
-        stage: String,
-        /// The underlying scheduler failure.
-        source: FaultError,
-    },
-    /// A corrupted block could not be repaired: every replica is poisoned
-    /// and lineage was truncated, so no clean copy is reachable. The engine
-    /// refuses to return possibly-wrong results.
-    IntegrityFailure {
-        /// What was corrupted and why it is unrepairable.
-        detail: String,
-    },
-    /// A task exhausted its OOM retry ladder: even the whole-node memory
-    /// slice (each retry doubles the grant, modelling reduced concurrency)
-    /// could not satisfy an acquisition. The job is killed rather than
-    /// returning a partial result.
-    OutOfMemory {
-        /// Label of the stage whose task died.
-        stage: String,
-        /// Partition whose task exhausted its retries.
-        partition: usize,
-        /// Acquisition site that overflowed (see
-        /// [`yafim_cluster::memgov::site`]).
-        site: u64,
-        /// Bytes the failing acquisition asked for.
-        bytes: u64,
-        /// Attempts consumed (first run plus retries).
-        attempts: u32,
-    },
-    /// Driver-side admission control refused the job before running it:
-    /// its smallest viable per-task footprint cannot fit the execution
-    /// budget even with full borrowing from storage.
-    MemoryRefused {
-        /// Required vs available bytes per task.
-        refusal: MemoryRefusal,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecError::StageAborted { stage, source } => {
-                write!(f, "stage `{stage}` aborted: {source}")
-            }
-            ExecError::IntegrityFailure { detail } => {
-                write!(f, "data integrity failure: {detail}")
-            }
-            ExecError::OutOfMemory {
-                stage,
-                partition,
-                site,
-                bytes,
-                attempts,
-            } => write!(
-                f,
-                "stage `{stage}` out of memory: partition {partition} could not \
-                 acquire {bytes} bytes for its {} after {attempts} attempts",
-                memgov::site::name(*site)
-            ),
-            ExecError::MemoryRefused { refusal } => write!(f, "{refusal}"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::StageAborted { source, .. } => Some(source),
-            ExecError::IntegrityFailure { .. }
-            | ExecError::OutOfMemory { .. }
-            | ExecError::MemoryRefused { .. } => None,
-        }
-    }
-}
 
 /// What one node loss took with it (returned by
 /// [`FaultInjection::lose_node`]).
@@ -208,43 +127,9 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         .collect();
 
     // Admit the stage through the multi-job scheduler: the returned
-    // scheduler is restricted to this job's executor grant (and dynamic
-    // allocation's current ramp), and `queue` is any FIFO pool wait to
-    // charge to this stage.
+    // scheduler is restricted to this job's executor grant, and `queue` is
+    // any FIFO pool wait to charge to this stage.
     let (queue, scheduler) = cluster.stage_admission();
-
-    // Skew-aware splitting: the prior same-family stage's durations
-    // estimate this one's; straggler tasks are split into pieces for
-    // *placement only*, so real execution (and results) are untouched.
-    let family: String = label.chars().filter(|c| !c.is_ascii_digit()).collect();
-    let durs: Vec<SimDuration> = specs.iter().map(|s| s.duration).collect();
-    let splits = cluster.plan_skew_splits(&family, &durs);
-    let skew_splits: u64 = splits.iter().map(|&k| (k - 1) as u64).sum();
-    let mut owner: Vec<usize> = Vec::with_capacity(specs.len());
-    let sched_specs: Vec<TaskSpec> = if skew_splits > 0 {
-        let mut v = Vec::new();
-        for (part, (spec, &k)) in specs.iter().zip(&splits).enumerate() {
-            let piece = SimDuration::from_secs(spec.duration.as_secs() / k as f64);
-            for _ in 0..k {
-                v.push(TaskSpec {
-                    duration: piece,
-                    preferred_node: spec.preferred_node,
-                });
-                owner.push(part);
-            }
-            if k > 1 {
-                cluster.metrics().advance_with_event(
-                    SimDuration::ZERO,
-                    EventKind::Other,
-                    format!("skew split: {label} partition {part} x{k}"),
-                );
-            }
-        }
-        v
-    } else {
-        owner.extend(0..specs.len());
-        specs
-    };
 
     // Node-loss instants are absolute; anchor them to this stage's task
     // window (stage start + queue wait + overhead).
@@ -252,7 +137,7 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
     let window_start =
         cluster.metrics().now() + queue + SimDuration::from_secs(cost.spark_stage_overhead);
     let fs = faults
-        .schedule_stage(&scheduler, &sched_specs, None, window_start)
+        .schedule_stage(&scheduler, &specs, None, window_start)
         .map_err(|source| ExecError::StageAborted {
             stage: label.clone(),
             source,
@@ -267,37 +152,20 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         recovery.mem.merge(&profile.mem);
     }
 
-    // Map piece placements back to partitions: a partition ran where its
-    // first piece ran; only the first piece carries the real profile so
-    // aggregate attribution stays exact.
-    let mut first_node: Vec<Option<NodeId>> = vec![None; partitions];
-    for (i, p) in detailed.placements.iter().enumerate() {
-        let part = owner[i];
-        if first_node[part].is_none() {
-            first_node[part] = Some(p.node);
-        }
-    }
-    let executed_on: Vec<NodeId> = first_node.into_iter().map(|n| n.expect("piece")).collect();
-    let mut carries_profile = vec![true; partitions];
+    // Placements come back in spec order, one per partition.
+    let executed_on: Vec<NodeId> = detailed.placements.iter().map(|p| p.node).collect();
     let tasks: Vec<TaskExecution> = detailed
         .placements
         .iter()
+        .zip(&outcomes)
         .enumerate()
-        .map(|(i, placement)| {
-            let part = owner[i];
-            let profile = if std::mem::replace(&mut carries_profile[part], false) {
-                outcomes[part].1
-            } else {
-                TaskProfile::new()
-            };
-            TaskExecution {
-                partition: part,
-                node: placement.node,
-                core: placement.core,
-                start: placement.start,
-                duration: placement.duration,
-                profile,
-            }
+        .map(|(partition, (placement, (_, profile, _)))| TaskExecution {
+            partition,
+            node: placement.node,
+            core: placement.core,
+            start: placement.start,
+            duration: placement.duration,
+            profile: *profile,
         })
         .collect();
 
@@ -315,14 +183,8 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         },
         recovery,
     );
-    // After the clock advanced past the stage: the admission bookkeeping
-    // (idle-timeout reference point) and the sched.* attribution.
-    cluster.record_sched_stage(
-        queue,
-        detailed.decision_units,
-        faults.drain_shared_hits(),
-        skew_splits,
-    );
+    // After the clock advanced past the stage: the sched.* attribution.
+    cluster.record_sched_stage(queue, detailed.decision_units, faults.drain_shared_hits());
 
     Ok((
         outcomes.into_iter().map(|(r, _, _)| r).collect(),

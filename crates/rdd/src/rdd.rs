@@ -312,9 +312,9 @@ pub(crate) trait RddImpl<T: Data>: Send + Sync + 'static {
     /// operators delegate to their parents. When every replica of a
     /// partition is poisoned and the lineage was truncated there is nothing
     /// left to replay — the job must fail typed
-    /// ([`crate::exec::ExecError::IntegrityFailure`]) rather than ever
+    /// ([`yafim_cluster::ExecError::IntegrityFailure`]) rather than ever
     /// return wrong results. Driver-resident sources have nothing to check.
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         Ok(())
     }
 }
@@ -491,7 +491,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Fallible [`Rdd::checkpoint`]; see [`Rdd::try_collect`].
-    pub fn try_checkpoint(&self) -> Result<Rdd<T>, crate::exec::ExecError> {
+    pub fn try_checkpoint(&self) -> Result<Rdd<T>, yafim_cluster::ExecError> {
         exec::try_checkpoint(self)
     }
 
@@ -575,7 +575,7 @@ impl<T: Data> Rdd<T> {
 
     /// Fallible `collect`: a job can abort when an active
     /// [`yafim_cluster::FaultPlan`] exhausts a task's retry budget.
-    pub fn try_collect(&self) -> Result<Vec<T>, crate::exec::ExecError> {
+    pub fn try_collect(&self) -> Result<Vec<T>, yafim_cluster::ExecError> {
         exec::try_collect(self)
     }
 
@@ -588,7 +588,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Fallible `count`; see [`Rdd::try_collect`].
-    pub fn try_count(&self) -> Result<u64, crate::exec::ExecError> {
+    pub fn try_count(&self) -> Result<u64, yafim_cluster::ExecError> {
         exec::try_count(self)
     }
 
@@ -605,7 +605,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Fallible `take`; see [`Rdd::try_collect`].
-    pub fn try_take(&self, n: usize) -> Result<Vec<T>, crate::exec::ExecError> {
+    pub fn try_take(&self, n: usize) -> Result<Vec<T>, yafim_cluster::ExecError> {
         exec::try_take(self, n)
     }
 }
@@ -789,7 +789,7 @@ impl RddImpl<String> for HdfsTextRdd {
 
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         let faults = self.meta.ctx.cluster().faults();
         if !faults.integrity_active() {
             return Ok(());
@@ -799,7 +799,7 @@ impl RddImpl<String> for HdfsTextRdd {
             let all_rotten = (0..replicas)
                 .all(|copy| faults.corrupted(IntegrityTier::Hdfs, self.meta.id, part, copy));
             if all_rotten {
-                return Err(crate::exec::ExecError::IntegrityFailure {
+                return Err(yafim_cluster::ExecError::IntegrityFailure {
                     detail: format!(
                         "hdfs file `{}` rdd{} split {part}: all {replicas} replicas failed \
                          checksum verification — no clean copy reachable",
@@ -917,7 +917,7 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
 
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         let faults = self.meta.ctx.cluster().faults();
         if !faults.integrity_active() {
             return Ok(());
@@ -934,7 +934,7 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
             let all_rotten = (0..replicas)
                 .all(|copy| faults.corrupted(IntegrityTier::Hdfs, self.meta.id, part, copy));
             if all_rotten {
-                return Err(crate::exec::ExecError::IntegrityFailure {
+                return Err(yafim_cluster::ExecError::IntegrityFailure {
                     detail: format!(
                         "checkpoint rdd{} partition {part}: all {replicas} replicas failed \
                          checksum verification and lineage was truncated — nothing left to \
@@ -985,7 +985,7 @@ impl<P: Data, T: Data> RddImpl<T> for MapRdd<P, T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         self.parent.preflight()
     }
 }
@@ -1030,7 +1030,7 @@ impl<P: Data, T: Data> RddImpl<T> for FlatMapRdd<P, T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         self.parent.preflight()
     }
 }
@@ -1072,7 +1072,7 @@ impl<T: Data> RddImpl<T> for FilterRdd<T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         self.parent.preflight()
     }
 }
@@ -1119,7 +1119,7 @@ impl<P: Data, T: Data> RddImpl<T> for MapPartitionsRdd<P, T> {
         self.parent.lineage_len() + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         self.parent.preflight()
     }
 }
@@ -1180,7 +1180,7 @@ impl<T: Data> RddImpl<T> for UnionRdd<T> {
             + 1
     }
 
-    fn preflight(&self) -> Result<(), crate::exec::ExecError> {
+    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         for p in &self.parents {
             p.preflight()?;
         }

@@ -77,12 +77,6 @@ impl TaskContext {
         grant
     }
 
-    /// Return previously reserved execution bytes (a structure was
-    /// dropped before the task finished).
-    pub fn release_memory(&self, bytes: u64) {
-        self.memory.release(bytes);
-    }
-
     /// Whether some reservation exhausted its OOM retry ladder: the stage
     /// must abort with a typed out-of-memory error.
     pub fn oom_abort(&self) -> Option<OomAbort> {
@@ -198,11 +192,6 @@ impl TaskContext {
         self.profile.get()
     }
 
-    /// Consume the context, yielding the final physical counters.
-    pub fn into_work(self) -> WorkCounters {
-        self.profile.get().work
-    }
-
     /// Consume the context, yielding the full profile.
     pub fn into_profile(self) -> TaskProfile {
         self.profile.get()
@@ -222,8 +211,7 @@ mod tests {
         assert_eq!(tc.partition, 3);
         assert_eq!(tc.work().records_in, 2);
         assert_eq!(tc.work().cpu_units, 12);
-        let w = tc.into_work();
-        assert_eq!(w.mem_read_bytes, 100);
+        assert_eq!(tc.work().mem_read_bytes, 100);
     }
 
     #[test]

@@ -159,7 +159,7 @@ fn concurrent_jobs_match_sequential_runs_bit_for_bit() {
                                 ));
                         }
                         cluster.attach_job(&ticket);
-                        let guard = cluster.acquire_job(pool, "prop");
+                        let guard = cluster.acquire_job(pool);
                         let c = ctx_on(cluster.clone(), mode);
                         let out = build(&c, &data, parts, &plan);
                         let collected = out.collect();
@@ -264,7 +264,7 @@ fn tight_budget_jobs_spill_and_match_solo_runs() {
                         }
                         cluster.faults().set_plan(fp);
                         cluster.attach_job(&ticket);
-                        let guard = cluster.acquire_job(pool, "tight");
+                        let guard = cluster.acquire_job(pool);
                         let mut config = RddConfig::for_cluster(&cluster);
                         config.exec_mode = mode;
                         // A zero-byte cache: every non-empty MemoryAndDisk

@@ -13,31 +13,30 @@
 //! or `chrome://tracing`) of the run's job/stage/task spans, one process
 //! per simulated node and one thread per core.
 //!
-//! Miners: `sequential` (Apriori), `eclat`, `fpgrowth` (single-node);
-//! `spark` (YAFIM, default), `mapreduce` (MR-Apriori/SPC), `son`, `pfp`
-//! (distributed, on the simulated cluster — virtual timings are reported).
+//! Miners ([`Miner`]): `sequential` (Apriori), `eclat`, `fpgrowth`
+//! (single-node); `spark` (YAFIM, default), `mapreduce` (MR-Apriori/SPC),
+//! `son`, `pfp` (distributed, on the simulated cluster — virtual timings are
+//! reported).
 
 use std::process::exit;
 use yafim::cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim::data::{read_canonical_lines, read_dat, PaperDataset};
-use yafim::rdd::Context;
-use yafim::{
-    apriori, eclat, fp_growth, generate_rules, MinerRun, MiningResult, MrApriori, MrAprioriConfig,
-    Pfp, PfpConfig, Phase2Plan, RuleConfig, SequentialConfig, Son, SonConfig, Support, Yafim,
-    YafimConfig,
-};
+use yafim::{generate_rules, Miner, MinerRun, Phase2Plan, RuleConfig, Support};
 
 fn usage() -> ! {
+    let mut miners: Vec<&str> = Miner::ALL.map(Miner::name).to_vec();
+    miners.dedup();
     eprintln!(
         "usage:
   yafim-cli generate --dataset <mushroom|t10|chess|pumsb|medical> --out <file.dat> [--scale X]
-  yafim-cli mine     --input <file.dat> --support <N|P%> [--miner <sequential|eclat|fpgrowth|spark|mapreduce|son|pfp>]
+  yafim-cli mine     --input <file.dat> --support <N|P%> [--miner <{}>]
                      [--phase2 <paper|opt|bitmap>] [--nodes N] [--cores C] [--locality-wait SECS]
                      [--memory-fraction FRAC]
                      [--rules MIN_CONF] [--top K]
                      [--fault-plan plan.json] [--timeline] [--report] [--trace out.json]
                      [--critical-path] [--manifest out.json]
-  yafim-cli compare  --input <file.dat> --support <N|P%> [--nodes N] [--cores C]"
+  yafim-cli compare  --input <file.dat> --support <N|P%> [--nodes N] [--cores C]",
+        miners.join("|")
     );
     exit(2)
 }
@@ -223,66 +222,47 @@ fn fault_plan() -> Option<yafim::cluster::FaultPlan> {
     }
 }
 
-fn run_distributed(miner: &str, lines: Vec<String>, support: Support) -> (MinerRun, SimCluster) {
+/// Run a distributed `miner` over `lines` on the cluster the flags
+/// describe. A typed refusal (engine failure under the fault plan, or a
+/// level rejected by the mining-invariant audit) is one line and exit 1.
+fn run_distributed(miner: Miner, lines: Vec<String>, support: Support) -> (MinerRun, SimCluster) {
     let c = cluster();
     if let Some(plan) = fault_plan() {
         c.faults().set_plan(plan);
     }
     c.hdfs().put_overwrite("input.dat", lines);
-    let run = match miner {
-        // A typed refusal (engine failure under the fault plan, or a level
-        // rejected by the mining-invariant audit) is one line and exit 1.
-        "spark" => Yafim::new(
-            Context::new(c.clone()),
-            YafimConfig::with_plan(support, phase2_plan()),
-        )
-        .try_mine("input.dat")
-        .unwrap_or_else(|e| {
-            eprintln!("spark miner refused the run: {e}");
-            exit(1)
-        }),
-        "mapreduce" => MrApriori::new(c.clone(), MrAprioriConfig::new(support))
-            .mine("input.dat")
-            .expect("input written"),
-        "son" => Son::new(c.clone(), SonConfig::new(support))
-            .mine("input.dat")
-            .expect("input written"),
-        "pfp" => Pfp::new(Context::new(c.clone()), PfpConfig::new(support))
-            .mine("input.dat")
-            .expect("input written"),
-        _ => unreachable!("checked by caller"),
-    };
+    let run = miner.mine(&c, "input.dat", support).unwrap_or_else(|e| {
+        eprintln!("{} miner refused the run: {e}", miner.name());
+        exit(1)
+    });
     (run, c)
 }
 
 fn cmd_mine() {
     let input = arg("--input").unwrap_or_else(|| usage());
     let support = parse_support(&arg("--support").unwrap_or_else(|| usage()));
-    let miner = arg("--miner").unwrap_or_else(|| "spark".to_string());
+    // YAFIM unless told otherwise; an unknown miner is refused before any
+    // input is read, and so is a Phase-II plan for a miner that has none.
     let phase2 = phase2_plan();
-    if miner != "spark" && arg("--phase2").is_some() {
-        eprintln!("--phase2 only applies to --miner spark, not `{miner}`");
+    let yafim = Miner::Spark(phase2).name();
+    let name = arg("--miner").unwrap_or_else(|| yafim.to_string());
+    let miner = Miner::parse(&name, phase2).unwrap_or_else(|| {
+        eprintln!("unknown miner: {name}");
+        exit(2)
+    });
+    if miner.plan().is_none() && arg("--phase2").is_some() {
+        eprintln!("--phase2 only applies to --miner {yafim}, not `{name}`");
         exit(1)
     }
     let top = parsed_arg("--top", "a count", |_: &usize| true).unwrap_or(10);
     let min_conf = parsed_arg("--rules", "a confidence in [0, 1]", |c: &f64| {
         (0.0..=1.0).contains(c)
     });
-    // The miner family picks the loader, so an unknown miner is refused
-    // before the input is touched.
-    type SingleNode = fn(&[Vec<u32>], Support) -> MiningResult;
-    let single_node: Option<SingleNode> = match miner.as_str() {
-        "sequential" => Some(|tx, support| apriori(tx, &SequentialConfig::new(support))),
-        "eclat" => Some(eclat),
-        "fpgrowth" => Some(fp_growth),
-        "spark" | "mapreduce" | "son" | "pfp" => None,
-        other => {
-            eprintln!("unknown miner: {other}");
-            exit(2)
-        }
-    };
 
-    let (result, transactions, wall, virtual_secs, cluster) = if let Some(mine) = single_node {
+    // The miner family picks the loader: a single-node miner takes the
+    // parsed transactions, a distributed one only ever sees text.
+    let (result, transactions, wall, virtual_secs, cluster) = if let Some(mine) = miner.in_memory()
+    {
         let tx = loaded(&input, read_dat(&input));
         let start = std::time::Instant::now();
         let result = mine(&tx, support);
@@ -291,13 +271,14 @@ fn cmd_mine() {
         let lines = loaded(&input, read_canonical_lines(&input));
         let n = lines.len();
         let start = std::time::Instant::now();
-        let (run, c) = run_distributed(&miner, lines, support);
+        let (run, c) = run_distributed(miner, lines, support);
         let wall = start.elapsed();
         (run.result, n, wall, Some(run.total_seconds), Some(c))
     };
 
     println!(
-        "{miner}: {} frequent itemsets (longest {}), levels {:?}",
+        "{}: {} frequent itemsets (longest {}), levels {:?}",
+        miner.name(),
         result.total(),
         result.max_len(),
         result.level_sizes()
@@ -324,79 +305,82 @@ fn cmd_mine() {
         }
     }
 
-    if flag("--timeline") {
-        if let Some(c) = &cluster {
-            println!("\nvirtual timeline:");
-            print!("{}", c.metrics().render_timeline());
-        } else {
-            eprintln!("--timeline requires a distributed miner");
+    // Every sink below reads the cluster's span log, which a single-node
+    // miner does not have.
+    let (trace, manifest) = (arg("--trace"), arg("--manifest"));
+    let Some(c) = &cluster else {
+        for (sink, asked) in [
+            ("--timeline", flag("--timeline")),
+            ("--report", flag("--report")),
+            ("--trace", trace.is_some()),
+            ("--critical-path", flag("--critical-path")),
+            ("--manifest", manifest.is_some()),
+        ] {
+            if asked {
+                eprintln!("{sink} requires a distributed miner");
+            }
         }
+        return;
+    };
+
+    if flag("--timeline") {
+        println!("\nvirtual timeline:");
+        print!("{}", c.metrics().render_timeline());
     }
 
     if flag("--report") {
-        if let Some(c) = &cluster {
-            println!("\n{}", yafim::cluster::full_report(c.metrics()));
-        } else {
-            eprintln!("--report requires a distributed miner");
-        }
+        println!("\n{}", yafim::cluster::full_report(c.metrics()));
     }
 
-    if let Some(path) = arg("--trace") {
-        if let Some(c) = &cluster {
-            let json = yafim::cluster::chrome_trace(c.metrics(), c.spec());
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("{path}: {e}");
-                exit(1);
-            }
-            println!("\nwrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
-        } else {
-            eprintln!("--trace requires a distributed miner");
+    if let Some(path) = trace {
+        let json = yafim::cluster::chrome_trace(c.metrics(), c.spec());
+        if let Err(e) = std::fs::write(&path, json) {
+            eprintln!("{path}: {e}");
+            exit(1);
         }
+        println!("\nwrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
     }
 
     // `--critical-path` — decompose the virtual makespan into exhaustive
     // attribution buckets (compute, shuffle, broadcast, faults, scheduler
     // idle, ...) plus per-stage skew, straight from the span log.
     if flag("--critical-path") {
-        if let Some(c) = &cluster {
-            let report = yafim::cluster::critical_path(c.metrics(), c.cost());
-            println!("\n{}", report.render());
-        } else {
-            eprintln!("--critical-path requires a distributed miner");
-        }
+        let report = yafim::cluster::critical_path(c.metrics(), c.cost());
+        println!("\n{}", report.render());
     }
 
     // `--manifest FILE` — write the versioned run manifest (the same
     // document the bench binaries emit for the regression gate).
-    if let Some(path) = arg("--manifest") {
-        if let Some(c) = &cluster {
-            use yafim::cluster::json::JsonValue;
-            let dataset = JsonValue::object(vec![
-                ("input", input.as_str().into()),
-                ("transactions", transactions.into()),
-            ]);
-            let config = JsonValue::object(vec![
-                ("miner", miner.as_str().into()),
-                ("phase2", phase2.name().into()),
-                ("nodes", (c.spec().nodes as u64).into()),
-                ("cores_per_node", (c.spec().cores_per_node as u64).into()),
-                ("locality_wait", c.scheduler_config().locality_wait.into()),
-                (
-                    "storage_fraction",
-                    c.scheduler_config().storage_fraction.into(),
-                ),
-            ]);
-            let mut manifest =
-                yafim::cluster::RunManifest::capture("yafim-cli mine", &miner, dataset, config, c);
-            manifest.push_metric("frequent_itemsets", result.total() as f64);
-            if let Err(e) = std::fs::write(&path, format!("{}\n", manifest.to_json())) {
-                eprintln!("{path}: {e}");
-                exit(1);
-            }
-            println!("\nwrote run manifest to {path}");
-        } else {
-            eprintln!("--manifest requires a distributed miner");
+    if let Some(path) = manifest {
+        use yafim::cluster::json::JsonValue;
+        let dataset = JsonValue::object(vec![
+            ("input", input.as_str().into()),
+            ("transactions", transactions.into()),
+        ]);
+        let config = JsonValue::object(vec![
+            ("miner", miner.name().into()),
+            ("phase2", phase2.name().into()),
+            ("nodes", (c.spec().nodes as u64).into()),
+            ("cores_per_node", (c.spec().cores_per_node as u64).into()),
+            ("locality_wait", c.scheduler_config().locality_wait.into()),
+            (
+                "storage_fraction",
+                c.scheduler_config().storage_fraction.into(),
+            ),
+        ]);
+        let mut manifest = yafim::cluster::RunManifest::capture(
+            "yafim-cli mine",
+            miner.name(),
+            dataset,
+            config,
+            c,
+        );
+        manifest.push_metric("frequent_itemsets", result.total() as f64);
+        if let Err(e) = std::fs::write(&path, format!("{}\n", manifest.to_json())) {
+            eprintln!("{path}: {e}");
+            exit(1);
         }
+        println!("\nwrote run manifest to {path}");
     }
 }
 
@@ -404,17 +388,23 @@ fn cmd_compare() {
     let input = arg("--input").unwrap_or_else(|| usage());
     let support = parse_support(&arg("--support").unwrap_or_else(|| usage()));
     let lines = loaded(&input, read_canonical_lines(&input));
+    let phase2 = phase2_plan();
 
     println!("{:<12} {:>12} {:>10}", "miner", "virtual (s)", "itemsets");
     let mut reference = None;
-    for miner in ["spark", "mapreduce", "son", "pfp"] {
+    // Every distributed miner, YAFIM once (under `--phase2`, if given).
+    let rows = Miner::ALL
+        .into_iter()
+        .filter(|m| m.is_distributed() && m.plan().is_none_or(|p| p == phase2));
+    for miner in rows {
+        let name = miner.name();
         let (run, _) = run_distributed(miner, lines.clone(), support);
         if let Some(r) = &reference {
-            assert_eq!(r, &run.result, "{miner} diverges — please report a bug");
+            assert_eq!(r, &run.result, "{name} diverges — please report a bug");
         }
         println!(
             "{:<12} {:>12.2} {:>10}",
-            miner,
+            name,
             run.total_seconds,
             run.result.total()
         );

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 use yafim::data::{write_dat, PaperDataset};
-use yafim::Phase2Plan;
+use yafim::{Miner, Phase2Plan};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_yafim-cli"))
@@ -24,6 +24,18 @@ fn input(test: &str) -> PathBuf {
 fn mine(input: &str, tail: &[&str]) -> Output {
     let head = ["mine", "--input", input, "--support", "40%"];
     cli(&[&head[..], tail].concat())
+}
+
+/// Every distributed miner with the flags that spell it.
+fn distributed_miners() -> impl Iterator<Item = (Miner, Vec<&'static str>)> {
+    let distributed = Miner::ALL.into_iter().filter(|m| m.is_distributed());
+    distributed.map(|miner| {
+        let mut flags = vec!["--miner", miner.name()];
+        if let Some(phase2) = miner.plan() {
+            flags.extend(["--phase2", phase2.name()]);
+        }
+        (miner, flags)
+    })
 }
 
 /// The summary line without the miner's name in front.
@@ -73,6 +85,32 @@ fn an_unknown_phase2_mode_is_one_line_and_exit_1() {
 }
 
 #[test]
+fn an_unknown_miner_is_one_line_and_exit_2() {
+    // Refused before the input is opened: the file need not exist.
+    let out = mine("no-such-file.dat", &["--miner", "turbo"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(refusal(&out), "unknown miner: turbo\n");
+}
+
+#[test]
+fn every_distributed_miner_refuses_an_aborting_fault_plan_in_one_line() {
+    let file = input("abort");
+    let file = file.to_str().expect("utf-8 temp path");
+    let plan = std::env::temp_dir().join(format!("yafim-cli-abort-{}.json", std::process::id()));
+    std::fs::write(&plan, r#"{"seed": 1, "task_crash_prob": 1.0}"#).expect("temp dir writable");
+    let plan = plan.to_str().expect("utf-8 temp path");
+    for (miner, flags) in distributed_miners() {
+        let out = mine(file, &[&flags[..], &["--fault-plan", plan]].concat());
+        assert_eq!(out.status.code(), Some(1), "{miner:?}: {out:?}");
+        let start = format!("{} miner refused the run: stage `", miner.name());
+        let line = refusal(&out);
+        assert!(line.starts_with(&start), "{miner:?}: {line}");
+    }
+    std::fs::remove_file(file).expect("own temp file");
+    std::fs::remove_file(plan).expect("own temp file");
+}
+
+#[test]
 fn bad_numeric_flags_are_refused_not_defaulted() {
     let file = input("flags");
     let file = file.to_str().expect("utf-8 temp path");
@@ -114,16 +152,16 @@ fn every_distributed_miner_registers_exactly_one_job() {
     let file = file.to_str().expect("utf-8 temp path");
     let manifest = std::env::temp_dir().join(format!("yafim-cli-jobs-{}.json", std::process::id()));
     let manifest = manifest.to_str().expect("utf-8 temp path");
-    for miner in ["spark", "mapreduce", "son", "pfp"] {
-        let out = mine(file, &["--miner", miner, "--manifest", manifest]);
-        assert!(out.status.success(), "{miner}: {out:?}");
+    for (miner, flags) in distributed_miners() {
+        let out = mine(file, &[&flags[..], &["--manifest", manifest]].concat());
+        assert!(out.status.success(), "{miner:?}: {out:?}");
         let text = std::fs::read_to_string(manifest).expect("manifest written");
         let doc = yafim::cluster::json::parse(&text).expect("manifest is JSON");
         let metrics = doc.get("metrics").expect("a metrics block");
         for key in ["jobs_submitted", "jobs_completed", "pool.default.jobs"] {
             let counter = metrics.get(&format!("counter.sched.{key}"));
             let count = counter.and_then(|v| v.as_f64());
-            assert_eq!(count, Some(1.0), "{miner}: sched.{key}");
+            assert_eq!(count, Some(1.0), "{miner:?}: sched.{key}");
         }
     }
     std::fs::remove_file(file).expect("own temp file");
