@@ -38,7 +38,6 @@ pub mod pfp;
 pub mod rules;
 pub mod sequential;
 pub mod son;
-pub mod summarize;
 pub mod trie;
 pub mod types;
 pub mod yafim;
@@ -56,7 +55,6 @@ pub use pfp::{Pfp, PfpConfig};
 pub use rules::{generate_rules, Rule, RuleConfig};
 pub use sequential::{apriori, brute_force, SequentialConfig};
 pub use son::{Son, SonConfig};
-pub use summarize::{closed_itemsets, maximal_itemsets};
 pub use trie::CandidateTrie;
 pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support};
 pub use yafim::{mine_in_memory, Phase2Plan, Yafim, YafimConfig};

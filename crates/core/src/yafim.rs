@@ -40,7 +40,10 @@
 //!
 //! Which structure actually counts a given pass — the plan's own, or a
 //! smaller one when a size guard or the memory governor rules it out — is
-//! decided in one place, `Yafim::choose_counter`.
+//! decided in one place, `Yafim::choose_counter`; how the partitions' counts
+//! combine in another, `Yafim::count_pass`: `Paper` shuffles them through
+//! `reduceByKey` as Algorithm 3 does, a projecting plan sums per-worker dense
+//! arrays at the driver (one stage per pass, no shuffle).
 
 use crate::bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition};
 use crate::candidates::{ap_gen, CandidateList, CandidateStore};
@@ -57,7 +60,7 @@ use std::sync::Arc;
 use yafim_cluster::{
     memgov, ByteSize, EventKind, ExecError, RecoveryCounters, SimDuration, SPILL_GRANULE,
 };
-use yafim_rdd::{Context, Rdd};
+use yafim_rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 
 /// Driver-side footprint estimates for the memory-degradation ladder.
 /// Deliberately coarse: they only need to rank the counting structures
@@ -645,27 +648,23 @@ impl Yafim {
             format!("pass 2 triangle setup ({n_candidates} pairs)"),
         );
 
-        let counted: Vec<(u32, u64)> = work
-            .map_partitions(move |txs, tc| {
-                // The triangle is this task's execution memory; an injected
-                // (or real) denial kills the attempt into the retry ladder.
-                tc.try_reserve(8 * n_candidates as u64, memgov::site::TRIANGLE, false);
-                let (pairs, out) = count_pairs(txs, n_dense);
-                // One cheap array touch per pair, plus one emission per
-                // nonzero cell — no tree descent, no subset checks.
-                tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
-                tc.add_cpu(out.len() as u64);
-                out
-            })
-            .reduce_by_key(|a, b| a + b)
-            .filter(move |&(_, c)| c >= min_sup)
-            .try_collect()?;
+        let counted = self.count_pass(work, n_candidates, min_sup, move |acc, txs, tc| {
+            // The triangle is this task's execution memory; an injected
+            // (or real) denial kills the attempt into the retry ladder.
+            tc.try_reserve(8 * n_candidates as u64, memgov::site::TRIANGLE, false);
+            let (pairs, cells) = count_pairs(acc, txs, n_dense);
+            // One cheap array touch per pair, plus one emission per
+            // nonzero cell — no tree descent, no subset checks.
+            tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
+            tc.add_cpu(cells);
+            cells
+        })?;
 
-        let lk = resolve_survivors(counted, |idx| {
-            let (a, b) = tri_pair(n_dense, idx);
-            Itemset::from_sorted(vec![a as u32, b as u32])
-        });
-        Ok((n_candidates, lk))
+        let pair = |(idx, c): (u32, u64)| {
+            let (a, b) = tri_pair(n_dense, idx as usize);
+            (Itemset::from_sorted(vec![a as u32, b as u32]), c)
+        };
+        Ok((n_candidates, counted.into_iter().map(pair).collect()))
     }
 
     /// One Phase-II pass through a broadcast [`CandidateStore`] (the hash
@@ -696,42 +695,25 @@ impl Yafim {
         let store_bytes = bc.bytes();
 
         // Workers: count candidate occurrences over the cached
-        // transactions. Matches are pre-aggregated per partition (as
-        // Spark's reduceByKey map-side combine would), then shuffled.
-        let counted: Vec<(u32, u64)> = work
-            .map_partitions(move |txs, tc| {
-                // Each task reads the broadcast store (already paid for
-                // once, virtually, at broadcast time).
-                tc.note_broadcast_read(store_bytes);
-                // The deserialized store plus the count array are this
-                // task's execution memory.
-                tc.try_reserve(
-                    store_bytes + 8 * n_candidates as u64,
-                    memgov::site::CANDIDATE_STORE,
-                    false,
-                );
-                let mut counts = vec![0u64; n_candidates];
-                let mut scratch = MatchScratch::default();
-                let mut visits = 0u64;
-                for t in txs {
-                    visits += store_for_tasks.for_each_match_dyn(t, &mut scratch, &mut |idx| {
-                        counts[idx] += 1;
-                    });
-                }
-                let matches: u64 = counts.iter().sum();
-                // Store traversal plus one emission per match — the
-                // flatMap cost of Algorithm 3, lines 4-9.
-                tc.add_cpu(visits * JVM_TREE_VISIT_UNITS + matches);
-                counts
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(_, c)| c > 0)
-                    .map(|(i, c)| (i as u32, c))
-                    .collect()
-            })
-            .reduce_by_key(|a, b| a + b)
-            .filter(move |&(_, c)| c >= min_sup)
-            .try_collect()?;
+        // transactions, pre-aggregated per partition (as Spark's
+        // reduceByKey map-side combine would).
+        let counted = self.count_pass(work, n_candidates, min_sup, move |acc, txs, tc| {
+            // Each task reads the broadcast store (already paid for
+            // once, virtually, at broadcast time).
+            tc.note_broadcast_read(store_bytes);
+            // The deserialized store plus the count array are this
+            // task's execution memory.
+            tc.try_reserve(
+                store_bytes + 8 * n_candidates as u64,
+                memgov::site::CANDIDATE_STORE,
+                false,
+            );
+            let (visits, matches, cells) = count_matches(acc, txs, &**store_for_tasks);
+            // Store traversal plus one emission per match — the
+            // flatMap cost of Algorithm 3, lines 4-9.
+            tc.add_cpu(visits * JVM_TREE_VISIT_UNITS + matches);
+            cells
+        })?;
 
         let lk = drain_broadcast(
             counted,
@@ -740,6 +722,53 @@ impl Yafim {
             |store| store.candidates(),
         );
         Ok((n_candidates, lk))
+    }
+
+    /// Count one pass over `rdd`: `fold` adds a partition's support counts
+    /// into a dense slice over `C_k` and returns how many cells it touched.
+    /// The plan picks how the partitions combine, here and nowhere else. A
+    /// projecting plan knows every key before the job starts, so it
+    /// aggregates: tasks fold into per-worker accumulators, the driver sums
+    /// those and thresholds by index, and each task's partial is modelled as
+    /// one `(u32, u64)` record per touched cell. The paper's plan is
+    /// Algorithm 3 as written: every task emits its nonzero cells into
+    /// `reduceByKey(+)`, then a filter and a collect.
+    ///
+    /// Returns the surviving `(candidate index, count)` records, ascending.
+    fn count_pass<T: Data>(
+        &self,
+        rdd: &Rdd<T>,
+        n_candidates: usize,
+        min_sup: u64,
+        fold: impl Fn(&mut [u64], &[T], &TaskContext) -> u64 + Send + Sync + 'static,
+    ) -> Result<Vec<(u32, u64)>, ExecError> {
+        if self.config.phase2.projects() {
+            let record_bytes = (0u32, 0u64).byte_size();
+            let counts = rdd.try_aggregate(
+                move || vec![0u64; n_candidates],
+                move |acc: &mut Vec<u64>, part, tc| {
+                    let records = fold(acc, part, tc);
+                    let bytes = records * record_bytes;
+                    PartialSize { records, bytes }
+                },
+                |mut a, b| {
+                    a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
+                    a
+                },
+            )?;
+            return Ok(cells_at_least(&counts, min_sup));
+        }
+        let mut counted = rdd
+            .map_partitions(move |part, tc| {
+                let mut counts = vec![0u64; n_candidates];
+                fold(&mut counts, part, tc);
+                cells_at_least(&counts, 1)
+            })
+            .reduce_by_key(|a, b| a + b)
+            .filter(move |&(_, c)| c >= min_sup)
+            .try_collect()?;
+        counted.sort_unstable_by_key(|&(idx, _)| idx);
+        Ok(counted)
     }
 
     /// Project `work` into the cached columnar bitmap store: one job,
@@ -798,13 +827,13 @@ impl Yafim {
         let n_candidates = candidates.len();
 
         // First bitmap pass: materialize the columnar store.
-        let columnar_rdd = held
+        let columnar = held
             .columnar
             .get_or_insert_with(|| self.build_columnar(&held.work, n_dense))
             .clone();
 
         // Driver: no store to build — just assemble and broadcast the
-        // sorted candidate list (indices into it are the shuffle keys,
+        // sorted candidate list (indices into it are the count cells,
         // exactly as with the stores).
         metrics.advance_with_event(
             cost.cpu(n_candidates as u64),
@@ -822,28 +851,22 @@ impl Yafim {
         let cand_bytes = bc.bytes();
 
         // Workers: word-wise AND + popcount per candidate over the cached
-        // bitset rows. Within a partition every candidate is counted at
-        // most once, so the emitted pairs are already combined map-side.
-        let counted: Vec<(u32, u64)> = columnar_rdd
-            .map_partitions(move |cols, tc| {
-                tc.note_broadcast_read(cand_bytes);
-                let mut scratch = BitmapScratch::default();
-                let mut out: Vec<(u32, u64)> = Vec::new();
-                let mut words = 0u64;
-                for col in cols {
-                    words += col.count_candidates(&cands_for_tasks.0, &mut scratch, &mut |i, c| {
-                        out.push((i as u32, c));
-                    });
-                }
-                // One AND+popcount per word, one emission per nonzero
-                // count — the whole per-task cost of the pass.
-                tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + out.len() as u64);
-                words_counter.inc(words);
-                out
-            })
-            .reduce_by_key(|a, b| a + b)
-            .filter(move |&(_, c)| c >= min_sup)
-            .try_collect()?;
+        // bitset rows.
+        let counted = self.count_pass(&columnar, n_candidates, min_sup, move |acc, cols, tc| {
+            tc.note_broadcast_read(cand_bytes);
+            // The count array is this task's execution memory.
+            tc.try_reserve(
+                8 * n_candidates as u64,
+                memgov::site::CANDIDATE_STORE,
+                false,
+            );
+            let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks.0);
+            // One AND+popcount per word, one emission per nonzero
+            // count — the whole per-task cost of the pass.
+            tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
+            words_counter.inc(words);
+            cells
+        })?;
 
         let lk = drain_broadcast(counted, bc.into_value(), |list| list.0, |list| &list.0);
         Ok((n_candidates, lk))
@@ -862,104 +885,123 @@ fn audit_pass(
         .map_err(|violation| MineError::Audit { pass, violation })
 }
 
-/// Turn one pass's surviving `(candidate index, count)` records into `L_k`
-/// in candidate order; `candidate` is asked for each surviving index once,
-/// ascending.
-fn resolve_survivors(
-    mut counted: Vec<(u32, u64)>,
-    mut candidate: impl FnMut(usize) -> Itemset,
-) -> Vec<(Itemset, u64)> {
-    counted.sort_unstable_by_key(|&(idx, _)| idx);
-    counted
-        .into_iter()
-        .map(|(idx, c)| (candidate(idx as usize), c))
-        .collect()
+/// The `(index, count)` record of every cell of `counts` holding at least
+/// `min`, in ascending index order.
+fn cells_at_least(counts: &[u64], min: u64) -> Vec<(u32, u64)> {
+    let cells = counts.iter().enumerate().filter(|&(_, &c)| c >= min);
+    cells.map(|(i, &c)| (i as u32, c)).collect()
 }
 
-/// [`resolve_survivors`] against a broadcast candidate container, exactly
-/// once per pass. The tasks have dropped their broadcast handles by now, so
-/// the driver usually holds the last reference and moves the survivors out
-/// by value — no per-frequent-itemset clone. When something (e.g. an
-/// in-flight recompute) still shares the container, clone out of it.
+/// Turn one pass's surviving `(candidate index, count)` records into `L_k`
+/// against the broadcast candidate container, exactly once per pass. The
+/// tasks have dropped their broadcast handles by now, so the driver usually
+/// holds the last reference and moves the survivors out by value — no
+/// per-frequent-itemset clone. When something (e.g. an in-flight recompute)
+/// still shares the container, clone out of it.
 fn drain_broadcast<T>(
     counted: Vec<(u32, u64)>,
     shared: Arc<T>,
     into_candidates: impl FnOnce(T) -> Vec<Itemset>,
     candidates: impl FnOnce(&T) -> &[Itemset],
 ) -> Vec<(Itemset, u64)> {
+    let survivors = counted.into_iter().map(|(idx, c)| (idx as usize, c));
     match Arc::try_unwrap(shared) {
         Ok(owned) => {
             let mut all = into_candidates(owned);
-            resolve_survivors(counted, |idx| {
-                std::mem::replace(&mut all[idx], Itemset::from_sorted(Vec::new()))
-            })
+            let empty = || Itemset::from_sorted(Vec::new());
+            let moved = survivors.map(|(idx, c)| (std::mem::replace(&mut all[idx], empty()), c));
+            moved.collect()
         }
         Err(shared) => {
             let all = candidates(&shared);
-            resolve_survivors(counted, |idx| all[idx].clone())
+            survivors.map(|(idx, c)| (all[idx].clone(), c)).collect()
         }
     }
-}
-
-/// Per-thread scratch of the pass-2 triangle counter: the count cells and
-/// one touched bit per cell. It is all-zero whenever it rests in
-/// [`TRIANGLE_SCRATCH`]: [`count_pairs`] takes it out, zeroes exactly the
-/// cells it touched while emitting them, and only then puts it back — a
-/// task that unwinds in between drops it, and the next task on the thread
-/// starts from a fresh one.
-#[derive(Default)]
-struct TriangleScratch {
-    counts: Vec<u64>,
-    touched: Vec<u64>,
 }
 
 thread_local! {
-    static TRIANGLE_SCRATCH: RefCell<TriangleScratch> = RefCell::default();
+    /// One touched bit per candidate cell, for the counters that can hit a
+    /// cell more than once per partition. All zero whenever it rests here:
+    /// [`touched_cells`] takes it out and puts it back only after clearing
+    /// the bits it set, so a task that unwinds in between drops it and the
+    /// next task on the thread starts from a fresh one.
+    static TOUCHED: RefCell<Vec<u64>> = RefCell::default();
 }
 
-/// Count every item pair of the dense-rank transactions `txs` in a
-/// triangular array over `n_dense` ranks. Returns the number of pair
-/// increments and one `(tri_index, count)` record per nonzero cell in
-/// ascending index order — found by walking the touched bits, not by
-/// scanning the (mostly empty) triangle.
-fn count_pairs(txs: &[Vec<Item>], n_dense: usize) -> (u64, Vec<(u32, u64)>) {
-    let n_cells = tri_len(n_dense);
+/// Run `count` over this thread's touched bitset (`n_cells` zeroed bits) and
+/// return how many distinct cells it marked, by popcount, not by scanning
+/// the (mostly empty) count array.
+fn touched_cells(n_cells: usize, count: impl FnOnce(&mut [u64])) -> u64 {
     let n_words = n_cells.div_ceil(64);
-    let mut scratch = TRIANGLE_SCRATCH.take();
-    if scratch.counts.len() < n_cells {
-        scratch.counts.resize(n_cells, 0);
-        scratch.touched.resize(n_words, 0);
+    let mut touched = TOUCHED.take();
+    if touched.len() < n_words {
+        touched.resize(n_words, 0);
     }
-    let counts = &mut scratch.counts[..n_cells];
-    let touched = &mut scratch.touched[..n_words];
+    count(&mut touched[..n_words]);
+    let words = touched[..n_words].iter_mut();
+    let cells = words.map(|w| std::mem::take(w).count_ones() as u64).sum();
+    TOUCHED.set(touched);
+    cells
+}
 
+/// Add every item pair of the dense-rank transactions `txs` into `acc`, a
+/// triangular array over `n_dense` ranks. Returns the number of pair
+/// increments and of distinct cells they hit.
+fn count_pairs(acc: &mut [u64], txs: &[Vec<Item>], n_dense: usize) -> (u64, u64) {
     let mut pairs = 0u64;
-    for t in txs {
-        for i in 0..t.len().saturating_sub(1) {
-            // Row-relative addressing keeps the inner loop a single add +
-            // increment.
-            let base = tri_index(n_dense, t[i] as usize, t[i] as usize + 1);
-            for &b in &t[i + 1..] {
-                let cell = base + (b - t[i]) as usize - 1;
-                counts[cell] += 1;
-                touched[cell / 64] |= 1 << (cell % 64);
+    let cells = touched_cells(acc.len(), |touched| {
+        for t in txs {
+            for i in 0..t.len().saturating_sub(1) {
+                // Row-relative addressing keeps the inner loop a single
+                // add + increment.
+                let base = tri_index(n_dense, t[i] as usize, t[i] as usize + 1);
+                for &b in &t[i + 1..] {
+                    let cell = base + (b - t[i]) as usize - 1;
+                    acc[cell] += 1;
+                    touched[cell / 64] |= 1 << (cell % 64);
+                }
             }
+            pairs += (t.len() * t.len().saturating_sub(1) / 2) as u64;
         }
-        pairs += (t.len() * t.len().saturating_sub(1) / 2) as u64;
-    }
+    });
+    (pairs, cells)
+}
 
-    let nonzero: u32 = touched.iter().map(|w| w.count_ones()).sum();
-    let mut out = Vec::with_capacity(nonzero as usize);
-    for (w, word) in touched.iter_mut().enumerate() {
-        let mut bits = std::mem::take(word);
-        while bits != 0 {
-            let cell = w * 64 + bits.trailing_zeros() as usize;
-            out.push((cell as u32, std::mem::take(&mut counts[cell])));
-            bits &= bits - 1;
+/// Add one to `acc[i]` for every candidate `i` of `store` contained in each
+/// transaction of `txs`. Returns the store's visit count, the number of
+/// matches and the number of distinct candidates matched.
+fn count_matches(
+    acc: &mut [u64],
+    txs: &[Vec<Item>],
+    store: &dyn CandidateStore,
+) -> (u64, u64, u64) {
+    let mut scratch = MatchScratch::default();
+    let (mut visits, mut matches) = (0u64, 0u64);
+    let cells = touched_cells(acc.len(), |touched| {
+        for t in txs {
+            visits += store.for_each_match_dyn(t, &mut scratch, &mut |idx| {
+                acc[idx] += 1;
+                touched[idx / 64] |= 1 << (idx % 64);
+                matches += 1;
+            });
         }
+    });
+    (visits, matches, cells)
+}
+
+/// Add each candidate's support in the columnar partitions `cols` into
+/// `acc`. Returns the number of words intersected and of nonzero supports
+/// found (one per candidate and partition at most, so no cell repeats).
+fn count_bitmaps(acc: &mut [u64], cols: &[ColumnarPartition], cands: &[Itemset]) -> (u64, u64) {
+    let mut scratch = BitmapScratch::default();
+    let (mut words, mut cells) = (0u64, 0u64);
+    for col in cols {
+        words += col.count_candidates(cands, &mut scratch, &mut |i, c| {
+            acc[i] += c;
+            cells += 1;
+        });
     }
-    TRIANGLE_SCRATCH.set(scratch);
-    (pairs, out)
+    (words, cells)
 }
 
 /// Convenience: one-call YAFIM over an in-memory transaction list, writing
@@ -1072,11 +1114,12 @@ mod tests {
         let tx = PaperDataset::Medical.generate_scaled(0.01);
         for plan in Phase2Plan::ALL {
             let mut refused = 0;
-            for seed in 0..6 {
+            for seed in 0..40 {
                 let c = ctx();
                 c.cluster().hdfs().put_overwrite("d.dat", to_lines(&tx));
                 // One crash aborts the stage, so most seeds die mid-run —
-                // some of them with a checkpoint already written.
+                // some with a checkpoint already written, some inside the
+                // checkpoint job itself.
                 c.cluster().faults().set_plan(
                     FaultPlan::seeded(seed)
                         .crash_tasks(0.02)
@@ -1197,9 +1240,13 @@ mod tests {
         );
     }
 
-    /// The pre-sparse emitter: a fresh zeroed triangle per task, scanned
-    /// end to end for its nonzero cells.
-    fn count_pairs_dense(txs: &[Vec<Item>], n_dense: usize) -> (u64, Vec<(u32, u64)>) {
+    /// What one task used to ship: `(index, count)` per nonzero cell. The
+    /// emitters the folds replaced stay below as oracles (DESIGN.md §5,
+    /// "Modelled quantities"), each with its counter's work figures.
+    type Sparse = Vec<(u32, u64)>;
+
+    /// A fresh zeroed triangle per task, scanned end to end.
+    fn count_pairs_dense(txs: &[Vec<Item>], n_dense: usize) -> (u64, Sparse) {
         let mut counts = vec![0u64; tri_len(n_dense)];
         let mut pairs = 0u64;
         for t in txs {
@@ -1210,13 +1257,40 @@ mod tests {
                 }
             }
         }
-        let out = counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u32, c))
-            .collect();
-        (pairs, out)
+        (pairs, cells_at_least(&counts, 1))
+    }
+
+    /// A fresh zeroed count array per task; matches are its sum.
+    fn count_matches_sparse(txs: &[Vec<Item>], store: &dyn CandidateStore) -> (u64, u64, Sparse) {
+        let mut counts = vec![0u64; store.len()];
+        let mut scratch = MatchScratch::default();
+        let mut visits = 0u64;
+        for t in txs {
+            visits += store.for_each_match_dyn(t, &mut scratch, &mut |idx| counts[idx] += 1);
+        }
+        (visits, counts.iter().sum(), cells_at_least(&counts, 1))
+    }
+
+    /// One pushed record per nonzero support.
+    fn count_bitmaps_sparse(cols: &[ColumnarPartition], cands: &[Itemset]) -> (u64, Sparse) {
+        let mut scratch = BitmapScratch::default();
+        let mut out = Vec::new();
+        let mut words = 0u64;
+        for col in cols {
+            words += col.count_candidates(cands, &mut scratch, &mut |i, c| {
+                out.push((i as u32, c));
+            });
+        }
+        (words, out)
+    }
+
+    /// Run `fold` on an accumulator earlier partitions were already folded
+    /// into: what it returned, and the sparse records it added.
+    fn folded<W>(n_cells: usize, fold: impl FnOnce(&mut [u64]) -> W) -> (W, Sparse) {
+        let mut acc: Vec<u64> = (0..n_cells as u64).map(|i| i % 5).collect();
+        let work = fold(&mut acc);
+        let fresh: Vec<u64> = (0..n_cells).map(|i| acc[i] - i as u64 % 5).collect();
+        (work, cells_at_least(&fresh, 1))
     }
 
     fn random_dense_partition(rng: &mut StdRng, n_dense: usize) -> Vec<Vec<Item>> {
@@ -1233,34 +1307,63 @@ mod tests {
     }
 
     #[test]
-    fn sparse_triangle_emit_equals_a_dense_scan() {
+    fn every_fold_adds_what_its_sparse_emitter_emitted() {
         let mut rng = StdRng::seed_from_u64(0x7a11);
         // Back to back on this one thread, so every call after the first
-        // runs on a reused scratch — with `n_dense` growing, shrinking and
-        // at its minimum of 2, and with empty partitions in between.
+        // runs on a reused touched bitset — with `n_dense` (and with it
+        // every cell count) growing, shrinking and at its minimum of 2, and
+        // with empty partitions in between.
         for n_dense in [40, 2, 130, 7, 2, 65, 64, 3] {
-            for _ in 0..6 {
-                let txs = random_dense_partition(&mut rng, n_dense);
-                assert_eq!(
-                    count_pairs(&txs, n_dense),
-                    count_pairs_dense(&txs, n_dense),
-                    "n_dense={n_dense} txs={txs:?}"
-                );
+            // C_2 over the first ranks and the C_3 it generates.
+            let singles: Vec<Itemset> = (0..n_dense.min(9) as u32).map(Itemset::single).collect();
+            let pairs = ap_gen(&singles).0;
+            let levels = [ap_gen(&pairs).0, pairs];
+            let partitions = (0..6)
+                .map(|_| random_dense_partition(&mut rng, n_dense))
+                .chain([Vec::new()]);
+            for txs in partitions {
+                let label = format!("n_dense={n_dense} txs={txs:?}");
+                let fold = |acc: &mut [u64]| count_pairs(acc, &txs, n_dense);
+                let (new, added) = folded(tri_len(n_dense), fold);
+                let (pairs, sparse) = count_pairs_dense(&txs, n_dense);
+                assert_eq!(new, (pairs, sparse.len() as u64), "{label}");
+                assert_eq!(added, sparse, "{label}");
+
+                let cols = [ColumnarPartition::build(n_dense, &txs)];
+                for candidates in levels.iter().filter(|l| !l.is_empty()) {
+                    let stores: [Box<dyn CandidateStore>; 2] = [
+                        Box::new(CandidateTrie::build(candidates.clone())),
+                        Box::new(HashTree::build(candidates.clone())),
+                    ];
+                    for store in &stores {
+                        let label = format!("{} {label}", store.name());
+                        let fold = |acc: &mut [u64]| count_matches(acc, &txs, &**store);
+                        let (new, added) = folded(candidates.len(), fold);
+                        let (visits, matches, sparse) = count_matches_sparse(&txs, &**store);
+                        assert_eq!(new, (visits, matches, sparse.len() as u64), "{label}");
+                        assert_eq!(added, sparse, "{label}");
+                    }
+                    let fold = |acc: &mut [u64]| count_bitmaps(acc, &cols, candidates);
+                    let (new, added) = folded(candidates.len(), fold);
+                    let (words, sparse) = count_bitmaps_sparse(&cols, candidates);
+                    assert_eq!(new, (words, sparse.len() as u64), "bitmap {label}");
+                    assert_eq!(added, sparse, "bitmap {label}");
+                }
             }
-            assert_eq!(count_pairs(&[], n_dense), (0, Vec::new()));
         }
     }
 
     #[test]
-    fn an_unwound_triangle_task_leaks_no_counts_into_the_next() {
+    fn an_unwound_task_leaks_no_touched_cells_into_the_next() {
         let good = vec![vec![0, 1, 4], vec![1, 4]];
         // Rank 30 indexes past a 5-rank triangle: the task dies mid-count,
         // after it already touched cells.
         let poisoned = vec![vec![0, 1, 2, 3], vec![0, 30]];
-        count_pairs(&good, 5);
-        let unwound = std::panic::catch_unwind(|| count_pairs(&poisoned, 5));
+        let count = |txs: &[Vec<Item>]| count_pairs(&mut vec![0; tri_len(5)], txs, 5);
+        count(&good);
+        let unwound = std::panic::catch_unwind(|| count(&poisoned));
         assert!(unwound.is_err(), "out-of-range rank must not be counted");
-        assert_eq!(count_pairs(&good, 5), count_pairs_dense(&good, 5));
+        assert_eq!(count(&good).1, count_pairs_dense(&good, 5).1.len() as u64);
     }
 
     #[test]

@@ -26,9 +26,21 @@ fn cluster() -> SimCluster {
 fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Plan) -> MinerRun {
     let c = cluster();
     c.hdfs().put_overwrite("d.dat", to_lines(tx));
-    Yafim::new(Context::new(c), YafimConfig::with_plan(support, phase2))
-        .mine("d.dat")
-        .expect("written")
+    let run = Yafim::new(
+        Context::new(c.clone()),
+        YafimConfig::with_plan(support, phase2),
+    )
+    .mine("d.dat")
+    .expect("written");
+    // Pass 1 shuffles under every plan. A later pass is the paper's two
+    // stages, or the one stage of an aggregate when the plan projects.
+    let passes = run.passes.len() as u64;
+    let stages = match phase2 {
+        Phase2Plan::Paper => 2 * passes,
+        Phase2Plan::Trie | Phase2Plan::Bitmap => passes + 1,
+    };
+    assert_eq!(c.metrics().snapshot().stages, stages, "{phase2:?}");
+    run
 }
 
 fn assert_identical(paper: &MinerRun, other: &MinerRun, label: &str) {

@@ -233,40 +233,6 @@ fn rules_are_consistent() {
 }
 
 #[test]
-fn condensed_representations_are_sound() {
-    let mut rng = StdRng::seed_from_u64(62);
-    for _ in 0..CASES {
-        let db = database(&mut rng);
-        let sup = rng.gen_range(1u64..5);
-        let r = apriori(&db, &SequentialConfig::new(Support::Count(sup)));
-        let maximal = yafim_core::maximal_itemsets(&r);
-        let closed = yafim_core::closed_itemsets(&r);
-        // Coverage: every frequent itemset under some maximal one.
-        for (set, _) in r.iter() {
-            assert!(maximal
-                .iter()
-                .any(|(m, _)| set.is_subset_of_sorted(m.items())));
-        }
-        // Support recovery: max support over closed supersets is exact.
-        for (set, s) in r.iter() {
-            let derived = closed
-                .iter()
-                .filter(|(c, _)| set.is_subset_of_sorted(c.items()))
-                .map(|(_, cs)| *cs)
-                .max();
-            assert_eq!(derived, Some(*s));
-        }
-        // Antichain property of the maximal family.
-        for (i, (a, _)) in maximal.iter().enumerate() {
-            for (b, _) in maximal.iter().skip(i + 1) {
-                assert!(!a.is_subset_of_sorted(b.items()));
-                assert!(!b.is_subset_of_sorted(a.items()));
-            }
-        }
-    }
-}
-
-#[test]
 fn fraction_and_count_supports_agree() {
     let mut rng = StdRng::seed_from_u64(63);
     for _ in 0..CASES {

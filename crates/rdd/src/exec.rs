@@ -24,11 +24,12 @@
 //! blocks are re-fetched.
 
 use crate::context::Context;
-use crate::rdd::{materialize, node_for, CheckpointRdd, Data, Rdd, RddImpl};
+use crate::rdd::{materialize, node_for, CheckpointRdd, Data, Pipe, Rdd, RddImpl};
 use crate::shuffle::ShuffleStage;
 use crate::task::TaskContext;
 use std::sync::Arc;
 use yafim_cluster::fault::{CounterField, Merge};
+use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
     fx_hash64, slice_bytes, EventKind, ExecError, NodeId, RecoveryCounters, SimDuration,
     StageExecution, TaskExecution, TaskProfile, TaskSpec,
@@ -373,9 +374,14 @@ fn prepare_shuffles<T: Data>(ctx: &Context, imp: &Arc<dyn RddImpl<T>>) -> Result
     }
 }
 
-/// Run the final stage of a job, collapsing each partition's pipeline into
-/// a buffer for the driver fetch (the job's last pipeline breaker).
-fn run_final_stage<T: Data>(rdd: &Rdd<T>, label: String) -> Result<Vec<Arc<Vec<T>>>, ExecError> {
+/// Run the final stage of a job: `task` consumes each partition's pipeline
+/// (the job's last pipeline breaker) and its result goes to the driver.
+fn run_final_stage<T: Data, R: Send + 'static>(
+    rdd: &Rdd<T>,
+    label: String,
+    kind: EventKind,
+    task: impl for<'a> Fn(Pipe<'a, T>, &'a TaskContext) -> R + Send + Sync + 'static,
+) -> Result<Vec<R>, ExecError> {
     let imp = Arc::clone(&rdd.imp);
     let partitions = imp.num_partitions();
     let preferred: Vec<Option<NodeId>> = (0..partitions)
@@ -385,67 +391,59 @@ fn run_final_stage<T: Data>(rdd: &Rdd<T>, label: String) -> Result<Vec<Arc<Vec<T
     try_run_stage(
         &rdd.ctx,
         label,
-        EventKind::Stage,
+        kind,
         shuffle_read,
         partitions,
         preferred,
-        Arc::new(move |part, tc: &TaskContext| {
-            let data = materialize(&imp, part, tc).into_arc(tc);
-            tc.note_records_written(data.len() as u64);
-            data
-        }),
+        Arc::new(move |part, tc: &TaskContext| task(materialize(&imp, part, tc), tc)),
     )
     .map(|(parts, _)| parts)
 }
 
-/// Run the final stage of a `count` job: each partition's pipeline is
-/// drained without buffering — only the lengths reach the driver.
-fn run_count_stage<T: Data>(rdd: &Rdd<T>, label: String) -> Result<Vec<u64>, ExecError> {
-    let imp = Arc::clone(&rdd.imp);
-    let partitions = imp.num_partitions();
-    let preferred: Vec<Option<NodeId>> = (0..partitions)
-        .map(|p| imp.preferred_node(p).or_else(|| Some(node_for(&imp, p))))
-        .collect();
-    let shuffle_read = imp.shuffle_read_id();
-    try_run_stage(
-        &rdd.ctx,
-        label,
-        EventKind::Stage,
-        shuffle_read,
-        partitions,
-        preferred,
-        Arc::new(move |part, tc: &TaskContext| materialize(&imp, part, tc).count()),
-    )
-    .map(|(lens, _)| lens)
+/// Run `body` as one job called `name`: the job span and the per-job
+/// driver overhead, the integrity preflight, every shuffle stage the lineage
+/// depends on, then `body` — the final stage and what the driver pays for
+/// its results. Losses that triggered during the final stage surface inside
+/// this job rather than lingering until the next action.
+fn run_job<T: Data, R>(
+    rdd: &Rdd<T>,
+    name: &str,
+    body: impl FnOnce() -> Result<R, ExecError>,
+) -> Result<R, ExecError> {
+    let ctx = &rdd.ctx;
+    let job = ctx.metrics().begin_job(name);
+    ctx.metrics().advance(SimDuration::from_secs(
+        ctx.cluster().cost().spark_job_overhead,
+    ));
+    let result = (|| {
+        rdd.imp.preflight()?;
+        prepare_shuffles(ctx, &rdd.imp)?;
+        let out = body()?;
+        sync_node_losses(ctx);
+        Ok(out)
+    })();
+    ctx.metrics().end_job(job);
+    result
 }
 
 /// The `collect` action.
 pub(crate) fn try_collect<T: Data>(rdd: &Rdd<T>) -> Result<Vec<T>, ExecError> {
-    let ctx = &rdd.ctx;
-    let metrics = ctx.metrics().clone();
-    let job = metrics.begin_job(format!("collect rdd{}", rdd.id()));
-    metrics.advance(SimDuration::from_secs(
-        ctx.cluster().cost().spark_job_overhead,
-    ));
-
-    let result = (|| {
-        rdd.imp.preflight()?;
-        prepare_shuffles(ctx, &rdd.imp)?;
-        let parts = run_final_stage(rdd, format!("collect rdd{}", rdd.id()))?;
+    let name = format!("collect rdd{}", rdd.id());
+    let parts = run_job(rdd, &name, || {
+        // Each partition's pipeline collapses into a buffer for the fetch.
+        let parts = run_final_stage(rdd, name.clone(), EventKind::Stage, |pipe, tc| {
+            let data = pipe.into_arc(tc);
+            tc.note_records_written(data.len() as u64);
+            data
+        })?;
 
         // Results are serialized on the workers and fetched to the driver.
         let result_bytes: u64 = parts.iter().map(|p| slice_bytes(p)).sum();
-        let cost = ctx.cluster().cost();
-        metrics.advance(cost.serialize(result_bytes) + cost.net_transfer(result_bytes));
-
-        // Losses that triggered during the final stage surface inside this
-        // job rather than lingering until the next action.
-        sync_node_losses(ctx);
+        let cost = rdd.ctx.cluster().cost();
+        let fetch = cost.serialize(result_bytes) + cost.net_transfer(result_bytes);
+        rdd.ctx.metrics().advance(fetch);
         Ok(parts)
-    })();
-    metrics.end_job(job);
-
-    let parts = result?;
+    })?;
     let mut out = Vec::new();
     for p in parts {
         out.extend(p.iter().cloned());
@@ -461,80 +459,103 @@ pub(crate) fn try_collect<T: Data>(rdd: &Rdd<T>) -> Result<Vec<T>, ExecError> {
 /// network (pipelined, like an HDFS block write).
 pub(crate) fn try_checkpoint<T: Data>(rdd: &Rdd<T>) -> Result<Rdd<T>, ExecError> {
     let ctx = &rdd.ctx;
-    let metrics = ctx.metrics().clone();
-    let job = metrics.begin_job(format!("checkpoint rdd{}", rdd.id()));
-    metrics.advance(SimDuration::from_secs(
-        ctx.cluster().cost().spark_job_overhead,
-    ));
-
-    let result = (|| {
-        rdd.imp.preflight()?;
-        prepare_shuffles(ctx, &rdd.imp)?;
-        let imp = Arc::clone(&rdd.imp);
-        let partitions = imp.num_partitions();
+    run_job(rdd, &format!("checkpoint rdd{}", rdd.id()), || {
+        let partitions = rdd.num_partitions();
         let cp = CheckpointRdd::<T>::new(ctx, partitions);
         let cp_id = cp.meta.id;
-        let preferred: Vec<Option<NodeId>> = (0..partitions)
-            .map(|p| imp.preferred_node(p).or_else(|| Some(node_for(&imp, p))))
-            .collect();
-        let shuffle_read = imp.shuffle_read_id();
         let cluster = ctx.cluster().clone();
         let replication = cluster.hdfs().replication() as u64;
-        try_run_stage(
-            ctx,
-            format!("checkpoint rdd{} -> rdd{cp_id}", rdd.id()),
-            EventKind::Checkpoint,
-            shuffle_read,
-            partitions,
-            preferred,
-            Arc::new(move |part, tc: &TaskContext| {
-                let data = materialize(&imp, part, tc).into_arc(tc);
-                let bytes = slice_bytes(&data);
-                tc.add_ser(bytes); // serialize the block for stable storage
-                tc.add_disk_write(bytes); // primary replica, node-local
-                tc.add_net(bytes * replication.saturating_sub(1)); // pipeline to the others
-                if cluster.faults().integrity_active() {
-                    // Checksum the block at write time so replica reads can
-                    // verify it.
-                    tc.add_stall_micros((cluster.cost().checksum(bytes).as_secs() * 1e6) as u64);
-                }
-                tc.note_records_written(data.len() as u64);
-                cluster
-                    .hdfs()
-                    .checkpoint_put(cp_id, part, data, bytes, tc.node);
-            }),
-        )?;
-        metrics.note_recovery(&RecoveryCounters {
+        let label = format!("checkpoint rdd{} -> rdd{cp_id}", rdd.id());
+        run_final_stage(rdd, label, EventKind::Checkpoint, move |pipe, tc| {
+            let data = pipe.into_arc(tc);
+            let bytes = slice_bytes(&data);
+            tc.add_ser(bytes); // serialize the block for stable storage
+            tc.add_disk_write(bytes); // primary replica, node-local
+            tc.add_net(bytes * replication.saturating_sub(1)); // pipeline to the others
+            if cluster.faults().integrity_active() {
+                // Checksum the block at write time so replica reads can
+                // verify it.
+                tc.add_stall_micros((cluster.cost().checksum(bytes).as_secs() * 1e6) as u64);
+            }
+            tc.note_records_written(data.len() as u64);
+            cluster
+                .hdfs()
+                .checkpoint_put(cp_id, tc.partition, data, bytes, tc.node);
+        })
+        // Every task wrote its block for real before the virtual schedule
+        // could abort the stage: a refused checkpoint leaves none behind.
+        .inspect_err(|_| {
+            ctx.cluster().hdfs().checkpoint_remove(cp_id);
+        })?;
+        ctx.metrics().note_recovery(&RecoveryCounters {
             checkpoint_writes: partitions as u64,
             ..RecoveryCounters::default()
         });
-        sync_node_losses(ctx);
         Ok(Rdd::from_impl(ctx.clone(), Arc::new(cp)))
-    })();
-    metrics.end_job(job);
-    result
+    })
 }
 
 /// The `count` action: computes every partition but only its length crosses
 /// the network.
 pub(crate) fn try_count<T: Data>(rdd: &Rdd<T>) -> Result<u64, ExecError> {
-    let ctx = &rdd.ctx;
-    let metrics = ctx.metrics().clone();
-    let job = metrics.begin_job(format!("count rdd{}", rdd.id()));
-    metrics.advance(SimDuration::from_secs(
-        ctx.cluster().cost().spark_job_overhead,
-    ));
+    let name = format!("count rdd{}", rdd.id());
+    // Each pipeline is drained without buffering; only lengths are fetched.
+    let count = |pipe: Pipe<'_, T>, _: &TaskContext| pipe.count();
+    let lens = run_job(rdd, &name, || {
+        run_final_stage(rdd, name.clone(), EventKind::Stage, count)
+    })?;
+    Ok(lens.iter().sum())
+}
 
-    let result = (|| {
-        rdd.imp.preflight()?;
-        prepare_shuffles(ctx, &rdd.imp)?;
-        let lens = run_count_stage(rdd, format!("count rdd{}", rdd.id()))?;
-        sync_node_losses(ctx);
-        Ok(lens)
-    })();
-    metrics.end_job(job);
+/// Size of the partial result one task of [`Rdd::try_aggregate`] would have
+/// shipped to the driver. A *modelled quantity* (DESIGN.md §5): the host
+/// folds each partition straight into a per-worker accumulator, so no
+/// per-task partial exists to be measured.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PartialSize {
+    /// Records in the partial.
+    pub records: u64,
+    /// Their serialized size.
+    pub bytes: u64,
+}
 
-    Ok(result?.iter().sum())
+/// The `aggregate` action: one stage whose tasks fold their partitions into
+/// accumulators checked out of a per-action pool. A task makes one only when
+/// none is idle, so at most one exists per pool worker, and a task that
+/// unwinds drops the one it holds. The driver pays for every task's partial,
+/// serially: `serialize(ΣB) + net_transfer(ΣB)` plus one CPU unit per record.
+pub(crate) fn try_aggregate<T: Data, A: Send + 'static>(
+    rdd: &Rdd<T>,
+    zero: impl Fn() -> A + Send + Sync + 'static,
+    seq: impl Fn(&mut A, &[T], &TaskContext) -> PartialSize + Send + Sync + 'static,
+    comb: impl Fn(A, A) -> A,
+) -> Result<A, ExecError> {
+    let name = format!("aggregate rdd{}", rdd.id());
+    let zero = Arc::new(zero);
+    let accumulators: Arc<Mutex<Vec<A>>> = Arc::default();
+    run_job(rdd, &name, || {
+        let (zero, pool) = (Arc::clone(&zero), Arc::clone(&accumulators));
+        let partials = run_final_stage(rdd, name.clone(), EventKind::Stage, move |pipe, tc| {
+            let idle = pool.lock().pop();
+            let mut acc = idle.unwrap_or_else(|| zero());
+            let partial = pipe.with_slice(tc, |part| {
+                tc.add_records_in(part.len() as u64);
+                seq(&mut acc, part, tc)
+            });
+            tc.add_records_out(partial.records);
+            tc.note_records_written(partial.records);
+            pool.lock().push(acc);
+            partial
+        })?;
+        let records: u64 = partials.iter().map(|p| p.records).sum();
+        let bytes: u64 = partials.iter().map(|p| p.bytes).sum();
+        let cost = rdd.ctx.cluster().cost();
+        let merge = cost.serialize(bytes) + cost.net_transfer(bytes) + cost.cpu(records);
+        rdd.ctx.metrics().advance(merge);
+        Ok(())
+    })?;
+    let merged = std::mem::take(&mut *accumulators.lock());
+    Ok(merged.into_iter().reduce(comb).unwrap_or_else(|| zero()))
 }
 
 /// The `take` action: incremental over the fused pipelines. Partitions run
@@ -546,15 +567,7 @@ pub(crate) fn try_take<T: Data>(rdd: &Rdd<T>, n: usize) -> Result<Vec<T>, ExecEr
         return Ok(Vec::new());
     }
     let ctx = &rdd.ctx;
-    let metrics = ctx.metrics().clone();
-    let job = metrics.begin_job(format!("take({n}) rdd{}", rdd.id()));
-    metrics.advance(SimDuration::from_secs(
-        ctx.cluster().cost().spark_job_overhead,
-    ));
-
-    let result = (|| {
-        rdd.imp.preflight()?;
-        prepare_shuffles(ctx, &rdd.imp)?;
+    run_job(rdd, &format!("take({n}) rdd{}", rdd.id()), || {
         let imp = Arc::clone(&rdd.imp);
         let total = imp.num_partitions();
         let shuffle_read = imp.shuffle_read_id();
@@ -595,7 +608,8 @@ pub(crate) fn try_take<T: Data>(rdd: &Rdd<T>, n: usize) -> Result<Vec<T>, ExecEr
             // if the batch collectively overshot `n`.
             let fetched: u64 = results.iter().map(|p| slice_bytes(p)).sum();
             let cost = ctx.cluster().cost();
-            metrics.advance(cost.serialize(fetched) + cost.net_transfer(fetched));
+            ctx.metrics()
+                .advance(cost.serialize(fetched) + cost.net_transfer(fetched));
             for p in results {
                 for t in p {
                     if out.len() == n {
@@ -604,14 +618,13 @@ pub(crate) fn try_take<T: Data>(rdd: &Rdd<T>, n: usize) -> Result<Vec<T>, ExecEr
                     out.push(t);
                 }
             }
-            sync_node_losses(ctx);
+            // The next batch's stage (or the end of the job) applies any
+            // node loss this one ran into.
             next = hi;
             batch = batch.saturating_mul(4);
         }
         Ok(out)
-    })();
-    metrics.end_job(job);
-    result
+    })
 }
 
 /// Fault injection helpers, exposed on [`Context`] via an extension trait so

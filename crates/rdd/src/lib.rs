@@ -56,7 +56,7 @@ mod task;
 
 pub use cache::{CacheManager, CacheStats, CacheTier, StorageLevel};
 pub use context::{Broadcast, BroadcastMode, Context, ExecMode, RddConfig};
-pub use exec::{FaultInjection, NodeLossReport};
+pub use exec::{FaultInjection, NodeLossReport, PartialSize};
 pub use rdd::{Data, Rdd};
 pub use task::TaskContext;
 

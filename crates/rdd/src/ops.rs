@@ -11,6 +11,7 @@
 use crate::rdd::{materialize, CountProduced, CountPulled, Data, Pipe, Rdd, RddImpl, RddMeta};
 use crate::shuffle::ShuffleStage;
 use crate::task::TaskContext;
+use crate::PartialSize;
 use std::hash::Hash;
 use std::sync::Arc;
 use yafim_cluster::{fx_hash64, ByteSize, NodeId};
@@ -43,34 +44,35 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Action: combine all elements with `f` (`None` on an empty RDD).
-    /// `f` must be associative and commutative, as in Spark.
+    /// `f` must be associative and commutative, as in Spark. One
+    /// [`Rdd::try_aggregate`] whose tasks each ship the one record their
+    /// partition reduces to, if it has any.
     pub fn reduce(&self, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> Option<T> {
         let f = Arc::new(f);
         let g = Arc::clone(&f);
-        let partials = self
-            .map_partitions(move |part, _tc| {
-                part.iter()
-                    .cloned()
-                    .reduce(|a, b| g(a, b))
-                    .into_iter()
-                    .collect()
-            })
-            .collect();
-        partials.into_iter().reduce(|a, b| f(a, b))
+        let merge = move |a: Option<T>, b: Option<T>| match (a, b) {
+            (Some(a), Some(b)) => Some(f(a, b)),
+            (a, b) => a.or(b),
+        };
+        let merge_into = merge.clone();
+        self.try_aggregate(
+            || None,
+            move |acc: &mut Option<T>, part, _tc| {
+                let partial = part.iter().cloned().reduce(|a, b| g(a, b));
+                let records = partial.is_some() as u64;
+                let bytes = partial.as_ref().map_or(0, T::byte_size);
+                *acc = merge_into(acc.take(), partial);
+                PartialSize { records, bytes }
+            },
+            merge,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Action: fold all elements starting from `zero` per partition, then
-    /// across partitions (so `zero` must be an identity of `f`).
+    /// Action: [`Rdd::reduce`], or `zero` on an empty RDD. As in Spark,
+    /// `zero` must be an identity of `f`; it is never folded into elements.
     pub fn fold(&self, zero: T, f: impl Fn(T, T) -> T + Send + Sync + 'static) -> T {
-        let f = Arc::new(f);
-        let g = Arc::clone(&f);
-        let z = zero.clone();
-        let partials = self
-            .map_partitions(move |part, _tc| {
-                vec![part.iter().cloned().fold(z.clone(), |a, b| g(a, b))]
-            })
-            .collect();
-        partials.into_iter().fold(zero, |a, b| f(a, b))
+        self.reduce(f).unwrap_or(zero)
     }
 
     /// Action: the first element in partition order (`None` if empty).
@@ -341,10 +343,11 @@ mod tests {
         assert_eq!(rdd.fold(0, |a, b| a + b), 5050);
         let empty = c.parallelize(Vec::<u64>::new());
         assert_eq!(empty.reduce(|a, b| a + b), None);
-        // As in Spark, `zero` is applied once per partition plus once at the
-        // driver, so it must be an identity of `f` for a meaningful result.
+        // As in Spark, `zero` must be an identity of `f`: one that is not
+        // is what an empty RDD folds to and is ignored by any other.
         assert_eq!(empty.fold(0, |a, b| a + b), 0);
         assert_eq!(empty.fold(7, |a, b| a.max(b)), 7);
+        assert_eq!(rdd.fold(1000, |a, b| a.max(b)), 100);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use crate::cache::{CacheTier, StorageLevel};
 use crate::context::{Context, ExecMode};
-use crate::exec;
+use crate::exec::{self, PartialSize};
 use crate::shuffle::{ReduceByKeyRdd, ShuffleStage};
 use crate::task::TaskContext;
 use std::hash::Hash;
@@ -590,6 +590,21 @@ impl<T: Data> Rdd<T> {
     /// Fallible `count`; see [`Rdd::try_collect`].
     pub fn try_count(&self) -> Result<u64, yafim_cluster::ExecError> {
         exec::try_count(self)
+    }
+
+    /// Action: Spark's `aggregate`, under Spark's contract: `seq` and `comb`
+    /// associative and commutative, `zero()` an identity of both. Tasks fold
+    /// whole partitions into accumulators with `seq` (a task may be handed
+    /// one that earlier partitions were folded into) and the driver merges
+    /// the accumulators with `comb`. What `seq` returns is charged as its
+    /// task's result, see [`PartialSize`]. No partitions aggregate to `zero()`.
+    pub fn try_aggregate<A: Send + 'static>(
+        &self,
+        zero: impl Fn() -> A + Send + Sync + 'static,
+        seq: impl Fn(&mut A, &[T], &TaskContext) -> PartialSize + Send + Sync + 'static,
+        comb: impl Fn(A, A) -> A,
+    ) -> Result<A, yafim_cluster::ExecError> {
+        exec::try_aggregate(self, zero, seq, comb)
     }
 
     /// Action: the first `n` elements in partition order, computed

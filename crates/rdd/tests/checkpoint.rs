@@ -148,3 +148,28 @@ fn seeded_transient_plans_are_fully_deterministic() {
     assert_eq!(ta, tb, "same seed, same virtual timeline");
     assert_eq!(ra, rb, "same seed, same recovery counters");
 }
+
+/// A stage abort is decided by the virtual schedule, after every task of
+/// the checkpoint job wrote its block for real: a refused checkpoint must
+/// take those blocks with it, since no reader exists to discard them.
+#[test]
+fn a_checkpoint_refused_mid_stage_leaves_no_blocks() {
+    let mut refused = 0;
+    for seed in 0..20 {
+        let c = ctx();
+        c.cluster().faults().set_plan(
+            FaultPlan::seeded(seed)
+                .crash_tasks(0.2)
+                .with_max_task_failures(1),
+        );
+        match deep_chain(&c, 2, 8).try_checkpoint() {
+            Ok(cp) => assert_eq!(cp.discard_checkpoint(), 8, "seed {seed}"),
+            Err(e) => {
+                assert!(e.to_string().contains("stage `checkpoint rdd"), "{e}");
+                refused += 1;
+            }
+        }
+        assert_eq!(c.cluster().hdfs().checkpoint_stats(), (0, 0), "seed {seed}");
+    }
+    assert!(refused > 0, "the plan must abort some checkpoint job");
+}

@@ -3,11 +3,12 @@
 //! lineages must produce identical results, identical virtual time, and
 //! identical shuffle/cache/record accounting in both modes — only
 //! `bytes_materialized` (what fusion exists to shrink) may differ, and then
-//! only downward. Plus regressions for incremental `take` and for lineage
-//! recompute through pipelines after node loss.
+//! only downward. Every plan ends in two `collect`s and one `aggregate`.
+//! Plus regressions for incremental `take` and for lineage recompute
+//! through pipelines after node loss.
 
 use yafim_cluster::{ClusterSpec, CostModel, MetricsSnapshot, SimCluster};
-use yafim_rdd::{Context, ExecMode, FaultInjection, Rdd, RddConfig};
+use yafim_rdd::{Context, ExecMode, FaultInjection, PartialSize, Rdd, RddConfig};
 
 fn ctx_with(mode: ExecMode) -> Context {
     let cluster =
@@ -88,8 +89,8 @@ fn apply(rdd: Rdd<u32>, op: Op) -> Rdd<u32> {
 }
 
 /// Build the planned lineage and run `collect` twice (the second pass
-/// exercises cache hits and shuffle reuse). Returns both collections and
-/// the final metrics snapshot.
+/// exercises cache hits and shuffle reuse), then `aggregate`. Returns both
+/// collections and the final metrics snapshot.
 fn run_plan(
     mode: ExecMode,
     data: &[u32],
@@ -110,7 +111,31 @@ fn run_plan(
     }
     let first = rdd.collect();
     let second = rdd.collect();
+    assert_eq!(checksum(&rdd), checksum_of(&first), "aggregate vs collect");
     (first, second, c.metrics().snapshot())
+}
+
+/// `(wrapping sum, count)` of the elements, by the `aggregate` action: every
+/// random plan ends in it, and so does the interleaving regression below.
+fn checksum(rdd: &Rdd<u32>) -> (u32, u64) {
+    rdd.try_aggregate(
+        || (0u32, 0u64),
+        |acc, part, _| {
+            let (sum, n) = checksum_of(part);
+            *acc = (acc.0.wrapping_add(sum), acc.1 + n);
+            PartialSize {
+                records: 1,
+                bytes: 12,
+            }
+        },
+        |a, b| (a.0.wrapping_add(b.0), a.1 + b.1),
+    )
+    .expect("no fault plan")
+}
+
+fn checksum_of(elements: &[u32]) -> (u32, u64) {
+    let sum = elements.iter().fold(0u32, |a, &x| a.wrapping_add(x));
+    (sum, elements.len() as u64)
 }
 
 /// Everything observable except `bytes_materialized` must be identical
@@ -200,6 +225,7 @@ fn union_over_a_cached_rdd_is_interleaving_independent() {
                     .cache();
                 let twice: Vec<u32> = (0..10).chain(0..10).collect();
                 assert_eq!(r.union(&r).collect(), twice);
+                assert_eq!(checksum(&r.union(&r)), (90, 20));
                 let seen = format!("{:?} {:?}", c.metrics().snapshot(), c.cache().stats());
                 let first = first.get_or_insert_with(|| seen.clone());
                 assert_eq!(

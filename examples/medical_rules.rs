@@ -11,9 +11,31 @@ use yafim::cluster::SimCluster;
 use yafim::data::{to_lines, MedicalConfig, MedicalGenerator};
 use yafim::rdd::Context;
 use yafim::{
-    closed_itemsets, generate_rules, MrApriori, MrAprioriConfig, RuleConfig, Support, Yafim,
+    generate_rules, Itemset, MiningResult, MrApriori, MrAprioriConfig, RuleConfig, Support, Yafim,
     YafimConfig,
 };
+
+/// The closed frequent itemsets, those with no superset of *equal* support
+/// (Bayardo's condensed representation, the paper's ref \[2\]): they carry
+/// every support with far fewer sets. Largest first, each with its support.
+fn closed_itemsets(result: &MiningResult) -> Vec<(Itemset, u64)> {
+    let mut out = Vec::new();
+    for k in 1..=result.max_len() {
+        for (set, sup) in result.level(k) {
+            // A superset's support never exceeds the subset's, so checking
+            // the next level suffices.
+            let absorbed = result
+                .level(k + 1)
+                .iter()
+                .any(|(bigger, bsup)| bsup == sup && set.is_subset_of_sorted(bigger.items()));
+            if !absorbed {
+                out.push((set.clone(), *sup));
+            }
+        }
+    }
+    out.sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
+    out
+}
 
 fn main() {
     // Synthetic hospital case records: each case is a basket of medical
