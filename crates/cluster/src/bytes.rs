@@ -11,6 +11,12 @@
 pub trait ByteSize {
     /// The estimate. Must be deterministic for a given value.
     fn byte_size(&self) -> u64;
+
+    /// How many records the value stands for where the RDD engine counts
+    /// records: one, unless the element is a block of many rows.
+    fn records(&self) -> u64 {
+        1
+    }
 }
 
 macro_rules! fixed_width {
@@ -89,6 +95,11 @@ impl<A: ByteSize, B: ByteSize, C: ByteSize> ByteSize for (A, B, C) {
 /// Total estimated bytes of a slice of values.
 pub fn slice_bytes<T: ByteSize>(items: &[T]) -> u64 {
     items.iter().map(ByteSize::byte_size).sum()
+}
+
+/// Total records a slice of values stands for ([`ByteSize::records`]).
+pub fn slice_records<T: ByteSize>(items: &[T]) -> u64 {
+    items.iter().map(ByteSize::records).sum()
 }
 
 #[cfg(test)]

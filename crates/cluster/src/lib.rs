@@ -64,7 +64,7 @@ pub mod time;
 pub mod trace;
 pub mod work;
 
-pub use bytes::{slice_bytes, ByteSize};
+pub use bytes::{slice_bytes, slice_records, ByteSize};
 pub use costmodel::CostModel;
 pub use critical::{critical_path, CriticalPathBuckets, CriticalPathReport, StageSkew};
 pub use fault::{

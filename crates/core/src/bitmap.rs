@@ -65,16 +65,25 @@ impl ColumnarPartition {
     /// Project one partition of dense-rank transactions into bitset rows.
     /// Every rank in `txs` must be `< n_items`.
     pub fn build(n_items: usize, txs: &[Vec<Item>]) -> Self {
-        let n_tids = txs.len();
+        Self::from_rows(n_items, txs.len(), txs.iter().map(Vec::as_slice))
+    }
+
+    /// [`ColumnarPartition::build`] over the `n_tids` transactions of `txs`,
+    /// whatever holds them.
+    pub(crate) fn from_rows<'a>(
+        n_items: usize,
+        n_tids: usize,
+        txs: impl Iterator<Item = &'a [Item]>,
+    ) -> Self {
         let words_per_item = n_tids.div_ceil(64);
         let mut rows = vec![0u64; n_items * words_per_item];
         let mut set_bits = 0u64;
-        for (tid, t) in txs.iter().enumerate() {
+        for (tid, t) in txs.enumerate() {
             let (word, bit) = (tid / 64, 1u64 << (tid % 64));
             for &r in t {
                 rows[r as usize * words_per_item + word] |= bit;
-                set_bits += 1;
             }
+            set_bits += t.len() as u64;
         }
         ColumnarPartition {
             n_items,

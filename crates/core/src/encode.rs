@@ -15,6 +15,7 @@
 //! the same structure in either alphabet. Mining in rank space and decoding
 //! at the end is a bijection on the frequent-itemset lattice.
 
+use crate::item_table::ItemTable;
 use crate::types::{Item, Itemset};
 use yafim_cluster::ByteSize;
 
@@ -31,6 +32,8 @@ use yafim_cluster::ByteSize;
 pub struct DenseEncoder {
     /// Frequent items, strictly ascending; the rank of `items[r]` is `r`.
     items: Vec<Item>,
+    /// The O(1) way in, as in the hash tree: an item's index is its rank.
+    ranks: ItemTable,
 }
 
 impl DenseEncoder {
@@ -41,7 +44,8 @@ impl DenseEncoder {
             items.windows(2).all(|w| w[0] < w[1]),
             "frequent items must be strictly ascending"
         );
-        DenseEncoder { items }
+        let ranks = ItemTable::new(items.iter().copied());
+        DenseEncoder { items, ranks }
     }
 
     /// Number of frequent items (the dense alphabet size).
@@ -55,8 +59,9 @@ impl DenseEncoder {
     }
 
     /// Dense rank of `item`, if frequent.
+    #[inline]
     pub fn rank(&self, item: Item) -> Option<u32> {
-        self.items.binary_search(&item).ok().map(|r| r as u32)
+        self.ranks.get(item)
     }
 
     /// The original item at `rank`.
@@ -68,21 +73,13 @@ impl DenseEncoder {
     /// ranks. Output is sorted because the rank assignment is monotone.
     pub fn encode(&self, t: &[Item]) -> Vec<Item> {
         let mut out = Vec::with_capacity(t.len().min(self.items.len()));
-        let mut lo = 0usize;
-        for &item in t {
-            // `t` is sorted, so matches can only lie at or after `lo`.
-            match self.items[lo..].binary_search(&item) {
-                Ok(off) => {
-                    out.push((lo + off) as u32);
-                    lo += off + 1;
-                }
-                Err(off) => lo += off,
-            }
-            if lo >= self.items.len() {
-                break;
-            }
-        }
+        self.encode_into(t, &mut out);
         out
+    }
+
+    /// [`DenseEncoder::encode`], appending to `out`.
+    pub(crate) fn encode_into(&self, t: &[Item], out: &mut Vec<Item>) {
+        out.extend(t.iter().filter_map(|&item| self.rank(item)));
     }
 
     /// Map a rank-space itemset back to the original alphabet. Monotonicity

@@ -18,6 +18,7 @@
 //! leaf entry verified, as a pointer tree would spend them — a modelled
 //! quantity, not what this layout costs the host.
 
+use crate::item_table::ItemTable;
 use crate::types::{Item, Itemset};
 use yafim_cluster::{fx_hash64, ByteSize, FxHashSet};
 
@@ -67,10 +68,8 @@ pub struct HashTree {
     entry_cand: Vec<u32>,
     /// Per entry, the ids of the candidate's `k` items (see `items`).
     entry_items: Vec<u32>,
-    /// Open-addressed set of the candidates' distinct items, at most half
-    /// full. An item's position is its id: memory follows the number of
-    /// distinct items, never their magnitude.
-    items: Vec<Option<Item>>,
+    /// The candidates' distinct items; an item's index there is its id.
+    items: ItemTable,
     candidates: Vec<Itemset>,
 }
 
@@ -145,13 +144,9 @@ impl HashTree {
             leaf_start: vec![0],
             entry_cand: Vec::with_capacity(candidates.len()),
             entry_items: Vec::with_capacity(n_items),
-            items: vec![None; (2 * distinct.len()).next_power_of_two()],
+            items: ItemTable::new(distinct.into_iter()),
             candidates,
         };
-        for item in distinct {
-            let free = tree.probe(item).expect_err("items are distinct");
-            tree.items[free] = Some(item);
-        }
         let all: Vec<u32> = (0..tree.candidates.len() as u32).collect();
         tree.root = tree.lay_out(&all, 0, max_leaf);
         tree
@@ -183,22 +178,6 @@ impl HashTree {
         self.children.len() / self.branching + self.leaf_start.len() - 1
     }
 
-    /// Where `item` sits in `items`: `Ok(id)` if a candidate holds it, else
-    /// `Err` of the free position its probe ends at.
-    #[inline]
-    fn probe(&self, item: Item) -> Result<usize, usize> {
-        let mask = self.items.len() - 1;
-        // The multiplicative hash mixes upwards: take the high half.
-        let mut at = (fx_hash64(&item) >> 32) as usize & mask;
-        while let Some(held) = self.items[at] {
-            if held == item {
-                return Ok(at);
-            }
-            at = (at + 1) & mask;
-        }
-        Err(at)
-    }
-
     #[inline]
     fn hash_slot(&self, item: Item) -> usize {
         (fx_hash64(&item) % self.branching as u64) as usize
@@ -210,8 +189,8 @@ impl HashTree {
         if cands.len() <= max_leaf || depth == self.k {
             for &cand in cands {
                 for &item in self.candidates[cand as usize].items() {
-                    let id = self.probe(item).expect("every item was added");
-                    self.entry_items.push(id as u32);
+                    let id = self.items.get(item).expect("every item was added");
+                    self.entry_items.push(id);
                 }
             }
             self.entry_cand.extend_from_slice(cands);
@@ -253,8 +232,8 @@ impl HashTree {
         let descends = self.root & LEAF == 0;
         scratch.slots.clear();
         for &item in t {
-            if let Ok(id) = self.probe(item) {
-                scratch.present[id] = version;
+            if let Some(id) = self.items.get(item) {
+                scratch.present[id as usize] = version;
             }
             if descends {
                 scratch.slots.push(self.hash_slot(item) as u32);

@@ -27,11 +27,13 @@
 
 pub mod audit;
 pub mod bitmap;
+mod block;
 pub mod candidates;
 pub mod eclat;
 pub mod encode;
 pub mod fpgrowth;
 pub mod hashtree;
+mod item_table;
 pub mod miner;
 pub mod mrapriori;
 pub mod pfp;

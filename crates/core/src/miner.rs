@@ -38,6 +38,10 @@ pub enum MineError {
         /// The first violated invariant, human-readable.
         violation: String,
     },
+    /// An input split of this many bytes could hold more items (two bytes
+    /// each at least) than the `u32` offsets of one cached YAFIM block
+    /// address: refused before any job runs.
+    SplitTooLarge(u64),
 }
 
 impl std::fmt::Display for MineError {
@@ -50,6 +54,11 @@ impl std::fmt::Display for MineError {
                     "mining-invariant audit failed after pass {pass}: {violation}"
                 )
             }
+            MineError::SplitTooLarge(bytes) => write!(
+                f,
+                "an input split of {bytes} bytes is more than one cached block addresses: \
+                 mine it in more partitions"
+            ),
         }
     }
 }
@@ -58,7 +67,7 @@ impl std::error::Error for MineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MineError::Exec(e) => Some(e),
-            MineError::Audit { .. } => None,
+            MineError::Audit { .. } | MineError::SplitTooLarge(_) => None,
         }
     }
 }

@@ -143,7 +143,9 @@ impl FromIterator<Item> for Itemset {
 /// Unparseable tokens are skipped. The rule itself is `yafim-data`'s, the
 /// one that cleaned the file on its way in; a line it drops has no items.
 pub fn parse_transaction(line: &str) -> Vec<Item> {
-    yafim_data::from_lines(&[line]).pop().unwrap_or_default()
+    let mut items = Vec::new();
+    yafim_data::scan_line(line, &mut items);
+    items
 }
 
 /// A minimum-support threshold, absolute or relative.

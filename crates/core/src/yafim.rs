@@ -16,6 +16,18 @@
 //! cluster memory in every later pass — the key memory-utilization property
 //! of §IV.B that the MapReduce baseline lacks.
 //!
+//! # The data plane
+//!
+//! Under every plan a transactions RDD holds one `TxBlock` per partition
+//! (all rows' items in one arena), and every step over transactions is one
+//! kernel per partition, in `map_partitions` or an `aggregate` fold: the
+//! parse, pass 1's item count, the projection and the trims, every counting
+//! fold, the columnar build. The per-record operators of Algorithms 2 and 3
+//! that a kernel stands for (Phase I's `flatMap → map` into the combiner,
+//! the `map → filter` of a projection) are charged to the virtual clock in
+//! bulk and exactly, as a modelled quantity (DESIGN.md §5); root
+//! `tests/block_parity.rs` keeps the per-record pipeline as the oracle.
+//!
 //! # The Phase-II hot path ([`Phase2Plan`])
 //!
 //! All iterative cost lives in subset-matching every cached transaction
@@ -28,7 +40,7 @@
 //! * **dense projection** — after pass 1, re-encode the cached transactions
 //!   once ([`DenseEncoder`]): drop infrequent items, remap survivors to
 //!   dense ranks `0..|L1|`, drop now-short transactions, and re-cache. The
-//!   projection is a narrow `map → filter` that fuses into pass 2's
+//!   projection is a narrow block → block kernel that fuses into pass 2's
 //!   pipeline, and the re-cache keeps §IV.B's memory property.
 //! * **specialized pass 2** — `|C_2| = |L1|·(|L1|−1)/2` makes pass 2 the
 //!   dominant iteration; over dense ranks it needs no candidate store at
@@ -46,19 +58,21 @@
 //! arrays at the driver (one stage per pass, no shuffle).
 
 use crate::bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition};
+use crate::block::TxBlock;
 use crate::candidates::{ap_gen, CandidateList, CandidateStore};
 use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::trie::CandidateTrie;
 use crate::types::{
-    parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
-    JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS,
+    Item, Itemset, MinerRun, MiningResult, PassTiming, Support, JVM_BITMAP_WORD_UNITS,
+    JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS,
 };
 use std::cell::RefCell;
 use std::sync::Arc;
 use yafim_cluster::{
-    memgov, ByteSize, EventKind, ExecError, RecoveryCounters, SimDuration, SPILL_GRANULE,
+    memgov, slice_records, ByteSize, EventKind, ExecError, FxHashMap, RecoveryCounters,
+    SimDuration, SPILL_GRANULE,
 };
 use yafim_rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 
@@ -148,21 +162,22 @@ enum Counter {
 /// it releases all of it, so a typed refusal (`?`) leaves the cluster as
 /// clean as a completed run does.
 struct Held {
-    /// The parsed input, cached by pass 1.
-    transactions: Rdd<Vec<Item>>,
+    /// The parsed input, cached by pass 1: one [`TxBlock`] per partition,
+    /// like every transactions RDD below.
+    transactions: Rdd<TxBlock>,
     /// The transactions RDD every counting job runs on, in "work space":
     /// dense ranks when the plan projects, the raw alphabet otherwise.
-    work: Rdd<Vec<Item>>,
+    work: Rdd<TxBlock>,
     /// The RDD the current `work` supersedes; it stays cached until the job
     /// that materializes (and re-caches) its successor has run, then is
     /// unpersisted — the §IV.B memory property with correct cache
     /// accounting for replaced RDDs.
-    replaced: Option<Rdd<Vec<Item>>>,
+    replaced: Option<Rdd<TxBlock>>,
     /// The columnar store, built lazily by the first bitmap-counted pass
     /// and reused (from cache) by every later one.
     columnar: Option<Rdd<ColumnarPartition>>,
     /// The latest checkpoint reader, whose blocks are live in HDFS.
-    checkpointed: Option<Rdd<Vec<Item>>>,
+    checkpointed: Option<Rdd<TxBlock>>,
 }
 
 impl Drop for Held {
@@ -268,6 +283,11 @@ impl Yafim {
         // fractional MinSup without an extra counting job.
         let file = ctx.cluster().hdfs().get(input)?;
         let min_sup = self.config.min_support.resolve(file.num_lines() as u64);
+        // ... and whether every split's items fit one block (`TxBlock::ends`).
+        let splits = file.splits(partitions.max(1));
+        if let Some(s) = splits.iter().find(|s| s.bytes / 2 > u64::from(u32::MAX)) {
+            return Err(MineError::SplitTooLarge(s.bytes));
+        }
 
         // ---- Admission control (degradation ladder, last rung) ----
         //
@@ -287,9 +307,9 @@ impl Yafim {
 
         // ---- Phase I: load + cache + frequent items ----
         let pass1_start = metrics.now();
-        let transactions: Rdd<Vec<Item>> = ctx
+        let transactions: Rdd<TxBlock> = ctx
             .text_file(input, partitions)?
-            .map(|line| parse_transaction(&line))
+            .map_partitions(parse_lines)
             .cache();
         // From here on every exit, `?` included, releases what the run holds.
         let mut held = Held {
@@ -300,13 +320,11 @@ impl Yafim {
             checkpointed: None,
         };
 
-        // This narrow chain runs as one fused pipeline per partition: each
-        // transaction streams through flatMap and map straight into the
-        // shuffle's map-side combiner without intermediate buffers.
+        // One kernel per partition counts its items and hands the shuffle
+        // what a map-side combiner would have made of them.
         let l1_pairs: Vec<(Item, u64)> = held
             .transactions
-            .flat_map(|t| t)
-            .map(|item| (item, 1u64))
+            .map_partitions(count_items)
             .reduce_by_key(|a, b| a + b)
             .filter(move |&(_, c)| c >= min_sup)
             .try_collect()?;
@@ -344,12 +362,12 @@ impl Yafim {
             );
             let bc_enc = ctx.broadcast(DenseEncoder::clone(&encoder));
             let enc = bc_enc.value();
-            // A narrow map → filter chain: it fuses into the next pass's
+            // A narrow block → block kernel: it fuses into the next pass's
             // pipeline and materializes only at its own cache insert.
+            let project = move |t: &[Item], out: &mut Vec<Item>| enc.encode_into(t, out);
             let dense = held
                 .transactions
-                .map(move |t| enc.encode(&t))
-                .filter(|t| t.len() >= 2)
+                .map_partitions(move |part, tc| rewrite_rows(part, tc, 2, &project))
                 .cache();
             held.replaced = Some(std::mem::replace(&mut held.work, dense));
             encoder
@@ -472,14 +490,12 @@ impl Yafim {
                 );
                 let bc_mask = ctx.broadcast(mask);
                 let keep = bc_mask.value();
-                let min_len = pass + 1;
+                let retain = move |t: &[Item], out: &mut Vec<Item>| {
+                    out.extend(t.iter().filter(|&&r| keep.keep[r as usize]));
+                };
                 let trimmed = held
                     .work
-                    .map(move |mut t| {
-                        t.retain(|&r| keep.keep[r as usize]);
-                        t
-                    })
-                    .filter(move |t| t.len() >= min_len)
+                    .map_partitions(move |part, tc| rewrite_rows(part, tc, pass + 1, &retain))
                     .cache();
                 held.replaced = Some(std::mem::replace(&mut held.work, trimmed));
             }
@@ -635,7 +651,7 @@ impl Yafim {
     /// Returns `(|C2|, L2 in rank space)`.
     fn pass2_triangle(
         &self,
-        work: &Rdd<Vec<Item>>,
+        work: &Rdd<TxBlock>,
         n_dense: usize,
         min_sup: u64,
     ) -> Result<PassOutcome, ExecError> {
@@ -674,7 +690,7 @@ impl Yafim {
     /// Returns `(|C_k|, L_k in work space)`.
     fn pass_with_store(
         &self,
-        work: &Rdd<Vec<Item>>,
+        work: &Rdd<TxBlock>,
         store: Box<dyn CandidateStore>,
         pass: usize,
         min_sup: u64,
@@ -776,7 +792,7 @@ impl Yafim {
     /// charged to the tasks and the arena registered with the cache manager
     /// like any other cached block (checksummed, evictable, recomputable
     /// from lineage).
-    fn build_columnar(&self, work: &Rdd<Vec<Item>>, n_dense: usize) -> Rdd<ColumnarPartition> {
+    fn build_columnar(&self, work: &Rdd<TxBlock>, n_dense: usize) -> Rdd<ColumnarPartition> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
@@ -788,7 +804,8 @@ impl Yafim {
         let built = ctx.cluster().registry().counter("bitmap.partitions_built");
         let bytes = ctx.cluster().registry().counter("bitmap.build_bytes");
         work.map_partitions(move |txs, tc| {
-            let col = ColumnarPartition::build(n_dense, txs);
+            let n_tids = slice_records(txs) as usize;
+            let col = ColumnarPartition::from_rows(n_dense, n_tids, rows_of(txs));
             // The arena is execution memory while it is being built (it
             // only becomes a budgeted cache block once inserted).
             tc.try_reserve(
@@ -944,13 +961,72 @@ fn touched_cells(n_cells: usize, count: impl FnOnce(&mut [u64])) -> u64 {
     cells
 }
 
+/// Every row of a partition's blocks, in order.
+fn rows_of(part: &[TxBlock]) -> impl Iterator<Item = &[Item]> {
+    part.iter().flat_map(TxBlock::rows)
+}
+
+/// One split's lines as one block, a row per line: a line without items
+/// stays a row, as it stayed a transaction.
+fn parse_lines(lines: &[String], _: &TaskContext) -> Vec<TxBlock> {
+    TxBlock::build(lines.len(), 0, |block| {
+        for line in lines {
+            block.push_row(0, |row| yafim_data::scan_line(line, row));
+        }
+    })
+}
+
+/// Pass 1 over one partition: each distinct item with its count, ascending,
+/// as `reduceByKey`'s map-side combiner left the `flatMap → map` chain this
+/// kernel stands for. That chain's operators are a modelled quantity
+/// (DESIGN.md §5): over `I` items, `D` distinct, flatMap's `I` outputs, map's
+/// `I` in and out and the combiner's `I` inputs, less the `D` pairs the
+/// engine itself counts out of this kernel and into the shuffle.
+fn count_items(part: &[TxBlock], tc: &TaskContext) -> Vec<(Item, u64)> {
+    let mut counts: FxHashMap<Item, u64> = FxHashMap::default();
+    let mut items = 0;
+    for block in part {
+        items += block.items().len();
+        for &item in block.items() {
+            *counts.entry(item).or_default() += 1;
+        }
+    }
+    let mut pairs: Vec<(Item, u64)> = counts.into_iter().collect();
+    pairs.sort_unstable();
+    let chain = (2 * items - pairs.len()) as u64;
+    tc.add_records_in(chain);
+    tc.add_records_out(chain);
+    pairs
+}
+
+/// Projection and the DHP trims over one partition: `rewrite` appends what
+/// it keeps of each row, and a row left shorter than `min_len` is dropped.
+/// Stands for a fused `map → filter` over `n` rows, modelled like pass 1's
+/// chain: the map's `n` outputs, the filter's `n` inputs.
+fn rewrite_rows(
+    part: &[TxBlock],
+    tc: &TaskContext,
+    min_len: usize,
+    rewrite: &impl Fn(&[Item], &mut Vec<Item>),
+) -> Vec<TxBlock> {
+    let rows = slice_records(part);
+    tc.add_records_in(rows);
+    tc.add_records_out(rows);
+    let items = part.iter().map(|b| b.items().len()).sum();
+    TxBlock::build(rows as usize, items, |block| {
+        for row in rows_of(part) {
+            block.push_row(min_len, |kept| rewrite(row, kept));
+        }
+    })
+}
+
 /// Add every item pair of the dense-rank transactions `txs` into `acc`, a
 /// triangular array over `n_dense` ranks. Returns the number of pair
 /// increments and of distinct cells they hit.
-fn count_pairs(acc: &mut [u64], txs: &[Vec<Item>], n_dense: usize) -> (u64, u64) {
+fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
     let mut pairs = 0u64;
     let cells = touched_cells(acc.len(), |touched| {
-        for t in txs {
+        for t in rows_of(txs) {
             for i in 0..t.len().saturating_sub(1) {
                 // Row-relative addressing keeps the inner loop a single
                 // add + increment.
@@ -970,15 +1046,11 @@ fn count_pairs(acc: &mut [u64], txs: &[Vec<Item>], n_dense: usize) -> (u64, u64)
 /// Add one to `acc[i]` for every candidate `i` of `store` contained in each
 /// transaction of `txs`. Returns the store's visit count, the number of
 /// matches and the number of distinct candidates matched.
-fn count_matches(
-    acc: &mut [u64],
-    txs: &[Vec<Item>],
-    store: &dyn CandidateStore,
-) -> (u64, u64, u64) {
+fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &dyn CandidateStore) -> (u64, u64, u64) {
     let mut scratch = MatchScratch::default();
     let (mut visits, mut matches) = (0u64, 0u64);
     let cells = touched_cells(acc.len(), |touched| {
-        for t in txs {
+        for t in rows_of(txs) {
             visits += store.for_each_match_dyn(t, &mut scratch, &mut |idx| {
                 acc[idx] += 1;
                 touched[idx / 64] |= 1 << (idx % 64);
@@ -1007,19 +1079,10 @@ fn count_bitmaps(acc: &mut [u64], cols: &[ColumnarPartition], cands: &[Itemset])
 /// Convenience: one-call YAFIM over an in-memory transaction list, writing
 /// it to the cluster's HDFS first (used by tests and examples).
 pub fn mine_in_memory(ctx: &Context, transactions: &[Vec<Item>], config: YafimConfig) -> MinerRun {
-    let lines: Vec<String> = transactions
-        .iter()
-        .map(|t| t.iter().map(u32::to_string).collect::<Vec<_>>().join(" "))
-        .collect();
     let path = format!("yafim-inmem-{}.dat", std::process::id());
-    ctx.cluster().hdfs().put_overwrite(&path, lines);
-    let hdfs_write_cost = ctx.cluster().cost().hdfs_write(
-        ctx.cluster()
-            .hdfs()
-            .get(&path)
-            .expect("file just written")
-            .bytes(),
-    );
+    let lines = yafim_data::to_lines(transactions);
+    let file = ctx.cluster().hdfs().put_overwrite(&path, lines);
+    let hdfs_write_cost = ctx.cluster().cost().hdfs_write(file.bytes());
     ctx.metrics()
         .advance_with_event(hdfs_write_cost, EventKind::HdfsWrite, path.clone());
     let run = Yafim::new(ctx.clone(), config)
@@ -1034,6 +1097,7 @@ pub fn mine_in_memory(ctx: &Context, transactions: &[Vec<Item>], config: YafimCo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::block_of;
     use crate::sequential::{apriori, SequentialConfig};
     use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
     use yafim_data::rng::StdRng;
@@ -1323,7 +1387,9 @@ mod tests {
                 .chain([Vec::new()]);
             for txs in partitions {
                 let label = format!("n_dense={n_dense} txs={txs:?}");
-                let fold = |acc: &mut [u64]| count_pairs(acc, &txs, n_dense);
+                // The folds scan the block, the oracles the nested rows.
+                let block = block_of(&txs);
+                let fold = |acc: &mut [u64]| count_pairs(acc, &block, n_dense);
                 let (new, added) = folded(tri_len(n_dense), fold);
                 let (pairs, sparse) = count_pairs_dense(&txs, n_dense);
                 assert_eq!(new, (pairs, sparse.len() as u64), "{label}");
@@ -1337,7 +1403,7 @@ mod tests {
                     ];
                     for store in &stores {
                         let label = format!("{} {label}", store.name());
-                        let fold = |acc: &mut [u64]| count_matches(acc, &txs, &**store);
+                        let fold = |acc: &mut [u64]| count_matches(acc, &block, &**store);
                         let (new, added) = folded(candidates.len(), fold);
                         let (visits, matches, sparse) = count_matches_sparse(&txs, &**store);
                         assert_eq!(new, (visits, matches, sparse.len() as u64), "{label}");
@@ -1359,7 +1425,7 @@ mod tests {
         // Rank 30 indexes past a 5-rank triangle: the task dies mid-count,
         // after it already touched cells.
         let poisoned = vec![vec![0, 1, 2, 3], vec![0, 30]];
-        let count = |txs: &[Vec<Item>]| count_pairs(&mut vec![0; tri_len(5)], txs, 5);
+        let count = |txs| count_pairs(&mut vec![0; tri_len(5)], &block_of(txs), 5);
         count(&good);
         let unwound = std::panic::catch_unwind(|| count(&poisoned));
         assert!(unwound.is_err(), "out-of-range rank must not be counted");

@@ -29,19 +29,20 @@ fn digit_at(bytes: &[u8], i: usize) -> Option<u8> {
         .filter(|&d| d <= 9)
 }
 
-/// The cleaning rule, defined once: fill `items` with the line's items,
-/// strictly ascending. A token is what `split_whitespace` yields; it counts
-/// when `str::parse::<u32>` accepts it (digits after an optional `+`,
+/// The cleaning rule, defined once: append the line's items to `items`,
+/// strictly ascending; what `items` already holds (earlier lines of an
+/// arena) stays as it is. A token is what `split_whitespace` yields; it
+/// counts when `str::parse::<u32>` accepts it (digits after an optional `+`,
 /// leading zeros allowed, no overflow) and is skipped otherwise.
 ///
 /// ASCII lines are scanned byte by byte, noting whether the items arrive
 /// strictly ascending so that the usual line skips the sort. A line with a
 /// non-ASCII byte may hold Unicode whitespace and is handed, whole, to the
 /// `split_whitespace`/`str::parse` wording of the rule.
-fn scan_line(line: &str, items: &mut Vec<Item>) {
+pub fn scan_line(line: &str, items: &mut Vec<Item>) {
     // Any clamp above `Item::MAX` that leaves room for one more digit.
     const TOO_BIG: u64 = 1 << 40;
-    items.clear();
+    let start = items.len();
     let bytes = line.as_bytes();
     // A token and the space after it take two bytes at least.
     items.reserve(bytes.len() / 2 + 1);
@@ -63,31 +64,30 @@ fn scan_line(line: &str, items: &mut Vec<Item>) {
             // Not a number: skip the rest of the token.
             while let Some(&b) = bytes.get(i).filter(|&&b| !is_space(b)) {
                 if !b.is_ascii() {
-                    return scan_unicode_line(line, items);
+                    items.truncate(start);
+                    let tokens = line.split_whitespace();
+                    items.extend(tokens.filter_map(|t| t.parse::<Item>().ok()));
+                    return sort_line(items, start);
                 }
                 i += 1;
             }
         } else if i > digits && value <= u64::from(Item::MAX) {
             let value = value as Item;
-            ascending &= items.last().is_none_or(|&last| last < value);
+            ascending &= items[start..].last().is_none_or(|&last| last < value);
             items.push(value);
         }
     }
     if !ascending {
-        items.sort_unstable();
-        items.dedup();
+        sort_line(items, start);
     }
 }
 
-/// [`scan_line`] for a line with non-ASCII bytes in it.
-fn scan_unicode_line(line: &str, items: &mut Vec<Item>) {
-    items.clear();
-    items.extend(
-        line.split_whitespace()
-            .filter_map(|t| t.parse::<Item>().ok()),
-    );
-    items.sort_unstable();
-    items.dedup();
+/// Sort and deduplicate the line that `items[start..]` holds.
+fn sort_line(items: &mut Vec<Item>, start: usize) {
+    let mut line = items.split_off(start);
+    line.sort_unstable();
+    line.dedup();
+    items.append(&mut line);
 }
 
 /// The transactions of `lines`; a line without items is dropped.
@@ -95,6 +95,7 @@ fn scan_lines<'a>(lines: impl Iterator<Item = &'a str>) -> Vec<Transaction> {
     let mut items = Vec::new();
     lines
         .filter_map(|line| {
+            items.clear();
             scan_line(line, &mut items);
             (!items.is_empty()).then(|| items.clone())
         })
@@ -204,6 +205,7 @@ pub fn read_canonical_lines(path: impl AsRef<Path>) -> std::io::Result<Vec<Strin
             if is_canonical(line.as_bytes()) {
                 return Some(line.to_owned());
             }
+            items.clear();
             scan_line(line, &mut items);
             (!items.is_empty()).then(|| rendered(&items, &mut buf))
         })
@@ -267,6 +269,7 @@ mod tests {
         ];
         let (mut items, mut buf) = (Vec::new(), String::new());
         for line in lines {
+            items.clear();
             scan_line(line, &mut items);
             let own_rendering = !items.is_empty() && rendered(&items, &mut buf) == line;
             // Ten-digit ids render as themselves too; they take the slow path.

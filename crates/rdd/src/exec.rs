@@ -31,8 +31,8 @@ use std::sync::Arc;
 use yafim_cluster::fault::{CounterField, Merge};
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
-    fx_hash64, slice_bytes, EventKind, ExecError, NodeId, RecoveryCounters, SimDuration,
-    StageExecution, TaskExecution, TaskProfile, TaskSpec,
+    fx_hash64, slice_bytes, slice_records, EventKind, ExecError, NodeId, RecoveryCounters,
+    SimDuration, StageExecution, TaskExecution, TaskProfile, TaskSpec,
 };
 
 /// What one node loss took with it (returned by
@@ -433,7 +433,7 @@ pub(crate) fn try_collect<T: Data>(rdd: &Rdd<T>) -> Result<Vec<T>, ExecError> {
         // Each partition's pipeline collapses into a buffer for the fetch.
         let parts = run_final_stage(rdd, name.clone(), EventKind::Stage, |pipe, tc| {
             let data = pipe.into_arc(tc);
-            tc.note_records_written(data.len() as u64);
+            tc.note_records_written(slice_records(&data));
             data
         })?;
 
@@ -477,7 +477,7 @@ pub(crate) fn try_checkpoint<T: Data>(rdd: &Rdd<T>) -> Result<Rdd<T>, ExecError>
                 // verify it.
                 tc.add_stall_micros((cluster.cost().checksum(bytes).as_secs() * 1e6) as u64);
             }
-            tc.note_records_written(data.len() as u64);
+            tc.note_records_written(slice_records(&data));
             cluster
                 .hdfs()
                 .checkpoint_put(cp_id, tc.partition, data, bytes, tc.node);
@@ -539,7 +539,7 @@ pub(crate) fn try_aggregate<T: Data, A: Send + 'static>(
             let idle = pool.lock().pop();
             let mut acc = idle.unwrap_or_else(|| zero());
             let partial = pipe.with_slice(tc, |part| {
-                tc.add_records_in(part.len() as u64);
+                tc.add_records_in(slice_records(part));
                 seq(&mut acc, part, tc)
             });
             tc.add_records_out(partial.records);

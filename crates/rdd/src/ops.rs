@@ -8,7 +8,7 @@
 //! of a "mini-Spark" expects, and the extension miners (parallel FP-Growth,
 //! SON) are built on them.
 
-use crate::rdd::{materialize, CountProduced, CountPulled, Data, Pipe, Rdd, RddImpl, RddMeta};
+use crate::rdd::{materialize, Counted, Data, Pipe, Rdd, RddImpl, RddMeta};
 use crate::shuffle::ShuffleStage;
 use crate::task::TaskContext;
 use crate::PartialSize;
@@ -213,8 +213,8 @@ impl<T: Data> RddImpl<T> for SampleRdd<T> {
         // evaluator enumerates, so the sample is identical.
         let threshold = (self.fraction * u64::MAX as f64) as u64;
         let seed = self.seed;
-        let inp = CountPulled::new(materialize(&self.parent, part, tc).into_iter(), tc);
-        Pipe::Iter(Box::new(CountProduced::new(
+        let inp = Counted::pulled(materialize(&self.parent, part, tc).into_iter(), tc);
+        Pipe::Iter(Box::new(Counted::produced(
             inp.enumerate()
                 .filter(move |(i, _)| fx_hash64(&(seed, part as u64, *i as u64)) <= threshold)
                 .map(|(_, t)| t),
@@ -265,8 +265,8 @@ impl<T: Data> RddImpl<T> for CoalesceRdd<T> {
         let parent = &self.parent;
         let it = self
             .parent_range(part)
-            .flat_map(move |p| CountPulled::new(materialize(parent, p, tc).into_iter(), tc));
-        Pipe::Iter(Box::new(CountProduced::new(it, tc)))
+            .flat_map(move |p| Counted::pulled(materialize(parent, p, tc).into_iter(), tc));
+        Pipe::Iter(Box::new(Counted::produced(it, tc)))
     }
 
     fn collect_shuffle_deps(&self, out: &mut Vec<Arc<dyn ShuffleStage>>) {

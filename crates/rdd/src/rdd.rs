@@ -43,8 +43,8 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use yafim_cluster::{
-    slice_bytes, ByteSize, DfsFile, IntegrityCounters, IntegrityTier, NodeId, RecoveryCounters,
-    Split, TransientKind,
+    slice_bytes, slice_records, ByteSize, DfsFile, IntegrityCounters, IntegrityTier, NodeId,
+    RecoveryCounters, Split, TransientKind,
 };
 
 // Persistence state encoding for `RddMeta::persist_level`.
@@ -62,12 +62,15 @@ impl<T: Clone + Send + Sync + ByteSize + 'static> Data for T {}
 // ---------------------------------------------------------------------------
 
 /// One partition's data as it flows through a stage: either already
-/// materialized (shared or owned) or a lazy iterator chain borrowing the
-/// operator nodes and the [`TaskContext`] for the duration of the task.
+/// materialized (shared, lent or owned) or a lazy iterator chain borrowing
+/// the operator nodes and the [`TaskContext`] for the duration of the task.
 pub(crate) enum Pipe<'a, T: Data> {
     /// A stable buffer shared with the cache or the driver (cache hits,
     /// `parallelize` chunks). Elements are cloned lazily as they are pulled.
     Shared(Arc<Vec<T>>),
+    /// A stable buffer the operator node itself holds and lends for the
+    /// task (the lines of an HDFS split). Consumed like [`Pipe::Shared`].
+    Borrowed(&'a [T]),
     /// A buffer this task owns (breaker outputs like the shuffle reduce
     /// side, or `map_partitions` closure results). Elements move out.
     Owned(Vec<T>),
@@ -77,24 +80,24 @@ pub(crate) enum Pipe<'a, T: Data> {
 }
 
 impl<'a, T: Data> Pipe<'a, T> {
-    /// Drain into a fresh `Vec`, charging `bytes_materialized` whenever the
-    /// engine copies elements into a new buffer (a lazy chain collapsing, or
-    /// a shared buffer being deep-cloned by the eager reference evaluator).
-    /// An owned buffer passes through for free — no copy happens.
-    pub(crate) fn into_vec(self, tc: &TaskContext) -> Vec<T> {
-        match self {
-            Pipe::Shared(a) => {
-                let v: Vec<T> = a.iter().cloned().collect();
-                tc.note_materialized(slice_bytes(&v));
-                v
-            }
+    /// Drain into a `Vec`, sized once: returns it with its `slice_bytes`.
+    /// `bytes_materialized` is charged whenever the engine copies elements
+    /// into a new buffer (a lazy chain collapsing, or a stable buffer being
+    /// deep-cloned by the eager reference evaluator). An owned buffer passes
+    /// through for free — no copy happens.
+    pub(crate) fn into_vec(self, tc: &TaskContext) -> (Vec<T>, u64) {
+        let copied = !matches!(self, Pipe::Owned(_));
+        let v: Vec<T> = match self {
             Pipe::Owned(v) => v,
-            Pipe::Iter(it) => {
-                let v: Vec<T> = it.collect();
-                tc.note_materialized(slice_bytes(&v));
-                v
-            }
+            Pipe::Shared(a) => a.to_vec(),
+            Pipe::Borrowed(s) => s.to_vec(),
+            Pipe::Iter(it) => it.collect(),
+        };
+        let bytes = slice_bytes(&v);
+        if copied {
+            tc.note_materialized(bytes);
         }
+        (v, bytes)
     }
 
     /// Collapse to a shared partition buffer (a breaker), reusing the
@@ -103,27 +106,20 @@ impl<'a, T: Data> Pipe<'a, T> {
         match self {
             Pipe::Shared(a) => a,
             Pipe::Owned(v) => Arc::new(v),
-            Pipe::Iter(it) => {
-                let v: Vec<T> = it.collect();
-                tc.note_materialized(slice_bytes(&v));
-                Arc::new(v)
-            }
+            other => Arc::new(other.into_vec(tc).0),
         }
     }
 
     /// Hand the whole partition to `f` as a slice (for `map_partitions`).
     /// Zero-copy when the data is already materialized — in particular, a
     /// cache hit passes the cached buffer itself, which is the YAFIM Phase
-    /// II hot path.
+    /// II hot path, and an HDFS split lends its lines.
     pub(crate) fn with_slice<R>(self, tc: &TaskContext, f: impl FnOnce(&[T]) -> R) -> R {
         match self {
             Pipe::Shared(a) => f(&a),
+            Pipe::Borrowed(s) => f(s),
             Pipe::Owned(v) => f(&v),
-            Pipe::Iter(it) => {
-                let v: Vec<T> = it.collect();
-                tc.note_materialized(slice_bytes(&v));
-                f(&v)
-            }
+            other => f(&other.into_vec(tc).0),
         }
     }
 
@@ -133,6 +129,7 @@ impl<'a, T: Data> Pipe<'a, T> {
     pub(crate) fn count(self) -> u64 {
         match self {
             Pipe::Shared(a) => a.len() as u64,
+            Pipe::Borrowed(s) => s.len() as u64,
             Pipe::Owned(v) => v.len() as u64,
             Pipe::Iter(it) => it.count() as u64,
         }
@@ -142,6 +139,7 @@ impl<'a, T: Data> Pipe<'a, T> {
 /// Streaming element source for a [`Pipe`].
 pub(crate) enum PipeIter<'a, T: Data> {
     Shared(Arc<Vec<T>>, usize),
+    Borrowed(std::slice::Iter<'a, T>),
     Owned(std::vec::IntoIter<T>),
     Boxed(Box<dyn Iterator<Item = T> + 'a>),
 }
@@ -152,6 +150,7 @@ impl<'a, T: Data> IntoIterator for Pipe<'a, T> {
     fn into_iter(self) -> PipeIter<'a, T> {
         match self {
             Pipe::Shared(a) => PipeIter::Shared(a, 0),
+            Pipe::Borrowed(s) => PipeIter::Borrowed(s.iter()),
             Pipe::Owned(v) => PipeIter::Owned(v.into_iter()),
             Pipe::Iter(b) => PipeIter::Boxed(b),
         }
@@ -169,30 +168,47 @@ impl<T: Data> Iterator for PipeIter<'_, T> {
                 }
                 item
             }
+            PipeIter::Borrowed(it) => it.next().cloned(),
             PipeIter::Owned(it) => it.next(),
             PipeIter::Boxed(it) => it.next(),
         }
     }
 }
 
-/// Counts elements pulled from the upstream pipe and flushes the count as
-/// this operator's `records_in` when the pipeline is dropped (end of task).
-/// Totals match the eager evaluator's bulk `add_records_in(len)` whenever
-/// the pipe is fully drained; an incremental `take` legitimately counts
-/// fewer — only what it actually pulled.
-pub(crate) struct CountPulled<'a, I> {
+/// Counts the elements passing through and flushes the count when the
+/// pipeline is dropped (end of task): around an operator's upstream pipe as
+/// its `records_in` ([`Counted::pulled`]), around what it emits as its
+/// `records_out` ([`Counted::produced`]). Totals match the eager evaluator's
+/// bulk `add_records_in(len)` whenever the pipe is fully drained; an
+/// incremental `take` legitimately counts fewer — only what it pulled.
+pub(crate) struct Counted<'a, I> {
     inner: I,
     tc: &'a TaskContext,
     n: u64,
+    flush: fn(&TaskContext, u64),
 }
 
-impl<'a, I> CountPulled<'a, I> {
-    pub(crate) fn new(inner: I, tc: &'a TaskContext) -> Self {
-        CountPulled { inner, tc, n: 0 }
+impl<'a, I> Counted<'a, I> {
+    fn new(inner: I, tc: &'a TaskContext, flush: fn(&TaskContext, u64)) -> Self {
+        let n = 0;
+        Counted {
+            inner,
+            tc,
+            n,
+            flush,
+        }
+    }
+
+    pub(crate) fn pulled(inner: I, tc: &'a TaskContext) -> Self {
+        Self::new(inner, tc, TaskContext::add_records_in)
+    }
+
+    pub(crate) fn produced(inner: I, tc: &'a TaskContext) -> Self {
+        Self::new(inner, tc, TaskContext::add_records_out)
     }
 }
 
-impl<I: Iterator> Iterator for CountPulled<'_, I> {
+impl<I: Iterator> Iterator for Counted<'_, I> {
     type Item = I::Item;
     fn next(&mut self) -> Option<I::Item> {
         let item = self.inner.next();
@@ -203,40 +219,9 @@ impl<I: Iterator> Iterator for CountPulled<'_, I> {
     }
 }
 
-impl<I> Drop for CountPulled<'_, I> {
+impl<I> Drop for Counted<'_, I> {
     fn drop(&mut self) {
-        self.tc.add_records_in(self.n);
-    }
-}
-
-/// Counts elements an operator emits downstream and flushes the count as
-/// its `records_out` on drop. See [`CountPulled`].
-pub(crate) struct CountProduced<'a, I> {
-    inner: I,
-    tc: &'a TaskContext,
-    n: u64,
-}
-
-impl<'a, I> CountProduced<'a, I> {
-    pub(crate) fn new(inner: I, tc: &'a TaskContext) -> Self {
-        CountProduced { inner, tc, n: 0 }
-    }
-}
-
-impl<I: Iterator> Iterator for CountProduced<'_, I> {
-    type Item = I::Item;
-    fn next(&mut self) -> Option<I::Item> {
-        let item = self.inner.next();
-        if item.is_some() {
-            self.n += 1;
-        }
-        item
-    }
-}
-
-impl<I> Drop for CountProduced<'_, I> {
-    fn drop(&mut self) {
-        self.tc.add_records_out(self.n);
+        (self.flush)(self.tc, self.n);
     }
 }
 
@@ -356,7 +341,7 @@ pub(crate) fn materialize<'a, T: Data>(
     let Some(level) = meta.level() else {
         let pipe = imp.compute(part, tc);
         return if eager {
-            Pipe::Shared(Arc::new(pipe.into_vec(tc)))
+            Pipe::Shared(Arc::new(pipe.into_vec(tc).0))
         } else {
             pipe
         };
@@ -376,7 +361,7 @@ pub(crate) fn materialize<'a, T: Data>(
         }
         if !rotten {
             tc.note_cache_hit();
-            tc.note_records_read(data.len() as u64);
+            tc.note_records_read(slice_records(&data));
             return Pipe::Shared(data);
         }
         // Checksum mismatch on a cached/spilled partition. Cached blocks
@@ -406,9 +391,10 @@ pub(crate) fn materialize<'a, T: Data>(
             ..RecoveryCounters::default()
         });
     }
-    let data = Arc::new(imp.compute(part, tc).into_vec(tc));
-    tc.note_records_written(data.len() as u64);
-    let bytes = 8 + slice_bytes(&data);
+    let (data, payload) = imp.compute(part, tc).into_vec(tc);
+    let data = Arc::new(data);
+    tc.note_records_written(slice_records(&data));
+    let bytes = 8 + payload;
     let node = node_for(imp, part).index();
     meta.ctx
         .cache()
@@ -505,14 +491,28 @@ impl<T: Data> Rdd<T> {
             .checkpoint_remove(self.imp.meta().id)
     }
 
-    /// Transform every element.
-    pub fn map<U: Data>(&self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Rdd<U> {
-        let imp = Arc::new(MapRdd {
+    /// A narrow one-parent operator: `op` turns this RDD's pipe into the new
+    /// one's, partition by partition.
+    fn narrow<U: Data>(
+        &self,
+        op: impl for<'a> Fn(Pipe<'a, T>, &'a TaskContext) -> Pipe<'a, U> + Send + Sync + 'static,
+    ) -> Rdd<U> {
+        let imp = Arc::new(NarrowRdd {
             meta: RddMeta::new(&self.ctx),
             parent: Arc::clone(&self.imp),
-            f: Arc::new(f),
+            op: Box::new(op),
         });
         Rdd::from_impl(self.ctx.clone(), imp)
+    }
+
+    /// Transform every element.
+    pub fn map<U: Data>(&self, f: impl Fn(T) -> U + Send + Sync + 'static) -> Rdd<U> {
+        let f = Arc::new(f);
+        self.narrow(move |input, tc| {
+            let f = Arc::clone(&f);
+            let inp = Counted::pulled(input.into_iter(), tc);
+            Pipe::Iter(Box::new(Counted::produced(inp.map(move |p| f(p)), tc)))
+        })
     }
 
     /// Transform every element into zero or more elements.
@@ -520,40 +520,44 @@ impl<T: Data> Rdd<T> {
     where
         I: IntoIterator<Item = U>,
     {
-        let g = move |t: T| f(t).into_iter().collect::<Vec<U>>();
-        let imp = Arc::new(FlatMapRdd {
-            meta: RddMeta::new(&self.ctx),
-            parent: Arc::clone(&self.imp),
-            f: Arc::new(g),
-        });
-        Rdd::from_impl(self.ctx.clone(), imp)
+        let f = Arc::new(f);
+        self.narrow(move |input, tc| {
+            let f = Arc::clone(&f);
+            let inp = Counted::pulled(input.into_iter(), tc);
+            let out = inp.flat_map(move |p| f(p).into_iter().collect::<Vec<U>>());
+            Pipe::Iter(Box::new(Counted::produced(out, tc)))
+        })
     }
 
     /// Keep only elements satisfying the predicate.
     pub fn filter(&self, f: impl Fn(&T) -> bool + Send + Sync + 'static) -> Rdd<T> {
-        let imp = Arc::new(FilterRdd {
-            meta: RddMeta::new(&self.ctx),
-            parent: Arc::clone(&self.imp),
-            f: Arc::new(f),
-        });
-        Rdd::from_impl(self.ctx.clone(), imp)
+        let f = Arc::new(f);
+        self.narrow(move |input, tc| {
+            let f = Arc::clone(&f);
+            let inp = Counted::pulled(input.into_iter(), tc);
+            Pipe::Iter(Box::new(Counted::produced(inp.filter(move |t| f(t)), tc)))
+        })
     }
 
     /// Transform a whole partition at once, with access to the
     /// [`TaskContext`] for custom CPU-work accounting (YAFIM uses this for
     /// hash-tree traversal counting). The closure sees the partition as one
     /// slice, so this operator collapses a lazy upstream chain — but a
-    /// cached parent streams its stored buffer in zero-copy.
+    /// cached parent streams its stored buffer in zero-copy, and an HDFS
+    /// split lends its lines. Records are counted by what the elements
+    /// stand for ([`ByteSize::records`]) on the way in and on the way out.
     pub fn map_partitions<U: Data>(
         &self,
         f: impl Fn(&[T], &TaskContext) -> Vec<U> + Send + Sync + 'static,
     ) -> Rdd<U> {
-        let imp = Arc::new(MapPartitionsRdd {
-            meta: RddMeta::new(&self.ctx),
-            parent: Arc::clone(&self.imp),
-            f: Arc::new(f),
-        });
-        Rdd::from_impl(self.ctx.clone(), imp)
+        self.narrow(move |input, tc| {
+            let out = input.with_slice(tc, |s| {
+                tc.add_records_in(slice_records(s));
+                f(s, tc)
+            });
+            tc.add_records_out(slice_records(&out));
+            Pipe::Owned(out)
+        })
     }
 
     /// Concatenate two RDDs (partitions of `self` first).
@@ -692,43 +696,67 @@ impl<T: Data> RddImpl<T> for ParallelizeRdd<T> {
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 }
 
-/// Walk the seeded transient ladder for an HDFS-backed partition read
-/// (text-file split or checkpoint block). Each retry re-fetches the full
-/// `bytes` from a replica over the network, the accumulated backoff stalls
-/// the task, and an escalation pays one final read from a *different*
-/// replica. Failure here never loses data — replication absorbs it — so
-/// nothing is recomputed; the ladder only costs virtual time.
-pub(crate) fn charge_transient_hdfs_read(
+/// What the fault plan makes of an HDFS-backed partition read (text-file
+/// split or checkpoint block) of `bytes` with `replicas` copies. First the
+/// seeded transient ladder: each retry re-fetches the full `bytes` from a
+/// replica over the network, the accumulated backoff stalls the task, and an
+/// escalation pays one final read from a *different* replica. Failure here
+/// never loses data — replication absorbs it — so nothing is recomputed; the
+/// ladder only costs virtual time. Then, under a corruption plan, the
+/// fetched replica's checksum is verified; a mismatch repairs by re-fetching
+/// from the next replica (and rewriting the rotten copy clean), walking the
+/// replica set until one verifies. Preflight guarantees a clean copy exists:
+/// the all-poisoned case fails the job typed before the stage runs.
+pub(crate) fn charge_faulty_hdfs_read(
     ctx: &Context,
     tc: &TaskContext,
     id: u64,
     part: usize,
     bytes: u64,
+    replicas: u32,
 ) {
-    let t = ctx
-        .cluster()
-        .faults()
-        .transient(TransientKind::HdfsRead, id, part);
-    if !t.any() {
+    let faults = ctx.cluster().faults();
+    let t = faults.transient(TransientKind::HdfsRead, id, part);
+    if t.any() {
+        for _ in 0..t.retries {
+            tc.add_net(bytes);
+        }
+        tc.add_stall_micros(t.backoff_micros);
+        if t.escalated {
+            tc.add_net(bytes);
+        }
+        ctx.metrics().note_recovery(&RecoveryCounters {
+            fetch_retries: t.retries,
+            backoff_micros: t.backoff_micros,
+            fetch_failures: if t.escalated { 1 } else { 0 },
+            ..RecoveryCounters::default()
+        });
+    }
+    if !faults.integrity_active() {
         return;
     }
-    for _ in 0..t.retries {
+    for copy in 0..replicas {
+        tc.add_stall_micros(checksum_micros(ctx, bytes));
+        if !faults.take_corruption(IntegrityTier::Hdfs, id, part, copy) {
+            break;
+        }
         tc.add_net(bytes);
+        ctx.metrics().note_recovery(&RecoveryCounters {
+            integrity: IntegrityCounters {
+                corruptions_injected: 1,
+                corruptions_detected: 1,
+                corruptions_repaired: 1,
+                repaired_via_replica: 1,
+                ..IntegrityCounters::default()
+            },
+            ..RecoveryCounters::default()
+        });
     }
-    tc.add_stall_micros(t.backoff_micros);
-    if t.escalated {
-        tc.add_net(bytes);
-    }
-    ctx.metrics().note_recovery(&RecoveryCounters {
-        fetch_retries: t.retries,
-        backoff_micros: t.backoff_micros,
-        fetch_failures: if t.escalated { 1 } else { 0 },
-        ..RecoveryCounters::default()
-    });
 }
 
-/// Source: a text file in simulated HDFS, one element per line. Streams the
-/// split's lines straight out of the DFS block, cloning per pulled line.
+/// Source: a text file in simulated HDFS, one element per line. Lends the
+/// split's lines straight out of the DFS block: a per-element consumer
+/// clones each line it pulls, a whole-partition one reads them in place.
 pub(crate) struct HdfsTextRdd {
     pub(crate) meta: RddMeta,
     pub(crate) file: DfsFile,
@@ -770,36 +798,12 @@ impl RddImpl<String> for HdfsTextRdd {
             // Non-local read: the bytes cross the network from a replica.
             tc.add_net(split.bytes);
         }
-        charge_transient_hdfs_read(&self.meta.ctx, tc, self.meta.id, part, split.bytes);
-        let faults = self.meta.ctx.cluster().faults();
-        if faults.integrity_active() {
-            // Verify the fetched replica's checksum; a mismatch repairs by
-            // re-fetching from the next replica (and rewriting the rotten
-            // copy clean), walking the replica set until one verifies.
-            // Preflight guarantees at least one clean copy exists.
-            for copy in 0..self.split_replicas(split) {
-                tc.add_stall_micros(checksum_micros(&self.meta.ctx, split.bytes));
-                if faults.take_corruption(IntegrityTier::Hdfs, self.meta.id, part, copy) {
-                    tc.add_net(split.bytes);
-                    self.meta.ctx.metrics().note_recovery(&RecoveryCounters {
-                        integrity: IntegrityCounters {
-                            corruptions_injected: 1,
-                            corruptions_detected: 1,
-                            corruptions_repaired: 1,
-                            repaired_via_replica: 1,
-                            ..IntegrityCounters::default()
-                        },
-                        ..RecoveryCounters::default()
-                    });
-                } else {
-                    break;
-                }
-            }
-        }
+        let (ctx, replicas) = (&self.meta.ctx, self.split_replicas(split));
+        charge_faulty_hdfs_read(ctx, tc, self.meta.id, part, split.bytes, replicas);
         let lines = &self.file.lines()[split.lines.clone()];
         tc.add_records_out(lines.len() as u64);
         tc.note_records_read(lines.len() as u64);
-        Pipe::Iter(Box::new(lines.iter().cloned()))
+        Pipe::Borrowed(lines)
     }
 
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
@@ -895,38 +899,15 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
             tc.add_net(block.bytes);
         }
         tc.add_ser(block.bytes); // deserialize the stored block
-        charge_transient_hdfs_read(ctx, tc, self.meta.id, part, block.bytes);
-        let faults = ctx.cluster().faults();
-        if faults.integrity_active() {
-            // Verify the fetched replica; on mismatch re-fetch from the
-            // next replica (rewriting the rotten copy clean) until one
-            // verifies. Preflight guarantees a clean copy exists — the
-            // all-poisoned case fails the job typed before this stage runs.
-            for copy in 0..block.replicas.len().max(1) as u32 {
-                tc.add_stall_micros(checksum_micros(ctx, block.bytes));
-                if faults.take_corruption(IntegrityTier::Hdfs, self.meta.id, part, copy) {
-                    tc.add_net(block.bytes);
-                    ctx.metrics().note_recovery(&RecoveryCounters {
-                        integrity: IntegrityCounters {
-                            corruptions_injected: 1,
-                            corruptions_detected: 1,
-                            corruptions_repaired: 1,
-                            repaired_via_replica: 1,
-                            ..IntegrityCounters::default()
-                        },
-                        ..RecoveryCounters::default()
-                    });
-                } else {
-                    break;
-                }
-            }
-        }
+        let replicas = block.replicas.len().max(1) as u32;
+        charge_faulty_hdfs_read(ctx, tc, self.meta.id, part, block.bytes, replicas);
         ctx.metrics().note_recovery(&RecoveryCounters {
             checkpoint_reads: 1,
             ..RecoveryCounters::default()
         });
-        tc.add_records_out(data.len() as u64);
-        tc.note_records_read(data.len() as u64);
+        let records = slice_records(&data);
+        tc.add_records_out(records);
+        tc.note_records_read(records);
         Pipe::Shared(data)
     }
 
@@ -963,13 +944,18 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
     }
 }
 
-pub(crate) struct MapRdd<P: Data, T: Data> {
+/// What a [`NarrowRdd`] does to its parent's pipe.
+type NarrowOp<P, T> = dyn for<'a> Fn(Pipe<'a, P>, &'a TaskContext) -> Pipe<'a, T> + Send + Sync;
+
+/// The narrow one-parent operators (`map`, `flat_map`, `filter`,
+/// `map_partitions`): `op` is the operator, everything else the parent's.
+pub(crate) struct NarrowRdd<P: Data, T: Data> {
     meta: RddMeta,
     parent: Arc<dyn RddImpl<P>>,
-    f: Arc<dyn Fn(P) -> T + Send + Sync>,
+    op: Box<NarrowOp<P, T>>,
 }
 
-impl<P: Data, T: Data> RddImpl<T> for MapRdd<P, T> {
+impl<P: Data, T: Data> RddImpl<T> for NarrowRdd<P, T> {
     fn meta(&self) -> &RddMeta {
         &self.meta
     }
@@ -983,143 +969,7 @@ impl<P: Data, T: Data> RddImpl<T> for MapRdd<P, T> {
     }
 
     fn compute<'a>(&'a self, part: usize, tc: &'a TaskContext) -> Pipe<'a, T> {
-        let f = Arc::clone(&self.f);
-        let inp = CountPulled::new(materialize(&self.parent, part, tc).into_iter(), tc);
-        Pipe::Iter(Box::new(CountProduced::new(inp.map(move |p| f(p)), tc)))
-    }
-
-    fn collect_shuffle_deps(&self, out: &mut Vec<Arc<dyn ShuffleStage>>) {
-        self.parent.collect_shuffle_deps(out);
-    }
-
-    fn shuffle_read_id(&self) -> Option<u64> {
-        self.parent.shuffle_read_id()
-    }
-
-    fn lineage_len(&self) -> u64 {
-        self.parent.lineage_len() + 1
-    }
-
-    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
-        self.parent.preflight()
-    }
-}
-
-pub(crate) struct FlatMapRdd<P: Data, T: Data> {
-    meta: RddMeta,
-    parent: Arc<dyn RddImpl<P>>,
-    f: Arc<dyn Fn(P) -> Vec<T> + Send + Sync>,
-}
-
-impl<P: Data, T: Data> RddImpl<T> for FlatMapRdd<P, T> {
-    fn meta(&self) -> &RddMeta {
-        &self.meta
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-
-    fn preferred_node(&self, part: usize) -> Option<NodeId> {
-        self.parent.preferred_node(part)
-    }
-
-    fn compute<'a>(&'a self, part: usize, tc: &'a TaskContext) -> Pipe<'a, T> {
-        let f = Arc::clone(&self.f);
-        let inp = CountPulled::new(materialize(&self.parent, part, tc).into_iter(), tc);
-        Pipe::Iter(Box::new(CountProduced::new(
-            inp.flat_map(move |p| f(p)),
-            tc,
-        )))
-    }
-
-    fn collect_shuffle_deps(&self, out: &mut Vec<Arc<dyn ShuffleStage>>) {
-        self.parent.collect_shuffle_deps(out);
-    }
-
-    fn shuffle_read_id(&self) -> Option<u64> {
-        self.parent.shuffle_read_id()
-    }
-
-    fn lineage_len(&self) -> u64 {
-        self.parent.lineage_len() + 1
-    }
-
-    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
-        self.parent.preflight()
-    }
-}
-
-pub(crate) struct FilterRdd<T: Data> {
-    meta: RddMeta,
-    parent: Arc<dyn RddImpl<T>>,
-    f: Arc<dyn Fn(&T) -> bool + Send + Sync>,
-}
-
-impl<T: Data> RddImpl<T> for FilterRdd<T> {
-    fn meta(&self) -> &RddMeta {
-        &self.meta
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-
-    fn preferred_node(&self, part: usize) -> Option<NodeId> {
-        self.parent.preferred_node(part)
-    }
-
-    fn compute<'a>(&'a self, part: usize, tc: &'a TaskContext) -> Pipe<'a, T> {
-        let f = Arc::clone(&self.f);
-        let inp = CountPulled::new(materialize(&self.parent, part, tc).into_iter(), tc);
-        Pipe::Iter(Box::new(CountProduced::new(inp.filter(move |t| f(t)), tc)))
-    }
-
-    fn collect_shuffle_deps(&self, out: &mut Vec<Arc<dyn ShuffleStage>>) {
-        self.parent.collect_shuffle_deps(out);
-    }
-
-    fn shuffle_read_id(&self) -> Option<u64> {
-        self.parent.shuffle_read_id()
-    }
-
-    fn lineage_len(&self) -> u64 {
-        self.parent.lineage_len() + 1
-    }
-
-    fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
-        self.parent.preflight()
-    }
-}
-
-pub(crate) struct MapPartitionsRdd<P: Data, T: Data> {
-    meta: RddMeta,
-    parent: Arc<dyn RddImpl<P>>,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(&[P], &TaskContext) -> Vec<T> + Send + Sync>,
-}
-
-impl<P: Data, T: Data> RddImpl<T> for MapPartitionsRdd<P, T> {
-    fn meta(&self) -> &RddMeta {
-        &self.meta
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.parent.num_partitions()
-    }
-
-    fn preferred_node(&self, part: usize) -> Option<NodeId> {
-        self.parent.preferred_node(part)
-    }
-
-    fn compute<'a>(&'a self, part: usize, tc: &'a TaskContext) -> Pipe<'a, T> {
-        let input = materialize(&self.parent, part, tc);
-        let out = input.with_slice(tc, |s| {
-            tc.add_records_in(s.len() as u64);
-            (self.f)(s, tc)
-        });
-        tc.add_records_out(out.len() as u64);
-        Pipe::Owned(out)
+        (self.op)(materialize(&self.parent, part, tc), tc)
     }
 
     fn collect_shuffle_deps(&self, out: &mut Vec<Arc<dyn ShuffleStage>>) {
@@ -1174,7 +1024,7 @@ impl<T: Data> RddImpl<T> for UnionRdd<T> {
 
     fn compute<'a>(&'a self, part: usize, tc: &'a TaskContext) -> Pipe<'a, T> {
         let (parent, local) = self.locate(part);
-        Pipe::Iter(Box::new(CountPulled::new(
+        Pipe::Iter(Box::new(Counted::pulled(
             materialize(parent, local, tc).into_iter(),
             tc,
         )))

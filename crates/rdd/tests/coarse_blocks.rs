@@ -5,8 +5,8 @@
 //! survive node eviction by lineage recompute, and release everything on
 //! unpersist.
 
-use yafim_cluster::{ByteSize, ClusterSpec, CostModel, SimCluster};
-use yafim_rdd::Context;
+use yafim_cluster::{slice_records, ByteSize, ClusterSpec, CostModel, SimCluster};
+use yafim_rdd::{Context, PartialSize, Rdd};
 
 fn ctx() -> Context {
     Context::new(SimCluster::with_threads(
@@ -91,4 +91,65 @@ fn evicted_coarse_blocks_recompute_identically() {
 
     coarse.unpersist();
     assert_eq!(c.cache().stats().used_bytes, 0);
+}
+
+/// A block of rows that tells the engine so (`ByteSize::records`), sized as
+/// the rows on their own would be.
+#[derive(Clone, Debug, PartialEq)]
+struct Rows(Vec<u32>);
+
+impl ByteSize for Rows {
+    fn byte_size(&self) -> u64 {
+        4 * self.0.len() as u64
+    }
+
+    fn records(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+/// Cache insert and hit, `collect`, checkpoint write and read, `aggregate`
+/// and `map_partitions` over `rdd`; returns what the run left behind.
+fn drive<T: yafim_rdd::Data>(c: &Context, rdd: Rdd<T>) -> String {
+    let rdd = rdd.cache();
+    let elements = rdd.collect().len();
+    assert_eq!(
+        rdd.collect().len(),
+        elements,
+        "second collect hits the cache"
+    );
+    let cp = rdd.checkpoint();
+    let rows = cp.try_aggregate(
+        || 0u64,
+        |acc, part, _| {
+            *acc += slice_records(part);
+            let (records, bytes) = (1, 8);
+            PartialSize { records, bytes }
+        },
+        |a, b| a + b,
+    );
+    assert_eq!(rows.expect("no fault plan"), 1000);
+    let again = cp.map_partitions(|part, _| part.to_vec()).cache();
+    assert_eq!(again.collect().len(), elements);
+    let mut snapshot = c.metrics().snapshot();
+    // One block moves out of its kernel where a thousand rows are copied.
+    snapshot.profile.bytes_materialized = 0;
+    format!("{snapshot:?} {:?}", c.cache().stats())
+}
+
+#[test]
+fn a_block_of_n_rows_is_charged_and_reported_as_n_records() {
+    let source = |c: &Context| c.parallelize_with_partitions((0u32..1000).collect(), 4);
+    let per_row = ctx();
+    let rows = drive(
+        &per_row,
+        source(&per_row).map_partitions(|xs, _| xs.to_vec()),
+    );
+    let per_block = ctx();
+    let blocks = source(&per_block).map_partitions(|xs, _| vec![Rows(xs.to_vec())]);
+    assert_eq!(drive(&per_block, blocks), rows);
+    let profile = per_block.metrics().snapshot().profile;
+    // Two cache inserts, three collects and the checkpoint write at 1000
+    // rows each (never "4 blocks"), and the aggregate's four partials.
+    assert_eq!(profile.records_written, 6004);
 }

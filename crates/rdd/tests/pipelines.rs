@@ -3,7 +3,10 @@
 //! lineages must produce identical results, identical virtual time, and
 //! identical shuffle/cache/record accounting in both modes — only
 //! `bytes_materialized` (what fusion exists to shrink) may differ, and then
-//! only downward. Every plan ends in two `collect`s and one `aggregate`.
+//! only downward. Every plan starts at a randomly chosen source (a
+//! `parallelize`d collection, or an HDFS text file whose split lends its
+//! lines to a per-element or a whole-partition parser) and ends in two
+//! `collect`s and one `aggregate`.
 //! Plus regressions for incremental `take` and for lineage recompute
 //! through pipelines after node loss.
 
@@ -56,6 +59,41 @@ enum Op {
     UnionSelf,
 }
 
+/// Where a plan's `Rdd<u32>` comes from.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// Chunks of a driver-side collection, shared with the tasks.
+    Parallelize,
+    /// A text file's lines, cloned one by one as `map` pulls them.
+    TextMap,
+    /// The same lines, lent to `map_partitions` as one slice per split.
+    TextMapPartitions,
+}
+
+fn random_source(rng: &mut Rng) -> Source {
+    [
+        Source::Parallelize,
+        Source::TextMap,
+        Source::TextMapPartitions,
+    ][rng.range(0, 3) as usize]
+}
+
+fn source(c: &Context, from: Source, data: &[u32], parts: usize) -> Rdd<u32> {
+    let parse = |line: &String| line.parse::<u32>().expect("a decimal line");
+    let lines = || {
+        let lines = data.iter().map(u32::to_string).collect();
+        c.cluster().hdfs().put_overwrite("in.txt", lines);
+        c.text_file("in.txt", parts).expect("just written")
+    };
+    match from {
+        Source::Parallelize => c.parallelize_with_partitions(data.to_vec(), parts),
+        Source::TextMap => lines().map(move |line| parse(&line)),
+        Source::TextMapPartitions => {
+            lines().map_partitions(move |lines, _| lines.iter().map(parse).collect())
+        }
+    }
+}
+
 fn random_plan(rng: &mut Rng, len: usize) -> Vec<Op> {
     (0..len)
         .map(|_| match rng.range(0, 8) {
@@ -93,13 +131,14 @@ fn apply(rdd: Rdd<u32>, op: Op) -> Rdd<u32> {
 /// collections and the final metrics snapshot.
 fn run_plan(
     mode: ExecMode,
+    from: Source,
     data: &[u32],
     parts: usize,
     plan: &[Op],
     shuffle: bool,
 ) -> (Vec<u32>, Vec<u32>, MetricsSnapshot) {
     let c = ctx_with(mode);
-    let mut rdd = c.parallelize_with_partitions(data.to_vec(), parts);
+    let mut rdd = source(&c, from, data, parts);
     for (i, op) in plan.iter().enumerate() {
         rdd = apply(rdd, *op);
         if shuffle && i == plan.len() / 2 {
@@ -191,8 +230,10 @@ fn fused_and_eager_agree_on_narrow_chains() {
         let parts = rng.range(1, 10) as usize;
         let len = rng.range(1, 6) as usize;
         let plan = random_plan(&mut rng, len);
-        let (f1, f2, fs) = run_plan(ExecMode::Fused, &data, parts, &plan, false);
-        let (e1, e2, es) = run_plan(ExecMode::Eager, &data, parts, &plan, false);
+        let from = random_source(&mut rng);
+        let (f1, f2, fs) = run_plan(ExecMode::Fused, from, &data, parts, &plan, false);
+        let (e1, e2, es) = run_plan(ExecMode::Eager, from, &data, parts, &plan, false);
+        let plan = (from, plan);
         assert_eq!(f1, e1, "first collect diverged (case {case}: {plan:?})");
         assert_eq!(f2, e2, "second collect diverged (case {case}: {plan:?})");
         assert_eq!(f1, f2, "fused collect not stable (case {case}: {plan:?})");
@@ -245,8 +286,10 @@ fn fused_and_eager_agree_through_shuffles() {
         let parts = rng.range(1, 10) as usize;
         let len = rng.range(1, 5) as usize;
         let plan = random_plan(&mut rng, len);
-        let (f1, f2, fs) = run_plan(ExecMode::Fused, &data, parts, &plan, true);
-        let (e1, e2, es) = run_plan(ExecMode::Eager, &data, parts, &plan, true);
+        let from = random_source(&mut rng);
+        let (f1, f2, fs) = run_plan(ExecMode::Fused, from, &data, parts, &plan, true);
+        let (e1, e2, es) = run_plan(ExecMode::Eager, from, &data, parts, &plan, true);
+        let plan = (from, plan);
         assert_eq!(f1, e1, "first collect diverged (case {case}: {plan:?})");
         assert_eq!(f2, e2, "second collect diverged (case {case}: {plan:?})");
         // An upstream filter can legitimately empty the shuffle input; only

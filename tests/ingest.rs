@@ -176,6 +176,29 @@ fn random_lines_parse_as_they_always_did() {
     assert_eq!(parse_transaction("3\n1\r\n+2"), vec![1, 2, 3]);
 }
 
+/// What YAFIM's block parse does: every line appended to one arena through
+/// the public `scan_line`, a line without items leaving an empty row.
+#[test]
+fn an_arena_of_lines_holds_a_parse_per_line() {
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut lines: Vec<String> = (0..20_000).map(|_| random_line(&mut rng)).collect();
+    lines.extend(NEARLY_CANONICAL.map(String::from));
+    let (mut arena, mut ends) = (Vec::new(), Vec::new());
+    for line in &lines {
+        yafim::data::scan_line(line, &mut arena);
+        ends.push(arena.len());
+    }
+    let mut start = 0;
+    let mut empty = 0;
+    for (line, &end) in lines.iter().zip(&ends) {
+        assert_eq!(arena[start..end], old_parse_transaction(line), "{line:?}");
+        assert_eq!(arena[start..end], parse_transaction(line), "{line:?}");
+        empty += usize::from(start == end);
+        start = end;
+    }
+    assert!(empty > 1_000, "blank and junk lines must stay rows");
+}
+
 #[test]
 fn random_files_read_as_they_always_did() {
     let path = temp("random.dat");
