@@ -34,17 +34,24 @@ fn transactions(n: usize, len: usize, universe: u32, seed: u64) -> Vec<Vec<u32>>
         .collect()
 }
 
-/// MushRoom-shaped input: 23 attributes of 5 values each (115 items, every
-/// transaction holds one value per attribute, skewed towards the first two)
-/// and `n` distinct `k`-candidates over the 46 common values. Dense
-/// transactions over few items make descent paths collide, which is the
-/// regime the paper's own datasets put the tree in.
-fn mushroom_shaped(n: usize, k: usize, seed: u64) -> (Vec<Itemset>, Vec<Vec<u32>>) {
+/// Input shaped like the paper's dense datasets: `attrs` attributes of
+/// `values` values each, every transaction holding one value per attribute
+/// (skewed towards the first two), and `n` distinct `k`-candidates over the
+/// two common values of the first `hot` attributes. MushRoom is 23 × 5 with
+/// frequent values everywhere, Pumsb_star 50 × 41 with few of them. Dense
+/// transactions over few frequent items make descent paths collide, which is
+/// the regime the paper's own datasets put the tree in.
+fn dense_shaped(
+    (attrs, values, hot): (u32, u32, u32),
+    n: usize,
+    k: usize,
+    seed: u64,
+) -> (Vec<Itemset>, Vec<Vec<u32>>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cands = std::collections::BTreeSet::new();
     while cands.len() < n {
         let set: Itemset = (0..k)
-            .map(|_| rng.gen_range(0..23u32) * 5 + rng.gen_range(0..2u32))
+            .map(|_| rng.gen_range(0..hot) * values + rng.gen_range(0..2u32))
             .collect();
         if set.len() == k {
             cands.insert(set);
@@ -52,20 +59,23 @@ fn mushroom_shaped(n: usize, k: usize, seed: u64) -> (Vec<Itemset>, Vec<Vec<u32>
     }
     let txs = (0..1_000)
         .map(|_| {
-            (0..23u32)
+            (0..attrs)
                 .map(|attr| {
                     let value = match rng.gen_range(0..10u32) {
                         0..=5 => 0,
                         6..=8 => 1,
-                        _ => rng.gen_range(2..5u32),
+                        _ => rng.gen_range(2..values),
                     };
-                    attr * 5 + value
+                    attr * values + value
                 })
                 .collect()
         })
         .collect();
     (cands.into_iter().collect(), txs)
 }
+
+const MUSHROOM: (u32, u32, u32) = (23, 5, 23);
+const PUMSB_STAR: (u32, u32, u32) = (50, 41, 12);
 
 /// Match every transaction; returns `(matches, visits)`.
 fn match_all(tree: &HashTree, txs: &[Vec<u32>]) -> (u64, u64) {
@@ -102,19 +112,32 @@ fn main() {
         });
     }
 
-    header("hashtree_match_mushroom_shaped_1k_tx");
-    for k in 3..=5 {
-        let (cands, txs) = mushroom_shaped(500, k, 3);
-        let tree = HashTree::build(cands);
-        let visits = match_all(&tree, &txs).1 / txs.len() as u64;
-        let name = format!("tree/500/k{k} ({visits} visits per call)");
-        bench(&name, 20, || match_all(black_box(&tree), &txs));
+    // Visits are the hash paths a walk of the tree follows, nodes what there
+    // is to process: their ratio is what counting the paths (PR 21) removes.
+    for (shape, name, ks) in [
+        (MUSHROOM, "mushroom", 3..=5),
+        (PUMSB_STAR, "pumsb_star", 3..=4),
+    ] {
+        header(&format!("hashtree_match_{name}_shaped_1k_tx"));
+        for k in ks {
+            let (cands, txs) = dense_shaped(shape, 500, k, 3);
+            let tree = HashTree::build(cands);
+            let visits = match_all(&tree, &txs).1 / txs.len() as u64;
+            let median = bench(&format!("tree/500/k{k}"), 20, || {
+                match_all(black_box(&tree), &txs)
+            });
+            println!(
+                "    {visits} visits per transaction over {} nodes, {:.0} ns per transaction",
+                tree.num_nodes(),
+                median * 1e9 / txs.len() as f64
+            );
+        }
     }
 
     // 12 candidates fit the root leaf: no descent, so no slot per item —
     // only the membership stamps are precomputed.
     header("hashtree_match_root_leaf_1k_tx");
-    let (cands, txs) = mushroom_shaped(12, 4, 4);
+    let (cands, txs) = dense_shaped(MUSHROOM, 12, 4, 4);
     let tree = HashTree::build(cands);
     assert_eq!(tree.num_nodes(), 1);
     bench("tree/12/k4", 50, || match_all(black_box(&tree), &txs));

@@ -11,9 +11,9 @@ use std::time::Instant;
 /// Re-export of [`std::hint::black_box`] for benchmark bodies.
 pub use std::hint::black_box;
 
-/// Time `f` for `samples` iterations (after one warmup) and print one
-/// aligned result line under `name`.
-pub fn bench<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) {
+/// Time `f` for `samples` iterations (after one warmup), print one aligned
+/// result line under `name` and return the median in seconds.
+pub fn bench<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) -> f64 {
     let samples = samples.max(1);
     black_box(f());
     let mut times: Vec<f64> = (0..samples)
@@ -33,6 +33,7 @@ pub fn bench<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) {
         fmt_secs(median),
         fmt_secs(max),
     );
+    median
 }
 
 /// Print the header matching [`bench`]'s output columns.

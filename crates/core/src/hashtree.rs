@@ -4,19 +4,32 @@
 //! without testing every candidate.
 //!
 //! Interior nodes hash the transaction's items at the current depth; leaves
-//! hold candidate itemsets to be verified with a subset test. Because the
-//! descent branches on *every* remaining transaction item, the same leaf can
-//! be reached along several paths — a per-call leaf stamp prevents double
-//! counting.
+//! hold candidate itemsets to be verified with a subset test. The descent
+//! branches on *every* remaining transaction item at every level: walked
+//! out, it follows thousands of hash paths per dense transaction over a tree
+//! of a few hundred nodes.
 //!
-//! The tree is one flat arena, and what every visit needs of the transaction
-//! (the hash slot of each item, which candidate items it holds) is computed
-//! once per call into [`MatchScratch`].
+//! This module counts those paths instead. A node at depth `d` is *arrived
+//! at* at position `p` once per path that consumed `d − 1` items, the last of
+//! them `t[p − 1]`. With `A[p]` the arrivals by position, the root has
+//! `A[0] = 1` and the child in slot `s` of a node has
 //!
-//! Traversal work is reported as a node-visit count, which the engines feed
-//! into the virtual-time cost model: one unit per node reached and one per
-//! leaf entry verified, as a pointer tree would spend them — a modelled
-//! quantity, not what this layout costs the host.
+//! ```text
+//! A_child[i + 1] = [slot(t[i]) = s and i < last] · Σ_{p ≤ i} A_node[p]
+//! ```
+//!
+//! (`last` leaves enough items to complete a candidate). A node has one
+//! parent, which takes all positions of a slot together, so a node's arrivals
+//! are complete once its parent is done and every reachable node, leaf or
+//! not, is processed once per transaction, from its first arrival on: no
+//! table of nodes seen, no leaf stamp. The tree is one flat arena, and what
+//! the count needs of the transaction (the hash slot of each item, which
+//! candidate items it holds) is computed once per call into [`MatchScratch`].
+//!
+//! Traversal work is reported as the visit count of the walk, which the
+//! engines feed into the virtual-time cost model: every arrival at every
+//! node plus one per leaf entry verified. It is an exact function of (tree,
+//! transaction): a modelled quantity, not what this layout costs the host.
 
 use crate::item_table::ItemTable;
 use crate::types::{Item, Itemset};
@@ -74,34 +87,60 @@ pub struct HashTree {
 }
 
 /// Reusable per-caller scratch space for [`HashTree::for_each_match`]. One
-/// per task; never shared across threads. It may go from one tree to the
-/// next: a stamp only counts while it equals `version`.
+/// per thread. It may go from one tree to the next: a stamp only counts
+/// while it equals `version`, and the rest is rewritten before it is read.
 #[derive(Default)]
 pub struct MatchScratch {
-    /// `leaf_seen[l] == version`: leaf `l` was verified for this transaction.
-    leaf_seen: Vec<u32>,
     /// `present[id] == version`: the transaction holds that candidate item.
     present: Vec<u32>,
     /// Hash slot of each transaction item.
     slots: Vec<u32>,
+    /// Per slot, the arrivals bound for the child there while one node is
+    /// processed; all zero between nodes.
+    bound: Vec<u64>,
+    /// One row of `|t| + 1` per depth: `sums[p]` is the number of arrivals
+    /// at the node being processed there at positions `≤ p`.
+    sums: Vec<u64>,
+    /// One row of `|t| + 1` per depth, for the children reached from the node
+    /// being processed there: the child, the first position it is reached
+    /// from (it is arrived at one later) and its arrivals from all of them.
+    reached: Vec<(u32, u32, u64)>,
     version: u32,
 }
 
 impl MatchScratch {
-    /// Start a transaction against a tree of `leaves` leaves and `ids` item
-    /// ids; returns the stamp that marks it.
-    fn begin(&mut self, leaves: usize, ids: usize) -> u32 {
+    /// Start transaction `t` against `tree`: stamp the candidate items it
+    /// holds and, if the root routes, note each item's hash slot.
+    fn begin(&mut self, tree: &HashTree, t: &[Item]) {
         self.version = self.version.wrapping_add(1);
         if self.version == 0 {
             // Wrapped: clear stale stamps that would now falsely match.
-            self.leaf_seen.clear();
             self.present.clear();
             self.version = 1;
         }
         // Grow only: stamps beyond this tree's range are older than `version`.
-        self.leaf_seen.resize(self.leaf_seen.len().max(leaves), 0);
-        self.present.resize(self.present.len().max(ids), 0);
-        self.version
+        self.present
+            .resize(self.present.len().max(tree.items.len()), 0);
+        let routes = tree.root & LEAF == 0;
+        self.slots.clear();
+        if routes {
+            self.bound.resize(self.bound.len().max(tree.branching), 0);
+            let cells = tree.k * (t.len() + 1);
+            self.sums.resize(self.sums.len().max(cells), 0);
+            self.reached
+                .resize(self.reached.len().max(cells), (0, 0, 0));
+        }
+        for &item in t {
+            // One hash per item: its remainder picks the slot, its high half
+            // probes the item table.
+            let hash = fx_hash64(&item);
+            if let Some(id) = tree.items.get_hashed(item, hash) {
+                self.present[id as usize] = self.version;
+            }
+            if routes {
+                self.slots.push((hash % tree.branching as u64) as u32);
+            }
+        }
     }
 }
 
@@ -178,11 +217,6 @@ impl HashTree {
         self.children.len() / self.branching + self.leaf_start.len() - 1
     }
 
-    #[inline]
-    fn hash_slot(&self, item: Item) -> usize {
-        (fx_hash64(&item) % self.branching as u64) as usize
-    }
-
     /// Append the subtree over `cands` — the candidates, ascending by index,
     /// that share one hash path of length `depth` — and return its reference.
     fn lay_out(&mut self, cands: &[u32], depth: usize, max_leaf: usize) -> u32 {
@@ -206,7 +240,7 @@ impl HashTree {
         let mut by_slot = vec![Vec::new(); self.branching];
         for &cand in cands {
             let item = self.candidates[cand as usize].items()[depth];
-            by_slot[self.hash_slot(item)].push(cand);
+            by_slot[(fx_hash64(&item) % self.branching as u64) as usize].push(cand);
         }
         for (slot, group) in by_slot.iter().enumerate() {
             if !group.is_empty() {
@@ -228,29 +262,26 @@ impl HashTree {
         if self.k == 0 || t.len() < self.k {
             return 0;
         }
-        let version = scratch.begin(self.leaf_start.len() - 1, self.items.len());
-        let descends = self.root & LEAF == 0;
-        scratch.slots.clear();
-        for &item in t {
-            if let Some(id) = self.items.get(item) {
-                scratch.present[id as usize] = version;
-            }
-            if descends {
-                scratch.slots.push(self.hash_slot(item) as u32);
-            }
-        }
-        let mut walk = Walk {
+        scratch.begin(self, t);
+        let mut count = Count {
             tree: self,
-            t_len: t.len(),
             slots: &scratch.slots,
             present: &scratch.present,
-            leaf_seen: &mut scratch.leaf_seen,
-            version,
-            visits: 0,
+            bound: &mut scratch.bound,
+            sums: &mut scratch.sums,
+            reached: &mut scratch.reached,
+            version: scratch.version,
+            visits: 1,
             f,
         };
-        walk.visit(self.root, 0, 1);
-        walk.visits
+        if self.root & LEAF != 0 {
+            count.leaf((self.root ^ LEAF) as usize);
+        } else {
+            // The root is arrived at once, at position 0.
+            count.sums[..=t.len() - self.k].fill(1);
+            count.node(self.root, 0, 1);
+        }
+        count.visits
     }
 
     /// Brute-force reference: indices of all candidates contained in `t`.
@@ -265,51 +296,92 @@ impl HashTree {
     }
 }
 
-/// One transaction's descent: the per-transaction precompute and the
-/// running visit count.
-struct Walk<'a, F> {
+/// One transaction's count: the per-transaction precompute and the running
+/// visit total (the root's one arrival included from the start). Totals
+/// saturate: a count that large is one the walk could never have finished.
+struct Count<'a, F> {
     tree: &'a HashTree,
-    t_len: usize,
     slots: &'a [u32],
     present: &'a [u32],
-    leaf_seen: &'a mut [u32],
+    bound: &'a mut [u64],
+    sums: &'a mut [u64],
+    reached: &'a mut [(u32, u32, u64)],
     version: u32,
     visits: u64,
     f: F,
 }
 
-impl<F: FnMut(usize)> Walk<'_, F> {
+impl<F: FnMut(usize)> Count<'_, F> {
+    /// Process the interior node `node`, first arrived at at position `first`;
+    /// row `depth − 1` of `sums` holds its arrival sums from there on.
     /// `depth` is 1-based: the items consumed on the path so far, plus one.
-    fn visit(&mut self, node: u32, pos: usize, depth: usize) {
-        self.visits += 1;
-        let (tree, version) = (self.tree, self.version);
-        if node & LEAF != 0 {
-            let leaf = (node ^ LEAF) as usize;
-            if std::mem::replace(&mut self.leaf_seen[leaf], version) == version {
-                return; // already checked for this transaction
-            }
-            let lo = tree.leaf_start[leaf] as usize;
-            let hi = tree.leaf_start[leaf + 1] as usize;
-            self.visits += (hi - lo) as u64;
-            let items = tree.entry_items[lo * tree.k..hi * tree.k].chunks_exact(tree.k);
-            for (&cand, ids) in tree.entry_cand[lo..hi].iter().zip(items) {
-                // No early exit: on dense data a miss is a coin flip, and a
-                // mispredicted branch costs more than the loads it saves.
-                let held = |all, &id| all & (self.present[id as usize] == version);
-                if ids.iter().fold(true, held) {
-                    (self.f)(cand as usize);
-                }
-            }
-            return;
-        }
-        // Descend on every transaction item that could be the `depth`-th
-        // item of a candidate, leaving enough items to complete one.
+    fn node(&mut self, node: u32, first: usize, depth: usize) {
+        let tree = self.tree;
         let children = &tree.children[node as usize..][..tree.branching];
-        let last = self.t_len - (tree.k - depth);
-        for i in pos..last {
-            let child = children[self.slots[i] as usize];
-            if child != NO_CHILD {
-                self.visit(child, i + 1, depth + 1);
+        // A path goes on through every later item that could be the
+        // `depth`-th of a candidate, leaving enough items to complete one.
+        let width = self.slots.len() + 1;
+        let last = width - 1 - (tree.k - depth);
+        let slots = &self.slots[..last];
+        let row = (depth - 1) * width;
+        // All positions of one slot lead to one child: add up what is bound
+        // for it, then collect the children there are, in the order the walk
+        // first reached them. Neither loop branches on what it finds.
+        for (&slot, &sum) in slots[first..].iter().zip(&self.sums[row + first..]) {
+            let to = &mut self.bound[slot as usize];
+            *to = to.saturating_add(sum);
+        }
+        let mut end = row;
+        for i in first..last {
+            let arrivals = std::mem::take(&mut self.bound[slots[i] as usize]);
+            let child = children[slots[i] as usize];
+            self.reached[end] = (child, i as u32, arrivals);
+            end += usize::from(arrivals != 0 && child != NO_CHILD);
+        }
+        for at in row..end {
+            let (child, from, arrivals) = self.reached[at];
+            self.visits = self.visits.saturating_add(arrivals);
+            if child & LEAF != 0 {
+                self.leaf((child ^ LEAF) as usize);
+                continue;
+            }
+            // The child's sums, in the row below: it is arrived at after
+            // each position of its slot, once per arrival here up to then.
+            let (from, slot) = (from as usize, slots[from as usize]);
+            let (mine, below) = self.sums[row..].split_at_mut(width);
+            let mut sum = 0u64;
+            for p in from..last {
+                if slots[p] == slot {
+                    sum = sum.saturating_add(mine[p]);
+                }
+                below[p + 1] = sum;
+            }
+            self.node(child, from + 1, depth + 1);
+        }
+    }
+
+    /// Verify leaf `leaf`'s entries.
+    fn leaf(&mut self, leaf: usize) {
+        let (tree, version) = (self.tree, self.version);
+        let lo = tree.leaf_start[leaf] as usize;
+        let hi = tree.leaf_start[leaf + 1] as usize;
+        self.visits = self.visits.saturating_add((hi - lo) as u64);
+        // No early exit and no branch per entry: on dense data a hit is a
+        // coin flip, and a mispredicted branch costs more than the loads it
+        // saves. The hits of 64 entries gather in a mask, last entry first
+        // so that the first ends in bit 0, and drain by bit. Entries are
+        // sliced by hand: `chunks_exact` divides by `k` on every call.
+        for base in (lo..hi).step_by(64) {
+            let end = hi.min(base + 64);
+            let mut hits = 0u64;
+            for entry in (base..end).rev() {
+                let ids = &tree.entry_items[entry * tree.k..][..tree.k];
+                let held = |all, &id| all & (self.present[id as usize] == version);
+                hits = hits << 1 | u64::from(ids.iter().fold(true, held));
+            }
+            while hits != 0 {
+                (self.f)(tree.entry_cand[base + hits.trailing_zeros() as usize] as usize);
+                hits &= hits - 1;
             }
         }
     }
@@ -409,7 +481,7 @@ mod tests {
 
     #[test]
     fn no_double_counting_through_multiple_paths() {
-        // Small branching forces shared leaves and repeated descents.
+        // Small branching: every leaf is reached along many paths.
         let cands: Vec<Itemset> = (0u32..30)
             .map(|i| Itemset::new(vec![i % 6, 6 + (i % 5), 11 + (i % 4)]))
             .collect::<std::collections::HashSet<_>>()
@@ -417,22 +489,8 @@ mod tests {
             .collect();
         let tree = HashTree::with_params(cands, 2, 2);
         let t: Vec<Item> = (0..15).collect();
-        let mut counts = vec![0u32; tree.len()];
-        let mut s = MatchScratch::default();
-        tree.for_each_match(&t, &mut s, |i| counts[i] += 1);
-        for (i, &c) in counts.iter().enumerate() {
-            assert!(c <= 1, "candidate {i} counted {c} times");
-        }
-        let mut found: Vec<usize> = counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c == 1)
-            .map(|(i, _)| i)
-            .collect();
-        found.sort_unstable();
-        let mut naive = tree.matches_naive(&t);
-        naive.sort_unstable();
-        assert_eq!(found, naive);
+        // `sorted_matches` keeps duplicates: a candidate met twice would show.
+        assert_eq!(sorted_matches(&tree, &t), tree.matches_naive(&t));
     }
 
     #[test]
@@ -484,8 +542,8 @@ mod tests {
     }
 
     #[test]
-    fn version_wrap_clears_leaf_and_item_stamps() {
-        // Small branching: shared leaves, so the leaf stamps matter too.
+    fn version_wrap_clears_item_stamps() {
+        // Small branching: every leaf is reached along many paths.
         let cands: Vec<Itemset> = (0u32..40)
             .map(|i| Itemset::new(vec![i % 8, 8 + i % 5, 13 + i % 7]))
             .collect::<std::collections::BTreeSet<_>>()
@@ -513,7 +571,7 @@ mod tests {
         assert_eq!(s.version, u32::MAX);
         assert_eq!(observe(&tree, &txs[1], &mut s), fresh[1]);
         assert_eq!(s.version, 1, "wrapped past 0");
-        assert!(s.leaf_seen.iter().chain(&s.present).all(|&v| v <= 1));
+        assert!(s.present.iter().all(|&v| v <= 1));
         assert_eq!(observe(&tree, &txs[2], &mut s), fresh[2]);
         assert_eq!(observe(&tree, &txs[0], &mut s), fresh[0]);
 
@@ -521,7 +579,6 @@ mod tests {
         // 1s left over from before must not read as "seen in call 1".
         let mut s = MatchScratch {
             version: u32::MAX,
-            leaf_seen: vec![1; tree.num_nodes()],
             present: vec![1; tree.items.len()],
             ..MatchScratch::default()
         };
@@ -542,9 +599,11 @@ mod tests {
         found.sort_unstable();
         assert_eq!(found, tree.matches_naive(&t));
         assert_eq!(found.len(), 3, "{{7, 2^20}}, {{7, MAX}}, {{2^20, MAX}}");
-        assert!(s.leaf_seen.len() <= tree.num_nodes());
         assert!(s.present.len() <= 4 * ids.len());
         assert_eq!(s.slots.len(), t.len());
+        assert_eq!(s.bound, [0, 0], "one cell per slot, zero at rest");
+        assert_eq!(s.sums.len(), 2 * (t.len() + 1));
+        assert_eq!(s.reached.len(), s.sums.len());
     }
 
     #[test]

@@ -20,7 +20,7 @@ impl ItemTable {
         let len = items.len();
         let mut slots = vec![None; (2 * len).next_power_of_two()];
         for (index, item) in items.enumerate() {
-            let at = Self::slot_of(&slots, item);
+            let at = Self::slot_of(&slots, item, fx_hash64(&item));
             slots[at] = Some((item, index as u32));
         }
         ItemTable { slots, len }
@@ -34,15 +34,21 @@ impl ItemTable {
     /// The index `item` was given, if it is in the table.
     #[inline]
     pub(crate) fn get(&self, item: Item) -> Option<u32> {
-        self.slots[Self::slot_of(&self.slots, item)].map(|(_, index)| index)
+        self.get_hashed(item, fx_hash64(&item))
+    }
+
+    /// [`get`](Self::get) for a caller that already holds `fx_hash64(&item)`.
+    #[inline]
+    pub(crate) fn get_hashed(&self, item: Item, hash: u64) -> Option<u32> {
+        self.slots[Self::slot_of(&self.slots, item, hash)].map(|(_, index)| index)
     }
 
     /// The slot holding `item`, or the free one its probe ends at.
     #[inline]
-    fn slot_of(slots: &[Option<(Item, u32)>], item: Item) -> usize {
+    fn slot_of(slots: &[Option<(Item, u32)>], item: Item, hash: u64) -> usize {
         let mask = slots.len() - 1;
         // The multiplicative hash mixes upwards: take the high half.
-        let mut at = (fx_hash64(&item) >> 32) as usize & mask;
+        let mut at = (hash >> 32) as usize & mask;
         while slots[at].is_some_and(|(held, _)| held != item) {
             at = (at + 1) & mask;
         }

@@ -145,19 +145,20 @@ pub(crate) fn counting_job(
         name,
         input,
         move |_off, line: &str, em: &mut Emitter<Itemset, u64>, w| {
-            let items = parse_transaction(line);
-            w.add_cpu(items.len() as u64);
-            // One scratch per worker thread: the stamp buffer is the
-            // hot allocation of hash-tree matching.
+            // One row buffer and one scratch per worker thread: the hot
+            // allocations of hash-tree matching.
             thread_local! {
-                static SCRATCH: std::cell::RefCell<MatchScratch> =
-                    std::cell::RefCell::new(MatchScratch::default());
+                static BUFFERS: std::cell::RefCell<(Vec<Item>, MatchScratch)> =
+                    std::cell::RefCell::default();
             }
-            SCRATCH.with(|s| {
-                let mut scratch = s.borrow_mut();
+            BUFFERS.with(|buffers| {
+                let (items, scratch) = &mut *buffers.borrow_mut();
+                items.clear();
+                yafim_data::scan_line(line, items);
+                w.add_cpu(items.len() as u64);
                 for (base, matcher) in &matchers {
-                    let units = matcher
-                        .for_each_match(&items, &mut scratch, |idx| em.emit_at(base + idx, 1));
+                    let units =
+                        matcher.for_each_match(items, scratch, |idx| em.emit_at(base + idx, 1));
                     w.add_cpu(units);
                 }
             });
@@ -376,27 +377,16 @@ impl MrApriori {
 
             // Append levels until the first empty one; everything after an
             // empty level is unreachable by monotonicity.
-            let mut stop = false;
-            for level in new_levels {
-                if level.is_empty() {
-                    stop = true;
-                    break;
-                }
-                let mut level = level;
+            let full = new_levels.into_iter().take_while(|l| !l.is_empty());
+            let before = levels.len();
+            levels.extend(full.map(|mut level| {
                 level.sort_by(|a, b| a.0.cmp(&b.0));
-                levels.push(level);
-            }
-            if stop || found == 0 {
+                level
+            }));
+            if levels.len() - before < n_levels {
                 break;
             }
-            next_pass = levels
-                .last()
-                .expect("non-empty")
-                .first()
-                .expect("non-empty")
-                .0
-                .len()
-                + 1;
+            next_pass += n_levels;
         }
 
         Ok(MinerRun {

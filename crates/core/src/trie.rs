@@ -8,8 +8,8 @@
 //! contiguous, item-sorted range of `child_item`/`child_node`, so matching a
 //! sorted transaction against a node is a two-pointer merge with no hashing,
 //! no pointer chasing between allocations, and — because each candidate is
-//! reachable along exactly one root-to-leaf path — no duplicate-visit
-//! bookkeeping (the hash tree needs per-call leaf stamps for that).
+//! reachable along exactly one root-to-leaf path — no per-transaction
+//! bookkeeping (the hash tree reaches a leaf along many hash paths).
 //!
 //! Built from the sorted candidate list `ap_gen` produces; candidate `i` of
 //! the input is reported as match index `i`, the same contract as
@@ -243,7 +243,7 @@ impl CandidateStore for CandidateTrie {
     fn for_each_match_dyn(
         &self,
         t: &[Item],
-        _scratch: &mut MatchScratch, // unique paths — no stamp bookkeeping
+        _scratch: &mut MatchScratch, // unique paths — nothing to keep per call
         f: &mut dyn FnMut(usize),
     ) -> u64 {
         self.for_each_match(t, f)

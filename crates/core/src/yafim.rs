@@ -943,6 +943,9 @@ thread_local! {
     /// the bits it set, so a task that unwinds in between drops it and the
     /// next task on the thread starts from a fresh one.
     static TOUCHED: RefCell<Vec<u64>> = RefCell::default();
+    /// [`count_matches`]'s scratch, taken out and put back like `TOUCHED`: a
+    /// stage of many small partitions would grow one afresh in every task.
+    static SCRATCH: RefCell<MatchScratch> = RefCell::default();
 }
 
 /// Run `count` over this thread's touched bitset (`n_cells` zeroed bits) and
@@ -1047,7 +1050,7 @@ fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
 /// transaction of `txs`. Returns the store's visit count, the number of
 /// matches and the number of distinct candidates matched.
 fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &dyn CandidateStore) -> (u64, u64, u64) {
-    let mut scratch = MatchScratch::default();
+    let mut scratch = SCRATCH.take();
     let (mut visits, mut matches) = (0u64, 0u64);
     let cells = touched_cells(acc.len(), |touched| {
         for t in rows_of(txs) {
@@ -1058,6 +1061,7 @@ fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &dyn CandidateStore) -
             });
         }
     });
+    SCRATCH.set(scratch);
     (visits, matches, cells)
 }
 

@@ -1,13 +1,25 @@
-//! The hash tree, differentially: the flat arena in `yafim_core::hashtree`
-//! against the pointer tree it replaced, which lives on here as the oracle.
+//! The hash tree, differentially: the flat arena in `yafim_core::hashtree`,
+//! which since PR 21 counts the descent paths from per-node arrival sums,
+//! against the pointer tree that walks them, which lives on here as the
+//! oracle.
 //!
-//! `visits` feeds the virtual-time cost model and the order of the match
-//! callbacks decides the order MapReduce mappers emit in, so both must stay
-//! exactly what the pointer tree produced, as must the node count (which
-//! sizes the modelled broadcast). Inputs are seeded random candidate sets and
-//! transactions from the in-repo RNG plus the shapes the arena treats
-//! specially: empty tree, root-is-a-leaf, `|t| < k`, `|t| = k`, one very long
-//! transaction, huge item ids, and one scratch carried across trees.
+//! `visits` feeds the virtual-time cost model and the node count sizes the
+//! modelled broadcast, so both must stay exactly what the pointer tree
+//! produced. The order of the match callbacks is no longer observable: a
+//! MapReduce mapper folds each one into a slot of the job's key table
+//! (`Emitter::emit_at`, PR 17) and YAFIM's tasks add it into a dense
+//! accumulator (PR 19), so nothing downstream sees a sequence. It is compared
+//! all the same, because the count keeps it: a node's first arrival is the
+//! one that reaches furthest, so every leaf is first met where the walk first
+//! met it. Equal sequences also say no candidate is reported twice (the
+//! oracle's are checked against `matches_naive`).
+//!
+//! Inputs are seeded random candidate sets and transactions from the in-repo
+//! RNG plus the shapes either layout treats specially: empty tree,
+//! root-is-a-leaf, `|t| < k`, `|t| = k`, one very long transaction, huge item
+//! ids, arrival counts far above the node count (and above what any walk
+//! could finish), every item in one slot, and one scratch carried across
+//! trees of different branching.
 
 use yafim::cluster::{fx_hash64, ByteSize};
 use yafim::data::rng::StdRng;
@@ -440,5 +452,115 @@ fn huge_item_ids_match_as_small_ones_do() {
         let with_max = Pair::build(std::slice::from_ref(&top), "u32::MAX candidate");
         let (_, m) = with_max.check(top.items(), &mut s, "u32::MAX candidate");
         assert_eq!(m, vec![0]);
+    }
+}
+
+/// `C(n, r)`, exact while it fits.
+fn binomial(n: u128, r: u128) -> u128 {
+    (0..r).fold(1, |c, i| c * (n - i) / (i + 1))
+}
+
+/// The first `n` items that hash to slot 0 of a `branching`-way node.
+fn items_in_slot_zero(branching: u64, n: usize) -> Vec<Item> {
+    let in_slot = |i: &Item| fx_hash64(i).is_multiple_of(branching);
+    (0..).filter(in_slot).take(n).collect()
+}
+
+#[test]
+fn arrival_counts_far_above_the_node_count() {
+    // A binary tree under a 60-item transaction: a few hundred nodes, each
+    // arrived at along thousands of paths.
+    let mut rng = StdRng::seed_from_u64(21);
+    let universe: Vec<Item> = (0..70).collect();
+    let cands = random_candidates(&mut rng, &universe, 400, 5);
+    let pair = Pair::with_params(&cands, 2, 2, "binary, k = 5");
+    let mut s = Scratches::default();
+    let t: Vec<Item> = (5..65).collect();
+    let (visits, matches) = pair.check(&t, &mut s, "binary, k = 5");
+    let nodes = pair.new.num_nodes() as u64;
+    assert!(visits > 1_000 * nodes, "{visits} visits, {nodes} nodes");
+    assert!(!matches.is_empty());
+    // |t| = k: every node on the one path left is first arrived at one short
+    // of its `last` (a parent stops there, so no node is met later than
+    // that) and goes on from that single position.
+    for c in cands.iter().take(40) {
+        let (_, m) = pair.check(c.items(), &mut s, "|t| = k, binary");
+        assert_eq!(m.len(), 1);
+    }
+}
+
+#[test]
+fn every_item_in_one_slot() {
+    // Candidates and transaction collide on every level: the tree is a chain
+    // of one-child nodes down to one oversized leaf at depth k, and the node
+    // `d` items down is arrived at C(|t| − k + d, d) times — the paths that
+    // leave k − d items after them.
+    let mut s = Scratches::default();
+    for (branching, k, t_len) in [(2u64, 4usize, 40usize), (3, 3, 60), (8, 5, 24)] {
+        let items = items_in_slot_zero(branching, t_len);
+        let cands: Vec<Itemset> = (0..6)
+            .map(|i| Itemset::new(items[i..i + k].to_vec()))
+            .collect();
+        let what = format!("one slot, {branching}-way, k {k}");
+        let pair = Pair::with_params(&cands, branching as usize, 1, &what);
+        assert_eq!(pair.new.num_nodes(), k + 1, "{what}");
+        let (visits, matches) = pair.check(&items, &mut s, &what);
+        assert_eq!(matches.len(), cands.len(), "{what}");
+        // Σ_{d ≤ k} C(|t| − k + d, d) = C(|t| + 1, k), plus the leaf's entries.
+        let arrivals = binomial(t_len as u128 + 1, k as u128);
+        assert_eq!(u128::from(visits), arrivals + cands.len() as u128, "{what}");
+    }
+
+    // The same chain where no walk could follow: C(101, 12) ≈ 1.2e15 paths
+    // is past `u32::MAX` and still exact; C(301, 12) ≈ 1.1e21 is past
+    // `u64::MAX` and saturates instead of overflowing. The matches are the
+    // same handful either way.
+    let mut scratch = MatchScratch::default();
+    for (t_len, saturates) in [(100usize, false), (300, true)] {
+        let items = items_in_slot_zero(2, t_len);
+        let cands: Vec<Itemset> = (0..6)
+            .map(|i| Itemset::new(items[7 * i..7 * i + 12].to_vec()))
+            .collect();
+        let tree = HashTree::with_params(cands, 2, 1);
+        let mut found = Vec::new();
+        let visits = tree.for_each_match(&items, &mut scratch, |i| found.push(i));
+        assert_eq!(found, tree.matches_naive(&items));
+        assert_eq!(found.len(), 6);
+        if saturates {
+            assert_eq!(visits, u64::MAX);
+        } else {
+            assert_eq!(u128::from(visits), binomial(101, 12) + 6);
+            assert!(visits > u64::from(u32::MAX));
+        }
+    }
+}
+
+#[test]
+fn one_scratch_across_trees_of_different_branching() {
+    // The scratch keeps per-slot and per-position state between calls; a
+    // wide tree, a binary one, a root leaf and a wide one again must each
+    // see it as a fresh one would.
+    let mut rng = StdRng::seed_from_u64(0xb2a);
+    let universe: Vec<Item> = (0..90).collect();
+    let mut carried = Scratches::default();
+    for round in 0..30 {
+        let k = 2 + round % 3;
+        let (branching, n, max_leaf) = [
+            (512, 300, 3),
+            (2, 120, 1),
+            (8, 10, 16),
+            (139, 300, 3),
+            (3, 200, 2),
+        ][round % 5];
+        let cands = random_candidates(&mut rng, &universe, n, k);
+        let what = format!("round {round}: {branching}-way, k {k}");
+        let pair = Pair::with_params(&cands, branching, max_leaf, &what);
+        assert_eq!(pair.new.num_nodes() == 1, n == 10, "{what}");
+        for len in [40, k, 25] {
+            let mut t = random_transaction(&mut rng, &universe, 2 * len);
+            t.truncate(len);
+            let seen = pair.check(&t, &mut carried, &what);
+            assert_eq!(seen, pair.check(&t, &mut Scratches::default(), &what));
+        }
     }
 }
