@@ -293,33 +293,6 @@ fn check_integrity_metrics(m: &RunManifest) -> Result<(), String> {
     Ok(())
 }
 
-/// Scheduler-consistency rules: queue wait and scheduler idle are slices of
-/// the makespan, so their sum can never exceed it; and a finished run must
-/// have completed every job it submitted (an imbalance means a job guard
-/// leaked or a FIFO successor wedged). Metrics absent from older manifests
-/// count as zero, so pre-scheduler baselines still validate.
-fn check_scheduler_metrics(m: &RunManifest) -> Result<(), String> {
-    let get = |name: &str| m.metrics.get(name).copied().unwrap_or(0.0);
-    let queue = get("bucket.scheduler_queue");
-    let idle = get("bucket.scheduler_idle");
-    let makespan = get("virtual_seconds");
-    if queue + idle > makespan + 1e-6 {
-        return Err(format!(
-            "bucket.scheduler_queue ({queue}) + bucket.scheduler_idle ({idle}) \
-             exceeds virtual_seconds ({makespan})"
-        ));
-    }
-    let submitted = get("counter.sched.jobs_submitted");
-    let completed = get("counter.sched.jobs_completed");
-    if submitted != completed {
-        return Err(format!(
-            "counter.sched.jobs_completed ({completed}) != \
-             counter.sched.jobs_submitted ({submitted})"
-        ));
-    }
-    Ok(())
-}
-
 /// Bitmap-engine consistency rules: intersecting words requires a columnar
 /// store to have been built; builds always register their arena bytes; a
 /// manifest that both fell back *and* built columnar partitions caught the
@@ -421,10 +394,9 @@ fn validate(paths: &[String]) -> ExitCode {
                 let manifest =
                     RunManifest::from_json(&value).map_err(|e| format!("manifest decode: {e}"))?;
                 check_integrity_metrics(&manifest)?;
-                check_scheduler_metrics(&manifest)?;
                 check_bitmap_metrics(&manifest)?;
                 check_memory_metrics(&manifest)?;
-                Ok("manifest ok (integrity + scheduler + bitmap + memory counters consistent)")
+                Ok("manifest ok (integrity + bitmap + memory counters consistent)")
             } else {
                 Ok("json ok")
             }
@@ -617,35 +589,6 @@ mod tests {
         assert!(check_integrity_metrics(&m)
             .unwrap_err()
             .contains("repair paths sum"));
-    }
-
-    #[test]
-    fn scheduler_metrics_must_tile_and_balance() {
-        // Older manifests without sched metrics validate (missing == 0).
-        let mut m = toy_manifest();
-        assert!(check_scheduler_metrics(&m).is_ok());
-
-        for (k, v) in [
-            ("bucket.scheduler_queue", 2.0),
-            ("bucket.scheduler_idle", 3.0),
-            ("counter.sched.jobs_submitted", 4.0),
-            ("counter.sched.jobs_completed", 4.0),
-        ] {
-            m.metrics.insert(k.to_string(), v);
-        }
-        assert!(check_scheduler_metrics(&m).is_ok());
-
-        // Queue + idle overflowing the makespan is impossible in a real run.
-        m.metrics.insert("bucket.scheduler_queue".into(), 8.0);
-        assert!(check_scheduler_metrics(&m)
-            .unwrap_err()
-            .contains("exceeds virtual_seconds"));
-
-        m.metrics.insert("bucket.scheduler_queue".into(), 2.0);
-        m.metrics.insert("counter.sched.jobs_completed".into(), 3.0);
-        assert!(check_scheduler_metrics(&m)
-            .unwrap_err()
-            .contains("jobs_completed"));
     }
 
     #[test]

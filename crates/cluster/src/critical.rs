@@ -62,9 +62,6 @@ pub struct CriticalPathBuckets {
     /// All-cores-idle time inside stages that recorded failures: resubmit
     /// delays, blacklisting windows, recomputation waves.
     pub fault_recovery: f64,
-    /// Time stages spent waiting in the multi-job scheduler queue before
-    /// any setup work (FIFO pool serialization).
-    pub scheduler_queue: f64,
     /// Stage overhead, trailing waves, and all-cores-idle scheduling holes
     /// in fault-free stages.
     pub scheduler_idle: f64,
@@ -85,7 +82,7 @@ impl CriticalPathBuckets {
     }
 
     /// The buckets with their canonical names, in report order.
-    pub fn named(&self) -> [(&'static str, f64); 13] {
+    pub fn named(&self) -> [(&'static str, f64); 12] {
         [
             ("compute", self.compute),
             ("shuffle_read", self.shuffle_read),
@@ -95,7 +92,6 @@ impl CriticalPathBuckets {
             ("checkpoint", self.checkpoint),
             ("fault_stall", self.fault_stall),
             ("fault_recovery", self.fault_recovery),
-            ("scheduler_queue", self.scheduler_queue),
             ("scheduler_idle", self.scheduler_idle),
             ("driver", self.driver),
             ("hdfs_io", self.hdfs_io),
@@ -400,13 +396,10 @@ fn add_stage(
     let stage_end = span.end().as_secs();
     // With tasks missing from the ring the window reconstruction would be
     // wrong; fall back to a proportional split of the whole interval using
-    // the (complete) merged stage profile. The recorded queue wait is still
-    // exact, so it is peeled off first.
+    // the (complete) merged stage profile.
     if tasks.is_empty() || tasks.len() as u64 != span.tasks {
         let total = (stage_end - stage_start) * scale;
-        let queue = (span.queue.as_secs() * scale).min(total);
-        b.scheduler_queue += queue;
-        split_busy(b, total - queue, &span.profile, &span.recovery, cost);
+        split_busy(b, total, &span.profile, &span.recovery, cost);
         return;
     }
 
@@ -419,14 +412,10 @@ fn add_stage(
         .map(|t| t.end().as_secs())
         .fold(f64::NEG_INFINITY, f64::max);
 
-    // The pre-window time is queue wait (recorded exactly on the span)
-    // followed by stage overhead; the queue share goes to its own bucket,
-    // the rest plus trailing time (heartbeat waves) is scheduler
-    // bookkeeping.
+    // The pre-window time is stage overhead; with the trailing time
+    // (heartbeat waves) it is scheduler bookkeeping.
     let pre_window = (window_start - stage_start).max(0.0);
-    let queue = span.queue.as_secs().min(pre_window);
-    b.scheduler_queue += queue * scale;
-    b.scheduler_idle += (pre_window - queue + (stage_end - window_end).max(0.0)) * scale;
+    b.scheduler_idle += (pre_window + (stage_end - window_end).max(0.0)) * scale;
 
     // Union of task intervals: wall time with at least one task running.
     let mut intervals: Vec<(f64, f64)> = tasks
@@ -613,7 +602,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::from_secs(0.25),
             tasks: vec![worked_task(0, 0.0, 2.0, 100, 0)],
@@ -638,7 +626,6 @@ mod tests {
             label: "fetchy".into(),
             kind: EventKind::Stage,
             shuffle_id: Some(1),
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             // All network bytes are shuffle reads: the busy time should be
@@ -673,7 +660,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
@@ -697,7 +683,6 @@ mod tests {
                 label: "faulty".into(),
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue: SimDuration::ZERO,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
                 // Attempt at [0,1), resubmit delay, retry at [2,3): the
@@ -725,7 +710,6 @@ mod tests {
             label: "gappy".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![
@@ -742,34 +726,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_wait_gets_its_own_bucket_and_still_tiles() {
-        let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "fifo successor".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            queue: SimDuration::from_secs(3.0),
-            overhead: SimDuration::from_secs(0.5),
-            trailing: SimDuration::ZERO,
-            tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
-        });
-        let r = assert_sums(&m);
-        assert!((r.makespan - 4.5).abs() < EPS);
-        assert!(
-            (r.buckets.scheduler_queue - 3.0).abs() < EPS,
-            "{:?}",
-            r.buckets
-        );
-        assert!(
-            (r.buckets.scheduler_idle - 0.5).abs() < EPS,
-            "queue wait must not inflate scheduler_idle: {:?}",
-            r.buckets
-        );
-        assert!((r.buckets.compute - 1.0).abs() < EPS, "{:?}", r.buckets);
-    }
-
-    #[test]
-    fn queued_stage_with_dropped_tasks_still_attributes_queue() {
+    fn stage_with_dropped_tasks_splits_the_whole_interval() {
         let m = Metrics::with_capacity(MetricsCapacity {
             events: 16,
             jobs: 16,
@@ -779,11 +736,10 @@ mod tests {
         // Two tasks but capacity one: the span survives, a task is dropped,
         // forcing the proportional fallback path.
         m.record_stage(StageExecution {
-            label: "queued, truncated".into(),
+            label: "truncated".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::from_secs(2.0),
-            overhead: SimDuration::ZERO,
+            overhead: SimDuration::from_secs(2.0),
             trailing: SimDuration::ZERO,
             tasks: vec![
                 worked_task(0, 0.0, 1.0, 10, 0),
@@ -791,11 +747,8 @@ mod tests {
             ],
         });
         let r = assert_sums(&m);
-        assert!(
-            (r.buckets.scheduler_queue - 2.0).abs() < EPS,
-            "{:?}",
-            r.buckets
-        );
+        assert!((r.makespan - 3.0).abs() < EPS);
+        assert!(r.buckets.compute > 0.0, "{:?}", r.buckets);
     }
 
     #[test]
@@ -808,7 +761,6 @@ mod tests {
             label: "stalled".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![t],
@@ -831,7 +783,6 @@ mod tests {
                 label: format!("s{i}"),
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue: SimDuration::ZERO,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
                 tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
@@ -864,7 +815,6 @@ mod tests {
             label: "skewed".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks,
@@ -888,7 +838,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::ZERO,
             tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],

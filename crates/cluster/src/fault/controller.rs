@@ -184,13 +184,6 @@ struct FaultInner {
     /// the rewrite stored fresh, clean bytes.
     healed: FxHashSet<(u64, u64, u64, u64)>,
     stage_counter: u64,
-    /// Cluster-owned blacklist shared across concurrent jobs, plus this
-    /// cluster's job id in the owning queue. `None` for solo clusters.
-    shared: Option<(crate::jobs::SharedBlacklist, crate::jobs::JobId)>,
-    /// Foreign shared-blacklist entries consulted during placement since
-    /// the last [`FaultController::drain_shared_hits`] — the attribution
-    /// feed for `sched.blacklist_shared_hits`.
-    shared_hits: u64,
 }
 
 /// Shared handle evaluating one [`FaultPlan`] over a cluster's lifetime.
@@ -232,25 +225,6 @@ impl FaultController {
     /// killed manually).
     pub fn active(&self) -> bool {
         self.inner.lock().enabled
-    }
-
-    /// Wire the cluster-owned shared blacklist in: nodes blacklisted by
-    /// this controller's stages are published under `job`, and foreign
-    /// entries (published by other jobs) are excluded from placement with
-    /// every such consultation counted (never a silent leak).
-    pub fn set_shared_blacklist(
-        &self,
-        shared: crate::jobs::SharedBlacklist,
-        job: crate::jobs::JobId,
-    ) {
-        self.inner.lock().shared = Some((shared, job));
-    }
-
-    /// Take the count of foreign shared-blacklist entries consulted during
-    /// placement since the last drain (feeds the per-job
-    /// `sched.blacklist_shared_hits` counter).
-    pub fn drain_shared_hits(&self) -> u64 {
-        std::mem::take(&mut self.inner.lock().shared_hits)
     }
 
     /// Kill a node at virtual instant `at` (manual fault injection). Returns
@@ -377,7 +351,7 @@ impl FaultController {
         retry_extra: Option<&[SimDuration]>,
         now: SimInstant,
     ) -> Result<FaultySchedule, FaultError> {
-        let (stage_seed, plan, losses, carried_blacklist, shared) = {
+        let (stage_seed, plan, losses, carried_blacklist) = {
             let mut g = self.inner.lock();
             if !g.enabled {
                 return Ok(FaultySchedule {
@@ -395,24 +369,13 @@ impl FaultController {
             } else {
                 Vec::new()
             };
-            (
-                g.stage_counter,
-                g.plan.clone(),
-                g.losses.clone(),
-                carried,
-                g.shared.clone(),
-            )
+            (g.stage_counter, g.plan.clone(), g.losses.clone(), carried)
         };
 
         let spec = scheduler.spec();
         let nodes = spec.nodes as usize;
         let cores_per_node = spec.cores_per_node as usize;
-        // Placement is restricted to the scheduler's node slice (the job's
-        // executor grant); death and slow-factor state stays indexed by
-        // absolute node id so one cluster-wide fault plan reads the same
-        // for every job.
-        let (node_lo, node_count) = scheduler.node_slice();
-        let total_cores = node_count * cores_per_node;
+        let total_cores = nodes * cores_per_node;
         let locality_wait = scheduler.locality_wait();
         let far = SimDuration::from_secs(f64::MAX / 4.0);
         let mut units: u64 = 0;
@@ -452,20 +415,6 @@ impl FaultController {
         let mut blacklisted: FxHashSet<u32> = carried_blacklist.iter().copied().collect();
         let mut expiry_updates: Vec<(u32, SimDuration)> = Vec::new();
 
-        // Foreign entries from the cluster-owned shared blacklist exclude
-        // those nodes for this stage too — a machine another job's stage
-        // found bad is bad for everyone — but never silently: every
-        // consultation is counted for `sched.blacklist_shared_hits`.
-        let mut shared_hits = 0u64;
-        if let Some((bl, job)) = &shared {
-            for n in bl.foreign_nodes(*job) {
-                let abs = n as usize;
-                if abs >= node_lo && abs < node_lo + node_count && blacklisted.insert(n) {
-                    shared_hits += 1;
-                }
-            }
-        }
-
         let mut free = vec![SimDuration::ZERO; total_cores];
         let mut count = vec![0usize; total_cores];
         let mut total_busy = SimDuration::ZERO;
@@ -483,8 +432,7 @@ impl FaultController {
         };
 
         // Whether a task launched at `start` on this core can begin at all.
-        // Cores are slice-relative; `node_of` yields the absolute node id.
-        let node_of = |core: usize| node_lo + core / cores_per_node;
+        let node_of = |core: usize| core / cores_per_node;
         let usable = |bl: &FxHashSet<u32>,
                       death: &[Option<SimDuration>],
                       core: usize,
@@ -498,7 +446,7 @@ impl FaultController {
             let mut failures = 0u32;
             let mut launches = 0u32;
             let mut earliest = SimDuration::ZERO; // resubmission delay gate
-            let max_launches = plan.max_task_failures + node_count as u32 + 1;
+            let max_launches = plan.max_task_failures + nodes as u32 + 1;
 
             'attempts: loop {
                 launches += 1;
@@ -533,7 +481,7 @@ impl FaultController {
                     };
                 let local = t
                     .preferred_node
-                    .map(|n| scheduler.rel_node(n) * cores_per_node)
+                    .map(|n| scheduler.first_core_of(n))
                     .and_then(|lo| {
                         units += cores_per_node as u64;
                         earliest_usable(&free, &blacklisted, lo, lo + cores_per_node)
@@ -589,7 +537,7 @@ impl FaultController {
                         // Never blacklist the last node still able to run
                         // tasks — the plan's crashes are cluster-wide, not
                         // evidence against one machine.
-                        let healthy_elsewhere = (node_lo..node_lo + node_count).any(|n| {
+                        let healthy_elsewhere = (0..nodes).any(|n| {
                             n != node
                                 && !blacklisted.contains(&(n as u32))
                                 && death[n].is_none_or(|d| fail < d)
@@ -601,11 +549,6 @@ impl FaultController {
                             recovery.nodes_blacklisted += 1;
                             if plan.blacklist_expiry > SimDuration::ZERO {
                                 expiry_updates.push((node as u32, fail + plan.blacklist_expiry));
-                            }
-                            // Cluster-owned visibility: other jobs consult
-                            // this entry (attributed) until we complete.
-                            if let Some((bl, job)) = &shared {
-                                bl.publish(node as u32, *job);
                             }
                         }
                     }
@@ -685,14 +628,13 @@ impl FaultController {
             }
         }
 
-        if !expiry_updates.is_empty() || shared_hits > 0 {
+        if !expiry_updates.is_empty() {
             let mut g = self.inner.lock();
             for (node, rel_expiry) in expiry_updates {
                 let abs = now + rel_expiry;
                 let e = g.blacklist.entry(node).or_insert(abs);
                 *e = (*e).max(abs);
             }
-            g.shared_hits += shared_hits;
         }
 
         let waves = count.iter().copied().max().unwrap_or(0);

@@ -49,7 +49,6 @@ pub mod critical;
 pub mod fault;
 pub mod hash;
 pub mod hdfs;
-pub mod jobs;
 pub mod json;
 pub mod manifest;
 pub mod memgov;
@@ -73,9 +72,6 @@ pub use fault::{
 };
 pub use hash::{bucket_of, fx_hash64, FxHashMap, FxHashSet, FxHasher};
 pub use hdfs::{BlockInfo, CheckpointBlock, DfsError, DfsFile, SimHdfs, Split};
-pub use jobs::{
-    JobId, JobQueue, JobTicket, PoolPolicy, PoolSpec, SchedulerConfig, SharedBlacklist,
-};
 pub use manifest::{RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use memgov::{
     storage_capacity, MemEffect, MemGrant, MemoryBudget, MemoryRefusal, OomAbort, TaskMemory,
@@ -91,7 +87,8 @@ pub use registry::{
 };
 pub use report::{full_report, iteration_report, stage_report};
 pub use sched::{
-    DetailedSchedule, HeartbeatMonitor, ScheduleOutcome, TaskPlacement, TaskSpec, VirtualScheduler,
+    DetailedSchedule, HeartbeatMonitor, ScheduleOutcome, SchedulerConfig, TaskPlacement, TaskSpec,
+    VirtualScheduler,
 };
 pub use spec::{ClusterSpec, NodeId};
 pub use time::{SimDuration, SimInstant};
@@ -119,20 +116,7 @@ struct ClusterInner {
     registry: MetricsRegistry,
     pool: ThreadPool,
     faults: FaultController,
-    sched: sync::Mutex<SchedState>,
-}
-
-/// Mutable multi-job scheduler state for one cluster (= one job's view).
-#[derive(Default)]
-struct SchedState {
-    config: SchedulerConfig,
-    /// Ticket binding this cluster to a job in a shared [`JobQueue`].
-    /// Unbound clusters behave exactly as before the multi-job scheduler:
-    /// full topology, no queue time.
-    binding: Option<JobTicket>,
-    /// FIFO queue time not yet charged to a stage (charged once, on the
-    /// first stage admitted after binding).
-    queue_pending: SimDuration,
+    sched_config: sync::Mutex<SchedulerConfig>,
 }
 
 impl SimCluster {
@@ -160,7 +144,7 @@ impl SimCluster {
                 registry: MetricsRegistry::new(),
                 pool: ThreadPool::new(threads.max(1)),
                 faults: FaultController::new(),
-                sched: sync::Mutex::new(SchedState::default()),
+                sched_config: sync::Mutex::new(SchedulerConfig::default()),
             }),
         }
     }
@@ -217,102 +201,34 @@ impl SimCluster {
             return None;
         }
         let plan = self.inner.faults.plan();
-        let fraction = self.inner.sched.lock().config.storage_fraction;
+        let fraction = self.inner.sched_config.lock().storage_fraction;
         MemoryBudget::from_plan(&self.inner.spec, fraction, &self.inner.cost, &plan)
     }
 
     /// Replace the scheduler configuration (locality wait, storage
-    /// fraction). Takes effect on the next admission.
+    /// fraction). Takes effect on the next stage.
     pub fn set_scheduler_config(&self, config: SchedulerConfig) {
-        self.inner.sched.lock().config = config;
+        *self.inner.sched_config.lock() = config;
     }
 
     /// Current scheduler configuration.
     pub fn scheduler_config(&self) -> SchedulerConfig {
-        self.inner.sched.lock().config.clone()
+        self.inner.sched_config.lock().clone()
     }
 
-    /// Bind this cluster to a job in a shared [`JobQueue`]. Blocks until
-    /// the job may start (immediately for fair pools; FIFO jobs wait for
-    /// their predecessors), charges any FIFO queue time to the first stage,
-    /// restricts every subsequent scheduler to the job's executor grant,
-    /// and wires the queue's shared blacklist into fault handling.
-    pub fn attach_job(&self, ticket: &JobTicket) {
-        let offset = ticket.await_start();
-        {
-            let mut st = self.inner.sched.lock();
-            st.binding = Some(ticket.clone());
-            st.queue_pending = offset;
-        }
-        self.inner
-            .faults
-            .set_shared_blacklist(ticket.queue().shared_blacklist().clone(), ticket.id());
+    /// The scheduler one stage is placed with: the whole topology under the
+    /// configured locality wait.
+    pub fn stage_admission(&self) -> VirtualScheduler {
+        let wait = SimDuration::from_secs(self.inner.sched_config.lock().locality_wait);
+        VirtualScheduler::with_locality_wait(self.inner.spec.clone(), wait)
     }
 
-    /// Acquire a job slot in `pool`. The returned guard
-    /// attributes the job to per-pool counters and, if the cluster is bound
-    /// to a [`JobQueue`] ticket, reports completion (at the final virtual
-    /// time) when dropped — including on panic, so FIFO successors and the
-    /// shared blacklist never wedge on a failed job. A bound cluster hosts
-    /// one logical job; only the first completion report counts.
-    pub fn acquire_job(&self, pool: &str) -> JobGuard {
-        let r = &self.inner.registry;
-        r.counter("sched.jobs_submitted").inc(1);
-        r.counter(&format!("sched.pool.{pool}.jobs")).inc(1);
-        JobGuard {
-            cluster: self.clone(),
-        }
-    }
-
-    /// Admit one stage: returns the queue time to charge to it (non-zero
-    /// only on a FIFO job's first stage) and the scheduler to place it
-    /// with, restricted to the job's grant (the `sched.executors_granted`
-    /// gauge).
-    pub fn stage_admission(&self) -> (SimDuration, VirtualScheduler) {
-        let mut st = self.inner.sched.lock();
-        let (lo, count) = match &st.binding {
-            Some(t) => t.grant(),
-            None => (0, self.inner.spec.nodes as usize),
-        };
-        let wait = SimDuration::from_secs(st.config.locality_wait);
-        let queue = std::mem::replace(&mut st.queue_pending, SimDuration::ZERO);
-        let granted = self.inner.registry.gauge("sched.executors_granted");
-        granted.set(count as f64);
-        (
-            queue,
-            VirtualScheduler::with_slice(self.inner.spec.clone(), wait, lo, count),
-        )
-    }
-
-    /// Record one admitted stage's scheduler-side observability: its queue
-    /// wait, the placement decision units spent and shared-blacklist hits.
-    /// Also touches every `sched.*` metric so manifests carry a stable name
-    /// set whether or not the features fired.
-    pub fn record_sched_stage(&self, queue: SimDuration, decision_units: u64, shared_hits: u64) {
+    /// Record one placed stage's scheduler-side observability: the stage
+    /// itself and the placement decision units it spent.
+    pub fn record_sched_stage(&self, decision_units: u64) {
         let r = &self.inner.registry;
         r.counter("sched.stages_admitted").inc(1);
         r.counter("sched.decision_units").inc(decision_units);
-        r.counter("sched.blacklist_shared_hits").inc(shared_hits);
-        r.counter("sched.jobs_submitted").inc(0);
-        r.counter("sched.jobs_completed").inc(0);
-        r.histogram("sched.queue_wait_seconds")
-            .observe(queue.as_secs());
-    }
-}
-
-/// RAII guard for one job acquired via [`SimCluster::acquire_job`].
-pub struct JobGuard {
-    cluster: SimCluster,
-}
-
-impl Drop for JobGuard {
-    fn drop(&mut self) {
-        let c = &self.cluster;
-        c.registry().counter("sched.jobs_completed").inc(1);
-        let ticket = c.inner.sched.lock().binding.clone();
-        if let Some(t) = ticket {
-            t.complete(c.metrics().now().since(SimInstant::EPOCH));
-        }
     }
 }
 
@@ -337,27 +253,11 @@ mod tests {
     }
 
     #[test]
-    fn default_config_admits_the_full_cluster_with_no_queue() {
+    fn default_config_admits_with_the_default_locality_wait() {
         let c = SimCluster::paper_cluster();
-        let (queue, sched) = c.stage_admission();
-        assert_eq!(queue, SimDuration::ZERO);
-        assert_eq!(sched.node_slice(), (0, 12));
+        let sched = c.stage_admission();
+        assert_eq!(sched.spec().nodes, 12);
         assert_eq!(sched.locality_wait(), SimDuration::from_secs(0.3));
-    }
-
-    #[test]
-    fn job_guard_reports_completion_once() {
-        let c = SimCluster::paper_cluster();
-        let q = JobQueue::new(c.spec().nodes);
-        let t = q.submit("default", "job");
-        c.attach_job(&t);
-        {
-            let _g = c.acquire_job("default");
-        }
-        assert_eq!(q.jobs_completed(), 1);
-        assert_eq!(c.registry().counter("sched.jobs_submitted").get(), 1);
-        assert_eq!(c.registry().counter("sched.jobs_completed").get(), 1);
-        assert_eq!(c.registry().counter("sched.pool.default.jobs").get(), 1);
     }
 
     #[test]

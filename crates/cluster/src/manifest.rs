@@ -212,7 +212,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::ZERO,
             tasks: vec![TaskExecution {

@@ -4,7 +4,7 @@
 //! cache), but execution memory — triangular pair arrays, CSR tries, bitmap
 //! arenas, shuffle combine buffers — was unbounded and unaccounted. This
 //! module splits `memory_per_node` into an **execution region** and a
-//! **storage region** (the [`crate::jobs::SchedulerConfig::storage_fraction`]
+//! **storage region** (the [`crate::sched::SchedulerConfig::storage_fraction`]
 //! split, replacing the old hardcoded 60 %), and hands every task a
 //! deterministic [`MemoryBudget`] slice of the execution region.
 //!

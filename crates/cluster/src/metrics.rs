@@ -112,10 +112,7 @@ pub struct StageSpan {
     /// Shuffle id, for map stages of a `reduceByKey` and for stages reading
     /// shuffle output.
     pub shuffle_id: Option<u64>,
-    /// Time the stage waited in the multi-job scheduler queue before any
-    /// setup work began (zero outside FIFO pools).
-    pub queue: SimDuration,
-    /// Start of the stage interval (including queue wait and overhead).
+    /// Start of the stage interval (including overhead).
     pub start: SimInstant,
     /// Length of the stage interval.
     pub duration: SimDuration,
@@ -186,11 +183,10 @@ pub struct TaskExecution {
 
 /// One stage's execution record: clock accounting plus per-task placements.
 ///
-/// The stage charges `queue + overhead + max(start + duration over tasks) +
-/// trailing` to the virtual clock. `queue` is time spent waiting for the
-/// multi-job scheduler to admit the stage (FIFO pools); `overhead` models
-/// driver/stage setup before the first task launches; `trailing` models
-/// per-wave latencies charged after the last task (MapReduce heartbeats).
+/// The stage charges `overhead + max(start + duration over tasks) +
+/// trailing` to the virtual clock. `overhead` models driver/stage setup
+/// before the first task launches; `trailing` models per-wave latencies
+/// charged after the last task (MapReduce heartbeats).
 #[derive(Clone, Debug)]
 pub struct StageExecution {
     /// Stage label.
@@ -199,8 +195,6 @@ pub struct StageExecution {
     pub kind: EventKind,
     /// Shuffle id this stage writes or reads, if any.
     pub shuffle_id: Option<u64>,
-    /// Scheduler-queue wait charged before any setup work.
-    pub queue: SimDuration,
     /// Setup time before the first task can launch.
     pub overhead: SimDuration,
     /// Extra time charged after the last task finishes.
@@ -483,10 +477,10 @@ impl Metrics {
             .iter()
             .map(|t| t.start + t.duration)
             .fold(SimDuration::ZERO, SimDuration::max);
-        let duration = exec.queue + exec.overhead + makespan + exec.trailing;
+        let duration = exec.overhead + makespan + exec.trailing;
         g.now = stage_start + duration;
 
-        let window_start = stage_start + exec.queue + exec.overhead;
+        let window_start = stage_start + exec.overhead;
         let mut merged = TaskProfile::new();
         for t in &exec.tasks {
             merged.merge(&t.profile);
@@ -515,7 +509,6 @@ impl Metrics {
             label: exec.label,
             kind: exec.kind,
             shuffle_id: exec.shuffle_id,
-            queue: exec.queue,
             start: stage_start,
             duration,
             tasks: exec.tasks.len() as u64,
@@ -694,7 +687,6 @@ mod tests {
             label: "stage one".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 0, 0, 0.0, 1.0), task(1, 1, 0, 0.0, 2.0)],
@@ -734,7 +726,6 @@ mod tests {
             label: "map wave".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::from_secs(3.0),
             tasks: vec![task(0, 0, 0, 0.0, 1.0)],
@@ -744,34 +735,12 @@ mod tests {
     }
 
     #[test]
-    fn queue_time_precedes_overhead_and_extends_the_stage() {
-        let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "queued".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            queue: SimDuration::from_secs(2.0),
-            overhead: SimDuration::from_secs(0.5),
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 0, 0, 0.0, 1.0)],
-        });
-        // queue 2.0 + overhead 0.5 + makespan 1.0.
-        assert_eq!(m.now().as_secs(), 3.5);
-        let span = &m.stage_spans()[0];
-        assert_eq!(span.queue.as_secs(), 2.0);
-        assert_eq!(span.duration.as_secs(), 3.5);
-        // Tasks launch only after both queue and overhead have elapsed.
-        assert_eq!(m.task_spans()[0].start.as_secs(), 2.5);
-    }
-
-    #[test]
     fn stage_outside_job_gets_job_zero() {
         let m = Metrics::new();
         m.record_stage(StageExecution {
             label: "orphan".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 0, 0, 0.0, 1.0)],
@@ -786,7 +755,6 @@ mod tests {
             label: "shuffle 9 map".into(),
             kind: EventKind::Shuffle,
             shuffle_id: Some(9),
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![],
@@ -810,7 +778,6 @@ mod tests {
                 label: format!("s{i}"),
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue: SimDuration::ZERO,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
                 tasks: vec![task(0, 0, 0, 0.0, 1.0)],
@@ -838,7 +805,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 0, 0, 0.0, 1.0)],

@@ -391,7 +391,6 @@ mod tests {
             label: "count rdd2".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![
@@ -421,7 +420,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 1.0, shuffle_profile())],
@@ -457,7 +455,6 @@ mod tests {
                 label: format!("s{i}"),
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue: SimDuration::ZERO,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
                 tasks: vec![task(0, 1.0, TaskProfile::new())],
@@ -481,7 +478,6 @@ mod tests {
                 label: "flaky stage".into(),
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue: SimDuration::ZERO,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
                 tasks: vec![task(0, 1.0, TaskProfile::new())],
@@ -515,7 +511,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 1.0, TaskProfile::new())],
@@ -544,7 +539,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 1.0, TaskProfile::new())],
@@ -579,7 +573,6 @@ mod tests {
             label: "clean".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 1.0, TaskProfile::new())],
@@ -598,7 +591,6 @@ mod tests {
             label: "s".into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![task(0, 1.0, TaskProfile::new())],

@@ -24,12 +24,6 @@
 //! counts the heap operations actually performed, so benches can assert
 //! the scheduler's decision overhead stays sublinear in cluster size
 //! without touching the host clock.
-//!
-//! A scheduler may be restricted to a **node slice** — a contiguous run of
-//! nodes granted to one job by the [`crate::jobs::JobQueue`]. Placements
-//! always report absolute cluster node ids; preferences for nodes outside
-//! the slice are remapped deterministically into it (the data moved when
-//! the job's executor set shrank).
 
 use crate::spec::{ClusterSpec, NodeId};
 use crate::time::{SimDuration, SimInstant};
@@ -38,6 +32,33 @@ use std::collections::BinaryHeap;
 
 /// Default locality wait before a task gives up on its preferred node.
 pub const DEFAULT_LOCALITY_WAIT: f64 = 0.3;
+
+/// Default share of a node's memory given to the storage (cache) region —
+/// the `* 6 / 10` the cache manager has always used.
+pub const DEFAULT_STORAGE_FRACTION: f64 = 0.6;
+
+/// Tunable scheduler behavior, attached to a `SimCluster`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SchedulerConfig {
+    /// Delay-scheduling wait in virtual seconds (`spark.locality.wait`).
+    /// `0` disables locality preference entirely; a very large value pins
+    /// tasks strictly to their preferred node.
+    pub locality_wait: f64,
+    /// Fraction of each node's memory given to the storage (cache) region;
+    /// the rest is execution memory (`spark.memory.storageFraction`). Must
+    /// lie in `(0, 1]`. The 0.6 default reproduces the historical
+    /// `memory_per_node * 6 / 10` cache capacity bit-for-bit.
+    pub storage_fraction: f64,
+}
+
+impl Default for SchedulerConfig {
+    fn default() -> Self {
+        SchedulerConfig {
+            locality_wait: DEFAULT_LOCALITY_WAIT,
+            storage_fraction: DEFAULT_STORAGE_FRACTION,
+        }
+    }
+}
 
 /// Heartbeat-based liveness detection.
 ///
@@ -159,16 +180,11 @@ pub struct DetailedSchedule {
     pub decision_units: u64,
 }
 
-/// Greedy earliest-core list scheduler over the virtual cluster (or a
-/// contiguous node slice of it).
+/// Greedy earliest-core list scheduler over the virtual cluster.
 #[derive(Clone, Debug)]
 pub struct VirtualScheduler {
     spec: ClusterSpec,
     locality_wait: SimDuration,
-    /// First node of the slice this scheduler may place tasks on.
-    node_lo: usize,
-    /// Number of nodes in the slice.
-    node_count: usize,
 }
 
 impl VirtualScheduler {
@@ -180,28 +196,9 @@ impl VirtualScheduler {
     /// A scheduler with an explicit locality wait (`SimDuration::ZERO`
     /// disables locality entirely; a very large value pins tasks strictly).
     pub fn with_locality_wait(spec: ClusterSpec, locality_wait: SimDuration) -> Self {
-        let nodes = spec.nodes as usize;
-        Self::with_slice(spec, locality_wait, 0, nodes)
-    }
-
-    /// A scheduler restricted to the contiguous node slice
-    /// `[node_lo, node_lo + node_count)` — the executor set one job holds
-    /// under the multi-job queue. `node_count` is clamped to stay inside
-    /// the topology and to at least one node.
-    pub fn with_slice(
-        spec: ClusterSpec,
-        locality_wait: SimDuration,
-        node_lo: usize,
-        node_count: usize,
-    ) -> Self {
-        let nodes = spec.nodes as usize;
-        let node_lo = node_lo.min(nodes.saturating_sub(1));
-        let node_count = node_count.clamp(1, nodes - node_lo);
         VirtualScheduler {
             spec,
             locality_wait,
-            node_lo,
-            node_count,
         }
     }
 
@@ -215,22 +212,12 @@ impl VirtualScheduler {
         self.locality_wait
     }
 
-    /// The node slice this scheduler places tasks on, as
-    /// `(first_node, node_count)`.
-    pub fn node_slice(&self) -> (usize, usize) {
-        (self.node_lo, self.node_count)
-    }
-
-    /// Map a preferred node into the scheduler's slice: identity when the
-    /// node is inside it, deterministic modular remap when the job's
-    /// executor set no longer covers it. Returns a slice-relative index.
-    pub fn rel_node(&self, node: NodeId) -> usize {
-        let n = node.index();
-        if n >= self.node_lo && n < self.node_lo + self.node_count {
-            n - self.node_lo
-        } else {
-            n % self.node_count
-        }
+    /// First core of the node a task prefers. Every producer in the tree
+    /// (HDFS replicas, checkpoint replicas, round-robin homes) names a node
+    /// of this topology; a foreign id wraps around rather than index out of
+    /// bounds.
+    pub(crate) fn first_core_of(&self, node: NodeId) -> usize {
+        node.index() % self.spec.nodes as usize * self.spec.cores_per_node as usize
     }
 
     /// Schedule `tasks` (in order) and return the outcome.
@@ -242,11 +229,10 @@ impl VirtualScheduler {
     /// each task ran — the raw material for per-task spans and traces.
     pub fn schedule_detailed(&self, tasks: &[TaskSpec]) -> DetailedSchedule {
         let cores_per_node = self.spec.cores_per_node as usize;
-        let total_cores = self.node_count * cores_per_node;
+        let total_cores = self.spec.nodes as usize * cores_per_node;
 
-        // free[i]: time (slice-relative) core i becomes free. Cores are
-        // grouped by node: slice node n owns cores n*cores_per_node ..
-        // (n+1)*cores_per_node.
+        // free[i]: time core i becomes free. Cores are grouped by node:
+        // node n owns cores n*cores_per_node .. (n+1)*cores_per_node.
         let mut free = vec![SimDuration::ZERO; total_cores];
         let mut count = vec![0usize; total_cores];
 
@@ -288,7 +274,7 @@ impl VirtualScheduler {
         for t in tasks {
             let core = match t.preferred_node {
                 Some(node) => {
-                    let lo = self.rel_node(node) * cores_per_node;
+                    let lo = self.first_core_of(node);
                     let local = earliest_in(&free, lo, lo + cores_per_node);
                     units += 1;
                     if free[local] <= self.locality_wait {
@@ -308,7 +294,7 @@ impl VirtualScheduler {
                 None => valid_top(&mut heap, &free, &mut units).1,
             };
             placements.push(TaskPlacement {
-                node: NodeId((self.node_lo + core / cores_per_node) as u32),
+                node: NodeId((core / cores_per_node) as u32),
                 core: core % cores_per_node,
                 start: free[core],
                 duration: t.duration,
@@ -508,8 +494,7 @@ mod tests {
     /// pin the heap path's placements bit-for-bit.
     fn linear_reference(s: &VirtualScheduler, tasks: &[TaskSpec]) -> Vec<TaskPlacement> {
         let cores_per_node = s.spec().cores_per_node as usize;
-        let (node_lo, node_count) = s.node_slice();
-        let total_cores = node_count * cores_per_node;
+        let total_cores = s.spec().nodes as usize * cores_per_node;
         let mut free = vec![SimDuration::ZERO; total_cores];
         let earliest_in = |free: &[SimDuration], lo: usize, hi: usize| -> usize {
             let mut best = lo;
@@ -524,7 +509,7 @@ mod tests {
         for t in tasks {
             let core = match t.preferred_node {
                 Some(node) => {
-                    let lo = s.rel_node(node) * cores_per_node;
+                    let lo = s.first_core_of(node);
                     let local = earliest_in(&free, lo, lo + cores_per_node);
                     if free[local] <= s.locality_wait() {
                         local
@@ -540,7 +525,7 @@ mod tests {
                 None => earliest_in(&free, 0, total_cores),
             };
             placements.push(TaskPlacement {
-                node: NodeId((node_lo + core / cores_per_node) as u32),
+                node: NodeId((core / cores_per_node) as u32),
                 core: core % cores_per_node,
                 start: free[core],
                 duration: t.duration,
@@ -599,41 +584,6 @@ mod tests {
             small.decision_units,
             large.decision_units
         );
-    }
-
-    #[test]
-    fn node_slice_confines_placements_and_remaps_preferences() {
-        // Nodes [4, 8) of a 12-node cluster: everything lands inside the
-        // slice, and a preference for node 1 (outside) remaps into it.
-        let s = VirtualScheduler::with_slice(
-            spec(12, 2),
-            SimDuration::from_secs(DEFAULT_LOCALITY_WAIT),
-            4,
-            4,
-        );
-        let mut tasks: Vec<_> = (0..16)
-            .map(|_| TaskSpec::anywhere(SimDuration::from_secs(1.0)))
-            .collect();
-        tasks.push(TaskSpec::local(SimDuration::from_secs(1.0), NodeId(1)));
-        tasks.push(TaskSpec::local(SimDuration::from_secs(1.0), NodeId(5)));
-        let d = s.schedule_detailed(&tasks);
-        assert!(d
-            .placements
-            .iter()
-            .all(|p| (4..8).contains(&(p.node.0 as usize))));
-        // 18 one-second tasks on 8 cores: two full waves plus a third.
-        assert_eq!(d.outcome.makespan.as_secs(), 3.0);
-        // The in-slice preference is honored exactly.
-        let pinned = d.placements.last().expect("non-empty");
-        assert_eq!(pinned.node, NodeId(5));
-    }
-
-    #[test]
-    fn slice_clamps_to_topology() {
-        let s = VirtualScheduler::with_slice(spec(4, 2), SimDuration::ZERO, 2, 100);
-        assert_eq!(s.node_slice(), (2, 2));
-        let s = VirtualScheduler::with_slice(spec(4, 2), SimDuration::ZERO, 9, 1);
-        assert_eq!(s.node_slice(), (3, 1));
     }
 
     #[test]

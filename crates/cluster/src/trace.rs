@@ -250,7 +250,6 @@ mod tests {
             label: "shuffle 0 map".into(),
             kind: EventKind::Shuffle,
             shuffle_id: Some(0),
-            queue: SimDuration::ZERO,
             overhead: SimDuration::from_secs(0.1),
             trailing: SimDuration::ZERO,
             tasks: vec![
@@ -343,7 +342,6 @@ mod tests {
                 label: "flaky".into(),
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue: SimDuration::ZERO,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
                 tasks: vec![TaskExecution {
@@ -400,7 +398,6 @@ mod tests {
             label: hostile.into(),
             kind: EventKind::Stage,
             shuffle_id: None,
-            queue: SimDuration::ZERO,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![TaskExecution {

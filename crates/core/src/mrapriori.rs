@@ -209,9 +209,6 @@ pub struct MrAprioriConfig {
     pub variant: MrVariant,
     /// Candidate-matching strategy.
     pub matching: MrMatching,
-    /// Scheduler pool this run's jobs are attributed to (multi-job
-    /// scheduling; see `yafim_cluster::JobQueue`).
-    pub pool: String,
 }
 
 impl MrAprioriConfig {
@@ -224,7 +221,6 @@ impl MrAprioriConfig {
             max_passes: 0,
             variant: MrVariant::Spc,
             matching: MrMatching::HashTree,
-            pool: "default".to_string(),
         }
     }
 }
@@ -247,9 +243,6 @@ impl MrApriori {
     /// Mine the text dataset at `input` on simulated HDFS.
     pub fn mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let cluster = self.runner.cluster().clone();
-        // Attribute the whole run to its scheduler pool; the guard reports
-        // completion to any bound JobQueue ticket when dropped.
-        let _job = cluster.acquire_job(&self.config.pool);
         let metrics = cluster.metrics().clone();
         let cost = cluster.cost().clone();
         let file = cluster.hdfs().get(input)?;

@@ -68,7 +68,6 @@ impl Pfp {
     /// Mine the text dataset at `input` on simulated HDFS.
     pub fn mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let ctx = &self.ctx;
-        let _job = ctx.cluster().acquire_job("default");
         let partitions = if self.config.min_partitions == 0 {
             ctx.config().default_parallelism
         } else {

@@ -70,7 +70,6 @@ impl Son {
     /// Mine the text dataset at `input` on simulated HDFS (two jobs total).
     pub fn mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let cluster = self.runner.cluster().clone();
-        let _job = cluster.acquire_job("default");
         let metrics = cluster.metrics().clone();
         let file = cluster.hdfs().get(input)?;
         let total_lines = file.num_lines() as u64;

@@ -208,9 +208,6 @@ pub struct YafimConfig {
     pub max_passes: usize,
     /// Which Phase II runs.
     pub phase2: Phase2Plan,
-    /// Scheduler pool this run's jobs are attributed to (multi-job
-    /// scheduling; see `yafim_cluster::JobQueue`).
-    pub pool: String,
 }
 
 impl YafimConfig {
@@ -238,7 +235,6 @@ impl YafimConfig {
             min_partitions: 0,
             max_passes: 0,
             phase2,
-            pool: "default".to_string(),
         }
     }
 }
@@ -267,9 +263,6 @@ impl Yafim {
     /// [`MineError::Audit`]; either way the run has released what it held.
     pub fn mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let ctx = &self.ctx;
-        // Attribute the whole run to its scheduler pool; the guard reports
-        // completion to any bound JobQueue ticket when dropped.
-        let _job = ctx.cluster().acquire_job(&self.config.pool);
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
         let plan = self.config.phase2;

@@ -60,18 +60,15 @@ impl MrRunner {
     }
 
     /// Schedule one task wave, through the fault-aware path when a fault
-    /// plan is active on the cluster. Admission goes through the multi-job
-    /// scheduler: the wave is placed within the job's executor grant and
-    /// any FIFO queue wait is returned for the caller to charge to the
-    /// wave's stage record.
+    /// plan is active on the cluster.
     fn schedule_wave(
         &self,
         label: &str,
         specs: &[TaskSpec],
         retry_extra: Option<&[SimDuration]>,
-    ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration, SimDuration), ExecError> {
-        let (queue, scheduler) = self.cluster.stage_admission();
-        let now = self.cluster.metrics().now() + queue;
+    ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration), ExecError> {
+        let scheduler = self.cluster.stage_admission();
+        let now = self.cluster.metrics().now();
         let fs = self
             .cluster
             .faults()
@@ -81,17 +78,7 @@ impl MrRunner {
                 source,
             })?;
         let pad = fs.trailing_pad();
-        Ok((fs.schedule, fs.recovery, pad, queue))
-    }
-
-    /// Post-stage scheduler bookkeeping for one recorded wave (queue-wait
-    /// attribution, decision units, shared-blacklist hits).
-    fn record_wave(&self, queue: SimDuration, detailed: &DetailedSchedule) {
-        self.cluster.record_sched_stage(
-            queue,
-            detailed.decision_units,
-            self.cluster.faults().drain_shared_hits(),
-        );
+        Ok((fs.schedule, fs.recovery, pad))
     }
 
     /// Execute one job: map → shuffle/sort → reduce → commit.
@@ -362,7 +349,7 @@ impl MrRunner {
             .collect();
         let reread: Vec<SimDuration> = splits.iter().map(|s| cost.net_transfer(s.bytes)).collect();
         let map_label = format!("{}: map", job.name);
-        let (detailed, mut recovery, pad, queue) =
+        let (detailed, mut recovery, pad) =
             self.schedule_wave(&map_label, &task_specs, Some(&reread))?;
         // Roll the governor's per-task outcomes up into the wave's recovery
         // block (peak merges with max, the rest sum).
@@ -374,7 +361,6 @@ impl MrRunner {
                 label: map_label,
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue,
                 overhead: SimDuration::ZERO,
                 // Each map wave ends on a heartbeat boundary.
                 trailing: SimDuration::from_secs(cost.mr_wave_latency)
@@ -397,7 +383,7 @@ impl MrRunner {
             },
             recovery,
         );
-        self.record_wave(queue, &detailed);
+        self.cluster.record_sched_stage(detailed.decision_units);
 
         // A node lost between map and reduce takes its completed map outputs
         // with it (they live on local disk, not in HDFS): re-execute just
@@ -427,7 +413,7 @@ impl MrRunner {
                         .iter()
                         .map(|&i| TaskSpec::anywhere(task_specs[i].duration + reread[i]))
                         .collect();
-                    let (re_detailed, re_recovery, re_pad, re_queue) =
+                    let (re_detailed, re_recovery, re_pad) =
                         self.schedule_wave(&resubmit_label, &resubmit_specs, None)?;
                     rec.merge(&re_recovery);
                     metrics.record_stage_with_recovery(
@@ -435,7 +421,6 @@ impl MrRunner {
                             label: resubmit_label,
                             kind: EventKind::Stage,
                             shuffle_id: None,
-                            queue: re_queue,
                             overhead: SimDuration::ZERO,
                             trailing: SimDuration::from_secs(cost.mr_wave_latency)
                                 * re_detailed.outcome.waves as f64
@@ -456,7 +441,7 @@ impl MrRunner {
                         },
                         rec,
                     );
-                    self.record_wave(re_queue, &re_detailed);
+                    self.cluster.record_sched_stage(re_detailed.decision_units);
                 }
             }
         }
@@ -582,14 +567,12 @@ impl MrRunner {
             })
             .collect();
         let reduce_label = format!("{}: reduce", job.name);
-        let (detailed, recovery, pad, queue) =
-            self.schedule_wave(&reduce_label, &task_specs, None)?;
+        let (detailed, recovery, pad) = self.schedule_wave(&reduce_label, &task_specs, None)?;
         metrics.record_stage_with_recovery(
             StageExecution {
                 label: reduce_label,
                 kind: EventKind::Stage,
                 shuffle_id: None,
-                queue,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::from_secs(cost.mr_wave_latency)
                     * detailed.outcome.waves as f64
@@ -611,7 +594,7 @@ impl MrRunner {
             },
             recovery,
         );
-        self.record_wave(queue, &detailed);
+        self.cluster.record_sched_stage(detailed.decision_units);
 
         // ---- commit & gather ----
         let mut pairs = Vec::new();

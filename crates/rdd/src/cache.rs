@@ -116,7 +116,7 @@ impl CacheManager {
     /// Cache sized from the cluster spec (a fraction of node memory is
     /// reserved for execution, as in Spark; storage gets the default 60%).
     pub fn new(spec: &ClusterSpec) -> Self {
-        Self::with_fraction(spec, yafim_cluster::jobs::DEFAULT_STORAGE_FRACTION)
+        Self::with_fraction(spec, yafim_cluster::sched::DEFAULT_STORAGE_FRACTION)
     }
 
     /// Cache sized as `storage_fraction` of node memory — the scheduler

@@ -127,18 +127,12 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         })
         .collect();
 
-    // Admit the stage through the multi-job scheduler: the returned
-    // scheduler is restricted to this job's executor grant, and `queue` is
-    // any FIFO pool wait to charge to this stage.
-    let (queue, scheduler) = cluster.stage_admission();
-
     // Node-loss instants are absolute; anchor them to this stage's task
-    // window (stage start + queue wait + overhead).
-    let faults = cluster.faults();
-    let window_start =
-        cluster.metrics().now() + queue + SimDuration::from_secs(cost.spark_stage_overhead);
-    let fs = faults
-        .schedule_stage(&scheduler, &specs, None, window_start)
+    // window (stage start + overhead).
+    let window_start = cluster.metrics().now() + SimDuration::from_secs(cost.spark_stage_overhead);
+    let fs = cluster
+        .faults()
+        .schedule_stage(&cluster.stage_admission(), &specs, None, window_start)
         .map_err(|source| ExecError::StageAborted {
             stage: label.clone(),
             source,
@@ -177,7 +171,6 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
             label,
             kind,
             shuffle_id,
-            queue,
             overhead: SimDuration::from_secs(cost.spark_stage_overhead),
             trailing,
             tasks,
@@ -185,7 +178,7 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         recovery,
     );
     // After the clock advanced past the stage: the sched.* attribution.
-    cluster.record_sched_stage(queue, detailed.decision_units, faults.drain_shared_hits());
+    cluster.record_sched_stage(detailed.decision_units);
 
     Ok((
         outcomes.into_iter().map(|(r, _, _)| r).collect(),

@@ -7,11 +7,15 @@
 //! `parallelize`d collection, or an HDFS text file whose split lends its
 //! lines to a per-element or a whole-partition parser) and ends in two
 //! `collect`s and one `aggregate`.
-//! Plus regressions for incremental `take` and for lineage recompute
-//! through pipelines after node loss.
+//! Plus regressions for incremental `take`, for lineage recompute through
+//! pipelines after node loss, and for a starved memory budget (spilled
+//! combine buffers, a disk-tier cache, a planted node loss) moving virtual
+//! time only.
 
-use yafim_cluster::{ClusterSpec, CostModel, MetricsSnapshot, SimCluster};
-use yafim_rdd::{Context, ExecMode, FaultInjection, PartialSize, Rdd, RddConfig};
+use yafim_cluster::{
+    ClusterSpec, CostModel, FaultPlan, MetricsSnapshot, NodeId, SimCluster, SimDuration, SimInstant,
+};
+use yafim_rdd::{Context, ExecMode, FaultInjection, PartialSize, Rdd, RddConfig, StorageLevel};
 
 fn ctx_with(mode: ExecMode) -> Context {
     let cluster =
@@ -126,6 +130,28 @@ fn apply(rdd: Rdd<u32>, op: Op) -> Rdd<u32> {
     }
 }
 
+/// The planned lineage over `c`, with one shuffle in the middle if asked.
+fn build(
+    c: &Context,
+    from: Source,
+    data: &[u32],
+    parts: usize,
+    plan: &[Op],
+    shuffle: bool,
+) -> Rdd<u32> {
+    let mut rdd = source(c, from, data, parts);
+    for (i, op) in plan.iter().enumerate() {
+        rdd = apply(rdd, *op);
+        if shuffle && i == plan.len() / 2 {
+            rdd = rdd
+                .map(|x| (x % 64, x as u64))
+                .reduce_by_key(|a, b| a.wrapping_add(b))
+                .map(|(k, v)| k.wrapping_add(v as u32));
+        }
+    }
+    rdd
+}
+
 /// Build the planned lineage and run `collect` twice (the second pass
 /// exercises cache hits and shuffle reuse), then `aggregate`. Returns both
 /// collections and the final metrics snapshot.
@@ -138,16 +164,7 @@ fn run_plan(
     shuffle: bool,
 ) -> (Vec<u32>, Vec<u32>, MetricsSnapshot) {
     let c = ctx_with(mode);
-    let mut rdd = source(&c, from, data, parts);
-    for (i, op) in plan.iter().enumerate() {
-        rdd = apply(rdd, *op);
-        if shuffle && i == plan.len() / 2 {
-            rdd = rdd
-                .map(|x| (x % 64, x as u64))
-                .reduce_by_key(|a, b| a.wrapping_add(b))
-                .map(|(k, v)| k.wrapping_add(v as u32));
-        }
-    }
+    let rdd = build(&c, from, data, parts, plan, shuffle);
     let first = rdd.collect();
     let second = rdd.collect();
     assert_eq!(checksum(&rdd), checksum_of(&first), "aggregate vs collect");
@@ -333,6 +350,75 @@ fn node_loss_recompute_is_identical_through_pipelines() {
             assert_eq!(cached.collect().len(), data.len() * 2);
         }
     }
+}
+
+/// A starved memory budget on one cluster: at 1 byte per node the governor's
+/// per-task slice rounds to zero, so every shuffle combine buffer spills
+/// through local disk; a zero-byte cache demotes every `MemoryAndDisk`
+/// partition to the disk tier; and a node is lost on top. Every result
+/// stays byte-identical to an unbudgeted, fault-free run in both modes:
+/// memory pressure, like faults, may only move virtual time, never data.
+#[test]
+fn a_tight_budget_spills_and_matches_the_unbudgeted_run() {
+    let mut rng = Rng(seed(5));
+    let mut spilled = 0;
+    for case in 0..CASES / 4 {
+        let data = rng.data(120);
+        let parts = rng.range(2, 8) as usize;
+        let len = rng.range(1, 5) as usize;
+        let plan = random_plan(&mut rng, len);
+        let from = random_source(&mut rng);
+        let fault_seed = rng.next();
+
+        for mode in [ExecMode::Fused, ExecMode::Eager] {
+            let run = |starved: bool| {
+                let cluster = SimCluster::with_threads(
+                    ClusterSpec::new(3, 2, 1 << 30),
+                    CostModel::hadoop_era(),
+                    2,
+                );
+                let mut config = RddConfig::for_cluster(&cluster);
+                config.exec_mode = mode;
+                if starved {
+                    cluster.faults().set_plan(
+                        FaultPlan::seeded(fault_seed)
+                            .with_mem_budget(1)
+                            .lose_node_at(
+                                NodeId(0),
+                                SimInstant::EPOCH + SimDuration::from_secs(0.01),
+                            ),
+                    );
+                    config.cache_capacity_per_node = Some(0);
+                }
+                let c = Context::with_config(cluster, config);
+                let rdd =
+                    build(&c, from, &data, parts, &plan, true).persist(StorageLevel::MemoryAndDisk);
+                let first = rdd.collect();
+                assert_eq!(first, rdd.collect(), "re-read (case {case}, {mode:?})");
+                let recovery = c.metrics().snapshot().recovery;
+                (first, recovery, c.cache().stats().disk_hits)
+            };
+            let (reference, _, _) = run(false);
+            let (tight, rec, disk_hits) = run(true);
+            assert_eq!(tight, reference, "case {case}, {mode:?}: {plan:?}");
+            assert_eq!(rec.mem.oom_killed, 0, "degradable spills never kill");
+            assert!(
+                rec.nodes_lost >= 1,
+                "case {case}: the node loss never fired"
+            );
+            // A filter can empty the shuffle input; only a non-empty result
+            // proves a combine buffer filled and a partition was stored.
+            if !reference.is_empty() {
+                assert!(
+                    rec.mem.spills > 0 && rec.mem.spill_bytes > 0,
+                    "case {case}, {mode:?}: no combine buffer spilled"
+                );
+                assert!(disk_hits > 0, "case {case}, {mode:?}: no disk-tier hit");
+                spilled += 1;
+            }
+        }
+    }
+    assert!(spilled > 0, "every plan filtered to nothing");
 }
 
 #[test]

@@ -110,10 +110,18 @@ fn in_unit_interval(x: &f64) -> bool {
     *x > 0.0 && *x <= 1.0
 }
 
+/// Most virtual cores `--nodes` x `--cores` may ask for (the scheduler keeps
+/// a slot per core): 10 000x the paper's 96.
+const MAX_CORES: u32 = 1 << 20;
+
 fn cluster() -> SimCluster {
     let at_least_one = |n: &u32| *n >= 1;
     let nodes = parsed_arg("--nodes", "an integer >= 1", at_least_one).unwrap_or(12);
     let cores = parsed_arg("--cores", "an integer >= 1", at_least_one).unwrap_or(8);
+    if nodes.checked_mul(cores).is_none_or(|n| n > MAX_CORES) {
+        eprintln!("bad --nodes x --cores (expected <= {MAX_CORES} cores): {nodes} x {cores}");
+        exit(1)
+    }
     let c = SimCluster::new(
         ClusterSpec::new(nodes, cores, 24 * 1024 * 1024 * 1024),
         CostModel::hadoop_era(),

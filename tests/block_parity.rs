@@ -127,7 +127,6 @@ fn pass_with_store(
 /// YAFIM before the blocks, minus what a fault-free run on a roomy cluster
 /// never reaches (checkpoints, the degradation ladder, the size guards).
 fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningResult {
-    let _job = ctx.cluster().acquire_job("default");
     let metrics = ctx.metrics().clone();
     let cost = ctx.cluster().cost().clone();
     let partitions = ctx.config().default_parallelism;
