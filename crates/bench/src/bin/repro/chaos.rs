@@ -2,7 +2,8 @@
 //! fault plans and verify that recovery changes *when* things finish, never
 //! *what* they compute.
 //!
-//! Three scenarios, all seeded and bit-for-bit reproducible:
+//! The scenarios, all seeded and bit-for-bit reproducible (D, the silent
+//! corruption sweep, is described at [`scenario_d`]):
 //!
 //! * **A — node loss mid-Phase-II**: a node dies halfway through pass 2,
 //!   taking its cached partitions and shuffle map outputs (YAFIM) or its
@@ -26,17 +27,12 @@
 //!   spills, matcher step-downs, OOM kill-and-retry — and two
 //!   starved-beyond-use cells must end in a typed admission refusal.
 //!
-//! The report is also written to `results/chaos.txt` (scenario E to
-//! `results/chaos_e.txt`; both skipped under `--smoke`, which runs the same
-//! scenarios at a reduced scale for CI). The output is fully deterministic:
-//! run it twice with the same seed and diff the output — identical bytes.
-//!
-//! Usage: `cargo run -p yafim-bench --release --bin chaos
-//!     [--seed N] [--scale X] [--smoke]`
+//! [`chaos`] returns scenarios A–D's report and the manifest of D's
+//! representative run, [`chaos_e`] scenario E's. Everything is seeded
+//! ([`SEED`]) and runs at one size ([`SCALE`]), so both regenerate
+//! bit-identically.
 
-use std::fmt::Write as _;
-
-use yafim_bench::{bench_dataset, experiment_cluster, load_dataset, run, write_manifest};
+use yafim_bench::{bench_dataset, loaded_cluster, run};
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{
     critical_path, full_report, fx_hash64, ClusterSpec, EventKind, ExecError, FaultPlan,
@@ -56,27 +52,26 @@ const ENGINES: [(&str, Miner); 2] = [
     ("MR-Apriori", Miner::MapReduce),
 ];
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
+/// Seed of every fault plan in the committed reports.
+const SEED: u64 = 42;
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed: u64 = arg("--seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-    let scale: f64 = arg("--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if smoke { 0.1 } else { 0.25 });
-    let data = bench_dataset(PaperDataset::Mushroom, scale);
+/// Dataset scale of every scenario.
+const SCALE: f64 = 0.25;
+
+/// Scenarios A–D on MushRoom.
+pub fn chaos() -> (String, RunManifest) {
+    let data = bench_dataset(PaperDataset::Mushroom, SCALE);
     let mut out = String::new();
 
-    let _ = writeln!(
+    say!(
         out,
-        "== chaos: deterministic fault injection (seed {seed}) =="
+        "== chaos: deterministic fault injection (seed {SEED}) =="
     );
-    let _ = writeln!(
+    say!(
         out,
-        "dataset {} at scale {scale}, support {:?}\n",
-        data.name, data.support
+        "dataset {} at scale {SCALE}, support {:?}\n",
+        data.name,
+        data.support
     );
 
     for (engine, miner) in ENGINES {
@@ -84,8 +79,8 @@ fn main() {
         // instant halfway through pass 2 (mid-Phase-II) for the node loss.
         let (base_run, base_cluster) = mine(miner, &data, None);
         let t_loss = pass2_midpoint(&base_cluster).unwrap_or(base_run.total_seconds * 0.5);
-        let _ = writeln!(out, "-- {engine} --");
-        let _ = writeln!(
+        say!(out, "-- {engine} --");
+        say!(
             out,
             "fault-free: {} itemsets in {:.2} virtual s",
             base_run.result.total(),
@@ -102,7 +97,7 @@ fn main() {
             .expect("loaded")
             .blocks()[0]
             .replicas[0];
-        let plan_a = FaultPlan::seeded(seed)
+        let plan_a = FaultPlan::seeded(SEED)
             .lose_node_at(victim, SimInstant::EPOCH + SimDuration::from_secs(t_loss));
         let (run_a, cluster_a) = mine(miner, &data, Some(plan_a));
         assert_eq!(
@@ -110,7 +105,7 @@ fn main() {
             "{engine}: node loss changed mining results"
         );
         let rec_a = cluster_a.metrics().snapshot().recovery;
-        let _ = writeln!(
+        say!(
             out,
             "A {victim} lost at {t_loss:.2}s (mid pass 2): results identical, \
              {:.2} virtual s (+{:.2}s recovery)",
@@ -121,7 +116,7 @@ fn main() {
         print_recovery_excerpt(&mut out, &cluster_a);
 
         // B: flaky tasks + one straggler node, speculation on.
-        let plan_b = FaultPlan::seeded(seed)
+        let plan_b = FaultPlan::seeded(SEED)
             .crash_tasks(0.08)
             .with_max_task_failures(10)
             .slow_node(NodeId(2), 3.0)
@@ -132,7 +127,7 @@ fn main() {
             "{engine}: crashes/speculation changed mining results"
         );
         let rec_b = cluster_b.metrics().snapshot().recovery;
-        let _ = writeln!(
+        say!(
             out,
             "B crashes 8% + node2 slowed 3x + speculation: results identical, \
              {:.2} virtual s (+{:.2}s recovery)",
@@ -140,57 +135,42 @@ fn main() {
             run_b.total_seconds - base_run.total_seconds
         );
         print_counters(&mut out, &rec_b);
-        let _ = writeln!(out);
+        say!(out);
     }
 
-    scenario_c(&mut out, seed, &data);
-    let sweep = scenario_d(&mut out, seed, &data);
-    let _ = writeln!(
+    scenario_c(&mut out, SEED, &data);
+    // The cadence bound is a property of the lineage, not of one seed's
+    // rolls: assert it under a second seed, whose table is not kept.
+    scenario_c(&mut String::new(), 7, &data);
+    let sweep = scenario_d(&mut out, SEED, &data);
+    say!(
         out,
         "all fault scenarios returned byte-identical mining results"
     );
 
-    print!("{out}");
-    if !smoke {
-        std::fs::write("results/chaos.txt", &out).expect("write results/chaos.txt");
-    }
-
-    // Regression-gate manifest: captured from scenario D's representative
-    // run (YAFIM, every tier corrupted at the top sweep rate) plus sweep
+    // The manifest is captured from scenario D's representative run
+    // (YAFIM, every tier corrupted at the top sweep rate) plus sweep
     // totals — all deterministic virtual-time quantities.
-    let dataset_doc = JsonValue::object(vec![
-        ("name", data.name.into()),
-        ("scale", scale.into()),
-        ("support", format!("{:?}", data.support).as_str().into()),
-        ("smoke", JsonValue::Bool(smoke)),
-    ]);
     let config_doc = JsonValue::object(vec![
         ("scenario", "D".into()),
         ("engine", "YAFIM".into()),
         ("corruption", "shuffle+cache+hdfs".into()),
         ("rate", CORRUPTION_RATES[CORRUPTION_RATES.len() - 1].into()),
-        ("seed", seed.into()),
+        ("seed", SEED.into()),
     ]);
+    let (rep_cluster, rep_itemsets) = sweep.representative.expect("the all-tiers cell ran");
     let mut manifest = RunManifest::capture(
         "chaos",
         "yafim",
-        dataset_doc,
+        dataset_doc(&data),
         config_doc,
-        &sweep.representative_cluster,
+        &rep_cluster,
     );
-    manifest.push_metric("chaos.itemsets", sweep.representative_itemsets as f64);
+    manifest.push_metric("chaos.itemsets", rep_itemsets as f64);
     manifest.push_metric("chaos.sweep_runs", sweep.runs as f64);
     manifest.push_metric("chaos.sweep_detected", sweep.detected as f64);
     manifest.push_metric("chaos.sweep_repaired", sweep.repaired as f64);
-    let manifest_path = if smoke {
-        "target/manifests/chaos.smoke.manifest.json"
-    } else {
-        "results/chaos.manifest.json"
-    };
-    write_manifest(&manifest, manifest_path);
-    println!("wrote {manifest_path}");
-
-    scenario_e(seed, scale, smoke);
+    (out, manifest)
 }
 
 /// Node-memory override for scenario E's pressure cells: small enough that
@@ -212,23 +192,23 @@ const E_REFUSAL_BUDGET: u64 = 256 * 1024;
 /// step-down, OOM kill-and-retry) must fire at least once; and two
 /// starved cells must end in a typed admission refusal, never a partial
 /// result.
-fn scenario_e(seed: u64, scale: f64, smoke: bool) {
+pub fn chaos_e() -> (String, RunManifest) {
     // T10I4D100K, not the Mushroom set the other scenarios use: its ~850
     // item alphabet makes |C_2| (and so the triangle array and candidate
     // stores) large enough to overflow a tight-but-admissible budget.
-    let data = bench_dataset(PaperDataset::T10I4D100K, scale);
+    let data = bench_dataset(PaperDataset::T10I4D100K, SCALE);
     let mut out = String::new();
-    let _ = writeln!(
+    say!(
         out,
-        "== chaos E: memory governor sweep (seed {seed}) ==\n\
-         dataset {} at scale {scale}, support {:?}\n\
+        "== chaos E: memory governor sweep (seed {SEED}) ==\n\
+         dataset {} at scale {SCALE}, support {:?}\n\
          budgets: oom = injected OOM at p={E_OOM_PROB} (full node memory), \
          tight = {} MiB per node\n",
         data.name,
         data.support,
         E_TIGHT_BUDGET / (1024 * 1024)
     );
-    let _ = writeln!(
+    say!(
         out,
         "{:<20} {:>6} | {:>10} {:>6} {:>9} | {:>8} {:>6} {:>8} | {:>9}",
         "engine/matcher",
@@ -243,10 +223,10 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
     );
 
     let budgets: [(&str, FaultPlan); 2] = [
-        ("oom", FaultPlan::seeded(seed).inject_oom(E_OOM_PROB)),
+        ("oom", FaultPlan::seeded(SEED).inject_oom(E_OOM_PROB)),
         (
             "tight",
-            FaultPlan::seeded(seed).with_mem_budget(E_TIGHT_BUDGET),
+            FaultPlan::seeded(SEED).with_mem_budget(E_TIGHT_BUDGET),
         ),
     ];
     let miners: [(&str, Miner); 4] = [
@@ -273,7 +253,7 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
             let mem = cell_counters(&cluster, &format!("{mname} {bname}"));
             agg.merge(&mem);
             cells += 1;
-            let _ = writeln!(
+            say!(
                 out,
                 "{:<20} {:>6} | {:>10} {:>6} {:>9} | {:>8} {:>6} {:>8} | {:>9.2}",
                 mname,
@@ -319,8 +299,8 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
     // granule cannot make progress even by streaming through disk, so
     // admission control must refuse the job with a typed error on both
     // engines — never return a partial result.
-    let starved = FaultPlan::seeded(seed).with_mem_budget(E_REFUSAL_BUDGET);
-    let _ = writeln!(out);
+    let starved = FaultPlan::seeded(SEED).with_mem_budget(E_REFUSAL_BUDGET);
+    say!(out);
     let pair = [
         ("YAFIM", Miner::Spark(Phase2Plan::Paper)),
         ("MR", Miner::MapReduce),
@@ -329,13 +309,13 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
         let (spec, plan) = (ClusterSpec::paper(), Some(starved.clone()));
         match run(miner, spec, &data.transactions, data.support, plan) {
             Err(MineError::Exec(ExecError::MemoryRefused { refusal })) => {
-                let _ = writeln!(out, "starved ({engine}): {refusal}");
+                say!(out, "starved ({engine}): {refusal}");
             }
             Err(e) => panic!("expected a memory refusal, got: {e}"),
             Ok(_) => panic!("a {E_REFUSAL_BUDGET}-byte node must be refused at admission"),
         }
     }
-    let _ = writeln!(
+    say!(
         out,
         "all {cells} budgeted cells returned byte-identical mining results; \
          ladder: {} spills, {} step-downs, {} OOM injected ({} killed, {} \
@@ -347,43 +327,40 @@ fn scenario_e(seed: u64, scale: f64, smoke: bool) {
         agg.oom_survived_by_degradation
     );
 
-    print!("{out}");
-    if !smoke {
-        std::fs::write("results/chaos_e.txt", &out).expect("write results/chaos_e.txt");
-    }
-
-    // Regression-gate manifest: captured from the representative cell
+    // The manifest is captured from the representative cell
     // (YAFIM trie matcher under the tight budget — the cell that walks the
     // most ladder rungs) plus sweep totals.
     let (rep_cluster, rep_itemsets) = representative.expect("the trie tight cell ran");
-    let dataset_doc = JsonValue::object(vec![
-        ("name", data.name.into()),
-        ("scale", scale.into()),
-        ("support", format!("{:?}", data.support).as_str().into()),
-        ("smoke", JsonValue::Bool(smoke)),
-    ]);
     let config_doc = JsonValue::object(vec![
         ("scenario", "E".into()),
         ("engine", "YAFIM".into()),
         ("matcher", "trie".into()),
         ("mem_budget_bytes", E_TIGHT_BUDGET.into()),
         ("oom_prob", E_OOM_PROB.into()),
-        ("seed", seed.into()),
+        ("seed", SEED.into()),
     ]);
-    let mut manifest =
-        RunManifest::capture("chaos_e", "yafim", dataset_doc, config_doc, &rep_cluster);
+    let mut manifest = RunManifest::capture(
+        "chaos_e",
+        "yafim",
+        dataset_doc(&data),
+        config_doc,
+        &rep_cluster,
+    );
     manifest.push_metric("chaosE.itemsets", rep_itemsets as f64);
     manifest.push_metric("chaosE.cells", cells as f64);
     manifest.push_metric("chaosE.sweep_spills", agg.spills as f64);
     manifest.push_metric("chaosE.sweep_degradations", agg.degradations as f64);
     manifest.push_metric("chaosE.sweep_oom_injected", agg.oom_injected as f64);
-    let manifest_path = if smoke {
-        "target/manifests/chaos_e.smoke.manifest.json"
-    } else {
-        "results/chaos_e.manifest.json"
-    };
-    write_manifest(&manifest, manifest_path);
-    println!("wrote {manifest_path}");
+    (out, manifest)
+}
+
+/// The `dataset` document of both chaos manifests.
+fn dataset_doc(data: &yafim_bench::BenchDataset) -> JsonValue {
+    JsonValue::object(vec![
+        ("name", data.name.into()),
+        ("scale", SCALE.into()),
+        ("support", format!("{:?}", data.support).as_str().into()),
+    ])
 }
 
 /// Read one budgeted cell's memory counters and check the per-cell
@@ -409,7 +386,7 @@ fn cell_counters(cluster: &SimCluster, label: &str) -> MemoryCounters {
 /// every [`CKPT_INTERVAL`] passes, and compare the deepest lineage replay
 /// each loss forces.
 fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
-    let _ = writeln!(
+    say!(
         out,
         "-- C: checkpoint cadence vs lineage replay (YAFIM optimized Phase-II) --"
     );
@@ -443,15 +420,21 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
     let starts_off = pass_starts(&clean_cluster);
     let starts_on = pass_starts(&clean_ckpt_cluster);
     assert_eq!(starts_off.len(), starts_on.len(), "pass counts must agree");
-    let _ = writeln!(
+    say!(
         out,
         "{} passes; {victim} lost during each pass, checkpoint off vs every {CKPT_INTERVAL} passes",
         starts_off.len()
     );
-    let _ = writeln!(
+    say!(
         out,
         "{:>11} | {:>12} {:>9} | {:>12} {:>9} {:>7} {:>6}",
-        "loss during", "off: replay", "extra(s)", "on: replay", "extra(s)", "writes", "reads"
+        "loss during",
+        "off: replay",
+        "extra(s)",
+        "on: replay",
+        "extra(s)",
+        "writes",
+        "reads"
     );
 
     let mut depths_off = Vec::new();
@@ -485,7 +468,7 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
         }
         let (extra_off, ref rec_off) = cells[0];
         let (extra_on, ref rec_on) = cells[1];
-        let _ = writeln!(
+        say!(
             out,
             "{:>8} {:>2} | {:>12} {:>9.2} | {:>12} {:>9.2} {:>7} {:>6}",
             "pass",
@@ -531,7 +514,7 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
             depths_on.last()
         );
     }
-    let _ = writeln!(
+    say!(
         out,
         "replay depth stays <= {bound} once the first checkpoint lands (pass {}); \
          grows to {} without checkpointing\n",
@@ -546,10 +529,9 @@ const CORRUPTION_RATES: [f64; 2] = [0.05, 0.25];
 /// What scenario D hands back for the chaos manifest.
 struct SweepSummary {
     /// Cluster behind the representative run (YAFIM, all tiers corrupted
-    /// at the top rate) — the manifest captures its metrics.
-    representative_cluster: SimCluster,
-    /// Itemsets the representative run mined.
-    representative_itemsets: usize,
+    /// at the top rate) — the manifest captures its metrics — and the
+    /// itemsets it mined.
+    representative: Option<(SimCluster, usize)>,
     /// Corrupted runs executed across the sweep.
     runs: u64,
     /// Total corruptions detected across the sweep.
@@ -567,8 +549,8 @@ struct SweepSummary {
 /// poisoned-beyond-repair case must escalate to a typed integrity error
 /// instead of returning anything.
 fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> SweepSummary {
-    let _ = writeln!(out, "-- D: silent corruption sweep (checksums on) --");
-    let _ = writeln!(
+    say!(out, "-- D: silent corruption sweep (checksums on) --");
+    say!(
         out,
         "{:<11} {:>7} {:>5} | {:>8} {:>8} {:>8} | {:>24} {:>9}",
         "engine",
@@ -592,8 +574,7 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
     ];
 
     let mut summary = SweepSummary {
-        representative_cluster: experiment_cluster(ClusterSpec::paper()),
-        representative_itemsets: 0,
+        representative: None,
         runs: 0,
         detected: 0,
         repaired: 0,
@@ -619,7 +600,7 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
                     "{engine}: {tier}@{rate}: every detected corruption must be repaired"
                 );
                 assert_bucket_sum(&cluster, &format!("{engine} {tier}@{rate}"));
-                let _ = writeln!(
+                say!(
                     out,
                     "{:<11} {:>7} {:>5.2} | {:>8} {:>8} {:>8} | {:>14}/{:>3}/{:>4} {:>9.2}",
                     engine,
@@ -637,8 +618,7 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
                 summary.detected += i.corruptions_detected;
                 summary.repaired += i.corruptions_repaired;
                 if engine == "YAFIM" && *tier == "all" && rate == CORRUPTION_RATES[1] {
-                    summary.representative_cluster = cluster;
-                    summary.representative_itemsets = run.result.total();
+                    summary.representative = Some((cluster, run.result.total()));
                 }
             }
         }
@@ -651,8 +631,7 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
     // Poisoned beyond repair: every replica of a checkpoint block fails
     // verification and the lineage behind it is truncated — the engine
     // must refuse with a typed integrity error, never return results.
-    let cluster = experiment_cluster(ClusterSpec::paper());
-    load_dataset(&cluster, "input.dat", &data.transactions);
+    let cluster = loaded_cluster(ClusterSpec::paper(), &data.transactions);
     let ctx = Context::new(cluster.clone());
     let cp = ctx.text_file("input.dat", 4).expect("loaded").checkpoint();
     cluster
@@ -660,7 +639,7 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
         .set_plan(FaultPlan::seeded(seed).corrupt_all_replicas(IntegrityTier::Hdfs, cp.id(), 0));
     match cp.try_collect() {
         Err(ExecError::IntegrityFailure { detail }) => {
-            let _ = writeln!(
+            say!(
                 out,
                 "beyond repair (YAFIM): refused with integrity failure: {detail}"
             );
@@ -679,15 +658,16 @@ fn scenario_d(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) -> 
     let (mr, spec) = (Miner::MapReduce, ClusterSpec::paper());
     match run(mr, spec, &data.transactions, data.support, Some(poisoned)) {
         Err(MineError::Exec(ExecError::IntegrityFailure { .. })) => {
-            let _ = writeln!(out, "beyond repair (MR): refused with integrity failure");
+            say!(out, "beyond repair (MR): refused with integrity failure");
         }
         Err(e) => panic!("expected an integrity failure, got: {e}"),
         Ok(_) => panic!("all replicas poisoned must not return results"),
     }
-    let _ = writeln!(
+    say!(
         out,
         "corruption sweep: {} runs, {} injected corruptions all detected and repaired\n",
-        summary.runs, summary.detected
+        summary.runs,
+        summary.detected
     );
     summary
 }
@@ -741,7 +721,7 @@ fn pass_starts(cluster: &SimCluster) -> Vec<f64> {
 }
 
 fn print_counters(out: &mut String, r: &RecoveryCounters) {
-    let _ = writeln!(
+    say!(
         out,
         "   recovery: {} task failures, {} retries, {} speculative ({} won), \
          {} nodes lost, {} map outputs refetched, {} partitions recomputed",
@@ -761,7 +741,7 @@ fn print_recovery_excerpt(out: &mut String, cluster: &SimCluster) {
     let report = full_report(cluster.metrics());
     for line in report.lines() {
         if line.contains("resubmit") || line.contains("recovery:") || has_recovery_cell(line) {
-            let _ = writeln!(out, "   | {}", line.trim_end());
+            say!(out, "   | {}", line.trim_end());
         }
     }
 }

@@ -11,20 +11,8 @@
 //! nothing until the action.
 //!
 //! Both modes `collect` the same lineage and the results are compared
-//! element-for-element — the bench *fails* on any divergence, which is what
-//! the CI smoke step leans on.
-//!
-//! Output:
-//! * stdout + `results/pipeline.txt` — human-readable report;
-//! * a [`RunManifest`] for the regression gate: smoke runs write
-//!   `target/manifests/pipeline.smoke.manifest.json` (compared by CI
-//!   against the committed `results/pipeline.smoke.manifest.json`), full
-//!   runs write `results/pipeline.manifest.json`.
-//!
-//! Usage: `cargo run -p yafim-bench --release --bin pipeline [--smoke]`
+//! element-for-element — the experiment panics on any divergence.
 
-use std::fmt::Write as _;
-use yafim_bench::write_manifest;
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{ClusterSpec, CostModel, RunManifest, SimCluster};
 use yafim_rdd::{Context, ExecMode, Rdd, RddConfig};
@@ -118,10 +106,10 @@ fn run_mode(
     )
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (lines, words) = if smoke { (500, 6) } else { (20_000, 8) };
-    let parts = 16;
+/// The report for `results/pipeline.txt` and the manifest captured from
+/// the fused context.
+pub fn pipeline() -> (String, RunManifest) {
+    let (lines, words, parts) = (20_000, 8, 16);
     let data = synthetic_lines(lines, words, 7);
 
     let (eager, eager_out, _eager_ctx) =
@@ -134,52 +122,50 @@ fn main() {
         eager.pipeline_records, fused.pipeline_records,
         "record accounting diverged between modes"
     );
-    if fused_out != eager_out {
-        eprintln!(
-            "FAIL: fused results diverge from the eager reference \
-             ({} vs {} records)",
-            fused_out.len(),
-            eager_out.len()
-        );
-        std::process::exit(1);
-    }
+    assert!(
+        fused_out == eager_out,
+        "fused results diverge from the eager reference ({} vs {} records)",
+        fused_out.len(),
+        eager_out.len()
+    );
 
     let mut report = String::new();
-    let _ = writeln!(
+    say!(
         report,
         "== Pipeline fusion: flatMap -> map -> filter over {} lines ({} source records, {} partitions) ==",
         lines,
         data.len(),
         parts
     );
-    let _ = writeln!(
+    say!(
         report,
         "{:<26} {:>16} {:>16}",
-        "mode", "peak stage mat.", "total mat."
+        "mode",
+        "peak stage mat.",
+        "total mat."
     );
     for m in [&eager, &fused] {
-        let _ = writeln!(
+        say!(
             report,
             "{:<26} {:>14} B {:>14} B",
-            m.label, m.peak_stage_bytes, m.total_bytes
+            m.label,
+            m.peak_stage_bytes,
+            m.total_bytes
         );
     }
-    let _ = writeln!(
+    say!(
         report,
         "\nrecords through pipeline per run: {} | parity: ok ({} output records)",
         fused.pipeline_records,
         fused_out.len()
     );
-    print!("{report}");
 
-    // Regression-gate manifest: captured from the fused context.
     let dataset_doc = JsonValue::object(vec![
         ("name", "synthetic-lines".into()),
         ("lines", lines.into()),
         ("words_per_line", words.into()),
         ("partitions", parts.into()),
         ("seed", 7u64.into()),
-        ("smoke", JsonValue::Bool(smoke)),
     ]);
     let config_doc = JsonValue::object(vec![
         ("chain", "flatMap -> map -> filter".into()),
@@ -206,18 +192,5 @@ fn main() {
         eager.peak_stage_bytes as f64,
     );
     manifest.push_metric("eager.total_bytes_materialized", eager.total_bytes as f64);
-    let manifest_path = if smoke {
-        "target/manifests/pipeline.smoke.manifest.json"
-    } else {
-        "results/pipeline.manifest.json"
-    };
-    write_manifest(&manifest, manifest_path);
-
-    if smoke {
-        println!("smoke mode: parity verified; wrote {manifest_path}");
-        return;
-    }
-
-    std::fs::write("results/pipeline.txt", &report).expect("write results/pipeline.txt");
-    println!("wrote results/pipeline.txt and {manifest_path}");
+    (report, manifest)
 }

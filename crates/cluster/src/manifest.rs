@@ -1,21 +1,22 @@
 //! Versioned, machine-readable run manifests.
 //!
-//! A [`RunManifest`] is the contract between a bench binary and the
-//! regression gate: one JSON document per run carrying the schema version,
-//! the dataset parameters, the configuration (plus a fingerprint over
-//! both), and a **flat map of scalar metrics** — virtual makespan,
-//! critical-path buckets, recovery counters, registry counters — that the
-//! gate compares against a committed baseline with per-metric tolerance
-//! bands. A nested `detail` object keeps the full critical-path report and
-//! registry snapshot for humans; the gate only reads `metrics`.
+//! A [`RunManifest`] is one JSON document per run carrying the schema
+//! version, the dataset parameters, the configuration (plus a fingerprint
+//! over both), and a **flat map of scalar metrics** — virtual makespan,
+//! critical-path buckets, recovery counters, registry counters. A nested
+//! `detail` object keeps the full critical-path report and registry
+//! snapshot for humans. The committed manifests in `results/` are
+//! regenerated and diffed by git, so only *deterministic* quantities
+//! belong in one (virtual time, counters, byte totals); wall-clock numbers
+//! vary run to run and never enter it.
 //!
-//! Only *deterministic* quantities belong in `metrics` (virtual time,
-//! counters, byte totals). Wall-clock numbers vary run to run and must stay
-//! in the text reports / `detail`, never where the gate can see them.
+//! A manifest is written checked: [`RunManifest::check`] holds the
+//! coherence rules its counters must satisfy, and both writers (`repro`
+//! and `yafim-cli --manifest`) refuse to write one that breaks them.
 //!
 //! The fingerprint is an FxHash over the canonical JSON of `dataset` and
 //! `config`: two manifests with different fingerprints describe different
-//! experiments, and the gate refuses to compare them.
+//! experiments.
 
 use crate::critical::critical_path;
 use crate::hash::fx_hash64;
@@ -24,7 +25,7 @@ use crate::SimCluster;
 use std::collections::BTreeMap;
 
 /// Manifest schema version. Bump when the metric names or the layout
-/// change incompatibly; the gate refuses cross-version comparisons.
+/// change incompatibly.
 pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
 
 /// One run's machine-readable summary.
@@ -42,11 +43,10 @@ pub struct RunManifest {
     pub config: JsonValue,
     /// Fingerprint over `dataset` + `config`.
     pub fingerprint: String,
-    /// Flat scalar metrics the regression gate compares. Deterministic
-    /// quantities only.
+    /// Flat scalar metrics. Deterministic quantities only.
     pub metrics: BTreeMap<String, f64>,
     /// Full critical-path report, registry snapshot, and anything else
-    /// worth keeping for humans. Not compared by the gate.
+    /// worth keeping for humans.
     pub detail: JsonValue,
 }
 
@@ -142,53 +142,125 @@ impl RunManifest {
         ])
     }
 
-    /// Parse a manifest back from JSON (strict on the fields the gate
-    /// needs, lenient on `detail`).
-    pub fn from_json(v: &JsonValue) -> Result<RunManifest, String> {
-        let obj = v.as_object().ok_or("manifest is not an object")?;
-        let schema_version = v
-            .get("schema_version")
-            .and_then(JsonValue::as_f64)
-            .ok_or("missing schema_version")? as u64;
-        let bench = v
-            .get("bench")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing bench")?
-            .to_string();
-        let engine = v
-            .get("engine")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing engine")?
-            .to_string();
-        let dataset = v.get("dataset").cloned().ok_or("missing dataset")?;
-        let config = v.get("config").cloned().ok_or("missing config")?;
-        let fingerprint = v
-            .get("fingerprint")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing fingerprint")?
-            .to_string();
-        let metrics = v
-            .get("metrics")
-            .and_then(JsonValue::as_object)
-            .ok_or("missing metrics")?
-            .iter()
-            .map(|(k, val)| {
-                val.as_f64()
-                    .map(|f| (k.clone(), f))
-                    .ok_or_else(|| format!("metric '{k}' is not a number"))
-            })
-            .collect::<Result<BTreeMap<String, f64>, String>>()?;
-        let detail = obj.get("detail").cloned().unwrap_or(JsonValue::Null);
-        Ok(RunManifest {
-            schema_version,
-            bench,
-            engine,
-            dataset,
-            config,
-            fingerprint,
-            metrics,
-            detail,
-        })
+    /// The coherence rules every manifest must satisfy; both writers
+    /// (`repro` and `yafim-cli --manifest`) call this before a byte reaches
+    /// disk.
+    pub fn check(&self) -> Result<(), String> {
+        self.check_integrity()?;
+        self.check_bitmap()?;
+        self.check_memory()
+    }
+
+    /// A metric that may be absent (bench-pushed, or a counter no task
+    /// touched) counts as zero.
+    fn metric(&self, name: &str) -> f64 {
+        self.metrics.get(name).copied().unwrap_or(0.0)
+    }
+
+    /// Silent corruption is only ever *observed* at detection time, so
+    /// detected == injected; nothing undetected can be repaired; and every
+    /// repair went down exactly one repair path.
+    fn check_integrity(&self) -> Result<(), String> {
+        let get = |name: &str| -> Result<f64, String> {
+            self.metrics
+                .get(name)
+                .copied()
+                .ok_or_else(|| format!("missing integrity metric '{name}'"))
+        };
+        let injected = get("integrity.corruptions_injected")?;
+        let detected = get("integrity.corruptions_detected")?;
+        let repaired = get("integrity.corruptions_repaired")?;
+        let via = get("integrity.repaired_via_replica")?
+            + get("integrity.repaired_via_recompute")?
+            + get("integrity.repaired_via_resubmit")?;
+        if detected != injected {
+            return Err(format!(
+                "integrity.corruptions_detected ({detected}) != corruptions_injected ({injected})"
+            ));
+        }
+        if repaired > detected {
+            return Err(format!(
+                "integrity.corruptions_repaired ({repaired}) exceeds corruptions_detected ({detected})"
+            ));
+        }
+        if via != repaired {
+            return Err(format!(
+                "integrity repair paths sum to {via} but corruptions_repaired is {repaired}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Intersecting words requires a columnar store to have been built;
+    /// builds always register their arena bytes; a run that both fell back
+    /// *and* built columnar partitions caught the density guard flapping;
+    /// and the columnar arenas live in the cache, so their build bytes can
+    /// never exceed the cache's peak (when the manifest reports one).
+    fn check_bitmap(&self) -> Result<(), String> {
+        let words = self.metric("counter.bitmap.words_intersected");
+        let built = self.metric("counter.bitmap.partitions_built");
+        let bytes = self.metric("counter.bitmap.build_bytes");
+        let fallbacks = self.metric("counter.bitmap.fallbacks");
+        if words > 0.0 && built == 0.0 {
+            return Err(format!(
+                "counter.bitmap.words_intersected ({words}) without any \
+                 counter.bitmap.partitions_built"
+            ));
+        }
+        if (built > 0.0) != (bytes > 0.0) {
+            return Err(format!(
+                "counter.bitmap.partitions_built ({built}) and \
+                 counter.bitmap.build_bytes ({bytes}) must be zero or nonzero together"
+            ));
+        }
+        if fallbacks > 0.0 && built > 0.0 {
+            return Err(format!(
+                "counter.bitmap.fallbacks ({fallbacks}) alongside \
+                 counter.bitmap.partitions_built ({built}): the density guard flapped"
+            ));
+        }
+        if built > 0.0 {
+            if let Some(&peak) = self.metrics.get("peak_cache_bytes") {
+                if bytes > peak {
+                    return Err(format!(
+                        "counter.bitmap.build_bytes ({bytes}) exceeds peak_cache_bytes \
+                         ({peak}): columnar arenas must live in the cache"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Every injected OOM is resolved exactly once (killed or survived by
+    /// degradation); spilled bytes imply spill events; and no task's
+    /// execution peak can exceed the hard budget cap the governor
+    /// advertised (when one was armed).
+    fn check_memory(&self) -> Result<(), String> {
+        let injected = self.metric("mem.oom_injected");
+        let killed = self.metric("mem.oom_killed");
+        let survived = self.metric("mem.oom_survived_by_degradation");
+        if injected != killed + survived {
+            return Err(format!(
+                "mem.oom_injected ({injected}) != mem.oom_killed ({killed}) + \
+                 mem.oom_survived_by_degradation ({survived})"
+            ));
+        }
+        let spill_bytes = self.metric("mem.spill_bytes");
+        if spill_bytes > 0.0 && self.metric("mem.spills") == 0.0 {
+            return Err(format!(
+                "mem.spill_bytes ({spill_bytes}) without any mem.spills"
+            ));
+        }
+        let budget = self.metric("gauge.mem.task_budget_bytes");
+        let peak = self.metric("mem.peak_execution_bytes");
+        if budget > 0.0 && peak > budget {
+            return Err(format!(
+                "mem.peak_execution_bytes ({peak}) exceeds the governor's hard \
+                 cap gauge.mem.task_budget_bytes ({budget})"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -227,26 +299,28 @@ mod tests {
     }
 
     #[test]
-    fn capture_round_trips_through_json() {
+    fn capture_emits_a_coherent_parseable_document() {
         let c = small_cluster_with_work();
         let dataset = JsonValue::object(vec![("name", "toy".into()), ("records", 100u64.into())]);
         let config = JsonValue::object(vec![("mode", "fused".into())]);
         let mut m = RunManifest::capture("pipeline", "fused", dataset, config, &c);
         m.push_metric("pipeline.records", 100.0);
+        assert_eq!(m.check(), Ok(()));
 
-        let text = m.to_json().to_string();
-        let back = RunManifest::from_json(&crate::json::parse(&text).expect("parses")).expect("ok");
-        assert_eq!(back, m);
-        assert_eq!(back.schema_version, MANIFEST_SCHEMA_VERSION);
-        assert_eq!(back.metrics["virtual_seconds"], 1.5);
-        assert_eq!(back.metrics["counter.executor.tasks"], 2.0);
+        let back = crate::json::parse(&m.to_json().to_string()).expect("parses");
+        let schema = back.get("schema_version").and_then(JsonValue::as_f64);
+        assert_eq!(schema, Some(MANIFEST_SCHEMA_VERSION as f64));
+        let metric = |k: &str| back.get("metrics").and_then(|o| o.get(k)?.as_f64());
+        assert_eq!(metric("virtual_seconds"), Some(1.5));
+        assert_eq!(metric("counter.executor.tasks"), Some(2.0));
         assert_eq!(
-            back.metrics["mem.spills"], 0.0,
+            metric("mem.spills"),
+            Some(0.0),
             "mem.* keys exist (zero-valued) even without an armed governor"
         );
-        assert_eq!(back.metrics["mem.peak_execution_bytes"], 0.0);
-        assert_eq!(back.metrics["hist.executor.task_seconds.count"], 1.0);
-        assert_eq!(back.metrics["pipeline.records"], 100.0);
+        assert_eq!(metric("mem.peak_execution_bytes"), Some(0.0));
+        assert_eq!(metric("hist.executor.task_seconds.count"), Some(1.0));
+        assert_eq!(metric("pipeline.records"), Some(100.0));
     }
 
     #[test]
@@ -283,9 +357,127 @@ mod tests {
         );
     }
 
+    /// A manifest holding `metrics` and nothing else the rules read.
+    fn toy_manifest(metrics: &[(&str, f64)]) -> RunManifest {
+        RunManifest {
+            schema_version: MANIFEST_SCHEMA_VERSION,
+            bench: "toy".into(),
+            engine: "toy".into(),
+            dataset: JsonValue::Null,
+            config: JsonValue::Null,
+            fingerprint: String::new(),
+            metrics: metrics.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            detail: JsonValue::Null,
+        }
+    }
+
     #[test]
-    fn from_json_rejects_missing_fields() {
-        let v = crate::json::parse("{\"bench\":\"x\"}").unwrap();
-        assert!(RunManifest::from_json(&v).is_err());
+    fn integrity_metrics_must_be_present_and_consistent() {
+        let mut m = toy_manifest(&[]);
+        assert!(m
+            .check_integrity()
+            .unwrap_err()
+            .contains("missing integrity metric"));
+
+        m = toy_manifest(&[
+            ("integrity.corruptions_injected", 4.0),
+            ("integrity.corruptions_detected", 4.0),
+            ("integrity.corruptions_repaired", 4.0),
+            ("integrity.repaired_via_replica", 1.0),
+            ("integrity.repaired_via_recompute", 1.0),
+            ("integrity.repaired_via_resubmit", 2.0),
+        ]);
+        assert_eq!(m.check(), Ok(()));
+
+        m.push_metric("integrity.corruptions_detected", 3.0);
+        assert!(m.check().unwrap_err().contains("!= corruptions_injected"));
+
+        m.push_metric("integrity.corruptions_detected", 4.0);
+        m.push_metric("integrity.repaired_via_resubmit", 5.0);
+        assert!(m.check().unwrap_err().contains("repair paths sum"));
+    }
+
+    #[test]
+    fn bitmap_metrics_must_cohere() {
+        // A run that never touched the bitmap engine carries none of the
+        // counters and passes.
+        let mut m = toy_manifest(&[]);
+        assert_eq!(m.check_bitmap(), Ok(()));
+
+        m = toy_manifest(&[
+            ("counter.bitmap.words_intersected", 5000.0),
+            ("counter.bitmap.partitions_built", 8.0),
+            ("counter.bitmap.build_bytes", 4096.0),
+            ("counter.bitmap.fallbacks", 0.0),
+            ("peak_cache_bytes", 100_000.0),
+        ]);
+        assert_eq!(m.check_bitmap(), Ok(()));
+
+        // Words counted without a columnar store is impossible.
+        m.push_metric("counter.bitmap.partitions_built", 0.0);
+        assert!(m.check_bitmap().unwrap_err().contains("without any"));
+
+        // Builds always register bytes (and vice versa).
+        m.push_metric("counter.bitmap.partitions_built", 8.0);
+        m.push_metric("counter.bitmap.build_bytes", 0.0);
+        assert!(m
+            .check_bitmap()
+            .unwrap_err()
+            .contains("zero or nonzero together"));
+
+        // Falling back and building in the same run means the guard flapped.
+        m.push_metric("counter.bitmap.build_bytes", 4096.0);
+        m.push_metric("counter.bitmap.fallbacks", 1.0);
+        assert!(m.check_bitmap().unwrap_err().contains("flapped"));
+
+        // Columnar arenas live in the cache, bounded by its peak.
+        m.push_metric("counter.bitmap.fallbacks", 0.0);
+        m.push_metric("peak_cache_bytes", 100.0);
+        assert!(m
+            .check_bitmap()
+            .unwrap_err()
+            .contains("exceeds peak_cache_bytes"));
+    }
+
+    #[test]
+    fn memory_metrics_must_cohere() {
+        // A run without a governor carries none of the counters and passes.
+        let mut m = toy_manifest(&[]);
+        assert_eq!(m.check_memory(), Ok(()));
+
+        m = toy_manifest(&[
+            ("mem.oom_injected", 6.0),
+            ("mem.oom_killed", 4.0),
+            ("mem.oom_survived_by_degradation", 2.0),
+            ("mem.spills", 3.0),
+            ("mem.spill_bytes", 12288.0),
+            ("mem.peak_execution_bytes", 50_000.0),
+            ("gauge.mem.task_budget_bytes", 100_000.0),
+        ]);
+        assert_eq!(m.check_memory(), Ok(()));
+
+        // Every injected OOM is resolved exactly once.
+        m.push_metric("mem.oom_killed", 5.0);
+        assert!(m.check_memory().unwrap_err().contains("mem.oom_injected"));
+
+        // Spilled bytes without spill events is impossible.
+        m.push_metric("mem.oom_killed", 4.0);
+        m.push_metric("mem.spills", 0.0);
+        assert!(m
+            .check_memory()
+            .unwrap_err()
+            .contains("without any mem.spills"));
+
+        // A task peak above the governor's hard cap means the ledger leaked.
+        m.push_metric("mem.spills", 3.0);
+        m.push_metric("mem.peak_execution_bytes", 200_000.0);
+        assert!(m
+            .check_memory()
+            .unwrap_err()
+            .contains("exceeds the governor's hard cap"));
+
+        // An unarmed governor (budget gauge 0) bounds nothing.
+        m.push_metric("gauge.mem.task_budget_bytes", 0.0);
+        assert_eq!(m.check_memory(), Ok(()));
     }
 }

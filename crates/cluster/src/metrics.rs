@@ -593,25 +593,6 @@ impl Metrics {
         *g = MetricsInner::new(g.capacity());
     }
 
-    /// Aggregate the event log by kind: `(kind, events, total virtual time)`,
-    /// ordered by descending total time. Useful for "where did the time go"
-    /// breakdowns in experiment reports.
-    pub fn summary_by_kind(&self) -> Vec<(EventKind, usize, SimDuration)> {
-        let g = self.inner.lock();
-        let mut agg: Vec<(EventKind, usize, SimDuration)> = Vec::new();
-        for e in g.events.buf.iter() {
-            match agg.iter_mut().find(|(k, _, _)| *k == e.kind) {
-                Some((_, n, d)) => {
-                    *n += 1;
-                    *d += e.duration;
-                }
-                None => agg.push((e.kind, 1, e.duration)),
-            }
-        }
-        agg.sort_by_key(|e| std::cmp::Reverse(e.2));
-        agg
-    }
-
     /// Render the event log as an indented text timeline (one line per
     /// event), for debugging and experiment write-ups.
     pub fn render_timeline(&self) -> String {
@@ -821,20 +802,6 @@ mod tests {
         m.end_job(42);
         assert!(m.job_spans().is_empty());
         assert_eq!(m.snapshot().jobs, 0);
-    }
-
-    #[test]
-    fn summary_aggregates_by_kind() {
-        let m = Metrics::new();
-        m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Stage, "a");
-        m.advance_with_event(SimDuration::from_secs(2.0), EventKind::Stage, "b");
-        m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Broadcast, "c");
-        let s = m.summary_by_kind();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].0, EventKind::Stage);
-        assert_eq!(s[0].1, 2);
-        assert_eq!(s[0].2.as_secs(), 3.0);
-        assert_eq!(s[1].0, EventKind::Broadcast);
     }
 
     #[test]

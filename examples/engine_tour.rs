@@ -90,10 +90,8 @@ fn main() {
     );
 
     // ---- where did the virtual time go? ----
-    println!("\nvirtual-time breakdown:");
-    for (kind, n, total) in cluster.metrics().summary_by_kind() {
-        println!("  {kind:?}: {n} events, {total}");
-    }
+    let report = yafim::cluster::critical_path(cluster.metrics(), cluster.cost());
+    println!("\n{}", report.render());
     println!(
         "total virtual time: {:.2}s (note the MapReduce job dwarfing the RDD jobs)",
         cluster.metrics().now().as_secs()

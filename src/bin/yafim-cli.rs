@@ -358,7 +358,7 @@ fn cmd_mine() {
     }
 
     // `--manifest FILE` — write the versioned run manifest (the same
-    // document the bench binaries emit for the regression gate).
+    // document `repro` commits under `results/`), checked first.
     if let Some(path) = manifest {
         use yafim::cluster::json::JsonValue;
         let dataset = JsonValue::object(vec![
@@ -384,7 +384,14 @@ fn cmd_mine() {
             c,
         );
         manifest.push_metric("frequent_itemsets", result.total() as f64);
-        if let Err(e) = std::fs::write(&path, format!("{}\n", manifest.to_json())) {
+        let written = manifest
+            .check()
+            .map_err(|e| format!("incoherent manifest: {e}"))
+            .and_then(|()| {
+                std::fs::write(&path, format!("{}\n", manifest.to_json()))
+                    .map_err(|e| e.to_string())
+            });
+        if let Err(e) = written {
             eprintln!("{path}: {e}");
             exit(1);
         }
