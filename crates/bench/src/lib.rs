@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, SimCluster};
 use yafim_core::{MineError, Miner, MinerRun, Phase2Plan, Support};
-use yafim_data::{to_lines, PaperDataset, QuestConfig, Transaction};
+use yafim_data::{to_text, PaperDataset, QuestConfig, Transaction};
 
 /// A cluster of shape `spec` under the experiments' cost model, with
 /// `transactions` on its HDFS as `input.dat`.
@@ -23,9 +23,8 @@ use yafim_data::{to_lines, PaperDataset, QuestConfig, Transaction};
 /// below block granularity) keeps the whole cluster busy.
 pub fn loaded_cluster(spec: ClusterSpec, transactions: &[Transaction]) -> SimCluster {
     let cluster = SimCluster::new(spec, CostModel::hadoop_era());
-    cluster
-        .hdfs()
-        .put_overwrite("input.dat", to_lines(transactions));
+    let text = to_text(transactions);
+    cluster.hdfs().put_overwrite("input.dat", text);
     cluster
 }
 

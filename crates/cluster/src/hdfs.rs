@@ -5,6 +5,14 @@
 //! is the layout and the cost: files are split into blocks, each block has
 //! replicas placed deterministically across nodes, and the engines charge
 //! disk/network virtual time when they read or commit blocks.
+//!
+//! A file's contents are one buffer, [`Lines`]: the text with a `\n` after
+//! every line, and where each line starts; blocks, splits and byte counts
+//! come from those offsets alone. A writer that has such a buffer hands it
+//! over as it is, to several clusters if it likes
+//! (`yafim_data::read_canonical_text` checks a `.dat` file into one, in
+//! chunks, and is where the cleaning rule lives); a `Vec<String>` is joined
+//! once on its way in. Readers get views: no `String` per line exists.
 
 use crate::costmodel::CostModel;
 use crate::spec::{ClusterSpec, NodeId};
@@ -64,12 +72,116 @@ pub struct Split {
     pub preferred_node: NodeId,
 }
 
+/// Lines of text in one shared buffer: a whole file, or a range of its
+/// lines. Cheap to clone and to [`slice`](Lines::slice).
+#[derive(Clone)]
+pub struct Lines {
+    buf: Arc<TextBuf>,
+    /// The lines of `buf` this view covers.
+    range: Range<usize>,
+}
+
+struct TextBuf {
+    /// Every line, each followed by `\n`.
+    text: String,
+    /// Where each line starts in `text`, and `text.len()` last: line `i` is
+    /// `text[offsets[i]..offsets[i + 1] - 1]`.
+    offsets: Vec<u64>,
+}
+
+/// The lines of a text, which start at the offsets (what
+/// `yafim_data::read_canonical_text` and `to_text` return): ascending from 0
+/// to the text's length, a `\n` before each but the first.
+impl From<(String, Vec<u64>)> for Lines {
+    fn from((text, offsets): (String, Vec<u64>)) -> Self {
+        let whole = offsets.first() == Some(&0) && offsets.last() == Some(&(text.len() as u64));
+        let ended = |w: &[u64]| w[0] < w[1] && text.as_bytes()[w[1] as usize - 1] == b'\n';
+        let valid = whole && offsets.windows(2).all(ended);
+        assert!(valid, "offsets do not cut the text into `\\n`-ended lines");
+        let range = 0..offsets.len() - 1;
+        let buf = Arc::new(TextBuf { text, offsets });
+        Lines { buf, range }
+    }
+}
+
+impl Lines {
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.range.len()
+    }
+
+    /// Whether there are no lines.
+    pub fn is_empty(&self) -> bool {
+        self.range.is_empty()
+    }
+
+    /// Where line `i` starts in the buffer (`i == len()`: where the last ends).
+    fn offset(&self, i: usize) -> usize {
+        self.buf.offsets[self.range.start + i] as usize
+    }
+
+    /// Line `i`, without its newline.
+    pub fn get(&self, i: usize) -> Option<&str> {
+        (i < self.len()).then(|| &self.buf.text[self.offset(i)..self.offset(i + 1) - 1])
+    }
+
+    /// The lines in order, each without its newline.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
+        let starts = &self.buf.offsets[self.range.start..=self.range.end];
+        let line = |w: &[u64]| &self.buf.text[w[0] as usize..w[1] as usize - 1];
+        starts.windows(2).map(line)
+    }
+
+    /// The lines `range` of these, sharing the buffer.
+    pub fn slice(&self, range: Range<usize>) -> Lines {
+        assert!(range.start <= range.end && range.end <= self.len());
+        let range = self.range.start + range.start..self.range.start + range.end;
+        let buf = Arc::clone(&self.buf);
+        Lines { buf, range }
+    }
+
+    /// The lines as they lie in the buffer, a `\n` after each.
+    pub fn text(&self) -> &str {
+        &self.buf.text[self.offset(0)..self.offset(self.len())]
+    }
+
+    /// Exact byte size of the lines `range`, newlines included.
+    fn range_bytes(&self, range: Range<usize>) -> u64 {
+        (self.offset(range.end) - self.offset(range.start)) as u64
+    }
+}
+
+/// The lines joined into one buffer, which a line holding a `\n` of its own
+/// does not confuse: the offsets come from the lengths.
+impl From<Vec<String>> for Lines {
+    fn from(lines: Vec<String>) -> Self {
+        let mut text = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        let mut offsets = Vec::with_capacity(lines.len() + 1);
+        offsets.push(0);
+        for line in &lines {
+            text.push_str(line);
+            text.push('\n');
+            offsets.push(text.len() as u64);
+        }
+        Lines::from((text, offsets))
+    }
+}
+
+/// What the lines weigh as the `Vec<String>` of them (`len + 8` each), and
+/// one record a line: the element an RDD of whole splits holds.
+impl crate::bytes::ByteSize for Lines {
+    fn byte_size(&self) -> u64 {
+        self.range_bytes(0..self.len()) + 7 * self.len() as u64
+    }
+
+    fn records(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
 struct FileInner {
     name: String,
-    lines: Arc<Vec<String>>,
-    /// offsets[i] = bytes of lines[..i] including one newline per line;
-    /// offsets.len() == lines.len() + 1.
-    offsets: Vec<u64>,
+    lines: Lines,
     blocks: Vec<BlockInfo>,
 }
 
@@ -87,7 +199,7 @@ impl DfsFile {
 
     /// Total size in bytes.
     pub fn bytes(&self) -> u64 {
-        *self.inner.offsets.last().expect("offsets never empty")
+        self.range_bytes(0..self.num_lines())
     }
 
     /// Number of lines.
@@ -95,8 +207,8 @@ impl DfsFile {
         self.inner.lines.len()
     }
 
-    /// Shared reference to the real file contents.
-    pub fn lines(&self) -> &Arc<Vec<String>> {
+    /// The real file contents.
+    pub fn lines(&self) -> &Lines {
         &self.inner.lines
     }
 
@@ -105,9 +217,16 @@ impl DfsFile {
         &self.inner.blocks
     }
 
+    /// Replica count of the block holding line `line`: the copies a
+    /// verifying reader of a split starting there can fall back to.
+    pub fn replicas_at(&self, line: usize) -> u32 {
+        let block = self.blocks().iter().find(|b| b.lines.contains(&line));
+        block.map_or(1, |b| b.replicas.len().max(1)) as u32
+    }
+
     /// Exact byte size of a line range.
     pub fn range_bytes(&self, range: Range<usize>) -> u64 {
-        self.inner.offsets[range.end] - self.inner.offsets[range.start]
+        self.inner.lines.range_bytes(range)
     }
 
     /// Derive input splits: one per block, subdividing blocks further if
@@ -123,24 +242,15 @@ impl DfsFile {
         let mut out = Vec::new();
         for b in blocks {
             let n_lines = b.lines.len();
-            let parts = per_block.min(n_lines.max(1));
-            let chunk = n_lines.div_ceil(parts.max(1)).max(1);
-            let mut start = b.lines.start;
-            while start < b.lines.end {
-                let end = (start + chunk).min(b.lines.end);
+            let chunk = n_lines.div_ceil(per_block.min(n_lines).max(1)).max(1);
+            // A block without lines (an empty file's only one) is one split.
+            let starts = b.lines.start..b.lines.end.max(b.lines.start + 1);
+            for start in starts.step_by(chunk) {
+                let lines = start..(start + chunk).min(b.lines.end);
                 out.push(Split {
                     index: out.len(),
-                    lines: start..end,
-                    bytes: self.range_bytes(start..end),
-                    preferred_node: b.replicas[0],
-                });
-                start = end;
-            }
-            if n_lines == 0 {
-                out.push(Split {
-                    index: out.len(),
-                    lines: b.lines.clone(),
-                    bytes: 0,
+                    bytes: self.range_bytes(lines.clone()),
+                    lines,
                     preferred_node: b.replicas[0],
                 });
             }
@@ -286,23 +396,22 @@ impl SimHdfs {
     }
 
     /// Store a file; errors if the name is taken.
-    pub fn put(&self, name: impl Into<String>, lines: Vec<String>) -> Result<DfsFile, DfsError> {
+    pub fn put(
+        &self,
+        name: impl Into<String>,
+        lines: impl Into<Lines>,
+    ) -> Result<DfsFile, DfsError> {
         let name = name.into();
-        {
-            let files = self.files.read();
-            if files.contains_key(&name) {
-                return Err(DfsError::AlreadyExists(name));
-            }
+        if self.exists(&name) {
+            return Err(DfsError::AlreadyExists(name));
         }
-        let file = self.build_file(name.clone(), lines);
-        self.files.write().insert(name, file.clone());
-        Ok(file)
+        Ok(self.put_overwrite(name, lines))
     }
 
     /// Store a file, replacing any previous version.
-    pub fn put_overwrite(&self, name: impl Into<String>, lines: Vec<String>) -> DfsFile {
+    pub fn put_overwrite(&self, name: impl Into<String>, lines: impl Into<Lines>) -> DfsFile {
         let name = name.into();
-        let file = self.build_file(name.clone(), lines);
+        let file = self.build_file(name.clone(), lines.into());
         self.files.write().insert(name, file.clone());
         file
     }
@@ -335,37 +444,28 @@ impl SimHdfs {
         self.files.read().keys().cloned().collect()
     }
 
-    fn build_file(&self, name: String, lines: Vec<String>) -> DfsFile {
+    fn build_file(&self, name: String, lines: Lines) -> DfsFile {
         let block_size = self.block_size();
-        let mut offsets = Vec::with_capacity(lines.len() + 1);
-        offsets.push(0u64);
-        for l in &lines {
-            let last = *offsets.last().expect("non-empty");
-            offsets.push(last + l.len() as u64 + 1); // +1 for the newline
-        }
 
         // Cut blocks at line boundaries once the byte budget is exceeded.
         let mut blocks = Vec::new();
         let mut start = 0usize;
-        let mut start_off = 0u64;
         for i in 0..lines.len() {
-            let end_off = offsets[i + 1];
-            if end_off - start_off >= block_size {
+            if lines.range_bytes(start..i + 1) >= block_size {
                 blocks.push(start..i + 1);
                 start = i + 1;
-                start_off = end_off;
             }
         }
         if start < lines.len() || blocks.is_empty() {
             blocks.push(start..lines.len());
         }
 
-        let replication = self.cost.hdfs_replication.min(self.spec.nodes).max(1);
+        let replication = self.replication();
         let blocks = blocks
             .into_iter()
             .enumerate()
             .map(|(index, range)| {
-                let bytes = offsets[range.end] - offsets[range.start];
+                let bytes = lines.range_bytes(range.clone());
                 let replicas = (0..replication)
                     .map(|r| NodeId((index as u32 + r) % self.spec.nodes))
                     .collect();
@@ -381,8 +481,7 @@ impl SimHdfs {
         DfsFile {
             inner: Arc::new(FileInner {
                 name,
-                lines: Arc::new(lines),
-                offsets,
+                lines,
                 blocks,
             }),
         }
@@ -408,7 +507,7 @@ mod tests {
         let f = fs.put("a.dat", lines(10)).unwrap();
         assert_eq!(f.num_lines(), 10);
         let g = fs.get("a.dat").unwrap();
-        assert_eq!(g.lines()[3], "line 3");
+        assert_eq!(g.lines().get(3), Some("line 3"));
         assert!(fs.exists("a.dat"));
         assert_eq!(fs.list(), vec!["a.dat".to_string()]);
     }

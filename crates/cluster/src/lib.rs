@@ -71,7 +71,7 @@ pub use fault::{
     IntegrityTier, MemoryCounters, RecoveryCounters, TransientKind, TransientOutcome,
 };
 pub use hash::{bucket_of, fx_hash64, FxHashMap, FxHashSet, FxHasher};
-pub use hdfs::{BlockInfo, CheckpointBlock, DfsError, DfsFile, SimHdfs, Split};
+pub use hdfs::{BlockInfo, CheckpointBlock, DfsError, DfsFile, Lines, SimHdfs, Split};
 pub use manifest::{RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use memgov::{
     storage_capacity, MemEffect, MemGrant, MemoryBudget, MemoryRefusal, OomAbort, TaskMemory,

@@ -68,11 +68,6 @@ impl Condvar {
     pub fn notify_all(&self) {
         self.0.notify_all();
     }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
 }
 
 #[cfg(test)]

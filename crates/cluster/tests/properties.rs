@@ -5,8 +5,8 @@
 //! coverage is property-test-like while remaining reproducible offline.
 
 use yafim_cluster::{
-    bucket_of, fx_hash64, ClusterSpec, CostModel, SimDuration, SimHdfs, TaskSpec, VirtualScheduler,
-    WorkCounters,
+    bucket_of, fx_hash64, ByteSize, ClusterSpec, CostModel, Lines, SimDuration, SimHdfs, TaskSpec,
+    VirtualScheduler, WorkCounters,
 };
 
 /// Tiny deterministic generator for test inputs (splitmix64).
@@ -179,4 +179,76 @@ fn cost_model_scales_linearly() {
         let two = m.disk_read(bytes * 2).as_secs();
         assert!((two - 2.0 * one).abs() < 1e-9, "case {case}");
     }
+}
+
+/// A file is one buffer however it was handed over: joined from a
+/// `Vec<String>` or taken as text + offsets, it has the same lines, bytes,
+/// blocks and splits, and every view of it is those lines.
+#[test]
+fn hdfs_lines_are_views_of_one_buffer() {
+    let fs = SimHdfs::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
+    // "ab\n" + "cde\n" = 7 bytes.
+    let f = fs.put_overwrite("b", vec!["ab".to_string(), "cde".to_string()]);
+    assert_eq!(
+        (f.bytes(), f.range_bytes(0..1), f.range_bytes(1..2)),
+        (7, 3, 4)
+    );
+
+    let mut rng = Rng(6);
+    fs.set_block_size(64);
+    for case in 0..64 {
+        let n_lines = rng.range(0, 60) as usize;
+        let lines: Vec<String> = (0..n_lines)
+            .map(|i| "y".repeat(rng.range(0, 30) as usize) + &i.to_string())
+            .collect();
+        let mut text = String::new();
+        let mut offsets = vec![0u64];
+        for line in &lines {
+            text.push_str(line);
+            text.push('\n');
+            offsets.push(text.len() as u64);
+        }
+        let joined = fs.put_overwrite("joined", lines.clone());
+        let taken = fs.put_overwrite("taken", Lines::from((text.clone(), offsets)));
+        for f in [&joined, &taken] {
+            assert_eq!((f.num_lines(), f.bytes()), (n_lines, text.len() as u64));
+            assert!(f.lines().iter().eq(&lines), "case {case}");
+            assert_eq!(f.lines().text(), text, "case {case}");
+            assert_eq!(f.lines().get(n_lines), None);
+            let weight: u64 = lines.iter().map(|l| l.len() as u64 + 8).sum();
+            assert_eq!(f.lines().byte_size(), weight);
+            assert_eq!(f.lines().records(), n_lines as u64);
+            for s in f.splits(5) {
+                let view = f.lines().slice(s.lines.clone());
+                assert!(view.iter().eq(&lines[s.lines.clone()]), "case {case}");
+                assert_eq!(view.text().len() as u64, s.bytes, "case {case}");
+                assert_eq!(
+                    view.get(0),
+                    lines[s.lines.clone()].first().map(String::as_str)
+                );
+                let sub = view.slice(view.len() / 2..view.len());
+                assert!(sub
+                    .iter()
+                    .eq(&lines[s.lines.start + view.len() / 2..s.lines.end]));
+            }
+        }
+        let blocks = |f: &yafim_cluster::DfsFile| format!("{:?}", f.blocks());
+        assert_eq!(blocks(&joined), blocks(&taken), "case {case}");
+        // One buffer, two clusters: a handle, not a copy.
+        let other = SimHdfs::new(ClusterSpec::new(2, 2, 1 << 30), CostModel::hadoop_era());
+        let shared = other.put_overwrite("shared", taken.lines().clone());
+        assert_eq!(
+            shared.lines().text().as_ptr(),
+            taken.lines().text().as_ptr()
+        );
+    }
+    // A line with a newline of its own is still one line.
+    let f = fs.put_overwrite("nl", vec!["a\nb".to_string(), String::new()]);
+    assert_eq!(f.lines().iter().collect::<Vec<_>>(), ["a\nb", ""]);
+}
+
+#[test]
+#[should_panic(expected = "ended lines")]
+fn hdfs_refuses_offsets_that_do_not_cut_lines() {
+    let _ = Lines::from(("ab\ncd\n".to_string(), vec![0, 2, 6]));
 }

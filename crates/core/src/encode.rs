@@ -28,13 +28,30 @@ use yafim_cluster::ByteSize;
 /// assert_eq!(enc.encode(&[2, 3, 9, 40]), vec![0, 2]); // 3 → rank 0, 40 → rank 2
 /// assert_eq!(enc.item(2), 40);
 /// ```
+///
+/// The way from an item to its rank is an index of the host's own. What
+/// ships is `items`, and that is all [`byte_size`](ByteSize::byte_size)
+/// sees: a receiver rebuilds it.
 #[derive(Clone, Debug)]
 pub struct DenseEncoder {
     /// Frequent items, strictly ascending; the rank of `items[r]` is `r`.
     items: Vec<Item>,
-    /// The O(1) way in, as in the hash tree: an item's index is its rank.
-    ranks: ItemTable,
+    ranks: Ranks,
 }
+
+/// The O(1) way from an item to its rank, one per dictionary.
+#[derive(Clone, Debug)]
+enum Ranks {
+    /// `direct[item]` is the item's rank, or [`NO_RANK`]: while the largest
+    /// frequent id is below [`DIRECT_MAX_ITEMS`].
+    Direct(Vec<u32>),
+    /// Beyond, where memory must follow the number of items and not their
+    /// magnitude: as in the hash tree, an item's index is its rank.
+    Table(ItemTable),
+}
+
+/// No rank: a dictionary holds fewer than `u32::MAX` items.
+const NO_RANK: u32 = u32::MAX;
 
 impl DenseEncoder {
     /// Build from the frequent items, which must be strictly ascending
@@ -44,7 +61,15 @@ impl DenseEncoder {
             items.windows(2).all(|w| w[0] < w[1]),
             "frequent items must be strictly ascending"
         );
-        let ranks = ItemTable::new(items.iter().copied());
+        let ranks = match items.last() {
+            Some(&top) if (top as usize) < DIRECT_MAX_ITEMS => {
+                let mut direct = vec![NO_RANK; top as usize + 1];
+                let ranked = (0u32..).zip(&items);
+                ranked.for_each(|(rank, &item)| direct[item as usize] = rank);
+                Ranks::Direct(direct)
+            }
+            _ => Ranks::Table(ItemTable::new(items.iter().copied())),
+        };
         DenseEncoder { items, ranks }
     }
 
@@ -61,7 +86,10 @@ impl DenseEncoder {
     /// Dense rank of `item`, if frequent.
     #[inline]
     pub fn rank(&self, item: Item) -> Option<u32> {
-        self.ranks.get(item)
+        match &self.ranks {
+            Ranks::Direct(direct) => direct.get(item as usize).copied().filter(|&r| r != NO_RANK),
+            Ranks::Table(table) => table.get(item),
+        }
     }
 
     /// The original item at `rank`.
@@ -79,7 +107,18 @@ impl DenseEncoder {
 
     /// [`DenseEncoder::encode`], appending to `out`.
     pub(crate) fn encode_into(&self, t: &[Item], out: &mut Vec<Item>) {
-        out.extend(t.iter().filter_map(|&item| self.rank(item)));
+        let Ranks::Direct(direct) = &self.ranks else {
+            return out.extend(t.iter().filter_map(|&item| self.rank(item)));
+        };
+        // Every item writes its rank; only a hit moves the write position.
+        let mut n = out.len();
+        out.resize(n + t.len(), 0);
+        for &item in t {
+            let rank = direct.get(item as usize).copied().unwrap_or(NO_RANK);
+            out[n] = rank;
+            n += usize::from(rank != NO_RANK);
+        }
+        out.truncate(n);
     }
 
     /// Map a rank-space itemset back to the original alphabet. Monotonicity
@@ -166,6 +205,11 @@ pub fn tri_pair(n: usize, mut idx: usize) -> (usize, usize) {
 /// The `k ≥ 3` vertical bitmap counter has the same shape of guard over its
 /// arena: [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS).
 pub const TRIANGLE_MAX_CELLS: usize = 1 << 24;
+
+/// The ids a [`DenseEncoder`] indexes directly (4 bytes each, on the host
+/// only): a dictionary whose largest frequent id is this or more probes a
+/// table of its items instead. Every benchmark alphabet is thousands of ids.
+pub const DIRECT_MAX_ITEMS: usize = 1 << 20;
 
 #[cfg(test)]
 mod tests {

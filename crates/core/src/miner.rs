@@ -190,7 +190,7 @@ impl Miner {
             Miner::Sequential | Miner::Eclat | Miner::FpGrowth => {
                 let file = cluster.hdfs().get(input)?;
                 let transactions: Vec<Transaction> =
-                    file.lines().iter().map(|l| parse_transaction(l)).collect();
+                    file.lines().iter().map(parse_transaction).collect();
                 let mine = self.in_memory().expect("a single-node miner");
                 Ok(MinerRun {
                     result: mine(&transactions, support),

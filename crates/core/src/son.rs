@@ -25,7 +25,7 @@ use crate::mrapriori::{counting_job, MrMatching};
 use crate::types::{
     parse_transaction, Itemset, MinerRun, MiningResult, PassTiming, Support, JVM_TREE_VISIT_UNITS,
 };
-use yafim_cluster::{EventKind, SimCluster};
+use yafim_cluster::{EventKind, Lines, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 /// Options for a SON run.
@@ -82,8 +82,8 @@ impl Son {
         let job1 = MapReduceJob::new_per_split(
             "SON phase 1 (local mining)",
             input,
-            move |_off, lines: &[String], em: &mut Emitter<Itemset, u64>, w| {
-                let local: Vec<Vec<u32>> = lines.iter().map(|l| parse_transaction(l)).collect();
+            move |_off, lines: &Lines, em: &mut Emitter<Itemset, u64>, w| {
+                let local: Vec<Vec<u32>> = lines.iter().map(parse_transaction).collect();
                 // Scale the threshold to the split share, rounding *down* so
                 // no globally frequent itemset can be missed.
                 let local_sup =

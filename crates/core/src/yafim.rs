@@ -71,7 +71,7 @@ use crate::types::{
 use std::cell::RefCell;
 use std::sync::Arc;
 use yafim_cluster::{
-    memgov, slice_records, ByteSize, EventKind, ExecError, FxHashMap, RecoveryCounters,
+    memgov, slice_records, ByteSize, EventKind, ExecError, FxHashMap, Lines, RecoveryCounters,
     SimDuration, SPILL_GRANULE,
 };
 use yafim_rdd::{Context, Data, PartialSize, Rdd, TaskContext};
@@ -301,7 +301,7 @@ impl Yafim {
         // ---- Phase I: load + cache + frequent items ----
         let pass1_start = metrics.now();
         let transactions: Rdd<TxBlock> = ctx
-            .text_file(input, partitions)?
+            .text_splits(input, partitions)?
             .map_partitions(parse_lines)
             .cache();
         // From here on every exit, `?` included, releases what the run holds.
@@ -431,16 +431,6 @@ impl Yafim {
                 old.unpersist();
             }
 
-            if lk.is_empty() {
-                metrics.record_span(EventKind::Iteration, format!("pass {pass}"), pass_start);
-                passes.push(PassTiming {
-                    pass,
-                    seconds: metrics.now().since(pass_start).as_secs(),
-                    candidates: n_candidates,
-                    frequent: 0,
-                });
-                break;
-            }
             lk.sort_by(|a, b| a.0.cmp(&b.0));
 
             // Last-line tripwire behind the storage integrity layer: if a
@@ -456,6 +446,9 @@ impl Yafim {
                 candidates: n_candidates,
                 frequent: lk.len(),
             });
+            if lk.is_empty() {
+                break;
+            }
 
             // ---- Cross-pass trimming (DHP-style) ----
             //
@@ -963,10 +956,12 @@ fn rows_of(part: &[TxBlock]) -> impl Iterator<Item = &[Item]> {
 }
 
 /// One split's lines as one block, a row per line: a line without items
-/// stays a row, as it stayed a transaction.
-fn parse_lines(lines: &[String], _: &TaskContext) -> Vec<TxBlock> {
-    TxBlock::build(lines.len(), 0, |block| {
-        for line in lines {
+/// stays a row, as it stayed a transaction. An item takes two bytes of the
+/// split's text at least: one reservation covers every `scan_line`'s own.
+fn parse_lines(part: &[Lines], _: &TaskContext) -> Vec<TxBlock> {
+    let items = part.iter().map(|lines| lines.text().len() / 2 + 1).sum();
+    TxBlock::build(slice_records(part) as usize, items, |block| {
+        for line in part.iter().flat_map(Lines::iter) {
             block.push_row(0, |row| yafim_data::scan_line(line, row));
         }
     })
@@ -978,17 +973,32 @@ fn parse_lines(lines: &[String], _: &TaskContext) -> Vec<TxBlock> {
 /// (DESIGN.md §5): over `I` items, `D` distinct, flatMap's `I` outputs, map's
 /// `I` in and out and the combiner's `I` inputs, less the `D` pairs the
 /// engine itself counts out of this kernel and into the shuffle.
+///
+/// Counted by index when the partition's largest id (the largest last item:
+/// rows ascend) is below its own item count, so that zeroing the array never
+/// costs more than filling it, and through a map otherwise.
 fn count_items(part: &[TxBlock], tc: &TaskContext) -> Vec<(Item, u64)> {
-    let mut counts: FxHashMap<Item, u64> = FxHashMap::default();
-    let mut items = 0;
-    for block in part {
-        items += block.items().len();
-        for &item in block.items() {
-            *counts.entry(item).or_default() += 1;
+    let items: usize = part.iter().map(|block| block.items().len()).sum();
+    let all_items = || part.iter().flat_map(|block| block.items());
+    let top = rows_of(part).filter_map(|row| row.last()).max();
+    let pairs: Vec<(Item, u64)> = match top {
+        Some(&top) if (top as usize) < items => {
+            let mut counts = vec![0u64; top as usize + 1];
+            for &item in all_items() {
+                counts[item as usize] += 1;
+            }
+            cells_at_least(&counts, 1)
         }
-    }
-    let mut pairs: Vec<(Item, u64)> = counts.into_iter().collect();
-    pairs.sort_unstable();
+        _ => {
+            let mut counts: FxHashMap<Item, u64> = FxHashMap::default();
+            for &item in all_items() {
+                *counts.entry(item).or_default() += 1;
+            }
+            let mut pairs: Vec<(Item, u64)> = counts.into_iter().collect();
+            pairs.sort_unstable();
+            pairs
+        }
+    };
     let chain = (2 * items - pairs.len()) as u64;
     tc.add_records_in(chain);
     tc.add_records_out(chain);
@@ -1077,8 +1087,8 @@ fn count_bitmaps(acc: &mut [u64], cols: &[ColumnarPartition], cands: &[Itemset])
 /// it to the cluster's HDFS first (used by tests and examples).
 pub fn mine_in_memory(ctx: &Context, transactions: &[Vec<Item>], config: YafimConfig) -> MinerRun {
     let path = format!("yafim-inmem-{}.dat", std::process::id());
-    let lines = yafim_data::to_lines(transactions);
-    let file = ctx.cluster().hdfs().put_overwrite(&path, lines);
+    let text = yafim_data::to_text(transactions);
+    let file = ctx.cluster().hdfs().put_overwrite(&path, text);
     let hdfs_write_cost = ctx.cluster().cost().hdfs_write(file.bytes());
     ctx.metrics()
         .advance_with_event(hdfs_write_cost, EventKind::HdfsWrite, path.clone());

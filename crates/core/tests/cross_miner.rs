@@ -8,6 +8,7 @@
 //! adversarial shapes at the end are the ones a generator never draws.
 
 use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
+use yafim_core::encode::DIRECT_MAX_ITEMS;
 use yafim_core::{
     apriori, Miner, MiningResult, MrApriori, MrAprioriConfig, MrVariant, SequentialConfig, Support,
 };
@@ -119,6 +120,17 @@ fn adversarial_shapes_all_miners_agree_at_1_2_and_8_pool_threads() {
     let identical = vec![vec![3, 5, 9]; 40];
     let tiny = vec![vec![1, 2], vec![2, 3], vec![1, 2, 3], vec![4]];
     let disjoint: Vec<Vec<u32>> = (0..30).map(|i| vec![2 * i, 2 * i + 1]).collect();
+    // Ids on both sides of where `DenseEncoder` stops indexing by item.
+    let edge = DIRECT_MAX_ITEMS as u32;
+    let below = [
+        vec![0, edge - 1, edge],
+        vec![0, edge - 1, edge + 1],
+        vec![0, edge - 1, u32::MAX],
+        vec![0, edge - 1],
+    ];
+    let at = [vec![0, edge], vec![0, edge], vec![0, edge, edge + 1]];
+    let mut across = vec![vec![0, edge - 1, edge, edge + 1, u32::MAX]; 3];
+    across.push(vec![0, u32::MAX]);
     let shape = |name, transactions, support, levels| Shape {
         name,
         transactions,
@@ -147,6 +159,24 @@ fn adversarial_shapes_all_miners_agree_at_1_2_and_8_pool_threads() {
             &[1],
         ),
         shape("empty L1", &disjoint, Support::Count(2), &[]),
+        shape(
+            "largest frequent id = the constant - 1",
+            &below,
+            Support::Count(3),
+            &[2, 1],
+        ),
+        shape(
+            "largest frequent id = the constant",
+            &at,
+            Support::Count(2),
+            &[2, 1],
+        ),
+        shape(
+            "ids across the constant",
+            &across,
+            Support::Count(3),
+            &[5, 10, 10, 5, 1],
+        ),
     ];
     for s in shapes {
         let reference = mine(Miner::Sequential, s.transactions, s.support, 1);

@@ -35,7 +35,7 @@ pub mod rng;
 
 pub use dense::{DenseConfig, DenseGenerator};
 pub use io::{
-    from_lines, read_canonical_lines, read_dat, replicate, scan_line, to_lines, write_dat,
+    from_lines, read_canonical_text, read_dat, replicate, scan_line, to_lines, to_text, write_dat,
 };
 pub use medical::{MedicalConfig, MedicalGenerator};
 pub use profiles::{DatasetProfile, PaperDataset};

@@ -3,7 +3,7 @@
 
 use crate::emitter::Emitter;
 use std::sync::Arc;
-use yafim_cluster::{ByteSize, WorkCounters};
+use yafim_cluster::{ByteSize, Lines, WorkCounters};
 
 /// Bound for intermediate/output keys: hashable (partitioning), ordered
 /// (Hadoop's sort-based shuffle presents keys in sorted order), sizeable
@@ -23,7 +23,7 @@ pub type MapFn<KM, VM> =
 /// local mining phase; the equivalent of doing the work in Hadoop's
 /// `cleanup()` after buffering).
 pub type SplitMapFn<KM, VM> =
-    Arc<dyn Fn(u64, &[String], &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync>;
+    Arc<dyn Fn(u64, &Lines, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync>;
 
 /// The map phase: per-line (classic) or per-split.
 pub enum MapPhase<KM, VM> {
@@ -84,18 +84,7 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
         mapper: impl Fn(u64, &str, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync + 'static,
         reducer: impl Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync + 'static,
     ) -> Self {
-        MapReduceJob {
-            name: name.into(),
-            input: input.into(),
-            reduce_tasks: 0,
-            split_size: None,
-            side_data_bytes: 0,
-            mapper: MapPhase::PerLine(Arc::new(mapper)),
-            combiner: None,
-            key_table: Arc::new([]),
-            reducer: Arc::new(reducer),
-            output: None,
-        }
+        Self::with_mapper(name, input, MapPhase::PerLine(Arc::new(mapper)), reducer)
     }
 
     /// Like [`MapReduceJob::new`] but with a split-level mapper that sees a
@@ -103,7 +92,16 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
     pub fn new_per_split(
         name: impl Into<String>,
         input: impl Into<String>,
-        mapper: impl Fn(u64, &[String], &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync + 'static,
+        mapper: impl Fn(u64, &Lines, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync + 'static,
+        reducer: impl Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync + 'static,
+    ) -> Self {
+        Self::with_mapper(name, input, MapPhase::PerSplit(Arc::new(mapper)), reducer)
+    }
+
+    fn with_mapper(
+        name: impl Into<String>,
+        input: impl Into<String>,
+        mapper: MapPhase<KM, VM>,
         reducer: impl Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync + 'static,
     ) -> Self {
         MapReduceJob {
@@ -112,7 +110,7 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
             reduce_tasks: 0,
             split_size: None,
             side_data_bytes: 0,
-            mapper: MapPhase::PerSplit(Arc::new(mapper)),
+            mapper,
             combiner: None,
             key_table: Arc::new([]),
             reducer: Arc::new(reducer),

@@ -35,7 +35,7 @@ pub use runner::{JobStats, MrJobResult, MrRunner};
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use yafim_cluster::{ClusterSpec, CostModel, EventKind, SimCluster};
+    use yafim_cluster::{ClusterSpec, CostModel, EventKind, Lines, SimCluster};
 
     fn cluster() -> SimCluster {
         SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 4)
@@ -140,9 +140,9 @@ mod tests {
         let result = runner.run(job).unwrap();
         let f = result.output_file.expect("output file");
         assert!(c.hdfs().exists("out/part"));
-        let mut lines = f.lines().as_ref().clone();
+        let mut lines: Vec<&str> = f.lines().iter().collect();
         lines.sort();
-        assert_eq!(lines, vec!["x\t2".to_string(), "y\t1".to_string()]);
+        assert_eq!(lines, ["x\t2", "y\t1"]);
     }
 
     #[test]
@@ -193,7 +193,7 @@ mod tests {
         let job = MapReduceJob::new_per_split(
             "split-count",
             "in.txt",
-            |off, lines: &[String], em: &mut Emitter<String, u64>, _w| {
+            |off, lines: &Lines, em: &mut Emitter<String, u64>, _w| {
                 em.emit(format!("off{off}"), lines.len() as u64);
             },
             |k: &String, vs: Vec<u64>, em: &mut Emitter<String, u64>, _w| {

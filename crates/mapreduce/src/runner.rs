@@ -7,7 +7,8 @@ use std::sync::Arc;
 use yafim_cluster::{
     bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsFile, EventKind, ExecError,
     FxHashMap, IntegrityCounters, IntegrityTier, RecoveryCounters, SimCluster, SimDuration,
-    StageExecution, TaskExecution, TaskMemory, TaskProfile, TaskSpec, WorkCounters, SPILL_GRANULE,
+    StageExecution, TaskExecution, TaskMemory, TaskPlacement, TaskProfile, TaskSpec, WorkCounters,
+    SPILL_GRANULE,
 };
 
 /// The smallest split share worth a host unit: below it a unit's fixed cost
@@ -81,6 +82,39 @@ impl MrRunner {
         Ok((fs.schedule, fs.recovery, pad))
     }
 
+    /// Record a scheduled wave as a stage: its `i`-th placement ran
+    /// partition `tasks[i].0` with profile `tasks[i].1`. Every wave ends on
+    /// a heartbeat boundary.
+    fn record_wave(
+        &self,
+        label: String,
+        detailed: &DetailedSchedule,
+        recovery: RecoveryCounters,
+        pad: SimDuration,
+        tasks: impl Iterator<Item = (usize, TaskProfile)>,
+    ) {
+        let latency = SimDuration::from_secs(self.cluster.cost().mr_wave_latency);
+        let task = |(pl, (partition, profile)): (&TaskPlacement, _)| TaskExecution {
+            partition,
+            node: pl.node,
+            core: pl.core,
+            start: pl.start,
+            duration: pl.duration,
+            profile,
+        };
+        let stage = StageExecution {
+            label,
+            kind: EventKind::Stage,
+            shuffle_id: None,
+            overhead: SimDuration::ZERO,
+            trailing: latency * detailed.outcome.waves as f64 + pad,
+            tasks: detailed.placements.iter().zip(tasks).map(task).collect(),
+        };
+        let metrics = self.cluster.metrics();
+        metrics.record_stage_with_recovery(stage, recovery);
+        self.cluster.record_sched_stage(detailed.decision_units);
+    }
+
     /// Execute one job: map → shuffle/sort → reduce → commit.
     pub fn run<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue>(
         &self,
@@ -141,17 +175,8 @@ impl MrRunner {
         let faults = cluster.faults().clone();
         let integrity = faults.integrity_active();
         let integrity_id = fx_hash64(&job.input);
-        let split_replicas: Vec<u32> = splits
-            .iter()
-            .map(|s| {
-                file.blocks()
-                    .iter()
-                    .find(|b| b.lines.start <= s.lines.start && s.lines.start < b.lines.end)
-                    .map(|b| b.replicas.len())
-                    .unwrap_or(1)
-                    .max(1) as u32
-            })
-            .collect();
+        let replicas = splits.iter().map(|s| file.replicas_at(s.lines.start));
+        let split_replicas: Vec<u32> = replicas.collect();
         if integrity {
             for (i, &copies) in split_replicas.iter().enumerate() {
                 if (0..copies).all(|c| faults.corrupted(IntegrityTier::Hdfs, integrity_id, i, c)) {
@@ -194,7 +219,7 @@ impl MrRunner {
         let unit_outs = cluster.pool().map(units, move |_, (i, range)| {
             let mut w = WorkCounters::new();
             let mut em = Emitter::over_table(table.len(), unit_fold.clone());
-            let lines = &file_for_units.lines()[range.clone()];
+            let lines = file_for_units.lines().slice(range.clone());
             match &mapper {
                 MapPhase::PerLine(f) => {
                     for (j, line) in lines.iter().enumerate() {
@@ -204,7 +229,7 @@ impl MrRunner {
                 }
                 MapPhase::PerSplit(f) => {
                     w.add_records_in(lines.len() as u64);
-                    f(range.start as u64, lines, &mut em, &mut w);
+                    f(range.start as u64, &lines, &mut em, &mut w);
                 }
             }
             // `records_out` is modelled: emissions are counted where they
@@ -356,34 +381,8 @@ impl MrRunner {
         for (_, p) in &map_outs {
             recovery.mem.merge(&p.mem);
         }
-        metrics.record_stage_with_recovery(
-            StageExecution {
-                label: map_label,
-                kind: EventKind::Stage,
-                shuffle_id: None,
-                overhead: SimDuration::ZERO,
-                // Each map wave ends on a heartbeat boundary.
-                trailing: SimDuration::from_secs(cost.mr_wave_latency)
-                    * detailed.outcome.waves as f64
-                    + pad,
-                tasks: detailed
-                    .placements
-                    .iter()
-                    .zip(&map_outs)
-                    .enumerate()
-                    .map(|(i, (pl, (_, p)))| TaskExecution {
-                        partition: i,
-                        node: pl.node,
-                        core: pl.core,
-                        start: pl.start,
-                        duration: pl.duration,
-                        profile: *p,
-                    })
-                    .collect(),
-            },
-            recovery,
-        );
-        self.cluster.record_sched_stage(detailed.decision_units);
+        let profiles = map_outs.iter().map(|(_, p)| *p);
+        self.record_wave(map_label, &detailed, recovery, pad, profiles.enumerate());
 
         // A node lost between map and reduce takes its completed map outputs
         // with it (they live on local disk, not in HDFS): re-execute just
@@ -416,32 +415,8 @@ impl MrRunner {
                     let (re_detailed, re_recovery, re_pad) =
                         self.schedule_wave(&resubmit_label, &resubmit_specs, None)?;
                     rec.merge(&re_recovery);
-                    metrics.record_stage_with_recovery(
-                        StageExecution {
-                            label: resubmit_label,
-                            kind: EventKind::Stage,
-                            shuffle_id: None,
-                            overhead: SimDuration::ZERO,
-                            trailing: SimDuration::from_secs(cost.mr_wave_latency)
-                                * re_detailed.outcome.waves as f64
-                                + re_pad,
-                            tasks: re_detailed
-                                .placements
-                                .iter()
-                                .zip(&lost)
-                                .map(|(pl, &orig)| TaskExecution {
-                                    partition: orig,
-                                    node: pl.node,
-                                    core: pl.core,
-                                    start: pl.start,
-                                    duration: pl.duration,
-                                    profile: map_outs[orig].1,
-                                })
-                                .collect(),
-                        },
-                        rec,
-                    );
-                    self.cluster.record_sched_stage(re_detailed.decision_units);
+                    let rerun = lost.iter().map(|&orig| (orig, map_outs[orig].1));
+                    self.record_wave(resubmit_label, &re_detailed, rec, re_pad, rerun);
                 }
             }
         }
@@ -568,33 +543,8 @@ impl MrRunner {
             .collect();
         let reduce_label = format!("{}: reduce", job.name);
         let (detailed, recovery, pad) = self.schedule_wave(&reduce_label, &task_specs, None)?;
-        metrics.record_stage_with_recovery(
-            StageExecution {
-                label: reduce_label,
-                kind: EventKind::Stage,
-                shuffle_id: None,
-                overhead: SimDuration::ZERO,
-                trailing: SimDuration::from_secs(cost.mr_wave_latency)
-                    * detailed.outcome.waves as f64
-                    + pad,
-                tasks: detailed
-                    .placements
-                    .iter()
-                    .zip(&reduce_outs)
-                    .enumerate()
-                    .map(|(i, (pl, (_, _, p)))| TaskExecution {
-                        partition: i,
-                        node: pl.node,
-                        core: pl.core,
-                        start: pl.start,
-                        duration: pl.duration,
-                        profile: *p,
-                    })
-                    .collect(),
-            },
-            recovery,
-        );
-        self.cluster.record_sched_stage(detailed.decision_units);
+        let profiles = reduce_outs.iter().map(|(_, _, p)| *p);
+        self.record_wave(reduce_label, &detailed, recovery, pad, profiles.enumerate());
 
         // ---- commit & gather ----
         let mut pairs = Vec::new();

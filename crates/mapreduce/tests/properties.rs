@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, SimCluster};
+use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, Lines, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 fn cluster() -> SimCluster {
@@ -132,8 +132,8 @@ fn per_split_mapper_equals_per_line_mapper() {
             let job = MapReduceJob::new_per_split(
                 "count",
                 "in.txt",
-                |_o, lines: &[String], em: &mut Emitter<u32, u64>, _w| {
-                    for line in lines {
+                |_o, lines: &Lines, em: &mut Emitter<u32, u64>, _w| {
+                    for line in lines.iter() {
                         for t in line.split_whitespace() {
                             em.emit(t.parse().expect("numeric token"), 1);
                         }
@@ -197,7 +197,7 @@ type Observed = Result<
     (
         Vec<(Vec<u32>, u64)>,
         String,
-        Vec<String>,
+        String,
         String,
         u64,
         (u64, u64),
@@ -279,7 +279,12 @@ fn run_subset_count(
     Ok((
         result.pairs,
         format!("{:?}", result.stats),
-        result.output_file.expect("job commits").lines().to_vec(),
+        result
+            .output_file
+            .expect("job commits")
+            .lines()
+            .text()
+            .to_owned(),
         format!("{snapshot:?}"),
         c.metrics().now().as_secs().to_bits(),
         (

@@ -1,11 +1,11 @@
 //! The driver context — the `SparkContext` equivalent.
 
 use crate::cache::CacheManager;
-use crate::rdd::{HdfsTextRdd, ParallelizeRdd, Rdd, RddMeta};
+use crate::rdd::{self, Data, HdfsTextRdd, ParallelizeRdd, Pipe, Rdd, RddMeta};
 use crate::shuffle::ShuffleRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use yafim_cluster::{ByteSize, DfsError, EventKind, Metrics, SimCluster};
+use yafim_cluster::{ByteSize, DfsError, EventKind, Lines, Metrics, SimCluster};
 
 /// How shared data reaches the workers (paper §IV.C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,12 +184,30 @@ impl Context {
     /// line, with at least `min_splits` partitions (Spark's
     /// `textFile(path, minPartitions)`).
     pub fn text_file(&self, path: &str, min_splits: usize) -> Result<Rdd<String>, DfsError> {
+        self.text_source(path, min_splits, rdd::owned_lines)
+    }
+
+    /// [`Context::text_file`] for a consumer that takes a split whole: the
+    /// same partitions, each one element, a view of the file's own buffer
+    /// that stands for a record per line and weighs what the `String`s
+    /// would. Every counter reads as `text_file`'s does; no `String` is made.
+    pub fn text_splits(&self, path: &str, min_splits: usize) -> Result<Rdd<Lines>, DfsError> {
+        self.text_source(path, min_splits, rdd::whole_split)
+    }
+
+    fn text_source<T: Data>(
+        &self,
+        path: &str,
+        min_splits: usize,
+        elements: fn(Lines) -> Pipe<'static, T>,
+    ) -> Result<Rdd<T>, DfsError> {
         let file = self.inner.cluster.hdfs().get(path)?;
         let splits = file.splits(min_splits.max(1));
         let imp = Arc::new(HdfsTextRdd {
             meta: RddMeta::new(self),
             file,
             splits,
+            elements,
         });
         Ok(Rdd::from_impl(self.clone(), imp))
     }

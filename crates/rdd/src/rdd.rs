@@ -43,7 +43,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use yafim_cluster::{
-    slice_bytes, slice_records, ByteSize, DfsFile, IntegrityCounters, IntegrityTier, NodeId,
+    slice_bytes, slice_records, ByteSize, DfsFile, IntegrityCounters, IntegrityTier, Lines, NodeId,
     RecoveryCounters, Split, TransientKind,
 };
 
@@ -62,15 +62,12 @@ impl<T: Clone + Send + Sync + ByteSize + 'static> Data for T {}
 // ---------------------------------------------------------------------------
 
 /// One partition's data as it flows through a stage: either already
-/// materialized (shared, lent or owned) or a lazy iterator chain borrowing
+/// materialized (shared or owned) or a lazy iterator chain borrowing
 /// the operator nodes and the [`TaskContext`] for the duration of the task.
 pub(crate) enum Pipe<'a, T: Data> {
     /// A stable buffer shared with the cache or the driver (cache hits,
     /// `parallelize` chunks). Elements are cloned lazily as they are pulled.
     Shared(Arc<Vec<T>>),
-    /// A stable buffer the operator node itself holds and lends for the
-    /// task (the lines of an HDFS split). Consumed like [`Pipe::Shared`].
-    Borrowed(&'a [T]),
     /// A buffer this task owns (breaker outputs like the shuffle reduce
     /// side, or `map_partitions` closure results). Elements move out.
     Owned(Vec<T>),
@@ -90,7 +87,6 @@ impl<'a, T: Data> Pipe<'a, T> {
         let v: Vec<T> = match self {
             Pipe::Owned(v) => v,
             Pipe::Shared(a) => a.to_vec(),
-            Pipe::Borrowed(s) => s.to_vec(),
             Pipe::Iter(it) => it.collect(),
         };
         let bytes = slice_bytes(&v);
@@ -113,11 +109,10 @@ impl<'a, T: Data> Pipe<'a, T> {
     /// Hand the whole partition to `f` as a slice (for `map_partitions`).
     /// Zero-copy when the data is already materialized — in particular, a
     /// cache hit passes the cached buffer itself, which is the YAFIM Phase
-    /// II hot path, and an HDFS split lends its lines.
+    /// II hot path.
     pub(crate) fn with_slice<R>(self, tc: &TaskContext, f: impl FnOnce(&[T]) -> R) -> R {
         match self {
             Pipe::Shared(a) => f(&a),
-            Pipe::Borrowed(s) => f(s),
             Pipe::Owned(v) => f(&v),
             other => f(&other.into_vec(tc).0),
         }
@@ -129,7 +124,6 @@ impl<'a, T: Data> Pipe<'a, T> {
     pub(crate) fn count(self) -> u64 {
         match self {
             Pipe::Shared(a) => a.len() as u64,
-            Pipe::Borrowed(s) => s.len() as u64,
             Pipe::Owned(v) => v.len() as u64,
             Pipe::Iter(it) => it.count() as u64,
         }
@@ -139,7 +133,6 @@ impl<'a, T: Data> Pipe<'a, T> {
 /// Streaming element source for a [`Pipe`].
 pub(crate) enum PipeIter<'a, T: Data> {
     Shared(Arc<Vec<T>>, usize),
-    Borrowed(std::slice::Iter<'a, T>),
     Owned(std::vec::IntoIter<T>),
     Boxed(Box<dyn Iterator<Item = T> + 'a>),
 }
@@ -150,7 +143,6 @@ impl<'a, T: Data> IntoIterator for Pipe<'a, T> {
     fn into_iter(self) -> PipeIter<'a, T> {
         match self {
             Pipe::Shared(a) => PipeIter::Shared(a, 0),
-            Pipe::Borrowed(s) => PipeIter::Borrowed(s.iter()),
             Pipe::Owned(v) => PipeIter::Owned(v.into_iter()),
             Pipe::Iter(b) => PipeIter::Boxed(b),
         }
@@ -168,7 +160,6 @@ impl<T: Data> Iterator for PipeIter<'_, T> {
                 }
                 item
             }
-            PipeIter::Borrowed(it) => it.next().cloned(),
             PipeIter::Owned(it) => it.next(),
             PipeIter::Boxed(it) => it.next(),
         }
@@ -543,8 +534,8 @@ impl<T: Data> Rdd<T> {
     /// [`TaskContext`] for custom CPU-work accounting (YAFIM uses this for
     /// hash-tree traversal counting). The closure sees the partition as one
     /// slice, so this operator collapses a lazy upstream chain — but a
-    /// cached parent streams its stored buffer in zero-copy, and an HDFS
-    /// split lends its lines. Records are counted by what the elements
+    /// cached parent streams its stored buffer in zero-copy, and so does
+    /// [`Context::text_splits`]. Records are counted by what the elements
     /// stand for ([`ByteSize::records`]) on the way in and on the way out.
     pub fn map_partitions<U: Data>(
         &self,
@@ -754,30 +745,31 @@ pub(crate) fn charge_faulty_hdfs_read(
     }
 }
 
-/// Source: a text file in simulated HDFS, one element per line. Lends the
-/// split's lines straight out of the DFS block: a per-element consumer
-/// clones each line it pulls, a whole-partition one reads them in place.
-pub(crate) struct HdfsTextRdd {
+/// Source: a text file in simulated HDFS, a partition per split. What a
+/// split's lines become is the node's one parameter: a `String` each
+/// ([`Context::text_file`]), or the [`Lines`] themselves as one element that
+/// stands for a record per line ([`Context::text_splits`]).
+pub(crate) struct HdfsTextRdd<T: Data> {
     pub(crate) meta: RddMeta,
     pub(crate) file: DfsFile,
     pub(crate) splits: Vec<Split>,
+    pub(crate) elements: fn(Lines) -> Pipe<'static, T>,
 }
 
-impl HdfsTextRdd {
-    /// Replica count of the block enclosing `split` — the copies a
-    /// verifying reader can fall back to when one fails its checksum.
-    fn split_replicas(&self, split: &Split) -> u32 {
-        self.file
-            .blocks()
-            .iter()
-            .find(|b| b.lines.start <= split.lines.start && split.lines.start < b.lines.end)
-            .map(|b| b.replicas.len())
-            .unwrap_or(1)
-            .max(1) as u32
-    }
+/// A `String` per line, made as the consumer pulls it.
+pub(crate) fn owned_lines(lines: Lines) -> Pipe<'static, String> {
+    let indices = 0..lines.len();
+    Pipe::Iter(Box::new(
+        indices.map(move |i| lines.get(i).expect("in range").to_owned()),
+    ))
 }
 
-impl RddImpl<String> for HdfsTextRdd {
+/// The split as it lies in the file's buffer: nothing is copied.
+pub(crate) fn whole_split(lines: Lines) -> Pipe<'static, Lines> {
+    Pipe::Shared(Arc::new(vec![lines]))
+}
+
+impl<T: Data> RddImpl<T> for HdfsTextRdd<T> {
     fn meta(&self) -> &RddMeta {
         &self.meta
     }
@@ -790,7 +782,7 @@ impl RddImpl<String> for HdfsTextRdd {
         Some(self.splits[part].preferred_node)
     }
 
-    fn compute<'a>(&'a self, part: usize, tc: &'a TaskContext) -> Pipe<'a, String> {
+    fn compute<'a>(&'a self, part: usize, tc: &'a TaskContext) -> Pipe<'a, T> {
         let split = &self.splits[part];
         if split.preferred_node == tc.node {
             tc.add_disk_read(split.bytes);
@@ -798,12 +790,12 @@ impl RddImpl<String> for HdfsTextRdd {
             // Non-local read: the bytes cross the network from a replica.
             tc.add_net(split.bytes);
         }
-        let (ctx, replicas) = (&self.meta.ctx, self.split_replicas(split));
+        let (ctx, replicas) = (&self.meta.ctx, self.file.replicas_at(split.lines.start));
         charge_faulty_hdfs_read(ctx, tc, self.meta.id, part, split.bytes, replicas);
-        let lines = &self.file.lines()[split.lines.clone()];
+        let lines = self.file.lines().slice(split.lines.clone());
         tc.add_records_out(lines.len() as u64);
         tc.note_records_read(lines.len() as u64);
-        Pipe::Borrowed(lines)
+        (self.elements)(lines)
     }
 
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
@@ -814,7 +806,7 @@ impl RddImpl<String> for HdfsTextRdd {
             return Ok(());
         }
         for (part, split) in self.splits.iter().enumerate() {
-            let replicas = self.split_replicas(split);
+            let replicas = self.file.replicas_at(split.lines.start);
             let all_rotten = (0..replicas)
                 .all(|copy| faults.corrupted(IntegrityTier::Hdfs, self.meta.id, part, copy));
             if all_rotten {

@@ -85,7 +85,7 @@ fn random_source(rng: &mut Rng) -> Source {
 fn source(c: &Context, from: Source, data: &[u32], parts: usize) -> Rdd<u32> {
     let parse = |line: &String| line.parse::<u32>().expect("a decimal line");
     let lines = || {
-        let lines = data.iter().map(u32::to_string).collect();
+        let lines: Vec<String> = data.iter().map(u32::to_string).collect();
         c.cluster().hdfs().put_overwrite("in.txt", lines);
         c.text_file("in.txt", parts).expect("just written")
     };

@@ -19,8 +19,8 @@
 //! reported).
 
 use std::process::exit;
-use yafim::cluster::{ClusterSpec, CostModel, SimCluster};
-use yafim::data::{read_canonical_lines, read_dat, PaperDataset};
+use yafim::cluster::{ClusterSpec, CostModel, Lines, SimCluster};
+use yafim::data::{read_canonical_text, read_dat, PaperDataset};
 use yafim::{generate_rules, Miner, MinerRun, Phase2Plan, RuleConfig, Support};
 
 fn usage() -> ! {
@@ -151,12 +151,10 @@ fn cluster() -> SimCluster {
     c
 }
 
-/// What reading the input file gave — [`read_dat`] for the single-node
-/// miners, [`read_canonical_lines`] for the distributed ones, which only ever
-/// see text; one entry per transaction either way — or one line and exit 1.
-fn loaded<T>(path: &str, read: std::io::Result<Vec<T>>) -> Vec<T> {
+/// What reading the input file gave, or one line and exit 1.
+fn loaded<T>(path: &str, read: std::io::Result<T>, transactions: impl Fn(&T) -> usize) -> T {
     match read {
-        Ok(tx) if !tx.is_empty() => tx,
+        Ok(input) if transactions(&input) > 0 => input,
         Ok(_) => {
             eprintln!("{path}: no transactions found");
             exit(1)
@@ -166,6 +164,14 @@ fn loaded<T>(path: &str, read: std::io::Result<Vec<T>>) -> Vec<T> {
             exit(1)
         }
     }
+}
+
+/// The input as the distributed miners take it, which only ever see text:
+/// one buffer of canonical lines, checked on as many threads as `c`'s pool
+/// has. Every cluster it is put on shares it.
+fn loaded_lines(path: &str, c: &SimCluster) -> Lines {
+    let text = read_canonical_text(path, c.pool().size());
+    loaded(path, text, |(_, offsets)| offsets.len() - 1).into()
 }
 
 fn cmd_generate() {
@@ -230,20 +236,18 @@ fn fault_plan() -> Option<yafim::cluster::FaultPlan> {
     }
 }
 
-/// Run a distributed `miner` over `lines` on the cluster the flags
+/// Run a distributed `miner` over `lines` on `c`, a cluster the flags
 /// describe. A typed refusal (engine failure under the fault plan, or a
 /// level rejected by the mining-invariant audit) is one line and exit 1.
-fn run_distributed(miner: Miner, lines: Vec<String>, support: Support) -> (MinerRun, SimCluster) {
-    let c = cluster();
+fn run_distributed(miner: Miner, c: &SimCluster, lines: Lines, support: Support) -> MinerRun {
     if let Some(plan) = fault_plan() {
         c.faults().set_plan(plan);
     }
     c.hdfs().put_overwrite("input.dat", lines);
-    let run = miner.mine(&c, "input.dat", support).unwrap_or_else(|e| {
+    miner.mine(c, "input.dat", support).unwrap_or_else(|e| {
         eprintln!("{} miner refused the run: {e}", miner.name());
         exit(1)
-    });
-    (run, c)
+    })
 }
 
 fn cmd_mine() {
@@ -271,15 +275,16 @@ fn cmd_mine() {
     // parsed transactions, a distributed one only ever sees text.
     let (result, transactions, wall, virtual_secs, cluster) = if let Some(mine) = miner.in_memory()
     {
-        let tx = loaded(&input, read_dat(&input));
+        let tx = loaded(&input, read_dat(&input), Vec::len);
         let start = std::time::Instant::now();
         let result = mine(&tx, support);
         (result, tx.len(), start.elapsed(), None, None)
     } else {
-        let lines = loaded(&input, read_canonical_lines(&input));
+        let c = cluster();
+        let lines = loaded_lines(&input, &c);
         let n = lines.len();
         let start = std::time::Instant::now();
-        let (run, c) = run_distributed(miner, lines, support);
+        let run = run_distributed(miner, &c, lines, support);
         let wall = start.elapsed();
         (run.result, n, wall, Some(run.total_seconds), Some(c))
     };
@@ -402,7 +407,10 @@ fn cmd_mine() {
 fn cmd_compare() {
     let input = arg("--input").unwrap_or_else(|| usage());
     let support = parse_support(&arg("--support").unwrap_or_else(|| usage()));
-    let lines = loaded(&input, read_canonical_lines(&input));
+    // A cluster each, all holding the one buffer; the first is also the one
+    // whose pool the reader borrows its thread count from.
+    let mut first = Some(cluster());
+    let lines = loaded_lines(&input, first.as_ref().expect("not taken yet"));
     let phase2 = phase2_plan();
 
     println!("{:<12} {:>12} {:>10}", "miner", "virtual (s)", "itemsets");
@@ -413,7 +421,8 @@ fn cmd_compare() {
         .filter(|m| m.is_distributed() && m.plan().is_none_or(|p| p == phase2));
     for miner in rows {
         let name = miner.name();
-        let (run, _) = run_distributed(miner, lines.clone(), support);
+        let c = first.take().unwrap_or_else(cluster);
+        let run = run_distributed(miner, &c, lines.clone(), support);
         if let Some(r) = &reference {
             assert_eq!(r, &run.result, "{name} diverges — please report a bug");
         }

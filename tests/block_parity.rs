@@ -484,3 +484,25 @@ fn an_empty_file_mines_to_nothing_under_every_plan() {
         0
     );
 }
+
+/// Pass 1 counts a partition by index when its largest id is below its own
+/// item count and through a map otherwise. Up to 16 lines are a partition
+/// each, 32 are two to a partition: both sides of the guard, one id apart,
+/// side by side in one job.
+#[test]
+fn pass_one_counts_by_index_or_by_map_on_either_side_of_its_guard() {
+    // `top = items - 1`, `top = items`, and the widest row there is.
+    let lines = ["0 1 2 3", "0 1 2 4", "0 4294967295"].map(String::from);
+    let result = assert_parity("a row each", &lines, Support::Count(2));
+    assert_eq!(result.level_sizes(), vec![3, 3, 1]);
+    let top = Itemset::single(u32::MAX);
+    let result = assert_parity("a row each, minsup 1", &lines, Support::Count(1));
+    assert_eq!(result.support_of(&top), Some(1));
+
+    let lines: Vec<String> = (0..16)
+        .flat_map(|p| ["0 1 2", ["1 2 5", "1 2 6"][p % 2]])
+        .map(String::from)
+        .collect();
+    let result = assert_parity("two rows each", &lines, Support::Count(8));
+    assert_eq!(result.level_sizes(), vec![5, 7, 3]);
+}

@@ -6,9 +6,11 @@
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use yafim::cluster::Lines;
 use yafim::data::rng::StdRng;
 use yafim::data::{
-    from_lines, read_canonical_lines, read_dat, to_lines, write_dat, PaperDataset, Transaction,
+    from_lines, read_canonical_text, read_dat, to_lines, to_text, write_dat, PaperDataset,
+    Transaction,
 };
 use yafim::parse_transaction;
 
@@ -146,14 +148,31 @@ fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("yafim-ingest-{name}-{}", std::process::id()))
 }
 
-/// Every reader against the oracle on one file.
+/// Is `read` (a text and its line offsets) `lines` joined with a `\n` after
+/// each? `Lines::from` is the one join loop, and it refuses offsets that do
+/// not cut its text into lines: equal texts and equal lines are equal offsets.
+fn is_joined(read: (String, Vec<u64>), lines: &[String]) -> bool {
+    let (read, joined) = (Lines::from(read), Lines::from(lines.to_vec()));
+    read.text() == joined.text() && read.iter().eq(joined.iter())
+}
+
+/// Every reader against the oracle on one file; the text reader on 1, 2 and
+/// 8 threads (which only a file of several chunks can tell apart).
 fn assert_file_agrees(path: &Path) {
     let expected = old_read_dat(path).expect("oracle reads the file");
     assert_eq!(read_dat(path).expect("read_dat"), expected);
-    let lines = read_canonical_lines(path).expect("read_canonical_lines");
-    assert_eq!(lines, old_to_lines(&expected));
+    let lines = old_to_lines(&expected);
     assert_eq!(lines, to_lines(&expected));
     assert_eq!(from_lines(&lines), expected);
+    assert!(is_joined(to_text(&expected), &lines));
+    for threads in [1, 2, 8] {
+        let read = read_canonical_text(path, threads).expect("read_canonical_text");
+        assert!(
+            is_joined(read, &lines),
+            "{threads} threads on {}",
+            path.display()
+        );
+    }
 }
 
 #[test]
@@ -219,9 +238,89 @@ fn random_files_read_as_they_always_did() {
     write_dat(&path, &tx).expect("temp dir writable");
     assert_file_agrees(&path);
     let text = std::fs::read_to_string(&path).expect("just written");
-    let lines = read_canonical_lines(&path).expect("just written");
-    assert!(lines.iter().map(String::as_str).eq(text.lines()));
+    let (read, offsets) = read_canonical_text(&path, 2).expect("just written");
+    assert_eq!(read, text);
+    assert_eq!(offsets.len(), tx.len() + 1);
     assert_eq!(read_dat(&path).expect("just written"), tx);
+    std::fs::remove_file(&path).expect("own temp file");
+}
+
+/// Files of several chunks (64 KiB a chunk at least), so that 1, 2 and 8
+/// threads cut them differently: clean, clean without the last newline,
+/// clean but for one line in the middle chunk, and dirty throughout.
+#[test]
+fn files_of_many_chunks_read_the_same_on_any_number_of_threads() {
+    let path = temp("chunks.dat");
+    let mut rng = StdRng::seed_from_u64(24);
+    let clean: Vec<String> = (0..40_000)
+        .map(|_| {
+            let mut item = rng.gen_range(0..50u32);
+            let row = (0..rng.gen_range(1..12u32)).map(|_| {
+                item += rng.gen_range(1..3000u32);
+                item.to_string()
+            });
+            row.collect::<Vec<_>>().join(" ")
+        })
+        .collect();
+    let text = clean.join("\n") + "\n";
+    assert!(text.len() > 16 * (64 << 10), "{} bytes", text.len());
+
+    std::fs::write(&path, &text).expect("temp dir writable");
+    assert_file_agrees(&path);
+    let read = read_canonical_text(&path, 8).expect("just written");
+    assert!(read.0 == text && is_joined(read, &clean));
+
+    std::fs::write(&path, text.trim_end()).expect("temp dir writable");
+    assert_file_agrees(&path);
+    assert_eq!(read_canonical_text(&path, 8).expect("just written").0, text);
+
+    for odd in ["9 3 3", "", "7\r", "01", "+1", "1\u{a0}2", "x"] {
+        let mut lines = clean.clone();
+        lines[20_000] = odd.to_string();
+        std::fs::write(&path, lines.join("\n") + "\n").expect("temp dir writable");
+        assert_file_agrees(&path);
+    }
+
+    let dirty: Vec<String> = (0..30_000).map(|_| random_line(&mut rng)).collect();
+    std::fs::write(&path, dirty.join("\r\n")).expect("temp dir writable");
+    assert_file_agrees(&path);
+    std::fs::remove_file(&path).expect("own temp file");
+}
+
+/// One hostile line each, alone and between two clean ones, under every
+/// line ending: what a reader of whole chunks could get wrong at an edge.
+#[test]
+fn hostile_lines_at_every_edge() {
+    let path = temp("edges.dat");
+    let hostile = [
+        "\r",
+        "1\r2",
+        "3\u{a0}4",
+        "5\u{85}6",
+        "+1",
+        "01",
+        "1000000000",
+        "4294967295",
+        "4294967296",
+        "99999999999999999999",
+        "2 1",
+        "1 1",
+        " ",
+        "",
+    ];
+    for line in hostile {
+        for ending in ["\n", "\r\n", ""] {
+            for text in [
+                format!("{line}{ending}"),
+                format!("1 2\n{line}{ending}"),
+                format!("{line}\n1 2{ending}"),
+                format!("1 2\r\n{line}\n3 4{ending}"),
+            ] {
+                std::fs::write(&path, &text).expect("temp dir writable");
+                assert_file_agrees(&path);
+            }
+        }
+    }
     std::fs::remove_file(&path).expect("own temp file");
 }
 
@@ -250,14 +349,13 @@ fn empty_and_non_utf8_files_fail_the_old_way() {
     let path = temp("hostile.dat");
     std::fs::write(&path, "").expect("temp dir writable");
     assert!(read_dat(&path).expect("an empty file reads").is_empty());
-    assert!(read_canonical_lines(&path)
-        .expect("an empty file reads")
-        .is_empty());
+    let empty = read_canonical_text(&path, 2).expect("an empty file reads");
+    assert_eq!(empty, (String::new(), vec![0]));
     std::fs::write(&path, b"1 2 3\n4 \xff 5\n").expect("temp dir writable");
     let expected = old_read_dat(&path).expect_err("invalid UTF-8");
     for error in [
         read_dat(&path).expect_err("invalid UTF-8"),
-        read_canonical_lines(&path).expect_err("invalid UTF-8"),
+        read_canonical_text(&path, 2).expect_err("invalid UTF-8"),
     ] {
         assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(error.to_string(), expected.to_string());

@@ -61,7 +61,7 @@ fn count(lines: &[String], levels: &[Vec<Itemset>], indexed: bool) -> String {
         "{:?}\n{:?}\n{:?}\n{:?}\n{:#x}",
         result.pairs,
         result.stats,
-        result.output_file.expect("job commits").lines(),
+        result.output_file.expect("job commits").lines().text(),
         c.metrics().snapshot(),
         c.metrics().now().as_secs().to_bits()
     )
