@@ -105,7 +105,7 @@ pub fn cache() -> String {
             .mine("input.dat")
             .expect("dataset written");
         let cache = ctx.cache().stats();
-        let disk = cluster.metrics().snapshot().work.disk_read_bytes;
+        let disk = cluster.metrics().snapshot().profile.work.disk_read_bytes;
         baseline.get_or_insert(run.total_seconds);
         say!(
             out,
@@ -124,7 +124,7 @@ pub fn cache() -> String {
         &transactions,
         data.support,
     );
-    let disk = cluster.metrics().snapshot().work.disk_read_bytes;
+    let disk = cluster.metrics().snapshot().profile.work.disk_read_bytes;
     say!(
         out,
         "{:<38} {:>10.2} {:>11.1} MB   re-reads HDFS every job",

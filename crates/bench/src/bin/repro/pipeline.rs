@@ -84,7 +84,7 @@ fn run_mode(
     let c = ctx_with(mode);
     let collected = chain(&c, data, parts).collect();
     let snap = c.metrics().snapshot();
-    let pipeline_records = snap.work.records_in;
+    let pipeline_records = snap.profile.work.records_in;
     let peak_stage_bytes = c
         .metrics()
         .stage_spans()

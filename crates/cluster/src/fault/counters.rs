@@ -1,33 +1,21 @@
 //! Counter tables: every counter struct is declared once, as rows.
 //!
-//! A row is `field: sum` or `field: max`, optionally followed by `registry`,
-//! under the field's doc comment. [`counter_table!`] turns the rows into the
+//! A row is `field: sum` or `field: max`, optionally followed by the
+//! manifest key it is reported under (`"counter.shuffle.read_bytes"`), under
+//! the field's doc comment. [`counter_table!`] turns the rows into the
 //! struct, its `merge` (plain field-wise arithmetic, row by row), `any`, and
-//! a `fields()` iterator that manifests and the metrics registry walk
-//! instead of naming counters. Adding a counter is adding its row.
-
-/// How a counter combines across tasks, stages and jobs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Merge {
-    /// Totals add up.
-    Sum,
-    /// High-water marks keep the larger value.
-    Max,
-}
+//! a `fields()` iterator that manifests and traces walk instead of naming
+//! counters. Adding a counter is adding its row.
 
 /// One row of a counter table with its current value, as `fields()` yields
 /// it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterField {
-    /// The counter's key: its field name, spelled once, in its table row.
+    /// The counter's key, spelled once, in its table row: the key the row
+    /// names, else its field name.
     pub key: &'static str,
     /// Current value.
     pub value: u64,
-    /// How the row merges.
-    pub merge: Merge,
-    /// Whether the engines mirror the row into the typed metrics registry
-    /// (sums as counters, maxima as high-water gauges).
-    pub registry: bool,
 }
 
 /// Declare a counter struct from its table of rows (see the module docs).
@@ -38,7 +26,7 @@ macro_rules! counter_table {
     (
         $(#[$sdoc:meta])*
         pub struct $name:ident {
-            $( $(#[$doc:meta])* $field:ident: $merge:ident $($registry:ident)?, )*
+            $( $(#[$doc:meta])* $field:ident: $merge:ident $($key:literal)?, )*
         }
         $( nested { $( $(#[$ndoc:meta])* $nested:ident: $nty:ty, )* } )?
     ) => {
@@ -66,10 +54,8 @@ macro_rules! counter_table {
             /// table order, with their current values.
             pub fn fields(&self) -> impl Iterator<Item = $crate::fault::CounterField> {
                 [$( $crate::fault::CounterField {
-                    key: stringify!($field),
+                    key: counter_table!(@key $field $($key)?),
                     value: self.$field,
-                    merge: counter_table!(@$merge),
-                    registry: counter_table!(@flag $($registry)?),
                 }, )*]
                 .into_iter()
             }
@@ -77,10 +63,8 @@ macro_rules! counter_table {
     };
     (@sum $mine:expr, $theirs:expr) => { $mine += $theirs };
     (@max $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
-    (@sum) => { $crate::fault::Merge::Sum };
-    (@max) => { $crate::fault::Merge::Max };
-    (@flag) => { false };
-    (@flag registry) => { true };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
 }
 pub(crate) use counter_table;
 
@@ -93,21 +77,21 @@ counter_table! {
     pub struct IntegrityCounters {
         /// Stored copies whose checksum was poisoned by the plan and observed
         /// by a reader.
-        corruptions_injected: sum registry,
+        corruptions_injected: sum,
         /// Checksum mismatches caught at read time (always == injected: every
         /// verified read of a rotten copy detects it).
-        corruptions_detected: sum registry,
+        corruptions_detected: sum,
         /// Detected corruptions repaired from *some* clean source.
-        corruptions_repaired: sum registry,
+        corruptions_repaired: sum,
         /// Repairs served by re-fetching a surviving replica (HDFS blocks,
         /// checkpoint copies).
-        repaired_via_replica: sum registry,
+        repaired_via_replica: sum,
         /// Repairs served by evicting the poisoned copy and recomputing it
         /// through the lineage inside the running task.
-        repaired_via_recompute: sum registry,
+        repaired_via_recompute: sum,
         /// Repairs served by resubmitting the producing map stage (shuffle
         /// buckets have no replica — the map task is re-run).
-        repaired_via_resubmit: sum registry,
+        repaired_via_resubmit: sum,
     }
 }
 
@@ -120,22 +104,22 @@ counter_table! {
     pub struct MemoryCounters {
         /// Highest execution memory any single task held at once, bytes (it
         /// is compared to the budget, so it never sums).
-        peak_execution_bytes: max registry,
+        peak_execution_bytes: max,
         /// Buffers spilled to local disk under memory pressure.
-        spills: sum registry,
+        spills: sum,
         /// Bytes those spills moved through local disk.
-        spill_bytes: sum registry,
+        spill_bytes: sum,
         /// Pass-granularity matcher step-downs (bitmap → trie → hash-tree)
         /// taken because the preferred structure's footprint estimate did not
         /// fit the budget.
-        degradations: sum registry,
+        degradations: sum,
         /// OOM events raised by the plan: seeded `oom_prob` denials plus real
         /// over-budget acquisitions under `mem_budget_override`.
-        oom_injected: sum registry,
+        oom_injected: sum,
         /// OOM events that killed a task attempt (retried at a doubled slice).
-        oom_killed: sum registry,
+        oom_killed: sum,
         /// OOM events a degradable site absorbed by spilling instead of dying.
-        oom_survived_by_degradation: sum registry,
+        oom_survived_by_degradation: sum,
     }
 }
 
@@ -144,17 +128,17 @@ counter_table! {
     /// aggregated by the metrics sink; the stage report prints them.
     pub struct RecoveryCounters {
         /// Task attempts that crashed or died with their node.
-        task_failures: sum registry,
+        task_failures: sum,
         /// Attempts re-launched after a failure.
-        task_retries: sum registry,
+        task_retries: sum,
         /// Nodes lost.
         nodes_lost: sum,
         /// Nodes blacklisted after repeated failures.
         nodes_blacklisted: sum,
         /// Speculative duplicate attempts launched.
-        speculative_launched: sum registry,
+        speculative_launched: sum,
         /// Speculative attempts that finished before their original.
-        speculative_wins: sum registry,
+        speculative_wins: sum,
         /// Partitions recomputed through lineage / HDFS re-reads after data
         /// loss (cached partitions, shuffle map outputs, MR map re-executions).
         recomputed_partitions: sum,
@@ -162,6 +146,13 @@ counter_table! {
         fetch_failures: sum,
         /// Broadcast re-distributions after an executor holding blocks died.
         broadcast_refetches: sum,
+        /// Cached partitions (memory + disk tier) lost nodes held.
+        cached_partitions_dropped: sum,
+        /// Shuffle map outputs lost nodes held.
+        map_outputs_lost: sum,
+        /// Bytes those re-distributions moved: each lost node's share of
+        /// every broadcast shipped so far.
+        broadcast_refetch_bytes: sum,
         /// Transient fetch failures retried in place (shuffle + HDFS).
         fetch_retries: sum,
         /// Virtual microseconds spent in retry backoff.
@@ -236,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn fields_walk_the_table_in_order_with_row_markers() {
+    fn fields_walk_the_table_in_order_under_their_keys() {
         let m = MemoryCounters {
             peak_execution_bytes: 9,
             spills: 2,
@@ -244,27 +235,15 @@ mod tests {
         };
         let rows: Vec<CounterField> = m.fields().collect();
         assert_eq!(rows.len(), 7);
-        let row = |key, value, merge| CounterField {
-            key,
-            value,
-            merge,
-            registry: true,
+        let row = |key, value| CounterField { key, value };
+        assert_eq!(rows[0], row("peak_execution_bytes", 9));
+        assert_eq!(rows[1], row("spills", 2));
+        // A row that names its key is reported under it.
+        let profile = crate::TaskProfile {
+            records_read: 3,
+            ..crate::TaskProfile::default()
         };
-        assert_eq!(rows[0], row("peak_execution_bytes", 9, Merge::Max));
-        assert_eq!(rows[1], row("spills", 2, Merge::Sum));
-        // The registry mirrors four scheduler-side recovery rows; the rest
-        // reach manifests through the metrics snapshot only.
-        let recovery = RecoveryCounters::default();
-        let mirrored: Vec<&str> = recovery
-            .fields()
-            .filter_map(|f| f.registry.then_some(f.key))
-            .collect();
-        let expected = [
-            "task_failures",
-            "task_retries",
-            "speculative_launched",
-            "speculative_wins",
-        ];
-        assert_eq!(mirrored, expected);
+        let read = profile.fields().find(|f| f.value == 3);
+        assert_eq!(read.map(|f| f.key), Some("counter.executor.records_read"));
     }
 }

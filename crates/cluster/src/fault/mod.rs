@@ -50,5 +50,5 @@ mod plan;
 
 pub use controller::{ExecError, FaultController, FaultError, FaultySchedule};
 pub(crate) use counters::counter_table;
-pub use counters::{CounterField, IntegrityCounters, MemoryCounters, Merge, RecoveryCounters};
+pub use counters::{CounterField, IntegrityCounters, MemoryCounters, RecoveryCounters};
 pub use plan::{FaultPlan, IntegrityTier, TransientKind, TransientOutcome};

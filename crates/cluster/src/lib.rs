@@ -29,10 +29,8 @@
 //! * [`fault`] — seeded fault injection (crashes, node loss, stragglers) and
 //!   Spark-style recovery scheduling (retries, blacklisting, speculation).
 //! * [`hdfs`] — simulated HDFS with real file contents, blocks and replicas.
-//! * [`metrics`] — the virtual clock, counters and the span log (job →
-//!   stage → task) shared by engines.
-//! * [`registry`] — typed named metrics (counters, gauges, log-bucketed
-//!   histograms) fed by the engines' hot paths.
+//! * [`metrics`] — the virtual clock, the run's counter tables and the span
+//!   log (job → stage → task) shared by engines.
 //! * [`critical`] — critical-path analysis: decompose the makespan into
 //!   exhaustive attribution buckets plus per-stage skew metrics.
 //! * [`manifest`] — versioned machine-readable run manifests for the
@@ -54,7 +52,6 @@ pub mod manifest;
 pub mod memgov;
 pub mod metrics;
 pub mod pool;
-pub mod registry;
 pub mod report;
 pub mod sched;
 pub mod spec;
@@ -78,13 +75,10 @@ pub use memgov::{
     SPILL_GRANULE,
 };
 pub use metrics::{
-    DropCounts, Event, EventKind, JobSpan, Metrics, MetricsCapacity, MetricsSnapshot,
-    StageExecution, StageSpan, TaskExecution, TaskSpan,
+    DropCounts, EngineCounters, Event, EventKind, JobSpan, Metrics, MetricsCapacity,
+    MetricsSnapshot, StageExecution, StageSpan, TaskExecution, TaskSpan,
 };
 pub use pool::ThreadPool;
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
-};
 pub use report::{full_report, iteration_report, stage_report};
 pub use sched::{
     DetailedSchedule, HeartbeatMonitor, ScheduleOutcome, SchedulerConfig, TaskPlacement, TaskSpec,
@@ -113,7 +107,6 @@ struct ClusterInner {
     cost: CostModel,
     hdfs: SimHdfs,
     metrics: Metrics,
-    registry: MetricsRegistry,
     pool: ThreadPool,
     faults: FaultController,
     sched_config: sync::Mutex<SchedulerConfig>,
@@ -141,7 +134,6 @@ impl SimCluster {
                 cost,
                 hdfs,
                 metrics: Metrics::new(),
-                registry: MetricsRegistry::new(),
                 pool: ThreadPool::new(threads.max(1)),
                 faults: FaultController::new(),
                 sched_config: sync::Mutex::new(SchedulerConfig::default()),
@@ -173,12 +165,6 @@ impl SimCluster {
     /// Shared metrics sink (virtual clock, counters, event log).
     pub fn metrics(&self) -> &Metrics {
         &self.inner.metrics
-    }
-
-    /// Typed metrics registry (named counters, gauges, histograms) fed by
-    /// the engines' executor, shuffle, cache and fault paths.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.inner.registry
     }
 
     /// The real thread pool tasks execute on.
@@ -221,14 +207,6 @@ impl SimCluster {
     pub fn stage_admission(&self) -> VirtualScheduler {
         let wait = SimDuration::from_secs(self.inner.sched_config.lock().locality_wait);
         VirtualScheduler::with_locality_wait(self.inner.spec.clone(), wait)
-    }
-
-    /// Record one placed stage's scheduler-side observability: the stage
-    /// itself and the placement decision units it spent.
-    pub fn record_sched_stage(&self, decision_units: u64) {
-        let r = &self.inner.registry;
-        r.counter("sched.stages_admitted").inc(1);
-        r.counter("sched.decision_units").inc(decision_units);
     }
 }
 

@@ -3,9 +3,9 @@
 //! A [`RunManifest`] is one JSON document per run carrying the schema
 //! version, the dataset parameters, the configuration (plus a fingerprint
 //! over both), and a **flat map of scalar metrics** — virtual makespan,
-//! critical-path buckets, recovery counters, registry counters. A nested
-//! `detail` object keeps the full critical-path report and registry
-//! snapshot for humans. The committed manifests in `results/` are
+//! critical-path buckets, and every row of the run's counter tables, each
+//! under one key. A nested `detail` object keeps the full critical-path
+//! report for humans. The committed manifests in `results/` are
 //! regenerated and diffed by git, so only *deterministic* quantities
 //! belong in one (virtual time, counters, byte totals); wall-clock numbers
 //! vary run to run and never enter it.
@@ -19,14 +19,15 @@
 //! experiments.
 
 use crate::critical::critical_path;
+use crate::fault::CounterField;
 use crate::hash::fx_hash64;
 use crate::json::JsonValue;
-use crate::SimCluster;
+use crate::{MetricsSnapshot, SimCluster};
 use std::collections::BTreeMap;
 
 /// Manifest schema version. Bump when the metric names or the layout
 /// change incompatibly.
-pub const MANIFEST_SCHEMA_VERSION: u64 = 1;
+pub const MANIFEST_SCHEMA_VERSION: u64 = 2;
 
 /// One run's machine-readable summary.
 #[derive(Clone, Debug, PartialEq)]
@@ -45,8 +46,8 @@ pub struct RunManifest {
     pub fingerprint: String,
     /// Flat scalar metrics. Deterministic quantities only.
     pub metrics: BTreeMap<String, f64>,
-    /// Full critical-path report, registry snapshot, and anything else
-    /// worth keeping for humans.
+    /// Full critical-path report, and anything else worth keeping for
+    /// humans.
     pub detail: JsonValue,
 }
 
@@ -57,10 +58,10 @@ impl RunManifest {
     }
 
     /// Build a manifest from a finished run on `cluster`: captures the
-    /// virtual clock, critical-path buckets, recovery counters and the
-    /// typed-registry counters into `metrics`, and the full reports into
-    /// `detail`. Benches add their own scalars with
-    /// [`RunManifest::push_metric`] afterwards.
+    /// virtual clock, critical-path buckets and every counter-table row
+    /// into `metrics`, and the full critical-path report into `detail`.
+    /// Benches add their own scalars with [`RunManifest::push_metric`]
+    /// afterwards.
     pub fn capture(
         bench: impl Into<String>,
         engine: impl Into<String>,
@@ -69,34 +70,9 @@ impl RunManifest {
         cluster: &SimCluster,
     ) -> RunManifest {
         let report = critical_path(cluster.metrics(), cluster.cost());
-        let registry = cluster.registry().snapshot();
-        let snap = cluster.metrics().snapshot();
-
-        let mut metrics = BTreeMap::new();
-        metrics.insert("virtual_seconds".to_string(), snap.now.as_secs());
-        metrics.insert("jobs".to_string(), snap.jobs as f64);
-        metrics.insert("stages".to_string(), snap.stages as f64);
-        metrics.insert("tasks".to_string(), snap.tasks as f64);
+        let mut metrics = Self::counters(&cluster.metrics().snapshot());
         for (name, secs) in report.buckets.named() {
             metrics.insert(format!("bucket.{name}"), secs);
-        }
-        // Every row of the three recovery tables, under its group's prefix.
-        let r = &snap.recovery;
-        let mut put = |group: &str, f: crate::fault::CounterField| {
-            metrics.insert(format!("{group}.{}", f.key), f.value as f64);
-        };
-        r.fields().for_each(|f| put("recovery", f));
-        r.integrity.fields().for_each(|f| put("integrity", f));
-        r.mem.fields().for_each(|f| put("mem", f));
-        for (name, v) in &registry.counters {
-            metrics.insert(format!("counter.{name}"), *v as f64);
-        }
-        for (name, v) in &registry.gauges {
-            metrics.insert(format!("gauge.{name}"), *v);
-        }
-        for (name, h) in &registry.histograms {
-            metrics.insert(format!("hist.{name}.count"), h.count as f64);
-            metrics.insert(format!("hist.{name}.sum"), h.sum);
         }
 
         let fingerprint = Self::fingerprint_of(&dataset, &config);
@@ -108,11 +84,31 @@ impl RunManifest {
             config,
             fingerprint,
             metrics,
-            detail: JsonValue::object(vec![
-                ("critical_path", report.to_json()),
-                ("registry", registry.to_json()),
-            ]),
+            detail: JsonValue::object(vec![("critical_path", report.to_json())]),
         }
+    }
+
+    /// The virtual clock, the run's totals and every row of every counter
+    /// table in `snap`, each under exactly one key: the recovery tables'
+    /// rows under their group (`recovery.`, `integrity.`, `mem.`), the task
+    /// profile's attribution rows and the engine table's under the keys
+    /// their rows name. The key set is the same on every run.
+    fn counters(snap: &MetricsSnapshot) -> BTreeMap<String, f64> {
+        let mut metrics = BTreeMap::new();
+        metrics.insert("virtual_seconds".to_string(), snap.now.as_secs());
+        metrics.insert("jobs".to_string(), snap.jobs as f64);
+        metrics.insert("stages".to_string(), snap.stages as f64);
+        metrics.insert("tasks".to_string(), snap.tasks as f64);
+        let mut put = |prefix: &str, f: CounterField| {
+            metrics.insert(format!("{prefix}{}", f.key), f.value as f64);
+        };
+        let r = &snap.recovery;
+        r.fields().for_each(|f| put("recovery.", f));
+        r.integrity.fields().for_each(|f| put("integrity.", f));
+        r.mem.fields().for_each(|f| put("mem.", f));
+        let named = snap.profile.fields().chain(snap.engine.fields());
+        named.for_each(|f| put("", f));
+        metrics
     }
 
     /// Add a bench-specific scalar metric (deterministic quantities only).
@@ -151,8 +147,8 @@ impl RunManifest {
         self.check_memory()
     }
 
-    /// A metric that may be absent (bench-pushed, or a counter no task
-    /// touched) counts as zero.
+    /// A metric that may be absent (a bench-pushed one, or any in a
+    /// hand-built manifest) counts as zero.
     fn metric(&self, name: &str) -> f64 {
         self.metrics.get(name).copied().unwrap_or(0.0)
     }
@@ -276,8 +272,6 @@ mod tests {
     fn small_cluster_with_work() -> SimCluster {
         let c =
             SimCluster::with_threads(ClusterSpec::new(2, 2, 1 << 30), CostModel::hadoop_era(), 1);
-        c.registry().counter("executor.tasks").inc(2);
-        c.registry().histogram("executor.task_seconds").observe(1.0);
         let mut profile = TaskProfile::new();
         profile.work.add_records_in(100);
         c.metrics().record_stage(StageExecution {
@@ -312,15 +306,53 @@ mod tests {
         assert_eq!(schema, Some(MANIFEST_SCHEMA_VERSION as f64));
         let metric = |k: &str| back.get("metrics").and_then(|o| o.get(k)?.as_f64());
         assert_eq!(metric("virtual_seconds"), Some(1.5));
-        assert_eq!(metric("counter.executor.tasks"), Some(2.0));
-        assert_eq!(
-            metric("mem.spills"),
-            Some(0.0),
-            "mem.* keys exist (zero-valued) even without an armed governor"
-        );
-        assert_eq!(metric("mem.peak_execution_bytes"), Some(0.0));
-        assert_eq!(metric("hist.executor.task_seconds.count"), Some(1.0));
+        assert_eq!(metric("tasks"), Some(1.0));
+        // Every row's key exists (zero-valued) whatever the run touched.
+        for key in [
+            "mem.spills",
+            "gauge.mem.task_budget_bytes",
+            "counter.bitmap.passes",
+        ] {
+            assert_eq!(metric(key), Some(0.0), "{key}");
+        }
         assert_eq!(metric("pipeline.records"), Some(100.0));
+        let detail = back.get("detail").and_then(JsonValue::as_object);
+        assert_eq!(detail.map(|d| d.len()), Some(1), "critical_path only");
+    }
+
+    #[test]
+    fn one_nonzero_row_per_table_is_one_value_under_one_key() {
+        let mut snap = MetricsSnapshot::default();
+        snap.recovery.fetch_retries = 1001;
+        snap.recovery.integrity.repaired_via_replica = 1002;
+        snap.recovery.mem.spills = 1003;
+        snap.profile.cache_hits = 1004;
+        snap.engine.task_budget_bytes = 1005;
+        let metrics = RunManifest::counters(&snap);
+        for (value, key) in [
+            (1001.0, "recovery.fetch_retries"),
+            (1002.0, "integrity.repaired_via_replica"),
+            (1003.0, "mem.spills"),
+            (1004.0, "counter.cache.hits"),
+            (1005.0, "gauge.mem.task_budget_bytes"),
+        ] {
+            let keys: Vec<&str> = metrics
+                .iter()
+                .filter(|&(_, &v)| v == value)
+                .map(|(k, _)| k.as_str())
+                .collect();
+            assert_eq!(keys, [key]);
+        }
+        assert_eq!(metrics.values().filter(|&&v| v != 0.0).count(), 5);
+        // No two rows share a key: the clock and three totals, then a key
+        // per row.
+        let r = &snap.recovery;
+        let rows = r.fields().count()
+            + r.integrity.fields().count()
+            + r.mem.fields().count()
+            + snap.profile.fields().count()
+            + snap.engine.fields().count();
+        assert_eq!(metrics.len(), 4 + rows);
     }
 
     #[test]
@@ -399,8 +431,7 @@ mod tests {
 
     #[test]
     fn bitmap_metrics_must_cohere() {
-        // A run that never touched the bitmap engine carries none of the
-        // counters and passes.
+        // A manifest without the counters passes.
         let mut m = toy_manifest(&[]);
         assert_eq!(m.check_bitmap(), Ok(()));
 
@@ -441,7 +472,7 @@ mod tests {
 
     #[test]
     fn memory_metrics_must_cohere() {
-        // A run without a governor carries none of the counters and passes.
+        // A manifest without the counters passes.
         let mut m = toy_manifest(&[]);
         assert_eq!(m.check_memory(), Ok(()));
 

@@ -13,18 +13,19 @@
 //! * **spans** — [`JobSpan`] / [`StageSpan`] / [`TaskSpan`], parented
 //!   job → stage → task, each task attributed to a simulated node and core
 //!   with queue wait and a full [`TaskProfile`];
-//! * **aggregates** — [`MetricsSnapshot`] totals.
+//! * **aggregates** — [`MetricsSnapshot`] totals: every count a manifest
+//!   reports, each a row of one counter table.
 //!
 //! Every log is a bounded ring buffer: when full, the *oldest* entries are
 //! dropped and counted in [`DropCounts`], never silently (the text report
 //! prints them). Engines record stages through [`Metrics::record_stage`],
 //! which advances the clock and files all three granularities atomically.
 
-use crate::fault::RecoveryCounters;
+use crate::fault::{counter_table, RecoveryCounters};
 use crate::spec::NodeId;
 use crate::sync::Mutex;
 use crate::time::{SimDuration, SimInstant};
-use crate::work::{TaskProfile, WorkCounters};
+use crate::work::TaskProfile;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -203,6 +204,39 @@ pub struct StageExecution {
     pub tasks: Vec<TaskExecution>,
 }
 
+counter_table! {
+    /// What the engines count outside any task profile or stage recovery
+    /// block: broadcast shipping, the bitmap counter's work, placement
+    /// decisions and two high-water marks. Noted with
+    /// [`Metrics::note_engine`]; every row names its manifest key.
+    pub struct EngineCounters {
+        /// Bytes shipped through broadcasts: the basis of the re-fetch
+        /// charge when a node (and its torrent blocks) is lost.
+        broadcast_ship_bytes: sum "counter.broadcast.ship_bytes",
+        /// Broadcast variables created.
+        broadcast_variables: sum "counter.broadcast.variables",
+        /// Phase-II passes counted through the columnar bitmaps.
+        bitmap_passes: sum "counter.bitmap.passes",
+        /// Candidates those passes counted.
+        bitmap_candidates_counted: sum "counter.bitmap.candidates_counted",
+        /// Words AND-ed and popcounted by the bitmap tasks.
+        bitmap_words_intersected: sum "counter.bitmap.words_intersected",
+        /// Columnar partitions built (a lineage recompute builds again).
+        bitmap_partitions_built: sum "counter.bitmap.partitions_built",
+        /// Arena bytes of those builds.
+        bitmap_build_bytes: sum "counter.bitmap.build_bytes",
+        /// Bitmap runs the density guard sent to the trie instead.
+        bitmap_fallbacks: sum "counter.bitmap.fallbacks",
+        /// Placement decision units the virtual scheduler spent.
+        sched_decision_units: sum "counter.sched.decision_units",
+        /// Most bytes the partition cache held, as of any stage's end.
+        cache_peak_bytes: max "gauge.cache.peak_bytes",
+        /// The governor's hard per-task cap (the node's evictable memory; 0
+        /// when unarmed): no task's execution peak may exceed it.
+        task_budget_bytes: max "gauge.mem.task_budget_bytes",
+    }
+}
+
 /// Aggregate counters over a whole run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MetricsSnapshot {
@@ -214,12 +248,12 @@ pub struct MetricsSnapshot {
     pub stages: u64,
     /// Tasks executed.
     pub tasks: u64,
-    /// Merged work counters across all tasks.
-    pub work: WorkCounters,
     /// Merged full profile across all tasks.
     pub profile: TaskProfile,
     /// Merged failure/retry/speculation counters across all stages.
     pub recovery: RecoveryCounters,
+    /// Merged engine-side counters.
+    pub engine: EngineCounters,
 }
 
 /// How many entries each bounded log has discarded (oldest first).
@@ -298,9 +332,9 @@ struct MetricsInner {
     jobs: u64,
     stages: u64,
     tasks: u64,
-    work: WorkCounters,
     profile: TaskProfile,
     recovery: RecoveryCounters,
+    engine: EngineCounters,
     next_job_id: u64,
     next_stage_id: u64,
     /// Innermost-last stack of jobs opened via [`Metrics::begin_job`].
@@ -318,9 +352,9 @@ impl MetricsInner {
             jobs: 0,
             stages: 0,
             tasks: 0,
-            work: WorkCounters::new(),
             profile: TaskProfile::new(),
             recovery: RecoveryCounters::default(),
+            engine: EngineCounters::default(),
             next_job_id: 1,
             next_stage_id: 1,
             open_jobs: Vec::new(),
@@ -328,15 +362,6 @@ impl MetricsInner {
             job_spans: Ring::new(capacity.jobs),
             stage_spans: Ring::new(capacity.stages),
             task_spans: Ring::new(capacity.tasks),
-        }
-    }
-
-    fn capacity(&self) -> MetricsCapacity {
-        MetricsCapacity {
-            events: self.events.capacity,
-            jobs: self.job_spans.capacity,
-            stages: self.stage_spans.capacity,
-            tasks: self.task_spans.capacity,
         }
     }
 }
@@ -517,7 +542,6 @@ impl Metrics {
         });
         g.stages += 1;
         g.tasks += exec.tasks.len() as u64;
-        g.work.merge(&merged.work);
         g.profile.merge(&merged);
         g.recovery.merge(&recovery);
         stage_id
@@ -529,6 +553,12 @@ impl Metrics {
         self.inner.lock().recovery.merge(counters);
     }
 
+    /// Merge engine-side counters into the aggregates; callable from the
+    /// driver and from inside tasks alike (every row merges commutatively).
+    pub fn note_engine(&self, counters: &EngineCounters) {
+        self.inner.lock().engine.merge(counters);
+    }
+
     /// Copy of the aggregate counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let g = self.inner.lock();
@@ -537,9 +567,9 @@ impl Metrics {
             jobs: g.jobs,
             stages: g.stages,
             tasks: g.tasks,
-            work: g.work,
             profile: g.profile,
             recovery: g.recovery,
+            engine: g.engine,
         }
     }
 
@@ -584,13 +614,6 @@ impl Metrics {
             stages: g.stage_spans.dropped,
             tasks: g.task_spans.dropped,
         }
-    }
-
-    /// Reset clock, counters and logs (for reusing a cluster across runs).
-    /// Capacities are preserved.
-    pub fn reset(&self) {
-        let mut g = self.inner.lock();
-        *g = MetricsInner::new(g.capacity());
     }
 
     /// Render the event log as an indented text timeline (one line per
@@ -814,30 +837,5 @@ mod tests {
         assert!(text.contains("job one"));
         assert!(text.contains("stage two"));
         assert!(text.contains("1.000s"), "{text}");
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let m = Metrics::with_capacity(MetricsCapacity {
-            events: 7,
-            jobs: 7,
-            stages: 7,
-            tasks: 7,
-        });
-        m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Job, "j");
-        m.end_job(m.begin_job("j"));
-        m.reset();
-        assert_eq!(m.now(), SimInstant::EPOCH);
-        assert!(m.events().is_empty());
-        assert_eq!(m.snapshot().jobs, 0);
-        // Capacity survives the reset.
-        for i in 0..9 {
-            m.advance_with_event(
-                SimDuration::from_secs(1.0),
-                EventKind::Other,
-                format!("{i}"),
-            );
-        }
-        assert_eq!(m.dropped().events, 2);
     }
 }

@@ -113,26 +113,26 @@ counter_table! {
     /// not *that* they moved, so merging a profile never double-counts time.
     pub struct TaskProfile {
         /// Bytes fetched from shuffle map outputs (local + remote).
-        shuffle_read_bytes: sum,
+        shuffle_read_bytes: sum "counter.shuffle.read_bytes",
         /// Bytes written to shuffle files on the map side.
-        shuffle_write_bytes: sum,
+        shuffle_write_bytes: sum "counter.shuffle.write_bytes",
         /// Bytes of broadcast variables read by the task.
-        broadcast_read_bytes: sum,
+        broadcast_read_bytes: sum "counter.broadcast.read_bytes",
         /// Partition reads served from the cache (any tier).
-        cache_hits: sum,
+        cache_hits: sum "counter.cache.hits",
         /// Partition reads that missed the cache and recomputed.
-        cache_misses: sum,
+        cache_misses: sum "counter.cache.misses",
         /// Records entering the task's pipeline from a stable input: a source
         /// partition, a cache hit, or a shuffle fetch.
-        records_read: sum,
+        records_read: sum "counter.executor.records_read",
         /// Records leaving the task through a pipeline breaker: a shuffle
         /// map-side write, a cache insert, or a driver fetch.
-        records_written: sum,
+        records_written: sum "counter.executor.records_written",
         /// Bytes the task buffered into `Vec`s at pipeline breakers. Fused
         /// stages only materialize at breakers; the eager reference evaluator
         /// materializes at every operator, so this counter is the direct
         /// measure of what fusion saves.
-        bytes_materialized: sum,
+        bytes_materialized: sum "counter.executor.bytes_materialized",
     }
     nested {
         /// Physical work counters (drive virtual time).

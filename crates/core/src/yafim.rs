@@ -71,8 +71,8 @@ use crate::types::{
 use std::cell::RefCell;
 use std::sync::Arc;
 use yafim_cluster::{
-    memgov, slice_records, ByteSize, EventKind, ExecError, FxHashMap, Lines, RecoveryCounters,
-    SimDuration, SPILL_GRANULE,
+    memgov, slice_records, ByteSize, EngineCounters, EventKind, ExecError, FxHashMap, Lines,
+    RecoveryCounters, SimDuration, SPILL_GRANULE,
 };
 use yafim_rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 
@@ -393,7 +393,10 @@ impl Yafim {
         let bitmap_arena = (plan == Phase2Plan::Bitmap && bitmap_fits(n_dense, lines, partitions))
             .then(|| bitmap_footprint(n_dense, lines, partitions));
         if plan == Phase2Plan::Bitmap && bitmap_arena.is_none() {
-            ctx.cluster().registry().counter("bitmap.fallbacks").inc(1);
+            metrics.note_engine(&EngineCounters {
+                bitmap_fallbacks: 1,
+                ..EngineCounters::default()
+            });
         }
 
         let mut levels: Vec<Vec<(Itemset, u64)>> = vec![l1_work];
@@ -609,17 +612,12 @@ impl Yafim {
     }
 
     /// Record one driver-side counting-structure step-down (ladder rung 2):
-    /// bump `mem.degradations` in the registry and the run's recovery
-    /// block, and log the decision as a zero-cost event.
+    /// bump `mem.degradations` in the run's recovery block, and log the
+    /// decision as a zero-cost event.
     fn note_degradation(&self, pass: usize, what: &str) {
         let mut rec = RecoveryCounters::default();
         rec.mem.degradations = 1;
         self.ctx.metrics().note_recovery(&rec);
-        self.ctx
-            .cluster()
-            .registry()
-            .counter("mem.degradations")
-            .inc(1);
         self.ctx.metrics().advance_with_event(
             SimDuration::ZERO,
             EventKind::Other,
@@ -787,8 +785,6 @@ impl Yafim {
             EventKind::Projection,
             format!("columnar bitmap projection plan ({n_dense} rows)"),
         );
-        let built = ctx.cluster().registry().counter("bitmap.partitions_built");
-        let bytes = ctx.cluster().registry().counter("bitmap.build_bytes");
         work.map_partitions(move |txs, tc| {
             let n_tids = slice_records(txs) as usize;
             let col = ColumnarPartition::from_rows(n_dense, n_tids, rows_of(txs));
@@ -803,8 +799,11 @@ impl Yafim {
             // occurrence.
             tc.add_mem_read(8 * col.arena_words() as u64);
             tc.add_cpu(col.build_cost_units());
-            built.inc(1);
-            bytes.inc(col.byte_size());
+            metrics.note_engine(&EngineCounters {
+                bitmap_partitions_built: 1,
+                bitmap_build_bytes: col.byte_size(),
+                ..EngineCounters::default()
+            });
             vec![col]
         })
         .cache()
@@ -843,12 +842,11 @@ impl Yafim {
             EventKind::Driver,
             format!("broadcast candidate list pass {pass}"),
         );
-        let registry = ctx.cluster().registry();
-        registry.counter("bitmap.passes").inc(1);
-        registry
-            .counter("bitmap.candidates_counted")
-            .inc(n_candidates as u64);
-        let words_counter = registry.counter("bitmap.words_intersected");
+        metrics.note_engine(&EngineCounters {
+            bitmap_passes: 1,
+            bitmap_candidates_counted: n_candidates as u64,
+            ..EngineCounters::default()
+        });
         let bc = ctx.broadcast(CandidateList(candidates));
         let cands_for_tasks = bc.value();
         let cand_bytes = bc.bytes();
@@ -867,7 +865,10 @@ impl Yafim {
             // One AND+popcount per word, one emission per nonzero
             // count — the whole per-task cost of the pass.
             tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
-            words_counter.inc(words);
+            metrics.note_engine(&EngineCounters {
+                bitmap_words_intersected: words,
+                ..EngineCounters::default()
+            });
             cells
         })?;
 
@@ -1274,13 +1275,13 @@ mod tests {
     fn bitmap_run_counts_through_the_columnar_store() {
         let c = ctx();
         mine_in_memory(&c, &toy(), YafimConfig::bitmap(Support::Count(2)));
-        let reg = c.cluster().registry();
+        let engine = c.metrics().snapshot().engine;
         assert!(
-            reg.counter("bitmap.partitions_built").get() > 0,
+            engine.bitmap_partitions_built > 0,
             "the k=3 pass must have built the columnar store"
         );
-        assert!(reg.counter("bitmap.words_intersected").get() > 0);
-        assert_eq!(reg.counter("bitmap.fallbacks").get(), 0);
+        assert!(engine.bitmap_words_intersected > 0);
+        assert_eq!(engine.bitmap_fallbacks, 0);
     }
 
     #[test]

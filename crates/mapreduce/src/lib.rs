@@ -167,9 +167,9 @@ mod tests {
         c.hdfs().put("in.txt", lines).unwrap();
         let runner = MrRunner::new(c.clone());
         runner.run(word_count_job("in.txt")).unwrap();
-        let disk_once = c.metrics().snapshot().work.disk_read_bytes;
+        let disk_once = c.metrics().snapshot().profile.work.disk_read_bytes;
         runner.run(word_count_job("in.txt")).unwrap();
-        let disk_twice = c.metrics().snapshot().work.disk_read_bytes;
+        let disk_twice = c.metrics().snapshot().profile.work.disk_read_bytes;
         assert!(
             disk_twice >= 2 * disk_once - disk_once / 10,
             "second job re-reads from disk: {disk_once} vs {disk_twice}"

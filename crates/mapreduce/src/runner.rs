@@ -5,10 +5,10 @@ use crate::emitter::{fold_into, Emitter};
 use crate::job::{MapPhase, MapReduceJob, MrKey, MrValue};
 use std::sync::Arc;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsFile, EventKind, ExecError,
-    FxHashMap, IntegrityCounters, IntegrityTier, RecoveryCounters, SimCluster, SimDuration,
-    StageExecution, TaskExecution, TaskMemory, TaskPlacement, TaskProfile, TaskSpec, WorkCounters,
-    SPILL_GRANULE,
+    bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsFile, EngineCounters,
+    EventKind, ExecError, FxHashMap, IntegrityCounters, IntegrityTier, RecoveryCounters,
+    SimCluster, SimDuration, StageExecution, TaskExecution, TaskMemory, TaskPlacement, TaskProfile,
+    TaskSpec, WorkCounters, SPILL_GRANULE,
 };
 
 /// The smallest split share worth a host unit: below it a unit's fixed cost
@@ -112,7 +112,10 @@ impl MrRunner {
         };
         let metrics = self.cluster.metrics();
         metrics.record_stage_with_recovery(stage, recovery);
-        self.cluster.record_sched_stage(detailed.decision_units);
+        metrics.note_engine(&EngineCounters {
+            sched_decision_units: detailed.decision_units,
+            ..EngineCounters::default()
+        });
     }
 
     /// Execute one job: map → shuffle/sort → reduce → commit.

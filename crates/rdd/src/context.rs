@@ -5,7 +5,7 @@ use crate::rdd::{self, Data, HdfsTextRdd, ParallelizeRdd, Pipe, Rdd, RddMeta};
 use crate::shuffle::ShuffleRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use yafim_cluster::{ByteSize, DfsError, EventKind, Lines, Metrics, SimCluster};
+use yafim_cluster::{ByteSize, DfsError, EngineCounters, EventKind, Lines, Metrics, SimCluster};
 
 /// How shared data reaches the workers (paper §IV.C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,19 +138,6 @@ impl Context {
         self.inner.config.exec_mode
     }
 
-    /// Total bytes shipped through [`Context::broadcast`] so far — the
-    /// basis for the re-fetch charge when a node (and its torrent blocks)
-    /// is lost. Kept in the cluster's typed registry rather than an ad-hoc
-    /// field, so manifests and reports see the same number the fault path
-    /// uses.
-    pub(crate) fn broadcast_bytes(&self) -> u64 {
-        self.inner
-            .cluster
-            .registry()
-            .counter("broadcast.ship_bytes")
-            .get()
-    }
-
     /// Distribute an in-memory collection as an RDD with
     /// `config.default_parallelism` partitions.
     pub fn parallelize<T: crate::rdd::Data>(&self, data: Vec<T>) -> Rdd<T> {
@@ -230,11 +217,11 @@ impl Context {
             EventKind::Broadcast,
             format!("broadcast {bytes}B"),
         );
-        cluster
-            .registry()
-            .counter("broadcast.ship_bytes")
-            .inc(bytes);
-        cluster.registry().counter("broadcast.variables").inc(1);
+        cluster.metrics().note_engine(&EngineCounters {
+            broadcast_ship_bytes: bytes,
+            broadcast_variables: 1,
+            ..EngineCounters::default()
+        });
         Broadcast {
             value: Arc::new(value),
             bytes,

@@ -28,11 +28,10 @@ use crate::rdd::{materialize, node_for, CheckpointRdd, Data, Pipe, Rdd, RddImpl}
 use crate::shuffle::ShuffleStage;
 use crate::task::TaskContext;
 use std::sync::Arc;
-use yafim_cluster::fault::{CounterField, Merge};
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
-    fx_hash64, slice_bytes, slice_records, EventKind, ExecError, NodeId, RecoveryCounters,
-    SimDuration, StageExecution, TaskExecution, TaskProfile, TaskSpec,
+    fx_hash64, slice_bytes, slice_records, EngineCounters, EventKind, ExecError, NodeId,
+    RecoveryCounters, SimDuration, StageExecution, TaskExecution, TaskProfile, TaskSpec,
 };
 
 /// What one node loss took with it (returned by
@@ -164,8 +163,6 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         })
         .collect();
 
-    feed_registry(ctx, &tasks, &recovery, budget.map_or(0, |b| b.node_limit));
-
     cluster.metrics().record_stage_with_recovery(
         StageExecution {
             label,
@@ -177,91 +174,17 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
         },
         recovery,
     );
-    // After the clock advanced past the stage: the sched.* attribution.
-    cluster.record_sched_stage(detailed.decision_units);
+    cluster.metrics().note_engine(&EngineCounters {
+        sched_decision_units: detailed.decision_units,
+        cache_peak_bytes: ctx.cache().stats().peak_bytes,
+        task_budget_bytes: budget.map_or(0, |b| b.node_limit),
+        ..EngineCounters::default()
+    });
 
     Ok((
         outcomes.into_iter().map(|(r, _, _)| r).collect(),
         executed_on,
     ))
-}
-
-/// Feed the cluster's typed metrics registry from one finished stage: task
-/// counts and duration/wait distributions, attribution byte counters from
-/// the merged profile, recovery counters, and current cache occupancy.
-/// Every metric is created even when zero, so manifests carry a stable name
-/// set; histograms are observed in partition order on the driver thread, so
-/// their float sums are deterministic.
-fn feed_registry(
-    ctx: &Context,
-    tasks: &[TaskExecution],
-    recovery: &RecoveryCounters,
-    task_budget_bytes: u64,
-) {
-    let registry = ctx.cluster().registry();
-    registry.counter("executor.stages").inc(1);
-    registry.counter("executor.tasks").inc(tasks.len() as u64);
-    let durations = registry.histogram("executor.task_seconds");
-    let waits = registry.histogram("executor.queue_wait_seconds");
-    let mut merged = TaskProfile::new();
-    for t in tasks {
-        durations.observe(t.duration.as_secs());
-        waits.observe(t.start.as_secs());
-        merged.merge(&t.profile);
-    }
-    for (name, v) in [
-        ("shuffle.read_bytes", merged.shuffle_read_bytes),
-        ("shuffle.write_bytes", merged.shuffle_write_bytes),
-        ("broadcast.read_bytes", merged.broadcast_read_bytes),
-        ("cache.hits", merged.cache_hits),
-        ("cache.misses", merged.cache_misses),
-        ("executor.records_read", merged.records_read),
-        ("executor.records_written", merged.records_written),
-        ("executor.bytes_materialized", merged.bytes_materialized),
-    ] {
-        registry.counter(name).inc(v);
-    }
-    // The rows the recovery tables mark `registry`: sums feed counters,
-    // maxima are high-water gauges (the run's peak is the max over stages).
-    let mirror = |group: &str, f: CounterField| {
-        if !f.registry {
-            return;
-        }
-        let name = format!("{group}.{}", f.key);
-        match f.merge {
-            Merge::Sum => registry.counter(&name).inc(f.value),
-            Merge::Max => {
-                let peak = registry.gauge(&name);
-                peak.set(peak.get().max(f.value as f64));
-            }
-        }
-    };
-    recovery.fields().for_each(|f| mirror("fault", f));
-    recovery
-        .integrity
-        .fields()
-        .for_each(|f| mirror("integrity", f));
-    recovery.mem.fields().for_each(|f| mirror("mem", f));
-    // The hard per-task cap a fully-backed-off retry may grow into (the
-    // node's evictable memory): per-task peaks can never exceed it, which
-    // the bench gate checks as a coherence rule.
-    let budget_gauge = registry.gauge("mem.task_budget_bytes");
-    if task_budget_bytes as f64 > budget_gauge.get() {
-        budget_gauge.set(task_budget_bytes as f64);
-    }
-    let stats = ctx.cache().stats();
-    registry
-        .gauge("cache.used_bytes")
-        .set(stats.used_bytes as f64);
-    registry
-        .gauge("cache.disk_bytes")
-        .set(stats.disk_bytes as f64);
-    registry
-        .gauge("cache.peak_bytes")
-        .set(stats.peak_bytes as f64);
-    registry
-        .gauge("cache.entries")
-        .set((stats.entries + stats.disk_entries) as f64);
 }
 
 /// Apply the data-loss side effects of every planned node loss whose virtual
@@ -297,12 +220,14 @@ pub(crate) fn apply_node_loss(ctx: &Context, node: NodeId) -> NodeLossReport {
     let mut rec = RecoveryCounters {
         nodes_lost: 1,
         recomputed_partitions: cached as u64,
+        cached_partitions_dropped: cached as u64,
+        map_outputs_lost: map_lost as u64,
         ..RecoveryCounters::default()
     };
 
     // Torrent blocks the dead executor served are re-replicated from the
     // survivors: charge the dead node's share of all broadcast bytes.
-    let bcast = ctx.broadcast_bytes();
+    let bcast = metrics.snapshot().engine.broadcast_ship_bytes;
     let nodes = ctx.cluster().spec().nodes as u64;
     let refetch = bcast / nodes.max(1);
     if refetch > 0 {
@@ -312,6 +237,7 @@ pub(crate) fn apply_node_loss(ctx: &Context, node: NodeId) -> NodeLossReport {
             format!("broadcast re-fetch after {node} loss ({refetch}B)"),
         );
         rec.broadcast_refetches = 1;
+        rec.broadcast_refetch_bytes = refetch;
     }
 
     metrics.advance_with_event(
@@ -323,17 +249,6 @@ pub(crate) fn apply_node_loss(ctx: &Context, node: NodeId) -> NodeLossReport {
         ),
     );
     metrics.note_recovery(&rec);
-    let registry = ctx.cluster().registry();
-    registry.counter("fault.nodes_lost").inc(1);
-    registry
-        .counter("fault.cached_partitions_dropped")
-        .inc(cached as u64);
-    registry
-        .counter("fault.map_outputs_lost")
-        .inc(map_lost as u64);
-    registry
-        .counter("fault.broadcast_refetch_bytes")
-        .inc(refetch);
     NodeLossReport {
         node,
         cached_partitions_dropped: cached,

@@ -643,11 +643,6 @@ where
                 backoff_micros: t.backoff_micros,
                 ..RecoveryCounters::default()
             });
-            let registry = self.ctx().cluster().registry();
-            registry.counter("shuffle.fetch_retries").inc(t.retries);
-            registry
-                .counter("shuffle.fetch_backoff_micros")
-                .inc(t.backoff_micros);
         }
 
         // Fold the buckets in map-task order, one probe per record. A key

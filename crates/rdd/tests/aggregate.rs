@@ -90,7 +90,7 @@ fn a_dense_aggregate_equals_reduce_by_key_at_1_2_and_8_threads() {
             let virtual_side = (
                 snap.now.as_secs().to_bits(),
                 snap.profile.records_written,
-                snap.work,
+                snap.profile.work,
             );
             assert_eq!(
                 *seen.get_or_insert(virtual_side),

@@ -224,11 +224,11 @@ fn assert_modes_agree(fused: &MetricsSnapshot, eager: &MetricsSnapshot, case: us
     assert_eq!(f.cache_hits, e.cache_hits, "cache_hits (case {case})");
     assert_eq!(f.cache_misses, e.cache_misses, "cache_misses (case {case})");
     assert_eq!(
-        fused.work.records_in, eager.work.records_in,
+        fused.profile.work.records_in, eager.profile.work.records_in,
         "records_in (case {case})"
     );
     assert_eq!(
-        fused.work.records_out, eager.work.records_out,
+        fused.profile.work.records_out, eager.profile.work.records_out,
         "records_out (case {case})"
     );
     assert!(

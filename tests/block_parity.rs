@@ -6,12 +6,12 @@
 //! `flat_map → map → reduce_by_key`, `map(encode) → filter`,
 //! `map(retain) → filter`, and every fold over `&[Vec<Item>]`. `Yafim::mine`
 //! has to return what it returns and leave the same clock (by bits), work
-//! counters, record counts and cache high-water mark behind, under every
-//! plan, at 1, 2 and 8 pool threads. Only `bytes_materialized` may differ:
-//! the copies are what the blocks removed.
+//! and engine counters, record counts and cache high-water mark behind,
+//! under every plan, at 1, 2 and 8 pool threads. Only `bytes_materialized`
+//! may differ: the copies are what the blocks removed.
 
 use std::sync::Arc;
-use yafim::cluster::{ClusterSpec, CostModel, EventKind, SimCluster};
+use yafim::cluster::{ByteSize, ClusterSpec, CostModel, EngineCounters, EventKind, SimCluster};
 use yafim::data::from_lines;
 use yafim::data::rng::StdRng;
 use yafim::encode::{tri_index, tri_len, tri_pair};
@@ -246,10 +246,16 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                             EventKind::Projection,
                             "columnar bitmap projection plan",
                         );
+                        let noted = metrics.clone();
                         work.map_partitions(move |txs, tc| {
                             let col = ColumnarPartition::build(n_dense, txs);
                             tc.add_mem_read(8 * col.arena_words() as u64);
                             tc.add_cpu(col.build_cost_units());
+                            noted.note_engine(&EngineCounters {
+                                bitmap_partitions_built: 1,
+                                bitmap_build_bytes: col.byte_size(),
+                                ..EngineCounters::default()
+                            });
                             vec![col]
                         })
                         .cache()
@@ -260,6 +266,12 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                         EventKind::Driver,
                         "broadcast candidate list",
                     );
+                    metrics.note_engine(&EngineCounters {
+                        bitmap_passes: 1,
+                        bitmap_candidates_counted: n_candidates as u64,
+                        ..EngineCounters::default()
+                    });
+                    let noted = metrics.clone();
                     let bc = ctx.broadcast(CandidateList(candidates));
                     let (cands, cand_bytes) = (bc.value(), bc.bytes());
                     let counted =
@@ -275,6 +287,10 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                                     });
                             }
                             tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
+                            noted.note_engine(&EngineCounters {
+                                bitmap_words_intersected: words,
+                                ..EngineCounters::default()
+                            });
                             cells
                         });
                     let survivors = counted.into_iter();
@@ -333,7 +349,6 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
 /// counter the blocks are allowed to move zeroed.
 fn left_behind(ctx: &Context) -> String {
     let mut snapshot = ctx.metrics().snapshot();
-    assert_eq!(snapshot.work, snapshot.profile.work);
     snapshot.profile.bytes_materialized = 0;
     let cache = ctx.cache().stats();
     assert_eq!((cache.entries, cache.used_bytes), (0, 0), "all released");

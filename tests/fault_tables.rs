@@ -1,15 +1,15 @@
 //! The fault plan and the counter tables from the outside: whatever JSON
 //! arrives, `FaultPlan::from_json` answers with a plan that round-trips or
 //! one line of error, the example plans emit what they always emitted, and
-//! a run manifest carries exactly the committed key set.
+//! a run manifest carries exactly the committed key set whichever miner ran
+//! and whatever went wrong.
 
 use std::collections::BTreeSet;
 use yafim::cluster::json::{self, JsonValue};
 use yafim::cluster::{ClusterSpec, CostModel, FaultPlan, RunManifest, SimCluster};
 use yafim::data::rng::StdRng;
 use yafim::data::{to_lines, PaperDataset};
-use yafim::rdd::Context;
-use yafim::{Phase2Plan, Support, Yafim, YafimConfig};
+use yafim::{Miner, Phase2Plan, Support};
 
 /// What `FaultPlan::seeded(0).to_json()` printed before the field table.
 const DEFAULTS_AT_PARENT: &str = r#"{"blacklist_after":3,"blacklist_expiry":0,"cache_corruption_prob":0,"checkpoint_interval":0,"fetch_backoff_base":0.05,"fetch_failure_prob":0,"fetch_retries":3,"hdfs_corruption_prob":0,"hdfs_failure_prob":0,"heartbeat_interval":0.5,"heartbeat_timeout":0,"max_task_failures":4,"mem_budget_override":null,"node_losses":[],"oom_prob":0,"resubmit_delay":0.2,"seed":0,"shuffle_corruption_prob":0,"slow_nodes":[],"speculation":false,"speculation_multiplier":1.5,"targeted_corruptions":[],"task_crash_prob":0}"#;
@@ -135,15 +135,37 @@ fn a_captured_manifest_has_exactly_the_committed_key_set() {
         .filter(|k| !pushed(k))
         .collect();
 
-    let cluster = SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
-    let tx = PaperDataset::T10I4D100K.generate_scaled(0.01);
-    cluster.hdfs().put_overwrite("quest.dat", to_lines(&tx));
-    let config = YafimConfig::with_plan(Support::Fraction(0.02), Phase2Plan::Bitmap);
-    Yafim::new(Context::new(cluster.clone()), config)
-        .mine("quest.dat")
-        .expect("written");
-    let empty = || JsonValue::object(Vec::new());
-    let manifest = RunManifest::capture("keys", "bitmap", empty(), empty(), &cluster);
-    let captured: BTreeSet<&str> = manifest.metrics.keys().map(String::as_str).collect();
-    assert_eq!(captured, expected);
+    // Every distributed miner on a clean cluster, then a bitmap and a
+    // MapReduce run through a node loss and through silent corruption.
+    let clean = Miner::ALL.into_iter().filter(|m| m.is_distributed());
+    let faulty = ["nodeloss", "corruption"].into_iter().flat_map(|plan| {
+        [Miner::Spark(Phase2Plan::Bitmap), Miner::MapReduce].map(|m| (m, Some(plan)))
+    });
+    let tx = to_lines(&PaperDataset::T10I4D100K.generate_scaled(0.01));
+    for (miner, plan) in clean.map(|m| (m, None)).chain(faulty) {
+        let cluster = SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
+        if let Some(name) = plan {
+            let path = format!("{}/results/{name}.fault.json", env!("CARGO_MANIFEST_DIR"));
+            let doc = json::parse(&std::fs::read_to_string(&path).expect("committed"));
+            cluster
+                .faults()
+                .set_plan(FaultPlan::from_json(&doc.expect(&path)).expect(&path));
+        }
+        cluster.hdfs().put_overwrite("quest.dat", tx.clone());
+        let run = format!("{miner:?} under {plan:?}");
+        miner
+            .mine(&cluster, "quest.dat", Support::Fraction(0.02))
+            .expect(&run);
+        let empty = || JsonValue::object(Vec::new());
+        let manifest = RunManifest::capture("keys", miner.name(), empty(), empty(), &cluster);
+        // The fault paths did run.
+        let fired = match plan {
+            Some("nodeloss") => "recovery.nodes_lost",
+            Some(_) => "integrity.corruptions_detected",
+            None => "tasks",
+        };
+        assert!(manifest.metrics[fired] > 0.0, "{run}: no {fired}");
+        let captured: BTreeSet<&str> = manifest.metrics.keys().map(String::as_str).collect();
+        assert_eq!(captured, expected, "{run}");
+    }
 }
