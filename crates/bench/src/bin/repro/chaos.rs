@@ -35,9 +35,8 @@
 use yafim_bench::{bench_dataset, loaded_cluster, run};
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{
-    critical_path, full_report, fx_hash64, ClusterSpec, EventKind, ExecError, FaultPlan,
-    IntegrityTier, MemoryCounters, NodeId, RecoveryCounters, RunManifest, SimCluster, SimDuration,
-    SimInstant,
+    critical_path, full_report, fx_hash64, ClusterSpec, ExecError, FaultPlan, IntegrityTier,
+    MemoryCounters, NodeId, RecoveryCounters, RunManifest, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{MineError, Miner, MinerRun, Phase2Plan};
 use yafim_data::PaperDataset;
@@ -698,26 +697,18 @@ fn mine(
         .unwrap_or_else(|e| panic!("{} must survive its plan: {e}", miner.name()))
 }
 
-/// Virtual instant (seconds) halfway through the `pass 2` iteration span.
+/// Virtual instant (seconds) halfway through pass 2.
 fn pass2_midpoint(cluster: &SimCluster) -> Option<f64> {
-    cluster
-        .metrics()
-        .events_of(EventKind::Iteration)
-        .iter()
-        .find(|e| e.label == "pass 2")
-        .map(|e| e.start.since(SimInstant::EPOCH).as_secs() + e.duration.as_secs() / 2.0)
+    let passes = cluster.metrics().passes();
+    let pass2 = passes.iter().find(|p| p.pass == 2)?;
+    Some(pass2.start.as_secs() + pass2.seconds / 2.0)
 }
 
 /// Virtual start instant (seconds) of every pass's counting stage, in pass
 /// order (pass 1 is Phase-I).
 fn pass_starts(cluster: &SimCluster) -> Vec<f64> {
-    cluster
-        .metrics()
-        .events_of(EventKind::Iteration)
-        .iter()
-        .filter(|e| e.label.starts_with("pass "))
-        .map(|e| e.start.since(SimInstant::EPOCH).as_secs())
-        .collect()
+    let passes = cluster.metrics().passes();
+    passes.iter().map(|p| p.start.as_secs()).collect()
 }
 
 fn print_counters(out: &mut String, r: &RecoveryCounters) {
@@ -735,12 +726,12 @@ fn print_counters(out: &mut String, r: &RecoveryCounters) {
     );
 }
 
-/// Print the stage-report rows that show recovery work (resubmissions and
-/// nonzero recovery columns) plus the report's recovery totals line.
+/// Print the report's anomaly line plus the stage rows that show recovery
+/// work (resubmissions and nonzero recovery columns).
 fn print_recovery_excerpt(out: &mut String, cluster: &SimCluster) {
-    let report = full_report(cluster.metrics());
+    let report = full_report(cluster.metrics(), cluster.cost());
     for line in report.lines() {
-        if line.contains("resubmit") || line.contains("recovery:") || has_recovery_cell(line) {
+        if line.starts_with("anomalies:") || line.contains("resubmit") || has_recovery_cell(line) {
             say!(out, "   | {}", line.trim_end());
         }
     }

@@ -2,7 +2,7 @@
 //! report `repro` writes to `results/<name>.txt`.
 
 use yafim_bench::{assert_same_results, bench_dataset, pass_table, run_clean};
-use yafim_cluster::{iteration_report, ClusterSpec};
+use yafim_cluster::ClusterSpec;
 use yafim_core::{Miner, MiningResult, Phase2Plan};
 use yafim_data::{replicate, stats, PaperDataset};
 
@@ -70,7 +70,7 @@ pub fn fig3() -> String {
                 data.support,
             )
         };
-        let (yafim, yafim_cluster) = clean(YAFIM);
+        let (yafim, _) = clean(YAFIM);
         let (mr, _) = clean(Miner::MapReduce);
         assert_same_results(data.name, &yafim, &mr);
 
@@ -79,10 +79,6 @@ pub fn fig3() -> String {
             data.name
         );
         out += &pass_table(&title, &yafim, &mr);
-        say!(out, "\n   YAFIM per-iteration report (virtual timeline):");
-        for line in iteration_report(yafim_cluster.metrics()).lines() {
-            say!(out, "   {line}");
-        }
 
         let total_speedup = mr.total_seconds / yafim.total_seconds;
         speedups.push(total_speedup);

@@ -1,7 +1,7 @@
 //! Critical-path analysis over the recorded span log.
 //!
-//! [`critical_path`] walks the job → stage → task spans plus the flat event
-//! log and decomposes the run's makespan into **exhaustive, mutually
+//! [`critical_path`] walks the stage → task spans plus the flat event log
+//! and decomposes the run's makespan into **exhaustive, mutually
 //! exclusive** attribution buckets — compute, shuffle read/write, broadcast,
 //! cache, checkpoint, fault stall/recovery, scheduler idle, driver work,
 //! HDFS I/O, and an explicit `unattributed` remainder. The load-bearing
@@ -19,14 +19,17 @@
 //!   the stage recorded failures) or scheduler idle, and the busy time —
 //!   the union of task intervals — is split proportionally by cost-model
 //!   weights derived from the merged [`TaskProfile`];
-//! * **flat events** other than `Job`/`Iteration` summaries (broadcasts,
-//!   HDFS traffic, driver/projection work, checkpoints) — mapped whole to
-//!   one bucket by kind (events duplicating a retained stage span are
-//!   skipped, since [`Metrics::record_stage`] files both);
+//! * **flat events** (broadcasts, HDFS traffic, driver/projection work,
+//!   checkpoints) — mapped whole to one bucket by kind;
 //! * **gaps** between primitives — plain clock advances (job-submission
 //!   overhead, driver result fetches) are attributed to the driver; if the
-//!   ring buffers dropped entries, the gap before the first retained
-//!   primitive is unknowable history and lands in `unattributed`.
+//!   ring buffers dropped a stage or event, the time up to the end of the
+//!   newest one dropped is unknowable history and lands in `unattributed`.
+//!
+//! The same primitives are filed a second time per Apriori pass (each under
+//! the pass its midpoint falls in; gaps, the only intervals that can
+//! straddle a pass boundary, are clipped at it), so the report's pass table
+//! joins |C_k| and |L_k| with where each pass's time went.
 //!
 //! Per-stage skew metrics (task-time p50/p95/max, straggler ratio,
 //! partition-size CV) ride along in the same report, because the skew the
@@ -36,9 +39,9 @@
 use crate::costmodel::CostModel;
 use crate::fault::RecoveryCounters;
 use crate::json::JsonValue;
-use crate::metrics::{EventKind, Metrics, StageSpan, TaskSpan};
+use crate::metrics::{EventKind, Metrics, PassTiming, StageSpan, TaskSpan};
 use crate::work::TaskProfile;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Exhaustive, mutually exclusive makespan decomposition, in virtual
 /// seconds. The fields sum to the makespan (see [`CriticalPathBuckets::total`]).
@@ -71,7 +74,7 @@ pub struct CriticalPathBuckets {
     /// HDFS reads and writes outside stages.
     pub hdfs_io: f64,
     /// Time the retained logs cannot explain (dropped ring-buffer history,
-    /// zero-information markers).
+    /// [`EventKind::Other`] markers).
     pub unattributed: f64,
 }
 
@@ -162,13 +165,20 @@ pub struct CriticalPathReport {
     /// Per-stage skew, in stage order (only stages with retained tasks).
     pub stages: Vec<StageSkew>,
     /// True when ring-buffer drops mean the decomposition was reconstructed
-    /// from an incomplete log (the unexplained prefix sits in
+    /// from an incomplete log (the unexplained history sits in
     /// `buckets.unattributed`).
     pub partial: bool,
+    /// Each retained pass with its share of the decomposition, in pass
+    /// order. Together with `outside` the rows sum to `buckets`.
+    pub passes: Vec<(PassTiming, CriticalPathBuckets)>,
+    /// The time outside every pass: the dense dictionary, trim plans,
+    /// checkpoint jobs.
+    pub outside: CriticalPathBuckets,
 }
 
 impl CriticalPathReport {
-    /// JSON object for manifests (deterministic key order).
+    /// JSON object for manifests (deterministic key order). The per-pass
+    /// rows stay out: they are a view, the buckets are the record.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object(vec![
             ("makespan", JsonValue::from(self.makespan)),
@@ -179,64 +189,6 @@ impl CriticalPathReport {
                 JsonValue::Array(self.stages.iter().map(|s| s.to_json()).collect()),
             ),
         ])
-    }
-
-    /// Render the decomposition and the most skewed stages as a text table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "critical path (makespan {:.3}s):", self.makespan);
-        if self.partial {
-            let _ = writeln!(
-                out,
-                "  (partial: span logs overflowed; unexplained history is 'unattributed')"
-            );
-        }
-        for (name, secs) in self.buckets.named() {
-            if secs == 0.0 {
-                continue;
-            }
-            let pct = if self.makespan > 0.0 {
-                100.0 * secs / self.makespan
-            } else {
-                0.0
-            };
-            let _ = writeln!(out, "  {name:<15} {secs:>10.3}s {pct:>5.1}%");
-        }
-        if !self.stages.is_empty() {
-            let mut by_duration: Vec<&StageSkew> = self.stages.iter().collect();
-            by_duration.sort_by(|a, b| {
-                b.duration
-                    .total_cmp(&a.duration)
-                    .then(a.stage_id.cmp(&b.stage_id))
-            });
-            let shown = by_duration.len().min(12);
-            let _ = writeln!(
-                out,
-                "\nstage skew (top {shown} of {} by duration):",
-                self.stages.len()
-            );
-            let _ = writeln!(
-                out,
-                "  {:>5} {:>6} {:>9} {:>9} {:>9} {:>9} {:>7} label",
-                "stage", "tasks", "p50", "p95", "max", "straggle", "cv"
-            );
-            for s in by_duration.into_iter().take(shown) {
-                let _ = writeln!(
-                    out,
-                    "  {:>5} {:>6} {:>8.3}s {:>8.3}s {:>8.3}s {:>8.2}x {:>7.3} {}",
-                    s.stage_id,
-                    s.tasks,
-                    s.p50,
-                    s.p95,
-                    s.max,
-                    s.straggler_ratio,
-                    s.partition_cv,
-                    s.label
-                );
-            }
-        }
-        out
     }
 }
 
@@ -255,85 +207,38 @@ pub fn critical_path(metrics: &Metrics, cost: &CostModel) -> CriticalPathReport 
     let stage_spans = metrics.stage_spans();
     let task_spans = metrics.task_spans();
     let events = metrics.events();
-    let partial = metrics.dropped().total() > 0;
+    let partial = metrics.dropped().any();
+    let lost_until = metrics.lost_until().as_secs();
 
     let mut tasks_by_stage: BTreeMap<u64, Vec<&TaskSpan>> = BTreeMap::new();
     for t in &task_spans {
         tasks_by_stage.entry(t.stage_id).or_default().push(t);
     }
 
-    // `record_stage` files the same interval as both a flat event and a
-    // stage span; skip the flat copy when the span survived the ring.
-    let stage_keys: HashSet<(u64, u64, &str)> = stage_spans
-        .iter()
-        .map(|s| {
-            (
-                s.start.as_secs().to_bits(),
-                s.duration.as_secs().to_bits(),
-                s.label.as_str(),
-            )
-        })
-        .collect();
-
     let mut prims: Vec<(f64, f64, Attribution)> = Vec::new();
     for s in &stage_spans {
         prims.push((s.start.as_secs(), s.end().as_secs(), Attribution::Stage(s)));
     }
     for e in &events {
-        match e.kind {
-            // Job and Iteration events summarize intervals whose stages and
-            // driver work already advanced the clock — counting them would
-            // double-book the timeline.
-            EventKind::Job | EventKind::Iteration => continue,
-            EventKind::Stage | EventKind::Shuffle => {
-                let key = (
-                    e.start.as_secs().to_bits(),
-                    e.duration.as_secs().to_bits(),
-                    e.label.as_str(),
-                );
-                if stage_keys.contains(&key) {
-                    continue;
-                }
-                // The span was dropped from the ring: the interval is real
-                // but its internal structure is gone.
-                prims.push((
-                    e.start.as_secs(),
-                    e.end().as_secs(),
-                    Attribution::Kind(EventKind::Other),
-                ));
-            }
-            kind => prims.push((
-                e.start.as_secs(),
-                e.end().as_secs(),
-                Attribution::Kind(kind),
-            )),
-        }
+        let (start, end) = (e.start.as_secs(), e.end().as_secs());
+        prims.push((start, end, Attribution::Kind(e.kind)));
     }
     prims.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
 
     let mut buckets = CriticalPathBuckets::default();
+    let mut rows = PassRows::new(metrics.passes());
     let mut cursor = 0.0_f64;
-    let mut leading = true;
     for (start, end, attr) in prims {
         if start > cursor {
-            let gap = start - cursor;
-            if leading && partial {
-                // Dropped history: something happened here, the log no
-                // longer says what.
-                buckets.unattributed += gap;
-            } else {
-                // Plain clock advances between records are job-submission
-                // overhead and driver result fetches.
-                buckets.driver += gap;
-            }
+            add_gap(&mut buckets, &mut rows, cursor, start, lost_until);
         }
-        leading = false;
         let effective = (end - start.max(cursor)).max(0.0);
         if effective > 0.0 {
             // `scale < 1` only if primitives ever overlapped (they cannot,
             // every record advances the shared clock); kept for safety so
             // the sum invariant survives adversarial inputs.
             let scale = effective / (end - start);
+            let row = rows.at((start.max(cursor) + end) / 2.0);
             match attr {
                 Attribution::Stage(span) => {
                     let tasks = tasks_by_stage
@@ -341,9 +246,11 @@ pub fn critical_path(metrics: &Metrics, cost: &CostModel) -> CriticalPathReport 
                         .map(Vec::as_slice)
                         .unwrap_or(&[]);
                     add_stage(&mut buckets, span, tasks, cost, scale);
+                    add_stage(row, span, tasks, cost, scale);
                 }
                 Attribution::Kind(kind) => {
                     *flat_bucket(&mut buckets, kind) += effective;
+                    *flat_bucket(row, kind) += effective;
                 }
             }
         }
@@ -352,7 +259,7 @@ pub fn critical_path(metrics: &Metrics, cost: &CostModel) -> CriticalPathReport 
     if makespan > cursor {
         // The run ends with driver-side work (final result fetch, rule
         // generation) recorded as a plain advance.
-        buckets.driver += makespan - cursor;
+        add_gap(&mut buckets, &mut rows, cursor, makespan, lost_until);
     }
 
     let mut stages = Vec::new();
@@ -369,17 +276,78 @@ pub fn critical_path(metrics: &Metrics, cost: &CostModel) -> CriticalPathReport 
         buckets,
         stages,
         partial,
+        passes: rows.passes.into_iter().zip(rows.rows).collect(),
+        outside: rows.outside,
     }
 }
 
-/// Which bucket a flat (non-stage) event belongs to.
+/// The per-pass rows: a second accumulation over the same primitives.
+struct PassRows {
+    passes: Vec<PassTiming>,
+    rows: Vec<CriticalPathBuckets>,
+    outside: CriticalPathBuckets,
+}
+
+impl PassRows {
+    fn new(passes: Vec<PassTiming>) -> Self {
+        PassRows {
+            rows: vec![CriticalPathBuckets::default(); passes.len()],
+            passes,
+            outside: CriticalPathBuckets::default(),
+        }
+    }
+
+    /// The pass's interval in seconds.
+    fn bounds(p: &PassTiming) -> (f64, f64) {
+        (p.start.as_secs(), p.start.as_secs() + p.seconds)
+    }
+
+    /// The row of a primitive whose midpoint is `mid` (passes are filed in
+    /// clock order and never overlap).
+    fn at(&mut self, mid: f64) -> &mut CriticalPathBuckets {
+        let after = self.passes.partition_point(|p| p.start.as_secs() <= mid);
+        match after.checked_sub(1) {
+            Some(i) if mid < Self::bounds(&self.passes[i]).1 => &mut self.rows[i],
+            _ => &mut self.outside,
+        }
+    }
+
+    /// Spread the interval `[from, to)` over the rows it crosses.
+    fn spread(&mut self, from: f64, to: f64, add: impl Fn(&mut CriticalPathBuckets, f64)) {
+        let mut left = to - from;
+        for (p, row) in self.passes.iter().zip(&mut self.rows) {
+            let (start, end) = Self::bounds(p);
+            let overlap = to.min(end) - from.max(start);
+            if overlap > 0.0 {
+                add(row, overlap);
+                left -= overlap;
+            }
+        }
+        if left > 0.0 {
+            add(&mut self.outside, left);
+        }
+    }
+}
+
+/// A stretch of clock no retained record covers: plain advances (job
+/// submission overhead, driver result fetches) are driver time, except
+/// before `lost_until`, where a dropped record once said what happened.
+fn add_gap(b: &mut CriticalPathBuckets, rows: &mut PassRows, from: f64, to: f64, lost_until: f64) {
+    let lost = (to.min(lost_until) - from).max(0.0);
+    b.unattributed += lost;
+    b.driver += (to - from) - lost;
+    rows.spread(from, from + lost, |r, s| r.unattributed += s);
+    rows.spread(from + lost, to, |r, s| r.driver += s);
+}
+
+/// Which bucket a flat event belongs to.
 fn flat_bucket(b: &mut CriticalPathBuckets, kind: EventKind) -> &mut f64 {
     match kind {
         EventKind::Broadcast => &mut b.broadcast,
         EventKind::HdfsRead | EventKind::HdfsWrite => &mut b.hdfs_io,
         EventKind::Driver | EventKind::Projection => &mut b.driver,
         EventKind::Checkpoint => &mut b.checkpoint,
-        _ => &mut b.unattributed,
+        EventKind::Other => &mut b.unattributed,
     }
 }
 
@@ -540,7 +508,7 @@ fn stage_skew(span: &StageSpan, tasks: &[&TaskSpan]) -> StageSkew {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{MetricsCapacity, StageExecution, TaskExecution};
+    use crate::metrics::{MetricsCapacity, StageExecution, StageKind, TaskExecution};
     use crate::spec::NodeId;
     use crate::time::SimDuration;
 
@@ -600,7 +568,7 @@ mod tests {
         m.advance(SimDuration::from_secs(1.0));
         m.record_stage(StageExecution {
             label: "s".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::from_secs(0.25),
@@ -624,7 +592,7 @@ mod tests {
         let m = Metrics::new();
         m.record_stage(StageExecution {
             label: "fetchy".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: Some(1),
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
@@ -652,22 +620,44 @@ mod tests {
     }
 
     #[test]
-    fn job_and_iteration_summaries_are_not_double_counted() {
+    fn pass_rows_and_the_outside_row_tile_the_run() {
         let m = Metrics::new();
-        let job = m.begin_job("j");
-        let start = m.now();
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: EventKind::Stage,
+        let stage = |label: &str| StageExecution {
+            label: label.into(),
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
-        });
-        m.record_span(EventKind::Iteration, "pass 1", start);
+        };
+        let job = m.begin_job("j");
+        let start = m.now();
+        m.advance(SimDuration::from_secs(0.5)); // job overhead, inside pass 1
+        m.record_stage(stage("s1"));
         m.end_job(job);
+        m.record_pass(1, "items", start, 3, 2);
+        m.advance_with_event(SimDuration::from_secs(0.25), EventKind::Projection, "p");
+        // Two plain advances are one gap, and it straddles pass 2's start.
+        m.advance(SimDuration::from_secs(0.25));
+        let start = m.now();
+        m.advance(SimDuration::from_secs(0.25));
+        m.record_stage(stage("s2"));
+        m.record_pass(2, "trie", start, 1, 1);
         let r = assert_sums(&m);
-        assert!((r.makespan - 1.0).abs() < EPS);
+        assert!((r.makespan - 3.25).abs() < EPS, "a pass adds no time");
+        assert_eq!(r.passes.len(), 2);
+        for (pass, row) in &r.passes {
+            assert!((row.total() - pass.seconds).abs() < EPS, "{pass:?} {row:?}");
+        }
+        assert!((r.passes[0].1.driver - 0.5).abs() < EPS);
+        assert!((r.passes[1].1.driver - 0.25).abs() < EPS);
+        assert!((r.outside.driver - 0.5).abs() < EPS, "{:?}", r.outside);
+        let mut rows: Vec<CriticalPathBuckets> = r.passes.iter().map(|(_, b)| *b).collect();
+        rows.push(r.outside);
+        for (k, (name, total)) in r.buckets.named().into_iter().enumerate() {
+            let sum: f64 = rows.iter().map(|b| b.named()[k].1).sum();
+            assert!((sum - total).abs() < EPS, "{name}: {sum} vs {total}");
+        }
     }
 
     #[test]
@@ -681,7 +671,7 @@ mod tests {
         m.record_stage_with_recovery(
             StageExecution {
                 label: "faulty".into(),
-                kind: EventKind::Stage,
+                kind: StageKind::Result,
                 shuffle_id: None,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
@@ -708,7 +698,7 @@ mod tests {
         let m = Metrics::new();
         m.record_stage(StageExecution {
             label: "gappy".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
@@ -737,7 +727,7 @@ mod tests {
         // forcing the proportional fallback path.
         m.record_stage(StageExecution {
             label: "truncated".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::from_secs(2.0),
             trailing: SimDuration::ZERO,
@@ -759,7 +749,7 @@ mod tests {
         t.profile.work.add_cpu(10_000_000); // 1s of CPU at hadoop_era
         m.record_stage(StageExecution {
             label: "stalled".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
@@ -781,7 +771,7 @@ mod tests {
         for i in 0..5 {
             m.record_stage(StageExecution {
                 label: format!("s{i}"),
-                kind: EventKind::Stage,
+                kind: StageKind::Result,
                 shuffle_id: None,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
@@ -799,6 +789,33 @@ mod tests {
     }
 
     #[test]
+    fn dropped_stages_between_kept_events_are_unattributed() {
+        let m = Metrics::with_capacity(MetricsCapacity {
+            stages: 2,
+            ..MetricsCapacity::default()
+        });
+        for i in 0..5 {
+            let label = format!("b{i}");
+            m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Broadcast, label);
+            m.record_stage(StageExecution {
+                label: format!("s{i}"),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
+            });
+        }
+        let r = assert_sums(&m);
+        assert!(r.partial);
+        // s0..s2 are gone; the broadcasts around them survive.
+        let b = r.buckets;
+        assert!((b.unattributed - 3.0).abs() < EPS, "{b:?}");
+        assert!((b.broadcast - 2.5).abs() < EPS, "{b:?}");
+        assert!(b.driver.abs() < EPS, "{b:?}");
+    }
+
+    #[test]
     fn skew_metrics_match_known_distribution() {
         let m = Metrics::new();
         let mut tasks = Vec::new();
@@ -813,7 +830,7 @@ mod tests {
         }
         m.record_stage(StageExecution {
             label: "skewed".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
@@ -832,20 +849,17 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_and_serializes() {
+    fn report_serializes() {
         let m = Metrics::new();
         m.record_stage(StageExecution {
             label: "s".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::ZERO,
             tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
         });
         let r = assert_sums(&m);
-        let text = r.render();
-        assert!(text.contains("critical path"));
-        assert!(text.contains("compute"));
         let json = r.to_json();
         let parsed = crate::json::parse(&json.to_string()).expect("round-trips");
         assert_eq!(

@@ -29,16 +29,17 @@
 //! * [`fault`] — seeded fault injection (crashes, node loss, stragglers) and
 //!   Spark-style recovery scheduling (retries, blacklisting, speculation).
 //! * [`hdfs`] — simulated HDFS with real file contents, blocks and replicas.
-//! * [`metrics`] — the virtual clock, the run's counter tables and the span
-//!   log (job → stage → task) shared by engines.
+//! * [`metrics`] — the virtual clock, the run's counter tables and its
+//!   record: spans (job → stage → task), passes and driver-side events.
 //! * [`critical`] — critical-path analysis: decompose the makespan into
-//!   exhaustive attribution buckets plus per-stage skew metrics.
+//!   exhaustive attribution buckets, per pass and in total, plus per-stage
+//!   skew metrics.
 //! * [`manifest`] — versioned machine-readable run manifests for the
 //!   bench-regression gate.
 //! * [`memgov`] — the unified execution-memory governor: region split,
 //!   per-task budgets, OOM injection and the graceful-degradation ladder.
 //! * [`trace`] — Chrome trace event exporter (Perfetto / chrome://tracing).
-//! * [`report`] — Spark-UI-style per-stage and per-iteration text tables.
+//! * [`report`] — the text view of the record: anomalies, passes, stages.
 //! * [`pool`] — the real worker thread pool used to execute tasks.
 
 pub mod bytes;
@@ -76,10 +77,10 @@ pub use memgov::{
 };
 pub use metrics::{
     DropCounts, EngineCounters, Event, EventKind, JobSpan, Metrics, MetricsCapacity,
-    MetricsSnapshot, StageExecution, StageSpan, TaskExecution, TaskSpan,
+    MetricsSnapshot, PassTiming, StageExecution, StageKind, StageSpan, TaskExecution, TaskSpan,
 };
 pub use pool::ThreadPool;
-pub use report::{full_report, iteration_report, stage_report};
+pub use report::full_report;
 pub use sched::{
     DetailedSchedule, HeartbeatMonitor, ScheduleOutcome, SchedulerConfig, TaskPlacement, TaskSpec,
     VirtualScheduler,
@@ -162,7 +163,7 @@ impl SimCluster {
         &self.inner.hdfs
     }
 
-    /// Shared metrics sink (virtual clock, counters, event log).
+    /// Shared metrics sink (virtual clock, counters, the run's record).
     pub fn metrics(&self) -> &Metrics {
         &self.inner.metrics
     }

@@ -19,7 +19,6 @@
 //! experiments.
 
 use crate::critical::critical_path;
-use crate::fault::CounterField;
 use crate::hash::fx_hash64;
 use crate::json::JsonValue;
 use crate::{MetricsSnapshot, SimCluster};
@@ -49,6 +48,20 @@ pub struct RunManifest {
     /// Full critical-path report, and anything else worth keeping for
     /// humans.
     pub detail: JsonValue,
+}
+
+/// Every row of every counter table in `snap` under its manifest key: the
+/// recovery tables' rows under their group (`recovery.`, `integrity.`,
+/// `mem.`), the task profile's attribution rows and the engine table's
+/// under the keys their rows name.
+pub(crate) fn counter_rows(snap: &MetricsSnapshot) -> impl Iterator<Item = (String, u64)> {
+    let r = &snap.recovery;
+    let grouped = r.fields().map(|f| ("recovery.", f));
+    let grouped = grouped.chain(r.integrity.fields().map(|f| ("integrity.", f)));
+    let grouped = grouped.chain(r.mem.fields().map(|f| ("mem.", f)));
+    let named = snap.profile.fields().chain(snap.engine.fields());
+    let rows = grouped.chain(named.map(|f| ("", f)));
+    rows.map(|(group, f)| (format!("{group}{}", f.key), f.value))
 }
 
 impl RunManifest {
@@ -89,25 +102,15 @@ impl RunManifest {
     }
 
     /// The virtual clock, the run's totals and every row of every counter
-    /// table in `snap`, each under exactly one key: the recovery tables'
-    /// rows under their group (`recovery.`, `integrity.`, `mem.`), the task
-    /// profile's attribution rows and the engine table's under the keys
-    /// their rows name. The key set is the same on every run.
+    /// table in `snap`, each under exactly one key ([`counter_rows`]). The
+    /// key set is the same on every run.
     fn counters(snap: &MetricsSnapshot) -> BTreeMap<String, f64> {
         let mut metrics = BTreeMap::new();
         metrics.insert("virtual_seconds".to_string(), snap.now.as_secs());
         metrics.insert("jobs".to_string(), snap.jobs as f64);
         metrics.insert("stages".to_string(), snap.stages as f64);
         metrics.insert("tasks".to_string(), snap.tasks as f64);
-        let mut put = |prefix: &str, f: CounterField| {
-            metrics.insert(format!("{prefix}{}", f.key), f.value as f64);
-        };
-        let r = &snap.recovery;
-        r.fields().for_each(|f| put("recovery.", f));
-        r.integrity.fields().for_each(|f| put("integrity.", f));
-        r.mem.fields().for_each(|f| put("mem.", f));
-        let named = snap.profile.fields().chain(snap.engine.fields());
-        named.for_each(|f| put("", f));
+        metrics.extend(counter_rows(snap).map(|(key, value)| (key, value as f64)));
         metrics
     }
 
@@ -263,7 +266,7 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{EventKind, StageExecution, TaskExecution};
+    use crate::metrics::{StageExecution, StageKind, TaskExecution};
     use crate::spec::{ClusterSpec, NodeId};
     use crate::time::SimDuration;
     use crate::work::TaskProfile;
@@ -276,7 +279,7 @@ mod tests {
         profile.work.add_records_in(100);
         c.metrics().record_stage(StageExecution {
             label: "s".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::ZERO,

@@ -1,25 +1,30 @@
-//! Shared metrics: the virtual clock, aggregate counters, and a hierarchical
-//! span log (job → stage → task) over the virtual timeline.
+//! Shared metrics: the virtual clock, aggregate counters, and the run's
+//! record of intervals on the virtual timeline.
 //!
 //! Both engines charge all their virtual time here, so an experiment can run
 //! a YAFIM job and an MR-Apriori job against separate clusters and compare
-//! `metrics().now()` readings, or read back the logs to reconstruct the
+//! `metrics().now()` readings, or read back the passes to reconstruct the
 //! per-iteration series of the paper's Fig. 3/Fig. 6.
 //!
-//! Three granularities are kept, all on the same virtual clock:
+//! Every interval is filed once, in one of three logs on the same clock:
 //!
-//! * **events** — flat intervals ([`Event`]), the coarse log the engines have
-//!   always produced (iterations, broadcasts, HDFS traffic, driver work);
 //! * **spans** — [`JobSpan`] / [`StageSpan`] / [`TaskSpan`], parented
 //!   job → stage → task, each task attributed to a simulated node and core
 //!   with queue wait and a full [`TaskProfile`];
-//! * **aggregates** — [`MetricsSnapshot`] totals: every count a manifest
-//!   reports, each a row of one counter table.
+//! * **passes** — [`PassTiming`], one per Apriori pass, filed by the
+//!   miner's driver loop through [`Metrics::record_pass`];
+//! * **events** — flat driver-side intervals ([`Event`]) that no span
+//!   covers: broadcasts, HDFS traffic, driver and projection work.
+//!
+//! The **aggregates** ([`MetricsSnapshot`]) hold every count a manifest
+//! reports, each a row of one counter table.
 //!
 //! Every log is a bounded ring buffer: when full, the *oldest* entries are
 //! dropped and counted in [`DropCounts`], never silently (the text report
-//! prints them). Engines record stages through [`Metrics::record_stage`],
-//! which advances the clock and files all three granularities atomically.
+//! prints them), and the end of the newest dropped interval is kept so the
+//! critical path can tell lost history from driver time. Engines record
+//! stages through [`Metrics::record_stage`], which advances the clock and
+//! files the stage and its tasks atomically.
 
 use crate::fault::{counter_table, RecoveryCounters};
 use crate::spec::NodeId;
@@ -29,17 +34,9 @@ use crate::work::TaskProfile;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// What kind of activity an [`Event`] describes.
+/// What kind of driver-side activity an [`Event`] describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    /// A whole engine job (one action / one MapReduce job).
-    Job,
-    /// One scheduler stage (between shuffle boundaries).
-    Stage,
-    /// A shuffle map stage (writing shuffle files for a `reduceByKey`).
-    Shuffle,
-    /// One Apriori iteration (pass k), as plotted in Fig. 3.
-    Iteration,
     /// A broadcast of shared data to the workers.
     Broadcast,
     /// Reading a file from simulated HDFS.
@@ -52,11 +49,20 @@ pub enum EventKind {
     /// builds, cross-pass trim planning) — attributed separately from
     /// generic driver work so reports can show what the re-encoding costs.
     Projection,
-    /// Materializing an RDD's partitions to replicated simulated HDFS
-    /// (lineage truncation) and reads served back from such a checkpoint.
+    /// Checkpoint traffic outside any stage.
     Checkpoint,
     /// Anything else.
     Other,
+}
+
+/// What a stage's tasks produce.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StageKind {
+    /// The last stage of a job: its tasks' results go to the driver (or,
+    /// for a checkpoint, to stable storage).
+    Result,
+    /// A shuffle map stage, writing shuffle files for a `reduceByKey`.
+    ShuffleMap,
 }
 
 /// One interval on the virtual timeline.
@@ -64,7 +70,7 @@ pub enum EventKind {
 pub struct Event {
     /// Category of the interval.
     pub kind: EventKind,
-    /// Human-readable label, e.g. `"pass 3"` or `"stage 7 (reduceByKey)"`.
+    /// Human-readable label, e.g. `"ap_gen pass 3"`.
     pub label: String,
     /// Start of the interval.
     pub start: SimInstant,
@@ -108,8 +114,8 @@ pub struct StageSpan {
     pub job_id: u64,
     /// Stage label.
     pub label: String,
-    /// [`EventKind::Stage`] or [`EventKind::Shuffle`].
-    pub kind: EventKind,
+    /// Result or shuffle-map stage.
+    pub kind: StageKind,
     /// Shuffle id, for map stages of a `reduceByKey` and for stages reading
     /// shuffle output.
     pub shuffle_id: Option<u64>,
@@ -163,6 +169,27 @@ impl TaskSpan {
     }
 }
 
+/// Timing and size facts about one Apriori pass — one point of the paper's
+/// Fig. 3 / Fig. 6 per-iteration series. Built only by
+/// [`Metrics::record_pass`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct PassTiming {
+    /// Pass number (1 = the frequent-items pass).
+    pub pass: usize,
+    /// What counted the pass: `items` for pass 1, the matcher after it
+    /// (`hash tree`, `triangle`, `trie`, `bitmap`), or the phase for the
+    /// miners that run two.
+    pub counter: &'static str,
+    /// Start of the pass on the virtual timeline.
+    pub start: SimInstant,
+    /// Virtual seconds the pass took.
+    pub seconds: f64,
+    /// Candidates counted in the pass (pass 1: distinct items seen).
+    pub candidates: usize,
+    /// Frequent itemsets surviving the pass.
+    pub frequent: usize,
+}
+
 /// One task's execution record, as reported by an engine to
 /// [`Metrics::record_stage`]. Times are relative to the start of the stage's
 /// task window (after the stage overhead).
@@ -192,8 +219,8 @@ pub struct TaskExecution {
 pub struct StageExecution {
     /// Stage label.
     pub label: String,
-    /// [`EventKind::Stage`] or [`EventKind::Shuffle`].
-    pub kind: EventKind,
+    /// Result or shuffle-map stage.
+    pub kind: StageKind,
     /// Shuffle id this stage writes or reads, if any.
     pub shuffle_id: Option<u64>,
     /// Setup time before the first task can launch.
@@ -256,23 +283,19 @@ pub struct MetricsSnapshot {
     pub engine: EngineCounters,
 }
 
-/// How many entries each bounded log has discarded (oldest first).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DropCounts {
-    /// Dropped flat events.
-    pub events: u64,
-    /// Dropped job spans.
-    pub jobs: u64,
-    /// Dropped stage spans.
-    pub stages: u64,
-    /// Dropped task spans.
-    pub tasks: u64,
-}
-
-impl DropCounts {
-    /// Total dropped entries across all logs.
-    pub fn total(&self) -> u64 {
-        self.events + self.jobs + self.stages + self.tasks
+counter_table! {
+    /// How many entries each bounded log has discarded (oldest first).
+    pub struct DropCounts {
+        /// Dropped flat events.
+        events: sum "dropped.events",
+        /// Dropped job spans.
+        jobs: sum "dropped.jobs",
+        /// Dropped stage spans.
+        stages: sum "dropped.stages",
+        /// Dropped task spans.
+        tasks: sum "dropped.tasks",
+        /// Dropped pass records.
+        passes: sum "dropped.passes",
     }
 }
 
@@ -318,12 +341,15 @@ impl<T> Ring<T> {
         }
     }
 
-    fn push(&mut self, item: T) {
+    /// Append `item`, returning the oldest entry if it had to make room.
+    fn push(&mut self, item: T) -> Option<T> {
+        let mut evicted = None;
         if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+            evicted = self.buf.pop_front();
             self.dropped += 1;
         }
         self.buf.push_back(item);
+        evicted
     }
 }
 
@@ -343,6 +369,10 @@ struct MetricsInner {
     job_spans: Ring<JobSpan>,
     stage_spans: Ring<StageSpan>,
     task_spans: Ring<TaskSpan>,
+    passes: Ring<PassTiming>,
+    /// End of the newest interval a ring dropped: what the retained logs
+    /// say about the time before it is incomplete.
+    lost_until: SimInstant,
 }
 
 impl MetricsInner {
@@ -362,6 +392,10 @@ impl MetricsInner {
             job_spans: Ring::new(capacity.jobs),
             stage_spans: Ring::new(capacity.stages),
             task_spans: Ring::new(capacity.tasks),
+            // Every pass runs at least one job, so the job ring's capacity
+            // keeps at least as many passes as jobs.
+            passes: Ring::new(capacity.jobs),
+            lost_until: SimInstant::EPOCH,
         }
     }
 }
@@ -416,26 +450,39 @@ impl Metrics {
         let start = g.now;
         g.now += d;
         let end = g.now;
-        g.events.push(Event {
+        let event = Event {
             kind,
             label: label.into(),
             start,
             duration: d,
-        });
+        };
+        if let Some(lost) = g.events.push(event) {
+            g.lost_until = g.lost_until.max(lost.end());
+        }
         (start, end)
     }
 
-    /// Record an event over an interval that already elapsed (e.g. a job
-    /// whose stages each advanced the clock individually).
-    pub fn record_span(&self, kind: EventKind, label: impl Into<String>, start: SimInstant) {
+    /// File the Apriori pass `pass` that began at `start` and ends now,
+    /// counted by `counter`, and return its record for the miner's series.
+    pub fn record_pass(
+        &self,
+        pass: usize,
+        counter: &'static str,
+        start: SimInstant,
+        candidates: usize,
+        frequent: usize,
+    ) -> PassTiming {
         let mut g = self.inner.lock();
-        let duration = g.now.since(start);
-        g.events.push(Event {
-            kind,
-            label: label.into(),
+        let timing = PassTiming {
+            pass,
+            counter,
             start,
-            duration,
-        });
+            seconds: g.now.since(start).as_secs(),
+            candidates,
+            frequent,
+        };
+        g.passes.push(timing.clone());
+        timing
     }
 
     /// Open a job span at the current virtual time. Stages recorded before
@@ -451,9 +498,9 @@ impl Metrics {
     }
 
     /// Close a job opened with [`Metrics::begin_job`]: files the
-    /// [`JobSpan`], a flat [`EventKind::Job`] event, and bumps the job
-    /// counter. Out-of-order ids are tolerated (the matching entry is
-    /// removed wherever it sits on the stack).
+    /// [`JobSpan`] and bumps the job counter. Out-of-order ids are
+    /// tolerated (the matching entry is removed wherever it sits on the
+    /// stack).
     pub fn end_job(&self, job_id: u64) {
         let mut g = self.inner.lock();
         let Some(pos) = g.open_jobs.iter().position(|(id, _, _)| *id == job_id) else {
@@ -461,12 +508,6 @@ impl Metrics {
         };
         let (id, label, start) = g.open_jobs.remove(pos);
         let duration = g.now.since(start);
-        g.events.push(Event {
-            kind: EventKind::Job,
-            label: label.clone(),
-            start,
-            duration,
-        });
         g.job_spans.push(JobSpan {
             job_id: id,
             label,
@@ -477,8 +518,8 @@ impl Metrics {
     }
 
     /// Record one executed stage: advances the clock by
-    /// `overhead + makespan + trailing`, files the stage span, its task
-    /// spans, a flat event, and merges the profiles into the aggregates.
+    /// `overhead + makespan + trailing`, files the stage span and its task
+    /// spans, and merges the profiles into the aggregates.
     /// Returns the assigned stage id.
     pub fn record_stage(&self, exec: StageExecution) -> u64 {
         self.record_stage_with_recovery(exec, RecoveryCounters::default())
@@ -522,13 +563,7 @@ impl Metrics {
             });
         }
 
-        g.events.push(Event {
-            kind: exec.kind,
-            label: exec.label.clone(),
-            start: stage_start,
-            duration,
-        });
-        g.stage_spans.push(StageSpan {
+        let span = StageSpan {
             stage_id,
             job_id,
             label: exec.label,
@@ -539,7 +574,10 @@ impl Metrics {
             tasks: exec.tasks.len() as u64,
             profile: merged,
             recovery,
-        });
+        };
+        if let Some(lost) = g.stage_spans.push(span) {
+            g.lost_until = g.lost_until.max(lost.end());
+        }
         g.stages += 1;
         g.tasks += exec.tasks.len() as u64;
         g.profile.merge(&merged);
@@ -578,18 +616,6 @@ impl Metrics {
         self.inner.lock().events.buf.iter().cloned().collect()
     }
 
-    /// Events of one kind, in order.
-    pub fn events_of(&self, kind: EventKind) -> Vec<Event> {
-        self.inner
-            .lock()
-            .events
-            .buf
-            .iter()
-            .filter(|e| e.kind == kind)
-            .cloned()
-            .collect()
-    }
-
     /// Copy of the retained job spans, in completion order.
     pub fn job_spans(&self) -> Vec<JobSpan> {
         self.inner.lock().job_spans.buf.iter().cloned().collect()
@@ -605,6 +631,11 @@ impl Metrics {
         self.inner.lock().task_spans.buf.iter().cloned().collect()
     }
 
+    /// Copy of the retained pass records, in pass order.
+    pub fn passes(&self) -> Vec<PassTiming> {
+        self.inner.lock().passes.buf.iter().cloned().collect()
+    }
+
     /// How many entries each log has dropped to stay within capacity.
     pub fn dropped(&self) -> DropCounts {
         let g = self.inner.lock();
@@ -613,25 +644,14 @@ impl Metrics {
             jobs: g.job_spans.dropped,
             stages: g.stage_spans.dropped,
             tasks: g.task_spans.dropped,
+            passes: g.passes.dropped,
         }
     }
 
-    /// Render the event log as an indented text timeline (one line per
-    /// event), for debugging and experiment write-ups.
-    pub fn render_timeline(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for e in self.inner.lock().events.buf.iter() {
-            let _ = writeln!(
-                out,
-                "[{:>10.3}s +{:>9.3}s] {:<10} {}",
-                e.start.as_secs(),
-                e.duration.as_secs(),
-                format!("{:?}", e.kind),
-                e.label
-            );
-        }
-        out
+    /// End of the newest event or stage the rings dropped (the epoch when
+    /// none was): the retained logs cannot explain the time before it.
+    pub(crate) fn lost_until(&self) -> SimInstant {
+        self.inner.lock().lost_until
     }
 }
 
@@ -662,25 +682,30 @@ mod tests {
     #[test]
     fn events_are_logged_in_order() {
         let m = Metrics::new();
-        m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Stage, "s0");
-        m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Iteration, "pass 1");
+        m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Broadcast, "b0");
+        m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Driver, "ap_gen");
         let ev = m.events();
         assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].label, "s0");
+        assert_eq!(ev[0].label, "b0");
         assert_eq!(ev[1].start.as_secs(), 1.0);
         assert_eq!(ev[1].end().as_secs(), 1.5);
-        assert_eq!(m.events_of(EventKind::Iteration).len(), 1);
     }
 
     #[test]
-    fn record_span_covers_elapsed_interval() {
+    fn a_pass_is_filed_once_and_returned() {
         let m = Metrics::new();
+        m.advance(SimDuration::from_secs(0.5));
         let start = m.now();
         m.advance(SimDuration::from_secs(0.25));
         m.advance(SimDuration::from_secs(0.75));
-        m.record_span(EventKind::Job, "job", start);
-        let ev = m.events();
-        assert_eq!(ev[0].duration.as_secs(), 1.0);
+        let pass = m.record_pass(2, "trie", start, 10, 4);
+        assert_eq!((pass.start, pass.seconds), (start, 1.0));
+        assert_eq!(
+            (pass.counter, pass.candidates, pass.frequent),
+            ("trie", 10, 4)
+        );
+        assert_eq!(m.passes(), vec![pass]);
+        assert!(m.events().is_empty(), "a pass is not also an event");
     }
 
     #[test]
@@ -689,7 +714,7 @@ mod tests {
         let job = m.begin_job("job a");
         let stage_id = m.record_stage(StageExecution {
             label: "stage one".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::from_secs(0.5),
             trailing: SimDuration::ZERO,
@@ -718,6 +743,7 @@ mod tests {
         let jobs = m.job_spans();
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].duration.as_secs(), 2.5);
+        assert!(m.events().is_empty(), "spans are not also events");
 
         let snap = m.snapshot();
         assert_eq!((snap.jobs, snap.stages, snap.tasks), (1, 1, 2));
@@ -728,7 +754,7 @@ mod tests {
         let m = Metrics::new();
         m.record_stage(StageExecution {
             label: "map wave".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::from_secs(3.0),
@@ -743,7 +769,7 @@ mod tests {
         let m = Metrics::new();
         m.record_stage(StageExecution {
             label: "orphan".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
@@ -757,16 +783,15 @@ mod tests {
         let m = Metrics::new();
         m.record_stage(StageExecution {
             label: "shuffle 9 map".into(),
-            kind: EventKind::Shuffle,
+            kind: StageKind::ShuffleMap,
             shuffle_id: Some(9),
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
             tasks: vec![],
         });
         let s = &m.stage_spans()[0];
-        assert_eq!(s.kind, EventKind::Shuffle);
+        assert_eq!(s.kind, StageKind::ShuffleMap);
         assert_eq!(s.shuffle_id, Some(9));
-        assert_eq!(m.events_of(EventKind::Shuffle).len(), 1);
     }
 
     #[test]
@@ -780,7 +805,7 @@ mod tests {
         for i in 0..5 {
             m.record_stage(StageExecution {
                 label: format!("s{i}"),
-                kind: EventKind::Stage,
+                kind: StageKind::Result,
                 shuffle_id: None,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
@@ -788,10 +813,13 @@ mod tests {
             });
         }
         let d = m.dropped();
-        assert_eq!(d.events, 3);
-        assert_eq!(d.stages, 3);
-        assert_eq!(d.tasks, 2);
-        assert_eq!(d.total(), 8);
+        let expected = DropCounts {
+            stages: 3,
+            tasks: 2,
+            ..DropCounts::default()
+        };
+        assert_eq!(d, expected, "a stage is not also an event");
+        assert_eq!(m.lost_until().as_secs(), 3.0, "end of the newest drop");
         // Newest entries survive.
         let labels: Vec<String> = m.stage_spans().into_iter().map(|s| s.label).collect();
         assert_eq!(labels, vec!["s3".to_string(), "s4".to_string()]);
@@ -807,7 +835,7 @@ mod tests {
         let inner = m.begin_job("inner");
         m.record_stage(StageExecution {
             label: "s".into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
@@ -825,17 +853,5 @@ mod tests {
         m.end_job(42);
         assert!(m.job_spans().is_empty());
         assert_eq!(m.snapshot().jobs, 0);
-    }
-
-    #[test]
-    fn timeline_renders_every_event() {
-        let m = Metrics::new();
-        m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Job, "job one");
-        m.advance_with_event(SimDuration::from_secs(0.25), EventKind::Stage, "stage two");
-        let text = m.render_timeline();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("job one"));
-        assert!(text.contains("stage two"));
-        assert!(text.contains("1.000s"), "{text}");
     }
 }

@@ -1,19 +1,23 @@
-//! Spark-UI-style text reports over the span log.
+//! The run's text report: one view over the [`Metrics`] record.
 //!
-//! Two tables, both computed from [`Metrics`]:
+//! [`full_report`] prints, in order:
 //!
-//! * [`stage_report`] — one row per stage: task count, min/median/max task
-//!   time, straggler ratio (max/median), records read and written at
-//!   pipeline boundaries, shuffle bytes read and written, cache hit-rate;
-//! * [`iteration_report`] — one row per [`EventKind::Iteration`] event,
-//!   matching the per-pass x-axis of the paper's Fig. 3.
-//!
-//! [`full_report`] stitches them together with the job list and — never
-//! silently — a warning block whenever the bounded in-memory logs dropped
-//! entries.
+//! * an **anomaly line**, only when something is nonzero: every recovery,
+//!   integrity and memory counter row, the bitmap fallbacks and the
+//!   ring-buffer drops, each under its manifest key;
+//! * the **pass table**: one row per Apriori pass (what counted it, |C_k|,
+//!   |L_k|, virtual seconds, and the critical-path buckets of its interval),
+//!   then the time outside every pass and the run's total;
+//! * the **stage table**: task-time distribution and partition balance
+//!   ([`StageSkew`]), records and shuffle bytes, cache hit-rate, and the
+//!   stage's failures, retries and speculative launches;
+//! * the run's **totals**.
 
-use crate::metrics::{EventKind, Metrics, TaskSpan};
-use crate::time::SimDuration;
+use crate::costmodel::CostModel;
+use crate::critical::{critical_path, CriticalPathBuckets, CriticalPathReport, StageSkew};
+use crate::manifest::counter_rows;
+use crate::metrics::Metrics;
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 fn fmt_bytes(b: u64) -> String {
@@ -36,8 +40,7 @@ fn fmt_count(n: u64) -> String {
     }
 }
 
-fn fmt_dur(d: SimDuration) -> String {
-    let s = d.as_secs();
+fn fmt_dur(s: f64) -> String {
     if s >= 100.0 {
         format!("{s:.0}s")
     } else if s >= 1.0 {
@@ -47,42 +50,89 @@ fn fmt_dur(d: SimDuration) -> String {
     }
 }
 
-/// Task-time distribution of one stage.
-struct TaskStats {
-    min: SimDuration,
-    median: SimDuration,
-    max: SimDuration,
+/// Every nonzero count that says the run did not go as planned, under its
+/// manifest key (the drops under their own table's keys); `None` for a
+/// clean run.
+fn anomalies(metrics: &Metrics) -> Option<String> {
+    let faults = |key: &str| {
+        ["recovery.", "integrity.", "mem."]
+            .iter()
+            .any(|g| key.starts_with(g))
+            || key == "counter.bitmap.fallbacks"
+    };
+    let drops = metrics
+        .dropped()
+        .fields()
+        .map(|f| (f.key.to_string(), f.value));
+    let cells: Vec<String> = counter_rows(&metrics.snapshot())
+        .filter(|(key, _)| faults(key))
+        .chain(drops)
+        .filter(|&(_, value)| value > 0)
+        .map(|(key, value)| format!("{key} {value}"))
+        .collect();
+    (!cells.is_empty()).then(|| format!("anomalies: {}", cells.join(" | ")))
 }
 
-fn task_stats(tasks: &[&TaskSpan]) -> Option<TaskStats> {
-    if tasks.is_empty() {
-        return None;
+/// One row per pass, then the time outside every pass and the run's total,
+/// with a column for every bucket that is nonzero anywhere in the run.
+fn pass_table(report: &CriticalPathReport) -> String {
+    let names = report.buckets.named();
+    let shown: Vec<usize> = (0..names.len()).filter(|&k| names[k].1 != 0.0).collect();
+    let mut out = format!(
+        "{:>4}  {:<12} {:>8} {:>8} {:>10}",
+        "pass", "counter", "|C_k|", "|L_k|", "virtual s"
+    );
+    for &k in &shown {
+        let _ = write!(out, " {:>8}", names[k].0);
     }
-    let mut durs: Vec<SimDuration> = tasks.iter().map(|t| t.duration).collect();
-    durs.sort();
-    Some(TaskStats {
-        min: durs[0],
-        median: durs[durs.len() / 2],
-        max: durs[durs.len() - 1],
-    })
+    out.push('\n');
+    let row = |out: &mut String, head: String, secs: f64, buckets: &CriticalPathBuckets| {
+        let _ = write!(out, "{head} {secs:>10.3}");
+        let values = buckets.named();
+        for &k in &shown {
+            let _ = write!(out, " {:>w$.3}", values[k].1, w = names[k].0.len().max(8));
+        }
+        out.push('\n');
+    };
+    for (p, buckets) in &report.passes {
+        let head = format!(
+            "{:>4}  {:<12} {:>8} {:>8}",
+            p.pass, p.counter, p.candidates, p.frequent
+        );
+        row(&mut out, head, p.seconds, buckets);
+    }
+    let outside = &report.outside;
+    row(
+        &mut out,
+        format!("{:<36}", "outside passes"),
+        outside.total(),
+        outside,
+    );
+    row(
+        &mut out,
+        format!("{:<36}", "total"),
+        report.makespan,
+        &report.buckets,
+    );
+    out
 }
 
-/// Render the per-stage table. Stages whose task spans were dropped from
+/// One row per retained stage. Stages whose task spans were dropped from
 /// the ring buffer show `-` in the distribution columns.
-pub fn stage_report(metrics: &Metrics) -> String {
-    let stages = metrics.stage_spans();
-    let tasks = metrics.task_spans();
+fn stage_table(metrics: &Metrics, skew: &[StageSkew]) -> String {
+    let skew: BTreeMap<u64, &StageSkew> = skew.iter().map(|k| (k.stage_id, k)).collect();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>5}  {:<34} {:>5}  {:>8} {:>8} {:>8}  {:>6}  {:>8} {:>8}  {:>10} {:>10}  {:>6}  {:>12}",
+        "{:>5}  {:<34} {:>5}  {:>8} {:>8} {:>8}  {:>6} {:>6}  {:>8} {:>8}  {:>10} {:>10}  {:>6}  {:>12}",
         "stage",
         "label",
         "tasks",
-        "min",
-        "median",
+        "p50",
+        "p95",
         "max",
         "strag",
+        "cv",
         "rec.read",
         "rec.writ",
         "shuf.read",
@@ -90,19 +140,17 @@ pub fn stage_report(metrics: &Metrics) -> String {
         "cache",
         "recovery"
     );
+    let stages = metrics.stage_spans();
     for s in &stages {
-        let mine: Vec<&TaskSpan> = tasks.iter().filter(|t| t.stage_id == s.stage_id).collect();
-        let stats = task_stats(&mine);
-        let (min, median, max, strag) = match &stats {
-            Some(st) => {
-                let strag = if st.median.as_secs() > 0.0 {
-                    format!("{:.2}x", st.max.as_secs() / st.median.as_secs())
-                } else {
-                    "-".to_string()
-                };
-                (fmt_dur(st.min), fmt_dur(st.median), fmt_dur(st.max), strag)
-            }
-            None => ("-".into(), "-".into(), "-".into(), "-".into()),
+        let [p50, p95, max, strag, cv] = match skew.get(&s.stage_id) {
+            Some(k) => [
+                fmt_dur(k.p50),
+                fmt_dur(k.p95),
+                fmt_dur(k.max),
+                format!("{:.2}x", k.straggler_ratio),
+                format!("{:.3}", k.partition_cv),
+            ],
+            None => std::array::from_fn(|_| "-".to_string()),
         };
         let lookups = s.profile.cache_hits + s.profile.cache_misses;
         let cache = if lookups > 0 {
@@ -136,14 +184,15 @@ pub fn stage_report(metrics: &Metrics) -> String {
         };
         let _ = writeln!(
             out,
-            "{:>5}  {:<34} {:>5}  {:>8} {:>8} {:>8}  {:>6}  {:>8} {:>8}  {:>10} {:>10}  {:>6}  {:>12}",
+            "{:>5}  {:<34} {:>5}  {:>8} {:>8} {:>8}  {:>6} {:>6}  {:>8} {:>8}  {:>10} {:>10}  {:>6}  {:>12}",
             s.stage_id,
             label,
             s.tasks,
-            min,
-            median,
+            p50,
+            p95,
             max,
             strag,
+            cv,
             fmt_count(s.profile.records_read),
             fmt_count(s.profile.records_written),
             fmt_bytes(s.profile.shuffle_read_bytes),
@@ -158,94 +207,21 @@ pub fn stage_report(metrics: &Metrics) -> String {
     out
 }
 
-/// Render the per-iteration table (one row per Apriori pass), matching the
-/// per-pass series the paper plots in Fig. 3.
-pub fn iteration_report(metrics: &Metrics) -> String {
-    let iters = metrics.events_of(EventKind::Iteration);
+/// Render the anomaly line (when there is one), the pass table, the stage
+/// table and the totals.
+pub fn full_report(metrics: &Metrics, cost: &CostModel) -> String {
+    let report = critical_path(metrics, cost);
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>4}  {:<24} {:>10} {:>10}  {:>8}",
-        "#", "iteration", "start", "end", "time"
-    );
-    let mut total = SimDuration::ZERO;
-    for (i, e) in iters.iter().enumerate() {
-        total += e.duration;
-        let _ = writeln!(
-            out,
-            "{:>4}  {:<24} {:>9.3}s {:>9.3}s  {:>8}",
-            i + 1,
-            e.label,
-            e.start.as_secs(),
-            e.end().as_secs(),
-            fmt_dur(e.duration)
-        );
+    if let Some(line) = anomalies(metrics) {
+        let _ = writeln!(out, "{line}\n");
     }
-    if iters.is_empty() {
-        out.push_str("(no iterations recorded)\n");
-    } else {
-        let _ = writeln!(
-            out,
-            "{:>4}  {:<24} {:>10} {:>10}  {:>8}",
-            "",
-            "total",
-            "",
-            "",
-            fmt_dur(total)
-        );
-    }
-    out
-}
+    out.push_str("== Passes ==\n");
+    out.push_str(&pass_table(&report));
+    out.push_str("\n== Stages ==\n");
+    out.push_str(&stage_table(metrics, &report.stages));
+    out.push('\n');
 
-/// Render job list, stage table, iteration table and totals — with an
-/// explicit warning block if any bounded log dropped entries.
-pub fn full_report(metrics: &Metrics) -> String {
-    let mut out = String::new();
     let snap = metrics.snapshot();
-
-    let dropped = metrics.dropped();
-    if dropped.total() > 0 {
-        let _ = writeln!(
-            out,
-            "WARNING: {} spans dropped, timings below are partial \
-             (events: {}, jobs: {}, stages: {}, tasks: {}); \
-             raise MetricsCapacity to retain more.",
-            dropped.total(),
-            dropped.events,
-            dropped.jobs,
-            dropped.stages,
-            dropped.tasks
-        );
-        out.push('\n');
-    }
-
-    out.push_str("== Jobs ==\n");
-    let jobs = metrics.job_spans();
-    if jobs.is_empty() {
-        out.push_str("(no jobs recorded)\n");
-    } else {
-        for j in &jobs {
-            let _ = writeln!(
-                out,
-                "{:>4}  {:<34} {:>9.3}s .. {:>9.3}s  ({})",
-                j.job_id,
-                j.label,
-                j.start.as_secs(),
-                j.end().as_secs(),
-                fmt_dur(j.duration)
-            );
-        }
-    }
-    out.push('\n');
-
-    out.push_str("== Stages ==\n");
-    out.push_str(&stage_report(metrics));
-    out.push('\n');
-
-    out.push_str("== Iterations ==\n");
-    out.push_str(&iteration_report(metrics));
-    out.push('\n');
-
     let p = &snap.profile;
     let lookups = p.cache_hits + p.cache_misses;
     let cache = if lookups > 0 {
@@ -282,83 +258,18 @@ pub fn full_report(metrics: &Metrics) -> String {
         fmt_count(p.records_written),
         fmt_bytes(p.bytes_materialized)
     );
-    let r = &snap.recovery;
-    if r.any() {
-        let _ = writeln!(
-            out,
-            "recovery: {} task failures | {} retries | {} speculative ({} won) | \
-             {} nodes lost | {} blacklisted | {} partitions recomputed | \
-             {} fetch failures | {} broadcast re-fetches",
-            r.task_failures,
-            r.task_retries,
-            r.speculative_launched,
-            r.speculative_wins,
-            r.nodes_lost,
-            r.nodes_blacklisted,
-            r.recomputed_partitions,
-            r.fetch_failures,
-            r.broadcast_refetches
-        );
-    }
-    // The transient/checkpoint layer gets its own line, again only when
-    // something actually happened.
-    if r.fetch_retries > 0
-        || r.backoff_micros > 0
-        || r.checkpoint_writes > 0
-        || r.checkpoint_reads > 0
-        || r.max_replay_depth > 0
-    {
-        let _ = writeln!(
-            out,
-            "transients: {} fetch retries | {:.3}s backoff | \
-             {} checkpoint writes | {} checkpoint reads | max replay depth {}",
-            r.fetch_retries,
-            r.backoff_micros as f64 / 1e6,
-            r.checkpoint_writes,
-            r.checkpoint_reads,
-            r.max_replay_depth
-        );
-    }
-    // Silent-corruption detection/repair, only under a corruption plan.
-    let i = &r.integrity;
-    if i.any() {
-        let _ = writeln!(
-            out,
-            "integrity: {} corruptions injected | {} detected | {} repaired \
-             ({} via replica, {} via recompute, {} via resubmit)",
-            i.corruptions_injected,
-            i.corruptions_detected,
-            i.corruptions_repaired,
-            i.repaired_via_replica,
-            i.repaired_via_recompute,
-            i.repaired_via_resubmit
-        );
-    }
-    // The memory governor's line, only when a plan armed it and something
-    // actually happened (spill, step-down, or OOM).
-    let m = &r.mem;
-    if m.any() {
-        let _ = writeln!(
-            out,
-            "memory: peak {} execution | {} spills ({}) | {} step-downs | \
-             {} OOM injected ({} killed, {} survived by degradation)",
-            fmt_bytes(m.peak_execution_bytes),
-            m.spills,
-            fmt_bytes(m.spill_bytes),
-            m.degradations,
-            m.oom_injected,
-            m.oom_killed,
-            m.oom_survived_by_degradation
-        );
-    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{MetricsCapacity, StageExecution, TaskExecution};
+    use crate::fault::{IntegrityCounters, MemoryCounters, RecoveryCounters};
+    use crate::metrics::{
+        EngineCounters, EventKind, MetricsCapacity, StageExecution, StageKind, TaskExecution,
+    };
     use crate::spec::NodeId;
+    use crate::time::SimDuration;
     use crate::work::TaskProfile;
 
     fn task(partition: usize, dur: f64, profile: TaskProfile) -> TaskExecution {
@@ -369,6 +280,17 @@ mod tests {
             start: SimDuration::ZERO,
             duration: SimDuration::from_secs(dur),
             profile,
+        }
+    }
+
+    fn stage(label: &str, tasks: Vec<TaskExecution>) -> StageExecution {
+        StageExecution {
+            label: label.into(),
+            kind: StageKind::Result,
+            shuffle_id: None,
+            overhead: SimDuration::ZERO,
+            trailing: SimDuration::ZERO,
+            tasks,
         }
     }
 
@@ -384,26 +306,25 @@ mod tests {
         p
     }
 
+    fn report(m: &Metrics) -> String {
+        full_report(m, &CostModel::hadoop_era())
+    }
+
     #[test]
     fn stage_table_has_distribution_and_cache_columns() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "count rdd2".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![
+        m.record_stage(stage(
+            "count rdd2",
+            vec![
                 task(0, 1.0, shuffle_profile()),
                 task(1, 2.0, TaskProfile::new()),
                 task(2, 4.0, TaskProfile::new()),
             ],
-        });
-        let table = stage_report(&m);
+        ));
+        let table = report(&m);
         assert!(table.contains("count rdd2"), "{table}");
-        assert!(table.contains("1.00s"), "min: {table}");
-        assert!(table.contains("2.00s"), "median: {table}");
-        assert!(table.contains("4.00s"), "max: {table}");
+        assert!(table.contains("2.00s"), "p50: {table}");
+        assert!(table.contains("4.00s"), "p95 and max: {table}");
         assert!(table.contains("2.00x"), "straggler ratio: {table}");
         assert!(table.contains("4096 B"), "shuffle write: {table}");
         assert!(table.contains("2048 B"), "shuffle read: {table}");
@@ -416,187 +337,94 @@ mod tests {
     #[test]
     fn totals_include_record_and_materialization_counters() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 1.0, shuffle_profile())],
-        });
-        let report = full_report(&m);
+        m.record_stage(stage("s", vec![task(0, 1.0, shuffle_profile())]));
+        let report = report(&m);
         assert!(report.contains("records read 12.5k"), "{report}");
         assert!(report.contains("records written 777"), "{report}");
         assert!(report.contains("bytes materialized 512 B"), "{report}");
     }
 
     #[test]
-    fn iteration_table_lists_passes_in_order() {
+    fn pass_table_has_a_row_per_pass_then_outside_and_total() {
         let m = Metrics::new();
-        m.advance_with_event(SimDuration::from_secs(2.0), EventKind::Iteration, "pass 1");
-        m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Iteration, "pass 2");
-        let table = iteration_report(&m);
-        let pass1 = table.find("pass 1").unwrap();
-        let pass2 = table.find("pass 2").unwrap();
-        assert!(pass1 < pass2);
-        assert!(table.contains("3.00s"), "total row: {table}");
-    }
-
-    #[test]
-    fn full_report_warns_about_drops() {
-        let m = Metrics::with_capacity(MetricsCapacity {
-            events: 1,
-            jobs: 1,
-            stages: 1,
-            tasks: 1,
-        });
-        for i in 0..3 {
-            m.record_stage(StageExecution {
-                label: format!("s{i}"),
-                kind: EventKind::Stage,
-                shuffle_id: None,
-                overhead: SimDuration::ZERO,
-                trailing: SimDuration::ZERO,
-                tasks: vec![task(0, 1.0, TaskProfile::new())],
-            });
-        }
-        let report = full_report(&m);
-        assert!(report.contains("WARNING"), "{report}");
+        let start = m.now();
+        m.record_stage(stage("s1", vec![task(0, 2.0, shuffle_profile())]));
+        m.record_pass(1, "items", start, 7, 5);
+        m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Projection, "p");
+        let start = m.now();
+        m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Driver, "ap_gen");
+        m.record_pass(2, "triangle", start, 10, 3);
+        let text = report(&m);
+        let table: Vec<&str> = text
+            .lines()
+            .skip_while(|l| *l != "== Passes ==")
+            .skip(2)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert_eq!(table.len(), 4, "{text}");
+        assert!(table[0].starts_with("   1  items"), "{text}");
+        assert!(table[1].starts_with("   2  triangle") && table[1].contains("1.000"));
+        assert!(table[2].starts_with("outside passes") && table[2].contains("0.500"));
+        assert!(table[3].starts_with("total") && table[3].contains("3.500"));
+        // Only the buckets the run used get a column.
         assert!(
-            report.contains("spans dropped, timings below are partial"),
-            "{report}"
+            text.contains(" driver") && !text.contains("hdfs_io"),
+            "{text}"
         );
-        assert!(report.contains("tasks: 2"), "{report}");
     }
 
     #[test]
-    fn recovery_counters_show_in_stage_row_and_totals() {
-        use crate::fault::RecoveryCounters;
-        let m = Metrics::new();
-        m.record_stage_with_recovery(
-            StageExecution {
-                label: "flaky stage".into(),
-                kind: EventKind::Stage,
-                shuffle_id: None,
-                overhead: SimDuration::ZERO,
-                trailing: SimDuration::ZERO,
-                tasks: vec![task(0, 1.0, TaskProfile::new())],
-            },
-            RecoveryCounters {
-                task_failures: 3,
-                task_retries: 2,
-                speculative_launched: 1,
-                speculative_wins: 1,
-                ..RecoveryCounters::default()
-            },
+    fn one_nonzero_row_per_table_is_one_anomaly_cell_under_its_key() {
+        let m = Metrics::with_capacity(MetricsCapacity {
+            tasks: 1,
+            ..MetricsCapacity::default()
+        });
+        let flaky = stage(
+            "flaky",
+            vec![
+                task(0, 1.0, TaskProfile::new()),
+                task(1, 1.0, TaskProfile::new()),
+            ],
         );
-        m.note_recovery(&RecoveryCounters {
-            nodes_lost: 1,
-            recomputed_partitions: 5,
+        let failed = RecoveryCounters {
+            task_failures: 3,
             ..RecoveryCounters::default()
-        });
-        let table = stage_report(&m);
-        assert!(table.contains("3f 2r 1s"), "{table}");
-        let report = full_report(&m);
-        assert!(report.contains("3 task failures"), "{report}");
-        assert!(report.contains("1 nodes lost"), "{report}");
-        assert!(report.contains("5 partitions recomputed"), "{report}");
-    }
-
-    #[test]
-    fn transient_and_checkpoint_counters_show_in_totals() {
-        use crate::fault::RecoveryCounters;
-        let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 1.0, TaskProfile::new())],
-        });
-        m.note_recovery(&RecoveryCounters {
-            fetch_retries: 4,
-            backoff_micros: 1_500_000,
-            checkpoint_writes: 8,
-            checkpoint_reads: 3,
-            max_replay_depth: 2,
-            ..RecoveryCounters::default()
-        });
-        let report = full_report(&m);
-        assert!(report.contains("4 fetch retries"), "{report}");
-        assert!(report.contains("1.500s backoff"), "{report}");
-        assert!(report.contains("8 checkpoint writes"), "{report}");
-        assert!(report.contains("3 checkpoint reads"), "{report}");
-        assert!(report.contains("max replay depth 2"), "{report}");
-    }
-
-    #[test]
-    fn integrity_counters_show_in_totals() {
-        use crate::fault::{IntegrityCounters, RecoveryCounters};
-        let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 1.0, TaskProfile::new())],
-        });
+        };
+        m.record_stage_with_recovery(flaky, failed);
         m.note_recovery(&RecoveryCounters {
             integrity: IntegrityCounters {
-                corruptions_injected: 5,
-                corruptions_detected: 5,
-                corruptions_repaired: 5,
                 repaired_via_replica: 2,
-                repaired_via_recompute: 2,
-                repaired_via_resubmit: 1,
+                ..IntegrityCounters::default()
+            },
+            mem: MemoryCounters {
+                spills: 4,
+                ..MemoryCounters::default()
             },
             ..RecoveryCounters::default()
         });
-        let report = full_report(&m);
-        assert!(
-            report.contains("integrity: 5 corruptions injected"),
-            "{report}"
+        m.note_engine(&EngineCounters {
+            bitmap_fallbacks: 1,
+            ..EngineCounters::default()
+        });
+        let text = report(&m);
+        assert_eq!(
+            text.lines().next(),
+            Some(
+                "anomalies: recovery.task_failures 3 | integrity.repaired_via_replica 2 | \
+                 mem.spills 4 | counter.bitmap.fallbacks 1 | dropped.tasks 1"
+            ),
+            "{text}"
         );
-        assert!(report.contains("5 detected"), "{report}");
-        assert!(
-            report.contains("(2 via replica, 2 via recompute, 1 via resubmit)"),
-            "{report}"
-        );
+        assert!(text.contains("3f 0r 0s"), "the stage's own cell: {text}");
     }
 
     #[test]
-    fn fault_free_report_has_no_recovery_lines() {
+    fn a_clean_run_has_no_anomaly_line() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "clean".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 1.0, TaskProfile::new())],
-        });
-        let report = full_report(&m);
-        assert!(!report.contains("recovery:"));
-        assert!(!report.contains("transients:"));
-        assert!(!report.contains("integrity:"));
-        assert!(!report.contains("memory:"));
-    }
-
-    #[test]
-    fn full_report_without_drops_has_no_warning() {
-        let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: EventKind::Stage,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 1.0, TaskProfile::new())],
-        });
-        let report = full_report(&m);
-        assert!(!report.contains("WARNING"), "{report}");
-        assert!(report.contains("== Totals =="));
+        m.record_stage(stage("clean", vec![task(0, 1.0, TaskProfile::new())]));
+        let text = report(&m);
+        assert!(text.starts_with("== Passes ==\n"), "{text}");
+        assert!(!text.contains("anomalies"), "{text}");
+        assert!(text.contains("== Totals =="));
     }
 }

@@ -8,15 +8,17 @@
 //!   `pid 0` for the driver;
 //! * **tid** — one thread per core within a node (`tid = core + 1`);
 //!   driver-side tracks use `tid 1` for jobs, `tid 2` for stages, and
-//!   `tid 3` for the flat event log;
-//! * **X events** — every job, stage and task span becomes a "complete"
-//!   event with `ts`/`dur` in microseconds of *virtual* time;
+//!   `tid 3` for the passes and the flat event log;
+//! * **X events** — every job, stage and task span, pass and driver-side
+//!   event becomes a "complete" event with `ts`/`dur` in microseconds of
+//!   *virtual* time;
 //! * **M events** — process/thread name metadata so the UI labels rows
 //!   "node 3" / "core 1".
 //!
 //! Events on a single tid always nest correctly: tasks on one core never
 //! overlap (the scheduler hands each core a sequential timeline), and the
-//! driver tracks hold jobs, stages and events on separate tids.
+//! driver tracks hold jobs, stages and passes on separate tids (a pass holds
+//! the driver-side events inside it).
 
 use crate::json::JsonValue;
 use crate::metrics::Metrics;
@@ -25,13 +27,13 @@ use crate::time::{SimDuration, SimInstant};
 use crate::work::TaskProfile;
 
 /// The driver's pid in the exported trace.
-pub const DRIVER_PID: u64 = 0;
+const DRIVER_PID: u64 = 0;
 /// Driver tid carrying job spans.
-pub const DRIVER_TID_JOBS: u64 = 1;
+const DRIVER_TID_JOBS: u64 = 1;
 /// Driver tid carrying stage spans.
-pub const DRIVER_TID_STAGES: u64 = 2;
-/// Driver tid carrying the flat event log.
-pub const DRIVER_TID_EVENTS: u64 = 3;
+const DRIVER_TID_STAGES: u64 = 2;
+/// Driver tid carrying the passes and the flat event log.
+const DRIVER_TID_EVENTS: u64 = 3;
 
 fn micros(t: SimInstant) -> JsonValue {
     JsonValue::Number(t.as_secs() * 1e6)
@@ -199,8 +201,23 @@ pub fn chrome_trace_value(metrics: &Metrics, spec: &ClusterSpec) -> JsonValue {
         ));
     }
 
-    // The flat event log (iterations, broadcasts, HDFS, driver work) on its
-    // own driver track, so Fig. 3 passes are visible as top-level bands.
+    // The passes and the flat event log (broadcasts, HDFS, driver work) on
+    // one driver track, so Fig. 3 passes are visible as top-level bands.
+    for p in metrics.passes() {
+        let args = field_args!(p; candidates, frequent);
+        events.push(complete(
+            format!("pass {}", p.pass),
+            "pass",
+            DRIVER_PID,
+            DRIVER_TID_EVENTS,
+            p.start,
+            SimDuration::from_secs(p.seconds),
+            [("counter", p.counter.into())]
+                .into_iter()
+                .chain(args)
+                .collect(),
+        ));
+    }
     for e in metrics.events() {
         events.push(complete(
             e.label.clone(),
@@ -213,20 +230,12 @@ pub fn chrome_trace_value(metrics: &Metrics, spec: &ClusterSpec) -> JsonValue {
         ));
     }
 
-    let dropped = metrics.dropped();
+    let dropped = metrics.dropped().fields().map(|f| (f.key, f.value.into()));
+    let other = [("clock", "virtual".into())].into_iter().chain(dropped);
     JsonValue::object(vec![
         ("traceEvents", JsonValue::Array(events)),
         ("displayTimeUnit", "ms".into()),
-        (
-            "otherData",
-            JsonValue::object(vec![
-                ("clock", "virtual".into()),
-                ("dropped_events", dropped.events.into()),
-                ("dropped_jobs", dropped.jobs.into()),
-                ("dropped_stages", dropped.stages.into()),
-                ("dropped_tasks", dropped.tasks.into()),
-            ]),
-        ),
+        ("otherData", JsonValue::object(other.collect())),
     ])
 }
 
@@ -240,7 +249,7 @@ pub fn chrome_trace(metrics: &Metrics, spec: &ClusterSpec) -> String {
 mod tests {
     use super::*;
     use crate::json;
-    use crate::metrics::{EventKind, StageExecution, TaskExecution};
+    use crate::metrics::{EventKind, StageExecution, StageKind, TaskExecution};
     use crate::spec::NodeId;
 
     fn sample_metrics() -> Metrics {
@@ -248,7 +257,7 @@ mod tests {
         let job = m.begin_job("collect rdd3");
         m.record_stage(StageExecution {
             label: "shuffle 0 map".into(),
-            kind: EventKind::Shuffle,
+            kind: StageKind::ShuffleMap,
             shuffle_id: Some(0),
             overhead: SimDuration::from_secs(0.1),
             trailing: SimDuration::ZERO,
@@ -340,7 +349,7 @@ mod tests {
         m.record_stage_with_recovery(
             StageExecution {
                 label: "flaky".into(),
-                kind: EventKind::Stage,
+                kind: StageKind::Result,
                 shuffle_id: None,
                 overhead: SimDuration::ZERO,
                 trailing: SimDuration::ZERO,
@@ -374,6 +383,32 @@ mod tests {
     }
 
     #[test]
+    fn passes_and_driver_events_share_a_track_that_copies_no_span() {
+        let m = sample_metrics();
+        m.record_pass(1, "items", SimInstant::EPOCH, 4, 3);
+        m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Broadcast, "b");
+        let spec = ClusterSpec::new(2, 2, 1 << 30);
+        let doc = json::parse(&chrome_trace(&m, &spec)).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let track: Vec<&JsonValue> = events
+            .iter()
+            .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
+            .filter(|e| e.get("tid").and_then(JsonValue::as_f64) == Some(3.0))
+            .filter(|e| e.get("pid").and_then(JsonValue::as_f64) == Some(0.0))
+            .collect();
+        let cats: Vec<&str> = track
+            .iter()
+            .filter_map(|e| e.get("cat")?.as_str())
+            .collect();
+        assert_eq!(cats, ["pass", "broadcast"]);
+        let pass = track[0];
+        assert_eq!(pass.get("dur").unwrap().as_f64(), Some(2.1e6));
+        let args = pass.get("args").unwrap();
+        assert_eq!(args.get("counter").unwrap().as_str(), Some("items"));
+        assert_eq!(args.get("candidates").unwrap().as_f64(), Some(4.0));
+    }
+
+    #[test]
     fn clean_stage_exports_no_recovery_args() {
         let m = sample_metrics();
         let spec = ClusterSpec::new(2, 2, 1 << 30);
@@ -396,7 +431,7 @@ mod tests {
         let job = m.begin_job(hostile);
         m.record_stage(StageExecution {
             label: hostile.into(),
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: SimDuration::ZERO,
@@ -439,7 +474,7 @@ mod tests {
         let spec = ClusterSpec::new(2, 2, 1 << 30);
         let doc = json::parse(&chrome_trace(&m, &spec)).unwrap();
         let other = doc.get("otherData").unwrap();
-        assert_eq!(other.get("dropped_tasks").unwrap().as_f64(), Some(0.0));
+        assert_eq!(other.get("dropped.tasks").unwrap().as_f64(), Some(0.0));
         assert_eq!(other.get("clock").unwrap().as_str(), Some("virtual"));
     }
 }

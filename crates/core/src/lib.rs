@@ -58,5 +58,6 @@ pub use rules::{generate_rules, Rule, RuleConfig};
 pub use sequential::{apriori, brute_force, SequentialConfig};
 pub use son::{Son, SonConfig};
 pub use trie::CandidateTrie;
-pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support};
+pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, Support};
 pub use yafim::{mine_in_memory, Phase2Plan, Yafim, YafimConfig};
+pub use yafim_cluster::PassTiming;

@@ -28,8 +28,7 @@ use crate::candidates::ap_gen;
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::types::{
-    parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
-    JVM_TREE_VISIT_UNITS,
+    parse_transaction, Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
 };
 use std::sync::Arc;
 use yafim_cluster::{slice_bytes, EventKind, FxHashMap, SimCluster};
@@ -48,6 +47,16 @@ pub enum MrMatching {
     /// Scan the candidate list per transaction (pair enumeration at
     /// `k = 2`); the matching ablation's slow path.
     NaiveScan,
+}
+
+impl MrMatching {
+    /// What the pass record says counted the pass.
+    fn name(self) -> &'static str {
+        match self {
+            MrMatching::HashTree => "hash tree",
+            MrMatching::NaiveScan => "naive scan",
+        }
+    }
 }
 
 /// A built matcher for one candidate level. Matches are reported as the
@@ -249,7 +258,7 @@ impl MrApriori {
         let min_sup = self.config.min_support.resolve(file.num_lines() as u64);
 
         let run_start = metrics.now();
-        let mut passes: Vec<PassTiming> = Vec::new();
+        let mut passes = Vec::new();
 
         // ---- pass 1: frequent items, one job ----
         let pass1_start = metrics.now();
@@ -284,13 +293,7 @@ impl MrApriori {
 
         let mut l1: Vec<(Itemset, u64)> = result.pairs;
         l1.sort_by(|a, b| a.0.cmp(&b.0));
-        metrics.record_span(EventKind::Iteration, "pass 1", pass1_start);
-        passes.push(PassTiming {
-            pass: 1,
-            seconds: metrics.now().since(pass1_start).as_secs(),
-            candidates: l1.len(),
-            frequent: l1.len(),
-        });
+        passes.push(metrics.record_pass(1, "items", pass1_start, l1.len(), l1.len()));
 
         if l1.is_empty() {
             return Ok(MinerRun {
@@ -356,17 +359,10 @@ impl MrApriori {
             }
             let found: usize = new_levels.iter().map(Vec::len).sum();
 
-            metrics.record_span(
-                EventKind::Iteration,
-                format!("pass {next_pass}"),
-                pass_start,
-            );
-            passes.push(PassTiming {
-                pass: next_pass,
-                seconds: metrics.now().since(pass_start).as_secs(),
-                candidates: total_candidates,
-                frequent: found,
-            });
+            let matching = self.config.matching.name();
+            let timing =
+                metrics.record_pass(next_pass, matching, pass_start, total_candidates, found);
+            passes.push(timing);
 
             // Append levels until the first empty one; everything after an
             // empty level is unreachable by monotonicity.

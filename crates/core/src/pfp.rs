@@ -24,10 +24,9 @@
 use crate::fpgrowth::fp_growth;
 use crate::miner::MineError;
 use crate::types::{
-    parse_transaction, Item, Itemset, MinerRun, MiningResult, PassTiming, Support,
-    JVM_TREE_VISIT_UNITS,
+    parse_transaction, Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
 };
-use yafim_cluster::{EventKind, FxHashMap};
+use yafim_cluster::FxHashMap;
 use yafim_rdd::{Context, Rdd};
 
 /// Options for a PFP run.
@@ -110,13 +109,8 @@ impl Pfp {
             .enumerate()
             .map(|(rank, &(item, _))| (item, rank as u32))
             .collect();
-        metrics.record_span(EventKind::Iteration, "PFP count", count_start);
-        let count_pass = PassTiming {
-            pass: 1,
-            seconds: metrics.now().since(count_start).as_secs(),
-            candidates: ranking.len(),
-            frequent: ranking.len(),
-        };
+        let ranked = ranking.len();
+        let count_pass = metrics.record_pass(1, "PFP count", count_start, ranked, ranked);
 
         if ranking.is_empty() {
             return Ok(MinerRun {
@@ -190,14 +184,9 @@ impl Pfp {
         for (set, sup) in all {
             levels[set.len() - 1].push((set, sup));
         }
-        metrics.record_span(EventKind::Iteration, "PFP mine", mine_start);
         let result = MiningResult::from_levels(levels);
-        let mine_pass = PassTiming {
-            pass: 2,
-            seconds: metrics.now().since(mine_start).as_secs(),
-            candidates: result.total(),
-            frequent: result.total(),
-        };
+        let found = result.total();
+        let mine_pass = metrics.record_pass(2, "PFP mine", mine_start, found, found);
 
         Ok(MinerRun {
             result,

@@ -23,9 +23,9 @@ use crate::eclat::eclat;
 use crate::miner::MineError;
 use crate::mrapriori::{counting_job, MrMatching};
 use crate::types::{
-    parse_transaction, Itemset, MinerRun, MiningResult, PassTiming, Support, JVM_TREE_VISIT_UNITS,
+    parse_transaction, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
 };
-use yafim_cluster::{EventKind, Lines, SimCluster};
+use yafim_cluster::{Lines, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 /// Options for a SON run.
@@ -112,13 +112,7 @@ impl Son {
             .into_iter()
             .map(|(k, _)| k)
             .collect();
-        metrics.record_span(EventKind::Iteration, "SON phase 1", phase1_start);
-        let phase1 = PassTiming {
-            pass: 1,
-            seconds: metrics.now().since(phase1_start).as_secs(),
-            candidates: candidates.len(),
-            frequent: 0,
-        };
+        let phase1 = metrics.record_pass(1, "SON phase 1", phase1_start, candidates.len(), 0);
 
         if candidates.is_empty() {
             return Ok(MinerRun {
@@ -157,14 +151,8 @@ impl Son {
         for (set, sup) in result.pairs {
             levels[set.len() - 1].push((set, sup));
         }
-        metrics.record_span(EventKind::Iteration, "SON phase 2", phase2_start);
         let found: usize = levels.iter().map(Vec::len).sum();
-        let phase2 = PassTiming {
-            pass: 2,
-            seconds: metrics.now().since(phase2_start).as_secs(),
-            candidates: n_candidates,
-            frequent: found,
-        };
+        let phase2 = metrics.record_pass(2, "SON phase 2", phase2_start, n_candidates, found);
 
         Ok(MinerRun {
             result: MiningResult::from_levels(levels),

@@ -7,7 +7,7 @@
 //! itemset is *frequent* when its support reaches `MinSup`.
 
 use std::fmt;
-use yafim_cluster::ByteSize;
+use yafim_cluster::{ByteSize, PassTiming};
 
 /// An item identifier.
 pub type Item = u32;
@@ -255,20 +255,6 @@ pub const JVM_PAIR_COUNT_UNITS: u64 = 2;
 /// JVM can emit, so it gets the raw cost-model unit. Each word covers up to
 /// 64 transactions, which is where the strategy's advantage comes from.
 pub const JVM_BITMAP_WORD_UNITS: u64 = 1;
-
-/// Timing and size facts about one Apriori pass — one point of the paper's
-/// Fig. 3 / Fig. 6 per-iteration series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PassTiming {
-    /// Pass number (1 = the frequent-items pass).
-    pub pass: usize,
-    /// Virtual seconds the pass took.
-    pub seconds: f64,
-    /// Candidates counted in the pass (pass 1: distinct items seen).
-    pub candidates: usize,
-    /// Frequent itemsets surviving the pass.
-    pub frequent: usize,
-}
 
 /// A full mining run: the itemsets plus the per-pass timing series.
 #[derive(Clone, Debug, Default)]

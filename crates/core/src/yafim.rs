@@ -65,8 +65,8 @@ use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::trie::CandidateTrie;
 use crate::types::{
-    Item, Itemset, MinerRun, MiningResult, PassTiming, Support, JVM_BITMAP_WORD_UNITS,
-    JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS,
+    Item, Itemset, MinerRun, MiningResult, Support, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS,
+    JVM_TREE_VISIT_UNITS,
 };
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -156,6 +156,18 @@ enum Counter {
     Trie(Vec<Itemset>),
     /// Broadcast hash tree.
     HashTree(Vec<Itemset>),
+}
+
+impl Counter {
+    /// What the pass record says counted the pass.
+    fn name(&self) -> &'static str {
+        match self {
+            Counter::Triangle => "triangle",
+            Counter::Bitmap(_) => "bitmap",
+            Counter::Trie(_) => "trie",
+            Counter::HashTree(_) => "hash tree",
+        }
+    }
 }
 
 /// Everything a run holds in cluster memory or checkpoint blocks. Dropping
@@ -296,7 +308,7 @@ impl Yafim {
         }
 
         let run_start = metrics.now();
-        let mut passes: Vec<PassTiming> = Vec::new();
+        let mut passes = Vec::new();
 
         // ---- Phase I: load + cache + frequent items ----
         let pass1_start = metrics.now();
@@ -327,13 +339,8 @@ impl Yafim {
             .collect();
         l1.sort_by(|a, b| a.0.cmp(&b.0));
 
-        metrics.record_span(EventKind::Iteration, "pass 1", pass1_start);
-        passes.push(PassTiming {
-            pass: 1,
-            seconds: metrics.now().since(pass1_start).as_secs(),
-            candidates: l1.len(), // distinct frequent items; C1 is implicit
-            frequent: l1.len(),
-        });
+        // |C_1| is the distinct frequent items: C1 is implicit.
+        passes.push(metrics.record_pass(1, "items", pass1_start, l1.len(), l1.len()));
 
         if l1.is_empty() {
             return Ok(MinerRun {
@@ -413,6 +420,7 @@ impl Yafim {
             else {
                 break; // nothing to count: |L1| < 2, or ap_gen came up empty
             };
+            let counted_by = counter.name();
             let (n_candidates, mut lk) = match counter {
                 Counter::Triangle => self.pass2_triangle(&held.work, n_dense, min_sup)?,
                 Counter::Bitmap(candidates) => {
@@ -442,13 +450,8 @@ impl Yafim {
             // the level is recorded — wrong results must never be returned.
             audit_pass(prev, &lk, n_candidates, pass)?;
 
-            metrics.record_span(EventKind::Iteration, format!("pass {pass}"), pass_start);
-            passes.push(PassTiming {
-                pass,
-                seconds: metrics.now().since(pass_start).as_secs(),
-                candidates: n_candidates,
-                frequent: lk.len(),
-            });
+            let timing = metrics.record_pass(pass, counted_by, pass_start, n_candidates, lk.len());
+            passes.push(timing);
             if lk.is_empty() {
                 break;
             }

@@ -35,7 +35,7 @@ pub use runner::{JobStats, MrJobResult, MrRunner};
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use yafim_cluster::{ClusterSpec, CostModel, EventKind, Lines, SimCluster};
+    use yafim_cluster::{ClusterSpec, CostModel, Lines, SimCluster};
 
     fn cluster() -> SimCluster {
         SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 4)
@@ -157,7 +157,7 @@ mod tests {
             elapsed >= cost.mr_job_overhead,
             "a tiny job still pays the job overhead: {elapsed}"
         );
-        assert_eq!(c.metrics().events_of(EventKind::Job).len(), 1);
+        assert_eq!(c.metrics().job_spans().len(), 1);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use yafim_cluster::{
     bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsFile, EngineCounters,
     EventKind, ExecError, FxHashMap, IntegrityCounters, IntegrityTier, RecoveryCounters,
-    SimCluster, SimDuration, StageExecution, TaskExecution, TaskMemory, TaskPlacement, TaskProfile,
-    TaskSpec, WorkCounters, SPILL_GRANULE,
+    SimCluster, SimDuration, StageExecution, StageKind, TaskExecution, TaskMemory, TaskPlacement,
+    TaskProfile, TaskSpec, WorkCounters, SPILL_GRANULE,
 };
 
 /// The smallest split share worth a host unit: below it a unit's fixed cost
@@ -104,7 +104,7 @@ impl MrRunner {
         };
         let stage = StageExecution {
             label,
-            kind: EventKind::Stage,
+            kind: StageKind::Result,
             shuffle_id: None,
             overhead: SimDuration::ZERO,
             trailing: latency * detailed.outcome.waves as f64 + pad,

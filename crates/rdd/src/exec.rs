@@ -31,7 +31,7 @@ use std::sync::Arc;
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
     fx_hash64, slice_bytes, slice_records, EngineCounters, EventKind, ExecError, NodeId,
-    RecoveryCounters, SimDuration, StageExecution, TaskExecution, TaskProfile, TaskSpec,
+    RecoveryCounters, SimDuration, StageExecution, StageKind, TaskExecution, TaskProfile, TaskSpec,
 };
 
 /// What one node loss took with it (returned by
@@ -66,7 +66,7 @@ pub(crate) type TaskFn<R> = Arc<dyn Fn(usize, &TaskContext) -> R + Send + Sync>;
 pub(crate) fn try_run_stage<R: Send + 'static>(
     ctx: &Context,
     label: String,
-    kind: EventKind,
+    kind: StageKind,
     shuffle_id: Option<u64>,
     partitions: usize,
     preferred: Vec<Option<NodeId>>,
@@ -287,7 +287,6 @@ fn prepare_shuffles<T: Data>(ctx: &Context, imp: &Arc<dyn RddImpl<T>>) -> Result
 fn run_final_stage<T: Data, R: Send + 'static>(
     rdd: &Rdd<T>,
     label: String,
-    kind: EventKind,
     task: impl for<'a> Fn(Pipe<'a, T>, &'a TaskContext) -> R + Send + Sync + 'static,
 ) -> Result<Vec<R>, ExecError> {
     let imp = Arc::clone(&rdd.imp);
@@ -299,7 +298,7 @@ fn run_final_stage<T: Data, R: Send + 'static>(
     try_run_stage(
         &rdd.ctx,
         label,
-        kind,
+        StageKind::Result,
         shuffle_read,
         partitions,
         preferred,
@@ -339,7 +338,7 @@ pub(crate) fn try_collect<T: Data>(rdd: &Rdd<T>) -> Result<Vec<T>, ExecError> {
     let name = format!("collect rdd{}", rdd.id());
     let parts = run_job(rdd, &name, || {
         // Each partition's pipeline collapses into a buffer for the fetch.
-        let parts = run_final_stage(rdd, name.clone(), EventKind::Stage, |pipe, tc| {
+        let parts = run_final_stage(rdd, name.clone(), |pipe, tc| {
             let data = pipe.into_arc(tc);
             tc.note_records_written(slice_records(&data));
             data
@@ -361,8 +360,7 @@ pub(crate) fn try_collect<T: Data>(rdd: &Rdd<T>) -> Result<Vec<T>, ExecError> {
 
 /// The `checkpoint` action: materialize every partition of `rdd` to
 /// replicated blocks in simulated HDFS and return a [`CheckpointRdd`] that
-/// reads them back. One job, one write stage attributed to
-/// [`EventKind::Checkpoint`]; each task serializes its partition, writes the
+/// reads them back. One job, one write stage; each task serializes its partition, writes the
 /// primary replica to local disk and ships the remaining replicas over the
 /// network (pipelined, like an HDFS block write).
 pub(crate) fn try_checkpoint<T: Data>(rdd: &Rdd<T>) -> Result<Rdd<T>, ExecError> {
@@ -374,7 +372,7 @@ pub(crate) fn try_checkpoint<T: Data>(rdd: &Rdd<T>) -> Result<Rdd<T>, ExecError>
         let cluster = ctx.cluster().clone();
         let replication = cluster.hdfs().replication() as u64;
         let label = format!("checkpoint rdd{} -> rdd{cp_id}", rdd.id());
-        run_final_stage(rdd, label, EventKind::Checkpoint, move |pipe, tc| {
+        run_final_stage(rdd, label, move |pipe, tc| {
             let data = pipe.into_arc(tc);
             let bytes = slice_bytes(&data);
             tc.add_ser(bytes); // serialize the block for stable storage
@@ -409,9 +407,7 @@ pub(crate) fn try_count<T: Data>(rdd: &Rdd<T>) -> Result<u64, ExecError> {
     let name = format!("count rdd{}", rdd.id());
     // Each pipeline is drained without buffering; only lengths are fetched.
     let count = |pipe: Pipe<'_, T>, _: &TaskContext| pipe.count();
-    let lens = run_job(rdd, &name, || {
-        run_final_stage(rdd, name.clone(), EventKind::Stage, count)
-    })?;
+    let lens = run_job(rdd, &name, || run_final_stage(rdd, name.clone(), count))?;
     Ok(lens.iter().sum())
 }
 
@@ -443,7 +439,7 @@ pub(crate) fn try_aggregate<T: Data, A: Send + 'static>(
     let accumulators: Arc<Mutex<Vec<A>>> = Arc::default();
     run_job(rdd, &name, || {
         let (zero, pool) = (Arc::clone(&zero), Arc::clone(&accumulators));
-        let partials = run_final_stage(rdd, name.clone(), EventKind::Stage, move |pipe, tc| {
+        let partials = run_final_stage(rdd, name.clone(), move |pipe, tc| {
             let idle = pool.lock().pop();
             let mut acc = idle.unwrap_or_else(|| zero());
             let partial = pipe.with_slice(tc, |part| {
@@ -495,7 +491,7 @@ pub(crate) fn try_take<T: Data>(rdd: &Rdd<T>, n: usize) -> Result<Vec<T>, ExecEr
             let (results, _) = try_run_stage(
                 ctx,
                 format!("take({n}) rdd{} [{next}..{hi})", rdd.id()),
-                EventKind::Stage,
+                StageKind::Result,
                 shuffle_read,
                 parts.len(),
                 preferred,

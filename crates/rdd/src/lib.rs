@@ -449,7 +449,9 @@ mod tests {
         assert!(c.metrics().now() > before);
         assert_eq!(b.len(), 100_000);
         assert_eq!(b.bytes(), 8 + 400_000);
-        assert_eq!(c.metrics().events_of(EventKind::Broadcast).len(), 1);
+        let events = c.metrics().events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, EventKind::Broadcast);
     }
 
     #[test]

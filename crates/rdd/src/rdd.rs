@@ -458,8 +458,8 @@ impl<T: Data> Rdd<T> {
     /// returned RDD has no ancestors, so recovery after a node loss re-reads
     /// the replicated blocks instead of replaying the chain that produced
     /// them. This is Spark's *eager* `checkpoint()` (compute-now, as
-    /// `localCheckpoint`/`checkpoint`+action does), run as one job whose
-    /// write stage is attributed to `EventKind::Checkpoint`.
+    /// `localCheckpoint`/`checkpoint`+action does), run as one job with one
+    /// write stage.
     ///
     /// Panics if the checkpoint job aborts under an active fault plan; use
     /// [`Rdd::try_checkpoint`] for the fallible variant.

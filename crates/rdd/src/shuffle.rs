@@ -41,8 +41,8 @@ use std::hash::Hash;
 use std::sync::{Arc, Weak};
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, EventKind, ExecError, FxHashMap, IntegrityCounters,
-    IntegrityTier, NodeId, RecoveryCounters, TransientKind,
+    bucket_of, fx_hash64, memgov, slice_bytes, ExecError, FxHashMap, IntegrityCounters,
+    IntegrityTier, NodeId, RecoveryCounters, StageKind, TransientKind,
 };
 
 /// A shuffle's map side, to be run before any stage that reads it.
@@ -395,7 +395,7 @@ where
         let (results, executed_on): (Vec<MapOutput<K, V>>, Vec<NodeId>) = exec::try_run_stage(
             &ctx,
             label,
-            EventKind::Shuffle,
+            StageKind::ShuffleMap,
             Some(self.meta.id),
             map_parts.len(),
             preferred,

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 use yafim_cluster::{
-    chrome_trace, json, ClusterSpec, CostModel, EventKind, SimCluster, SimInstant,
+    chrome_trace, json, ClusterSpec, CostModel, SimCluster, SimInstant, StageKind,
 };
 use yafim_rdd::Context;
 
@@ -36,19 +36,23 @@ fn virtual_clock_is_monotonic_and_events_are_ordered() {
 
     let now = c.metrics().now();
     assert!(now > SimInstant::EPOCH);
-    let events = c.metrics().events();
-    assert!(!events.is_empty());
-    // Events are filed when they complete, so completion times are
+    // Spans are filed when they complete, so completion times are
     // non-decreasing (starts are not: a job's span begins before the stages
     // it contains).
-    for pair in events.windows(2) {
+    let stages: Vec<_> = c.metrics().stage_spans().iter().map(|s| s.end()).collect();
+    let jobs: Vec<_> = c.metrics().job_spans().iter().map(|j| j.end()).collect();
+    assert!(!stages.is_empty() && !jobs.is_empty());
+    for ends in [&stages, &jobs] {
+        for pair in ends.windows(2) {
+            assert!(
+                pair[1] >= pair[0],
+                "spans logged out of clock order: {pair:?}"
+            );
+        }
         assert!(
-            pair[1].end() >= pair[0].end(),
-            "events logged out of clock order: {pair:?}"
+            ends.iter().all(|&end| end <= now),
+            "a span ends after the clock"
         );
-    }
-    for e in &events {
-        assert!(e.end() <= now, "event ends after the clock: {e:?}");
     }
 }
 
@@ -123,7 +127,7 @@ fn shuffle_and_cache_attribution_is_recorded() {
     let stages = c.metrics().stage_spans();
     let map_stages: Vec<_> = stages
         .iter()
-        .filter(|s| s.kind == EventKind::Shuffle)
+        .filter(|s| s.kind == StageKind::ShuffleMap)
         .collect();
     assert_eq!(
         map_stages.len(),

@@ -90,8 +90,8 @@ fn main() {
     );
 
     // ---- where did the virtual time go? ----
-    let report = yafim::cluster::critical_path(cluster.metrics(), cluster.cost());
-    println!("\n{}", report.render());
+    let report = yafim::cluster::full_report(cluster.metrics(), cluster.cost());
+    println!("\n{report}");
     println!(
         "total virtual time: {:.2}s (note the MapReduce job dwarfing the RDD jobs)",
         cluster.metrics().now().as_secs()

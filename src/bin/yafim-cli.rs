@@ -3,12 +3,14 @@
 //! ```text
 //! yafim-cli generate --dataset mushroom --out mushroom.dat [--scale 0.5]
 //! yafim-cli mine --input mushroom.dat --support 35% [--miner spark]
-//!           [--nodes 12 --cores 8] [--rules 0.8] [--top 10] [--timeline]
+//!           [--nodes 12 --cores 8] [--rules 0.8] [--top 10]
 //!           [--report] [--trace out.json]
 //! yafim-cli compare --input mushroom.dat --support 35%
 //! ```
 //!
-//! `--report` prints a Spark-UI-style per-stage/per-iteration summary;
+//! `--report` prints the run's record as text: a line of anomalies (faults,
+//! fallbacks, dropped spans) when there are any, one row per pass with where
+//! its virtual time went, one row per stage, and the totals;
 //! `--trace FILE` writes a Chrome trace (open in <https://ui.perfetto.dev>
 //! or `chrome://tracing`) of the run's job/stage/task spans, one process
 //! per simulated node and one thread per core.
@@ -33,8 +35,8 @@ fn usage() -> ! {
                      [--phase2 <paper|opt|bitmap>] [--nodes N] [--cores C] [--locality-wait SECS]
                      [--memory-fraction FRAC]
                      [--rules MIN_CONF] [--top K]
-                     [--fault-plan plan.json] [--timeline] [--report] [--trace out.json]
-                     [--critical-path] [--manifest out.json]
+                     [--fault-plan plan.json] [--report] [--trace out.json]
+                     [--manifest out.json]
   yafim-cli compare  --input <file.dat> --support <N|P%> [--nodes N] [--cores C]",
         miners.join("|")
     );
@@ -323,10 +325,8 @@ fn cmd_mine() {
     let (trace, manifest) = (arg("--trace"), arg("--manifest"));
     let Some(c) = &cluster else {
         for (sink, asked) in [
-            ("--timeline", flag("--timeline")),
             ("--report", flag("--report")),
             ("--trace", trace.is_some()),
-            ("--critical-path", flag("--critical-path")),
             ("--manifest", manifest.is_some()),
         ] {
             if asked {
@@ -336,13 +336,8 @@ fn cmd_mine() {
         return;
     };
 
-    if flag("--timeline") {
-        println!("\nvirtual timeline:");
-        print!("{}", c.metrics().render_timeline());
-    }
-
     if flag("--report") {
-        println!("\n{}", yafim::cluster::full_report(c.metrics()));
+        println!("\n{}", yafim::cluster::full_report(c.metrics(), c.cost()));
     }
 
     if let Some(path) = trace {
@@ -352,14 +347,6 @@ fn cmd_mine() {
             exit(1);
         }
         println!("\nwrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
-    }
-
-    // `--critical-path` — decompose the virtual makespan into exhaustive
-    // attribution buckets (compute, shuffle, broadcast, faults, scheduler
-    // idle, ...) plus per-stage skew, straight from the span log.
-    if flag("--critical-path") {
-        let report = yafim::cluster::critical_path(c.metrics(), c.cost());
-        println!("\n{}", report.render());
     }
 
     // `--manifest FILE` — write the versioned run manifest (the same

@@ -2,7 +2,7 @@
 //! simulated HDFS → both engines → miners → rules — exercised through the
 //! public `yafim` facade, the way a downstream user would.
 
-use yafim::cluster::{ClusterSpec, CostModel, EventKind, SimCluster};
+use yafim::cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim::data::{stats, to_lines, PaperDataset};
 use yafim::rdd::Context;
 use yafim::{
@@ -42,29 +42,6 @@ fn full_pipeline_yafim_vs_mr_on_generated_data() {
     );
     assert!(spark.metrics().now().as_secs() > 0.0);
     assert!(hadoop.metrics().now().as_secs() > 0.0);
-}
-
-#[test]
-fn per_pass_events_reconstruct_fig3_series() {
-    let tx = PaperDataset::Chess.generate_scaled(0.05);
-    let cluster = small_cluster();
-    cluster.hdfs().put_overwrite("c.dat", to_lines(&tx));
-    let run = Yafim::new(
-        Context::new(cluster.clone()),
-        YafimConfig::new(Support::Fraction(0.85)),
-    )
-    .mine("c.dat")
-    .expect("written");
-
-    let events = cluster.metrics().events_of(EventKind::Iteration);
-    assert_eq!(events.len(), run.passes.len());
-    for (e, p) in events.iter().zip(&run.passes) {
-        assert!((e.duration.as_secs() - p.seconds).abs() < 1e-9);
-    }
-    // Events tile the timeline in order.
-    for w in events.windows(2) {
-        assert!(w[1].start >= w[0].end());
-    }
 }
 
 #[test]
