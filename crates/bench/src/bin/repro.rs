@@ -28,8 +28,6 @@ mod ablations;
 mod chaos;
 #[path = "repro/figures.rs"]
 mod figures;
-#[path = "repro/pipeline.rs"]
-mod pipeline;
 
 /// Where the record lives, from any working directory.
 const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
@@ -44,7 +42,7 @@ enum Writes {
 use Writes::{Report, ReportAndManifest};
 
 /// Every experiment of the record, by name.
-static TABLE: [(&str, Writes); 13] = [
+static TABLE: [(&str, Writes); 12] = [
     ("table1", Report(figures::table1)),
     ("fig3", Report(figures::fig3)),
     ("fig4", Report(figures::fig4)),
@@ -58,10 +56,6 @@ static TABLE: [(&str, Writes); 13] = [
     ),
     ("ablation_phase_combine", Report(ablations::phase_combine)),
     ("compare_miners", Report(figures::compare_miners)),
-    (
-        "pipeline",
-        ReportAndManifest("pipeline", pipeline::pipeline),
-    ),
     ("chaos", ReportAndManifest("chaos", chaos::chaos)),
     ("chaos_e", ReportAndManifest("chaos_e", chaos::chaos_e)),
 ];
@@ -162,7 +156,7 @@ mod tests {
     /// committed bytes; CI's `repro all` + `git diff` covers the rest.
     #[test]
     fn cheap_experiments_regenerate_the_committed_bytes() {
-        for wanted in ["table1", "pipeline", "fig6"] {
+        for wanted in ["table1", "ablation_broadcast", "fig6"] {
             let (name, writes) = TABLE.iter().find(|(n, _)| *n == wanted).expect("named");
             let contents = run(writes).expect("coherent");
             for (file, bytes) in files(name, writes).iter().zip(contents) {

@@ -104,8 +104,8 @@ pub fn cache() -> String {
         let run = Yafim::new(ctx.clone(), YafimConfig::new(data.support))
             .mine("input.dat")
             .expect("dataset written");
-        let cache = ctx.cache().stats();
-        let disk = cluster.metrics().snapshot().profile.work.disk_read_bytes;
+        let profile = cluster.metrics().snapshot().profile;
+        let disk = profile.work.disk_read_bytes;
         baseline.get_or_insert(run.total_seconds);
         say!(
             out,
@@ -113,8 +113,8 @@ pub fn cache() -> String {
             label,
             run.total_seconds,
             disk as f64 / 1e6,
-            cache.hits,
-            cache.evictions
+            profile.cache_hits,
+            ctx.cache().stats().evictions
         );
     }
 

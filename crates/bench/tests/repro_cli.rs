@@ -19,7 +19,7 @@ fn an_unknown_name_exits_2_and_lists_the_names() {
         .expect("repro runs");
     assert!(list.status.success());
     let listed = String::from_utf8(list.stdout).expect("utf-8");
-    assert_eq!(listed.lines().count(), 13);
+    assert_eq!(listed.lines().count(), 12);
     for line in listed.lines() {
         let name = line.split(':').next().expect("name: files");
         assert!(

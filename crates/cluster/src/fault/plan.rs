@@ -22,7 +22,7 @@ use crate::time::{SimDuration, SimInstant};
 pub enum IntegrityTier {
     /// Shuffle map output buckets ([`crate::SimCluster`]-side registry).
     Shuffle,
-    /// Cached / spilled RDD partitions.
+    /// Cached RDD partitions.
     Cache,
     /// SimHdfs file blocks and checkpoint replicas.
     Hdfs,
@@ -422,7 +422,7 @@ fault_plan! {
         /// Probability that one shuffle map-output bucket rots silently (rolled
         /// per (shuffle, reduce partition) at read time, seed-deterministic).
         shuffle_corruption_prob: f64 = Kind::Prob, 0.0, corrupt_shuffle;
-        /// Probability that one cached / spilled partition rots silently.
+        /// Probability that one cached partition rots silently.
         cache_corruption_prob: f64 = Kind::Prob, 0.0, corrupt_cache;
         /// Probability that one HDFS / checkpoint block *replica* rots silently
         /// (rolled per replica, so surviving copies can repair the read).

@@ -18,22 +18,6 @@ pub enum BroadcastMode {
     NaivePerTask,
 }
 
-/// How a stage evaluates its narrow-operator chain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Fused iterator pipelines (the default): narrow operators compose
-    /// lazily and partition buffers exist only at pipeline breakers
-    /// (shuffle writes, cache inserts, driver fetches) — Spark's
-    /// whole-stage pipelining.
-    Fused,
-    /// The naive-eager reference evaluator: the pipe is collapsed into a
-    /// fresh partition buffer at *every* operator boundary, reproducing the
-    /// pre-fusion engine's allocation pattern. Mining results, virtual
-    /// time, and shuffle/cache byte accounting are identical to `Fused`;
-    /// only wall-clock speed and `bytes_materialized` differ.
-    Eager,
-}
-
 /// Tunables of one driver context.
 #[derive(Clone, Debug)]
 pub struct RddConfig {
@@ -46,9 +30,6 @@ pub struct RddConfig {
     /// Override the per-node cache capacity in bytes (for the memory
     /// pressure ablation). `None` uses 60 % of node memory.
     pub cache_capacity_per_node: Option<u64>,
-    /// Stage evaluation strategy (fused pipelines by default; the eager
-    /// reference evaluator exists for cross-checking and benchmarks).
-    pub exec_mode: ExecMode,
 }
 
 impl RddConfig {
@@ -58,7 +39,6 @@ impl RddConfig {
             broadcast: BroadcastMode::Torrent,
             default_parallelism: cluster.spec().total_cores() as usize * 2,
             cache_capacity_per_node: None,
-            exec_mode: ExecMode::Fused,
         }
     }
 }
@@ -131,11 +111,6 @@ impl Context {
 
     pub(crate) fn shuffles(&self) -> &ShuffleRegistry {
         &self.inner.shuffles
-    }
-
-    /// Stage evaluation strategy (fused pipelines or the eager reference).
-    pub(crate) fn exec_mode(&self) -> ExecMode {
-        self.inner.config.exec_mode
     }
 
     /// Distribute an in-memory collection as an RDD with

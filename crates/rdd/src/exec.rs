@@ -40,8 +40,8 @@ use yafim_cluster::{
 pub struct NodeLossReport {
     /// The node that died.
     pub node: NodeId,
-    /// Cached partitions (memory + disk tier) the node held; each will be
-    /// recomputed through its lineage on the next read.
+    /// Cached partitions the node held; each will be recomputed through its
+    /// lineage on the next read.
     pub cached_partitions_dropped: usize,
     /// Shuffle map outputs the node held; the next consumer resubmits just
     /// those map tasks.
@@ -460,75 +460,6 @@ pub(crate) fn try_aggregate<T: Data, A: Send + 'static>(
     })?;
     let merged = std::mem::take(&mut *accumulators.lock());
     Ok(merged.into_iter().reduce(comb).unwrap_or_else(|| zero()))
-}
-
-/// The `take` action: incremental over the fused pipelines. Partitions run
-/// in exponentially growing batches (1, 4, 16, …) and each task stops
-/// pulling from its partition's pipeline once `n` elements are gathered —
-/// later partitions are never computed when earlier ones fill the quota.
-pub(crate) fn try_take<T: Data>(rdd: &Rdd<T>, n: usize) -> Result<Vec<T>, ExecError> {
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let ctx = &rdd.ctx;
-    run_job(rdd, &format!("take({n}) rdd{}", rdd.id()), || {
-        let imp = Arc::clone(&rdd.imp);
-        let total = imp.num_partitions();
-        let shuffle_read = imp.shuffle_read_id();
-        let mut out: Vec<T> = Vec::new();
-        let mut next = 0usize;
-        let mut batch = 1usize;
-        while out.len() < n && next < total {
-            let hi = (next + batch).min(total);
-            let parts: Vec<usize> = (next..hi).collect();
-            let remaining = n - out.len();
-            let preferred: Vec<Option<NodeId>> = parts
-                .iter()
-                .map(|&p| imp.preferred_node(p).or_else(|| Some(node_for(&imp, p))))
-                .collect();
-            let stage_imp = Arc::clone(&imp);
-            let stage_parts = parts.clone();
-            let (results, _) = try_run_stage(
-                ctx,
-                format!("take({n}) rdd{} [{next}..{hi})", rdd.id()),
-                StageKind::Result,
-                shuffle_read,
-                parts.len(),
-                preferred,
-                Arc::new(move |idx, tc: &TaskContext| {
-                    let part = stage_parts[idx];
-                    // Pull at most `remaining` elements; a fused upstream
-                    // chain stops computing as soon as the quota is met.
-                    let taken: Vec<T> = materialize(&stage_imp, part, tc)
-                        .into_iter()
-                        .take(remaining)
-                        .collect();
-                    tc.note_records_written(taken.len() as u64);
-                    tc.note_materialized(slice_bytes(&taken));
-                    taken
-                }),
-            )?;
-            // Everything the batch gathered is fetched to the driver, even
-            // if the batch collectively overshot `n`.
-            let fetched: u64 = results.iter().map(|p| slice_bytes(p)).sum();
-            let cost = ctx.cluster().cost();
-            ctx.metrics()
-                .advance(cost.serialize(fetched) + cost.net_transfer(fetched));
-            for p in results {
-                for t in p {
-                    if out.len() == n {
-                        break;
-                    }
-                    out.push(t);
-                }
-            }
-            // The next batch's stage (or the end of the job) applies any
-            // node loss this one ran into.
-            next = hi;
-            batch = batch.saturating_mul(4);
-        }
-        Ok(out)
-    })
 }
 
 /// Fault injection helpers, exposed on [`Context`] via an extension trait so

@@ -9,48 +9,36 @@
 //!
 //! Within one stage, narrow operators do **not** materialize intermediate
 //! partitions: [`RddImpl::compute`] returns a [`Pipe`] — a streaming
-//! partition that composes `map`/`flat_map`/`filter`/`sample`/`coalesce`/
-//! `union` chains into a single pass, exactly like Spark's whole-stage
-//! iterator pipelining. Partition buffers exist only at the true pipeline
-//! breakers:
+//! partition that composes `map`/`flat_map`/`filter`/`union` chains into a
+//! single pass, exactly like Spark's whole-stage iterator pipelining.
+//! Partition buffers exist only at the true pipeline breakers:
 //!
 //! * **shuffle map-side writes** ([`crate::shuffle`]) — buckets must be
 //!   registered for the reduce side,
 //! * **cache inserts and reads** ([`crate::cache`]) — a stored partition is
 //!   a `Vec` behind an `Arc`; a hit streams straight out of that `Arc`
 //!   without copying it,
+//! * **`map_partitions` and `aggregate`**, whose closures take the whole
+//!   partition as a slice,
 //! * **driver-fetch actions** ([`crate::exec`]) — results are serialized
 //!   and shipped to the driver.
-//!
-//! The retained naive-eager reference evaluator
-//! ([`crate::ExecMode::Eager`]) instead collapses the pipe at *every*
-//! operator boundary — one fresh partition buffer per operator, the
-//! pre-fusion engine's allocation pattern — and exists to cross-check the
-//! fused engine's results and byte accounting, and to measure what fusion
-//! saves.
 //!
 //! Lineage is also the fault-tolerance story, exactly as in the paper's
 //! description of Spark: a lost cached partition is simply recomputed from
 //! its parents, through the same pipeline path.
 
-use crate::cache::{CacheTier, StorageLevel};
-use crate::context::{Context, ExecMode};
+use crate::context::Context;
 use crate::exec::{self, PartialSize};
 use crate::shuffle::{ReduceByKeyRdd, ShuffleStage};
 use crate::task::TaskContext;
 use std::hash::Hash;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use yafim_cluster::{
     slice_bytes, slice_records, ByteSize, DfsFile, IntegrityCounters, IntegrityTier, Lines, NodeId,
     RecoveryCounters, Split, TransientKind,
 };
-
-// Persistence state encoding for `RddMeta::persist_level`.
-const PERSIST_NONE: u8 = 0;
-const PERSIST_MEMORY: u8 = 1;
-const PERSIST_MEMORY_AND_DISK: u8 = 2;
 
 /// Marker bound for RDD element types: cheap to clone, shareable across the
 /// worker pool, and byte-sizeable for shuffle/cache accounting.
@@ -80,8 +68,8 @@ impl<'a, T: Data> Pipe<'a, T> {
     /// Drain into a `Vec`, sized once: returns it with its `slice_bytes`.
     /// `bytes_materialized` is charged whenever the engine copies elements
     /// into a new buffer (a lazy chain collapsing, or a stable buffer being
-    /// deep-cloned by the eager reference evaluator). An owned buffer passes
-    /// through for free — no copy happens.
+    /// deep-cloned into a cache entry). An owned buffer passes through for
+    /// free — no copy happens.
     pub(crate) fn into_vec(self, tc: &TaskContext) -> (Vec<T>, u64) {
         let copied = !matches!(self, Pipe::Owned(_));
         let v: Vec<T> = match self {
@@ -169,9 +157,9 @@ impl<T: Data> Iterator for PipeIter<'_, T> {
 /// Counts the elements passing through and flushes the count when the
 /// pipeline is dropped (end of task): around an operator's upstream pipe as
 /// its `records_in` ([`Counted::pulled`]), around what it emits as its
-/// `records_out` ([`Counted::produced`]). Totals match the eager evaluator's
-/// bulk `add_records_in(len)` whenever the pipe is fully drained; an
-/// incremental `take` legitimately counts fewer — only what it pulled.
+/// `records_out` ([`Counted::produced`]). Every action drains its pipes, so
+/// the totals are what a sequential evaluation of the same operators over
+/// `Vec`s counts.
 pub(crate) struct Counted<'a, I> {
     inner: I,
     tc: &'a TaskContext,
@@ -220,7 +208,8 @@ impl<I> Drop for Counted<'_, I> {
 pub(crate) struct RddMeta {
     pub(crate) id: u64,
     pub(crate) ctx: Context,
-    persist_level: AtomicU8,
+    /// Set by [`Rdd::cache`], cleared by [`Rdd::unpersist`].
+    cached: AtomicBool,
 }
 
 impl RddMeta {
@@ -228,25 +217,8 @@ impl RddMeta {
         RddMeta {
             id: ctx.new_id(),
             ctx: ctx.clone(),
-            persist_level: AtomicU8::new(PERSIST_NONE),
+            cached: AtomicBool::new(false),
         }
-    }
-
-    fn level(&self) -> Option<StorageLevel> {
-        match self.persist_level.load(Ordering::Relaxed) {
-            PERSIST_MEMORY => Some(StorageLevel::MemoryOnly),
-            PERSIST_MEMORY_AND_DISK => Some(StorageLevel::MemoryAndDisk),
-            _ => None,
-        }
-    }
-
-    fn set_level(&self, level: Option<StorageLevel>) {
-        let v = match level {
-            None => PERSIST_NONE,
-            Some(StorageLevel::MemoryOnly) => PERSIST_MEMORY,
-            Some(StorageLevel::MemoryAndDisk) => PERSIST_MEMORY_AND_DISK,
-        };
-        self.persist_level.store(v, Ordering::Relaxed);
     }
 }
 
@@ -318,26 +290,16 @@ pub(crate) fn checksum_micros(ctx: &Context, bytes: u64) -> u64 {
 /// (possibly evicting LRU entries). The task reads the cache as of its
 /// stage's start, so tasks of one stage that share a cached partition all
 /// miss and all compute it; the stored copy serves later stages.
-///
-/// Under [`ExecMode::Eager`] the pipe is additionally collapsed to a fresh
-/// buffer at *this* operator boundary, reproducing the pre-fusion engine's
-/// per-operator allocation pattern.
 pub(crate) fn materialize<'a, T: Data>(
     imp: &'a Arc<dyn RddImpl<T>>,
     part: usize,
     tc: &'a TaskContext,
 ) -> Pipe<'a, T> {
     let meta = imp.meta();
-    let eager = meta.ctx.exec_mode() == ExecMode::Eager;
-    let Some(level) = meta.level() else {
-        let pipe = imp.compute(part, tc);
-        return if eager {
-            Pipe::Shared(Arc::new(pipe.into_vec(tc).0))
-        } else {
-            pipe
-        };
-    };
-    if let Some((data, bytes, tier)) = meta.ctx.cache().get::<T>(meta.id, part, tc.cache_as_of) {
+    if !meta.cached.load(Ordering::Relaxed) {
+        return imp.compute(part, tc);
+    }
+    if let Some((data, bytes)) = meta.ctx.cache().get::<T>(meta.id, part, tc.cache_as_of) {
         let faults = meta.ctx.cluster().faults();
         let rotten = if faults.integrity_active() {
             // Verify the stored block's checksum before trusting it.
@@ -346,16 +308,13 @@ pub(crate) fn materialize<'a, T: Data>(
         } else {
             false
         };
-        match tier {
-            CacheTier::Memory => tc.add_mem_read(bytes),
-            CacheTier::Disk => tc.add_disk_read(bytes),
-        }
+        tc.add_mem_read(bytes);
         if !rotten {
             tc.note_cache_hit();
             tc.note_records_read(slice_records(&data));
             return Pipe::Shared(data);
         }
-        // Checksum mismatch on a cached/spilled partition. Cached blocks
+        // Checksum mismatch on a cached partition. Cached blocks
         // have no replicas, so the cheapest (and only) repair is lineage
         // recompute: evict the poisoned entry and fall through to the miss
         // path below, which recomputes and re-caches a clean copy.
@@ -389,7 +348,7 @@ pub(crate) fn materialize<'a, T: Data>(
     let node = node_for(imp, part).index();
     meta.ctx
         .cache()
-        .put(meta.id, part, node, Arc::clone(&data), bytes, level);
+        .put(meta.id, part, node, Arc::clone(&data), bytes);
     if meta.ctx.cluster().faults().integrity_active() {
         // Checksum the block at write time so later reads can verify it.
         tc.add_stall_micros(checksum_micros(&meta.ctx, bytes));
@@ -427,29 +386,19 @@ impl<T: Data> Rdd<T> {
         self.imp.num_partitions()
     }
 
-    /// The driver context this RDD belongs to.
-    pub fn context(&self) -> &Context {
-        &self.ctx
-    }
-
     /// Mark this RDD for in-memory caching: the first materialization of
     /// each partition stores it on the partition's home node; later reads
-    /// hit memory instead of recomputing the lineage. Equivalent to
-    /// `persist(StorageLevel::MemoryOnly)` (Spark's default, what the paper
-    /// uses for the transactions RDD).
+    /// hit memory instead of recomputing the lineage; an evicted or lost
+    /// partition is recomputed. Spark's `MEMORY_ONLY`, what the paper uses
+    /// for the transactions RDD.
     pub fn cache(&self) -> Rdd<T> {
-        self.persist(StorageLevel::MemoryOnly)
-    }
-
-    /// Mark this RDD for persistence at an explicit [`StorageLevel`].
-    pub fn persist(&self, level: StorageLevel) -> Rdd<T> {
-        self.imp.meta().set_level(Some(level));
+        self.imp.meta().cached.store(true, Ordering::Relaxed);
         self.clone()
     }
 
-    /// Drop cached partitions (both tiers) and stop caching.
+    /// Drop cached partitions and stop caching.
     pub fn unpersist(&self) {
-        self.imp.meta().set_level(None);
+        self.imp.meta().cached.store(false, Ordering::Relaxed);
         self.ctx.cache().evict_rdd(self.id());
     }
 
@@ -576,15 +525,9 @@ impl<T: Data> Rdd<T> {
 
     /// Action: number of elements.
     ///
-    /// Panics if the job aborts under an active fault plan; use
-    /// [`Rdd::try_count`] to handle that case.
+    /// Panics if the job aborts under an active fault plan.
     pub fn count(&self) -> u64 {
-        self.try_count().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible `count`; see [`Rdd::try_collect`].
-    pub fn try_count(&self) -> Result<u64, yafim_cluster::ExecError> {
-        exec::try_count(self)
+        exec::try_count(self).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Action: Spark's `aggregate`, under Spark's contract: `seq` and `comb`
@@ -600,23 +543,6 @@ impl<T: Data> Rdd<T> {
         comb: impl Fn(A, A) -> A,
     ) -> Result<A, yafim_cluster::ExecError> {
         exec::try_aggregate(self, zero, seq, comb)
-    }
-
-    /// Action: the first `n` elements in partition order, computed
-    /// incrementally: each task stops pulling from its partition's pipeline
-    /// once `n` elements are gathered, and later partitions are only
-    /// scheduled (in exponentially growing batches, as in Spark) when the
-    /// earlier ones under-fill.
-    ///
-    /// Panics if the job aborts under an active fault plan; use
-    /// [`Rdd::try_take`] for the fallible variant.
-    pub fn take(&self, n: usize) -> Vec<T> {
-        self.try_take(n).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible `take`; see [`Rdd::try_collect`].
-    pub fn try_take(&self, n: usize) -> Result<Vec<T>, yafim_cluster::ExecError> {
-        exec::try_take(self, n)
     }
 }
 
@@ -646,6 +572,16 @@ where
             partitions.max(1),
         );
         Rdd::from_impl(self.ctx.clone(), imp)
+    }
+
+    /// Group all values per key (one shuffle). Value order within a group is
+    /// deterministic (map-task order, as this engine's shuffle is).
+    pub fn group_by_key(&self) -> Rdd<(K, Vec<V>)> {
+        self.map(|(k, v)| (k, vec![v]))
+            .reduce_by_key(|mut a, mut b| {
+                a.append(&mut b);
+                a
+            })
     }
 }
 

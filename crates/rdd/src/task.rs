@@ -1,9 +1,7 @@
 //! Per-task execution context.
 
 use std::cell::Cell;
-use yafim_cluster::{
-    MemGrant, MemoryBudget, NodeId, OomAbort, TaskMemory, TaskProfile, WorkCounters,
-};
+use yafim_cluster::{MemGrant, MemoryBudget, NodeId, OomAbort, TaskMemory, TaskProfile};
 
 /// Handed to every task closure. Carries the task's identity and the work
 //  counters that drive virtual-time accounting, plus attribution counters
@@ -28,17 +26,11 @@ pub struct TaskContext {
 }
 
 impl TaskContext {
-    /// New context for `partition` running on `node`, without an armed
-    /// memory governor, reading an empty cache.
-    pub fn new(partition: usize, node: NodeId) -> Self {
-        Self::with_memory(partition, node, None, 0, 0)
-    }
-
     /// New context carrying the stage's execution-memory budget (`None`
     /// keeps the governor inert) and cache watermark. `stage_key` seeds the
     /// OOM rolls so one plan always denies the same acquisitions of the
     /// same stage.
-    pub fn with_memory(
+    pub(crate) fn with_memory(
         partition: usize,
         node: NodeId,
         budget: Option<MemoryBudget>,
@@ -79,7 +71,7 @@ impl TaskContext {
 
     /// Whether some reservation exhausted its OOM retry ladder: the stage
     /// must abort with a typed out-of-memory error.
-    pub fn oom_abort(&self) -> Option<OomAbort> {
+    pub(crate) fn oom_abort(&self) -> Option<OomAbort> {
         self.memory.abort()
     }
 
@@ -105,12 +97,12 @@ impl TaskContext {
     }
 
     /// Record a node-local disk read.
-    pub fn add_disk_read(&self, bytes: u64) {
+    pub(crate) fn add_disk_read(&self, bytes: u64) {
         self.update(|p| p.work.add_disk_read(bytes));
     }
 
     /// Record a node-local disk write.
-    pub fn add_disk_write(&self, bytes: u64) {
+    pub(crate) fn add_disk_write(&self, bytes: u64) {
         self.update(|p| p.work.add_disk_write(bytes));
     }
 
@@ -120,30 +112,30 @@ impl TaskContext {
     }
 
     /// Record a network fetch.
-    pub fn add_net(&self, bytes: u64) {
+    pub(crate) fn add_net(&self, bytes: u64) {
         self.update(|p| p.work.add_net(bytes));
     }
 
     /// Record bytes crossing a serialization boundary.
-    pub fn add_ser(&self, bytes: u64) {
+    pub(crate) fn add_ser(&self, bytes: u64) {
         self.update(|p| p.work.add_ser(bytes));
     }
 
     /// Record virtual time the task spent stalled waiting (transient-fetch
     /// retry backoff), in integer microseconds.
-    pub fn add_stall_micros(&self, micros: u64) {
+    pub(crate) fn add_stall_micros(&self, micros: u64) {
         self.update(|p| p.work.add_stall_micros(micros));
     }
 
     /// Attribute bytes already charged to the physical counters as a
     /// shuffle fetch (local + remote).
-    pub fn note_shuffle_read(&self, bytes: u64) {
+    pub(crate) fn note_shuffle_read(&self, bytes: u64) {
         self.update(|p| p.shuffle_read_bytes += bytes);
     }
 
     /// Attribute bytes already charged to the physical counters as a
     /// map-side shuffle-file write.
-    pub fn note_shuffle_write(&self, bytes: u64) {
+    pub(crate) fn note_shuffle_write(&self, bytes: u64) {
         self.update(|p| p.shuffle_write_bytes += bytes);
     }
 
@@ -154,46 +146,36 @@ impl TaskContext {
     }
 
     /// Count a partition read served from the cache (any tier).
-    pub fn note_cache_hit(&self) {
+    pub(crate) fn note_cache_hit(&self) {
         self.update(|p| p.cache_hits += 1);
     }
 
     /// Count a partition read that missed the cache and recomputed.
-    pub fn note_cache_miss(&self) {
+    pub(crate) fn note_cache_miss(&self) {
         self.update(|p| p.cache_misses += 1);
     }
 
     /// Attribute `n` records entering the pipeline from a stable input
     /// (source partition, cache hit, shuffle fetch). Time-neutral.
-    pub fn note_records_read(&self, n: u64) {
+    pub(crate) fn note_records_read(&self, n: u64) {
         self.update(|p| p.records_read += n);
     }
 
     /// Attribute `n` records leaving the pipeline through a breaker
     /// (shuffle write, cache insert, driver fetch). Time-neutral.
-    pub fn note_records_written(&self, n: u64) {
+    pub(crate) fn note_records_written(&self, n: u64) {
         self.update(|p| p.records_written += n);
     }
 
     /// Attribute `bytes` buffered into a `Vec` at a pipeline breaker (or,
     /// in the eager reference evaluator, at every operator). Time-neutral:
     /// the physical cost of moving those bytes is charged separately.
-    pub fn note_materialized(&self, bytes: u64) {
+    pub(crate) fn note_materialized(&self, bytes: u64) {
         self.update(|p| p.bytes_materialized += bytes);
     }
 
-    /// Snapshot of the accumulated physical counters.
-    pub fn work(&self) -> WorkCounters {
-        self.profile.get().work
-    }
-
-    /// Snapshot of the full profile (physical + attribution).
-    pub fn profile(&self) -> TaskProfile {
-        self.profile.get()
-    }
-
     /// Consume the context, yielding the full profile.
-    pub fn into_profile(self) -> TaskProfile {
+    pub(crate) fn into_profile(self) -> TaskProfile {
         self.profile.get()
     }
 }
@@ -201,22 +183,29 @@ impl TaskContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yafim_cluster::WorkCounters;
+
+    /// A context without an armed memory governor, reading an empty cache.
+    fn unarmed(partition: usize, node: NodeId) -> TaskContext {
+        TaskContext::with_memory(partition, node, None, 0, 0)
+    }
 
     #[test]
     fn counters_accumulate() {
-        let tc = TaskContext::new(3, NodeId(1));
+        let tc = unarmed(3, NodeId(1));
         tc.add_records_in(2);
         tc.add_cpu(10);
         tc.add_mem_read(100);
         assert_eq!(tc.partition, 3);
-        assert_eq!(tc.work().records_in, 2);
-        assert_eq!(tc.work().cpu_units, 12);
-        assert_eq!(tc.work().mem_read_bytes, 100);
+        let work = tc.into_profile().work;
+        assert_eq!(work.records_in, 2);
+        assert_eq!(work.cpu_units, 12);
+        assert_eq!(work.mem_read_bytes, 100);
     }
 
     #[test]
     fn attribution_never_touches_physical_counters() {
-        let tc = TaskContext::new(0, NodeId(0));
+        let tc = unarmed(0, NodeId(0));
         tc.note_shuffle_read(100);
         tc.note_shuffle_write(200);
         tc.note_broadcast_read(300);
@@ -239,7 +228,7 @@ mod tests {
 
     #[test]
     fn unarmed_context_reserves_for_free() {
-        let tc = TaskContext::new(0, NodeId(0));
+        let tc = unarmed(0, NodeId(0));
         assert_eq!(
             tc.try_reserve(u64::MAX, yafim_cluster::memgov::site::TRIANGLE, false),
             MemGrant::Granted
@@ -282,13 +271,14 @@ mod tests {
     fn shared_reference_charges_through_cell() {
         // A fused pipeline holds one `&TaskContext` in several adapters at
         // once; charging through any of them must be visible to all.
-        let tc = TaskContext::new(0, NodeId(0));
+        let tc = unarmed(0, NodeId(0));
         let a: &TaskContext = &tc;
         let b: &TaskContext = &tc;
         a.add_records_in(1);
         b.add_records_out(2);
-        assert_eq!(tc.work().records_in, 1);
-        assert_eq!(tc.work().records_out, 2);
-        assert_eq!(tc.work().cpu_units, 3);
+        let work = tc.into_profile().work;
+        assert_eq!(work.records_in, 1);
+        assert_eq!(work.records_out, 2);
+        assert_eq!(work.cpu_units, 3);
     }
 }

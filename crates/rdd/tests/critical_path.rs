@@ -10,14 +10,14 @@
 use yafim_cluster::{
     critical_path, ClusterSpec, CostModel, CriticalPathReport, FaultPlan, NodeId, SimCluster,
 };
-use yafim_rdd::{Context, ExecMode, FaultInjection, Rdd, RddConfig};
+use yafim_rdd::{Context, FaultInjection, Rdd};
 
-fn ctx_with(mode: ExecMode) -> Context {
-    let cluster =
-        SimCluster::with_threads(ClusterSpec::new(3, 2, 1 << 30), CostModel::hadoop_era(), 2);
-    let mut config = RddConfig::for_cluster(&cluster);
-    config.exec_mode = mode;
-    Context::with_config(cluster, config)
+fn ctx() -> Context {
+    Context::new(SimCluster::with_threads(
+        ClusterSpec::new(3, 2, 1 << 30),
+        CostModel::hadoop_era(),
+        2,
+    ))
 }
 
 /// Tiny deterministic generator for test inputs (splitmix64).
@@ -51,22 +51,18 @@ enum Op {
     Filter(u32),
     FlatMap(u32),
     MapPartitions(u32),
-    Sample(u64),
-    Coalesce(usize),
     Cache,
     UnionSelf,
 }
 
 fn random_plan(rng: &mut Rng, len: usize) -> Vec<Op> {
     (0..len)
-        .map(|_| match rng.range(0, 8) {
+        .map(|_| match rng.range(0, 6) {
             0 => Op::Map(rng.next() as u32),
             1 => Op::Filter(rng.next() as u32),
             2 => Op::FlatMap(rng.next() as u32),
             3 => Op::MapPartitions(rng.next() as u32),
-            4 => Op::Sample(rng.next()),
-            5 => Op::Coalesce(rng.range(1, 6) as usize),
-            6 => Op::Cache,
+            4 => Op::Cache,
             _ => Op::UnionSelf,
         })
         .collect()
@@ -82,8 +78,6 @@ fn apply(rdd: Rdd<u32>, op: Op) -> Rdd<u32> {
                 .collect::<Vec<u32>>()
         }),
         Op::MapPartitions(k) => rdd.map_partitions(move |s, _| s.iter().map(|x| x ^ k).collect()),
-        Op::Sample(seed) => rdd.sample(0.6, seed),
-        Op::Coalesce(n) => rdd.coalesce(n),
         Op::Cache => rdd.cache(),
         Op::UnionSelf => rdd.union(&rdd),
     }
@@ -136,13 +130,11 @@ fn buckets_tile_makespan_on_random_narrow_chains() {
         let parts = rng.range(1, 10) as usize;
         let len = rng.range(1, 6) as usize;
         let plan = random_plan(&mut rng, len);
-        for mode in [ExecMode::Fused, ExecMode::Eager] {
-            let c = ctx_with(mode);
-            let rdd = build(&c, &data, parts, &plan, false);
-            rdd.collect();
-            rdd.collect();
-            assert_sums_to_makespan(&c, case, "narrow");
-        }
+        let c = ctx();
+        let rdd = build(&c, &data, parts, &plan, false);
+        rdd.collect();
+        rdd.collect();
+        assert_sums_to_makespan(&c, case, "narrow");
     }
 }
 
@@ -154,7 +146,7 @@ fn buckets_tile_makespan_through_shuffles() {
         let parts = rng.range(1, 10) as usize;
         let len = rng.range(1, 5) as usize;
         let plan = random_plan(&mut rng, len);
-        let c = ctx_with(ExecMode::Fused);
+        let c = ctx();
         let rdd = build(&c, &data, parts, &plan, true);
         rdd.collect();
         let report = assert_sums_to_makespan(&c, case, "shuffle");
@@ -174,7 +166,7 @@ fn buckets_tile_makespan_after_node_loss() {
         let data: Vec<u32> = (0..n).map(|_| rng.range(0, 500) as u32).collect();
         let parts = rng.range(2, 8) as usize;
         let victim = rng.range(0, 3) as u32;
-        let c = ctx_with(ExecMode::Fused);
+        let c = ctx();
         let cached = c
             .parallelize_with_partitions(data.clone(), parts)
             .flat_map(|x| vec![x, x.wrapping_add(1)])
@@ -197,7 +189,7 @@ fn buckets_tile_makespan_under_transient_faults() {
         let parts = rng.range(2, 8) as usize;
         let len = rng.range(1, 4) as usize;
         let plan = random_plan(&mut rng, len);
-        let c = ctx_with(ExecMode::Fused);
+        let c = ctx();
         c.cluster().faults().set_plan(
             FaultPlan::seeded(rng.next())
                 .flaky_fetches(0.4)
@@ -219,10 +211,10 @@ fn buckets_tile_makespan_under_silent_corruption() {
         let plan = random_plan(&mut rng, len);
         let rate = rng.range(1, 40) as f64 / 100.0;
         let reference = {
-            let c = ctx_with(ExecMode::Fused);
+            let c = ctx();
             build(&c, &data, parts, &plan, true).collect()
         };
-        let c = ctx_with(ExecMode::Fused);
+        let c = ctx();
         c.cluster().faults().set_plan(
             FaultPlan::seeded(rng.next())
                 .corrupt_shuffle(rate)

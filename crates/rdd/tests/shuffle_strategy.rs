@@ -5,16 +5,16 @@
 //! metrics — virtual time, shuffle bytes, record counts.
 
 use yafim_cluster::{ClusterSpec, CostModel, MetricsSnapshot, NodeId, SimCluster};
-use yafim_rdd::{Context, ExecMode, FaultInjection, Rdd, RddConfig};
+use yafim_rdd::{Context, FaultInjection, Rdd};
 
 type Rec = (u32, u64);
 
-fn ctx_with(mode: ExecMode) -> Context {
-    let cluster =
-        SimCluster::with_threads(ClusterSpec::new(3, 2, 1 << 30), CostModel::hadoop_era(), 2);
-    let mut config = RddConfig::for_cluster(&cluster);
-    config.exec_mode = mode;
-    Context::with_config(cluster, config)
+fn ctx() -> Context {
+    Context::new(SimCluster::with_threads(
+        ClusterSpec::new(3, 2, 1 << 30),
+        CostModel::hadoop_era(),
+        2,
+    ))
 }
 
 /// Tiny deterministic generator for test inputs (splitmix64).
@@ -49,26 +49,27 @@ enum Upstream {
     Fused,
     /// A `map_partitions` result the task owns (`Pipe::Owned`).
     Owned,
-    /// The eager reference evaluator (`Pipe::Shared` at every boundary).
-    Eager,
+    /// A cached partition, stored by an earlier job (`Pipe::Shared`).
+    Cached,
 }
 
 /// One partition per inner `Vec`, its records in exactly the given order.
 fn reduce(c: &Context, upstream: Upstream, partitions: &[Vec<Rec>]) -> Rdd<Rec> {
     let source = c.parallelize_with_partitions(partitions.to_vec(), partitions.len());
     let records = match upstream {
-        Upstream::Fused | Upstream::Eager => source.flat_map(|p| p),
+        Upstream::Fused => source.flat_map(|p| p),
         Upstream::Owned => source.map_partitions(|ps, _| ps.iter().flatten().copied().collect()),
+        Upstream::Cached => {
+            let cached = source.flat_map(|p| p).cache();
+            cached.count();
+            cached
+        }
     };
     records.reduce_by_key(|a, b| a + b)
 }
 
 fn run(upstream: Upstream, partitions: &[Vec<Rec>]) -> (Vec<Rec>, MetricsSnapshot) {
-    let mode = match upstream {
-        Upstream::Eager => ExecMode::Eager,
-        _ => ExecMode::Fused,
-    };
-    let c = ctx_with(mode);
+    let c = ctx();
     let out = reduce(&c, upstream, partitions).collect();
     (out, c.metrics().snapshot())
 }
@@ -113,7 +114,7 @@ fn presentation_order_and_upstream_kind_are_invisible() {
         }
 
         let mut reference: Option<Vec<Rec>> = None;
-        for upstream in [Upstream::Fused, Upstream::Owned, Upstream::Eager] {
+        for upstream in [Upstream::Fused, Upstream::Owned, Upstream::Cached] {
             let (out, metrics) = run(upstream, &sorted);
             for (other, name) in [(&shuffled, "shuffled"), (&late, "late key")] {
                 let (o, m) = run(upstream, other);
@@ -141,7 +142,7 @@ fn presentation_order_and_upstream_kind_are_invisible() {
         split_shuffled.iter_mut().for_each(|p| rng.shuffle(p));
         // Non-decreasing: the first repeated key ends the run.
         split.iter_mut().for_each(|p| p.sort_unstable());
-        for upstream in [Upstream::Fused, Upstream::Owned, Upstream::Eager] {
+        for upstream in [Upstream::Fused, Upstream::Owned, Upstream::Cached] {
             let (out, metrics) = run(upstream, &split);
             let (o, m) = run(upstream, &split_shuffled);
             assert_eq!(Some(&out), reference.as_ref(), "case {case} {upstream:?}");
@@ -167,7 +168,7 @@ fn node_loss_on_a_run_path_shuffle_patches_to_the_identical_result() {
         let partitions: Vec<Vec<Rec>> = (0..parts).map(|_| ascending(&mut rng)).collect();
         let (healthy, _) = run(Upstream::Owned, &partitions);
 
-        let c = ctx_with(ExecMode::Fused);
+        let c = ctx();
         let reduced = reduce(&c, Upstream::Owned, &partitions);
         // Materialize the map side only (a count runs the reduce tasks, but
         // keeps nothing a second action could reuse).

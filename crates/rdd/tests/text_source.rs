@@ -5,17 +5,13 @@
 //! below are the ones it gave when it lent a `&[String]`.
 
 use yafim_cluster::{ClusterSpec, CostModel, Lines, SimCluster, TaskProfile};
-use yafim_rdd::{Context, ExecMode, RddConfig};
+use yafim_rdd::Context;
 
-const MODES: [ExecMode; 2] = [ExecMode::Fused, ExecMode::Eager];
-
-fn ctx(lines: &[String], mode: ExecMode) -> Context {
+fn ctx(lines: &[String]) -> Context {
     let cluster =
         SimCluster::with_threads(ClusterSpec::new(3, 2, 1 << 30), CostModel::hadoop_era(), 2);
     cluster.hdfs().put_overwrite("in.txt", lines.to_vec());
-    let mut config = RddConfig::for_cluster(&cluster);
-    config.exec_mode = mode;
-    Context::with_config(cluster, config)
+    Context::new(cluster)
 }
 
 fn profile(c: &Context) -> TaskProfile {
@@ -28,18 +24,12 @@ fn every_consumer_sees_the_lines_in_order() {
         let lines: Vec<String> = (0..n).map(|i| format!("line {i} {}", i * i)).collect();
         let lens: Vec<usize> = lines.iter().map(String::len).collect();
         // Fewer partitions than lines, as many, and more.
-        for (parts, mode) in [1, 3, 5, 64]
-            .into_iter()
-            .flat_map(|p| MODES.map(|m| (p, m)))
-        {
-            let label = format!("{n} lines, {parts} partitions, {mode:?}");
-            let c = ctx(&lines, mode);
+        for parts in [1, 3, 5, 64] {
+            let label = format!("{n} lines, {parts} partitions");
+            let c = ctx(&lines);
             let rdd = c.text_file("in.txt", parts).expect("written");
             assert_eq!(rdd.count(), n as u64, "{label}");
             assert_eq!(rdd.collect(), lines, "{label}");
-            for k in [0, 1, 4, n, n + 3] {
-                assert_eq!(rdd.take(k), lines[..k.min(n)], "{label}, take({k})");
-            }
             assert_eq!(rdd.map(|l| l.len()).collect(), lens, "{label}");
             let by_slice = rdd.map_partitions(|ls, _| ls.iter().map(String::len).collect());
             assert_eq!(by_slice.collect(), lens, "{label}");
@@ -69,7 +59,7 @@ fn a_whole_split_consumer_copies_nothing_and_counts_every_line() {
 
     // The split's text lies in the file's own buffer: no `String` per line,
     // no copy of the split.
-    let c = ctx(&lines, ExecMode::Fused);
+    let c = ctx(&lines);
     let file = c.cluster().hdfs().get("in.txt").expect("written");
     let range = |text: &str| {
         let bytes = text.as_bytes().as_ptr_range();
@@ -91,7 +81,7 @@ fn a_whole_split_consumer_copies_nothing_and_counts_every_line() {
     assert_eq!((whole.work.records_in, whole.work.records_out), (200, 207));
 
     // A per-line consumer reads and counts the same, and pays for its copy.
-    let c = ctx(&lines, ExecMode::Fused);
+    let c = ctx(&lines);
     let rdd = c.text_file("in.txt", 7).expect("written");
     rdd.map_partitions(|ls, _| vec![ls.len() as u64]).collect();
     let per_line = profile(&c);
@@ -101,22 +91,12 @@ fn a_whole_split_consumer_copies_nothing_and_counts_every_line() {
 
     // `collect` needs its own copy of the `String`s; a collected split is
     // still a view.
-    let c = ctx(&lines, ExecMode::Fused);
+    let c = ctx(&lines);
     c.text_file("in.txt", 7).expect("written").collect();
     assert_eq!(profile(&c).bytes_materialized, bytes);
-    let c = ctx(&lines, ExecMode::Fused);
+    let c = ctx(&lines);
     c.text_splits("in.txt", 7).expect("written").collect();
     assert_eq!(profile(&c).bytes_materialized, 0);
-
-    // The eager reference evaluator materializes at the source, and charges
-    // everything else the same.
-    let c = ctx(&lines, ExecMode::Eager);
-    let rdd = c.text_splits("in.txt", 7).expect("written");
-    rdd.map_partitions(|part, _| vec![part.len() as u64])
-        .collect();
-    let eager = profile(&c);
-    assert_eq!(eager.bytes_materialized, bytes);
-    assert_eq!(eager.work, whole.work);
 }
 
 #[test]
@@ -141,16 +121,14 @@ fn what_is_cached_downstream_weighs_the_same_from_either_source() {
         (
             cache.used_bytes,
             cache.entries,
-            cache.hits,
+            p.cache_hits,
             p.records_read,
             p.records_written,
         )
     };
-    for mode in MODES {
-        let per_line = lens(&ctx(&lines, mode), false);
-        // 7 partitions of `u64`s under an 8-byte header each; 200 lines
-        // read off HDFS and 200 more off the cache; 200 cached.
-        assert_eq!(per_line, (200 * 8 + 7 * 8, 7, 7, 400, 200), "{mode:?}");
-        assert_eq!(lens(&ctx(&lines, mode), true), per_line, "{mode:?}");
-    }
+    let per_line = lens(&ctx(&lines), false);
+    // 7 partitions of `u64`s under an 8-byte header each; 200 lines read off
+    // HDFS and 200 more off the cache; 200 cached.
+    assert_eq!(per_line, (200 * 8 + 7 * 8, 7, 7, 400, 200));
+    assert_eq!(lens(&ctx(&lines), true), per_line);
 }

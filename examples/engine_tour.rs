@@ -42,25 +42,6 @@ fn main() {
         top_items.first().expect("non-empty")
     );
 
-    // The extended operator set: sample → distinct → join.
-    let users = events.map(|l: String| {
-        let mut it = l.split_whitespace();
-        (
-            it.next().expect("user column").to_string(),
-            it.next().expect("item column").to_string(),
-        )
-    });
-    let active_users = users.keys().distinct();
-    println!("active users:   {}", active_users.count());
-
-    let user_sample = users.sample(0.1, 7);
-    let item_counts = ctx.parallelize(top_items.clone());
-    let joined = user_sample
-        .map(|(u, item)| (item, u))
-        .join(&item_counts)
-        .collect();
-    println!("sampled (user, item-popularity) pairs: {}", joined.len());
-
     // ---- the MapReduce engine, same corpus ----
     let runner = MrRunner::new(cluster.clone());
     let job = MapReduceJob::new(
