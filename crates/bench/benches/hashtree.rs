@@ -87,6 +87,17 @@ fn match_all(tree: &HashTree, txs: &[Vec<u32>]) -> (u64, u64) {
     (hits, visits)
 }
 
+/// Time matching every row of `txs` and print visits and host ns per row.
+fn match_shaped(name: &str, tree: &HashTree, txs: &[Vec<u32>]) {
+    let visits = match_all(tree, txs).1 / txs.len() as u64;
+    let median = bench(name, 20, || match_all(black_box(tree), txs));
+    println!(
+        "    {visits} visits per transaction over {} nodes, {:.0} ns per transaction",
+        tree.num_nodes(),
+        median * 1e9 / txs.len() as f64
+    );
+}
+
 fn main() {
     header("hashtree_build");
     for &n in &[1_000usize, 10_000, 50_000] {
@@ -121,18 +132,20 @@ fn main() {
         header(&format!("hashtree_match_{name}_shaped_1k_tx"));
         for k in ks {
             let (cands, txs) = dense_shaped(shape, 500, k, 3);
-            let tree = HashTree::build(cands);
-            let visits = match_all(&tree, &txs).1 / txs.len() as u64;
-            let median = bench(&format!("tree/500/k{k}"), 20, || {
-                match_all(black_box(&tree), &txs)
-            });
-            println!(
-                "    {visits} visits per transaction over {} nodes, {:.0} ns per transaction",
-                tree.num_nodes(),
-                median * 1e9 / txs.len() as f64
-            );
+            match_shaped(&format!("tree/500/k{k}"), &HashTree::build(cands), &txs);
         }
     }
+
+    // The other regime: T10I4D100K's pass 2 under the paper plan, every pair
+    // of 782 frequent items (305 k candidates, branching 139) against
+    // 11-item rows. Few paths per row over a wide tree, so any cost per node
+    // reached, rather than per path, shows here.
+    header("hashtree_match_t10_shaped_1k_tx");
+    let pairs = (0..782u32)
+        .flat_map(|a| (a + 1..782).map(move |b| Itemset::new(vec![a, b])))
+        .collect();
+    let txs = transactions(1_000, 11, 782, 5);
+    match_shaped("tree/305k/k2", &HashTree::build(pairs), &txs);
 
     // 12 candidates fit the root leaf: no descent, so no slot per item —
     // only the membership stamps are precomputed.

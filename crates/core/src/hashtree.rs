@@ -11,20 +11,24 @@
 //!
 //! This module counts those paths instead. A node at depth `d` is *arrived
 //! at* at position `p` once per path that consumed `d − 1` items, the last of
-//! them `t[p − 1]`. With `A[p]` the arrivals by position, the root has
-//! `A[0] = 1` and the child in slot `s` of a node has
+//! them `t[p − 1]`. With `cum[N]` a node's arrivals at positions `≤ j`, the
+//! root starts at `cum = 1` and one sweep over the positions does
 //!
 //! ```text
-//! A_child[i + 1] = [slot(t[i]) = s and i < last] · Σ_{p ≤ i} A_node[p]
+//! at position j, for every node N arrived at so far with j < last(N),
+//! deepest first:   cum[child(N, slot(t[j]))] += cum[N]
 //! ```
 //!
-//! (`last` leaves enough items to complete a candidate). A node has one
-//! parent, which takes all positions of a slot together, so a node's arrivals
-//! are complete once its parent is done and every reachable node, leaf or
-//! not, is processed once per transaction, from its first arrival on: no
-//! table of nodes seen, no leaf stamp. The tree is one flat arena, and what
-//! the count needs of the transaction (the hash slot of each item, which
-//! candidate items it holds) is computed once per call into [`MatchScratch`].
+//! (`last` leaves enough items to complete a candidate; deepest first, so a
+//! child has gone on from `j` before the arrivals at `j + 1` join it). A
+//! node's `cum` after the sweep is all its arrivals, and only the nodes
+//! arrived at, listed per depth as they are first reached, are ever read:
+//! the row's work follows the nodes it reaches and its length, not its
+//! paths. The tree is one flat arena, and what the count needs of the
+//! transaction (the hash slot of each item, which candidate items it holds)
+//! is computed once per call into [`MatchScratch`]. A leaf is verified in
+//! chunks of 64 entries, by one mask per distinct candidate item: every item
+//! the transaction lacks clears the entries that hold it.
 //!
 //! Traversal work is reported as the visit count of the walk, which the
 //! engines feed into the virtual-time cost model: every arrival at every
@@ -40,10 +44,10 @@ pub const DEFAULT_BRANCHING: usize = 8;
 /// Default maximum candidates per leaf before it splits.
 pub const DEFAULT_MAX_LEAF: usize = 16;
 
-/// Tag bit of a node reference: set, the other bits are a leaf number;
-/// clear, they are the offset of an interior node's slots in `children`.
+/// While the tree is laid out, a node reference with this bit set is a leaf
+/// number; clear, it is an interior node's id.
 const LEAF: u32 = 1 << 31;
-/// An interior slot no candidate hashes to.
+/// While the tree is laid out, an interior slot no candidate hashes to.
 const NO_CHILD: u32 = u32::MAX;
 
 /// A hash tree over candidate itemsets, all of the same length `k`.
@@ -71,16 +75,24 @@ const NO_CHILD: u32 = u32::MAX;
 pub struct HashTree {
     k: usize,
     branching: usize,
+    /// Node ids: interior nodes first, then leaf `l` as `interior + l`, then
+    /// the sink, `num_nodes()`, which stands for "no child".
     root: u32,
-    /// `branching` node references per interior node.
+    /// `branching` child ids per interior node.
     children: Vec<u32>,
     /// Leaf `l` holds entries `leaf_start[l]..leaf_start[l + 1]`, ascending
     /// by candidate index.
     leaf_start: Vec<u32>,
     /// Per entry, the candidate's index into `candidates`.
     entry_cand: Vec<u32>,
-    /// Per entry, the ids of the candidate's `k` items (see `items`).
-    entry_items: Vec<u32>,
+    /// Leaf `l`'s entries, 64 at a time, are chunks
+    /// `leaf_chunk[l]..leaf_chunk[l + 1]`.
+    leaf_chunk: Vec<u32>,
+    /// Chunk `c`'s items are `masks[chunk_start[c]..chunk_start[c + 1]]`.
+    chunk_start: Vec<u32>,
+    /// Per chunk, its distinct item ids (see `items`) ascending, each with
+    /// the chunk's entries that hold it (bit `i`: the chunk's `i`-th entry).
+    masks: Vec<(u32, u64)>,
     /// The candidates' distinct items; an item's index there is its id.
     items: ItemTable,
     candidates: Vec<Itemset>,
@@ -88,29 +100,31 @@ pub struct HashTree {
 
 /// Reusable per-caller scratch space for [`HashTree::for_each_match`]. One
 /// per thread. It may go from one tree to the next: a stamp only counts
-/// while it equals `version`, and the rest is rewritten before it is read.
+/// while it equals `version`, `cum` is all zero between calls (before the
+/// first callback of one), and the rest is rewritten before it is read.
 #[derive(Default)]
 pub struct MatchScratch {
     /// `present[id] == version`: the transaction holds that candidate item.
     present: Vec<u32>,
     /// Hash slot of each transaction item.
     slots: Vec<u32>,
-    /// Per slot, the arrivals bound for the child there while one node is
-    /// processed; all zero between nodes.
-    bound: Vec<u64>,
-    /// One row of `|t| + 1` per depth: `sums[p]` is the number of arrivals
-    /// at the node being processed there at positions `≤ p`.
-    sums: Vec<u64>,
-    /// One row of `|t| + 1` per depth, for the children reached from the node
-    /// being processed there: the child, the first position it is reached
-    /// from (it is arrived at one later) and its arrivals from all of them.
-    reached: Vec<(u32, u32, u64)>,
+    /// Per node id, its arrivals so far; the sink's is `u64::MAX` during a
+    /// sweep, so that it never reads as first reached.
+    cum: Vec<u64>,
+    /// One row per depth of the interior nodes arrived at, in the order they
+    /// were first reached, plus one row that takes what depth `k` writes.
+    active: Vec<u32>,
+    /// Used length of each row of `active`.
+    lens: Vec<usize>,
+    /// The leaves arrived at, as node ids; one cell spare.
+    leaves: Vec<u32>,
     version: u32,
 }
 
 impl MatchScratch {
     /// Start transaction `t` against `tree`: stamp the candidate items it
-    /// holds and, if the root routes, note each item's hash slot.
+    /// holds, size the sweep's lists and, if the root routes, note each
+    /// item's hash slot.
     fn begin(&mut self, tree: &HashTree, t: &[Item]) {
         self.version = self.version.wrapping_add(1);
         if self.version == 0 {
@@ -118,18 +132,19 @@ impl MatchScratch {
             self.present.clear();
             self.version = 1;
         }
-        // Grow only: stamps beyond this tree's range are older than `version`.
+        // Grow only: stamps beyond this tree's range are older than
+        // `version`, and every `cum` is zero.
         self.present
             .resize(self.present.len().max(tree.items.len()), 0);
-        let routes = tree.root & LEAF == 0;
+        self.cum.resize(self.cum.len().max(tree.num_nodes() + 1), 0);
+        let cells = (tree.k + 1) * (tree.interior() + 1);
+        self.active.resize(self.active.len().max(cells), 0);
+        let leaves = tree.leaf_start.len();
+        self.leaves.resize(self.leaves.len().max(leaves), 0);
+        self.lens.clear();
+        self.lens.resize(tree.k + 1, 0);
+        let routes = (tree.root as usize) < tree.interior();
         self.slots.clear();
-        if routes {
-            self.bound.resize(self.bound.len().max(tree.branching), 0);
-            let cells = tree.k * (t.len() + 1);
-            self.sums.resize(self.sums.len().max(cells), 0);
-            self.reached
-                .resize(self.reached.len().max(cells), (0, 0, 0));
-        }
         for &item in t {
             // One hash per item: its remainder picks the slot, its high half
             // probes the item table.
@@ -182,12 +197,24 @@ impl HashTree {
             children: Vec::new(),
             leaf_start: vec![0],
             entry_cand: Vec::with_capacity(candidates.len()),
-            entry_items: Vec::with_capacity(n_items),
+            leaf_chunk: vec![0],
+            chunk_start: vec![0],
+            masks: Vec::new(),
             items: ItemTable::new(distinct.into_iter()),
             candidates,
         };
         let all: Vec<u32> = (0..tree.candidates.len() as u32).collect();
-        tree.root = tree.lay_out(&all, 0, max_leaf);
+        let root = tree.lay_out(&all, 0, max_leaf);
+        // Leaves take the ids after the interior nodes, and every slot no
+        // candidate hashes to leads to the sink.
+        let (interior, sink) = (tree.interior() as u32, tree.num_nodes() as u32);
+        let id = |r: u32| match r {
+            NO_CHILD => sink,
+            _ if r & LEAF != 0 => interior + (r ^ LEAF),
+            _ => r,
+        };
+        tree.root = id(root);
+        tree.children.iter_mut().for_each(|c| *c = id(*c));
         tree
     }
 
@@ -214,21 +241,39 @@ impl HashTree {
 
     /// Number of tree nodes (observability / tests).
     pub fn num_nodes(&self) -> usize {
-        self.children.len() / self.branching + self.leaf_start.len() - 1
+        self.interior() + self.leaf_start.len() - 1
+    }
+
+    /// Number of interior nodes, whose ids are `0..interior()`.
+    fn interior(&self) -> usize {
+        self.children.len() / self.branching
     }
 
     /// Append the subtree over `cands` — the candidates, ascending by index,
     /// that share one hash path of length `depth` — and return its reference.
     fn lay_out(&mut self, cands: &[u32], depth: usize, max_leaf: usize) -> u32 {
         if cands.len() <= max_leaf || depth == self.k {
-            for &cand in cands {
-                for &item in self.candidates[cand as usize].items() {
-                    let id = self.items.get(item).expect("every item was added");
-                    self.entry_items.push(id);
+            for part in cands.chunks(64) {
+                let mut chunk = Vec::new();
+                for (bit, &cand) in part.iter().enumerate() {
+                    for &item in self.candidates[cand as usize].items() {
+                        let id = self.items.get(item).expect("every item was added");
+                        chunk.push((id, 1u64 << bit));
+                    }
                 }
+                chunk.sort_unstable();
+                chunk.dedup_by(|(id, bit), (kept, all)| {
+                    if id == kept {
+                        *all |= *bit;
+                    }
+                    id == kept
+                });
+                self.masks.extend(chunk);
+                self.chunk_start.push(self.masks.len() as u32);
             }
             self.entry_cand.extend_from_slice(cands);
             self.leaf_start.push(self.entry_cand.len() as u32);
+            self.leaf_chunk.push(self.chunk_start.len() as u32 - 1);
             return LEAF | (self.leaf_start.len() - 2) as u32;
         }
         let base = self.children.len();
@@ -247,7 +292,7 @@ impl HashTree {
                 self.children[base + slot] = self.lay_out(group, depth + 1, max_leaf);
             }
         }
-        base as u32
+        (base / self.branching) as u32
     }
 
     /// Invoke `f(candidate index)` once for every candidate contained in the
@@ -257,31 +302,97 @@ impl HashTree {
         &self,
         t: &[Item],
         scratch: &mut MatchScratch,
-        f: impl FnMut(usize),
+        mut f: impl FnMut(usize),
     ) -> u64 {
         if self.k == 0 || t.len() < self.k {
             return 0;
         }
         scratch.begin(self, t);
-        let mut count = Count {
-            tree: self,
-            slots: &scratch.slots,
-            present: &scratch.present,
-            bound: &mut scratch.bound,
-            sums: &mut scratch.sums,
-            reached: &mut scratch.reached,
-            version: scratch.version,
-            visits: 1,
-            f,
-        };
-        if self.root & LEAF != 0 {
-            count.leaf((self.root ^ LEAF) as usize);
+        let s = scratch;
+        let interior = self.interior();
+        let reached = if (self.root as usize) < interior {
+            self.sweep(s)
         } else {
-            // The root is arrived at once, at position 0.
-            count.sums[..=t.len() - self.k].fill(1);
-            count.node(self.root, 0, 1);
+            s.leaves[0] = self.root;
+            1
+        };
+        // The root's one arrival, every arrival below it and one visit per
+        // leaf entry; each `cum` read goes back to zero, before any callback.
+        let mut visits = 1u64;
+        for d in 1..self.k {
+            for &node in &s.active[d * (interior + 1)..][..s.lens[d]] {
+                visits = visits.saturating_add(std::mem::take(&mut s.cum[node as usize]));
+            }
         }
-        count.visits
+        s.cum[self.root as usize] = 0;
+        s.cum[self.num_nodes()] = 0;
+        for &leaf in &s.leaves[..reached] {
+            let l = leaf as usize - interior;
+            let entries = u64::from(self.leaf_start[l + 1] - self.leaf_start[l]);
+            let arrivals = std::mem::take(&mut s.cum[leaf as usize]);
+            visits = visits.saturating_add(arrivals).saturating_add(entries);
+        }
+        for &leaf in &s.leaves[..reached] {
+            self.verify(leaf as usize - interior, &s.present, s.version, &mut f);
+        }
+        visits
+    }
+
+    /// One pass over the positions of the row in `s.slots`: leaves every
+    /// node's arrivals in `s.cum`, the interior nodes reached in `s.active`
+    /// by depth and the leaves reached in `s.leaves`, whose number it returns.
+    fn sweep(&self, s: &mut MatchScratch) -> usize {
+        let (k, n) = (self.k, s.slots.len());
+        let interior = self.interior() as u32;
+        let width = interior as usize + 1;
+        s.cum[self.root as usize] = 1;
+        s.cum[self.num_nodes()] = u64::MAX;
+        s.active[0] = self.root;
+        s.lens[0] = 1;
+        let mut reached = 0;
+        for (j, &slot) in s.slots.iter().enumerate() {
+            // A node `d` items down is first arrived at at position `d`, and
+            // goes on while `k − d − 1` items are left after `t[j]`.
+            for d in ((j + k).saturating_sub(n)..k.min(j + 1)).rev() {
+                let (row, below) = s.active[d * width..].split_at_mut(width);
+                let mut next = s.lens[d + 1];
+                for &node in &row[..s.lens[d]] {
+                    let arrivals = s.cum[node as usize];
+                    let child = self.children[node as usize * self.branching + slot as usize];
+                    let before = s.cum[child as usize];
+                    s.cum[child as usize] = before.saturating_add(arrivals);
+                    // No branch: list the child where it belongs, and keep
+                    // it there only on its first arrival.
+                    let (first, inner) = (before == 0, child < interior);
+                    below[next] = child;
+                    next += usize::from(first & inner);
+                    s.leaves[reached] = child;
+                    reached += usize::from(first & !inner);
+                }
+                s.lens[d + 1] = next;
+            }
+        }
+        reached
+    }
+
+    /// Report leaf `leaf`'s entries whose items `present` all stamps.
+    fn verify(&self, leaf: usize, present: &[u32], version: u32, f: &mut impl FnMut(usize)) {
+        let chunks = self.leaf_chunk[leaf] as usize..self.leaf_chunk[leaf + 1] as usize;
+        let end = self.leaf_start[leaf + 1] as usize;
+        let bases = (self.leaf_start[leaf] as usize..end).step_by(64);
+        for (c, base) in chunks.zip(bases) {
+            let items = &self.masks[self.chunk_start[c] as usize..self.chunk_start[c + 1] as usize];
+            // No branch per item or entry: on dense data a hit is a coin
+            // flip. An item the row lacks clears the entries holding it.
+            let mut hits = u64::MAX >> (64 - (end - base).min(64));
+            for &(id, holders) in items {
+                hits &= !(holders * u64::from(present[id as usize] != version));
+            }
+            while hits != 0 {
+                f(self.entry_cand[base + hits.trailing_zeros() as usize] as usize);
+                hits &= hits - 1;
+            }
+        }
     }
 
     /// Brute-force reference: indices of all candidates contained in `t`.
@@ -293,97 +404,6 @@ impl HashTree {
             .filter(|(_, c)| c.is_subset_of_sorted(t))
             .map(|(i, _)| i)
             .collect()
-    }
-}
-
-/// One transaction's count: the per-transaction precompute and the running
-/// visit total (the root's one arrival included from the start). Totals
-/// saturate: a count that large is one the walk could never have finished.
-struct Count<'a, F> {
-    tree: &'a HashTree,
-    slots: &'a [u32],
-    present: &'a [u32],
-    bound: &'a mut [u64],
-    sums: &'a mut [u64],
-    reached: &'a mut [(u32, u32, u64)],
-    version: u32,
-    visits: u64,
-    f: F,
-}
-
-impl<F: FnMut(usize)> Count<'_, F> {
-    /// Process the interior node `node`, first arrived at at position `first`;
-    /// row `depth − 1` of `sums` holds its arrival sums from there on.
-    /// `depth` is 1-based: the items consumed on the path so far, plus one.
-    fn node(&mut self, node: u32, first: usize, depth: usize) {
-        let tree = self.tree;
-        let children = &tree.children[node as usize..][..tree.branching];
-        // A path goes on through every later item that could be the
-        // `depth`-th of a candidate, leaving enough items to complete one.
-        let width = self.slots.len() + 1;
-        let last = width - 1 - (tree.k - depth);
-        let slots = &self.slots[..last];
-        let row = (depth - 1) * width;
-        // All positions of one slot lead to one child: add up what is bound
-        // for it, then collect the children there are, in the order the walk
-        // first reached them. Neither loop branches on what it finds.
-        for (&slot, &sum) in slots[first..].iter().zip(&self.sums[row + first..]) {
-            let to = &mut self.bound[slot as usize];
-            *to = to.saturating_add(sum);
-        }
-        let mut end = row;
-        for i in first..last {
-            let arrivals = std::mem::take(&mut self.bound[slots[i] as usize]);
-            let child = children[slots[i] as usize];
-            self.reached[end] = (child, i as u32, arrivals);
-            end += usize::from(arrivals != 0 && child != NO_CHILD);
-        }
-        for at in row..end {
-            let (child, from, arrivals) = self.reached[at];
-            self.visits = self.visits.saturating_add(arrivals);
-            if child & LEAF != 0 {
-                self.leaf((child ^ LEAF) as usize);
-                continue;
-            }
-            // The child's sums, in the row below: it is arrived at after
-            // each position of its slot, once per arrival here up to then.
-            let (from, slot) = (from as usize, slots[from as usize]);
-            let (mine, below) = self.sums[row..].split_at_mut(width);
-            let mut sum = 0u64;
-            for p in from..last {
-                if slots[p] == slot {
-                    sum = sum.saturating_add(mine[p]);
-                }
-                below[p + 1] = sum;
-            }
-            self.node(child, from + 1, depth + 1);
-        }
-    }
-
-    /// Verify leaf `leaf`'s entries.
-    fn leaf(&mut self, leaf: usize) {
-        let (tree, version) = (self.tree, self.version);
-        let lo = tree.leaf_start[leaf] as usize;
-        let hi = tree.leaf_start[leaf + 1] as usize;
-        self.visits = self.visits.saturating_add((hi - lo) as u64);
-        // No early exit and no branch per entry: on dense data a hit is a
-        // coin flip, and a mispredicted branch costs more than the loads it
-        // saves. The hits of 64 entries gather in a mask, last entry first
-        // so that the first ends in bit 0, and drain by bit. Entries are
-        // sliced by hand: `chunks_exact` divides by `k` on every call.
-        for base in (lo..hi).step_by(64) {
-            let end = hi.min(base + 64);
-            let mut hits = 0u64;
-            for entry in (base..end).rev() {
-                let ids = &tree.entry_items[entry * tree.k..][..tree.k];
-                let held = |all, &id| all & (self.present[id as usize] == version);
-                hits = hits << 1 | u64::from(ids.iter().fold(true, held));
-            }
-            while hits != 0 {
-                (self.f)(tree.entry_cand[base + hits.trailing_zeros() as usize] as usize);
-                hits &= hits - 1;
-            }
-        }
     }
 }
 
@@ -601,9 +621,9 @@ mod tests {
         assert_eq!(found.len(), 3, "{{7, 2^20}}, {{7, MAX}}, {{2^20, MAX}}");
         assert!(s.present.len() <= 4 * ids.len());
         assert_eq!(s.slots.len(), t.len());
-        assert_eq!(s.bound, [0, 0], "one cell per slot, zero at rest");
-        assert_eq!(s.sums.len(), 2 * (t.len() + 1));
-        assert_eq!(s.reached.len(), s.sums.len());
+        assert_eq!(s.cum.len(), tree.num_nodes() + 1, "one cell per node");
+        assert!(s.cum.iter().all(|&c| c == 0), "zero at rest");
+        assert_eq!(s.leaves.len(), tree.leaf_start.len());
     }
 
     #[test]

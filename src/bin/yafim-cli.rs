@@ -25,6 +25,24 @@ use yafim::cluster::{ClusterSpec, CostModel, Lines, SimCluster};
 use yafim::data::{read_canonical_text, read_dat, PaperDataset};
 use yafim::{generate_rules, Miner, MinerRun, Phase2Plan, RuleConfig, Support};
 
+/// Every command's output, a line at a time. A reader that went away
+/// (`yafim-cli mine … | head -n 1`) ends the output quietly, and the run
+/// still finishes and writes its files; any other write error is one line
+/// and exit 1.
+fn say(line: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write};
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("stdout: {e}");
+            exit(1)
+        }
+    }
+}
+
+macro_rules! say {
+    ($($arg:tt)*) => { say(format_args!($($arg)*)) };
+}
+
 fn usage() -> ! {
     let mut miners: Vec<&str> = Miner::ALL.map(Miner::name).to_vec();
     miners.dedup();
@@ -186,9 +204,11 @@ fn cmd_generate() {
         exit(1);
     }
     let s = yafim::data::stats(&tx);
-    println!(
+    say!(
         "wrote {} transactions ({} distinct items, avg length {:.1}) to {out}",
-        s.transactions, s.distinct_items, s.avg_len
+        s.transactions,
+        s.distinct_items,
+        s.avg_len
     );
 }
 
@@ -291,7 +311,7 @@ fn cmd_mine() {
         (run.result, n, wall, Some(run.total_seconds), Some(c))
     };
 
-    println!(
+    say!(
         "{}: {} frequent itemsets (longest {}), levels {:?}",
         miner.name(),
         result.total(),
@@ -299,24 +319,24 @@ fn cmd_mine() {
         result.level_sizes()
     );
     match virtual_secs {
-        Some(v) => println!("virtual cluster time {v:.2}s (wall {wall:.2?})"),
-        None => println!("wall time {wall:.2?}"),
+        Some(v) => say!("virtual cluster time {v:.2}s (wall {wall:.2?})"),
+        None => say!("wall time {wall:.2?}"),
     }
 
     let mut by_support: Vec<_> = result.iter().filter(|(s, _)| s.len() >= 2).collect();
     by_support.sort_by_key(|(_, sup)| std::cmp::Reverse(*sup));
     if !by_support.is_empty() {
-        println!("\ntop itemsets (length >= 2):");
+        say!("\ntop itemsets (length >= 2):");
         for (set, sup) in by_support.into_iter().take(top) {
-            println!("  {set}  support {sup}");
+            say!("  {set}  support {sup}");
         }
     }
 
     if let Some(min_conf) = min_conf {
         let rules = generate_rules(&result, transactions as u64, &RuleConfig::new(min_conf));
-        println!("\n{} rules at confidence >= {min_conf}:", rules.len());
+        say!("\n{} rules at confidence >= {min_conf}:", rules.len());
         for rule in rules.iter().take(top) {
-            println!("  {rule}");
+            say!("  {rule}");
         }
     }
 
@@ -337,7 +357,7 @@ fn cmd_mine() {
     };
 
     if flag("--report") {
-        println!("\n{}", yafim::cluster::full_report(c.metrics(), c.cost()));
+        say!("\n{}", yafim::cluster::full_report(c.metrics(), c.cost()));
     }
 
     if let Some(path) = trace {
@@ -346,7 +366,7 @@ fn cmd_mine() {
             eprintln!("{path}: {e}");
             exit(1);
         }
-        println!("\nwrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
+        say!("\nwrote Chrome trace to {path} (open in https://ui.perfetto.dev)");
     }
 
     // `--manifest FILE` — write the versioned run manifest (the same
@@ -387,7 +407,7 @@ fn cmd_mine() {
             eprintln!("{path}: {e}");
             exit(1);
         }
-        println!("\nwrote run manifest to {path}");
+        say!("\nwrote run manifest to {path}");
     }
 }
 
@@ -400,7 +420,7 @@ fn cmd_compare() {
     let lines = loaded_lines(&input, first.as_ref().expect("not taken yet"));
     let phase2 = phase2_plan();
 
-    println!("{:<12} {:>12} {:>10}", "miner", "virtual (s)", "itemsets");
+    say!("{:<12} {:>12} {:>10}", "miner", "virtual (s)", "itemsets");
     let mut reference = None;
     // Every distributed miner, YAFIM once (under `--phase2`, if given).
     let rows = Miner::ALL
@@ -413,7 +433,7 @@ fn cmd_compare() {
         if let Some(r) = &reference {
             assert_eq!(r, &run.result, "{name} diverges — please report a bug");
         }
-        println!(
+        say!(
             "{:<12} {:>12.2} {:>10}",
             name,
             run.total_seconds,

@@ -1,9 +1,11 @@
 //! The `yafim-cli` binary from the outside: every Phase-II plan prints the
-//! summary sequential Apriori prints, and a flag value the CLI cannot use
-//! is one line on stderr and a nonzero exit, never a silent default.
+//! summary sequential Apriori prints, a flag value the CLI cannot use is
+//! one line on stderr and a nonzero exit, never a silent default, and a
+//! reader that goes away ends the output without a word.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use yafim::data::{write_dat, PaperDataset};
 use yafim::{Miner, Phase2Plan};
 
@@ -155,4 +157,37 @@ fn an_out_of_range_fault_plan_is_one_line_and_exit_1() {
     assert!(line.starts_with(&start), "{line}");
     std::fs::remove_file(file).expect("own temp file");
     std::fs::remove_file(plan).expect("own temp file");
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_quietly() {
+    let file = input("pipe");
+    let file = file.to_str().expect("utf-8 temp path");
+    // Every itemset and every rule: far more than a pipe holds, so most of
+    // it is written after the reader has gone.
+    let head = [
+        "mine",
+        "--input",
+        file,
+        "--support",
+        "40%",
+        "--miner",
+        "fpgrowth",
+    ];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_yafim-cli"))
+        .args([&head[..], &["--top", "1000000", "--rules", "0"]].concat())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("yafim-cli runs");
+    let mut first = String::new();
+    let stdout = child.stdout.take().expect("stdout is piped");
+    BufReader::new(stdout)
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.contains("frequent itemsets"), "{first}");
+    let out = child.wait_with_output().expect("yafim-cli exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success() && stderr.is_empty(), "{out:?}");
+    std::fs::remove_file(file).expect("own temp file");
 }

@@ -1,25 +1,24 @@
 //! The hash tree, differentially: the flat arena in `yafim_core::hashtree`,
-//! which since PR 21 counts the descent paths from per-node arrival sums,
-//! against the pointer tree that walks them, which lives on here as the
-//! oracle.
+//! which counts the descent paths in one sweep over a row's positions and
+//! verifies its leaves by item masks, against the pointer tree that walks
+//! them, which lives on here as the oracle.
 //!
 //! `visits` feeds the virtual-time cost model and the node count sizes the
 //! modelled broadcast, so both must stay exactly what the pointer tree
-//! produced. The order of the match callbacks is no longer observable: a
-//! MapReduce mapper folds each one into a slot of the job's key table
-//! (`Emitter::emit_at`, PR 17) and YAFIM's tasks add it into a dense
-//! accumulator (PR 19), so nothing downstream sees a sequence. It is compared
-//! all the same, because the count keeps it: a node's first arrival is the
-//! one that reaches furthest, so every leaf is first met where the walk first
-//! met it. Equal sequences also say no candidate is reported twice (the
-//! oracle's are checked against `matches_naive`).
+//! produced. The order of the match callbacks is not part of the contract
+//! (DESIGN.md §5): a MapReduce mapper folds each one into a slot of the
+//! job's key table and YAFIM's tasks add it into a dense accumulator, so
+//! nothing downstream sees a sequence. The callbacks are compared as a sorted
+//! multiset, which still says no candidate is reported twice (the oracle's
+//! are checked against `matches_naive`).
 //!
 //! Inputs are seeded random candidate sets and transactions from the in-repo
 //! RNG plus the shapes either layout treats specially: empty tree,
 //! root-is-a-leaf, `|t| < k`, `|t| = k`, one very long transaction, huge item
 //! ids, arrival counts far above the node count (and above what any walk
-//! could finish), every item in one slot, and one scratch carried across
-//! trees of different branching.
+//! could finish), every item in one slot, leaves that span several 64-entry
+//! mask chunks, a callback that panics mid-row, and one scratch carried
+//! across trees of different branching.
 
 use yafim::cluster::{fx_hash64, ByteSize};
 use yafim::data::rng::StdRng;
@@ -235,7 +234,7 @@ fn random_transaction(rng: &mut StdRng, items: &[Item], len: usize) -> Vec<Item>
 }
 
 /// Everything observable about matching `t`: the visit count and the
-/// callback sequence.
+/// callbacks, sorted.
 type Seen = (u64, Vec<usize>);
 
 /// One scratch per tree; the tests carry a pair across trees on purpose.
@@ -272,17 +271,17 @@ impl Pair {
     }
 
     /// Match `t` on both trees and require the same visits and the same
-    /// callbacks in the same order; also checks the matches are right.
+    /// callbacks, as a multiset; also checks the matches are right.
     fn check(&self, t: &[Item], scratch: &mut Scratches, what: &str) -> Seen {
         let mut got = Vec::new();
         let visits = self.new.for_each_match(t, &mut scratch.0, |i| got.push(i));
         let mut want = Vec::new();
         let want_visits = self.old.for_each_match(t, &mut scratch.1, |i| want.push(i));
-        assert_eq!(got, want, "callback sequence, {what}, t = {t:?}");
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "callbacks, {what}, t = {t:?}");
         assert_eq!(visits, want_visits, "visits, {what}, t = {t:?}");
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, self.new.matches_naive(t), "matches, {what}");
+        assert_eq!(got, self.new.matches_naive(t), "matches, {what}");
         (visits, got)
     }
 }
@@ -524,6 +523,7 @@ fn every_item_in_one_slot() {
         let tree = HashTree::with_params(cands, 2, 1);
         let mut found = Vec::new();
         let visits = tree.for_each_match(&items, &mut scratch, |i| found.push(i));
+        found.sort_unstable();
         assert_eq!(found, tree.matches_naive(&items));
         assert_eq!(found.len(), 6);
         if saturates {
@@ -563,4 +563,62 @@ fn one_scratch_across_trees_of_different_branching() {
             assert_eq!(seen, pair.check(&t, &mut Scratches::default(), &what));
         }
     }
+}
+
+#[test]
+fn leaves_that_span_several_mask_chunks() {
+    // A leaf is verified 64 entries at a time. Root leaves (k = 1 under a
+    // capacity of 200) and one depth-k leaf under a routing chain, of sizes
+    // either side of a chunk boundary.
+    let mut rng = StdRng::seed_from_u64(64);
+    let mut s = Scratches::default();
+    for n in [63usize, 64, 65, 129] {
+        let singles: Vec<Itemset> = (0..n as u32).map(|i| Itemset::new(vec![i])).collect();
+        let what = format!("{n} entries, root leaf");
+        let root = Pair::with_params(&singles, 2, 200, &what);
+        assert_eq!(root.new.num_nodes(), 1, "{what}");
+        let items = items_in_slot_zero(2, n + 1);
+        let pairs: Vec<Itemset> = (0..n)
+            .map(|i| Itemset::new(vec![items[0], items[i + 1]]))
+            .collect();
+        let what = format!("{n} entries at depth k");
+        let deep = Pair::with_params(&pairs, 2, 1, &what);
+        assert_eq!(deep.new.num_nodes(), 3, "{what}");
+        for (pair, universe) in [(&root, (0..n as u32).collect()), (&deep, items)] {
+            let every_other: Vec<Item> = universe.iter().copied().step_by(2).collect();
+            let (_, m) = pair.check(&universe, &mut s, &what);
+            assert_eq!(m.len(), n, "{what}");
+            pair.check(&every_other, &mut s, &what);
+            pair.check(&universe[universe.len() - 2..], &mut s, &what);
+            for _ in 0..8 {
+                let t = random_transaction(&mut rng, &universe, n / 2);
+                pair.check(&t, &mut s, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_callback_that_panics_leaves_the_scratch_usable() {
+    let mut rng = StdRng::seed_from_u64(0x9a11c);
+    let universe: Vec<Item> = (0..40).collect();
+    let cands = random_candidates(&mut rng, &universe, 300, 3);
+    let pair = Pair::with_params(&cands, 3, 2, "binary-ish, k = 3");
+    let other = Pair::build(&random_candidates(&mut rng, &universe, 200, 2), "k = 2");
+    let t: Vec<Item> = (0..30).collect();
+    let mut s = Scratches::default();
+    let mut calls = 0;
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pair.new.for_each_match(&t, &mut s.0, |_| {
+            calls += 1;
+            assert!(calls < 3, "the third match panics");
+        })
+    }));
+    assert!(unwound.is_err() && calls == 3);
+    // The same scratch on the next row of the same tree, then on another.
+    let next = random_transaction(&mut rng, &universe, 30);
+    let (_, m) = pair.check(&next, &mut s, "after the panic");
+    assert!(!m.is_empty());
+    pair.check(&t, &mut s, "the row that panicked");
+    other.check(&t, &mut s, "another tree after the panic");
 }
