@@ -27,11 +27,11 @@
 use crate::candidates::ap_gen;
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
-use crate::types::{
-    parse_transaction, Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
-};
+use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
+use std::cell::RefCell;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use yafim_cluster::{slice_bytes, EventKind, FxHashMap, SimCluster};
+use yafim_cluster::{slice_bytes, ByteSize, EventKind, FxHashMap, SimCluster, WorkCounters};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 /// Abstract CPU units per naive candidate subset-check (a short merge scan
@@ -126,11 +126,48 @@ impl LevelMatching {
     }
 }
 
+thread_local! {
+    /// One row buffer and one match scratch per worker thread: the hot
+    /// allocations of a per-line mapper.
+    static BUFFERS: RefCell<(Vec<Item>, MatchScratch)> = RefCell::default();
+}
+
+/// Scan `line` into this thread's row buffer and hand it and the thread's
+/// match scratch to `map`; charge a CPU unit per item plus what `map`
+/// returns.
+fn with_row(line: &str, w: &mut WorkCounters, map: impl FnOnce(&[Item], &mut MatchScratch) -> u64) {
+    BUFFERS.with(|buffers| {
+        let (items, scratch) = &mut *buffers.borrow_mut();
+        items.clear();
+        yafim_data::scan_line(line, items);
+        w.add_cpu(items.len() as u64 + map(items, scratch));
+    });
+}
+
+/// Pass 1's map key: one item, standing for `Itemset::single(item)`. It
+/// hashes (hence `bucket_of`), orders and weighs as that itemset does, so
+/// pass 1 is charged as with `Itemset` keys but allocates none per emission.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ItemKey(Item);
+
+impl Hash for ItemKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // As `Vec<Item>` hashes: a slice, its length first.
+        std::slice::from_ref(&self.0).hash(state);
+    }
+}
+
+impl ByteSize for ItemKey {
+    fn byte_size(&self) -> u64 {
+        8 + 4 // `Itemset::byte_size` of one item
+    }
+}
+
 /// The counting job MR-Apriori (passes ≥ 2) and SON (phase 2) share: count
 /// every candidate of `levels` over `input`, keep those reaching `min_sup`,
 /// commit them to `output`. The candidates ship through the distributed
 /// cache and double as the job's key table (the levels concatenated), so
-/// the mapper emits one index per match and never builds an `Itemset`.
+/// the mapper counts one index per match and never builds an `Itemset`.
 pub(crate) fn counting_job(
     name: String,
     input: &str,
@@ -154,22 +191,11 @@ pub(crate) fn counting_job(
         name,
         input,
         move |_off, line: &str, em: &mut Emitter<Itemset, u64>, w| {
-            // One row buffer and one scratch per worker thread: the hot
-            // allocations of hash-tree matching.
-            thread_local! {
-                static BUFFERS: std::cell::RefCell<(Vec<Item>, MatchScratch)> =
-                    std::cell::RefCell::default();
-            }
-            BUFFERS.with(|buffers| {
-                let (items, scratch) = &mut *buffers.borrow_mut();
-                items.clear();
-                yafim_data::scan_line(line, items);
-                w.add_cpu(items.len() as u64);
-                for (base, matcher) in &matchers {
-                    let units =
-                        matcher.for_each_match(items, scratch, |idx| em.emit_at(base + idx, 1));
-                    w.add_cpu(units);
-                }
+            with_row(line, w, |items, scratch| {
+                let units = matchers.iter().map(|(base, matcher)| {
+                    matcher.for_each_match(items, scratch, |idx| em.emit_at(base + idx))
+                });
+                units.sum()
             });
         },
         move |k: &Itemset, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {
@@ -179,7 +205,6 @@ pub(crate) fn counting_job(
             }
         },
     )
-    .with_combiner(|a, b| a + b)
     .with_key_table(table)
     .with_side_data(side_bytes)
     .with_output(output, Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")))
@@ -260,35 +285,31 @@ impl MrApriori {
         let run_start = metrics.now();
         let mut passes = Vec::new();
 
-        // ---- pass 1: frequent items, one job ----
+        // ---- pass 1: frequent items, one job, keyed by one item ----
         let pass1_start = metrics.now();
         let job = MapReduceJob::new(
             "MR-Apriori pass 1",
             input,
-            |_off, line: &str, em: &mut Emitter<Itemset, u64>, w| {
-                let items = parse_transaction(line);
-                w.add_cpu(items.len() as u64);
-                for item in items {
-                    em.emit(Itemset::single(item), 1);
-                }
+            |_off, line: &str, em: &mut Emitter<ItemKey, u64>, w| {
+                with_row(line, w, |items, _| {
+                    items.iter().for_each(|&item| em.emit(ItemKey(item), 1));
+                    0
+                });
             },
-            move |k: &Itemset, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {
+            move |k: &ItemKey, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {
                 let sum: u64 = vs.into_iter().sum();
                 if sum >= min_sup {
-                    em.emit(k.clone(), sum);
+                    em.emit(Itemset::single(k.0), sum);
                 }
             },
         )
         .with_combiner(|a, b| a + b)
         .with_reduce_tasks(self.config.reduce_tasks)
+        .with_split_size(self.config.split_size)
         .with_output(
             format!("{input}.L1"),
             Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")),
         );
-        let job = match self.config.split_size {
-            Some(s) => job.with_split_size(s),
-            None => job,
-        };
         let result = self.runner.run(job)?;
 
         let mut l1: Vec<(Itemset, u64)> = result.pairs;
@@ -344,11 +365,8 @@ impl MrApriori {
                 self.config.matching,
                 min_sup,
             )
-            .with_reduce_tasks(self.config.reduce_tasks);
-            let job = match self.config.split_size {
-                Some(s) => job.with_split_size(s),
-                None => job,
-            };
+            .with_reduce_tasks(self.config.reduce_tasks)
+            .with_split_size(self.config.split_size);
             let result = self.runner.run(job)?;
 
             // Split the job's output back into per-length levels.
@@ -424,7 +442,7 @@ mod tests {
     use super::*;
     use crate::sequential::{apriori, SequentialConfig};
     use crate::types::Item;
-    use yafim_cluster::{ClusterSpec, CostModel};
+    use yafim_cluster::{bucket_of, fx_hash64, ClusterSpec, CostModel};
 
     fn cluster() -> SimCluster {
         SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 4)
@@ -538,5 +556,23 @@ mod tests {
             .unwrap();
         assert_eq!(run.result.total(), 0);
         assert_eq!(run.passes.len(), 1);
+    }
+
+    #[test]
+    fn an_item_key_is_its_single_itemset() {
+        let sample = (1..64).map(|i: Item| i.wrapping_mul(0x9e37_79b9)); // Fibonacci hashing
+        let edges = [0, 1, 255, 256, 65_535, 65_536, Item::MAX];
+        let items: Vec<Item> = edges.into_iter().chain(sample).collect();
+        for &a in &items {
+            let (key, set) = (ItemKey(a), Itemset::single(a));
+            assert_eq!(fx_hash64(&key), fx_hash64(&set), "{a}");
+            for n in [1, 3, 96] {
+                assert_eq!(bucket_of(&key, n), bucket_of(&set, n), "{a} into {n}");
+            }
+            assert_eq!(key.byte_size(), set.byte_size());
+            for &b in &items {
+                assert_eq!(key.cmp(&ItemKey(b)), set.cmp(&Itemset::single(b)));
+            }
+        }
     }
 }

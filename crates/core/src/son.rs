@@ -100,11 +100,8 @@ impl Son {
             // Reducer: deduplicate candidates.
             |k: &Itemset, _vs, em: &mut Emitter<Itemset, u64>, _w| em.emit(k.clone(), 0),
         )
-        .with_reduce_tasks(self.config.reduce_tasks);
-        let job1 = match self.config.split_size {
-            Some(s) => job1.with_split_size(s),
-            None => job1,
-        };
+        .with_reduce_tasks(self.config.reduce_tasks)
+        .with_split_size(self.config.split_size);
         let candidates: Vec<Itemset> = self
             .runner
             .run(job1)?

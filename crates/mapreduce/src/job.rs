@@ -34,11 +34,14 @@ pub enum MapPhase<KM, VM> {
 }
 /// Combiner: fold two of one key's map-local values into one
 /// (`reduce_by_key`'s shape). Must be associative and commutative, as in
-/// Hadoop: dense slots and host units fold a key's values in their own order.
+/// Hadoop: host units fold a key's values in their own order.
 pub type CombineFn<VM> = Arc<dyn Fn(VM, VM) -> VM + Send + Sync>;
 /// Reducer: `(key, all values, collector, work counters)`.
 pub type ReduceFn<KM, VM, KO, VO> =
     Arc<dyn Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync>;
+/// A counting job's declared intermediate keys, and how a key's count
+/// becomes its value (the identity: only `u64`-valued jobs declare one).
+pub(crate) type KeyTable<KM, VM> = (Arc<[KM]>, fn(u64) -> VM);
 /// Text output format for committed results.
 pub type FormatFn<KO, VO> = Arc<dyn Fn(&KO, &VO) -> String + Send + Sync>;
 
@@ -69,7 +72,7 @@ pub struct MapReduceJob<KM, VM, KO, VO> {
     pub side_data_bytes: u64,
     pub(crate) mapper: MapPhase<KM, VM>,
     pub(crate) combiner: Option<CombineFn<VM>>,
-    pub(crate) key_table: Arc<[KM]>,
+    pub(crate) key_table: Option<KeyTable<KM, VM>>,
     pub(crate) reducer: ReduceFn<KM, VM, KO, VO>,
     pub(crate) output: Option<OutputSpec<KO, VO>>,
 }
@@ -112,27 +115,20 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
             side_data_bytes: 0,
             mapper,
             combiner: None,
-            key_table: Arc::new([]),
+            key_table: None,
             reducer: Arc::new(reducer),
             output: None,
         }
     }
 
-    /// Add a map-side combiner.
+    /// Add a map-side combiner. Panics on a job with a key table, whose
+    /// counts fold by `+` and nothing else.
     pub fn with_combiner(
         mut self,
         combiner: impl Fn(VM, VM) -> VM + Send + Sync + 'static,
     ) -> Self {
+        assert!(self.key_table.is_none(), "a key table's counts fold by +");
         self.combiner = Some(Arc::new(combiner));
-        self
-    }
-
-    /// Declare the intermediate keys up front (in any order, unused ones are
-    /// fine), so the mapper can [`Emitter::emit_at`] an index into `table`.
-    /// Needs a combiner to fold one index's values. Results, counters and
-    /// virtual time are those of emitting `table[index].clone()`.
-    pub fn with_key_table(mut self, table: Arc<[KM]>) -> Self {
-        self.key_table = table;
         self
     }
 
@@ -142,9 +138,10 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
         self
     }
 
-    /// Override the input split size in bytes.
-    pub fn with_split_size(mut self, bytes: u64) -> Self {
-        self.split_size = Some(bytes.max(1));
+    /// Override the input split size in bytes (`None` keeps block-sized
+    /// splits).
+    pub fn with_split_size(mut self, bytes: impl Into<Option<u64>>) -> Self {
+        self.split_size = bytes.into().map(|b| b.max(1));
         self
     }
 
@@ -160,6 +157,19 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
             path: path.into(),
             format,
         });
+        self
+    }
+}
+
+impl<KM: MrKey, KO: MrValue, VO: MrValue> MapReduceJob<KM, u64, KO, VO> {
+    /// Declare the intermediate keys up front (in any order, unused ones are
+    /// fine), so the mapper can count one emission of `table[index]` with
+    /// [`Emitter::emit_at`]. The job's combiner becomes `+`. Results,
+    /// counters and virtual time are those of emitting
+    /// `(table[index].clone(), 1)` under that combiner.
+    pub fn with_key_table(mut self, table: Arc<[KM]>) -> Self {
+        self.key_table = Some((table, |n| n));
+        self.combiner = Some(Arc::new(|a, b| a + b));
         self
     }
 }

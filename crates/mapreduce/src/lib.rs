@@ -11,10 +11,11 @@
 //! output sorted by key → optional `combiner`, a binary fold over each run
 //! of one key → `reduce_tasks` buckets → keys presented to `reducer` in
 //! sorted order → optional text output committed to simulated HDFS. A job
-//! that knows its intermediate keys up front declares them as a key table
-//! ([`MapReduceJob::with_key_table`]) and emits indices
-//! ([`Emitter::emit_at`]): values fold into a dense slot array and only the
-//! slots emitted at become pairs, so a counting mapper builds no keys.
+//! that counts keys it knows up front declares them as a key table
+//! ([`MapReduceJob::with_key_table`], `u64` values, combiner `+`) and emits
+//! indices ([`Emitter::emit_at`]): each adds one to a dense `u64` slot and
+//! only the slots emitted at become pairs, so a counting mapper builds no
+//! keys and calls no combiner.
 //!
 //! As everywhere in this repository, the data processing is real and the
 //! time is virtual: map/reduce tasks run on the host thread pool while their

@@ -1,7 +1,7 @@
 //! The job runner: executes a [`MapReduceJob`] for real and charges
 //! Hadoop-shaped virtual time.
 
-use crate::emitter::{fold_into, Emitter};
+use crate::emitter::Emitter;
 use crate::job::{MapPhase, MapReduceJob, MrKey, MrValue};
 use std::sync::Arc;
 use yafim_cluster::{
@@ -12,7 +12,7 @@ use yafim_cluster::{
 };
 
 /// The smallest split share worth a host unit: below it a unit's fixed cost
-/// (a slot array over the key table, a merge) rivals the lines it maps.
+/// (a count array over the key table, a merge) rivals the lines it maps.
 const MIN_UNIT_BYTES: u64 = 16 << 10;
 
 /// Aggregate facts about one executed job.
@@ -221,7 +221,7 @@ impl MrRunner {
         let unit_fold = combiner.clone();
         let unit_outs = cluster.pool().map(units, move |_, (i, range)| {
             let mut w = WorkCounters::new();
-            let mut em = Emitter::over_table(table.len(), unit_fold.clone());
+            let mut em = Emitter::over_table(table.as_ref().map_or(0, |(keys, _)| keys.len()));
             let lines = file_for_units.lines().slice(range.clone());
             match &mapper {
                 MapPhase::PerLine(f) => {
@@ -236,15 +236,23 @@ impl MrRunner {
                 }
             }
             // `records_out` is modelled: emissions are counted where they
-            // happen. What the unit hands on is one pair per table slot
+            // happen. What the unit hands on is one pair per table index
             // emitted at and, under a combiner, per distinct key emitted.
             w.add_records_out(em.len() as u64);
-            let (mut pairs, keyed) = (em.take_slot_pairs(&table), em.into_pairs());
+            let mut pairs = match &table {
+                Some((keys, value)) => em.take_counted(keys, *value),
+                None => Vec::new(),
+            };
+            let keyed = em.into_pairs();
             match &unit_fold {
                 Some(fold) => {
                     let mut folded: FxHashMap<KM, Option<VM>> = FxHashMap::default();
                     for (k, v) in keyed {
-                        fold_into(folded.entry(k).or_insert(None), v, fold.as_ref());
+                        let slot = folded.entry(k).or_insert(None);
+                        *slot = Some(match slot.take() {
+                            Some(acc) => fold(acc, v),
+                            None => v,
+                        });
                     }
                     pairs.extend(folded.into_iter().filter_map(|(k, v)| Some((k, v?))));
                 }

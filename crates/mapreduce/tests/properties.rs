@@ -188,7 +188,7 @@ fn reduce_task_count_only_affects_time() {
     }
 }
 
-// ---- key-table jobs: `emit_at(i, v)` is `emit(table[i].clone(), v)` ----
+// ---- key-table jobs: `emit_at(i)` is `emit(table[i].clone(), 1)` under `+` ----
 
 /// Everything of one job run the model (or a caller) can see: pairs,
 /// `JobStats`, committed lines, metrics snapshot, clock bits, and (typed, to
@@ -207,9 +207,9 @@ type Observed = Result<
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Shape {
-    /// Today's shape: build the key, emit it.
+    /// Build the key, emit it with a `1`, fold by a `+` combiner.
     Keyed,
-    /// Emit the key's index into the declared table.
+    /// Count the key's index into the declared table.
     Indexed,
 }
 
@@ -252,7 +252,7 @@ fn run_subset_count(
                 if key.iter().all(|t| tokens.contains(t)) {
                     match shape {
                         Shape::Keyed => em.emit(key.clone(), 1),
-                        Shape::Indexed => em.emit_at(i, 1),
+                        Shape::Indexed => em.emit_at(i),
                     }
                 }
             }
@@ -261,7 +261,6 @@ fn run_subset_count(
             em.emit(k.clone(), vs.into_iter().sum())
         },
     )
-    .with_combiner(|a, b| a + b)
     .with_split_size(split_size)
     .with_reduce_tasks(reduce_tasks)
     .with_output(
@@ -269,7 +268,7 @@ fn run_subset_count(
         Arc::new(|k: &Vec<u32>, v: &u64| format!("{k:?} {v}")),
     );
     let job = match shape {
-        Shape::Keyed => job,
+        Shape::Keyed => job.with_combiner(|a, b| a + b),
         Shape::Indexed => job.with_key_table(table),
     };
     let result = MrRunner::new(c.clone())
@@ -356,6 +355,13 @@ fn emitting_an_index_is_emitting_its_key() {
         }
     }
     assert!(corrupted && denied, "both plans must have fired somewhere");
+}
+
+#[test]
+#[should_panic(expected = "a key table's counts fold by +")]
+fn a_key_table_folds_by_plus_and_nothing_else() {
+    let job = count_job("in.txt").with_key_table(Arc::new([1, 2]));
+    let _ = job.with_combiner(|a, b| a.max(b));
 }
 
 /// Enough lines for a one-split job to be cut into eight host units: the
