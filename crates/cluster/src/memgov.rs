@@ -53,7 +53,8 @@ pub const SPILL_GRANULE: u64 = 64 * 1024;
 
 /// Execution-memory acquisition site tags (hash domains for OOM rolls).
 pub mod site {
-    /// Shuffle map-side combine buffer (degradable: spills).
+    /// Shuffle map-side combine buffer, or the same combined pairs as one
+    /// task's partial of an `aggregate` (degradable: spills).
     pub const SHUFFLE_COMBINE: u64 = 1;
     /// Phase-2 triangular candidate-pair count array.
     pub const TRIANGLE: u64 = 2;

@@ -53,9 +53,9 @@
 //! Which structure actually counts a given pass — the plan's own, or a
 //! smaller one when a size guard or the memory governor rules it out — is
 //! decided in one place, `Yafim::choose_counter`; how the partitions' counts
-//! combine in another, `Yafim::count_pass`: `Paper` shuffles them through
-//! `reduceByKey` as Algorithm 3 does, a projecting plan sums per-worker dense
-//! arrays at the driver (one stage per pass, no shuffle).
+//! combine in another, `Yafim::count_pass` (and `count_items_pass` for
+//! pass 1): `Paper` shuffles them through `reduceByKey` as Algorithms 2 and
+//! 3 do, a projecting plan merges per-worker accumulators at the driver.
 
 use crate::bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition};
 use crate::block::TxBlock;
@@ -297,10 +297,10 @@ impl Yafim {
         // ---- Admission control (degradation ladder, last rung) ----
         //
         // The smallest viable footprint of any pass is one spill granule of
-        // combine buffer per pass-1 task: below that a task cannot make
-        // progress even by streaming through disk, so running the job could
-        // only end in OOM kills. Refuse it up front, typed — never a wrong
-        // or silently-partial result.
+        // a pass-1 task's combined item counts (combine buffer or aggregate
+        // partial): below that a task cannot make progress even by streaming
+        // through disk, so running the job could only end in OOM kills.
+        // Refuse it up front, typed — never a wrong or silently-partial result.
         if let Some(budget) = ctx.cluster().memory_budget() {
             if let Err(refusal) = budget.admit(SPILL_GRANULE) {
                 return Err(MineError::Exec(ExecError::MemoryRefused { refusal }));
@@ -325,14 +325,7 @@ impl Yafim {
             checkpointed: None,
         };
 
-        // One kernel per partition counts its items and hands the shuffle
-        // what a map-side combiner would have made of them.
-        let l1_pairs: Vec<(Item, u64)> = held
-            .transactions
-            .map_partitions(count_items)
-            .reduce_by_key(|a, b| a + b)
-            .filter(move |&(_, c)| c >= min_sup)
-            .try_collect()?;
+        let l1_pairs = self.count_items_pass(&held.transactions, min_sup)?;
         let mut l1: Vec<(Itemset, u64)> = l1_pairs
             .iter()
             .map(|&(i, c)| (Itemset::single(i), c))
@@ -729,13 +722,13 @@ impl Yafim {
 
     /// Count one pass over `rdd`: `fold` adds a partition's support counts
     /// into a dense slice over `C_k` and returns how many cells it touched.
-    /// The plan picks how the partitions combine, here and nowhere else. A
-    /// projecting plan knows every key before the job starts, so it
-    /// aggregates: tasks fold into per-worker accumulators, the driver sums
-    /// those and thresholds by index, and each task's partial is modelled as
-    /// one `(u32, u64)` record per touched cell. The paper's plan is
-    /// Algorithm 3 as written: every task emits its nonzero cells into
-    /// `reduceByKey(+)`, then a filter and a collect.
+    /// The plan picks how the partitions combine, here and in
+    /// [`Yafim::count_items_pass`] (pass 1), nowhere else. A projecting plan
+    /// knows every key before the job starts, so it aggregates: tasks fold
+    /// into per-worker accumulators, the driver sums those and thresholds by
+    /// index, and a task's partial is modelled as one `(u32, u64)` record
+    /// per touched cell. The paper's plan is Algorithm 3 as written: every
+    /// task emits its nonzero cells into `reduceByKey(+)`, a filter, a collect.
     ///
     /// Returns the surviving `(candidate index, count)` records, ascending.
     fn count_pass<T: Data>(
@@ -772,6 +765,41 @@ impl Yafim {
             .try_collect()?;
         counted.sort_unstable_by_key(|&(idx, _)| idx);
         Ok(counted)
+    }
+
+    /// Pass 1: every item occurring at least `min_sup` times, with its
+    /// count; each partition counts in [`count_items`]. A projecting plan
+    /// aggregates with no key space up front: a task merges its ascending
+    /// `(item, count)` pairs into its worker's ascending list and ships them
+    /// as its partial, the driver merges the lists and thresholds; no item
+    /// id sizes an allocation. `Paper` runs Algorithm 2: `reduceByKey(+)`,
+    /// a filter, a collect.
+    fn count_items_pass(
+        &self,
+        rdd: &Rdd<TxBlock>,
+        min_sup: u64,
+    ) -> Result<Vec<(Item, u64)>, ExecError> {
+        if self.config.phase2.projects() {
+            let record_bytes = (Item::default(), 0u64).byte_size();
+            let counts = rdd.try_aggregate(
+                Vec::new,
+                move |acc: &mut Vec<(Item, u64)>, part, tc| {
+                    let pairs = count_items(part, tc, false);
+                    let records = pairs.len() as u64;
+                    let bytes = records * record_bytes;
+                    // Execution memory, as in a combine buffer: denied, it spills.
+                    tc.try_reserve(bytes, memgov::site::SHUFFLE_COMBINE, true);
+                    *acc = merge_counts(std::mem::take(acc), &pairs);
+                    PartialSize { records, bytes }
+                },
+                |a, b| merge_counts(a, &b),
+            )?;
+            return Ok(counts.into_iter().filter(|&(_, c)| c >= min_sup).collect());
+        }
+        rdd.map_partitions(|part, tc| count_items(part, tc, true))
+            .reduce_by_key(|a, b| a + b)
+            .filter(move |&(_, c)| c >= min_sup)
+            .try_collect()
     }
 
     /// Project `work` into the cached columnar bitmap store: one job,
@@ -899,6 +927,15 @@ fn cells_at_least(counts: &[u64], min: u64) -> Vec<(u32, u64)> {
     cells.map(|(i, &c)| (i as u32, c)).collect()
 }
 
+/// Two ascending `(item, count)` lists as one, shared items' counts summed;
+/// the stable sort merges the two runs it finds in linear time.
+fn merge_counts(mut a: Vec<(Item, u64)>, b: &[(Item, u64)]) -> Vec<(Item, u64)> {
+    a.extend_from_slice(b);
+    a.sort_by_key(|&(item, _)| item);
+    a.dedup_by(|next, kept| (next.0 == kept.0).then(|| kept.1 += next.1).is_some());
+    a
+}
+
 /// Turn one pass's surviving `(candidate index, count)` records into `L_k`
 /// against the broadcast candidate container, exactly once per pass. The
 /// tasks have dropped their broadcast handles by now, so the driver usually
@@ -972,16 +1009,17 @@ fn parse_lines(part: &[Lines], _: &TaskContext) -> Vec<TxBlock> {
 }
 
 /// Pass 1 over one partition: each distinct item with its count, ascending,
-/// as `reduceByKey`'s map-side combiner left the `flatMap → map` chain this
-/// kernel stands for. That chain's operators are a modelled quantity
-/// (DESIGN.md §5): over `I` items, `D` distinct, flatMap's `I` outputs, map's
-/// `I` in and out and the combiner's `I` inputs, less the `D` pairs the
-/// engine itself counts out of this kernel and into the shuffle.
+/// as a map-side combiner left the `flatMap → map` chain this kernel stands
+/// for. That chain's operators are a modelled quantity (DESIGN.md §5): over
+/// `I` items, `D` distinct, flatMap's `I` outputs, map's `I` in and out and
+/// the combiner's `I` inputs, `2·I` each way. The engine counts the `D`
+/// pairs out; when they go on into a shuffle (`shuffled`), its map side
+/// counts them in and out once more, so those `D` come off here.
 ///
 /// Counted by index when the partition's largest id (the largest last item:
 /// rows ascend) is below its own item count, so that zeroing the array never
 /// costs more than filling it, and through a map otherwise.
-fn count_items(part: &[TxBlock], tc: &TaskContext) -> Vec<(Item, u64)> {
+fn count_items(part: &[TxBlock], tc: &TaskContext, shuffled: bool) -> Vec<(Item, u64)> {
     let items: usize = part.iter().map(|block| block.items().len()).sum();
     let all_items = || part.iter().flat_map(|block| block.items());
     let top = rows_of(part).filter_map(|row| row.last()).max();
@@ -1003,7 +1041,7 @@ fn count_items(part: &[TxBlock], tc: &TaskContext) -> Vec<(Item, u64)> {
             pairs
         }
     };
-    let chain = (2 * items - pairs.len()) as u64;
+    let chain = (2 * items - if shuffled { pairs.len() } else { 0 }) as u64;
     tc.add_records_in(chain);
     tc.add_records_out(chain);
     pairs

@@ -12,12 +12,58 @@
 //! arguments, including under injected node loss, where the projected and
 //! trimmed RDDs must recompute through lineage.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{apriori, MinerRun, Phase2Plan, SequentialConfig, Support, Yafim, YafimConfig};
 use yafim_data::{to_lines, PaperDataset, QuestConfig, QuestGenerator};
 use yafim_rdd::Context;
+
+/// No test here allocates this much at once; an array indexed by an item id
+/// near `u32::MAX` would (a bitset over such ids takes 512 MiB).
+const ALLOCATION_CAP: usize = 1 << 28;
+
+/// The system allocator, refusing any single request of [`ALLOCATION_CAP`]
+/// bytes or more: the test binary aborts ("memory allocation of N bytes
+/// failed") before such memory is committed.
+struct Capped;
+
+// SAFETY: every call is `System`'s, or a null (refused) allocation, which
+// the `GlobalAlloc` contract allows.
+unsafe impl GlobalAlloc for Capped {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= ALLOCATION_CAP {
+            return std::ptr::null_mut();
+        }
+        // SAFETY: the caller's contract for `layout` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if layout.size() >= ALLOCATION_CAP {
+            return std::ptr::null_mut();
+        }
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size >= ALLOCATION_CAP {
+            return std::ptr::null_mut();
+        }
+        // SAFETY: `ptr` came from this allocator, so from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, so from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Capped = Capped;
 
 fn cluster() -> SimCluster {
     SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 2)
@@ -32,14 +78,16 @@ fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Plan) -> MinerRun {
     )
     .mine("d.dat")
     .expect("written");
-    // Pass 1 shuffles under every plan. A later pass is the paper's two
-    // stages, or the one stage of an aggregate when the plan projects.
+    // A pass is the paper's two stages, or the one stage of an aggregate
+    // when the plan projects, pass 1 included: such a plan shuffles nothing.
     let passes = run.passes.len() as u64;
-    let stages = match phase2 {
-        Phase2Plan::Paper => 2 * passes,
-        Phase2Plan::Trie | Phase2Plan::Bitmap => passes + 1,
-    };
-    assert_eq!(c.metrics().snapshot().stages, stages, "{phase2:?}");
+    let snapshot = c.metrics().snapshot();
+    if phase2 == Phase2Plan::Paper {
+        assert_eq!(snapshot.stages, 2 * passes, "{phase2:?}");
+    } else {
+        assert_eq!(snapshot.stages, passes, "{phase2:?}");
+        assert_eq!(snapshot.profile.shuffle_write_bytes, 0, "{phase2:?}");
+    }
     run
 }
 
@@ -114,6 +162,28 @@ fn every_phase2_plan_is_invisible_on_medical_data() {
     for plan in Phase2Plan::ALL {
         let r = run(&tx, support, plan);
         assert_identical(&paper, &r, &format!("{plan:?}"));
+    }
+}
+
+#[test]
+fn ids_next_to_u32_max_mine_under_every_plan_without_an_id_sized_allocation() {
+    // Six lines over sixteen partitions, every id within 1 000 of
+    // `u32::MAX`: a count array indexed by id would take 32 GiB, and
+    // `ALLOCATION_CAP` aborts the binary long before that.
+    let top = |below: u32| u32::MAX - below;
+    let tx = vec![
+        vec![top(999), top(500), top(1)],
+        vec![top(999), top(1), top(0)],
+        vec![top(500), top(1), top(0)],
+        vec![top(999), top(500), top(1), top(0)],
+        vec![],
+        vec![top(2)],
+    ];
+    let support = Support::Count(2);
+    let reference = apriori(&tx, &SequentialConfig::new(support));
+    assert_eq!(reference.level_sizes(), vec![4, 6, 3]);
+    for plan in Phase2Plan::ALL {
+        assert_eq!(run(&tx, support, plan).result, reference, "{plan:?}");
     }
 }
 
@@ -219,11 +289,12 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
 
 #[test]
 fn silent_corruption_is_invisible_to_every_engine() {
-    // Scenario-D parity: corrupt each storage tier (shuffle map outputs,
-    // cached partitions — which for the bitmap engine include the columnar
-    // bitset blocks — and HDFS replicas) under every engine flavor. The
-    // integrity layer must detect and repair every injected corruption,
-    // and results must stay byte-identical to the sequential reference.
+    // Scenario-D parity: corrupt each storage tier (shuffle map outputs
+    // where the plan shuffles, cached partitions — which for the bitmap
+    // engine include the columnar bitset blocks — and HDFS replicas) under
+    // every engine flavor. The integrity layer must detect and repair every
+    // injected corruption, and results must stay byte-identical to the
+    // sequential reference.
     let tx = PaperDataset::Medical.generate_scaled(0.01);
     let support = Support::Fraction(0.05);
     let reference = apriori(&tx, &SequentialConfig::new(support));
@@ -250,7 +321,14 @@ fn silent_corruption_is_invisible_to_every_engine() {
                 reference, r.result,
                 "{name}: {tier} corruption changed results"
             );
-            let i = c.metrics().snapshot().recovery.integrity;
+            let snapshot = c.metrics().snapshot();
+            if *tier == "shuffle" && plan != Phase2Plan::Paper {
+                // Every pass of a projecting plan aggregates: no shuffle
+                // block exists to corrupt.
+                assert_eq!(snapshot.profile.shuffle_write_bytes, 0, "{name}");
+                continue;
+            }
+            let i = snapshot.recovery.integrity;
             assert!(
                 i.corruptions_injected > 0,
                 "{name}: {tier} plan must actually corrupt something"

@@ -3,13 +3,15 @@
 //! here as the oracle). `per_record_mine` is YAFIM as it ran before
 //! transactions travelled as one block per partition, written out from the
 //! public RDD operators: `text_file → map(parse_transaction) → cache`,
-//! `flat_map → map → reduce_by_key`, `map(encode) → filter`,
+//! `flat_map → map → reduce_by_key` (`→ try_aggregate`, one partial record
+//! per distinct item, when the plan projects), `map(encode) → filter`,
 //! `map(retain) → filter`, and every fold over `&[Vec<Item>]`. `Yafim::mine`
 //! has to return what it returns and leave the same clock (by bits), work
 //! and engine counters, record counts and cache high-water mark behind,
 //! under every plan, at 1, 2 and 8 pool threads. Only `bytes_materialized`
 //! may differ: the copies are what the blocks removed.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use yafim::cluster::{ByteSize, ClusterSpec, CostModel, EngineCounters, EventKind, SimCluster};
 use yafim::data::from_lines;
@@ -139,12 +141,37 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
         .expect("written")
         .map(|line| parse_transaction(&line))
         .cache();
-    let l1_pairs: Vec<(Item, u64)> = transactions
-        .flat_map(|t| t)
-        .map(|item| (item, 1u64))
-        .reduce_by_key(|a, b| a + b)
-        .filter(move |&(_, c)| c >= min_sup)
-        .collect();
+    let ones = transactions.flat_map(|t| t).map(|item| (item, 1u64));
+    let l1_pairs: Vec<(Item, u64)> = if projects {
+        // One partial record per distinct item of the partition.
+        let add = |acc: &mut BTreeMap<Item, u64>, (item, c): (Item, u64)| {
+            *acc.entry(item).or_default() += c;
+        };
+        let counts = ones
+            .try_aggregate(
+                BTreeMap::new,
+                move |acc, part, _| {
+                    let mut partial = BTreeMap::new();
+                    part.iter().for_each(|&pair| add(&mut partial, pair));
+                    let records = partial.len() as u64;
+                    partial.into_iter().for_each(|pair| add(acc, pair));
+                    PartialSize {
+                        records,
+                        bytes: records * 12,
+                    }
+                },
+                move |mut a, b| {
+                    b.into_iter().for_each(|pair| add(&mut a, pair));
+                    a
+                },
+            )
+            .expect("fault-free");
+        counts.into_iter().filter(|&(_, c)| c >= min_sup).collect()
+    } else {
+        ones.reduce_by_key(|a, b| a + b)
+            .filter(move |&(_, c)| c >= min_sup)
+            .collect()
+    };
     let mut l1: Vec<(Itemset, u64)> = l1_pairs
         .iter()
         .map(|&(i, c)| (Itemset::single(i), c))
