@@ -15,9 +15,20 @@
 //! Also prints the [`CostModel::bitmap_build`] virtual estimate next to
 //! the measured build time, so the simulator's charge can be sanity-checked
 //! against the real kernel.
+//!
+//! Then pass 2 of the bitmap plan, rows against columns, on one partition
+//! shaped like a Pumsb_star 65 % task (255 rows of ~21 of 25 items) and one
+//! like a T10I4D100K 0.25 % task (520 rows of ~11.5 of 782): the row
+//! triangle (the engine's loop: row-relative cells and a touched bit per
+//! cell) against the columnar build plus every pair's AND + popcount
+//! ([`ColumnarPartition::add_pairs`]), next to the two bounds
+//! [`pass2_bounds`] prices this one partition at. The faster layout on the
+//! host should be the one the rule picks.
 
 use yafim_bench::microbench::{bench, black_box, header};
 use yafim_cluster::CostModel;
+use yafim_core::bitmap::pass2_bounds;
+use yafim_core::encode::{tri_index, tri_len};
 use yafim_core::{BitmapScratch, CandidateTrie, ColumnarPartition, Itemset};
 use yafim_data::rng::StdRng;
 
@@ -57,14 +68,7 @@ fn candidates(n: usize, k: usize, items: u32, seed: u64) -> Vec<Itemset> {
 
 fn regime(name: &str, txs: &[Vec<u32>], items: u32, cands: &[Itemset]) {
     let col = ColumnarPartition::build(items as usize, txs);
-    let set_bits: u64 = (0..col.n_items())
-        .map(|r| {
-            col.row(r)
-                .iter()
-                .map(|w| w.count_ones() as u64)
-                .sum::<u64>()
-        })
-        .sum();
+    let set_bits = col.build_cost_units() - col.arena_words() as u64;
     let density = set_bits as f64 / (64 * col.arena_words()) as f64;
     let virt = CostModel::hadoop_era().bitmap_build(col.arena_words() as u64, set_bits);
     println!(
@@ -101,6 +105,53 @@ fn regime(name: &str, txs: &[Vec<u32>], items: u32, cands: &[Itemset]) {
     });
 }
 
+/// The row triangle over one partition: every pair of every row, counted
+/// in its cell with the cell's touched bit set, then the touched cells
+/// popcounted and cleared (the records the partition ships).
+fn rows_pass_2(txs: &[Vec<u32>], n: usize, acc: &mut [u64], touched: &mut [u64]) -> u64 {
+    for t in txs {
+        for i in 0..t.len().saturating_sub(1) {
+            let base = tri_index(n, t[i] as usize, t[i] as usize + 1);
+            for &b in &t[i + 1..] {
+                let cell = base + (b - t[i]) as usize - 1;
+                acc[cell] += 1;
+                touched[cell / 64] |= 1 << (cell % 64);
+            }
+        }
+    }
+    touched
+        .iter_mut()
+        .map(|w| std::mem::take(w).count_ones() as u64)
+        .sum()
+}
+
+fn pass_2(name: &str, txs: &[Vec<u32>], n: usize) {
+    let occ = txs.iter().map(|t| t.len() as u64).sum();
+    let (columns, rows) = pass2_bounds(n, txs.len(), 1, occ);
+    let pick = if columns < rows { "columns" } else { "rows" };
+    header(&format!(
+        "{name}/pass 2: columns <= {columns} units, rows >= {rows} units: the rule picks {pick}"
+    ));
+    let mut acc = vec![0u64; tri_len(n)];
+    let mut touched = vec![0u64; tri_len(n).div_ceil(64)];
+    let by_rows = bench("rows: triangle fill", 50, || {
+        rows_pass_2(black_box(txs), n, &mut acc, &mut touched)
+    });
+    let by_columns = bench("columns: build + AND/popcount every pair", 50, || {
+        let col = ColumnarPartition::build(n, black_box(txs));
+        col.add_pairs(&mut acc)
+    });
+    let faster = if by_columns < by_rows {
+        "columns"
+    } else {
+        "rows"
+    };
+    let (by_rows, by_columns) = (by_rows * 1e9, by_columns * 1e9);
+    println!(
+        "host: {faster} faster, rows {by_rows:.0} ns vs columns {by_columns:.0} ns a partition"
+    );
+}
+
 fn main() {
     // Dense: QUEST-style regime where pass-3+ candidates stay numerous.
     let dense_items = 120u32;
@@ -113,4 +164,8 @@ fn main() {
     let sparse_txs = transactions(4_000, 10, sparse_items, 3);
     let sparse_cands = candidates(20_000, 3, sparse_items, 4);
     regime("sparse", &sparse_txs, sparse_items, &sparse_cands);
+
+    // Pass 2, one task's partition of each benchmark dataset.
+    pass_2("pumsb-shaped", &transactions(255, 21, 25, 5), 25);
+    pass_2("t10-shaped", &transactions(520, 12, 782, 6), 782);
 }

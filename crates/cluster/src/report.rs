@@ -7,7 +7,8 @@
 //!   ring-buffer drops, each under its manifest key;
 //! * the **pass table**: one row per Apriori pass (what counted it, |C_k|,
 //!   |L_k|, virtual seconds, and the critical-path buckets of its interval),
-//!   then the time outside every pass and the run's total;
+//!   then the time outside every pass, the run's total and a `note:` per
+//!   zero-length driver note (pass 2's layout, a step-down, a node loss);
 //! * the **stage table**: task-time distribution and partition balance
 //!   ([`StageSkew`]), records and shuffle bytes, cache hit-rate, and the
 //!   stage's failures, retries and speculative launches;
@@ -16,7 +17,7 @@
 use crate::costmodel::CostModel;
 use crate::critical::{critical_path, CriticalPathBuckets, CriticalPathReport, StageSkew};
 use crate::manifest::counter_rows;
-use crate::metrics::Metrics;
+use crate::metrics::{EventKind, Metrics};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -217,6 +218,11 @@ pub fn full_report(metrics: &Metrics, cost: &CostModel) -> String {
     }
     out.push_str("== Passes ==\n");
     out.push_str(&pass_table(&report));
+    for e in metrics.events() {
+        if e.kind == EventKind::Other && e.duration.as_secs() == 0.0 {
+            let _ = writeln!(out, "note: {}", e.label);
+        }
+    }
     out.push_str("\n== Stages ==\n");
     out.push_str(&stage_table(metrics, &report.stages));
     out.push('\n');

@@ -24,7 +24,8 @@
 //! intersections and `{a, b}`'s AND is computed once for all `{a, b, *}`
 //! extensions.
 
-use crate::types::{Item, Itemset};
+use crate::encode::tri_len;
+use crate::types::{Item, Itemset, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS};
 use yafim_cluster::ByteSize;
 
 /// Largest total bitset arena (in `u64` words, across all partitions) the
@@ -46,13 +47,28 @@ pub fn bitmap_fits(n_items: usize, num_lines: usize, partitions: usize) -> bool 
     words_bound <= BITMAP_MAX_WORDS as u64
 }
 
+/// Pass 2's two layouts priced from pass 1's totals: `n_items` frequent
+/// items occurring `occ` times (their supports' sum) over `lines` lines in
+/// `partitions` tasks. Returns `(columns, rows)`: at most what a columnar
+/// pass 2 charges (`n(n−1)/2 · W` words, `W` as in [`bitmap_fits`], plus the
+/// arena build, `n · W + occ`), at least what the row triangle charges
+/// (`occ · (occ/lines − 1) / 2` pairs, by Jensen on `Σ C(|t|, 2)`). Both
+/// also charge a unit per nonzero cell, the same cells, left out of both.
+pub fn pass2_bounds(n_items: usize, lines: usize, partitions: usize, occ: u64) -> (u64, u64) {
+    let (n, w) = (n_items as u128, (lines.div_ceil(64) + partitions) as u128);
+    let columns = JVM_BITMAP_WORD_UNITS as u128 * tri_len(n_items) as u128 * w + n * w;
+    let (occ, lines) = (occ as u128, lines.max(1) as u128);
+    let rows = JVM_PAIR_COUNT_UNITS as u128 * (occ * occ.saturating_sub(lines) / (2 * lines));
+    let clamp = |units: u128| units.min(u64::MAX.into()) as u64;
+    (clamp(columns + occ), clamp(rows))
+}
+
 /// One partition of the vertical store: a row-major `Vec<u64>` arena with
 /// one `words_per_item`-wide bitset row per dense item rank; bit `t` of row
 /// `r` is set iff partition-local transaction `t` contains rank `r`.
 #[derive(Clone, Debug)]
 pub struct ColumnarPartition {
     n_items: usize,
-    n_tids: usize,
     words_per_item: usize,
     /// `rows[r * words_per_item .. (r + 1) * words_per_item]` is row `r`.
     rows: Vec<u64>,
@@ -87,26 +103,10 @@ impl ColumnarPartition {
         }
         ColumnarPartition {
             n_items,
-            n_tids,
             words_per_item,
             rows,
             set_bits,
         }
-    }
-
-    /// Dense alphabet size (number of rows).
-    pub fn n_items(&self) -> usize {
-        self.n_items
-    }
-
-    /// Transactions in this partition.
-    pub fn n_tids(&self) -> usize {
-        self.n_tids
-    }
-
-    /// Words per bitset row.
-    pub fn words_per_item(&self) -> usize {
-        self.words_per_item
     }
 
     /// Total arena size in words.
@@ -199,6 +199,23 @@ impl ColumnarPartition {
         }
         words
     }
+
+    /// Add every pair `{a, b}`'s support into `acc[tri_index(a, b)]`
+    /// ([`tri_index`](crate::encode::tri_index)), `C_2` implicit. Returns the
+    /// words intersected, `n(n−1)/2 · words_per_item`, and the pairs found.
+    pub fn add_pairs(&self, acc: &mut [u64]) -> (u64, u64) {
+        let n = self.n_items;
+        debug_assert_eq!(acc.len(), tri_len(n), "a triangle over this store's ranks");
+        let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+        let mut found = 0;
+        for (cell, (a, b)) in acc.iter_mut().zip(pairs) {
+            let words = self.row(a).iter().zip(self.row(b));
+            let count: u64 = words.map(|(x, y)| (x & y).count_ones() as u64).sum();
+            *cell += count;
+            found += u64::from(count > 0);
+        }
+        ((tri_len(n) * self.words_per_item) as u64, found)
+    }
 }
 
 impl ByteSize for ColumnarPartition {
@@ -244,8 +261,7 @@ mod tests {
     fn build_sets_the_right_bits() {
         let txs = vec![vec![0, 2], vec![1], vec![0, 1, 2]];
         let col = ColumnarPartition::build(3, &txs);
-        assert_eq!(col.n_tids(), 3);
-        assert_eq!(col.words_per_item(), 1);
+        assert_eq!(col.row(0).len(), 1);
         assert_eq!(col.row(0), &[0b101]);
         assert_eq!(col.row(1), &[0b110]);
         assert_eq!(col.row(2), &[0b101]);
@@ -257,7 +273,7 @@ mod tests {
     fn counts_match_naive_subset_counting() {
         let txs = txs();
         let col = ColumnarPartition::build(6, &txs);
-        assert_eq!(col.words_per_item(), 2);
+        assert_eq!(col.row(0).len(), 2);
         for k in [2usize, 3, 4] {
             // Every sorted k-combination of the 6 ranks, in lexicographic
             // (= ap_gen) order.
@@ -311,7 +327,7 @@ mod tests {
             hits += 1;
         });
         assert_eq!(hits, cands.len());
-        let w = col.words_per_item() as u64;
+        let w = col.row(0).len() as u64;
         let no_reuse = cands.len() as u64 * 3 * w; // k-1 intersections each
         assert!(
             words < no_reuse,
@@ -322,7 +338,7 @@ mod tests {
     #[test]
     fn empty_partition_counts_nothing() {
         let col = ColumnarPartition::build(4, &[]);
-        assert_eq!(col.words_per_item(), 0);
+        assert_eq!(col.row(0).len(), 0);
         assert_eq!(col.arena_words(), 0);
         let cands = vec![Itemset::from_sorted(vec![0, 1])];
         let mut scratch = BitmapScratch::default();

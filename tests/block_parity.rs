@@ -5,7 +5,9 @@
 //! public RDD operators: `text_file → map(parse_transaction) → cache`,
 //! `flat_map → map → reduce_by_key` (`→ try_aggregate`, one partial record
 //! per distinct item, when the plan projects), `map(encode) → filter`,
-//! `map(retain) → filter`, and every fold over `&[Vec<Item>]`. `Yafim::mine`
+//! `map(retain) → filter`, the columnar build (in pass 2 when the bitmap
+//! plan's rule prices columns below rows), and every fold over
+//! `&[Vec<Item>]`. `Yafim::mine`
 //! has to return what it returns and leave the same clock (by bits), work
 //! and engine counters, record counts and cache high-water mark behind,
 //! under every plan, at 1, 2 and 8 pool threads. Only `bytes_materialized`
@@ -13,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use yafim::bitmap::pass2_bounds;
 use yafim::cluster::{ByteSize, ClusterSpec, CostModel, EngineCounters, EventKind, SimCluster};
 use yafim::data::from_lines;
 use yafim::data::rng::StdRng;
@@ -211,6 +214,31 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
         None => l1,
     };
 
+    let columnar_of = |work: &Rdd<Vec<Item>>| {
+        metrics.advance_with_event(
+            cost.cpu(n_dense as u64),
+            EventKind::Projection,
+            "columnar bitmap projection plan",
+        );
+        let noted = metrics.clone();
+        work.map_partitions(move |txs, tc| {
+            let col = ColumnarPartition::build(n_dense, txs);
+            tc.add_mem_read(8 * col.arena_words() as u64);
+            tc.add_cpu(col.build_cost_units());
+            noted.note_engine(&EngineCounters {
+                bitmap_partitions_built: 1,
+                bitmap_build_bytes: col.byte_size(),
+                ..EngineCounters::default()
+            });
+            vec![col]
+        })
+        .cache()
+    };
+    // Pass 2's layout rule, from pass 1's totals over the input's splits.
+    let occurrences = l1_work.iter().map(|&(_, c)| c).sum();
+    let splits = file.splits(partitions).len();
+    let (by_columns, by_rows) = pass2_bounds(n_dense, file.num_lines(), splits, occurrences);
+
     let mut levels = vec![l1_work];
     let mut columnar: Option<Rdd<ColumnarPartition>> = None;
     for pass in 2usize.. {
@@ -220,27 +248,60 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
             if n_candidates == 0 {
                 break;
             }
-            metrics.advance_with_event(
-                cost.cpu(n_dense as u64),
-                EventKind::Driver,
-                "pass 2 triangle setup",
-            );
-            let counted = count_pass(&work, true, n_candidates, min_sup, move |acc, txs, tc| {
-                let mut pairs = 0u64;
-                let cells = fold_fresh(acc, |fresh| {
-                    for t in txs {
-                        for (i, &a) in t.iter().enumerate() {
-                            for &b in &t[i + 1..] {
-                                fresh[tri_index(n_dense, a as usize, b as usize)] += 1;
-                                pairs += 1;
+            let counted = if plan == Phase2Plan::Bitmap && by_columns < by_rows {
+                // Every pair of item rows, ANDed and popcounted.
+                let cols = &*columnar.insert(columnar_of(&work));
+                metrics.note_engine(&EngineCounters {
+                    bitmap_passes: 1,
+                    bitmap_candidates_counted: n_candidates as u64,
+                    ..EngineCounters::default()
+                });
+                let noted = metrics.clone();
+                count_pass(cols, true, n_candidates, min_sup, move |acc, cols, tc| {
+                    let mut words = 0u64;
+                    let cells = fold_fresh(acc, |fresh| {
+                        for col in cols {
+                            for a in 0..n_dense {
+                                for b in a + 1..n_dense {
+                                    let (x, y) = (col.row(a), col.row(b));
+                                    let both = x.iter().zip(y).map(|(x, y)| x & y);
+                                    let count: u32 = both.map(u64::count_ones).sum();
+                                    fresh[tri_index(n_dense, a, b)] += u64::from(count);
+                                    words += x.len() as u64;
+                                }
                             }
                         }
-                    }
-                });
-                tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
-                tc.add_cpu(cells);
-                cells
-            });
+                    });
+                    tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
+                    noted.note_engine(&EngineCounters {
+                        bitmap_words_intersected: words,
+                        ..EngineCounters::default()
+                    });
+                    cells
+                })
+            } else {
+                metrics.advance_with_event(
+                    cost.cpu(n_dense as u64),
+                    EventKind::Driver,
+                    "pass 2 triangle setup",
+                );
+                count_pass(&work, true, n_candidates, min_sup, move |acc, txs, tc| {
+                    let mut pairs = 0u64;
+                    let cells = fold_fresh(acc, |fresh| {
+                        for t in txs {
+                            for (i, &a) in t.iter().enumerate() {
+                                for &b in &t[i + 1..] {
+                                    fresh[tri_index(n_dense, a as usize, b as usize)] += 1;
+                                    pairs += 1;
+                                }
+                            }
+                        }
+                    });
+                    tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
+                    tc.add_cpu(cells);
+                    cells
+                })
+            };
             let pair = |(idx, c): (u32, u64)| {
                 let (a, b) = tri_pair(n_dense, idx as usize);
                 (Itemset::from_sorted(vec![a as u32, b as u32]), c)
@@ -267,26 +328,7 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                     pass_with_store(ctx, &work, projects, store, min_sup)
                 }
                 Phase2Plan::Bitmap => {
-                    let cols = columnar.get_or_insert_with(|| {
-                        metrics.advance_with_event(
-                            cost.cpu(n_dense as u64),
-                            EventKind::Projection,
-                            "columnar bitmap projection plan",
-                        );
-                        let noted = metrics.clone();
-                        work.map_partitions(move |txs, tc| {
-                            let col = ColumnarPartition::build(n_dense, txs);
-                            tc.add_mem_read(8 * col.arena_words() as u64);
-                            tc.add_cpu(col.build_cost_units());
-                            noted.note_engine(&EngineCounters {
-                                bitmap_partitions_built: 1,
-                                bitmap_build_bytes: col.byte_size(),
-                                ..EngineCounters::default()
-                            });
-                            vec![col]
-                        })
-                        .cache()
-                    });
+                    let cols = columnar.get_or_insert_with(|| columnar_of(&work));
                     let n_candidates = candidates.len();
                     metrics.advance_with_event(
                         cost.cpu(n_candidates as u64),

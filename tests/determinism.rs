@@ -49,21 +49,35 @@ fn assert_host_threads_invisible(
 fn every_plan_is_identical_at_1_2_and_8_pool_threads() {
     // 2 000 Quest baskets at 1 %: nine levels, so the triangle (pass 2),
     // the store and the bitmap emitters (k >= 3) all run several passes.
-    let tx = PaperDataset::T10I4D100K.generate_scaled(0.02);
-    let support = Support::Fraction(0.01);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
-    assert!(
-        reference.max_len() >= 4,
-        "input must reach the k >= 3 passes"
-    );
-
-    for phase2 in Phase2Plan::ALL {
-        let plan = YafimConfig::with_plan(support, phase2);
-        assert_host_threads_invisible(phase2.name(), &tx, &reference, None, |cluster| {
-            Yafim::new(Context::new(cluster.clone()), plan.clone())
-                .mine("in.dat")
-                .expect("written")
-        });
+    // MushRoom at 5 % of its size, 35 %: dense, so the bitmap plan counts pass 2
+    // over the columnar store it builds there.
+    let inputs = [
+        (
+            PaperDataset::T10I4D100K.generate_scaled(0.02),
+            0.01,
+            "triangle",
+        ),
+        (PaperDataset::Mushroom.generate_scaled(0.05), 0.35, "bitmap"),
+    ];
+    for (tx, support, bitmap_pass_2) in inputs {
+        let support = Support::Fraction(support);
+        let reference = apriori(&tx, &SequentialConfig::new(support));
+        assert!(
+            reference.max_len() >= 4,
+            "input must reach the k >= 3 passes"
+        );
+        for phase2 in Phase2Plan::ALL {
+            let plan = YafimConfig::with_plan(support, phase2);
+            assert_host_threads_invisible(phase2.name(), &tx, &reference, None, |cluster| {
+                let run = Yafim::new(Context::new(cluster.clone()), plan.clone())
+                    .mine("in.dat")
+                    .expect("written");
+                if phase2 == Phase2Plan::Bitmap {
+                    assert_eq!(run.passes[1].counter, bitmap_pass_2);
+                }
+                run
+            });
+        }
     }
 }
 

@@ -2,8 +2,8 @@
 //! distributed miner files each pass once, the passes tile the run in
 //! order, the per-pass critical-path rows add up to each pass and (with the
 //! time outside every pass) to the run's buckets, and `full_report` prints
-//! one row per pass — clean, through a node loss and through silent
-//! corruption.
+//! one row per pass, and the bitmap plan's pass-2 layout note — clean,
+//! through a node loss and through silent corruption.
 
 use yafim::cluster::json;
 use yafim::cluster::{critical_path, full_report, ClusterSpec, CostModel, FaultPlan, SimCluster};
@@ -81,6 +81,13 @@ fn passes_tile_the_run_and_their_rows_add_up() {
             assert_eq!(rows, run.passes.len(), "{case}:\n{text}");
             let anomalies = text.starts_with("anomalies: ");
             assert_eq!(anomalies, fault.is_some(), "{case}:\n{text}");
+            // MushRoom is dense: the bitmap plan says which layout counted
+            // pass 2, and why, under the pass table.
+            let layout = text
+                .lines()
+                .any(|l| l.starts_with("note: pass 2 layout: columns (≤ "));
+            let bitmap = miner == Miner::Spark(Phase2Plan::Bitmap);
+            assert_eq!(layout, bitmap, "{case}:\n{text}");
         }
     }
 }
