@@ -24,12 +24,18 @@
 //! ([`ColumnarPartition::add_pairs`]), next to the two bounds
 //! [`pass2_bounds`] prices this one partition at. The faster layout on the
 //! host should be the one the rule picks.
+//!
+//! Last, a whole `k ≥ 3` pass as T10I4D100K 0.25 % runs it: 192 partitions
+//! of 521 TIDs over 782 ranks against 3 848 sorted 3-candidates, counted by
+//! [`ColumnarPartition::count_list`] over one flat [`CandidateList`], in ns
+//! per (candidate × partition). The draws share few prefixes, so nearly
+//! every candidate pays both of its intersections.
 
 use yafim_bench::microbench::{bench, black_box, header};
 use yafim_cluster::CostModel;
 use yafim_core::bitmap::pass2_bounds;
 use yafim_core::encode::{tri_index, tri_len};
-use yafim_core::{BitmapScratch, CandidateTrie, ColumnarPartition, Itemset};
+use yafim_core::{BitmapScratch, CandidateList, CandidateTrie, ColumnarPartition, Itemset};
 use yafim_data::rng::StdRng;
 
 /// Dense-encoded transactions: `n` sorted, deduped draws over `0..items`.
@@ -139,7 +145,7 @@ fn pass_2(name: &str, txs: &[Vec<u32>], n: usize) {
     });
     let by_columns = bench("columns: build + AND/popcount every pair", 50, || {
         let col = ColumnarPartition::build(n, black_box(txs));
-        col.add_pairs(&mut acc)
+        col.add_pairs(&BitmapScratch::default(), &mut acc)
     });
     let faster = if by_columns < by_rows {
         "columns"
@@ -149,6 +155,28 @@ fn pass_2(name: &str, txs: &[Vec<u32>], n: usize) {
     let (by_rows, by_columns) = (by_rows * 1e9, by_columns * 1e9);
     println!(
         "host: {faster} faster, rows {by_rows:.0} ns vs columns {by_columns:.0} ns a partition"
+    );
+}
+
+fn pass_3_t10() {
+    let cols: Vec<ColumnarPartition> = (0..192)
+        .map(|p| ColumnarPartition::build(782, &transactions(521, 12, 782, 100 + p)))
+        .collect();
+    let cands = candidates(3_848, 3, 782, 7);
+    let list = CandidateList::new(&cands);
+    header("t10-shaped/pass 3: 192 partitions x 3 848 candidates");
+    let mut acc = vec![0u64; cands.len()];
+    let secs = bench("flat kernel, every partition", 20, || {
+        let mut scratch = BitmapScratch::default();
+        let words = cols
+            .iter()
+            .map(|col| col.count_list(&list, &mut scratch, &mut acc).0);
+        black_box(words.sum::<u64>())
+    });
+    let evaluations = (cands.len() * cols.len()) as f64;
+    println!(
+        "host: {:.1} ns per (candidate x partition)",
+        secs * 1e9 / evaluations
     );
 }
 
@@ -168,4 +196,6 @@ fn main() {
     // Pass 2, one task's partition of each benchmark dataset.
     pass_2("pumsb-shaped", &transactions(255, 21, 25, 5), 25);
     pass_2("t10-shaped", &transactions(520, 12, 782, 6), 782);
+
+    pass_3_t10();
 }

@@ -19,7 +19,7 @@
 //! [`MineError::Audit`](crate::miner::MineError::Audit) rather than
 //! returning a poisoned [`crate::types::MiningResult`]).
 
-use crate::types::{Itemset, Support};
+use crate::types::Itemset;
 
 /// Audit one Phase-II level against its predecessor.
 ///
@@ -98,18 +98,10 @@ pub fn audit_levels(levels: &[Vec<(Itemset, u64)>], min_sup: u64) -> Result<(), 
     Ok(())
 }
 
-/// Resolve-and-audit convenience for callers holding a [`Support`].
-pub fn audit_levels_with(
-    levels: &[Vec<(Itemset, u64)>],
-    support: Support,
-    num_transactions: u64,
-) -> Result<(), String> {
-    audit_levels(levels, support.resolve(num_transactions))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Support;
 
     fn set(items: &[u32]) -> Itemset {
         Itemset::from_sorted(items.to_vec())
@@ -157,7 +149,7 @@ mod tests {
 
     #[test]
     fn fractional_support_resolves() {
-        assert!(audit_levels_with(&[l1()], Support::Fraction(0.5), 4).is_ok());
-        assert!(audit_levels_with(&[l1()], Support::Fraction(0.9), 4).is_err());
+        assert!(audit_levels(&[l1()], Support::Fraction(0.5).resolve(4)).is_ok());
+        assert!(audit_levels(&[l1()], Support::Fraction(0.9).resolve(4)).is_err());
     }
 }

@@ -23,6 +23,12 @@
 //! prefix are adjacent, so the [`BitmapScratch`] keeps the running prefix
 //! intersections and `{a, b}`'s AND is computed once for all `{a, b, *}`
 //! extensions.
+//!
+//! A pass's candidates travel as one flat `k`-strided [`CandidateList`],
+//! and the count over it is one loop with no call per candidate. That loop
+//! and the pair kernel are compiled twice, portable and for hardware
+//! popcount; a task's scratch picks one when it is made. Nothing modelled
+//! can tell which ran.
 
 use crate::encode::tri_len;
 use crate::types::{Item, Itemset, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS};
@@ -130,91 +136,61 @@ impl ColumnarPartition {
     ///
     /// `candidates` must be sorted (the order `ap_gen` emits) and all of
     /// one length `k ≥ 2`; `f(index, count)` is invoked for each candidate
-    /// with a non-zero partition-local count. Returns the number of `u64`
-    /// words intersected — the work estimate virtual time is charged from.
-    ///
-    /// Adjacent candidates share prefix intersections through `scratch`:
-    /// level `d` of the scratch holds `row(c[0]) ∧ … ∧ row(c[d+1])` and is
-    /// recomputed only from the first position where the candidate departs
-    /// from its predecessor.
+    /// with a non-zero partition-local count, in index order. Returns the
+    /// number of `u64` words intersected — the work estimate virtual time
+    /// is charged from. [`ColumnarPartition::count_list`] over the
+    /// candidates flattened.
     pub fn count_candidates(
         &self,
         candidates: &[Itemset],
         scratch: &mut BitmapScratch,
         f: &mut dyn FnMut(usize, u64),
     ) -> u64 {
-        let w = self.words_per_item;
-        let mut words = 0u64;
-        scratch.prev.clear();
-        for (ci, cand) in candidates.iter().enumerate() {
-            let items = cand.items();
-            let k = items.len();
-            debug_assert!(k >= 2, "bitmap counting starts at pass 2");
-            // Stored prefix levels this candidate needs: level d covers
-            // items[0..=d+1], so a k-candidate uses levels 0..k-2 and
-            // streams the final intersection without storing it.
-            let needed = k - 2;
-            if scratch.levels.len() < needed {
-                scratch.levels.resize_with(needed, Vec::new);
-            }
-            // Levels valid from the previous candidate: level d survives
-            // iff the first d+2 items are unchanged.
-            let common = scratch
-                .prev
-                .iter()
-                .zip(items.iter())
-                .take_while(|(a, b)| a == b)
-                .count();
-            let first_stale = common.saturating_sub(1).min(needed);
-            for d in first_stale..needed {
-                let (done, rest) = scratch.levels.split_at_mut(d);
-                let left: &[u64] = if d == 0 {
-                    self.row(items[0] as usize)
-                } else {
-                    &done[d - 1]
-                };
-                let right = self.row(items[d + 1] as usize);
-                let dst = &mut rest[0];
-                dst.clear();
-                dst.extend(left.iter().zip(right).map(|(a, b)| a & b));
-                words += w as u64;
-            }
-            let prefix: &[u64] = if needed == 0 {
-                self.row(items[0] as usize)
-            } else {
-                &scratch.levels[needed - 1]
-            };
-            let last = self.row(items[k - 1] as usize);
-            let count: u64 = prefix
-                .iter()
-                .zip(last)
-                .map(|(a, b)| (a & b).count_ones() as u64)
-                .sum();
-            words += w as u64;
-            if count > 0 {
-                f(ci, count);
-            }
-            scratch.prev.clear();
-            scratch.prev.extend_from_slice(items);
+        let mut acc = vec![0u64; candidates.len()];
+        let (words, _) = self.count_list(&CandidateList::new(candidates), scratch, &mut acc);
+        for (i, &count) in acc.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            f(i, count);
         }
         words
     }
 
-    /// Add every pair `{a, b}`'s support into `acc[tri_index(a, b)]`
-    /// ([`tri_index`](crate::encode::tri_index)), `C_2` implicit. Returns the
-    /// words intersected, `n(n−1)/2 · words_per_item`, and the pairs found.
-    pub fn add_pairs(&self, acc: &mut [u64]) -> (u64, u64) {
-        let n = self.n_items;
-        debug_assert_eq!(acc.len(), tri_len(n), "a triangle over this store's ranks");
-        let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
-        let mut found = 0;
-        for (cell, (a, b)) in acc.iter_mut().zip(pairs) {
-            let words = self.row(a).iter().zip(self.row(b));
-            let count: u64 = words.map(|(x, y)| (x & y).count_ones() as u64).sum();
-            *cell += count;
-            found += u64::from(count > 0);
+    /// Add each candidate of `list`'s support in this partition into
+    /// `acc[index]` (`acc` holds one cell per candidate). Returns the number
+    /// of `u64` words intersected — the work estimate virtual time is
+    /// charged from — and of candidates found (nonzero supports).
+    ///
+    /// Adjacent candidates share prefix intersections through `scratch`:
+    /// level `d` of the scratch holds `row(c[0]) ∧ … ∧ row(c[d+1])` and is
+    /// recomputed only from the first position where the candidate departs
+    /// from its predecessor.
+    pub fn count_list(
+        &self,
+        list: &CandidateList,
+        scratch: &mut BitmapScratch,
+        acc: &mut [u64],
+    ) -> (u64, u64) {
+        assert_ne!(list.k, 1, "bitmap counting starts at pass 2");
+        assert_eq!(acc.len(), list.len(), "one count cell per candidate");
+        #[cfg(target_arch = "x86_64")]
+        if scratch.popcnt {
+            // SAFETY: `popcnt` is set only by `BitmapScratch::default`, and
+            // only when the host reports the feature.
+            return unsafe { count_list_popcnt(self, list, &mut scratch.levels, acc) };
         }
-        ((tri_len(n) * self.words_per_item) as u64, found)
+        count_list_body(self, list, &mut scratch.levels, acc)
+    }
+
+    /// Add every pair `{a, b}`'s support into `acc[tri_index(a, b)]`
+    /// ([`tri_index`](crate::encode::tri_index)), `C_2` implicit, on the
+    /// instruction set `scratch` picked. Returns the words intersected,
+    /// `n(n−1)/2 · words_per_item`, and the pairs found.
+    pub fn add_pairs(&self, scratch: &BitmapScratch, acc: &mut [u64]) -> (u64, u64) {
+        #[cfg(target_arch = "x86_64")]
+        if scratch.popcnt {
+            // SAFETY: as in `count_list`.
+            return unsafe { add_pairs_popcnt(self, acc) };
+        }
+        add_pairs_body(self, acc)
     }
 }
 
@@ -224,19 +200,196 @@ impl ByteSize for ColumnarPartition {
     }
 }
 
-/// Reusable intersection buffers for [`ColumnarPartition::count_candidates`]
-/// — one row-width buffer per prefix depth, plus the previous candidate for
-/// prefix-run detection. One scratch per task; it grows to the pass's `k`
-/// and is reused across every candidate.
-#[derive(Default)]
+/// The bitmap plan's `k ≥ 3` count, one flat loop: `list`'s candidates in
+/// order, the stored prefix levels in one `(k−2)·w` buffer, each support
+/// added straight into its cell. Level `d` holds `row(c[0]) ∧ … ∧
+/// row(c[d+1])`, so a `k`-candidate keeps levels `0..k-2` and streams the
+/// final intersection; the top level, when stale, is recomputed in the same
+/// sweep as the final intersection it feeds. `words` charges `w` per level
+/// recomputed plus `w` for the final intersection, whatever the host's
+/// instructions do.
+#[inline(always)]
+fn count_list_body(
+    col: &ColumnarPartition,
+    list: &CandidateList,
+    levels: &mut Vec<u64>,
+    acc: &mut [u64],
+) -> (u64, u64) {
+    let (k, w) = (list.k, col.words_per_item);
+    if list.items.is_empty() {
+        return (0, 0);
+    }
+    let top = k - 2;
+    levels.clear();
+    levels.resize(top * w, 0);
+    let row = |item: Item| col.row(item as usize);
+    let (mut words, mut found) = (0u64, 0u64);
+    let cands = list.items.chunks_exact(k).zip(&list.stale);
+    for ((cand, &stale), cell) in cands.zip(acc) {
+        let stale = stale as usize;
+        words += ((top - stale + 1) * w) as u64;
+        let last = row(cand[k - 1]);
+        let count = if top == 0 {
+            and_count(row(cand[0]), last)
+        } else {
+            for d in stale..top - 1 {
+                let (done, rest) = levels.split_at_mut(d * w);
+                let left = if d == 0 {
+                    row(cand[0])
+                } else {
+                    &done[(d - 1) * w..]
+                };
+                let pairs = rest[..w].iter_mut().zip(left).zip(row(cand[d + 1]));
+                pairs.for_each(|((dst, a), b)| *dst = a & b);
+            }
+            let (below, level) = levels.split_at_mut((top - 1) * w);
+            if stale < top {
+                let left = if top == 1 {
+                    row(cand[0])
+                } else {
+                    &below[(top - 2) * w..]
+                };
+                let sweep = level.iter_mut().zip(left).zip(row(cand[top])).zip(last);
+                let counts = sweep.map(|(((dst, a), b), c)| {
+                    *dst = a & b;
+                    u64::from((*dst & c).count_ones())
+                });
+                counts.sum()
+            } else {
+                and_count(level, last)
+            }
+        };
+        *cell += count;
+        found += u64::from(count > 0);
+    }
+    (words, found)
+}
+
+/// `popcount(a ∧ b)`, word by word.
+#[inline(always)]
+fn and_count(a: &[u64], b: &[u64]) -> u64 {
+    let words = a.iter().zip(b);
+    words.map(|(x, y)| u64::from((x & y).count_ones())).sum()
+}
+
+/// Every pair of `col`'s item rows, ANDed and popcounted into its triangle
+/// cell; see [`ColumnarPartition::add_pairs`].
+#[inline(always)]
+fn add_pairs_body(col: &ColumnarPartition, acc: &mut [u64]) -> (u64, u64) {
+    let n = col.n_items;
+    debug_assert_eq!(acc.len(), tri_len(n), "a triangle over this store's ranks");
+    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+    let mut found = 0;
+    for (cell, (a, b)) in acc.iter_mut().zip(pairs) {
+        let count = and_count(col.row(a), col.row(b));
+        *cell += count;
+        found += u64::from(count > 0);
+    }
+    ((tri_len(n) * col.words_per_item) as u64, found)
+}
+
+/// [`count_list_body`] compiled a second time, for hardware popcount: the
+/// whole loop, so every `count_ones` in it is one instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn count_list_popcnt(
+    col: &ColumnarPartition,
+    list: &CandidateList,
+    levels: &mut Vec<u64>,
+    acc: &mut [u64],
+) -> (u64, u64) {
+    count_list_body(col, list, levels, acc)
+}
+
+/// [`add_pairs_body`] compiled for hardware popcount.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn add_pairs_popcnt(col: &ColumnarPartition, acc: &mut [u64]) -> (u64, u64) {
+    add_pairs_body(col, acc)
+}
+
+/// One pass's candidates as one `k`-strided arena, in `ap_gen`'s sorted
+/// order: candidate `i` is `items[i·k .. (i+1)·k]`, and `i` is its count
+/// cell. What the bitmap plan broadcasts instead of a
+/// [`CandidateStore`](crate::candidates::CandidateStore): the columnar
+/// layout needs no per-transaction index, only the candidates.
+pub struct CandidateList {
+    k: usize,
+    items: Vec<Item>,
+    /// Per candidate, the first prefix level its predecessor's does not
+    /// serve: `min(s − 1, k − 2)` for `s` shared leading items, 0 for the
+    /// first. The same in every partition, so it is worked out once here;
+    /// like `DenseEncoder`'s item array, a host index that `byte_size` does
+    /// not see.
+    stale: Vec<u32>,
+}
+
+impl CandidateList {
+    /// Flatten `candidates`, all of one length.
+    pub fn new(candidates: &[Itemset]) -> Self {
+        let k = candidates.first().map_or(0, Itemset::len);
+        assert!(candidates.iter().all(|c| c.len() == k), "one length");
+        let items = candidates.iter().flat_map(Itemset::items);
+        let mut prev: &[Item] = &[];
+        let stale = candidates.iter().map(|c| {
+            let common = prev.iter().zip(c.items()).take_while(|(x, y)| x == y);
+            let stale = common.count().saturating_sub(1).min(k.saturating_sub(2));
+            prev = c.items();
+            stale as u32
+        });
+        let (items, stale) = (items.copied().collect(), stale.collect());
+        CandidateList { k, items, stale }
+    }
+
+    /// Number of candidates.
+    pub(crate) fn len(&self) -> usize {
+        self.stale.len()
+    }
+}
+
+impl ByteSize for CandidateList {
+    /// The `Vec<Itemset>` the arena flattens, as a `TxBlock` sizes as its
+    /// rows: 8 bytes of length, then 8 + 4k per candidate.
+    fn byte_size(&self) -> u64 {
+        8 + 8 * self.len() as u64 + 4 * self.items.len() as u64
+    }
+}
+
+/// One task's state for the columnar kernels: the prefix levels of
+/// [`ColumnarPartition::count_list`], reused across candidates and passes,
+/// and the instruction set both kernels run on, picked when the scratch is
+/// made: hardware popcount where the host has it, the portable body
+/// elsewhere. Counts and words are the same either way.
 pub struct BitmapScratch {
-    levels: Vec<Vec<u64>>,
-    prev: Vec<Item>,
+    levels: Vec<u64>,
+    popcnt: bool,
+}
+
+impl Default for BitmapScratch {
+    fn default() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let popcnt = is_x86_feature_detected!("popcnt");
+        #[cfg(not(target_arch = "x86_64"))]
+        let popcnt = false;
+        let levels = Vec::new();
+        BitmapScratch { levels, popcnt }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yafim_data::rng::StdRng;
+
+    /// The `Vec<Itemset>` a [`CandidateList`] flattens, sized as it was
+    /// when it was broadcast as such.
+    struct CandidateListOf<'a>(&'a [Itemset]);
+
+    impl ByteSize for CandidateListOf<'_> {
+        fn byte_size(&self) -> u64 {
+            8 + self.0.iter().map(ByteSize::byte_size).sum::<u64>()
+        }
+    }
 
     fn count_naive(txs: &[Vec<Item>], cand: &Itemset) -> u64 {
         txs.iter()
@@ -361,6 +514,131 @@ mod tests {
         col.count_candidates(&c2, &mut scratch, &mut |_, c| b = c);
         assert_eq!(a, count_naive(&txs, &c4[0]));
         assert_eq!(b, count_naive(&txs, &c2[0]));
+    }
+
+    /// The words `count_list` charges: `w` per prefix level recomputed
+    /// (every level for the first candidate, those from the first changed
+    /// position on afterwards) plus `w` for the final intersection.
+    fn charged_words(cands: &[Itemset], w: usize) -> u64 {
+        let mut prev: &[Item] = &[];
+        let mut words = 0;
+        for cand in cands {
+            let (items, levels) = (cand.items(), cand.len() - 2);
+            let common = prev.iter().zip(items).take_while(|(a, b)| a == b).count();
+            words += (levels - common.saturating_sub(1).min(levels) + 1) * w;
+            prev = items;
+        }
+        words as u64
+    }
+
+    /// Up to 40 sorted, distinct `k`-sets over `0..n`: runs sharing their
+    /// first `k − 1` items (shape 0), sets of distinct first items, so no
+    /// two share a prefix (shape 1), or uniform draws.
+    fn random_candidates(rng: &mut StdRng, n: u32, k: usize, shape: usize) -> Vec<Itemset> {
+        let mut sets = std::collections::BTreeSet::new();
+        for draw in 0..40 {
+            let items: Vec<Item> = match shape {
+                0 => {
+                    let base = rng.gen_range(0..n - k as u32);
+                    let mut run: Vec<Item> = (base..base + k as u32 - 1).collect();
+                    run.push(rng.gen_range(base + k as u32 - 1..n));
+                    run
+                }
+                1 => {
+                    let first = draw % (n - k as u32 + 1);
+                    let mut rest: Vec<Item> = (first + 1..n).collect();
+                    while rest.len() > k - 1 {
+                        rest.remove(rng.gen_range(0..rest.len()));
+                    }
+                    [vec![first], rest].concat()
+                }
+                _ => {
+                    let mut t: Vec<Item> = Vec::new();
+                    while t.len() < k {
+                        let item = rng.gen_range(0..n);
+                        if !t.contains(&item) {
+                            t.push(item);
+                        }
+                    }
+                    t
+                }
+            };
+            sets.insert(Itemset::new(items));
+        }
+        sets.into_iter().collect()
+    }
+
+    #[test]
+    fn the_flat_kernel_counts_what_subset_counting_counts() {
+        let mut rng = StdRng::seed_from_u64(0xb17_3a9);
+        let n = 12u32;
+        // 0, 1, 9 and 65 words per row.
+        for n_tids in [0usize, 37, 521, 4100] {
+            let txs: Vec<Vec<Item>> = (0..n_tids)
+                .map(|_| (0..n).filter(|_| rng.gen_range(0..10u32) < 6).collect())
+                .collect();
+            let col = ColumnarPartition::build(n as usize, &txs);
+            let w = n_tids.div_ceil(64);
+            let mut scratch = BitmapScratch::default();
+            for k in 2..=6 {
+                for shape in 0..3 {
+                    let cands = random_candidates(&mut rng, n, k, shape);
+                    let label = format!("{n_tids} tids, k={k}, shape {shape}");
+                    let list = CandidateList::new(&cands);
+                    assert_eq!(list.len(), cands.len());
+                    assert_eq!(list.byte_size(), CandidateListOf(&cands).byte_size());
+
+                    let naive: Vec<u64> = cands.iter().map(|c| count_naive(&txs, c)).collect();
+                    let found = naive.iter().filter(|&&c| c > 0).count() as u64;
+                    let expected = (charged_words(&cands, w), found);
+                    // Both bodies, on an accumulator already holding counts.
+                    let mut portable = BitmapScratch {
+                        levels: Vec::new(),
+                        popcnt: false,
+                    };
+                    for body in [&mut portable, &mut scratch] {
+                        let mut acc: Vec<u64> = (0..cands.len() as u64).collect();
+                        let got = col.count_list(&list, body, &mut acc);
+                        assert_eq!(got, expected, "{label}, popcnt {}", body.popcnt);
+                        let counts = acc.iter().zip(0..).map(|(c, i)| c - i);
+                        assert!(counts.eq(naive.iter().copied()), "{label}");
+                    }
+
+                    // The public entry reports the same cells and words.
+                    let mut calls = Vec::new();
+                    let f = &mut |i, c| calls.push((i, c));
+                    let words = col.count_candidates(&cands, &mut scratch, f);
+                    let nonzero = naive.iter().enumerate().filter(|&(_, &c)| c > 0);
+                    assert_eq!(words, expected.0, "{label}");
+                    assert_eq!(calls, nonzero.map(|(i, &c)| (i, c)).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pair_kernel_is_the_same_on_either_body() {
+        let txs = txs();
+        let col = ColumnarPartition::build(6, &txs);
+        let portable = BitmapScratch {
+            levels: Vec::new(),
+            popcnt: false,
+        };
+        let run = |scratch: &BitmapScratch| {
+            let mut acc = vec![0u64; tri_len(6)];
+            (col.add_pairs(scratch, &mut acc), acc)
+        };
+        let (got, acc) = run(&portable);
+        assert_eq!(got, run(&BitmapScratch::default()).0);
+        assert_eq!(acc, run(&BitmapScratch::default()).1);
+        for (cell, (a, b)) in (0..6)
+            .flat_map(|a| (a + 1..6).map(move |b| (a, b)))
+            .enumerate()
+        {
+            let pair = Itemset::from_sorted(vec![a, b]);
+            assert_eq!(acc[cell], count_naive(&txs, &pair), "{pair}");
+        }
+        assert_eq!(got.0, 15 * 2);
     }
 
     #[test]

@@ -60,19 +60,6 @@ impl ByteSize for Box<dyn CandidateStore> {
     }
 }
 
-/// A bare sorted candidate list, broadcastable as-is — what the vertical
-/// bitmap strategy ships instead of a [`CandidateStore`]: the columnar
-/// layout needs no per-transaction index, only the candidates themselves in
-/// `ap_gen` order (indices into this list are the shuffle keys, exactly as
-/// with the stores).
-pub struct CandidateList(pub Vec<Itemset>);
-
-impl ByteSize for CandidateList {
-    fn byte_size(&self) -> u64 {
-        8 + self.0.iter().map(ByteSize::byte_size).sum::<u64>()
-    }
-}
-
 /// Work performed by one candidate-generation call, for driver-side CPU
 /// accounting in the engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -117,9 +104,12 @@ pub fn ap_gen(frequent: &[Itemset]) -> (Vec<Itemset>, GenWork) {
     let mut sorted: Vec<&Itemset> = frequent.iter().collect();
     sorted.sort();
 
-    let lookup: FxHashSet<&Itemset> = frequent.iter().collect();
+    let lookup: FxHashSet<&[Item]> = frequent.iter().map(Itemset::items).collect();
 
     let mut out = Vec::new();
+    // The joined candidate and the subset being probed, reused: only the
+    // candidates kept are allocated.
+    let (mut cand, mut sub) = (Vec::with_capacity(k + 1), Vec::with_capacity(k));
     // Sorted order groups itemsets sharing a (k-1)-prefix contiguously.
     let mut i = 0;
     while i < sorted.len() {
@@ -133,21 +123,25 @@ pub fn ap_gen(frequent: &[Itemset]) -> (Vec<Itemset>, GenWork) {
         for a in i..j {
             for b in a + 1..j {
                 work.join_comparisons += 1;
-                let last = sorted[b].items()[k - 1];
-                let cand = sorted[a].extended_with(last);
+                cand.clear();
+                cand.extend_from_slice(sorted[a].items());
+                cand.push(sorted[b].items()[k - 1]);
 
                 // Prune: every k-subset must be frequent. The two subsets
                 // that produced the join are frequent by construction.
                 let mut keep = true;
-                for sub in cand.one_item_removed() {
+                for skip in 0..=k {
                     work.prune_checks += 1;
-                    if !lookup.contains(&sub) {
+                    sub.clear();
+                    sub.extend_from_slice(&cand[..skip]);
+                    sub.extend_from_slice(&cand[skip + 1..]);
+                    if !lookup.contains(sub.as_slice()) {
                         keep = false;
                         break;
                     }
                 }
                 if keep {
-                    out.push(cand);
+                    out.push(Itemset::from_sorted(cand.clone()));
                 }
             }
         }
@@ -205,6 +199,104 @@ pub fn ap_gen_naive(frequent: &[Itemset]) -> Vec<Itemset> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yafim_data::rng::StdRng;
+
+    /// `ap_gen` as it was before its prune stopped allocating: a fresh
+    /// `Itemset` per join and per probed subset. The oracle for what the
+    /// driver is charged, both `GenWork` counters.
+    fn ap_gen_allocating(frequent: &[Itemset]) -> (Vec<Itemset>, GenWork) {
+        let mut work = GenWork::default();
+        if frequent.is_empty() {
+            return (Vec::new(), work);
+        }
+        let k = frequent[0].len();
+        let mut sorted: Vec<&Itemset> = frequent.iter().collect();
+        sorted.sort();
+        let lookup: FxHashSet<&Itemset> = frequent.iter().collect();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < sorted.len() {
+            let prefix = &sorted[i].items()[..k - 1];
+            let mut j = i + 1;
+            while j < sorted.len() && &sorted[j].items()[..k - 1] == prefix {
+                j += 1;
+            }
+            for a in i..j {
+                for b in a + 1..j {
+                    work.join_comparisons += 1;
+                    let mut items = sorted[a].items().to_vec();
+                    items.push(sorted[b].items()[k - 1]);
+                    let cand = Itemset::from_sorted(items);
+                    let mut keep = true;
+                    for sub in cand.one_item_removed() {
+                        work.prune_checks += 1;
+                        if !lookup.contains(&sub) {
+                            keep = false;
+                            break;
+                        }
+                    }
+                    if keep {
+                        out.push(cand);
+                    }
+                }
+            }
+            i = j;
+        }
+        out.sort();
+        (out, work)
+    }
+
+    /// A random `L_k` over `0..n`: the `k`-subsets of a few random sets,
+    /// each kept with probability 3/4 (so joins survive the prune and fail
+    /// it), plus a few uniform draws, shuffled.
+    fn random_level(rng: &mut StdRng, k: usize, n: u32) -> Vec<Itemset> {
+        let mut level = std::collections::BTreeSet::new();
+        for _ in 0..rng.gen_range(1..5usize) {
+            let mut base: Vec<Item> = (0..n).collect();
+            while base.len() > k + 2 {
+                base.remove(rng.gen_range(0..base.len()));
+            }
+            for mask in 0..1u32 << base.len() {
+                let subset = (0..base.len()).filter(|&i| mask >> i & 1 == 0);
+                let items: Vec<Item> = subset.map(|i| base[i]).collect();
+                if items.len() == k && rng.gen_range(0..4u32) > 0 {
+                    level.insert(Itemset::from_sorted(items));
+                }
+            }
+        }
+        for _ in 0..rng.gen_range(0..8usize) {
+            let items: Vec<Item> = (0..k).map(|_| rng.gen_range(0..n)).collect();
+            let set = Itemset::new(items);
+            if set.len() == k {
+                level.insert(set);
+            }
+        }
+        let mut level: Vec<Itemset> = level.into_iter().collect();
+        for i in (1..level.len()).rev() {
+            level.swap(i, rng.gen_range(0..i + 1));
+        }
+        level
+    }
+
+    #[test]
+    fn the_prune_charges_what_the_allocating_loop_charged() {
+        let mut rng = StdRng::seed_from_u64(0xa9_6e2);
+        for k in 1..=5 {
+            // One prefix group: every set shares its first k - 1 items.
+            let group: Vec<Itemset> = (k as u32 - 1..k as u32 + 6)
+                .map(|last| Itemset::from_sorted((0..k as u32 - 1).chain([last]).collect()))
+                .collect();
+            let random = (0..40).map(|_| random_level(&mut rng, k, 7 + 2 * k as u32));
+            for level in [Vec::new(), group].into_iter().chain(random) {
+                let (candidates, work) = ap_gen(&level);
+                assert_eq!(
+                    (candidates, work),
+                    ap_gen_allocating(&level),
+                    "k={k} {level:?}"
+                );
+            }
+        }
+    }
 
     fn sets(raw: &[&[u32]]) -> Vec<Itemset> {
         raw.iter().map(|s| Itemset::new(s.to_vec())).collect()

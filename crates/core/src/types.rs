@@ -95,16 +95,6 @@ impl Itemset {
             Itemset { items: v }
         })
     }
-
-    /// Extend by one item strictly larger than the current maximum.
-    /// Panics (debug) otherwise — used by the prefix join, which guarantees
-    /// the order.
-    pub fn extended_with(&self, item: Item) -> Itemset {
-        debug_assert!(self.items.last().is_none_or(|&last| item > last));
-        let mut v = self.items.clone();
-        v.push(item);
-        Itemset { items: v }
-    }
 }
 
 impl fmt::Display for Itemset {
@@ -309,12 +299,6 @@ mod tests {
                 Itemset::new(vec![1, 2]),
             ]
         );
-    }
-
-    #[test]
-    fn extended_with_appends() {
-        let s = Itemset::new(vec![1, 2]);
-        assert_eq!(s.extended_with(7).items(), &[1, 2, 7]);
     }
 
     #[test]

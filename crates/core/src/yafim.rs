@@ -60,9 +60,9 @@
 //! pass 1): `Paper` shuffles them through `reduceByKey` as Algorithms 2 and
 //! 3 do, a projecting plan merges per-worker accumulators at the driver.
 
-use crate::bitmap::{bitmap_fits, pass2_bounds, BitmapScratch, ColumnarPartition};
+use crate::bitmap::{bitmap_fits, pass2_bounds, BitmapScratch, CandidateList, ColumnarPartition};
 use crate::block::TxBlock;
-use crate::candidates::{ap_gen, CandidateList, CandidateStore};
+use crate::candidates::{ap_gen, CandidateStore};
 use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
@@ -905,8 +905,8 @@ impl Yafim {
 
     /// One Phase-II pass counted through the vertical TID bitmaps. The
     /// columnar store is built (and cached) by the first such pass and
-    /// reused from cluster memory afterwards; only the bare candidate list
-    /// is broadcast.
+    /// reused from cluster memory afterwards; only the candidates, flattened
+    /// into one arena, are broadcast.
     ///
     /// Returns `(|C_k|, L_k in work space)`.
     fn pass_bitmap(
@@ -928,9 +928,9 @@ impl Yafim {
             .get_or_insert_with(|| self.build_columnar(&held.work, n_dense))
             .clone();
 
-        // Driver: no store to build — just assemble and broadcast the
-        // sorted candidate list (indices into it are the count cells,
-        // exactly as with the stores).
+        // Driver: no store to build — just flatten and broadcast the sorted
+        // candidates (indices into them are the count cells, exactly as
+        // with the stores).
         metrics.advance_with_event(
             cost.cpu(n_candidates as u64),
             EventKind::Driver,
@@ -941,7 +941,7 @@ impl Yafim {
             bitmap_candidates_counted: n_candidates as u64,
             ..EngineCounters::default()
         });
-        let bc = ctx.broadcast(CandidateList(candidates));
+        let bc = ctx.broadcast(CandidateList::new(&candidates));
         let cands_for_tasks = bc.value();
         let cand_bytes = bc.bytes();
 
@@ -955,7 +955,7 @@ impl Yafim {
                 memgov::site::CANDIDATE_STORE,
                 false,
             );
-            let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks.0);
+            let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks);
             // One AND+popcount per word, one emission per nonzero
             // count — the whole per-task cost of the pass.
             tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
@@ -966,8 +966,7 @@ impl Yafim {
             cells
         })?;
 
-        let lk = drain_broadcast(counted, bc.into_value(), |list| list.0, |list| &list.0);
-        Ok((n_candidates, lk))
+        Ok((n_candidates, take_survivors(counted, candidates)))
     }
 }
 
@@ -1011,19 +1010,22 @@ fn drain_broadcast<T>(
     into_candidates: impl FnOnce(T) -> Vec<Itemset>,
     candidates: impl FnOnce(&T) -> &[Itemset],
 ) -> Vec<(Itemset, u64)> {
-    let survivors = counted.into_iter().map(|(idx, c)| (idx as usize, c));
     match Arc::try_unwrap(shared) {
-        Ok(owned) => {
-            let mut all = into_candidates(owned);
-            let empty = || Itemset::from_sorted(Vec::new());
-            let moved = survivors.map(|(idx, c)| (std::mem::replace(&mut all[idx], empty()), c));
-            moved.collect()
-        }
+        Ok(owned) => take_survivors(counted, into_candidates(owned)),
         Err(shared) => {
             let all = candidates(&shared);
-            survivors.map(|(idx, c)| (all[idx].clone(), c)).collect()
+            let clone = |(idx, c): (u32, u64)| (all[idx as usize].clone(), c);
+            counted.into_iter().map(clone).collect()
         }
     }
+}
+
+/// Move each surviving `(candidate index, count)` record's candidate out of
+/// `all`, the pass's candidates: no per-frequent-itemset clone.
+fn take_survivors(counted: Vec<(u32, u64)>, mut all: Vec<Itemset>) -> Vec<(Itemset, u64)> {
+    let empty = || Itemset::from_sorted(Vec::new());
+    let take = |(idx, c): (u32, u64)| (std::mem::replace(&mut all[idx as usize], empty()), c);
+    counted.into_iter().map(take).collect()
 }
 
 thread_local! {
@@ -1158,7 +1160,8 @@ fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
 /// triangular array over their ranks. Returns the number of words
 /// intersected and of nonzero supports found (one per pair and partition).
 fn count_column_pairs(acc: &mut [u64], cols: &[ColumnarPartition]) -> (u64, u64) {
-    let sums = cols.iter().map(|col| col.add_pairs(acc));
+    let scratch = BitmapScratch::default();
+    let sums = cols.iter().map(|col| col.add_pairs(&scratch, acc));
     sums.fold((0, 0), |(words, cells), (w, c)| (words + w, cells + c))
 }
 
@@ -1184,16 +1187,12 @@ fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &dyn CandidateStore) -
 /// Add each candidate's support in the columnar partitions `cols` into
 /// `acc`. Returns the number of words intersected and of nonzero supports
 /// found (one per candidate and partition at most, so no cell repeats).
-fn count_bitmaps(acc: &mut [u64], cols: &[ColumnarPartition], cands: &[Itemset]) -> (u64, u64) {
+fn count_bitmaps(acc: &mut [u64], cols: &[ColumnarPartition], cands: &CandidateList) -> (u64, u64) {
     let mut scratch = BitmapScratch::default();
-    let (mut words, mut cells) = (0u64, 0u64);
-    for col in cols {
-        words += col.count_candidates(cands, &mut scratch, &mut |i, c| {
-            acc[i] += c;
-            cells += 1;
-        });
-    }
-    (words, cells)
+    let sums = cols
+        .iter()
+        .map(|col| col.count_list(cands, &mut scratch, acc));
+    sums.fold((0, 0), |(words, cells), (w, c)| (words + w, cells + c))
 }
 
 /// Convenience: one-call YAFIM over an in-memory transaction list, writing
@@ -1506,7 +1505,8 @@ mod tests {
                         assert_eq!(new, (visits, matches, sparse.len() as u64), "{label}");
                         assert_eq!(added, sparse, "{label}");
                     }
-                    let fold = |acc: &mut [u64]| count_bitmaps(acc, &cols, candidates);
+                    let list = CandidateList::new(candidates);
+                    let fold = |acc: &mut [u64]| count_bitmaps(acc, &cols, &list);
                     let (new, added) = folded(candidates.len(), fold);
                     let (words, sparse) = count_bitmaps_sparse(&cols, candidates);
                     assert_eq!(new, (words, sparse.len() as u64), "bitmap {label}");

@@ -341,19 +341,19 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                         ..EngineCounters::default()
                     });
                     let noted = metrics.clone();
-                    let bc = ctx.broadcast(CandidateList(candidates));
+                    let bc = ctx.broadcast(CandidateList::new(&candidates));
                     let (cands, cand_bytes) = (bc.value(), bc.bytes());
                     let counted =
                         count_pass(cols, true, n_candidates, min_sup, move |acc, cols, tc| {
                             tc.note_broadcast_read(cand_bytes);
+                            // Each partition into a fresh array, read back
+                            // one record per nonzero support.
                             let mut scratch = BitmapScratch::default();
                             let (mut words, mut cells) = (0u64, 0u64);
                             for col in cols {
-                                words +=
-                                    col.count_candidates(&cands.0, &mut scratch, &mut |i, c| {
-                                        acc[i] += c;
-                                        cells += 1;
-                                    });
+                                cells += fold_fresh(acc, |fresh| {
+                                    words += col.count_list(&cands, &mut scratch, fresh).0;
+                                });
                             }
                             tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
                             noted.note_engine(&EngineCounters {
@@ -364,7 +364,7 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                         });
                     let survivors = counted.into_iter();
                     survivors
-                        .map(|(idx, c)| (bc.0[idx as usize].clone(), c))
+                        .map(|(idx, c)| (candidates[idx as usize].clone(), c))
                         .collect()
                 }
             }
