@@ -3,7 +3,7 @@
 //! comparison backing the paper's related-work discussion.
 
 use yafim_bench::microbench::{bench, black_box, header};
-use yafim_core::{apriori, eclat, fp_growth, SequentialConfig, Support};
+use yafim_core::{apriori, eclat, fp_growth, Support};
 use yafim_data::PaperDataset;
 
 fn main() {
@@ -11,8 +11,7 @@ fn main() {
     let support = Support::Fraction(0.35);
 
     header("miners_mushroom_5pct");
-    let cfg = SequentialConfig::new(support);
-    bench("apriori", 10, || black_box(apriori(&tx, &cfg).total()));
+    bench("apriori", 10, || black_box(apriori(&tx, support).total()));
     bench("eclat", 10, || black_box(eclat(&tx, support).total()));
     bench("fp_growth", 10, || {
         black_box(fp_growth(&tx, support).total())

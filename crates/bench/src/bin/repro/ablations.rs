@@ -5,8 +5,8 @@ use yafim_bench::{bench_dataset, loaded_cluster, phase2_label, phase2_workload, 
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{ClusterSpec, CostModel, RunManifest, SimCluster};
 use yafim_core::{
-    apriori, Miner, MrApriori, MrAprioriConfig, MrMatching, MrVariant, Phase2Plan,
-    SequentialConfig, Support, Yafim, YafimConfig,
+    apriori, Miner, MrApriori, MrAprioriConfig, MrMatching, MrVariant, Phase2Plan, Support, Yafim,
+    YafimConfig,
 };
 use yafim_data::{replicate, to_lines, PaperDataset, QuestGenerator};
 use yafim_rdd::{BroadcastMode, Context, RddConfig};
@@ -15,7 +15,7 @@ use yafim_rdd::{BroadcastMode, Context, RddConfig};
 /// broadcast variables versus the naive default the paper warns about,
 /// where the driver ships the shared data (the candidate hash tree) with
 /// *every task* through its single uplink.
-pub fn broadcast() -> String {
+pub(crate) fn broadcast() -> String {
     let mut out = String::new();
     say!(
         out,
@@ -74,7 +74,7 @@ pub fn broadcast() -> String {
 /// the cache removes. The MapReduce baseline's 20×+ penalty comes from its
 /// per-job architecture, not from re-reading bytes per se; caching becomes
 /// time-critical only when the dataset is large relative to the cluster.
-pub fn cache() -> String {
+pub(crate) fn cache() -> String {
     let data = bench_dataset(PaperDataset::T10I4D100K, 0.25);
     let transactions = replicate(&data.transactions, 4);
 
@@ -146,7 +146,7 @@ pub fn cache() -> String {
 /// overhead at the price of counting speculative candidates — the
 /// related-work attempt to mitigate exactly the overhead YAFIM removes by
 /// switching frameworks.
-pub fn phase_combine() -> String {
+pub(crate) fn phase_combine() -> String {
     let data = bench_dataset(PaperDataset::Medical, 1.0);
     let mut out = String::new();
     say!(
@@ -233,7 +233,7 @@ pub fn phase_combine() -> String {
 /// Every plan must return itemsets, supports and per-pass
 /// candidate/frequent counts identical to the sequential reference; the
 /// manifest is captured from the bitmap plan's run.
-pub fn matching() -> (String, RunManifest) {
+pub(crate) fn matching() -> (String, RunManifest) {
     let mut out = String::new();
     say!(
         out,
@@ -281,7 +281,7 @@ pub fn matching() -> (String, RunManifest) {
     let tx = QuestGenerator::new(quest).generate();
     let support = Support::Fraction(support_frac);
     let lines = to_lines(&tx);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
     // (plan, run, peak cache bytes, cluster), in `Phase2Plan::ALL` order.
     let runs: Vec<_> = Phase2Plan::ALL
         .into_iter()

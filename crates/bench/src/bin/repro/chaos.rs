@@ -58,7 +58,7 @@ const SEED: u64 = 42;
 const SCALE: f64 = 0.25;
 
 /// Scenarios A–D on MushRoom.
-pub fn chaos() -> (String, RunManifest) {
+pub(crate) fn chaos() -> (String, RunManifest) {
     let data = bench_dataset(PaperDataset::Mushroom, SCALE);
     let mut out = String::new();
 
@@ -191,7 +191,7 @@ const E_REFUSAL_BUDGET: u64 = 256 * 1024;
 /// step-down, OOM kill-and-retry) must fire at least once; and two
 /// starved cells must end in a typed admission refusal, never a partial
 /// result.
-pub fn chaos_e() -> (String, RunManifest) {
+pub(crate) fn chaos_e() -> (String, RunManifest) {
     // T10I4D100K, not the Mushroom set the other scenarios use: its ~850
     // item alphabet makes |C_2| (and so the triangle array and candidate
     // stores) large enough to overflow a tight-but-admissible budget.

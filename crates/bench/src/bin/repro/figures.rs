@@ -11,7 +11,7 @@ const YAFIM: Miner = Miner::Spark(Phase2Plan::Paper);
 /// Table I: the paper's reported (items, transactions) next to the measured
 /// properties of our synthetic stand-ins, plus the measured density facts
 /// (average transaction length) that drive mining behaviour.
-pub fn table1() -> String {
+pub(crate) fn table1() -> String {
     let mut out = String::new();
     say!(out, "TABLE I. PROPERTIES OF DATASETS FOR OUR EXPERIMENTS");
     say!(
@@ -50,7 +50,7 @@ pub fn table1() -> String {
 /// 12-node × 8-core cluster, with the §V.B headline numbers (totals,
 /// last-pass times, speedups) next to the paper's targets. T10I4D100K runs
 /// at scale 0.25 to keep single-host wall time sane.
-pub fn fig3() -> String {
+pub(crate) fn fig3() -> String {
     /// (dataset, scale, paper total-speedup target, paper last-pass speedup target)
     const PANELS: [(PaperDataset, f64, f64, Option<f64>); 4] = [
         (PaperDataset::Mushroom, 1.0, 21.0, Some(37.0)),
@@ -113,7 +113,7 @@ pub fn fig3() -> String {
 /// shape: MR-Apriori "increases sharply and almost grows linearly" while
 /// YAFIM "grows slowly and keeps nearly flat". T10I4D100K's base scale is
 /// 0.2 and Pumsb_star's 0.5 so the ×6 point stays tractable on one host.
-pub fn fig4() -> String {
+pub(crate) fn fig4() -> String {
     const PANELS: [(PaperDataset, f64); 4] = [
         (PaperDataset::Mushroom, 1.0),
         (PaperDataset::T10I4D100K, 0.2),
@@ -181,7 +181,7 @@ pub fn fig4() -> String {
 /// dispatch, broadcast), which is constant in cluster size. At the original
 /// Table I sizes the benchmarks are megabytes and YAFIM is floor-bound, so
 /// the sweep runs over the 6×-replicated datasets.
-pub fn fig5() -> String {
+pub(crate) fn fig5() -> String {
     const PANELS: [(PaperDataset, f64); 4] = [
         (PaperDataset::Mushroom, 1.0),
         (PaperDataset::T10I4D100K, 0.25),
@@ -233,7 +233,7 @@ pub fn fig5() -> String {
 /// overall and notes both that every YAFIM iteration is far cheaper than
 /// MR's and that YAFIM's iterations get cheaper as the frequent-itemset
 /// levels shrink.
-pub fn fig6() -> String {
+pub(crate) fn fig6() -> String {
     let data = bench_dataset(PaperDataset::Medical, 1.0);
     let clean = |miner| {
         run_clean(
@@ -277,7 +277,7 @@ pub fn fig6() -> String {
 /// Spark-style), MR-Apriori/SPC (k-phase, MapReduce), SON (one-phase,
 /// MapReduce) and PFP (no candidate generation, Spark-style) — the four
 /// corners of the design space the paper's related-work section sketches.
-pub fn compare_miners() -> String {
+pub(crate) fn compare_miners() -> String {
     /// What each row is called: family and decomposition, the design-space
     /// corner the miner stands for.
     const LABELS: [(Miner, &str); 4] = [

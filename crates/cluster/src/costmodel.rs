@@ -117,7 +117,7 @@ impl CostModel {
     }
 
     /// Time to write `bytes` sequentially to a node-local disk.
-    pub fn disk_write(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn disk_write(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs(bytes as f64 / self.disk_write_bw)
     }
 
@@ -130,7 +130,7 @@ impl CostModel {
     }
 
     /// Time to scan `bytes` from the in-memory cache on one core.
-    pub fn mem_scan(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn mem_scan(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs(bytes as f64 / self.mem_scan_bw)
     }
 

@@ -566,14 +566,17 @@ mod tests {
         let m = Metrics::new();
         // A plain advance: job submission overhead → driver.
         m.advance(SimDuration::from_secs(1.0));
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::from_secs(0.5),
-            trailing: SimDuration::from_secs(0.25),
-            tasks: vec![worked_task(0, 0.0, 2.0, 100, 0)],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "s".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::from_secs(0.5),
+                trailing: SimDuration::from_secs(0.25),
+                tasks: vec![worked_task(0, 0.0, 2.0, 100, 0)],
+            },
+            Default::default(),
+        );
         // Trailing driver fetch.
         m.advance(SimDuration::from_secs(0.5));
         let r = assert_sums(&m);
@@ -590,16 +593,19 @@ mod tests {
     #[test]
     fn busy_time_splits_by_profile_weights() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "fetchy".into(),
-            kind: StageKind::Result,
-            shuffle_id: Some(1),
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            // All network bytes are shuffle reads: the busy time should be
-            // dominated by the shuffle_read bucket.
-            tasks: vec![worked_task(0, 0.0, 3.0, 10, 200_000_000)],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "fetchy".into(),
+                kind: StageKind::Result,
+                shuffle_id: Some(1),
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                // All network bytes are shuffle reads: the busy time should be
+                // dominated by the shuffle_read bucket.
+                tasks: vec![worked_task(0, 0.0, 3.0, 10, 200_000_000)],
+            },
+            Default::default(),
+        );
         let r = assert_sums(&m);
         assert!(r.buckets.shuffle_read > r.buckets.compute);
         assert!(r.buckets.shuffle_read > 2.0, "{:?}", r.buckets);
@@ -633,7 +639,7 @@ mod tests {
         let job = m.begin_job("j");
         let start = m.now();
         m.advance(SimDuration::from_secs(0.5)); // job overhead, inside pass 1
-        m.record_stage(stage("s1"));
+        m.record_stage_with_recovery(stage("s1"), Default::default());
         m.end_job(job);
         m.record_pass(1, "items", start, 3, 2);
         m.advance_with_event(SimDuration::from_secs(0.25), EventKind::Projection, "p");
@@ -641,7 +647,7 @@ mod tests {
         m.advance(SimDuration::from_secs(0.25));
         let start = m.now();
         m.advance(SimDuration::from_secs(0.25));
-        m.record_stage(stage("s2"));
+        m.record_stage_with_recovery(stage("s2"), Default::default());
         m.record_pass(2, "trie", start, 1, 1);
         let r = assert_sums(&m);
         assert!((r.makespan - 3.25).abs() < EPS, "a pass adds no time");
@@ -696,17 +702,20 @@ mod tests {
     #[test]
     fn same_hole_without_recovery_is_scheduler_idle() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "gappy".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![
-                worked_task(0, 0.0, 1.0, 10, 0),
-                worked_task(1, 2.0, 1.0, 10, 0),
-            ],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "gappy".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks: vec![
+                    worked_task(0, 0.0, 1.0, 10, 0),
+                    worked_task(1, 2.0, 1.0, 10, 0),
+                ],
+            },
+            Default::default(),
+        );
         let r = assert_sums(&m);
         assert!(
             (r.buckets.scheduler_idle - 1.0).abs() < EPS,
@@ -725,17 +734,20 @@ mod tests {
         });
         // Two tasks but capacity one: the span survives, a task is dropped,
         // forcing the proportional fallback path.
-        m.record_stage(StageExecution {
-            label: "truncated".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::from_secs(2.0),
-            trailing: SimDuration::ZERO,
-            tasks: vec![
-                worked_task(0, 0.0, 1.0, 10, 0),
-                worked_task(1, 0.0, 1.0, 10, 0),
-            ],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "truncated".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::from_secs(2.0),
+                trailing: SimDuration::ZERO,
+                tasks: vec![
+                    worked_task(0, 0.0, 1.0, 10, 0),
+                    worked_task(1, 0.0, 1.0, 10, 0),
+                ],
+            },
+            Default::default(),
+        );
         let r = assert_sums(&m);
         assert!((r.makespan - 3.0).abs() < EPS);
         assert!(r.buckets.compute > 0.0, "{:?}", r.buckets);
@@ -747,14 +759,17 @@ mod tests {
         let mut t = task(0, 0, 0, 0.0, 2.0);
         t.profile.work.add_stall_micros(1_000_000); // 1s of backoff
         t.profile.work.add_cpu(10_000_000); // 1s of CPU at hadoop_era
-        m.record_stage(StageExecution {
-            label: "stalled".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![t],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "stalled".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks: vec![t],
+            },
+            Default::default(),
+        );
         let r = assert_sums(&m);
         assert!(r.buckets.fault_stall > 0.5, "{:?}", r.buckets);
         assert!(r.buckets.compute > 0.5, "{:?}", r.buckets);
@@ -769,14 +784,17 @@ mod tests {
             tasks: 4,
         });
         for i in 0..5 {
-            m.record_stage(StageExecution {
-                label: format!("s{i}"),
-                kind: StageKind::Result,
-                shuffle_id: None,
-                overhead: SimDuration::ZERO,
-                trailing: SimDuration::ZERO,
-                tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
-            });
+            m.record_stage_with_recovery(
+                StageExecution {
+                    label: format!("s{i}"),
+                    kind: StageKind::Result,
+                    shuffle_id: None,
+                    overhead: SimDuration::ZERO,
+                    trailing: SimDuration::ZERO,
+                    tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
+                },
+                Default::default(),
+            );
         }
         let r = assert_sums(&m);
         assert!(r.partial);
@@ -797,14 +815,17 @@ mod tests {
         for i in 0..5 {
             let label = format!("b{i}");
             m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Broadcast, label);
-            m.record_stage(StageExecution {
-                label: format!("s{i}"),
-                kind: StageKind::Result,
-                shuffle_id: None,
-                overhead: SimDuration::ZERO,
-                trailing: SimDuration::ZERO,
-                tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
-            });
+            m.record_stage_with_recovery(
+                StageExecution {
+                    label: format!("s{i}"),
+                    kind: StageKind::Result,
+                    shuffle_id: None,
+                    overhead: SimDuration::ZERO,
+                    trailing: SimDuration::ZERO,
+                    tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
+                },
+                Default::default(),
+            );
         }
         let r = assert_sums(&m);
         assert!(r.partial);
@@ -828,14 +849,17 @@ mod tests {
             }
             tasks.push(t);
         }
-        m.record_stage(StageExecution {
-            label: "skewed".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks,
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "skewed".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks,
+            },
+            Default::default(),
+        );
         let r = assert_sums(&m);
         assert_eq!(r.stages.len(), 1);
         let s = &r.stages[0];
@@ -851,14 +875,17 @@ mod tests {
     #[test]
     fn report_serializes() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::from_secs(0.5),
-            trailing: SimDuration::ZERO,
-            tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "s".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::from_secs(0.5),
+                trailing: SimDuration::ZERO,
+                tasks: vec![worked_task(0, 0.0, 1.0, 10, 0)],
+            },
+            Default::default(),
+        );
         let r = assert_sums(&m);
         let json = r.to_json();
         let parsed = crate::json::parse(&json.to_string()).expect("round-trips");

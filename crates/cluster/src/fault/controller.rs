@@ -241,21 +241,6 @@ impl FaultController {
         true
     }
 
-    /// Nodes whose loss has been *detected* by instant `at` (with a
-    /// heartbeat timeout, detection lags the death itself).
-    pub fn dead_nodes(&self, at: SimInstant) -> Vec<NodeId> {
-        let g = self.inner.lock();
-        let mut dead: Vec<NodeId> = g
-            .losses
-            .iter()
-            .filter(|(_, t)| g.plan.detection_instant(*t) <= at)
-            .map(|(n, _)| *n)
-            .collect();
-        dead.sort_by_key(|n| n.0);
-        dead.dedup();
-        dead
-    }
-
     /// Nodes whose loss is newly detected at `at` and whose data-loss side
     /// effects (cache / shuffle / broadcast invalidation) have not been
     /// applied yet. Marks them applied — each loss is surfaced exactly once.
@@ -340,7 +325,7 @@ impl FaultController {
     /// absolute node-loss instants to the stage-relative clock.
     ///
     /// While the controller is inactive (no plan set, no node killed) this
-    /// *is* [`VirtualScheduler::schedule_detailed`] with no recovery and no
+    /// *is* `VirtualScheduler::schedule_detailed` with no recovery and no
     /// trailing pad, so engines make this one call either way; an installed
     /// but inert plan walks the fault path and reproduces it
     /// placement-for-placement.
@@ -895,8 +880,6 @@ mod tests {
             "already dead"
         );
         assert!(fc.active());
-        assert!(fc.dead_nodes(SimInstant::EPOCH).is_empty());
-        assert_eq!(fc.dead_nodes(SimInstant::from_secs(1.0)), vec![NodeId(2)]);
         // Manual kills are pre-applied: the engine already invalidated data.
         assert!(fc.take_new_losses(SimInstant::from_secs(5.0)).is_empty());
     }
@@ -911,7 +894,6 @@ mod tests {
             vec![NodeId(1)]
         );
         assert!(fc.take_new_losses(SimInstant::from_secs(4.0)).is_empty());
-        assert_eq!(fc.dead_nodes(SimInstant::from_secs(4.0)), vec![NodeId(1)]);
     }
 
     #[test]
@@ -1026,7 +1008,10 @@ mod tests {
             !fc.take_corruption(IntegrityTier::Cache, 1, 0, 0),
             "inert controller never rots"
         );
-        fc.set_plan(FaultPlan::seeded(0).corrupt_block(IntegrityTier::Cache, 1, 0));
+        fc.set_plan(FaultPlan {
+            targeted_corruptions: vec![(IntegrityTier::Cache, 1, 0, 1)],
+            ..FaultPlan::seeded(0)
+        });
         assert!(fc.corrupted(IntegrityTier::Cache, 1, 0, 0));
         assert!(
             fc.take_corruption(IntegrityTier::Cache, 1, 0, 0),

@@ -477,12 +477,6 @@ impl FaultPlan {
         self.normalised()
     }
 
-    /// Poison exactly one copy (the first replica) of the identified block.
-    pub fn corrupt_block(mut self, tier: IntegrityTier, id: u64, partition: usize) -> Self {
-        self.targeted_corruptions.push((tier, id, partition, 1));
-        self
-    }
-
     /// Poison *every* replica of the identified block, leaving no clean
     /// copy at that site — the reader must fall back to lineage or fail.
     pub fn corrupt_all_replicas(mut self, tier: IntegrityTier, id: u64, partition: usize) -> Self {
@@ -500,33 +494,8 @@ impl FaultPlan {
     /// True when the plan constrains or disturbs execution memory: the
     /// memory governor arms itself (and starts charging and counting) only
     /// then, keeping unconstrained timelines byte-identical.
-    pub fn memory_active(&self) -> bool {
+    pub(crate) fn memory_active(&self) -> bool {
         self.oom_prob > 0.0 || self.mem_budget_override.is_some()
-    }
-
-    /// Seed-deterministic OOM decision for one execution-memory acquisition
-    /// attempt. `roll` indexes the acquisition within its task, `site` tags
-    /// the kind of structure being built, and `attempt` is the retry index —
-    /// each retry runs at a doubled memory slice, so the injected
-    /// probability halves per attempt. Pure: the same plan always denies
-    /// the same acquisitions.
-    pub fn oom_roll(
-        &self,
-        stage_key: u64,
-        partition: usize,
-        roll: u64,
-        site: u64,
-        attempt: u32,
-    ) -> bool {
-        crate::memgov::oom_roll_hash(
-            self.seed,
-            self.oom_prob,
-            stage_key,
-            partition,
-            roll,
-            site,
-            attempt,
-        )
     }
 
     /// True when the plan can inject silent corruption anywhere. Readers
@@ -543,7 +512,7 @@ impl FaultPlan {
     /// block: `copy` indexes the replica (0 for single-copy tiers). Pure —
     /// the same plan always rots the same copies; see
     /// [`crate::FaultController::take_corruption`] for the repair-aware wrapper.
-    pub fn corruption_roll(
+    pub(crate) fn corruption_roll(
         &self,
         tier: IntegrityTier,
         id: u64,
@@ -571,7 +540,7 @@ impl FaultPlan {
     /// The virtual instant at which the driver *detects* a death at `death`:
     /// the heartbeat timeout past the victim's last beat, never earlier than
     /// the death itself. With a zero timeout this is `death` exactly.
-    pub fn detection_instant(&self, death: SimInstant) -> SimInstant {
+    pub(crate) fn detection_instant(&self, death: SimInstant) -> SimInstant {
         if self.heartbeat_timeout == SimDuration::ZERO {
             return death;
         }
@@ -856,33 +825,6 @@ mod tests {
         // jitter) and 1.4s (max jitter).
         let secs = out.backoff_micros as f64 / 1e6;
         assert!((0.7..=1.4).contains(&secs), "backoff {secs}s");
-    }
-
-    #[test]
-    fn oom_rolls_are_deterministic_and_halve_per_attempt() {
-        let plan = FaultPlan::seeded(21).inject_oom(0.5);
-        let a: Vec<bool> = (0..64).map(|p| plan.oom_roll(9, p, 0, 1, 0)).collect();
-        let b: Vec<bool> = (0..64).map(|p| plan.oom_roll(9, p, 0, 1, 0)).collect();
-        assert_eq!(a, b, "same plan denies the same acquisitions");
-        assert!(
-            a.iter().any(|x| *x) && a.iter().any(|x| !*x),
-            "mixed at 50%"
-        );
-        // Distinct sites and rolls are independent hash domains.
-        let other_site: Vec<bool> = (0..64).map(|p| plan.oom_roll(9, p, 0, 2, 0)).collect();
-        assert_ne!(a, other_site);
-        // Retry attempts are denied at a halved rate (doubled slice).
-        let denials = |attempt: u32| {
-            (0..4096)
-                .filter(|p| plan.oom_roll(9, *p, 0, 1, attempt))
-                .count()
-        };
-        let (d0, d1) = (denials(0), denials(1));
-        assert!(
-            d1 * 3 < d0 * 2,
-            "attempt 1 should deny roughly half as often: {d0} vs {d1}"
-        );
-        assert!(!FaultPlan::seeded(21).oom_roll(9, 0, 0, 1, 0), "inert");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Default HDFS block size (64 MiB, the Hadoop 1.x default).
-pub const DEFAULT_BLOCK_SIZE: u64 = 64 * 1024 * 1024;
+pub(crate) const DEFAULT_BLOCK_SIZE: u64 = 64 * 1024 * 1024;
 
 /// Errors from the simulated file system.
 #[derive(Clone, Debug, PartialEq, Eq)]

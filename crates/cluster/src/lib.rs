@@ -10,10 +10,10 @@
 //! * **Correctness is real.** Every byte of every dataset is actually parsed,
 //!   hashed, counted and shuffled by the engines built on top of this crate
 //!   ([`yafim-rdd`](https://docs.rs), [`yafim-mapreduce`](https://docs.rs)).
-//! * **Time is virtual.** Each task accumulates [`work::WorkCounters`]
+//! * **Time is virtual.** Each task accumulates [`WorkCounters`]
 //!   (records, CPU units, bytes from disk / memory / network); a
-//!   [`costmodel::CostModel`] converts counters into a virtual duration; and
-//!   [`sched::VirtualScheduler`] list-schedules task durations onto
+//!   [`CostModel`] converts counters into a virtual duration; and
+//!   [`VirtualScheduler`] list-schedules task durations onto
 //!   `nodes × cores` virtual cores to obtain a stage makespan.
 //!
 //! Because counters are exact functions of the data and the scheduler is
@@ -21,45 +21,45 @@
 //!
 //! Modules:
 //!
-//! * [`time`] — virtual time arithmetic ([`time::SimDuration`], [`time::SimInstant`]).
+//! * `time` — virtual time arithmetic ([`SimDuration`], [`SimInstant`]).
 //! * [`spec`] — cluster topology ([`spec::ClusterSpec`], [`spec::NodeId`]).
-//! * [`costmodel`] — calibrated constants ([`costmodel::CostModel`]).
-//! * [`work`] — per-task work counters.
-//! * [`sched`] — the virtual list scheduler.
-//! * [`fault`] — seeded fault injection (crashes, node loss, stragglers) and
+//! * `costmodel` — calibrated constants ([`CostModel`]).
+//! * `work` — per-task work counters.
+//! * `sched` — the virtual list scheduler.
+//! * `fault` — seeded fault injection (crashes, node loss, stragglers) and
 //!   Spark-style recovery scheduling (retries, blacklisting, speculation).
-//! * [`hdfs`] — simulated HDFS with real file contents, blocks and replicas.
-//! * [`metrics`] — the virtual clock, the run's counter tables and its
+//! * `hdfs` — simulated HDFS with real file contents, blocks and replicas.
+//! * `metrics` — the virtual clock, the run's counter tables and its
 //!   record: spans (job → stage → task), passes and driver-side events.
-//! * [`critical`] — critical-path analysis: decompose the makespan into
+//! * `critical` — critical-path analysis: decompose the makespan into
 //!   exhaustive attribution buckets, per pass and in total, plus per-stage
 //!   skew metrics.
-//! * [`manifest`] — versioned machine-readable run manifests for the
+//! * `manifest` — versioned machine-readable run manifests for the
 //!   bench-regression gate.
 //! * [`memgov`] — the unified execution-memory governor: region split,
 //!   per-task budgets, OOM injection and the graceful-degradation ladder.
-//! * [`trace`] — Chrome trace event exporter (Perfetto / chrome://tracing).
-//! * [`report`] — the text view of the record: anomalies, passes, stages.
-//! * [`pool`] — the real worker thread pool used to execute tasks.
+//! * `trace` — Chrome trace event exporter (Perfetto / chrome://tracing).
+//! * `report` — the text view of the record: anomalies, passes, stages.
+//! * `pool` — the real worker thread pool used to execute tasks.
 
-pub mod bytes;
-pub mod costmodel;
-pub mod critical;
-pub mod fault;
-pub mod hash;
-pub mod hdfs;
+mod bytes;
+mod costmodel;
+mod critical;
+mod fault;
+mod hash;
+mod hdfs;
 pub mod json;
-pub mod manifest;
+mod manifest;
 pub mod memgov;
-pub mod metrics;
-pub mod pool;
-pub mod report;
-pub mod sched;
+mod metrics;
+mod pool;
+mod report;
+mod sched;
 pub mod spec;
 pub mod sync;
-pub mod time;
-pub mod trace;
-pub mod work;
+mod time;
+mod trace;
+mod work;
 
 pub use bytes::{slice_bytes, slice_records, ByteSize};
 pub use costmodel::CostModel;
@@ -82,8 +82,7 @@ pub use metrics::{
 pub use pool::ThreadPool;
 pub use report::full_report;
 pub use sched::{
-    DetailedSchedule, HeartbeatMonitor, ScheduleOutcome, SchedulerConfig, TaskPlacement, TaskSpec,
-    VirtualScheduler,
+    DetailedSchedule, ScheduleOutcome, SchedulerConfig, TaskPlacement, TaskSpec, VirtualScheduler,
 };
 pub use spec::{ClusterSpec, NodeId};
 pub use time::{SimDuration, SimInstant};

@@ -66,7 +66,7 @@ pub(crate) fn counter_rows(snap: &MetricsSnapshot) -> impl Iterator<Item = (Stri
 
 impl RunManifest {
     /// The canonical fingerprint over dataset and config JSON.
-    pub fn fingerprint_of(dataset: &JsonValue, config: &JsonValue) -> String {
+    pub(crate) fn fingerprint_of(dataset: &JsonValue, config: &JsonValue) -> String {
         format!("{:016x}", fx_hash64(&format!("{dataset}\u{0}{config}")))
     }
 
@@ -277,21 +277,24 @@ mod tests {
             SimCluster::with_threads(ClusterSpec::new(2, 2, 1 << 30), CostModel::hadoop_era(), 1);
         let mut profile = TaskProfile::new();
         profile.work.add_records_in(100);
-        c.metrics().record_stage(StageExecution {
-            label: "s".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::from_secs(0.5),
-            trailing: SimDuration::ZERO,
-            tasks: vec![TaskExecution {
-                partition: 0,
-                node: NodeId(0),
-                core: 0,
-                start: SimDuration::ZERO,
-                duration: SimDuration::from_secs(1.0),
-                profile,
-            }],
-        });
+        c.metrics().record_stage_with_recovery(
+            StageExecution {
+                label: "s".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::from_secs(0.5),
+                trailing: SimDuration::ZERO,
+                tasks: vec![TaskExecution {
+                    partition: 0,
+                    node: NodeId(0),
+                    core: 0,
+                    start: SimDuration::ZERO,
+                    duration: SimDuration::from_secs(1.0),
+                    profile,
+                }],
+            },
+            Default::default(),
+        );
         c
     }
 

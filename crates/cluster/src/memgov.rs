@@ -171,7 +171,7 @@ impl MemoryBudget {
     /// Per-task cap for retry `attempt`: each retry doubles the slice
     /// (fewer concurrent tasks share the node), saturating at the whole
     /// node's evictable memory.
-    pub fn attempt_cap(&self, attempt: u32) -> u64 {
+    pub(crate) fn attempt_cap(&self, attempt: u32) -> u64 {
         self.per_task_limit
             .saturating_mul(1u64 << attempt.min(20))
             .min(self.node_limit)
@@ -192,43 +192,19 @@ impl MemoryBudget {
 
     /// Pressure-stall charge for pushing `bytes` of cached data out of the
     /// borrowable storage region, in virtual microseconds.
-    pub fn evict_micros(&self, bytes: u64) -> u64 {
+    pub(crate) fn evict_micros(&self, bytes: u64) -> u64 {
         (bytes as f64 * self.evict_micros_per_byte).round() as u64
     }
 }
 
-/// The single OOM-roll hash shared by [`FaultPlan::oom_roll`] and
-/// [`MemoryBudget::oom_roll`]: one formula, one hash domain, no drift.
-pub(crate) fn oom_roll_hash(
-    seed: u64,
-    oom_prob: f64,
-    stage_key: u64,
-    partition: usize,
-    roll: u64,
-    site: u64,
-    attempt: u32,
-) -> bool {
-    let prob = oom_prob * 0.5f64.powi(attempt as i32);
-    if prob <= 0.0 {
-        return false;
-    }
-    let key = (
-        seed,
-        0x006du64, // OOM hash domain
-        stage_key,
-        partition as u64,
-        roll,
-        site,
-        attempt as u64,
-    );
-    let r = (fx_hash64(&key) >> 11) as f64 / (1u64 << 53) as f64;
-    r < prob
-}
-
 impl MemoryBudget {
-    /// Seeded OOM decision — identical to [`FaultPlan::oom_roll`] for the
-    /// plan this budget was built from.
-    pub fn oom_roll(
+    /// Seed-deterministic OOM decision for one execution-memory acquisition
+    /// attempt. `roll` indexes the acquisition within its task, `site` tags
+    /// the kind of structure being built, and `attempt` is the retry index —
+    /// each retry runs at a doubled memory slice, so the injected
+    /// probability halves per attempt. Pure: the same plan always denies
+    /// the same acquisitions.
+    pub(crate) fn oom_roll(
         &self,
         stage_key: u64,
         partition: usize,
@@ -236,15 +212,21 @@ impl MemoryBudget {
         site: u64,
         attempt: u32,
     ) -> bool {
-        oom_roll_hash(
+        let prob = self.oom_prob * 0.5f64.powi(attempt as i32);
+        if prob <= 0.0 {
+            return false;
+        }
+        let key = (
             self.seed,
-            self.oom_prob,
+            0x006du64, // OOM hash domain
             stage_key,
-            partition,
+            partition as u64,
             roll,
             site,
-            attempt,
-        )
+            attempt as u64,
+        );
+        let r = (fx_hash64(&key) >> 11) as f64 / (1u64 << 53) as f64;
+        r < prob
     }
 }
 
@@ -276,7 +258,7 @@ pub struct OomAbort {
 
 /// The deterministic side effects of one reservation, for the caller to
 /// apply to its counters: governor bookkeeping to merge, stall time to
-/// charge ([`crate::critical`] buckets it as `fault_stall`), and spill
+/// charge (the critical path buckets it as `fault_stall`), and spill
 /// bytes to round-trip through local disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemEffect {
@@ -481,6 +463,33 @@ mod tests {
             &plan,
         )
         .expect("armed")
+    }
+
+    #[test]
+    fn oom_rolls_are_deterministic_and_halve_per_attempt() {
+        let budget = budget_of(GIB, 0.5, 4);
+        let a: Vec<bool> = (0..64).map(|p| budget.oom_roll(9, p, 0, 1, 0)).collect();
+        let b: Vec<bool> = (0..64).map(|p| budget.oom_roll(9, p, 0, 1, 0)).collect();
+        assert_eq!(a, b, "same plan denies the same acquisitions");
+        assert!(
+            a.iter().any(|x| *x) && a.iter().any(|x| !*x),
+            "mixed at 50%"
+        );
+        // Distinct sites and rolls are independent hash domains.
+        let other_site: Vec<bool> = (0..64).map(|p| budget.oom_roll(9, p, 0, 2, 0)).collect();
+        assert_ne!(a, other_site);
+        // Retry attempts are denied at a halved rate (doubled slice).
+        let denials = |attempt: u32| {
+            (0..4096)
+                .filter(|p| budget.oom_roll(9, *p, 0, 1, attempt))
+                .count()
+        };
+        let (d0, d1) = (denials(0), denials(1));
+        assert!(
+            d1 * 3 < d0 * 2,
+            "attempt 1 should deny roughly half as often: {d0} vs {d1}"
+        );
+        assert!(!budget_of(GIB, 0.0, 4).oom_roll(9, 0, 0, 1, 0), "inert");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! dropped and counted in [`DropCounts`], never silently (the text report
 //! prints them), and the end of the newest dropped interval is kept so the
 //! critical path can tell lost history from driver time. Engines record
-//! stages through [`Metrics::record_stage`], which advances the clock and
-//! files the stage and its tasks atomically.
+//! stages through [`Metrics::record_stage_with_recovery`], which advances
+//! the clock and files the stage and its tasks atomically.
 
 use crate::fault::{counter_table, RecoveryCounters};
 use crate::spec::NodeId;
@@ -191,8 +191,8 @@ pub struct PassTiming {
 }
 
 /// One task's execution record, as reported by an engine to
-/// [`Metrics::record_stage`]. Times are relative to the start of the stage's
-/// task window (after the stage overhead).
+/// [`Metrics::record_stage_with_recovery`]. Times are relative to the start
+/// of the stage's task window (after the stage overhead).
 #[derive(Clone, Debug)]
 pub struct TaskExecution {
     /// Partition index.
@@ -519,14 +519,9 @@ impl Metrics {
 
     /// Record one executed stage: advances the clock by
     /// `overhead + makespan + trailing`, files the stage span and its task
-    /// spans, and merges the profiles into the aggregates.
+    /// spans, and merges the profiles and the stage's
+    /// failure/retry/speculation counters into the aggregates.
     /// Returns the assigned stage id.
-    pub fn record_stage(&self, exec: StageExecution) -> u64 {
-        self.record_stage_with_recovery(exec, RecoveryCounters::default())
-    }
-
-    /// Like [`Metrics::record_stage`], also attaching the stage's
-    /// failure/retry/speculation counters (merged into the aggregates).
     pub fn record_stage_with_recovery(
         &self,
         exec: StageExecution,
@@ -712,14 +707,17 @@ mod tests {
     fn record_stage_files_all_granularities() {
         let m = Metrics::new();
         let job = m.begin_job("job a");
-        let stage_id = m.record_stage(StageExecution {
-            label: "stage one".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::from_secs(0.5),
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 0, 0, 0.0, 1.0), task(1, 1, 0, 0.0, 2.0)],
-        });
+        let stage_id = m.record_stage_with_recovery(
+            StageExecution {
+                label: "stage one".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::from_secs(0.5),
+                trailing: SimDuration::ZERO,
+                tasks: vec![task(0, 0, 0, 0.0, 1.0), task(1, 1, 0, 0.0, 2.0)],
+            },
+            Default::default(),
+        );
         m.end_job(job);
 
         // Clock: 0.5 overhead + 2.0 makespan.
@@ -752,14 +750,17 @@ mod tests {
     #[test]
     fn trailing_time_extends_the_stage() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "map wave".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::from_secs(3.0),
-            tasks: vec![task(0, 0, 0, 0.0, 1.0)],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "map wave".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::from_secs(3.0),
+                tasks: vec![task(0, 0, 0, 0.0, 1.0)],
+            },
+            Default::default(),
+        );
         assert_eq!(m.now().as_secs(), 4.0);
         assert_eq!(m.stage_spans()[0].duration.as_secs(), 4.0);
     }
@@ -767,28 +768,34 @@ mod tests {
     #[test]
     fn stage_outside_job_gets_job_zero() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "orphan".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 0, 0, 0.0, 1.0)],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "orphan".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks: vec![task(0, 0, 0, 0.0, 1.0)],
+            },
+            Default::default(),
+        );
         assert_eq!(m.stage_spans()[0].job_id, 0);
     }
 
     #[test]
     fn shuffle_stage_keeps_its_identity() {
         let m = Metrics::new();
-        m.record_stage(StageExecution {
-            label: "shuffle 9 map".into(),
-            kind: StageKind::ShuffleMap,
-            shuffle_id: Some(9),
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "shuffle 9 map".into(),
+                kind: StageKind::ShuffleMap,
+                shuffle_id: Some(9),
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks: vec![],
+            },
+            Default::default(),
+        );
         let s = &m.stage_spans()[0];
         assert_eq!(s.kind, StageKind::ShuffleMap);
         assert_eq!(s.shuffle_id, Some(9));
@@ -803,14 +810,17 @@ mod tests {
             tasks: 3,
         });
         for i in 0..5 {
-            m.record_stage(StageExecution {
-                label: format!("s{i}"),
-                kind: StageKind::Result,
-                shuffle_id: None,
-                overhead: SimDuration::ZERO,
-                trailing: SimDuration::ZERO,
-                tasks: vec![task(0, 0, 0, 0.0, 1.0)],
-            });
+            m.record_stage_with_recovery(
+                StageExecution {
+                    label: format!("s{i}"),
+                    kind: StageKind::Result,
+                    shuffle_id: None,
+                    overhead: SimDuration::ZERO,
+                    trailing: SimDuration::ZERO,
+                    tasks: vec![task(0, 0, 0, 0.0, 1.0)],
+                },
+                Default::default(),
+            );
         }
         let d = m.dropped();
         let expected = DropCounts {
@@ -833,14 +843,17 @@ mod tests {
         let m = Metrics::new();
         let outer = m.begin_job("outer");
         let inner = m.begin_job("inner");
-        m.record_stage(StageExecution {
-            label: "s".into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![task(0, 0, 0, 0.0, 1.0)],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "s".into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks: vec![task(0, 0, 0, 0.0, 1.0)],
+            },
+            Default::default(),
+        );
         m.end_job(inner);
         m.end_job(outer);
         assert_eq!(m.stage_spans()[0].job_id, inner);

@@ -319,14 +319,17 @@ mod tests {
     #[test]
     fn stage_table_has_distribution_and_cache_columns() {
         let m = Metrics::new();
-        m.record_stage(stage(
-            "count rdd2",
-            vec![
-                task(0, 1.0, shuffle_profile()),
-                task(1, 2.0, TaskProfile::new()),
-                task(2, 4.0, TaskProfile::new()),
-            ],
-        ));
+        m.record_stage_with_recovery(
+            stage(
+                "count rdd2",
+                vec![
+                    task(0, 1.0, shuffle_profile()),
+                    task(1, 2.0, TaskProfile::new()),
+                    task(2, 4.0, TaskProfile::new()),
+                ],
+            ),
+            Default::default(),
+        );
         let table = report(&m);
         assert!(table.contains("count rdd2"), "{table}");
         assert!(table.contains("2.00s"), "p50: {table}");
@@ -343,7 +346,10 @@ mod tests {
     #[test]
     fn totals_include_record_and_materialization_counters() {
         let m = Metrics::new();
-        m.record_stage(stage("s", vec![task(0, 1.0, shuffle_profile())]));
+        m.record_stage_with_recovery(
+            stage("s", vec![task(0, 1.0, shuffle_profile())]),
+            Default::default(),
+        );
         let report = report(&m);
         assert!(report.contains("records read 12.5k"), "{report}");
         assert!(report.contains("records written 777"), "{report}");
@@ -354,7 +360,10 @@ mod tests {
     fn pass_table_has_a_row_per_pass_then_outside_and_total() {
         let m = Metrics::new();
         let start = m.now();
-        m.record_stage(stage("s1", vec![task(0, 2.0, shuffle_profile())]));
+        m.record_stage_with_recovery(
+            stage("s1", vec![task(0, 2.0, shuffle_profile())]),
+            Default::default(),
+        );
         m.record_pass(1, "items", start, 7, 5);
         m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Projection, "p");
         let start = m.now();
@@ -427,7 +436,10 @@ mod tests {
     #[test]
     fn a_clean_run_has_no_anomaly_line() {
         let m = Metrics::new();
-        m.record_stage(stage("clean", vec![task(0, 1.0, TaskProfile::new())]));
+        m.record_stage_with_recovery(
+            stage("clean", vec![task(0, 1.0, TaskProfile::new())]),
+            Default::default(),
+        );
         let text = report(&m);
         assert!(text.starts_with("== Passes ==\n"), "{text}");
         assert!(!text.contains("anomalies"), "{text}");

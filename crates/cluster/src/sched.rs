@@ -31,11 +31,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Default locality wait before a task gives up on its preferred node.
-pub const DEFAULT_LOCALITY_WAIT: f64 = 0.3;
+pub(crate) const DEFAULT_LOCALITY_WAIT: f64 = 0.3;
 
 /// Default share of a node's memory given to the storage (cache) region —
 /// the `* 6 / 10` the cache manager has always used.
-pub const DEFAULT_STORAGE_FRACTION: f64 = 0.6;
+pub(crate) const DEFAULT_STORAGE_FRACTION: f64 = 0.6;
 
 /// Tunable scheduler behavior, attached to a `SimCluster`.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,7 +70,7 @@ impl Default for SchedulerConfig {
 /// (where a planned loss was visible the instant it happened) with what a
 /// real driver can actually observe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HeartbeatMonitor {
+pub(crate) struct HeartbeatMonitor {
     interval: SimDuration,
     timeout: SimDuration,
 }
@@ -79,7 +79,7 @@ impl HeartbeatMonitor {
     /// A monitor with the given beat interval and missed-beat timeout.
     /// The interval must be positive; the timeout may be zero (detection
     /// at the last beat plus nothing — clamped to the death itself).
-    pub fn new(interval: SimDuration, timeout: SimDuration) -> Self {
+    pub(crate) fn new(interval: SimDuration, timeout: SimDuration) -> Self {
         assert!(
             interval > SimDuration::ZERO,
             "heartbeat interval must be positive"
@@ -87,19 +87,9 @@ impl HeartbeatMonitor {
         HeartbeatMonitor { interval, timeout }
     }
 
-    /// Beat interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// Missed-beat timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
-    }
-
     /// Instant of the last heartbeat a node dying at `death` managed to
     /// send: the latest beat at or before the death.
-    pub fn last_beat(&self, death: SimInstant) -> SimInstant {
+    pub(crate) fn last_beat(&self, death: SimInstant) -> SimInstant {
         let beats = (death.as_secs() / self.interval.as_secs()).floor();
         SimInstant::from_secs(beats * self.interval.as_secs())
     }
@@ -107,7 +97,7 @@ impl HeartbeatMonitor {
     /// Instant the driver declares a node dying at `death` lost: `timeout`
     /// past its last beat, clamped to never precede the death itself (the
     /// driver cannot know about a failure before it happens).
-    pub fn detection_instant(&self, death: SimInstant) -> SimInstant {
+    pub(crate) fn detection_instant(&self, death: SimInstant) -> SimInstant {
         (self.last_beat(death) + self.timeout).max(death)
     }
 }
@@ -195,7 +185,7 @@ impl VirtualScheduler {
 
     /// A scheduler with an explicit locality wait (`SimDuration::ZERO`
     /// disables locality entirely; a very large value pins tasks strictly).
-    pub fn with_locality_wait(spec: ClusterSpec, locality_wait: SimDuration) -> Self {
+    pub(crate) fn with_locality_wait(spec: ClusterSpec, locality_wait: SimDuration) -> Self {
         VirtualScheduler {
             spec,
             locality_wait,
@@ -227,7 +217,7 @@ impl VirtualScheduler {
 
     /// Like [`VirtualScheduler::schedule`], also reporting where and when
     /// each task ran — the raw material for per-task spans and traces.
-    pub fn schedule_detailed(&self, tasks: &[TaskSpec]) -> DetailedSchedule {
+    pub(crate) fn schedule_detailed(&self, tasks: &[TaskSpec]) -> DetailedSchedule {
         let cores_per_node = self.spec.cores_per_node as usize;
         let total_cores = self.spec.nodes as usize * cores_per_node;
 

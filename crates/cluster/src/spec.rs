@@ -79,7 +79,7 @@ impl ClusterSpec {
     }
 
     /// Iterate over all node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+    pub(crate) fn node_ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes).map(NodeId)
     }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::PoisonError;
 
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutex whose `lock` never returns a `Result` (poison-transparent).
 #[derive(Default, Debug)]
@@ -29,21 +29,21 @@ impl<T> Mutex<T> {
 
 /// A reader-writer lock whose guards are poison-transparent.
 #[derive(Default, Debug)]
-pub struct RwLock<T>(std::sync::RwLock<T>);
+pub(crate) struct RwLock<T>(std::sync::RwLock<T>);
 
 impl<T> RwLock<T> {
     /// Wrap a value.
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         RwLock(std::sync::RwLock::new(value))
     }
 
     /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, T> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -51,21 +51,21 @@ impl<T> RwLock<T> {
 /// Condition variable paired with [`Mutex`]; `wait` consumes and returns the
 /// guard (std style).
 #[derive(Default, Debug)]
-pub struct Condvar(std::sync::Condvar);
+pub(crate) struct Condvar(std::sync::Condvar);
 
 impl Condvar {
     /// A fresh condition variable.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Condvar(std::sync::Condvar::new())
     }
 
     /// Block until notified, releasing the lock while waiting.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    pub(crate) fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         self.0.wait(guard).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Wake every waiting thread.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         self.0.notify_all();
     }
 }

@@ -97,7 +97,7 @@ fn profile_args(p: &TaskProfile) -> Vec<(&'static str, JsonValue)> {
 ///
 /// `spec` supplies the node/core topology for the process and thread
 /// metadata rows.
-pub fn chrome_trace_value(metrics: &Metrics, spec: &ClusterSpec) -> JsonValue {
+pub(crate) fn chrome_trace_value(metrics: &Metrics, spec: &ClusterSpec) -> JsonValue {
     let mut events = Vec::new();
 
     // Metadata: driver process and its tracks.
@@ -255,31 +255,34 @@ mod tests {
     fn sample_metrics() -> Metrics {
         let m = Metrics::new();
         let job = m.begin_job("collect rdd3");
-        m.record_stage(StageExecution {
-            label: "shuffle 0 map".into(),
-            kind: StageKind::ShuffleMap,
-            shuffle_id: Some(0),
-            overhead: SimDuration::from_secs(0.1),
-            trailing: SimDuration::ZERO,
-            tasks: vec![
-                TaskExecution {
-                    partition: 0,
-                    node: NodeId(0),
-                    core: 0,
-                    start: SimDuration::ZERO,
-                    duration: SimDuration::from_secs(1.0),
-                    profile: TaskProfile::new(),
-                },
-                TaskExecution {
-                    partition: 1,
-                    node: NodeId(1),
-                    core: 1,
-                    start: SimDuration::ZERO,
-                    duration: SimDuration::from_secs(2.0),
-                    profile: TaskProfile::new(),
-                },
-            ],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: "shuffle 0 map".into(),
+                kind: StageKind::ShuffleMap,
+                shuffle_id: Some(0),
+                overhead: SimDuration::from_secs(0.1),
+                trailing: SimDuration::ZERO,
+                tasks: vec![
+                    TaskExecution {
+                        partition: 0,
+                        node: NodeId(0),
+                        core: 0,
+                        start: SimDuration::ZERO,
+                        duration: SimDuration::from_secs(1.0),
+                        profile: TaskProfile::new(),
+                    },
+                    TaskExecution {
+                        partition: 1,
+                        node: NodeId(1),
+                        core: 1,
+                        start: SimDuration::ZERO,
+                        duration: SimDuration::from_secs(2.0),
+                        profile: TaskProfile::new(),
+                    },
+                ],
+            },
+            Default::default(),
+        );
         m.end_job(job);
         m
     }
@@ -429,21 +432,24 @@ mod tests {
         let hostile = "quote:\" backslash:\\ newline:\n tab:\t ctrl:\u{1} unicode:\u{2603}";
         let m = Metrics::new();
         let job = m.begin_job(hostile);
-        m.record_stage(StageExecution {
-            label: hostile.into(),
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: SimDuration::ZERO,
-            tasks: vec![TaskExecution {
-                partition: 0,
-                node: NodeId(0),
-                core: 0,
-                start: SimDuration::ZERO,
-                duration: SimDuration::from_secs(1.0),
-                profile: TaskProfile::new(),
-            }],
-        });
+        m.record_stage_with_recovery(
+            StageExecution {
+                label: hostile.into(),
+                kind: StageKind::Result,
+                shuffle_id: None,
+                overhead: SimDuration::ZERO,
+                trailing: SimDuration::ZERO,
+                tasks: vec![TaskExecution {
+                    partition: 0,
+                    node: NodeId(0),
+                    core: 0,
+                    start: SimDuration::ZERO,
+                    duration: SimDuration::from_secs(1.0),
+                    profile: TaskProfile::new(),
+                }],
+            },
+            Default::default(),
+        );
         m.end_job(job);
         let spec = ClusterSpec::new(2, 2, 1 << 30);
         let text = chrome_trace(&m, &spec);

@@ -89,7 +89,7 @@ fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::{apriori, SequentialConfig};
+    use crate::sequential::apriori;
 
     fn toy() -> Vec<Vec<Item>> {
         vec![vec![1, 3, 4], vec![2, 3, 5], vec![1, 2, 3, 5], vec![2, 5]]
@@ -106,7 +106,7 @@ mod tests {
     fn agrees_with_apriori_on_toy() {
         for sup in [1u64, 2, 3] {
             let e = eclat(&toy(), Support::Count(sup));
-            let a = apriori(&toy(), &SequentialConfig::new(Support::Count(sup)));
+            let a = apriori(&toy(), Support::Count(sup));
             assert_eq!(e, a, "support {sup}");
         }
     }

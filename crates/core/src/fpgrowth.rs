@@ -193,7 +193,7 @@ fn mine(
 mod tests {
     use super::*;
     use crate::eclat::eclat;
-    use crate::sequential::{apriori, SequentialConfig};
+    use crate::sequential::apriori;
 
     fn toy() -> Vec<Vec<Item>> {
         vec![vec![1, 3, 4], vec![2, 3, 5], vec![1, 2, 3, 5], vec![2, 5]]
@@ -203,7 +203,7 @@ mod tests {
     fn agrees_with_apriori_and_eclat() {
         for sup in [1u64, 2, 3] {
             let f = fp_growth(&toy(), Support::Count(sup));
-            let a = apriori(&toy(), &SequentialConfig::new(Support::Count(sup)));
+            let a = apriori(&toy(), Support::Count(sup));
             let e = eclat(&toy(), Support::Count(sup));
             assert_eq!(f, a, "vs apriori, support {sup}");
             assert_eq!(f, e, "vs eclat, support {sup}");
@@ -225,7 +225,7 @@ mod tests {
             vec![1, 2, 3],
         ];
         let r = fp_growth(&tx, Support::Count(2));
-        let a = apriori(&tx, &SequentialConfig::new(Support::Count(2)));
+        let a = apriori(&tx, Support::Count(2));
         assert_eq!(r, a);
         assert_eq!(r.support_of(&Itemset::new(vec![1, 2, 5])), Some(2));
         assert_eq!(r.support_of(&Itemset::new(vec![1, 2, 3])), Some(2));

@@ -40,9 +40,9 @@ use crate::types::{Item, Itemset};
 use yafim_cluster::{fx_hash64, ByteSize, FxHashSet};
 
 /// Default fan-out of interior nodes.
-pub const DEFAULT_BRANCHING: usize = 8;
+pub(crate) const DEFAULT_BRANCHING: usize = 8;
 /// Default maximum candidates per leaf before it splits.
-pub const DEFAULT_MAX_LEAF: usize = 16;
+pub(crate) const DEFAULT_MAX_LEAF: usize = 16;
 
 /// While the tree is laid out, a node reference with this bit set is a leaf
 /// number; clear, it is an interior node's id.

@@ -5,15 +5,15 @@
 //!
 //! The engine types ([`Yafim`], [`MrApriori`], [`Son`], [`Pfp`]) and the free
 //! functions ([`apriori`], [`eclat`], [`fp_growth`]) stay public for callers
-//! that set a non-default field (`max_passes`, `split_size`, `pool`, an
-//! `RddConfig`); [`Miner::mine`] runs each with its defaults.
+//! that set what [`Miner::mine`] leaves at its default: a `max_passes`,
+//! MR-Apriori's variant or matching, or an `RddConfig`.
 
 use crate::eclat::eclat;
 use crate::fpgrowth::fp_growth;
 use crate::mrapriori::{MrApriori, MrAprioriConfig};
-use crate::pfp::{Pfp, PfpConfig};
-use crate::sequential::{apriori, SequentialConfig};
-use crate::son::{Son, SonConfig};
+use crate::pfp::Pfp;
+use crate::sequential::apriori;
+use crate::son::Son;
 use crate::types::{parse_transaction, MinerRun, MiningResult, Support};
 use crate::yafim::{Phase2Plan, Yafim, YafimConfig};
 use yafim_cluster::{DfsError, ExecError, SimCluster};
@@ -154,7 +154,7 @@ impl Miner {
     /// already holds the transactions; `None` when it needs a cluster.
     pub fn in_memory(self) -> Option<fn(&[Transaction], Support) -> MiningResult> {
         match self {
-            Miner::Sequential => Some(|tx, support| apriori(tx, &SequentialConfig::new(support))),
+            Miner::Sequential => Some(apriori),
             Miner::Eclat => Some(eclat),
             Miner::FpGrowth => Some(fp_growth),
             Miner::Spark(_) | Miner::MapReduce | Miner::Son | Miner::Pfp => None,
@@ -185,8 +185,8 @@ impl Miner {
             Miner::MapReduce => {
                 MrApriori::new(cluster.clone(), MrAprioriConfig::new(support)).mine(input)
             }
-            Miner::Son => Son::new(cluster.clone(), SonConfig::new(support)).mine(input),
-            Miner::Pfp => Pfp::new(ctx(), PfpConfig::new(support)).mine(input),
+            Miner::Son => Son::new(cluster.clone(), support).mine(input),
+            Miner::Pfp => Pfp::new(ctx(), support).mine(input),
             Miner::Sequential | Miner::Eclat | Miner::FpGrowth => {
                 let file = cluster.hdfs().get(input)?;
                 let transactions: Vec<Transaction> =

@@ -233,10 +233,6 @@ pub enum MrVariant {
 pub struct MrAprioriConfig {
     /// Minimum support threshold.
     pub min_support: Support,
-    /// Reduce tasks per job (0 = one per virtual core).
-    pub reduce_tasks: usize,
-    /// Input split size override (None = HDFS block-sized splits).
-    pub split_size: Option<u64>,
     /// Stop after this many passes (0 = run to fixpoint).
     pub max_passes: usize,
     /// Job-combining scheme.
@@ -250,8 +246,6 @@ impl MrAprioriConfig {
     pub fn new(min_support: Support) -> Self {
         MrAprioriConfig {
             min_support,
-            reduce_tasks: 0,
-            split_size: None,
             max_passes: 0,
             variant: MrVariant::Spc,
             matching: MrMatching::HashTree,
@@ -304,8 +298,6 @@ impl MrApriori {
             },
         )
         .with_combiner(|a, b| a + b)
-        .with_reduce_tasks(self.config.reduce_tasks)
-        .with_split_size(self.config.split_size)
         .with_output(
             format!("{input}.L1"),
             Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")),
@@ -364,9 +356,7 @@ impl MrApriori {
                 level_candidates,
                 self.config.matching,
                 min_sup,
-            )
-            .with_reduce_tasks(self.config.reduce_tasks)
-            .with_split_size(self.config.split_size);
+            );
             let result = self.runner.run(job)?;
 
             // Split the job's output back into per-length levels.
@@ -440,7 +430,7 @@ impl MrApriori {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::{apriori, SequentialConfig};
+    use crate::sequential::apriori;
     use crate::types::Item;
     use yafim_cluster::{bucket_of, fx_hash64, ClusterSpec, CostModel};
 
@@ -468,7 +458,7 @@ mod tests {
         let run = MrApriori::new(c, MrAprioriConfig::new(Support::Count(2)))
             .mine(&path)
             .unwrap();
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let seq = apriori(&toy(), Support::Count(2));
         assert_eq!(run.result, seq);
         assert_eq!(
             run.passes.len(),
@@ -533,7 +523,7 @@ mod tests {
             max_candidates: 100,
         };
         let dpc = MrApriori::new(c, cfg).mine(&path).unwrap();
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let seq = apriori(&toy(), Support::Count(2));
         assert_eq!(dpc.result, seq);
     }
 

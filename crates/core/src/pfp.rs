@@ -29,54 +29,28 @@ use crate::types::{
 use yafim_cluster::FxHashMap;
 use yafim_rdd::{Context, Rdd};
 
-/// Options for a PFP run.
-#[derive(Clone, Debug)]
-pub struct PfpConfig {
-    /// Minimum support threshold.
-    pub min_support: Support,
-    /// Number of item groups (0 = one per default-parallelism slot, capped
-    /// by the frequent-item count).
-    pub groups: usize,
-    /// Minimum partitions for the transactions RDD (0 = context default).
-    pub min_partitions: usize,
-}
-
-impl PfpConfig {
-    /// Defaults: automatic group count, default parallelism.
-    pub fn new(min_support: Support) -> Self {
-        PfpConfig {
-            min_support,
-            groups: 0,
-            min_partitions: 0,
-        }
-    }
-}
-
-/// The PFP miner bound to one driver [`Context`].
+/// The PFP miner bound to one driver [`Context`]. The transactions RDD has
+/// the context's default parallelism in partitions, and the frequent items
+/// fall into as many groups, capped by their count.
 pub struct Pfp {
     ctx: Context,
-    config: PfpConfig,
+    min_support: Support,
 }
 
 impl Pfp {
-    /// A miner over `ctx` with `config`.
-    pub fn new(ctx: Context, config: PfpConfig) -> Self {
-        Pfp { ctx, config }
+    /// A miner over `ctx` at `min_support`.
+    pub fn new(ctx: Context, min_support: Support) -> Self {
+        Pfp { ctx, min_support }
     }
 
     /// Mine the text dataset at `input` on simulated HDFS.
     pub fn mine(&self, input: &str) -> Result<MinerRun, MineError> {
         let ctx = &self.ctx;
-        let partitions = if self.config.min_partitions == 0 {
-            ctx.config().default_parallelism
-        } else {
-            self.config.min_partitions
-        };
         let file = ctx.cluster().hdfs().get(input)?;
-        let min_sup = self.config.min_support.resolve(file.num_lines() as u64);
+        let min_sup = self.min_support.resolve(file.num_lines() as u64);
 
         let transactions: Rdd<Vec<Item>> = ctx
-            .text_file(input, partitions)?
+            .text_file(input, ctx.config().default_parallelism)?
             .map(|line| parse_transaction(&line))
             .cache();
         // A typed refusal releases the cached input as a finished run does.
@@ -120,11 +94,7 @@ impl Pfp {
             });
         }
 
-        let groups = if self.config.groups == 0 {
-            ctx.config().default_parallelism.min(ranking.len()).max(1)
-        } else {
-            self.config.groups.min(ranking.len()).max(1)
-        } as u32;
+        let groups = ctx.config().default_parallelism.min(ranking.len()).max(1) as u32;
 
         // ---- step 2+3: group-dependent shards ----
         let mine_start = metrics.now();
@@ -199,9 +169,9 @@ impl Pfp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::{apriori, SequentialConfig};
+    use crate::sequential::apriori;
     use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
-    use yafim_rdd::Context;
+    use yafim_rdd::{Context, RddConfig};
 
     fn ctx() -> Context {
         Context::new(SimCluster::with_threads(
@@ -228,23 +198,24 @@ mod tests {
     fn pfp_matches_sequential_on_toy() {
         let c = ctx();
         let path = put(&c, &toy());
-        let run = Pfp::new(c, PfpConfig::new(Support::Count(2)))
-            .mine(&path)
-            .unwrap();
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let run = Pfp::new(c, Support::Count(2)).mine(&path).unwrap();
+        let seq = apriori(&toy(), Support::Count(2));
         assert_eq!(run.result, seq);
     }
 
     #[test]
     fn pfp_group_count_does_not_change_results() {
         let tx: Vec<Vec<u32>> = toy().into_iter().cycle().take(60).collect();
-        let seq = apriori(&tx, &SequentialConfig::new(Support::Fraction(0.4)));
+        let seq = apriori(&tx, Support::Fraction(0.4));
         for groups in [1usize, 2, 3, 7] {
-            let c = ctx();
+            let cluster = ctx().cluster().clone();
+            let config = RddConfig {
+                default_parallelism: groups,
+                ..RddConfig::for_cluster(&cluster)
+            };
+            let c = Context::with_config(cluster, config);
             let path = put(&c, &tx);
-            let mut cfg = PfpConfig::new(Support::Fraction(0.4));
-            cfg.groups = groups;
-            let run = Pfp::new(c, cfg).mine(&path).unwrap();
+            let run = Pfp::new(c, Support::Fraction(0.4)).mine(&path).unwrap();
             assert_eq!(run.result, seq, "groups = {groups}");
         }
     }
@@ -253,9 +224,7 @@ mod tests {
     fn nothing_frequent() {
         let c = ctx();
         let path = put(&c, &toy());
-        let run = Pfp::new(c, PfpConfig::new(Support::Count(50)))
-            .mine(&path)
-            .unwrap();
+        let run = Pfp::new(c, Support::Count(50)).mine(&path).unwrap();
         assert_eq!(run.result.total(), 0);
     }
 
@@ -265,7 +234,7 @@ mod tests {
         let path = put(&c, &toy());
         let plan = yafim_cluster::FaultPlan::seeded(5).crash_tasks(1.0);
         c.cluster().faults().set_plan(plan);
-        let err = Pfp::new(c.clone(), PfpConfig::new(Support::Count(2)))
+        let err = Pfp::new(c.clone(), Support::Count(2))
             .mine(&path)
             .expect_err("every attempt crashes");
         assert!(matches!(err, MineError::Exec(_)), "{err}");

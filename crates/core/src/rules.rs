@@ -23,46 +23,27 @@ pub struct Rule {
     pub lift: f64,
 }
 
-/// Options for rule generation.
-#[derive(Clone, Copy, Debug)]
-pub struct RuleConfig {
-    /// Keep only rules with at least this confidence.
-    pub min_confidence: f64,
-    /// Keep only rules whose consequent has at most this many items
-    /// (0 = unlimited).
-    pub max_consequent_len: usize,
-}
-
-impl RuleConfig {
-    /// Rules at or above `min_confidence`, any consequent size.
-    pub fn new(min_confidence: f64) -> Self {
-        RuleConfig {
-            min_confidence,
-            max_consequent_len: 0,
-        }
-    }
-}
-
-/// Generate all rules meeting `config` from `result`, which must have been
-/// mined over `n_transactions` transactions (for lift). Rules are sorted by
-/// descending confidence, then descending support, then antecedent.
+/// Generate every rule at or above `min_confidence` from `result`, which
+/// must have been mined over `n_transactions` transactions (for lift). Rules
+/// are sorted by descending confidence, then descending support, then
+/// antecedent.
 ///
 /// Panics if a frequent itemset is longer than 20 items (the subset
 /// enumeration is bitmask-based; real FIM results are far shorter).
 ///
 /// ```
-/// use yafim_core::{apriori, generate_rules, RuleConfig, SequentialConfig, Support};
+/// use yafim_core::{apriori, generate_rules, Support};
 ///
 /// let tx = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
-/// let result = apriori(&tx, &SequentialConfig::new(Support::Count(2)));
-/// let rules = generate_rules(&result, tx.len() as u64, &RuleConfig::new(0.9));
+/// let result = apriori(&tx, Support::Count(2));
+/// let rules = generate_rules(&result, tx.len() as u64, 0.9);
 /// // {2} ⇒ {1} holds with confidence 1.0 (2 always co-occurs with 1).
 /// assert!(rules.iter().any(|r| r.to_string().starts_with("{2} => {1}")));
 /// ```
 pub fn generate_rules(
     result: &MiningResult,
     n_transactions: u64,
-    config: &RuleConfig,
+    min_confidence: f64,
 ) -> Vec<Rule> {
     let mut rules = Vec::new();
     for (set, support) in result.iter() {
@@ -83,9 +64,6 @@ pub fn generate_rules(
                     cons.push(item);
                 }
             }
-            if config.max_consequent_len != 0 && cons.len() > config.max_consequent_len {
-                continue;
-            }
             let ante = Itemset::from_sorted(ante);
             let cons = Itemset::from_sorted(cons);
             let ante_sup = result
@@ -95,7 +73,7 @@ pub fn generate_rules(
                 .support_of(&cons)
                 .expect("subsets of frequent itemsets are frequent");
             let confidence = *support as f64 / ante_sup as f64;
-            if confidence + 1e-12 < config.min_confidence {
+            if confidence + 1e-12 < min_confidence {
                 continue;
             }
             let lift = confidence / (cons_sup as f64 / n_transactions as f64);
@@ -132,21 +110,18 @@ impl std::fmt::Display for Rule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::{apriori, SequentialConfig};
+    use crate::sequential::apriori;
     use crate::types::Support;
 
     fn toy_result() -> (MiningResult, u64) {
         let tx = vec![vec![1, 3, 4], vec![2, 3, 5], vec![1, 2, 3, 5], vec![2, 5]];
-        (
-            apriori(&tx, &SequentialConfig::new(Support::Count(2))),
-            tx.len() as u64,
-        )
+        (apriori(&tx, Support::Count(2)), tx.len() as u64)
     }
 
     #[test]
     fn known_confidences() {
         let (r, n) = toy_result();
-        let rules = generate_rules(&r, n, &RuleConfig::new(0.0));
+        let rules = generate_rules(&r, n, 0.0);
         // {2} ⇒ {5}: sup({2,5})=3, sup({2})=3 → confidence 1.0.
         let rule = rules
             .iter()
@@ -161,8 +136,8 @@ mod tests {
     #[test]
     fn min_confidence_filters() {
         let (r, n) = toy_result();
-        let all = generate_rules(&r, n, &RuleConfig::new(0.0));
-        let strict = generate_rules(&r, n, &RuleConfig::new(1.0));
+        let all = generate_rules(&r, n, 0.0);
+        let strict = generate_rules(&r, n, 1.0);
         assert!(strict.len() < all.len());
         assert!(strict.iter().all(|r| r.confidence >= 1.0 - 1e-12));
     }
@@ -170,7 +145,7 @@ mod tests {
     #[test]
     fn rules_come_from_itemsets_of_len_2_plus() {
         let (r, n) = toy_result();
-        let rules = generate_rules(&r, n, &RuleConfig::new(0.0));
+        let rules = generate_rules(&r, n, 0.0);
         for rule in &rules {
             assert!(!rule.antecedent.is_empty());
             assert!(!rule.consequent.is_empty());
@@ -188,20 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn max_consequent_len_respected() {
-        let (r, n) = toy_result();
-        let cfg = RuleConfig {
-            min_confidence: 0.0,
-            max_consequent_len: 1,
-        };
-        let rules = generate_rules(&r, n, &cfg);
-        assert!(rules.iter().all(|r| r.consequent.len() == 1));
-    }
-
-    #[test]
     fn sorted_by_confidence_desc() {
         let (r, n) = toy_result();
-        let rules = generate_rules(&r, n, &RuleConfig::new(0.0));
+        let rules = generate_rules(&r, n, 0.0);
         for w in rules.windows(2) {
             assert!(w[0].confidence >= w[1].confidence - 1e-12);
         }
@@ -210,7 +174,7 @@ mod tests {
     #[test]
     fn display_is_readable() {
         let (r, n) = toy_result();
-        let rules = generate_rules(&r, n, &RuleConfig::new(1.0));
+        let rules = generate_rules(&r, n, 1.0);
         let s = rules[0].to_string();
         assert!(s.contains("=>"), "{s}");
         assert!(s.contains("conf=1.00"), "{s}");

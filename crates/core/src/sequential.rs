@@ -10,37 +10,18 @@ use crate::hashtree::{HashTree, MatchScratch};
 use crate::types::{Item, Itemset, MiningResult, Support};
 use yafim_cluster::FxHashMap;
 
-/// Options for the sequential miner.
-#[derive(Clone, Debug)]
-pub struct SequentialConfig {
-    /// Minimum support threshold.
-    pub min_support: Support,
-    /// Stop after this many passes (0 = run to fixpoint).
-    pub max_passes: usize,
-}
-
-impl SequentialConfig {
-    /// Run to fixpoint with the given support.
-    pub fn new(min_support: Support) -> Self {
-        SequentialConfig {
-            min_support,
-            max_passes: 0,
-        }
-    }
-}
-
 /// Mine all frequent itemsets of `transactions` (each a sorted item slice).
 ///
 /// ```
-/// use yafim_core::{apriori, Itemset, SequentialConfig, Support};
+/// use yafim_core::{apriori, Itemset, Support};
 ///
 /// let tx = vec![vec![1, 3, 4], vec![2, 3, 5], vec![1, 2, 3, 5], vec![2, 5]];
-/// let result = apriori(&tx, &SequentialConfig::new(Support::Count(2)));
+/// let result = apriori(&tx, Support::Count(2));
 /// assert_eq!(result.level_sizes(), vec![4, 4, 1]);
 /// assert_eq!(result.support_of(&Itemset::new(vec![2, 3, 5])), Some(2));
 /// ```
-pub fn apriori(transactions: &[Vec<Item>], config: &SequentialConfig) -> MiningResult {
-    let min_sup = config.min_support.resolve(transactions.len() as u64);
+pub fn apriori(transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
+    let min_sup = min_support.resolve(transactions.len() as u64);
     let mut levels: Vec<Vec<(Itemset, u64)>> = Vec::new();
 
     // Pass 1: frequent items by direct counting.
@@ -62,11 +43,7 @@ pub fn apriori(transactions: &[Vec<Item>], config: &SequentialConfig) -> MiningR
     levels.push(l1);
 
     // Passes k ≥ 2: generate candidates, count with the hash tree, filter.
-    let mut pass = 1usize;
     loop {
-        if config.max_passes != 0 && pass >= config.max_passes {
-            break;
-        }
         let prev: Vec<Itemset> = levels
             .last()
             .expect("at least L1 exists")
@@ -97,7 +74,6 @@ pub fn apriori(transactions: &[Vec<Item>], config: &SequentialConfig) -> MiningR
         }
         lk.sort_by(|a, b| a.0.cmp(&b.0));
         levels.push(lk);
-        pass += 1;
     }
 
     MiningResult::from_levels(levels)
@@ -148,7 +124,7 @@ mod tests {
 
     #[test]
     fn toy_dataset_known_answer() {
-        let r = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let r = apriori(&toy(), Support::Count(2));
         assert_eq!(r.level_sizes(), vec![4, 4, 1]);
         assert_eq!(r.support_of(&Itemset::new(vec![2, 3, 5])), Some(2));
         assert_eq!(r.support_of(&Itemset::new(vec![1, 3])), Some(2));
@@ -167,7 +143,7 @@ mod tests {
             vec![1, 2],
         ];
         for sup in [2u64, 3, 4] {
-            let a = apriori(&tx, &SequentialConfig::new(Support::Count(sup)));
+            let a = apriori(&tx, Support::Count(sup));
             let b = brute_force(&tx, Support::Count(sup), 6);
             assert_eq!(a, b, "min support {sup}");
         }
@@ -175,41 +151,29 @@ mod tests {
 
     #[test]
     fn empty_database() {
-        let r = apriori(&[], &SequentialConfig::new(Support::Count(1)));
+        let r = apriori(&[], Support::Count(1));
         assert_eq!(r.total(), 0);
         assert_eq!(r.max_len(), 0);
     }
 
     #[test]
     fn support_above_everything_yields_nothing() {
-        let r = apriori(&toy(), &SequentialConfig::new(Support::Count(100)));
+        let r = apriori(&toy(), Support::Count(100));
         assert_eq!(r.total(), 0);
-    }
-
-    #[test]
-    fn max_passes_truncates() {
-        let r = apriori(
-            &toy(),
-            &SequentialConfig {
-                min_support: Support::Count(2),
-                max_passes: 2,
-            },
-        );
-        assert_eq!(r.max_len(), 2);
     }
 
     #[test]
     fn fraction_support() {
         // 50% of 4 transactions = 2.
-        let a = apriori(&toy(), &SequentialConfig::new(Support::Fraction(0.5)));
-        let b = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let a = apriori(&toy(), Support::Fraction(0.5));
+        let b = apriori(&toy(), Support::Count(2));
         assert_eq!(a, b);
     }
 
     #[test]
     fn monotonicity_holds() {
         // Every subset of a frequent itemset is frequent with ≥ support.
-        let r = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let r = apriori(&toy(), Support::Count(2));
         for (set, sup) in r.iter() {
             for sub in set.one_item_removed() {
                 if sub.is_empty() {

@@ -28,42 +28,20 @@ use crate::types::{
 use yafim_cluster::{Lines, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
-/// Options for a SON run.
-#[derive(Clone, Debug)]
-pub struct SonConfig {
-    /// Minimum support threshold (global).
-    pub min_support: Support,
-    /// Input split size for the local-mining job (None = HDFS blocks).
-    /// Smaller splits → more parallel local miners but more redundant
-    /// candidates.
-    pub split_size: Option<u64>,
-    /// Reduce tasks per job (0 = one per virtual core).
-    pub reduce_tasks: usize,
-}
-
-impl SonConfig {
-    /// Defaults: block-sized splits.
-    pub fn new(min_support: Support) -> Self {
-        SonConfig {
-            min_support,
-            split_size: None,
-            reduce_tasks: 0,
-        }
-    }
-}
-
-/// The SON miner bound to one virtual cluster.
+/// The SON miner bound to one virtual cluster. Its local-mining job has one
+/// split per HDFS block: smaller blocks mean more parallel local miners but
+/// more redundant candidates.
 pub struct Son {
     runner: MrRunner,
-    config: SonConfig,
+    min_support: Support,
 }
 
 impl Son {
-    /// A miner over `cluster` with `config`.
-    pub fn new(cluster: SimCluster, config: SonConfig) -> Self {
+    /// A miner over `cluster` at `min_support` (global).
+    pub fn new(cluster: SimCluster, min_support: Support) -> Self {
         Son {
             runner: MrRunner::new(cluster),
-            config,
+            min_support,
         }
     }
 
@@ -73,7 +51,7 @@ impl Son {
         let metrics = cluster.metrics().clone();
         let file = cluster.hdfs().get(input)?;
         let total_lines = file.num_lines() as u64;
-        let min_sup = self.config.min_support.resolve(total_lines);
+        let min_sup = self.min_support.resolve(total_lines);
 
         let run_start = metrics.now();
 
@@ -99,9 +77,7 @@ impl Son {
             },
             // Reducer: deduplicate candidates.
             |k: &Itemset, _vs, em: &mut Emitter<Itemset, u64>, _w| em.emit(k.clone(), 0),
-        )
-        .with_reduce_tasks(self.config.reduce_tasks)
-        .with_split_size(self.config.split_size);
+        );
         let candidates: Vec<Itemset> = self
             .runner
             .run(job1)?
@@ -140,8 +116,7 @@ impl Son {
             by_len.into_iter().filter(|l| !l.is_empty()).collect(),
             MrMatching::HashTree,
             min_sup,
-        )
-        .with_reduce_tasks(self.config.reduce_tasks);
+        );
         let result = self.runner.run(job2)?;
 
         let mut levels: Vec<Vec<(Itemset, u64)>> = vec![Vec::new(); max_len];
@@ -162,7 +137,7 @@ impl Son {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sequential::{apriori, SequentialConfig};
+    use crate::sequential::apriori;
     use yafim_cluster::{ClusterSpec, CostModel};
 
     fn cluster() -> SimCluster {
@@ -186,10 +161,8 @@ mod tests {
     fn son_matches_sequential_single_split() {
         let c = cluster();
         let path = put(&c, &toy());
-        let run = Son::new(c, SonConfig::new(Support::Count(2)))
-            .mine(&path)
-            .unwrap();
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let run = Son::new(c, Support::Count(2)).mine(&path).unwrap();
+        let seq = apriori(&toy(), Support::Count(2));
         assert_eq!(run.result, seq);
     }
 
@@ -200,11 +173,10 @@ mod tests {
         // result must still be exact.
         let tx: Vec<Vec<u32>> = toy().into_iter().cycle().take(40).collect();
         let c = cluster();
+        c.hdfs().set_block_size(32); // a handful of lines per split
         let path = put(&c, &tx);
-        let mut cfg = SonConfig::new(Support::Fraction(0.5));
-        cfg.split_size = Some(32); // a handful of lines per split
-        let run = Son::new(c, cfg).mine(&path).unwrap();
-        let seq = apriori(&tx, &SequentialConfig::new(Support::Fraction(0.5)));
+        let run = Son::new(c, Support::Fraction(0.5)).mine(&path).unwrap();
+        let seq = apriori(&tx, Support::Fraction(0.5));
         assert_eq!(run.result, seq);
         assert!(
             run.passes[0].candidates >= seq.total(),
@@ -216,9 +188,7 @@ mod tests {
     fn exactly_two_jobs() {
         let c = cluster();
         let path = put(&c, &toy());
-        Son::new(c.clone(), SonConfig::new(Support::Count(2)))
-            .mine(&path)
-            .unwrap();
+        Son::new(c.clone(), Support::Count(2)).mine(&path).unwrap();
         assert_eq!(c.metrics().snapshot().jobs, 2, "SON is a two-job scheme");
     }
 
@@ -226,9 +196,7 @@ mod tests {
     fn nothing_frequent() {
         let c = cluster();
         let path = put(&c, &toy());
-        let run = Son::new(c, SonConfig::new(Support::Count(50)))
-            .mine(&path)
-            .unwrap();
+        let run = Son::new(c, Support::Count(50)).mine(&path).unwrap();
         assert_eq!(run.result.total(), 0);
     }
 }

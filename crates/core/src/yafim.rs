@@ -213,14 +213,12 @@ impl Drop for Held {
     }
 }
 
-/// Options for a YAFIM run.
+/// Options for a YAFIM run. The transactions RDD has the context's
+/// `RddConfig::default_parallelism` partitions.
 #[derive(Clone, Debug)]
 pub struct YafimConfig {
     /// Minimum support threshold.
     pub min_support: Support,
-    /// Minimum partitions for the transactions RDD (0 = the context's
-    /// default parallelism, 2 tasks per virtual core).
-    pub min_partitions: usize,
     /// Stop after this many passes (0 = run to fixpoint).
     pub max_passes: usize,
     /// Which Phase II runs.
@@ -228,19 +226,14 @@ pub struct YafimConfig {
 }
 
 impl YafimConfig {
-    /// Defaults: run to fixpoint, default parallelism, the paper's Phase II.
+    /// Defaults: run to fixpoint, the paper's Phase II.
     pub fn new(min_support: Support) -> Self {
         YafimConfig::with_plan(min_support, Phase2Plan::Paper)
     }
 
-    /// Like [`YafimConfig::new`] but with every Phase-II optimization on
-    /// ([`Phase2Plan::Trie`]).
-    pub fn optimized(min_support: Support) -> Self {
-        YafimConfig::with_plan(min_support, Phase2Plan::Trie)
-    }
-
-    /// Like [`YafimConfig::optimized`] but counting `k ≥ 3` passes through
-    /// the vertical TID bitmaps ([`Phase2Plan::Bitmap`]).
+    /// Like [`YafimConfig::new`] but with every Phase-II optimization on,
+    /// counting `k ≥ 3` passes through the vertical TID bitmaps
+    /// ([`Phase2Plan::Bitmap`]).
     pub fn bitmap(min_support: Support) -> Self {
         YafimConfig::with_plan(min_support, Phase2Plan::Bitmap)
     }
@@ -249,7 +242,6 @@ impl YafimConfig {
     pub fn with_plan(min_support: Support, phase2: Phase2Plan) -> Self {
         YafimConfig {
             min_support,
-            min_partitions: 0,
             max_passes: 0,
             phase2,
         }
@@ -283,11 +275,7 @@ impl Yafim {
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
         let plan = self.config.phase2;
-        let partitions = if self.config.min_partitions == 0 {
-            ctx.config().default_parallelism
-        } else {
-            self.config.min_partitions
-        };
+        let partitions = ctx.config().default_parallelism;
 
         // The driver knows the dataset size from HDFS metadata; resolve a
         // fractional MinSup without an extra counting job.
@@ -1217,7 +1205,7 @@ pub fn mine_in_memory(ctx: &Context, transactions: &[Vec<Item>], config: YafimCo
 mod tests {
     use super::*;
     use crate::block::block_of;
-    use crate::sequential::{apriori, SequentialConfig};
+    use crate::sequential::apriori;
     use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
     use yafim_data::rng::StdRng;
 
@@ -1241,13 +1229,12 @@ mod tests {
         assert_eq!(Phase2Plan::parse("turbo"), None);
         let s = Support::Count(2);
         assert_eq!(YafimConfig::new(s).phase2, Phase2Plan::Paper);
-        assert_eq!(YafimConfig::optimized(s).phase2, Phase2Plan::Trie);
         assert_eq!(YafimConfig::bitmap(s).phase2, Phase2Plan::Bitmap);
     }
 
     #[test]
     fn every_plan_matches_sequential_on_toy() {
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let seq = apriori(&toy(), Support::Count(2));
         for plan in Phase2Plan::ALL {
             let c = ctx();
             let run = mine_in_memory(&c, &toy(), YafimConfig::with_plan(Support::Count(2), plan));
@@ -1265,7 +1252,7 @@ mod tests {
     #[test]
     fn fault_plan_supplies_checkpoint_cadence() {
         use yafim_cluster::FaultPlan;
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let seq = apriori(&toy(), Support::Count(2));
         for interval in [1, 2] {
             for plan in Phase2Plan::ALL {
                 let c = ctx();
@@ -1363,7 +1350,7 @@ mod tests {
     #[test]
     fn fractional_support_resolves_against_dataset() {
         let run = mine_in_memory(&ctx(), &toy(), YafimConfig::new(Support::Fraction(0.5)));
-        let seq = apriori(&toy(), &SequentialConfig::new(Support::Count(2)));
+        let seq = apriori(&toy(), Support::Count(2));
         assert_eq!(run.result, seq);
     }
 
@@ -1373,7 +1360,11 @@ mod tests {
         // without running a job (and without leaking cached partitions).
         let tx = vec![vec![7], vec![7, 9], vec![7], vec![7]];
         let c = ctx();
-        let run = mine_in_memory(&c, &tx, YafimConfig::optimized(Support::Count(3)));
+        let run = mine_in_memory(
+            &c,
+            &tx,
+            YafimConfig::with_plan(Support::Count(3), Phase2Plan::Trie),
+        );
         assert_eq!(run.result.level_sizes(), vec![1]);
         assert_eq!(
             c.cache().stats().entries,

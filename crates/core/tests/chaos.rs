@@ -8,7 +8,7 @@ use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{
-    apriori, Miner, MrApriori, MrAprioriConfig, SequentialConfig, Support, Yafim, YafimConfig,
+    apriori, Miner, MrApriori, MrAprioriConfig, Phase2Plan, Support, Yafim, YafimConfig,
 };
 use yafim_data::{to_lines, PaperDataset};
 use yafim_rdd::Context;
@@ -42,7 +42,7 @@ fn plan(seed: u64) -> FaultPlan {
 #[test]
 fn yafim_results_survive_any_below_budget_plan() {
     let (tx, support) = dataset();
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
 
     let healthy = cluster();
     healthy.hdfs().put_overwrite("d.dat", to_lines(&tx));
@@ -78,7 +78,7 @@ fn yafim_results_survive_any_below_budget_plan() {
 #[test]
 fn mr_results_survive_any_below_budget_plan() {
     let (tx, support) = dataset();
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
 
     let healthy = cluster();
     healthy.hdfs().put_overwrite("d.dat", to_lines(&tx));
@@ -139,7 +139,7 @@ fn transient_and_heartbeat_faults_are_invisible_to_results() {
     // resubmission), heartbeat-delayed node-loss detection, and
     // plan-driven checkpointing. None of it may change a single support.
     let (tx, support) = dataset();
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
 
     for seed in 0..3u64 {
         let c = cluster();
@@ -191,9 +191,12 @@ fn transient_chaos_runs_are_reproducible() {
                 .flaky_hdfs(0.3)
                 .with_checkpoint_interval(2),
         );
-        let run = Yafim::new(Context::new(c.clone()), YafimConfig::optimized(support))
-            .mine("d.dat")
-            .expect("transients never abort");
+        let run = Yafim::new(
+            Context::new(c.clone()),
+            YafimConfig::with_plan(support, Phase2Plan::Trie),
+        )
+        .mine("d.dat")
+        .expect("transients never abort");
         reports.push((
             run.result,
             run.total_seconds,

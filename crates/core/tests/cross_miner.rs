@@ -9,9 +9,7 @@
 
 use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim_core::encode::DIRECT_MAX_ITEMS;
-use yafim_core::{
-    apriori, Miner, MiningResult, MrApriori, MrAprioriConfig, MrVariant, SequentialConfig, Support,
-};
+use yafim_core::{apriori, Miner, MiningResult, MrApriori, MrAprioriConfig, MrVariant, Support};
 use yafim_data::{to_lines, PaperDataset};
 
 fn cluster(threads: usize) -> SimCluster {
@@ -72,7 +70,7 @@ fn medical_profile_all_miners_agree() {
 #[test]
 fn mr_variants_agree_on_medical() {
     let tx = PaperDataset::Medical.generate_scaled(0.01);
-    let reference = apriori(&tx, &SequentialConfig::new(Support::Fraction(0.05)));
+    let reference = apriori(&tx, Support::Fraction(0.05));
 
     for variant in [
         MrVariant::Spc,
@@ -95,8 +93,8 @@ fn replication_preserves_results_and_scales_supports() {
     // The sizeup methodology (Fig. 4) relies on this invariant.
     let tx = PaperDataset::Mushroom.generate_scaled(0.01);
     let tripled = yafim_data::replicate(&tx, 3);
-    let a = apriori(&tx, &SequentialConfig::new(Support::Fraction(0.35)));
-    let b = apriori(&tripled, &SequentialConfig::new(Support::Fraction(0.35)));
+    let a = apriori(&tx, Support::Fraction(0.35));
+    let b = apriori(&tripled, Support::Fraction(0.35));
     assert_eq!(a.level_sizes(), b.level_sizes());
     for (set, sup) in a.iter() {
         assert_eq!(b.support_of(set), Some(sup * 3), "{set}");

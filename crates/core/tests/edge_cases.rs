@@ -4,14 +4,14 @@
 
 use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim_core::{
-    apriori, eclat, fp_growth, generate_rules, mine_in_memory, Itemset, MiningResult, RuleConfig,
-    SequentialConfig, Support, YafimConfig,
+    apriori, eclat, fp_growth, generate_rules, mine_in_memory, Itemset, MiningResult, Support,
+    YafimConfig,
 };
 use yafim_rdd::Context;
 
 fn all_single_node(tx: &[Vec<u32>], support: Support) -> Vec<(&'static str, MiningResult)> {
     vec![
-        ("apriori", apriori(tx, &SequentialConfig::new(support))),
+        ("apriori", apriori(tx, support)),
         ("eclat", eclat(tx, support)),
         ("fp_growth", fp_growth(tx, support)),
     ]
@@ -132,11 +132,11 @@ fn wide_transaction_deep_levels() {
 fn rules_on_degenerate_results() {
     // No itemsets → no rules; single-level results → no rules.
     let empty = MiningResult::default();
-    assert!(generate_rules(&empty, 10, &RuleConfig::new(0.5)).is_empty());
+    assert!(generate_rules(&empty, 10, 0.5).is_empty());
 
     let tx: Vec<Vec<u32>> = (0..4).map(|i| vec![i]).collect();
-    let singles = apriori(&tx, &SequentialConfig::new(Support::Count(1)));
-    assert!(generate_rules(&singles, 4, &RuleConfig::new(0.0)).is_empty());
+    let singles = apriori(&tx, Support::Count(1));
+    assert!(generate_rules(&singles, 4, 0.0).is_empty());
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Configuration-invariance tests: mining results must not depend on any
-//! execution knob — partition counts, reduce tasks, split sizes, cluster
-//! shapes, broadcast mode, matching strategy, or group counts. Only timing
-//! may change.
+//! execution knob — partition counts (`RddConfig::default_parallelism`,
+//! which also sets PFP's group count), reduce tasks (one per core of the
+//! cluster), split sizes (one per HDFS block), cluster shapes, broadcast
+//! mode or matching strategy. Only timing may change.
 
 use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim_core::{
-    apriori, MrApriori, MrAprioriConfig, MrMatching, Pfp, PfpConfig, SequentialConfig, Support,
-    Yafim, YafimConfig,
+    apriori, MrApriori, MrAprioriConfig, MrMatching, Pfp, Support, Yafim, YafimConfig,
 };
 use yafim_data::{to_lines, PaperDataset};
 use yafim_rdd::{BroadcastMode, Context, RddConfig};
@@ -26,16 +26,24 @@ fn cluster(nodes: u32, cores: u32) -> SimCluster {
     )
 }
 
+/// A context over a 4 x 2 cluster holding `tx` whose RDDs default to
+/// `partitions` partitions.
+fn context(tx: &[Vec<u32>], partitions: usize) -> Context {
+    let c = cluster(4, 2);
+    c.hdfs().put_overwrite("d.dat", to_lines(tx));
+    let config = RddConfig {
+        default_parallelism: partitions,
+        ..RddConfig::for_cluster(&c)
+    };
+    Context::with_config(c, config)
+}
+
 #[test]
 fn yafim_invariant_to_partition_count() {
     let (tx, support) = dataset();
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
     for partitions in [1usize, 3, 17, 64] {
-        let c = cluster(4, 2);
-        c.hdfs().put_overwrite("d.dat", to_lines(&tx));
-        let mut cfg = YafimConfig::new(support);
-        cfg.min_partitions = partitions;
-        let run = Yafim::new(Context::new(c), cfg)
+        let run = Yafim::new(context(&tx, partitions), YafimConfig::new(support))
             .mine("d.dat")
             .expect("written");
         assert_eq!(reference, run.result, "partitions = {partitions}");
@@ -45,7 +53,7 @@ fn yafim_invariant_to_partition_count() {
 #[test]
 fn yafim_invariant_to_cluster_shape() {
     let (tx, support) = dataset();
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
     for (nodes, cores) in [(1u32, 1u32), (2, 4), (12, 8)] {
         let c = cluster(nodes, cores);
         c.hdfs().put_overwrite("d.dat", to_lines(&tx));
@@ -80,17 +88,21 @@ fn yafim_invariant_to_broadcast_mode() {
 #[test]
 fn mr_invariant_to_reduce_tasks_and_split_size() {
     let (tx, support) = dataset();
-    let reference = apriori(&tx, &SequentialConfig::new(support));
-    for (reduce_tasks, split_size) in [(1usize, None), (5, Some(4096u64)), (32, Some(512))] {
-        let c = cluster(4, 2);
+    let reference = apriori(&tx, support);
+    // 1, 5 and 32 reduce tasks; one split, 4 KiB splits and 512 B splits.
+    for ((nodes, cores), block_size) in [((1, 1), None), ((1, 5), Some(4096)), ((4, 8), Some(512))]
+    {
+        let c = cluster(nodes, cores);
+        if let Some(bytes) = block_size {
+            c.hdfs().set_block_size(bytes);
+        }
         c.hdfs().put_overwrite("d.dat", to_lines(&tx));
-        let mut cfg = MrAprioriConfig::new(support);
-        cfg.reduce_tasks = reduce_tasks;
-        cfg.split_size = split_size;
-        let run = MrApriori::new(c, cfg).mine("d.dat").expect("written");
+        let run = MrApriori::new(c, MrAprioriConfig::new(support))
+            .mine("d.dat")
+            .expect("written");
         assert_eq!(
             reference, run.result,
-            "reduce_tasks={reduce_tasks} split={split_size:?}"
+            "cluster {nodes}x{cores} block={block_size:?}"
         );
     }
 }
@@ -112,20 +124,13 @@ fn mr_invariant_to_matching_strategy() {
 #[test]
 fn pfp_invariant_to_partitions_and_groups() {
     let (tx, support) = dataset();
-    let reference = apriori(&tx, &SequentialConfig::new(support));
-    for (partitions, groups) in [(1usize, 1usize), (8, 5), (32, 0)] {
-        let c = cluster(4, 2);
-        c.hdfs().put_overwrite("d.dat", to_lines(&tx));
-        let mut cfg = PfpConfig::new(support);
-        cfg.min_partitions = partitions;
-        cfg.groups = groups;
-        let run = Pfp::new(Context::new(c), cfg)
+    let reference = apriori(&tx, support);
+    // As many groups as partitions, capped by the frequent-item count.
+    for partitions in [1usize, 5, 8, 32] {
+        let run = Pfp::new(context(&tx, partitions), support)
             .mine("d.dat")
             .expect("written");
-        assert_eq!(
-            reference, run.result,
-            "partitions={partitions} groups={groups}"
-        );
+        assert_eq!(reference, run.result, "partitions={partitions}");
     }
 }
 

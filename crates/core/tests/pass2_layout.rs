@@ -10,12 +10,10 @@
 use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, SimCluster};
 use yafim_core::bitmap::pass2_bounds;
 use yafim_core::types::{JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS};
-use yafim_core::{
-    apriori, Item, MinerRun, Phase2Plan, SequentialConfig, Support, Yafim, YafimConfig,
-};
+use yafim_core::{apriori, Item, MinerRun, Phase2Plan, Support, Yafim, YafimConfig};
 use yafim_data::rng::StdRng;
 use yafim_data::{to_lines, PaperDataset};
-use yafim_rdd::Context;
+use yafim_rdd::{Context, RddConfig};
 
 fn cluster() -> SimCluster {
     SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 2)
@@ -213,15 +211,25 @@ fn hot_and_warm() -> Vec<Vec<Item>> {
 fn an_arena_over_the_task_limit_sends_pass_2_to_rows_without_a_step_down() {
     let tx = hot_and_warm();
     let support = Support::Fraction(0.3);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
     assert!(reference.max_len() >= 4, "pass 3 must run");
-    let config = YafimConfig {
-        min_partitions: 2,
-        ..YafimConfig::bitmap(support)
+    // Two partitions, so one task's arena is large.
+    let mine_in_two = |c: &SimCluster| {
+        c.hdfs().put_overwrite("d.dat", to_lines(&tx));
+        let rdd = RddConfig {
+            default_parallelism: 2,
+            ..RddConfig::for_cluster(c)
+        };
+        Yafim::new(
+            Context::with_config(c.clone(), rdd),
+            YafimConfig::bitmap(support),
+        )
+        .mine("d.dat")
+        .expect("written")
     };
 
     let clean = cluster();
-    let run = mine(&clean, &tx, config.clone());
+    let run = mine_in_two(&clean);
     assert_eq!(run.result, reference);
     assert_eq!(run.passes[1].counter, "bitmap", "the rule picks columns");
 
@@ -236,7 +244,7 @@ fn an_arena_over_the_task_limit_sends_pass_2_to_rows_without_a_step_down() {
         .set_plan(FaultPlan::seeded(5).with_mem_budget(194 << 10));
     let limit = tight.memory_budget().expect("armed").per_task_limit;
     assert!((64 << 10..72 << 10).contains(&limit), "limit {limit}");
-    let run = mine(&tight, &tx, config);
+    let run = mine_in_two(&tight);
     assert_eq!(run.result, reference);
     let counters: Vec<&str> = run.passes.iter().map(|p| p.counter).collect();
     assert_eq!(&counters[1..3], ["triangle", "trie"]);

@@ -17,8 +17,7 @@ use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{
-    apriori, mine_in_memory, Item, MinerRun, Phase2Plan, SequentialConfig, Support, Yafim,
-    YafimConfig,
+    apriori, mine_in_memory, Item, MinerRun, Phase2Plan, Support, Yafim, YafimConfig,
 };
 use yafim_data::{to_lines, PaperDataset, QuestConfig, QuestGenerator};
 use yafim_rdd::Context;
@@ -136,7 +135,7 @@ fn every_phase2_plan_is_invisible_on_quest_data() {
         })
         .generate();
         let support = Support::Fraction(0.03);
-        let reference = apriori(&tx, &SequentialConfig::new(support));
+        let reference = apriori(&tx, support);
         let paper = run(&tx, support, Phase2Plan::Paper);
         assert_eq!(
             reference, paper.result,
@@ -158,7 +157,7 @@ fn every_phase2_plan_is_invisible_on_quest_data() {
 fn every_phase2_plan_is_invisible_on_medical_data() {
     let tx = PaperDataset::Medical.generate_scaled(0.01);
     let support = Support::Fraction(0.05);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
     let paper = run(&tx, support, Phase2Plan::Paper);
     assert_eq!(reference, paper.result);
 
@@ -183,7 +182,7 @@ fn ids_next_to_u32_max_mine_under_every_plan_without_an_id_sized_allocation() {
         vec![top(2)],
     ];
     let support = Support::Count(2);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
     assert_eq!(reference.level_sizes(), vec![4, 6, 3]);
     for plan in Phase2Plan::ALL {
         assert_eq!(run(&tx, support, plan).result, reference, "{plan:?}");
@@ -198,7 +197,7 @@ fn optimized_path_survives_node_loss() {
     // single count.
     let tx = PaperDataset::Medical.generate_scaled(0.01);
     let support = Support::Fraction(0.05);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
 
     for seed in 0..4u64 {
         let c = cluster();
@@ -214,9 +213,12 @@ fn optimized_path_survives_node_loss() {
                 .slow_node(NodeId(((seed + 2) % 4) as u32), 3.0)
                 .with_speculation(),
         );
-        let opt = Yafim::new(Context::new(c.clone()), YafimConfig::optimized(support))
-            .mine("d.dat")
-            .expect("below-budget faults must not abort the job");
+        let opt = Yafim::new(
+            Context::new(c.clone()),
+            YafimConfig::with_plan(support, Phase2Plan::Trie),
+        )
+        .mine("d.dat")
+        .expect("below-budget faults must not abort the job");
         assert_eq!(
             reference, opt.result,
             "seed {seed}: node loss changed optimized-path results"
@@ -236,7 +238,7 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
     // byte-identical to the sequential reference every time.
     let tx = PaperDataset::Medical.generate_scaled(0.01);
     let support = Support::Fraction(0.05);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
 
     for plan in Phase2Plan::ALL {
         let name = plan.name();
@@ -300,7 +302,7 @@ fn silent_corruption_is_invisible_to_every_engine() {
     // sequential reference.
     let tx = PaperDataset::Medical.generate_scaled(0.01);
     let support = Support::Fraction(0.05);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
 
     type Corrupt = fn(FaultPlan, f64) -> FaultPlan;
     let tiers: [(&str, Corrupt); 3] = [
@@ -362,9 +364,12 @@ fn optimized_path_is_deterministic_under_faults() {
                 .with_max_task_failures(10)
                 .with_speculation(),
         );
-        let run = Yafim::new(Context::new(c.clone()), YafimConfig::optimized(support))
-            .mine("d.dat")
-            .expect("below budget");
+        let run = Yafim::new(
+            Context::new(c.clone()),
+            YafimConfig::with_plan(support, Phase2Plan::Trie),
+        )
+        .mine("d.dat")
+        .expect("below budget");
         observed.push((
             run.result,
             run.total_seconds,
@@ -393,7 +398,7 @@ fn bitmap_virtual_time_not_slower_than_trie_on_dense_data() {
     let trie = mine_in_memory(
         &Context::new(cluster()),
         &tx,
-        YafimConfig::optimized(Support::Fraction(0.05)),
+        YafimConfig::with_plan(Support::Fraction(0.05), Phase2Plan::Trie),
     );
     let bm = mine_in_memory(
         &Context::new(cluster()),
@@ -434,7 +439,7 @@ fn optimized_virtual_time_not_slower_than_paper_engine() {
     let opt = mine_in_memory(
         &Context::new(cluster()),
         &tx,
-        YafimConfig::optimized(Support::Fraction(0.02)),
+        YafimConfig::with_plan(Support::Fraction(0.02), Phase2Plan::Trie),
     );
     assert_eq!(paper.result, opt.result);
     assert!(

@@ -7,7 +7,7 @@
 use yafim_core::candidates::{ap_gen, ap_gen_naive};
 use yafim_core::{
     apriori, brute_force, eclat, fp_growth, generate_rules, HashTree, Itemset, MatchScratch,
-    RuleConfig, SequentialConfig, Support,
+    Support,
 };
 use yafim_data::rng::StdRng;
 
@@ -137,7 +137,7 @@ fn apriori_equals_brute_force() {
     for _ in 0..CASES {
         let db = database(&mut rng);
         let sup = rng.gen_range(1u64..6);
-        let a = apriori(&db, &SequentialConfig::new(Support::Count(sup)));
+        let a = apriori(&db, Support::Count(sup));
         let b = brute_force(&db, Support::Count(sup), 8);
         assert_eq!(a, b);
     }
@@ -149,7 +149,7 @@ fn three_miners_agree() {
     for _ in 0..CASES {
         let db = database(&mut rng);
         let sup = rng.gen_range(1u64..6);
-        let a = apriori(&db, &SequentialConfig::new(Support::Count(sup)));
+        let a = apriori(&db, Support::Count(sup));
         let e = eclat(&db, Support::Count(sup));
         let f = fp_growth(&db, Support::Count(sup));
         assert_eq!(&a, &e);
@@ -163,7 +163,7 @@ fn monotonicity_of_support() {
     for _ in 0..CASES {
         let db = database(&mut rng);
         let sup = rng.gen_range(1u64..5);
-        let r = apriori(&db, &SequentialConfig::new(Support::Count(sup)));
+        let r = apriori(&db, Support::Count(sup));
         for (set, s) in r.iter() {
             assert!(*s >= sup);
             for sub in set.one_item_removed() {
@@ -184,7 +184,7 @@ fn support_counts_are_exact() {
     for _ in 0..CASES {
         let db = database(&mut rng);
         let sup = rng.gen_range(1u64..5);
-        let r = apriori(&db, &SequentialConfig::new(Support::Count(sup)));
+        let r = apriori(&db, Support::Count(sup));
         for (set, s) in r.iter() {
             let actual = db.iter().filter(|t| set.is_subset_of_sorted(t)).count() as u64;
             assert_eq!(*s, actual, "support of {} wrong", set);
@@ -197,8 +197,8 @@ fn raising_support_shrinks_results() {
     let mut rng = StdRng::seed_from_u64(60);
     for _ in 0..CASES {
         let db = database(&mut rng);
-        let lo = apriori(&db, &SequentialConfig::new(Support::Count(1)));
-        let hi = apriori(&db, &SequentialConfig::new(Support::Count(3)));
+        let lo = apriori(&db, Support::Count(1));
+        let hi = apriori(&db, Support::Count(3));
         assert!(hi.total() <= lo.total());
         // Everything frequent at the high threshold is frequent at the low.
         for (set, s) in hi.iter() {
@@ -213,8 +213,8 @@ fn rules_are_consistent() {
     for _ in 0..CASES {
         let db = database(&mut rng);
         let conf: f64 = rng.gen();
-        let r = apriori(&db, &SequentialConfig::new(Support::Count(1)));
-        let rules = generate_rules(&r, db.len() as u64, &RuleConfig::new(conf));
+        let r = apriori(&db, Support::Count(1));
+        let rules = generate_rules(&r, db.len() as u64, conf);
         for rule in rules {
             assert!(rule.confidence >= conf - 1e-9);
             assert!(rule.confidence <= 1.0 + 1e-9);
@@ -238,11 +238,8 @@ fn fraction_and_count_supports_agree() {
     for _ in 0..CASES {
         let db = database(&mut rng);
         let n = db.len() as u64;
-        let frac = apriori(&db, &SequentialConfig::new(Support::Fraction(0.5)));
-        let count = apriori(
-            &db,
-            &SequentialConfig::new(Support::Count((n as f64 * 0.5).ceil() as u64)),
-        );
+        let frac = apriori(&db, Support::Fraction(0.5));
+        let count = apriori(&db, Support::Count((n as f64 * 0.5).ceil() as u64));
         assert_eq!(frac, count);
     }
 }

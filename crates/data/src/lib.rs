@@ -17,20 +17,20 @@
 //! iteration depth — as documented in `DESIGN.md` §2. All generators are
 //! deterministic given a seed.
 //!
-//! * [`quest`] — IBM-Quest-style sparse market-basket generator
+//! * `quest` — IBM-Quest-style sparse market-basket generator
 //!   (for T10I4D100K).
-//! * [`dense`] — categorical attribute=value generator
+//! * `dense` — categorical attribute=value generator
 //!   (for MushRoom / Chess / Pumsb_star).
-//! * [`medical`] — medical-case generator with comorbidity structure
+//! * `medical` — medical-case generator with comorbidity structure
 //!   (for the §V.D application, Fig. 6).
-//! * [`profiles`] — the Table I dataset profiles, pre-tuned.
-//! * [`io`] — `.dat` text round-tripping and dataset replication (sizeup).
+//! * `profiles` — the Table I dataset profiles, pre-tuned.
+//! * `io` — `.dat` text round-tripping and dataset replication (sizeup).
 
-pub mod dense;
-pub mod io;
-pub mod medical;
-pub mod profiles;
-pub mod quest;
+mod dense;
+mod io;
+mod medical;
+mod profiles;
+mod quest;
 pub mod rng;
 
 pub use dense::{DenseConfig, DenseGenerator};

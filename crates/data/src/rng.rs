@@ -35,7 +35,7 @@ impl StdRng {
     }
 
     /// The next raw 64-bit output (xoshiro256++ scrambler).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let out = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)

@@ -44,7 +44,7 @@ impl<K, V> Emitter<K, V> {
     }
 
     /// Consume the collector, yielding the keyed emissions in order.
-    pub fn into_pairs(self) -> Vec<(K, V)> {
+    pub(crate) fn into_pairs(self) -> Vec<(K, V)> {
         self.out
     }
 

@@ -1,5 +1,6 @@
-//! Job description: the typed mapper/combiner/reducer closures plus the
-//! Hadoop-style configuration knobs.
+//! Job description: the typed mapper/combiner/reducer closures, side data
+//! and output. The runner decides the task counts: one map task per HDFS
+//! block of the input, one reduce task per virtual core.
 
 use crate::emitter::Emitter;
 use std::sync::Arc;
@@ -16,13 +17,13 @@ pub trait MrValue: Clone + Send + Sync + ByteSize + 'static {}
 impl<T: Clone + Send + Sync + ByteSize + 'static> MrValue for T {}
 
 /// Mapper: `(byte offset, line, collector, work counters)`.
-pub type MapFn<KM, VM> =
+pub(crate) type MapFn<KM, VM> =
     Arc<dyn Fn(u64, &str, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync>;
 /// Split-level mapper: `(first line offset, all split lines, collector, work
 /// counters)` — for algorithms that need the whole split at once (SON's
 /// local mining phase; the equivalent of doing the work in Hadoop's
 /// `cleanup()` after buffering).
-pub type SplitMapFn<KM, VM> =
+pub(crate) type SplitMapFn<KM, VM> =
     Arc<dyn Fn(u64, &Lines, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync>;
 
 /// The map phase: per-line (classic) or per-split.
@@ -35,18 +36,18 @@ pub enum MapPhase<KM, VM> {
 /// Combiner: fold two of one key's map-local values into one
 /// (`reduce_by_key`'s shape). Must be associative and commutative, as in
 /// Hadoop: host units fold a key's values in their own order.
-pub type CombineFn<VM> = Arc<dyn Fn(VM, VM) -> VM + Send + Sync>;
+pub(crate) type CombineFn<VM> = Arc<dyn Fn(VM, VM) -> VM + Send + Sync>;
 /// Reducer: `(key, all values, collector, work counters)`.
-pub type ReduceFn<KM, VM, KO, VO> =
+pub(crate) type ReduceFn<KM, VM, KO, VO> =
     Arc<dyn Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync>;
 /// A counting job's declared intermediate keys, and how a key's count
 /// becomes its value (the identity: only `u64`-valued jobs declare one).
 pub(crate) type KeyTable<KM, VM> = (Arc<[KM]>, fn(u64) -> VM);
 /// Text output format for committed results.
-pub type FormatFn<KO, VO> = Arc<dyn Fn(&KO, &VO) -> String + Send + Sync>;
+pub(crate) type FormatFn<KO, VO> = Arc<dyn Fn(&KO, &VO) -> String + Send + Sync>;
 
 /// Where and how a job commits its output to HDFS.
-pub struct OutputSpec<KO, VO> {
+pub(crate) struct OutputSpec<KO, VO> {
     /// HDFS path of the (single, for simplicity) output part file.
     pub path: String,
     /// Formats one output pair as a line of text.
@@ -62,11 +63,6 @@ pub struct MapReduceJob<KM, VM, KO, VO> {
     pub name: String,
     /// HDFS path of the text input.
     pub input: String,
-    /// Number of reduce tasks.
-    pub reduce_tasks: usize,
-    /// Input split size override in bytes (`None` = one split per HDFS
-    /// block, the Hadoop default).
-    pub split_size: Option<u64>,
     /// Bytes of side data shipped to every node via the distributed cache
     /// before the job starts (MR-Apriori ships the candidate set this way).
     pub side_data_bytes: u64,
@@ -78,9 +74,9 @@ pub struct MapReduceJob<KM, VM, KO, VO> {
 }
 
 impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, VO> {
-    /// A job with the two mandatory phases. Defaults: one reduce task per
-    /// virtual core is decided by the runner when left at 0; block-sized
-    /// splits; no combiner; no committed output.
+    /// A job with the two mandatory phases. The runner gives it one map task
+    /// per HDFS block of the input and one reduce task per virtual core;
+    /// there is no combiner and no committed output until one is added.
     pub fn new(
         name: impl Into<String>,
         input: impl Into<String>,
@@ -110,8 +106,6 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
         MapReduceJob {
             name: name.into(),
             input: input.into(),
-            reduce_tasks: 0,
-            split_size: None,
             side_data_bytes: 0,
             mapper,
             combiner: None,
@@ -129,19 +123,6 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
     ) -> Self {
         assert!(self.key_table.is_none(), "a key table's counts fold by +");
         self.combiner = Some(Arc::new(combiner));
-        self
-    }
-
-    /// Set the number of reduce tasks.
-    pub fn with_reduce_tasks(mut self, n: usize) -> Self {
-        self.reduce_tasks = n;
-        self
-    }
-
-    /// Override the input split size in bytes (`None` keeps block-sized
-    /// splits).
-    pub fn with_split_size(mut self, bytes: impl Into<Option<u64>>) -> Self {
-        self.split_size = bytes.into().map(|b| b.max(1));
         self
     }
 

@@ -7,11 +7,12 @@
 //! replication — is exactly what YAFIM's evaluation measures against. This
 //! crate reproduces that engine over the [`yafim_cluster`] substrate.
 //!
-//! One [`MapReduceJob`] is: text input splits → `mapper` per line → map
-//! output sorted by key → optional `combiner`, a binary fold over each run
-//! of one key → `reduce_tasks` buckets → keys presented to `reducer` in
-//! sorted order → optional text output committed to simulated HDFS. A job
-//! that counts keys it knows up front declares them as a key table
+//! One [`MapReduceJob`] is: text input splits (one per HDFS block) →
+//! `mapper` per line → map output sorted by key → optional `combiner`, a
+//! binary fold over each run of one key → one bucket per reduce task (one
+//! per virtual core) → keys presented to `reducer` in sorted order →
+//! optional text output committed to simulated HDFS. A job that counts keys
+//! it knows up front declares them as a key table
 //! ([`MapReduceJob::with_key_table`], `u64` values, combiner `+`) and emits
 //! indices ([`Emitter::emit_at`]): each adds one to a dense `u64` slot and
 //! only the slots emitted at become pairs, so a counting mapper builds no
@@ -29,7 +30,7 @@ mod job;
 mod runner;
 
 pub use emitter::Emitter;
-pub use job::{MapPhase, MapReduceJob, MrKey, MrValue, OutputSpec};
+pub use job::{MapPhase, MapReduceJob, MrKey, MrValue};
 pub use runner::{JobStats, MrJobResult, MrRunner};
 
 #[cfg(test)]
@@ -39,7 +40,16 @@ mod tests {
     use yafim_cluster::{ClusterSpec, CostModel, Lines, SimCluster};
 
     fn cluster() -> SimCluster {
-        SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 4)
+        cluster_of(4, 2)
+    }
+
+    /// A job has one reduce task per core of its cluster.
+    fn cluster_of(nodes: u32, cores: u32) -> SimCluster {
+        SimCluster::with_threads(
+            ClusterSpec::new(nodes, cores, 1 << 30),
+            CostModel::hadoop_era(),
+            4,
+        )
     }
 
     fn word_count_job(input: &str) -> MapReduceJob<String, u64, String, u64> {
@@ -59,7 +69,7 @@ mod tests {
 
     #[test]
     fn word_count_end_to_end() {
-        let c = cluster();
+        let c = cluster_of(1, 2);
         c.hdfs()
             .put(
                 "in.txt",
@@ -67,9 +77,7 @@ mod tests {
             )
             .unwrap();
         let runner = MrRunner::new(c.clone());
-        let result = runner
-            .run(word_count_job("in.txt").with_reduce_tasks(2))
-            .unwrap();
+        let result = runner.run(word_count_job("in.txt")).unwrap();
         let mut pairs = result.pairs.clone();
         pairs.sort();
         assert_eq!(
@@ -108,7 +116,7 @@ mod tests {
 
     #[test]
     fn reducer_sees_keys_in_sorted_order() {
-        let c = cluster();
+        let c = cluster_of(1, 1);
         c.hdfs()
             .put("in.txt", vec!["3 1 2 5 4".to_string()])
             .unwrap();
@@ -122,8 +130,7 @@ mod tests {
                 }
             },
             |k: &u32, _vs, em: &mut Emitter<u32, u64>, _w| em.emit(*k, 0),
-        )
-        .with_reduce_tasks(1);
+        );
         let result = runner.run(job).unwrap();
         let keys: Vec<u32> = result.pairs.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5]);
@@ -187,6 +194,7 @@ mod tests {
     fn per_split_mapper_sees_whole_split() {
         let c = cluster();
         let lines: Vec<String> = (0..50).map(|i| format!("{i}")).collect();
+        c.hdfs().set_block_size(40); // several splits
         c.hdfs().put("in.txt", lines).unwrap();
         let runner = MrRunner::new(c.clone());
         // Each split emits (split line count, 1); the total must cover the
@@ -200,8 +208,7 @@ mod tests {
             |k: &String, vs: Vec<u64>, em: &mut Emitter<String, u64>, _w| {
                 em.emit(k.clone(), vs.into_iter().sum())
             },
-        )
-        .with_split_size(40); // several splits
+        );
         let result = runner.run(job).unwrap();
         assert!(result.pairs.len() > 1, "expected multiple splits");
         let total: u64 = result.pairs.iter().map(|(_, v)| v).sum();
@@ -219,15 +226,15 @@ mod tests {
     }
 
     #[test]
-    fn split_size_controls_map_tasks() {
+    fn block_size_controls_map_tasks() {
         let c = cluster();
         let lines: Vec<String> = (0..100).map(|i| format!("line number {i}")).collect();
-        c.hdfs().put("in.txt", lines).unwrap();
+        c.hdfs().put("big.txt", lines.clone()).unwrap();
+        c.hdfs().set_block_size(100);
+        c.hdfs().put("small.txt", lines).unwrap();
         let runner = MrRunner::new(c.clone());
-        let small = runner
-            .run(word_count_job("in.txt").with_split_size(100))
-            .unwrap();
-        let big = runner.run(word_count_job("in.txt")).unwrap();
+        let small = runner.run(word_count_job("small.txt")).unwrap();
+        let big = runner.run(word_count_job("big.txt")).unwrap();
         assert!(small.stats.map_tasks > big.stats.map_tasks);
     }
 

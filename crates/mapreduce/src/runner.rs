@@ -156,16 +156,9 @@ impl MrRunner {
         }
 
         // ---- map phase ----
-        let splits = match job.split_size {
-            Some(s) => file.splits((file.bytes().div_ceil(s)).max(1) as usize),
-            None => file.splits(file.blocks().len()),
-        };
+        let splits = file.splits(file.blocks().len());
         let map_tasks = splits.len();
-        let reduce_tasks = if job.reduce_tasks == 0 {
-            spec.total_cores() as usize
-        } else {
-            job.reduce_tasks
-        };
+        let reduce_tasks = spec.total_cores() as usize;
 
         // ---- data integrity (silent-corruption plans) ----
         //

@@ -11,6 +11,19 @@ fn cluster() -> SimCluster {
     SimCluster::with_threads(ClusterSpec::new(3, 2, 1 << 30), CostModel::hadoop_era(), 2)
 }
 
+/// One node with `reduce_tasks` cores: a job has one reduce task per core.
+fn reducers(reduce_tasks: usize) -> SimCluster {
+    let spec = ClusterSpec::new(1, reduce_tasks as u32, 1 << 30);
+    SimCluster::with_threads(spec, CostModel::hadoop_era(), 2)
+}
+
+/// [`cluster`] with `block_size`-byte HDFS blocks: one map task per block.
+fn blocks(block_size: u64) -> SimCluster {
+    let c = cluster();
+    c.hdfs().set_block_size(block_size);
+    c
+}
+
 /// Tiny deterministic generator for test inputs (splitmix64).
 struct Rng(u64);
 
@@ -73,11 +86,10 @@ fn counting_matches_hashmap() {
     let mut rng = Rng(30);
     for _ in 0..CASES {
         let lines = rng.corpus();
-        let reduce_tasks = rng.range(1, 8) as usize;
-        let c = cluster();
+        let c = reducers(rng.range(1, 8) as usize);
         c.hdfs().put_overwrite("in.txt", lines.clone());
         let result = MrRunner::new(c)
-            .run(count_job("in.txt").with_reduce_tasks(reduce_tasks))
+            .run(count_job("in.txt"))
             .expect("input exists");
         let expected = expected_counts(&lines);
         assert_eq!(result.pairs.len(), expected.len());
@@ -92,11 +104,11 @@ fn combiner_never_changes_results() {
     let mut rng = Rng(31);
     for _ in 0..CASES {
         let lines = rng.corpus();
-        let split_size = rng.range(16, 512);
+        let block_size = rng.range(16, 512);
         let run = |with_combiner: bool| {
-            let c = cluster();
+            let c = blocks(block_size);
             c.hdfs().put_overwrite("in.txt", lines.clone());
-            let job = count_job("in.txt").with_split_size(split_size);
+            let job = count_job("in.txt");
             let job = if with_combiner {
                 job.with_combiner(|a, b| a + b)
             } else {
@@ -115,19 +127,19 @@ fn per_split_mapper_equals_per_line_mapper() {
     let mut rng = Rng(32);
     for _ in 0..CASES {
         let lines = rng.corpus();
-        let split_size = rng.range(16, 512);
+        let block_size = rng.range(16, 512);
         let per_line = {
-            let c = cluster();
+            let c = blocks(block_size);
             c.hdfs().put_overwrite("in.txt", lines.clone());
             let mut p = MrRunner::new(c)
-                .run(count_job("in.txt").with_split_size(split_size))
+                .run(count_job("in.txt"))
                 .expect("input exists")
                 .pairs;
             p.sort();
             p
         };
         let per_split = {
-            let c = cluster();
+            let c = blocks(block_size);
             c.hdfs().put_overwrite("in.txt", lines.clone());
             let job = MapReduceJob::new_per_split(
                 "count",
@@ -142,8 +154,7 @@ fn per_split_mapper_equals_per_line_mapper() {
                 |k: &u32, vs: Vec<u64>, em: &mut Emitter<u32, u64>, _w| {
                     em.emit(*k, vs.into_iter().sum())
                 },
-            )
-            .with_split_size(split_size);
+            );
             let mut p = MrRunner::new(c).run(job).expect("input exists").pairs;
             p.sort();
             p
@@ -175,10 +186,10 @@ fn reduce_task_count_only_affects_time() {
     for _ in 0..CASES {
         let lines = rng.corpus();
         let run = |reduce_tasks: usize| {
-            let c = cluster();
+            let c = reducers(reduce_tasks);
             c.hdfs().put_overwrite("in.txt", lines.clone());
             let mut p = MrRunner::new(c)
-                .run(count_job("in.txt").with_reduce_tasks(reduce_tasks))
+                .run(count_job("in.txt"))
                 .expect("input exists")
                 .pairs;
             p.sort();
@@ -218,24 +229,27 @@ fn example_plan(json: &str) -> FaultPlan {
         .expect("committed plan is valid")
 }
 
-/// Count, per table entry, the lines that hold all its tokens.
+/// Count, per table entry, the lines that hold all its tokens, on a
+/// `nodes` x `cores` cluster (one reduce task per core) whose HDFS cuts the
+/// input into `block_size`-byte blocks (one map task per block).
 fn run_subset_count(
     shape: Shape,
     threads: usize,
     lines: &[String],
     table: &[Vec<u32>],
-    split_size: u64,
-    reduce_tasks: usize,
+    block_size: u64,
+    (nodes, cores): (u32, u32),
     plan: Option<&FaultPlan>,
 ) -> Observed {
     let c = SimCluster::with_threads(
-        ClusterSpec::new(3, 2, 1 << 30),
+        ClusterSpec::new(nodes, cores, 1 << 30),
         CostModel::hadoop_era(),
         threads,
     );
     if let Some(plan) = plan {
         c.faults().set_plan(plan.clone());
     }
+    c.hdfs().set_block_size(block_size);
     c.hdfs().put_overwrite("in.txt", lines.to_vec());
     let table: Arc<[Vec<u32>]> = table.into();
     let for_map = Arc::clone(&table);
@@ -261,8 +275,6 @@ fn run_subset_count(
             em.emit(k.clone(), vs.into_iter().sum())
         },
     )
-    .with_split_size(split_size)
-    .with_reduce_tasks(reduce_tasks)
     .with_output(
         "out/part",
         Arc::new(|k: &Vec<u32>, v: &u64| format!("{k:?} {v}")),
@@ -333,17 +345,17 @@ fn emitting_an_index_is_emitting_its_key() {
             2 => table.clear(),
             _ => {}
         }
-        // One line per split, something in between, the whole file.
-        for split_size in [1, rng.range(16, 256), bytes.max(1)] {
-            for reduce_tasks in [1, 3, 96] {
+        // One line per split, something in between, the whole file; 1, 3
+        // and 96 reduce tasks.
+        for block_size in [1, rng.range(16, 256), bytes.max(1)] {
+            for shape in [(1, 1), (1, 3), (12, 8)] {
                 for plan in [None, Some(&corruption), Some(&oom)] {
-                    let run = |shape| {
-                        run_subset_count(shape, 2, &lines, &table, split_size, reduce_tasks, plan)
-                    };
+                    let run =
+                        |emit| run_subset_count(emit, 2, &lines, &table, block_size, shape, plan);
                     let (keyed, indexed) = (run(Shape::Keyed), run(Shape::Indexed));
                     assert_eq!(
                         keyed, indexed,
-                        "case {case}, split {split_size}, {reduce_tasks} reducers, plan {plan:?}"
+                        "case {case}, block {block_size}, {shape:?} cluster, plan {plan:?}"
                     );
                     if let Ok((pairs, .., (repaired, survived))) = &indexed {
                         assert!(pairs.iter().all(|(k, v)| *k != [99] && *v > 0));
@@ -378,10 +390,10 @@ fn host_units_are_invisible_to_both_emit_shapes() {
     let table = level_table(&mut rng);
     let oom = example_plan(include_str!("../../../results/oom.fault.json"));
     for plan in [None, Some(&oom)] {
-        let reference = run_subset_count(Shape::Keyed, 1, &lines, &table, bytes, 3, plan);
+        let reference = run_subset_count(Shape::Keyed, 1, &lines, &table, bytes, (3, 1), plan);
         assert!(reference.is_ok());
         for (shape, threads) in [(Shape::Indexed, 1), (Shape::Keyed, 8), (Shape::Indexed, 8)] {
-            let seen = run_subset_count(shape, threads, &lines, &table, bytes, 3, plan);
+            let seen = run_subset_count(shape, threads, &lines, &table, bytes, (3, 1), plan);
             assert_eq!(seen, reference, "{shape:?} on {threads} threads");
         }
     }

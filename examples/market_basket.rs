@@ -8,7 +8,7 @@
 use yafim::cluster::SimCluster;
 use yafim::data::{to_lines, PaperDataset};
 use yafim::rdd::Context;
-use yafim::{generate_rules, MrApriori, MrAprioriConfig, RuleConfig, Support, Yafim, YafimConfig};
+use yafim::{generate_rules, MrApriori, MrAprioriConfig, Support, Yafim, YafimConfig};
 
 fn main() {
     // A T10I4D100K-shaped basket dataset, scaled down so the example runs
@@ -61,11 +61,7 @@ fn main() {
     );
 
     // Cross-sell rules from the frequent itemsets.
-    let rules = generate_rules(
-        &yafim.result,
-        transactions.len() as u64,
-        &RuleConfig::new(0.6),
-    );
+    let rules = generate_rules(&yafim.result, transactions.len() as u64, 0.6);
     println!("\ntop cross-sell rules (confidence >= 60%):");
     for rule in rules.iter().take(8) {
         println!("  {rule}");

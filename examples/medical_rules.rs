@@ -11,8 +11,7 @@ use yafim::cluster::SimCluster;
 use yafim::data::{to_lines, MedicalConfig, MedicalGenerator};
 use yafim::rdd::Context;
 use yafim::{
-    generate_rules, Itemset, MiningResult, MrApriori, MrAprioriConfig, RuleConfig, Support, Yafim,
-    YafimConfig,
+    generate_rules, Itemset, MiningResult, MrApriori, MrAprioriConfig, Support, Yafim, YafimConfig,
 };
 
 /// The closed frequent itemsets, those with no superset of *equal* support
@@ -110,7 +109,7 @@ fn main() {
 
     // High-confidence comorbidity rules: "patients with A are usually also
     // prescribed/diagnosed B".
-    let rules = generate_rules(&yafim.result, cases.len() as u64, &RuleConfig::new(0.8));
+    let rules = generate_rules(&yafim.result, cases.len() as u64, 0.8);
     println!("\nstrongest clinical associations (confidence >= 80%, by lift):");
     let mut by_lift = rules;
     by_lift.sort_by(|a, b| b.lift.partial_cmp(&a.lift).expect("finite lift"));

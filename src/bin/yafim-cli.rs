@@ -23,7 +23,7 @@
 use std::process::exit;
 use yafim::cluster::{ClusterSpec, CostModel, Lines, SimCluster};
 use yafim::data::{read_canonical_text, read_dat, PaperDataset};
-use yafim::{generate_rules, Miner, MinerRun, Phase2Plan, RuleConfig, Support};
+use yafim::{generate_rules, Miner, MinerRun, Phase2Plan, Support};
 
 /// Every command's output, a line at a time. A reader that went away
 /// (`yafim-cli mine … | head -n 1`) ends the output quietly, and the run
@@ -232,8 +232,9 @@ fn phase2_plan() -> Phase2Plan {
 /// examples and `FaultPlan::to_json` for the schema) installed on the
 /// simulated cluster before mining. Seeded and fully deterministic: the same
 /// plan over the same input reproduces results, virtual time and recovery
-/// counters bit-for-bit.
-fn fault_plan() -> Option<yafim::cluster::FaultPlan> {
+/// counters bit-for-bit. A plan that names a node the `nodes`-node cluster
+/// lacks is refused like any other invalid one.
+fn fault_plan(nodes: u32) -> Option<yafim::cluster::FaultPlan> {
     let path = arg("--fault-plan")?;
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
@@ -249,20 +250,31 @@ fn fault_plan() -> Option<yafim::cluster::FaultPlan> {
             exit(1)
         }
     };
-    match yafim::cluster::FaultPlan::from_json(&value) {
-        Ok(plan) => Some(plan),
+    let plan = match yafim::cluster::FaultPlan::from_json(&value) {
+        Ok(plan) => plan,
         Err(e) => {
             eprintln!("{path}: invalid fault plan: {e}");
             exit(1)
         }
+    };
+    let losses = plan.node_losses.iter().map(|&(id, _)| ("node_losses", id));
+    let slow = plan.slow_nodes.iter().map(|&(id, _)| ("slow_nodes", id));
+    if let Some((field, id)) = losses.chain(slow).find(|(_, id)| id.0 >= nodes) {
+        eprintln!(
+            "{path}: invalid fault plan: fault plan field `{field}` names node {}, \
+             but --nodes is {nodes}",
+            id.0
+        );
+        exit(1)
     }
+    Some(plan)
 }
 
 /// Run a distributed `miner` over `lines` on `c`, a cluster the flags
 /// describe. A typed refusal (engine failure under the fault plan, or a
 /// level rejected by the mining-invariant audit) is one line and exit 1.
 fn run_distributed(miner: Miner, c: &SimCluster, lines: Lines, support: Support) -> MinerRun {
-    if let Some(plan) = fault_plan() {
+    if let Some(plan) = fault_plan(c.spec().nodes) {
         c.faults().set_plan(plan);
     }
     c.hdfs().put_overwrite("input.dat", lines);
@@ -333,7 +345,7 @@ fn cmd_mine() {
     }
 
     if let Some(min_conf) = min_conf {
-        let rules = generate_rules(&result, transactions as u64, &RuleConfig::new(min_conf));
+        let rules = generate_rules(&result, transactions as u64, min_conf);
         say!("\n{} rules at confidence >= {min_conf}:", rules.len());
         for rule in rules.iter().take(top) {
             say!("  {rule}");

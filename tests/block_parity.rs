@@ -25,7 +25,7 @@ use yafim::types::{JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_U
 use yafim::{
     ap_gen, apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateStore,
     CandidateTrie, ColumnarPartition, DenseEncoder, HashTree, Item, Itemset, MatchScratch,
-    MiningResult, Phase2Plan, SequentialConfig, Support, TrimMask, Yafim, YafimConfig,
+    MiningResult, Phase2Plan, Support, TrimMask, Yafim, YafimConfig,
 };
 
 const INPUT: &str = "in.dat";
@@ -434,7 +434,7 @@ fn assert_parity(name: &str, lines: &[String], support: Support) -> MiningResult
     let reference = {
         // MinSup is a share of the *lines*, as the driver resolves it.
         let min_sup = Support::Count(support.resolve(lines.len() as u64));
-        apriori(&from_lines(lines), &SequentialConfig::new(min_sup))
+        apriori(&from_lines(lines), min_sup)
     };
     for plan in Phase2Plan::ALL {
         let mut first: Option<String> = None;

@@ -148,13 +148,42 @@ fn an_out_of_range_fault_plan_is_one_line_and_exit_1() {
     let file = input("badplan");
     let file = file.to_str().expect("utf-8 temp path");
     let plan = std::env::temp_dir().join(format!("yafim-cli-badplan-{}.json", std::process::id()));
-    std::fs::write(&plan, r#"{"seed": 1, "resubmit_delay": -1}"#).expect("temp dir writable");
     let plan = plan.to_str().expect("utf-8 temp path");
-    let out = mine(file, &["--fault-plan", plan]);
-    assert_eq!(out.status.code(), Some(1));
-    let line = refusal(&out);
-    let start = format!("{plan}: invalid fault plan: fault plan field `resubmit_delay` must be ");
-    assert!(line.starts_with(&start), "{line}");
+    // A value out of its field's range, and node ids the cluster lacks: the
+    // default one has 12 nodes, numbered 0 to 11.
+    for (json, flags, field, says) in [
+        (
+            r#"{"seed": 1, "resubmit_delay": -1}"#,
+            &[][..],
+            "resubmit_delay",
+            "must be ",
+        ),
+        (
+            r#"{"seed": 1, "node_losses": [[99, 1.0]]}"#,
+            &[],
+            "node_losses",
+            "names node 99, but --nodes is 12",
+        ),
+        (
+            r#"{"seed": 1, "slow_nodes": [[0, 2.0], [12, 2.0]]}"#,
+            &[],
+            "slow_nodes",
+            "names node 12, but --nodes is 12",
+        ),
+        (
+            r#"{"seed": 1, "node_losses": [[3, 1.0]]}"#,
+            &["--nodes", "3"],
+            "node_losses",
+            "names node 3, but --nodes is 3",
+        ),
+    ] {
+        std::fs::write(plan, json).expect("temp dir writable");
+        let out = mine(file, &[&["--fault-plan", plan][..], flags].concat());
+        assert_eq!(out.status.code(), Some(1), "{json}");
+        let line = refusal(&out);
+        let start = format!("{plan}: invalid fault plan: fault plan field `{field}` {says}");
+        assert!(line.starts_with(&start), "{line}");
+    }
     std::fs::remove_file(file).expect("own temp file");
     std::fs::remove_file(plan).expect("own temp file");
 }

@@ -9,15 +9,17 @@ use yafim::data::{to_lines, PaperDataset};
 use yafim::rdd::Context;
 use yafim::{
     apriori, Item, MinerRun, MiningResult, MrApriori, MrAprioriConfig, MrMatching, MrVariant,
-    Phase2Plan, SequentialConfig, Son, SonConfig, Support, Yafim, YafimConfig,
+    Phase2Plan, Son, Support, Yafim, YafimConfig,
 };
 
-/// Mine `tx` with `mine` on clusters of 1, 2 and 8 pool threads: every run
-/// must return `reference` and leave the same virtual clock (by bits) and
-/// the same metrics snapshot behind.
+/// Mine `tx`, in HDFS blocks of `block_size` bytes when one is given, with
+/// `mine` on clusters of 1, 2 and 8 pool threads: every run must return
+/// `reference` and leave the same virtual clock (by bits) and the same
+/// metrics snapshot behind.
 fn assert_host_threads_invisible(
     name: &str,
     tx: &[Vec<Item>],
+    block_size: Option<u64>,
     reference: &MiningResult,
     plan: Option<&FaultPlan>,
     mine: impl Fn(&SimCluster) -> MinerRun,
@@ -31,6 +33,9 @@ fn assert_host_threads_invisible(
         );
         if let Some(plan) = plan {
             cluster.faults().set_plan(plan.clone());
+        }
+        if let Some(bytes) = block_size {
+            cluster.hdfs().set_block_size(bytes);
         }
         cluster.hdfs().put_overwrite("in.dat", to_lines(tx));
         let run = mine(&cluster);
@@ -61,14 +66,14 @@ fn every_plan_is_identical_at_1_2_and_8_pool_threads() {
     ];
     for (tx, support, bitmap_pass_2) in inputs {
         let support = Support::Fraction(support);
-        let reference = apriori(&tx, &SequentialConfig::new(support));
+        let reference = apriori(&tx, support);
         assert!(
             reference.max_len() >= 4,
             "input must reach the k >= 3 passes"
         );
         for phase2 in Phase2Plan::ALL {
             let plan = YafimConfig::with_plan(support, phase2);
-            assert_host_threads_invisible(phase2.name(), &tx, &reference, None, |cluster| {
+            assert_host_threads_invisible(phase2.name(), &tx, None, &reference, None, |cluster| {
                 let run = Yafim::new(Context::new(cluster.clone()), plan.clone())
                     .mine("in.dat")
                     .expect("written");
@@ -90,25 +95,24 @@ fn the_mapreduce_miners_are_identical_at_1_2_and_8_pool_threads() {
     // DPC chain from *candidates* stay small.
     let tx = PaperDataset::Mushroom.generate_scaled(0.15);
     let support = Support::Fraction(0.4);
-    let reference = apriori(&tx, &SequentialConfig::new(support));
+    let reference = apriori(&tx, support);
     let bytes: u64 = to_lines(&tx).iter().map(|l| l.len() as u64 + 1).sum();
     assert!(
         bytes >= 4 * 16 * 1024,
         "one split must be worth several units"
     );
 
-    let mr = |variant, matching, split_size, cluster: &SimCluster| {
+    let mr = |variant, matching, cluster: &SimCluster| {
         let config = MrAprioriConfig {
             variant,
             matching,
-            split_size,
             ..MrAprioriConfig::new(support)
         };
         MrApriori::new(cluster.clone(), config)
             .mine("in.dat")
             .expect("written")
     };
-    for split_size in [None, Some(bytes / 6)] {
+    for block_size in [None, Some(bytes / 6)] {
         for variant in [
             MrVariant::Spc,
             MrVariant::Fpc { passes_per_job: 2 },
@@ -117,19 +121,20 @@ fn the_mapreduce_miners_are_identical_at_1_2_and_8_pool_threads() {
             },
         ] {
             for matching in [MrMatching::HashTree, MrMatching::NaiveScan] {
-                let name = format!("{variant:?} {matching:?} split {split_size:?}");
-                assert_host_threads_invisible(&name, &tx, &reference, None, |cluster| {
-                    mr(variant, matching, split_size, cluster)
-                });
+                let name = format!("{variant:?} {matching:?} block {block_size:?}");
+                assert_host_threads_invisible(
+                    &name,
+                    &tx,
+                    block_size,
+                    &reference,
+                    None,
+                    |cluster| mr(variant, matching, cluster),
+                );
             }
         }
-        let name = format!("son split {split_size:?}");
-        assert_host_threads_invisible(&name, &tx, &reference, None, |cluster| {
-            let config = SonConfig {
-                split_size,
-                ..SonConfig::new(support)
-            };
-            Son::new(cluster.clone(), config)
+        let name = format!("son block {block_size:?}");
+        assert_host_threads_invisible(&name, &tx, block_size, &reference, None, |cluster| {
+            Son::new(cluster.clone(), support)
                 .mine("in.dat")
                 .expect("written")
         });
@@ -141,9 +146,9 @@ fn the_mapreduce_miners_are_identical_at_1_2_and_8_pool_threads() {
             .corrupt_shuffle(0.2)
             .inject_oom(0.3)
             .with_mem_budget(24 << 20);
-        let name = format!("spc under faults, split {split_size:?}");
-        assert_host_threads_invisible(&name, &tx, &reference, Some(&plan), |cluster| {
-            let run = mr(MrVariant::Spc, MrMatching::HashTree, split_size, cluster);
+        let name = format!("spc under faults, block {block_size:?}");
+        assert_host_threads_invisible(&name, &tx, block_size, &reference, Some(&plan), |cluster| {
+            let run = mr(MrVariant::Spc, MrMatching::HashTree, cluster);
             let recovery = cluster.metrics().snapshot().recovery;
             assert!(recovery.task_retries > 0 && recovery.mem.oom_injected > 0);
             assert!(recovery.integrity.corruptions_repaired > 0);
@@ -161,15 +166,15 @@ fn units_with_no_lines_are_harmless() {
     let three: Vec<Vec<Item>> = vec![long_line(10_000), long_line(20_000), long_line(30_000)];
     for tx in [three, Vec::new()] {
         let support = Support::Count(2);
-        let reference = apriori(&tx, &SequentialConfig::new(support));
+        let reference = apriori(&tx, support);
         assert_eq!(reference.total(), if tx.is_empty() { 0 } else { 7 });
-        assert_host_threads_invisible("mapreduce", &tx, &reference, None, |cluster| {
+        assert_host_threads_invisible("mapreduce", &tx, None, &reference, None, |cluster| {
             MrApriori::new(cluster.clone(), MrAprioriConfig::new(support))
                 .mine("in.dat")
                 .expect("written")
         });
-        assert_host_threads_invisible("son", &tx, &reference, None, |cluster| {
-            Son::new(cluster.clone(), SonConfig::new(support))
+        assert_host_threads_invisible("son", &tx, None, &reference, None, |cluster| {
+            Son::new(cluster.clone(), support)
                 .mine("in.dat")
                 .expect("written")
         });

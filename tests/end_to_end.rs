@@ -6,8 +6,7 @@ use yafim::cluster::{ClusterSpec, CostModel, SimCluster};
 use yafim::data::{stats, to_lines, PaperDataset};
 use yafim::rdd::Context;
 use yafim::{
-    apriori, generate_rules, Itemset, MrApriori, MrAprioriConfig, RuleConfig, SequentialConfig,
-    Support, Yafim, YafimConfig,
+    apriori, generate_rules, Itemset, MrApriori, MrAprioriConfig, Support, Yafim, YafimConfig,
 };
 
 fn small_cluster() -> SimCluster {
@@ -54,11 +53,10 @@ fn rules_from_distributed_mining_match_sequential_mining() {
     let run = Yafim::new(Context::new(cluster), YafimConfig::new(support))
         .mine("med.dat")
         .expect("written");
-    let seq = apriori(&tx, &SequentialConfig::new(support));
+    let seq = apriori(&tx, support);
 
-    let cfg = RuleConfig::new(0.7);
-    let from_dist = generate_rules(&run.result, tx.len() as u64, &cfg);
-    let from_seq = generate_rules(&seq, tx.len() as u64, &cfg);
+    let from_dist = generate_rules(&run.result, tx.len() as u64, 0.7);
+    let from_seq = generate_rules(&seq, tx.len() as u64, 0.7);
     assert_eq!(from_dist, from_seq);
 }
 

@@ -12,13 +12,15 @@ use yafim::data::{to_lines, PaperDataset};
 use yafim::mapreduce::{Emitter, MapReduceJob, MrRunner};
 use yafim::{
     ap_gen, apriori, parse_transaction, HashTree, Itemset, MatchScratch, MrApriori,
-    MrAprioriConfig, SequentialConfig, Support,
+    MrAprioriConfig, Support,
 };
 
 /// Run the counting job over `levels` (one hash tree each) and return
-/// everything the model can see of it.
+/// everything the model can see of it: 4 KiB blocks (one map task each) on
+/// three single-core nodes (three reduce tasks).
 fn count(lines: &[String], levels: &[Vec<Itemset>], indexed: bool) -> String {
-    let c = SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 2);
+    let c = SimCluster::with_threads(ClusterSpec::new(3, 1, 1 << 30), CostModel::hadoop_era(), 2);
+    c.hdfs().set_block_size(4096);
     c.hdfs().put_overwrite("m.dat", lines.to_vec());
     let table: Arc<[Itemset]> = levels.iter().flatten().cloned().collect();
     let mut base = 0;
@@ -49,8 +51,6 @@ fn count(lines: &[String], levels: &[Vec<Itemset>], indexed: bool) -> String {
             em.emit(k.clone(), vs.into_iter().sum())
         },
     )
-    .with_split_size(4096)
-    .with_reduce_tasks(3)
     .with_output("m.out", Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")));
     let job = if indexed {
         job.with_key_table(table)
@@ -72,7 +72,7 @@ fn count(lines: &[String], levels: &[Vec<Itemset>], indexed: bool) -> String {
 #[test]
 fn a_counting_job_emits_indices_as_it_emitted_itemsets() {
     let tx = PaperDataset::Mushroom.generate_scaled(0.05);
-    let mined = apriori(&tx, &SequentialConfig::new(Support::Fraction(0.4)));
+    let mined = apriori(&tx, Support::Fraction(0.4));
     let l2: Vec<Itemset> = mined.level(2).iter().map(|(s, _)| s.clone()).collect();
     // Two levels in one job, as FPC chains them: C3 from L2, C4 from C3. The
     // concatenated table is sorted within a level, not across them.
@@ -110,15 +110,18 @@ fn itemset_pass1_job(input: &str, min_sup: u64) -> MapReduceJob<Itemset, u64, It
     )
 }
 
-/// Put `lines` on a fresh four-thread cluster, let `run` mine them, and
+/// Put `lines` in `block_size`-byte blocks on a fresh four-thread cluster,
+/// let `run` mine them, and
 /// return its sorted pairs with everything else the run shows: the committed
 /// `.L1` text (the pairs in reduce order), the metrics snapshot and the
 /// clock bits.
 fn observe_pass1(
     lines: &[String],
+    block_size: u64,
     run: impl FnOnce(&SimCluster) -> Vec<(Itemset, u64)>,
 ) -> (Vec<(Itemset, u64)>, String) {
     let c = SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 4);
+    c.hdfs().set_block_size(block_size);
     c.hdfs().put_overwrite("p1.dat", lines.to_vec());
     let mut pairs = run(&c);
     pairs.sort();
@@ -142,17 +145,17 @@ fn observe_pass1(
 fn pass_1_keyed_by_an_item_is_pass_1_keyed_by_an_itemset() {
     let mushroom = to_lines(&PaperDataset::Mushroom.generate_scaled(1.0));
     let t10 = to_lines(&PaperDataset::T10I4D100K.generate_scaled(0.02));
-    for (lines, split, min_sup, tasks) in [(mushroom, 1 << 30, 2_844, 1), (t10, 4096, 5, 22)] {
+    for (lines, block, min_sup, tasks) in [(mushroom, 1 << 30, 2_844, 1), (t10, 4096, 5, 22)] {
         let mut stats = None;
-        let oracle = observe_pass1(&lines, |c| {
-            let job = itemset_pass1_job("p1.dat", min_sup).with_split_size(split);
+        let oracle = observe_pass1(&lines, block, |c| {
+            let job = itemset_pass1_job("p1.dat", min_sup);
             let result = MrRunner::new(c.clone()).run(job).expect("input written");
             stats = Some(result.stats);
             result.pairs
         });
-        let miner = observe_pass1(&lines, |c| {
+        let miner = observe_pass1(&lines, block, |c| {
             let mut config = MrAprioriConfig::new(Support::Count(min_sup));
-            (config.max_passes, config.split_size) = (1, Some(split));
+            config.max_passes = 1;
             let run = MrApriori::new(c.clone(), config).mine("p1.dat");
             run.expect("input written").result.level(1).to_vec()
         });
