@@ -70,10 +70,10 @@ pub enum ExecError {
         /// The underlying scheduler failure.
         source: FaultError,
     },
-    /// A corrupted block could not be repaired: every replica is poisoned
-    /// and there is no lineage (truncated, or MapReduce input) to recompute
-    /// a clean copy from. The engine refuses to return possibly-wrong
-    /// results.
+    /// A block has no readable copy: every replica is poisoned or gone
+    /// with its node, and there is no lineage (truncated, or MapReduce
+    /// input) to recompute a clean copy from. The engine refuses to return
+    /// possibly-wrong results.
     IntegrityFailure {
         /// What was corrupted and why it is unrepairable.
         detail: String,
@@ -145,27 +145,11 @@ impl std::error::Error for ExecError {
 /// A fault-aware schedule: the winning placement per task plus what it took
 /// to get there.
 #[derive(Clone, Debug)]
-pub struct FaultySchedule {
+pub(crate) struct FaultySchedule {
     /// Final (winning) placements, in input task order.
-    pub schedule: DetailedSchedule,
+    pub(crate) schedule: DetailedSchedule,
     /// Failures, retries and speculation accumulated by this stage.
-    pub recovery: RecoveryCounters,
-}
-
-impl FaultySchedule {
-    /// Virtual time past the last successful task end: failed attempts that
-    /// outlived every success, plus the healthy-plan makespan floor. The
-    /// metrics layer derives stage duration from the task spans alone, so
-    /// callers charge this as the stage's trailing time.
-    pub fn trailing_pad(&self) -> SimDuration {
-        let placed = self
-            .schedule
-            .placements
-            .iter()
-            .map(|p| p.start + p.duration)
-            .fold(SimDuration::ZERO, SimDuration::max);
-        self.schedule.outcome.makespan - placed
-    }
+    pub(crate) recovery: RecoveryCounters,
 }
 
 #[derive(Default)]
@@ -182,8 +166,21 @@ struct FaultInner {
     /// Corrupted copies already detected and repaired (scrub-on-read):
     /// `(tier tag, id, partition, copy)`. A healed copy never rots again —
     /// the rewrite stored fresh, clean bytes.
-    healed: FxHashSet<(u64, u64, u64, u64)>,
+    healed: FxHashSet<CopyKey>,
     stage_counter: u64,
+}
+
+/// One stored copy: `(tier tag, id, partition, copy)`.
+type CopyKey = (u64, u64, u64, u64);
+
+impl FaultInner {
+    /// The copy's key when the installed plan rots it.
+    fn rot(&self, tier: IntegrityTier, id: u64, part: usize, copy: u32) -> Option<CopyKey> {
+        let rots = self.enabled
+            && self.plan.integrity_active()
+            && self.plan.corruption_roll(tier, id, part, copy);
+        rots.then(|| (tier.tag(), id, part as u64, u64::from(copy)))
+    }
 }
 
 /// Shared handle evaluating one [`FaultPlan`] over a cluster's lifetime.
@@ -263,58 +260,44 @@ impl FaultController {
     /// Whether the installed plan can inject silent corruption: readers use
     /// this to decide whether to charge checksum verification time at all.
     /// `false` on clean runs keeps fault-free timelines byte-identical.
-    pub fn integrity_active(&self) -> bool {
+    pub(crate) fn integrity_active(&self) -> bool {
         let g = self.inner.lock();
         g.enabled && g.plan.integrity_active()
     }
 
     /// Whether the identified stored copy is rotten *right now*: the plan's
     /// seeded roll says it rotted and no reader has repaired it yet. Pure
-    /// query — use [`FaultController::take_corruption`] at actual read
-    /// sites so the detection is counted and the copy heals.
-    pub fn corrupted(&self, tier: IntegrityTier, id: u64, partition: usize, copy: u32) -> bool {
+    /// query; a read uses [`FaultController::take_corruption`].
+    pub(crate) fn corrupted(&self, tier: IntegrityTier, id: u64, part: usize, copy: u32) -> bool {
         let g = self.inner.lock();
-        if !g.enabled || !g.plan.integrity_active() {
-            return false;
-        }
-        g.plan.corruption_roll(tier, id, partition, copy)
-            && !g
-                .healed
-                .contains(&(tier.tag(), id, partition as u64, u64::from(copy)))
+        g.rot(tier, id, part, copy)
+            .is_some_and(|key| !g.healed.contains(&key))
     }
 
-    /// Read-site corruption check: returns `true` exactly once per rotten
-    /// copy (the verifying read detects the rot; the subsequent repair
-    /// rewrites clean bytes, so the copy is marked healed and later reads
-    /// verify clean). Callers that see `true` must count the
-    /// detection/repair and charge the repair path.
-    pub fn take_corruption(
+    /// Read-site corruption check: `true` exactly once per rotten copy (the
+    /// verifying read detects the rot; its repair rewrites clean bytes, so
+    /// the copy is marked healed and later reads verify clean).
+    pub(crate) fn take_corruption(
         &self,
         tier: IntegrityTier,
         id: u64,
-        partition: usize,
+        part: usize,
         copy: u32,
     ) -> bool {
         let mut g = self.inner.lock();
-        if !g.enabled || !g.plan.integrity_active() {
-            return false;
-        }
-        if !g.plan.corruption_roll(tier, id, partition, copy) {
-            return false;
-        }
-        g.healed
-            .insert((tier.tag(), id, partition as u64, u64::from(copy)))
+        g.rot(tier, id, part, copy)
+            .is_some_and(|key| g.healed.insert(key))
     }
 
     /// Walk the seeded transient-failure ladder for one fetch site, or an
     /// all-zero outcome when no plan is active. See
     /// [`FaultPlan::transient_outcome`].
-    pub fn transient(&self, kind: TransientKind, id: u64, partition: usize) -> TransientOutcome {
+    pub(crate) fn transient(&self, kind: TransientKind, id: u64, part: usize) -> TransientOutcome {
         let g = self.inner.lock();
         if !g.enabled {
             return TransientOutcome::default();
         }
-        g.plan.transient_outcome(kind, id, partition)
+        g.plan.transient_outcome(kind, id, part)
     }
 
     /// Schedule one stage under the installed plan: per-task attempt loops
@@ -326,10 +309,11 @@ impl FaultController {
     ///
     /// While the controller is inactive (no plan set, no node killed) this
     /// *is* `VirtualScheduler::schedule_detailed` with no recovery and no
-    /// trailing pad, so engines make this one call either way; an installed
+    /// trailing pad, so the stage recorder makes this one call either way
+    /// ([`crate::SimCluster::schedule_and_record`]); an installed
     /// but inert plan walks the fault path and reproduces it
     /// placement-for-placement.
-    pub fn schedule_stage(
+    pub(crate) fn schedule_stage(
         &self,
         scheduler: &VirtualScheduler,
         tasks: &[TaskSpec],
@@ -369,24 +353,14 @@ impl FaultController {
         // stage). With a heartbeat timeout the node keeps receiving tasks
         // until the driver notices the silence; `actual` is when the machine
         // really stopped, which is when its attempts stop making progress.
-        let death: Vec<Option<SimDuration>> = (0..nodes)
-            .map(|n| {
-                losses
-                    .iter()
-                    .filter(|(id, _)| id.index() == n)
-                    .map(|(_, t)| plan.detection_instant(*t).since(now))
-                    .min()
-            })
-            .collect();
-        let actual_death: Vec<Option<SimDuration>> = (0..nodes)
-            .map(|n| {
-                losses
-                    .iter()
-                    .filter(|(id, _)| id.index() == n)
-                    .map(|(_, t)| t.since(now))
-                    .min()
-            })
-            .collect();
+        let died = |at: &dyn Fn(SimInstant) -> SimInstant| -> Vec<Option<SimDuration>> {
+            let losses_of = |n| losses.iter().filter(move |(id, _)| id.index() == n);
+            (0..nodes)
+                .map(|n| losses_of(n).map(|(_, t)| at(*t).since(now)).min())
+                .collect()
+        };
+        let death = died(&|t| plan.detection_instant(t));
+        let actual_death = died(&|t| t);
         let slow: Vec<f64> = (0..nodes)
             .map(|n| plan.slow_factor(NodeId(n as u32)))
             .collect();
@@ -692,7 +666,13 @@ mod tests {
         assert_eq!(plain.schedule.outcome, base.outcome);
         assert_eq!(plain.schedule.placements, base.placements);
         assert_eq!(plain.schedule.decision_units, base.decision_units);
-        assert_eq!(plain.trailing_pad(), SimDuration::ZERO);
+        let ends = plain
+            .schedule
+            .placements
+            .iter()
+            .map(|p| p.start + p.duration);
+        let last_end = ends.fold(SimDuration::ZERO, SimDuration::max);
+        assert_eq!(last_end, plain.schedule.outcome.makespan, "no trailing pad");
         assert!(!plain.recovery.any());
     }
 

@@ -39,16 +39,19 @@
 //! purely on the virtual timeline, so mining results stay byte-identical
 //! while virtual time grows.
 //!
-//! Three files, each list written once: `plan` holds the [`FaultPlan`] field
+//! Four files, each list written once: `plan` holds the [`FaultPlan`] field
 //! table (struct, defaults, JSON codec and range checks derive from it),
 //! `counters` the counter tables ([`RecoveryCounters`] and its two nested
-//! structs: struct, `merge`, `fields()`), `controller` the scheduler.
+//! structs: struct, `merge`, `fields()`), `controller` the scheduler, and
+//! `recovery` the repair ladder and stage recorder both engines share.
 
 mod controller;
 mod counters;
 mod plan;
+mod recovery;
 
-pub use controller::{ExecError, FaultController, FaultError, FaultySchedule};
+pub use controller::{ExecError, FaultController, FaultError};
 pub(crate) use counters::counter_table;
 pub use counters::{CounterField, IntegrityCounters, MemoryCounters, RecoveryCounters};
-pub use plan::{FaultPlan, IntegrityTier, TransientKind, TransientOutcome};
+pub use plan::{FaultPlan, IntegrityTier};
+pub use recovery::{BucketLoss, StageFrame};

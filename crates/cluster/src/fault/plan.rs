@@ -501,7 +501,7 @@ impl FaultPlan {
     /// True when the plan can inject silent corruption anywhere. Readers
     /// use this to skip checksum verification (and its virtual-time charge)
     /// entirely on clean runs, keeping fault-free timelines byte-identical.
-    pub fn integrity_active(&self) -> bool {
+    pub(crate) fn integrity_active(&self) -> bool {
         self.shuffle_corruption_prob > 0.0
             || self.cache_corruption_prob > 0.0
             || self.hdfs_corruption_prob > 0.0
@@ -552,7 +552,7 @@ impl FaultPlan {
     /// (shuffle fetch or HDFS block read), identified by `(kind, id,
     /// partition)`. Every decision hashes the plan seed, so the same plan
     /// always produces the same retries, backoff, and escalation.
-    pub fn transient_outcome(
+    pub(crate) fn transient_outcome(
         &self,
         kind: TransientKind,
         id: u64,
@@ -620,7 +620,7 @@ impl FaultPlan {
 
 /// Which kind of remote read a transient failure hit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TransientKind {
+pub(crate) enum TransientKind {
     /// A reduce task fetching shuffle map output.
     ShuffleFetch,
     /// A task reading an HDFS or checkpoint block.
@@ -629,7 +629,7 @@ pub enum TransientKind {
 
 /// The deterministic result of one transient-failure retry ladder.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransientOutcome {
+pub(crate) struct TransientOutcome {
     /// Failed attempts that were retried in place.
     pub retries: u64,
     /// Total backoff waited between attempts, in virtual microseconds.
@@ -641,7 +641,7 @@ pub struct TransientOutcome {
 
 impl TransientOutcome {
     /// True when the ladder did anything at all.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         *self != TransientOutcome::default()
     }
 }

@@ -65,8 +65,8 @@ pub use bytes::{slice_bytes, slice_records, ByteSize};
 pub use costmodel::CostModel;
 pub use critical::{critical_path, CriticalPathBuckets, CriticalPathReport, StageSkew};
 pub use fault::{
-    ExecError, FaultController, FaultError, FaultPlan, FaultySchedule, IntegrityCounters,
-    IntegrityTier, MemoryCounters, RecoveryCounters, TransientKind, TransientOutcome,
+    BucketLoss, ExecError, FaultController, FaultError, FaultPlan, IntegrityCounters,
+    IntegrityTier, MemoryCounters, RecoveryCounters, StageFrame,
 };
 pub use hash::{bucket_of, fx_hash64, FxHashMap, FxHashSet, FxHasher};
 pub use hdfs::{BlockInfo, CheckpointBlock, DfsError, DfsFile, Lines, SimHdfs, Split};
@@ -77,13 +77,11 @@ pub use memgov::{
 };
 pub use metrics::{
     DropCounts, EngineCounters, Event, EventKind, JobSpan, Metrics, MetricsCapacity,
-    MetricsSnapshot, PassTiming, StageExecution, StageKind, StageSpan, TaskExecution, TaskSpan,
+    MetricsSnapshot, PassTiming, StageKind, StageSpan, TaskSpan,
 };
 pub use pool::ThreadPool;
 pub use report::full_report;
-pub use sched::{
-    DetailedSchedule, ScheduleOutcome, SchedulerConfig, TaskPlacement, TaskSpec, VirtualScheduler,
-};
+pub use sched::{ScheduleOutcome, SchedulerConfig, TaskSpec, VirtualScheduler};
 pub use spec::{ClusterSpec, NodeId};
 pub use time::{SimDuration, SimInstant};
 pub use trace::chrome_trace;
@@ -204,7 +202,7 @@ impl SimCluster {
 
     /// The scheduler one stage is placed with: the whole topology under the
     /// configured locality wait.
-    pub fn stage_admission(&self) -> VirtualScheduler {
+    pub(crate) fn stage_admission(&self) -> VirtualScheduler {
         let wait = SimDuration::from_secs(self.inner.sched_config.lock().locality_wait);
         VirtualScheduler::with_locality_wait(self.inner.spec.clone(), wait)
     }

@@ -44,6 +44,7 @@ use crate::costmodel::CostModel;
 use crate::fault::{FaultPlan, MemoryCounters};
 use crate::hash::fx_hash64;
 use crate::spec::ClusterSpec;
+use crate::work::TaskProfile;
 use std::cell::Cell;
 
 /// Smallest buffer worth spilling: a task slice below this cannot make
@@ -269,6 +270,16 @@ pub struct MemEffect {
     /// Bytes to charge as one local-disk write + read (the spill round
     /// trip).
     pub spill_disk_bytes: u64,
+}
+
+impl MemEffect {
+    /// Apply these effects to a task's profile, as both engines do.
+    pub fn charge(&self, profile: &mut TaskProfile) {
+        profile.mem.merge(&self.mem);
+        profile.work.add_stall_micros(self.stall_micros);
+        profile.work.add_disk_write(self.spill_disk_bytes);
+        profile.work.add_disk_read(self.spill_disk_bytes);
+    }
 }
 
 /// Per-task execution-memory ledger: the engine-neutral state machine both

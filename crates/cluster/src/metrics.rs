@@ -56,10 +56,11 @@ pub enum EventKind {
 }
 
 /// What a stage's tasks produce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StageKind {
     /// The last stage of a job: its tasks' results go to the driver (or,
     /// for a checkpoint, to stable storage).
+    #[default]
     Result,
     /// A shuffle map stage, writing shuffle files for a `reduceByKey`.
     ShuffleMap,
@@ -194,7 +195,7 @@ pub struct PassTiming {
 /// [`Metrics::record_stage_with_recovery`]. Times are relative to the start
 /// of the stage's task window (after the stage overhead).
 #[derive(Clone, Debug)]
-pub struct TaskExecution {
+pub(crate) struct TaskExecution {
     /// Partition index.
     pub partition: usize,
     /// Node the task ran on.
@@ -216,7 +217,7 @@ pub struct TaskExecution {
 /// before the first task launches; `trailing` models per-wave latencies
 /// charged after the last task (MapReduce heartbeats).
 #[derive(Clone, Debug)]
-pub struct StageExecution {
+pub(crate) struct StageExecution {
     /// Stage label.
     pub label: String,
     /// Result or shuffle-map stage.
@@ -522,7 +523,7 @@ impl Metrics {
     /// spans, and merges the profiles and the stage's
     /// failure/retry/speculation counters into the aggregates.
     /// Returns the assigned stage id.
-    pub fn record_stage_with_recovery(
+    pub(crate) fn record_stage_with_recovery(
         &self,
         exec: StageExecution,
         recovery: RecoveryCounters,

@@ -145,7 +145,7 @@ pub struct ScheduleOutcome {
 
 /// Where and when one task ran, relative to stage submission.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TaskPlacement {
+pub(crate) struct TaskPlacement {
     /// Node the task executed on (after any locality spill-over).
     pub node: NodeId,
     /// Core index *within* its node.
@@ -158,7 +158,7 @@ pub struct TaskPlacement {
 
 /// [`ScheduleOutcome`] plus per-task placements, in input task order.
 #[derive(Clone, Debug)]
-pub struct DetailedSchedule {
+pub(crate) struct DetailedSchedule {
     /// Aggregate outcome (makespan, busy time, waves).
     pub outcome: ScheduleOutcome,
     /// One placement per input task.

@@ -5,10 +5,9 @@ use crate::emitter::Emitter;
 use crate::job::{MapPhase, MapReduceJob, MrKey, MrValue};
 use std::sync::Arc;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, DetailedSchedule, DfsFile, EngineCounters,
-    EventKind, ExecError, FxHashMap, IntegrityCounters, IntegrityTier, RecoveryCounters,
-    SimCluster, SimDuration, StageExecution, StageKind, TaskExecution, TaskMemory, TaskPlacement,
-    TaskProfile, TaskSpec, WorkCounters, SPILL_GRANULE,
+    bucket_of, fx_hash64, memgov, slice_bytes, BucketLoss, DfsFile, EventKind, ExecError,
+    FxHashMap, MemoryCounters, NodeId, RecoveryCounters, SimCluster, SimDuration, StageFrame,
+    TaskMemory, TaskProfile, TaskSpec, WorkCounters, SPILL_GRANULE,
 };
 
 /// The smallest split share worth a host unit: below it a unit's fixed cost
@@ -60,62 +59,26 @@ impl MrRunner {
         &self.cluster
     }
 
-    /// Schedule one task wave, through the fault-aware path when a fault
-    /// plan is active on the cluster.
-    fn schedule_wave(
-        &self,
-        label: &str,
-        specs: &[TaskSpec],
-        retry_extra: Option<&[SimDuration]>,
-    ) -> Result<(DetailedSchedule, RecoveryCounters, SimDuration), ExecError> {
-        let scheduler = self.cluster.stage_admission();
-        let now = self.cluster.metrics().now();
-        let fs = self
-            .cluster
-            .faults()
-            .schedule_stage(&scheduler, specs, retry_extra, now)
-            .map_err(|source| ExecError::StageAborted {
-                stage: label.to_string(),
-                source,
-            })?;
-        let pad = fs.trailing_pad();
-        Ok((fs.schedule, fs.recovery, pad))
-    }
-
-    /// Record a scheduled wave as a stage: its `i`-th placement ran
-    /// partition `tasks[i].0` with profile `tasks[i].1`. Every wave ends on
-    /// a heartbeat boundary.
-    fn record_wave(
+    /// Schedule and record one task wave as a stage that ends on a
+    /// heartbeat boundary, owing it `recovery`. Returns the node each task
+    /// ran on.
+    fn wave(
         &self,
         label: String,
-        detailed: &DetailedSchedule,
-        recovery: RecoveryCounters,
-        pad: SimDuration,
-        tasks: impl Iterator<Item = (usize, TaskProfile)>,
-    ) {
-        let latency = SimDuration::from_secs(self.cluster.cost().mr_wave_latency);
-        let task = |(pl, (partition, profile)): (&TaskPlacement, _)| TaskExecution {
-            partition,
-            node: pl.node,
-            core: pl.core,
-            start: pl.start,
-            duration: pl.duration,
-            profile,
-        };
-        let stage = StageExecution {
+        specs: &[TaskSpec],
+        retry_extra: Option<&[SimDuration]>,
+        recovery: Option<RecoveryCounters>,
+        tasks: impl IntoIterator<Item = (usize, TaskProfile)>,
+    ) -> Result<Vec<NodeId>, ExecError> {
+        let wave_latency = SimDuration::from_secs(self.cluster.cost().mr_wave_latency);
+        let frame = StageFrame {
             label,
-            kind: StageKind::Result,
-            shuffle_id: None,
-            overhead: SimDuration::ZERO,
-            trailing: latency * detailed.outcome.waves as f64 + pad,
-            tasks: detailed.placements.iter().zip(tasks).map(task).collect(),
+            wave_latency,
+            retry_extra,
+            recovery: recovery.unwrap_or_default(),
+            ..StageFrame::default()
         };
-        let metrics = self.cluster.metrics();
-        metrics.record_stage_with_recovery(stage, recovery);
-        metrics.note_engine(&EngineCounters {
-            sched_decision_units: detailed.decision_units,
-            ..EngineCounters::default()
-        });
+        self.cluster.schedule_and_record(frame, specs, tasks)
     }
 
     /// Execute one job: map → shuffle/sort → reduce → commit.
@@ -162,29 +125,23 @@ impl MrRunner {
 
         // ---- data integrity (silent-corruption plans) ----
         //
-        // The job name keys this job's corruption rolls: HDFS-tier rolls
-        // cover the input splits (shared across jobs reading the same
-        // file — a repaired block stays repaired), shuffle-tier rolls
-        // cover this job's reduce inputs. Before any work runs, refuse
-        // the job if some split has *no* clean replica left — Hadoop has
-        // no lineage to recompute an input from.
-        let faults = cluster.faults().clone();
-        let integrity = faults.integrity_active();
+        // The input's name keys the HDFS-tier rolls of its splits (shared
+        // across jobs reading the same file — a repaired block stays
+        // repaired), the job name the shuffle-tier rolls of this job's
+        // reduce inputs. Before any work runs, refuse the job if some split
+        // has *no* clean replica left — Hadoop has no lineage to recompute
+        // an input from.
         let integrity_id = fx_hash64(&job.input);
         let replicas = splits.iter().map(|s| file.replicas_at(s.lines.start));
         let split_replicas: Vec<u32> = replicas.collect();
-        if integrity {
-            for (i, &copies) in split_replicas.iter().enumerate() {
-                if (0..copies).all(|c| faults.corrupted(IntegrityTier::Hdfs, integrity_id, i, c)) {
-                    return Err(ExecError::IntegrityFailure {
-                        detail: format!(
-                            "input `{}` split {i}: all {copies} replicas failed checksum \
-                             verification — no clean copy reachable",
-                            job.input
-                        ),
-                    });
-                }
-            }
+        for (i, &copies) in split_replicas.iter().enumerate() {
+            cluster.refuse_unreadable(integrity_id, i, copies, || {
+                format!(
+                    "input `{}` split {i}: all {copies} replicas failed checksum \
+                     verification — no clean copy reachable",
+                    job.input
+                )
+            })?;
         }
 
         let (mapper, combiner, table) = (job.mapper, job.combiner, job.key_table);
@@ -268,9 +225,7 @@ impl MrRunner {
         let spill_factor = cost.mr_spill_factor;
         let splits_for_tasks = splits.clone();
         let shuffle_integrity_id = fx_hash64(&job.name);
-        let faults_map = faults.clone();
-        let metrics_map = metrics.clone();
-        let cost_map = cost.clone();
+        let cluster_map = cluster.clone();
         // Memory governor: every map task reserves its combine buffer
         // against the same per-task slice; rolls are keyed by (job, split).
         let mem_budget = cluster.memory_budget();
@@ -283,29 +238,10 @@ impl MrRunner {
             if side_bytes > 0 {
                 w.add_disk_read(side_bytes); // localized cache file
             }
-            // Verify the split's checksum; a rotten replica is
-            // re-fetched from the next one (the preflight above
-            // guarantees a clean copy exists).
-            if integrity {
-                for copy in 0..split_replicas[i] {
-                    w.add_stall_micros((cost_map.checksum(split.bytes).as_secs() * 1e6) as u64);
-                    if faults_map.take_corruption(IntegrityTier::Hdfs, integrity_id, i, copy) {
-                        w.add_net(split.bytes);
-                        metrics_map.note_recovery(&RecoveryCounters {
-                            integrity: IntegrityCounters {
-                                corruptions_injected: 1,
-                                corruptions_detected: 1,
-                                corruptions_repaired: 1,
-                                repaired_via_replica: 1,
-                                ..IntegrityCounters::default()
-                            },
-                            ..RecoveryCounters::default()
-                        });
-                    } else {
-                        break;
-                    }
-                }
-            }
+            // Verify the split's checksum; a rotten replica is re-fetched
+            // from the next one (the refusal above guarantees a clean copy).
+            let replicas = split_replicas[i];
+            w.merge(&cluster_map.read_replicated(integrity_id, i, split.bytes, replicas, false));
 
             // Hadoop sorts map output by key either way. The sort is
             // stable, so a key's values stay in emission order for the
@@ -331,34 +267,27 @@ impl MrRunner {
             }
             let bytes: u64 = buckets.iter().map(|b| slice_bytes(b)).sum();
             w.add_ser(bytes);
-            if integrity {
-                // Checksum the map output at write time.
-                w.add_stall_micros((cost_map.checksum(bytes).as_secs() * 1e6) as u64);
-            }
+            // Checksum the map output at write time.
+            w.add_stall_micros(cluster_map.checksum_micros(bytes));
             // The combine buffer is execution memory; a denial
             // (budget overflow or injected OOM) spills it through
             // local disk — the buffer is degradable, so the
             // governor never kills a map task.
             let tm = TaskMemory::new(mem_budget, mem_stage_key, i);
             let (_, fx) = tm.try_reserve(bytes, memgov::site::MR_COMBINE, true);
-            w.add_stall_micros(fx.stall_micros);
-            if fx.spill_disk_bytes > 0 {
-                w.add_disk_write(fx.spill_disk_bytes);
-                w.add_disk_read(fx.spill_disk_bytes);
-            }
             // Spill traffic: write the sorted runs, read them back for
             // the merge.
             let spill = (bytes as f64 * spill_factor / 2.0) as u64;
             w.add_disk_write(spill);
             w.add_disk_read(spill);
 
-            let profile = TaskProfile {
+            let mut profile = TaskProfile {
                 work: w,
                 shuffle_write_bytes: bytes,
                 broadcast_read_bytes: side_bytes,
-                mem: fx.mem,
                 ..TaskProfile::new()
             };
+            fx.charge(&mut profile);
             (buckets, profile)
         });
 
@@ -378,50 +307,40 @@ impl MrRunner {
             .collect();
         let reread: Vec<SimDuration> = splits.iter().map(|s| cost.net_transfer(s.bytes)).collect();
         let map_label = format!("{}: map", job.name);
-        let (detailed, mut recovery, pad) =
-            self.schedule_wave(&map_label, &task_specs, Some(&reread))?;
-        // Roll the governor's per-task outcomes up into the wave's recovery
-        // block (peak merges with max, the rest sum).
-        for (_, p) in &map_outs {
-            recovery.mem.merge(&p.mem);
-        }
-        let profiles = map_outs.iter().map(|(_, p)| *p);
-        self.record_wave(map_label, &detailed, recovery, pad, profiles.enumerate());
+        let profiles = map_outs.iter().map(|(_, p)| *p).enumerate();
+        let map_nodes = self.wave(map_label, &task_specs, Some(&reread), None, profiles)?;
 
         // A node lost between map and reduce takes its completed map outputs
         // with it (they live on local disk, not in HDFS): re-execute just
         // those map tasks, reading the input from surviving block replicas.
-        let faults = cluster.faults();
-        if faults.active() {
-            let dead = faults.take_new_losses(metrics.now());
-            if !dead.is_empty() {
-                let lost: Vec<usize> = detailed
-                    .placements
+        let dead = cluster.faults().take_new_losses(metrics.now());
+        if !dead.is_empty() {
+            let lost: Vec<usize> = map_nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, node)| dead.contains(node))
+                .map(|(i, _)| i)
+                .collect();
+            let rec = RecoveryCounters {
+                nodes_lost: dead.len() as u64,
+                fetch_failures: lost.len() as u64,
+                recomputed_partitions: lost.len() as u64,
+                ..RecoveryCounters::default()
+            };
+            if lost.is_empty() {
+                metrics.note_recovery(&rec);
+            } else {
+                let resubmit_label = format!("{}: map (resubmit)", job.name);
+                let resubmit_specs: Vec<TaskSpec> = lost
                     .iter()
-                    .enumerate()
-                    .filter(|(_, pl)| dead.contains(&pl.node))
-                    .map(|(i, _)| i)
+                    .map(|&i| TaskSpec::anywhere(task_specs[i].duration + reread[i]))
                     .collect();
-                let mut rec = RecoveryCounters {
-                    nodes_lost: dead.len() as u64,
-                    fetch_failures: lost.len() as u64,
-                    recomputed_partitions: lost.len() as u64,
-                    ..RecoveryCounters::default()
-                };
-                if lost.is_empty() {
-                    metrics.note_recovery(&rec);
-                } else {
-                    let resubmit_label = format!("{}: map (resubmit)", job.name);
-                    let resubmit_specs: Vec<TaskSpec> = lost
-                        .iter()
-                        .map(|&i| TaskSpec::anywhere(task_specs[i].duration + reread[i]))
-                        .collect();
-                    let (re_detailed, re_recovery, re_pad) =
-                        self.schedule_wave(&resubmit_label, &resubmit_specs, None)?;
-                    rec.merge(&re_recovery);
-                    let rerun = lost.iter().map(|&orig| (orig, map_outs[orig].1));
-                    self.record_wave(resubmit_label, &re_detailed, rec, re_pad, rerun);
-                }
+                // The governor's outcomes were counted with the first wave.
+                let mut rerun: Vec<_> = lost.iter().map(|&i| (i, map_outs[i].1)).collect();
+                rerun
+                    .iter_mut()
+                    .for_each(|(_, p)| p.mem = MemoryCounters::default());
+                self.wave(resubmit_label, &resubmit_specs, None, Some(rec), rerun)?;
             }
         }
 
@@ -440,7 +359,6 @@ impl MrRunner {
         // ---- reduce phase ----
         let reducer = Arc::clone(&job.reducer);
         let format = job.output.as_ref().map(|o| Arc::clone(&o.format));
-        let nodes = spec.nodes as u64;
         let replication = cost.hdfs_replication as u64;
         // Repairing a rotten reduce input means re-running the map task
         // that produced it (map outputs live on local disk with no replica
@@ -452,43 +370,23 @@ impl MrRunner {
             .map(|(t, rr)| (t.duration + *rr).as_secs())
             .fold(0.0f64, f64::max)
             * 1e6) as u64;
-        let faults_red = faults.clone();
-        let metrics_red = metrics.clone();
-        let cost_red = cost.clone();
+        // Rotten reduce inputs are found (and counted) once, before the
+        // reducers fetch them.
+        let rotten = cluster.failed_buckets(BucketLoss::Rotten, shuffle_integrity_id, reduce_tasks);
+        let repairs = rotten.len() as u64;
+        metrics.note_recovery(&RecoveryCounters::resubmit_repairs(repairs, repairs));
+        let cluster_red = cluster.clone();
 
         let reduce_outs = cluster.pool().map(
             buckets.into_iter().zip(bucket_bytes).collect(),
             move |r, (mut bucket, bytes)| {
-                let mut w = WorkCounters::new();
-                let local = bytes / nodes.max(1);
-                w.add_disk_read(local);
-                w.add_net(bytes - local);
-                w.add_ser(bytes);
-                // Verify the fetched reduce input; on mismatch, re-run
-                // the producing map task and fetch again.
-                if integrity {
-                    w.add_stall_micros((cost_red.checksum(bytes).as_secs() * 1e6) as u64);
-                    if faults_red.take_corruption(
-                        IntegrityTier::Shuffle,
-                        shuffle_integrity_id,
-                        r,
-                        0,
-                    ) {
-                        w.add_stall_micros(map_repair_micros);
-                        w.add_net(bytes);
-                        w.add_stall_micros((cost_red.checksum(bytes).as_secs() * 1e6) as u64);
-                        metrics_red.note_recovery(&RecoveryCounters {
-                            recomputed_partitions: 1,
-                            integrity: IntegrityCounters {
-                                corruptions_injected: 1,
-                                corruptions_detected: 1,
-                                corruptions_repaired: 1,
-                                repaired_via_resubmit: 1,
-                                ..IntegrityCounters::default()
-                            },
-                            ..RecoveryCounters::default()
-                        });
-                    }
+                let mut w = cluster_red.read_shuffle(shuffle_integrity_id, r, bytes, false);
+                // A rotten reduce input re-runs the producing map task and
+                // is fetched and verified again.
+                if rotten.contains(&r) {
+                    w.add_stall_micros(map_repair_micros);
+                    w.add_net(bytes);
+                    w.add_stall_micros(cluster_red.checksum_micros(bytes));
                 }
 
                 w.add_records_in(bucket.len() as u64);
@@ -522,10 +420,8 @@ impl MrRunner {
                     // HDFS commit: local write plus pipeline replication.
                     w.add_disk_write(out_bytes);
                     w.add_net(out_bytes * (replication.saturating_sub(1)));
-                    if integrity {
-                        // Checksum the committed blocks at write time.
-                        w.add_stall_micros((cost_red.checksum(out_bytes).as_secs() * 1e6) as u64);
-                    }
+                    // Checksum the committed blocks at write time.
+                    w.add_stall_micros(cluster_red.checksum_micros(out_bytes));
                 }
 
                 let profile = TaskProfile {
@@ -546,9 +442,8 @@ impl MrRunner {
             })
             .collect();
         let reduce_label = format!("{}: reduce", job.name);
-        let (detailed, recovery, pad) = self.schedule_wave(&reduce_label, &task_specs, None)?;
         let profiles = reduce_outs.iter().map(|(_, _, p)| *p);
-        self.record_wave(reduce_label, &detailed, recovery, pad, profiles.enumerate());
+        self.wave(reduce_label, &task_specs, None, None, profiles.enumerate())?;
 
         // ---- commit & gather ----
         let mut pairs = Vec::new();

@@ -11,17 +11,12 @@
 //! cluster, and advances the shared virtual clock by the stage overhead plus
 //! the makespan.
 //!
-//! When a [`yafim_cluster::FaultPlan`] is active on the cluster, scheduling
-//! goes through the fault-aware path instead: task attempts can crash or die
-//! with their node and are retried (bounded by `max_task_failures`),
-//! stragglers on slow nodes get speculative copies, and the stage's
-//! [`yafim_cluster::RecoveryCounters`] are attached to its span. Real
-//! execution still happens exactly once per partition, so results are
-//! byte-identical to a fault-free run — only virtual time grows. Node losses
-//! additionally invalidate data *between* stages: cached partitions are
-//! evicted (recomputed through lineage on the next read), shuffle map
-//! outputs are marked lost (resubmitted by the next consumer), and broadcast
-//! blocks are re-fetched.
+//! Under a [`yafim_cluster::FaultPlan`] the cluster's stage recorder
+//! retries, reschedules and speculates on the virtual timeline only, so
+//! results stay byte-identical. Node losses also invalidate data *between*
+//! stages: cached partitions are evicted (recomputed through lineage on the
+//! next read), shuffle map outputs are marked lost (resubmitted by the next
+//! consumer), and broadcast blocks are re-fetched.
 
 use crate::context::Context;
 use crate::rdd::{materialize, node_for, CheckpointRdd, Data, Pipe, Rdd, RddImpl};
@@ -31,7 +26,7 @@ use std::sync::Arc;
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
     fx_hash64, slice_bytes, slice_records, EngineCounters, EventKind, ExecError, NodeId,
-    RecoveryCounters, SimDuration, StageExecution, StageKind, TaskExecution, TaskProfile, TaskSpec,
+    RecoveryCounters, SimDuration, StageFrame, StageKind, TaskProfile, TaskSpec,
 };
 
 /// What one node loss took with it (returned by
@@ -53,30 +48,26 @@ pub struct NodeLossReport {
 /// it while elements stream through, charging work via interior mutability.
 pub(crate) type TaskFn<R> = Arc<dyn Fn(usize, &TaskContext) -> R + Send + Sync>;
 
-/// Run one stage: `task` once per partition, real execution on the pool,
-/// virtual time charged to the cluster clock. Every task is placed on a
-/// virtual node/core by the scheduler and recorded as a task span, parented
-/// to this stage (and to the enclosing job, if any). Returns per-partition
-/// results in partition order, plus the node each task's *winning* attempt
-/// ran on (shuffle map-output provenance).
-///
-/// With an active fault plan, placement goes through
-/// [`yafim_cluster::FaultController::schedule_stage`]; pending node losses
-/// are applied before the stage starts.
+/// Run one stage: apply pending node losses, refuse it if `readable` finds
+/// a block its tasks would read with no readable copy left, run `task` once
+/// per partition on the pool, and schedule and file it on the cluster clock
+/// ([`yafim_cluster::SimCluster::schedule_and_record`]). Returns results in
+/// partition order, plus the node each task's *winning* attempt ran on
+/// (shuffle map-output provenance).
 pub(crate) fn try_run_stage<R: Send + 'static>(
     ctx: &Context,
     label: String,
     kind: StageKind,
     shuffle_id: Option<u64>,
-    partitions: usize,
     preferred: Vec<Option<NodeId>>,
+    readable: &dyn Fn() -> Result<(), ExecError>,
     task: TaskFn<R>,
 ) -> Result<(Vec<R>, Vec<NodeId>), ExecError> {
-    assert_eq!(preferred.len(), partitions);
     let cluster = ctx.cluster().clone();
     let spec = cluster.spec().clone();
 
     sync_node_losses(ctx);
+    readable()?;
 
     // One memory budget and OOM hash key per stage: every task reserves
     // against the same deterministic slice, and rolls are keyed by
@@ -90,17 +81,15 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
     // function of the plan, never of how the host interleaves the tasks.
     let cache_as_of = ctx.cache().watermark();
 
-    let preferred_for_tasks = preferred.clone();
+    let (parts, preferred_for_tasks) = ((0..preferred.len()).collect(), preferred.clone());
     let outcomes: Vec<(R, TaskProfile, Option<yafim_cluster::OomAbort>)> =
-        cluster
-            .pool()
-            .map((0..partitions).collect::<Vec<usize>>(), move |_, part| {
-                let node = preferred_for_tasks[part].unwrap_or_else(|| spec.home_node(part));
-                let tc = TaskContext::with_memory(part, node, budget, stage_key, cache_as_of);
-                let r = task(part, &tc);
-                let abort = tc.oom_abort();
-                (r, tc.into_profile(), abort)
-            });
+        cluster.pool().map(parts, move |_, part| {
+            let node = preferred_for_tasks[part].unwrap_or_else(|| spec.home_node(part));
+            let tc = TaskContext::with_memory(part, node, budget, stage_key, cache_as_of);
+            let r = task(part, &tc);
+            let abort = tc.oom_abort();
+            (r, tc.into_profile(), abort)
+        });
 
     // A task that exhausted its OOM retry ladder kills the whole job with a
     // typed error; partial results never escape. Scanned in partition order
@@ -125,57 +114,16 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
             preferred_node: *pref,
         })
         .collect();
-
-    // Node-loss instants are absolute; anchor them to this stage's task
-    // window (stage start + overhead).
-    let window_start = cluster.metrics().now() + SimDuration::from_secs(cost.spark_stage_overhead);
-    let fs = cluster
-        .faults()
-        .schedule_stage(&cluster.stage_admission(), &specs, None, window_start)
-        .map_err(|source| ExecError::StageAborted {
-            stage: label.clone(),
-            source,
-        })?;
-    let trailing = fs.trailing_pad();
-    let (detailed, mut recovery) = (fs.schedule, fs.recovery);
-
-    // The governor's per-task outcomes roll up into the stage's recovery
-    // block (peak merges with max, the rest sum), so reports, manifests and
-    // the critical path see memory pressure next to the other fault counters.
-    for (_, profile, _) in &outcomes {
-        recovery.mem.merge(&profile.mem);
-    }
-
-    // Placements come back in spec order, one per partition.
-    let executed_on: Vec<NodeId> = detailed.placements.iter().map(|p| p.node).collect();
-    let tasks: Vec<TaskExecution> = detailed
-        .placements
-        .iter()
-        .zip(&outcomes)
-        .enumerate()
-        .map(|(partition, (placement, (_, profile, _)))| TaskExecution {
-            partition,
-            node: placement.node,
-            core: placement.core,
-            start: placement.start,
-            duration: placement.duration,
-            profile: *profile,
-        })
-        .collect();
-
-    cluster.metrics().record_stage_with_recovery(
-        StageExecution {
-            label,
-            kind,
-            shuffle_id,
-            overhead: SimDuration::from_secs(cost.spark_stage_overhead),
-            trailing,
-            tasks,
-        },
-        recovery,
-    );
+    let frame = StageFrame {
+        label,
+        kind,
+        shuffle_id,
+        overhead: SimDuration::from_secs(cost.spark_stage_overhead),
+        ..StageFrame::default()
+    };
+    let profiles = outcomes.iter().map(|(_, profile, _)| *profile);
+    let executed_on = cluster.schedule_and_record(frame, &specs, profiles.enumerate())?;
     cluster.metrics().note_engine(&EngineCounters {
-        sched_decision_units: detailed.decision_units,
         cache_peak_bytes: ctx.cache().stats().peak_bytes,
         task_budget_bytes: budget.map_or(0, |b| b.node_limit),
         ..EngineCounters::default()
@@ -192,16 +140,9 @@ pub(crate) fn try_run_stage<R: Send + 'static>(
 /// partitions, mark its shuffle map outputs lost, charge the broadcast
 /// re-fetch. Returns one report per newly-applied loss.
 pub(crate) fn sync_node_losses(ctx: &Context) -> Vec<NodeLossReport> {
-    let faults = ctx.cluster().faults().clone();
-    if !faults.active() {
-        return Vec::new();
-    }
-    let now = ctx.metrics().now();
-    faults
-        .take_new_losses(now)
-        .into_iter()
-        .map(|node| apply_node_loss(ctx, node))
-        .collect()
+    let losses = ctx.cluster().faults().take_new_losses(ctx.metrics().now());
+    let apply = |node| apply_node_loss(ctx, node);
+    losses.into_iter().map(apply).collect()
 }
 
 /// Invalidate everything `node` held and charge the recovery traffic. The
@@ -300,18 +241,18 @@ fn run_final_stage<T: Data, R: Send + 'static>(
         label,
         StageKind::Result,
         shuffle_read,
-        partitions,
         preferred,
+        &|| rdd.imp.preflight(),
         Arc::new(move |part, tc: &TaskContext| task(materialize(&imp, part, tc), tc)),
     )
     .map(|(parts, _)| parts)
 }
 
 /// Run `body` as one job called `name`: the job span and the per-job
-/// driver overhead, the integrity preflight, every shuffle stage the lineage
-/// depends on, then `body` — the final stage and what the driver pays for
-/// its results. Losses that triggered during the final stage surface inside
-/// this job rather than lingering until the next action.
+/// driver overhead, every shuffle stage the lineage depends on, then `body`
+/// — the final stage and what the driver pays for its results. Losses that
+/// triggered during the final stage surface inside this job rather than
+/// lingering until the next action.
 fn run_job<T: Data, R>(
     rdd: &Rdd<T>,
     name: &str,
@@ -323,7 +264,6 @@ fn run_job<T: Data, R>(
         ctx.cluster().cost().spark_job_overhead,
     ));
     let result = (|| {
-        rdd.imp.preflight()?;
         prepare_shuffles(ctx, &rdd.imp)?;
         let out = body()?;
         sync_node_losses(ctx);
@@ -378,11 +318,7 @@ pub(crate) fn try_checkpoint<T: Data>(rdd: &Rdd<T>) -> Result<Rdd<T>, ExecError>
             tc.add_ser(bytes); // serialize the block for stable storage
             tc.add_disk_write(bytes); // primary replica, node-local
             tc.add_net(bytes * replication.saturating_sub(1)); // pipeline to the others
-            if cluster.faults().integrity_active() {
-                // Checksum the block at write time so replica reads can
-                // verify it.
-                tc.add_stall_micros((cluster.cost().checksum(bytes).as_secs() * 1e6) as u64);
-            }
+            tc.add_stall_micros(cluster.checksum_micros(bytes)); // verified by replica reads
             tc.note_records_written(slice_records(&data));
             cluster
                 .hdfs()
@@ -480,10 +416,6 @@ pub trait FaultInjection {
     /// second kill of the same node reports nothing new.
     fn lose_node(&self, node: NodeId) -> NodeLossReport;
 
-    /// Alias for [`FaultInjection::drop_shuffle`], matching the
-    /// `lose_node` naming: drop one shuffle's map outputs wholesale.
-    fn lose_shuffle(&self, shuffle_id: u64) -> bool;
-
     /// Number of currently materialized shuffles (observability for tests).
     fn materialized_shuffles(&self) -> usize;
 }
@@ -509,10 +441,6 @@ impl FaultInjection for Context {
                 map_outputs_lost: 0,
             }
         }
-    }
-
-    fn lose_shuffle(&self, shuffle_id: u64) -> bool {
-        self.drop_shuffle(shuffle_id)
     }
 
     fn materialized_shuffles(&self) -> usize {

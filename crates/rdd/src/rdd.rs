@@ -36,8 +36,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use yafim_cluster::{
-    slice_bytes, slice_records, ByteSize, DfsFile, IntegrityCounters, IntegrityTier, Lines, NodeId,
-    RecoveryCounters, Split, TransientKind,
+    slice_bytes, slice_records, ByteSize, DfsFile, Lines, NodeId, RecoveryCounters, Split,
 };
 
 /// Marker bound for RDD element types: cheap to clone, shareable across the
@@ -253,15 +252,13 @@ pub(crate) trait RddImpl<T: Data>: Send + Sync + 'static {
     fn lineage_len(&self) -> u64 {
         1
     }
-    /// Verify, before a job runs, that a clean copy of every replicated
-    /// source partition is reachable under the active corruption plan.
-    /// Replicated sources (HDFS files, checkpoint blocks) check that at
-    /// least one replica per partition passes checksum verification; narrow
-    /// operators delegate to their parents. When every replica of a
-    /// partition is poisoned and the lineage was truncated there is nothing
-    /// left to replay — the job must fail typed
+    /// Verify, before a stage runs and after the node losses due by then
+    /// are applied, that every replicated source partition (HDFS split,
+    /// checkpoint block) has a replica left that passes its checksum; other
+    /// operators delegate to their parents. With none there is nothing to
+    /// replay, so the job fails typed
     /// ([`yafim_cluster::ExecError::IntegrityFailure`]) rather than ever
-    /// return wrong results. Driver-resident sources have nothing to check.
+    /// return wrong results.
     fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
         Ok(())
     }
@@ -272,15 +269,6 @@ pub(crate) trait RddImpl<T: Data>: Send + Sync + 'static {
 pub(crate) fn node_for<T: Data>(imp: &Arc<dyn RddImpl<T>>, part: usize) -> NodeId {
     imp.preferred_node(part)
         .unwrap_or_else(|| imp.meta().ctx.cluster().spec().home_node(part))
-}
-
-/// Integer microseconds to fx-hash64-checksum `bytes` under the cluster's
-/// cost model. Integrity overhead (write-time checksumming, read-time
-/// verification, repair) only exists when a corruption plan is active, so
-/// it is charged as task stall time and lands in the `fault_stall`
-/// critical-path bucket — fault-free timelines stay byte-identical.
-pub(crate) fn checksum_micros(ctx: &Context, bytes: u64) -> u64 {
-    (ctx.cluster().cost().checksum(bytes).as_secs() * 1e6) as u64
 }
 
 /// Produce a partition's pipe, going through the cache when the RDD is
@@ -300,36 +288,20 @@ pub(crate) fn materialize<'a, T: Data>(
         return imp.compute(part, tc);
     }
     if let Some((data, bytes)) = meta.ctx.cache().get::<T>(meta.id, part, tc.cache_as_of) {
-        let faults = meta.ctx.cluster().faults();
-        let rotten = if faults.integrity_active() {
-            // Verify the stored block's checksum before trusting it.
-            tc.add_stall_micros(checksum_micros(&meta.ctx, bytes));
-            faults.take_corruption(IntegrityTier::Cache, meta.id, part, 0)
-        } else {
-            false
-        };
+        // Verify the stored block's checksum before trusting it.
+        let cluster = meta.ctx.cluster();
+        tc.add_stall_micros(cluster.checksum_micros(bytes));
+        let rotten = cluster.cached_copy_rotten(meta.id, part);
         tc.add_mem_read(bytes);
         if !rotten {
             tc.note_cache_hit();
             tc.note_records_read(slice_records(&data));
             return Pipe::Shared(data);
         }
-        // Checksum mismatch on a cached partition. Cached blocks
-        // have no replicas, so the cheapest (and only) repair is lineage
-        // recompute: evict the poisoned entry and fall through to the miss
-        // path below, which recomputes and re-caches a clean copy.
+        // The only repair of a cached block is lineage recompute: evict the
+        // poisoned entry and fall through to the miss path below, which
+        // recomputes and re-caches a clean copy.
         meta.ctx.cache().evict(meta.id, part);
-        meta.ctx.metrics().note_recovery(&RecoveryCounters {
-            recomputed_partitions: 1,
-            integrity: IntegrityCounters {
-                corruptions_injected: 1,
-                corruptions_detected: 1,
-                corruptions_repaired: 1,
-                repaired_via_recompute: 1,
-                ..IntegrityCounters::default()
-            },
-            ..RecoveryCounters::default()
-        });
     }
     tc.note_cache_miss();
     if meta.ctx.cache().take_lost(meta.id, part) {
@@ -349,10 +321,8 @@ pub(crate) fn materialize<'a, T: Data>(
     meta.ctx
         .cache()
         .put(meta.id, part, node, Arc::clone(&data), bytes);
-    if meta.ctx.cluster().faults().integrity_active() {
-        // Checksum the block at write time so later reads can verify it.
-        tc.add_stall_micros(checksum_micros(&meta.ctx, bytes));
-    }
+    // Checksum the block at write time so later reads can verify it.
+    tc.add_stall_micros(meta.ctx.cluster().checksum_micros(bytes));
     Pipe::Shared(data)
 }
 
@@ -623,64 +593,6 @@ impl<T: Data> RddImpl<T> for ParallelizeRdd<T> {
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 }
 
-/// What the fault plan makes of an HDFS-backed partition read (text-file
-/// split or checkpoint block) of `bytes` with `replicas` copies. First the
-/// seeded transient ladder: each retry re-fetches the full `bytes` from a
-/// replica over the network, the accumulated backoff stalls the task, and an
-/// escalation pays one final read from a *different* replica. Failure here
-/// never loses data — replication absorbs it — so nothing is recomputed; the
-/// ladder only costs virtual time. Then, under a corruption plan, the
-/// fetched replica's checksum is verified; a mismatch repairs by re-fetching
-/// from the next replica (and rewriting the rotten copy clean), walking the
-/// replica set until one verifies. Preflight guarantees a clean copy exists:
-/// the all-poisoned case fails the job typed before the stage runs.
-pub(crate) fn charge_faulty_hdfs_read(
-    ctx: &Context,
-    tc: &TaskContext,
-    id: u64,
-    part: usize,
-    bytes: u64,
-    replicas: u32,
-) {
-    let faults = ctx.cluster().faults();
-    let t = faults.transient(TransientKind::HdfsRead, id, part);
-    if t.any() {
-        for _ in 0..t.retries {
-            tc.add_net(bytes);
-        }
-        tc.add_stall_micros(t.backoff_micros);
-        if t.escalated {
-            tc.add_net(bytes);
-        }
-        ctx.metrics().note_recovery(&RecoveryCounters {
-            fetch_retries: t.retries,
-            backoff_micros: t.backoff_micros,
-            fetch_failures: if t.escalated { 1 } else { 0 },
-            ..RecoveryCounters::default()
-        });
-    }
-    if !faults.integrity_active() {
-        return;
-    }
-    for copy in 0..replicas {
-        tc.add_stall_micros(checksum_micros(ctx, bytes));
-        if !faults.take_corruption(IntegrityTier::Hdfs, id, part, copy) {
-            break;
-        }
-        tc.add_net(bytes);
-        ctx.metrics().note_recovery(&RecoveryCounters {
-            integrity: IntegrityCounters {
-                corruptions_injected: 1,
-                corruptions_detected: 1,
-                corruptions_repaired: 1,
-                repaired_via_replica: 1,
-                ..IntegrityCounters::default()
-            },
-            ..RecoveryCounters::default()
-        });
-    }
-}
-
 /// Source: a text file in simulated HDFS, a partition per split. What a
 /// split's lines become is the node's one parameter: a `String` each
 /// ([`Context::text_file`]), or the [`Lines`] themselves as one element that
@@ -726,8 +638,9 @@ impl<T: Data> RddImpl<T> for HdfsTextRdd<T> {
             // Non-local read: the bytes cross the network from a replica.
             tc.add_net(split.bytes);
         }
-        let (ctx, replicas) = (&self.meta.ctx, self.file.replicas_at(split.lines.start));
-        charge_faulty_hdfs_read(ctx, tc, self.meta.id, part, split.bytes, replicas);
+        let replicas = self.file.replicas_at(split.lines.start);
+        let cluster = self.meta.ctx.cluster();
+        tc.add_work(&cluster.read_replicated(self.meta.id, part, split.bytes, replicas, true));
         let lines = self.file.lines().slice(split.lines.clone());
         tc.add_records_out(lines.len() as u64);
         tc.note_records_read(lines.len() as u64);
@@ -737,24 +650,16 @@ impl<T: Data> RddImpl<T> for HdfsTextRdd<T> {
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 
     fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
-        let faults = self.meta.ctx.cluster().faults();
-        if !faults.integrity_active() {
-            return Ok(());
-        }
+        let (cluster, id) = (self.meta.ctx.cluster(), self.meta.id);
         for (part, split) in self.splits.iter().enumerate() {
             let replicas = self.file.replicas_at(split.lines.start);
-            let all_rotten = (0..replicas)
-                .all(|copy| faults.corrupted(IntegrityTier::Hdfs, self.meta.id, part, copy));
-            if all_rotten {
-                return Err(yafim_cluster::ExecError::IntegrityFailure {
-                    detail: format!(
-                        "hdfs file `{}` rdd{} split {part}: all {replicas} replicas failed \
-                         checksum verification — no clean copy reachable",
-                        self.file.name(),
-                        self.meta.id
-                    ),
-                });
-            }
+            cluster.refuse_unreadable(id, part, replicas, || {
+                format!(
+                    "hdfs file `{}` rdd{id} split {part}: all {replicas} replicas failed \
+                     checksum verification — no clean copy reachable",
+                    self.file.name()
+                )
+            })?;
         }
         Ok(())
     }
@@ -807,20 +712,11 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
             .cluster()
             .hdfs()
             .checkpoint_get(self.meta.id, part)
-            .unwrap_or_else(|| {
-                panic!(
-                    "checkpoint rdd{} partition {part}: all replicas lost \
-                     (lineage was truncated, nothing left to replay)",
-                    self.meta.id
-                )
-            });
-        let data: Arc<Vec<T>> = match block.data.downcast() {
-            Ok(d) => d,
-            Err(_) => panic!(
-                "checkpoint rdd{} partition {part}: type mismatch",
-                self.meta.id
-            ),
-        };
+            .expect("a stage whose checkpoint block is gone is refused before it runs");
+        let data: Arc<Vec<T>> = block
+            .data
+            .downcast()
+            .expect("a reader has its writer's type");
         if block.replicas.contains(&tc.node) {
             tc.add_disk_read(block.bytes);
         } else {
@@ -828,7 +724,8 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
         }
         tc.add_ser(block.bytes); // deserialize the stored block
         let replicas = block.replicas.len().max(1) as u32;
-        charge_faulty_hdfs_read(ctx, tc, self.meta.id, part, block.bytes, replicas);
+        let cluster = ctx.cluster();
+        tc.add_work(&cluster.read_replicated(self.meta.id, part, block.bytes, replicas, true));
         ctx.metrics().note_recovery(&RecoveryCounters {
             checkpoint_reads: 1,
             ..RecoveryCounters::default()
@@ -842,31 +739,22 @@ impl<T: Data> RddImpl<T> for CheckpointRdd<T> {
     fn collect_shuffle_deps(&self, _out: &mut Vec<Arc<dyn ShuffleStage>>) {}
 
     fn preflight(&self) -> Result<(), yafim_cluster::ExecError> {
-        let faults = self.meta.ctx.cluster().faults();
-        if !faults.integrity_active() {
-            return Ok(());
-        }
-        let hdfs = self.meta.ctx.cluster().hdfs();
+        let (cluster, id) = (self.meta.ctx.cluster(), self.meta.id);
         for part in 0..self.partitions {
-            // A missing block (every replica's node died) keeps its existing
-            // panic-on-read behaviour; preflight only vets blocks that are
-            // still present but may be silently rotten.
-            let Some(block) = hdfs.checkpoint_get(self.meta.id, part) else {
-                continue;
-            };
-            let replicas = block.replicas.len().max(1) as u32;
-            let all_rotten = (0..replicas)
-                .all(|copy| faults.corrupted(IntegrityTier::Hdfs, self.meta.id, part, copy));
-            if all_rotten {
-                return Err(yafim_cluster::ExecError::IntegrityFailure {
-                    detail: format!(
-                        "checkpoint rdd{} partition {part}: all {replicas} replicas failed \
-                         checksum verification and lineage was truncated — nothing left to \
-                         replay",
-                        self.meta.id
-                    ),
-                });
-            }
+            // A block disappears once every replica's node is lost: it has
+            // no copy left, which is refused like a poisoned one.
+            let block = cluster.hdfs().checkpoint_get(id, part);
+            let replicas = block.map_or(0, |b| b.replicas.len().max(1) as u32);
+            cluster.refuse_unreadable(id, part, replicas, || match replicas {
+                0 => format!(
+                    "checkpoint rdd{id} partition {part}: every replica's node was lost and \
+                     lineage was truncated — nothing left to replay"
+                ),
+                _ => format!(
+                    "checkpoint rdd{id} partition {part}: all {replicas} replicas failed \
+                     checksum verification and lineage was truncated — nothing left to replay"
+                ),
+            })?;
         }
         Ok(())
     }

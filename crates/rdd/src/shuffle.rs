@@ -41,8 +41,8 @@ use std::hash::Hash;
 use std::sync::{Arc, Weak};
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, ExecError, FxHashMap, IntegrityCounters,
-    IntegrityTier, NodeId, RecoveryCounters, StageKind, TransientKind,
+    bucket_of, fx_hash64, memgov, slice_bytes, BucketLoss, ExecError, FxHashMap, NodeId,
+    RecoveryCounters, StageKind,
 };
 
 /// A shuffle's map side, to be run before any stage that reads it.
@@ -390,15 +390,14 @@ where
             .collect();
 
         let task_parts = map_parts.clone();
-        let faults = ctx.cluster().faults().clone();
-        let cost = ctx.cluster().cost().clone();
+        let cluster = ctx.cluster().clone();
         let (results, executed_on): (Vec<MapOutput<K, V>>, Vec<NodeId>) = exec::try_run_stage(
             &ctx,
             label,
             StageKind::ShuffleMap,
             Some(self.meta.id),
-            map_parts.len(),
             preferred,
+            &|| self.parent.preflight(),
             Arc::new(move |idx: usize, tc: &TaskContext| {
                 let part = task_parts[idx];
 
@@ -421,11 +420,7 @@ where
                 tc.add_records_out(total_records);
                 tc.add_ser(total_bytes);
                 tc.add_disk_write(total_bytes); // shuffle file write
-                if faults.integrity_active() {
-                    // Checksum the shuffle file at write time so reduce-side
-                    // fetches can verify it.
-                    tc.add_stall_micros((cost.checksum(total_bytes).as_secs() * 1e6) as u64);
-                }
+                tc.add_stall_micros(cluster.checksum_micros(total_bytes)); // verified by fetches
                 tc.note_shuffle_write(total_bytes);
                 tc.note_records_written(total_records);
                 tc.note_materialized(total_bytes);
@@ -458,78 +453,38 @@ where
     K: Data + Hash + Ord,
     V: Data,
 {
-    /// Walk the seeded transient-fetch ladder for every reduce partition of
-    /// a freshly materialized shuffle. An *escalated* outcome means some map
-    /// output stayed unfetchable after every retry: the driver reacts as it
-    /// does to a fetch failure — it resubmits the (deterministically chosen)
-    /// victim map task, patching its output back in like a node-loss hole.
-    /// Runs once per materialization, right after the initial map stage;
-    /// resubmissions and later hole repairs never re-roll the ladder.
-    fn apply_transient_escalations(&self) -> Result<(), ExecError> {
-        let faults = self.ctx().cluster().faults().clone();
+    /// Resubmit a (deterministically chosen) victim map task per reduce
+    /// bucket that cannot be fetched as written, as the driver does on a
+    /// fetch failure, patching its output back in like a node-loss hole.
+    /// Escalated fetches are picked once per materialization, right after
+    /// the initial map stage; rotten buckets at every preparation (each is
+    /// found once: its repair rewrites it clean).
+    fn resubmit_failed_buckets(&self, loss: BucketLoss) -> Result<(), ExecError> {
         let maps = self.parent.num_partitions();
         if maps == 0 {
             return Ok(());
         }
-        let mut lost: BTreeSet<usize> = BTreeSet::new();
-        let mut escalations = 0u64;
-        for r in 0..self.partitions {
-            let t = faults.transient(TransientKind::ShuffleFetch, self.meta.id, r);
-            if t.escalated {
-                escalations += 1;
-                lost.insert(fx_hash64(&(self.meta.id, r as u64, 0x5e5cu64)) as usize % maps);
-            }
-        }
-        if lost.is_empty() {
+        let cluster = self.ctx().cluster();
+        let failed = cluster.failed_buckets(loss, self.meta.id, self.partitions);
+        if failed.is_empty() {
             return Ok(());
         }
-        let lost: Vec<usize> = lost.into_iter().collect();
-        self.ctx().metrics().note_recovery(&RecoveryCounters {
-            fetch_failures: escalations,
-            recomputed_partitions: lost.len() as u64,
-            ..RecoveryCounters::default()
-        });
-        self.run_map_stage(Some(&lost))
-    }
-
-    /// Verify every reduce partition's map outputs against their write-time
-    /// checksums. A mismatch means a shuffle file silently rotted on disk:
-    /// the driver reacts as it does to a fetch failure — it resubmits the
-    /// (deterministically chosen) victim map task, rewriting the rotten
-    /// file clean. Runs at shuffle preparation; the controller's healed set
-    /// guarantees each rotten copy is detected (and counted) exactly once,
-    /// so later preparations of the same shuffle verify clean.
-    fn apply_corruption_repairs(&self) -> Result<(), ExecError> {
-        let faults = self.ctx().cluster().faults().clone();
-        if !faults.integrity_active() {
-            return Ok(());
-        }
-        let maps = self.parent.num_partitions();
-        if maps == 0 {
-            return Ok(());
-        }
-        let mut lost: BTreeSet<usize> = BTreeSet::new();
-        let mut detected = 0u64;
-        for r in 0..self.partitions {
-            if faults.take_corruption(IntegrityTier::Shuffle, self.meta.id, r, 0) {
-                detected += 1;
-                lost.insert(fx_hash64(&(self.meta.id, r as u64, 0xbaddu64)) as usize % maps);
-            }
-        }
-        if lost.is_empty() {
-            return Ok(());
-        }
-        let lost: Vec<usize> = lost.into_iter().collect();
-        self.ctx().metrics().note_recovery(&RecoveryCounters {
-            recomputed_partitions: lost.len() as u64,
-            integrity: IntegrityCounters {
-                corruptions_injected: detected,
-                corruptions_detected: detected,
-                corruptions_repaired: detected,
-                repaired_via_resubmit: detected,
-                ..IntegrityCounters::default()
+        let salt: u64 = match loss {
+            BucketLoss::Rotten => 0xbadd,
+            BucketLoss::Escalated => 0x5e5c,
+        };
+        let victims = failed
+            .iter()
+            .map(|&r| fx_hash64(&(self.meta.id, r as u64, salt)) as usize % maps);
+        let lost: Vec<usize> = victims.collect::<BTreeSet<usize>>().into_iter().collect();
+        let (n, resubmitted) = (failed.len() as u64, lost.len() as u64);
+        cluster.metrics().note_recovery(&match loss {
+            BucketLoss::Escalated => RecoveryCounters {
+                fetch_failures: n,
+                recomputed_partitions: resubmitted,
+                ..RecoveryCounters::default()
             },
-            ..RecoveryCounters::default()
+            BucketLoss::Rotten => RecoveryCounters::resubmit_repairs(n, resubmitted),
         });
         self.run_map_stage(Some(&lost))
     }
@@ -568,11 +523,11 @@ where
                 });
                 self.run_map_stage(Some(&lost))?;
             }
-            return self.apply_corruption_repairs();
+            return self.resubmit_failed_buckets(BucketLoss::Rotten);
         }
         self.run_map_stage(None)?;
-        self.apply_transient_escalations()?;
-        self.apply_corruption_repairs()
+        self.resubmit_failed_buckets(BucketLoss::Escalated)?;
+        self.resubmit_failed_buckets(BucketLoss::Rotten)
     }
 }
 
@@ -600,50 +555,13 @@ where
             .get::<K, V>(self.meta.id)
             .expect("shuffle map stage must run before reduce tasks");
 
-        // Fetch cost: with map outputs spread evenly over the cluster,
-        // 1/nodes of the bytes are node-local shuffle files, the rest
-        // crosses the network. Everything is deserialized.
+        // Rotten buckets were rewritten, and escalated fetches' victim map
+        // tasks resubmitted, at preparation; the fetch still pays for its
+        // check and its retries.
         let bytes = mat.bucket_bytes[part];
-        let nodes = self.ctx().cluster().spec().nodes as u64;
-        let local = bytes / nodes.max(1);
-        tc.add_disk_read(local);
-        tc.add_net(bytes - local);
-        tc.add_ser(bytes);
-        if self.ctx().cluster().faults().integrity_active() {
-            // Read-time verification of the fetched buckets. Rotten shuffle
-            // files were already detected and rewritten at preparation
-            // (`apply_corruption_repairs`), so by fetch time every copy
-            // verifies clean — this charges the verification itself.
-            tc.add_stall_micros(crate::rdd::checksum_micros(self.ctx(), bytes));
-        }
+        let cluster = self.ctx().cluster();
+        tc.add_work(&cluster.read_shuffle(self.meta.id, part, bytes, true));
         tc.note_shuffle_read(bytes);
-
-        // Seeded transient-fetch ladder: each retry re-fetches the
-        // partition's buckets, the accumulated backoff stalls the task, and
-        // an escalation pays one more full fetch after the driver
-        // resubmitted the victim map task (the resubmission itself is
-        // charged in `prepare`). Data is never wrong — only time grows.
-        let t = self.ctx().cluster().faults().transient(
-            TransientKind::ShuffleFetch,
-            self.meta.id,
-            part,
-        );
-        if t.any() {
-            for _ in 0..t.retries {
-                tc.add_disk_read(local);
-                tc.add_net(bytes - local);
-            }
-            tc.add_stall_micros(t.backoff_micros);
-            if t.escalated {
-                tc.add_disk_read(local);
-                tc.add_net(bytes - local);
-            }
-            self.ctx().metrics().note_recovery(&RecoveryCounters {
-                fetch_retries: t.retries,
-                backoff_micros: t.backoff_micros,
-                ..RecoveryCounters::default()
-            });
-        }
 
         // Fold the buckets in map-task order, one probe per record. A key
         // occurs at most once per map output, so the largest bucket is a

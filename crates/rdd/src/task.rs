@@ -56,16 +56,7 @@ impl TaskContext {
             return MemGrant::Granted;
         }
         let (grant, fx) = self.memory.try_reserve(bytes, site, degradable);
-        self.update(|p| {
-            p.mem.merge(&fx.mem);
-            if fx.stall_micros > 0 {
-                p.work.add_stall_micros(fx.stall_micros);
-            }
-            if fx.spill_disk_bytes > 0 {
-                p.work.add_disk_write(fx.spill_disk_bytes);
-                p.work.add_disk_read(fx.spill_disk_bytes);
-            }
-        });
+        self.update(|p| fx.charge(p));
         grant
     }
 
@@ -119,6 +110,11 @@ impl TaskContext {
     /// Record bytes crossing a serialization boundary.
     pub(crate) fn add_ser(&self, bytes: u64) {
         self.update(|p| p.work.add_ser(bytes));
+    }
+
+    /// Add a whole set of work counters (what a fault-checked read cost).
+    pub(crate) fn add_work(&self, work: &yafim_cluster::WorkCounters) {
+        self.update(|p| p.work.merge(work));
     }
 
     /// Record virtual time the task spent stalled waiting (transient-fetch

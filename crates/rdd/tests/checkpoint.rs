@@ -1,9 +1,10 @@
 //! Checkpointing, lineage truncation, and the transient-fault ladder at the
 //! RDD level: checkpointed data round-trips byte-identically, survives node
 //! loss through replication, bounds replay depth after a loss, and seeded
-//! transient fetch failures cost virtual time without ever changing results.
+//! transient fetch failures cost virtual time without ever changing results,
+//! and a block with no replica left is a typed refusal.
 
-use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster};
+use yafim_cluster::{ClusterSpec, CostModel, ExecError, FaultPlan, NodeId, SimCluster};
 use yafim_rdd::{Context, FaultInjection};
 
 fn ctx() -> Context {
@@ -63,6 +64,25 @@ fn checkpoint_blocks_survive_node_loss() {
         "reads after the loss come from the checkpoint, got {}",
         rec.checkpoint_reads
     );
+}
+
+#[test]
+fn a_checkpoint_block_whose_every_replica_is_lost_is_refused_not_panicked() {
+    let c = ctx();
+    let cp = deep_chain(&c, 3, 8).checkpoint();
+    let block = c.cluster().hdfs().checkpoint_get(cp.id(), 0);
+    let replicas = block.expect("just written").replicas;
+    assert_eq!(replicas.len(), 3, "default 3x replication on 4 nodes");
+    for node in replicas {
+        c.lose_node(node);
+    }
+    match cp.try_collect() {
+        Err(ExecError::IntegrityFailure { detail }) => {
+            let start = format!("checkpoint rdd{} partition 0: ", cp.id());
+            assert!(detail.starts_with(&start), "{detail}");
+        }
+        other => panic!("expected an integrity refusal, got {other:?}"),
+    }
 }
 
 #[test]

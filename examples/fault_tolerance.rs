@@ -103,8 +103,8 @@ fn main() {
     assert_eq!(again.map_outputs_lost, 0);
 
     // A second failure mode for completeness: dropping a whole shuffle
-    // (`lose_shuffle`) forces a full map-stage re-run on next use.
-    assert!(ctx.lose_shuffle(counts.id()));
+    // (`drop_shuffle`) forces a full map-stage re-run on next use.
+    assert!(ctx.drop_shuffle(counts.id()));
     assert_eq!(ctx.materialized_shuffles(), 0);
     let rebuilt = counts.collect();
     assert_eq!(rebuilt, healthy);

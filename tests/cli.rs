@@ -189,6 +189,28 @@ fn an_out_of_range_fault_plan_is_one_line_and_exit_1() {
 }
 
 #[test]
+fn a_checkpoint_block_with_no_replica_left_is_one_line_and_exit_1() {
+    let file = input("ckpt");
+    let file = file.to_str().expect("utf-8 temp path");
+    let plan = std::env::temp_dir().join(format!("yafim-cli-ckpt-{}.json", std::process::id()));
+    let plan = plan.to_str().expect("utf-8 temp path");
+    // Three of four nodes die at 3 s: some checkpoint block loses every
+    // replica, and the lineage behind it was truncated.
+    let json = r#"{"checkpoint_interval": 1, "node_losses": [[0, 3.0], [1, 3.0], [2, 3.0]]}"#;
+    std::fs::write(plan, json).expect("temp dir writable");
+    for phase2 in ["opt", "bitmap"] {
+        let flags = ["--nodes", "4", "--cores", "2", "--phase2", phase2];
+        let out = mine(file, &[&["--fault-plan", plan][..], &flags].concat());
+        assert_eq!(out.status.code(), Some(1), "{phase2}: {out:?}");
+        let line = refusal(&out);
+        let says = "spark miner refused the run: data integrity failure: checkpoint rdd";
+        assert!(line.starts_with(says), "{phase2}: {line}");
+    }
+    std::fs::remove_file(file).expect("own temp file");
+    std::fs::remove_file(plan).expect("own temp file");
+}
+
+#[test]
 fn a_closed_stdout_ends_the_output_quietly() {
     let file = input("pipe");
     let file = file.to_str().expect("utf-8 temp path");
