@@ -126,6 +126,7 @@ fn main() {
         let passes = run.passes.iter().map(|p| {
             JsonValue::object(vec![
                 ("pass", p.pass.into()),
+                ("last", p.last.into()),
                 ("virtual_seconds", JsonValue::Number(p.seconds)),
                 ("candidates", p.candidates.into()),
                 ("frequent", p.frequent.into()),

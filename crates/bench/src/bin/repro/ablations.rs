@@ -202,19 +202,37 @@ pub(crate) fn phase_combine() -> String {
         );
     }
 
-    let (yafim, _) = run_clean(
-        Miner::Spark(Phase2Plan::Paper),
-        ClusterSpec::paper(),
-        &data.transactions,
-        data.support,
-    );
+    let spark = |plan| {
+        run_clean(
+            Miner::Spark(plan),
+            ClusterSpec::paper(),
+            &data.transactions,
+            data.support,
+        )
+    };
+    let (yafim, _) = spark(Phase2Plan::Paper);
+    let spc_total = spc_total.expect("SPC ran");
     say!(
         out,
         "{:<28} {:>8} {:>12.2} {:>15.2}x   <- framework switch beats job combining",
         "YAFIM (Spark engine)",
         "-",
         yafim.total_seconds,
-        spc_total.expect("SPC ran") / yafim.total_seconds
+        spc_total / yafim.total_seconds
+    );
+    let (combined, cluster) = spark(Phase2Plan::Bitmap);
+    assert_eq!(
+        reference.as_ref(),
+        Some(&combined.result),
+        "YAFIM bitmap diverges"
+    );
+    say!(
+        out,
+        "{:<30} {:>6} {:>12.2} {:>15.2}x",
+        "YAFIM bitmap (passes combined)",
+        cluster.metrics().snapshot().jobs,
+        combined.total_seconds,
+        spc_total / combined.total_seconds
     );
     out
 }
@@ -305,18 +323,25 @@ pub(crate) fn matching() -> (String, RunManifest) {
         })
         .collect();
     let paper = &runs[0].1;
-    let counts = |run: &yafim_core::MinerRun| -> Vec<_> {
-        run.passes
-            .iter()
-            .map(|p| (p.pass, p.candidates, p.frequent))
-            .collect()
-    };
+    // A record finds what the paper's passes it spans found; one that
+    // combined passes counts candidates chained from candidate levels too.
     for (label, run, ..) in &runs[1..] {
-        assert_eq!(
-            counts(run),
-            counts(paper),
-            "'{label}' pass metadata diverges from the paper engine"
-        );
+        for r in &run.passes {
+            let spanned = paper
+                .passes
+                .iter()
+                .filter(|p| (r.pass..=r.last).contains(&p.pass));
+            let (c, f) = spanned.fold((0, 0), |(c, f), p| (c + p.candidates, f + p.frequent));
+            let counted = if r.last > r.pass {
+                r.candidates >= c
+            } else {
+                r.candidates == c
+            };
+            assert!(
+                r.frequent == f && counted,
+                "'{label}' diverges from the paper: {r:?}"
+            );
+        }
     }
 
     say!(
@@ -361,11 +386,21 @@ pub(crate) fn matching() -> (String, RunManifest) {
         out,
         "\nper-pass virtual seconds, one column per configuration:"
     );
-    for (i, p) in paper.passes.iter().enumerate() {
-        let cells: Vec<String> = runs
-            .iter()
-            .map(|(_, run, ..)| format!("{:>8.2}", run.passes[i].seconds))
-            .collect();
+    for p in &paper.passes {
+        // A pass counted in a combined job shows where: `(3-13)`.
+        let cell = |run: &yafim_core::MinerRun| {
+            let spans = |r: &&yafim_cluster::PassTiming| (r.pass..=r.last).contains(&p.pass);
+            let r = run
+                .passes
+                .iter()
+                .find(spans)
+                .expect("every pass is counted");
+            match r {
+                r if r.pass == p.pass => format!("{:>8.2}", r.seconds),
+                r => format!("{:>8}", format!("({}-{})", r.pass, r.last)),
+            }
+        };
+        let cells: Vec<String> = runs.iter().map(|(_, run, ..)| cell(run)).collect();
         say!(out, "  pass {:>2}: {}", p.pass, cells.join(" "));
     }
     say!(
@@ -389,6 +424,7 @@ pub(crate) fn matching() -> (String, RunManifest) {
         manifest.push_metric(format!("pass.{}.virtual_seconds", p.pass), p.seconds);
         manifest.push_metric(format!("pass.{}.candidates", p.pass), p.candidates as f64);
         manifest.push_metric(format!("pass.{}.frequent", p.pass), p.frequent as f64);
+        manifest.push_metric(format!("pass.{}.last", p.pass), p.last as f64);
     }
     (out, manifest)
 }

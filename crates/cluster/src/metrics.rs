@@ -32,6 +32,7 @@ use crate::sync::Mutex;
 use crate::time::{SimDuration, SimInstant};
 use crate::work::TaskProfile;
 use std::collections::VecDeque;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// What kind of driver-side activity an [`Event`] describes.
@@ -175,8 +176,12 @@ impl TaskSpan {
 /// [`Metrics::record_pass`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct PassTiming {
-    /// Pass number (1 = the frequent-items pass).
+    /// Pass number (1 = the frequent-items pass); the first level of a
+    /// job that counted several.
     pub pass: usize,
+    /// The last level the pass's job counted: `pass` itself unless the job
+    /// combined passes (MR's FPC and DPC, the bitmap plan's chain).
+    pub last: usize,
     /// What counted the pass: `items` for pass 1, the matcher after it
     /// (`hash tree`, `triangle`, `trie`, `bitmap`), or the phase for the
     /// miners that run two.
@@ -189,6 +194,15 @@ pub struct PassTiming {
     pub candidates: usize,
     /// Frequent itemsets surviving the pass.
     pub frequent: usize,
+}
+
+impl PassTiming {
+    /// The levels the pass covers, as the report prints them: `3`, or
+    /// `3-10` for a job that counted levels 3 to 10.
+    pub(crate) fn span(&self) -> String {
+        let last = (self.last > self.pass).then(|| format!("-{}", self.last));
+        format!("{}{}", self.pass, last.unwrap_or_default())
+    }
 }
 
 /// One task's execution record, as reported by an engine to
@@ -463,11 +477,12 @@ impl Metrics {
         (start, end)
     }
 
-    /// File the Apriori pass `pass` that began at `start` and ends now,
-    /// counted by `counter`, and return its record for the miner's series.
+    /// File the Apriori passes `levels` (one level, or the levels one job
+    /// counted) that began at `start` and end now, counted by `counter`, and
+    /// return their record for the miner's series.
     pub fn record_pass(
         &self,
-        pass: usize,
+        levels: RangeInclusive<usize>,
         counter: &'static str,
         start: SimInstant,
         candidates: usize,
@@ -475,7 +490,8 @@ impl Metrics {
     ) -> PassTiming {
         let mut g = self.inner.lock();
         let timing = PassTiming {
-            pass,
+            pass: *levels.start(),
+            last: *levels.end(),
             counter,
             start,
             seconds: g.now.since(start).as_secs(),
@@ -694,7 +710,7 @@ mod tests {
         let start = m.now();
         m.advance(SimDuration::from_secs(0.25));
         m.advance(SimDuration::from_secs(0.75));
-        let pass = m.record_pass(2, "trie", start, 10, 4);
+        let pass = m.record_pass(2..=2, "trie", start, 10, 4);
         assert_eq!((pass.start, pass.seconds), (start, 1.0));
         assert_eq!(
             (pass.counter, pass.candidates, pass.frequent),

@@ -98,7 +98,10 @@ fn pass_table(report: &CriticalPathReport) -> String {
     for (p, buckets) in &report.passes {
         let head = format!(
             "{:>4}  {:<12} {:>8} {:>8}",
-            p.pass, p.counter, p.candidates, p.frequent
+            p.span(),
+            p.counter,
+            p.candidates,
+            p.frequent
         );
         row(&mut out, head, p.seconds, buckets);
     }
@@ -364,11 +367,11 @@ mod tests {
             stage("s1", vec![task(0, 2.0, shuffle_profile())]),
             Default::default(),
         );
-        m.record_pass(1, "items", start, 7, 5);
+        m.record_pass(1..=1, "items", start, 7, 5);
         m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Projection, "p");
         let start = m.now();
         m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Driver, "ap_gen");
-        m.record_pass(2, "triangle", start, 10, 3);
+        m.record_pass(2..=2, "triangle", start, 10, 3);
         let text = report(&m);
         let table: Vec<&str> = text
             .lines()
@@ -386,6 +389,18 @@ mod tests {
             text.contains(" driver") && !text.contains("hdfs_io"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn a_job_that_counted_several_levels_is_one_row_naming_them() {
+        let m = Metrics::new();
+        let start = m.now();
+        m.advance_with_event(SimDuration::from_secs(1.5), EventKind::Driver, "ap_gen");
+        m.record_pass(3..=10, "bitmap", start, 40, 25);
+        let text = report(&m);
+        let row = text.lines().nth(2).expect("one pass row");
+        let head = "3-10  bitmap             40       25";
+        assert!(row.starts_with(head) && row.contains(" 1.500"), "{text}");
     }
 
     #[test]

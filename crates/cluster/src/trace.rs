@@ -206,7 +206,7 @@ pub(crate) fn chrome_trace_value(metrics: &Metrics, spec: &ClusterSpec) -> JsonV
     for p in metrics.passes() {
         let args = field_args!(p; candidates, frequent);
         events.push(complete(
-            format!("pass {}", p.pass),
+            format!("pass {}", p.span()),
             "pass",
             DRIVER_PID,
             DRIVER_TID_EVENTS,
@@ -388,7 +388,7 @@ mod tests {
     #[test]
     fn passes_and_driver_events_share_a_track_that_copies_no_span() {
         let m = sample_metrics();
-        m.record_pass(1, "items", SimInstant::EPOCH, 4, 3);
+        m.record_pass(1..=1, "items", SimInstant::EPOCH, 4, 3);
         m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Broadcast, "b");
         let spec = ClusterSpec::new(2, 2, 1 << 30);
         let doc = json::parse(&chrome_trace(&m, &spec)).unwrap();

@@ -30,9 +30,10 @@
 //! popcount; a task's scratch picks one when it is made. Nothing modelled
 //! can tell which ran.
 
+use crate::candidates::{job_candidates, Chain};
 use crate::encode::tri_len;
 use crate::types::{Item, Itemset, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS};
-use yafim_cluster::ByteSize;
+use yafim_cluster::{ByteSize, SimCluster, SimDuration};
 
 /// Largest total bitset arena (in `u64` words, across all partitions) the
 /// bitmap strategy will materialize — 2²⁴ words = 128 MiB, mirroring
@@ -67,6 +68,66 @@ pub fn pass2_bounds(n_items: usize, lines: usize, partitions: usize, occ: u64) -
     let rows = JVM_PAIR_COUNT_UNITS as u128 * (occ * occ.saturating_sub(lines) / (2 * lines));
     let clamp = |units: u128| units.min(u64::MAX.into()) as u64;
     (clamp(columns + occ), clamp(rows))
+}
+
+/// The virtual time one speculative level adds to a bitmap job on
+/// `cluster` were all its candidates infrequent: at most `joins` (`J`)
+/// `k`-candidates, counted by `tasks` tasks over `words` words per item row
+/// (`W`, summed over the tasks). Priced as the driver's join and prune
+/// (`J·(k+2)` units), the broadcast of `J·(8+4k)` bytes and its
+/// preparation, the result combine of `J` cells from every task (what
+/// `try_aggregate` charges for `(u32, u64)` records) and the task words
+/// `J·(k−1)·W` spread over the cores.
+pub(crate) fn level_price(
+    cluster: &SimCluster,
+    k: u64,
+    joins: u64,
+    tasks: u64,
+    words: u64,
+) -> SimDuration {
+    let (cost, spec) = (cluster.cost(), cluster.spec());
+    let bytes = joins.saturating_mul(8 + 4 * k);
+    let records = joins.saturating_mul(tasks);
+    let combined = records.saturating_mul((0u32, 0u64).byte_size());
+    let word_units = joins.saturating_mul(k - 1).saturating_mul(words);
+    let cores = f64::from(spec.nodes * spec.cores_per_node);
+    cost.cpu(joins.saturating_mul(k + 2))
+        + (cost.broadcast_torrent(bytes, spec.nodes) + cost.cpu(joins))
+        + (cost.serialize(combined) + cost.net_transfer(combined) + cost.cpu(records))
+        + cost.cpu(word_units.saturating_mul(JVM_BITMAP_WORD_UNITS)) / cores
+}
+
+/// The candidate levels one bitmap job counts from `prev` = `L_{pass−1}`,
+/// over a store of `lines` lines in `tasks` tasks on `cluster`: the
+/// candidate chain, which admits no speculative level from the candidate
+/// level `from` when `J` (`ap_gen`'s join pairs over `from`) is 0 or passes
+/// `|from|` (the chain would grow), when the job's count array, its cells
+/// so far plus `J`, would pass the armed governor's per-task limit, or when
+/// the levels' summed [`level_price`] would pass one launch
+/// (`spark_job_overhead + spark_stage_overhead`): speculation never costs
+/// more than the job it saves. Returns the levels and their `ap_gen` units.
+pub fn chained_levels(
+    prev: &[Itemset],
+    pass: usize,
+    max_passes: usize,
+    cluster: &SimCluster,
+    lines: usize,
+    tasks: usize,
+) -> (Vec<Vec<Itemset>>, u64) {
+    let cost = cluster.cost();
+    let words = (lines.div_ceil(64) + tasks) as u64;
+    let limit = cluster.memory_budget().map(|b| b.per_task_limit);
+    let launch = SimDuration::from_secs(cost.spark_job_overhead + cost.spark_stage_overhead);
+    let (mut cells, mut spent) = (0u64, SimDuration::ZERO);
+    let admit = &mut |from: &[Itemset], joins: u64| {
+        cells += from.len() as u64;
+        let k = from.first().map_or(1, Itemset::len) as u64 + 1;
+        spent += level_price(cluster, k, joins, tasks as u64, words);
+        (1..=from.len() as u64).contains(&joins)
+            && limit.is_none_or(|limit| 8 * (cells + joins) <= limit)
+            && spent <= launch
+    };
+    job_candidates(prev, pass, max_passes, Chain::Priced(admit))
 }
 
 /// One partition of the vertical store: a row-major `Vec<u64>` arena with
@@ -639,6 +700,56 @@ mod tests {
             assert_eq!(acc[cell], count_naive(&txs, &pair), "{pair}");
         }
         assert_eq!(got.0, 15 * 2);
+    }
+
+    #[test]
+    fn the_chain_stops_where_it_would_grow_cost_a_launch_or_pass_the_limit() {
+        use crate::candidates::{join_pairs, tests::random_level};
+        use yafim_cluster::{ClusterSpec, CostModel, FaultPlan};
+        let cluster = || SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
+        let pairs = |n| (0..n).flat_map(move |a| (a + 1..n).map(move |b| Itemset::new(vec![a, b])));
+        let levels = |seed: &[Itemset], max, c: &SimCluster, tasks| {
+            chained_levels(seed, 3, max, c, 1000, tasks).0.len()
+        };
+        // Every pair of 4 items: 4 triples join once into 1 quadruple, then
+        // nothing; every pair of 8: 56 triples would join 70 times.
+        let (small, wide): (Vec<_>, Vec<_>) = (pairs(4).collect(), pairs(8).collect());
+        assert_eq!(levels(&small, 0, &cluster(), 8), 2);
+        let unpriced = job_candidates(&wide, 3, 0, Chain::Levels(usize::MAX)).0;
+        assert_eq!(unpriced.len(), 6);
+        assert_eq!(levels(&wide, 0, &cluster(), 8), 1, "the chain would grow");
+        assert_eq!(levels(&small, 3, &cluster(), 8), 1, "max_passes");
+        // Ten million tasks' result combine costs more than a launch.
+        assert_eq!(levels(&small, 0, &cluster(), 10_000_000), 1, "priced out");
+        // A 4-cell count array is over a 16-byte node's per-task limit.
+        let tight = cluster();
+        let plan = FaultPlan::seeded(1).with_mem_budget(16);
+        tight.faults().set_plan(plan);
+        assert_eq!(levels(&small, 0, &tight, 8), 1, "the governor's limit");
+
+        let mut rng = yafim_data::rng::StdRng::seed_from_u64(0x5bec);
+        for (k, tasks) in (2..=4).flat_map(|k| [1, 8, 64].map(|tasks| (k, tasks))) {
+            let seed = random_level(&mut rng, k, 6 + 2 * k as u32);
+            let full = job_candidates(&seed, k + 1, 0, Chain::Levels(usize::MAX)).0;
+            let (chain, _) = chained_levels(&seed, k + 1, 0, &cluster(), 1000, tasks);
+            assert_eq!(chain[..], full[..chain.len()], "a prefix of the chain");
+            for from in &chain[..chain.len().saturating_sub(1)] {
+                assert!((1..=from.len() as u64).contains(&join_pairs(from)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_level_is_priced_monotone_in_its_joins() {
+        use yafim_cluster::{ClusterSpec, CostModel};
+        let cluster = SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
+        for k in 3..=8 {
+            let price = |joins| level_price(&cluster, k, joins, 16, 200);
+            assert_eq!(price(0), SimDuration::ZERO);
+            for joins in (0..5000).step_by(7) {
+                assert!(price(joins) < price(joins + 1), "k={k} J={joins}");
+            }
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct GenWork {
 
 impl GenWork {
     /// Total abstract CPU units.
-    pub fn units(&self) -> u64 {
+    pub(crate) fn units(&self) -> u64 {
         self.join_comparisons + self.prune_checks
     }
 }
@@ -110,22 +110,14 @@ pub fn ap_gen(frequent: &[Itemset]) -> (Vec<Itemset>, GenWork) {
     // The joined candidate and the subset being probed, reused: only the
     // candidates kept are allocated.
     let (mut cand, mut sub) = (Vec::with_capacity(k + 1), Vec::with_capacity(k));
-    // Sorted order groups itemsets sharing a (k-1)-prefix contiguously.
-    let mut i = 0;
-    while i < sorted.len() {
-        // Find the prefix-equal run [i, j).
-        let prefix = &sorted[i].items()[..k - 1];
-        let mut j = i + 1;
-        while j < sorted.len() && &sorted[j].items()[..k - 1] == prefix {
-            j += 1;
-        }
+    for run in sorted.chunk_by(|a, b| same_prefix(a, b)) {
         // Join every ordered pair within the run.
-        for a in i..j {
-            for b in a + 1..j {
+        for (a, head) in run.iter().enumerate() {
+            for tail in &run[a + 1..] {
                 work.join_comparisons += 1;
                 cand.clear();
-                cand.extend_from_slice(sorted[a].items());
-                cand.push(sorted[b].items()[k - 1]);
+                cand.extend_from_slice(head.items());
+                cand.push(tail.items()[k - 1]);
 
                 // Prune: every k-subset must be frequent. The two subsets
                 // that produced the join are frequent by construction.
@@ -145,7 +137,6 @@ pub fn ap_gen(frequent: &[Itemset]) -> (Vec<Itemset>, GenWork) {
                 }
             }
         }
-        i = j;
     }
     out.sort();
     (out, work)
@@ -196,8 +187,76 @@ pub fn ap_gen_naive(frequent: &[Itemset]) -> Vec<Itemset> {
     out
 }
 
+/// Whether two itemsets of one length share all but their last item: in
+/// sorted order such runs are contiguous, and `ap_gen` joins within them.
+fn same_prefix(a: &Itemset, b: &Itemset) -> bool {
+    let k = a.len();
+    a.items()[..k - 1] == b.items()[..k - 1]
+}
+
+/// `J`, the pairs `ap_gen` would join over the sorted level `level`:
+/// `Σ g(g−1)/2` over its prefix runs. Exactly
+/// [`GenWork::join_comparisons`], so an upper bound on the candidates it
+/// would generate, found without generating them.
+pub(crate) fn join_pairs(level: &[Itemset]) -> u64 {
+    let runs = level
+        .chunk_by(same_prefix)
+        .map(|run| run.len() * (run.len() - 1) / 2);
+    runs.sum::<usize>() as u64
+}
+
+/// How far one counting job's candidate chain reaches past its first level.
+pub(crate) enum Chain<'a> {
+    /// At most this many levels: 1 for one pass per job (MR's SPC, YAFIM's
+    /// `Paper` and `opt`, every trie or hash-tree fallback), `p` for FPC.
+    Levels(usize),
+    /// Levels while their candidates total at most this many (DPC); the
+    /// level that would cross it is generated, charged and dropped.
+    Candidates(usize),
+    /// Levels while `admit(from, J)` holds, asked before a level is
+    /// generated from the candidate level `from`, `J` being its
+    /// [`join_pairs`]: the bitmap plan's priced rule.
+    Priced(&'a mut dyn FnMut(&[Itemset], u64) -> bool),
+}
+
+/// The candidate levels one counting job counts, from `seed` =
+/// `L_{first−1}`: level `first` is `ap_gen(seed)`, and each further level,
+/// while `chain` admits it, is `ap_gen` of the previous *candidate* level,
+/// which keeps the result complete (candidates are a superset of the
+/// frequent sets). No level past `max_passes` (0: no cap), none after an
+/// empty one. Returns the levels and the `GenWork` units of every `ap_gen`.
+pub(crate) fn job_candidates(
+    seed: &[Itemset],
+    first: usize,
+    max_passes: usize,
+    mut chain: Chain,
+) -> (Vec<Vec<Itemset>>, u64) {
+    let (mut out, mut units, mut total) = (Vec::<Vec<Itemset>>::new(), 0, 0);
+    while max_passes == 0 || first + out.len() <= max_passes {
+        let from = out.last().map_or(seed, Vec::as_slice);
+        let more = out.is_empty()
+            || match &mut chain {
+                Chain::Levels(n) => out.len() < *n,
+                Chain::Candidates(_) => true,
+                Chain::Priced(admit) => admit(from, join_pairs(from)),
+            };
+        if !more {
+            break;
+        }
+        let (cands, work) = ap_gen(from);
+        units += work.units();
+        let crosses = |max| !out.is_empty() && total + cands.len() > max;
+        if cands.is_empty() || matches!(chain, Chain::Candidates(max) if crosses(max)) {
+            break;
+        }
+        total += cands.len();
+        out.push(cands);
+    }
+    (out, units)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use yafim_data::rng::StdRng;
 
@@ -249,7 +308,7 @@ mod tests {
     /// A random `L_k` over `0..n`: the `k`-subsets of a few random sets,
     /// each kept with probability 3/4 (so joins survive the prune and fail
     /// it), plus a few uniform draws, shuffled.
-    fn random_level(rng: &mut StdRng, k: usize, n: u32) -> Vec<Itemset> {
+    pub(crate) fn random_level(rng: &mut StdRng, k: usize, n: u32) -> Vec<Itemset> {
         let mut level = std::collections::BTreeSet::new();
         for _ in 0..rng.gen_range(1..5usize) {
             let mut base: Vec<Item> = (0..n).collect();
@@ -287,13 +346,39 @@ mod tests {
                 .map(|last| Itemset::from_sorted((0..k as u32 - 1).chain([last]).collect()))
                 .collect();
             let random = (0..40).map(|_| random_level(&mut rng, k, 7 + 2 * k as u32));
-            for level in [Vec::new(), group].into_iter().chain(random) {
+            for mut level in [Vec::new(), group].into_iter().chain(random) {
                 let (candidates, work) = ap_gen(&level);
+                // `J` counts the joins without making them, and bounds them.
+                level.sort();
+                assert_eq!(join_pairs(&level), work.join_comparisons);
+                assert!(work.join_comparisons >= candidates.len() as u64);
                 assert_eq!(
                     (candidates, work),
                     ap_gen_allocating(&level),
                     "k={k} {level:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_holds_every_level_apriori_reaches_and_stops_at_max_passes() {
+        let mut rng = StdRng::seed_from_u64(0xc4a1);
+        for k in (1..=4).flat_map(|k| [k; 30]) {
+            let (seed, first) = (random_level(&mut rng, k, 6 + 2 * k as u32), k + 1);
+            let chain = |cap| job_candidates(&seed, first, cap, Chain::Levels(usize::MAX)).0;
+            let full = chain(0);
+            // Any frequent level is a subset of the candidates; the next
+            // one Apriori generates from it is in the chain's next level.
+            let mut frequent = seed.clone();
+            for level in &full {
+                let reached = ap_gen(&frequent).0;
+                assert!(reached.iter().all(|c| level.binary_search(c).is_ok()));
+                let kept = level.iter().filter(|_| rng.gen_range(0..3u32) > 0);
+                frequent = kept.cloned().collect();
+            }
+            for cap in first..first + 3 {
+                assert_eq!(chain(cap)[..], full[..full.len().min(cap + 1 - first)]);
             }
         }
     }

@@ -24,7 +24,7 @@
 //! * [`MrVariant::Dpc`] — *dynamic passes combined*: keep adding levels to a
 //!   job while the combined candidate count stays under a threshold.
 
-use crate::candidates::ap_gen;
+use crate::candidates::{job_candidates, Chain};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
@@ -306,7 +306,7 @@ impl MrApriori {
 
         let mut l1: Vec<(Itemset, u64)> = result.pairs;
         l1.sort_by(|a, b| a.0.cmp(&b.0));
-        passes.push(metrics.record_pass(1, "items", pass1_start, l1.len(), l1.len()));
+        passes.push(metrics.record_pass(1..=1, "items", pass1_start, l1.len(), l1.len()));
 
         if l1.is_empty() {
             return Ok(MinerRun {
@@ -333,7 +333,13 @@ impl MrApriori {
                 .iter()
                 .map(|(s, _)| s.clone())
                 .collect();
-            let (level_candidates, gen_units) = self.job_candidates(&seed, next_pass);
+            let chain = match self.config.variant {
+                MrVariant::Spc => Chain::Levels(1),
+                MrVariant::Fpc { passes_per_job } => Chain::Levels(passes_per_job.max(1)),
+                MrVariant::Dpc { max_candidates } => Chain::Candidates(max_candidates),
+            };
+            let max_passes = self.config.max_passes;
+            let (level_candidates, gen_units) = job_candidates(&seed, next_pass, max_passes, chain);
             metrics.advance_with_event(
                 cost.cpu(gen_units),
                 EventKind::Driver,
@@ -368,8 +374,9 @@ impl MrApriori {
             let found: usize = new_levels.iter().map(Vec::len).sum();
 
             let matching = self.config.matching.name();
+            let counted = next_pass..=next_pass + n_levels - 1;
             let timing =
-                metrics.record_pass(next_pass, matching, pass_start, total_candidates, found);
+                metrics.record_pass(counted, matching, pass_start, total_candidates, found);
             passes.push(timing);
 
             // Append levels until the first empty one; everything after an
@@ -391,39 +398,6 @@ impl MrApriori {
             total_seconds: metrics.now().since(run_start).as_secs(),
             passes,
         })
-    }
-
-    /// Candidate levels for one job, per the configured variant: level `k`
-    /// from the frequent `(k-1)`-itemsets, further levels (FPC/DPC) chained
-    /// from the previous *candidate* level (which preserves completeness —
-    /// candidates are a superset of the frequent sets).
-    fn job_candidates(&self, seed: &[Itemset], first_pass: usize) -> (Vec<Vec<Itemset>>, u64) {
-        let max_levels = match self.config.variant {
-            MrVariant::Spc => 1,
-            MrVariant::Fpc { passes_per_job } => passes_per_job.max(1),
-            MrVariant::Dpc { .. } => usize::MAX,
-        };
-        let mut units = 0u64;
-        let mut out: Vec<Vec<Itemset>> = Vec::new();
-        let mut total = 0usize;
-        for level in 0..max_levels {
-            if self.config.max_passes != 0 && first_pass + level > self.config.max_passes {
-                break;
-            }
-            let (cands, work) = ap_gen(out.last().map_or(seed, Vec::as_slice));
-            units += work.units();
-            if cands.is_empty() {
-                break;
-            }
-            if let MrVariant::Dpc { max_candidates } = self.config.variant {
-                if !out.is_empty() && total + cands.len() > max_candidates {
-                    break;
-                }
-            }
-            total += cands.len();
-            out.push(cands);
-        }
-        (out, units)
     }
 }
 

@@ -84,7 +84,7 @@ impl Pfp {
             .map(|(rank, &(item, _))| (item, rank as u32))
             .collect();
         let ranked = ranking.len();
-        let count_pass = metrics.record_pass(1, "PFP count", count_start, ranked, ranked);
+        let count_pass = metrics.record_pass(1..=1, "PFP count", count_start, ranked, ranked);
 
         if ranking.is_empty() {
             return Ok(MinerRun {
@@ -156,7 +156,7 @@ impl Pfp {
         }
         let result = MiningResult::from_levels(levels);
         let found = result.total();
-        let mine_pass = metrics.record_pass(2, "PFP mine", mine_start, found, found);
+        let mine_pass = metrics.record_pass(2..=2, "PFP mine", mine_start, found, found);
 
         Ok(MinerRun {
             result,

@@ -85,7 +85,7 @@ impl Son {
             .into_iter()
             .map(|(k, _)| k)
             .collect();
-        let phase1 = metrics.record_pass(1, "SON phase 1", phase1_start, candidates.len(), 0);
+        let phase1 = metrics.record_pass(1..=1, "SON phase 1", phase1_start, candidates.len(), 0);
 
         if candidates.is_empty() {
             return Ok(MinerRun {
@@ -124,7 +124,7 @@ impl Son {
             levels[set.len() - 1].push((set, sup));
         }
         let found: usize = levels.iter().map(Vec::len).sum();
-        let phase2 = metrics.record_pass(2, "SON phase 2", phase2_start, n_candidates, found);
+        let phase2 = metrics.record_pass(2..=2, "SON phase 2", phase2_start, n_candidates, found);
 
         Ok(MinerRun {
             result: MiningResult::from_levels(levels),

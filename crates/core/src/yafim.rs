@@ -60,9 +60,11 @@
 //! pass 1): `Paper` shuffles them through `reduceByKey` as Algorithms 2 and
 //! 3 do, a projecting plan merges per-worker accumulators at the driver.
 
-use crate::bitmap::{bitmap_fits, pass2_bounds, BitmapScratch, CandidateList, ColumnarPartition};
+use crate::bitmap::{
+    bitmap_fits, chained_levels, pass2_bounds, BitmapScratch, CandidateList, ColumnarPartition,
+};
 use crate::block::TxBlock;
-use crate::candidates::{ap_gen, CandidateStore};
+use crate::candidates::{job_candidates, CandidateStore, Chain};
 use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
@@ -117,7 +119,10 @@ pub enum Phase2Plan {
     /// [`ColumnarPartition`] (one `u64` bitset row per dense rank) and
     /// candidates are counted by word-wise AND + popcount of item rows — no
     /// broadcast store, no per-transaction descent — and trimming stops
-    /// once that store is built. An alphabet beyond
+    /// once that store is built. From pass 3 on a job counts every level
+    /// the priced candidate chain admits
+    /// ([`chained_levels`](crate::bitmap::chained_levels)) in one stage,
+    /// and its pass record spans them. An alphabet beyond
     /// [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS) counts with the
     /// trie instead and bumps the `bitmap.fallbacks` counter.
     Bitmap,
@@ -155,8 +160,9 @@ enum Counter {
     /// filled row by row, or with `columns` from every pair of item rows of
     /// the columnar store, which the pass builds.
     Pairs { columns: bool },
-    /// Word-wise AND + popcount over the cached columnar store.
-    Bitmap(Vec<Itemset>),
+    /// Word-wise AND + popcount over the cached columnar store, of one
+    /// level or, from pass 3 on, of every level of the priced chain.
+    Bitmap(Vec<Vec<Itemset>>),
     /// Broadcast prefix trie.
     Trie(Vec<Itemset>),
     /// Broadcast hash tree.
@@ -195,6 +201,10 @@ struct Held {
     columnar: Option<Rdd<ColumnarPartition>>,
     /// The latest checkpoint reader, whose blocks are live in HDFS.
     checkpointed: Option<Rdd<TxBlock>>,
+    /// The checkpoint reader the columnar store was built over, if any: the
+    /// store's lineage runs through its blocks, so they outlive later
+    /// checkpoints and go when the run ends.
+    columnar_source: Option<Rdd<TxBlock>>,
 }
 
 impl Drop for Held {
@@ -207,7 +217,7 @@ impl Drop for Held {
         }
         self.work.unpersist();
         self.transactions.unpersist();
-        if let Some(cp) = &self.checkpointed {
+        for cp in self.checkpointed.iter().chain(&self.columnar_source) {
             cp.discard_checkpoint();
         }
     }
@@ -316,6 +326,7 @@ impl Yafim {
             replaced: None,
             columnar: None,
             checkpointed: None,
+            columnar_source: None,
         };
 
         let l1_pairs = self.count_items_pass(&held.transactions, min_sup)?;
@@ -326,7 +337,7 @@ impl Yafim {
         l1.sort_by(|a, b| a.0.cmp(&b.0));
 
         // |C_1| is the distinct frequent items: C1 is implicit.
-        passes.push(metrics.record_pass(1, "items", pass1_start, l1.len(), l1.len()));
+        passes.push(metrics.record_pass(1..=1, "items", pass1_start, l1.len(), l1.len()));
 
         if l1.is_empty() {
             return Ok(MinerRun {
@@ -375,7 +386,7 @@ impl Yafim {
         // Checkpoint cadence comes from the active fault plan (chaos runs
         // flip checkpointing on without touching the miner config).
         let ckpt_every = ctx.cluster().faults().plan().checkpoint_interval;
-        let mut passes_since_ckpt = 0usize;
+        let mut jobs_since_ckpt = 0usize;
 
         // Bitmap density guard, decided once from driver-side metadata
         // (mirrors the pass-2 triangle guard): the columnar projection must
@@ -391,10 +402,10 @@ impl Yafim {
                 ..EngineCounters::default()
             });
         }
-        // Pass 2's layout rule prices both layouts from pass 1's totals:
+        // The store's shape prices pass 2's layouts and the bitmap chain;
         // L1's supports sum to the items' dense occurrences.
         let occurrences = l1_work.iter().map(|(_, c)| c).sum();
-        let pass2_units = pass2_bounds(n_dense, lines, splits.len(), occurrences);
+        let shape = (lines, splits.len(), occurrences);
 
         let mut levels: Vec<Vec<(Itemset, u64)>> = vec![l1_work];
         let mut pass = 2usize;
@@ -407,23 +418,25 @@ impl Yafim {
 
             let built = held.columnar.is_some();
             let Some(counter) =
-                self.choose_counter(pass, n_dense, bitmap_arena, pass2_units, built, prev)
+                self.choose_counter(pass, n_dense, bitmap_arena, shape, built, prev)
             else {
                 break; // nothing to count: |L1| < 2, or ap_gen came up empty
             };
             let counted_by = counter.name();
-            let (n_candidates, mut lk) = match counter {
-                Counter::Pairs { columns } => self.pass2(&mut held, n_dense, columns, min_sup)?,
-                Counter::Bitmap(candidates) => {
-                    self.pass_bitmap(&mut held, n_dense, candidates, pass, min_sup)?
+            let mut counted = match counter {
+                Counter::Pairs { columns } => {
+                    vec![self.pass2(&mut held, n_dense, columns, min_sup)?]
+                }
+                Counter::Bitmap(levels) => {
+                    self.pass_bitmap(&mut held, n_dense, levels, pass, min_sup)?
                 }
                 Counter::Trie(candidates) => {
                     let store = Box::new(CandidateTrie::build(candidates));
-                    self.pass_with_store(&held.work, store, pass, min_sup)?
+                    vec![self.pass_with_store(&held.work, store, pass, min_sup)?]
                 }
                 Counter::HashTree(candidates) => {
                     let store = Box::new(HashTree::build(candidates));
-                    self.pass_with_store(&held.work, store, pass, min_sup)?
+                    vec![self.pass_with_store(&held.work, store, pass, min_sup)?]
                 }
             };
 
@@ -433,19 +446,31 @@ impl Yafim {
                 old.unpersist();
             }
 
-            lk.sort_by(|a, b| a.0.cmp(&b.0));
-
             // Last-line tripwire behind the storage integrity layer: if a
             // corrupted partition somehow produced counts that slipped past
-            // every checksum, the Apriori invariants catch it here, before
-            // the level is recorded — wrong results must never be returned.
-            audit_pass(prev, &lk, n_candidates, pass)?;
-
-            let timing = metrics.record_pass(pass, counted_by, pass_start, n_candidates, lk.len());
-            passes.push(timing);
-            if lk.is_empty() {
-                break;
+            // every checksum, the Apriori invariants catch it here, each
+            // level against the one below it, before any level of the job is
+            // recorded — wrong results must never be returned.
+            let mut below = prev.as_slice();
+            for (level, (n_candidates, lk)) in (pass..).zip(&mut counted) {
+                lk.sort_by(|a, b| a.0.cmp(&b.0));
+                audit_pass(below, lk, *n_candidates, level)?;
+                below = lk;
             }
+
+            let last = pass + counted.len() - 1;
+            let n_candidates = counted.iter().map(|(n, _)| n).sum();
+            let found = counted.iter().map(|(_, lk)| lk.len()).sum();
+            let timing =
+                metrics.record_pass(pass..=last, counted_by, pass_start, n_candidates, found);
+            passes.push(timing);
+            // The levels up to the first empty one: nothing above an empty
+            // level is frequent, so the run ends there.
+            let counted = counted.into_iter().map(|(_, lk)| lk);
+            levels.extend(counted.take_while(|lk| !lk.is_empty()));
+            let Some(lk) = levels.get(last - 1) else {
+                break;
+            };
 
             // ---- Cross-pass trimming (DHP-style) ----
             //
@@ -461,12 +486,12 @@ impl Yafim {
             // trim would cost work and save nothing (after a row-counted
             // pass 2 the trim still runs: it shrinks the columnar build).
             if plan.projects() && held.columnar.is_none() {
-                let mask = TrimMask::from_frequent(n_dense, &lk);
+                let mask = TrimMask::from_frequent(n_dense, lk);
                 metrics.advance_with_event(
-                    cost.cpu((lk.len() * (pass)) as u64 + n_dense as u64),
+                    cost.cpu((lk.len() * last) as u64 + n_dense as u64),
                     EventKind::Projection,
                     format!(
-                        "trim plan pass {pass} ({} of {} items live)",
+                        "trim plan pass {last} ({} of {} items live)",
                         mask.alive(),
                         n_dense
                     ),
@@ -478,12 +503,12 @@ impl Yafim {
                 };
                 let trimmed = held
                     .work
-                    .map_partitions(move |part, tc| rewrite_rows(part, tc, pass + 1, &retain))
+                    .map_partitions(move |part, tc| rewrite_rows(part, tc, last + 1, &retain))
                     .cache();
                 held.replaced = Some(std::mem::replace(&mut held.work, trimmed));
             }
 
-            // ---- Checkpoint: truncate lineage every `ckpt_every` passes --
+            // ---- Checkpoint: truncate lineage every `ckpt_every` jobs ----
             //
             // The checkpoint job materializes `work` into replicated HDFS
             // blocks and swaps in a reader whose lineage is one level deep.
@@ -491,9 +516,9 @@ impl Yafim {
             // of replaying every projection/trim back to the input file —
             // recovery work is bounded by the checkpoint interval.
             if ckpt_every != 0 {
-                passes_since_ckpt += 1;
-                if passes_since_ckpt >= ckpt_every {
-                    passes_since_ckpt = 0;
+                jobs_since_ckpt += 1;
+                if jobs_since_ckpt >= ckpt_every {
+                    jobs_since_ckpt = 0;
                     let cp = held.work.try_checkpoint()?.cache();
                     // The checkpoint job materialized `work`; it and
                     // whatever it superseded can release cluster memory, and
@@ -508,9 +533,7 @@ impl Yafim {
                     held.work = cp;
                 }
             }
-
-            levels.push(lk);
-            pass += 1;
+            pass = last + 1;
         }
 
         drop(held);
@@ -550,17 +573,19 @@ impl Yafim {
     /// | `Bitmap` | columns or triangle → bitmap → trie → hash tree | bitmap → trie → hash tree |
     ///
     /// `bitmap_arena` is the per-task columnar arena estimate when the run
-    /// may count through bitmaps at all, and `pass2_units` the layout rule's
-    /// `(columns, rows)` bounds: a `Bitmap` pass 2 counts columns when they
-    /// price below the rows and the arena plus the triangle fit the task
-    /// limit, rows otherwise (not a step-down: nothing degraded). Returns
-    /// `None` when there is nothing to count.
+    /// may count through bitmaps at all, and the store has `lines` lines in
+    /// `tasks` tasks with `occ` dense occurrences: a `Bitmap` pass 2 counts
+    /// columns when [`pass2_bounds`] prices them below the rows and the
+    /// arena plus the triangle fit the task limit, rows otherwise (not a
+    /// step-down: nothing degraded). From pass 3 on the bitmap counts every
+    /// level [`chained_levels`] admits; every other counter counts one.
+    /// Returns `None` when there is nothing to count.
     fn choose_counter(
         &self,
         pass: usize,
         n_dense: usize,
         mut bitmap_arena: Option<u64>,
-        pass2_units: (u64, u64),
+        (lines, tasks, occ): (usize, usize, u64),
         columnar_built: bool,
         prev: &[(Itemset, u64)],
     ) -> Option<Counter> {
@@ -579,7 +604,8 @@ impl Yafim {
                 }
                 // Columns hold the arena and the triangle in one task.
                 let admissible = bitmap_arena.map(|arena| !over_limit(arena + triangle));
-                let columns = admissible.is_some_and(|a| self.pass2_layout(pass2_units, a));
+                let units = pass2_bounds(n_dense, lines, tasks, occ);
+                let columns = admissible.is_some_and(|a| self.pass2_layout(units, a));
                 return Some(Counter::Pairs { columns });
             }
             self.note_degradation(pass, "triangle array -> candidate store");
@@ -593,19 +619,26 @@ impl Yafim {
         }
 
         // Candidate generation (join + prune), charged as driver CPU — one
-        // call whichever counter runs, so their pass metadata agrees.
+        // charge whichever counter runs, so their pass metadata agrees.
         let prev: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
-        let (candidates, gen_work) = ap_gen(&prev);
-        let cpu = gen_work.units() + candidates.len() as u64;
+        let max_passes = self.config.max_passes;
+        let (mut levels, units) = if bitmap_arena.is_some() && pass >= 3 {
+            chained_levels(&prev, pass, max_passes, ctx.cluster(), lines, tasks)
+        } else {
+            job_candidates(&prev, pass, max_passes, Chain::Levels(1))
+        };
+        let cpu = units + levels.iter().map(|l| l.len() as u64).sum::<u64>();
         let label = format!("ap_gen pass {pass}");
         ctx.metrics()
             .advance_with_event(ctx.cluster().cost().cpu(cpu), EventKind::Driver, label);
-        if candidates.is_empty() {
+        if levels.is_empty() {
             return None;
         }
-        Some(if bitmap_arena.is_some() {
-            Counter::Bitmap(candidates)
-        } else if plan == Phase2Plan::Paper {
+        if bitmap_arena.is_some() {
+            return Some(Counter::Bitmap(levels));
+        }
+        let candidates = levels.swap_remove(0);
+        Some(if plan == Phase2Plan::Paper {
             Counter::HashTree(candidates)
         } else if over_limit(trie_footprint(candidates.len(), pass)) {
             self.note_degradation(pass, "trie -> hash tree");
@@ -672,8 +705,7 @@ impl Yafim {
         };
 
         let counted = if columns {
-            let built = self.build_columnar(&held.work, n_dense);
-            let columnar = held.columnar.insert(built).clone();
+            let columnar = self.build_columnar(held, n_dense);
             metrics.note_engine(&EngineCounters {
                 bitmap_passes: 1,
                 bitmap_candidates_counted: n_candidates as u64,
@@ -853,12 +885,12 @@ impl Yafim {
             .try_collect()
     }
 
-    /// Project `work` into the cached columnar bitmap store: one job,
-    /// one [`ColumnarPartition`] element per partition, build bytes and CPU
-    /// charged to the tasks and the arena registered with the cache manager
-    /// like any other cached block (checksummed, evictable, recomputable
-    /// from lineage).
-    fn build_columnar(&self, work: &Rdd<TxBlock>, n_dense: usize) -> Rdd<ColumnarPartition> {
+    /// Project `held.work` into the cached columnar bitmap store, kept in
+    /// `held.columnar`: one job, one [`ColumnarPartition`] element per
+    /// partition, build bytes and CPU charged to the tasks and the arena
+    /// registered with the cache manager like any other cached block
+    /// (checksummed, evictable, recomputable from lineage).
+    fn build_columnar(&self, held: &mut Held, n_dense: usize) -> Rdd<ColumnarPartition> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
@@ -867,7 +899,9 @@ impl Yafim {
             EventKind::Projection,
             format!("columnar bitmap projection plan ({n_dense} rows)"),
         );
-        work.map_partitions(move |txs, tc| {
+        let work = &held.work;
+        held.columnar_source = held.checkpointed.take_if(|cp| cp.id() == work.id());
+        let columnar = work.map_partitions(move |txs, tc| {
             let n_tids = slice_records(txs) as usize;
             let col = ColumnarPartition::from_rows(n_dense, n_tids, rows_of(txs));
             // The arena is execution memory while it is being built (it
@@ -887,34 +921,35 @@ impl Yafim {
                 ..EngineCounters::default()
             });
             vec![col]
-        })
-        .cache()
+        });
+        held.columnar.insert(columnar.cache()).clone()
     }
 
-    /// One Phase-II pass counted through the vertical TID bitmaps. The
-    /// columnar store is built (and cached) by the first such pass and
-    /// reused from cluster memory afterwards; only the candidates, flattened
-    /// into one arena, are broadcast.
+    /// One Phase-II job counted through the vertical TID bitmaps: the
+    /// chain's `levels`, from `pass` on, in one stage. The columnar store is
+    /// built (and cached) by the first such pass and reused from cluster
+    /// memory afterwards; only the candidates, one flat list per level, are
+    /// broadcast, and their count cells follow each other in one array.
     ///
-    /// Returns `(|C_k|, L_k in work space)`.
+    /// Returns one `(|C_k|, L_k in work space)` per level.
     fn pass_bitmap(
         &self,
         held: &mut Held,
         n_dense: usize,
-        candidates: Vec<Itemset>,
+        levels: Vec<Vec<Itemset>>,
         pass: usize,
         min_sup: u64,
-    ) -> Result<PassOutcome, ExecError> {
+    ) -> Result<Vec<PassOutcome>, ExecError> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
-        let n_candidates = candidates.len();
+        let n_candidates = levels.iter().map(Vec::len).sum();
 
         // First bitmap pass: materialize the columnar store.
-        let columnar = held
-            .columnar
-            .get_or_insert_with(|| self.build_columnar(&held.work, n_dense))
-            .clone();
+        let columnar = match &held.columnar {
+            Some(columnar) => columnar.clone(),
+            None => self.build_columnar(held, n_dense),
+        };
 
         // Driver: no store to build — just flatten and broadcast the sorted
         // candidates (indices into them are the count cells, exactly as
@@ -925,11 +960,13 @@ impl Yafim {
             format!("broadcast candidate list pass {pass}"),
         );
         metrics.note_engine(&EngineCounters {
-            bitmap_passes: 1,
+            bitmap_passes: levels.len() as u64,
             bitmap_candidates_counted: n_candidates as u64,
             ..EngineCounters::default()
         });
-        let bc = ctx.broadcast(CandidateList::new(&candidates));
+        let bc = ctx.broadcast(ChainLists(
+            levels.iter().map(|l| CandidateList::new(l)).collect(),
+        ));
         let cands_for_tasks = bc.value();
         let cand_bytes = bc.bytes();
 
@@ -943,7 +980,7 @@ impl Yafim {
                 memgov::site::CANDIDATE_STORE,
                 false,
             );
-            let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks);
+            let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks.0);
             // One AND+popcount per word, one emission per nonzero
             // count — the whole per-task cost of the pass.
             tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
@@ -954,7 +991,24 @@ impl Yafim {
             cells
         })?;
 
-        Ok((n_candidates, take_survivors(counted, candidates)))
+        // Cell `i` is candidate `i` of the levels laid end to end, and each
+        // level is one length.
+        let mut split: Vec<(usize, Vec<_>)> = levels.iter().map(|l| (l.len(), vec![])).collect();
+        for (set, c) in take_survivors(counted, levels.into_iter().flatten().collect()) {
+            split[set.len() - pass].1.push((set, c));
+        }
+        Ok(split)
+    }
+}
+
+/// A bitmap job's candidate levels as one broadcast: a flat list per level,
+/// each level's count cells after the previous one's. Sized as its lists,
+/// so a job of one level ships what that level's list is.
+struct ChainLists(Vec<CandidateList>);
+
+impl ByteSize for ChainLists {
+    fn byte_size(&self) -> u64 {
+        self.0.iter().map(ByteSize::byte_size).sum()
     }
 }
 
@@ -1173,14 +1227,25 @@ fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &dyn CandidateStore) -
 }
 
 /// Add each candidate's support in the columnar partitions `cols` into
-/// `acc`. Returns the number of words intersected and of nonzero supports
-/// found (one per candidate and partition at most, so no cell repeats).
-fn count_bitmaps(acc: &mut [u64], cols: &[ColumnarPartition], cands: &CandidateList) -> (u64, u64) {
+/// `acc`, the cells of each list of `lists` after the previous list's.
+/// Returns the number of words intersected and of nonzero supports found
+/// (one per candidate and partition at most, so no cell repeats).
+fn count_bitmaps(
+    acc: &mut [u64],
+    cols: &[ColumnarPartition],
+    lists: &[CandidateList],
+) -> (u64, u64) {
     let mut scratch = BitmapScratch::default();
-    let sums = cols
-        .iter()
-        .map(|col| col.count_list(cands, &mut scratch, acc));
-    sums.fold((0, 0), |(words, cells), (w, c)| (words + w, cells + c))
+    let (mut words, mut cells) = (0, 0);
+    for col in cols {
+        let mut rest = &mut acc[..];
+        for list in lists {
+            let (cells_of_list, tail) = rest.split_at_mut(list.len());
+            let (w, c) = col.count_list(list, &mut scratch, cells_of_list);
+            (words, cells, rest) = (words + w, cells + c, tail);
+        }
+    }
+    (words, cells)
 }
 
 /// Convenience: one-call YAFIM over an in-memory transaction list, writing
@@ -1205,6 +1270,7 @@ pub fn mine_in_memory(ctx: &Context, transactions: &[Vec<Item>], config: YafimCo
 mod tests {
     use super::*;
     use crate::block::block_of;
+    use crate::candidates::ap_gen;
     use crate::sequential::apriori;
     use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
     use yafim_data::rng::StdRng;
@@ -1496,7 +1562,7 @@ mod tests {
                         assert_eq!(new, (visits, matches, sparse.len() as u64), "{label}");
                         assert_eq!(added, sparse, "{label}");
                     }
-                    let list = CandidateList::new(candidates);
+                    let list = [CandidateList::new(candidates)];
                     let fold = |acc: &mut [u64]| count_bitmaps(acc, &cols, &list);
                     let (new, added) = folded(candidates.len(), fold);
                     let (words, sparse) = count_bitmaps_sparse(&cols, candidates);

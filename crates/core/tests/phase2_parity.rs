@@ -1,8 +1,10 @@
 //! Phase-II hot-path invariance: every [`Phase2Plan`] must produce
 //! *byte-identical* mining output to both the sequential reference and the
 //! paper-faithful (hash tree, untrimmed) engine — identical itemsets and
-//! supports, identical per-level sizes, identical candidate/frequent counts
-//! per pass, identical pass count. Only virtual seconds may differ.
+//! supports, identical per-level sizes. `opt` also has the paper's
+//! candidate/frequent counts per pass and pass count; the bitmap plan
+//! counts Phase II's tail in combined jobs, each of which covers the
+//! paper's passes it starts at and spans. Only virtual seconds may differ.
 //!
 //! The optimizations rest on two invariance arguments (DESIGN.md §"Candidate
 //! matching & dataset trimming"): monotone dense re-encoding is a bijection
@@ -71,6 +73,12 @@ fn cluster() -> SimCluster {
     SimCluster::with_threads(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era(), 2)
 }
 
+/// 4 nodes of 2 cores, 4 pool threads, for in-memory runs.
+fn ctx() -> Context {
+    let spec = ClusterSpec::new(4, 2, 1 << 30);
+    Context::new(SimCluster::with_threads(spec, CostModel::hadoop_era(), 4))
+}
+
 fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Plan) -> MinerRun {
     let c = cluster();
     c.hdfs().put_overwrite("d.dat", to_lines(tx));
@@ -93,7 +101,8 @@ fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Plan) -> MinerRun {
     run
 }
 
-fn assert_identical(paper: &MinerRun, other: &MinerRun, label: &str) {
+/// `other`, a run of `plan`, against the paper engine's run.
+fn assert_identical(paper: &MinerRun, other: &MinerRun, plan: Phase2Plan, label: &str) {
     assert_eq!(
         paper.result, other.result,
         "{label}: itemsets/supports differ"
@@ -103,19 +112,44 @@ fn assert_identical(paper: &MinerRun, other: &MinerRun, label: &str) {
         other.result.level_sizes(),
         "{label}: level sizes differ"
     );
-    assert_eq!(
-        paper.passes.len(),
-        other.passes.len(),
-        "{label}: pass count differs"
+    let combined = other.passes.iter().any(|o| o.last > o.pass);
+    assert!(
+        !combined || plan == Phase2Plan::Bitmap,
+        "{label}: combined passes"
     );
-    for (p, o) in paper.passes.iter().zip(&other.passes) {
+    if !combined {
         assert_eq!(
-            (p.pass, p.candidates, p.frequent),
-            (o.pass, o.candidates, o.frequent),
-            "{label}: pass {} metadata differs",
-            p.pass
+            paper.passes.len(),
+            other.passes.len(),
+            "{label}: pass count differs"
+        );
+        for (p, o) in paper.passes.iter().zip(&other.passes) {
+            assert_eq!(
+                (p.pass, p.candidates, p.frequent),
+                (o.pass, o.candidates, o.frequent),
+                "{label}: pass {} metadata differs",
+                p.pass
+            );
+        }
+        return;
+    }
+    // A job that counted several levels starts at one of the paper's
+    // passes, finds what the paper's passes it spans found, and counts at
+    // least their candidates: its later levels are chained from candidate
+    // levels, a superset of the frequent ones.
+    let mut next = paper.passes.iter().peekable();
+    for o in &other.passes {
+        assert_eq!(next.peek().map(|p| p.pass), Some(o.pass), "{label}: {o:?}");
+        let spanned: Vec<_> = std::iter::from_fn(|| next.next_if(|p| p.pass <= o.last)).collect();
+        let frequent: usize = spanned.iter().map(|p| p.frequent).sum();
+        let candidates: usize = spanned.iter().map(|p| p.candidates).sum();
+        assert_eq!(o.frequent, frequent, "{label}: {o:?} against {spanned:?}");
+        assert!(
+            o.candidates >= candidates,
+            "{label}: {o:?} against {spanned:?}"
         );
     }
+    assert_eq!(next.next(), None, "{label}: passes past the last job");
 }
 
 #[test]
@@ -148,7 +182,7 @@ fn every_phase2_plan_is_invisible_on_quest_data() {
 
         for plan in Phase2Plan::ALL {
             let r = run(&tx, support, plan);
-            assert_identical(&paper, &r, &format!("seed {seed}, {plan:?}"));
+            assert_identical(&paper, &r, plan, &format!("seed {seed}, {plan:?}"));
         }
     }
 }
@@ -163,7 +197,14 @@ fn every_phase2_plan_is_invisible_on_medical_data() {
 
     for plan in Phase2Plan::ALL {
         let r = run(&tx, support, plan);
-        assert_identical(&paper, &r, &format!("{plan:?}"));
+        assert_identical(&paper, &r, plan, &format!("{plan:?}"));
+        let combined = r.passes.iter().any(|p| p.last > p.pass);
+        assert_eq!(
+            combined,
+            plan == Phase2Plan::Bitmap,
+            "{plan:?}: {:?}",
+            r.passes
+        );
     }
 }
 
@@ -448,4 +489,30 @@ fn optimized_virtual_time_not_slower_than_paper_engine() {
         opt.total_seconds,
         paper.total_seconds
     );
+}
+
+#[test]
+fn a_job_whose_first_level_is_all_infrequent_costs_at_most_one_launch_more() {
+    // Every pair of {1, 2, 3, 4} twice and no triple: pass 3's four triples
+    // are all infrequent, and the bitmap plan's chain counts pass 4's one
+    // quadruple with them unless `max_passes` stops it.
+    let pairs = (1..=4u32).flat_map(|a| (a + 1..=4).map(move |b| vec![a, b]));
+    let tx: Vec<Vec<Item>> = pairs.flat_map(|pair| [pair.clone(), pair]).collect();
+    let [one, chained] = [3, 0].map(|max_passes| {
+        let config = YafimConfig {
+            max_passes,
+            ..YafimConfig::bitmap(Support::Count(2))
+        };
+        mine_in_memory(&ctx(), &tx, config)
+    });
+    assert_eq!(one.result, chained.result);
+    let last = |run: &MinerRun| run.passes.last().map(|p| (p.pass, p.last, p.frequent));
+    assert_eq!(
+        (last(&one), last(&chained)),
+        (Some((3, 3, 0)), Some((3, 4, 0)))
+    );
+    let cost = CostModel::hadoop_era();
+    let launch = cost.spark_job_overhead + cost.spark_stage_overhead;
+    let extra = chained.total_seconds - one.total_seconds;
+    assert!((0.0..=launch).contains(&extra), "{extra} s over one launch");
 }

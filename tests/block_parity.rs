@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use yafim::bitmap::pass2_bounds;
+use yafim::bitmap::{chained_levels, pass2_bounds};
 use yafim::cluster::{ByteSize, ClusterSpec, CostModel, EngineCounters, EventKind, SimCluster};
 use yafim::data::from_lines;
 use yafim::data::rng::StdRng;
@@ -23,7 +23,7 @@ use yafim::encode::{tri_index, tri_len, tri_pair};
 use yafim::rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 use yafim::types::{JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS};
 use yafim::{
-    ap_gen, apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateStore,
+    apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateStore,
     CandidateTrie, ColumnarPartition, DenseEncoder, HashTree, Item, Itemset, MatchScratch,
     MiningResult, Phase2Plan, Support, TrimMask, Yafim, YafimConfig,
 };
@@ -127,6 +127,15 @@ fn pass_with_store(
     survivors
         .map(|(idx, c)| (all[idx as usize].clone(), c))
         .collect()
+}
+
+/// A bitmap job's candidate lists as one broadcast, sized as the lists.
+struct Lists(Vec<CandidateList>);
+
+impl ByteSize for Lists {
+    fn byte_size(&self) -> u64 {
+        self.0.iter().map(ByteSize::byte_size).sum()
+    }
 }
 
 /// YAFIM before the blocks, minus what a fault-free run on a roomy cluster
@@ -241,9 +250,10 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
 
     let mut levels = vec![l1_work];
     let mut columnar: Option<Rdd<ColumnarPartition>> = None;
-    for pass in 2usize.. {
+    let mut pass = 2;
+    loop {
         let prev = levels.last().expect("never empty");
-        let mut lk: Vec<(Itemset, u64)> = if pass == 2 && projects {
+        let counted: Vec<Vec<(Itemset, u64)>> = if pass == 2 && projects {
             let n_candidates = tri_len(n_dense);
             if n_candidates == 0 {
                 break;
@@ -306,53 +316,66 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                 let (a, b) = tri_pair(n_dense, idx as usize);
                 (Itemset::from_sorted(vec![a as u32, b as u32]), c)
             };
-            counted.into_iter().map(pair).collect()
+            vec![counted.into_iter().map(pair).collect()]
         } else {
+            // The bitmap plan counts every level of its priced chain from
+            // pass 3 on, every other counter one level: the chain capped at
+            // `pass`.
             let prev_sets: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
-            let (candidates, gen_work) = ap_gen(&prev_sets);
+            let chained = plan == Phase2Plan::Bitmap && pass >= 3;
+            let (lines, cap) = (file.num_lines(), if chained { 0 } else { pass });
+            let (chain, units) =
+                chained_levels(&prev_sets, pass, cap, ctx.cluster(), lines, splits);
+            let generated: usize = chain.iter().map(Vec::len).sum();
             metrics.advance_with_event(
-                cost.cpu(gen_work.units() + candidates.len() as u64),
+                cost.cpu(units + generated as u64),
                 EventKind::Driver,
                 "ap_gen",
             );
-            if candidates.is_empty() {
+            let Some(candidates) = chain.first().cloned() else {
                 break;
-            }
+            };
             match plan {
                 Phase2Plan::Paper => {
                     let store = Box::new(HashTree::build(candidates));
-                    pass_with_store(ctx, &work, projects, store, min_sup)
+                    vec![pass_with_store(ctx, &work, projects, store, min_sup)]
                 }
                 Phase2Plan::Trie => {
                     let store = Box::new(CandidateTrie::build(candidates));
-                    pass_with_store(ctx, &work, projects, store, min_sup)
+                    vec![pass_with_store(ctx, &work, projects, store, min_sup)]
                 }
                 Phase2Plan::Bitmap => {
                     let cols = columnar.get_or_insert_with(|| columnar_of(&work));
-                    let n_candidates = candidates.len();
                     metrics.advance_with_event(
-                        cost.cpu(n_candidates as u64),
+                        cost.cpu(generated as u64),
                         EventKind::Driver,
                         "broadcast candidate list",
                     );
                     metrics.note_engine(&EngineCounters {
-                        bitmap_passes: 1,
-                        bitmap_candidates_counted: n_candidates as u64,
+                        bitmap_passes: chain.len() as u64,
+                        bitmap_candidates_counted: generated as u64,
                         ..EngineCounters::default()
                     });
                     let noted = metrics.clone();
-                    let bc = ctx.broadcast(CandidateList::new(&candidates));
-                    let (cands, cand_bytes) = (bc.value(), bc.bytes());
+                    let lists = chain.iter().map(|level| CandidateList::new(level));
+                    let bc = ctx.broadcast(Lists(lists.collect()));
+                    let (lists, cand_bytes) = (bc.value(), bc.bytes());
+                    let sizes: Vec<usize> = chain.iter().map(Vec::len).collect();
                     let counted =
-                        count_pass(cols, true, n_candidates, min_sup, move |acc, cols, tc| {
+                        count_pass(cols, true, generated, min_sup, move |acc, cols, tc| {
                             tc.note_broadcast_read(cand_bytes);
-                            // Each partition into a fresh array, read back
-                            // one record per nonzero support.
+                            // Each partition into a fresh array, every level's
+                            // cells after the previous level's, read back one
+                            // record per nonzero support.
                             let mut scratch = BitmapScratch::default();
                             let (mut words, mut cells) = (0u64, 0u64);
                             for col in cols {
-                                cells += fold_fresh(acc, |fresh| {
-                                    words += col.count_list(&cands, &mut scratch, fresh).0;
+                                cells += fold_fresh(acc, |mut fresh| {
+                                    for (list, &size) in lists.0.iter().zip(&sizes) {
+                                        let (cells, rest) = fresh.split_at_mut(size);
+                                        words += col.count_list(list, &mut scratch, cells).0;
+                                        fresh = rest;
+                                    }
                                 });
                             }
                             tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
@@ -362,30 +385,44 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                             });
                             cells
                         });
-                    let survivors = counted.into_iter();
-                    survivors
-                        .map(|(idx, c)| (candidates[idx as usize].clone(), c))
-                        .collect()
+                    // Cell `idx` is candidate `idx` of the levels laid end
+                    // to end.
+                    let all: Vec<&Itemset> = chain.iter().flatten().collect();
+                    let mut split = vec![Vec::new(); chain.len()];
+                    for (idx, c) in counted {
+                        let set = all[idx as usize].clone();
+                        split[set.len() - pass].push((set, c));
+                    }
+                    split
                 }
             }
         };
         if let Some(old) = replaced.take() {
             old.unpersist();
         }
-        if lk.is_empty() {
+        let n_counted = counted.len();
+        let mut kept: Vec<_> = counted
+            .into_iter()
+            .take_while(|lk| !lk.is_empty())
+            .collect();
+        kept.iter_mut()
+            .for_each(|lk| lk.sort_by(|a, b| a.0.cmp(&b.0)));
+        if kept.len() < n_counted {
+            levels.extend(kept);
             break;
         }
-        lk.sort_by(|a, b| a.0.cmp(&b.0));
+        let last = pass + n_counted - 1;
 
         if projects && columnar.is_none() {
-            let mask = TrimMask::from_frequent(n_dense, &lk);
+            let lk = &kept[n_counted - 1];
+            let mask = TrimMask::from_frequent(n_dense, lk);
             metrics.advance_with_event(
-                cost.cpu((lk.len() * pass) as u64 + n_dense as u64),
+                cost.cpu((lk.len() * last) as u64 + n_dense as u64),
                 EventKind::Projection,
                 "trim plan",
             );
             let keep = ctx.broadcast(mask).value();
-            let min_len = pass + 1;
+            let min_len = last + 1;
             let trimmed = work
                 .map(move |mut t| {
                     t.retain(|&r| keep.keep[r as usize]);
@@ -395,7 +432,8 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                 .cache();
             replaced = Some(std::mem::replace(&mut work, trimmed));
         }
-        levels.push(lk);
+        levels.extend(kept);
+        pass = last + 1;
     }
     for rdd in replaced.iter().chain([&work, &transactions]) {
         rdd.unpersist();

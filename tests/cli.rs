@@ -211,6 +211,51 @@ fn a_checkpoint_block_with_no_replica_left_is_one_line_and_exit_1() {
 }
 
 #[test]
+fn a_checkpoint_the_columnar_store_reads_outlives_later_checkpoints() {
+    // Both count pass 2 by rows, so the bitmap plan builds its columnar
+    // store over the checkpoint taken after pass 2, and Medical then runs
+    // two bitmap jobs. A later checkpoint must not delete those blocks: the
+    // store's lineage runs through them. T10 also keeps them when three of
+    // four nodes die at 3 s, after they were written.
+    let plan = std::env::temp_dir().join(format!("yafim-cli-cols-{}.json", std::process::id()));
+    let plan = plan.to_str().expect("utf-8 temp path");
+    let every_job = r#"{"checkpoint_interval": 1}"#;
+    let and_loss = r#"{"checkpoint_interval": 1, "node_losses": [[0, 3.0], [1, 3.0], [2, 3.0]]}"#;
+    for (data, scale, support, plans) in [
+        (
+            PaperDataset::T10I4D100K,
+            0.25,
+            "0.25%",
+            &[every_job, and_loss][..],
+        ),
+        (PaperDataset::Medical, 0.1, "3%", &[every_job]),
+    ] {
+        let path = std::env::temp_dir().join(format!("yafim-cli-cols-{}.dat", std::process::id()));
+        write_dat(&path, &data.generate_scaled(scale)).expect("temp dir writable");
+        let file = path.to_str().expect("utf-8 temp path");
+        let flags = [
+            "--support",
+            support,
+            "--phase2",
+            "bitmap",
+            "--nodes",
+            "4",
+            "--cores",
+            "2",
+        ];
+        let run = |tail: &[&str]| cli(&[&["mine", "--input", file][..], &flags, tail].concat());
+        let clean = summary(&run(&[]));
+        for json in plans {
+            std::fs::write(plan, json).expect("temp dir writable");
+            let faulty = summary(&run(&["--fault-plan", plan]));
+            assert_eq!(faulty, clean, "{data:?} {json}");
+        }
+        std::fs::remove_file(file).expect("own temp file");
+    }
+    std::fs::remove_file(plan).expect("own temp file");
+}
+
+#[test]
 fn a_closed_stdout_ends_the_output_quietly() {
     let file = input("pipe");
     let file = file.to_str().expect("utf-8 temp path");

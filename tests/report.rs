@@ -45,7 +45,7 @@ fn passes_tile_the_run_and_their_rows_add_up() {
             assert_eq!(metrics.passes(), run.passes, "{case}");
             assert!(!run.passes.is_empty(), "{case}");
             for pair in run.passes.windows(2) {
-                assert_eq!(pair[1].pass, pair[0].pass + 1, "{case}");
+                assert_eq!(pair[1].pass, pair[0].last + 1, "{case}");
                 let end = pair[0].start.as_secs() + pair[0].seconds;
                 assert!(pair[1].start.as_secs() >= end - EPS, "{case}: {pair:?}");
             }
