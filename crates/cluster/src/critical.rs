@@ -511,6 +511,7 @@ mod tests {
     use crate::metrics::{MetricsCapacity, StageExecution, StageKind, TaskExecution};
     use crate::spec::NodeId;
     use crate::time::SimDuration;
+    use std::time::Instant;
 
     const EPS: f64 = 1e-6;
 
@@ -641,14 +642,14 @@ mod tests {
         m.advance(SimDuration::from_secs(0.5)); // job overhead, inside pass 1
         m.record_stage_with_recovery(stage("s1"), Default::default());
         m.end_job(job);
-        m.record_pass(1..=1, "items", start, 3, 2);
+        m.record_pass(1..=1, "items", (start, Instant::now()), 3, 2);
         m.advance_with_event(SimDuration::from_secs(0.25), EventKind::Projection, "p");
         // Two plain advances are one gap, and it straddles pass 2's start.
         m.advance(SimDuration::from_secs(0.25));
         let start = m.now();
         m.advance(SimDuration::from_secs(0.25));
         m.record_stage_with_recovery(stage("s2"), Default::default());
-        m.record_pass(2..=2, "trie", start, 1, 1);
+        m.record_pass(2..=2, "trie", (start, Instant::now()), 1, 1);
         let r = assert_sums(&m);
         assert!((r.makespan - 3.25).abs() < EPS, "a pass adds no time");
         assert_eq!(r.passes.len(), 2);

@@ -60,6 +60,16 @@ impl RecoveryCounters {
         Self::repairs(n, maps, |i| i.repaired_via_resubmit = n)
     }
 
+    /// `n` map outputs lost with their node: a reduce side's fetch of each
+    /// fails, and its map task is resubmitted.
+    pub fn lost_map_resubmits(n: u64) -> Self {
+        RecoveryCounters {
+            fetch_failures: n,
+            recomputed_partitions: n,
+            ..RecoveryCounters::default()
+        }
+    }
+
     /// `n` rotten copies repaired on the rung `rung` names.
     fn repairs(n: u64, recomputed: u64, rung: impl FnOnce(&mut IntegrityCounters)) -> Self {
         let mut integrity = IntegrityCounters {

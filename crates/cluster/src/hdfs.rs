@@ -381,7 +381,7 @@ impl SimHdfs {
     }
 
     /// Current block size used for newly written files.
-    pub fn block_size(&self) -> u64 {
+    pub(crate) fn block_size(&self) -> u64 {
         *self.block_size.read()
     }
 

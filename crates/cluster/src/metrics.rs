@@ -34,6 +34,7 @@ use crate::work::TaskProfile;
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// What kind of driver-side activity an [`Event`] describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -174,7 +175,7 @@ impl TaskSpan {
 /// Timing and size facts about one Apriori pass — one point of the paper's
 /// Fig. 3 / Fig. 6 per-iteration series. Built only by
 /// [`Metrics::record_pass`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct PassTiming {
     /// Pass number (1 = the frequent-items pass); the first level of a
     /// job that counted several.
@@ -194,6 +195,15 @@ pub struct PassTiming {
     pub candidates: usize,
     /// Frequent itemsets surviving the pass.
     pub frequent: usize,
+    /// Host time the pass took: not in `==`, the manifest or the trace.
+    pub wall: Duration,
+}
+
+impl PartialEq for PassTiming {
+    fn eq(&self, o: &Self) -> bool {
+        let key = |p: &Self| (p.pass, p.last, p.counter, p.start, p.seconds, p.candidates);
+        key(self) == key(o) && self.frequent == o.frequent
+    }
 }
 
 impl PassTiming {
@@ -296,6 +306,8 @@ pub struct MetricsSnapshot {
     pub recovery: RecoveryCounters,
     /// Merged engine-side counters.
     pub engine: EngineCounters,
+    /// [`Metrics::note_shipped`]'s counts; no manifest rows.
+    pub shipped: (u64, u64),
 }
 
 counter_table! {
@@ -376,6 +388,7 @@ struct MetricsInner {
     profile: TaskProfile,
     recovery: RecoveryCounters,
     engine: EngineCounters,
+    shipped: (u64, u64),
     next_job_id: u64,
     next_stage_id: u64,
     /// Innermost-last stack of jobs opened via [`Metrics::begin_job`].
@@ -400,6 +413,7 @@ impl MetricsInner {
             profile: TaskProfile::new(),
             recovery: RecoveryCounters::default(),
             engine: EngineCounters::default(),
+            shipped: (0, 0),
             next_job_id: 1,
             next_stage_id: 1,
             open_jobs: Vec::new(),
@@ -478,13 +492,14 @@ impl Metrics {
     }
 
     /// File the Apriori passes `levels` (one level, or the levels one job
-    /// counted) that began at `start` and end now, counted by `counter`, and
-    /// return their record for the miner's series.
+    /// counted) that began at `start` on the virtual clock and at `wall` on
+    /// the host's, and end now, counted by `counter`, and return their
+    /// record for the miner's series.
     pub fn record_pass(
         &self,
         levels: RangeInclusive<usize>,
         counter: &'static str,
-        start: SimInstant,
+        (start, wall): (SimInstant, Instant),
         candidates: usize,
         frequent: usize,
     ) -> PassTiming {
@@ -497,6 +512,7 @@ impl Metrics {
             seconds: g.now.since(start).as_secs(),
             candidates,
             frequent,
+            wall: wall.elapsed(),
         };
         g.passes.push(timing.clone());
         timing
@@ -609,6 +625,13 @@ impl Metrics {
         self.inner.lock().engine.merge(counters);
     }
 
+    /// Count records written as aggregate partials and as shuffle output.
+    pub fn note_shipped(&self, partial: u64, shuffle: u64) {
+        let mut g = self.inner.lock();
+        g.shipped.0 += partial;
+        g.shipped.1 += shuffle;
+    }
+
     /// Copy of the aggregate counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let g = self.inner.lock();
@@ -620,6 +643,7 @@ impl Metrics {
             profile: g.profile,
             recovery: g.recovery,
             engine: g.engine,
+            shipped: g.shipped,
         }
     }
 
@@ -710,7 +734,7 @@ mod tests {
         let start = m.now();
         m.advance(SimDuration::from_secs(0.25));
         m.advance(SimDuration::from_secs(0.75));
-        let pass = m.record_pass(2..=2, "trie", start, 10, 4);
+        let pass = m.record_pass(2..=2, "trie", (start, Instant::now()), 10, 4);
         assert_eq!((pass.start, pass.seconds), (start, 1.0));
         assert_eq!(
             (pass.counter, pass.candidates, pass.frequent),

@@ -80,16 +80,16 @@ fn pass_table(report: &CriticalPathReport) -> String {
     let names = report.buckets.named();
     let shown: Vec<usize> = (0..names.len()).filter(|&k| names[k].1 != 0.0).collect();
     let mut out = format!(
-        "{:>4}  {:<12} {:>8} {:>8} {:>10}",
-        "pass", "counter", "|C_k|", "|L_k|", "virtual s"
+        "{:>4}  {:<12} {:>8} {:>8} {:>10} {:>8}",
+        "pass", "counter", "|C_k|", "|L_k|", "virtual s", "wall ms"
     );
     for &k in &shown {
         let _ = write!(out, " {:>8}", names[k].0);
     }
     out.push('\n');
-    let row = |out: &mut String, head: String, secs: f64, buckets: &CriticalPathBuckets| {
-        let _ = write!(out, "{head} {secs:>10.3}");
-        let values = buckets.named();
+    let row = |out: &mut String, head: String, secs: f64, wall: &str, b: &CriticalPathBuckets| {
+        let _ = write!(out, "{head} {secs:>10.3} {wall:>8}");
+        let values = b.named();
         for &k in &shown {
             let _ = write!(out, " {:>w$.3}", values[k].1, w = names[k].0.len().max(8));
         }
@@ -103,21 +103,14 @@ fn pass_table(report: &CriticalPathReport) -> String {
             p.candidates,
             p.frequent
         );
-        row(&mut out, head, p.seconds, buckets);
+        let wall = format!("{:.1}", p.wall.as_secs_f64() * 1e3);
+        row(&mut out, head, p.seconds, &wall, buckets);
     }
     let outside = &report.outside;
-    row(
-        &mut out,
-        format!("{:<36}", "outside passes"),
-        outside.total(),
-        outside,
-    );
-    row(
-        &mut out,
-        format!("{:<36}", "total"),
-        report.makespan,
-        &report.buckets,
-    );
+    let head = format!("{:<36}", "outside passes");
+    row(&mut out, head, outside.total(), "-", outside);
+    let head = format!("{:<36}", "total");
+    row(&mut out, head, report.makespan, "-", &report.buckets);
     out
 }
 
@@ -262,9 +255,10 @@ pub fn full_report(metrics: &Metrics, cost: &CostModel) -> String {
     );
     let _ = writeln!(
         out,
-        "records read {} | records written {} | bytes materialized {}",
+        "records read {} | partial records {} | shuffle records {} | bytes materialized {}",
         fmt_count(p.records_read),
-        fmt_count(p.records_written),
+        fmt_count(snap.shipped.0),
+        fmt_count(snap.shipped.1),
         fmt_bytes(p.bytes_materialized)
     );
     out
@@ -280,6 +274,7 @@ mod tests {
     use crate::spec::NodeId;
     use crate::time::SimDuration;
     use crate::work::TaskProfile;
+    use std::time::Instant;
 
     fn task(partition: usize, dur: f64, profile: TaskProfile) -> TaskExecution {
         TaskExecution {
@@ -353,9 +348,10 @@ mod tests {
             stage("s", vec![task(0, 1.0, shuffle_profile())]),
             Default::default(),
         );
+        m.note_shipped(700, 77);
         let report = report(&m);
-        assert!(report.contains("records read 12.5k"), "{report}");
-        assert!(report.contains("records written 777"), "{report}");
+        let line = "records read 12.5k | partial records 700 | shuffle records 77 |";
+        assert!(report.contains(line), "{report}");
         assert!(report.contains("bytes materialized 512 B"), "{report}");
     }
 
@@ -367,11 +363,11 @@ mod tests {
             stage("s1", vec![task(0, 2.0, shuffle_profile())]),
             Default::default(),
         );
-        m.record_pass(1..=1, "items", start, 7, 5);
+        m.record_pass(1..=1, "items", (start, Instant::now()), 7, 5);
         m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Projection, "p");
         let start = m.now();
         m.advance_with_event(SimDuration::from_secs(1.0), EventKind::Driver, "ap_gen");
-        m.record_pass(2..=2, "triangle", start, 10, 3);
+        m.record_pass(2..=2, "triangle", (start, Instant::now()), 10, 3);
         let text = report(&m);
         let table: Vec<&str> = text
             .lines()
@@ -396,7 +392,7 @@ mod tests {
         let m = Metrics::new();
         let start = m.now();
         m.advance_with_event(SimDuration::from_secs(1.5), EventKind::Driver, "ap_gen");
-        m.record_pass(3..=10, "bitmap", start, 40, 25);
+        m.record_pass(3..=10, "bitmap", (start, Instant::now()), 40, 25);
         let text = report(&m);
         let row = text.lines().nth(2).expect("one pass row");
         let head = "3-10  bitmap             40       25";

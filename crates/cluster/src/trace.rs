@@ -251,6 +251,7 @@ mod tests {
     use crate::json;
     use crate::metrics::{EventKind, StageExecution, StageKind, TaskExecution};
     use crate::spec::NodeId;
+    use std::time::Instant;
 
     fn sample_metrics() -> Metrics {
         let m = Metrics::new();
@@ -388,7 +389,7 @@ mod tests {
     #[test]
     fn passes_and_driver_events_share_a_track_that_copies_no_span() {
         let m = sample_metrics();
-        m.record_pass(1..=1, "items", SimInstant::EPOCH, 4, 3);
+        m.record_pass(1..=1, "items", (SimInstant::EPOCH, Instant::now()), 4, 3);
         m.advance_with_event(SimDuration::from_secs(0.5), EventKind::Broadcast, "b");
         let spec = ClusterSpec::new(2, 2, 1 << 30);
         let doc = json::parse(&chrome_trace(&m, &spec)).unwrap();

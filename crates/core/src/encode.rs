@@ -158,7 +158,7 @@ impl TrimMask {
     }
 
     /// How many items survive.
-    pub fn alive(&self) -> usize {
+    pub(crate) fn alive(&self) -> usize {
         self.keep.iter().filter(|&&k| k).count()
     }
 }

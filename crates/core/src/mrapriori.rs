@@ -31,6 +31,7 @@ use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISI
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+use std::time::Instant;
 use yafim_cluster::{slice_bytes, ByteSize, EventKind, FxHashMap, SimCluster, WorkCounters};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
@@ -280,7 +281,7 @@ impl MrApriori {
         let mut passes = Vec::new();
 
         // ---- pass 1: frequent items, one job, keyed by one item ----
-        let pass1_start = metrics.now();
+        let pass1_start = (metrics.now(), Instant::now());
         let job = MapReduceJob::new(
             "MR-Apriori pass 1",
             input,
@@ -324,7 +325,7 @@ impl MrApriori {
                 break;
             }
 
-            let pass_start = metrics.now();
+            let pass_start = (metrics.now(), Instant::now());
 
             // Driver: generate the candidate levels this job will count.
             let seed: Vec<Itemset> = levels

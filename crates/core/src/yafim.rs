@@ -58,7 +58,7 @@
 //! decided in one place, `Yafim::choose_counter`; how the partitions' counts
 //! combine in another, `Yafim::count_pass` (and `count_items_pass` for
 //! pass 1): `Paper` shuffles them through `reduceByKey` as Algorithms 2 and
-//! 3 do, a projecting plan merges per-worker accumulators at the driver.
+//! 3 do, a projecting plan aggregates into per-worker accumulators.
 
 use crate::bitmap::{
     bitmap_fits, chained_levels, pass2_bounds, BitmapScratch, CandidateList, ColumnarPartition,
@@ -75,6 +75,7 @@ use crate::types::{
 };
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Instant;
 use yafim_cluster::{
     memgov, slice_records, ByteSize, EngineCounters, EventKind, ExecError, FxHashMap, Lines,
     RecoveryCounters, SimDuration, SPILL_GRANULE,
@@ -314,7 +315,7 @@ impl Yafim {
         let mut passes = Vec::new();
 
         // ---- Phase I: load + cache + frequent items ----
-        let pass1_start = metrics.now();
+        let pass1_start = (metrics.now(), Instant::now());
         let transactions: Rdd<TxBlock> = ctx
             .text_splits(input, partitions)?
             .map_partitions(parse_lines)
@@ -413,7 +414,7 @@ impl Yafim {
             if self.config.max_passes != 0 && pass > self.config.max_passes {
                 break;
             }
-            let pass_start = metrics.now();
+            let pass_start = (metrics.now(), Instant::now());
             let prev = levels.last().expect("levels never empty here");
 
             let built = held.columnar.is_some();
@@ -711,7 +712,7 @@ impl Yafim {
                 bitmap_candidates_counted: n_candidates as u64,
                 ..EngineCounters::default()
             });
-            self.count_pass(&columnar, n_candidates, min_sup, move |acc, cols, tc| {
+            self.count_pass(&columnar, 2, n_candidates, min_sup, move |acc, cols, tc| {
                 reserve(tc);
                 // One AND+popcount per word, one emission per nonzero pair.
                 let (words, cells) = count_column_pairs(acc, cols);
@@ -728,7 +729,7 @@ impl Yafim {
                 EventKind::Driver,
                 format!("pass 2 triangle setup ({n_candidates} pairs)"),
             );
-            self.count_pass(&held.work, n_candidates, min_sup, move |acc, txs, tc| {
+            self.count_pass(&held.work, 2, n_candidates, min_sup, move |acc, txs, tc| {
                 reserve(tc);
                 let (pairs, cells) = count_pairs(acc, txs, n_dense);
                 // One cheap array touch per pair, plus one emission per
@@ -776,7 +777,7 @@ impl Yafim {
         // Workers: count candidate occurrences over the cached
         // transactions, pre-aggregated per partition (as Spark's
         // reduceByKey map-side combine would).
-        let counted = self.count_pass(work, n_candidates, min_sup, move |acc, txs, tc| {
+        let counted = self.count_pass(work, pass, n_candidates, min_sup, move |acc, txs, tc| {
             // Each task reads the broadcast store (already paid for
             // once, virtually, at broadcast time).
             tc.note_broadcast_read(store_bytes);
@@ -807,33 +808,35 @@ impl Yafim {
     /// into a dense slice over `C_k` and returns how many cells it touched.
     /// The plan picks how the partitions combine, here and in
     /// [`Yafim::count_items_pass`] (pass 1), nowhere else. A projecting plan
-    /// knows every key before the job starts, so it aggregates: tasks fold
-    /// into per-worker accumulators, the driver sums those and thresholds by
-    /// index, and a task's partial is modelled as one `(u32, u64)` record
-    /// per touched cell. The paper's plan is Algorithm 3 as written: every
+    /// knows every key before the job starts, so it aggregates into `C_k`'s
+    /// cells, thresholded by index: a task's partial is one `(u32, u64)`
+    /// record per touched cell, summed where it is cheaper (the driver or a
+    /// reduce stage, noted for `pass`). The paper's plan is Algorithm 3: every
     /// task emits its nonzero cells into `reduceByKey(+)`, a filter, a collect.
     ///
     /// Returns the surviving `(candidate index, count)` records, ascending.
     fn count_pass<T: Data>(
         &self,
         rdd: &Rdd<T>,
+        pass: usize,
         n_candidates: usize,
         min_sup: u64,
         fold: impl Fn(&mut [u64], &[T], &TaskContext) -> u64 + Send + Sync + 'static,
     ) -> Result<Vec<(u32, u64)>, ExecError> {
         if self.config.phase2.projects() {
-            let record_bytes = (0u32, 0u64).byte_size();
+            let size = |n| PartialSize {
+                records: n as u64,
+                bytes: n as u64 * (0u32, 0u64).byte_size(),
+            };
+            let kept = |counts: &Vec<u64>| size(counts.iter().filter(|&&c| c >= min_sup).count());
             let counts = rdd.try_aggregate(
                 move || vec![0u64; n_candidates],
-                move |acc: &mut Vec<u64>, part, tc| {
-                    let records = fold(acc, part, tc);
-                    let bytes = records * record_bytes;
-                    PartialSize { records, bytes }
-                },
+                move |acc: &mut Vec<u64>, part, tc| size(fold(acc, part, tc) as usize),
                 |mut a, b| {
                     a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
                     a
                 },
+                (n_candidates as u64, &kept, &format!("pass {pass}")),
             )?;
             return Ok(cells_at_least(&counts, min_sup));
         }
@@ -852,9 +855,9 @@ impl Yafim {
 
     /// Pass 1: every item occurring at least `min_sup` times, with its
     /// count; each partition counts in [`count_items`]. A projecting plan
-    /// aggregates with no key space up front: a task merges its ascending
+    /// aggregates over the whole `u32` alphabet: a task merges its ascending
     /// `(item, count)` pairs into its worker's ascending list and ships them
-    /// as its partial, the driver merges the lists and thresholds; no item
+    /// as its partial, summed and thresholded where it is cheaper; no item
     /// id sizes an allocation. `Paper` runs Algorithm 2: `reduceByKey(+)`,
     /// a filter, a collect.
     fn count_items_pass(
@@ -864,18 +867,24 @@ impl Yafim {
     ) -> Result<Vec<(Item, u64)>, ExecError> {
         if self.config.phase2.projects() {
             let record_bytes = (Item::default(), 0u64).byte_size();
+            let size = move |n| PartialSize {
+                records: n as u64,
+                bytes: n as u64 * record_bytes,
+            };
+            let kept =
+                |counts: &Vec<_>| size(counts.iter().filter(|&&(_, c)| c >= min_sup).count());
             let counts = rdd.try_aggregate(
                 Vec::new,
                 move |acc: &mut Vec<(Item, u64)>, part, tc| {
                     let pairs = count_items(part, tc, false);
-                    let records = pairs.len() as u64;
-                    let bytes = records * record_bytes;
+                    let partial = size(pairs.len());
                     // Execution memory, as in a combine buffer: denied, it spills.
-                    tc.try_reserve(bytes, memgov::site::SHUFFLE_COMBINE, true);
+                    tc.try_reserve(partial.bytes, memgov::site::SHUFFLE_COMBINE, true);
                     *acc = merge_counts(std::mem::take(acc), &pairs);
-                    PartialSize { records, bytes }
+                    partial
                 },
                 |a, b| merge_counts(a, &b),
+                (1 << Item::BITS, &kept, "pass 1"),
             )?;
             return Ok(counts.into_iter().filter(|&(_, c)| c >= min_sup).collect());
         }
@@ -972,24 +981,30 @@ impl Yafim {
 
         // Workers: word-wise AND + popcount per candidate over the cached
         // bitset rows.
-        let counted = self.count_pass(&columnar, n_candidates, min_sup, move |acc, cols, tc| {
-            tc.note_broadcast_read(cand_bytes);
-            // The count array is this task's execution memory.
-            tc.try_reserve(
-                8 * n_candidates as u64,
-                memgov::site::CANDIDATE_STORE,
-                false,
-            );
-            let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks.0);
-            // One AND+popcount per word, one emission per nonzero
-            // count — the whole per-task cost of the pass.
-            tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
-            metrics.note_engine(&EngineCounters {
-                bitmap_words_intersected: words,
-                ..EngineCounters::default()
-            });
-            cells
-        })?;
+        let counted = self.count_pass(
+            &columnar,
+            pass,
+            n_candidates,
+            min_sup,
+            move |acc, cols, tc| {
+                tc.note_broadcast_read(cand_bytes);
+                // The count array is this task's execution memory.
+                tc.try_reserve(
+                    8 * n_candidates as u64,
+                    memgov::site::CANDIDATE_STORE,
+                    false,
+                );
+                let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks.0);
+                // One AND+popcount per word, one emission per nonzero
+                // count — the whole per-task cost of the pass.
+                tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
+                metrics.note_engine(&EngineCounters {
+                    bitmap_words_intersected: words,
+                    ..EngineCounters::default()
+                });
+                cells
+            },
+        )?;
 
         // Cell `i` is candidate `i` of the levels laid end to end, and each
         // level is one length.

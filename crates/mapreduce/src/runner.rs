@@ -309,6 +309,11 @@ impl MrRunner {
         let map_label = format!("{}: map", job.name);
         let profiles = map_outs.iter().map(|(_, p)| *p).enumerate();
         let map_nodes = self.wave(map_label, &task_specs, Some(&reread), None, profiles)?;
+        let records = map_outs
+            .iter()
+            .flat_map(|(buckets, _)| buckets)
+            .map(Vec::len);
+        metrics.note_shipped(0, records.sum::<usize>() as u64);
 
         // A node lost between map and reduce takes its completed map outputs
         // with it (they live on local disk, not in HDFS): re-execute just
@@ -323,9 +328,7 @@ impl MrRunner {
                 .collect();
             let rec = RecoveryCounters {
                 nodes_lost: dead.len() as u64,
-                fetch_failures: lost.len() as u64,
-                recomputed_partitions: lost.len() as u64,
-                ..RecoveryCounters::default()
+                ..RecoveryCounters::lost_map_resubmits(lost.len() as u64)
             };
             if lost.is_empty() {
                 metrics.note_recovery(&rec);

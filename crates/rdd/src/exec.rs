@@ -26,7 +26,8 @@ use std::sync::Arc;
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
     fx_hash64, slice_bytes, slice_records, EngineCounters, EventKind, ExecError, NodeId,
-    RecoveryCounters, SimDuration, StageFrame, StageKind, TaskProfile, TaskSpec,
+    RecoveryCounters, SimCluster, SimDuration, StageFrame, StageKind, TaskProfile, TaskSpec,
+    VirtualScheduler, WorkCounters,
 };
 
 /// What one node loss took with it (returned by
@@ -223,17 +224,21 @@ fn prepare_shuffles<T: Data>(ctx: &Context, imp: &Arc<dyn RddImpl<T>>) -> Result
     }
 }
 
-/// Run the final stage of a job: `task` consumes each partition's pipeline
-/// (the job's last pipeline breaker) and its result goes to the driver.
+/// Run the final stage of a job over the partitions `only` names, or all
+/// of them: `task` consumes each partition's pipeline (the job's last
+/// pipeline breaker) and its result goes to the driver. Also returns the
+/// node each task's winning attempt ran on.
 fn run_final_stage<T: Data, R: Send + 'static>(
     rdd: &Rdd<T>,
     label: String,
+    only: Option<Vec<usize>>,
     task: impl for<'a> Fn(Pipe<'a, T>, &'a TaskContext) -> R + Send + Sync + 'static,
-) -> Result<Vec<R>, ExecError> {
+) -> Result<(Vec<R>, Vec<NodeId>), ExecError> {
     let imp = Arc::clone(&rdd.imp);
-    let partitions = imp.num_partitions();
-    let preferred: Vec<Option<NodeId>> = (0..partitions)
-        .map(|p| imp.preferred_node(p).or_else(|| Some(node_for(&imp, p))))
+    let parts = only.unwrap_or_else(|| (0..imp.num_partitions()).collect());
+    let preferred: Vec<Option<NodeId>> = parts
+        .iter()
+        .map(|&p| imp.preferred_node(p).or_else(|| Some(node_for(&imp, p))))
         .collect();
     let shuffle_read = imp.shuffle_read_id();
     try_run_stage(
@@ -243,9 +248,8 @@ fn run_final_stage<T: Data, R: Send + 'static>(
         shuffle_read,
         preferred,
         &|| rdd.imp.preflight(),
-        Arc::new(move |part, tc: &TaskContext| task(materialize(&imp, part, tc), tc)),
+        Arc::new(move |i, tc: &TaskContext| task(materialize(&imp, parts[i], tc), tc)),
     )
-    .map(|(parts, _)| parts)
 }
 
 /// Run `body` as one job called `name`: the job span and the per-job
@@ -278,7 +282,7 @@ pub(crate) fn try_collect<T: Data>(rdd: &Rdd<T>) -> Result<Vec<T>, ExecError> {
     let name = format!("collect rdd{}", rdd.id());
     let parts = run_job(rdd, &name, || {
         // Each partition's pipeline collapses into a buffer for the fetch.
-        let parts = run_final_stage(rdd, name.clone(), |pipe, tc| {
+        let (parts, _) = run_final_stage(rdd, name.clone(), None, |pipe, tc| {
             let data = pipe.into_arc(tc);
             tc.note_records_written(slice_records(&data));
             data
@@ -312,7 +316,7 @@ pub(crate) fn try_checkpoint<T: Data>(rdd: &Rdd<T>) -> Result<Rdd<T>, ExecError>
         let cluster = ctx.cluster().clone();
         let replication = cluster.hdfs().replication() as u64;
         let label = format!("checkpoint rdd{} -> rdd{cp_id}", rdd.id());
-        run_final_stage(rdd, label, move |pipe, tc| {
+        run_final_stage(rdd, label, None, move |pipe, tc| {
             let data = pipe.into_arc(tc);
             let bytes = slice_bytes(&data);
             tc.add_ser(bytes); // serialize the block for stable storage
@@ -343,7 +347,9 @@ pub(crate) fn try_count<T: Data>(rdd: &Rdd<T>) -> Result<u64, ExecError> {
     let name = format!("count rdd{}", rdd.id());
     // Each pipeline is drained without buffering; only lengths are fetched.
     let count = |pipe: Pipe<'_, T>, _: &TaskContext| pipe.count();
-    let lens = run_job(rdd, &name, || run_final_stage(rdd, name.clone(), count))?;
+    let (lens, _) = run_job(rdd, &name, || {
+        run_final_stage(rdd, name.clone(), None, count)
+    })?;
     Ok(lens.iter().sum())
 }
 
@@ -359,24 +365,78 @@ pub struct PartialSize {
     pub bytes: u64,
 }
 
+/// Reduce task `i` of `n`'s even share of a total `x`.
+fn share(x: u64, i: usize, n: usize) -> u64 {
+    let upto = |i: usize| (u128::from(x) * i as u128 / n as u128) as u64;
+    upto(i + 1) - upto(i)
+}
+
+/// What reduce task `i` of `n` does: fetch its even share of the partials
+/// `sum` over the node links, deserialize it and pay one CPU unit per record.
+fn reduce_work(sum: PartialSize, i: usize, n: usize) -> WorkCounters {
+    let mut work = WorkCounters::new();
+    work.add_net(share(sum.bytes, i, n));
+    work.add_ser(share(sum.bytes, i, n));
+    work.add_records_in(share(sum.records, i, n));
+    work
+}
+
+/// An aggregate's count cells, the size of those its caller keeps, and the
+/// pass that names its note ([`Rdd::try_aggregate`]).
+pub(crate) type Cells<'a, A> = (u64, &'a dyn Fn(&A) -> PartialSize, &'a str);
+
+/// What the two finishes of an aggregate cost on a clean cluster, given
+/// its partials' `sum` and the `kept` cells the driver needs: its serial
+/// fetch of every partial, and a stage of `reducers` tasks (`reduce_work`)
+/// plus the fetch of `kept`. Returns the first, and the second when it is
+/// lower (never with fewer than two reducers).
+pub(crate) fn combine_price(
+    cluster: &SimCluster,
+    reducers: usize,
+    sum: PartialSize,
+    kept: PartialSize,
+) -> (SimDuration, Option<SimDuration>) {
+    let cost = cluster.cost();
+    let fetch = cost.serialize(sum.bytes) + cost.net_transfer(sum.bytes) + cost.cpu(sum.records);
+    if reducers < 2 {
+        return (fetch, None);
+    }
+    let launch = SimDuration::from_secs(cost.spark_task_overhead);
+    let task = |i| TaskSpec::anywhere(launch + reduce_work(sum, i, reducers).data_time(cost));
+    let specs: Vec<TaskSpec> = (0..reducers).map(task).collect();
+    let makespan = VirtualScheduler::new(cluster.spec().clone())
+        .schedule(&specs)
+        .makespan;
+    let reduce = SimDuration::from_secs(cost.spark_stage_overhead)
+        + makespan
+        + cost.serialize(kept.bytes)
+        + cost.net_transfer(kept.bytes);
+    (fetch, (reduce < fetch).then_some(reduce))
+}
+
 /// The `aggregate` action: one stage whose tasks fold their partitions into
 /// accumulators checked out of a per-action pool. A task makes one only when
 /// none is idle, so at most one exists per pool worker, and a task that
-/// unwinds drops the one it holds. The driver pays for every task's partial,
-/// serially: `serialize(ΣB) + net_transfer(ΣB)` plus one CPU unit per record.
+/// unwinds drops the one it holds. Then the driver fetches every partial, or,
+/// with two count cells or more ([`Cells`]) and where [`combine_price`] finds
+/// it cheaper, notes both prices and sums them in a reduce stage. A lost
+/// node's partials are counted, and resubmitted if that stage has yet to run
+/// (into a throwaway accumulator: their counts are in).
 pub(crate) fn try_aggregate<T: Data, A: Send + 'static>(
     rdd: &Rdd<T>,
     zero: impl Fn() -> A + Send + Sync + 'static,
     seq: impl Fn(&mut A, &[T], &TaskContext) -> PartialSize + Send + Sync + 'static,
     comb: impl Fn(A, A) -> A,
+    (keys, kept, pass): Cells<'_, A>,
 ) -> Result<A, ExecError> {
-    let name = format!("aggregate rdd{}", rdd.id());
-    let zero = Arc::new(zero);
+    let (ctx, name) = (&rdd.ctx, format!("aggregate rdd{}", rdd.id()));
+    let (zero, seq) = (Arc::new(zero), Arc::new(seq));
     let accumulators: Arc<Mutex<Vec<A>>> = Arc::default();
-    run_job(rdd, &name, || {
-        let (zero, pool) = (Arc::clone(&zero), Arc::clone(&accumulators));
-        let partials = run_final_stage(rdd, name.clone(), move |pipe, tc| {
-            let idle = pool.lock().pop();
+    let fold = |pooled: bool| {
+        let (zero, seq) = (Arc::clone(&zero), Arc::clone(&seq));
+        let pool = Arc::clone(&accumulators);
+        move |pipe: Pipe<'_, T>, tc: &TaskContext| {
+            let idle = pooled.then(|| pool.lock().pop()).flatten();
             let mut acc = idle.unwrap_or_else(|| zero());
             let partial = pipe.with_slice(tc, |part| {
                 tc.add_records_in(slice_records(part));
@@ -384,18 +444,67 @@ pub(crate) fn try_aggregate<T: Data, A: Send + 'static>(
             });
             tc.add_records_out(partial.records);
             tc.note_records_written(partial.records);
-            pool.lock().push(acc);
+            pooled.then(|| pool.lock().push(acc));
             partial
-        })?;
-        let records: u64 = partials.iter().map(|p| p.records).sum();
-        let bytes: u64 = partials.iter().map(|p| p.bytes).sum();
-        let cost = rdd.ctx.cluster().cost();
-        let merge = cost.serialize(bytes) + cost.net_transfer(bytes) + cost.cpu(records);
-        rdd.ctx.metrics().advance(merge);
-        Ok(())
-    })?;
-    let merged = std::mem::take(&mut *accumulators.lock());
-    Ok(merged.into_iter().reduce(comb).unwrap_or_else(|| zero()))
+        }
+    };
+    run_job(rdd, &name, || {
+        let (partials, mut holders) = run_final_stage(rdd, name.clone(), None, fold(true))?;
+        let sum = PartialSize {
+            records: partials.iter().map(|p| p.records).sum(),
+            bytes: partials.iter().map(|p| p.bytes).sum(),
+        };
+        ctx.metrics().note_shipped(sum.records, 0);
+        let merged = accumulators.lock().drain(..).reduce(comb);
+        let merged = merged.unwrap_or_else(|| zero());
+        let n = (ctx.config().default_parallelism as u64).min(keys) as usize;
+        let kept = if n < 2 {
+            PartialSize::default()
+        } else {
+            kept(&merged)
+        };
+        let (fetch, reduce) = combine_price(ctx.cluster(), n, sum, kept);
+        let Some(reduce) = reduce else {
+            ctx.metrics().advance(fetch);
+            return Ok(merged);
+        };
+        let (r, f) = (reduce.as_secs(), fetch.as_secs());
+        let note = format!("{pass} combine: reduce stage ({r:.3} s) vs driver fetch ({f:.3} s)");
+        ctx.metrics()
+            .advance_with_event(SimDuration::ZERO, EventKind::Other, note);
+        // The partials of the nodes lost since the map stage, counted.
+        let lost_from = |holders: &[NodeId]| {
+            let dead: Vec<NodeId> = sync_node_losses(ctx).iter().map(|l| l.node).collect();
+            let lost = (0..holders.len()).filter(|&m| dead.contains(&holders[m]));
+            let lost: Vec<usize> = lost.collect();
+            ctx.metrics().note_recovery(&RecoveryCounters {
+                map_outputs_lost: lost.len() as u64,
+                ..RecoveryCounters::default()
+            });
+            lost
+        };
+        let mut lost = lost_from(&holders);
+        while !lost.is_empty() {
+            let resubmits = RecoveryCounters::lost_map_resubmits(lost.len() as u64);
+            ctx.metrics().note_recovery(&resubmits);
+            let label = format!("{name} (resubmit)");
+            let (_, on) = run_final_stage(rdd, label, Some(lost.clone()), fold(false))?;
+            lost.iter().zip(on).for_each(|(&m, node)| holders[m] = node);
+            lost = lost_from(&holders);
+        }
+        let task = Arc::new(move |i: usize, tc: &TaskContext| {
+            tc.add_work(&reduce_work(sum, i, n));
+            tc.note_records_read(share(sum.records, i, n));
+            tc.note_records_written(share(kept.records, i, n));
+        });
+        let (label, pref) = (format!("{name} (reduce)"), vec![None; n]);
+        try_run_stage(ctx, label, StageKind::Result, None, pref, &|| Ok(()), task)?;
+        lost_from(&holders);
+        let cost = ctx.cluster().cost();
+        ctx.metrics()
+            .advance(cost.serialize(kept.bytes) + cost.net_transfer(kept.bytes));
+        Ok(merged)
+    })
 }
 
 /// Fault injection helpers, exposed on [`Context`] via an extension trait so
@@ -445,5 +554,126 @@ impl FaultInjection for Context {
 
     fn materialized_shuffles(&self) -> usize {
         self.shuffles().len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use yafim_cluster::{ClusterSpec, CostModel};
+
+    /// A seeded draw in `lo..=hi` (splitmix64).
+    fn drawer(mut state: u64) -> impl FnMut(u64, u64) -> u64 {
+        move |lo, hi| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            lo + (z ^ (z >> 31)) % (hi - lo + 1)
+        }
+    }
+
+    /// The two finishes' prices over seeded draws of map tasks and their
+    /// partials, count cells, survivors and cluster shapes, under both cost
+    /// models. The charge picked is never above the driver fetch, and is the
+    /// fetch, to the bit, whenever the fetch wins. With every launch cost
+    /// zeroed the reduce stage wins whenever there is something to sum in
+    /// parallel: two cores and two cells at least, survivors at most a
+    /// quarter of the records (a threshold that keeps them all makes the
+    /// driver fetch the same bytes again; one core or one cell makes the
+    /// stage the fetch with a launch on top).
+    #[test]
+    fn the_charge_picked_is_never_above_the_driver_fetch() {
+        let mut draw = drawer(42);
+        let (mut reduced, mut fetched) = (0, 0);
+        for case in 0..4000 {
+            let zero_overhead = case % 2 == 1;
+            let cost = [CostModel::hadoop_era(), CostModel::zero_overhead()][case % 2].clone();
+            let spec = ClusterSpec::new(draw(1, 16) as u32, draw(1, 8) as u32, 1 << 30);
+            let cores = u64::from(spec.total_cores());
+            let cluster = SimCluster::with_threads(spec, cost.clone(), 1);
+            // Per-task partials of one record size; some tasks touch nothing.
+            let (tasks, record) = (draw(1, 400), draw(4, 32));
+            let mut sum = PartialSize::default();
+            for _ in 0..tasks {
+                let records = draw(0, 1) * draw(0, [100, 100_000][case % 4 / 2]);
+                sum.records += records;
+                sum.bytes += records * record;
+            }
+            let bits = draw(1, 24);
+            let keys = draw(1, 1 << bits);
+            let most = [sum.records, sum.records / 4][case % 2];
+            let survivors = draw(0, keys.min(most));
+            let kept = PartialSize {
+                records: survivors,
+                bytes: survivors * record,
+            };
+            let (fetch, reduce) =
+                combine_price(&cluster, (2 * cores).min(keys) as usize, sum, kept);
+            let serial =
+                cost.serialize(sum.bytes) + cost.net_transfer(sum.bytes) + cost.cpu(sum.records);
+            let case = format!("case {case}: {tasks} tasks, {sum:?}, {keys} keys, {kept:?}");
+            assert_eq!(
+                fetch.as_secs().to_bits(),
+                serial.as_secs().to_bits(),
+                "{case}"
+            );
+            let charge = reduce.unwrap_or(fetch);
+            assert!(charge <= fetch, "{case}: {charge:?} above {fetch:?}");
+            if reduce.is_none() {
+                assert_eq!(charge.as_secs().to_bits(), fetch.as_secs().to_bits());
+            }
+            if zero_overhead && sum.records > 0 && cores >= 2 && keys >= 2 {
+                assert!(
+                    reduce.is_some(),
+                    "{case}: the fetch won with no launch cost"
+                );
+            }
+            *[&mut fetched, &mut reduced][usize::from(reduce.is_some())] += 1;
+        }
+        assert!(
+            reduced > 500 && fetched > 500,
+            "{reduced} reduced, {fetched} fetched"
+        );
+    }
+
+    /// What the engine charges after the map stage is the price it picked:
+    /// the reduce stage's on a wide aggregate (2 M records per task, 96
+    /// cells), the fetch's on a narrow one, each on a clean cluster.
+    #[test]
+    fn the_engine_charges_the_finish_it_priced() {
+        for (per_task, reduces) in [(2_000_000, true), (1_000, false)] {
+            let ctx = Context::new(SimCluster::with_threads(
+                ClusterSpec::new(4, 2, 1 << 30),
+                CostModel::hadoop_era(),
+                2,
+            ));
+            let rdd = ctx.parallelize_with_partitions((0..64u32).collect(), 8);
+            let size = |records: u64| PartialSize {
+                records,
+                bytes: 12 * records,
+            };
+            let kept = |n: &u64| size(*n % 97);
+            let seq = move |n: &mut u64, part: &[u32], _: &TaskContext| {
+                *n += part.len() as u64;
+                size(per_task)
+            };
+            let n = try_aggregate(&rdd, || 0, seq, |a, b| a + b, (96, &kept, "pass 2"));
+            assert_eq!(n.expect("clean"), 64);
+            let spans = ctx.metrics().stage_spans();
+            let finish = ctx.metrics().now().since(spans[0].end()).as_secs();
+            let reducers = ctx.config().default_parallelism.min(96);
+            let (fetch, reduce) =
+                combine_price(ctx.cluster(), reducers, size(8 * per_task), size(64));
+            assert_eq!(
+                (reduce.is_some(), spans.len()),
+                (reduces, 1 + usize::from(reduces))
+            );
+            let priced = reduce.unwrap_or(fetch).as_secs();
+            assert!(
+                (finish - priced).abs() < 1e-9,
+                "{finish} charged, {priced} priced"
+            );
+        }
     }
 }

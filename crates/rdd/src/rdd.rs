@@ -506,13 +506,18 @@ impl<T: Data> Rdd<T> {
     /// one that earlier partitions were folded into) and the driver merges
     /// the accumulators with `comb`. What `seq` returns is charged as its
     /// task's result, see [`PartialSize`]. No partitions aggregate to `zero()`.
+    /// `cells` is the result's count-cell key space, the size of the cells
+    /// the caller keeps, and the pass that names a note: with two or more
+    /// cells the partials are summed in a reduce stage where that is cheaper
+    /// than the driver's fetch (DESIGN.md §5); one cell is the fetch.
     pub fn try_aggregate<A: Send + 'static>(
         &self,
         zero: impl Fn() -> A + Send + Sync + 'static,
         seq: impl Fn(&mut A, &[T], &TaskContext) -> PartialSize + Send + Sync + 'static,
         comb: impl Fn(A, A) -> A,
+        cells: exec::Cells<'_, A>,
     ) -> Result<A, yafim_cluster::ExecError> {
-        exec::try_aggregate(self, zero, seq, comb)
+        exec::try_aggregate(self, zero, seq, comb, cells)
     }
 }
 

@@ -429,6 +429,8 @@ where
             }),
         )?;
 
+        let records = results.iter().map(|output| output.records.len() as u64);
+        ctx.metrics().note_shipped(0, records.sum());
         match only {
             Some(_) => {
                 let recomputed = map_parts
@@ -516,11 +518,8 @@ where
             // the failures and resubmit just the missing map partitions.
             let lost = self.ctx().shuffles().lost_maps(self.meta.id);
             if !lost.is_empty() {
-                self.ctx().metrics().note_recovery(&RecoveryCounters {
-                    fetch_failures: lost.len() as u64,
-                    recomputed_partitions: lost.len() as u64,
-                    ..RecoveryCounters::default()
-                });
+                let resubmits = RecoveryCounters::lost_map_resubmits(lost.len() as u64);
+                self.ctx().metrics().note_recovery(&resubmits);
                 self.run_map_stage(Some(&lost))?;
             }
             return self.resubmit_failed_buckets(BucketLoss::Rotten);

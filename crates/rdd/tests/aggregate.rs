@@ -60,6 +60,7 @@ fn dense_sum(rdd: &Rdd<(u32, u64)>) -> Vec<u64> {
         || vec![0u64; KEYS],
         |acc, part, _| add_partition(acc, part),
         sum,
+        (1, &|_| PartialSize::default(), ""),
     )
     .expect("no fault plan")
 }
@@ -122,7 +123,12 @@ fn one_action_makes_at_most_one_accumulator_per_pool_thread() {
             vec![0u64; KEYS]
         };
         let dense = rdd
-            .try_aggregate(zero, |acc, part, _| add_partition(acc, part), sum)
+            .try_aggregate(
+                zero,
+                |acc, part, _| add_partition(acc, part),
+                sum,
+                (1, &|_| PartialSize::default(), ""),
+            )
             .expect("clean");
         assert_eq!(
             dense.iter().sum::<u64>(),
@@ -149,6 +155,7 @@ fn a_panicking_seq_propagates_and_leaves_nothing_behind() {
                 size
             },
             sum,
+            (1, &|_| PartialSize::default(), ""),
         )
     }));
     let payload = unwound.expect_err("the task's panic reaches the caller");

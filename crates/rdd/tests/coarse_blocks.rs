@@ -127,6 +127,7 @@ fn drive<T: yafim_rdd::Data>(c: &Context, rdd: Rdd<T>) -> String {
             PartialSize { records, bytes }
         },
         |a, b| a + b,
+        (1, &|_| PartialSize::default(), ""),
     );
     assert_eq!(rows.expect("no fault plan"), 1000);
     let again = cp.map_partitions(|part, _| part.to_vec()).cache();

@@ -429,6 +429,7 @@ fn checksum(rdd: &Rdd<u32>) -> (u32, u64) {
             }
         },
         |a, b| (a.0.wrapping_add(b.0), a.1 + b.1),
+        (1, &|_| PartialSize::default(), ""),
     )
     .expect("no fault plan")
 }

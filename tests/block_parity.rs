@@ -55,6 +55,14 @@ fn count_pass<T: Data>(
     fold: impl Fn(&mut [u64], &[T], &TaskContext) -> u64 + Send + Sync + 'static,
 ) -> Vec<(u32, u64)> {
     if projects {
+        // What passes the threshold, as the reducers would ship it.
+        let kept = |counts: &Vec<u64>| {
+            let records = counts.iter().filter(|&&c| c >= min_sup).count() as u64;
+            PartialSize {
+                records,
+                bytes: records * 12,
+            }
+        };
         let counts = rdd
             .try_aggregate(
                 move || vec![0u64; n_candidates],
@@ -67,6 +75,7 @@ fn count_pass<T: Data>(
                     a.iter_mut().zip(b).for_each(|(x, y)| *x += y);
                     a
                 },
+                (n_candidates as u64, &kept, "pass"),
             )
             .expect("fault-free");
         return cells_at_least(&counts, min_sup);
@@ -159,6 +168,13 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
         let add = |acc: &mut BTreeMap<Item, u64>, (item, c): (Item, u64)| {
             *acc.entry(item).or_default() += c;
         };
+        let kept = |counts: &BTreeMap<Item, u64>| {
+            let records = counts.values().filter(|&&c| c >= min_sup).count() as u64;
+            PartialSize {
+                records,
+                bytes: records * 12,
+            }
+        };
         let counts = ones
             .try_aggregate(
                 BTreeMap::new,
@@ -176,6 +192,7 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                     b.into_iter().for_each(|pair| add(&mut a, pair));
                     a
                 },
+                (1 << 32, &kept, "pass 1"),
             )
             .expect("fault-free");
         counts.into_iter().filter(|&(_, c)| c >= min_sup).collect()
