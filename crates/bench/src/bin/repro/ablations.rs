@@ -3,10 +3,10 @@
 
 use yafim_bench::{bench_dataset, loaded_cluster, phase2_label, phase2_workload, run_clean};
 use yafim_cluster::json::JsonValue;
-use yafim_cluster::{ClusterSpec, CostModel, RunManifest, SimCluster};
+use yafim_cluster::{ClusterSpec, CostModel, PassTiming, RunManifest, SimCluster};
 use yafim_core::{
-    apriori, Miner, MrApriori, MrAprioriConfig, MrMatching, MrVariant, Phase2Plan, Support, Yafim,
-    YafimConfig,
+    ap_gen, apriori, Item, Itemset, Miner, MinerRun, MrApriori, MrAprioriConfig, MrMatching,
+    MrVariant, Phase2Plan, Support, Yafim, YafimConfig,
 };
 use yafim_data::{replicate, to_lines, PaperDataset, QuestGenerator};
 use yafim_rdd::{BroadcastMode, Context, RddConfig};
@@ -323,25 +323,38 @@ pub(crate) fn matching() -> (String, RunManifest) {
         })
         .collect();
     let paper = &runs[0].1;
-    // A record finds what the paper's passes it spans found; one that
-    // combined passes counts candidates chained from candidate levels too.
+    // A record starts at a paper pass and finds what the passes it spans
+    // found. A one-level record counts the paper's candidates the support
+    // bound keeps; a combined one at least those of its first level and the
+    // paper's of the rest (chained from candidate levels). Only the paper's
+    // last pass may go uncounted, where the bound dropped all of it.
+    let min_sup = support.resolve(tx.len() as u64);
+    let bound = |p| bounded_candidates(paper, p, tx.len(), min_sup);
+    let bounded: Vec<usize> = paper.passes.iter().map(bound).collect();
     for (label, run, ..) in &runs[1..] {
+        let mut next = paper.passes.iter().zip(&bounded).peekable();
         for r in &run.passes {
-            let spanned = paper
-                .passes
-                .iter()
-                .filter(|p| (r.pass..=r.last).contains(&p.pass));
-            let (c, f) = spanned.fold((0, 0), |(c, f), p| (c + p.candidates, f + p.frequent));
+            let starts = next.peek().is_some_and(|(p, _)| p.pass == r.pass);
+            let spanned: Vec<_> =
+                std::iter::from_fn(|| next.next_if(|(p, _)| p.pass <= r.last)).collect();
+            let f: usize = spanned.iter().map(|(p, _)| p.frequent).sum();
+            let rest = spanned.iter().skip(1).map(|(p, _)| p.candidates);
+            let c = spanned.first().map_or(0, |(_, &b)| b) + rest.sum::<usize>();
             let counted = if r.last > r.pass {
                 r.candidates >= c
             } else {
-                r.candidates == c
+                r.candidates == c && c >= f
             };
             assert!(
-                r.frequent == f && counted,
+                starts && r.frequent == f && counted,
                 "'{label}' diverges from the paper: {r:?}"
             );
         }
+        let last = paper.passes.len();
+        assert!(
+            next.all(|(p, &b)| b == 0 && p.pass == last),
+            "'{label}' stops early"
+        );
     }
 
     say!(
@@ -369,43 +382,42 @@ pub(crate) fn matching() -> (String, RunManifest) {
             peak_cache_bytes
         );
     }
+    // One cell per configuration for pass `p`: `value` of the record that
+    // counted it alone, the span of a combined job that counted it,
+    // `(3-13)`, or `-` where the support bound dropped all of it.
+    let cells = |p: &PassTiming, value: &dyn Fn(&PassTiming) -> String| {
+        let cell = |(_, run, ..): &(_, MinerRun, _, _)| match run
+            .passes
+            .iter()
+            .find(|r| (r.pass..=r.last).contains(&p.pass))
+        {
+            Some(r) if r.pass == p.pass => format!("{:>8}", value(r)),
+            Some(r) => format!("{:>8}", format!("({}-{})", r.pass, r.last)),
+            None => format!("{:>8}", "-"),
+        };
+        runs.iter().map(cell).collect::<Vec<_>>().join(" ")
+    };
     say!(
         out,
-        "\nper-pass (virtual, identical candidates/frequent across configs):"
+        "\nper-pass |C_k|, one column per configuration, and |L_k| (the projecting \
+         plans count the candidates whose support bound reaches MinSup):"
     );
     for p in &paper.passes {
-        say!(
-            out,
-            "  pass {}: {} candidates, {} frequent",
-            p.pass,
-            p.candidates,
-            p.frequent
-        );
+        let c = cells(p, &|r| r.candidates.to_string());
+        say!(out, "  pass {:>2}: {c}  {:>8} frequent", p.pass, p.frequent);
     }
     say!(
         out,
         "\nper-pass virtual seconds, one column per configuration:"
     );
     for p in &paper.passes {
-        // A pass counted in a combined job shows where: `(3-13)`.
-        let cell = |run: &yafim_core::MinerRun| {
-            let spans = |r: &&yafim_cluster::PassTiming| (r.pass..=r.last).contains(&p.pass);
-            let r = run
-                .passes
-                .iter()
-                .find(spans)
-                .expect("every pass is counted");
-            match r {
-                r if r.pass == p.pass => format!("{:>8.2}", r.seconds),
-                r => format!("{:>8}", format!("({}-{})", r.pass, r.last)),
-            }
-        };
-        let cells: Vec<String> = runs.iter().map(|(_, run, ..)| cell(run)).collect();
-        say!(out, "  pass {:>2}: {}", p.pass, cells.join(" "));
+        let s = cells(p, &|r| format!("{:.2}", r.seconds));
+        say!(out, "  pass {:>2}: {s}", p.pass);
     }
     say!(
         out,
-        "\nparity: ok ({} frequent itemsets, every config byte-identical)",
+        "\nparity: ok ({} frequent itemsets, every config byte-identical; \
+         |C_k| as the support bound predicts)",
         reference.total()
     );
 
@@ -427,4 +439,43 @@ pub(crate) fn matching() -> (String, RunManifest) {
         manifest.push_metric(format!("pass.{}.last", p.pass), p.last as f64);
     }
     (out, manifest)
+}
+
+/// How many of the paper's candidates of `pass` a projecting plan counts:
+/// those whose support bound, written out here from its definition over
+/// the paper's levels, reaches `min_sup`. For `c = X ∪ {a, y1, y2}` (its
+/// last three items) it is `σ(Xay1) + σ(Xay2) + σ(Xy1y2) − σ(Xa) − σ(Xy1)
+/// − σ(Xy2) + σ(X)`, `σ(∅)` the line count; passes 1 and 2 have none.
+fn bounded_candidates(paper: &MinerRun, pass: &PassTiming, lines: usize, min_sup: u64) -> usize {
+    if pass.pass < 3 {
+        return pass.candidates;
+    }
+    let below = paper.result.level(pass.pass - 1).iter();
+    let (candidates, _) = ap_gen(&below.map(|(s, _)| s.clone()).collect::<Vec<_>>());
+    assert_eq!(
+        candidates.len(),
+        pass.candidates,
+        "the paper's C_{}",
+        pass.pass
+    );
+    let sigma = |x: &[Item], extra: &[Item]| match Itemset::new([x, extra].concat()) {
+        set if set.is_empty() => lines as i128,
+        set => paper
+            .result
+            .support_of(&set)
+            .expect("frequent subset")
+            .into(),
+    };
+    let kept = candidates.iter().filter(|c| {
+        let (x, &[a, y1, y2]) = c.items().split_at(c.len() - 3) else {
+            unreachable!()
+        };
+        let ub = sigma(x, &[a, y1]) + sigma(x, &[a, y2]) + sigma(x, &[y1, y2])
+            - sigma(x, &[a])
+            - sigma(x, &[y1])
+            - sigma(x, &[y2])
+            + sigma(x, &[]);
+        ub >= i128::from(min_sup)
+    });
+    kept.count()
 }

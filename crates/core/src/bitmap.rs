@@ -30,7 +30,7 @@
 //! popcount; a task's scratch picks one when it is made. Nothing modelled
 //! can tell which ran.
 
-use crate::candidates::{job_candidates, Chain};
+use crate::candidates::{ap_gen_bounded, job_candidates, Chain, GenWork};
 use crate::encode::tri_len;
 use crate::types::{Item, Itemset, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS};
 use yafim_cluster::{ByteSize, SimCluster, SimDuration};
@@ -97,23 +97,26 @@ pub(crate) fn level_price(
         + cost.cpu(word_units.saturating_mul(JVM_BITMAP_WORD_UNITS)) / cores
 }
 
-/// The candidate levels one bitmap job counts from `prev` = `L_{pass−1}`,
-/// over a store of `lines` lines in `tasks` tasks on `cluster`: the
-/// candidate chain, which admits no speculative level from the candidate
+/// The candidate levels one bitmap job counts from `known` = `L_1 …
+/// L_{pass−1}` with their supports, over a store of `lines` lines in
+/// `tasks` tasks on `cluster`: the first level by the support-bounded
+/// `ap_gen` (`σ(∅) = lines`, MinSup `min_sup`), then the candidate chain,
+/// which admits no speculative level from the candidate
 /// level `from` when `J` (`ap_gen`'s join pairs over `from`) is 0 or passes
 /// `|from|` (the chain would grow), when the job's count array, its cells
 /// so far plus `J`, would pass the armed governor's per-task limit, or when
 /// the levels' summed [`level_price`] would pass one launch
 /// (`spark_job_overhead + spark_stage_overhead`): speculation never costs
-/// more than the job it saves. Returns the levels and their `ap_gen` units.
+/// more than the job it saves. Returns the levels and their `ap_gen` work.
 pub fn chained_levels(
-    prev: &[Itemset],
+    known: &[Vec<(Itemset, u64)>],
     pass: usize,
     max_passes: usize,
     cluster: &SimCluster,
     lines: usize,
     tasks: usize,
-) -> (Vec<Vec<Itemset>>, u64) {
+    min_sup: u64,
+) -> (Vec<Vec<Itemset>>, GenWork) {
     let cost = cluster.cost();
     let words = (lines.div_ceil(64) + tasks) as u64;
     let limit = cluster.memory_budget().map(|b| b.per_task_limit);
@@ -127,7 +130,8 @@ pub fn chained_levels(
             && limit.is_none_or(|limit| 8 * (cells + joins) <= limit)
             && spent <= launch
     };
-    job_candidates(prev, pass, max_passes, Chain::Priced(admit))
+    let first = ap_gen_bounded(known, lines as u64, min_sup);
+    job_candidates(first, pass, max_passes, Chain::Priced(admit))
 }
 
 /// One partition of the vertical store: a row-major `Vec<u64>` arena with
@@ -704,18 +708,26 @@ mod tests {
 
     #[test]
     fn the_chain_stops_where_it_would_grow_cost_a_launch_or_pass_the_limit() {
-        use crate::candidates::{join_pairs, tests::random_level};
+        use crate::candidates::{ap_gen, join_pairs, tests::random_level};
         use yafim_cluster::{ClusterSpec, CostModel, FaultPlan};
         let cluster = || SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
         let pairs = |n| (0..n).flat_map(move |a| (a + 1..n).map(move |b| Itemset::new(vec![a, b])));
+        // `seed` alone, sorted: no lower level, so the bound keeps everything.
+        let known = |seed: &[Itemset]| {
+            let mut level: Vec<_> = seed.iter().map(|s| (s.clone(), 0)).collect();
+            level.sort();
+            [level]
+        };
         let levels = |seed: &[Itemset], max, c: &SimCluster, tasks| {
-            chained_levels(seed, 3, max, c, 1000, tasks).0.len()
+            chained_levels(&known(seed), 3, max, c, 1000, tasks, 1)
+                .0
+                .len()
         };
         // Every pair of 4 items: 4 triples join once into 1 quadruple, then
         // nothing; every pair of 8: 56 triples would join 70 times.
         let (small, wide): (Vec<_>, Vec<_>) = (pairs(4).collect(), pairs(8).collect());
         assert_eq!(levels(&small, 0, &cluster(), 8), 2);
-        let unpriced = job_candidates(&wide, 3, 0, Chain::Levels(usize::MAX)).0;
+        let unpriced = job_candidates(ap_gen(&wide), 3, 0, Chain::Levels(usize::MAX)).0;
         assert_eq!(unpriced.len(), 6);
         assert_eq!(levels(&wide, 0, &cluster(), 8), 1, "the chain would grow");
         assert_eq!(levels(&small, 3, &cluster(), 8), 1, "max_passes");
@@ -730,8 +742,8 @@ mod tests {
         let mut rng = yafim_data::rng::StdRng::seed_from_u64(0x5bec);
         for (k, tasks) in (2..=4).flat_map(|k| [1, 8, 64].map(|tasks| (k, tasks))) {
             let seed = random_level(&mut rng, k, 6 + 2 * k as u32);
-            let full = job_candidates(&seed, k + 1, 0, Chain::Levels(usize::MAX)).0;
-            let (chain, _) = chained_levels(&seed, k + 1, 0, &cluster(), 1000, tasks);
+            let full = job_candidates(ap_gen(&seed), k + 1, 0, Chain::Levels(usize::MAX)).0;
+            let (chain, _) = chained_levels(&known(&seed), k + 1, 0, &cluster(), 1000, tasks, 1);
             assert_eq!(chain[..], full[..chain.len()], "a prefix of the chain");
             for from in &chain[..chain.len().saturating_sub(1)] {
                 assert!((1..=from.len() as u64).contains(&join_pairs(from)));

@@ -3,11 +3,12 @@
 //! `C_k = { a ∪ {b} | a ∈ L_{k-1}, b ∈ L_{k-1}, a and b share their first
 //! k-2 items }`, followed by the monotonicity prune: drop any candidate with
 //! an infrequent `(k-1)`-subset (Apriori's key search-space reduction,
-//! Algorithm 1 line 5 / §II.A).
+//! Algorithm 1 line 5 / §II.A). The projecting plans also drop a candidate
+//! whose subsets' supports bound its own below MinSup (`ap_gen_bounded`).
 
 use crate::hashtree::MatchScratch;
 use crate::types::{Item, Itemset};
-use yafim_cluster::{ByteSize, FxHashSet};
+use yafim_cluster::{ByteSize, FxHashMap, FxHashSet};
 
 /// A broadcastable candidate index answering `subset(C_k, t)` — which
 /// candidates occur in a transaction. Implemented by the classic
@@ -68,12 +69,18 @@ pub struct GenWork {
     pub join_comparisons: u64,
     /// Subset lookups performed by the prune step.
     pub prune_checks: u64,
+    /// Binary searches into the lower levels for the support bound: per
+    /// join run of `g` members, `σ(p)`, `σ(X)` unless `X` is empty, and the
+    /// `g` supports `σ(X ∪ y)`.
+    pub bound_lookups: u64,
+    /// Candidates that passed the prune and that the support bound dropped.
+    pub bounded: u64,
 }
 
 impl GenWork {
     /// Total abstract CPU units.
     pub(crate) fn units(&self) -> u64 {
-        self.join_comparisons + self.prune_checks
+        self.join_comparisons + self.prune_checks + self.bound_lookups
     }
 }
 
@@ -94,45 +101,98 @@ impl GenWork {
 /// assert_eq!(c3, vec![Itemset::new(vec![1, 2, 3])]);
 /// ```
 pub fn ap_gen(frequent: &[Itemset]) -> (Vec<Itemset>, GenWork) {
+    let mut sorted: Vec<(&[Item], u64)> = frequent.iter().map(|s| (s.items(), 0)).collect();
+    sorted.sort_unstable();
+    join_and_prune(&sorted, &[], 0, None)
+}
+
+/// `ap_gen` over the last of `levels` (`levels[i]` is `L_{i+1}`, sorted,
+/// with exact supports), dropping every candidate whose support its
+/// subsets bound below `min_sup`: a candidate `c = X ∪ {a, y1, y2}` of the
+/// join run with prefix `p = X ∪ {a}` has, by inclusion–exclusion over the
+/// rows holding `X`, `σ(c) = UB − #(rows ⊇ X holding none of a, y1, y2)`,
+/// where `UB = σ(p∪y1) + σ(p∪y2) + σ(X∪y1y2) − σ(p) − σ(X∪y1) − σ(X∪y2)
+/// + σ(X)` and `σ(∅) = lines`, the input's line count. A term the levels
+/// lack keeps the candidate. Dropped candidates are infrequent, so the
+/// level stays a superset of `L_{k+1}`.
+pub(crate) fn ap_gen_bounded(
+    levels: &[Vec<(Itemset, u64)>],
+    lines: u64,
+    min_sup: u64,
+) -> (Vec<Itemset>, GenWork) {
+    let top = levels.last().map_or(&[][..], Vec::as_slice);
+    debug_assert!(top.windows(2).all(|w| w[0].0 < w[1].0), "L_k is sorted");
+    let sorted: Vec<(&[Item], u64)> = top.iter().map(|(s, c)| (s.items(), *c)).collect();
+    join_and_prune(&sorted, levels, lines, Some(min_sup))
+}
+
+/// The join and prune over the sorted level `sorted`, each set with its
+/// support, then, given a `min_sup`, the bound over `levels` and `lines` as
+/// [`ap_gen_bounded`] takes them.
+fn join_and_prune(
+    sorted: &[(&[Item], u64)],
+    levels: &[Vec<(Itemset, u64)>],
+    lines: u64,
+    min_sup: Option<u64>,
+) -> (Vec<Itemset>, GenWork) {
     let mut work = GenWork::default();
-    if frequent.is_empty() {
+    let Some(k) = sorted.first().map(|(s, _)| s.len()) else {
         return (Vec::new(), work);
-    }
-    let k = frequent[0].len();
-    debug_assert!(frequent.iter().all(|s| s.len() == k));
-
-    let mut sorted: Vec<&Itemset> = frequent.iter().collect();
-    sorted.sort();
-
-    let lookup: FxHashSet<&[Item]> = frequent.iter().map(Itemset::items).collect();
+    };
+    debug_assert!(sorted.iter().all(|(s, _)| s.len() == k));
+    // The bound needs a prefix item `a`: from `L_2` on.
+    let wide = |n: u64| i128::from(n);
+    let min_sup = min_sup.filter(|_| k >= 2).map(wide);
+    let lookup: FxHashMap<&[Item], u64> = sorted.iter().copied().collect();
 
     let mut out = Vec::new();
-    // The joined candidate and the subset being probed, reused: only the
-    // candidates kept are allocated.
-    let (mut cand, mut sub) = (Vec::with_capacity(k + 1), Vec::with_capacity(k));
-    for run in sorted.chunk_by(|a, b| same_prefix(a, b)) {
+    // The joined candidate, the subset being probed and `X ∪ {y}`, reused:
+    // only the candidates kept are allocated.
+    let (mut cand, mut sub, mut x_y) = (Vec::with_capacity(k + 1), Vec::new(), Vec::new());
+    // Per run under the bound, `σ(X) − σ(p)` and each member's
+    // `σ(p ∪ y) − σ(X ∪ y)`: `UB` is their sum for `y1, y2` plus `σ(X ∪ y1y2)`.
+    let (mut base, mut deltas) = (None, Vec::new());
+    for run in sorted.chunk_by(|a, b| a.0[..k - 1] == b.0[..k - 1]) {
+        if min_sup.is_some() && run.len() > 1 {
+            let (p, x) = (&run[0].0[..k - 1], &run[0].0[..k - 2]);
+            work.bound_lookups += 1 + u64::from(!x.is_empty()) + run.len() as u64;
+            let (s_x, s_p) = (support_in(levels, lines, x), support_in(levels, lines, p));
+            base = s_x.zip(s_p).map(|(x, p)| wide(x) - wide(p));
+            deltas.clear();
+            deltas.extend(run.iter().map(|&(set, s)| {
+                x_y.clear();
+                x_y.extend_from_slice(x);
+                x_y.push(set[k - 1]);
+                support_in(levels, lines, &x_y).map(|s_xy| wide(s) - wide(s_xy))
+            }));
+        }
         // Join every ordered pair within the run.
-        for (a, head) in run.iter().enumerate() {
-            for tail in &run[a + 1..] {
+        for (a, (head, _)) in run.iter().enumerate() {
+            for (b, (tail, _)) in run.iter().enumerate().skip(a + 1) {
                 work.join_comparisons += 1;
                 cand.clear();
-                cand.extend_from_slice(head.items());
-                cand.push(tail.items()[k - 1]);
+                cand.extend_from_slice(head);
+                cand.push(tail[k - 1]);
 
                 // Prune: every k-subset must be frequent. The two subsets
-                // that produced the join are frequent by construction.
-                let mut keep = true;
+                // that produced the join are frequent by construction. The
+                // one without `a` (position k − 2) is `X ∪ {y1, y2}`.
+                let (mut keep, mut s_xyy) = (true, None);
                 for skip in 0..=k {
                     work.prune_checks += 1;
                     sub.clear();
                     sub.extend_from_slice(&cand[..skip]);
                     sub.extend_from_slice(&cand[skip + 1..]);
-                    if !lookup.contains(sub.as_slice()) {
+                    let Some(&s) = lookup.get(sub.as_slice()) else {
                         keep = false;
                         break;
-                    }
+                    };
+                    s_xyy = s_xyy.or((skip + 2 == k).then_some(s));
                 }
-                if keep {
+                let ub = || Some(base? + deltas[a]? + deltas[b]? + wide(s_xyy?));
+                if keep && min_sup.is_some_and(|min| ub().is_some_and(|ub| ub < min)) {
+                    work.bounded += 1;
+                } else if keep {
                     out.push(Itemset::from_sorted(cand.clone()));
                 }
             }
@@ -140,6 +200,17 @@ pub fn ap_gen(frequent: &[Itemset]) -> (Vec<Itemset>, GenWork) {
     }
     out.sort();
     (out, work)
+}
+
+/// The support of `set` in `levels` (`levels[i]` sorted, of `(i+1)`-sets)
+/// if it is there, `lines` for the empty set.
+fn support_in(levels: &[Vec<(Itemset, u64)>], lines: u64, set: &[Item]) -> Option<u64> {
+    if set.is_empty() {
+        return Some(lines);
+    }
+    let level = levels.get(set.len() - 1)?;
+    let at = level.binary_search_by(|(s, _)| s.items().cmp(set)).ok()?;
+    Some(level[at].1)
 }
 
 /// Reference implementation for tests: enumerate all `(k+1)`-itemsets over
@@ -219,23 +290,27 @@ pub(crate) enum Chain<'a> {
     Priced(&'a mut dyn FnMut(&[Itemset], u64) -> bool),
 }
 
-/// The candidate levels one counting job counts, from `seed` =
-/// `L_{first−1}`: level `first` is `ap_gen(seed)`, and each further level,
-/// while `chain` admits it, is `ap_gen` of the previous *candidate* level,
-/// which keeps the result complete (candidates are a superset of the
-/// frequent sets). No level past `max_passes` (0: no cap), none after an
-/// empty one. Returns the levels and the `GenWork` units of every `ap_gen`.
+/// The candidate levels one counting job counts, from its first level
+/// `first_level` (pass `first`'s candidates, as the caller generated them:
+/// [`ap_gen`] or [`ap_gen_bounded`]): each further level, while `chain`
+/// admits it, is `ap_gen` of the previous *candidate* level, which keeps the
+/// result complete (candidates are a superset of the frequent sets). No
+/// level past `max_passes` (0: no cap; the caller has checked `first`), none
+/// after an empty one. Returns the levels and the work of every `ap_gen`.
 pub(crate) fn job_candidates(
-    seed: &[Itemset],
+    first_level: (Vec<Itemset>, GenWork),
     first: usize,
     max_passes: usize,
     mut chain: Chain,
-) -> (Vec<Vec<Itemset>>, u64) {
-    let (mut out, mut units, mut total) = (Vec::<Vec<Itemset>>::new(), 0, 0);
-    while max_passes == 0 || first + out.len() <= max_passes {
-        let from = out.last().map_or(seed, Vec::as_slice);
-        let more = out.is_empty()
-            || match &mut chain {
+) -> (Vec<Vec<Itemset>>, GenWork) {
+    let (mut level, mut work) = first_level;
+    let (mut out, mut total) = (Vec::<Vec<Itemset>>::new(), 0);
+    while !level.is_empty() {
+        total += level.len();
+        out.push(level);
+        let from = out.last().map_or(&[][..], Vec::as_slice);
+        let more = (max_passes == 0 || first + out.len() <= max_passes)
+            && match &mut chain {
                 Chain::Levels(n) => out.len() < *n,
                 Chain::Candidates(_) => true,
                 Chain::Priced(admit) => admit(from, join_pairs(from)),
@@ -243,16 +318,15 @@ pub(crate) fn job_candidates(
         if !more {
             break;
         }
-        let (cands, work) = ap_gen(from);
-        units += work.units();
-        let crosses = |max| !out.is_empty() && total + cands.len() > max;
-        if cands.is_empty() || matches!(chain, Chain::Candidates(max) if crosses(max)) {
+        let (next, plain) = ap_gen(from);
+        work.join_comparisons += plain.join_comparisons;
+        work.prune_checks += plain.prune_checks;
+        level = next;
+        if matches!(chain, Chain::Candidates(max) if total + level.len() > max) {
             break;
         }
-        total += cands.len();
-        out.push(cands);
     }
-    (out, units)
+    (out, work)
 }
 
 #[cfg(test)]
@@ -366,7 +440,8 @@ pub(crate) mod tests {
         let mut rng = StdRng::seed_from_u64(0xc4a1);
         for k in (1..=4).flat_map(|k| [k; 30]) {
             let (seed, first) = (random_level(&mut rng, k, 6 + 2 * k as u32), k + 1);
-            let chain = |cap| job_candidates(&seed, first, cap, Chain::Levels(usize::MAX)).0;
+            let chain =
+                |cap| job_candidates(ap_gen(&seed), first, cap, Chain::Levels(usize::MAX)).0;
             let full = chain(0);
             // Any frequent level is a subset of the candidates; the next
             // one Apriori generates from it is in the chain's next level.
@@ -381,6 +456,97 @@ pub(crate) mod tests {
                 assert_eq!(chain(cap)[..], full[..full.len().min(cap + 1 - first)]);
             }
         }
+    }
+
+    /// `L_1, L_2, …` of `rows` (bitmasks over `0..n`) at `min_sup`, sorted,
+    /// and every set's support, by brute force.
+    fn brute_force(rows: &[u32], n: u32, min_sup: u64) -> (Vec<Vec<(Itemset, u64)>>, Vec<u64>) {
+        let support: Vec<u64> = (0..1u32 << n)
+            .map(|set| rows.iter().filter(|&&r| r & set == set).count() as u64)
+            .collect();
+        let mut levels = vec![Vec::new(); n as usize];
+        for (set, &s) in (0..1u32 << n)
+            .zip(&support)
+            .skip(1)
+            .filter(|(_, &s)| s >= min_sup)
+        {
+            let items = (0..n).filter(|i| set >> i & 1 == 1).collect();
+            levels[set.count_ones() as usize - 1].push((Itemset::from_sorted(items), s));
+        }
+        levels.iter_mut().for_each(|level| level.sort());
+        levels.retain(|level| !level.is_empty());
+        (levels, support)
+    }
+
+    /// The bound from its definition, `c = X ∪ {a, y1, y2}` its last three
+    /// items, over the supports `sigma` knows and `σ(∅) = lines`.
+    fn upper_bound(c: &[Item], lines: u64, sigma: &dyn Fn(&[Item]) -> Option<u64>) -> Option<i128> {
+        let (x, &[a, y1, y2]) = c.split_at(c.len() - 3) else {
+            unreachable!()
+        };
+        let s = |extra: &[Item]| match [x, extra].concat() {
+            set if set.is_empty() => Some(i128::from(lines)),
+            set => sigma(&set).map(i128::from),
+        };
+        let plus = s(&[a, y1])? + s(&[a, y2])? + s(&[y1, y2])? + s(&[])?;
+        Some(plus - s(&[a])? - s(&[y1])? - s(&[y2])?)
+    }
+
+    #[test]
+    fn the_support_bound_drops_only_infrequent_candidates_and_keeps_what_it_cannot_price() {
+        let mut rng = StdRng::seed_from_u64(0xb0_0d);
+        let mut dropped = 0;
+        for _ in 0..300 {
+            // Empty and single-item rows too: `σ(∅) = lines` counts them,
+            // and every 3-item candidate's bound uses it.
+            let (n, density) = (rng.gen_range(4..8u32), rng.gen_range(3..8u32));
+            let bits = (0..rng.gen_range(10..60u32) * n).map(|_| rng.gen_range(0..10u32) < density);
+            let bits: Vec<u32> = bits.map(u32::from).collect();
+            let row = |bits: &[u32]| bits.iter().rev().fold(0, |m, &b| m << 1 | b);
+            let rows: Vec<u32> = bits.chunks(n as usize).map(row).collect();
+            let (lines, min_sup) = (rows.len() as u64, rng.gen_range(1..8u64));
+            let (levels, support) = brute_force(&rows, n, min_sup);
+            let sigma = |s: &[Item]| support[s.iter().fold(0, |m, &i| m | 1 << i)];
+            for k in 2..=levels.len() {
+                let top: Vec<Itemset> = levels[k - 1].iter().map(|(s, _)| s.clone()).collect();
+                let (plain, plain_work) = ap_gen(&top);
+                let (bounded, work) = ap_gen_bounded(&levels[..k], lines, min_sup);
+                // Forget some lower supports: a candidate they priced is kept.
+                let mut doctored = levels[..k].to_vec();
+                let forget =
+                    |level: &mut Vec<(Itemset, u64)>| level.retain(|_| rng.gen_range(0..4u32) > 0);
+                doctored[..k - 1].iter_mut().for_each(forget);
+                let (partial, _) = ap_gen_bounded(&doctored, lines, min_sup);
+                let known = |s: &[Item]| {
+                    doctored[s.len() - 1]
+                        .iter()
+                        .find(|(t, _)| t.items() == s)
+                        .map(|e| e.1)
+                };
+                for c in &plain {
+                    let ub = upper_bound(c.items(), lines, &|s| Some(sigma(s))).expect("all known");
+                    let kept = bounded.binary_search(c).is_ok();
+                    assert!(ub >= i128::from(sigma(c.items())), "{c}: {ub}");
+                    assert_eq!(kept, ub >= i128::from(min_sup), "{c}: {ub}");
+                    assert!(kept || sigma(c.items()) < min_sup, "{c} dropped");
+                    let priced = upper_bound(c.items(), lines, &known);
+                    let keep = priced.is_none_or(|ub| ub >= i128::from(min_sup));
+                    assert_eq!(partial.binary_search(c).is_ok(), keep, "{c}");
+                }
+                // bounded ⊆ ap_gen, and bounded ⊇ L_{k+1}.
+                assert!(bounded.iter().all(|c| plain.binary_search(c).is_ok()));
+                let next = levels.get(k).map_or(&[][..], Vec::as_slice);
+                assert!(next.iter().all(|(c, _)| bounded.binary_search(c).is_ok()));
+                assert_eq!(work.bounded as usize, plain.len() - bounded.len());
+                let pair = |w: GenWork| (w.join_comparisons, w.prune_checks);
+                assert_eq!(pair(work), pair(plain_work));
+                dropped += work.bounded;
+                // No level below the top where it belongs: plain `ap_gen`.
+                let alone = [vec![], levels[k - 1].clone()];
+                assert_eq!(ap_gen_bounded(&alone, lines, min_sup).0, plain);
+            }
+        }
+        assert!(dropped > 100, "the bound must bite: {dropped}");
     }
 
     fn sets(raw: &[&[u32]]) -> Vec<Itemset> {

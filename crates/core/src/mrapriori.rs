@@ -24,7 +24,7 @@
 //! * [`MrVariant::Dpc`] — *dynamic passes combined*: keep adding levels to a
 //!   job while the combined candidate count stays under a threshold.
 
-use crate::candidates::{job_candidates, Chain};
+use crate::candidates::{ap_gen, job_candidates, Chain};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
@@ -340,9 +340,10 @@ impl MrApriori {
                 MrVariant::Dpc { max_candidates } => Chain::Candidates(max_candidates),
             };
             let max_passes = self.config.max_passes;
-            let (level_candidates, gen_units) = job_candidates(&seed, next_pass, max_passes, chain);
+            let (level_candidates, work) =
+                job_candidates(ap_gen(&seed), next_pass, max_passes, chain);
             metrics.advance_with_event(
-                cost.cpu(gen_units),
+                cost.cpu(work.units()),
                 EventKind::Driver,
                 format!("ap_gen pass {next_pass}"),
             );

@@ -64,7 +64,7 @@ use crate::bitmap::{
     bitmap_fits, chained_levels, pass2_bounds, BitmapScratch, CandidateList, ColumnarPartition,
 };
 use crate::block::TxBlock;
-use crate::candidates::{job_candidates, CandidateStore, Chain};
+use crate::candidates::{ap_gen, ap_gen_bounded, job_candidates, CandidateStore, Chain};
 use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
@@ -419,7 +419,7 @@ impl Yafim {
 
             let built = held.columnar.is_some();
             let Some(counter) =
-                self.choose_counter(pass, n_dense, bitmap_arena, shape, built, prev)
+                self.choose_counter(pass, n_dense, bitmap_arena, shape, built, &levels)
             else {
                 break; // nothing to count: |L1| < 2, or ap_gen came up empty
             };
@@ -580,7 +580,10 @@ impl Yafim {
     /// arena plus the triangle fit the task limit, rows otherwise (not a
     /// step-down: nothing degraded). From pass 3 on the bitmap counts every
     /// level [`chained_levels`] admits; every other counter counts one.
-    /// Returns `None` when there is nothing to count.
+    /// `known` is every level so far, `L_{pass−1}` last: a projecting plan
+    /// generates a job's first level with the support bound
+    /// ([`ap_gen_bounded`]), noting what it dropped; `Paper` keeps the
+    /// paper's `ap_gen`. Returns `None` when there is nothing to count.
     fn choose_counter(
         &self,
         pass: usize,
@@ -588,7 +591,7 @@ impl Yafim {
         mut bitmap_arena: Option<u64>,
         (lines, tasks, occ): (usize, usize, u64),
         columnar_built: bool,
-        prev: &[(Itemset, u64)],
+        known: &[Vec<(Itemset, u64)>],
     ) -> Option<Counter> {
         let ctx = &self.ctx;
         let plan = self.config.phase2;
@@ -619,19 +622,33 @@ impl Yafim {
             bitmap_arena = None;
         }
 
-        // Candidate generation (join + prune), charged as driver CPU — one
-        // charge whichever counter runs, so their pass metadata agrees.
-        let prev: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
-        let max_passes = self.config.max_passes;
-        let (mut levels, units) = if bitmap_arena.is_some() && pass >= 3 {
-            chained_levels(&prev, pass, max_passes, ctx.cluster(), lines, tasks)
+        // Candidate generation (join + prune, and the support bound when the
+        // plan projects), charged as driver CPU — one charge whichever
+        // counter runs, so their pass metadata agrees.
+        let (cluster, max) = (ctx.cluster(), self.config.max_passes);
+        let min_sup = self.config.min_support.resolve(lines as u64);
+        let (mut levels, work) = if bitmap_arena.is_some() && pass >= 3 {
+            chained_levels(known, pass, max, cluster, lines, tasks, min_sup)
         } else {
-            job_candidates(&prev, pass, max_passes, Chain::Levels(1))
+            let first = if plan.projects() {
+                ap_gen_bounded(known, lines as u64, min_sup)
+            } else {
+                let prev = known.last().map_or(&[][..], Vec::as_slice);
+                ap_gen(&prev.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>())
+            };
+            job_candidates(first, pass, max, Chain::Levels(1))
         };
-        let cpu = units + levels.iter().map(|l| l.len() as u64).sum::<u64>();
+        let cpu = work.units() + levels.iter().map(|l| l.len() as u64).sum::<u64>();
         let label = format!("ap_gen pass {pass}");
         ctx.metrics()
-            .advance_with_event(ctx.cluster().cost().cpu(cpu), EventKind::Driver, label);
+            .advance_with_event(cluster.cost().cpu(cpu), EventKind::Driver, label);
+        if work.bounded > 0 {
+            let kept = levels.first().map_or(0, Vec::len);
+            let (dropped, of) = (work.bounded, work.bounded as usize + kept);
+            let note = format!("pass {pass} support bound: {dropped} of {of} candidates dropped");
+            ctx.metrics()
+                .advance_with_event(SimDuration::ZERO, EventKind::Other, note);
+        }
         if levels.is_empty() {
             return None;
         }

@@ -1,8 +1,9 @@
 //! Phase-II hot-path invariance: every [`Phase2Plan`] must produce
 //! *byte-identical* mining output to both the sequential reference and the
 //! paper-faithful (hash tree, untrimmed) engine — identical itemsets and
-//! supports, identical per-level sizes. `opt` also has the paper's
-//! candidate/frequent counts per pass and pass count; the bitmap plan
+//! supports, identical per-level sizes. `opt` and `bitmap` count, of the
+//! paper's candidates, those whose support bound reaches MinSup (an oracle
+//! here computes the bound from the paper run's levels); the bitmap plan
 //! counts Phase II's tail in combined jobs, each of which covers the
 //! paper's passes it starts at and spans. Only virtual seconds may differ.
 //!
@@ -15,11 +16,13 @@
 //! trimmed RDDs must recompute through lineage.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use yafim_cluster::PassTiming;
 use yafim_cluster::{
     ClusterSpec, CostModel, FaultPlan, NodeId, SimCluster, SimDuration, SimInstant,
 };
 use yafim_core::{
-    apriori, mine_in_memory, Item, MinerRun, Phase2Plan, Support, Yafim, YafimConfig,
+    ap_gen, apriori, mine_in_memory, Item, Itemset, MinerRun, Phase2Plan, Support, Yafim,
+    YafimConfig,
 };
 use yafim_data::{to_lines, PaperDataset, QuestConfig, QuestGenerator};
 use yafim_rdd::Context;
@@ -101,8 +104,70 @@ fn run(tx: &[Vec<u32>], support: Support, phase2: Phase2Plan) -> MinerRun {
     run
 }
 
-/// `other`, a run of `plan`, against the paper engine's run.
-fn assert_identical(paper: &MinerRun, other: &MinerRun, plan: Phase2Plan, label: &str) {
+/// How many of the paper's `C_k` a projecting plan counts: those whose
+/// support bound, written out here from its definition over the paper's
+/// levels, reaches `min_sup`. For `c = X ∪ {a, y1, y2}` (its last three
+/// items) the bound is `σ(Xay1) + σ(Xay2) + σ(Xy1y2) − σ(Xa) − σ(Xy1) −
+/// σ(Xy2) + σ(X)`, `σ(∅)` the line count; passes 1 and 2 have none.
+fn bounded_candidates(paper: &MinerRun, pass: &PassTiming, lines: u64, min_sup: u64) -> usize {
+    if pass.pass < 3 {
+        return pass.candidates;
+    }
+    let below: Vec<Itemset> = paper
+        .result
+        .level(pass.pass - 1)
+        .iter()
+        .map(|(s, _)| s.clone())
+        .collect();
+    let (candidates, _) = ap_gen(&below);
+    assert_eq!(
+        candidates.len(),
+        pass.candidates,
+        "the paper's C_{}",
+        pass.pass
+    );
+    let sigma = |x: &[Item], extra: &[Item]| -> i128 {
+        let set = Itemset::new(x.iter().chain(extra).copied().collect());
+        match set.len() {
+            0 => lines.into(),
+            _ => paper
+                .result
+                .support_of(&set)
+                .expect("a subset of a candidate is frequent")
+                .into(),
+        }
+    };
+    let kept = candidates.iter().filter(|c| {
+        let (x, last) = c.items().split_at(c.len() - 3);
+        let [a, y1, y2] = [last[0], last[1], last[2]];
+        let ub = sigma(x, &[a, y1]) + sigma(x, &[a, y2]) + sigma(x, &[y1, y2])
+            - sigma(x, &[a])
+            - sigma(x, &[y1])
+            - sigma(x, &[y2])
+            + sigma(x, &[]);
+        ub >= i128::from(min_sup)
+    });
+    kept.count()
+}
+
+/// `other`, a run of `plan` over `lines` lines at `min_sup`, against the
+/// paper engine's run: the same itemsets and level sizes; every job starts
+/// at one of the paper's passes and finds what the paper's passes it spans
+/// found. A one-level job of a projecting plan counts exactly the paper's
+/// candidates that survive the support bound ([`bounded_candidates`]), and
+/// at least what it finds. A job that counted several levels (the bitmap
+/// plan's chain) counts at least that many of its first level and the
+/// paper's candidates of the rest: its later levels are chained from
+/// candidate levels, a superset of the frequent ones. The run may stop
+/// before the paper's last pass only where the bound dropped every one of
+/// that pass's candidates.
+fn assert_identical(
+    paper: &MinerRun,
+    other: &MinerRun,
+    plan: Phase2Plan,
+    (lines, min_sup): (u64, u64),
+    label: &str,
+) {
     assert_eq!(
         paper.result, other.result,
         "{label}: itemsets/supports differ"
@@ -112,44 +177,34 @@ fn assert_identical(paper: &MinerRun, other: &MinerRun, plan: Phase2Plan, label:
         other.result.level_sizes(),
         "{label}: level sizes differ"
     );
-    let combined = other.passes.iter().any(|o| o.last > o.pass);
-    assert!(
-        !combined || plan == Phase2Plan::Bitmap,
-        "{label}: combined passes"
-    );
-    if !combined {
-        assert_eq!(
-            paper.passes.len(),
-            other.passes.len(),
-            "{label}: pass count differs"
-        );
-        for (p, o) in paper.passes.iter().zip(&other.passes) {
-            assert_eq!(
-                (p.pass, p.candidates, p.frequent),
-                (o.pass, o.candidates, o.frequent),
-                "{label}: pass {} metadata differs",
-                p.pass
-            );
-        }
-        return;
-    }
-    // A job that counted several levels starts at one of the paper's
-    // passes, finds what the paper's passes it spans found, and counts at
-    // least their candidates: its later levels are chained from candidate
-    // levels, a superset of the frequent ones.
+    let expected = |p: &PassTiming| match plan {
+        Phase2Plan::Paper => p.candidates,
+        _ => bounded_candidates(paper, p, lines, min_sup),
+    };
     let mut next = paper.passes.iter().peekable();
     for o in &other.passes {
         assert_eq!(next.peek().map(|p| p.pass), Some(o.pass), "{label}: {o:?}");
         let spanned: Vec<_> = std::iter::from_fn(|| next.next_if(|p| p.pass <= o.last)).collect();
         let frequent: usize = spanned.iter().map(|p| p.frequent).sum();
-        let candidates: usize = spanned.iter().map(|p| p.candidates).sum();
         assert_eq!(o.frequent, frequent, "{label}: {o:?} against {spanned:?}");
+        let first = expected(spanned[0]);
+        if o.last == o.pass {
+            assert_eq!(o.candidates, first, "{label}: pass {} candidates", o.pass);
+            assert!(o.candidates >= o.frequent, "{label}: {o:?}");
+            continue;
+        }
+        assert_eq!(plan, Phase2Plan::Bitmap, "{label}: combined passes");
+        let rest: usize = spanned[1..].iter().map(|p| p.candidates).sum();
         assert!(
-            o.candidates >= candidates,
+            o.candidates >= first + rest,
             "{label}: {o:?} against {spanned:?}"
         );
     }
-    assert_eq!(next.next(), None, "{label}: passes past the last job");
+    let uncounted: Vec<_> = next.collect();
+    assert!(
+        uncounted.len() <= 1 && uncounted.iter().all(|p| expected(p) == 0),
+        "{label}: passes past the last job: {uncounted:?}"
+    );
 }
 
 #[test]
@@ -180,9 +235,10 @@ fn every_phase2_plan_is_invisible_on_quest_data() {
             "seed {seed}: workload too shallow to exercise k ≥ 3 matching"
         );
 
+        let bound = (tx.len() as u64, support.resolve(tx.len() as u64));
         for plan in Phase2Plan::ALL {
             let r = run(&tx, support, plan);
-            assert_identical(&paper, &r, plan, &format!("seed {seed}, {plan:?}"));
+            assert_identical(&paper, &r, plan, bound, &format!("seed {seed}, {plan:?}"));
         }
     }
 }
@@ -195,9 +251,10 @@ fn every_phase2_plan_is_invisible_on_medical_data() {
     let paper = run(&tx, support, Phase2Plan::Paper);
     assert_eq!(reference, paper.result);
 
+    let bound = (tx.len() as u64, support.resolve(tx.len() as u64));
     for plan in Phase2Plan::ALL {
         let r = run(&tx, support, plan);
-        assert_identical(&paper, &r, plan, &format!("{plan:?}"));
+        assert_identical(&paper, &r, plan, bound, &format!("{plan:?}"));
         let combined = r.passes.iter().any(|p| p.last > p.pass);
         assert_eq!(
             combined,
@@ -493,11 +550,14 @@ fn optimized_virtual_time_not_slower_than_paper_engine() {
 
 #[test]
 fn a_job_whose_first_level_is_all_infrequent_costs_at_most_one_launch_more() {
-    // Every pair of {1, 2, 3, 4} twice and no triple: pass 3's four triples
-    // are all infrequent, and the bitmap plan's chain counts pass 4's one
-    // quadruple with them unless `max_passes` stops it.
+    // Every pair of {1, 2, 3, 4} twice, no triple, and eight empty lines:
+    // pass 3's four triples are all infrequent, but the support bound cannot
+    // tell (`σ(∅) = 20` puts each at 2 + 2 + 2 − 6 − 6 − 6 + 20 = 2), and
+    // the bitmap plan's chain counts pass 4's one quadruple with them unless
+    // `max_passes` stops it.
     let pairs = (1..=4u32).flat_map(|a| (a + 1..=4).map(move |b| vec![a, b]));
-    let tx: Vec<Vec<Item>> = pairs.flat_map(|pair| [pair.clone(), pair]).collect();
+    let mut tx: Vec<Vec<Item>> = pairs.flat_map(|pair| [pair.clone(), pair]).collect();
+    tx.extend(vec![Vec::new(); 8]);
     let [one, chained] = [3, 0].map(|max_passes| {
         let config = YafimConfig {
             max_passes,

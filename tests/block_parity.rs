@@ -23,7 +23,7 @@ use yafim::encode::{tri_index, tri_len, tri_pair};
 use yafim::rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 use yafim::types::{JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS};
 use yafim::{
-    apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateStore,
+    ap_gen, apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateStore,
     CandidateTrie, ColumnarPartition, DenseEncoder, HashTree, Item, Itemset, MatchScratch,
     MiningResult, Phase2Plan, Support, TrimMask, Yafim, YafimConfig,
 };
@@ -338,11 +338,21 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
             // The bitmap plan counts every level of its priced chain from
             // pass 3 on, every other counter one level: the chain capped at
             // `pass`.
-            let prev_sets: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
+            // A projecting plan bounds the job's first level by the
+            // supports below it; the paper plan generates `ap_gen(L_{k-1})`.
             let chained = plan == Phase2Plan::Bitmap && pass >= 3;
             let (lines, cap) = (file.num_lines(), if chained { 0 } else { pass });
-            let (chain, units) =
-                chained_levels(&prev_sets, pass, cap, ctx.cluster(), lines, splits);
+            let (chain, gen) = if projects {
+                chained_levels(&levels, pass, cap, ctx.cluster(), lines, splits, min_sup)
+            } else {
+                let prev_sets: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
+                let (level, gen) = ap_gen(&prev_sets);
+                (
+                    vec![level].into_iter().filter(|l| !l.is_empty()).collect(),
+                    gen,
+                )
+            };
+            let units = gen.join_comparisons + gen.prune_checks + gen.bound_lookups;
             let generated: usize = chain.iter().map(Vec::len).sum();
             metrics.advance_with_event(
                 cost.cpu(units + generated as u64),

@@ -74,6 +74,46 @@ fn every_phase2_plan_prints_the_sequential_summary() {
 }
 
 #[test]
+fn the_support_bound_counts_every_line_of_the_file() {
+    // Four rows {1, 2, 3}, three each of {1}, {2} and {3}, two empty lines:
+    // at MinSup 4 the triple is frequent. The projection keeps only the
+    // four rows with two frequent items; a bound with their count for
+    // `σ(∅)` instead of the file's 15 lines would put {1, 2, 3} at
+    // 4 + 4 + 4 − 7 − 7 − 7 + 4 = −5 and drop it.
+    let mut clean = vec!["1 2 3"; 4];
+    clean.extend(["1", "2", "3"].repeat(3));
+    clean.extend(["", ""]);
+    // The same file with CRLF line ends and each line's first item again.
+    let dirty: Vec<String> = clean
+        .iter()
+        .map(|line| match line.split(' ').next() {
+            Some(first) if !first.is_empty() => format!("{line} {first}\r"),
+            _ => "\r".to_string(),
+        })
+        .collect();
+    for (name, lines) in [("clean", clean.join("\n")), ("dirty", dirty.join("\n"))] {
+        let path =
+            std::env::temp_dir().join(format!("yafim-cli-bound-{name}-{}.dat", std::process::id()));
+        std::fs::write(&path, lines + "\n").expect("temp dir writable");
+        let file = path.to_str().expect("utf-8 temp path");
+        let run = |tail: &[&str]| {
+            summary(&cli(
+                &[&["mine", "--input", file, "--support", "4"], tail].concat()
+            ))
+        };
+        let reference = run(&["--miner", "sequential"]);
+        assert_eq!(
+            reference, "7 frequent itemsets (longest 3), levels [3, 3, 1]",
+            "{name}"
+        );
+        for plan in ["opt", "bitmap"] {
+            assert_eq!(run(&["--phase2", plan]), reference, "{name} {plan}");
+        }
+        std::fs::remove_file(file).expect("own temp file");
+    }
+}
+
+#[test]
 fn an_unknown_phase2_mode_is_one_line_and_exit_1() {
     let file = input("turbo");
     let file = file.to_str().expect("utf-8 temp path");
