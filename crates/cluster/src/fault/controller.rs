@@ -4,7 +4,7 @@ use super::counters::RecoveryCounters;
 use super::plan::{FaultPlan, IntegrityTier, TransientKind, TransientOutcome};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::hdfs::DfsError;
-use crate::memgov::MemoryRefusal;
+use crate::memgov::{MemoryRefusal, Site};
 use crate::sched::{DetailedSchedule, ScheduleOutcome, TaskPlacement, TaskSpec, VirtualScheduler};
 use crate::spec::NodeId;
 use crate::sync::Mutex;
@@ -87,8 +87,8 @@ pub enum ExecError {
         stage: String,
         /// Partition whose task exhausted its retries.
         partition: usize,
-        /// Acquisition site that overflowed (see [`crate::memgov::site`]).
-        site: u64,
+        /// Acquisition site that overflowed.
+        site: Site,
         /// Bytes the failing acquisition asked for.
         bytes: u64,
         /// Attempts consumed (first run plus retries).
@@ -123,7 +123,7 @@ impl std::fmt::Display for ExecError {
                 f,
                 "stage `{stage}` out of memory: partition {partition} could not \
                  acquire {bytes} bytes for its {} after {attempts} attempts",
-                crate::memgov::site::name(*site)
+                site.name()
             ),
             ExecError::MemoryRefused { refusal } => write!(f, "{refusal}"),
         }

@@ -118,7 +118,7 @@ counter_table! {
         oom_injected: sum,
         /// OOM events that killed a task attempt (retried at a doubled slice).
         oom_killed: sum,
-        /// OOM events a degradable site absorbed by spilling instead of dying.
+        /// OOM events a site that spills absorbed instead of dying.
         oom_survived_by_degradation: sum,
     }
 }

@@ -415,9 +415,9 @@ fault_plan! {
         /// Zero (the default) keeps blacklisting stage-scoped; a nonzero expiry
         /// carries entries across stages and lets healed nodes return.
         blacklist_expiry: SimDuration = Kind::Secs { min: 0.0 }, SimDuration::ZERO, with_blacklist_expiry;
-        /// Engine hint: checkpoint the iterated RDD every this many passes
-        /// (0 = never). Engines read it when their own config does not set an
-        /// interval, so a saved chaos plan can turn checkpointing on by itself.
+        /// Checkpoint the Spark miner's working RDD after every this many
+        /// completed Phase-II jobs (0 = never). A job that counts several
+        /// levels is one; the plan is the only place the cadence is set.
         checkpoint_interval: usize = Kind::Count { min: 0 }, 0, with_checkpoint_interval;
         /// Probability that one shuffle map-output bucket rots silently (rolled
         /// per (shuffle, reduce partition) at read time, seed-deterministic).
@@ -433,7 +433,7 @@ fault_plan! {
         targeted_corruptions: Vec<(IntegrityTier, u64, usize, u32)> = Kind::Corruptions, Vec::new();
         /// Probability that one execution-memory acquisition is denied as if
         /// the executor ran out of memory (rolled per acquisition,
-        /// seed-deterministic). Degradable sites spill and survive; the rest
+        /// seed-deterministic). A site that spills survives; the rest
         /// kill the attempt for a retry at a doubled memory slice.
         oom_prob: f64 = Kind::Prob, 0.0, inject_oom;
         /// Pretend every node has this many bytes of memory instead of the

@@ -8,7 +8,7 @@ use super::controller::ExecError;
 use super::counters::{IntegrityCounters, RecoveryCounters};
 use super::plan::{IntegrityTier, TransientKind};
 use crate::metrics::{EngineCounters, StageExecution, StageKind, TaskExecution};
-use crate::sched::TaskSpec;
+use crate::sched::{TaskSpec, VirtualScheduler};
 use crate::spec::NodeId;
 use crate::time::SimDuration;
 use crate::work::{TaskProfile, WorkCounters};
@@ -217,11 +217,11 @@ impl SimCluster {
         specs: &[TaskSpec],
         tasks: impl IntoIterator<Item = (usize, TaskProfile)>,
     ) -> Result<Vec<NodeId>, ExecError> {
-        let (scheduler, extra) = (self.stage_admission(), frame.retry_extra);
+        let scheduler = VirtualScheduler::new(self.spec().clone());
         let window_start = self.metrics().now() + frame.overhead;
         let fs = self
             .faults()
-            .schedule_stage(&scheduler, specs, extra, window_start)
+            .schedule_stage(&scheduler, specs, frame.retry_extra, window_start)
             .map_err(|source| ExecError::StageAborted {
                 stage: frame.label.clone(),
                 source,

@@ -72,7 +72,7 @@ pub use hash::{bucket_of, fx_hash64, FxHashMap, FxHashSet, FxHasher};
 pub use hdfs::{BlockInfo, CheckpointBlock, DfsError, DfsFile, Lines, SimHdfs, Split};
 pub use manifest::{RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use memgov::{
-    storage_capacity, MemEffect, MemGrant, MemoryBudget, MemoryRefusal, OomAbort, TaskMemory,
+    storage_region, MemEffect, MemoryBudget, MemoryRefusal, OomAbort, Site, TaskMemory,
     SPILL_GRANULE,
 };
 pub use metrics::{
@@ -81,7 +81,7 @@ pub use metrics::{
 };
 pub use pool::ThreadPool;
 pub use report::full_report;
-pub use sched::{ScheduleOutcome, SchedulerConfig, TaskSpec, VirtualScheduler};
+pub use sched::{ScheduleOutcome, TaskSpec, VirtualScheduler};
 pub use spec::{ClusterSpec, NodeId};
 pub use time::{SimDuration, SimInstant};
 pub use trace::chrome_trace;
@@ -107,7 +107,6 @@ struct ClusterInner {
     metrics: Metrics,
     pool: ThreadPool,
     faults: FaultController,
-    sched_config: sync::Mutex<SchedulerConfig>,
 }
 
 impl SimCluster {
@@ -134,7 +133,6 @@ impl SimCluster {
                 metrics: Metrics::new(),
                 pool: ThreadPool::new(threads.max(1)),
                 faults: FaultController::new(),
-                sched_config: sync::Mutex::new(SchedulerConfig::default()),
             }),
         }
     }
@@ -185,26 +183,7 @@ impl SimCluster {
             return None;
         }
         let plan = self.inner.faults.plan();
-        let fraction = self.inner.sched_config.lock().storage_fraction;
-        MemoryBudget::from_plan(&self.inner.spec, fraction, &self.inner.cost, &plan)
-    }
-
-    /// Replace the scheduler configuration (locality wait, storage
-    /// fraction). Takes effect on the next stage.
-    pub fn set_scheduler_config(&self, config: SchedulerConfig) {
-        *self.inner.sched_config.lock() = config;
-    }
-
-    /// Current scheduler configuration.
-    pub fn scheduler_config(&self) -> SchedulerConfig {
-        self.inner.sched_config.lock().clone()
-    }
-
-    /// The scheduler one stage is placed with: the whole topology under the
-    /// configured locality wait.
-    pub(crate) fn stage_admission(&self) -> VirtualScheduler {
-        let wait = SimDuration::from_secs(self.inner.sched_config.lock().locality_wait);
-        VirtualScheduler::with_locality_wait(self.inner.spec.clone(), wait)
+        MemoryBudget::from_plan(&self.inner.spec, &self.inner.cost, &plan)
     }
 }
 
@@ -226,14 +205,6 @@ mod tests {
         assert_eq!(c.spec().nodes, 12);
         assert_eq!(c.spec().cores_per_node, 8);
         assert_eq!(c.spec().total_cores(), 96);
-    }
-
-    #[test]
-    fn default_config_admits_with_the_default_locality_wait() {
-        let c = SimCluster::paper_cluster();
-        let sched = c.stage_admission();
-        assert_eq!(sched.spec().nodes, 12);
-        assert_eq!(sched.locality_wait(), SimDuration::from_secs(0.3));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! cache), but execution memory — triangular pair arrays, CSR tries, bitmap
 //! arenas, shuffle combine buffers — was unbounded and unaccounted. This
 //! module splits `memory_per_node` into an **execution region** and a
-//! **storage region** (the [`crate::sched::SchedulerConfig::storage_fraction`]
-//! split, replacing the old hardcoded 60 %), and hands every task a
-//! deterministic [`MemoryBudget`] slice of the execution region.
+//! **storage region** ([`storage_region`]: 60 %, the share the cache manager
+//! gets too), and hands every task a deterministic [`MemoryBudget`] slice of
+//! the execution region.
 //!
 //! Like Spark's unified memory manager, execution can *borrow* from storage:
 //! cached blocks are evictable down to a floor (half the storage region),
@@ -18,13 +18,13 @@
 //!
 //! Overflow walks a graceful-degradation ladder *before* anything fails:
 //!
-//! 1. **Spill** — degradable buffers (shuffle map-side combine) stream
+//! 1. **Spill** — combine buffers (the sites that [`Site::spills`]) stream
 //!    through local disk in [`SPILL_GRANULE`] chunks, charged via the cost
 //!    model;
 //! 2. **Step down** — Phase-II matchers degrade bitmap → trie → hash-tree
 //!    at pass granularity when the preferred structure's footprint estimate
 //!    does not fit (`mem.degradations`);
-//! 3. **Kill + retry** — an injected-or-real OOM at a non-degradable site
+//! 3. **Kill + retry** — an injected-or-real OOM at any other site
 //!    kills the task attempt; the retry runs at a doubled memory slice
 //!    (modelling reduced concurrency), bounded by the plan's
 //!    `max_task_failures`;
@@ -52,30 +52,39 @@ use std::cell::Cell;
 /// the job outright.
 pub const SPILL_GRANULE: u64 = 64 * 1024;
 
-/// Execution-memory acquisition site tags (hash domains for OOM rolls).
-pub mod site {
+/// Where a task acquires execution memory. The discriminant is the site's
+/// tag in the OOM rolls' hash, so the order is fixed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Site {
     /// Shuffle map-side combine buffer, or the same combined pairs as one
-    /// task's partial of an `aggregate` (degradable: spills).
-    pub const SHUFFLE_COMBINE: u64 = 1;
+    /// task's partial of an `aggregate`.
+    ShuffleCombine = 1,
     /// Phase-2 triangular candidate-pair count array.
-    pub const TRIANGLE: u64 = 2;
-    /// Candidate-store count array (hash-tree / trie passes).
-    pub const CANDIDATE_STORE: u64 = 3;
+    Triangle = 2,
+    /// Candidate-store count array (hash-tree / trie / bitmap passes).
+    CandidateStore = 3,
     /// Vertical bitmap arena (columnar partition).
-    pub const BITMAP_ARENA: u64 = 4;
-    /// MapReduce map-side combine buffer (degradable: spills).
-    pub const MR_COMBINE: u64 = 5;
+    BitmapArena = 4,
+    /// MapReduce map-side combine buffer.
+    MrCombine = 5,
+}
 
-    /// Human-readable name for a site tag (error messages, reports).
-    pub fn name(site: u64) -> &'static str {
-        match site {
-            SHUFFLE_COMBINE => "shuffle combine buffer",
-            TRIANGLE => "triangle count array",
-            CANDIDATE_STORE => "candidate store",
-            BITMAP_ARENA => "bitmap arena",
-            MR_COMBINE => "map-side combine buffer",
-            _ => "execution memory",
+impl Site {
+    /// Human-readable name (error messages, reports).
+    pub fn name(self) -> &'static str {
+        match self {
+            Site::ShuffleCombine => "shuffle combine buffer",
+            Site::Triangle => "triangle count array",
+            Site::CandidateStore => "candidate store",
+            Site::BitmapArena => "bitmap arena",
+            Site::MrCombine => "map-side combine buffer",
         }
+    }
+
+    /// Whether a denial here streams the buffer through local disk (the
+    /// combine buffers) rather than killing the attempt.
+    pub fn spills(self) -> bool {
+        matches!(self, Site::ShuffleCombine | Site::MrCombine)
     }
 }
 
@@ -93,8 +102,7 @@ impl std::fmt::Display for MemoryRefusal {
         write!(
             f,
             "memory budget refused: needs {} bytes per task but the governor \
-             can offer at most {} (raise the budget or --memory-fraction the \
-             storage region down)",
+             can offer at most {} (raise the budget)",
             self.required, self.available
         )
     }
@@ -112,7 +120,7 @@ pub struct MemoryBudget {
     pub node_total: u64,
     /// Bytes reserved for execution (total minus storage region).
     pub execution_region: u64,
-    /// Bytes reserved for cached blocks (the `storage_fraction` split).
+    /// Bytes reserved for cached blocks ([`storage_region`]).
     pub storage_region: u64,
     /// Storage bytes execution can never evict (half the storage region).
     pub storage_floor: u64,
@@ -133,13 +141,12 @@ pub struct MemoryBudget {
 }
 
 impl MemoryBudget {
-    /// Build the budget for one node from the cluster spec, the scheduler's
-    /// storage split and the fault plan's knobs. Returns `None` when the
-    /// plan does not arm the governor — the inert path charges and counts
-    /// nothing, keeping unconstrained runs byte-identical.
+    /// Build the budget for one node from the cluster spec and the fault
+    /// plan's knobs. Returns `None` when the plan does not arm the governor
+    /// — the inert path charges and counts nothing, keeping unconstrained
+    /// runs byte-identical.
     pub fn from_plan(
         spec: &ClusterSpec,
-        storage_fraction: f64,
         cost: &CostModel,
         plan: &FaultPlan,
     ) -> Option<MemoryBudget> {
@@ -147,7 +154,7 @@ impl MemoryBudget {
             return None;
         }
         let node_total = plan.mem_budget_override.unwrap_or(spec.memory_per_node);
-        let storage_region = storage_capacity(node_total, storage_fraction);
+        let storage_region = storage_region(node_total);
         let execution_region = node_total - storage_region;
         let storage_floor = storage_region / 2;
         let borrowable = storage_region - storage_floor;
@@ -200,7 +207,7 @@ impl MemoryBudget {
 
 impl MemoryBudget {
     /// Seed-deterministic OOM decision for one execution-memory acquisition
-    /// attempt. `roll` indexes the acquisition within its task, `site` tags
+    /// attempt. `roll` indexes the acquisition within its task, `site` is
     /// the kind of structure being built, and `attempt` is the retry index —
     /// each retry runs at a doubled memory slice, so the injected
     /// probability halves per attempt. Pure: the same plan always denies
@@ -210,7 +217,7 @@ impl MemoryBudget {
         stage_key: u64,
         partition: usize,
         roll: u64,
-        site: u64,
+        site: Site,
         attempt: u32,
     ) -> bool {
         let prob = self.oom_prob * 0.5f64.powi(attempt as i32);
@@ -223,24 +230,12 @@ impl MemoryBudget {
             stage_key,
             partition as u64,
             roll,
-            site,
+            site as u64,
             attempt as u64,
         );
         let r = (fx_hash64(&key) >> 11) as f64 / (1u64 << 53) as f64;
         r < prob
     }
-}
-
-/// Outcome of one execution-memory reservation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemGrant {
-    /// The bytes are held in memory (possibly after surviving a kill-and-
-    /// retry ladder at a doubled slice).
-    Granted,
-    /// Denied: the caller must stream this buffer through local disk
-    /// instead of holding it. Only degradable sites receive this; the
-    /// spill's disk I/O charge is part of the accompanying effect.
-    Spill,
 }
 
 /// A task attempt that exhausted its OOM retry ladder. The stage must
@@ -249,8 +244,8 @@ pub enum MemGrant {
 pub struct OomAbort {
     /// Partition whose task kept dying.
     pub partition: usize,
-    /// Acquisition site tag (see [`site`]).
-    pub site: u64,
+    /// Where the task asked.
+    pub site: Site,
     /// Bytes the final attempt asked for.
     pub bytes: u64,
     /// Attempts burned (1 + the plan's `max_task_failures` retries).
@@ -296,11 +291,6 @@ pub struct TaskMemory {
 }
 
 impl TaskMemory {
-    /// An unarmed ledger (no governor, no charges, no counters).
-    pub fn inert() -> Self {
-        Self::new(None, 0, 0)
-    }
-
     /// A ledger for `partition` of the stage identified by `stage_key`.
     pub fn new(budget: Option<MemoryBudget>, stage_key: u64, partition: usize) -> Self {
         TaskMemory {
@@ -318,16 +308,16 @@ impl TaskMemory {
         self.budget.is_some()
     }
 
-    /// Reserve `bytes` of execution memory for the structure tagged `site`.
-    /// Degradable sites (combine buffers) spill on denial; the rest walk
+    /// Reserve `bytes` of execution memory at `site`. A site that
+    /// [`Site::spills`] does so on denial; the rest walk
     /// the kill-and-retry ladder, each retry at a doubled slice, and mark
     /// the task for a typed abort when the ladder exhausts. Returns the
-    /// grant decision plus the counter/stall/disk effects for the caller
-    /// to apply.
-    pub fn try_reserve(&self, bytes: u64, site: u64, degradable: bool) -> (MemGrant, MemEffect) {
+    /// counter/stall/disk effects for the caller to apply: a spill is its
+    /// disk round trip, never a different result.
+    pub fn try_reserve(&self, bytes: u64, site: Site) -> MemEffect {
         let mut fx = MemEffect::default();
         let Some(b) = &self.budget else {
-            return (MemGrant::Granted, fx);
+            return fx;
         };
         let roll = self.rolls.get();
         self.rolls.set(roll + 1);
@@ -336,9 +326,9 @@ impl TaskMemory {
         let injected = b.oom_roll(self.stage_key, self.partition, roll, site, 0);
         if !injected && !over(0) {
             self.grant(bytes, b, &mut fx);
-            return (MemGrant::Granted, fx);
+            return fx;
         }
-        if degradable {
+        if site.spills() {
             // Rung 1 of the ladder: stream the buffer through local disk.
             // An injected denial is an OOM event the spill survived; a real
             // over-budget buffer is ordinary pressure — a plain spill.
@@ -349,7 +339,7 @@ impl TaskMemory {
             fx.mem.spills += 1;
             fx.mem.spill_bytes += bytes;
             fx.spill_disk_bytes += bytes;
-            return (MemGrant::Spill, fx);
+            return fx;
         }
         // Rung 3: the attempt dies. Retries model Spark's "rerun at reduced
         // concurrency": each one owns a doubled slice, and each failed
@@ -360,7 +350,7 @@ impl TaskMemory {
             fx.stall_micros += b.resubmit_micros;
             if !b.oom_roll(self.stage_key, self.partition, roll, site, attempt) && !over(attempt) {
                 self.grant(bytes, b, &mut fx);
-                return (MemGrant::Granted, fx);
+                return fx;
             }
         }
         self.abort.set(Some(OomAbort {
@@ -371,7 +361,7 @@ impl TaskMemory {
         }));
         // The computation continues (its result is discarded): the driver
         // sees the abort mark and fails the stage with a typed error.
-        (MemGrant::Granted, fx)
+        fx
     }
 
     /// The abort mark, if any reservation exhausted its retry ladder.
@@ -396,16 +386,10 @@ impl TaskMemory {
     }
 }
 
-/// Bytes of a node's memory given to the storage (cache) region. The 0.6
-/// default must reproduce the historical `memory_per_node * 6 / 10` integer
-/// math bit-for-bit, so it is special-cased: `0.6f64` is not exactly 6/10
-/// and the float product rounds differently for some capacities.
-pub fn storage_capacity(memory_per_node: u64, fraction: f64) -> u64 {
-    if fraction == 0.6 {
-        memory_per_node * 6 / 10
-    } else {
-        (memory_per_node as f64 * fraction) as u64
-    }
+/// Bytes of a node's memory given to the storage (cache) region: the cache
+/// manager's capacity and the governor's storage region alike.
+pub fn storage_region(memory_per_node: u64) -> u64 {
+    memory_per_node * 6 / 10
 }
 
 #[cfg(test)]
@@ -421,13 +405,13 @@ mod tests {
     #[test]
     fn inert_plan_yields_no_budget() {
         let plan = FaultPlan::seeded(3).crash_tasks(0.5);
-        assert!(MemoryBudget::from_plan(&spec(), 0.6, &CostModel::default(), &plan).is_none());
+        assert!(MemoryBudget::from_plan(&spec(), &CostModel::default(), &plan).is_none());
     }
 
     #[test]
     fn regions_split_and_per_task_slices_follow_cores() {
         let plan = FaultPlan::seeded(0).with_mem_budget(1000);
-        let b = MemoryBudget::from_plan(&spec(), 0.6, &CostModel::default(), &plan)
+        let b = MemoryBudget::from_plan(&spec(), &CostModel::default(), &plan)
             .expect("override arms the governor");
         assert_eq!(b.node_total, 1000);
         assert_eq!(b.storage_region, 600);
@@ -445,7 +429,7 @@ mod tests {
     #[test]
     fn admission_refuses_oversized_footprints_with_a_typed_reason() {
         let plan = FaultPlan::seeded(0).with_mem_budget(1024);
-        let b = MemoryBudget::from_plan(&spec(), 0.6, &CostModel::default(), &plan).unwrap();
+        let b = MemoryBudget::from_plan(&spec(), &CostModel::default(), &plan).unwrap();
         assert!(b.admit(b.per_task_limit).is_ok());
         let err = b.admit(SPILL_GRANULE).expect_err("tiny budget refuses");
         assert_eq!(err.required, SPILL_GRANULE);
@@ -454,12 +438,19 @@ mod tests {
     }
 
     #[test]
-    fn storage_capacity_default_matches_legacy_integer_math() {
-        for m in [1u64, 10, 999, GIB, 3 * GIB + 7, 8 * GIB] {
-            assert_eq!(storage_capacity(m, 0.6), m * 6 / 10, "m = {m}");
-        }
-        assert_eq!(storage_capacity(1000, 0.25), 250);
-        assert_eq!(storage_capacity(1000, 1.0), 1000);
+    fn site_tags_keep_their_order_and_only_combine_buffers_spill() {
+        // The tags are hashed into every OOM roll: renumbering one would
+        // move which acquisitions a seeded plan denies.
+        let sites = [
+            Site::ShuffleCombine,
+            Site::Triangle,
+            Site::CandidateStore,
+            Site::BitmapArena,
+            Site::MrCombine,
+        ];
+        assert_eq!(sites.map(|s| s as u64), [1, 2, 3, 4, 5]);
+        let spilling: Vec<Site> = sites.into_iter().filter(|s| s.spills()).collect();
+        assert_eq!(spilling, [Site::ShuffleCombine, Site::MrCombine]);
     }
 
     fn budget_of(total: u64, oom_prob: f64, retries: u32) -> MemoryBudget {
@@ -467,32 +458,33 @@ mod tests {
             .with_mem_budget(total)
             .with_max_task_failures(retries);
         plan.oom_prob = oom_prob;
-        MemoryBudget::from_plan(
-            &ClusterSpec::new(1, 1, GIB),
-            0.6,
-            &CostModel::default(),
-            &plan,
-        )
-        .expect("armed")
+        MemoryBudget::from_plan(&ClusterSpec::new(1, 1, GIB), &CostModel::default(), &plan)
+            .expect("armed")
     }
 
     #[test]
     fn oom_rolls_are_deterministic_and_halve_per_attempt() {
         let budget = budget_of(GIB, 0.5, 4);
-        let a: Vec<bool> = (0..64).map(|p| budget.oom_roll(9, p, 0, 1, 0)).collect();
-        let b: Vec<bool> = (0..64).map(|p| budget.oom_roll(9, p, 0, 1, 0)).collect();
+        let a: Vec<bool> = (0..64)
+            .map(|p| budget.oom_roll(9, p, 0, Site::ShuffleCombine, 0))
+            .collect();
+        let b: Vec<bool> = (0..64)
+            .map(|p| budget.oom_roll(9, p, 0, Site::ShuffleCombine, 0))
+            .collect();
         assert_eq!(a, b, "same plan denies the same acquisitions");
         assert!(
             a.iter().any(|x| *x) && a.iter().any(|x| !*x),
             "mixed at 50%"
         );
         // Distinct sites and rolls are independent hash domains.
-        let other_site: Vec<bool> = (0..64).map(|p| budget.oom_roll(9, p, 0, 2, 0)).collect();
+        let other_site: Vec<bool> = (0..64)
+            .map(|p| budget.oom_roll(9, p, 0, Site::Triangle, 0))
+            .collect();
         assert_ne!(a, other_site);
         // Retry attempts are denied at a halved rate (doubled slice).
         let denials = |attempt: u32| {
             (0..4096)
-                .filter(|p| budget.oom_roll(9, *p, 0, 1, attempt))
+                .filter(|p| budget.oom_roll(9, *p, 0, Site::ShuffleCombine, attempt))
                 .count()
         };
         let (d0, d1) = (denials(0), denials(1));
@@ -500,15 +492,17 @@ mod tests {
             d1 * 3 < d0 * 2,
             "attempt 1 should deny roughly half as often: {d0} vs {d1}"
         );
-        assert!(!budget_of(GIB, 0.0, 4).oom_roll(9, 0, 0, 1, 0), "inert");
+        assert!(
+            !budget_of(GIB, 0.0, 4).oom_roll(9, 0, 0, Site::ShuffleCombine, 0),
+            "inert"
+        );
     }
 
     #[test]
     fn inert_ledger_grants_everything_for_free() {
-        let tm = TaskMemory::inert();
+        let tm = TaskMemory::new(None, 0, 0);
         assert!(!tm.armed());
-        let (g, fx) = tm.try_reserve(u64::MAX, site::TRIANGLE, false);
-        assert_eq!(g, MemGrant::Granted);
+        let fx = tm.try_reserve(u64::MAX, Site::Triangle);
         assert_eq!(fx, MemEffect::default(), "no counters, no charges");
         assert!(tm.abort().is_none());
     }
@@ -517,11 +511,11 @@ mod tests {
     fn within_quota_grants_track_peak_only() {
         let tm = TaskMemory::new(Some(budget_of(1000, 0.0, 4)), 1, 0);
         // quota = execution 400 / 1 core = 400.
-        let (g, fx) = tm.try_reserve(100, site::TRIANGLE, false);
-        assert_eq!(g, MemGrant::Granted);
+        let fx = tm.try_reserve(100, Site::Triangle);
+        assert_eq!(fx.mem.spills, 0);
         assert_eq!(fx.mem.peak_execution_bytes, 100);
         assert_eq!(fx.stall_micros, 0, "no borrowing, no stall");
-        let (_, fx2) = tm.try_reserve(200, site::BITMAP_ARENA, false);
+        let fx2 = tm.try_reserve(200, Site::BitmapArena);
         assert_eq!(fx2.mem.peak_execution_bytes, 300, "peak is cumulative");
         assert!(tm.abort().is_none());
     }
@@ -530,8 +524,8 @@ mod tests {
     fn borrowing_past_quota_charges_a_pressure_stall() {
         let tm = TaskMemory::new(Some(budget_of(1000, 0.0, 4)), 1, 0);
         // quota 400, limit 700: 500 bytes borrows 100 from storage.
-        let (g, fx) = tm.try_reserve(500, site::TRIANGLE, false);
-        assert_eq!(g, MemGrant::Granted);
+        let fx = tm.try_reserve(500, Site::Triangle);
+        assert_eq!(fx.mem.spills, 0);
         assert!(fx.stall_micros > 0, "borrowed bytes evict cached data");
         assert_eq!(fx.mem.oom_injected, 0, "borrowing is not an OOM");
     }
@@ -539,8 +533,7 @@ mod tests {
     #[test]
     fn degradable_overflow_spills_without_an_oom_event() {
         let tm = TaskMemory::new(Some(budget_of(1000, 0.0, 4)), 1, 0);
-        let (g, fx) = tm.try_reserve(5000, site::SHUFFLE_COMBINE, true);
-        assert_eq!(g, MemGrant::Spill);
+        let fx = tm.try_reserve(5000, Site::ShuffleCombine);
         assert_eq!(fx.mem.spills, 1);
         assert_eq!(fx.mem.spill_bytes, 5000);
         assert_eq!(fx.spill_disk_bytes, 5000);
@@ -552,8 +545,7 @@ mod tests {
     fn injected_oom_at_degradable_site_is_survived_by_spilling() {
         // oom_prob = 1: every acquisition is denied.
         let tm = TaskMemory::new(Some(budget_of(GIB, 1.0, 4)), 1, 0);
-        let (g, fx) = tm.try_reserve(10, site::SHUFFLE_COMBINE, true);
-        assert_eq!(g, MemGrant::Spill);
+        let fx = tm.try_reserve(10, Site::ShuffleCombine);
         assert_eq!(fx.mem.oom_injected, 1);
         assert_eq!(fx.mem.oom_survived_by_degradation, 1);
         assert_eq!(fx.mem.oom_killed, 0);
@@ -568,8 +560,8 @@ mod tests {
         let mut survived_after_kill = false;
         for part in 0..64 {
             let tm = TaskMemory::new(Some(b), 1, part);
-            let (g, fx) = tm.try_reserve(10, site::TRIANGLE, false);
-            assert_eq!(g, MemGrant::Granted);
+            let fx = tm.try_reserve(10, Site::Triangle);
+            assert_eq!(fx.mem.spills, 0);
             if fx.mem.oom_killed == 1 && tm.abort().is_none() {
                 survived_after_kill = true;
                 assert_eq!(fx.mem.oom_injected, 1);
@@ -589,11 +581,11 @@ mod tests {
         let b = budget_of(1000, 0.0, 3);
         let tm = TaskMemory::new(Some(b), 1, 5);
         let ask = b.node_limit + 1;
-        let (_, fx) = tm.try_reserve(ask, site::BITMAP_ARENA, false);
+        let fx = tm.try_reserve(ask, Site::BitmapArena);
         assert_eq!(fx.mem.oom_killed, 1);
         let abort = tm.abort().expect("over-node ask never fits");
         assert_eq!(abort.partition, 5);
-        assert_eq!(abort.site, site::BITMAP_ARENA);
+        assert_eq!(abort.site, Site::BitmapArena);
         assert_eq!(abort.bytes, ask);
         assert_eq!(abort.attempts, 4, "1 launch + 3 retries");
         assert_eq!(fx.stall_micros, 3 * b.resubmit_micros);
@@ -612,8 +604,8 @@ mod tests {
             1,
             0,
         );
-        let (g, fx) = tm.try_reserve(150, site::TRIANGLE, false);
-        assert_eq!(g, MemGrant::Granted);
+        let fx = tm.try_reserve(150, Site::Triangle);
+        assert_eq!(fx.mem.spills, 0);
         assert_eq!(fx.mem.oom_injected, 1, "real overflow is an OOM event");
         assert_eq!(fx.mem.oom_killed, 1);
         assert!(tm.abort().is_none(), "the doubled slice fits");
@@ -629,12 +621,12 @@ mod tests {
         let run = || {
             let tm = TaskMemory::new(Some(b), 9, 3);
             (0..16)
-                .map(|_| tm.try_reserve(10, site::SHUFFLE_COMBINE, true).0)
+                .map(|_| tm.try_reserve(10, Site::ShuffleCombine).mem.spills == 1)
                 .collect::<Vec<_>>()
         };
         let a = run();
         assert_eq!(a, run(), "same ledger replays identically");
-        assert!(a.contains(&MemGrant::Spill) && a.contains(&MemGrant::Granted));
+        assert!(a.contains(&true) && a.contains(&false));
     }
 
     #[test]
@@ -642,7 +634,7 @@ mod tests {
         let plan = FaultPlan::seeded(0)
             .with_mem_budget(GIB)
             .with_resubmit_delay(SimDuration::from_secs(0.2));
-        let b = MemoryBudget::from_plan(&spec(), 0.6, &CostModel::default(), &plan).unwrap();
+        let b = MemoryBudget::from_plan(&spec(), &CostModel::default(), &plan).unwrap();
         assert_eq!(b.resubmit_micros, 200_000);
         assert_eq!(b.evict_micros(0), 0);
         assert!(b.evict_micros(1 << 20) > 0);

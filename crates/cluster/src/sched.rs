@@ -30,35 +30,9 @@ use crate::time::{SimDuration, SimInstant};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Default locality wait before a task gives up on its preferred node.
-pub(crate) const DEFAULT_LOCALITY_WAIT: f64 = 0.3;
-
-/// Default share of a node's memory given to the storage (cache) region —
-/// the `* 6 / 10` the cache manager has always used.
-pub(crate) const DEFAULT_STORAGE_FRACTION: f64 = 0.6;
-
-/// Tunable scheduler behavior, attached to a `SimCluster`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SchedulerConfig {
-    /// Delay-scheduling wait in virtual seconds (`spark.locality.wait`).
-    /// `0` disables locality preference entirely; a very large value pins
-    /// tasks strictly to their preferred node.
-    pub locality_wait: f64,
-    /// Fraction of each node's memory given to the storage (cache) region;
-    /// the rest is execution memory (`spark.memory.storageFraction`). Must
-    /// lie in `(0, 1]`. The 0.6 default reproduces the historical
-    /// `memory_per_node * 6 / 10` cache capacity bit-for-bit.
-    pub storage_fraction: f64,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            locality_wait: DEFAULT_LOCALITY_WAIT,
-            storage_fraction: DEFAULT_STORAGE_FRACTION,
-        }
-    }
-}
+/// How long a task waits for a core on its preferred node before it spills
+/// to any free core (`spark.locality.wait`); every stage is placed with it.
+const DEFAULT_LOCALITY_WAIT: f64 = 0.3;
 
 /// Heartbeat-based liveness detection.
 ///
@@ -198,7 +172,7 @@ impl VirtualScheduler {
     }
 
     /// Delay-scheduling wait before a task gives up on locality.
-    pub fn locality_wait(&self) -> SimDuration {
+    pub(crate) fn locality_wait(&self) -> SimDuration {
         self.locality_wait
     }
 

@@ -77,8 +77,8 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 use yafim_cluster::{
-    memgov, slice_records, ByteSize, EngineCounters, EventKind, ExecError, FxHashMap, Lines,
-    RecoveryCounters, SimDuration, SPILL_GRANULE,
+    slice_records, ByteSize, EngineCounters, EventKind, ExecError, FxHashMap, Lines,
+    RecoveryCounters, SimDuration, Site, SPILL_GRANULE,
 };
 use yafim_rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 
@@ -718,9 +718,8 @@ impl Yafim {
         let n_candidates = tri_len(n_dense);
         // The triangle is each task's execution memory; an injected (or
         // real) denial kills the attempt into the retry ladder.
-        let reserve = move |tc: &TaskContext| {
-            tc.try_reserve(8 * n_candidates as u64, memgov::site::TRIANGLE, false)
-        };
+        let reserve =
+            move |tc: &TaskContext| tc.try_reserve(8 * n_candidates as u64, Site::Triangle);
 
         let counted = if columns {
             let columnar = self.build_columnar(held, n_dense);
@@ -800,11 +799,7 @@ impl Yafim {
             tc.note_broadcast_read(store_bytes);
             // The deserialized store plus the count array are this
             // task's execution memory.
-            tc.try_reserve(
-                store_bytes + 8 * n_candidates as u64,
-                memgov::site::CANDIDATE_STORE,
-                false,
-            );
+            tc.try_reserve(store_bytes + 8 * n_candidates as u64, Site::CandidateStore);
             let (visits, matches, cells) = count_matches(acc, txs, &**store_for_tasks);
             // Store traversal plus one emission per match — the
             // flatMap cost of Algorithm 3, lines 4-9.
@@ -896,7 +891,7 @@ impl Yafim {
                     let pairs = count_items(part, tc, false);
                     let partial = size(pairs.len());
                     // Execution memory, as in a combine buffer: denied, it spills.
-                    tc.try_reserve(partial.bytes, memgov::site::SHUFFLE_COMBINE, true);
+                    tc.try_reserve(partial.bytes, Site::ShuffleCombine);
                     *acc = merge_counts(std::mem::take(acc), &pairs);
                     partial
                 },
@@ -932,11 +927,7 @@ impl Yafim {
             let col = ColumnarPartition::from_rows(n_dense, n_tids, rows_of(txs));
             // The arena is execution memory while it is being built (it
             // only becomes a budgeted cache block once inserted).
-            tc.try_reserve(
-                8 * col.arena_words() as u64,
-                memgov::site::BITMAP_ARENA,
-                false,
-            );
+            tc.try_reserve(8 * col.arena_words() as u64, Site::BitmapArena);
             // Physical build: write the arena once, touch one bit per item
             // occurrence.
             tc.add_mem_read(8 * col.arena_words() as u64);
@@ -1006,11 +997,7 @@ impl Yafim {
             move |acc, cols, tc| {
                 tc.note_broadcast_read(cand_bytes);
                 // The count array is this task's execution memory.
-                tc.try_reserve(
-                    8 * n_candidates as u64,
-                    memgov::site::CANDIDATE_STORE,
-                    false,
-                );
+                tc.try_reserve(8 * n_candidates as u64, Site::CandidateStore);
                 let (words, cells) = count_bitmaps(acc, cols, &cands_for_tasks.0);
                 // One AND+popcount per word, one emission per nonzero
                 // count — the whole per-task cost of the pass.

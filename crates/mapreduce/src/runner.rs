@@ -5,8 +5,8 @@ use crate::emitter::Emitter;
 use crate::job::{MapPhase, MapReduceJob, MrKey, MrValue};
 use std::sync::Arc;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, BucketLoss, DfsFile, EventKind, ExecError,
-    FxHashMap, MemoryCounters, NodeId, RecoveryCounters, SimCluster, SimDuration, StageFrame,
+    bucket_of, fx_hash64, slice_bytes, BucketLoss, DfsFile, EventKind, ExecError, FxHashMap,
+    MemoryCounters, NodeId, RecoveryCounters, SimCluster, SimDuration, Site, StageFrame,
     TaskMemory, TaskProfile, TaskSpec, WorkCounters, SPILL_GRANULE,
 };
 
@@ -271,10 +271,10 @@ impl MrRunner {
             w.add_stall_micros(cluster_map.checksum_micros(bytes));
             // The combine buffer is execution memory; a denial
             // (budget overflow or injected OOM) spills it through
-            // local disk — the buffer is degradable, so the
-            // governor never kills a map task.
+            // local disk — the site spills, so the governor
+            // never kills a map task.
             let tm = TaskMemory::new(mem_budget, mem_stage_key, i);
-            let (_, fx) = tm.try_reserve(bytes, memgov::site::MR_COMBINE, true);
+            let fx = tm.try_reserve(bytes, Site::MrCombine);
             // Spill traffic: write the sorted runs, read them back for
             // the merge.
             let spill = (bytes as f64 * spill_factor / 2.0) as u64;

@@ -19,7 +19,7 @@
 use std::any::Any;
 use std::sync::Arc;
 use yafim_cluster::sync::Mutex;
-use yafim_cluster::{ClusterSpec, FxHashMap, FxHashSet};
+use yafim_cluster::{FxHashMap, FxHashSet};
 
 /// What the cache holds, and has held, over a manager's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,18 +65,7 @@ pub struct CacheManager {
 }
 
 impl CacheManager {
-    /// Cache sized as `storage_fraction` of node memory — the scheduler
-    /// config's storage/execution split. The 0.6 default reproduces the
-    /// historical `* 6 / 10` integer math bit-for-bit (see
-    /// [`yafim_cluster::storage_capacity`]).
-    pub(crate) fn with_fraction(spec: &ClusterSpec, storage_fraction: f64) -> Self {
-        Self::with_capacity(
-            spec.nodes as usize,
-            yafim_cluster::storage_capacity(spec.memory_per_node, storage_fraction),
-        )
-    }
-
-    /// Explicit per-node capacity (tests and the cache-pressure ablation).
+    /// A cache of `capacity_per_node` bytes on each of `nodes` nodes.
     pub(crate) fn with_capacity(nodes: usize, capacity_per_node: u64) -> Self {
         CacheManager {
             inner: Mutex::new(Inner {
@@ -265,6 +254,24 @@ mod tests {
 
     fn put(c: &CacheManager, rdd: u64, part: usize, node: usize, bytes: u64) -> bool {
         c.put(rdd, part, node, Arc::new(vec![0u8]), bytes)
+    }
+
+    #[test]
+    fn the_default_capacity_is_the_governors_storage_region() {
+        use yafim_cluster::{ClusterSpec, CostModel, FaultPlan, MemoryBudget, SimCluster};
+        let gib = 1u64 << 30;
+        let paper = ClusterSpec::paper();
+        let odd = [1, 999, 1001, 3 * gib + 7].map(|m| ClusterSpec::new(2, 3, m));
+        for spec in [&[paper][..], &odd].concat() {
+            let cluster = SimCluster::with_threads(spec.clone(), CostModel::hadoop_era(), 1);
+            let cache = crate::Context::new(cluster).cache().capacity_per_node;
+            let mut plan = FaultPlan::seeded(0);
+            plan.oom_prob = 0.5;
+            let budget = MemoryBudget::from_plan(&spec, &CostModel::hadoop_era(), &plan);
+            let m = spec.memory_per_node;
+            assert_eq!(budget.expect("armed").storage_region, cache, "m = {m}");
+            assert_eq!(cache, m * 6 / 10, "m = {m}");
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@ use crate::rdd::{self, Data, HdfsTextRdd, ParallelizeRdd, Pipe, Rdd, RddMeta};
 use crate::shuffle::ShuffleRegistry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use yafim_cluster::{ByteSize, DfsError, EngineCounters, EventKind, Lines, Metrics, SimCluster};
+use yafim_cluster::{
+    storage_region, ByteSize, DfsError, EngineCounters, EventKind, Lines, Metrics, SimCluster,
+};
 
 /// How shared data reaches the workers (paper §IV.C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,7 +30,8 @@ pub struct RddConfig {
     /// core).
     pub default_parallelism: usize,
     /// Override the per-node cache capacity in bytes (for the memory
-    /// pressure ablation). `None` uses 60 % of node memory.
+    /// pressure ablation). `None` uses the node's
+    /// [`yafim_cluster::storage_region`], 60 % of its memory.
     pub cache_capacity_per_node: Option<u64>,
 }
 
@@ -67,13 +70,10 @@ impl Context {
 
     /// A context with explicit configuration.
     pub fn with_config(cluster: SimCluster, config: RddConfig) -> Self {
-        let cache = match config.cache_capacity_per_node {
-            Some(cap) => CacheManager::with_capacity(cluster.spec().nodes as usize, cap),
-            None => CacheManager::with_fraction(
-                cluster.spec(),
-                cluster.scheduler_config().storage_fraction,
-            ),
-        };
+        let spec = cluster.spec();
+        let capacity = config.cache_capacity_per_node;
+        let capacity = capacity.unwrap_or_else(|| storage_region(spec.memory_per_node));
+        let cache = CacheManager::with_capacity(spec.nodes as usize, capacity);
         Context {
             inner: Arc::new(CtxInner {
                 cache,

@@ -41,8 +41,8 @@ use std::hash::Hash;
 use std::sync::{Arc, Weak};
 use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
-    bucket_of, fx_hash64, memgov, slice_bytes, BucketLoss, ExecError, FxHashMap, NodeId,
-    RecoveryCounters, StageKind,
+    bucket_of, fx_hash64, slice_bytes, BucketLoss, ExecError, FxHashMap, NodeId, RecoveryCounters,
+    Site, StageKind,
 };
 
 /// A shuffle's map side, to be run before any stage that reads it.
@@ -416,7 +416,7 @@ where
                 // denies it (budget overflow or injected OOM) the buffer
                 // spills through local disk — `try_reserve` charges the
                 // extra round trip, results are unchanged.
-                tc.try_reserve(total_bytes, memgov::site::SHUFFLE_COMBINE, true);
+                tc.try_reserve(total_bytes, Site::ShuffleCombine);
                 tc.add_records_out(total_records);
                 tc.add_ser(total_bytes);
                 tc.add_disk_write(total_bytes); // shuffle file write

@@ -1,7 +1,7 @@
 //! Per-task execution context.
 
 use std::cell::Cell;
-use yafim_cluster::{MemGrant, MemoryBudget, NodeId, OomAbort, TaskMemory, TaskProfile};
+use yafim_cluster::{MemoryBudget, NodeId, OomAbort, Site, TaskMemory, TaskProfile};
 
 /// Handed to every task closure. Carries the task's identity and the work
 //  counters that drive virtual-time accounting, plus attribution counters
@@ -46,18 +46,14 @@ impl TaskContext {
         }
     }
 
-    /// Reserve `bytes` of execution memory for the structure tagged `site`
-    /// (see [`yafim_cluster::memgov::site`]). Applies the governor's
+    /// Reserve `bytes` of execution memory at `site`. Applies the governor's
     /// deterministic effects — counters, pressure stalls, spill disk I/O —
-    /// to this task's profile and returns the grant decision. A free
-    /// [`MemGrant::Granted`] no-op when the governor is unarmed.
-    pub fn try_reserve(&self, bytes: u64, site: u64, degradable: bool) -> MemGrant {
-        if !self.memory.armed() {
-            return MemGrant::Granted;
+    /// to this task's profile. A free no-op when the governor is unarmed.
+    pub fn try_reserve(&self, bytes: u64, site: Site) {
+        if self.memory.armed() {
+            let fx = self.memory.try_reserve(bytes, site);
+            self.update(|p| fx.charge(p));
         }
-        let (grant, fx) = self.memory.try_reserve(bytes, site, degradable);
-        self.update(|p| fx.charge(p));
-        grant
     }
 
     /// Whether some reservation exhausted its OOM retry ladder: the stage
@@ -225,10 +221,7 @@ mod tests {
     #[test]
     fn unarmed_context_reserves_for_free() {
         let tc = unarmed(0, NodeId(0));
-        assert_eq!(
-            tc.try_reserve(u64::MAX, yafim_cluster::memgov::site::TRIANGLE, false),
-            MemGrant::Granted
-        );
+        tc.try_reserve(u64::MAX, Site::Triangle);
         assert!(tc.oom_abort().is_none());
         let p = tc.into_profile();
         assert_eq!(p, TaskProfile::new(), "inert governor leaves no trace");
@@ -238,23 +231,13 @@ mod tests {
     fn armed_context_applies_governor_effects_to_the_profile() {
         use yafim_cluster::{ClusterSpec, CostModel, FaultPlan};
         let plan = FaultPlan::seeded(0).with_mem_budget(1000);
-        let budget = MemoryBudget::from_plan(
-            &ClusterSpec::new(1, 1, yafim_cluster::spec::GIB),
-            0.6,
-            &CostModel::default(),
-            &plan,
-        );
+        let spec = ClusterSpec::new(1, 1, yafim_cluster::spec::GIB);
+        let budget = MemoryBudget::from_plan(&spec, &CostModel::default(), &plan);
         let tc = TaskContext::with_memory(0, NodeId(0), budget, 1, 0);
         // Fits the 400-byte execution slice: peak tracked, nothing else.
-        assert_eq!(
-            tc.try_reserve(100, yafim_cluster::memgov::site::TRIANGLE, false),
-            MemGrant::Granted
-        );
+        tc.try_reserve(100, Site::Triangle);
         // A 5000-byte combine buffer cannot fit: spills through disk.
-        assert_eq!(
-            tc.try_reserve(5000, yafim_cluster::memgov::site::SHUFFLE_COMBINE, true),
-            MemGrant::Spill
-        );
+        tc.try_reserve(5000, Site::ShuffleCombine);
         let p = tc.into_profile();
         assert_eq!(p.mem.peak_execution_bytes, 100);
         assert_eq!(p.mem.spills, 1);

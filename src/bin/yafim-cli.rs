@@ -50,12 +50,12 @@ fn usage() -> ! {
         "usage:
   yafim-cli generate --dataset <mushroom|t10|chess|pumsb|medical> --out <file.dat> [--scale X]
   yafim-cli mine     --input <file.dat> --support <N|P%> [--miner <{}>]
-                     [--phase2 <paper|opt|bitmap>] [--nodes N] [--cores C] [--locality-wait SECS]
-                     [--memory-fraction FRAC]
+                     [--phase2 <paper|opt|bitmap>] [--nodes N] [--cores C]
                      [--rules MIN_CONF] [--top K]
                      [--fault-plan plan.json] [--report] [--trace out.json]
                      [--manifest out.json]
-  yafim-cli compare  --input <file.dat> --support <N|P%> [--nodes N] [--cores C]",
+  yafim-cli compare  --input <file.dat> --support <N|P%> [--phase2 <paper|opt|bitmap>]
+                     [--nodes N] [--cores C] [--fault-plan plan.json]",
         miners.join("|")
     );
     exit(2)
@@ -71,6 +71,22 @@ fn arg(name: &str) -> Option<String> {
 
 fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
+}
+
+/// Refuse, in one line and exit 1, any argument `command` does not read:
+/// it reads `--name value` for each of `valued` and the bare `switches`.
+/// A misspelt flag would otherwise run another experiment than the one
+/// asked for.
+fn only(command: &str, valued: &[&str], switches: &[&str]) {
+    let mut args = std::env::args().skip(2);
+    while let Some(a) = args.next() {
+        if valued.contains(&a.as_str()) {
+            args.next();
+        } else if !switches.contains(&a.as_str()) {
+            eprintln!("unknown argument for {command}: {a}");
+            exit(1)
+        }
+    }
 }
 
 /// `--name value` parsed as a `T` that passes `valid`. A value that is
@@ -125,11 +141,6 @@ fn parse_dataset(s: &str) -> PaperDataset {
     }
 }
 
-/// `(0, 1]`: what `--scale` and `--memory-fraction` accept.
-fn in_unit_interval(x: &f64) -> bool {
-    *x > 0.0 && *x <= 1.0
-}
-
 /// Most virtual cores `--nodes` x `--cores` may ask for (the scheduler keeps
 /// a slot per core): 10 000x the paper's 96.
 const MAX_CORES: u32 = 1 << 20;
@@ -142,33 +153,10 @@ fn cluster() -> SimCluster {
         eprintln!("bad --nodes x --cores (expected <= {MAX_CORES} cores): {nodes} x {cores}");
         exit(1)
     }
-    let c = SimCluster::new(
+    SimCluster::new(
         ClusterSpec::new(nodes, cores, 24 * 1024 * 1024 * 1024),
         CostModel::hadoop_era(),
-    );
-    // `--locality-wait SECS` — delay-scheduling threshold: how long a task
-    // waits for a core on its preferred node before spilling to any free
-    // core. 0 disables delay scheduling; large values pin tasks to their
-    // data. Virtual-time only: results never change.
-    if let Some(secs) = parsed_arg("--locality-wait", "seconds >= 0", |s: &f64| *s >= 0.0) {
-        let mut cfg = c.scheduler_config();
-        cfg.locality_wait = secs;
-        c.set_scheduler_config(cfg);
-    }
-    // `--memory-fraction FRAC` — the storage (cache) share of each node's
-    // memory; the rest is the execution region the memory governor budgets
-    // tasks against. Must land in (0, 1]; the 0.6 default reproduces the
-    // historical split bit-for-bit.
-    if let Some(frac) = parsed_arg(
-        "--memory-fraction",
-        "a fraction in (0, 1]",
-        in_unit_interval,
-    ) {
-        let mut cfg = c.scheduler_config();
-        cfg.storage_fraction = frac;
-        c.set_scheduler_config(cfg);
-    }
-    c
+    )
 }
 
 /// What reading the input file gave, or one line and exit 1.
@@ -195,8 +183,10 @@ fn loaded_lines(path: &str, c: &SimCluster) -> Lines {
 }
 
 fn cmd_generate() {
+    only("generate", &["--dataset", "--out", "--scale"], &[]);
     let dataset = parse_dataset(&arg("--dataset").unwrap_or_else(|| usage()));
     let out = arg("--out").unwrap_or_else(|| usage());
+    let in_unit_interval = |x: &f64| *x > 0.0 && *x <= 1.0;
     let scale = parsed_arg("--scale", "a fraction in (0, 1]", in_unit_interval).unwrap_or(1.0);
     let tx = dataset.generate_scaled(scale);
     if let Err(e) = yafim::data::write_dat(&out, &tx) {
@@ -285,6 +275,23 @@ fn run_distributed(miner: Miner, c: &SimCluster, lines: Lines, support: Support)
 }
 
 fn cmd_mine() {
+    let valued = [
+        "--input",
+        "--support",
+        "--miner",
+        "--phase2",
+        "--nodes",
+        "--cores",
+        "--rules",
+        "--top",
+        "--fault-plan",
+        "--trace",
+        "--manifest",
+    ];
+    // `--critical-path` is read and ignored: `--report` replaced it, and
+    // the repo benchmark (`benchmark/src/e2e.rs`, `benchmark/src/layers.rs`)
+    // still passes it.
+    only("mine", &valued, &["--report", "--critical-path"]);
     let input = arg("--input").unwrap_or_else(|| usage());
     let support = parse_support(&arg("--support").unwrap_or_else(|| usage()));
     // YAFIM unless told otherwise; an unknown miner is refused before any
@@ -394,11 +401,6 @@ fn cmd_mine() {
             ("phase2", phase2.name().into()),
             ("nodes", (c.spec().nodes as u64).into()),
             ("cores_per_node", (c.spec().cores_per_node as u64).into()),
-            ("locality_wait", c.scheduler_config().locality_wait.into()),
-            (
-                "storage_fraction",
-                c.scheduler_config().storage_fraction.into(),
-            ),
         ]);
         let mut manifest = yafim::cluster::RunManifest::capture(
             "yafim-cli mine",
@@ -424,6 +426,15 @@ fn cmd_mine() {
 }
 
 fn cmd_compare() {
+    let valued = [
+        "--input",
+        "--support",
+        "--phase2",
+        "--nodes",
+        "--cores",
+        "--fault-plan",
+    ];
+    only("compare", &valued, &[]);
     let input = arg("--input").unwrap_or_else(|| usage());
     let support = parse_support(&arg("--support").unwrap_or_else(|| usage()));
     // A cluster each, all holding the one buffer; the first is also the one

@@ -1,7 +1,8 @@
 //! The `yafim-cli` binary from the outside: every Phase-II plan prints the
-//! summary sequential Apriori prints, a flag value the CLI cannot use is
-//! one line on stderr and a nonzero exit, never a silent default, and a
-//! reader that goes away ends the output without a word.
+//! summary sequential Apriori prints, a flag value the CLI cannot use or an
+//! argument it does not read is one line on stderr and a nonzero exit,
+//! never a silent default, and a reader that goes away ends the output
+//! without a word.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -132,6 +133,80 @@ fn an_unknown_miner_is_one_line_and_exit_2() {
     let out = mine("no-such-file.dat", &["--miner", "turbo"]);
     assert_eq!(out.status.code(), Some(2));
     assert_eq!(refusal(&out), "unknown miner: turbo\n");
+}
+
+#[test]
+fn an_argument_the_command_does_not_read_is_one_line_and_exit_1() {
+    let file = input("unknown");
+    let file = file.to_str().expect("utf-8 temp path");
+    for tail in [
+        &["--suport", "10%"][..],
+        &["--bogus-flag"],
+        &["--memory-fraction", "0.5"],
+        &["--locality-wait", "0"],
+        &["stray"],
+    ] {
+        let out = mine(file, tail);
+        assert_eq!(out.status.code(), Some(1), "{tail:?}");
+        assert_eq!(
+            refusal(&out),
+            format!("unknown argument for mine: {}\n", tail[0])
+        );
+    }
+    let out = cli(&["compare", "--input", file, "--support", "40%", "--report"]);
+    assert_eq!(refusal(&out), "unknown argument for compare: --report\n");
+    // The bare flag the repo benchmark still passes is read and ignored.
+    let plain = summary(&mine(file, &[]));
+    assert_eq!(summary(&mine(file, &["--critical-path"])), plain);
+    std::fs::remove_file(file).expect("own temp file");
+}
+
+#[test]
+fn a_support_of_nothing_or_more_than_everything_is_refused() {
+    for support in ["0", "0%", "101%", "NaN%", "-1", "ten"] {
+        let out = cli(&["mine", "--input", "no-such-file.dat", "--support", support]);
+        assert_ne!(out.status.code(), Some(0), "{support}");
+        assert!(refusal(&out).contains(support), "{support}");
+    }
+}
+
+#[test]
+fn each_usage_line_names_exactly_the_flags_its_command_reads() {
+    let usage = String::from_utf8(cli(&[]).stderr).expect("utf-8 usage");
+    let mut commands: Vec<(String, Vec<String>)> = Vec::new();
+    for line in usage.lines().skip(1) {
+        if let Some(rest) = line.trim_start().strip_prefix("yafim-cli ") {
+            let name = rest.split_whitespace().next().expect("a command");
+            commands.push((name.to_string(), Vec::new()));
+        }
+        let flags = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        let flags = flags.filter(|w| w.starts_with("--")).map(str::to_string);
+        commands
+            .last_mut()
+            .expect("a command line first")
+            .1
+            .extend(flags);
+    }
+    let names: Vec<&str> = commands.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["generate", "mine", "compare"]);
+    let mut every: Vec<String> = commands.iter().flat_map(|(_, f)| f.clone()).collect();
+    every.extend(["--memory-fraction", "--locality-wait", "--bogus"].map(String::from));
+    every.sort();
+    every.dedup();
+    for (command, listed) in &commands {
+        for flag in &every {
+            // A flag the command reads gets as far as the missing
+            // required ones (usage, exit 2); any other is refused.
+            let out = cli(&[command.as_str(), flag.as_str()]);
+            if listed.contains(flag) {
+                assert_eq!(out.status.code(), Some(2), "{command} {flag}: {out:?}");
+            } else {
+                assert_eq!(out.status.code(), Some(1), "{command} {flag}");
+                let line = format!("unknown argument for {command}: {flag}\n");
+                assert_eq!(refusal(&out), line);
+            }
+        }
+    }
 }
 
 #[test]
