@@ -20,10 +20,11 @@
 //! shaped like a Pumsb_star 65 % task (255 rows of ~21 of 25 items) and one
 //! like a T10I4D100K 0.25 % task (520 rows of ~11.5 of 782): the row
 //! triangle (the engine's loop: row-relative cells and a touched bit per
-//! cell) against the columnar build plus every pair's AND + popcount
-//! ([`ColumnarPartition::add_pairs`]), next to the two bounds
-//! [`pass2_bounds`] prices this one partition at. The faster layout on the
-//! host should be the one the rule picks.
+//! cell) against the columnar build plus [`ColumnarPartition::count_list`]
+//! over `C_2 = ap_gen(L1)`, every pair, as one flat [`CandidateList`] (what
+//! a columnar pass 2 counts as its chain job's first level), next to the
+//! two bounds [`pass2_bounds`] prices this one partition at. The faster
+//! layout on the host should be the one the rule picks.
 //!
 //! Last, a whole `k ≥ 3` pass as T10I4D100K 0.25 % runs it: 192 partitions
 //! of 521 TIDs over 782 ranks against 3 848 sorted 3-candidates, counted by
@@ -35,7 +36,7 @@ use yafim_bench::microbench::{bench, black_box, header};
 use yafim_cluster::CostModel;
 use yafim_core::bitmap::pass2_bounds;
 use yafim_core::encode::{tri_index, tri_len};
-use yafim_core::{BitmapScratch, CandidateList, CandidateTrie, ColumnarPartition, Itemset};
+use yafim_core::{ap_gen, BitmapScratch, CandidateList, CandidateTrie, ColumnarPartition, Itemset};
 use yafim_data::rng::StdRng;
 
 /// Dense-encoded transactions: `n` sorted, deduped draws over `0..items`.
@@ -143,9 +144,12 @@ fn pass_2(name: &str, txs: &[Vec<u32>], n: usize) {
     let by_rows = bench("rows: triangle fill", 50, || {
         rows_pass_2(black_box(txs), n, &mut acc, &mut touched)
     });
-    let by_columns = bench("columns: build + AND/popcount every pair", 50, || {
+    // The driver's list, built once: it is broadcast, not rebuilt per task.
+    let l1: Vec<Itemset> = (0..n as u32).map(Itemset::single).collect();
+    let list = CandidateList::new(&ap_gen(&l1).0);
+    let by_columns = bench("columns: build + count_list over every pair", 50, || {
         let col = ColumnarPartition::build(n, black_box(txs));
-        col.add_pairs(&BitmapScratch::default(), &mut acc)
+        col.count_list(&list, &mut BitmapScratch::default(), &mut acc)
     });
     let faster = if by_columns < by_rows {
         "columns"

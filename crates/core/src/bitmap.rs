@@ -25,8 +25,8 @@
 //! extensions.
 //!
 //! A pass's candidates travel as one flat `k`-strided [`CandidateList`],
-//! and the count over it is one loop with no call per candidate. That loop
-//! and the pair kernel are compiled twice, portable and for hardware
+//! pass 2's pairs included, and the count over it is one loop with no call
+//! per candidate. That loop is compiled twice, portable and for hardware
 //! popcount; a task's scratch picks one when it is made. Nothing modelled
 //! can tell which ran.
 
@@ -100,14 +100,16 @@ pub(crate) fn level_price(
 /// The candidate levels one bitmap job counts from `known` = `L_1 …
 /// L_{pass−1}` with their supports, over a store of `lines` lines in
 /// `tasks` tasks on `cluster`: the first level by the support-bounded
-/// `ap_gen` (`σ(∅) = lines`, MinSup `min_sup`), then the candidate chain,
-/// which admits no speculative level from the candidate
-/// level `from` when `J` (`ap_gen`'s join pairs over `from`) is 0 or passes
-/// `|from|` (the chain would grow), when the job's count array, its cells
-/// so far plus `J`, would pass the armed governor's per-task limit, or when
-/// the levels' summed [`level_price`] would pass one launch
-/// (`spark_job_overhead + spark_stage_overhead`): speculation never costs
-/// more than the job it saves. Returns the levels and their `ap_gen` work.
+/// `ap_gen` (`σ(∅) = lines`, MinSup `min_sup`; from pass 2 on, `C_2` is
+/// every pair of `L_1`), then the candidate chain, which admits no
+/// speculative level from the candidate level `from` when `J` (`ap_gen`'s
+/// join pairs over `from`) is 0, when `from` is itself speculative and `J`
+/// passes `|from|` (speculation would compound), when the job's count
+/// array, its cells so far plus `J`, would pass the armed governor's
+/// per-task limit, or when the levels' summed [`level_price`] would pass
+/// one launch (`spark_job_overhead + spark_stage_overhead`): speculation
+/// never costs more than the job it saves. Returns the levels and their
+/// `ap_gen` work.
 pub fn chained_levels(
     known: &[Vec<(Itemset, u64)>],
     pass: usize,
@@ -123,10 +125,14 @@ pub fn chained_levels(
     let launch = SimDuration::from_secs(cost.spark_job_overhead + cost.spark_stage_overhead);
     let (mut cells, mut spent) = (0u64, SimDuration::ZERO);
     let admit = &mut |from: &[Itemset], joins: u64| {
+        // The first level is counted either way; a level grown from it may
+        // be wider, one grown from a speculative level may not.
+        let first = cells == 0;
         cells += from.len() as u64;
         let k = from.first().map_or(1, Itemset::len) as u64 + 1;
         spent += level_price(cluster, k, joins, tasks as u64, words);
-        (1..=from.len() as u64).contains(&joins)
+        joins >= 1
+            && (first || joins <= from.len() as u64)
             && limit.is_none_or(|limit| 8 * (cells + joins) <= limit)
             && spent <= launch
     };
@@ -139,7 +145,6 @@ pub fn chained_levels(
 /// `r` is set iff partition-local transaction `t` contains rank `r`.
 #[derive(Clone, Debug)]
 pub struct ColumnarPartition {
-    n_items: usize,
     words_per_item: usize,
     /// `rows[r * words_per_item .. (r + 1) * words_per_item]` is row `r`.
     rows: Vec<u64>,
@@ -173,7 +178,6 @@ impl ColumnarPartition {
             set_bits += t.len() as u64;
         }
         ColumnarPartition {
-            n_items,
             words_per_item,
             rows,
             set_bits,
@@ -244,19 +248,6 @@ impl ColumnarPartition {
         }
         count_list_body(self, list, &mut scratch.levels, acc)
     }
-
-    /// Add every pair `{a, b}`'s support into `acc[tri_index(a, b)]`
-    /// ([`tri_index`](crate::encode::tri_index)), `C_2` implicit, on the
-    /// instruction set `scratch` picked. Returns the words intersected,
-    /// `n(n−1)/2 · words_per_item`, and the pairs found.
-    pub fn add_pairs(&self, scratch: &BitmapScratch, acc: &mut [u64]) -> (u64, u64) {
-        #[cfg(target_arch = "x86_64")]
-        if scratch.popcnt {
-            // SAFETY: as in `count_list`.
-            return unsafe { add_pairs_popcnt(self, acc) };
-        }
-        add_pairs_body(self, acc)
-    }
 }
 
 impl ByteSize for ColumnarPartition {
@@ -265,7 +256,7 @@ impl ByteSize for ColumnarPartition {
     }
 }
 
-/// The bitmap plan's `k ≥ 3` count, one flat loop: `list`'s candidates in
+/// The bitmap plan's count, one flat loop: `list`'s candidates in
 /// order, the stored prefix levels in one `(k−2)·w` buffer, each support
 /// added straight into its cell. Level `d` holds `row(c[0]) ∧ … ∧
 /// row(c[d+1])`, so a `k`-candidate keeps levels `0..k-2` and streams the
@@ -337,22 +328,6 @@ fn and_count(a: &[u64], b: &[u64]) -> u64 {
     words.map(|(x, y)| u64::from((x & y).count_ones())).sum()
 }
 
-/// Every pair of `col`'s item rows, ANDed and popcounted into its triangle
-/// cell; see [`ColumnarPartition::add_pairs`].
-#[inline(always)]
-fn add_pairs_body(col: &ColumnarPartition, acc: &mut [u64]) -> (u64, u64) {
-    let n = col.n_items;
-    debug_assert_eq!(acc.len(), tri_len(n), "a triangle over this store's ranks");
-    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
-    let mut found = 0;
-    for (cell, (a, b)) in acc.iter_mut().zip(pairs) {
-        let count = and_count(col.row(a), col.row(b));
-        *cell += count;
-        found += u64::from(count > 0);
-    }
-    ((tri_len(n) * col.words_per_item) as u64, found)
-}
-
 /// [`count_list_body`] compiled a second time, for hardware popcount: the
 /// whole loop, so every `count_ones` in it is one instruction.
 #[cfg(target_arch = "x86_64")]
@@ -364,13 +339,6 @@ fn count_list_popcnt(
     acc: &mut [u64],
 ) -> (u64, u64) {
     count_list_body(col, list, levels, acc)
-}
-
-/// [`add_pairs_body`] compiled for hardware popcount.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt")]
-fn add_pairs_popcnt(col: &ColumnarPartition, acc: &mut [u64]) -> (u64, u64) {
-    add_pairs_body(col, acc)
 }
 
 /// One pass's candidates as one `k`-strided arena, in `ap_gen`'s sorted
@@ -420,9 +388,9 @@ impl ByteSize for CandidateList {
     }
 }
 
-/// One task's state for the columnar kernels: the prefix levels of
+/// One task's state for the columnar kernel: the prefix levels of
 /// [`ColumnarPartition::count_list`], reused across candidates and passes,
-/// and the instruction set both kernels run on, picked when the scratch is
+/// and the instruction set the kernel runs on, picked when the scratch is
 /// made: hardware popcount where the host has it, the portable body
 /// elsewhere. Counts and words are the same either way.
 pub struct BitmapScratch {
@@ -682,31 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn the_pair_kernel_is_the_same_on_either_body() {
-        let txs = txs();
-        let col = ColumnarPartition::build(6, &txs);
-        let portable = BitmapScratch {
-            levels: Vec::new(),
-            popcnt: false,
-        };
-        let run = |scratch: &BitmapScratch| {
-            let mut acc = vec![0u64; tri_len(6)];
-            (col.add_pairs(scratch, &mut acc), acc)
-        };
-        let (got, acc) = run(&portable);
-        assert_eq!(got, run(&BitmapScratch::default()).0);
-        assert_eq!(acc, run(&BitmapScratch::default()).1);
-        for (cell, (a, b)) in (0..6)
-            .flat_map(|a| (a + 1..6).map(move |b| (a, b)))
-            .enumerate()
-        {
-            let pair = Itemset::from_sorted(vec![a, b]);
-            assert_eq!(acc[cell], count_naive(&txs, &pair), "{pair}");
-        }
-        assert_eq!(got.0, 15 * 2);
-    }
-
-    #[test]
     fn the_chain_stops_where_it_would_grow_cost_a_launch_or_pass_the_limit() {
         use crate::candidates::{ap_gen, join_pairs, tests::random_level};
         use yafim_cluster::{ClusterSpec, CostModel, FaultPlan};
@@ -724,12 +667,13 @@ mod tests {
                 .len()
         };
         // Every pair of 4 items: 4 triples join once into 1 quadruple, then
-        // nothing; every pair of 8: 56 triples would join 70 times.
+        // nothing; every pair of 8: 56 triples join 70 times, and from there
+        // the chain narrows.
         let (small, wide): (Vec<_>, Vec<_>) = (pairs(4).collect(), pairs(8).collect());
         assert_eq!(levels(&small, 0, &cluster(), 8), 2);
         let unpriced = job_candidates(ap_gen(&wide), 3, 0, Chain::Levels(usize::MAX)).0;
         assert_eq!(unpriced.len(), 6);
-        assert_eq!(levels(&wide, 0, &cluster(), 8), 1, "the chain would grow");
+        assert_eq!(levels(&wide, 0, &cluster(), 8), 6, "grown from the first");
         assert_eq!(levels(&small, 3, &cluster(), 8), 1, "max_passes");
         // Ten million tasks' result combine costs more than a launch.
         assert_eq!(levels(&small, 0, &cluster(), 10_000_000), 1, "priced out");
@@ -745,10 +689,33 @@ mod tests {
             let full = job_candidates(ap_gen(&seed), k + 1, 0, Chain::Levels(usize::MAX)).0;
             let (chain, _) = chained_levels(&known(&seed), k + 1, 0, &cluster(), 1000, tasks, 1);
             assert_eq!(chain[..], full[..chain.len()], "a prefix of the chain");
-            for from in &chain[..chain.len().saturating_sub(1)] {
-                assert!((1..=from.len() as u64).contains(&join_pairs(from)));
+            // Only a level grown from a speculative one is held to `J ≤ |from|`.
+            for (i, from) in chain[..chain.len().saturating_sub(1)].iter().enumerate() {
+                let most = if i == 0 { u64::MAX } else { from.len() as u64 };
+                assert!((1..=most).contains(&join_pairs(from)));
             }
         }
+    }
+
+    #[test]
+    fn a_level_grown_from_the_first_may_be_wider_but_speculation_never_compounds() {
+        use crate::candidates::join_pairs;
+        use yafim_cluster::{ClusterSpec, CostModel};
+        let cluster = SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
+        // Pass 2 over 8 frequent items: `C_2` is their 28 pairs, which join
+        // 56 times into every triple; the 56 triples would join 70 times.
+        let l1: Vec<_> = (0..8).map(|i| (Itemset::single(i), 100)).collect();
+        let known = std::slice::from_ref(&l1);
+        let chain = |tasks| chained_levels(known, 2, 0, &cluster, 1000, tasks, 1).0;
+        let levels = chain(8);
+        let sizes: Vec<usize> = levels.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [28, 56], "level 3 admitted, level 4 refused");
+        assert!(join_pairs(&levels[0]) > 28 && join_pairs(&levels[1]) > 56);
+        let words = (1000usize.div_ceil(64) + 8) as u64;
+        let launch = cluster.cost().spark_job_overhead + cluster.cost().spark_stage_overhead;
+        assert!(level_price(&cluster, 3, 56, 8, words).as_secs() <= launch);
+        // Priced over a launch, level 3 is not admitted either.
+        assert_eq!(chain(10_000_000).len(), 1);
     }
 
     #[test]

@@ -45,9 +45,9 @@
 //! * **specialized pass 2** — `|C_2| = |L1|·(|L1|−1)/2` makes pass 2 the
 //!   dominant iteration; over dense ranks it needs no candidate store at
 //!   all, just a flat triangular count array indexed by item pair, filled
-//!   row by row, or under [`Phase2Plan::Bitmap`] on dense data by AND +
-//!   popcount of the columnar store's item rows, when pass 1's totals price
-//!   the columns below the rows ([`pass2_bounds`]).
+//!   row by row; under [`Phase2Plan::Bitmap`] on dense data, when pass 1's
+//!   totals price the columns below the rows ([`pass2_bounds`]), `C_2` is
+//!   instead the first level of a bitmap job, which may count level 3 too.
 //! * **cross-pass trimming** — after each `L_k` a DHP-style trim drops items
 //!   that occur in no frequent `k`-itemset plus transactions too short to
 //!   hold a `(k+1)`-candidate, re-caching the shrunken RDD (and unpersisting
@@ -120,8 +120,9 @@ pub enum Phase2Plan {
     /// [`ColumnarPartition`] (one `u64` bitset row per dense rank) and
     /// candidates are counted by word-wise AND + popcount of item rows — no
     /// broadcast store, no per-transaction descent — and trimming stops
-    /// once that store is built. From pass 3 on a job counts every level
-    /// the priced candidate chain admits
+    /// once that store is built. A bitmap job from pass 3 on, or from a
+    /// pass 2 priced onto the columns, counts every level the priced
+    /// candidate chain admits
     /// ([`chained_levels`](crate::bitmap::chained_levels)) in one stage,
     /// and its pass record spans them. An alphabet beyond
     /// [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS) counts with the
@@ -158,11 +159,10 @@ impl Phase2Plan {
 /// `Yafim::choose_counter`, with the pass's candidates.
 enum Counter {
     /// Flat pair array over dense ranks (pass 2 only; `C_2` stays implicit),
-    /// filled row by row, or with `columns` from every pair of item rows of
-    /// the columnar store, which the pass builds.
-    Pairs { columns: bool },
+    /// filled row by row.
+    Pairs,
     /// Word-wise AND + popcount over the cached columnar store, of one
-    /// level or, from pass 3 on, of every level of the priced chain.
+    /// level or every level of the priced chain.
     Bitmap(Vec<Vec<Itemset>>),
     /// Broadcast prefix trie.
     Trie(Vec<Itemset>),
@@ -174,8 +174,8 @@ impl Counter {
     /// What the pass record says counted the pass.
     fn name(&self) -> &'static str {
         match self {
-            Counter::Pairs { columns: false } => "triangle",
-            Counter::Pairs { columns: true } | Counter::Bitmap(_) => "bitmap",
+            Counter::Pairs => "triangle",
+            Counter::Bitmap(_) => "bitmap",
             Counter::Trie(_) => "trie",
             Counter::HashTree(_) => "hash tree",
         }
@@ -425,9 +425,7 @@ impl Yafim {
             };
             let counted_by = counter.name();
             let mut counted = match counter {
-                Counter::Pairs { columns } => {
-                    vec![self.pass2(&mut held, n_dense, columns, min_sup)?]
-                }
+                Counter::Pairs => vec![self.pass2(&held.work, n_dense, min_sup)?],
                 Counter::Bitmap(levels) => {
                     self.pass_bitmap(&mut held, n_dense, levels, pass, min_sup)?
                 }
@@ -578,8 +576,9 @@ impl Yafim {
     /// `tasks` tasks with `occ` dense occurrences: a `Bitmap` pass 2 counts
     /// columns when [`pass2_bounds`] prices them below the rows and the
     /// arena plus the triangle fit the task limit, rows otherwise (not a
-    /// step-down: nothing degraded). From pass 3 on the bitmap counts every
-    /// level [`chained_levels`] admits; every other counter counts one.
+    /// step-down: nothing degraded). A columnar pass 2 and every bitmap pass
+    /// from 3 on count every level [`chained_levels`] admits; every other
+    /// counter counts one.
     /// `known` is every level so far, `L_{pass−1}` last: a projecting plan
     /// generates a job's first level with the support bound
     /// ([`ap_gen_bounded`]), noting what it dropped; `Paper` keeps the
@@ -600,19 +599,22 @@ impl Yafim {
         let over_limit = |bytes: u64| limit.is_some_and(|l| bytes > l);
 
         let n_pairs = tri_len(n_dense);
+        let mut columns = false;
         if pass == 2 && plan.projects() && n_pairs <= TRIANGLE_MAX_CELLS {
             let triangle = triangle_footprint(n_dense);
-            if !over_limit(triangle) {
-                if n_pairs == 0 {
-                    return None; // |L1| < 2: no pairs to count
-                }
-                // Columns hold the arena and the triangle in one task.
+            if over_limit(triangle) {
+                self.note_degradation(pass, "triangle array -> candidate store");
+            } else if n_pairs == 0 {
+                return None; // |L1| < 2: no pairs to count
+            } else {
+                // Columns hold the arena and the pairs' counts in one task.
                 let admissible = bitmap_arena.map(|arena| !over_limit(arena + triangle));
                 let units = pass2_bounds(n_dense, lines, tasks, occ);
-                let columns = admissible.is_some_and(|a| self.pass2_layout(units, a));
-                return Some(Counter::Pairs { columns });
+                columns = admissible.is_some_and(|a| self.pass2_layout(units, a));
+                if !columns {
+                    return Some(Counter::Pairs);
+                }
             }
-            self.note_degradation(pass, "triangle array -> candidate store");
         }
 
         // An arena already built and cached keeps serving — only its
@@ -627,7 +629,7 @@ impl Yafim {
         // counter runs, so their pass metadata agrees.
         let (cluster, max) = (ctx.cluster(), self.config.max_passes);
         let min_sup = self.config.min_support.resolve(lines as u64);
-        let (mut levels, work) = if bitmap_arena.is_some() && pass >= 3 {
+        let (mut levels, work) = if bitmap_arena.is_some() && (pass >= 3 || columns) {
             chained_levels(known, pass, max, cluster, lines, tasks, min_sup)
         } else {
             let first = if plan.projects() {
@@ -699,62 +701,36 @@ impl Yafim {
     /// Specialized pass 2 over dense ranks: a flat triangular count array
     /// indexed by item pair — no candidate store, no broadcast, no
     /// per-candidate allocation — filled row by row over `work`
-    /// ([`count_pairs`]) or, with `columns`, from every pair of item rows of
-    /// the columnar store, which this pass builds
-    /// ([`count_column_pairs`]). Triangle cell `tri_index(a, b)` coincides
-    /// with `ap_gen(L1)`'s candidate index for `{a, b}`, so counts (and the
+    /// ([`count_pairs`]). Triangle cell `tri_index(a, b)` coincides with
+    /// `ap_gen(L1)`'s candidate index for `{a, b}`, so counts (and the
     /// reported candidate total) are identical to the store path.
     ///
     /// Returns `(|C2|, L2 in rank space)`.
     fn pass2(
         &self,
-        held: &mut Held,
+        work: &Rdd<TxBlock>,
         n_dense: usize,
-        columns: bool,
         min_sup: u64,
     ) -> Result<PassOutcome, ExecError> {
         let metrics = self.ctx.metrics().clone();
         let cost = self.ctx.cluster().cost().clone();
         let n_candidates = tri_len(n_dense);
-        // The triangle is each task's execution memory; an injected (or
-        // real) denial kills the attempt into the retry ladder.
-        let reserve =
-            move |tc: &TaskContext| tc.try_reserve(8 * n_candidates as u64, Site::Triangle);
-
-        let counted = if columns {
-            let columnar = self.build_columnar(held, n_dense);
-            metrics.note_engine(&EngineCounters {
-                bitmap_passes: 1,
-                bitmap_candidates_counted: n_candidates as u64,
-                ..EngineCounters::default()
-            });
-            self.count_pass(&columnar, 2, n_candidates, min_sup, move |acc, cols, tc| {
-                reserve(tc);
-                // One AND+popcount per word, one emission per nonzero pair.
-                let (words, cells) = count_column_pairs(acc, cols);
-                tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
-                metrics.note_engine(&EngineCounters {
-                    bitmap_words_intersected: words,
-                    ..EngineCounters::default()
-                });
-                cells
-            })?
-        } else {
-            metrics.advance_with_event(
-                cost.cpu(n_dense as u64),
-                EventKind::Driver,
-                format!("pass 2 triangle setup ({n_candidates} pairs)"),
-            );
-            self.count_pass(&held.work, 2, n_candidates, min_sup, move |acc, txs, tc| {
-                reserve(tc);
-                let (pairs, cells) = count_pairs(acc, txs, n_dense);
-                // One cheap array touch per pair, plus one emission per
-                // nonzero cell — no tree descent, no subset checks.
-                tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
-                tc.add_cpu(cells);
-                cells
-            })?
-        };
+        metrics.advance_with_event(
+            cost.cpu(n_dense as u64),
+            EventKind::Driver,
+            format!("pass 2 triangle setup ({n_candidates} pairs)"),
+        );
+        let counted = self.count_pass(work, 2, n_candidates, min_sup, move |acc, txs, tc| {
+            // The triangle is each task's execution memory; an injected (or
+            // real) denial kills the attempt into the retry ladder.
+            tc.try_reserve(8 * n_candidates as u64, Site::Triangle);
+            let (pairs, cells) = count_pairs(acc, txs, n_dense);
+            // One cheap array touch per pair, plus one emission per
+            // nonzero cell — no tree descent, no subset checks.
+            tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
+            tc.add_cpu(cells);
+            cells
+        })?;
 
         let pair = |(idx, c): (u32, u64)| {
             let (a, b) = tri_pair(n_dense, idx as usize);
@@ -1217,15 +1193,6 @@ fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
     (pairs, cells)
 }
 
-/// Add every pair's support in the columnar partitions `cols` into `acc`, a
-/// triangular array over their ranks. Returns the number of words
-/// intersected and of nonzero supports found (one per pair and partition).
-fn count_column_pairs(acc: &mut [u64], cols: &[ColumnarPartition]) -> (u64, u64) {
-    let scratch = BitmapScratch::default();
-    let sums = cols.iter().map(|col| col.add_pairs(&scratch, acc));
-    sums.fold((0, 0), |(words, cells), (w, c)| (words + w, cells + c))
-}
-
 /// Add one to `acc[i]` for every candidate `i` of `store` contained in each
 /// transaction of `txs`. Returns the store's visit count, the number of
 /// matches and the number of distinct candidates matched.
@@ -1459,6 +1426,22 @@ mod tests {
     }
 
     #[test]
+    fn a_columnar_pass_2_counts_level_3_in_its_job_and_rows_count_pass_2_alone() {
+        // About seven of eight items a line: the columns price far below
+        // the rows. `toy()` is sparse, so its rows price below the columns.
+        let dense: Vec<Vec<Item>> = (0..640u32)
+            .map(|i| (1..=8).filter(|x| (i + x) % 7 != 0).collect())
+            .collect();
+        for (txs, counter, last) in [(dense, "bitmap", 3), (toy(), "triangle", 2)] {
+            let support = Support::Fraction(0.5);
+            let run = mine_in_memory(&ctx(), &txs, YafimConfig::bitmap(support));
+            assert_eq!(run.result, apriori(&txs, support), "{counter}");
+            let pass2 = &run.passes[1];
+            assert_eq!((pass2.pass, pass2.last, pass2.counter), (2, last, counter));
+        }
+    }
+
+    #[test]
     fn bitmap_run_counts_through_the_columnar_store() {
         let c = ctx();
         mine_in_memory(&c, &toy(), YafimConfig::bitmap(Support::Count(2)));
@@ -1563,11 +1546,6 @@ mod tests {
                 assert_eq!(added, sparse, "{label}");
 
                 let cols = [ColumnarPartition::build(n_dense, &txs)];
-                let fold = |acc: &mut [u64]| count_column_pairs(acc, &cols);
-                let words = (tri_len(n_dense) * cols[0].arena_words() / n_dense) as u64;
-                let (new, added) = folded(tri_len(n_dense), fold);
-                assert_eq!(new, (words, sparse.len() as u64), "columns {label}");
-                assert_eq!(added, sparse, "columns {label}");
                 for candidates in levels.iter().filter(|l| !l.is_empty()) {
                     let stores: [Box<dyn CandidateStore>; 2] = [
                         Box::new(CandidateTrie::build(candidates.clone())),

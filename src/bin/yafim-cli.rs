@@ -61,7 +61,7 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// `--name value` lookup over argv.
+/// `--name value` lookup over argv, which [`only`] has checked.
 fn arg(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -74,18 +74,27 @@ fn flag(name: &str) -> bool {
 }
 
 /// Refuse, in one line and exit 1, any argument `command` does not read:
-/// it reads `--name value` for each of `valued` and the bare `switches`.
-/// A misspelt flag would otherwise run another experiment than the one
-/// asked for.
+/// it reads `--name value` for each of `valued` and the bare `switches`,
+/// each at most once. A misspelt flag, a flag given twice or a value left
+/// out (last, or followed by another `--flag`) would otherwise run another
+/// experiment than the one asked for.
 fn only(command: &str, valued: &[&str], switches: &[&str]) {
+    let mut seen = Vec::new();
     let mut args = std::env::args().skip(2);
     while let Some(a) = args.next() {
-        if valued.contains(&a.as_str()) {
-            args.next();
-        } else if !switches.contains(&a.as_str()) {
-            eprintln!("unknown argument for {command}: {a}");
-            exit(1)
-        }
+        let takes_value = valued.contains(&a.as_str());
+        let refusal = if !takes_value && !switches.contains(&a.as_str()) {
+            "unknown argument"
+        } else if seen.contains(&a) {
+            "repeated argument"
+        } else if takes_value && args.next().is_none_or(|v| v.starts_with("--")) {
+            "missing value"
+        } else {
+            seen.push(a);
+            continue;
+        };
+        eprintln!("{refusal} for {command}: {a}");
+        exit(1)
     }
 }
 

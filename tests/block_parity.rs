@@ -5,8 +5,9 @@
 //! public RDD operators: `text_file → map(parse_transaction) → cache`,
 //! `flat_map → map → reduce_by_key` (`→ try_aggregate`, one partial record
 //! per distinct item, when the plan projects), `map(encode) → filter`,
-//! `map(retain) → filter`, the columnar build (in pass 2 when the bitmap
-//! plan's rule prices columns below rows), and every fold over
+//! `map(retain) → filter`, the columnar build (in pass 2, whose pairs then
+//! start a priced chain, when the bitmap plan's rule prices columns below
+//! rows), and every fold over
 //! `&[Vec<Item>]`. `Yafim::mine`
 //! has to return what it returns and leave the same clock (by bits), work
 //! and engine counters, record counts and cache high-water mark behind,
@@ -270,65 +271,35 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
     let mut pass = 2;
     loop {
         let prev = levels.last().expect("never empty");
-        let counted: Vec<Vec<(Itemset, u64)>> = if pass == 2 && projects {
+        // Pass 2's layout rule: the bitmap plan counts `C_2` as the first
+        // level of a chain job when it prices the columns below the rows.
+        let columns = pass == 2 && plan == Phase2Plan::Bitmap && by_columns < by_rows;
+        let counted: Vec<Vec<(Itemset, u64)>> = if pass == 2 && projects && !columns {
             let n_candidates = tri_len(n_dense);
             if n_candidates == 0 {
                 break;
             }
-            let counted = if plan == Phase2Plan::Bitmap && by_columns < by_rows {
-                // Every pair of item rows, ANDed and popcounted.
-                let cols = &*columnar.insert(columnar_of(&work));
-                metrics.note_engine(&EngineCounters {
-                    bitmap_passes: 1,
-                    bitmap_candidates_counted: n_candidates as u64,
-                    ..EngineCounters::default()
+            metrics.advance_with_event(
+                cost.cpu(n_dense as u64),
+                EventKind::Driver,
+                "pass 2 triangle setup",
+            );
+            let counted = count_pass(&work, true, n_candidates, min_sup, move |acc, txs, tc| {
+                let mut pairs = 0u64;
+                let cells = fold_fresh(acc, |fresh| {
+                    for t in txs {
+                        for (i, &a) in t.iter().enumerate() {
+                            for &b in &t[i + 1..] {
+                                fresh[tri_index(n_dense, a as usize, b as usize)] += 1;
+                                pairs += 1;
+                            }
+                        }
+                    }
                 });
-                let noted = metrics.clone();
-                count_pass(cols, true, n_candidates, min_sup, move |acc, cols, tc| {
-                    let mut words = 0u64;
-                    let cells = fold_fresh(acc, |fresh| {
-                        for col in cols {
-                            for a in 0..n_dense {
-                                for b in a + 1..n_dense {
-                                    let (x, y) = (col.row(a), col.row(b));
-                                    let both = x.iter().zip(y).map(|(x, y)| x & y);
-                                    let count: u32 = both.map(u64::count_ones).sum();
-                                    fresh[tri_index(n_dense, a, b)] += u64::from(count);
-                                    words += x.len() as u64;
-                                }
-                            }
-                        }
-                    });
-                    tc.add_cpu(words * JVM_BITMAP_WORD_UNITS + cells);
-                    noted.note_engine(&EngineCounters {
-                        bitmap_words_intersected: words,
-                        ..EngineCounters::default()
-                    });
-                    cells
-                })
-            } else {
-                metrics.advance_with_event(
-                    cost.cpu(n_dense as u64),
-                    EventKind::Driver,
-                    "pass 2 triangle setup",
-                );
-                count_pass(&work, true, n_candidates, min_sup, move |acc, txs, tc| {
-                    let mut pairs = 0u64;
-                    let cells = fold_fresh(acc, |fresh| {
-                        for t in txs {
-                            for (i, &a) in t.iter().enumerate() {
-                                for &b in &t[i + 1..] {
-                                    fresh[tri_index(n_dense, a as usize, b as usize)] += 1;
-                                    pairs += 1;
-                                }
-                            }
-                        }
-                    });
-                    tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
-                    tc.add_cpu(cells);
-                    cells
-                })
-            };
+                tc.add_cpu(pairs * JVM_PAIR_COUNT_UNITS);
+                tc.add_cpu(cells);
+                cells
+            });
             let pair = |(idx, c): (u32, u64)| {
                 let (a, b) = tri_pair(n_dense, idx as usize);
                 (Itemset::from_sorted(vec![a as u32, b as u32]), c)
@@ -336,11 +307,11 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
             vec![counted.into_iter().map(pair).collect()]
         } else {
             // The bitmap plan counts every level of its priced chain from
-            // pass 3 on, every other counter one level: the chain capped at
-            // `pass`.
+            // pass 3 on and from a columnar pass 2, every other counter one
+            // level: the chain capped at `pass`.
             // A projecting plan bounds the job's first level by the
             // supports below it; the paper plan generates `ap_gen(L_{k-1})`.
-            let chained = plan == Phase2Plan::Bitmap && pass >= 3;
+            let chained = plan == Phase2Plan::Bitmap && (pass >= 3 || columns);
             let (lines, cap) = (file.num_lines(), if chained { 0 } else { pass });
             let (chain, gen) = if projects {
                 chained_levels(&levels, pass, cap, ctx.cluster(), lines, splits, min_sup)

@@ -162,6 +162,32 @@ fn an_argument_the_command_does_not_read_is_one_line_and_exit_1() {
 }
 
 #[test]
+fn a_flag_without_its_value_or_given_twice_is_one_line_and_exit_1() {
+    let file = input("missing");
+    let file = file.to_str().expect("utf-8 temp path");
+    for (tail, line) in [
+        ("--fault-plan", "missing value for mine: --fault-plan"),
+        ("--manifest --report", "missing value for mine: --manifest"),
+        ("--nodes --cores 2", "missing value for mine: --nodes"),
+        ("--nodes 4 --nodes 0", "repeated argument for mine: --nodes"),
+        ("--report --report", "repeated argument for mine: --report"),
+        ("--support 10%", "repeated argument for mine: --support"),
+    ] {
+        let out = mine(file, &tail.split(' ').collect::<Vec<_>>());
+        assert_eq!(out.status.code(), Some(1), "{tail:?}");
+        assert_eq!(refusal(&out), format!("{line}\n"), "{tail:?}");
+    }
+    let out = cli(&["compare", "--input", file, "--support"]);
+    assert_eq!(refusal(&out), "missing value for compare: --support\n");
+    let out = cli(&["generate", "--out", "a.dat", "--out", "b.dat"]);
+    assert_eq!(refusal(&out), "repeated argument for generate: --out\n");
+    // A value may start with one dash.
+    let out = cli(&["mine", "--input", "no-such-file.dat", "--support", "-1"]);
+    assert_eq!(refusal(&out), "bad support count: -1\n");
+    std::fs::remove_file(file).expect("own temp file");
+}
+
+#[test]
 fn a_support_of_nothing_or_more_than_everything_is_refused() {
     for support in ["0", "0%", "101%", "NaN%", "-1", "ten"] {
         let out = cli(&["mine", "--input", "no-such-file.dat", "--support", support]);
@@ -174,19 +200,26 @@ fn a_support_of_nothing_or_more_than_everything_is_refused() {
 fn each_usage_line_names_exactly_the_flags_its_command_reads() {
     let usage = String::from_utf8(cli(&[]).stderr).expect("utf-8 usage");
     let mut commands: Vec<(String, Vec<String>)> = Vec::new();
+    // The flags the usage shows a value after (`--nodes N`), not a `]`.
+    let mut valued: Vec<String> = Vec::new();
     for line in usage.lines().skip(1) {
         if let Some(rest) = line.trim_start().strip_prefix("yafim-cli ") {
             let name = rest.split_whitespace().next().expect("a command");
             commands.push((name.to_string(), Vec::new()));
         }
-        let flags = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
-        let flags = flags.filter(|w| w.starts_with("--")).map(str::to_string);
-        commands
-            .last_mut()
-            .expect("a command line first")
-            .1
-            .extend(flags);
+        let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+        let flags = words.filter(|w| w.starts_with("--")).map(str::to_string);
+        for flag in flags {
+            let after = line.split(flag.as_str()).nth(1).expect("the flag");
+            if after.starts_with(' ') {
+                valued.push(flag.clone());
+            }
+            let listed = &mut commands.last_mut().expect("a command line first").1;
+            listed.push(flag);
+        }
     }
+    assert!(!valued.contains(&"--report".to_string()), "{valued:?}");
+    assert!(valued.contains(&"--nodes".to_string()), "{valued:?}");
     let names: Vec<&str> = commands.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(names, ["generate", "mine", "compare"]);
     let mut every: Vec<String> = commands.iter().flat_map(|(_, f)| f.clone()).collect();
@@ -195,10 +228,16 @@ fn each_usage_line_names_exactly_the_flags_its_command_reads() {
     every.dedup();
     for (command, listed) in &commands {
         for flag in &every {
-            // A flag the command reads gets as far as the missing
-            // required ones (usage, exit 2); any other is refused.
+            // A flag the command reads, with its value if it takes one,
+            // gets as far as the missing required ones (usage, exit 2);
+            // without it, it is refused; any other is refused.
             let out = cli(&[command.as_str(), flag.as_str()]);
-            if listed.contains(flag) {
+            if listed.contains(flag) && valued.contains(flag) {
+                let line = format!("missing value for {command}: {flag}\n");
+                assert_eq!(refusal(&out), line);
+                let out = cli(&[command.as_str(), flag.as_str(), "1"]);
+                assert_eq!(out.status.code(), Some(2), "{command} {flag} 1: {out:?}");
+            } else if listed.contains(flag) {
                 assert_eq!(out.status.code(), Some(2), "{command} {flag}: {out:?}");
             } else {
                 assert_eq!(out.status.code(), Some(1), "{command} {flag}");
@@ -305,8 +344,12 @@ fn an_out_of_range_fault_plan_is_one_line_and_exit_1() {
 
 #[test]
 fn a_checkpoint_block_with_no_replica_left_is_one_line_and_exit_1() {
-    let file = input("ckpt");
-    let file = file.to_str().expect("utf-8 temp path");
+    // Medical, so that the bitmap plan counts pass 2 by rows and builds its
+    // columnar store over the checkpoint taken after it (on MushRoom its
+    // first job counts passes 2 and 3 and no job reads a checkpoint again).
+    let path = std::env::temp_dir().join(format!("yafim-cli-ckpt-{}.dat", std::process::id()));
+    write_dat(&path, &PaperDataset::Medical.generate_scaled(0.1)).expect("temp dir writable");
+    let file = path.to_str().expect("utf-8 temp path");
     let plan = std::env::temp_dir().join(format!("yafim-cli-ckpt-{}.json", std::process::id()));
     let plan = plan.to_str().expect("utf-8 temp path");
     // Three of four nodes die at 3 s: some checkpoint block loses every
@@ -315,7 +358,16 @@ fn a_checkpoint_block_with_no_replica_left_is_one_line_and_exit_1() {
     std::fs::write(plan, json).expect("temp dir writable");
     for phase2 in ["opt", "bitmap"] {
         let flags = ["--nodes", "4", "--cores", "2", "--phase2", phase2];
-        let out = mine(file, &[&["--fault-plan", plan][..], &flags].concat());
+        let head = [
+            "mine",
+            "--input",
+            file,
+            "--support",
+            "3%",
+            "--fault-plan",
+            plan,
+        ];
+        let out = cli(&[&head[..], &flags].concat());
         assert_eq!(out.status.code(), Some(1), "{phase2}: {out:?}");
         let line = refusal(&out);
         let says = "spark miner refused the run: data integrity failure: checkpoint rdd";
@@ -328,8 +380,8 @@ fn a_checkpoint_block_with_no_replica_left_is_one_line_and_exit_1() {
 #[test]
 fn a_checkpoint_the_columnar_store_reads_outlives_later_checkpoints() {
     // Both count pass 2 by rows, so the bitmap plan builds its columnar
-    // store over the checkpoint taken after pass 2, and Medical then runs
-    // two bitmap jobs. A later checkpoint must not delete those blocks: the
+    // store over the checkpoint taken after pass 2, and Medical at 5 % then
+    // runs two bitmap jobs. A later checkpoint must not delete those blocks: the
     // store's lineage runs through them. T10 also keeps them when three of
     // four nodes die at 3 s, after they were written.
     let plan = std::env::temp_dir().join(format!("yafim-cli-cols-{}.json", std::process::id()));
@@ -343,7 +395,7 @@ fn a_checkpoint_the_columnar_store_reads_outlives_later_checkpoints() {
             "0.25%",
             &[every_job, and_loss][..],
         ),
-        (PaperDataset::Medical, 0.1, "3%", &[every_job]),
+        (PaperDataset::Medical, 0.1, "5%", &[every_job]),
     ] {
         let path = std::env::temp_dir().join(format!("yafim-cli-cols-{}.dat", std::process::id()));
         write_dat(&path, &data.generate_scaled(scale)).expect("temp dir writable");
