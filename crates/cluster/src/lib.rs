@@ -76,8 +76,8 @@ pub use memgov::{
     SPILL_GRANULE,
 };
 pub use metrics::{
-    DropCounts, EngineCounters, Event, EventKind, JobSpan, Metrics, MetricsCapacity,
-    MetricsSnapshot, PassTiming, StageKind, StageSpan, TaskSpan,
+    DropCounts, EngineCounters, Event, EventKind, JobSpan, Metrics, MetricsSnapshot, PassTiming,
+    StageKind, StageSpan, TaskSpan,
 };
 pub use pool::ThreadPool;
 pub use report::full_report;

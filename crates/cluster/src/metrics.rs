@@ -328,7 +328,7 @@ counter_table! {
 
 /// Ring-buffer capacities for the in-memory logs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MetricsCapacity {
+pub(crate) struct MetricsCapacity {
     /// Max retained flat events.
     pub events: usize,
     /// Max retained job spans.
@@ -448,7 +448,7 @@ impl Metrics {
     }
 
     /// A fresh metrics sink with explicit ring-buffer capacities.
-    pub fn with_capacity(capacity: MetricsCapacity) -> Self {
+    pub(crate) fn with_capacity(capacity: MetricsCapacity) -> Self {
         Metrics {
             inner: Arc::new(Mutex::new(MetricsInner::new(capacity))),
         }

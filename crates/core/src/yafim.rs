@@ -164,10 +164,9 @@ enum Counter {
     /// Word-wise AND + popcount over the cached columnar store, of one
     /// level or every level of the priced chain.
     Bitmap(Vec<Vec<Itemset>>),
-    /// Broadcast prefix trie.
-    Trie(Vec<Itemset>),
-    /// Broadcast hash tree.
-    HashTree(Vec<Itemset>),
+    /// A broadcast candidate store built over the pass's candidates: the
+    /// prefix trie or the hash tree.
+    Store(Box<dyn CandidateStore>),
 }
 
 impl Counter {
@@ -176,8 +175,7 @@ impl Counter {
         match self {
             Counter::Pairs => "triangle",
             Counter::Bitmap(_) => "bitmap",
-            Counter::Trie(_) => "trie",
-            Counter::HashTree(_) => "hash tree",
+            Counter::Store(store) => store.name(),
         }
     }
 }
@@ -186,39 +184,50 @@ impl Counter {
 /// it releases all of it, so a typed refusal (`?`) leaves the cluster as
 /// clean as a completed run does.
 struct Held {
-    /// The parsed input, cached by pass 1: one [`TxBlock`] per partition,
-    /// like every transactions RDD below.
-    transactions: Rdd<TxBlock>,
-    /// The transactions RDD every counting job runs on, in "work space":
-    /// dense ranks when the plan projects, the raw alphabet otherwise.
+    /// The transactions RDD every counting job runs on, one [`TxBlock`] per
+    /// partition: the parsed input (cached by pass 1), then its projection
+    /// to dense ranks when the plan projects, its trims and its checkpoint
+    /// readers.
     work: Rdd<TxBlock>,
-    /// The RDD the current `work` supersedes; it stays cached until the job
-    /// that materializes (and re-caches) its successor has run, then is
-    /// unpersisted — the §IV.B memory property with correct cache
-    /// accounting for replaced RDDs.
+    /// The RDD the current `work` supersedes (`Held::supersede`). A
+    /// superseded RDD stays cached until the job that materializes its
+    /// successor has run — the next counting job for the projection and
+    /// the trims, the checkpoint job for a checkpoint — and is then
+    /// unpersisted (`Held::settle`): the §IV.B memory property with correct
+    /// cache accounting for replaced RDDs.
     replaced: Option<Rdd<TxBlock>>,
     /// The columnar store, built lazily by the first bitmap-counted pass
     /// and reused (from cache) by every later one.
     columnar: Option<Rdd<ColumnarPartition>>,
-    /// The latest checkpoint reader, whose blocks are live in HDFS.
+    /// The latest checkpoint reader, whose blocks are live in HDFS. No
+    /// checkpoint follows the columnar build, so when the store was built
+    /// over a checkpoint, this is that one, and its blocks go when the run
+    /// ends.
     checkpointed: Option<Rdd<TxBlock>>,
-    /// The checkpoint reader the columnar store was built over, if any: the
-    /// store's lineage runs through its blocks, so they outlive later
-    /// checkpoints and go when the run ends.
-    columnar_source: Option<Rdd<TxBlock>>,
+}
+
+impl Held {
+    /// Make `next` the working RDD; the current one becomes `replaced`.
+    fn supersede(&mut self, next: Rdd<TxBlock>) {
+        self.replaced = Some(std::mem::replace(&mut self.work, next));
+    }
+
+    /// A job has materialized `work`: release what it superseded.
+    fn settle(&mut self) {
+        if let Some(old) = self.replaced.take() {
+            old.unpersist();
+        }
+    }
 }
 
 impl Drop for Held {
     fn drop(&mut self) {
-        if let Some(old) = &self.replaced {
-            old.unpersist();
-        }
+        self.settle();
         if let Some(col) = &self.columnar {
             col.unpersist();
         }
         self.work.unpersist();
-        self.transactions.unpersist();
-        for cp in self.checkpointed.iter().chain(&self.columnar_source) {
+        if let Some(cp) = &self.checkpointed {
             cp.discard_checkpoint();
         }
     }
@@ -316,21 +325,18 @@ impl Yafim {
 
         // ---- Phase I: load + cache + frequent items ----
         let pass1_start = (metrics.now(), Instant::now());
-        let transactions: Rdd<TxBlock> = ctx
-            .text_splits(input, partitions)?
-            .map_partitions(parse_lines)
-            .cache();
         // From here on every exit, `?` included, releases what the run holds.
         let mut held = Held {
-            work: transactions.clone(),
-            transactions,
+            work: ctx
+                .text_splits(input, partitions)?
+                .map_partitions(parse_lines)
+                .cache(),
             replaced: None,
             columnar: None,
             checkpointed: None,
-            columnar_source: None,
         };
 
-        let l1_pairs = self.count_items_pass(&held.transactions, min_sup)?;
+        let l1_pairs = self.count_items_pass(&held.work, min_sup)?;
         let mut l1: Vec<(Itemset, u64)> = l1_pairs
             .iter()
             .map(|&(i, c)| (Itemset::single(i), c))
@@ -364,10 +370,10 @@ impl Yafim {
             // pipeline and materializes only at its own cache insert.
             let project = move |t: &[Item], out: &mut Vec<Item>| enc.encode_into(t, out);
             let dense = held
-                .transactions
+                .work
                 .map_partitions(move |part, tc| rewrite_rows(part, tc, 2, &project))
                 .cache();
-            held.replaced = Some(std::mem::replace(&mut held.work, dense));
+            held.supersede(dense);
             encoder
         });
 
@@ -387,7 +393,7 @@ impl Yafim {
         // Checkpoint cadence comes from the active fault plan (chaos runs
         // flip checkpointing on without touching the miner config).
         let ckpt_every = ctx.cluster().faults().plan().checkpoint_interval;
-        let mut jobs_since_ckpt = 0usize;
+        let mut jobs = 0usize;
 
         // Bitmap density guard, decided once from driver-side metadata
         // (mirrors the pass-2 triangle guard): the columnar projection must
@@ -429,21 +435,11 @@ impl Yafim {
                 Counter::Bitmap(levels) => {
                     self.pass_bitmap(&mut held, n_dense, levels, pass, min_sup)?
                 }
-                Counter::Trie(candidates) => {
-                    let store = Box::new(CandidateTrie::build(candidates));
-                    vec![self.pass_with_store(&held.work, store, pass, min_sup)?]
-                }
-                Counter::HashTree(candidates) => {
-                    let store = Box::new(HashTree::build(candidates));
+                Counter::Store(store) => {
                     vec![self.pass_with_store(&held.work, store, pass, min_sup)?]
                 }
             };
-
-            // The job above materialized (and cached) `work`; whatever it
-            // replaced can now release its cluster memory.
-            if let Some(old) = held.replaced.take() {
-                old.unpersist();
-            }
+            held.settle();
 
             // Last-line tripwire behind the storage integrity layer: if a
             // corrupted partition somehow produced counts that slipped past
@@ -477,14 +473,15 @@ impl Yafim {
             // (k+1)-itemset (monotonicity), and a transaction with fewer
             // than k+1 surviving items holds no (k+1)-candidate — so both
             // can be dropped from the cached RDD without changing a single
-            // later count. The trimmed RDD re-caches during the next pass's
-            // job; its predecessor is unpersisted right after.
+            // later count.
             //
-            // Once the columnar bitmap store exists, trimming is skipped:
-            // the bitmap counter never rescans the transactions RDD, so a
-            // trim would cost work and save nothing (after a row-counted
-            // pass 2 the trim still runs: it shrinks the columnar build).
-            if plan.projects() && held.columnar.is_none() {
+            // Once the columnar bitmap store exists, no later job reads
+            // `work` (the bitmap counter never rescans the transactions
+            // RDD), so neither a trim nor a checkpoint of it would save
+            // anything (after a row-counted pass 2 the trim still runs: it
+            // shrinks the columnar build).
+            let work_read_later = held.columnar.is_none();
+            if plan.projects() && work_read_later {
                 let mask = TrimMask::from_frequent(n_dense, lk);
                 metrics.advance_with_event(
                     cost.cpu((lk.len() * last) as u64 + n_dense as u64),
@@ -504,7 +501,7 @@ impl Yafim {
                     .work
                     .map_partitions(move |part, tc| rewrite_rows(part, tc, last + 1, &retain))
                     .cache();
-                held.replaced = Some(std::mem::replace(&mut held.work, trimmed));
+                held.supersede(trimmed);
             }
 
             // ---- Checkpoint: truncate lineage every `ckpt_every` jobs ----
@@ -514,22 +511,16 @@ impl Yafim {
             // A node loss in a later pass then re-reads the blocks instead
             // of replaying every projection/trim back to the input file —
             // recovery work is bounded by the checkpoint interval.
-            if ckpt_every != 0 {
-                jobs_since_ckpt += 1;
-                if jobs_since_ckpt >= ckpt_every {
-                    jobs_since_ckpt = 0;
-                    let cp = held.work.try_checkpoint()?.cache();
-                    // The checkpoint job materialized `work`; it and
-                    // whatever it superseded can release cluster memory, and
-                    // the previous checkpoint's blocks are now stale.
-                    if let Some(old) = held.replaced.take() {
-                        old.unpersist();
-                    }
-                    held.work.unpersist();
-                    if let Some(prev) = held.checkpointed.replace(cp.clone()) {
-                        prev.discard_checkpoint();
-                    }
-                    held.work = cp;
+            jobs += 1;
+            if ckpt_every != 0 && jobs.is_multiple_of(ckpt_every) && work_read_later {
+                let cp = held.work.try_checkpoint()?.cache();
+                // The checkpoint job materialized `work` and what it
+                // superseded; the previous checkpoint's blocks are stale.
+                held.settle();
+                held.supersede(cp.clone());
+                held.settle();
+                if let Some(prev) = held.checkpointed.replace(cp) {
+                    prev.discard_checkpoint();
                 }
             }
             pass = last + 1;
@@ -658,14 +649,15 @@ impl Yafim {
             return Some(Counter::Bitmap(levels));
         }
         let candidates = levels.swap_remove(0);
-        Some(if plan == Phase2Plan::Paper {
-            Counter::HashTree(candidates)
+        let store: Box<dyn CandidateStore> = if plan == Phase2Plan::Paper {
+            Box::new(HashTree::build(candidates))
         } else if over_limit(trie_footprint(candidates.len(), pass)) {
             self.note_degradation(pass, "trie -> hash tree");
-            Counter::HashTree(candidates)
+            Box::new(HashTree::build(candidates))
         } else {
-            Counter::Trie(candidates)
-        })
+            Box::new(CandidateTrie::build(candidates))
+        };
+        Some(Counter::Store(store))
     }
 
     /// Whether `Bitmap`'s pass 2 counts columns: the rule's `(columns, rows)`
@@ -783,13 +775,7 @@ impl Yafim {
             cells
         })?;
 
-        let lk = drain_broadcast(
-            counted,
-            bc.into_value(),
-            |store| store.into_candidates(),
-            |store| store.candidates(),
-        );
-        Ok((n_candidates, lk))
+        Ok((n_candidates, drain_store(counted, bc.into_value())))
     }
 
     /// Count one pass over `rdd`: `fold` adds a partition's support counts
@@ -896,9 +882,7 @@ impl Yafim {
             EventKind::Projection,
             format!("columnar bitmap projection plan ({n_dense} rows)"),
         );
-        let work = &held.work;
-        held.columnar_source = held.checkpointed.take_if(|cp| cp.id() == work.id());
-        let columnar = work.map_partitions(move |txs, tc| {
+        let columnar = held.work.map_partitions(move |txs, tc| {
             let n_tids = slice_records(txs) as usize;
             let col = ColumnarPartition::from_rows(n_dense, n_tids, rows_of(txs));
             // The arena is execution memory while it is being built (it
@@ -1036,21 +1020,19 @@ fn merge_counts(mut a: Vec<(Item, u64)>, b: &[(Item, u64)]) -> Vec<(Item, u64)> 
 }
 
 /// Turn one pass's surviving `(candidate index, count)` records into `L_k`
-/// against the broadcast candidate container, exactly once per pass. The
-/// tasks have dropped their broadcast handles by now, so the driver usually
-/// holds the last reference and moves the survivors out by value — no
+/// against the broadcast candidate store, exactly once per pass. The tasks
+/// have dropped their broadcast handles by now, so the driver usually holds
+/// the last reference and moves the survivors out by value — no
 /// per-frequent-itemset clone. When something (e.g. an in-flight recompute)
-/// still shares the container, clone out of it.
-fn drain_broadcast<T>(
+/// still shares the store, clone out of it.
+fn drain_store(
     counted: Vec<(u32, u64)>,
-    shared: Arc<T>,
-    into_candidates: impl FnOnce(T) -> Vec<Itemset>,
-    candidates: impl FnOnce(&T) -> &[Itemset],
+    shared: Arc<Box<dyn CandidateStore>>,
 ) -> Vec<(Itemset, u64)> {
     match Arc::try_unwrap(shared) {
-        Ok(owned) => take_survivors(counted, into_candidates(owned)),
+        Ok(store) => take_survivors(counted, store.into_candidates()),
         Err(shared) => {
-            let all = candidates(&shared);
+            let all = shared.candidates();
             let clone = |(idx, c): (u32, u64)| (all[idx as usize].clone(), c);
             counted.into_iter().map(clone).collect()
         }
@@ -1305,8 +1287,11 @@ mod tests {
     fn fault_plan_supplies_checkpoint_cadence() {
         use yafim_cluster::FaultPlan;
         let seq = apriori(&toy(), Support::Count(2));
-        for interval in [1, 2] {
-            for plan in Phase2Plan::ALL {
+        // Phase II runs two jobs: pass 2, then pass 3. A checkpoint is due
+        // after every `interval`-th, unless no later job reads `work`: the
+        // bitmap plan counts pass 3 from the columnar store it builds there.
+        for (interval, due) in [(1, [2, 2, 1]), (2, [1, 1, 0])] {
+            for (plan, due) in Phase2Plan::ALL.into_iter().zip(due) {
                 let c = ctx();
                 c.cluster()
                     .faults()
@@ -1314,10 +1299,12 @@ mod tests {
                 let run =
                     mine_in_memory(&c, &toy(), YafimConfig::with_plan(Support::Count(2), plan));
                 assert_eq!(run.result, seq, "interval={interval} {plan:?}");
-                assert!(
-                    c.metrics().snapshot().recovery.checkpoint_writes > 0,
-                    "interval={interval} {plan:?}: plan-driven cadence must checkpoint \
-                     without touching the miner config"
+                let spans = c.metrics().stage_spans();
+                let written = spans.iter().filter(|s| s.label.starts_with("checkpoint"));
+                assert_eq!(
+                    written.count(),
+                    due,
+                    "interval={interval} {plan:?}: the plan sets the cadence, not the config"
                 );
                 assert_eq!(
                     c.cluster().hdfs().checkpoint_stats().0,

@@ -381,9 +381,10 @@ fn a_checkpoint_block_with_no_replica_left_is_one_line_and_exit_1() {
 fn a_checkpoint_the_columnar_store_reads_outlives_later_checkpoints() {
     // Both count pass 2 by rows, so the bitmap plan builds its columnar
     // store over the checkpoint taken after pass 2, and Medical at 5 % then
-    // runs two bitmap jobs. A later checkpoint must not delete those blocks: the
-    // store's lineage runs through them. T10 also keeps them when three of
-    // four nodes die at 3 s, after they were written.
+    // runs two bitmap jobs. No checkpoint follows the build, and those blocks
+    // must last until the run ends: the store's lineage runs through them.
+    // T10 also keeps them when three of four nodes die at 3 s, after they
+    // were written.
     let plan = std::env::temp_dir().join(format!("yafim-cli-cols-{}.json", std::process::id()));
     let plan = plan.to_str().expect("utf-8 temp path");
     let every_job = r#"{"checkpoint_interval": 1}"#;
@@ -416,6 +417,64 @@ fn a_checkpoint_the_columnar_store_reads_outlives_later_checkpoints() {
             std::fs::write(plan, json).expect("temp dir writable");
             let faulty = summary(&run(&["--fault-plan", plan]));
             assert_eq!(faulty, clean, "{data:?} {json}");
+        }
+        std::fs::remove_file(file).expect("own temp file");
+    }
+    std::fs::remove_file(plan).expect("own temp file");
+}
+
+#[test]
+fn no_checkpoint_follows_the_columnar_build() {
+    // Once the bitmap plan has built its columnar store, every later job
+    // counts from it and none reads the transactions again, so a checkpoint
+    // of them would be written for nothing. On MushRoom the first Phase-II
+    // job builds the store: the run writes no checkpoint and ends when the
+    // clean run does. Medical counts pass 2 by rows first and checkpoints
+    // once, after it (its pass-1 and pass-2 jobs are one stage each).
+    let plan = std::env::temp_dir().join(format!("yafim-cli-after-{}.json", std::process::id()));
+    let plan = plan.to_str().expect("utf-8 temp path");
+    std::fs::write(plan, r#"{"checkpoint_interval": 1}"#).expect("temp dir writable");
+    for (data, scale, support, due) in [
+        (PaperDataset::Mushroom, 0.02, "40%", &[][..]),
+        (PaperDataset::Medical, 0.1, "5%", &[2]),
+    ] {
+        let path = std::env::temp_dir().join(format!("yafim-cli-after-{}.dat", std::process::id()));
+        write_dat(&path, &data.generate_scaled(scale)).expect("temp dir writable");
+        let file = path.to_str().expect("utf-8 temp path");
+        let head = ["mine", "--input", file, "--support", support, "--report"];
+        let flags = ["--phase2", "bitmap", "--nodes", "4", "--cores", "2"];
+        let run = |tail: &[&str]| cli(&[&head[..], &flags, tail].concat());
+        let (clean, faulty) = (run(&[]), run(&["--fault-plan", plan]));
+        let stdout = |out: &Output| String::from_utf8(out.stdout.clone()).expect("utf-8");
+        let (clean, faulty) = (stdout(&clean), stdout(&faulty));
+        // The summary and the top itemsets: everything above the report
+        // but the timing line.
+        let itemsets = |out: &str| -> Vec<String> {
+            let lines = out.lines().take_while(|l| !l.starts_with("anomalies:"));
+            let lines = lines.take_while(|l| !l.starts_with("== Passes =="));
+            let kept = lines.filter(|l| !l.starts_with("virtual cluster time"));
+            kept.map(str::to_string).collect()
+        };
+        assert_eq!(itemsets(&faulty), itemsets(&clean), "{data:?}");
+        // Positions of the checkpoint stages in the stage table.
+        let stages = faulty.lines().skip_while(|l| *l != "== Stages ==").skip(2);
+        let stages = stages.take_while(|l| !l.is_empty());
+        let labels = stages.map(|l| l.split_whitespace().nth(1).unwrap_or_default());
+        let written: Vec<usize> = labels
+            .enumerate()
+            .filter(|&(_, label)| label == "checkpoint")
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(written, due, "{data:?}\n{faulty}");
+        if due.is_empty() {
+            let total = |out: &str| {
+                let line = out.lines().find(|l| l.starts_with("virtual time "));
+                line.expect("a totals line")
+                    .split(" | ")
+                    .next()
+                    .map(str::to_string)
+            };
+            assert_eq!(total(&faulty), total(&clean), "{data:?}");
         }
         std::fs::remove_file(file).expect("own temp file");
     }
