@@ -36,7 +36,8 @@ use yafim_bench::{bench_dataset, loaded_cluster, run};
 use yafim_cluster::json::JsonValue;
 use yafim_cluster::{
     critical_path, full_report, fx_hash64, ClusterSpec, ExecError, FaultPlan, IntegrityTier,
-    MemoryCounters, NodeId, RecoveryCounters, RunManifest, SimCluster, SimDuration, SimInstant,
+    MemoryCounters, NodeId, PassTiming, RecoveryCounters, RunManifest, SimCluster, SimDuration,
+    SimInstant,
 };
 use yafim_core::{MineError, Miner, MinerRun, Phase2Plan};
 use yafim_data::PaperDataset;
@@ -412,10 +413,11 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
         .expect("loaded")
         .blocks()[0]
         .replicas[0];
-    // Per-arm loss instants: just inside each Phase-II pass's counting
-    // stage, i.e. after every bit of the previous pass's housekeeping
-    // (trim plan, checkpoint job) has finished. Pass 1 is Phase-I — no
-    // cached Phase-II state to lose yet — so rows start at pass 2.
+    // Per-arm loss instants: just after each Phase-II pass's housekeeping
+    // (the previous pass's trim plan, and the checkpoint job a due
+    // checkpoint runs before the pass counts) has finished. Pass 1 is
+    // Phase-I — no cached Phase-II state to lose yet — so rows start at
+    // pass 2.
     let starts_off = pass_starts(&clean_cluster);
     let starts_on = pass_starts(&clean_ckpt_cluster);
     assert_eq!(starts_off.len(), starts_on.len(), "pass counts must agree");
@@ -481,11 +483,11 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
         );
     }
 
-    // The cadence bound: the first checkpoint is written at the end of
-    // pass c+1, and from then on the working RDD's lineage is at most a
-    // checkpoint reader (1 level) plus c-1 trims of 2 levels each (map +
-    // filter) — independent of how late the loss lands. Without
-    // checkpointing, depth keeps growing with the loss pass.
+    // The cadence bound: the first checkpoint is written at the start of
+    // pass c+2, before it counts, and from then on the working RDD's
+    // lineage is at most a checkpoint reader (1 level) plus c-1 trims of 2
+    // levels each (map + filter) — independent of how late the loss lands.
+    // Without checkpointing, depth keeps growing with the loss pass.
     let bound = (2 * CKPT_INTERVAL - 1) as u64;
     for (i, &d) in depths_on.iter().enumerate() {
         let pass = i + 2;
@@ -704,11 +706,20 @@ fn pass2_midpoint(cluster: &SimCluster) -> Option<f64> {
     Some(pass2.start.as_secs() + pass2.seconds / 2.0)
 }
 
-/// Virtual start instant (seconds) of every pass's counting stage, in pass
-/// order (pass 1 is Phase-I).
+/// Virtual instant (seconds) each pass's housekeeping ends, in pass order
+/// (pass 1 is Phase-I): the pass's start, or the end of the checkpoint job
+/// a due checkpoint runs inside the pass, before its job counts.
 fn pass_starts(cluster: &SimCluster) -> Vec<f64> {
-    let passes = cluster.metrics().passes();
-    passes.iter().map(|p| p.start.as_secs()).collect()
+    let stages = cluster.metrics().stage_spans();
+    let housekept = |p: &PassTiming| {
+        let window = p.start..p.start + SimDuration::from_secs(p.seconds);
+        let checkpoints = stages
+            .iter()
+            .filter(|s| window.contains(&s.start) && s.label.starts_with("checkpoint"));
+        let ends = checkpoints.map(|s| s.start + s.duration);
+        ends.fold(p.start, SimInstant::max).as_secs()
+    };
+    cluster.metrics().passes().iter().map(housekept).collect()
 }
 
 fn print_counters(out: &mut String, r: &RecoveryCounters) {

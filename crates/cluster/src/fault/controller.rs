@@ -1,7 +1,10 @@
 //! The fault controller: evaluates a [`FaultPlan`] while scheduling stages.
 
 use super::counters::RecoveryCounters;
-use super::plan::{FaultPlan, IntegrityTier, TransientKind, TransientOutcome};
+use super::plan::{
+    FaultPlan, IntegrityTier, TransientKind, TransientOutcome, BLACKLIST_AFTER, RESUBMIT_DELAY,
+    SPECULATION_MULTIPLIER,
+};
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::hdfs::DfsError;
 use crate::memgov::{MemoryRefusal, Site};
@@ -366,7 +369,7 @@ impl FaultController {
             .collect();
 
         // Blacklisting is stage-scoped by default, like Spark's stage-level
-        // blacklisting: a node accumulating `blacklist_after` crash failures
+        // blacklisting: a node accumulating `BLACKLIST_AFTER` crash failures
         // in this stage takes no further tasks this stage. With a nonzero
         // `blacklist_expiry`, entries carried from earlier stages start the
         // stage blacklisted, and new entries are written back with an expiry.
@@ -474,7 +477,7 @@ impl FaultController {
                 // seeded crash roll. An attempt overlapping the *actual*
                 // death hangs until the driver declares the node lost at the
                 // *detected* instant (with a zero heartbeat timeout the two
-                // coincide and this is the legacy behaviour).
+                // coincide).
                 let death_at = actual_death[node]
                     .filter(|d| *d < end)
                     .and_then(|_| death[node]);
@@ -501,7 +504,7 @@ impl FaultController {
                                 && !blacklisted.contains(&(n as u32))
                                 && death[n].is_none_or(|d| fail < d)
                         });
-                        if *nf >= plan.blacklist_after
+                        if *nf >= BLACKLIST_AFTER
                             && healthy_elsewhere
                             && blacklisted.insert(node as u32)
                         {
@@ -515,7 +518,7 @@ impl FaultController {
                     free[core] = if is_death { far } else { fail };
                     count[core] += 1;
                     last_activity = last_activity.max(fail);
-                    earliest = fail + plan.resubmit_delay;
+                    earliest = fail + SimDuration::from_secs(RESUBMIT_DELAY);
                     continue 'attempts;
                 }
 
@@ -525,7 +528,7 @@ impl FaultController {
                 if plan.speculation
                     && slow[node] > 1.0
                     && median > SimDuration::ZERO
-                    && dur >= median * plan.speculation_multiplier
+                    && dur >= median * SPECULATION_MULTIPLIER
                 {
                     let mut best: Option<usize> = None;
                     for c in 0..total_cores {
@@ -783,7 +786,6 @@ mod tests {
         fc.set_plan(
             FaultPlan::seeded(3)
                 .crash_tasks(0.5)
-                .with_blacklist_after(2)
                 .with_max_task_failures(20),
         );
         let mut total = RecoveryCounters::default();
@@ -887,12 +889,11 @@ mod tests {
     #[test]
     fn heartbeat_timeout_delays_detection() {
         let death = SimInstant::from_secs(1.3);
-        // Zero timeout: detection is the death itself (legacy behaviour).
+        // Zero timeout: detection is the death itself.
         let instant = FaultPlan::seeded(0);
         assert_eq!(instant.detection_instant(death), death);
         // Beats every 0.5s (last at 1.0s), timeout 1.0s → detected at 2.0s.
-        let hb = FaultPlan::seeded(0)
-            .with_heartbeat(SimDuration::from_secs(0.5), SimDuration::from_secs(1.0));
+        let hb = FaultPlan::seeded(0).with_heartbeat_timeout(SimDuration::from_secs(1.0));
         assert_eq!(hb.detection_instant(death), SimInstant::from_secs(2.0));
 
         // The loss's side effects surface only at the detection instant.
@@ -913,7 +914,7 @@ mod tests {
         // doomed node keeps receiving work until then.
         fc.set_plan(
             FaultPlan::seeded(0)
-                .with_heartbeat(SimDuration::from_secs(0.5), SimDuration::from_secs(1.5))
+                .with_heartbeat_timeout(SimDuration::from_secs(1.5))
                 .lose_node_at(NodeId(0), SimInstant::from_secs(0.5)),
         );
         let out = fc
@@ -942,7 +943,6 @@ mod tests {
         fc.set_plan(
             FaultPlan::seeded(3)
                 .crash_tasks(0.5)
-                .with_blacklist_after(2)
                 .with_max_task_failures(20)
                 .with_blacklist_expiry(SimDuration::from_secs(50.0)),
         );

@@ -18,15 +18,14 @@
 //! * **transient fetch failures** — a shuffle fetch or HDFS/checkpoint block
 //!   read fails *transiently* (network hiccup, busy serving node) and is
 //!   retried in place with deterministic exponential backoff + seeded
-//!   jitter; only after [`FaultPlan::fetch_retries`] retries exhaust does
-//!   the failure escalate to real data-loss recovery (map-output
-//!   resubmission / remote-replica reads).
+//!   jitter; only after a fixed number of retries exhaust does the failure
+//!   escalate to real data-loss recovery (map-output resubmission /
+//!   remote-replica reads).
 //!
 //! Node losses are *detected*, not oracle-known: nodes emit virtual-time
-//! heartbeats every [`FaultPlan::heartbeat_interval`], and the driver only
-//! declares a node lost once [`FaultPlan::heartbeat_timeout`] elapses past
-//! its last beat (with a zero timeout — the default — detection is
-//! instantaneous, preserving the PR 2 behaviour bit-for-bit).
+//! heartbeats at a fixed interval, and the driver only declares a node lost
+//! once [`FaultPlan::heartbeat_timeout`] elapses past its last beat (with a
+//! zero timeout — the default — detection is instantaneous).
 //!
 //! The [`FaultController`] evaluates a plan while scheduling a stage: failed
 //! attempts are retried after a resubmission delay (up to
@@ -53,5 +52,6 @@ mod recovery;
 pub use controller::{ExecError, FaultController, FaultError};
 pub(crate) use counters::counter_table;
 pub use counters::{CounterField, IntegrityCounters, MemoryCounters, RecoveryCounters};
+pub(crate) use plan::RESUBMIT_DELAY;
 pub use plan::{FaultPlan, IntegrityTier};
 pub use recovery::{BucketLoss, StageFrame};

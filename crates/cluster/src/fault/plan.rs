@@ -10,7 +10,6 @@
 
 use crate::hash::fx_hash64;
 use crate::json::JsonValue;
-use crate::sched::HeartbeatMonitor;
 use crate::spec::NodeId;
 use crate::time::{SimDuration, SimInstant};
 
@@ -70,8 +69,6 @@ enum Kind {
     Count { min: u64 },
     /// Virtual seconds, at least `min`.
     Secs { min: f64 },
-    /// A slowdown multiplier: 1 is "no slower".
-    Factor,
     /// On or off.
     Flag,
     /// A byte count, or `null` for "not set".
@@ -96,7 +93,6 @@ impl Kind {
             Kind::Prob => (0.0, 1.0),
             Kind::Count { min } => (min as f64, f64::MAX),
             Kind::Secs { min } => (min, f64::MAX),
-            Kind::Factor => FACTOR,
             _ => NON_NEGATIVE,
         }
     }
@@ -107,7 +103,6 @@ impl Kind {
             Kind::Prob => "a number in [0, 1]".into(),
             Kind::Count { min } => format!("a whole number >= {min}"),
             Kind::Secs { min } => format!("a number of seconds >= {min}"),
-            Kind::Factor => "a number >= 1".into(),
             Kind::Flag => "true or false".into(),
             Kind::OptBytes => "a whole number of bytes >= 0, or null".into(),
             Kind::NodeLosses => "an array of [node, secs >= 0] pairs".into(),
@@ -320,7 +315,7 @@ macro_rules! fault_plan {
             /// minimal — but an unknown field, a known field of the wrong
             /// type and a value outside its field's range are each a
             /// one-line error naming the field, so a typo (`fetch_retrys`,
-            /// `"task_crash_prob": "high"`, `"resubmit_delay": -1`) fails
+            /// `"task_crash_prob": "high"`, `"blacklist_expiry": -1`) fails
             /// loudly instead of silently running with something else.
             pub fn from_json(v: &JsonValue) -> Result<$plan, String> {
                 let JsonValue::Object(map) = v else {
@@ -367,6 +362,26 @@ macro_rules! fault_plan {
     };
 }
 
+/// Virtual seconds between a failure and the retry launch (scheduler
+/// round-trip).
+pub(crate) const RESUBMIT_DELAY: f64 = 0.2;
+/// A surviving attempt this many times slower than the stage's median task
+/// gets a speculative copy (Spark's `spark.speculation.multiplier`).
+pub(super) const SPECULATION_MULTIPLIER: f64 = 1.5;
+/// Crash failures on one node before it is blacklisted.
+pub(super) const BLACKLIST_AFTER: u32 = 3;
+/// In-place retries of a transient fetch before escalating to data-loss
+/// recovery (Spark's `spark.shuffle.io.maxRetries`).
+const FETCH_RETRIES: u32 = 3;
+/// Base of the exponential retry backoff, in virtual seconds: attempt `a`
+/// waits `base * 2^a * (1 + jitter)` with seeded jitter in `[0, 1)`
+/// (Spark's `spark.shuffle.io.retryWait` is 5s, scaled to this simulator's
+/// stages).
+const FETCH_BACKOFF_BASE: f64 = 0.05;
+/// Virtual seconds between node heartbeats: every node beats at `t = 0,
+/// interval, 2·interval, …`.
+const HEARTBEAT_INTERVAL: f64 = 0.5;
+
 fault_plan! {
     /// A seeded, fully deterministic description of the faults injected into one
     /// run. Built with the `with_*`/`crash_*`/`lose_*` chainable constructors.
@@ -378,39 +393,21 @@ fault_plan! {
         /// Attempts a task may burn on crashes before the stage aborts
         /// (Spark's `spark.task.maxFailures`).
         max_task_failures: u32 = Kind::Count { min: 1 }, 4, with_max_task_failures;
-        /// Virtual delay between a failure and the retry launch (scheduler
-        /// round-trip).
-        resubmit_delay: SimDuration = Kind::Secs { min: 0.0 }, SimDuration::from_secs(0.2), with_resubmit_delay;
         /// Nodes that die, with their virtual time of death.
         node_losses: Vec<(NodeId, SimInstant)> = Kind::NodeLosses, Vec::new();
         /// Nodes running slow: every task duration is multiplied by the factor.
         slow_nodes: Vec<(NodeId, f64)> = Kind::SlowNodes, Vec::new();
         /// Launch duplicate attempts for stragglers on slow nodes.
         speculation: bool = Kind::Flag, false;
-        /// A surviving attempt this many times slower than the stage's median
-        /// task gets a speculative copy (Spark's `spark.speculation.multiplier`).
-        speculation_multiplier: f64 = Kind::Factor, 1.5;
-        /// Crash failures on one node before it is blacklisted.
-        blacklist_after: u32 = Kind::Count { min: 1 }, 3, with_blacklist_after;
         /// Probability that one shuffle fetch fails transiently (per reduce
         /// partition, retried in place with backoff).
         fetch_failure_prob: f64 = Kind::Prob, 0.0, flaky_fetches;
         /// Probability that one HDFS / checkpoint block read fails transiently.
         hdfs_failure_prob: f64 = Kind::Prob, 0.0, flaky_hdfs;
-        /// In-place retries of a transient fetch before escalating to
-        /// data-loss recovery (Spark's `spark.shuffle.io.maxRetries`).
-        fetch_retries: u32 = Kind::Count { min: 0 }, 3, with_fetch_retries;
-        /// Base of the exponential retry backoff (attempt `a` waits
-        /// `base * 2^a * (1 + jitter)` with seeded jitter in `[0, 1)`; Spark's
-        /// `spark.shuffle.io.retryWait` is 5s, scaled to this simulator's
-        /// stages).
-        fetch_backoff_base: SimDuration = Kind::Secs { min: 0.0 }, SimDuration::from_secs(0.05), with_fetch_backoff_base;
-        /// Virtual interval between node heartbeats.
-        heartbeat_interval: SimDuration = Kind::Secs { min: 1e-6 }, SimDuration::from_secs(0.5);
         /// How long past a node's last heartbeat the driver waits before
         /// declaring it lost. Zero (the default) means instant, oracle-style
-        /// detection — exactly the pre-heartbeat behaviour.
-        heartbeat_timeout: SimDuration = Kind::Secs { min: 0.0 }, SimDuration::ZERO;
+        /// detection.
+        heartbeat_timeout: SimDuration = Kind::Secs { min: 0.0 }, SimDuration::ZERO, with_heartbeat_timeout;
         /// How long a blacklist entry outlives the failures that earned it.
         /// Zero (the default) keeps blacklisting stage-scoped; a nonzero expiry
         /// carries entries across stages and lets healed nodes return.
@@ -467,14 +464,6 @@ impl FaultPlan {
     pub fn with_speculation(mut self) -> Self {
         self.speculation = true;
         self
-    }
-
-    /// Detect node losses by missed heartbeats: beats every `interval`,
-    /// declared lost `timeout` past the last beat.
-    pub fn with_heartbeat(mut self, interval: SimDuration, timeout: SimDuration) -> Self {
-        self.heartbeat_interval = interval;
-        self.heartbeat_timeout = timeout;
-        self.normalised()
     }
 
     /// Poison *every* replica of the identified block, leaving no clean
@@ -538,14 +527,13 @@ impl FaultPlan {
     }
 
     /// The virtual instant at which the driver *detects* a death at `death`:
-    /// the heartbeat timeout past the victim's last beat, never earlier than
-    /// the death itself. With a zero timeout this is `death` exactly.
+    /// the heartbeat timeout past the victim's last beat (the latest beat at
+    /// or before the death), never earlier than the death itself — the
+    /// driver cannot know of a failure before it happens. With a zero
+    /// timeout this is `death` exactly.
     pub(crate) fn detection_instant(&self, death: SimInstant) -> SimInstant {
-        if self.heartbeat_timeout == SimDuration::ZERO {
-            return death;
-        }
-        HeartbeatMonitor::new(self.heartbeat_interval, self.heartbeat_timeout)
-            .detection_instant(death)
+        let last_beat = (death.as_secs() / HEARTBEAT_INTERVAL).floor() * HEARTBEAT_INTERVAL;
+        (SimInstant::from_secs(last_beat) + self.heartbeat_timeout).max(death)
     }
 
     /// Walk the deterministic retry ladder for one transient-failure site
@@ -570,21 +558,19 @@ impl FaultPlan {
             TransientKind::ShuffleFetch => 0x7fe7,
             TransientKind::HdfsRead => 0xdf5d,
         };
-        for attempt in 0..=self.fetch_retries {
+        for attempt in 0..=FETCH_RETRIES {
             let key = (self.seed, tag, id, partition as u64, attempt as u64);
             let roll = (fx_hash64(&key) >> 11) as f64 / (1u64 << 53) as f64;
             if roll >= prob {
                 return out; // this attempt got through
             }
-            if attempt == self.fetch_retries {
+            if attempt == FETCH_RETRIES {
                 out.escalated = true;
                 return out;
             }
             out.retries += 1;
             let jitter = (fx_hash64(&(key, 0xb0ffu64)) >> 11) as f64 / (1u64 << 53) as f64;
-            let backoff = self.fetch_backoff_base.as_secs()
-                * (1u64 << attempt.min(20)) as f64
-                * (1.0 + jitter);
+            let backoff = FETCH_BACKOFF_BASE * (1u64 << attempt.min(20)) as f64 * (1.0 + jitter);
             out.backoff_micros += (backoff * 1e6).round() as u64;
         }
         out
@@ -658,7 +644,6 @@ mod tests {
             Kind::Count { min: 0 } => "7",
             Kind::Count { .. } => "9",
             Kind::Secs { .. } => "1.25",
-            Kind::Factor => "2.5",
             Kind::Flag => "true",
             Kind::OptBytes => "4096",
             Kind::NodeLosses => "[[2,1.75],[0,0]]",
@@ -703,19 +688,14 @@ mod tests {
     #[test]
     fn out_of_range_and_mistyped_values_are_one_line_errors_naming_the_field() {
         for (doc, field) in [
-            (r#"{"resubmit_delay": -1}"#, "resubmit_delay"),
-            (r#"{"fetch_backoff_base": -0.5}"#, "fetch_backoff_base"),
+            (r#"{"blacklist_expiry": -1}"#, "blacklist_expiry"),
+            (r#"{"heartbeat_timeout": -0.5}"#, "heartbeat_timeout"),
             (r#"{"node_losses": [[0, -5]]}"#, "node_losses"),
-            (
-                r#"{"speculation_multiplier": -3}"#,
-                "speculation_multiplier",
-            ),
             (r#"{"max_task_failures": 2.7}"#, "max_task_failures"),
             (r#"{"mem_budget_override": -7}"#, "mem_budget_override"),
             (r#"{"task_crash_prob": 1.5}"#, "task_crash_prob"),
             (r#"{"max_task_failures": 0}"#, "max_task_failures"),
-            (r#"{"blacklist_after": 1e308}"#, "blacklist_after"),
-            (r#"{"heartbeat_interval": 0}"#, "heartbeat_interval"),
+            (r#"{"max_task_failures": 4294967296}"#, "max_task_failures"),
             (r#"{"seed": -1}"#, "seed"),
             (r#"{"seed": 0.5}"#, "seed"),
             (r#"{"slow_nodes": [[1, 0.5]]}"#, "slow_nodes"),
@@ -749,13 +729,10 @@ mod tests {
             .crash_tasks(7.0)
             .slow_node(NodeId(1), 0.25)
             .with_max_task_failures(0)
-            .with_blacklist_after(0)
-            .with_heartbeat(SimDuration::ZERO, SimDuration::ZERO)
             .inject_oom(-1.0);
         assert_eq!(plan.task_crash_prob, 1.0);
         assert_eq!(plan.slow_nodes, vec![(NodeId(1), 1.0)]);
-        assert_eq!((plan.max_task_failures, plan.blacklist_after), (1, 1));
-        assert_eq!(plan.heartbeat_interval, SimDuration::from_secs(1e-6));
+        assert_eq!(plan.max_task_failures, 1);
         assert_eq!(plan.oom_prob, 0.0);
         assert_eq!(FaultPlan::from_json(&plan.to_json()), Ok(plan));
     }
@@ -779,18 +756,20 @@ mod tests {
 
     #[test]
     fn transient_ladder_is_deterministic_and_bounded() {
-        let plan = FaultPlan::seeded(9)
-            .flaky_fetches(0.5)
-            .with_fetch_retries(4);
+        let plan = FaultPlan::seeded(9).flaky_fetches(0.5);
         let mut saw_retry = false;
         let mut saw_clean = false;
         for part in 0..64 {
             let a = plan.transient_outcome(TransientKind::ShuffleFetch, 3, part);
             let b = plan.transient_outcome(TransientKind::ShuffleFetch, 3, part);
             assert_eq!(a, b, "same site must roll identically");
-            assert!(a.retries <= 4);
+            assert!(a.retries <= u64::from(FETCH_RETRIES));
             if a.escalated {
-                assert_eq!(a.retries, 4, "escalation only after the full ladder");
+                assert_eq!(
+                    a.retries,
+                    u64::from(FETCH_RETRIES),
+                    "escalation only after the full ladder"
+                );
             }
             if a.retries > 0 {
                 saw_retry = true;
@@ -802,7 +781,7 @@ mod tests {
         }
         assert!(saw_retry && saw_clean, "50% flakiness mixes outcomes");
         // Different kinds and seeds roll independently.
-        let hdfs = FaultPlan::seeded(9).flaky_hdfs(0.5).with_fetch_retries(4);
+        let hdfs = FaultPlan::seeded(9).flaky_hdfs(0.5);
         let outcomes_a: Vec<_> = (0..64)
             .map(|p| plan.transient_outcome(TransientKind::ShuffleFetch, 3, p))
             .collect();
@@ -814,17 +793,14 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_with_jitter() {
-        let plan = FaultPlan::seeded(0)
-            .flaky_fetches(1.0)
-            .with_fetch_retries(3)
-            .with_fetch_backoff_base(SimDuration::from_secs(0.1));
+        let plan = FaultPlan::seeded(0).flaky_fetches(1.0);
         let out = plan.transient_outcome(TransientKind::ShuffleFetch, 0, 0);
         assert!(out.escalated);
-        assert_eq!(out.retries, 3);
-        // base*(1+j0) + 2*base*(1+j1) + 4*base*(1+j2): between 0.7s (no
-        // jitter) and 1.4s (max jitter).
-        let secs = out.backoff_micros as f64 / 1e6;
-        assert!((0.7..=1.4).contains(&secs), "backoff {secs}s");
+        assert_eq!((FETCH_RETRIES, out.retries), (3, 3));
+        // base*(1+j0) + 2*base*(1+j1) + 4*base*(1+j2): between 7 bases (no
+        // jitter) and 14 (max jitter).
+        let bases = out.backoff_micros as f64 / 1e6 / FETCH_BACKOFF_BASE;
+        assert!((7.0..=14.0).contains(&bases), "backoff {bases} bases");
     }
 
     #[test]
@@ -839,8 +815,46 @@ mod tests {
             err.contains("oom_prob") && err.contains("mem_budget_override"),
             "known-field list names the memory knobs: {err}"
         );
+        // A field that became a constant is unknown too: a stale plan that
+        // still sets it fails instead of silently running without it.
+        for removed in [
+            "resubmit_delay",
+            "speculation_multiplier",
+            "blacklist_after",
+            "fetch_retries",
+            "fetch_backoff_base",
+            "heartbeat_interval",
+        ] {
+            let v = crate::json::parse(&format!(r#"{{"{removed}": 1}}"#)).unwrap();
+            let err = FaultPlan::from_json(&v).expect_err(removed);
+            let named = format!("unknown fault plan field `{removed}` (known fields: ");
+            assert!(err.starts_with(&named), "{removed}: {err}");
+            assert_eq!(err.lines().count(), 1, "{removed}: {err}");
+        }
         let not_a_plan = FaultPlan::from_json(&crate::json::parse("[1,2]").unwrap());
         assert!(not_a_plan.unwrap_err().contains("must be a JSON object"));
+    }
+
+    #[test]
+    fn heartbeat_detection_follows_last_beat() {
+        let hb = FaultPlan::seeded(0).with_heartbeat_timeout(SimDuration::from_secs(1.0));
+        assert_eq!(HEARTBEAT_INTERVAL, 0.5);
+        // Death at 1.3s: last beat at 1.0s, detected at 2.0s.
+        assert_eq!(
+            hb.detection_instant(SimInstant::from_secs(1.3)),
+            SimInstant::from_secs(2.0)
+        );
+        // Death exactly on a beat: that beat still went out.
+        assert_eq!(
+            hb.detection_instant(SimInstant::from_secs(1.5)),
+            SimInstant::from_secs(2.5)
+        );
+        // Detection never precedes the death itself.
+        let tight = FaultPlan::seeded(0).with_heartbeat_timeout(SimDuration::from_secs(0.1));
+        assert_eq!(
+            tight.detection_instant(SimInstant::from_secs(1.3)),
+            SimInstant::from_secs(1.3)
+        );
     }
 
     #[test]

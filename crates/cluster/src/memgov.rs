@@ -41,7 +41,7 @@
 //! for a given plan.
 
 use crate::costmodel::CostModel;
-use crate::fault::{FaultPlan, MemoryCounters};
+use crate::fault::{FaultPlan, MemoryCounters, RESUBMIT_DELAY};
 use crate::hash::fx_hash64;
 use crate::spec::ClusterSpec;
 use crate::work::TaskProfile;
@@ -171,7 +171,7 @@ impl MemoryBudget {
             per_task_limit: node_limit / cores,
             node_limit,
             max_oom_retries: plan.max_task_failures,
-            resubmit_micros: (plan.resubmit_delay.as_secs() * 1e6).round() as u64,
+            resubmit_micros: (RESUBMIT_DELAY * 1e6).round() as u64,
             evict_micros_per_byte: 1e6 / cost.disk_write_bw,
         })
     }
@@ -396,7 +396,6 @@ pub fn storage_region(memory_per_node: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::spec::GIB;
-    use crate::time::SimDuration;
 
     fn spec() -> ClusterSpec {
         ClusterSpec::new(4, 8, 8 * GIB)
@@ -631,9 +630,7 @@ mod tests {
 
     #[test]
     fn eviction_and_resubmit_charges_are_deterministic() {
-        let plan = FaultPlan::seeded(0)
-            .with_mem_budget(GIB)
-            .with_resubmit_delay(SimDuration::from_secs(0.2));
+        let plan = FaultPlan::seeded(0).with_mem_budget(GIB);
         let b = MemoryBudget::from_plan(&spec(), &CostModel::default(), &plan).unwrap();
         assert_eq!(b.resubmit_micros, 200_000);
         assert_eq!(b.evict_micros(0), 0);

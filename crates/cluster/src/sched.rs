@@ -26,55 +26,13 @@
 //! without touching the host clock.
 
 use crate::spec::{ClusterSpec, NodeId};
-use crate::time::{SimDuration, SimInstant};
+use crate::time::SimDuration;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// How long a task waits for a core on its preferred node before it spills
 /// to any free core (`spark.locality.wait`); every stage is placed with it.
 const DEFAULT_LOCALITY_WAIT: f64 = 0.3;
-
-/// Heartbeat-based liveness detection.
-///
-/// Every node emits a heartbeat to the driver at `t = 0, interval,
-/// 2·interval, …` on the virtual timeline. A node that dies at instant `d`
-/// sends its last beat at the latest multiple of `interval` not after `d`;
-/// the driver declares it lost only once `timeout` has elapsed since that
-/// beat without hearing another. This replaces the oracle view of PR 2
-/// (where a planned loss was visible the instant it happened) with what a
-/// real driver can actually observe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct HeartbeatMonitor {
-    interval: SimDuration,
-    timeout: SimDuration,
-}
-
-impl HeartbeatMonitor {
-    /// A monitor with the given beat interval and missed-beat timeout.
-    /// The interval must be positive; the timeout may be zero (detection
-    /// at the last beat plus nothing — clamped to the death itself).
-    pub(crate) fn new(interval: SimDuration, timeout: SimDuration) -> Self {
-        assert!(
-            interval > SimDuration::ZERO,
-            "heartbeat interval must be positive"
-        );
-        HeartbeatMonitor { interval, timeout }
-    }
-
-    /// Instant of the last heartbeat a node dying at `death` managed to
-    /// send: the latest beat at or before the death.
-    pub(crate) fn last_beat(&self, death: SimInstant) -> SimInstant {
-        let beats = (death.as_secs() / self.interval.as_secs()).floor();
-        SimInstant::from_secs(beats * self.interval.as_secs())
-    }
-
-    /// Instant the driver declares a node dying at `death` lost: `timeout`
-    /// past its last beat, clamped to never precede the death itself (the
-    /// driver cannot know about a failure before it happens).
-    pub(crate) fn detection_instant(&self, death: SimInstant) -> SimInstant {
-        (self.last_beat(death) + self.timeout).max(death)
-    }
-}
 
 /// One task to be scheduled.
 #[derive(Clone, Debug)]
@@ -548,37 +506,6 @@ mod tests {
             small.decision_units,
             large.decision_units
         );
-    }
-
-    #[test]
-    fn heartbeat_detection_follows_last_beat() {
-        let hb = HeartbeatMonitor::new(SimDuration::from_secs(0.5), SimDuration::from_secs(1.0));
-        // Death at 1.3s: last beat at 1.0s, detected at 2.0s.
-        assert_eq!(
-            hb.detection_instant(SimInstant::from_secs(1.3)),
-            SimInstant::from_secs(2.0)
-        );
-        // Death exactly on a beat: that beat still went out.
-        assert_eq!(
-            hb.last_beat(SimInstant::from_secs(1.5)),
-            SimInstant::from_secs(1.5)
-        );
-        assert_eq!(
-            hb.detection_instant(SimInstant::from_secs(1.5)),
-            SimInstant::from_secs(2.5)
-        );
-        // Detection never precedes the death itself.
-        let tight = HeartbeatMonitor::new(SimDuration::from_secs(10.0), SimDuration::ZERO);
-        assert_eq!(
-            tight.detection_instant(SimInstant::from_secs(3.0)),
-            SimInstant::from_secs(3.0)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_heartbeat_interval_rejected() {
-        HeartbeatMonitor::new(SimDuration::ZERO, SimDuration::from_secs(1.0));
     }
 
     #[test]

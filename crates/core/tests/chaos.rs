@@ -148,7 +148,7 @@ fn transient_and_heartbeat_faults_are_invisible_to_results() {
             FaultPlan::seeded(seed)
                 .flaky_fetches(0.2)
                 .flaky_hdfs(0.2)
-                .with_heartbeat(SimDuration::from_secs(0.5), SimDuration::from_secs(1.0))
+                .with_heartbeat_timeout(SimDuration::from_secs(1.0))
                 .with_checkpoint_interval(1)
                 .lose_node_at(
                     NodeId((seed % 4) as u32),

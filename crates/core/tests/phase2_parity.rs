@@ -378,11 +378,16 @@ fn node_loss_at_every_pass_boundary_is_invisible() {
                     "{name}: loss after pass {} (ckpt interval {ckpt}) changed results",
                     k + 1
                 );
-                // A job reads the transactions after pass 2 under every plan,
-                // so interval 1 checkpoints there. The bitmap plan's second
-                // Phase-II job (passes 3-8) builds the columnar store every
-                // later job would count from: no checkpoint follows it.
-                let due = ckpt == 1 || (ckpt == 2 && plan != Phase2Plan::Bitmap);
+                // A checkpoint is written after every `ckpt`-th Phase-II job
+                // that a later job reading the transactions follows. The
+                // bitmap plan's second Phase-II job (passes 3-8) builds the
+                // columnar store every later job would count from: it is the
+                // last to read them.
+                let readers = match plan {
+                    Phase2Plan::Bitmap => 2,
+                    _ => clean.passes.len() - 1,
+                };
+                let due = ckpt != 0 && ckpt < readers;
                 let rec = c.metrics().snapshot().recovery;
                 assert_eq!(
                     rec.checkpoint_writes > 0,

@@ -307,9 +307,9 @@ fn an_out_of_range_fault_plan_is_one_line_and_exit_1() {
     // default one has 12 nodes, numbered 0 to 11.
     for (json, flags, field, says) in [
         (
-            r#"{"seed": 1, "resubmit_delay": -1}"#,
+            r#"{"seed": 1, "blacklist_expiry": -1}"#,
             &[][..],
-            "resubmit_delay",
+            "blacklist_expiry",
             "must be ",
         ),
         (

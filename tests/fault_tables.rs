@@ -12,18 +12,34 @@ use yafim::data::{to_lines, PaperDataset};
 use yafim::{Miner, Phase2Plan, Support};
 
 /// What `FaultPlan::seeded(0).to_json()` printed before the field table.
+/// Kept byte for byte: every default that is still a field must hold it.
 const DEFAULTS_AT_PARENT: &str = r#"{"blacklist_after":3,"blacklist_expiry":0,"cache_corruption_prob":0,"checkpoint_interval":0,"fetch_backoff_base":0.05,"fetch_failure_prob":0,"fetch_retries":3,"hdfs_corruption_prob":0,"hdfs_failure_prob":0,"heartbeat_interval":0.5,"heartbeat_timeout":0,"max_task_failures":4,"mem_budget_override":null,"node_losses":[],"oom_prob":0,"resubmit_delay":0.2,"seed":0,"shuffle_corruption_prob":0,"slow_nodes":[],"speculation":false,"speculation_multiplier":1.5,"targeted_corruptions":[],"task_crash_prob":0}"#;
 
+/// The fields that became constants since, each at the default above.
+const CONSTANTS: [&str; 6] = [
+    "blacklist_after",
+    "fetch_backoff_base",
+    "fetch_retries",
+    "heartbeat_interval",
+    "resubmit_delay",
+    "speculation_multiplier",
+];
+
+/// `DEFAULTS_AT_PARENT` less the fields that became constants.
 fn defaults() -> std::collections::BTreeMap<String, JsonValue> {
     let parsed = json::parse(DEFAULTS_AT_PARENT).expect("valid JSON");
-    parsed.as_object().expect("an object").clone()
+    let mut fields = parsed.as_object().expect("an object").clone();
+    for name in CONSTANTS {
+        fields.remove(name).expect("a parent field");
+    }
+    fields
 }
 
 #[test]
 fn example_plans_emit_what_the_parent_commit_emitted() {
     assert_eq!(
-        FaultPlan::seeded(0).to_json().to_string(),
-        DEFAULTS_AT_PARENT
+        FaultPlan::seeded(0).to_json(),
+        JsonValue::Object(defaults())
     );
     for name in ["corruption", "nodeloss", "oom", "transient"] {
         let path = format!("{}/results/{name}.fault.json", env!("CARGO_MANIFEST_DIR"));
