@@ -1,8 +1,14 @@
 //! Microbench: hash-tree construction and subset matching vs the naive
-//! scan — the data-structure half of YAFIM's Phase II.
+//! scan — the data-structure half of YAFIM's Phase II — and the per-row
+//! match (`for_each_match`) beside the chunk count the engines run
+//! (`count_rows`), and on complete pair sets the columnar kernel beside the
+//! triangle `count_rows` picks for them.
 
 use yafim_bench::microbench::{bench, black_box, header};
-use yafim_core::{HashTree, Itemset, MatchScratch};
+use yafim_core::hashtree::CHUNK_ROWS;
+use yafim_core::{
+    BitmapScratch, CandidateList, ColumnarPartition, HashTree, Itemset, MatchScratch,
+};
 use yafim_data::rng::StdRng;
 
 fn candidates(n: usize, k: usize, universe: u32, seed: u64) -> Vec<Itemset> {
@@ -87,14 +93,71 @@ fn match_all(tree: &HashTree, txs: &[Vec<u32>]) -> (u64, u64) {
     (hits, visits)
 }
 
-/// Time matching every row of `txs` and print visits and host ns per row.
+/// Count every row of `txs` a chunk at a time, as the engines do; returns
+/// `(matches, visits)`.
+fn count_all(tree: &HashTree, txs: &[Vec<u32>]) -> (u64, u64) {
+    let mut acc = vec![0u64; tree.len()];
+    let rows = txs.iter().map(Vec::as_slice);
+    let (visits, matches, _) = tree.count_rows(rows, &mut MatchScratch::default(), &mut acc);
+    (matches, visits)
+}
+
+/// Time matching every row of `txs` row by row and a chunk at a time, and
+/// print visits and host ns per row of both.
 fn match_shaped(name: &str, tree: &HashTree, txs: &[Vec<u32>]) {
-    let visits = match_all(tree, txs).1 / txs.len() as u64;
-    let median = bench(name, 20, || match_all(black_box(tree), txs));
+    let (matches, visits) = match_all(tree, txs);
+    assert_eq!(count_all(tree, txs), (matches, visits), "{name}");
+    let per_row = |median: f64| median * 1e9 / txs.len() as f64;
+    let rows = bench(name, 20, || match_all(black_box(tree), txs));
+    let chunks = bench(&format!("{name}/chunks"), 20, || {
+        count_all(black_box(tree), txs)
+    });
     println!(
-        "    {visits} visits per transaction over {} nodes, {:.0} ns per transaction",
+        "    {} visits per transaction over {} nodes; ns per transaction: {:.0} by rows, {:.0} by chunks",
+        visits / txs.len() as u64,
         tree.num_nodes(),
-        median * 1e9 / txs.len() as f64
+        per_row(rows),
+        per_row(chunks),
+    );
+}
+
+/// Every pair of `items` (ascending) in `ap_gen` order, as pass 2 counts
+/// them: time `count_rows` (the sweep, then the triangle) beside the columnar
+/// kernel alone over the same rows in [`CHUNK_ROWS`]-row chunks, the kernel a
+/// pair set that is not complete gets, and print ns per row of both.
+fn pairs_shaped(name: &str, items: &[u32], txs: &[Vec<u32>]) {
+    let pairs: Vec<Itemset> = items
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &a)| {
+            items[i + 1..]
+                .iter()
+                .map(move |&b| Itemset::new(vec![a, b]))
+        })
+        .collect();
+    let list = CandidateList::new(&pairs);
+    let n_items = txs
+        .iter()
+        .flatten()
+        .chain(items)
+        .max()
+        .map_or(0, |&m| m as usize + 1);
+    let columns_all = || {
+        let (mut acc, mut scratch) = (vec![0u64; pairs.len()], BitmapScratch::default());
+        for chunk in txs.chunks(CHUNK_ROWS) {
+            ColumnarPartition::build(n_items, chunk).count_list(&list, &mut scratch, &mut acc);
+        }
+        acc.iter().sum::<u64>()
+    };
+    let tree = HashTree::build(pairs.clone());
+    assert_eq!(columns_all(), count_all(&tree, txs).0, "{name}");
+    let per_row = |median: f64| median * 1e9 / txs.len() as f64;
+    match_shaped(name, &tree, txs);
+    let columns = bench(&format!("{name}/columns"), 20, || black_box(columns_all()));
+    println!(
+        "    {} pairs; ns per transaction: {:.0} by the columnar kernel alone (no sweep)",
+        pairs.len(),
+        per_row(columns),
     );
 }
 
@@ -141,11 +204,18 @@ fn main() {
     // 11-item rows. Few paths per row over a wide tree, so any cost per node
     // reached, rather than per path, shows here.
     header("hashtree_match_t10_shaped_1k_tx");
-    let pairs = (0..782u32)
-        .flat_map(|a| (a + 1..782).map(move |b| Itemset::new(vec![a, b])))
+    let items: Vec<u32> = (0..782).collect();
+    pairs_shaped("tree/305k/k2", &items, &transactions(1_000, 11, 782, 5));
+
+    // MushRoom's pass 2: every pair of the two common values of each of the
+    // 23 attributes (1 035 candidates, pairs within one attribute included,
+    // as `ap_gen(L1)` emits them) against 23-item rows.
+    header("hashtree_match_mushroom_pass2_1k_tx");
+    let (attrs, values, _) = MUSHROOM;
+    let items: Vec<u32> = (0..attrs)
+        .flat_map(|a| [a * values, a * values + 1])
         .collect();
-    let txs = transactions(1_000, 11, 782, 5);
-    match_shaped("tree/305k/k2", &HashTree::build(pairs), &txs);
+    pairs_shaped("tree/1035/k2", &items, &dense_shaped(MUSHROOM, 1, 2, 6).1);
 
     // 12 candidates fit the root leaf: no descent, so no slot per item —
     // only the membership stamps are precomputed.

@@ -238,15 +238,32 @@ impl ColumnarPartition {
         scratch: &mut BitmapScratch,
         acc: &mut [u64],
     ) -> (u64, u64) {
+        let mut found = 0;
+        let words = self.count_with(list, scratch, acc, |_, count| {
+            found += u64::from(count > 0);
+        });
+        (words, found)
+    }
+
+    /// [`ColumnarPartition::count_list`] that also hands each candidate's
+    /// index and support to `seen`, in index order. Returns the words
+    /// intersected.
+    pub(crate) fn count_with(
+        &self,
+        list: &CandidateList,
+        scratch: &mut BitmapScratch,
+        acc: &mut [u64],
+        seen: impl FnMut(usize, u64),
+    ) -> u64 {
         assert_ne!(list.k, 1, "bitmap counting starts at pass 2");
         assert_eq!(acc.len(), list.len(), "one count cell per candidate");
         #[cfg(target_arch = "x86_64")]
         if scratch.popcnt {
             // SAFETY: `popcnt` is set only by `BitmapScratch::default`, and
             // only when the host reports the feature.
-            return unsafe { count_list_popcnt(self, list, &mut scratch.levels, acc) };
+            return unsafe { count_list_popcnt(self, list, &mut scratch.levels, acc, seen) };
         }
-        count_list_body(self, list, &mut scratch.levels, acc)
+        count_list_body(self, list, &mut scratch.levels, acc, seen)
     }
 }
 
@@ -256,9 +273,9 @@ impl ByteSize for ColumnarPartition {
     }
 }
 
-/// The bitmap plan's count, one flat loop: `list`'s candidates in
-/// order, the stored prefix levels in one `(k−2)·w` buffer, each support
-/// added straight into its cell. Level `d` holds `row(c[0]) ∧ … ∧
+/// The columnar count, one flat loop: `list`'s candidates in order, the
+/// stored prefix levels in one `(k−2)·w` buffer, each support added
+/// straight into its cell and handed to `seen` with its candidate's index. Level `d` holds `row(c[0]) ∧ … ∧
 /// row(c[d+1])`, so a `k`-candidate keeps levels `0..k-2` and streams the
 /// final intersection; the top level, when stale, is recomputed in the same
 /// sweep as the final intersection it feeds. `words` charges `w` per level
@@ -270,18 +287,19 @@ fn count_list_body(
     list: &CandidateList,
     levels: &mut Vec<u64>,
     acc: &mut [u64],
-) -> (u64, u64) {
+    mut seen: impl FnMut(usize, u64),
+) -> u64 {
     let (k, w) = (list.k, col.words_per_item);
     if list.items.is_empty() {
-        return (0, 0);
+        return 0;
     }
     let top = k - 2;
     levels.clear();
     levels.resize(top * w, 0);
     let row = |item: Item| col.row(item as usize);
-    let (mut words, mut found) = (0u64, 0u64);
+    let mut words = 0u64;
     let cands = list.items.chunks_exact(k).zip(&list.stale);
-    for ((cand, &stale), cell) in cands.zip(acc) {
+    for (i, ((cand, &stale), cell)) in cands.zip(acc).enumerate() {
         let stale = stale as usize;
         words += ((top - stale + 1) * w) as u64;
         let last = row(cand[k - 1]);
@@ -316,9 +334,9 @@ fn count_list_body(
             }
         };
         *cell += count;
-        found += u64::from(count > 0);
+        seen(i, count);
     }
-    (words, found)
+    words
 }
 
 /// `popcount(a ∧ b)`, word by word.
@@ -337,8 +355,9 @@ fn count_list_popcnt(
     list: &CandidateList,
     levels: &mut Vec<u64>,
     acc: &mut [u64],
-) -> (u64, u64) {
-    count_list_body(col, list, levels, acc)
+    seen: impl FnMut(usize, u64),
+) -> u64 {
+    count_list_body(col, list, levels, acc, seen)
 }
 
 /// One pass's candidates as one `k`-strided arena, in `ap_gen`'s sorted
@@ -362,12 +381,20 @@ impl CandidateList {
     pub fn new(candidates: &[Itemset]) -> Self {
         let k = candidates.first().map_or(0, Itemset::len);
         assert!(candidates.iter().all(|c| c.len() == k), "one length");
-        let items = candidates.iter().flat_map(Itemset::items);
+        Self::from_sets(k, candidates.iter().map(Itemset::items))
+    }
+
+    /// The list of the `k`-sets `candidates`, in the order given.
+    pub(crate) fn from_sets<'a>(
+        k: usize,
+        candidates: impl Iterator<Item = &'a [Item]> + Clone,
+    ) -> Self {
+        let items = candidates.clone().flatten();
         let mut prev: &[Item] = &[];
-        let stale = candidates.iter().map(|c| {
-            let common = prev.iter().zip(c.items()).take_while(|(x, y)| x == y);
+        let stale = candidates.map(|c| {
+            let common = prev.iter().zip(c).take_while(|(x, y)| x == y);
             let stale = common.count().saturating_sub(1).min(k.saturating_sub(2));
-            prev = c.items();
+            prev = c;
             stale as u32
         });
         let (items, stale) = (items.copied().collect(), stale.collect());

@@ -45,6 +45,12 @@ impl TxBlock {
         self.ends.push(end);
     }
 
+    /// Drop every row, keeping the arena's room.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+    }
+
     /// Every row's items, back to back.
     pub(crate) fn items(&self) -> &[Item] {
         &self.items

@@ -6,7 +6,7 @@
 //! Algorithm 1 line 5 / §II.A). The projecting plans also drop a candidate
 //! whose subsets' supports bound its own below MinSup (`ap_gen_bounded`).
 
-use crate::hashtree::MatchScratch;
+use crate::hashtree::{count_each_row, MatchScratch};
 use crate::types::{Item, Itemset};
 use yafim_cluster::{ByteSize, FxHashMap, FxHashSet};
 
@@ -47,6 +47,23 @@ pub trait CandidateStore: Send + Sync {
         scratch: &mut MatchScratch,
         f: &mut dyn FnMut(usize),
     ) -> u64;
+
+    /// Add one to `acc[i]` (one cell per candidate) for every candidate `i`
+    /// contained in each sorted row of `rows`. Returns the visits (what
+    /// [`for_each_match_dyn`](Self::for_each_match_dyn) returns, summed over
+    /// the rows), the matches and the number of distinct candidates matched.
+    /// One row at a time unless the store counts many at once (the hash
+    /// tree does).
+    fn count_rows_dyn(
+        &self,
+        rows: &mut dyn Iterator<Item = &[Item]>,
+        scratch: &mut MatchScratch,
+        acc: &mut [u64],
+    ) -> (u64, u64, u64) {
+        count_each_row(rows, scratch, acc, |t, s, f| {
+            self.for_each_match_dyn(t, s, f)
+        })
+    }
 
     /// Serialized size for broadcast accounting.
     fn store_bytes(&self) -> u64;

@@ -199,6 +199,23 @@ pub fn tri_pair(n: usize, mut idx: usize) -> (usize, usize) {
     }
 }
 
+/// Add every pair of the ascending ranks `t`, each below `n`, into `acc`,
+/// the triangle over `n` ranks, setting each cell's bit in `touched`.
+/// Returns the number of pairs.
+pub(crate) fn add_pairs(acc: &mut [u64], touched: &mut [u64], n: usize, t: &[Item]) -> u64 {
+    for i in 0..t.len().saturating_sub(1) {
+        // Row-relative addressing keeps the inner loop a single add +
+        // increment.
+        let base = tri_index(n, t[i] as usize, t[i] as usize + 1);
+        for &b in &t[i + 1..] {
+            let cell = base + (b - t[i]) as usize - 1;
+            acc[cell] += 1;
+            touched[cell / 64] |= 1 << (cell % 64);
+        }
+    }
+    (t.len() * t.len().saturating_sub(1) / 2) as u64
+}
+
 /// Largest triangle the specialized pass-2 counter will allocate per task
 /// (cells, 8 bytes each). Beyond this, pass 2 falls back to the candidate
 /// store — counts are identical either way, only the constant factor moves.

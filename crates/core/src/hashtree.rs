@@ -26,15 +26,28 @@
 //! the row's work follows the nodes it reaches and its length, not its
 //! paths. The tree is one flat arena, and what the count needs of the
 //! transaction (the hash slot of each item, which candidate items it holds)
-//! is computed once per call into [`MatchScratch`]. A leaf is verified in
-//! chunks of 64 entries, by one mask per distinct candidate item: every item
-//! the transaction lacks clears the entries that hold it.
+//! is computed once per call into [`MatchScratch`].
 //!
 //! Traversal work is reported as the visit count of the walk, which the
 //! engines feed into the virtual-time cost model: every arrival at every
 //! node plus one per leaf entry verified. It is an exact function of (tree,
-//! transaction): a modelled quantity, not what this layout costs the host.
+//! transaction) that models the JVM walk: a modelled quantity, not what
+//! this layout costs the host.
+//!
+//! Which candidates a row holds does not depend on the tree, so the engines
+//! count [`CHUNK_ROWS`] rows at a time ([`HashTree::count_rows`]): every row
+//! is still swept for its visits, and the counts come from a kernel over the
+//! candidates in item-id space (ids ascend with items). When the candidates
+//! are every pair of their items in `ap_gen` order, each row's pairs are
+//! added into the triangle, whose cell `i` is candidate `i`; otherwise the
+//! chunk is laid out as a [`ColumnarPartition`] and counted by the bitmap
+//! kernel. [`HashTree::for_each_match`] verifies the leaves a row reaches,
+//! 64 entries at a time by one mask per distinct candidate item (every item
+//! the row lacks clears the entries that hold it): the per-row reference,
+//! which sequential Apriori and the parity tests call.
 
+use crate::bitmap::{BitmapScratch, CandidateList, ColumnarPartition};
+use crate::encode::{add_pairs, tri_len};
 use crate::item_table::ItemTable;
 use crate::types::{Item, Itemset};
 use yafim_cluster::{fx_hash64, ByteSize, FxHashSet};
@@ -43,6 +56,9 @@ use yafim_cluster::{fx_hash64, ByteSize, FxHashSet};
 pub(crate) const DEFAULT_BRANCHING: usize = 8;
 /// Default maximum candidates per leaf before it splits.
 pub(crate) const DEFAULT_MAX_LEAF: usize = 16;
+/// Rows [`HashTree::count_rows`] lays out as one columnar chunk: 8 words a
+/// bitset row, and a chunk's arena stays small whatever the split size.
+pub const CHUNK_ROWS: usize = 512;
 
 /// While the tree is laid out, a node reference with this bit set is a leaf
 /// number; clear, it is an interior node's id.
@@ -93,15 +109,31 @@ pub struct HashTree {
     /// Per chunk, its distinct item ids (see `items`) ascending, each with
     /// the chunk's entries that hold it (bit `i`: the chunk's `i`-th entry).
     masks: Vec<(u32, u64)>,
-    /// The candidates' distinct items; an item's index there is its id.
+    /// The candidates' distinct items, ascending; an item's index there is
+    /// its id, so ids ascend with items.
     items: ItemTable,
     candidates: Vec<Itemset>,
+    /// How [`HashTree::count_rows`] counts.
+    kernel: Kernel,
 }
 
-/// Reusable per-caller scratch space for [`HashTree::for_each_match`]. One
-/// per thread. It may go from one tree to the next: a stamp only counts
-/// while it equals `version`, `cum` is all zero between calls (before the
-/// first callback of one), and the rest is rewritten before it is read.
+/// The counting kernel of [`HashTree::count_rows`]: host state only, which
+/// the modelled size does not see.
+enum Kernel {
+    /// `k < 2`: no pairs to count; each row goes through the leaves.
+    PerRow,
+    /// The candidates are every pair of the ids in `ap_gen` order: candidate
+    /// `i` is triangle cell `i`.
+    Triangle,
+    /// The candidates over the item ids, for the columnar kernel.
+    Columns(CandidateList),
+}
+
+/// Reusable per-caller scratch space for [`HashTree::for_each_match`] and
+/// the counts over many rows. One per thread. It may go from one tree to the
+/// next: a stamp only counts while it equals `version`, `cum` is all zero
+/// between calls (before the first callback of one), and the rest is
+/// rewritten or cleared before it is read.
 #[derive(Default)]
 pub struct MatchScratch {
     /// `present[id] == version`: the transaction holds that candidate item.
@@ -119,23 +151,21 @@ pub struct MatchScratch {
     /// The leaves arrived at, as node ids; one cell spare.
     leaves: Vec<u32>,
     version: u32,
+    /// The ids of the candidate items each row holds, row after row.
+    ids: Vec<Item>,
+    /// Where each row of a columnar chunk ends in `ids`.
+    ends: Vec<usize>,
+    /// One bit per candidate a count over many rows matched.
+    touched: Vec<u64>,
+    bitmap: BitmapScratch,
 }
 
 impl MatchScratch {
-    /// Start transaction `t` against `tree`: stamp the candidate items it
-    /// holds, size the sweep's lists and, if the root routes, note each
-    /// item's hash slot.
+    /// Start transaction `t` against `tree`: append the ids of the candidate
+    /// items it holds to `ids`, size the sweep's lists and, if the root
+    /// routes, note each item's hash slot.
     fn begin(&mut self, tree: &HashTree, t: &[Item]) {
-        self.version = self.version.wrapping_add(1);
-        if self.version == 0 {
-            // Wrapped: clear stale stamps that would now falsely match.
-            self.present.clear();
-            self.version = 1;
-        }
-        // Grow only: stamps beyond this tree's range are older than
-        // `version`, and every `cum` is zero.
-        self.present
-            .resize(self.present.len().max(tree.items.len()), 0);
+        // Grow only: every `cum` is zero.
         self.cum.resize(self.cum.len().max(tree.num_nodes() + 1), 0);
         let cells = (tree.k + 1) * (tree.interior() + 1);
         self.active.resize(self.active.len().max(cells), 0);
@@ -150,13 +180,100 @@ impl MatchScratch {
             // probes the item table.
             let hash = fx_hash64(&item);
             if let Some(id) = tree.items.get_hashed(item, hash) {
-                self.present[id as usize] = self.version;
+                self.ids.push(id);
             }
             if routes {
                 self.slots.push((hash % tree.branching as u64) as u32);
             }
         }
     }
+
+    /// Stamp the ids in `ids` present, under a new `version`, in a table of
+    /// at least `n_items` cells.
+    fn stamp(&mut self, n_items: usize) {
+        self.version = self.version.wrapping_add(1);
+        if self.version == 0 {
+            // Wrapped: clear stale stamps that would now falsely match.
+            self.present.clear();
+            self.version = 1;
+        }
+        // Grow only: stamps beyond this tree's range are older than
+        // `version`.
+        self.present.resize(self.present.len().max(n_items), 0);
+        for &id in &self.ids {
+            self.present[id as usize] = self.version;
+        }
+    }
+
+    /// Run `count` on this scratch and a zeroed bitset of `n_cells` bits;
+    /// returns how many bits it set. Cleared on the way in, so a count that
+    /// unwound leaves nothing behind.
+    pub(crate) fn tally(
+        &mut self,
+        n_cells: usize,
+        count: impl FnOnce(&mut Self, &mut [u64]),
+    ) -> u64 {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        touched.resize(n_cells.div_ceil(64), 0);
+        count(self, &mut touched);
+        let cells = touched.iter().map(|w| u64::from(w.count_ones())).sum();
+        self.touched = touched;
+        cells
+    }
+
+    /// Count the rows of the chunk in `ids` and `ends`, `n_items` ids wide,
+    /// against `list`: add each candidate's support into `acc` and mark it in
+    /// `touched` when nonzero. Empties the chunk; returns the matches.
+    fn count_chunk(
+        &mut self,
+        list: &CandidateList,
+        n_items: usize,
+        acc: &mut [u64],
+        touched: &mut [u64],
+    ) -> u64 {
+        if self.ends.is_empty() {
+            return 0;
+        }
+        let ids = &self.ids;
+        let rows = self
+            .ends
+            .iter()
+            .scan(0, |at, &end| Some(&ids[std::mem::replace(at, end)..end]));
+        let col = ColumnarPartition::from_rows(n_items, self.ends.len(), rows);
+        let mut matches = 0;
+        col.count_with(list, &mut self.bitmap, acc, |i, count| {
+            touched[i / 64] |= u64::from(count > 0) << (i % 64);
+            matches += count;
+        });
+        self.ids.clear();
+        self.ends.clear();
+        matches
+    }
+}
+
+/// Add one to `acc[i]` for every candidate `i` that `each` reports for each
+/// row of `rows`, one row at a time. `each` is a store's per-row match,
+/// returning the row's visits. Returns the visits, the matches and the
+/// distinct candidates matched.
+pub(crate) fn count_each_row<'a>(
+    rows: impl IntoIterator<Item = &'a [Item]>,
+    scratch: &mut MatchScratch,
+    acc: &mut [u64],
+    mut each: impl FnMut(&[Item], &mut MatchScratch, &mut dyn FnMut(usize)) -> u64,
+) -> (u64, u64, u64) {
+    let (mut visits, mut matches) = (0u64, 0u64);
+    let cells = scratch.tally(acc.len(), |s, touched| {
+        for t in rows {
+            let row = each(t, s, &mut |i| {
+                acc[i] += 1;
+                touched[i / 64] |= 1 << (i % 64);
+                matches += 1;
+            });
+            visits = visits.saturating_add(row);
+        }
+    });
+    (visits, matches, cells)
 }
 
 impl HashTree {
@@ -190,6 +307,8 @@ impl HashTree {
         assert!(n_items < LEAF as usize, "too many candidate items");
         let distinct: FxHashSet<Item> =
             candidates.iter().flat_map(|c| c.items()).copied().collect();
+        let mut distinct: Vec<Item> = distinct.into_iter().collect();
+        distinct.sort_unstable();
         let mut tree = HashTree {
             k,
             branching,
@@ -202,6 +321,7 @@ impl HashTree {
             masks: Vec::new(),
             items: ItemTable::new(distinct.into_iter()),
             candidates,
+            kernel: Kernel::PerRow,
         };
         let all: Vec<u32> = (0..tree.candidates.len() as u32).collect();
         let root = tree.lay_out(&all, 0, max_leaf);
@@ -215,12 +335,28 @@ impl HashTree {
         };
         tree.root = id(root);
         tree.children.iter_mut().for_each(|c| *c = id(*c));
+        if k >= 2 {
+            let to_id = |item: &Item| tree.items.get(*item).expect("every item was added");
+            let ids: Vec<Item> = tree
+                .candidates
+                .iter()
+                .flat_map(|c| c.items())
+                .map(to_id)
+                .collect();
+            let m = tree.items.len() as Item;
+            let mut pairs = (0..m).flat_map(|a| (a + 1..m).map(move |b| [a, b]));
+            let complete = k == 2
+                && ids.len() == 2 * tri_len(m as usize)
+                && ids
+                    .chunks_exact(2)
+                    .all(|c| pairs.next().is_some_and(|p| c == p));
+            tree.kernel = if complete {
+                Kernel::Triangle
+            } else {
+                Kernel::Columns(CandidateList::from_sets(k, ids.chunks_exact(k)))
+            };
+        }
         tree
-    }
-
-    /// Candidate length `k` (0 for an empty tree).
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// The candidates, in insertion order — match callbacks receive indices
@@ -307,8 +443,77 @@ impl HashTree {
         if self.k == 0 || t.len() < self.k {
             return 0;
         }
-        scratch.begin(self, t);
+        scratch.ids.clear();
+        let (visits, reached) = self.visit(t, scratch);
         let s = scratch;
+        s.stamp(self.items.len());
+        let interior = self.interior();
+        for &leaf in &s.leaves[..reached] {
+            self.verify(leaf as usize - interior, &s.present, s.version, &mut f);
+        }
+        visits
+    }
+
+    /// Add one to `acc[i]` (one cell per candidate) for every candidate `i`
+    /// contained in each sorted, duplicate-free row of `rows`. Returns the
+    /// visits, the sum of what [`HashTree::for_each_match`] returns for each
+    /// row, the matches and the number of distinct candidates matched.
+    ///
+    /// Each row is swept for its visits alone. A pair tree whose candidates
+    /// are every pair of their items in `ap_gen` order adds each row's pairs
+    /// into `acc` as a triangle; any other tree of `k ≥ 2` lays
+    /// [`CHUNK_ROWS`] rows at a time out as bitset columns, one per
+    /// candidate item, and counts them with the bitmap kernel.
+    pub fn count_rows<'a>(
+        &self,
+        rows: impl IntoIterator<Item = &'a [Item]>,
+        scratch: &mut MatchScratch,
+        acc: &mut [u64],
+    ) -> (u64, u64, u64) {
+        assert_eq!(acc.len(), self.len(), "one count cell per candidate");
+        let list = match &self.kernel {
+            Kernel::PerRow => {
+                return count_each_row(rows, scratch, acc, |t, s, f| self.for_each_match(t, s, f))
+            }
+            Kernel::Triangle => None,
+            Kernel::Columns(list) => Some(list),
+        };
+        let (k, m) = (self.k, self.items.len());
+        let (mut visits, mut matches) = (0u64, 0u64);
+        let cells = scratch.tally(acc.len(), |s, touched| {
+            s.ids.clear();
+            s.ends.clear();
+            for t in rows.into_iter().filter(|t| t.len() >= k) {
+                let start = s.ids.len();
+                visits = visits.saturating_add(self.visit(t, s).0);
+                match list {
+                    None => {
+                        matches += add_pairs(acc, touched, m, &s.ids[start..]);
+                        s.ids.truncate(start);
+                    }
+                    Some(_) if s.ids.len() - start < k => s.ids.truncate(start),
+                    Some(list) => {
+                        s.ends.push(s.ids.len());
+                        if s.ends.len() == CHUNK_ROWS {
+                            matches += s.count_chunk(list, m, acc, touched);
+                        }
+                    }
+                }
+            }
+            if let Some(list) = list {
+                matches += s.count_chunk(list, m, acc, touched);
+            }
+        });
+        (visits, matches, cells)
+    }
+
+    /// Sweep the row `t`, at least `k` items long, for its visits: the
+    /// root's one arrival, every arrival below it and one per entry of each
+    /// leaf reached. Appends the ids of the candidate items it holds to
+    /// `s.ids` and leaves the leaves reached in `s.leaves`; returns the
+    /// visits and the number of leaves.
+    fn visit(&self, t: &[Item], s: &mut MatchScratch) -> (u64, usize) {
+        s.begin(self, t);
         let interior = self.interior();
         let reached = if (self.root as usize) < interior {
             self.sweep(s)
@@ -316,8 +521,7 @@ impl HashTree {
             s.leaves[0] = self.root;
             1
         };
-        // The root's one arrival, every arrival below it and one visit per
-        // leaf entry; each `cum` read goes back to zero, before any callback.
+        // Each `cum` read goes back to zero.
         let mut visits = 1u64;
         for d in 1..self.k {
             for &node in &s.active[d * (interior + 1)..][..s.lens[d]] {
@@ -332,10 +536,7 @@ impl HashTree {
             let arrivals = std::mem::take(&mut s.cum[leaf as usize]);
             visits = visits.saturating_add(arrivals).saturating_add(entries);
         }
-        for &leaf in &s.leaves[..reached] {
-            self.verify(leaf as usize - interior, &s.present, s.version, &mut f);
-        }
-        visits
+        (visits, reached)
     }
 
     /// One pass over the positions of the row in `s.slots`: leaves every
@@ -431,6 +632,15 @@ impl crate::candidates::CandidateStore for HashTree {
         f: &mut dyn FnMut(usize),
     ) -> u64 {
         self.for_each_match(t, scratch, f)
+    }
+
+    fn count_rows_dyn(
+        &self,
+        rows: &mut dyn Iterator<Item = &[Item]>,
+        scratch: &mut MatchScratch,
+        acc: &mut [u64],
+    ) -> (u64, u64, u64) {
+        self.count_rows(rows, scratch, acc)
     }
 
     fn store_bytes(&self) -> u64 {

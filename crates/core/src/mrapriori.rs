@@ -24,15 +24,15 @@
 //! * [`MrVariant::Dpc`] — *dynamic passes combined*: keep adding levels to a
 //!   job while the combined candidate count stays under a threshold.
 
+use crate::block::TxBlock;
 use crate::candidates::{ap_gen, job_candidates, Chain};
-use crate::hashtree::{HashTree, MatchScratch};
+use crate::hashtree::{HashTree, MatchScratch, CHUNK_ROWS};
 use crate::miner::MineError;
 use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
-use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
-use yafim_cluster::{slice_bytes, ByteSize, EventKind, FxHashMap, SimCluster, WorkCounters};
+use yafim_cluster::{slice_bytes, ByteSize, EventKind, FxHashMap, Lines, SimCluster, WorkCounters};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 /// Abstract CPU units per naive candidate subset-check (a short merge scan
@@ -64,7 +64,7 @@ impl MrMatching {
 /// candidate's index within the level.
 enum LevelMatching {
     /// Hash-tree descent.
-    Tree(HashTree),
+    Tree(Box<HashTree>),
     /// `k = 2` naive: enumerate item pairs and probe a map to the index.
     Pairs(FxHashMap<(Item, Item), usize>),
     /// `k ≥ 3` naive: linear scan with subset tests.
@@ -74,7 +74,7 @@ enum LevelMatching {
 impl LevelMatching {
     fn new(candidates: Vec<Itemset>, matching: MrMatching) -> Self {
         match matching {
-            MrMatching::HashTree => LevelMatching::Tree(HashTree::build(candidates)),
+            MrMatching::HashTree => LevelMatching::Tree(Box::new(HashTree::build(candidates))),
             MrMatching::NaiveScan => {
                 if candidates.first().is_some_and(|c| c.len() == 2) {
                     LevelMatching::Pairs(
@@ -91,58 +91,61 @@ impl LevelMatching {
         }
     }
 
-    /// Call `hit` with the index of every contained candidate; returns the
-    /// CPU units spent.
-    fn for_each_match(
+    /// Add one to `acc[i]` (one cell per candidate) for every candidate `i`
+    /// contained in each row of `rows`; returns the CPU units spent and the
+    /// matches.
+    fn count<'a>(
         &self,
-        t: &[Item],
+        rows: impl Iterator<Item = &'a [Item]>,
         scratch: &mut MatchScratch,
-        mut hit: impl FnMut(usize),
-    ) -> u64 {
+        acc: &mut [u64],
+    ) -> (u64, u64) {
+        let (mut units, mut matches) = (0, 0);
         match self {
             LevelMatching::Tree(tree) => {
-                tree.for_each_match(t, scratch, hit) * JVM_TREE_VISIT_UNITS
+                let (visits, matches, _) = tree.count_rows(rows, scratch, acc);
+                return (visits * JVM_TREE_VISIT_UNITS, matches);
             }
             LevelMatching::Pairs(pairs) => {
-                let mut units = 0;
-                for i in 0..t.len() {
-                    for j in i + 1..t.len() {
-                        units += 2;
-                        if let Some(&idx) = pairs.get(&(t[i], t[j])) {
-                            hit(idx);
+                for t in rows {
+                    for i in 0..t.len() {
+                        for j in i + 1..t.len() {
+                            units += 2;
+                            if let Some(&idx) = pairs.get(&(t[i], t[j])) {
+                                acc[idx] += 1;
+                                matches += 1;
+                            }
                         }
                     }
                 }
-                units
             }
             LevelMatching::Scan(candidates) => {
-                for (idx, c) in candidates.iter().enumerate() {
-                    if c.is_subset_of_sorted(t) {
-                        hit(idx);
+                for t in rows {
+                    for (idx, c) in candidates.iter().enumerate() {
+                        let hit = u64::from(c.is_subset_of_sorted(t));
+                        (acc[idx], matches) = (acc[idx] + hit, matches + hit);
                     }
+                    units += candidates.len() as u64 * NAIVE_CHECK_UNITS;
                 }
-                candidates.len() as u64 * NAIVE_CHECK_UNITS
             }
         }
+        (units, matches)
     }
 }
 
-thread_local! {
-    /// One row buffer and one match scratch per worker thread: the hot
-    /// allocations of a per-line mapper.
-    static BUFFERS: RefCell<(Vec<Item>, MatchScratch)> = RefCell::default();
-}
-
-/// Scan `line` into this thread's row buffer and hand it and the thread's
-/// match scratch to `map`; charge a CPU unit per item plus what `map`
-/// returns.
-fn with_row(line: &str, w: &mut WorkCounters, map: impl FnOnce(&[Item], &mut MatchScratch) -> u64) {
-    BUFFERS.with(|buffers| {
-        let (items, scratch) = &mut *buffers.borrow_mut();
-        items.clear();
-        yafim_data::scan_line(line, items);
-        w.add_cpu(items.len() as u64 + map(items, scratch));
-    });
+/// Parse the unit's lines [`CHUNK_ROWS`] at a time into one reused block, a
+/// row per line, and hand each batch to `batch`; charges a CPU unit per
+/// item. Host memory follows the batch, not the unit.
+fn parse_unit(lines: &Lines, w: &mut WorkCounters, mut batch: impl FnMut(&TxBlock)) {
+    let (mut block, mut lines) = (TxBlock::default(), lines.iter().peekable());
+    while lines.peek().is_some() {
+        block.clear();
+        for line in lines.by_ref().take(CHUNK_ROWS) {
+            block.push_row(0, |row| yafim_data::scan_line(line, row));
+        }
+        w.add_cpu(block.items().len() as u64);
+        batch(&block);
+    }
 }
 
 /// Pass 1's map key: one item, standing for `Itemset::single(item)`. It
@@ -180,24 +183,29 @@ pub(crate) fn counting_job(
     // Serialized itemset text, as PApriori ships it.
     let side_bytes: u64 = levels.iter().map(|l| slice_bytes(l)).sum();
     let table: Arc<[Itemset]> = levels.iter().flatten().cloned().collect();
-    let mut base = 0;
     let matchers: Vec<(usize, LevelMatching)> = levels
         .into_iter()
-        .map(|level| {
-            base += level.len();
-            (base - level.len(), LevelMatching::new(level, matching))
-        })
+        .map(|level| (level.len(), LevelMatching::new(level, matching)))
         .collect();
-    MapReduceJob::new(
+    MapReduceJob::new_per_unit(
         name,
         input,
-        move |_off, line: &str, em: &mut Emitter<Itemset, u64>, w| {
-            with_row(line, w, |items, scratch| {
-                let units = matchers.iter().map(|(base, matcher)| {
-                    matcher.for_each_match(items, scratch, |idx| em.emit_at(base + idx))
+        move |_off, lines: &Lines, em: &mut Emitter<Itemset, u64>, w| {
+            let (mut scratch, mut units) = (MatchScratch::default(), 0);
+            em.count_into(|acc| {
+                let mut matches = 0;
+                parse_unit(lines, w, |block| {
+                    let mut rest = &mut acc[..];
+                    for (len, matcher) in &matchers {
+                        let (level, tail) = rest.split_at_mut(*len);
+                        let (spent, found) = matcher.count(block.rows(), &mut scratch, level);
+                        (units, matches) = (units + spent, matches + found);
+                        rest = tail;
+                    }
                 });
-                units.sum()
+                matches
             });
+            w.add_cpu(units);
         },
         move |k: &Itemset, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {
             let sum: u64 = vs.into_iter().sum();
@@ -282,13 +290,15 @@ impl MrApriori {
 
         // ---- pass 1: frequent items, one job, keyed by one item ----
         let pass1_start = (metrics.now(), Instant::now());
-        let job = MapReduceJob::new(
+        let job = MapReduceJob::new_per_unit(
             "MR-Apriori pass 1",
             input,
-            |_off, line: &str, em: &mut Emitter<ItemKey, u64>, w| {
-                with_row(line, w, |items, _| {
-                    items.iter().for_each(|&item| em.emit(ItemKey(item), 1));
-                    0
+            |_off, lines: &Lines, em: &mut Emitter<ItemKey, u64>, w| {
+                parse_unit(lines, w, |block| {
+                    block
+                        .items()
+                        .iter()
+                        .for_each(|&item| em.emit(ItemKey(item), 1));
                 });
             },
             move |k: &ItemKey, vs: Vec<u64>, em: &mut Emitter<Itemset, u64>, _w| {

@@ -106,11 +106,6 @@ impl CandidateTrie {
         }
     }
 
-    /// Candidate length `k` (0 for an empty trie).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Number of candidates.
     pub fn len(&self) -> usize {
         self.candidates.len()

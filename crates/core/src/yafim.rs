@@ -65,7 +65,7 @@ use crate::bitmap::{
 };
 use crate::block::TxBlock;
 use crate::candidates::{ap_gen, ap_gen_bounded, job_candidates, CandidateStore, Chain};
-use crate::encode::{tri_index, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
+use crate::encode::{add_pairs, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::trie::CandidateTrie;
@@ -1053,31 +1053,19 @@ fn take_survivors(counted: Vec<(u32, u64)>, mut all: Vec<Itemset>) -> Vec<(Items
 }
 
 thread_local! {
-    /// One touched bit per candidate cell, for the counters that can hit a
-    /// cell more than once per partition. All zero whenever it rests here:
-    /// [`touched_cells`] takes it out and puts it back only after clearing
-    /// the bits it set, so a task that unwinds in between drops it and the
-    /// next task on the thread starts from a fresh one.
-    static TOUCHED: RefCell<Vec<u64>> = RefCell::default();
-    /// [`count_matches`]'s scratch, taken out and put back like `TOUCHED`: a
-    /// stage of many small partitions would grow one afresh in every task.
+    /// The counting kernels' scratch, one per pool thread: a stage of many
+    /// small partitions would grow one afresh in every task. [`with_scratch`]
+    /// takes it out and puts it back, so a task that unwinds in between drops
+    /// it and the next task on the thread starts from a fresh one.
     static SCRATCH: RefCell<MatchScratch> = RefCell::default();
 }
 
-/// Run `count` over this thread's touched bitset (`n_cells` zeroed bits) and
-/// return how many distinct cells it marked, by popcount, not by scanning
-/// the (mostly empty) count array.
-fn touched_cells(n_cells: usize, count: impl FnOnce(&mut [u64])) -> u64 {
-    let n_words = n_cells.div_ceil(64);
-    let mut touched = TOUCHED.take();
-    if touched.len() < n_words {
-        touched.resize(n_words, 0);
-    }
-    count(&mut touched[..n_words]);
-    let words = touched[..n_words].iter_mut();
-    let cells = words.map(|w| std::mem::take(w).count_ones() as u64).sum();
-    TOUCHED.set(touched);
-    cells
+/// Run `count` on this thread's scratch.
+fn with_scratch<R>(count: impl FnOnce(&mut MatchScratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let out = count(&mut scratch);
+    SCRATCH.set(scratch);
+    out
 }
 
 /// Every row of a partition's blocks, in order.
@@ -1162,20 +1150,12 @@ fn rewrite_rows(
 /// increments and of distinct cells they hit.
 fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
     let mut pairs = 0u64;
-    let cells = touched_cells(acc.len(), |touched| {
-        for t in rows_of(txs) {
-            for i in 0..t.len().saturating_sub(1) {
-                // Row-relative addressing keeps the inner loop a single
-                // add + increment.
-                let base = tri_index(n_dense, t[i] as usize, t[i] as usize + 1);
-                for &b in &t[i + 1..] {
-                    let cell = base + (b - t[i]) as usize - 1;
-                    acc[cell] += 1;
-                    touched[cell / 64] |= 1 << (cell % 64);
-                }
+    let cells = with_scratch(|scratch| {
+        scratch.tally(acc.len(), |_, touched| {
+            for t in rows_of(txs) {
+                pairs += add_pairs(acc, touched, n_dense, t);
             }
-            pairs += (t.len() * t.len().saturating_sub(1) / 2) as u64;
-        }
+        })
     });
     (pairs, cells)
 }
@@ -1184,19 +1164,7 @@ fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
 /// transaction of `txs`. Returns the store's visit count, the number of
 /// matches and the number of distinct candidates matched.
 fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &dyn CandidateStore) -> (u64, u64, u64) {
-    let mut scratch = SCRATCH.take();
-    let (mut visits, mut matches) = (0u64, 0u64);
-    let cells = touched_cells(acc.len(), |touched| {
-        for t in rows_of(txs) {
-            visits += store.for_each_match_dyn(t, &mut scratch, &mut |idx| {
-                acc[idx] += 1;
-                touched[idx / 64] |= 1 << (idx % 64);
-                matches += 1;
-            });
-        }
-    });
-    SCRATCH.set(scratch);
-    (visits, matches, cells)
+    with_scratch(|scratch| store.count_rows_dyn(&mut rows_of(txs), scratch, acc))
 }
 
 /// Add each candidate's support in the columnar partitions `cols` into
@@ -1244,6 +1212,7 @@ mod tests {
     use super::*;
     use crate::block::block_of;
     use crate::candidates::ap_gen;
+    use crate::encode::tri_index;
     use crate::sequential::apriori;
     use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
     use yafim_data::rng::StdRng;
@@ -1574,6 +1543,15 @@ mod tests {
         let unwound = std::panic::catch_unwind(|| count(&poisoned));
         assert!(unwound.is_err(), "out-of-range rank must not be counted");
         assert_eq!(count(&good).1, count_pairs_dense(&good, 5).1.len() as u64);
+        // The hash tree's chunk counts run on the same thread's scratch.
+        let unwound = std::panic::catch_unwind(|| count(&poisoned));
+        assert!(unwound.is_err());
+        let pairs = ap_gen(&(0..5).map(Itemset::single).collect::<Vec<_>>()).0;
+        for tree in [HashTree::build(ap_gen(&pairs).0), HashTree::build(pairs)] {
+            let counted = count_matches(&mut vec![0; tree.len()], &block_of(&good), &tree);
+            let (visits, matches, sparse) = count_matches_sparse(&good, &tree);
+            assert_eq!(counted, (visits, matches, sparse.len() as u64));
+        }
     }
 
     #[test]

@@ -34,13 +34,8 @@ impl<K, V> Emitter<K, V> {
     }
 
     /// Number of pairs emitted so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.emitted as usize
-    }
-
-    /// Whether nothing has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.emitted == 0
     }
 
     /// Consume the collector, yielding the keyed emissions in order.
@@ -70,6 +65,12 @@ impl<K> Emitter<K, u64> {
         self.counts[index] += 1;
         self.emitted += 1;
     }
+
+    /// Hand `count` the key table's slots to add into; it returns how much it
+    /// added in all: that many [`emit_at`](Self::emit_at) calls at once.
+    pub fn count_into(&mut self, count: impl FnOnce(&mut [u64]) -> u64) {
+        self.emitted += count(&mut self.counts);
+    }
 }
 
 impl<K, V> Default for Emitter<K, V> {
@@ -85,7 +86,6 @@ mod tests {
     #[test]
     fn collects_in_order() {
         let mut e = Emitter::new();
-        assert!(e.is_empty());
         e.emit("a", 1);
         e.emit("b", 2);
         assert_eq!(e.len(), 2);
@@ -98,7 +98,10 @@ mod tests {
         e.emit_at(2);
         e.emit("z", 7);
         e.emit_at(0);
-        e.emit_at(2);
+        e.count_into(|counts| {
+            counts[2] += 1;
+            1
+        });
         assert_eq!(e.len(), 4);
         // Index 1 was never emitted at: no pair, not even a zero.
         assert_eq!(

@@ -16,22 +16,23 @@ impl<T: Clone + Send + Sync + std::hash::Hash + Eq + Ord + ByteSize + 'static> M
 pub trait MrValue: Clone + Send + Sync + ByteSize + 'static {}
 impl<T: Clone + Send + Sync + ByteSize + 'static> MrValue for T {}
 
-/// Mapper: `(byte offset, line, collector, work counters)`.
-pub(crate) type MapFn<KM, VM> =
-    Arc<dyn Fn(u64, &str, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync>;
-/// Split-level mapper: `(first line offset, all split lines, collector, work
-/// counters)` — for algorithms that need the whole split at once (SON's
-/// local mining phase; the equivalent of doing the work in Hadoop's
-/// `cleanup()` after buffering).
-pub(crate) type SplitMapFn<KM, VM> =
+/// Mapper over a run of lines: `(first line offset, the lines, collector,
+/// work counters)`.
+pub(crate) type LinesMapFn<KM, VM> =
     Arc<dyn Fn(u64, &Lines, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync>;
 
-/// The map phase: per-line (classic) or per-split.
-pub enum MapPhase<KM, VM> {
-    /// Called once per input line.
-    PerLine(MapFn<KM, VM>),
-    /// Called once per input split with all its lines.
-    PerSplit(SplitMapFn<KM, VM>),
+/// The map phase: per host unit or per split.
+pub(crate) enum MapPhase<KM, VM> {
+    /// Called once per host unit, a run of consecutive lines of one split,
+    /// for a mapper whose emissions do not depend on how lines group (a
+    /// per-line mapper, or one that batches lines; the runner cuts a task
+    /// into units across spare pool threads).
+    Unit(LinesMapFn<KM, VM>),
+    /// Called once per input split with all its lines — for algorithms that
+    /// need the whole split at once (SON's local mining phase; the
+    /// equivalent of doing the work in Hadoop's `cleanup()` after
+    /// buffering).
+    Split(LinesMapFn<KM, VM>),
 }
 /// Combiner: fold two of one key's map-local values into one
 /// (`reduce_by_key`'s shape). Must be associative and commutative, as in
@@ -83,18 +84,37 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
         mapper: impl Fn(u64, &str, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync + 'static,
         reducer: impl Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync + 'static,
     ) -> Self {
-        Self::with_mapper(name, input, MapPhase::PerLine(Arc::new(mapper)), reducer)
+        let per_line = move |start: u64, lines: &Lines, em: &mut Emitter<KM, VM>, w: &mut _| {
+            for (j, line) in lines.iter().enumerate() {
+                mapper(start + j as u64, line, em, w);
+            }
+        };
+        Self::new_per_unit(name, input, per_line, reducer)
+    }
+
+    /// Like [`MapReduceJob::new`] but with a mapper that takes a run of
+    /// consecutive lines of one split at a time: the runner cuts a task into
+    /// one such run per spare pool thread, so the mapper may batch lines but
+    /// its emissions must not depend on how they group.
+    pub fn new_per_unit(
+        name: impl Into<String>,
+        input: impl Into<String>,
+        mapper: impl Fn(u64, &Lines, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync + 'static,
+        reducer: impl Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync + 'static,
+    ) -> Self {
+        Self::with_mapper(name, input, MapPhase::Unit(Arc::new(mapper)), reducer)
     }
 
     /// Like [`MapReduceJob::new`] but with a split-level mapper that sees a
-    /// whole input split at once (see [`MapPhase::PerSplit`]).
+    /// whole input split at once, for algorithms that need it (SON's local
+    /// mining phase).
     pub fn new_per_split(
         name: impl Into<String>,
         input: impl Into<String>,
         mapper: impl Fn(u64, &Lines, &mut Emitter<KM, VM>, &mut WorkCounters) + Send + Sync + 'static,
         reducer: impl Fn(&KM, Vec<VM>, &mut Emitter<KO, VO>, &mut WorkCounters) + Send + Sync + 'static,
     ) -> Self {
-        Self::with_mapper(name, input, MapPhase::PerSplit(Arc::new(mapper)), reducer)
+        Self::with_mapper(name, input, MapPhase::Split(Arc::new(mapper)), reducer)
     }
 
     fn with_mapper(
@@ -145,9 +165,9 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
 impl<KM: MrKey, KO: MrValue, VO: MrValue> MapReduceJob<KM, u64, KO, VO> {
     /// Declare the intermediate keys up front (in any order, unused ones are
     /// fine), so the mapper can count one emission of `table[index]` with
-    /// [`Emitter::emit_at`]. The job's combiner becomes `+`. Results,
-    /// counters and virtual time are those of emitting
-    /// `(table[index].clone(), 1)` under that combiner.
+    /// [`Emitter::emit_at`] (or many, [`Emitter::count_into`]). The job's
+    /// combiner becomes `+`. Results, counters and virtual time are those of
+    /// emitting `(table[index].clone(), 1)` under that combiner.
     pub fn with_key_table(mut self, table: Arc<[KM]>) -> Self {
         self.key_table = Some((table, |n| n));
         self.combiner = Some(Arc::new(|a, b| a + b));

@@ -8,15 +8,16 @@
 //! crate reproduces that engine over the [`yafim_cluster`] substrate.
 //!
 //! One [`MapReduceJob`] is: text input splits (one per HDFS block) →
-//! `mapper` per line → map output sorted by key → optional `combiner`, a
+//! `mapper` per line (or per run of lines) → map output sorted by key → optional `combiner`, a
 //! binary fold over each run of one key → one bucket per reduce task (one
 //! per virtual core) → keys presented to `reducer` in sorted order →
 //! optional text output committed to simulated HDFS. A job that counts keys
 //! it knows up front declares them as a key table
 //! ([`MapReduceJob::with_key_table`], `u64` values, combiner `+`) and emits
-//! indices ([`Emitter::emit_at`]): each adds one to a dense `u64` slot and
-//! only the slots emitted at become pairs, so a counting mapper builds no
-//! keys and calls no combiner.
+//! indices ([`Emitter::emit_at`]): each adds one to a dense `u64` slot (or
+//! the mapper adds into the slots itself, [`Emitter::count_into`]) and only
+//! the slots emitted at become pairs, so a counting mapper builds no keys and
+//! calls no combiner.
 //!
 //! As everywhere in this repository, the data processing is real and the
 //! time is virtual: map/reduce tasks run on the host thread pool while their
@@ -30,7 +31,7 @@ mod job;
 mod runner;
 
 pub use emitter::Emitter;
-pub use job::{MapPhase, MapReduceJob, MrKey, MrValue};
+pub use job::{MapReduceJob, MrKey, MrValue};
 pub use runner::{JobStats, MrJobResult, MrRunner};
 
 #[cfg(test)]

@@ -148,13 +148,13 @@ impl MrRunner {
 
         // ---- host units ----
         //
-        // A per-line task's host work is cut into line ranges, so a job with
-        // fewer map tasks than pool threads still uses them. Units never
-        // show: a task's unit outputs are concatenated in range order and
-        // combined again before the model reads anything.
+        // A per-unit task's host work is cut into line ranges, so a job with
+        // fewer map tasks than pool threads still uses them.
+        // Units never show: a task's unit outputs are concatenated in range
+        // order and combined again before the model reads anything.
         let spare_threads = match mapper {
-            MapPhase::PerLine(_) => cluster.pool().size().div_ceil(map_tasks.max(1)),
-            MapPhase::PerSplit(_) => 1, // the mapper wants its split whole
+            MapPhase::Unit(_) => cluster.pool().size().div_ceil(map_tasks.max(1)),
+            MapPhase::Split(_) => 1, // the mapper wants its split whole
         };
         let units: Vec<(usize, std::ops::Range<usize>)> = splits
             .iter()
@@ -173,18 +173,9 @@ impl MrRunner {
             let mut w = WorkCounters::new();
             let mut em = Emitter::over_table(table.as_ref().map_or(0, |(keys, _)| keys.len()));
             let lines = file_for_units.lines().slice(range.clone());
-            match &mapper {
-                MapPhase::PerLine(f) => {
-                    for (j, line) in lines.iter().enumerate() {
-                        w.add_records_in(1);
-                        f((range.start + j) as u64, line, &mut em, &mut w);
-                    }
-                }
-                MapPhase::PerSplit(f) => {
-                    w.add_records_in(lines.len() as u64);
-                    f(range.start as u64, &lines, &mut em, &mut w);
-                }
-            }
+            let (MapPhase::Unit(f) | MapPhase::Split(f)) = &mapper;
+            w.add_records_in(lines.len() as u64);
+            f(range.start as u64, &lines, &mut em, &mut w);
             // `records_out` is modelled: emissions are counted where they
             // happen. What the unit hands on is one pair per table index
             // emitted at and, under a combiner, per distinct key emitted.

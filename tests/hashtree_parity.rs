@@ -622,3 +622,206 @@ fn a_callback_that_panics_leaves_the_scratch_usable() {
     pair.check(&t, &mut s, "the row that panicked");
     other.check(&t, &mut s, "another tree after the panic");
 }
+
+// ---- the chunk count against the per-row reference ----
+
+/// What a count over many rows reports: visits, per-candidate counts,
+/// matches and distinct candidates matched.
+type Counted = (u64, Vec<u64>, u64, u64);
+
+/// The per-row reference: `for_each_match` on every row, into a fresh array.
+fn count_each(tree: &HashTree, rows: &[Vec<Item>], s: &mut MatchScratch) -> Counted {
+    let mut counts = vec![0u64; tree.len()];
+    let mut visits = 0u64;
+    for t in rows {
+        visits = visits.saturating_add(tree.for_each_match(t, s, |i| counts[i] += 1));
+    }
+    let matches = counts.iter().sum();
+    let cells = counts.iter().filter(|&&c| c > 0).count() as u64;
+    (visits, counts, matches, cells)
+}
+
+/// `count_rows` into an array that already holds counts, less those.
+fn count_chunks(tree: &HashTree, rows: &[Vec<Item>], s: &mut MatchScratch) -> Counted {
+    let before: Vec<u64> = (0..tree.len() as u64).map(|i| i % 3).collect();
+    let mut acc = before.clone();
+    let (visits, matches, cells) = tree.count_rows(rows.iter().map(Vec::as_slice), s, &mut acc);
+    let counts = acc.iter().zip(&before).map(|(a, b)| a - b).collect();
+    (visits, counts, matches, cells)
+}
+
+/// Count `rows` both ways, the chunk count on the carried scratch `s`.
+fn check_chunks(tree: &HashTree, rows: &[Vec<Item>], s: &mut MatchScratch, what: &str) -> Counted {
+    let want = count_each(tree, rows, &mut MatchScratch::default());
+    let got = count_chunks(tree, rows, s);
+    assert_eq!(got.0, want.0, "visits, {what}");
+    assert!(got.1 == want.1, "counts, {what}");
+    assert_eq!(
+        (got.2, got.3),
+        (want.2, want.3),
+        "matches and cells, {what}"
+    );
+    got
+}
+
+/// Every pair of `items`, in `ap_gen` order.
+fn all_pairs(items: &[Item]) -> Vec<Itemset> {
+    let pairs = (0..items.len()).flat_map(|a| (a + 1..items.len()).map(move |b| (a, b)));
+    pairs
+        .map(|(a, b)| Itemset::new(vec![items[a], items[b]]))
+        .collect()
+}
+
+#[test]
+fn the_chunk_count_adds_what_the_rows_add() {
+    use yafim::hashtree::CHUNK_ROWS as C;
+    let mut rng = StdRng::seed_from_u64(0xc4a2);
+    let mut s = MatchScratch::default();
+    let sizes = [0, 1, C - 1, C, C + 1, 3 * C + 5];
+    let (mut total_matches, mut total_cells) = (0u64, 0u64);
+    for round in 0..36 {
+        let k = 2 + round % 9;
+        let branching = [2, 3, 8, 17, 64, 512][round % 6];
+        let universe: Vec<Item> = (0..rng.gen_range(k as u32 + 6..60))
+            .map(|i| 2 * i)
+            .collect();
+        let n = rng.gen_range(1..300usize);
+        let cands = match round % 4 {
+            // Every pair of some items, in `ap_gen` order, and shuffled.
+            0 if k == 2 => all_pairs(&universe[..rng.gen_range(2..universe.len())]),
+            1 if k == 2 => {
+                let mut pairs = all_pairs(&universe[..12]);
+                pairs.reverse();
+                pairs
+            }
+            // A SON-style union: every pair of one group, some of another.
+            2 if k == 2 => {
+                let mut union = all_pairs(&universe[..8]);
+                let more = random_candidates(&mut rng, &universe[4..], n, 2);
+                let new: Vec<Itemset> = more.into_iter().filter(|c| !union.contains(c)).collect();
+                union.extend(new);
+                union
+            }
+            _ => random_candidates(&mut rng, &universe, n, k),
+        };
+        let max_leaf = [1, 2, 5, 16][round % 4];
+        let tree = HashTree::with_params(cands.clone(), branching, max_leaf);
+        let what = format!(
+            "round {round}: k {k}, {} candidates, {branching}/{max_leaf}",
+            cands.len()
+        );
+        // Items between the candidates' (the universe is every other id) and
+        // past them exercise the dictionary misses; rows shorter than k add
+        // nothing. A binary tree's deep rows stay short in a debug build.
+        let wide: Vec<Item> = (0..2 * universe.len() as u32 + 9).collect();
+        let max_len = if branching <= 3 { 16 + k } else { 40 };
+        let n_rows = sizes[round % sizes.len()];
+        let rows: Vec<Vec<Item>> = (0..n_rows)
+            .map(|i| {
+                let draws = rng.gen_range(0..2 * max_len);
+                let mut t = random_transaction(&mut rng, &wide, draws);
+                t.truncate(if i % 7 == 0 { k - 1 } else { max_len });
+                t
+            })
+            .collect();
+        let (_, _, matches, cells) = check_chunks(&tree, &rows, &mut s, &what);
+        total_matches += matches;
+        total_cells += cells;
+    }
+    assert!(
+        total_matches > 10_000 && total_cells > 1_000,
+        "{total_matches} matches, {total_cells} cells"
+    );
+}
+
+#[test]
+fn every_chunk_boundary_on_both_kernels() {
+    use yafim::hashtree::CHUNK_ROWS as C;
+    let mut rng = StdRng::seed_from_u64(0xb0d);
+    let universe: Vec<Item> = (0..24).collect();
+    let trees = [
+        HashTree::build(all_pairs(&universe)),
+        HashTree::with_params(all_pairs(&universe[..10]), 2, 1),
+        HashTree::build(random_candidates(&mut rng, &universe, 150, 2)),
+        HashTree::build(random_candidates(&mut rng, &universe, 200, 3)),
+        HashTree::with_params(random_candidates(&mut rng, &universe, 120, 5), 3, 2),
+    ];
+    let mut s = MatchScratch::default();
+    for n_rows in [0, 1, C - 1, C, C + 1, 3 * C + 5] {
+        let rows: Vec<Vec<Item>> = (0..n_rows)
+            .map(|_| random_transaction(&mut rng, &universe, 14))
+            .collect();
+        for (i, tree) in trees.iter().enumerate() {
+            let (visits, _, _, _) =
+                check_chunks(tree, &rows, &mut s, &format!("tree {i}, {n_rows} rows"));
+            assert_eq!(visits == 0, n_rows == 0, "tree {i}, {n_rows} rows");
+        }
+    }
+    // Candidates of one item count row by row; an empty tree counts nothing.
+    let singles: Vec<Itemset> = universe.iter().map(|&i| Itemset::single(i)).collect();
+    let rows: Vec<Vec<Item>> = (0..40)
+        .map(|_| random_transaction(&mut rng, &universe, 9))
+        .collect();
+    check_chunks(&HashTree::build(singles), &rows, &mut s, "k = 1");
+    assert_eq!(
+        count_chunks(&HashTree::build(Vec::new()), &rows, &mut s),
+        (0, vec![], 0, 0)
+    );
+}
+
+#[test]
+fn chunk_visits_past_u32_max_are_the_rows_summed() {
+    // The one-slot chain of `every_item_in_one_slot`: C(101, 12) + 6 visits
+    // a row, past `u32::MAX`; at 300 items a row saturates `u64`.
+    let mut s = MatchScratch::default();
+    for (t_len, saturates) in [(100usize, false), (300, true)] {
+        let items = items_in_slot_zero(2, t_len);
+        let cands: Vec<Itemset> = (0..6)
+            .map(|i| Itemset::new(items[7 * i..7 * i + 12].to_vec()))
+            .collect();
+        let tree = HashTree::with_params(cands, 2, 1);
+        let rows = vec![items.clone(), items[..11].to_vec(), items];
+        let (visits, counts, matches, _) = check_chunks(&tree, &rows, &mut s, "one slot");
+        assert_eq!((counts, matches), (vec![2; 6], 12));
+        if saturates {
+            assert_eq!(visits, u64::MAX);
+        } else {
+            assert_eq!(u128::from(visits), 2 * (binomial(101, 12) + 6));
+        }
+    }
+}
+
+#[test]
+fn a_count_that_unwinds_mid_chunk_leaves_the_scratch_as_new() {
+    use yafim::hashtree::CHUNK_ROWS as C;
+    let mut rng = StdRng::seed_from_u64(0x0dd);
+    let universe: Vec<Item> = (0..30).collect();
+    let rows: Vec<Vec<Item>> = (0..2 * C)
+        .map(|_| random_transaction(&mut rng, &universe, 16))
+        .collect();
+    let trees = [
+        HashTree::build(random_candidates(&mut rng, &universe, 250, 3)),
+        HashTree::build(all_pairs(&universe)),
+    ];
+    for tree in &trees {
+        let mut s = MatchScratch::default();
+        // The first chunk is counted and the second half full when a row
+        // cannot be produced.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let failing = rows.iter().enumerate().map(|(i, t)| {
+                assert!(i < C + C / 2, "row {i} cannot be read");
+                t.as_slice()
+            });
+            tree.count_rows(failing, &mut s, &mut vec![0; tree.len()])
+        }));
+        assert!(unwound.is_err());
+        // The next count on the same scratch, of other rows, and of the
+        // same ones, is what a fresh scratch counts.
+        check_chunks(tree, &rows[C..], &mut s, "after the unwind");
+        check_chunks(tree, &rows, &mut s, "the rows that unwound");
+        let mut found = Vec::new();
+        tree.for_each_match(&rows[0], &mut s, |i| found.push(i));
+        found.sort_unstable();
+        assert_eq!(found, tree.matches_naive(&rows[0]));
+    }
+}
