@@ -76,8 +76,8 @@ pub use memgov::{
     SPILL_GRANULE,
 };
 pub use metrics::{
-    DropCounts, EngineCounters, Event, EventKind, JobSpan, Metrics, MetricsSnapshot, PassTiming,
-    StageKind, StageSpan, TaskSpan,
+    DropCounts, EngineCounters, Event, EventKind, JobSpan, Metrics, MetricsSnapshot, PassStart,
+    PassTiming, StageKind, StageSpan, TaskSpan,
 };
 pub use pool::ThreadPool;
 pub use report::full_report;
@@ -124,14 +124,14 @@ impl SimCluster {
     /// Like [`SimCluster::new`] but with an explicit real-thread count
     /// (useful in tests to force sequential execution).
     pub fn with_threads(spec: ClusterSpec, cost: CostModel, threads: usize) -> Self {
-        let hdfs = SimHdfs::new(spec.clone(), cost.clone());
+        let (hdfs, metrics) = (SimHdfs::new(spec.clone(), cost.clone()), Metrics::new());
         SimCluster {
             inner: Arc::new(ClusterInner {
                 spec,
                 cost,
                 hdfs,
-                metrics: Metrics::new(),
-                pool: ThreadPool::new(threads.max(1)),
+                pool: ThreadPool::timed(threads.max(1), metrics.batch_clock()),
+                metrics,
                 faults: FaultController::new(),
             }),
         }

@@ -33,6 +33,7 @@ use crate::time::{SimDuration, SimInstant};
 use crate::work::TaskProfile;
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -197,6 +198,19 @@ pub struct PassTiming {
     pub frequent: usize,
     /// Host time the pass took: not in `==`, the manifest or the trace.
     pub wall: Duration,
+    /// Host time the pass spent outside its stages' task batches: `wall`
+    /// less the time the driver waited on the worker pool. Host-only, like
+    /// `wall`.
+    pub driver: Duration,
+}
+
+/// Where a pass began, as [`Metrics::pass_start`] reads it: on the virtual
+/// clock, on the host's, and in the host time spent in task batches so far.
+#[derive(Clone, Copy, Debug)]
+pub struct PassStart {
+    at: SimInstant,
+    wall: Instant,
+    in_batches: Duration,
 }
 
 impl PartialEq for PassTiming {
@@ -433,6 +447,9 @@ impl MetricsInner {
 #[derive(Clone)]
 pub struct Metrics {
     inner: Arc<Mutex<MetricsInner>>,
+    /// Host nanoseconds the driver has waited on task batches
+    /// ([`ThreadPool::map`](crate::ThreadPool::map)), shared with the pool.
+    in_batches: Arc<AtomicU64>,
 }
 
 impl Default for Metrics {
@@ -451,6 +468,22 @@ impl Metrics {
     pub(crate) fn with_capacity(capacity: MetricsCapacity) -> Self {
         Metrics {
             inner: Arc::new(Mutex::new(MetricsInner::new(capacity))),
+            in_batches: Arc::default(),
+        }
+    }
+
+    /// The counter the worker pool adds the host time of each batch to.
+    pub(crate) fn batch_clock(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.in_batches)
+    }
+
+    /// Where a pass beginning now begins, for [`Metrics::record_pass`].
+    pub fn pass_start(&self) -> PassStart {
+        let in_batches = Duration::from_nanos(self.in_batches.load(Ordering::Relaxed));
+        PassStart {
+            at: self.now(),
+            wall: Instant::now(),
+            in_batches,
         }
     }
 
@@ -492,27 +525,29 @@ impl Metrics {
     }
 
     /// File the Apriori passes `levels` (one level, or the levels one job
-    /// counted) that began at `start` on the virtual clock and at `wall` on
-    /// the host's, and end now, counted by `counter`, and return their
-    /// record for the miner's series.
+    /// counted) that began at `start` and end now, counted by `counter`, and
+    /// return their record for the miner's series.
     pub fn record_pass(
         &self,
         levels: RangeInclusive<usize>,
         counter: &'static str,
-        (start, wall): (SimInstant, Instant),
+        start: PassStart,
         candidates: usize,
         frequent: usize,
     ) -> PassTiming {
+        let wall = start.wall.elapsed();
+        let in_batches = self.pass_start().in_batches - start.in_batches;
         let mut g = self.inner.lock();
         let timing = PassTiming {
             pass: *levels.start(),
             last: *levels.end(),
             counter,
-            start,
-            seconds: g.now.since(start).as_secs(),
+            start: start.at,
+            seconds: g.now.since(start.at).as_secs(),
             candidates,
             frequent,
-            wall: wall.elapsed(),
+            wall,
+            driver: wall.saturating_sub(in_batches),
         };
         g.passes.push(timing.clone());
         timing
@@ -731,11 +766,11 @@ mod tests {
     fn a_pass_is_filed_once_and_returned() {
         let m = Metrics::new();
         m.advance(SimDuration::from_secs(0.5));
-        let start = m.now();
+        let start = m.pass_start();
         m.advance(SimDuration::from_secs(0.25));
         m.advance(SimDuration::from_secs(0.75));
-        let pass = m.record_pass(2..=2, "trie", (start, Instant::now()), 10, 4);
-        assert_eq!((pass.start, pass.seconds), (start, 1.0));
+        let pass = m.record_pass(2..=2, "trie", start, 10, 4);
+        assert_eq!((pass.start, pass.seconds), (start.at, 1.0));
         assert_eq!(
             (pass.counter, pass.candidates, pass.frequent),
             ("trie", 10, 4)

@@ -6,9 +6,11 @@
 
 use crate::sync::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -17,11 +19,19 @@ pub struct ThreadPool {
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     size: usize,
+    /// Host nanoseconds spent in [`ThreadPool::map`], caller-side.
+    in_batches: Arc<AtomicU64>,
 }
 
 impl ThreadPool {
     /// Spawn a pool with `size` worker threads (at least one).
     pub fn new(size: usize) -> Self {
+        Self::timed(size, Arc::default())
+    }
+
+    /// [`ThreadPool::new`], adding the host time of every batch to
+    /// `in_batches` (nanoseconds).
+    pub(crate) fn timed(size: usize, in_batches: Arc<AtomicU64>) -> Self {
         let size = size.max(1);
         let (tx, rx) = channel::<Job>();
         // std's mpsc receiver is single-consumer; share it behind a mutex so
@@ -46,6 +56,7 @@ impl ThreadPool {
             tx: Some(tx),
             workers,
             size,
+            in_batches,
         }
     }
 
@@ -63,7 +74,7 @@ impl ThreadPool {
         T: Send + 'static,
         F: Fn(usize, I) -> T + Send + Sync + 'static,
     {
-        let n = items.len();
+        let (n, start) = (items.len(), Instant::now());
         if n == 0 {
             return Vec::new();
         }
@@ -128,6 +139,8 @@ impl ThreadPool {
         while st.remaining > 0 {
             st = batch.cv.wait(st);
         }
+        let spent = start.elapsed().as_nanos() as u64;
+        self.in_batches.fetch_add(spent, Ordering::Relaxed);
         if let Some(payload) = st.panic.take() {
             // Re-throw the original task panic (message intact) on the
             // caller thread, after the whole batch drained.

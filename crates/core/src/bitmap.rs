@@ -30,7 +30,7 @@
 //! popcount; a task's scratch picks one when it is made. Nothing modelled
 //! can tell which ran.
 
-use crate::candidates::{ap_gen_bounded, job_candidates, Chain, GenWork};
+use crate::candidates::{ap_gen_bounded, job_candidates, CandidateList, Chain, GenWork, Level};
 use crate::encode::tri_len;
 use crate::types::{Item, Itemset, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS};
 use yafim_cluster::{ByteSize, SimCluster, SimDuration};
@@ -110,26 +110,26 @@ pub(crate) fn level_price(
 /// one launch (`spark_job_overhead + spark_stage_overhead`): speculation
 /// never costs more than the job it saves. Returns the levels and their
 /// `ap_gen` work.
-pub fn chained_levels(
-    known: &[Vec<(Itemset, u64)>],
+pub(crate) fn chained_levels(
+    known: &[Level],
     pass: usize,
     max_passes: usize,
     cluster: &SimCluster,
     lines: usize,
     tasks: usize,
     min_sup: u64,
-) -> (Vec<Vec<Itemset>>, GenWork) {
+) -> (Vec<CandidateList>, GenWork) {
     let cost = cluster.cost();
     let words = (lines.div_ceil(64) + tasks) as u64;
     let limit = cluster.memory_budget().map(|b| b.per_task_limit);
     let launch = SimDuration::from_secs(cost.spark_job_overhead + cost.spark_stage_overhead);
     let (mut cells, mut spent) = (0u64, SimDuration::ZERO);
-    let admit = &mut |from: &[Itemset], joins: u64| {
+    let admit = &mut |from: &CandidateList, joins: u64| {
         // The first level is counted either way; a level grown from it may
         // be wider, one grown from a speculative level may not.
         let first = cells == 0;
         cells += from.len() as u64;
-        let k = from.first().map_or(1, Itemset::len) as u64 + 1;
+        let k = from.k as u64 + 1;
         spent += level_price(cluster, k, joins, tasks as u64, words);
         joins >= 1
             && (first || joins <= from.len() as u64)
@@ -138,6 +138,29 @@ pub fn chained_levels(
     };
     let first = ap_gen_bounded(known, lines as u64, min_sup);
     job_candidates(first, pass, max_passes, Chain::Priced(admit))
+}
+
+/// [`chained_levels`] for a caller outside the crate, over `known` held as
+/// `(itemset, support)` pairs, each level ascending; the candidate levels
+/// come back as itemsets.
+pub fn chained_candidates(
+    known: &[Vec<(Itemset, u64)>],
+    pass: usize,
+    max_passes: usize,
+    cluster: &SimCluster,
+    lines: usize,
+    tasks: usize,
+    min_sup: u64,
+) -> (Vec<Vec<Itemset>>, GenWork) {
+    let known: Vec<Level> = (1..)
+        .zip(known)
+        .map(|(k, l)| Level::from_pairs(k, l))
+        .collect();
+    let (levels, work) = chained_levels(&known, pass, max_passes, cluster, lines, tasks, min_sup);
+    (
+        levels.iter().map(CandidateList::to_itemsets).collect(),
+        work,
+    )
 }
 
 /// One partition of the vertical store: a row-major `Vec<u64>` arena with
@@ -358,61 +381,6 @@ fn count_list_popcnt(
     seen: impl FnMut(usize, u64),
 ) -> u64 {
     count_list_body(col, list, levels, acc, seen)
-}
-
-/// One pass's candidates as one `k`-strided arena, in `ap_gen`'s sorted
-/// order: candidate `i` is `items[i·k .. (i+1)·k]`, and `i` is its count
-/// cell. What the bitmap plan broadcasts instead of a
-/// [`CandidateStore`](crate::candidates::CandidateStore): the columnar
-/// layout needs no per-transaction index, only the candidates.
-pub struct CandidateList {
-    k: usize,
-    items: Vec<Item>,
-    /// Per candidate, the first prefix level its predecessor's does not
-    /// serve: `min(s − 1, k − 2)` for `s` shared leading items, 0 for the
-    /// first. The same in every partition, so it is worked out once here;
-    /// like `DenseEncoder`'s item array, a host index that `byte_size` does
-    /// not see.
-    stale: Vec<u32>,
-}
-
-impl CandidateList {
-    /// Flatten `candidates`, all of one length.
-    pub fn new(candidates: &[Itemset]) -> Self {
-        let k = candidates.first().map_or(0, Itemset::len);
-        assert!(candidates.iter().all(|c| c.len() == k), "one length");
-        Self::from_sets(k, candidates.iter().map(Itemset::items))
-    }
-
-    /// The list of the `k`-sets `candidates`, in the order given.
-    pub(crate) fn from_sets<'a>(
-        k: usize,
-        candidates: impl Iterator<Item = &'a [Item]> + Clone,
-    ) -> Self {
-        let items = candidates.clone().flatten();
-        let mut prev: &[Item] = &[];
-        let stale = candidates.map(|c| {
-            let common = prev.iter().zip(c).take_while(|(x, y)| x == y);
-            let stale = common.count().saturating_sub(1).min(k.saturating_sub(2));
-            prev = c;
-            stale as u32
-        });
-        let (items, stale) = (items.copied().collect(), stale.collect());
-        CandidateList { k, items, stale }
-    }
-
-    /// Number of candidates.
-    pub(crate) fn len(&self) -> usize {
-        self.stale.len()
-    }
-}
-
-impl ByteSize for CandidateList {
-    /// The `Vec<Itemset>` the arena flattens, as a `TxBlock` sizes as its
-    /// rows: 8 bytes of length, then 8 + 4k per candidate.
-    fn byte_size(&self) -> u64 {
-        8 + 8 * self.len() as u64 + 4 * self.items.len() as u64
-    }
 }
 
 /// One task's state for the columnar kernel: the prefix levels of
@@ -678,16 +646,13 @@ mod tests {
 
     #[test]
     fn the_chain_stops_where_it_would_grow_cost_a_launch_or_pass_the_limit() {
-        use crate::candidates::{ap_gen, join_pairs, tests::random_level};
+        use crate::candidates::join_pairs;
+        use crate::candidates::tests::{generated, itemsets, level_of, random_level};
         use yafim_cluster::{ClusterSpec, CostModel, FaultPlan};
         let cluster = || SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
         let pairs = |n| (0..n).flat_map(move |a| (a + 1..n).map(move |b| Itemset::new(vec![a, b])));
         // `seed` alone, sorted: no lower level, so the bound keeps everything.
-        let known = |seed: &[Itemset]| {
-            let mut level: Vec<_> = seed.iter().map(|s| (s.clone(), 0)).collect();
-            level.sort();
-            [level]
-        };
+        let known = |seed: &[Itemset]| [level_of(seed)];
         let levels = |seed: &[Itemset], max, c: &SimCluster, tasks| {
             chained_levels(&known(seed), 3, max, c, 1000, tasks, 1)
                 .0
@@ -698,7 +663,7 @@ mod tests {
         // the chain narrows.
         let (small, wide): (Vec<_>, Vec<_>) = (pairs(4).collect(), pairs(8).collect());
         assert_eq!(levels(&small, 0, &cluster(), 8), 2);
-        let unpriced = job_candidates(ap_gen(&wide), 3, 0, Chain::Levels(usize::MAX)).0;
+        let unpriced = job_candidates(generated(&wide), 3, 0, Chain::Levels(usize::MAX)).0;
         assert_eq!(unpriced.len(), 6);
         assert_eq!(levels(&wide, 0, &cluster(), 8), 6, "grown from the first");
         assert_eq!(levels(&small, 3, &cluster(), 8), 1, "max_passes");
@@ -713,9 +678,13 @@ mod tests {
         let mut rng = yafim_data::rng::StdRng::seed_from_u64(0x5bec);
         for (k, tasks) in (2..=4).flat_map(|k| [1, 8, 64].map(|tasks| (k, tasks))) {
             let seed = random_level(&mut rng, k, 6 + 2 * k as u32);
-            let full = job_candidates(ap_gen(&seed), k + 1, 0, Chain::Levels(usize::MAX)).0;
+            let full = job_candidates(generated(&seed), k + 1, 0, Chain::Levels(usize::MAX)).0;
             let (chain, _) = chained_levels(&known(&seed), k + 1, 0, &cluster(), 1000, tasks, 1);
-            assert_eq!(chain[..], full[..chain.len()], "a prefix of the chain");
+            assert_eq!(
+                itemsets(&chain)[..],
+                itemsets(&full)[..chain.len()],
+                "a prefix"
+            );
             // Only a level grown from a speculative one is held to `J ≤ |from|`.
             for (i, from) in chain[..chain.len().saturating_sub(1)].iter().enumerate() {
                 let most = if i == 0 { u64::MAX } else { from.len() as u64 };
@@ -732,10 +701,10 @@ mod tests {
         // Pass 2 over 8 frequent items: `C_2` is their 28 pairs, which join
         // 56 times into every triple; the 56 triples would join 70 times.
         let l1: Vec<_> = (0..8).map(|i| (Itemset::single(i), 100)).collect();
-        let known = std::slice::from_ref(&l1);
-        let chain = |tasks| chained_levels(known, 2, 0, &cluster, 1000, tasks, 1).0;
+        let known = [Level::from_pairs(1, &l1)];
+        let chain = |tasks| chained_levels(&known, 2, 0, &cluster, 1000, tasks, 1).0;
         let levels = chain(8);
-        let sizes: Vec<usize> = levels.iter().map(Vec::len).collect();
+        let sizes: Vec<usize> = levels.iter().map(CandidateList::len).collect();
         assert_eq!(sizes, [28, 56], "level 3 admitted, level 4 refused");
         assert!(join_pairs(&levels[0]) > 28 && join_pairs(&levels[1]) > 56);
         let words = (1000usize.div_ceil(64) + 8) as u64;

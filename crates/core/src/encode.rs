@@ -148,11 +148,15 @@ impl TrimMask {
     /// Mask keeping exactly the items that occur in `frequent` (rank space),
     /// over a dense alphabet of `n` items.
     pub fn from_frequent(n: usize, frequent: &[(Itemset, u64)]) -> Self {
+        Self::from_items(n, frequent.iter().flat_map(|(set, _)| set.items()))
+    }
+
+    /// Mask keeping exactly `items` (rank space), over a dense alphabet of
+    /// `n` items.
+    pub(crate) fn from_items<'a>(n: usize, items: impl IntoIterator<Item = &'a Item>) -> Self {
         let mut keep = vec![false; n];
-        for (set, _) in frequent {
-            for &r in set.items() {
-                keep[r as usize] = true;
-            }
+        for &r in items {
+            keep[r as usize] = true;
         }
         TrimMask { keep }
     }
@@ -185,18 +189,21 @@ pub fn tri_index(n: usize, a: usize, b: usize) -> usize {
     a * (2 * n - a - 1) / 2 + (b - a - 1)
 }
 
-/// Inverse of [`tri_index`]: the pair `(a, b)` at `idx`.
-pub fn tri_pair(n: usize, mut idx: usize) -> (usize, usize) {
+/// Inverse of [`tri_index`]: the pair `(a, b)` at `idx`. Row `a` starts at
+/// `s(a) = a·(2n − a − 1)/2`, so `a` is the largest with `s(a) ≤ idx`: the
+/// quadratic's smaller root, floored, then corrected for rounding.
+pub fn tri_pair(n: usize, idx: usize) -> (usize, usize) {
     debug_assert!(idx < tri_len(n));
-    let mut a = 0usize;
-    loop {
-        let row = n - 1 - a;
-        if idx < row {
-            return (a, a + 1 + idx);
-        }
-        idx -= row;
+    let start = |a: usize| a * (2 * n - a - 1) / 2;
+    let m = 2.0 * n as f64 - 1.0;
+    let mut a = (((m - (m * m - 8.0 * idx as f64).sqrt()) / 2.0) as usize).min(n - 1);
+    while start(a) > idx {
+        a -= 1;
+    }
+    while start(a + 1) <= idx {
         a += 1;
     }
+    (a, a + 1 + idx - start(a))
 }
 
 /// Add every pair of the ascending ranks `t`, each below `n`, into `acc`,
@@ -258,7 +265,7 @@ mod tests {
 
     #[test]
     fn tri_index_is_a_bijection() {
-        for n in [2usize, 3, 5, 17] {
+        for n in [2usize, 3, 5, 17, 600] {
             let mut seen = vec![false; tri_len(n)];
             for a in 0..n {
                 for b in a + 1..n {
@@ -269,6 +276,15 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&s| s), "gaps for n={n}");
+        }
+        // Every row's ends at the triangle's largest size.
+        let n = 5794;
+        for a in 0..n - 1 {
+            let (first, last) = (tri_index(n, a, a + 1), tri_index(n, a, n - 1));
+            assert_eq!(
+                (tri_pair(n, first), tri_pair(n, last)),
+                ((a, a + 1), (a, n - 1))
+            );
         }
     }
 

@@ -46,7 +46,8 @@
 //! the row lacks clears the entries that hold it): the per-row reference,
 //! which sequential Apriori and the parity tests call.
 
-use crate::bitmap::{BitmapScratch, CandidateList, ColumnarPartition};
+use crate::bitmap::{BitmapScratch, ColumnarPartition};
+use crate::candidates::CandidateList;
 use crate::encode::{add_pairs, tri_len};
 use crate::item_table::ItemTable;
 use crate::types::{Item, Itemset};
@@ -609,20 +610,8 @@ impl HashTree {
 }
 
 impl crate::candidates::CandidateStore for HashTree {
-    fn k(&self) -> usize {
-        self.k
-    }
-
     fn len(&self) -> usize {
         self.candidates.len()
-    }
-
-    fn candidates(&self) -> &[Itemset] {
-        &self.candidates
-    }
-
-    fn into_candidates(self: Box<Self>) -> Vec<Itemset> {
-        self.candidates
     }
 
     fn for_each_match_dyn(

@@ -44,9 +44,8 @@ mod trie;
 pub mod types;
 mod yafim;
 
-pub use audit::{audit_level, audit_levels};
-pub use bitmap::{bitmap_fits, BitmapScratch, CandidateList, ColumnarPartition, BITMAP_MAX_WORDS};
-pub use candidates::{ap_gen, CandidateStore, GenWork};
+pub use bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition, BITMAP_MAX_WORDS};
+pub use candidates::{ap_gen, CandidateList, CandidateStore, GenWork};
 pub use eclat::eclat;
 pub use encode::{DenseEncoder, TrimMask};
 pub use fpgrowth::fp_growth;

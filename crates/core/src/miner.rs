@@ -30,8 +30,8 @@ pub enum MineError {
     /// admission control refused the job's memory footprint.
     Exec(ExecError),
     /// A counted level broke an Apriori invariant
-    /// ([`audit_level`](crate::audit::audit_level)): the run was about to
-    /// record wrong results and is refused instead.
+    /// ([`audit_survivors`](crate::audit::audit_survivors)): the run was
+    /// about to record wrong results and is refused instead.
     Audit {
         /// The pass whose level failed the audit.
         pass: usize,

@@ -25,13 +25,12 @@
 //!   job while the combined candidate count stays under a threshold.
 
 use crate::block::TxBlock;
-use crate::candidates::{ap_gen, job_candidates, Chain};
+use crate::candidates::{job_candidates, join_and_prune, CandidateList, Chain, Level};
 use crate::hashtree::{HashTree, MatchScratch, CHUNK_ROWS};
 use crate::miner::MineError;
 use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::Instant;
 use yafim_cluster::{slice_bytes, ByteSize, EventKind, FxHashMap, Lines, SimCluster, WorkCounters};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
@@ -289,7 +288,7 @@ impl MrApriori {
         let mut passes = Vec::new();
 
         // ---- pass 1: frequent items, one job, keyed by one item ----
-        let pass1_start = (metrics.now(), Instant::now());
+        let pass1_start = metrics.pass_start();
         let job = MapReduceJob::new_per_unit(
             "MR-Apriori pass 1",
             input,
@@ -328,22 +327,17 @@ impl MrApriori {
         }
 
         // ---- passes ≥ 2 ----
-        let mut levels: Vec<Vec<(Itemset, u64)>> = vec![l1];
+        let mut levels = vec![Level::from_pairs(1, &l1)];
         let mut next_pass = 2usize;
         loop {
             if self.config.max_passes != 0 && next_pass > self.config.max_passes {
                 break;
             }
 
-            let pass_start = (metrics.now(), Instant::now());
+            let pass_start = metrics.pass_start();
 
             // Driver: generate the candidate levels this job will count.
-            let seed: Vec<Itemset> = levels
-                .last()
-                .expect("levels never empty here")
-                .iter()
-                .map(|(s, _)| s.clone())
-                .collect();
+            let seed = &levels[levels.len() - 1].sets;
             let chain = match self.config.variant {
                 MrVariant::Spc => Chain::Levels(1),
                 MrVariant::Fpc { passes_per_job } => Chain::Levels(passes_per_job.max(1)),
@@ -351,7 +345,7 @@ impl MrApriori {
             };
             let max_passes = self.config.max_passes;
             let (level_candidates, work) =
-                job_candidates(ap_gen(&seed), next_pass, max_passes, chain);
+                job_candidates(join_and_prune(seed, None), next_pass, max_passes, chain);
             metrics.advance_with_event(
                 cost.cpu(work.units()),
                 EventKind::Driver,
@@ -361,7 +355,7 @@ impl MrApriori {
                 break;
             }
             let n_levels = level_candidates.len();
-            let total_candidates: usize = level_candidates.iter().map(Vec::len).sum();
+            let total_candidates = level_candidates.iter().map(CandidateList::len).sum();
 
             let label = match n_levels {
                 1 => format!("MR-Apriori pass {next_pass}"),
@@ -371,7 +365,10 @@ impl MrApriori {
                 label,
                 input,
                 format!("{input}.L{next_pass}"),
-                level_candidates,
+                level_candidates
+                    .iter()
+                    .map(CandidateList::to_itemsets)
+                    .collect(),
                 self.config.matching,
                 min_sup,
             );
@@ -392,12 +389,14 @@ impl MrApriori {
             passes.push(timing);
 
             // Append levels until the first empty one; everything after an
-            // empty level is unreachable by monotonicity.
+            // empty level is unreachable by monotonicity. Each reduce task
+            // hands back its keys ascending, the tasks in hash order: the
+            // sort merges those runs.
             let full = new_levels.into_iter().take_while(|l| !l.is_empty());
             let before = levels.len();
-            levels.extend(full.map(|mut level| {
+            levels.extend((next_pass..).zip(full).map(|(k, mut level)| {
                 level.sort_by(|a, b| a.0.cmp(&b.0));
-                level
+                Level::from_pairs(k, &level)
             }));
             if levels.len() - before < n_levels {
                 break;
@@ -405,8 +404,9 @@ impl MrApriori {
             next_pass += n_levels;
         }
 
+        let levels = levels.into_iter().map(|l| l.into_pairs(|i| i)).collect();
         Ok(MinerRun {
-            result: MiningResult::from_levels(levels),
+            result: MiningResult { levels },
             total_seconds: metrics.now().since(run_start).as_secs(),
             passes,
         })

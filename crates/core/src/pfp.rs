@@ -26,7 +26,6 @@ use crate::miner::MineError;
 use crate::types::{
     parse_transaction, Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
 };
-use std::time::Instant;
 use yafim_cluster::FxHashMap;
 use yafim_rdd::{Context, Rdd};
 
@@ -71,7 +70,7 @@ impl Pfp {
         let run_start = metrics.now();
 
         // ---- step 1: frequent items and ranking ----
-        let count_start = (metrics.now(), Instant::now());
+        let count_start = metrics.pass_start();
         let mut counts: Vec<(Item, u64)> = transactions
             .flat_map(|t| t)
             .map(|i| (i, 1u64))
@@ -98,7 +97,7 @@ impl Pfp {
         let groups = ctx.config().default_parallelism.min(ranking.len()).max(1) as u32;
 
         // ---- step 2+3: group-dependent shards ----
-        let mine_start = (metrics.now(), Instant::now());
+        let mine_start = metrics.pass_start();
         let bc = ctx.broadcast(ranking);
         let rank_for_shards = bc.value();
         let shards: Rdd<(u32, Vec<Item>)> = transactions.map_partitions(move |txs, tc| {

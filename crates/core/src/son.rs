@@ -25,7 +25,6 @@ use crate::mrapriori::{counting_job, MrMatching};
 use crate::types::{
     parse_transaction, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
 };
-use std::time::Instant;
 use yafim_cluster::{Lines, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
@@ -57,7 +56,7 @@ impl Son {
         let run_start = metrics.now();
 
         // ---- job 1: local mining per split ----
-        let phase1_start = (metrics.now(), Instant::now());
+        let phase1_start = metrics.pass_start();
         let job1 = MapReduceJob::new_per_split(
             "SON phase 1 (local mining)",
             input,
@@ -97,7 +96,7 @@ impl Son {
         }
 
         // ---- job 2: exact counting of all candidates at once ----
-        let phase2_start = (metrics.now(), Instant::now());
+        let phase2_start = metrics.pass_start();
         let n_candidates = candidates.len();
 
         // One hash tree per candidate length.

@@ -116,11 +116,6 @@ impl CandidateTrie {
         self.candidates.is_empty()
     }
 
-    /// The candidates, in input (= sorted) order.
-    pub fn candidates(&self) -> &[Itemset] {
-        &self.candidates
-    }
-
     /// Number of trie nodes (observability / tests).
     pub fn num_nodes(&self) -> usize {
         self.candidate_at.len()
@@ -219,20 +214,8 @@ fn build_rec(
 }
 
 impl CandidateStore for CandidateTrie {
-    fn k(&self) -> usize {
-        self.k
-    }
-
     fn len(&self) -> usize {
         self.candidates.len()
-    }
-
-    fn candidates(&self) -> &[Itemset] {
-        &self.candidates
-    }
-
-    fn into_candidates(self: Box<Self>) -> Vec<Itemset> {
-        self.candidates
     }
 
     fn for_each_match_dyn(
@@ -354,7 +337,6 @@ mod tests {
     fn store_trait_round_trip() {
         let cands = sets(&[&[1, 2], &[2, 3]]);
         let boxed: Box<dyn CandidateStore> = Box::new(CandidateTrie::build(cands.clone()));
-        assert_eq!(boxed.k(), 2);
         assert_eq!(boxed.len(), 2);
         let mut s = MatchScratch::default();
         let mut out = Vec::new();
@@ -362,7 +344,6 @@ mod tests {
         out.sort_unstable();
         assert_eq!(out, vec![0, 1]);
         assert!(boxed.store_bytes() > 0);
-        assert_eq!(boxed.into_candidates(), cands);
     }
 
     #[test]

@@ -60,22 +60,23 @@
 //! pass 1): `Paper` shuffles them through `reduceByKey` as Algorithms 2 and
 //! 3 do, a projecting plan aggregates into per-worker accumulators.
 
-use crate::bitmap::{
-    bitmap_fits, chained_levels, pass2_bounds, BitmapScratch, CandidateList, ColumnarPartition,
-};
+use crate::audit::audit_survivors;
+use crate::bitmap::{bitmap_fits, chained_levels, pass2_bounds, BitmapScratch, ColumnarPartition};
 use crate::block::TxBlock;
-use crate::candidates::{ap_gen, ap_gen_bounded, job_candidates, CandidateStore, Chain};
+use crate::candidates::{
+    ap_gen_bounded, job_candidates, join_and_prune, CandidateList, CandidateStore, Chain, Level,
+};
 use crate::encode::{add_pairs, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::trie::CandidateTrie;
 use crate::types::{
-    Item, Itemset, MinerRun, MiningResult, Support, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS,
+    Item, MinerRun, MiningResult, Support, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS,
     JVM_TREE_VISIT_UNITS,
 };
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Instant;
 use yafim_cluster::{
     slice_records, ByteSize, EngineCounters, EventKind, ExecError, FxHashMap, Lines,
     RecoveryCounters, SimDuration, Site, SPILL_GRANULE,
@@ -163,10 +164,10 @@ enum Counter {
     Pairs,
     /// Word-wise AND + popcount over the cached columnar store, of one
     /// level or every level of the priced chain.
-    Bitmap(Vec<Vec<Itemset>>),
+    Bitmap(Vec<CandidateList>),
     /// A broadcast candidate store built over the pass's candidates: the
     /// prefix trie or the hash tree.
-    Store(Box<dyn CandidateStore>),
+    Store(Box<dyn CandidateStore>, CandidateList),
 }
 
 impl Counter {
@@ -175,7 +176,7 @@ impl Counter {
         match self {
             Counter::Pairs => "triangle",
             Counter::Bitmap(_) => "bitmap",
-            Counter::Store(store) => store.name(),
+            Counter::Store(store, _) => store.name(),
         }
     }
 }
@@ -268,8 +269,9 @@ impl YafimConfig {
     }
 }
 
-/// Outcome of one counting pass: `(|C_k|, L_k in work space)`.
-type PassOutcome = (usize, Vec<(Itemset, u64)>);
+/// Outcome of one counting job: `|C_k|` summed over the levels it counted,
+/// and each level's `L_k` in work space, audited.
+type JobOutcome = (usize, Vec<Level>);
 
 /// The YAFIM miner bound to one driver [`Context`].
 pub struct Yafim {
@@ -324,7 +326,7 @@ impl Yafim {
         let mut passes = Vec::new();
 
         // ---- Phase I: load + cache + frequent items ----
-        let pass1_start = (metrics.now(), Instant::now());
+        let pass1_start = metrics.pass_start();
         // From here on every exit, `?` included, releases what the run holds.
         let mut held = Held {
             work: ctx
@@ -336,12 +338,8 @@ impl Yafim {
             checkpointed: None,
         };
 
-        let l1_pairs = self.count_items_pass(&held.work, min_sup)?;
-        let mut l1: Vec<(Itemset, u64)> = l1_pairs
-            .iter()
-            .map(|&(i, c)| (Itemset::single(i), c))
-            .collect();
-        l1.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut l1 = self.count_items_pass(&held.work, min_sup)?;
+        l1.sort_unstable();
 
         // |C_1| is the distinct frequent items: C1 is implicit.
         passes.push(metrics.record_pass(1..=1, "items", pass1_start, l1.len(), l1.len()));
@@ -356,9 +354,7 @@ impl Yafim {
 
         // ---- Projection: re-encode the cached RDD to dense ranks ----
         let encoder = plan.projects().then(|| {
-            let encoder = Arc::new(DenseEncoder::new(
-                l1.iter().map(|(s, _)| s.items()[0]).collect(),
-            ));
+            let encoder = Arc::new(DenseEncoder::new(l1.iter().map(|&(i, _)| i).collect()));
             metrics.advance_with_event(
                 cost.cpu(encoder.len() as u64),
                 EventKind::Projection,
@@ -379,13 +375,13 @@ impl Yafim {
 
         // Work-space L1: ranks 0..n when projecting (l1 is item-sorted, so
         // rank order equals item order and counts carry over positionally).
-        let l1_work: Vec<(Itemset, u64)> = match &encoder {
-            Some(_) => l1
-                .iter()
-                .enumerate()
-                .map(|(r, &(_, c))| (Itemset::single(r as u32), c))
-                .collect(),
-            None => l1,
+        let items: Vec<Item> = match &encoder {
+            Some(_) => (0..l1.len() as Item).collect(),
+            None => l1.iter().map(|&(i, _)| i).collect(),
+        };
+        let l1_work = Level {
+            sets: CandidateList::from_sets(1, items.chunks(1)),
+            supports: l1.iter().map(|&(_, c)| c).collect(),
         };
 
         // ---- Phase II: iterate L_k → C_{k+1} → L_{k+1}, in work space ----
@@ -412,17 +408,16 @@ impl Yafim {
         }
         // The store's shape prices pass 2's layouts and the bitmap chain;
         // L1's supports sum to the items' dense occurrences.
-        let occurrences = l1_work.iter().map(|(_, c)| c).sum();
+        let occurrences = l1_work.supports.iter().sum();
         let shape = (lines, splits.len(), occurrences);
 
-        let mut levels: Vec<Vec<(Itemset, u64)>> = vec![l1_work];
+        let mut levels: Vec<Level> = vec![l1_work];
         let mut pass = 2usize;
         loop {
             if self.config.max_passes != 0 && pass > self.config.max_passes {
                 break;
             }
-            let pass_start = (metrics.now(), Instant::now());
-            let prev = levels.last().expect("levels never empty here");
+            let pass_start = metrics.pass_start();
 
             let built = held.columnar.is_some();
             let Some(counter) =
@@ -451,40 +446,30 @@ impl Yafim {
                     prev.discard_checkpoint();
                 }
             }
+            // Every counter audits the levels it counted before it hands
+            // any back (`job_levels`, `pass2`): the last-line tripwire
+            // behind the storage integrity layer.
             let counted_by = counter.name();
-            let mut counted = match counter {
-                Counter::Pairs => vec![self.pass2(&held.work, n_dense, min_sup)?],
-                Counter::Bitmap(levels) => {
-                    self.pass_bitmap(&mut held, n_dense, levels, pass, min_sup)?
+            let below = &levels[levels.len() - 1];
+            let (n_candidates, counted) = match counter {
+                Counter::Pairs => self.pass2(&held.work, below, min_sup)?,
+                Counter::Bitmap(gens) => {
+                    self.pass_bitmap(&mut held, n_dense, gens, (pass, below), min_sup)?
                 }
-                Counter::Store(store) => {
-                    vec![self.pass_with_store(&held.work, store, pass, min_sup)?]
+                Counter::Store(store, gen) => {
+                    self.pass_with_store(&held.work, store, gen, (pass, below), min_sup)?
                 }
             };
             held.settle();
 
-            // Last-line tripwire behind the storage integrity layer: if a
-            // corrupted partition somehow produced counts that slipped past
-            // every checksum, the Apriori invariants catch it here, each
-            // level against the one below it, before any level of the job is
-            // recorded — wrong results must never be returned.
-            let mut below = prev.as_slice();
-            for (level, (n_candidates, lk)) in (pass..).zip(&mut counted) {
-                lk.sort_by(|a, b| a.0.cmp(&b.0));
-                audit_pass(below, lk, *n_candidates, level)?;
-                below = lk;
-            }
-
             let last = pass + counted.len() - 1;
-            let n_candidates = counted.iter().map(|(n, _)| n).sum();
-            let found = counted.iter().map(|(_, lk)| lk.len()).sum();
+            let found = counted.iter().map(Level::len).sum();
             let timing =
                 metrics.record_pass(pass..=last, counted_by, pass_start, n_candidates, found);
             passes.push(timing);
             // The levels up to the first empty one: nothing above an empty
             // level is frequent, so the run ends there.
-            let counted = counted.into_iter().map(|(_, lk)| lk);
-            levels.extend(counted.take_while(|lk| !lk.is_empty()));
+            levels.extend(counted.into_iter().take_while(|lk| lk.len() > 0));
             let Some(lk) = levels.get(last - 1) else {
                 break;
             };
@@ -504,7 +489,7 @@ impl Yafim {
             // shrinks the columnar build).
             let work_read_later = held.columnar.is_none();
             if plan.projects() && work_read_later {
-                let mask = TrimMask::from_frequent(n_dense, lk);
+                let mask = TrimMask::from_items(n_dense, &lk.sets.items);
                 metrics.advance_with_event(
                     cost.cpu((lk.len() * last) as u64 + n_dense as u64),
                     EventKind::Projection,
@@ -533,24 +518,14 @@ impl Yafim {
 
         drop(held);
 
-        // Decode rank-space results back to the original alphabet; the
-        // monotone encoding preserves itemset order, so per-level sort
-        // order survives the decode.
-        let levels = match &encoder {
-            Some(enc) => levels
-                .into_iter()
-                .map(|level| {
-                    level
-                        .into_iter()
-                        .map(|(s, c)| (enc.decode_itemset(&s), c))
-                        .collect()
-                })
-                .collect(),
-            None => levels,
-        };
+        // Decode rank-space results back to the original alphabet, one
+        // itemset each, once; the monotone encoding preserves itemset
+        // order, so every level stays ascending.
+        let decode = |r| encoder.as_ref().map_or(r, |enc| enc.item(r));
+        let levels = levels.into_iter().map(|l| l.into_pairs(decode)).collect();
 
         Ok(MinerRun {
-            result: MiningResult::from_levels(levels),
+            result: MiningResult { levels },
             total_seconds: metrics.now().since(run_start).as_secs(),
             passes,
         })
@@ -586,7 +561,7 @@ impl Yafim {
         mut bitmap_arena: Option<u64>,
         (lines, tasks, occ): (usize, usize, u64),
         columnar_built: bool,
-        known: &[Vec<(Itemset, u64)>],
+        known: &[Level],
     ) -> Option<Counter> {
         let ctx = &self.ctx;
         let plan = self.config.phase2;
@@ -631,8 +606,7 @@ impl Yafim {
             let first = if plan.projects() {
                 ap_gen_bounded(known, lines as u64, min_sup)
             } else {
-                let prev = known.last().map_or(&[][..], Vec::as_slice);
-                ap_gen(&prev.iter().map(|(s, _)| s.clone()).collect::<Vec<_>>())
+                join_and_prune(&known[known.len() - 1].sets, None)
             };
             job_candidates(first, pass, max, Chain::Levels(1))
         };
@@ -641,7 +615,7 @@ impl Yafim {
         ctx.metrics()
             .advance_with_event(cluster.cost().cpu(cpu), EventKind::Driver, label);
         if work.bounded > 0 {
-            let kept = levels.first().map_or(0, Vec::len);
+            let kept = levels.first().map_or(0, CandidateList::len);
             let (dropped, of) = (work.bounded, work.bounded as usize + kept);
             let note = format!("pass {pass} support bound: {dropped} of {of} candidates dropped");
             ctx.metrics()
@@ -654,15 +628,16 @@ impl Yafim {
             return Some(Counter::Bitmap(levels));
         }
         let candidates = levels.swap_remove(0);
+        let sets = candidates.to_itemsets();
         let store: Box<dyn CandidateStore> = if plan == Phase2Plan::Paper {
-            Box::new(HashTree::build(candidates))
-        } else if over_limit(trie_footprint(candidates.len(), pass)) {
+            Box::new(HashTree::build(sets))
+        } else if over_limit(trie_footprint(sets.len(), pass)) {
             self.note_degradation(pass, "trie -> hash tree");
-            Box::new(HashTree::build(candidates))
+            Box::new(HashTree::build(sets))
         } else {
-            Box::new(CandidateTrie::build(candidates))
+            Box::new(CandidateTrie::build(sets))
         };
-        Some(Counter::Store(store))
+        Some(Counter::Store(store, candidates))
     }
 
     /// Whether `Bitmap`'s pass 2 counts columns: the rule's `(columns, rows)`
@@ -700,15 +675,17 @@ impl Yafim {
     /// per-candidate allocation — filled row by row over `work`
     /// ([`count_pairs`]). Triangle cell `tri_index(a, b)` coincides with
     /// `ap_gen(L1)`'s candidate index for `{a, b}`, so counts (and the
-    /// reported candidate total) are identical to the store path.
+    /// reported candidate total) are identical to the store path. The
+    /// audit reads the bound by rank: `σ(a, b) ≤ min(σ(a), σ(b))`.
     ///
-    /// Returns `(|C2|, L2 in rank space)`.
+    /// Returns `(|C2|, [L2 in rank space])`.
     fn pass2(
         &self,
         work: &Rdd<TxBlock>,
-        n_dense: usize,
+        l1: &Level,
         min_sup: u64,
-    ) -> Result<PassOutcome, ExecError> {
+    ) -> Result<JobOutcome, MineError> {
+        let n_dense = l1.len();
         let metrics = self.ctx.metrics().clone();
         let cost = self.ctx.cluster().cost().clone();
         let n_candidates = tri_len(n_dense);
@@ -729,25 +706,23 @@ impl Yafim {
             cells
         })?;
 
-        let pair = |(idx, c): (u32, u64)| {
-            let (a, b) = tri_pair(n_dense, idx as usize);
-            (Itemset::from_sorted(vec![a as u32, b as u32]), c)
-        };
-        Ok((n_candidates, counted.into_iter().map(pair).collect()))
+        Ok((n_candidates, vec![pairs_level(&counted, l1, min_sup)?]))
     }
 
     /// One Phase-II pass through a broadcast [`CandidateStore`] (the hash
-    /// tree or trie just built over the pass's candidates) — the generic
-    /// path for `k ≥ 3`, and for pass 2 without the triangle.
+    /// tree or trie just built over `candidates`) — the generic path for
+    /// `k ≥ 3`, and for pass 2 without the triangle — its level audited
+    /// against `below`, the level it was joined from.
     ///
-    /// Returns `(|C_k|, L_k in work space)`.
+    /// Returns `(|C_k|, [L_k in work space])`.
     fn pass_with_store(
         &self,
         work: &Rdd<TxBlock>,
         store: Box<dyn CandidateStore>,
-        pass: usize,
+        candidates: CandidateList,
+        (pass, below): (usize, &Level),
         min_sup: u64,
-    ) -> Result<PassOutcome, ExecError> {
+    ) -> Result<JobOutcome, MineError> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
@@ -780,7 +755,8 @@ impl Yafim {
             cells
         })?;
 
-        Ok((n_candidates, drain_store(counted, bc.into_value())))
+        let levels = job_levels(&counted, &[candidates], (pass, below), min_sup)?;
+        Ok((n_candidates, levels))
     }
 
     /// Count one pass over `rdd`: `fold` adds a partition's support counts
@@ -912,20 +888,22 @@ impl Yafim {
     /// built (and cached) by the first such pass and reused from cluster
     /// memory afterwards; only the candidates, one flat list per level, are
     /// broadcast, and their count cells follow each other in one array.
+    /// The first level is audited against `below`, each later one against
+    /// the level before it.
     ///
-    /// Returns one `(|C_k|, L_k in work space)` per level.
+    /// Returns `(|C_k| summed, [L_k in work space] per level)`.
     fn pass_bitmap(
         &self,
         held: &mut Held,
         n_dense: usize,
-        levels: Vec<Vec<Itemset>>,
-        pass: usize,
+        levels: Vec<CandidateList>,
+        (pass, below): (usize, &Level),
         min_sup: u64,
-    ) -> Result<Vec<PassOutcome>, ExecError> {
+    ) -> Result<JobOutcome, MineError> {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
-        let n_candidates = levels.iter().map(Vec::len).sum();
+        let n_candidates = levels.iter().map(CandidateList::len).sum();
 
         // First bitmap pass: materialize the columnar store.
         let columnar = match &held.columnar {
@@ -933,9 +911,9 @@ impl Yafim {
             None => self.build_columnar(held, n_dense),
         };
 
-        // Driver: no store to build — just flatten and broadcast the sorted
-        // candidates (indices into them are the count cells, exactly as
-        // with the stores).
+        // Driver: no store to build — just broadcast the sorted candidate
+        // lists (indices into them are the count cells, exactly as with the
+        // stores).
         metrics.advance_with_event(
             cost.cpu(n_candidates as u64),
             EventKind::Driver,
@@ -946,9 +924,7 @@ impl Yafim {
             bitmap_candidates_counted: n_candidates as u64,
             ..EngineCounters::default()
         });
-        let bc = ctx.broadcast(ChainLists(
-            levels.iter().map(|l| CandidateList::new(l)).collect(),
-        ));
+        let bc = ctx.broadcast(ChainLists(levels));
         let cands_for_tasks = bc.value();
         let cand_bytes = bc.bytes();
 
@@ -975,13 +951,8 @@ impl Yafim {
             },
         )?;
 
-        // Cell `i` is candidate `i` of the levels laid end to end, and each
-        // level is one length.
-        let mut split: Vec<(usize, Vec<_>)> = levels.iter().map(|l| (l.len(), vec![])).collect();
-        for (set, c) in take_survivors(counted, levels.into_iter().flatten().collect()) {
-            split[set.len() - pass].1.push((set, c));
-        }
-        Ok(split)
+        let levels = job_levels(&counted, &bc.0, (pass, below), min_sup)?;
+        Ok((n_candidates, levels))
     }
 }
 
@@ -996,16 +967,67 @@ impl ByteSize for ChainLists {
     }
 }
 
-/// The last-line tripwire behind the storage integrity layer, as a typed
-/// refusal: a level that breaks an Apriori invariant is never recorded.
-fn audit_pass(
-    prev: &[(Itemset, u64)],
-    lk: &[(Itemset, u64)],
-    n_candidates: usize,
-    pass: usize,
-) -> Result<(), MineError> {
-    crate::audit::audit_level(prev, lk, n_candidates)
-        .map_err(|violation| MineError::Audit { pass, violation })
+/// A job's frequent levels from its survivors `counted`, `(cell, count)`
+/// ascending over the candidate levels `levels` laid end to end (the first
+/// is pass `pass`), each audited before any is kept: the last-line tripwire
+/// behind the storage integrity layer, a typed refusal naming the level's
+/// pass. A level's bound reads the supports of the level it was joined
+/// from: `below` for the first, the counts just taken for each later one
+/// (0 where a candidate fell short), so a speculative survivor with an
+/// infrequent subset is refused too.
+fn job_levels(
+    counted: &[(u32, u64)],
+    levels: &[CandidateList],
+    (pass, below): (usize, &Level),
+    min_sup: u64,
+) -> Result<Vec<Level>, MineError> {
+    let (mut rest, mut start) = (counted, 0);
+    let mut supports = Cow::Borrowed(&below.supports[..]);
+    let mut out = Vec::with_capacity(levels.len());
+    for (level, candidates) in (pass..).zip(levels) {
+        let (n, last) = (candidates.len(), out.len() + 1 == levels.len());
+        let end = start + n;
+        let here = rest
+            .iter()
+            .take_while(|&&(c, _)| last || (c as usize) < end);
+        let (here, tail) = rest.split_at(here.count());
+        let bound = |i| candidates.bound(i, &supports);
+        audit_survivors(here, start..end, min_sup, bound).map_err(|violation| {
+            MineError::Audit {
+                pass: level,
+                violation,
+            }
+        })?;
+        let (mut lk, mut counts) = (Level::new(candidates.k), vec![0; n]);
+        for &(cell, c) in here {
+            let i = cell as usize - start;
+            lk.push(candidates.get(i), c);
+            counts[i] = c;
+        }
+        (supports, rest, start) = (Cow::Owned(counts), tail, end);
+        out.push(lk);
+    }
+    Ok(out)
+}
+
+/// `L_2` from the triangle's survivors `counted`, `(cell, count)` over the
+/// pairs of `l1`'s ranks, audited before it is kept as `job_levels` audits:
+/// cells strictly ascending below `|C_2|`, every support at least `min_sup`
+/// and at most `min(σ(a), σ(b))`, read by rank.
+fn pairs_level(counted: &[(u32, u64)], l1: &Level, min_sup: u64) -> Result<Level, MineError> {
+    let (n, sup) = (l1.len(), &l1.supports);
+    let bound = |i| {
+        let (a, b) = tri_pair(n, i);
+        sup[a].min(sup[b])
+    };
+    audit_survivors(counted, 0..tri_len(n), min_sup, bound)
+        .map_err(|violation| MineError::Audit { pass: 2, violation })?;
+    let mut l2 = Level::new(2);
+    for &(i, c) in counted {
+        let (a, b) = tri_pair(n, i as usize);
+        l2.push(&[a as Item, b as Item], c);
+    }
+    Ok(l2)
 }
 
 /// The `(index, count)` record of every cell of `counts` holding at least
@@ -1022,34 +1044,6 @@ fn merge_counts(mut a: Vec<(Item, u64)>, b: &[(Item, u64)]) -> Vec<(Item, u64)> 
     a.sort_by_key(|&(item, _)| item);
     a.dedup_by(|next, kept| (next.0 == kept.0).then(|| kept.1 += next.1).is_some());
     a
-}
-
-/// Turn one pass's surviving `(candidate index, count)` records into `L_k`
-/// against the broadcast candidate store, exactly once per pass. The tasks
-/// have dropped their broadcast handles by now, so the driver usually holds
-/// the last reference and moves the survivors out by value — no
-/// per-frequent-itemset clone. When something (e.g. an in-flight recompute)
-/// still shares the store, clone out of it.
-fn drain_store(
-    counted: Vec<(u32, u64)>,
-    shared: Arc<Box<dyn CandidateStore>>,
-) -> Vec<(Itemset, u64)> {
-    match Arc::try_unwrap(shared) {
-        Ok(store) => take_survivors(counted, store.into_candidates()),
-        Err(shared) => {
-            let all = shared.candidates();
-            let clone = |(idx, c): (u32, u64)| (all[idx as usize].clone(), c);
-            counted.into_iter().map(clone).collect()
-        }
-    }
-}
-
-/// Move each surviving `(candidate index, count)` record's candidate out of
-/// `all`, the pass's candidates: no per-frequent-itemset clone.
-fn take_survivors(counted: Vec<(u32, u64)>, mut all: Vec<Itemset>) -> Vec<(Itemset, u64)> {
-    let empty = || Itemset::from_sorted(Vec::new());
-    let take = |(idx, c): (u32, u64)| (std::mem::replace(&mut all[idx as usize], empty()), c);
-    counted.into_iter().map(take).collect()
 }
 
 thread_local! {
@@ -1211,9 +1205,11 @@ pub fn mine_in_memory(ctx: &Context, transactions: &[Vec<Item>], config: YafimCo
 mod tests {
     use super::*;
     use crate::block::block_of;
-    use crate::candidates::ap_gen;
+    use crate::candidates::tests::{generated, level_of};
+    use crate::candidates::{ap_gen, GenWork};
     use crate::encode::tri_index;
     use crate::sequential::apriori;
+    use crate::types::Itemset;
     use yafim_cluster::{ClusterSpec, CostModel, SimCluster};
     use yafim_data::rng::StdRng;
 
@@ -1556,20 +1552,75 @@ mod tests {
 
     #[test]
     fn a_poisoned_level_is_refused_typed() {
-        let l1 = vec![
-            (Itemset::single(1), 5u64),
-            (Itemset::single(2), 4),
-            (Itemset::single(3), 4),
-        ];
-        let sound = vec![(Itemset::from_sorted(vec![1, 2]), 3u64)];
-        assert!(audit_pass(&l1, &sound, 3, 2).is_ok());
-        // {1,2} cannot be more frequent than {2}: a corrupted count.
-        let poisoned = vec![(Itemset::from_sorted(vec![1, 2]), 40u64)];
-        let err = audit_pass(&l1, &poisoned, 3, 2).expect_err("anti-monotonicity broken");
-        assert!(matches!(err, MineError::Audit { pass: 2, .. }), "{err:?}");
-        let line = err.to_string();
-        assert!(line.starts_with("mining-invariant audit failed after pass 2: "));
-        assert_eq!(line.lines().count(), 1, "the CLI prints this as one line");
+        /// Refused as an audit naming `pass`, in one line.
+        fn refused<T>(outcome: Result<T, MineError>, pass: usize, case: &str) {
+            let Err(err) = outcome else {
+                panic!("{case}: accepted");
+            };
+            let named = matches!(err, MineError::Audit { pass: p, .. } if p == pass);
+            assert!(named, "{case}: {err:?}");
+            let line = err.to_string();
+            let prefix = format!("mining-invariant audit failed after pass {pass}: ");
+            assert!(line.starts_with(&prefix), "{case}: {line}");
+            assert_eq!(line.lines().count(), 1, "the CLI prints this as one line");
+        }
+        let pairs = |n: u32| {
+            let all = (0..n).flat_map(move |a| (a + 1..n).map(move |b| Itemset::new(vec![a, b])));
+            all.collect::<Vec<_>>()
+        };
+        let level = |sets: &[Itemset], supports: &[u64]| Level {
+            supports: supports.to_vec(),
+            ..level_of(sets)
+        };
+
+        // Pass 2 by the triangle over ranks 0, 1, 2 (σ 5, 4, 4): cells
+        // {0,1}, {0,2}, {1,2}.
+        let l1 = level(&[0, 1, 2].map(Itemset::single), &[5, 4, 4]);
+        let triangle = |counted: &[(u32, u64)]| pairs_level(counted, &l1, 2);
+        let sound = triangle(&[(0, 4), (2, 2)]).expect("sound");
+        assert_eq!(
+            sound.sets.to_itemsets(),
+            [&pairs(3)[0], &pairs(3)[2]].map(Itemset::clone)
+        );
+        refused(triangle(&[(0, 5)]), 2, "σ{0,1} above σ{1}");
+        refused(triangle(&[(0, 1)]), 2, "below MinSup");
+        refused(triangle(&[(2, 3), (0, 3)]), 2, "out of order");
+        refused(triangle(&[(3, 2)]), 2, "past |C_2|");
+
+        // A job's first level: C_3 = {0,1,2} from L_2 (σ 4, 3, 3), then the
+        // four triples of every pair of 4 items.
+        let (below, first) = (level(&pairs(3), &[4, 3, 3]), [generated(&pairs(3)).0]);
+        let job = |counted: &[(u32, u64)]| job_levels(counted, &first, (3, &below), 2);
+        assert_eq!(job(&[(0, 3)]).expect("sound")[0].supports, [3]);
+        refused(job(&[(0, 4)]), 3, "σ{0,1,2} above σ{0,2}");
+        refused(job(&[(0, 1)]), 3, "below MinSup");
+        refused(job(&[(1, 2)]), 3, "past |C_3|");
+        let (below, c3) = (level(&pairs(4), &[6; 6]), generated(&pairs(4)).0);
+        let triples = std::slice::from_ref(&c3);
+        refused(
+            job_levels(&[(1, 2), (0, 2)], triples, (3, &below), 2),
+            3,
+            "out of order",
+        );
+
+        // A speculative level: C_4 = {0,1,2,3} from those triples, counted
+        // in the same job: cells 0..4 (each σ 5 here), then cell 4.
+        let c4 = job_candidates((c3, GenWork::default()), 3, 0, Chain::Levels(2)).0;
+        let chain = |counted: &[(u32, u64)]| job_levels(counted, &c4, (3, &below), 2);
+        let after_c3 =
+            |tail: &[(u32, u64)]| chain(&[&[(0, 5), (1, 5), (2, 5), (3, 5)], tail].concat());
+        let sound = after_c3(&[(4, 5)]).expect("sound");
+        assert_eq!(sound.iter().map(Level::len).collect::<Vec<_>>(), [4, 1]);
+        refused(after_c3(&[(4, 6)]), 4, "σ{0,1,2,3} above its triples'");
+        refused(after_c3(&[(4, 1)]), 4, "below MinSup");
+        refused(after_c3(&[(5, 3)]), 4, "past |C_4|");
+        refused(after_c3(&[(4, 3), (4, 3)]), 4, "out of order");
+        // {1,2,3} (cell 3) fell short, so {0,1,2,3} cannot be frequent.
+        refused(
+            chain(&[(0, 5), (1, 5), (2, 5), (4, 3)]),
+            4,
+            "downward closure",
+        );
     }
 
     #[test]

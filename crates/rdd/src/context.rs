@@ -230,14 +230,6 @@ impl<T> Broadcast<T> {
     pub fn value(&self) -> Arc<T> {
         Arc::clone(&self.value)
     }
-
-    /// Consume the handle, yielding the shared value. When every task
-    /// closure has been dropped this is the last reference, letting the
-    /// driver reclaim the value with `Arc::try_unwrap` instead of cloning
-    /// out of it.
-    pub fn into_value(self) -> Arc<T> {
-        self.value
-    }
 }
 
 impl<T> std::ops::Deref for Broadcast<T> {

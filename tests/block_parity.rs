@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use yafim::bitmap::{chained_levels, pass2_bounds};
+use yafim::bitmap::{chained_candidates, pass2_bounds};
 use yafim::cluster::{ByteSize, ClusterSpec, CostModel, EngineCounters, EventKind, SimCluster};
 use yafim::data::from_lines;
 use yafim::data::rng::StdRng;
@@ -94,12 +94,13 @@ fn count_pass<T: Data>(
     counted
 }
 
-/// One store-counted pass over per-record transactions.
+/// One store-counted pass over per-record transactions, `all` the
+/// candidates `store` was built over.
 fn pass_with_store(
     ctx: &Context,
     work: &Rdd<Vec<Item>>,
     projects: bool,
-    store: Box<dyn CandidateStore>,
+    (store, all): (Box<dyn CandidateStore>, &[Itemset]),
     min_sup: u64,
 ) -> Vec<(Itemset, u64)> {
     let n_candidates = store.len();
@@ -132,7 +133,6 @@ fn pass_with_store(
             cells
         },
     );
-    let all = bc.candidates();
     let survivors = counted.into_iter();
     survivors
         .map(|(idx, c)| (all[idx as usize].clone(), c))
@@ -314,7 +314,7 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
             let chained = plan == Phase2Plan::Bitmap && (pass >= 3 || columns);
             let (lines, cap) = (file.num_lines(), if chained { 0 } else { pass });
             let (chain, gen) = if projects {
-                chained_levels(&levels, pass, cap, ctx.cluster(), lines, splits, min_sup)
+                chained_candidates(&levels, pass, cap, ctx.cluster(), lines, splits, min_sup)
             } else {
                 let prev_sets: Vec<Itemset> = prev.iter().map(|(s, _)| s.clone()).collect();
                 let (level, gen) = ap_gen(&prev_sets);
@@ -335,12 +335,24 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
             };
             match plan {
                 Phase2Plan::Paper => {
-                    let store = Box::new(HashTree::build(candidates));
-                    vec![pass_with_store(ctx, &work, projects, store, min_sup)]
+                    let store = Box::new(HashTree::build(candidates.clone()));
+                    vec![pass_with_store(
+                        ctx,
+                        &work,
+                        projects,
+                        (store, &candidates),
+                        min_sup,
+                    )]
                 }
                 Phase2Plan::Trie => {
-                    let store = Box::new(CandidateTrie::build(candidates));
-                    vec![pass_with_store(ctx, &work, projects, store, min_sup)]
+                    let store = Box::new(CandidateTrie::build(candidates.clone()));
+                    vec![pass_with_store(
+                        ctx,
+                        &work,
+                        projects,
+                        (store, &candidates),
+                        min_sup,
+                    )]
                 }
                 Phase2Plan::Bitmap => {
                     let cols = columnar.get_or_insert_with(|| columnar_of(&work));

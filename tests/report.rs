@@ -2,7 +2,8 @@
 //! distributed miner files each pass once, the passes tile the run in
 //! order, the per-pass critical-path rows add up to each pass and (with the
 //! time outside every pass) to the run's buckets, and `full_report` prints
-//! one row per pass, and the bitmap plan's pass-2 layout note — clean,
+//! one row per pass, each row's host `driver ms` within its `wall ms`, and
+//! the bitmap plan's pass-2 layout note — clean,
 //! through a node loss and through silent corruption.
 
 use yafim::cluster::json;
@@ -79,6 +80,24 @@ fn passes_tile_the_run_and_their_rows_add_up() {
                 .take_while(|l| !l.starts_with("outside passes"))
                 .count();
             assert_eq!(rows, run.passes.len(), "{case}:\n{text}");
+            // Host time: a row's driver ms is its wall ms less the time in
+            // task batches, never more.
+            let table: Vec<&str> = text
+                .lines()
+                .skip_while(|l| *l != "== Passes ==")
+                .skip(1)
+                .take_while(|l| !l.starts_with("outside passes"))
+                .collect();
+            let (header, rows) = table.split_first().expect("a header");
+            let end = |name: &str| header.find(name).expect(name) + name.len();
+            let cell = |row: &str, end: usize, width: usize| {
+                let value = row[end - width..end].trim().parse::<f64>();
+                value.unwrap_or_else(|e| panic!("{case}: {e} in {row:?}"))
+            };
+            for row in rows {
+                let (wall, driver) = (cell(row, end("wall ms"), 8), cell(row, end("driver ms"), 9));
+                assert!(driver <= wall, "{case}: {row}");
+            }
             let anomalies = text.starts_with("anomalies: ");
             assert_eq!(anomalies, fault.is_some(), "{case}:\n{text}");
             // MushRoom is dense: the bitmap plan says which layout counted
