@@ -3,7 +3,7 @@
 //!
 //! The runtime's checksums catch corrupted *bytes*; this auditor catches
 //! corrupted *mining state* that somehow slipped past them. Before a
-//! Phase-II job's levels are recorded, it checks each level's survivors
+//! counting job's levels are recorded, it checks each level's survivors
 //! (the `(candidate cell, support)` records its count kept) against what
 //! candidate generation already looked up, in `O(|L_k| · k)` driver time
 //! and no search:
@@ -22,10 +22,15 @@
 //!   survivor's: the anti-monotonicity check refuses a broken closure too.
 //!
 //! A violation means the engine was about to return wrong results, so the
-//! caller escalates (the YAFIM driver refuses the run with
-//! [`MineError::Audit`](crate::miner::MineError::Audit) rather than
-//! returning a poisoned [`crate::types::MiningResult`]).
+//! caller escalates: the YAFIM and MR-Apriori drivers read their counting
+//! jobs back through [`job_levels`] (YAFIM's triangle pass 2 through its
+//! own `pairs_level`) and refuse the run with
+//! [`MineError::Audit`] rather than return a poisoned
+//! [`crate::types::MiningResult`].
 
+use crate::candidates::{CandidateList, Level};
+use crate::miner::MineError;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Audit one level's survivors `counted`, `(cell, support)` records over
@@ -65,4 +70,47 @@ pub(crate) fn audit_survivors(
         }
     }
     Ok(())
+}
+
+/// A job's frequent levels from its survivors `counted`, `(cell, count)`
+/// ascending over the candidate levels `levels` laid end to end (the first
+/// is pass `pass`), each audited before any is kept: the last-line tripwire
+/// behind the storage integrity layer, a typed refusal naming the level's
+/// pass. A level's bound reads the supports of the level it was joined
+/// from: `below` for the first, the counts just taken for each later one
+/// (0 where a candidate fell short), so a speculative survivor with an
+/// infrequent subset is refused too.
+pub(crate) fn job_levels(
+    counted: &[(u32, u64)],
+    levels: &[CandidateList],
+    (pass, below): (usize, &Level),
+    min_sup: u64,
+) -> Result<Vec<Level>, MineError> {
+    let (mut rest, mut start) = (counted, 0);
+    let mut supports = Cow::Borrowed(&below.supports[..]);
+    let mut out = Vec::with_capacity(levels.len());
+    for (level, candidates) in (pass..).zip(levels) {
+        let (n, last) = (candidates.len(), out.len() + 1 == levels.len());
+        let end = start + n;
+        let here = rest
+            .iter()
+            .take_while(|&&(c, _)| last || (c as usize) < end);
+        let (here, tail) = rest.split_at(here.count());
+        let bound = |i| candidates.bound(i, &supports);
+        audit_survivors(here, start..end, min_sup, bound).map_err(|violation| {
+            MineError::Audit {
+                pass: level,
+                violation,
+            }
+        })?;
+        let (mut lk, mut counts) = (Level::new(candidates.k), vec![0; n]);
+        for &(cell, c) in here {
+            let i = cell as usize - start;
+            lk.push(candidates.get(i), c);
+            counts[i] = c;
+        }
+        (supports, rest, start) = (Cow::Owned(counts), tail, end);
+        out.push(lk);
+    }
+    Ok(out)
 }

@@ -11,7 +11,7 @@
 //! run's result: no heap allocation per itemset, and ascending by
 //! construction.
 
-use crate::hashtree::{count_each_row, MatchScratch};
+use crate::hashtree::MatchScratch;
 use crate::types::{Item, Itemset};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -25,44 +25,17 @@ use yafim_cluster::{ByteSize, FxHashMap, FxHashSet};
 /// memory governor, the per-task limit) selects which one Phase II
 /// broadcasts. Both report matches as indices into the same sorted candidate
 /// list, so the engines are byte-identical across stores.
-pub trait CandidateStore: Send + Sync {
-    /// Number of candidates.
-    fn len(&self) -> usize;
-
-    /// Whether the store holds no candidates.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Invoke `f(candidate index)` once per candidate contained in the
-    /// sorted transaction `t`. Returns the node-visit/probe count (the
-    /// virtual CPU work estimate).
-    fn for_each_match_dyn(
-        &self,
-        t: &[Item],
-        scratch: &mut MatchScratch,
-        f: &mut dyn FnMut(usize),
-    ) -> u64;
-
+pub trait CandidateStore: ByteSize + Send + Sync {
     /// Add one to `acc[i]` (one cell per candidate) for every candidate `i`
-    /// contained in each sorted row of `rows`. Returns the visits (what
-    /// [`for_each_match_dyn`](Self::for_each_match_dyn) returns, summed over
-    /// the rows), the matches and the number of distinct candidates matched.
-    /// One row at a time unless the store counts many at once (the hash
-    /// tree does).
+    /// contained in each sorted, duplicate-free row of `rows`. Returns the
+    /// visits (the store's per-row match work, summed over the rows), the
+    /// matches and the number of distinct candidates matched.
     fn count_rows_dyn(
         &self,
         rows: &mut dyn Iterator<Item = &[Item]>,
         scratch: &mut MatchScratch,
         acc: &mut [u64],
-    ) -> (u64, u64, u64) {
-        count_each_row(rows, scratch, acc, |t, s, f| {
-            self.for_each_match_dyn(t, s, f)
-        })
-    }
-
-    /// Serialized size for broadcast accounting.
-    fn store_bytes(&self) -> u64;
+    ) -> (u64, u64, u64);
 
     /// Short label for span/report attribution (`"hash tree"`, `"trie"`).
     fn name(&self) -> &'static str;
@@ -70,7 +43,7 @@ pub trait CandidateStore: Send + Sync {
 
 impl ByteSize for Box<dyn CandidateStore> {
     fn byte_size(&self) -> u64 {
-        self.store_bytes()
+        (**self).byte_size()
     }
 }
 

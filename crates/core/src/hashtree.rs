@@ -41,10 +41,10 @@
 //! are every pair of their items in `ap_gen` order, each row's pairs are
 //! added into the triangle, whose cell `i` is candidate `i`; otherwise the
 //! chunk is laid out as a [`ColumnarPartition`] and counted by the bitmap
-//! kernel. [`HashTree::for_each_match`] verifies the leaves a row reaches,
-//! 64 entries at a time by one mask per distinct candidate item (every item
-//! the row lacks clears the entries that hold it): the per-row reference,
-//! which sequential Apriori and the parity tests call.
+//! kernel over the tree's one id list. [`HashTree::for_each_match`] verifies
+//! the leaves a row reaches against that same list, 64 entries at a time:
+//! the per-row reference, which the parity tests and the 1-itemset count
+//! call.
 
 use crate::bitmap::{BitmapScratch, ColumnarPartition};
 use crate::candidates::CandidateList;
@@ -102,32 +102,18 @@ pub struct HashTree {
     leaf_start: Vec<u32>,
     /// Per entry, the candidate's index into `candidates`.
     entry_cand: Vec<u32>,
-    /// Leaf `l`'s entries, 64 at a time, are chunks
-    /// `leaf_chunk[l]..leaf_chunk[l + 1]`.
-    leaf_chunk: Vec<u32>,
-    /// Chunk `c`'s items are `masks[chunk_start[c]..chunk_start[c + 1]]`.
-    chunk_start: Vec<u32>,
-    /// Per chunk, its distinct item ids (see `items`) ascending, each with
-    /// the chunk's entries that hold it (bit `i`: the chunk's `i`-th entry).
-    masks: Vec<(u32, u64)>,
     /// The candidates' distinct items, ascending; an item's index there is
     /// its id, so ids ascend with items.
     items: ItemTable,
     candidates: Vec<Itemset>,
-    /// How [`HashTree::count_rows`] counts.
-    kernel: Kernel,
-}
-
-/// The counting kernel of [`HashTree::count_rows`]: host state only, which
-/// the modelled size does not see.
-enum Kernel {
-    /// `k < 2`: no pairs to count; each row goes through the leaves.
-    PerRow,
-    /// The candidates are every pair of the ids in `ap_gen` order: candidate
-    /// `i` is triangle cell `i`.
-    Triangle,
-    /// The candidates over the item ids, for the columnar kernel.
-    Columns(CandidateList),
+    /// The candidates over the item ids, `k`-strided: what the leaves
+    /// verify and the columnar kernel counts. Host state only, which the
+    /// modelled size does not see.
+    ids: CandidateList,
+    /// Whether the candidates are every pair of their ids in `ap_gen`
+    /// order, so that [`HashTree::count_rows`] counts candidate `i` in
+    /// triangle cell `i`.
+    triangle: bool,
 }
 
 /// Reusable per-caller scratch space for [`HashTree::for_each_match`] and
@@ -310,6 +296,20 @@ impl HashTree {
             candidates.iter().flat_map(|c| c.items()).copied().collect();
         let mut distinct: Vec<Item> = distinct.into_iter().collect();
         distinct.sort_unstable();
+        let items = ItemTable::new(distinct.into_iter());
+        let to_id = |item: &Item| items.get(*item).expect("every item was added");
+        let flat: Vec<Item> = candidates
+            .iter()
+            .flat_map(|c| c.items())
+            .map(to_id)
+            .collect();
+        let m = items.len() as Item;
+        let mut pairs = (0..m).flat_map(|a| (a + 1..m).map(move |b| [a, b]));
+        let triangle = k == 2
+            && flat.len() == 2 * tri_len(m as usize)
+            && flat
+                .chunks_exact(2)
+                .all(|c| pairs.next().is_some_and(|p| c == p));
         let mut tree = HashTree {
             k,
             branching,
@@ -317,12 +317,10 @@ impl HashTree {
             children: Vec::new(),
             leaf_start: vec![0],
             entry_cand: Vec::with_capacity(candidates.len()),
-            leaf_chunk: vec![0],
-            chunk_start: vec![0],
-            masks: Vec::new(),
-            items: ItemTable::new(distinct.into_iter()),
+            items,
             candidates,
-            kernel: Kernel::PerRow,
+            ids: CandidateList::from_sets(k, flat.chunks_exact(k.max(1))),
+            triangle,
         };
         let all: Vec<u32> = (0..tree.candidates.len() as u32).collect();
         let root = tree.lay_out(&all, 0, max_leaf);
@@ -336,27 +334,6 @@ impl HashTree {
         };
         tree.root = id(root);
         tree.children.iter_mut().for_each(|c| *c = id(*c));
-        if k >= 2 {
-            let to_id = |item: &Item| tree.items.get(*item).expect("every item was added");
-            let ids: Vec<Item> = tree
-                .candidates
-                .iter()
-                .flat_map(|c| c.items())
-                .map(to_id)
-                .collect();
-            let m = tree.items.len() as Item;
-            let mut pairs = (0..m).flat_map(|a| (a + 1..m).map(move |b| [a, b]));
-            let complete = k == 2
-                && ids.len() == 2 * tri_len(m as usize)
-                && ids
-                    .chunks_exact(2)
-                    .all(|c| pairs.next().is_some_and(|p| c == p));
-            tree.kernel = if complete {
-                Kernel::Triangle
-            } else {
-                Kernel::Columns(CandidateList::from_sets(k, ids.chunks_exact(k)))
-            };
-        }
         tree
     }
 
@@ -390,27 +367,8 @@ impl HashTree {
     /// that share one hash path of length `depth` — and return its reference.
     fn lay_out(&mut self, cands: &[u32], depth: usize, max_leaf: usize) -> u32 {
         if cands.len() <= max_leaf || depth == self.k {
-            for part in cands.chunks(64) {
-                let mut chunk = Vec::new();
-                for (bit, &cand) in part.iter().enumerate() {
-                    for &item in self.candidates[cand as usize].items() {
-                        let id = self.items.get(item).expect("every item was added");
-                        chunk.push((id, 1u64 << bit));
-                    }
-                }
-                chunk.sort_unstable();
-                chunk.dedup_by(|(id, bit), (kept, all)| {
-                    if id == kept {
-                        *all |= *bit;
-                    }
-                    id == kept
-                });
-                self.masks.extend(chunk);
-                self.chunk_start.push(self.masks.len() as u32);
-            }
             self.entry_cand.extend_from_slice(cands);
             self.leaf_start.push(self.entry_cand.len() as u32);
-            self.leaf_chunk.push(self.chunk_start.len() as u32 - 1);
             return LEAF | (self.leaf_start.len() - 2) as u32;
         }
         let base = self.children.len();
@@ -472,13 +430,11 @@ impl HashTree {
         acc: &mut [u64],
     ) -> (u64, u64, u64) {
         assert_eq!(acc.len(), self.len(), "one count cell per candidate");
-        let list = match &self.kernel {
-            Kernel::PerRow => {
-                return count_each_row(rows, scratch, acc, |t, s, f| self.for_each_match(t, s, f))
-            }
-            Kernel::Triangle => None,
-            Kernel::Columns(list) => Some(list),
-        };
+        if self.k < 2 {
+            // No pairs to count: each row goes through the leaves.
+            return count_each_row(rows, scratch, acc, |t, s, f| self.for_each_match(t, s, f));
+        }
+        let list = (!self.triangle).then_some(&self.ids);
         let (k, m) = (self.k, self.items.len());
         let (mut visits, mut matches) = (0u64, 0u64);
         let cells = scratch.tally(acc.len(), |s, touched| {
@@ -579,19 +535,21 @@ impl HashTree {
 
     /// Report leaf `leaf`'s entries whose items `present` all stamps.
     fn verify(&self, leaf: usize, present: &[u32], version: u32, f: &mut impl FnMut(usize)) {
-        let chunks = self.leaf_chunk[leaf] as usize..self.leaf_chunk[leaf + 1] as usize;
-        let end = self.leaf_start[leaf + 1] as usize;
-        let bases = (self.leaf_start[leaf] as usize..end).step_by(64);
-        for (c, base) in chunks.zip(bases) {
-            let items = &self.masks[self.chunk_start[c] as usize..self.chunk_start[c + 1] as usize];
+        let entries =
+            &self.entry_cand[self.leaf_start[leaf] as usize..self.leaf_start[leaf + 1] as usize];
+        for part in entries.chunks(64) {
             // No branch per item or entry: on dense data a hit is a coin
-            // flip. An item the row lacks clears the entries holding it.
-            let mut hits = u64::MAX >> (64 - (end - base).min(64));
-            for &(id, holders) in items {
-                hits &= !(holders * u64::from(present[id as usize] != version));
+            // flip. Entry `i` sets bit `i` when the row holds all its items.
+            let mut hits = 0u64;
+            for (bit, &cand) in part.iter().enumerate() {
+                let ids = self.ids.get(cand as usize);
+                let held = ids
+                    .iter()
+                    .fold(true, |all, &id| all & (present[id as usize] == version));
+                hits |= u64::from(held) << bit;
             }
             while hits != 0 {
-                f(self.entry_cand[base + hits.trailing_zeros() as usize] as usize);
+                f(part[hits.trailing_zeros() as usize] as usize);
                 hits &= hits - 1;
             }
         }
@@ -610,19 +568,6 @@ impl HashTree {
 }
 
 impl crate::candidates::CandidateStore for HashTree {
-    fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn for_each_match_dyn(
-        &self,
-        t: &[Item],
-        scratch: &mut MatchScratch,
-        f: &mut dyn FnMut(usize),
-    ) -> u64 {
-        self.for_each_match(t, scratch, f)
-    }
-
     fn count_rows_dyn(
         &self,
         rows: &mut dyn Iterator<Item = &[Item]>,
@@ -630,10 +575,6 @@ impl crate::candidates::CandidateStore for HashTree {
         acc: &mut [u64],
     ) -> (u64, u64, u64) {
         self.count_rows(rows, scratch, acc)
-    }
-
-    fn store_bytes(&self) -> u64 {
-        self.byte_size()
     }
 
     fn name(&self) -> &'static str {

@@ -24,11 +24,13 @@
 //! * [`MrVariant::Dpc`] — *dynamic passes combined*: keep adding levels to a
 //!   job while the combined candidate count stays under a threshold.
 
+use crate::audit::job_levels;
 use crate::block::TxBlock;
 use crate::candidates::{job_candidates, join_and_prune, CandidateList, Chain, Level};
 use crate::hashtree::{HashTree, MatchScratch, CHUNK_ROWS};
 use crate::miner::MineError;
 use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
+use crate::yafim::cells_at_least;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use yafim_cluster::{slice_bytes, ByteSize, EventKind, FxHashMap, Lines, SimCluster, WorkCounters};
@@ -218,6 +220,33 @@ pub(crate) fn counting_job(
     .with_output(output, Arc::new(|k: &Itemset, v: &u64| format!("{k} {v}")))
 }
 
+/// The `(cell, support)` record of each of a counting job's outputs
+/// `pairs`, in cell order over the candidate levels `levels` laid end to
+/// end (a set's cell is its position in its level, after the levels before
+/// it). The reduce tasks hand their keys back in hash-partition order; an
+/// output that is no candidate of the job, or one counted twice, is refused
+/// as an audit naming its level's pass.
+fn job_cells(
+    pairs: Vec<(Itemset, u64)>,
+    levels: &[CandidateList],
+) -> Result<Vec<(u32, u64)>, MineError> {
+    let mut counts = vec![0u64; levels.iter().map(CandidateList::len).sum()];
+    for (set, support) in pairs {
+        let before = levels.iter().take_while(|l| l.k != set.len());
+        let start: usize = before.clone().map(CandidateList::len).sum();
+        let level = levels.get(before.count());
+        match level.and_then(|l| l.position(set.items())) {
+            Some(i) if counts[start + i] == 0 => counts[start + i] = support,
+            _ => {
+                let violation = format!("{set} is no candidate of the job or counted twice");
+                let pass = set.len();
+                return Err(MineError::Audit { pass, violation });
+            }
+        }
+    }
+    Ok(cells_at_least(&counts, 1))
+}
+
 /// Which job-combining scheme to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MrVariant {
@@ -374,13 +403,11 @@ impl MrApriori {
             );
             let result = self.runner.run(job)?;
 
-            // Split the job's output back into per-length levels.
-            let mut new_levels: Vec<Vec<(Itemset, u64)>> = vec![Vec::new(); n_levels];
-            for (set, c) in result.pairs {
-                let slot = set.len() - next_pass;
-                new_levels[slot].push((set, c));
-            }
-            let found: usize = new_levels.iter().map(Vec::len).sum();
+            // Read the job back in cell order and audit it, as YAFIM does.
+            let counted = job_cells(result.pairs, &level_candidates)?;
+            let below = &levels[levels.len() - 1];
+            let new_levels = job_levels(&counted, &level_candidates, (next_pass, below), min_sup)?;
+            let found = new_levels.iter().map(Level::len).sum();
 
             let matching = self.config.matching.name();
             let counted = next_pass..=next_pass + n_levels - 1;
@@ -389,15 +416,9 @@ impl MrApriori {
             passes.push(timing);
 
             // Append levels until the first empty one; everything after an
-            // empty level is unreachable by monotonicity. Each reduce task
-            // hands back its keys ascending, the tasks in hash order: the
-            // sort merges those runs.
-            let full = new_levels.into_iter().take_while(|l| !l.is_empty());
+            // empty level is unreachable by monotonicity.
             let before = levels.len();
-            levels.extend((next_pass..).zip(full).map(|(k, mut level)| {
-                level.sort_by(|a, b| a.0.cmp(&b.0));
-                Level::from_pairs(k, &level)
-            }));
+            levels.extend(new_levels.into_iter().take_while(|l| l.len() > 0));
             if levels.len() - before < n_levels {
                 break;
             }
@@ -532,6 +553,45 @@ mod tests {
             .unwrap();
         assert_eq!(run.result.total(), 0);
         assert_eq!(run.passes.len(), 1);
+    }
+
+    #[test]
+    fn a_job_is_read_back_in_cell_order_and_audited() {
+        // L_2: every pair of {1, 2, 3, 4}, each σ 6. The job counts C_3 (the
+        // four triples, cells 0..4) and C_4 = {1, 2, 3, 4} (cell 4).
+        let pairs: Vec<_> = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+            .map(|p| (Itemset::new(p.to_vec()), 6))
+            .to_vec();
+        let below = Level::from_pairs(2, &pairs);
+        let c3 = join_and_prune(&below.sets, None);
+        let levels = job_candidates(c3, 3, 0, Chain::Levels(2)).0;
+        let set = |items: &[Item], c| (Itemset::new(items.to_vec()), c);
+        let read = |out: &[(Itemset, u64)]| {
+            let counted = job_cells(out.to_vec(), &levels)?;
+            job_levels(&counted, &levels, (3, &below), 2)
+        };
+        // Reduce tasks answer in hash order: read back in cell order.
+        let out = [
+            set(&[1, 2, 3, 4], 5),
+            set(&[2, 3, 4], 5),
+            set(&[1, 2, 3], 6),
+            set(&[1, 3, 4], 5),
+            set(&[1, 2, 4], 5),
+        ];
+        let got = read(&out).expect("sound");
+        assert_eq!(got[0].supports, [6, 5, 5, 5]);
+        assert_eq!(got[0].sets.get(3), [2, 3, 4]);
+        assert_eq!(got[1].supports, [5]);
+        let refused = |out: &[(Itemset, u64)], case| {
+            let err = read(out).err();
+            assert!(
+                matches!(err, Some(MineError::Audit { pass: 3, .. })),
+                "{case}: {err:?}"
+            );
+        };
+        refused(&[set(&[1, 2, 3], 7)], "σ{1,2,3} above its pairs'");
+        refused(&[set(&[1, 2, 5], 4)], "no candidate");
+        refused(&[set(&[1, 2, 3], 4), set(&[1, 2, 3], 4)], "counted twice");
     }
 
     #[test]

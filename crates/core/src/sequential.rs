@@ -10,7 +10,10 @@ use crate::hashtree::{HashTree, MatchScratch};
 use crate::types::{Item, Itemset, MiningResult, Support};
 use yafim_cluster::FxHashMap;
 
-/// Mine all frequent itemsets of `transactions` (each a sorted item slice).
+/// Mine all frequent itemsets of `transactions`. Each row is sorted and
+/// duplicate-free, as `parse_transaction` and every generator emit it: the
+/// counting kernels add a row's pairs, and a repeated item would count
+/// twice.
 ///
 /// ```
 /// use yafim_core::{apriori, Itemset, Support};
@@ -21,6 +24,12 @@ use yafim_cluster::FxHashMap;
 /// assert_eq!(result.support_of(&Itemset::new(vec![2, 3, 5])), Some(2));
 /// ```
 pub fn apriori(transactions: &[Vec<Item>], min_support: Support) -> MiningResult {
+    debug_assert!(
+        transactions
+            .iter()
+            .all(|t| t.windows(2).all(|w| w[0] < w[1])),
+        "rows must be sorted and duplicate-free"
+    );
     let min_sup = min_support.resolve(transactions.len() as u64);
     let mut levels: Vec<Vec<(Itemset, u64)>> = Vec::new();
 
@@ -42,7 +51,8 @@ pub fn apriori(transactions: &[Vec<Item>], min_support: Support) -> MiningResult
     }
     levels.push(l1);
 
-    // Passes k ≥ 2: generate candidates, count with the hash tree, filter.
+    // Passes k ≥ 2: generate candidates (ascending), count with the hash
+    // tree, filter.
     loop {
         let prev: Vec<Itemset> = levels
             .last()
@@ -57,12 +67,10 @@ pub fn apriori(transactions: &[Vec<Item>], min_support: Support) -> MiningResult
 
         let tree = HashTree::build(candidates);
         let mut counts = vec![0u64; tree.len()];
-        let mut scratch = MatchScratch::default();
-        for t in transactions {
-            tree.for_each_match(t, &mut scratch, |idx| counts[idx] += 1);
-        }
+        let rows = transactions.iter().map(Vec::as_slice);
+        tree.count_rows(rows, &mut MatchScratch::default(), &mut counts);
 
-        let mut lk: Vec<(Itemset, u64)> = tree
+        let lk: Vec<(Itemset, u64)> = tree
             .candidates()
             .iter()
             .zip(&counts)
@@ -72,7 +80,6 @@ pub fn apriori(transactions: &[Vec<Item>], min_support: Support) -> MiningResult
         if lk.is_empty() {
             break;
         }
-        lk.sort_by(|a, b| a.0.cmp(&b.0));
         levels.push(lk);
     }
 

@@ -16,7 +16,7 @@
 //! [`HashTree`](crate::hashtree::HashTree).
 
 use crate::candidates::CandidateStore;
-use crate::hashtree::MatchScratch;
+use crate::hashtree::{count_each_row, MatchScratch};
 use crate::types::{Item, Itemset};
 use yafim_cluster::ByteSize;
 
@@ -26,7 +26,7 @@ const NO_CANDIDATE: u32 = u32::MAX;
 /// A prefix trie over candidates of equal length `k`, arena-allocated.
 ///
 /// ```
-/// use yafim_core::{CandidateStore, CandidateTrie, Itemset};
+/// use yafim_core::{CandidateTrie, Itemset};
 ///
 /// let trie = CandidateTrie::build(vec![
 ///     Itemset::new(vec![1, 2]),
@@ -214,21 +214,14 @@ fn build_rec(
 }
 
 impl CandidateStore for CandidateTrie {
-    fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn for_each_match_dyn(
+    fn count_rows_dyn(
         &self,
-        t: &[Item],
-        _scratch: &mut MatchScratch, // unique paths — nothing to keep per call
-        f: &mut dyn FnMut(usize),
-    ) -> u64 {
-        self.for_each_match(t, f)
-    }
-
-    fn store_bytes(&self) -> u64 {
-        self.byte_size()
+        rows: &mut dyn Iterator<Item = &[Item]>,
+        scratch: &mut MatchScratch,
+        acc: &mut [u64],
+    ) -> (u64, u64, u64) {
+        // Unique paths: nothing to keep per row.
+        count_each_row(rows, scratch, acc, |t, _, f| self.for_each_match(t, f))
     }
 
     fn name(&self) -> &'static str {
@@ -336,14 +329,13 @@ mod tests {
     #[test]
     fn store_trait_round_trip() {
         let cands = sets(&[&[1, 2], &[2, 3]]);
-        let boxed: Box<dyn CandidateStore> = Box::new(CandidateTrie::build(cands.clone()));
-        assert_eq!(boxed.len(), 2);
+        let boxed: Box<dyn CandidateStore> = Box::new(CandidateTrie::build(cands));
+        let rows: [&[Item]; 3] = [&[1, 2, 3], &[2, 3], &[1]];
+        let mut acc = vec![0; 2];
         let mut s = MatchScratch::default();
-        let mut out = Vec::new();
-        boxed.for_each_match_dyn(&[1, 2, 3], &mut s, &mut |i| out.push(i));
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
-        assert!(boxed.store_bytes() > 0);
+        let (_, matches, cells) = boxed.count_rows_dyn(&mut rows.into_iter(), &mut s, &mut acc);
+        assert_eq!((acc, matches, cells), (vec![1, 2], 3, 2));
+        assert!(boxed.byte_size() > 0);
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //! pass 1): `Paper` shuffles them through `reduceByKey` as Algorithms 2 and
 //! 3 do, a projecting plan aggregates into per-worker accumulators.
 
-use crate::audit::audit_survivors;
+use crate::audit::{audit_survivors, job_levels};
 use crate::bitmap::{bitmap_fits, chained_levels, pass2_bounds, BitmapScratch, ColumnarPartition};
 use crate::block::TxBlock;
 use crate::candidates::{
@@ -74,7 +74,6 @@ use crate::types::{
     Item, MinerRun, MiningResult, Support, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS,
     JVM_TREE_VISIT_UNITS,
 };
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 use yafim_cluster::{
@@ -726,7 +725,7 @@ impl Yafim {
         let ctx = &self.ctx;
         let metrics = ctx.metrics().clone();
         let cost = ctx.cluster().cost().clone();
-        let n_candidates = store.len();
+        let n_candidates = candidates.len();
 
         // Driver: charge the store build and broadcast it to the workers.
         metrics.advance_with_event(
@@ -967,49 +966,6 @@ impl ByteSize for ChainLists {
     }
 }
 
-/// A job's frequent levels from its survivors `counted`, `(cell, count)`
-/// ascending over the candidate levels `levels` laid end to end (the first
-/// is pass `pass`), each audited before any is kept: the last-line tripwire
-/// behind the storage integrity layer, a typed refusal naming the level's
-/// pass. A level's bound reads the supports of the level it was joined
-/// from: `below` for the first, the counts just taken for each later one
-/// (0 where a candidate fell short), so a speculative survivor with an
-/// infrequent subset is refused too.
-fn job_levels(
-    counted: &[(u32, u64)],
-    levels: &[CandidateList],
-    (pass, below): (usize, &Level),
-    min_sup: u64,
-) -> Result<Vec<Level>, MineError> {
-    let (mut rest, mut start) = (counted, 0);
-    let mut supports = Cow::Borrowed(&below.supports[..]);
-    let mut out = Vec::with_capacity(levels.len());
-    for (level, candidates) in (pass..).zip(levels) {
-        let (n, last) = (candidates.len(), out.len() + 1 == levels.len());
-        let end = start + n;
-        let here = rest
-            .iter()
-            .take_while(|&&(c, _)| last || (c as usize) < end);
-        let (here, tail) = rest.split_at(here.count());
-        let bound = |i| candidates.bound(i, &supports);
-        audit_survivors(here, start..end, min_sup, bound).map_err(|violation| {
-            MineError::Audit {
-                pass: level,
-                violation,
-            }
-        })?;
-        let (mut lk, mut counts) = (Level::new(candidates.k), vec![0; n]);
-        for &(cell, c) in here {
-            let i = cell as usize - start;
-            lk.push(candidates.get(i), c);
-            counts[i] = c;
-        }
-        (supports, rest, start) = (Cow::Owned(counts), tail, end);
-        out.push(lk);
-    }
-    Ok(out)
-}
-
 /// `L_2` from the triangle's survivors `counted`, `(cell, count)` over the
 /// pairs of `l1`'s ranks, audited before it is kept as `job_levels` audits:
 /// cells strictly ascending below `|C_2|`, every support at least `min_sup`
@@ -1032,7 +988,7 @@ fn pairs_level(counted: &[(u32, u64)], l1: &Level, min_sup: u64) -> Result<Level
 
 /// The `(index, count)` record of every cell of `counts` holding at least
 /// `min`, in ascending index order.
-fn cells_at_least(counts: &[u64], min: u64) -> Vec<(u32, u64)> {
+pub(crate) fn cells_at_least(counts: &[u64], min: u64) -> Vec<(u32, u64)> {
     let cells = counts.iter().enumerate().filter(|&(_, &c)| c >= min);
     cells.map(|(i, &c)| (i as u32, c)).collect()
 }
@@ -1432,13 +1388,18 @@ mod tests {
         (pairs, cells_at_least(&counts, 1))
     }
 
-    /// A fresh zeroed count array per task; matches are its sum.
-    fn count_matches_sparse(txs: &[Vec<Item>], store: &dyn CandidateStore) -> (u64, u64, Sparse) {
-        let mut counts = vec![0u64; store.len()];
+    /// A store's per-row match: reports each candidate the row holds,
+    /// returns the visits.
+    type Each<'a> = &'a dyn Fn(&[Item], &mut MatchScratch, &mut dyn FnMut(usize)) -> u64;
+
+    /// A fresh zeroed count array of `n` cells per task, row by row through
+    /// `each`; matches are its sum.
+    fn count_matches_sparse(txs: &[Vec<Item>], n: usize, each: Each) -> (u64, u64, Sparse) {
+        let mut counts = vec![0u64; n];
         let mut scratch = MatchScratch::default();
         let mut visits = 0u64;
         for t in txs {
-            visits += store.for_each_match_dyn(t, &mut scratch, &mut |idx| counts[idx] += 1);
+            visits += each(t, &mut scratch, &mut |idx| counts[idx] += 1);
         }
         (visits, counts.iter().sum(), cells_at_least(&counts, 1))
     }
@@ -1505,15 +1466,18 @@ mod tests {
 
                 let cols = [ColumnarPartition::build(n_dense, &txs)];
                 for candidates in levels.iter().filter(|l| !l.is_empty()) {
-                    let stores: [Box<dyn CandidateStore>; 2] = [
-                        Box::new(CandidateTrie::build(candidates.clone())),
-                        Box::new(HashTree::build(candidates.clone())),
+                    let trie = CandidateTrie::build(candidates.clone());
+                    let tree = HashTree::build(candidates.clone());
+                    let stores: [(&dyn CandidateStore, Each); 2] = [
+                        (&trie, &|t, _, f| trie.for_each_match(t, f)),
+                        (&tree, &|t, s, f| tree.for_each_match(t, s, f)),
                     ];
-                    for store in &stores {
+                    for (store, each) in stores {
                         let label = format!("{} {label}", store.name());
-                        let fold = |acc: &mut [u64]| count_matches(acc, &block, &**store);
+                        let fold = |acc: &mut [u64]| count_matches(acc, &block, store);
                         let (new, added) = folded(candidates.len(), fold);
-                        let (visits, matches, sparse) = count_matches_sparse(&txs, &**store);
+                        let (visits, matches, sparse) =
+                            count_matches_sparse(&txs, candidates.len(), each);
                         assert_eq!(new, (visits, matches, sparse.len() as u64), "{label}");
                         assert_eq!(added, sparse, "{label}");
                     }
@@ -1545,7 +1509,8 @@ mod tests {
         let pairs = ap_gen(&(0..5).map(Itemset::single).collect::<Vec<_>>()).0;
         for tree in [HashTree::build(ap_gen(&pairs).0), HashTree::build(pairs)] {
             let counted = count_matches(&mut vec![0; tree.len()], &block_of(&good), &tree);
-            let (visits, matches, sparse) = count_matches_sparse(&good, &tree);
+            let each: Each = &|t, s, f| tree.for_each_match(t, s, f);
+            let (visits, matches, sparse) = count_matches_sparse(&good, tree.len(), each);
             assert_eq!(counted, (visits, matches, sparse.len() as u64));
         }
     }

@@ -24,9 +24,9 @@ use yafim::encode::{tri_index, tri_len, tri_pair};
 use yafim::rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 use yafim::types::{JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS};
 use yafim::{
-    ap_gen, apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateStore,
-    CandidateTrie, ColumnarPartition, DenseEncoder, HashTree, Item, Itemset, MatchScratch,
-    MiningResult, Phase2Plan, Support, TrimMask, Yafim, YafimConfig,
+    ap_gen, apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateTrie,
+    ColumnarPartition, DenseEncoder, HashTree, Item, Itemset, MatchScratch, MiningResult,
+    Phase2Plan, Support, TrimMask, Yafim, YafimConfig,
 };
 
 const INPUT: &str = "in.dat";
@@ -94,16 +94,22 @@ fn count_pass<T: Data>(
     counted
 }
 
+/// A store's per-row match: reports each candidate the row holds, returns
+/// the visits.
+type Each<S> = fn(&S, &[Item], &mut MatchScratch, &mut dyn FnMut(usize)) -> u64;
+
 /// One store-counted pass over per-record transactions, `all` the
-/// candidates `store` was built over.
-fn pass_with_store(
+/// candidates `store` was built over, each row matched by `each`, the
+/// store's per-row match.
+fn pass_with_store<S: ByteSize + Send + Sync + 'static>(
     ctx: &Context,
     work: &Rdd<Vec<Item>>,
     projects: bool,
-    (store, all): (Box<dyn CandidateStore>, &[Itemset]),
+    (store, all): (S, &[Itemset]),
+    each: Each<S>,
     min_sup: u64,
 ) -> Vec<(Itemset, u64)> {
-    let n_candidates = store.len();
+    let n_candidates = all.len();
     let cost = ctx.cluster().cost().clone();
     ctx.metrics().advance_with_event(
         cost.cpu(2 * n_candidates as u64),
@@ -123,7 +129,7 @@ fn pass_with_store(
             let (mut visits, mut matches) = (0u64, 0u64);
             let cells = fold_fresh(acc, |fresh| {
                 for t in txs {
-                    visits += store.for_each_match_dyn(t, &mut scratch, &mut |idx| {
+                    visits += each(&store, t, &mut scratch, &mut |idx| {
                         fresh[idx] += 1;
                         matches += 1;
                     });
@@ -335,22 +341,24 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
             };
             match plan {
                 Phase2Plan::Paper => {
-                    let store = Box::new(HashTree::build(candidates.clone()));
+                    let store = HashTree::build(candidates.clone());
                     vec![pass_with_store(
                         ctx,
                         &work,
                         projects,
                         (store, &candidates),
+                        |tree, t, s, f| tree.for_each_match(t, s, f),
                         min_sup,
                     )]
                 }
                 Phase2Plan::Trie => {
-                    let store = Box::new(CandidateTrie::build(candidates.clone()));
+                    let store = CandidateTrie::build(candidates.clone());
                     vec![pass_with_store(
                         ctx,
                         &work,
                         projects,
                         (store, &candidates),
+                        |trie, t, _, f| trie.for_each_match(t, f),
                         min_sup,
                     )]
                 }

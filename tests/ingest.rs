@@ -418,7 +418,7 @@ fn a_crlf_unsorted_duplicated_copy_mines_the_same() {
     let mut text = String::new();
     for t in &tx {
         let mut tokens: Vec<String> = t.iter().rev().map(|item| format!("0{item}")).collect();
-        tokens.push(format!("+{}", t[0]));
+        tokens.extend([format!("+{}", t[0]), "x".to_string()]);
         text.push_str(&tokens.join("\t "));
         text.push_str(" \r\n");
     }
@@ -439,6 +439,7 @@ fn a_crlf_unsorted_duplicated_copy_mines_the_same() {
         &["--miner", "spark", "--phase2", "bitmap"][..],
         &["--miner", "mapreduce"],
         &["--miner", "sequential"],
+        &["--miner", "fpgrowth"],
     ] {
         assert_eq!(summary(&messy, tail), reference, "{tail:?}");
         assert_eq!(summary(&clean, tail), reference, "{tail:?}");
