@@ -148,7 +148,8 @@ counter_table! {
         broadcast_refetches: sum,
         /// Cached partitions (memory + disk tier) lost nodes held.
         cached_partitions_dropped: sum,
-        /// Shuffle map outputs lost nodes held.
+        /// Map outputs of live shuffles (ones an RDD can still read) that
+        /// lost nodes held.
         map_outputs_lost: sum,
         /// Bytes those re-distributions moved: each lost node's share of
         /// every broadcast shipped so far.

@@ -24,9 +24,9 @@
 //! A violation means the engine was about to return wrong results, so the
 //! caller escalates: the YAFIM and MR-Apriori drivers read their counting
 //! jobs back through [`job_levels`] (YAFIM's triangle pass 2 through its
-//! own `pairs_level`) and refuse the run with
-//! [`MineError::Audit`] rather than return a poisoned
-//! [`crate::types::MiningResult`].
+//! own `pairs_level`; SON checks membership only, in `son::read_back`)
+//! and refuse the run with [`MineError::Audit`] rather than return a
+//! poisoned [`crate::types::MiningResult`].
 
 use crate::candidates::{CandidateList, Level};
 use crate::miner::MineError;

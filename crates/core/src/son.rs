@@ -25,7 +25,7 @@ use crate::mrapriori::{counting_job, MrMatching};
 use crate::types::{
     parse_transaction, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
 };
-use yafim_cluster::{Lines, SimCluster};
+use yafim_cluster::{FxHashSet, Lines, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
 /// The SON miner bound to one virtual cluster. Its local-mining job has one
@@ -113,16 +113,11 @@ impl Son {
             "SON phase 2 (global counting)".to_string(),
             input,
             format!("{input}.SON"),
-            by_len.into_iter().filter(|l| !l.is_empty()).collect(),
+            by_len.iter().filter(|l| !l.is_empty()).cloned().collect(),
             MrMatching::HashTree,
             min_sup,
         );
-        let result = self.runner.run(job2)?;
-
-        let mut levels: Vec<Vec<(Itemset, u64)>> = vec![Vec::new(); max_len];
-        for (set, sup) in result.pairs {
-            levels[set.len() - 1].push((set, sup));
-        }
+        let levels = read_back(self.runner.run(job2)?.pairs, &by_len)?;
         let found: usize = levels.iter().map(Vec::len).sum();
         let phase2 = metrics.record_pass(2..=2, "SON phase 2", phase2_start, n_candidates, found);
 
@@ -132,6 +127,26 @@ impl Son {
             passes: vec![phase1, phase2],
         })
     }
+}
+
+/// The counting job's outputs `pairs` split by length, each checked
+/// against the candidate union `by_len` (the `k`-sets at `by_len[k - 1]`):
+/// an output that is no candidate, or one reported twice, is refused as an
+/// audit of pass 2, the counting job.
+fn read_back(
+    pairs: Vec<(Itemset, u64)>,
+    by_len: &[Vec<Itemset>],
+) -> Result<Vec<Vec<(Itemset, u64)>>, MineError> {
+    let mut unseen: FxHashSet<&Itemset> = by_len.iter().flatten().collect();
+    let mut levels = vec![Vec::new(); by_len.len()];
+    for (set, support) in pairs {
+        if !unseen.remove(&set) {
+            let violation = format!("{set} is no candidate of the job or counted twice");
+            return Err(MineError::Audit { pass: 2, violation });
+        }
+        levels[set.len() - 1].push((set, support));
+    }
+    Ok(levels)
 }
 
 #[cfg(test)]
@@ -190,6 +205,23 @@ mod tests {
         let path = put(&c, &toy());
         Son::new(c.clone(), Support::Count(2)).mine(&path).unwrap();
         assert_eq!(c.metrics().snapshot().jobs, 2, "SON is a two-job scheme");
+    }
+
+    #[test]
+    fn a_forged_or_repeated_output_is_refused() {
+        let set = |items: &[u32]| Itemset::from_sorted(items.to_vec());
+        let by_len = vec![vec![set(&[1]), set(&[2])], vec![set(&[1, 2])]];
+        let good = vec![(set(&[1, 2]), 3), (set(&[2]), 4)];
+        let levels = read_back(good, &by_len).expect("every output a candidate, once");
+        assert_eq!(levels, vec![vec![(set(&[2]), 4)], vec![(set(&[1, 2]), 3)]]);
+        for forged in [
+            vec![(set(&[1, 3]), 3)],
+            vec![(set(&[1, 2, 3]), 3)],
+            vec![(set(&[1]), 2), (set(&[1]), 2)],
+        ] {
+            let err = read_back(forged, &by_len).expect_err("refused");
+            assert!(matches!(err, MineError::Audit { pass: 2, .. }), "{err}");
+        }
     }
 
     #[test]

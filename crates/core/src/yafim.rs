@@ -1244,10 +1244,50 @@ mod tests {
     }
 
     #[test]
+    fn a_paper_pass_runs_beside_no_earlier_pass_shuffle() {
+        use yafim_rdd::FaultInjection;
+        let c = ctx();
+        let miner = Yafim::new(c.clone(), YafimConfig::new(Support::Count(1)));
+        let rdd = c.parallelize_with_partitions((0u32..100).collect(), 4);
+        for pass in 2..5 {
+            let live = c.clone();
+            let fold = move |acc: &mut [u64], part: &[u32], _: &TaskContext| {
+                // This pass's map stage: its own shuffle is not in yet.
+                assert_eq!(live.materialized_shuffles(), 0, "pass {pass}");
+                part.iter().for_each(|&x| acc[x as usize % 10] += 1);
+                part.len() as u64
+            };
+            let counted = miner.count_pass(&rdd, pass, 10, 1, fold).expect("clean");
+            assert_eq!(counted, (0..10).map(|i| (i, 10)).collect::<Vec<_>>());
+            assert_eq!(c.materialized_shuffles(), 0, "pass {pass}");
+        }
+    }
+
+    #[test]
     fn a_typed_refusal_releases_cache_and_checkpoint_blocks() {
-        use yafim_cluster::FaultPlan;
+        use yafim_cluster::{json, FaultPlan};
         use yafim_data::{to_lines, PaperDataset};
+        use yafim_rdd::FaultInjection;
         let tx = PaperDataset::Medical.generate_scaled(0.01);
+        // Each pass's shuffle goes with the pass's RDDs, through a node
+        // loss too: a finished run holds none.
+        let doc = json::parse(include_str!("../../../results/nodeloss.fault.json"));
+        let nodeloss = FaultPlan::from_json(&doc.expect("committed")).expect("valid");
+        for fault in [None, Some(nodeloss)] {
+            let c = ctx();
+            c.cluster().hdfs().put_overwrite("d.dat", to_lines(&tx));
+            let lossy = fault.is_some();
+            if let Some(plan) = fault {
+                c.cluster().faults().set_plan(plan);
+            }
+            let config = YafimConfig::new(Support::Fraction(0.05));
+            Yafim::new(c.clone(), config)
+                .mine("d.dat")
+                .expect("completes");
+            let lost = c.metrics().snapshot().recovery.nodes_lost;
+            assert_eq!(lost, u64::from(lossy));
+            assert_eq!(c.materialized_shuffles(), 0, "node loss: {lossy}");
+        }
         for plan in Phase2Plan::ALL {
             let mut refused = 0;
             for seed in 0..40 {
@@ -1278,6 +1318,8 @@ mod tests {
                     0,
                     "{plan:?} seed {seed}: checkpoint blocks"
                 );
+                let shuffles = c.materialized_shuffles();
+                assert_eq!(shuffles, 0, "{plan:?} seed {seed}: shuffles");
             }
             assert!(refused > 0, "{plan:?}: the fault plan must refuse some run");
         }

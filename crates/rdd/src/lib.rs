@@ -276,6 +276,47 @@ mod tests {
     }
 
     #[test]
+    fn a_shuffle_lives_as_long_as_its_rdd() {
+        use yafim_cluster::NodeId;
+        let c = ctx();
+        let pairs = c.parallelize_with_partitions((0u32..400).map(|i| (i % 9, 1u64)).collect(), 8);
+        let reduced = pairs.reduce_by_key(|a, b| a + b);
+        reduced.count();
+        assert_eq!(c.materialized_shuffles(), 1);
+        drop(reduced);
+        assert_eq!(c.materialized_shuffles(), 0, "nothing can read it");
+
+        // A cached consumer holds the reduce node in its lineage: the
+        // shuffle outlives the handle, and a lost cached partition is
+        // recomputed from it without re-running the map stage.
+        let reduced = pairs.map(|(k, v)| (k % 4, v)).reduce_by_key(|a, b| a + b);
+        let consumer = reduced.map(|(k, v)| (k, v * 2)).cache();
+        drop(reduced);
+        let first = consumer.collect();
+        assert_eq!(c.materialized_shuffles(), 1);
+        assert!(c.drop_cached_partition(consumer.id(), 0));
+        let stages = c.metrics().snapshot().stages;
+        assert_eq!(
+            consumer.collect(),
+            first,
+            "lineage recompute must be identical"
+        );
+        assert_eq!(c.metrics().snapshot().stages, stages + 1, "no map stage");
+        assert_eq!(c.materialized_shuffles(), 1);
+
+        // Another shuffle, released before the losses: every node going
+        // down counts the live shuffle's 8 map outputs, not 16.
+        pairs.reduce_by_key(|a, b| a + b).count();
+        assert_eq!(c.materialized_shuffles(), 1);
+        let lost: usize = (0..4)
+            .map(|n| c.lose_node(NodeId(n)).map_outputs_lost)
+            .sum();
+        assert_eq!(lost, 8);
+        drop(consumer);
+        assert_eq!(c.materialized_shuffles(), 0);
+    }
+
+    #[test]
     fn lost_node_invalidates_cache_and_shuffle_and_recovers() {
         use yafim_cluster::NodeId;
         let c = ctx();

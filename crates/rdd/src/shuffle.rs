@@ -21,6 +21,12 @@
 //! back in. Reduce tasks read buckets in map-task order, so a patched shuffle
 //! is byte-identical to one materialized in a single healthy run.
 //!
+//! A shuffle lives as long as its [`ReduceByKeyRdd`]: every RDD downstream
+//! holds that node in its lineage, so when the last handle drops nothing
+//! can read the map output any more and the registry releases it (Spark's
+//! `ContextCleaner`). A run holds on the host only the shuffles its live
+//! RDDs can still read, and a node loss counts only their map outputs.
+//!
 //! The map side picks its combine strategy from the stream it sees: while
 //! keys arrive strictly ascending the records are already combined and are
 //! kept as they come (one comparison per record, no hashing); the first
@@ -240,14 +246,15 @@ impl ShuffleRegistry {
         entry.lost.clear();
     }
 
-    /// Drop a materialized shuffle (fault injection): the next action that
-    /// needs it re-runs the whole map stage through the lineage.
+    /// Drop a materialized shuffle: its RDD dropped, or fault injection
+    /// took it (the next action that needs it re-runs the whole map stage
+    /// through the lineage).
     pub(crate) fn invalidate(&self, id: u64) -> bool {
         self.inner.lock().remove(&id).is_some()
     }
 
-    /// Mark every map output produced on `node` as lost, across all
-    /// registered shuffles. Returns how many map outputs were newly lost.
+    /// Mark every map output produced on `node` as lost, across all live
+    /// shuffles. Returns how many map outputs were newly lost.
     pub(crate) fn mark_node_lost(&self, node: NodeId) -> usize {
         let mut g = self.inner.lock();
         let mut newly = 0;
@@ -527,6 +534,17 @@ where
         self.run_map_stage(None)?;
         self.resubmit_failed_buckets(BucketLoss::Escalated)?;
         self.resubmit_failed_buckets(BucketLoss::Rotten)
+    }
+}
+
+/// Nothing can read the map output any more: release it (module docs).
+impl<K, V> Drop for ReduceByKeyRdd<K, V>
+where
+    K: Data + Hash + Ord,
+    V: Data,
+{
+    fn drop(&mut self) {
+        self.ctx().shuffles().invalidate(self.meta.id);
     }
 }
 
