@@ -1,16 +1,17 @@
-//! Microbench: vertical TID-bitmap counting vs trie matching — the two
+//! Microbench: vertical TID-bitmap counting vs the hash tree — the two
 //! `k ≥ 3` Phase-II strategies, head to head on the raw kernel.
 //!
 //! The bitmap side intersects one `u64` row per candidate item and
 //! popcounts the final level (with the prefix-reuse scratch exploiting the
-//! sorted candidate order); the trie side walks every transaction through
-//! the candidate trie. Two density regimes bound the crossover:
+//! sorted candidate order); the hash-tree side counts every transaction
+//! through [`HashTree::count_rows`], the chunked kernel the engines run.
+//! Two density regimes bound the crossover:
 //!
 //! * **dense** — QUEST-like: small alphabet, long transactions (~25% of
 //!   the rows set), the regime the columnar layout targets;
 //! * **sparse** — T10-like: wide alphabet, short transactions (~2% set),
-//!   where most intersected words are zero and the trie's early exits
-//!   shine.
+//!   where most intersected words are zero and a row reaches few of the
+//!   tree's leaves.
 //!
 //! Also prints the [`CostModel::bitmap_build`] virtual estimate next to
 //! the measured build time, so the simulator's charge can be sanity-checked
@@ -36,7 +37,9 @@ use yafim_bench::microbench::{bench, black_box, header};
 use yafim_cluster::CostModel;
 use yafim_core::bitmap::pass2_bounds;
 use yafim_core::encode::{tri_index, tri_len};
-use yafim_core::{ap_gen, BitmapScratch, CandidateList, CandidateTrie, ColumnarPartition, Itemset};
+use yafim_core::{
+    ap_gen, BitmapScratch, CandidateList, ColumnarPartition, HashTree, Itemset, MatchScratch,
+};
 use yafim_data::rng::StdRng;
 
 /// Dense-encoded transactions: `n` sorted, deduped draws over `0..items`.
@@ -90,8 +93,8 @@ fn regime(name: &str, txs: &[Vec<u32>], items: u32, cands: &[Itemset]) {
     bench("columnar build", 20, || {
         ColumnarPartition::build(items as usize, black_box(txs))
     });
-    bench("trie build", 20, || {
-        CandidateTrie::build(black_box(cands.to_vec()))
+    bench("hash tree build", 20, || {
+        HashTree::build(black_box(cands.to_vec()))
     });
 
     header(&format!("{name}/count"));
@@ -101,14 +104,13 @@ fn regime(name: &str, txs: &[Vec<u32>], items: u32, cands: &[Itemset]) {
         let words = col.count_candidates(cands, &mut scratch, &mut |_, c| hits += c);
         black_box((words, hits))
     });
-    let trie = CandidateTrie::build(cands.to_vec());
-    bench("trie per-transaction match", 20, || {
+    let tree = HashTree::build(cands.to_vec());
+    let mut scratch = MatchScratch::default();
+    bench("hash tree count_rows", 20, || {
         let mut counts = vec![0u64; cands.len()];
-        let mut visits = 0u64;
-        for t in txs {
-            visits += trie.for_each_match(t, &mut |i| counts[i] += 1);
-        }
-        black_box((visits, counts))
+        let rows = txs.iter().map(Vec::as_slice);
+        let work = tree.count_rows(rows, &mut scratch, &mut counts);
+        black_box((work, counts))
     });
 }
 

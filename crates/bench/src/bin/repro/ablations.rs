@@ -244,8 +244,8 @@ pub(crate) fn phase_combine() -> String {
 ///    MapReduce baseline: quantifies how much of YAFIM's win comes from the
 ///    framework rather than the hash tree data structure.
 /// 2. **YAFIM Phase II** — one column per [`Phase2Plan`]: the paper-faithful
-///    hash-tree engine vs projection + triangular pass 2 + trie + cross-pass
-///    trimming vs the vertical TID-bitmap counter, on the pass-2-dominated
+///    hash-tree engine vs projection + triangular pass 2 + hash tree +
+///    cross-pass trimming vs the vertical TID-bitmap counter, on the pass-2-dominated
 ///    QUEST workload of [`phase2_workload`].
 ///
 /// Every plan must return itemsets, supports and per-pass
@@ -368,7 +368,7 @@ pub(crate) fn matching() -> (String, RunManifest) {
     );
     say!(
         out,
-        "{:<24} {:>12} {:>14}",
+        "{:<25} {:>11} {:>14}",
         "configuration",
         "virtual (s)",
         "peak cache"
@@ -376,7 +376,7 @@ pub(crate) fn matching() -> (String, RunManifest) {
     for (label, run, peak_cache_bytes, _) in &runs {
         say!(
             out,
-            "{:<24} {:>12.2} {:>12} B",
+            "{:<27} {:>9.2} {:>12} B",
             label,
             run.total_seconds,
             peak_cache_bytes

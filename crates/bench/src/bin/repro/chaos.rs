@@ -174,7 +174,7 @@ pub(crate) fn chaos() -> (String, RunManifest) {
 }
 
 /// Node-memory override for scenario E's pressure cells: small enough that
-/// the pass-2 triangle array and candidate tries overflow the per-task
+/// the pass-2 triangle array and the bitmap arena overflow the per-task
 /// slice (forcing step-downs and retry-ladder survivals), big enough that
 /// the hash-tree floor still fits a fully-backed-off retry.
 const E_TIGHT_BUDGET: u64 = 24 * 1024 * 1024;
@@ -229,9 +229,8 @@ pub(crate) fn chaos_e() -> (String, RunManifest) {
             FaultPlan::seeded(SEED).with_mem_budget(E_TIGHT_BUDGET),
         ),
     ];
-    let miners: [(&str, Miner); 4] = [
+    let miners: [(&str, Miner); 3] = [
         ("YAFIM/hash-tree", Miner::Spark(Phase2Plan::Paper)),
-        ("YAFIM/trie", Miner::Spark(Phase2Plan::Trie)),
         ("YAFIM/bitmap", Miner::Spark(Phase2Plan::Bitmap)),
         ("MR-Apriori", Miner::MapReduce),
     ];
@@ -266,7 +265,7 @@ pub(crate) fn chaos_e() -> (String, RunManifest) {
                 mem.oom_survived_by_degradation,
                 run.total_seconds - base.total_seconds
             );
-            if mname == "YAFIM/trie" && *bname == "tight" {
+            if mname == "YAFIM/bitmap" && *bname == "tight" {
                 representative = Some((cluster, run.result.total()));
             }
         }
@@ -328,13 +327,13 @@ pub(crate) fn chaos_e() -> (String, RunManifest) {
     );
 
     // The manifest is captured from the representative cell
-    // (YAFIM trie matcher under the tight budget — the cell that walks the
+    // (YAFIM bitmap matcher under the tight budget — the cell that walks the
     // most ladder rungs) plus sweep totals.
-    let (rep_cluster, rep_itemsets) = representative.expect("the trie tight cell ran");
+    let (rep_cluster, rep_itemsets) = representative.expect("the bitmap tight cell ran");
     let config_doc = JsonValue::object(vec![
         ("scenario", "E".into()),
         ("engine", "YAFIM".into()),
-        ("matcher", "trie".into()),
+        ("matcher", "bitmap".into()),
         ("mem_budget_bytes", E_TIGHT_BUDGET.into()),
         ("oom_prob", E_OOM_PROB.into()),
         ("seed", SEED.into()),
@@ -396,7 +395,7 @@ fn scenario_c(out: &mut String, seed: u64, data: &yafim_bench::BenchDataset) {
     // lineage truncation has actually happened.
     // The optimized Phase II trims per pass, which grows the working
     // RDD's lineage: the interesting case for checkpointing.
-    let optimized = Miner::Spark(Phase2Plan::Trie);
+    let optimized = Miner::Spark(Phase2Plan::Projected);
     let (clean, clean_cluster) = mine(optimized, data, None);
     let (clean_ckpt, clean_ckpt_cluster) = mine(
         optimized,

@@ -149,7 +149,7 @@ pub fn phase2_workload() -> (QuestConfig, f64, JsonValue) {
 pub fn phase2_label(plan: Phase2Plan) -> &'static str {
     match plan {
         Phase2Plan::Paper => "hash tree (paper)",
-        Phase2Plan::Trie => "triangle + trie + trim",
+        Phase2Plan::Projected => "triangle + hash tree + trim",
         Phase2Plan::Bitmap => "triangle + bitmap + trim",
     }
 }

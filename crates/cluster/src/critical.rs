@@ -648,7 +648,7 @@ mod tests {
         let start = m.pass_start();
         m.advance(SimDuration::from_secs(0.25));
         m.record_stage_with_recovery(stage("s2"), Default::default());
-        m.record_pass(2..=2, "trie", start, 1, 1);
+        m.record_pass(2..=2, "hash tree", start, 1, 1);
         let r = assert_sums(&m);
         assert!((r.makespan - 3.25).abs() < EPS, "a pass adds no time");
         assert_eq!(r.passes.len(), 2);

@@ -109,7 +109,7 @@ counter_table! {
         spills: sum,
         /// Bytes those spills moved through local disk.
         spill_bytes: sum,
-        /// Pass-granularity matcher step-downs (bitmap → trie → hash-tree)
+        /// Pass-granularity matcher step-downs (bitmap or triangle → hash tree)
         /// taken because the preferred structure's footprint estimate did not
         /// fit the budget.
         degradations: sum,

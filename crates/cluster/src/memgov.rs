@@ -1,8 +1,9 @@
 //! Spark-style unified execution-memory governor.
 //!
 //! The storage side of a node's memory has always had a budget (the LRU
-//! cache), but execution memory — triangular pair arrays, CSR tries, bitmap
-//! arenas, shuffle combine buffers — was unbounded and unaccounted. This
+//! cache), but execution memory — triangular pair arrays, candidate hash
+//! trees, bitmap arenas, shuffle combine buffers — was unbounded and
+//! unaccounted. This
 //! module splits `memory_per_node` into an **execution region** and a
 //! **storage region** ([`storage_region`]: 60 %, the share the cache manager
 //! gets too), and hands every task a deterministic [`MemoryBudget`] slice of
@@ -21,9 +22,9 @@
 //! 1. **Spill** — combine buffers (the sites that [`Site::spills`]) stream
 //!    through local disk in [`SPILL_GRANULE`] chunks, charged via the cost
 //!    model;
-//! 2. **Step down** — Phase-II matchers degrade bitmap → trie → hash-tree
-//!    at pass granularity when the preferred structure's footprint estimate
-//!    does not fit (`mem.degradations`);
+//! 2. **Step down** — Phase-II matchers degrade from the bitmap or the
+//!    triangle to the hash tree at pass granularity when the preferred
+//!    structure's footprint estimate does not fit (`mem.degradations`);
 //! 3. **Kill + retry** — an injected-or-real OOM at any other site
 //!    kills the task attempt; the retry runs at a doubled memory slice
 //!    (modelling reduced concurrency), bounded by the plan's
@@ -61,7 +62,7 @@ pub enum Site {
     ShuffleCombine = 1,
     /// Phase-2 triangular candidate-pair count array.
     Triangle = 2,
-    /// Candidate-store count array (hash-tree / trie / bitmap passes).
+    /// Candidate-store count array (hash-tree / bitmap passes).
     CandidateStore = 3,
     /// Vertical bitmap arena (columnar partition).
     BitmapArena = 4,

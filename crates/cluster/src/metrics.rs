@@ -185,7 +185,7 @@ pub struct PassTiming {
     /// combined passes (MR's FPC and DPC, the bitmap plan's chain).
     pub last: usize,
     /// What counted the pass: `items` for pass 1, the matcher after it
-    /// (`hash tree`, `triangle`, `trie`, `bitmap`), or the phase for the
+    /// (`hash tree`, `triangle`, `bitmap`), or the phase for the
     /// miners that run two.
     pub counter: &'static str,
     /// Start of the pass on the virtual timeline.
@@ -291,7 +291,7 @@ counter_table! {
         bitmap_partitions_built: sum "counter.bitmap.partitions_built",
         /// Arena bytes of those builds.
         bitmap_build_bytes: sum "counter.bitmap.build_bytes",
-        /// Bitmap runs the density guard sent to the trie instead.
+        /// Bitmap runs the density guard sent to the hash tree instead.
         bitmap_fallbacks: sum "counter.bitmap.fallbacks",
         /// Placement decision units the virtual scheduler spent.
         sched_decision_units: sum "counter.sched.decision_units",
@@ -769,11 +769,11 @@ mod tests {
         let start = m.pass_start();
         m.advance(SimDuration::from_secs(0.25));
         m.advance(SimDuration::from_secs(0.75));
-        let pass = m.record_pass(2..=2, "trie", start, 10, 4);
+        let pass = m.record_pass(2..=2, "hash tree", start, 10, 4);
         assert_eq!((pass.start, pass.seconds), (start.at, 1.0));
         assert_eq!(
             (pass.counter, pass.candidates, pass.frequent),
-            ("trie", 10, 4)
+            ("hash tree", 10, 4)
         );
         assert_eq!(m.passes(), vec![pass]);
         assert!(m.events().is_empty(), "a pass is not also an event");

@@ -1,6 +1,6 @@
 //! Vertical TID-bitmap counting — the columnar Phase-II store.
 //!
-//! The hash tree and the trie are *horizontal*: every pass walks every
+//! The hash tree is *horizontal*: every pass walks every
 //! cached transaction and descends a per-transaction index over `C_k`. The
 //! [`ColumnarPartition`] turns the layout 90°: after the dense projection,
 //! each partition is materialized **once** as one fixed-width `u64` bitset
@@ -38,7 +38,7 @@ use yafim_cluster::{ByteSize, SimCluster, SimDuration};
 /// Largest total bitset arena (in `u64` words, across all partitions) the
 /// bitmap strategy will materialize — 2²⁴ words = 128 MiB, mirroring
 /// [`TRIANGLE_MAX_CELLS`](crate::encode::TRIANGLE_MAX_CELLS). Beyond this
-/// the engine falls back to the trie: counts are identical either way, only
+/// the engine falls back to the hash tree: counts are identical either way, only
 /// the constant factor moves.
 pub const BITMAP_MAX_WORDS: usize = 1 << 24;
 

@@ -11,41 +11,10 @@
 //! run's result: no heap allocation per itemset, and ascending by
 //! construction.
 
-use crate::hashtree::MatchScratch;
 use crate::types::{Item, Itemset};
 use std::cmp::Ordering;
 use std::ops::Range;
 use yafim_cluster::{ByteSize, FxHashMap, FxHashSet};
-
-/// A broadcastable candidate index answering `subset(C_k, t)` — which
-/// candidates occur in a transaction. Implemented by the classic
-/// [`HashTree`](crate::hashtree::HashTree) (the paper-faithful reference,
-/// §IV.C) and the arena [`CandidateTrie`](crate::trie::CandidateTrie);
-/// the run's [`Phase2Plan`](crate::yafim::Phase2Plan) (and, under an armed
-/// memory governor, the per-task limit) selects which one Phase II
-/// broadcasts. Both report matches as indices into the same sorted candidate
-/// list, so the engines are byte-identical across stores.
-pub trait CandidateStore: ByteSize + Send + Sync {
-    /// Add one to `acc[i]` (one cell per candidate) for every candidate `i`
-    /// contained in each sorted, duplicate-free row of `rows`. Returns the
-    /// visits (the store's per-row match work, summed over the rows), the
-    /// matches and the number of distinct candidates matched.
-    fn count_rows_dyn(
-        &self,
-        rows: &mut dyn Iterator<Item = &[Item]>,
-        scratch: &mut MatchScratch,
-        acc: &mut [u64],
-    ) -> (u64, u64, u64);
-
-    /// Short label for span/report attribution (`"hash tree"`, `"trie"`).
-    fn name(&self) -> &'static str;
-}
-
-impl ByteSize for Box<dyn CandidateStore> {
-    fn byte_size(&self) -> u64 {
-        (**self).byte_size()
-    }
-}
 
 /// Work performed by one candidate-generation call, for driver-side CPU
 /// accounting in the engines.
@@ -75,7 +44,7 @@ impl GenWork {
 /// `items[i·k .. (i+1)·k]`, and `i` is its count cell. A job's candidate
 /// levels are these, and a frequent level (`Level`) is one with
 /// supports; it is what the bitmap plan broadcasts instead of a
-/// [`CandidateStore`]: the columnar layout needs no per-transaction index,
+/// hash tree: the columnar layout needs no per-transaction index,
 /// only the candidates.
 pub struct CandidateList {
     pub(crate) k: usize,
@@ -173,7 +142,7 @@ impl CandidateList {
     }
 
     /// The sets as itemsets, for a consumer that takes them so: a hash tree
-    /// or trie at its build, MapReduce's key table.
+    /// at its build, MapReduce's key table.
     pub(crate) fn to_itemsets(&self) -> Vec<Itemset> {
         let set = |s: &[Item]| Itemset::from_sorted(s.to_vec());
         self.sets().map(set).collect()
@@ -439,7 +408,7 @@ pub(crate) fn join_pairs(level: &CandidateList) -> u64 {
 /// How far one counting job's candidate chain reaches past its first level.
 pub(crate) enum Chain<'a> {
     /// At most this many levels: 1 for one pass per job (MR's SPC, YAFIM's
-    /// `Paper` and `opt`, every trie or hash-tree fallback), `p` for FPC.
+    /// `Paper` and `opt`, every hash-tree fallback), `p` for FPC.
     Levels(usize),
     /// Levels while their candidates total at most this many (DPC); the
     /// level that would cross it is generated, charged and dropped.

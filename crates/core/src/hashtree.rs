@@ -239,30 +239,6 @@ impl MatchScratch {
     }
 }
 
-/// Add one to `acc[i]` for every candidate `i` that `each` reports for each
-/// row of `rows`, one row at a time. `each` is a store's per-row match,
-/// returning the row's visits. Returns the visits, the matches and the
-/// distinct candidates matched.
-pub(crate) fn count_each_row<'a>(
-    rows: impl IntoIterator<Item = &'a [Item]>,
-    scratch: &mut MatchScratch,
-    acc: &mut [u64],
-    mut each: impl FnMut(&[Item], &mut MatchScratch, &mut dyn FnMut(usize)) -> u64,
-) -> (u64, u64, u64) {
-    let (mut visits, mut matches) = (0u64, 0u64);
-    let cells = scratch.tally(acc.len(), |s, touched| {
-        for t in rows {
-            let row = each(t, s, &mut |i| {
-                acc[i] += 1;
-                touched[i / 64] |= 1 << (i % 64);
-                matches += 1;
-            });
-            visits = visits.saturating_add(row);
-        }
-    });
-    (visits, matches, cells)
-}
-
 impl HashTree {
     /// Build a tree over `candidates`, choosing the branching factor
     /// adaptively: interior nodes can only split down to depth `k`, so the
@@ -432,7 +408,18 @@ impl HashTree {
         assert_eq!(acc.len(), self.len(), "one count cell per candidate");
         if self.k < 2 {
             // No pairs to count: each row goes through the leaves.
-            return count_each_row(rows, scratch, acc, |t, s, f| self.for_each_match(t, s, f));
+            let (mut visits, mut matches) = (0u64, 0u64);
+            let cells = scratch.tally(acc.len(), |s, touched| {
+                for t in rows {
+                    let row = self.for_each_match(t, s, &mut |i| {
+                        acc[i] += 1;
+                        touched[i / 64] |= 1u64 << (i % 64);
+                        matches += 1;
+                    });
+                    visits = visits.saturating_add(row);
+                }
+            });
+            return (visits, matches, cells);
         }
         let list = (!self.triangle).then_some(&self.ids);
         let (k, m) = (self.k, self.items.len());
@@ -564,21 +551,6 @@ impl HashTree {
             .filter(|(_, c)| c.is_subset_of_sorted(t))
             .map(|(i, _)| i)
             .collect()
-    }
-}
-
-impl crate::candidates::CandidateStore for HashTree {
-    fn count_rows_dyn(
-        &self,
-        rows: &mut dyn Iterator<Item = &[Item]>,
-        scratch: &mut MatchScratch,
-        acc: &mut [u64],
-    ) -> (u64, u64, u64) {
-        self.count_rows(rows, scratch, acc)
-    }
-
-    fn name(&self) -> &'static str {
-        "hash tree"
     }
 }
 

@@ -40,12 +40,11 @@ mod pfp;
 mod rules;
 mod sequential;
 mod son;
-mod trie;
 pub mod types;
 mod yafim;
 
 pub use bitmap::{bitmap_fits, BitmapScratch, ColumnarPartition, BITMAP_MAX_WORDS};
-pub use candidates::{ap_gen, CandidateList, CandidateStore, GenWork};
+pub use candidates::{ap_gen, CandidateList, GenWork};
 pub use eclat::eclat;
 pub use encode::{DenseEncoder, TrimMask};
 pub use fpgrowth::fp_growth;
@@ -56,7 +55,6 @@ pub use pfp::Pfp;
 pub use rules::{generate_rules, Rule};
 pub use sequential::{apriori, brute_force};
 pub use son::Son;
-pub use trie::CandidateTrie;
 pub use types::{parse_transaction, Item, Itemset, MinerRun, MiningResult, Support};
 pub use yafim::{mine_in_memory, Phase2Plan, Yafim, YafimConfig};
 pub use yafim_cluster::PassTiming;

@@ -113,7 +113,7 @@ impl Miner {
         Miner::Eclat,
         Miner::FpGrowth,
         Miner::Spark(Phase2Plan::Paper),
-        Miner::Spark(Phase2Plan::Trie),
+        Miner::Spark(Phase2Plan::Projected),
         Miner::Spark(Phase2Plan::Bitmap),
         Miner::MapReduce,
         Miner::Son,

@@ -33,7 +33,7 @@
 //! All iterative cost lives in subset-matching every cached transaction
 //! against `C_k`. Phase II runs as one of three plans, all invisible to
 //! results: [`Phase2Plan::Paper`] is the paper-faithful engine (hash tree,
-//! raw alphabet, untrimmed RDD); [`Phase2Plan::Trie`] and
+//! raw alphabet, untrimmed RDD); [`Phase2Plan::Projected`] and
 //! [`Phase2Plan::Bitmap`] share the three techniques below and differ in
 //! what counts the `k ≥ 3` passes (see the variants).
 //!
@@ -64,12 +64,11 @@ use crate::audit::{audit_survivors, job_levels};
 use crate::bitmap::{bitmap_fits, chained_levels, pass2_bounds, BitmapScratch, ColumnarPartition};
 use crate::block::TxBlock;
 use crate::candidates::{
-    ap_gen_bounded, job_candidates, join_and_prune, CandidateList, CandidateStore, Chain, Level,
+    ap_gen_bounded, job_candidates, join_and_prune, CandidateList, Chain, Level,
 };
 use crate::encode::{add_pairs, tri_len, tri_pair, DenseEncoder, TrimMask, TRIANGLE_MAX_CELLS};
 use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
-use crate::trie::CandidateTrie;
 use crate::types::{
     Item, MinerRun, MiningResult, Support, JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS,
     JVM_TREE_VISIT_UNITS,
@@ -84,7 +83,7 @@ use yafim_rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 
 /// Driver-side footprint estimates for the memory-degradation ladder.
 /// Deliberately coarse: they only need to rank the counting structures
-/// (bitmap arena ≥ trie ≥ hash tree) and catch order-of-magnitude
+/// (bitmap arena, triangle) and catch order-of-magnitude
 /// overflows *before* a pass runs — the task-side governor still enforces
 /// the real reservations.
 fn triangle_footprint(n_dense: usize) -> u64 {
@@ -98,12 +97,6 @@ fn bitmap_footprint(n_dense: usize, lines: usize, partitions: usize) -> u64 {
     8 * n_dense as u64 * row_words
 }
 
-/// Trie arena (≤ one node per candidate item, ~16 bytes each) plus the
-/// per-task count array.
-fn trie_footprint(n_candidates: usize, k: usize) -> u64 {
-    (n_candidates * k) as u64 * 16 + 8 * n_candidates as u64
-}
-
 /// How Phase II counts. Every plan returns byte-identical mining results;
 /// only the cost of getting there moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,11 +104,11 @@ pub enum Phase2Plan {
     /// The paper's Phase II exactly: a broadcast candidate hash tree
     /// (Agrawal & Srikant) on every pass, raw alphabet, untrimmed RDD.
     Paper,
-    /// Dense projection, triangular pass 2, a contiguous-arena prefix trie
-    /// ([`CandidateTrie`]: merge-based descent, unique paths) for `k ≥ 3`,
-    /// and a DHP-style trim of the cached RDD after every pass.
-    Trie,
-    /// Like [`Phase2Plan::Trie`], but `k ≥ 3` passes count through vertical
+    /// The paper's plan plus one axis: dense projection, triangular pass 2,
+    /// the broadcast hash tree for `k ≥ 3`, and a DHP-style trim of the
+    /// cached RDD after every pass.
+    Projected,
+    /// Like [`Phase2Plan::Projected`], but `k ≥ 3` passes count through vertical
     /// TID bitmaps: each partition is projected once into a
     /// [`ColumnarPartition`] (one `u64` bitset row per dense rank) and
     /// candidates are counted by word-wise AND + popcount of item rows — no
@@ -126,19 +119,19 @@ pub enum Phase2Plan {
     /// ([`chained_levels`](crate::bitmap::chained_levels)) in one stage,
     /// and its pass record spans them. An alphabet beyond
     /// [`BITMAP_MAX_WORDS`](crate::bitmap::BITMAP_MAX_WORDS) counts with the
-    /// trie instead and bumps the `bitmap.fallbacks` counter.
+    /// hash tree instead and bumps the `bitmap.fallbacks` counter.
     Bitmap,
 }
 
 impl Phase2Plan {
     /// Every plan, paper-faithful first.
-    pub const ALL: [Phase2Plan; 3] = [Phase2Plan::Paper, Phase2Plan::Trie, Phase2Plan::Bitmap];
+    pub const ALL: [Phase2Plan; 3] = [Phase2Plan::Paper, Phase2Plan::Projected, Phase2Plan::Bitmap];
 
     /// The plan's CLI name (`--phase2 <paper|opt|bitmap>`).
     pub fn name(self) -> &'static str {
         match self {
             Phase2Plan::Paper => "paper",
-            Phase2Plan::Trie => "opt",
+            Phase2Plan::Projected => "opt",
             Phase2Plan::Bitmap => "bitmap",
         }
     }
@@ -164,9 +157,8 @@ enum Counter {
     /// Word-wise AND + popcount over the cached columnar store, of one
     /// level or every level of the priced chain.
     Bitmap(Vec<CandidateList>),
-    /// A broadcast candidate store built over the pass's candidates: the
-    /// prefix trie or the hash tree.
-    Store(Box<dyn CandidateStore>, CandidateList),
+    /// A broadcast hash tree, to be built over the pass's candidates.
+    Tree(CandidateList),
 }
 
 impl Counter {
@@ -175,7 +167,7 @@ impl Counter {
         match self {
             Counter::Pairs => "triangle",
             Counter::Bitmap(_) => "bitmap",
-            Counter::Store(store, _) => store.name(),
+            Counter::Tree(..) => "hash tree",
         }
     }
 }
@@ -393,7 +385,7 @@ impl Yafim {
 
         // Bitmap density guard, decided once from driver-side metadata
         // (mirrors the pass-2 triangle guard): the columnar projection must
-        // fit BITMAP_MAX_WORDS across all partitions, or the trie counts
+        // fit BITMAP_MAX_WORDS across all partitions, or the hash tree counts
         // instead. `Some(estimated per-task arena bytes)` when it may run.
         let n_dense = encoder.as_ref().map_or(0, |e| e.len());
         let lines = file.num_lines();
@@ -455,8 +447,8 @@ impl Yafim {
                 Counter::Bitmap(gens) => {
                     self.pass_bitmap(&mut held, n_dense, gens, (pass, below), min_sup)?
                 }
-                Counter::Store(store, gen) => {
-                    self.pass_with_store(&held.work, store, gen, (pass, below), min_sup)?
+                Counter::Tree(gen) => {
+                    self.pass_with_store(&held.work, gen, (pass, below), min_sup)?
                 }
             };
             held.settle();
@@ -535,11 +527,11 @@ impl Yafim {
     /// armed governor's per-task limit rules it out (each governor
     /// step-down is noted, ladder rung 2, *before* the pass runs).
     ///
-    /// | plan     | pass 2                                          | `k ≥ 3`                   |
-    /// |----------|-------------------------------------------------|---------------------------|
-    /// | `Paper`  | hash tree                                       | hash tree                 |
-    /// | `Trie`   | triangle → trie → hash tree                     | trie → hash tree          |
-    /// | `Bitmap` | columns or triangle → bitmap → trie → hash tree | bitmap → trie → hash tree |
+    /// | plan        | pass 2                                   | `k ≥ 3`            |
+    /// |-------------|------------------------------------------|--------------------|
+    /// | `Paper`     | hash tree                                | hash tree          |
+    /// | `Projected` | triangle → hash tree                     | hash tree          |
+    /// | `Bitmap`    | columns or triangle → bitmap → hash tree | bitmap → hash tree |
     ///
     /// `bitmap_arena` is the per-task columnar arena estimate when the run
     /// may count through bitmaps at all, and the store has `lines` lines in
@@ -590,7 +582,7 @@ impl Yafim {
         // An arena already built and cached keeps serving — only its
         // construction is budgeted.
         if !columnar_built && bitmap_arena.is_some_and(over_limit) {
-            self.note_degradation(pass, "bitmap arena -> trie matcher");
+            self.note_degradation(pass, "bitmap arena -> hash tree");
             bitmap_arena = None;
         }
 
@@ -626,17 +618,7 @@ impl Yafim {
         if bitmap_arena.is_some() {
             return Some(Counter::Bitmap(levels));
         }
-        let candidates = levels.swap_remove(0);
-        let sets = candidates.to_itemsets();
-        let store: Box<dyn CandidateStore> = if plan == Phase2Plan::Paper {
-            Box::new(HashTree::build(sets))
-        } else if over_limit(trie_footprint(sets.len(), pass)) {
-            self.note_degradation(pass, "trie -> hash tree");
-            Box::new(HashTree::build(sets))
-        } else {
-            Box::new(CandidateTrie::build(sets))
-        };
-        Some(Counter::Store(store, candidates))
+        Some(Counter::Tree(levels.swap_remove(0)))
     }
 
     /// Whether `Bitmap`'s pass 2 counts columns: the rule's `(columns, rows)`
@@ -708,16 +690,15 @@ impl Yafim {
         Ok((n_candidates, vec![pairs_level(&counted, l1, min_sup)?]))
     }
 
-    /// One Phase-II pass through a broadcast [`CandidateStore`] (the hash
-    /// tree or trie just built over `candidates`) — the generic path for
-    /// `k ≥ 3`, and for pass 2 without the triangle — its level audited
-    /// against `below`, the level it was joined from.
+    /// One Phase-II pass through a [`HashTree`] built over `candidates` and
+    /// broadcast — the generic path for `k ≥ 3`, and for pass 2 without the
+    /// triangle — its level audited against `below`, the level it was joined
+    /// from.
     ///
     /// Returns `(|C_k|, [L_k in work space])`.
     fn pass_with_store(
         &self,
         work: &Rdd<TxBlock>,
-        store: Box<dyn CandidateStore>,
         candidates: CandidateList,
         (pass, below): (usize, &Level),
         min_sup: u64,
@@ -731,9 +712,9 @@ impl Yafim {
         metrics.advance_with_event(
             cost.cpu(2 * n_candidates as u64),
             EventKind::Driver,
-            format!("build {} pass {pass}", store.name()),
+            format!("build hash tree pass {pass}"),
         );
-        let bc = ctx.broadcast(store);
+        let bc = ctx.broadcast(HashTree::build(candidates.to_itemsets()));
         let store_for_tasks = bc.value();
         let store_bytes = bc.bytes();
 
@@ -747,7 +728,7 @@ impl Yafim {
             // The deserialized store plus the count array are this
             // task's execution memory.
             tc.try_reserve(store_bytes + 8 * n_candidates as u64, Site::CandidateStore);
-            let (visits, matches, cells) = count_matches(acc, txs, &**store_for_tasks);
+            let (visits, matches, cells) = count_matches(acc, txs, &store_for_tasks);
             // Store traversal plus one emission per match — the
             // flatMap cost of Algorithm 3, lines 4-9.
             tc.add_cpu(visits * JVM_TREE_VISIT_UNITS + matches);
@@ -1113,8 +1094,8 @@ fn count_pairs(acc: &mut [u64], txs: &[TxBlock], n_dense: usize) -> (u64, u64) {
 /// Add one to `acc[i]` for every candidate `i` of `store` contained in each
 /// transaction of `txs`. Returns the store's visit count, the number of
 /// matches and the number of distinct candidates matched.
-fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &dyn CandidateStore) -> (u64, u64, u64) {
-    with_scratch(|scratch| store.count_rows_dyn(&mut rows_of(txs), scratch, acc))
+fn count_matches(acc: &mut [u64], txs: &[TxBlock], store: &HashTree) -> (u64, u64, u64) {
+    with_scratch(|scratch| store.count_rows(rows_of(txs), scratch, acc))
 }
 
 /// Add each candidate's support in the columnar partitions `cols` into
@@ -1371,7 +1352,7 @@ mod tests {
         let run = mine_in_memory(
             &c,
             &tx,
-            YafimConfig::with_plan(Support::Count(3), Phase2Plan::Trie),
+            YafimConfig::with_plan(Support::Count(3), Phase2Plan::Projected),
         );
         assert_eq!(run.result.level_sizes(), vec![1]);
         assert_eq!(
@@ -1430,18 +1411,14 @@ mod tests {
         (pairs, cells_at_least(&counts, 1))
     }
 
-    /// A store's per-row match: reports each candidate the row holds,
-    /// returns the visits.
-    type Each<'a> = &'a dyn Fn(&[Item], &mut MatchScratch, &mut dyn FnMut(usize)) -> u64;
-
-    /// A fresh zeroed count array of `n` cells per task, row by row through
-    /// `each`; matches are its sum.
-    fn count_matches_sparse(txs: &[Vec<Item>], n: usize, each: Each) -> (u64, u64, Sparse) {
-        let mut counts = vec![0u64; n];
+    /// A fresh zeroed count array per task, row by row through
+    /// [`HashTree::for_each_match`]; matches are its sum.
+    fn count_matches_sparse(txs: &[Vec<Item>], tree: &HashTree) -> (u64, u64, Sparse) {
+        let mut counts = vec![0u64; tree.len()];
         let mut scratch = MatchScratch::default();
         let mut visits = 0u64;
         for t in txs {
-            visits += each(t, &mut scratch, &mut |idx| counts[idx] += 1);
+            visits += tree.for_each_match(t, &mut scratch, &mut |idx| counts[idx] += 1);
         }
         (visits, counts.iter().sum(), cells_at_least(&counts, 1))
     }
@@ -1508,21 +1485,12 @@ mod tests {
 
                 let cols = [ColumnarPartition::build(n_dense, &txs)];
                 for candidates in levels.iter().filter(|l| !l.is_empty()) {
-                    let trie = CandidateTrie::build(candidates.clone());
                     let tree = HashTree::build(candidates.clone());
-                    let stores: [(&dyn CandidateStore, Each); 2] = [
-                        (&trie, &|t, _, f| trie.for_each_match(t, f)),
-                        (&tree, &|t, s, f| tree.for_each_match(t, s, f)),
-                    ];
-                    for (store, each) in stores {
-                        let label = format!("{} {label}", store.name());
-                        let fold = |acc: &mut [u64]| count_matches(acc, &block, store);
-                        let (new, added) = folded(candidates.len(), fold);
-                        let (visits, matches, sparse) =
-                            count_matches_sparse(&txs, candidates.len(), each);
-                        assert_eq!(new, (visits, matches, sparse.len() as u64), "{label}");
-                        assert_eq!(added, sparse, "{label}");
-                    }
+                    let fold = |acc: &mut [u64]| count_matches(acc, &block, &tree);
+                    let (new, added) = folded(candidates.len(), fold);
+                    let (visits, matches, sparse) = count_matches_sparse(&txs, &tree);
+                    assert_eq!(new, (visits, matches, sparse.len() as u64), "tree {label}");
+                    assert_eq!(added, sparse, "tree {label}");
                     let list = [CandidateList::new(candidates)];
                     let fold = |acc: &mut [u64]| count_bitmaps(acc, &cols, &list);
                     let (new, added) = folded(candidates.len(), fold);
@@ -1551,8 +1519,7 @@ mod tests {
         let pairs = ap_gen(&(0..5).map(Itemset::single).collect::<Vec<_>>()).0;
         for tree in [HashTree::build(ap_gen(&pairs).0), HashTree::build(pairs)] {
             let counted = count_matches(&mut vec![0; tree.len()], &block_of(&good), &tree);
-            let each: Each = &|t, s, f| tree.for_each_match(t, s, f);
-            let (visits, matches, sparse) = count_matches_sparse(&good, tree.len(), each);
+            let (visits, matches, sparse) = count_matches_sparse(&good, &tree);
             assert_eq!(counted, (visits, matches, sparse.len() as u64));
         }
     }

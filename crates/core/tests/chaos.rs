@@ -193,7 +193,7 @@ fn transient_chaos_runs_are_reproducible() {
         );
         let run = Yafim::new(
             Context::new(c.clone()),
-            YafimConfig::with_plan(support, Phase2Plan::Trie),
+            YafimConfig::with_plan(support, Phase2Plan::Projected),
         )
         .mine("d.dat")
         .expect("transients never abort");

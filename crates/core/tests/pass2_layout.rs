@@ -183,7 +183,7 @@ fn on_dense_data_columns_and_rows_agree_on_pass_2() {
         (p.counter, (p.candidates, p.frequent, run.result, merged))
     };
     let (columns, by_columns) = pass2(Phase2Plan::Bitmap);
-    let (rows, by_rows) = pass2(Phase2Plan::Trie);
+    let (rows, by_rows) = pass2(Phase2Plan::Projected);
     assert_eq!((columns, rows), ("bitmap", "triangle"));
     assert_eq!(
         by_columns, by_rows,
@@ -236,8 +236,8 @@ fn an_arena_over_the_task_limit_sends_pass_2_to_rows_without_a_step_down() {
     // A per-task limit above the triangle and the admission granule, below
     // the arena: columns are not admissible, so pass 2 counts rows and notes
     // nothing, and every pass from 3 on steps down from the bitmap to the
-    // trie as it did before pass 2 could count columns: four degradations,
-    // what the build without the rule notes on this input.
+    // hash tree as it did before pass 2 could count columns: four
+    // degradations, what the build without the rule notes on this input.
     let tight = cluster();
     tight
         .faults()
@@ -247,7 +247,7 @@ fn an_arena_over_the_task_limit_sends_pass_2_to_rows_without_a_step_down() {
     let run = mine_in_two(&tight);
     assert_eq!(run.result, reference);
     let counters: Vec<&str> = run.passes.iter().map(|p| p.counter).collect();
-    assert_eq!(&counters[1..3], ["triangle", "trie"]);
+    assert_eq!(&counters[1..3], ["triangle", "hash tree"]);
     let snapshot = tight.metrics().snapshot();
     assert_eq!(snapshot.recovery.mem.degradations, 4);
     assert_eq!(snapshot.engine.bitmap_partitions_built, 0);

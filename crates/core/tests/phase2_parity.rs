@@ -210,7 +210,7 @@ fn assert_identical(
 #[test]
 fn every_phase2_plan_is_invisible_on_quest_data() {
     // Small dense QUEST-style instances with long patterns → 4-5 passes,
-    // exercising triangle (pass 2), trie (k ≥ 3) and repeated trimming.
+    // exercising triangle (pass 2), hash tree (k ≥ 3) and repeated trimming.
     for seed in [7u64, 99, 4242] {
         let tx = QuestGenerator::new(QuestConfig {
             transactions: 400,
@@ -239,6 +239,15 @@ fn every_phase2_plan_is_invisible_on_quest_data() {
         for plan in Phase2Plan::ALL {
             let r = run(&tx, support, plan);
             assert_identical(&paper, &r, plan, bound, &format!("seed {seed}, {plan:?}"));
+            if plan == Phase2Plan::Projected {
+                let tail = r.passes.iter().filter(|p| p.pass >= 3);
+                let counters: Vec<&str> = tail.map(|p| p.counter).collect();
+                assert!(!counters.is_empty(), "seed {seed}: no k ≥ 3 pass");
+                assert!(
+                    counters.iter().all(|&c| c == "hash tree"),
+                    "seed {seed}: {counters:?}"
+                );
+            }
         }
     }
 }
@@ -313,7 +322,7 @@ fn optimized_path_survives_node_loss() {
         );
         let opt = Yafim::new(
             Context::new(c.clone()),
-            YafimConfig::with_plan(support, Phase2Plan::Trie),
+            YafimConfig::with_plan(support, Phase2Plan::Projected),
         )
         .mine("d.dat")
         .expect("below-budget faults must not abort the job");
@@ -473,7 +482,7 @@ fn optimized_path_is_deterministic_under_faults() {
         );
         let run = Yafim::new(
             Context::new(c.clone()),
-            YafimConfig::with_plan(support, Phase2Plan::Trie),
+            YafimConfig::with_plan(support, Phase2Plan::Projected),
         )
         .mine("d.dat")
         .expect("below budget");
@@ -490,10 +499,10 @@ fn optimized_path_is_deterministic_under_faults() {
 }
 
 #[test]
-fn bitmap_virtual_time_not_slower_than_trie_on_dense_data() {
+fn bitmap_virtual_time_not_slower_than_hash_tree_on_dense_data() {
     // A dense workload with deep passes: every k >= 3 pass is pure
     // word-wise counting, which the cost model must see as cheaper
-    // than trie descent per transaction.
+    // than hash-tree descent per transaction.
     let tx: Vec<Vec<Item>> = (0..400)
         .map(|i| {
             let mut t: Vec<Item> = (0..10).map(|j| ((i + j * 3) % 14) as u32).collect();
@@ -502,26 +511,26 @@ fn bitmap_virtual_time_not_slower_than_trie_on_dense_data() {
             t
         })
         .collect();
-    let trie = mine_in_memory(
+    let tree = mine_in_memory(
         &Context::new(cluster()),
         &tx,
-        YafimConfig::with_plan(Support::Fraction(0.05), Phase2Plan::Trie),
+        YafimConfig::with_plan(Support::Fraction(0.05), Phase2Plan::Projected),
     );
     let bm = mine_in_memory(
         &Context::new(cluster()),
         &tx,
         YafimConfig::bitmap(Support::Fraction(0.05)),
     );
-    assert_eq!(trie.result, bm.result);
+    assert_eq!(tree.result, bm.result);
     assert!(
         bm.result.max_len() >= 3,
         "workload must exercise bitmap passes"
     );
     assert!(
-        bm.total_seconds <= trie.total_seconds,
-        "bitmap {} s vs trie {} s",
+        bm.total_seconds <= tree.total_seconds,
+        "bitmap {} s vs hash tree {} s",
         bm.total_seconds,
-        trie.total_seconds
+        tree.total_seconds
     );
 }
 
@@ -546,7 +555,7 @@ fn optimized_virtual_time_not_slower_than_paper_engine() {
     let opt = mine_in_memory(
         &Context::new(cluster()),
         &tx,
-        YafimConfig::with_plan(Support::Fraction(0.02), Phase2Plan::Trie),
+        YafimConfig::with_plan(Support::Fraction(0.02), Phase2Plan::Projected),
     );
     assert_eq!(paper.result, opt.result);
     assert!(

@@ -3,8 +3,10 @@
 use crate::cache::CacheManager;
 use crate::rdd::{self, Data, HdfsTextRdd, ParallelizeRdd, Pipe, Rdd, RddMeta};
 use crate::shuffle::ShuffleRegistry;
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use yafim_cluster::sync::Mutex;
 use yafim_cluster::{
     storage_region, ByteSize, DfsError, EngineCounters, EventKind, Lines, Metrics, SimCluster,
 };
@@ -50,6 +52,10 @@ pub(crate) struct CtxInner {
     pub(crate) cluster: SimCluster,
     pub(crate) cache: CacheManager,
     pub(crate) shuffles: ShuffleRegistry,
+    /// Every broadcast value still referenced (by a handle, a task closure
+    /// or an RDD's lineage) with its shipped bytes; a dead one is pruned at
+    /// the next broadcast. What a node loss re-fetches.
+    broadcasts: Mutex<Vec<(Weak<dyn Any + Send + Sync>, u64)>>,
     pub(crate) config: RddConfig,
     next_id: AtomicU64,
 }
@@ -78,6 +84,7 @@ impl Context {
             inner: Arc::new(CtxInner {
                 cache,
                 shuffles: ShuffleRegistry::new(),
+                broadcasts: Mutex::new(Vec::new()),
                 config,
                 next_id: AtomicU64::new(1),
                 cluster,
@@ -176,7 +183,7 @@ impl Context {
 
     /// Ship `value` to the workers as a read-only broadcast variable,
     /// charging virtual time according to [`BroadcastMode`].
-    pub fn broadcast<T: ByteSize + Send + Sync>(&self, value: T) -> Broadcast<T> {
+    pub fn broadcast<T: ByteSize + Send + Sync + 'static>(&self, value: T) -> Broadcast<T> {
         let bytes = value.byte_size();
         let cluster = &self.inner.cluster;
         let cost = match self.inner.config.broadcast {
@@ -197,10 +204,20 @@ impl Context {
             broadcast_variables: 1,
             ..EngineCounters::default()
         });
-        Broadcast {
-            value: Arc::new(value),
-            bytes,
-        }
+        let value = Arc::new(value);
+        let mut live = self.inner.broadcasts.lock();
+        live.retain(|(v, _)| v.strong_count() > 0);
+        live.push((Arc::downgrade(&value) as Weak<dyn Any + Send + Sync>, bytes));
+        Broadcast { value, bytes }
+    }
+
+    /// Shipped bytes of the broadcasts still referenced.
+    pub(crate) fn live_broadcast_bytes(&self) -> u64 {
+        let live = self.inner.broadcasts.lock();
+        live.iter()
+            .filter(|(v, _)| v.strong_count() > 0)
+            .map(|(_, b)| b)
+            .sum()
     }
 }
 

@@ -168,8 +168,9 @@ pub(crate) fn apply_node_loss(ctx: &Context, node: NodeId) -> NodeLossReport {
     };
 
     // Torrent blocks the dead executor served are re-replicated from the
-    // survivors: charge the dead node's share of all broadcast bytes.
-    let bcast = metrics.snapshot().engine.broadcast_ship_bytes;
+    // survivors: charge the dead node's share of the broadcasts still
+    // referenced (a dropped one is never read again).
+    let bcast = ctx.live_broadcast_bytes();
     let nodes = ctx.cluster().spec().nodes as u64;
     let refetch = bcast / nodes.max(1);
     if refetch > 0 {

@@ -317,6 +317,31 @@ mod tests {
     }
 
     #[test]
+    fn a_node_loss_refetches_the_live_broadcasts_only() {
+        use yafim_cluster::NodeId;
+        let c = ctx();
+        // A pass's store, drained with its pass; the next pass's list, held
+        // by a task closure in an RDD's lineage after its handle is gone.
+        let drained = c.broadcast(vec![1u32; 4_000]);
+        let live = c.broadcast(vec![2u32; 1_000]);
+        let list = live.value();
+        let rdd = c.parallelize((0u32..8).collect()).map(move |x| x + list[0]);
+        drop((drained, live));
+        rdd.count();
+        c.lose_node(NodeId(1));
+        let rec = c.metrics().snapshot().recovery;
+        assert_eq!(
+            (rec.broadcast_refetches, rec.broadcast_refetch_bytes),
+            (1, (8 + 4_000) / 4)
+        );
+        // Nothing references either value any more: nothing to re-fetch.
+        drop(rdd);
+        c.lose_node(NodeId(2));
+        let rec = c.metrics().snapshot().recovery;
+        assert_eq!((rec.broadcast_refetches, rec.nodes_lost), (1, 2));
+    }
+
+    #[test]
     fn lost_node_invalidates_cache_and_shuffle_and_recovers() {
         use yafim_cluster::NodeId;
         let c = ctx();

@@ -213,8 +213,8 @@ fn cmd_generate() {
 
 /// `--phase2 <paper|opt|bitmap>` — the Spark miner's Phase-II plan:
 /// `paper` (default) is the paper-faithful hash-tree engine, `opt` runs
-/// dense re-encoding, the triangular pass-2 counter, trie matching and
-/// cross-pass trimming, and `bitmap` swaps the `k ≥ 3` trie for vertical
+/// dense re-encoding, the triangular pass-2 counter, hash-tree matching and
+/// cross-pass trimming, and `bitmap` swaps the `k ≥ 3` hash tree for vertical
 /// TID-bitmap counting (word-wise AND + popcount over a columnar store).
 /// Results are identical; only the virtual timings move.
 fn phase2_plan() -> Phase2Plan {

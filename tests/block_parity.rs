@@ -24,7 +24,7 @@ use yafim::encode::{tri_index, tri_len, tri_pair};
 use yafim::rdd::{Context, Data, PartialSize, Rdd, TaskContext};
 use yafim::types::{JVM_BITMAP_WORD_UNITS, JVM_PAIR_COUNT_UNITS, JVM_TREE_VISIT_UNITS};
 use yafim::{
-    ap_gen, apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList, CandidateTrie,
+    ap_gen, apriori, bitmap_fits, parse_transaction, BitmapScratch, CandidateList,
     ColumnarPartition, DenseEncoder, HashTree, Item, Itemset, MatchScratch, MiningResult,
     Phase2Plan, Support, TrimMask, Yafim, YafimConfig,
 };
@@ -94,19 +94,14 @@ fn count_pass<T: Data>(
     counted
 }
 
-/// A store's per-row match: reports each candidate the row holds, returns
-/// the visits.
-type Each<S> = fn(&S, &[Item], &mut MatchScratch, &mut dyn FnMut(usize)) -> u64;
-
-/// One store-counted pass over per-record transactions, `all` the
-/// candidates `store` was built over, each row matched by `each`, the
-/// store's per-row match.
-fn pass_with_store<S: ByteSize + Send + Sync + 'static>(
+/// One tree-counted pass over per-record transactions, `all` the
+/// candidates the tree is built over, each row matched by
+/// [`HashTree::for_each_match`].
+fn pass_with_store(
     ctx: &Context,
     work: &Rdd<Vec<Item>>,
     projects: bool,
-    (store, all): (S, &[Itemset]),
-    each: Each<S>,
+    all: &[Itemset],
     min_sup: u64,
 ) -> Vec<(Itemset, u64)> {
     let n_candidates = all.len();
@@ -116,7 +111,7 @@ fn pass_with_store<S: ByteSize + Send + Sync + 'static>(
         EventKind::Driver,
         "build store",
     );
-    let bc = ctx.broadcast(store);
+    let bc = ctx.broadcast(HashTree::build(all.to_vec()));
     let (store, store_bytes) = (bc.value(), bc.bytes());
     let counted = count_pass(
         work,
@@ -129,7 +124,7 @@ fn pass_with_store<S: ByteSize + Send + Sync + 'static>(
             let (mut visits, mut matches) = (0u64, 0u64);
             let cells = fold_fresh(acc, |fresh| {
                 for t in txs {
-                    visits += each(&store, t, &mut scratch, &mut |idx| {
+                    visits += store.for_each_match(t, &mut scratch, &mut |idx| {
                         fresh[idx] += 1;
                         matches += 1;
                     });
@@ -340,27 +335,8 @@ fn per_record_mine(ctx: &Context, support: Support, plan: Phase2Plan) -> MiningR
                 break;
             };
             match plan {
-                Phase2Plan::Paper => {
-                    let store = HashTree::build(candidates.clone());
-                    vec![pass_with_store(
-                        ctx,
-                        &work,
-                        projects,
-                        (store, &candidates),
-                        |tree, t, s, f| tree.for_each_match(t, s, f),
-                        min_sup,
-                    )]
-                }
-                Phase2Plan::Trie => {
-                    let store = CandidateTrie::build(candidates.clone());
-                    vec![pass_with_store(
-                        ctx,
-                        &work,
-                        projects,
-                        (store, &candidates),
-                        |trie, t, _, f| trie.for_each_match(t, f),
-                        min_sup,
-                    )]
+                Phase2Plan::Paper | Phase2Plan::Projected => {
+                    vec![pass_with_store(ctx, &work, projects, &candidates, min_sup)]
                 }
                 Phase2Plan::Bitmap => {
                     let cols = columnar.get_or_insert_with(|| columnar_of(&work));

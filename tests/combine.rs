@@ -84,7 +84,7 @@ fn input() -> Vec<Vec<Item>> {
 fn a_reduce_stage_sums_the_wide_passes_and_the_host_cannot_tell() {
     let tx = input();
     let reference = apriori(&tx, SUPPORT);
-    for plan in [Phase2Plan::Trie, Phase2Plan::Bitmap] {
+    for plan in [Phase2Plan::Projected, Phase2Plan::Bitmap] {
         let mut first: Option<(u64, String)> = None;
         for threads in [1, 2, 8] {
             let case = format!("{} at {threads} threads", plan.name());

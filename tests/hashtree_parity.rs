@@ -23,7 +23,7 @@
 
 use yafim::cluster::{fx_hash64, ByteSize};
 use yafim::data::rng::StdRng;
-use yafim::{CandidateStore, HashTree, Item, Itemset, MatchScratch};
+use yafim::{HashTree, Item, Itemset, MatchScratch};
 
 /// The pre-arena `HashTree`, kept verbatim apart from names: a `Vec` per
 /// node, `hash % branching` on every visit, a merge per leaf entry.
@@ -250,8 +250,6 @@ struct Pair {
 impl Pair {
     fn of(new: HashTree, old: PointerTree, what: &str) -> Self {
         assert_eq!(new.num_nodes(), old.num_nodes(), "num_nodes, {what}");
-        let store: &dyn CandidateStore = &new;
-        assert_eq!(store.byte_size(), old.store_bytes(), "store bytes, {what}");
         assert_eq!(new.byte_size(), old.store_bytes(), "byte_size, {what}");
         Pair { new, old }
     }
