@@ -3,16 +3,31 @@
 //! dense and shallow; T10I4D100K at 0.25 %, 100 000 short lines). The read
 //! is serial; the check runs on one thread and on as many as the cluster's
 //! pool has; pass 1 (parse + item count) and pass 2 (projection + triangle)
-//! are whole runs of the `bitmap` plan cut off after that pass.
+//! are whole runs of the `bitmap` plan cut off after that pass. "scan_line,
+//! every line" parses each line as the engines see it (without its `\n`)
+//! on one thread: every line of the file takes `scan_line`'s fast path, and
+//! no line of its CRLF copy does (each keeps its `\r`).
 
 use yafim_bench::microbench::{bench, black_box, header};
 use yafim_cluster::{ClusterSpec, CostModel, Lines, SimCluster};
 use yafim_core::{Support, Yafim, YafimConfig};
-use yafim_data::{read_canonical_text, write_dat, PaperDataset};
+use yafim_data::{read_canonical_text, scan_line, write_dat, PaperDataset};
 use yafim_rdd::Context;
 
 fn cluster() -> SimCluster {
     SimCluster::new(ClusterSpec::new(12, 8, 24 << 30), CostModel::hadoop_era())
+}
+
+/// Parse every line of `text` into one reused vector, as a task does.
+fn scan_every_line(text: &str) -> usize {
+    let mut items = Vec::new();
+    text.split_terminator('\n')
+        .map(|line| {
+            items.clear();
+            scan_line(line, &mut items);
+            items.len()
+        })
+        .sum()
 }
 
 fn main() {
@@ -38,6 +53,10 @@ fn main() {
         bench(&format!("read + check, {threads} threads"), 15, || {
             black_box(read(threads).1.len())
         });
+        let text = std::fs::read_to_string(&path).expect("just written");
+        bench("scan_line, every line", 15, || {
+            black_box(scan_every_line(&text))
+        });
         let lines = Lines::from(read(threads));
         bench("put on a fresh cluster's HDFS", 15, || {
             black_box(cluster().hdfs().put_overwrite("in.dat", lines.clone()))
@@ -58,10 +77,13 @@ fn main() {
         }
 
         // The same file with CRLF endings: every line takes the slow path.
-        let text = std::fs::read_to_string(&path).expect("just written");
-        std::fs::write(&path, text.replace('\n', "\r\n")).expect("temp dir writable");
+        let text = text.replace('\n', "\r\n");
+        std::fs::write(&path, &text).expect("temp dir writable");
         bench(&format!("read + clean CRLF, {threads} threads"), 9, || {
             black_box(read(threads).1.len())
+        });
+        bench("scan_line, every line, CRLF", 15, || {
+            black_box(scan_every_line(&text))
         });
     }
     std::fs::remove_dir_all(&dir).expect("own temp dir");

@@ -8,9 +8,13 @@
 //! for transactions in memory), and [`replicate`] produces the N×-enlarged
 //! datasets of the paper's sizeup experiment (Fig. 4).
 //!
-//! Every line that is parsed goes through `scan_line` and every line that is
-//! rendered through `render_line`; nothing else in the workspace knows the
-//! cleaning rule or the decimal format.
+//! Every line that is parsed goes through `scan_line` (the loader's check
+//! calls its two halves directly), and every line that is rendered through
+//! `render_line`; nothing else in the workspace knows the cleaning rule or
+//! the decimal format. A line that is already its own rendering (every line
+//! the loader hands the engines) is read by one strict recognizer,
+//! `canonical_line`, in one tight loop; any other falls back to the rule's
+//! byte loop.
 
 use crate::{Item, Transaction};
 use std::path::Path;
@@ -35,17 +39,37 @@ fn digit_at(bytes: &[u8], i: usize) -> Option<u8> {
 /// counts when `str::parse::<u32>` accepts it (digits after an optional `+`,
 /// leading zeros allowed, no overflow) and is skipped otherwise.
 ///
-/// ASCII lines are scanned byte by byte, noting whether the items arrive
-/// strictly ascending so that the usual line skips the sort. A line with a
-/// non-ASCII byte may hold Unicode whitespace and is handed, whole, to the
-/// `split_whitespace`/`str::parse` wording of the rule.
+/// A line that is its own rendering, with or without its `\n`, takes
+/// [`scan_canonical`]'s tight loop; any other falls back to [`scan_bytes`].
 pub fn scan_line(line: &str, items: &mut Vec<Item>) {
+    if !scan_canonical(line.as_bytes(), items) {
+        scan_bytes(line, items);
+    }
+}
+
+/// [`canonical_line`] over the whole of `line` (or that and its `\n`):
+/// whether it took the line, its items appended; `items` as it was if not.
+fn scan_canonical(line: &[u8], items: &mut Vec<Item>) -> bool {
+    let start = items.len();
+    // A token and the space after it take two bytes at least.
+    items.reserve(line.len() / 2 + 1);
+    let len = canonical_line(line, |item| items.push(item));
+    if len.is_some_and(|len| len + 1 >= line.len()) {
+        return true;
+    }
+    items.truncate(start);
+    false
+}
+
+/// [`scan_line`] on any line: ASCII lines are scanned byte by byte, noting
+/// whether the items arrive strictly ascending so that the usual line skips
+/// the sort. A line with a non-ASCII byte may hold Unicode whitespace and is
+/// handed, whole, to the `split_whitespace`/`str::parse` wording of the rule.
+fn scan_bytes(line: &str, items: &mut Vec<Item>) {
     // Any clamp above `Item::MAX` that leaves room for one more digit.
     const TOO_BIG: u64 = 1 << 40;
     let start = items.len();
     let bytes = line.as_bytes();
-    // A token and the space after it take two bytes at least.
-    items.reserve(bytes.len() / 2 + 1);
     let mut ascending = true;
     let mut i = 0;
     while i < bytes.len() {
@@ -79,6 +103,39 @@ pub fn scan_line(line: &str, items: &mut Vec<Item>) {
     }
     if !ascending {
         sort_line(items, start);
+    }
+}
+
+/// Read the line `bytes` starts with if it is what [`render_line`] would
+/// make of its own items: tokens of one to nine digits without a leading
+/// zero, strictly ascending, single spaces between them, ended by `\n` or
+/// by the end of `bytes`. If so, each item has gone to `item` in order and
+/// the line's length (without the `\n`) is returned; if not, a prefix of
+/// them has, for the caller to drop. Nine digits keep the loop free of
+/// overflow handling; a line with a ten-digit id is refused.
+fn canonical_line(bytes: &[u8], mut item: impl FnMut(Item)) -> Option<usize> {
+    // The least the next id may be.
+    let mut floor: Item = 0;
+    let mut i = 0;
+    loop {
+        let first = i;
+        let mut value: Item = 0;
+        while let Some(digit) = digit_at(bytes, i) {
+            // Wraps only past nine digits, which is refused below.
+            value = value.wrapping_mul(10).wrapping_add(Item::from(digit));
+            i += 1;
+        }
+        let len = i - first;
+        if len == 0 || len > 9 || (bytes[first] == b'0' && len > 1) || value < floor {
+            return None;
+        }
+        floor = value + 1;
+        item(value);
+        match bytes.get(i) {
+            Some(b' ') => i += 1,
+            Some(b'\n') | None => return Some(i),
+            Some(_) => return None,
+        }
     }
 }
 
@@ -121,37 +178,6 @@ fn render_line(items: &[Item], out: &mut String) {
             }
         }
         out.extend(digits[at..].iter().map(|&d| char::from(d)));
-    }
-}
-
-/// Is the line `bytes` starts with, up to its `\n`, what [`render_line`]
-/// would make of its own items: tokens of one to nine digits without a
-/// leading zero, strictly ascending, single spaces between them and nothing
-/// else? If so, where that `\n` is.
-fn is_canonical(bytes: &[u8]) -> Option<usize> {
-    let mut last = None;
-    let mut i = 0;
-    loop {
-        let start = i;
-        let mut value: Item = 0;
-        while let Some(digit) = digit_at(bytes, i) {
-            // Wraps only past nine digits, which is refused below.
-            value = value.wrapping_mul(10).wrapping_add(Item::from(digit));
-            i += 1;
-        }
-        let len = i - start;
-        if len == 0 || len > 9 || (bytes[start] == b'0' && len > 1) {
-            return None;
-        }
-        if last.is_some_and(|last| last >= value) {
-            return None;
-        }
-        last = Some(value);
-        match bytes.get(i) {
-            Some(b' ') => i += 1,
-            Some(b'\n') => return Some(i),
-            _ => return None,
-        }
     }
 }
 
@@ -263,7 +289,7 @@ fn clean_chunk(chunk: &str) -> (Option<String>, Vec<u64>) {
     let (mut ends, mut items) = (Vec::new(), Vec::new());
     let mut start = 0;
     while start < bytes.len() {
-        if let Some(len) = is_canonical(&bytes[start..]) {
+        if let Some(len) = canonical_line(&bytes[start..], drop) {
             let line = &chunk[start..start + len + 1];
             start += line.len();
             if let Some(out) = &mut rewritten {
@@ -278,7 +304,7 @@ fn clean_chunk(chunk: &str) -> (Option<String>, Vec<u64>) {
         let line = &chunk[start..start + newline + 1];
         start += line.len();
         items.clear();
-        scan_line(line, &mut items);
+        scan_bytes(line, &mut items);
         if !items.is_empty() {
             render_line(&items, out);
             out.push('\n');
@@ -319,6 +345,23 @@ mod tests {
         assert_eq!(from_lines(&lines), vec![vec![1, 3, 5], vec![2]]);
     }
 
+    /// `scan_line`'s fast path: the line's items if it took the line.
+    fn fast_path(line: &str) -> Option<Vec<Item>> {
+        let mut items = Vec::new();
+        scan_canonical(line.as_bytes(), &mut items).then_some(items)
+    }
+
+    /// The rule in its `split_whitespace`/`str::parse` wording.
+    fn rule(line: &str) -> Vec<Item> {
+        let mut items: Vec<Item> = line
+            .split_whitespace()
+            .filter_map(|t| t.parse().ok())
+            .collect();
+        items.sort_unstable();
+        items.dedup();
+        items
+    }
+
     #[test]
     fn canonical_means_the_line_is_its_own_rendering() {
         let lines = [
@@ -327,32 +370,77 @@ mod tests {
             "0 1",
             "1 5 9",
             "999999999",
+            "1 5 9\n",
             "",
             " ",
             "1 ",
             " 1",
             "1  2",
             "1\t2",
+            "1\r",
             "01",
             "00",
             "+1",
             "2 1",
             "1 1",
             "1 x",
+            "3\n1",
             "1000000000",
+            "4294967295",
             "4294967296",
             "1\u{a0}2",
         ];
-        let mut items = Vec::new();
         for line in lines {
-            items.clear();
-            scan_line(line, &mut items);
-            let own_rendering = !items.is_empty() && to_lines(&[items.clone()]) == [line];
+            let items = rule(line);
+            let rendering = to_lines(std::slice::from_ref(&items)).pop();
+            let own =
+                !items.is_empty() && rendering.as_deref() == line.strip_suffix('\n').or(Some(line));
             // Ten-digit ids render as themselves too; they take the slow path.
-            let expected = (own_rendering && line != "1000000000").then_some(line.len());
-            let ended = format!("{line}\n1 2\n");
-            assert_eq!(is_canonical(ended.as_bytes()), expected, "{line:?}");
-            assert_eq!(is_canonical(line.as_bytes()), None, "{line:?} never ends");
+            let fast = own && items.iter().all(|&item| item <= 999_999_999);
+            assert_eq!(fast_path(line), fast.then(|| items.clone()), "{line:?}");
+            if !line.contains('\n') {
+                // As a chunk's check reads it: up to its `\n`.
+                let chunk = format!("{line}\n1 2\n");
+                let len = canonical_line(chunk.as_bytes(), drop);
+                assert_eq!(len, fast.then_some(line.len()), "{chunk:?}");
+            }
+            let mut got = vec![7];
+            scan_line(line, &mut got);
+            assert_eq!((got[0], &got[1..]), (7, &items[..]), "{line:?}");
+        }
+    }
+
+    #[test]
+    fn every_rendered_line_of_nine_digit_ids_takes_the_fast_path() {
+        let mut rng = crate::rng::StdRng::seed_from_u64(48);
+        for _ in 0..5_000 {
+            let len = rng.gen_range(1..12usize);
+            let mut t: Vec<Item> = (0..len)
+                .map(|_| match rng.gen_range(1..12u32) {
+                    11 => Item::MAX,
+                    digits => {
+                        let low = if digits == 1 {
+                            0
+                        } else {
+                            10u64.pow(digits - 1)
+                        };
+                        let high = 10u64.pow(digits).min(1 << 32);
+                        rng.gen_range(low..high) as Item
+                    }
+                })
+                .collect();
+            t.sort_unstable();
+            t.dedup();
+            let mut line = String::new();
+            render_line(&t, &mut line);
+            let short = t.iter().all(|&item| item <= 999_999_999);
+            for line in [line.clone(), format!("{line}\n")] {
+                let expected = short.then(|| t.clone());
+                assert_eq!(fast_path(&line), expected, "{line:?}");
+                let mut items = vec![7];
+                scan_line(&line, &mut items);
+                assert_eq!((items[0], &items[1..]), (7, &t[..]), "{line:?}");
+            }
         }
     }
 
