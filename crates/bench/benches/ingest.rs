@@ -1,9 +1,11 @@
 //! Plain timer: the way from a `.dat` file to dense ranks, stage by stage,
 //! on the two files where that way is most of a run (Pumsb_star at 65 %,
-//! dense and shallow; T10I4D100K at 0.25 %, 100 000 short lines). The read
-//! is serial; the check runs on one thread and on as many as the cluster's
-//! pool has; pass 1 (parse + item count) and pass 2 (projection + triangle)
-//! are whole runs of the `bitmap` plan cut off after that pass. "scan_line,
+//! dense and shallow; T10I4D100K at 0.25 %, 100 000 short lines). "read +
+//! UTF-8" is `read_to_string`, for scale; the loader (`read_rows`: read,
+//! check and parse into row arenas, one pass) runs on one thread and on as
+//! many as the cluster's pool has; pass 1 (the views of the rows + item
+//! count) and pass 2 (projection + triangle) are whole runs of the `bitmap`
+//! plan cut off after that pass. "scan_line,
 //! every line" parses each line as the engines see it (without its `\n`)
 //! on one thread: every line of the file takes `scan_line`'s fast path, and
 //! no line of its CRLF copy does (each keeps its `\r`).
@@ -11,7 +13,7 @@
 use yafim_bench::microbench::{bench, black_box, header};
 use yafim_cluster::{ClusterSpec, CostModel, Lines, SimCluster};
 use yafim_core::{Support, Yafim, YafimConfig};
-use yafim_data::{read_canonical_text, scan_line, write_dat, PaperDataset};
+use yafim_data::{read_rows, scan_line, write_dat, PaperDataset};
 use yafim_rdd::Context;
 
 fn cluster() -> SimCluster {
@@ -48,9 +50,9 @@ fn main() {
         bench("read + UTF-8 (serial)", 15, || {
             black_box(std::fs::read_to_string(&path).expect("just written").len())
         });
-        let read = |threads| read_canonical_text(&path, threads).expect("just written");
-        bench("read + check, 1 thread", 15, || black_box(read(1).1.len()));
-        bench(&format!("read + check, {threads} threads"), 15, || {
+        let read = |threads| read_rows(&path, threads).expect("just written");
+        bench("read + parse, 1 thread", 15, || black_box(read(1).1.len()));
+        bench(&format!("read + parse, {threads} threads"), 15, || {
             black_box(read(threads).1.len())
         });
         let text = std::fs::read_to_string(&path).expect("just written");
@@ -62,7 +64,7 @@ fn main() {
             black_box(cluster().hdfs().put_overwrite("in.dat", lines.clone()))
         });
         let cut_off = [
-            (1, "put + pass 1: parse + item count"),
+            (1, "put + pass 1: views + item count"),
             (2, "put + pass 1 + projection + triangle"),
         ];
         for (passes, what) in cut_off {
@@ -79,7 +81,7 @@ fn main() {
         // The same file with CRLF endings: every line takes the slow path.
         let text = text.replace('\n', "\r\n");
         std::fs::write(&path, &text).expect("temp dir writable");
-        bench(&format!("read + clean CRLF, {threads} threads"), 9, || {
+        bench(&format!("read + parse CRLF, {threads} threads"), 9, || {
             black_box(read(threads).1.len())
         });
         bench("scan_line, every line, CRLF", 15, || {

@@ -239,7 +239,7 @@ pub(crate) fn chaos_e() -> (String, RunManifest) {
     // map-side combine degrades by spilling), so `mine` panics loudly on
     // any typed failure here.
     let mut agg = MemoryCounters::default();
-    let mut cells = 0u64;
+    let (mut cells, mut tight_stepdowns) = (0u64, 0u64);
     let mut representative: Option<(SimCluster, usize)> = None;
     for (mname, miner) in miners {
         let (base, _) = mine(miner, &data, None);
@@ -250,6 +250,31 @@ pub(crate) fn chaos_e() -> (String, RunManifest) {
                 "{mname} under the {bname} budget changed mining results"
             );
             let mem = cell_counters(&cluster, &format!("{mname} {bname}"));
+            // A cell steps down exactly when a pass-2 reservation its plan
+            // prices (triangle, columnar arena) is over its per-task limit.
+            let limit = cluster.memory_budget().map(|b| b.per_task_limit);
+            let partitions = Context::new(cluster.clone()).config().default_parallelism;
+            let (n_dense, lines) = (base.result.level(1).len(), data.transactions.len());
+            let footprint = miner
+                .plan()
+                .and_then(|plan| plan.pass2_footprint(n_dense, lines, partitions));
+            let reserved = footprint.map_or(vec![], |(triangle, arena)| {
+                [Some(triangle), arena].into_iter().flatten().collect()
+            });
+            let over = reserved
+                .iter()
+                .any(|&bytes| limit.is_some_and(|l| bytes > l));
+            assert_eq!(
+                mem.degradations > 0,
+                over,
+                "{mname} under the {bname} budget: pass-2 reservations {reserved:?} against \
+                 a per-task limit of {limit:?} B, {} step-downs (the ladder must step down \
+                 exactly when one is over)",
+                mem.degradations
+            );
+            if *bname == "tight" {
+                tight_stepdowns += mem.degradations;
+            }
             agg.merge(&mem);
             cells += 1;
             say!(
@@ -277,8 +302,10 @@ pub(crate) fn chaos_e() -> (String, RunManifest) {
         "the sweep must exercise the spill rung"
     );
     assert!(
-        agg.degradations > 0,
-        "the sweep must exercise the matcher step-down rung"
+        tight_stepdowns > 0,
+        "the tight budget ({} MiB per node) no longer forces a matcher step-down: every \
+         cell's pass-2 reservations fit it, so the budget, not the ladder, moved",
+        E_TIGHT_BUDGET >> 20
     );
     assert!(
         agg.oom_injected > 0 && agg.oom_killed > 0,

@@ -1,26 +1,32 @@
 //! Simulated HDFS.
 //!
-//! Files hold their *real* contents (lines of text) in memory, so the engines
-//! built on this substrate parse and process genuine bytes. What is simulated
-//! is the layout and the cost: files are split into blocks, each block has
-//! replicas placed deterministically across nodes, and the engines charge
-//! disk/network virtual time when they read or commit blocks.
+//! Files hold their *real* contents in memory, so the engines built on this
+//! substrate parse and process genuine data. What is simulated is the layout
+//! and the cost: files are split into blocks, each block has replicas placed
+//! deterministically across nodes, and the engines charge disk/network
+//! virtual time when they read or commit blocks.
 //!
-//! A file's contents are one buffer, [`Lines`]: the text with a `\n` after
-//! every line, and where each line starts; blocks, splits and byte counts
-//! come from those offsets alone. A writer that has such a buffer hands it
-//! over as it is, to several clusters if it likes
-//! (`yafim_data::read_canonical_text` checks a `.dat` file into one, in
-//! chunks, and is where the cleaning rule lives); a `Vec<String>` is joined
-//! once on its way in. Readers get views: no `String` per line exists.
+//! A file's contents are one buffer, [`Lines`], and where each line starts
+//! in the file's text; blocks, splits and byte counts come from those
+//! offsets alone. The buffer is the text itself, a `\n` after every line
+//! (what a job commits, what a test puts), or, for an input the loader
+//! read, its rows: `yafim_data::read_rows` parses a `.dat` file once, in
+//! chunks, into row arenas and the offsets of its canonical text, and no
+//! text is kept. Either way a reader sees the same lines: [`Lines::rows`]
+//! hands out the rows (views of the arenas, or the text parsed), and
+//! [`Lines::get`], [`Lines::iter`] and [`Lines::text`] the text (borrowed, or
+//! rendered from the rows). Views are cheap: no `String` per line exists
+//! unless a reader asks for one.
 
 use crate::costmodel::CostModel;
 use crate::spec::{ClusterSpec, NodeId};
 use crate::sync::RwLock;
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
+use yafim_data::{render_line, scan_line, Rows};
 
 /// Default HDFS block size (64 MiB, the Hadoop 1.x default).
 pub(crate) const DEFAULT_BLOCK_SIZE: u64 = 64 * 1024 * 1024;
@@ -72,39 +78,124 @@ pub struct Split {
     pub preferred_node: NodeId,
 }
 
-/// Lines of text in one shared buffer: a whole file, or a range of its
-/// lines. Cheap to clone and to [`slice`](Lines::slice).
+/// Lines in one shared buffer: a whole file, or a range of its lines.
+/// Cheap to clone and to [`slice`](Lines::slice).
 #[derive(Clone)]
 pub struct Lines {
-    buf: Arc<TextBuf>,
+    buf: Arc<Contents>,
     /// The lines of `buf` this view covers.
     range: Range<usize>,
 }
 
-struct TextBuf {
-    /// Every line, each followed by `\n`.
-    text: String,
-    /// Where each line starts in `text`, and `text.len()` last: line `i` is
-    /// `text[offsets[i]..offsets[i + 1] - 1]`.
-    offsets: Vec<u64>,
+enum Contents {
+    /// Every line, each followed by `\n`, and where each starts, the text's
+    /// length last: line `i` and its `\n` are bytes
+    /// `offsets[i]..offsets[i + 1]`.
+    Text { text: String, offsets: Vec<u64> },
+    /// A row per line, whose text is the row's rendering, in arenas of
+    /// consecutive lines.
+    Rows(Vec<Arena>),
+}
+
+/// Lines of an arena between two of its marks.
+const MARK_EVERY: usize = 64;
+
+/// One arena of a buffer of rows: its first line, and where every
+/// [`MARK_EVERY`]-th of its lines starts in the text, its end last; a line
+/// between two marks is found by rendering the lengths of the rows before
+/// it, which keeps the index at a bit over a byte a line.
+struct Arena {
+    first: usize,
+    rows: Arc<Rows>,
+    marks: Vec<u64>,
+}
+
+impl Contents {
+    /// Number of lines.
+    fn len(&self) -> usize {
+        match self {
+            Contents::Text { offsets, .. } => offsets.len() - 1,
+            Contents::Rows(arenas) => arenas.last().map_or(0, |a| a.first + a.rows.len()),
+        }
+    }
+
+    /// The arena holding line `at` (or, at the end, the last one).
+    fn arena(arenas: &[Arena], at: usize) -> &Arena {
+        &arenas[arenas.partition_point(|a| a.first <= at) - 1]
+    }
+
+    /// Where line `at` starts in the text (`at == len()`: where the last ends).
+    fn offset(&self, at: usize) -> u64 {
+        match self {
+            Contents::Text { offsets, .. } => offsets[at],
+            Contents::Rows(arenas) if arenas.is_empty() => 0,
+            Contents::Rows(arenas) => {
+                let arena = Contents::arena(arenas, at);
+                let (line, mark) = (at - arena.first, (at - arena.first) / MARK_EVERY);
+                arena.marks[mark] + arena.rows.rendered_len(mark * MARK_EVERY..line)
+            }
+        }
+    }
 }
 
 /// The lines of a text, which start at the offsets (what
-/// `yafim_data::read_canonical_text` and `to_text` return): ascending from 0
-/// to the text's length, a `\n` before each but the first.
+/// `yafim_data::to_text` returns): ascending from 0 to the text's length, a
+/// `\n` before each but the first.
 impl From<(String, Vec<u64>)> for Lines {
     fn from((text, offsets): (String, Vec<u64>)) -> Self {
         let whole = offsets.first() == Some(&0) && offsets.last() == Some(&(text.len() as u64));
         let ended = |w: &[u64]| w[0] < w[1] && text.as_bytes()[w[1] as usize - 1] == b'\n';
         let valid = whole && offsets.windows(2).all(ended);
         assert!(valid, "offsets do not cut the text into `\\n`-ended lines");
-        let range = 0..offsets.len() - 1;
-        let buf = Arc::new(TextBuf { text, offsets });
-        Lines { buf, range }
+        Lines::new(Contents::Text { text, offsets })
+    }
+}
+
+/// The rows of the arenas, in order, a line each, and where each line of
+/// their canonical text starts (what `yafim_data::read_rows` returns):
+/// ascending from 0, one more offset than rows. Every
+/// [`MARK_EVERY`]-th offset is kept.
+impl From<(Vec<Rows>, Vec<u64>)> for Lines {
+    fn from((arenas, offsets): (Vec<Rows>, Vec<u64>)) -> Self {
+        let rows: usize = arenas.iter().map(Rows::len).sum();
+        let ascending = offsets.windows(2).all(|w| w[0] < w[1]);
+        let valid = offsets.first() == Some(&0) && offsets.len() == rows + 1 && ascending;
+        assert!(valid, "offsets do not give each row a line");
+        let mut first = 0;
+        let arenas = arenas
+            .into_iter()
+            .filter(|rows| !rows.is_empty())
+            .map(|rows| {
+                let (from, to) = (first, first + rows.len());
+                debug_assert_eq!(
+                    offsets[to] - offsets[from],
+                    rows.rendered_len(0..rows.len())
+                );
+                let marks = offsets[from..to]
+                    .iter()
+                    .step_by(MARK_EVERY)
+                    .chain([&offsets[to]]);
+                first = to;
+                let (rows, marks) = (Arc::new(rows), marks.copied().collect());
+                Arena {
+                    first: from,
+                    rows,
+                    marks,
+                }
+            });
+        Lines::new(Contents::Rows(arenas.collect()))
     }
 }
 
 impl Lines {
+    fn new(contents: Contents) -> Self {
+        let range = 0..contents.len();
+        Lines {
+            buf: Arc::new(contents),
+            range,
+        }
+    }
+
     /// Number of lines.
     pub fn len(&self) -> usize {
         self.range.len()
@@ -115,21 +206,37 @@ impl Lines {
         self.range.is_empty()
     }
 
-    /// Where line `i` starts in the buffer (`i == len()`: where the last ends).
+    /// Where line `i` starts in the text (`i == len()`: where the last ends).
     fn offset(&self, i: usize) -> usize {
-        self.buf.offsets[self.range.start + i] as usize
+        self.buf.offset(self.range.start + i) as usize
+    }
+
+    /// Line `at` of the buffer, without its newline.
+    fn line(&self, at: usize) -> Cow<'_, str> {
+        match &*self.buf {
+            Contents::Text { text, offsets } => {
+                Cow::Borrowed(&text[offsets[at] as usize..offsets[at + 1] as usize - 1])
+            }
+            Contents::Rows(arenas) => {
+                let arena = Contents::arena(arenas, at);
+                let mut line = String::new();
+                render_line(
+                    arena.rows.items(at - arena.first..at - arena.first + 1),
+                    &mut line,
+                );
+                Cow::Owned(line)
+            }
+        }
     }
 
     /// Line `i`, without its newline.
-    pub fn get(&self, i: usize) -> Option<&str> {
-        (i < self.len()).then(|| &self.buf.text[self.offset(i)..self.offset(i + 1) - 1])
+    pub fn get(&self, i: usize) -> Option<Cow<'_, str>> {
+        (i < self.len()).then(|| self.line(self.range.start + i))
     }
 
     /// The lines in order, each without its newline.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> {
-        let starts = &self.buf.offsets[self.range.start..=self.range.end];
-        let line = |w: &[u64]| &self.buf.text[w[0] as usize..w[1] as usize - 1];
-        starts.windows(2).map(line)
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Cow<'_, str>> {
+        self.range.clone().map(|at| self.line(at))
     }
 
     /// The lines `range` of these, sharing the buffer.
@@ -140,9 +247,46 @@ impl Lines {
         Lines { buf, range }
     }
 
-    /// The lines as they lie in the buffer, a `\n` after each.
-    pub fn text(&self) -> &str {
-        &self.buf.text[self.offset(0)..self.offset(self.len())]
+    /// The lines as one text, a `\n` after each: the buffer's own, or
+    /// rendered from the rows.
+    pub fn text(&self) -> Cow<'_, str> {
+        let bytes = self.offset(0)..self.offset(self.len());
+        if let Contents::Text { text, .. } = &*self.buf {
+            return Cow::Borrowed(&text[bytes]);
+        }
+        let mut text = String::with_capacity(bytes.len());
+        for (arena, range) in self.rows() {
+            for row in arena.rows(range) {
+                render_line(row, &mut text);
+                text.push('\n');
+            }
+        }
+        Cow::Owned(text)
+    }
+
+    /// The lines as rows, a row per line (a line without items is an empty
+    /// row), in order: for a buffer of rows, views of the arenas they lie
+    /// in, nothing copied; for text, one arena parsed from the lines by
+    /// `yafim_data::scan_line`.
+    pub fn rows(&self) -> Vec<(Arc<Rows>, Range<usize>)> {
+        let Contents::Rows(arenas) = &*self.buf else {
+            // An item takes two bytes of text at least.
+            let items = (self.offset(self.len()) - self.offset(0)) / 2 + 1;
+            let rows = Rows::build(self.len(), items, |rows| {
+                for line in self.iter() {
+                    rows.push_row(0, |items| scan_line(&line, items));
+                }
+            });
+            return vec![(Arc::new(rows), 0..self.len())];
+        };
+        let within = |arena: &Arena| {
+            let lines = arena.first..arena.first + arena.rows.len();
+            let from = self.range.start.clamp(lines.start, lines.end);
+            let to = self.range.end.clamp(lines.start, lines.end);
+            let range = from - arena.first..to - arena.first;
+            (from < to).then(|| (Arc::clone(&arena.rows), range))
+        };
+        arenas.iter().filter_map(within).collect()
     }
 
     /// Exact byte size of the lines `range`, newlines included.
@@ -167,8 +311,9 @@ impl From<Vec<String>> for Lines {
     }
 }
 
-/// What the lines weigh as the `Vec<String>` of them (`len + 8` each), and
-/// one record a line: the element an RDD of whole splits holds.
+/// What the lines weigh as the `Vec<String>` of their text (`len + 8`
+/// each), and one record a line: the element an RDD of whole splits holds.
+/// A buffer of rows weighs what its canonical text would.
 impl crate::bytes::ByteSize for Lines {
     fn byte_size(&self) -> u64 {
         self.range_bytes(0..self.len()) + 7 * self.len() as u64
@@ -447,17 +592,25 @@ impl SimHdfs {
     fn build_file(&self, name: String, lines: Lines) -> DfsFile {
         let block_size = self.block_size();
 
-        // Cut blocks at line boundaries once the byte budget is exceeded.
+        // Cut blocks at line boundaries once the byte budget is reached: a
+        // block ends with the first line that brings it to `block_size`.
         let mut blocks = Vec::new();
         let mut start = 0usize;
-        for i in 0..lines.len() {
-            if lines.range_bytes(start..i + 1) >= block_size {
-                blocks.push(start..i + 1);
-                start = i + 1;
+        while start < lines.len() {
+            let (mut lo, mut hi) = (start, lines.len() - 1);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if lines.range_bytes(start..mid + 1) >= block_size {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
             }
+            blocks.push(start..lo + 1);
+            start = lo + 1;
         }
-        if start < lines.len() || blocks.is_empty() {
-            blocks.push(start..lines.len());
+        if blocks.is_empty() {
+            blocks.push(0..0);
         }
 
         let replication = self.replication();
@@ -507,7 +660,7 @@ mod tests {
         let f = fs.put("a.dat", lines(10)).unwrap();
         assert_eq!(f.num_lines(), 10);
         let g = fs.get("a.dat").unwrap();
-        assert_eq!(g.lines().get(3), Some("line 3"));
+        assert_eq!(g.lines().get(3).as_deref(), Some("line 3"));
         assert!(fs.exists("a.dat"));
         assert_eq!(fs.list(), vec!["a.dat".to_string()]);
     }

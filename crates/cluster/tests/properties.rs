@@ -8,6 +8,7 @@ use yafim_cluster::{
     bucket_of, fx_hash64, ByteSize, ClusterSpec, CostModel, Lines, SimDuration, SimHdfs, TaskSpec,
     VirtualScheduler, WorkCounters,
 };
+use yafim_data::Rows;
 
 /// Tiny deterministic generator for test inputs (splitmix64).
 struct Rng(u64);
@@ -182,6 +183,10 @@ fn cost_model_scales_linearly() {
 }
 
 /// A file is one buffer however it was handed over: joined from a
+fn strs(lines: &[String]) -> impl Iterator<Item = &str> {
+    lines.iter().map(String::as_str)
+}
+
 /// `Vec<String>` or taken as text + offsets, it has the same lines, bytes,
 /// blocks and splits, and every view of it is those lines.
 #[test]
@@ -212,7 +217,7 @@ fn hdfs_lines_are_views_of_one_buffer() {
         let taken = fs.put_overwrite("taken", Lines::from((text.clone(), offsets)));
         for f in [&joined, &taken] {
             assert_eq!((f.num_lines(), f.bytes()), (n_lines, text.len() as u64));
-            assert!(f.lines().iter().eq(&lines), "case {case}");
+            assert!(f.lines().iter().eq(strs(&lines)), "case {case}");
             assert_eq!(f.lines().text(), text, "case {case}");
             assert_eq!(f.lines().get(n_lines), None);
             let weight: u64 = lines.iter().map(|l| l.len() as u64 + 8).sum();
@@ -220,16 +225,16 @@ fn hdfs_lines_are_views_of_one_buffer() {
             assert_eq!(f.lines().records(), n_lines as u64);
             for s in f.splits(5) {
                 let view = f.lines().slice(s.lines.clone());
-                assert!(view.iter().eq(&lines[s.lines.clone()]), "case {case}");
+                assert!(view.iter().eq(strs(&lines[s.lines.clone()])), "case {case}");
                 assert_eq!(view.text().len() as u64, s.bytes, "case {case}");
                 assert_eq!(
-                    view.get(0),
+                    view.get(0).as_deref(),
                     lines[s.lines.clone()].first().map(String::as_str)
                 );
                 let sub = view.slice(view.len() / 2..view.len());
                 assert!(sub
                     .iter()
-                    .eq(&lines[s.lines.start + view.len() / 2..s.lines.end]));
+                    .eq(strs(&lines[s.lines.start + view.len() / 2..s.lines.end])));
             }
         }
         let blocks = |f: &yafim_cluster::DfsFile| format!("{:?}", f.blocks());
@@ -251,4 +256,93 @@ fn hdfs_lines_are_views_of_one_buffer() {
 #[should_panic(expected = "ended lines")]
 fn hdfs_refuses_offsets_that_do_not_cut_lines() {
     let _ = Lines::from(("ab\ncd\n".to_string(), vec![0, 2, 6]));
+}
+
+/// A file of rows (what the loader puts) is its canonical text to every
+/// reader and every counter: the same lines, bytes, blocks, splits and
+/// weight as the text put as it is, and the same rows out of each view,
+/// however the rows are cut into arenas.
+#[test]
+fn a_file_of_rows_reads_as_its_canonical_text() {
+    let fs = SimHdfs::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
+    fs.set_block_size(96);
+    let mut rng = Rng(49);
+    for case in 0..48 {
+        // Up to a few hundred rows: arenas that span several offset marks.
+        let n_rows = rng.range(0, 300) as usize;
+        let tx: Vec<Vec<u32>> = (0..n_rows)
+            .map(|_| {
+                let mut item = rng.range(0, 20) as u32;
+                let len = rng.range(1, 8) as usize;
+                let mut row = Vec::with_capacity(len);
+                for _ in 0..len {
+                    row.push(item);
+                    item += 1 + rng.range(0, 5000) as u32;
+                }
+                row
+            })
+            .collect();
+        let (text, offsets) = yafim_data::to_text(&tx);
+        // Cut into up to three arenas, an empty one among them at times.
+        let cuts = [
+            rng.range(0, n_rows as u64 + 1),
+            rng.range(0, n_rows as u64 + 1),
+        ];
+        let (a, b) = (cuts[0].min(cuts[1]) as usize, cuts[0].max(cuts[1]) as usize);
+        let arenas: Vec<Rows> = [0..a, a..b, b..n_rows]
+            .into_iter()
+            .map(|range| {
+                let mut rows = Rows::default();
+                for t in &tx[range] {
+                    rows.push_row(0, |items| items.extend(t));
+                }
+                rows
+            })
+            .collect();
+        let as_text = fs.put_overwrite("text", Lines::from((text.clone(), offsets.clone())));
+        let as_rows = fs.put_overwrite("rows", Lines::from((arenas, offsets)));
+        let blocks = |f: &yafim_cluster::DfsFile| format!("{:?}", f.blocks());
+        assert_eq!(blocks(&as_rows), blocks(&as_text), "case {case}");
+        assert_eq!(as_rows.bytes(), text.len() as u64);
+        assert_eq!(as_rows.lines().text(), text, "case {case}");
+        let (rows, lines) = (as_rows.lines(), as_text.lines());
+        assert_eq!(
+            (rows.byte_size(), rows.records()),
+            (lines.byte_size(), lines.records())
+        );
+        for parts in [1, 3, 7] {
+            let (by_rows, by_text) = (as_rows.splits(parts), as_text.splits(parts));
+            assert_eq!(
+                format!("{by_rows:?}"),
+                format!("{by_text:?}"),
+                "case {case}"
+            );
+            for s in by_rows {
+                let (view, text_view) = (rows.slice(s.lines.clone()), lines.slice(s.lines.clone()));
+                assert!(view.iter().eq(text_view.iter()), "case {case}");
+                assert_eq!(view.text(), text_view.text(), "case {case}");
+                assert_eq!(view.text().len() as u64, s.bytes, "case {case}");
+                for i in 0..=view.len() {
+                    assert_eq!(view.get(i), text_view.get(i), "case {case}");
+                }
+                let items = |v: &Lines| -> Vec<Vec<u32>> {
+                    let views = v.rows();
+                    let rows = views
+                        .iter()
+                        .flat_map(|(arena, range)| arena.rows(range.clone()));
+                    rows.map(<[u32]>::to_vec).collect()
+                };
+                assert_eq!(items(&view), items(&text_view), "case {case}");
+                assert_eq!(items(&view), tx[s.lines.clone()], "case {case}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "give each row a line")]
+fn hdfs_refuses_offsets_that_do_not_give_each_row_a_line() {
+    let mut rows = Rows::default();
+    rows.push_row(0, |items| items.extend([1, 2]));
+    let _ = Lines::from((vec![rows], vec![0, 4, 8]));
 }

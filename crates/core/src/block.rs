@@ -1,80 +1,69 @@
-//! One partition's transactions as one flat block: the element type of every
-//! transactions RDD YAFIM caches.
+//! One partition's transactions as a view of one row arena: the element
+//! type of every transactions RDD YAFIM caches, and what MR-Apriori, SON
+//! and the single-node miners read an HDFS input as.
 
 use crate::types::Item;
-use yafim_cluster::ByteSize;
+use std::ops::Range;
+use std::sync::Arc;
+use yafim_cluster::{ByteSize, Lines};
+use yafim_data::Rows;
 
-/// Transactions in CSR layout: two allocations per partition however many
-/// rows it has, scanned front to back by every pass. The engine sees one
-/// element standing for one record per row, sized as the `Vec<Vec<Item>>`
-/// of the same rows would be.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Transactions in CSR layout: some consecutive rows of a [`Rows`] arena,
+/// scanned front to back by every pass. The arena is a loaded input's own
+/// (the parse is a view of it: nothing is copied) or one a kernel built.
+/// The engine sees one element standing for one record per row, sized as
+/// the `Vec<Vec<Item>>` of the same rows would be.
+#[derive(Clone, Debug)]
 pub(crate) struct TxBlock {
-    /// Every row's items, back to back.
-    items: Vec<Item>,
-    /// Where each row ends in `items`; it starts where the one before ends.
-    /// `u32` holds them: a block is (a subset of) one parsed input split, an
-    /// item is two bytes of its text at least, and `Yafim::mine` refuses a
-    /// split of 2³³ bytes before any job runs.
-    ends: Vec<u32>,
+    arena: Arc<Rows>,
+    rows: Range<usize>,
 }
 
 impl TxBlock {
     /// A partition of the one block `fill` pushes rows into, given room for
     /// `rows` rows of `items` items in all and cut back to what it took.
-    pub(crate) fn build(rows: usize, items: usize, fill: impl FnOnce(&mut Self)) -> Vec<Self> {
-        let mut block = TxBlock {
-            items: Vec::with_capacity(items),
-            ends: Vec::with_capacity(rows),
-        };
-        fill(&mut block);
-        block.items.shrink_to_fit();
-        block.ends.shrink_to_fit();
-        vec![block]
+    pub(crate) fn build(rows: usize, items: usize, fill: impl FnOnce(&mut Rows)) -> Vec<Self> {
+        let arena = Rows::build(rows, items, fill);
+        let rows = 0..arena.len();
+        vec![TxBlock {
+            arena: Arc::new(arena),
+            rows,
+        }]
     }
 
-    /// Append the row `fill` appends to the arena, unless it comes out
-    /// shorter than `min_len`.
-    pub(crate) fn push_row(&mut self, min_len: usize, fill: impl FnOnce(&mut Vec<Item>)) {
-        let start = self.items.len();
-        fill(&mut self.items);
-        if self.items.len() - start < min_len {
-            return self.items.truncate(start);
-        }
-        let end = u32::try_from(self.items.len()).expect("refused by the driver (see `ends`)");
-        self.ends.push(end);
-    }
-
-    /// Drop every row, keeping the arena's room.
-    pub(crate) fn clear(&mut self) {
-        self.items.clear();
-        self.ends.clear();
+    /// The lines' rows, a row per line, as blocks: views of a loaded
+    /// input's arenas, or the text parsed (`Lines::rows`).
+    pub(crate) fn of_lines(lines: &Lines) -> impl Iterator<Item = TxBlock> {
+        let views = lines.rows().into_iter();
+        views.map(|(arena, rows)| TxBlock { arena, rows })
     }
 
     /// Every row's items, back to back.
     pub(crate) fn items(&self) -> &[Item] {
-        &self.items
+        self.arena.items(self.rows.clone())
     }
 
     /// The rows, in order.
     pub(crate) fn rows(&self) -> impl Iterator<Item = &[Item]> {
-        let mut start = 0;
-        self.ends.iter().map(move |&end| {
-            let row = &self.items[start..end as usize];
-            start = end as usize;
-            row
-        })
+        self.arena.rows(self.rows.clone())
     }
+}
+
+/// The transactions of `lines`, a `Vec` per line.
+pub(crate) fn transactions(lines: &Lines) -> Vec<Vec<Item>> {
+    let blocks: Vec<TxBlock> = TxBlock::of_lines(lines).collect();
+    let rows = blocks.iter().flat_map(TxBlock::rows);
+    rows.map(<[Item]>::to_vec).collect()
 }
 
 impl ByteSize for TxBlock {
     /// `slice_bytes` of the rows as `Vec<Item>`s: an 8-byte header each.
     fn byte_size(&self) -> u64 {
-        8 * self.ends.len() as u64 + 4 * self.items.len() as u64
+        8 * self.rows.len() as u64 + 4 * self.items().len() as u64
     }
 
     fn records(&self) -> u64 {
-        self.ends.len() as u64
+        self.rows.len() as u64
     }
 }
 
@@ -109,10 +98,32 @@ mod tests {
             assert_eq!(block.records(), nested.len() as u64);
             assert_eq!(block.items(), nested.concat());
         }
-        // A row that comes out too short leaves no trace.
-        let mut block = block_of(&[vec![1, 2, 3]]);
-        block[0].push_row(2, |items| items.push(9));
-        block[0].push_row(2, |items| items.extend([4, 5]));
-        assert_eq!(block, block_of(&[vec![1, 2, 3], vec![4, 5]]));
+    }
+
+    #[test]
+    fn a_loaded_input_is_read_in_place_and_text_is_parsed() {
+        let tx: Vec<Vec<Item>> = (0..40).map(|i| (i..i + i % 5 + 1).collect()).collect();
+        let (mut first, mut second) = (Rows::default(), Rows::default());
+        for (i, t) in tx.iter().enumerate() {
+            let arena = if i < 25 { &mut first } else { &mut second };
+            arena.push_row(0, |items| items.extend(t));
+        }
+        let loaded = Lines::from((vec![first, second], yafim_data::to_text(&tx).1));
+        let text = Lines::from(yafim_data::to_text(&tx));
+        for (from, to) in [(0, 40), (3, 25), (20, 31), (25, 40), (30, 30)] {
+            let expected = &tx[from..to];
+            for lines in [&loaded, &text] {
+                let view = lines.slice(from..to);
+                assert_eq!(transactions(&view), expected, "{from}..{to}");
+                let blocks: Vec<TxBlock> = TxBlock::of_lines(&view).collect();
+                assert_eq!(slice_bytes(&blocks), slice_bytes(expected), "{from}..{to}");
+            }
+            // The views share the loaded arenas: no item is copied.
+            let views: Vec<_> = loaded.slice(from..to).rows();
+            let arenas = loaded.rows();
+            for (arena, _) in &views {
+                assert!(arenas.iter().any(|(whole, _)| Arc::ptr_eq(arena, whole)));
+            }
+        }
     }
 }

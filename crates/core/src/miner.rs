@@ -8,13 +8,14 @@
 //! that set what [`Miner::mine`] leaves at its default: a `max_passes`,
 //! MR-Apriori's variant or matching, or an `RddConfig`.
 
+use crate::block::transactions;
 use crate::eclat::eclat;
 use crate::fpgrowth::fp_growth;
 use crate::mrapriori::{MrApriori, MrAprioriConfig};
 use crate::pfp::Pfp;
 use crate::sequential::apriori;
 use crate::son::Son;
-use crate::types::{parse_transaction, MinerRun, MiningResult, Support};
+use crate::types::{MinerRun, MiningResult, Support};
 use crate::yafim::{Phase2Plan, Yafim, YafimConfig};
 use yafim_cluster::{DfsError, ExecError, SimCluster};
 use yafim_data::Transaction;
@@ -189,8 +190,7 @@ impl Miner {
             Miner::Pfp => Pfp::new(ctx(), support).mine(input),
             Miner::Sequential | Miner::Eclat | Miner::FpGrowth => {
                 let file = cluster.hdfs().get(input)?;
-                let transactions: Vec<Transaction> =
-                    file.lines().iter().map(parse_transaction).collect();
+                let transactions = transactions(file.lines());
                 let mine = self.in_memory().expect("a single-node miner");
                 Ok(MinerRun {
                     result: mine(&transactions, support),

@@ -27,7 +27,7 @@
 use crate::audit::job_levels;
 use crate::block::TxBlock;
 use crate::candidates::{job_candidates, join_and_prune, CandidateList, Chain, Level};
-use crate::hashtree::{HashTree, MatchScratch, CHUNK_ROWS};
+use crate::hashtree::{HashTree, MatchScratch};
 use crate::miner::MineError;
 use crate::types::{Item, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
 use crate::yafim::cells_at_least;
@@ -134,16 +134,11 @@ impl LevelMatching {
     }
 }
 
-/// Parse the unit's lines [`CHUNK_ROWS`] at a time into one reused block, a
-/// row per line, and hand each batch to `batch`; charges a CPU unit per
-/// item. Host memory follows the batch, not the unit.
+/// Hand the unit's rows to `batch`, a row per line, as YAFIM reads them
+/// (`TxBlock::of_lines`: views of the loaded input, or the text parsed);
+/// charges a CPU unit per item, the parse the job's mapper stands for.
 fn parse_unit(lines: &Lines, w: &mut WorkCounters, mut batch: impl FnMut(&TxBlock)) {
-    let (mut block, mut lines) = (TxBlock::default(), lines.iter().peekable());
-    while lines.peek().is_some() {
-        block.clear();
-        for line in lines.by_ref().take(CHUNK_ROWS) {
-            block.push_row(0, |row| yafim_data::scan_line(line, row));
-        }
+    for block in TxBlock::of_lines(lines) {
         w.add_cpu(block.items().len() as u64);
         batch(&block);
     }

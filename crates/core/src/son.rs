@@ -19,12 +19,11 @@
 //! is observable here: skewed splits at low support explode the local
 //! mining step (see the `compare_miners` bench).
 
+use crate::block::transactions;
 use crate::eclat::eclat;
 use crate::miner::MineError;
 use crate::mrapriori::{counting_job, MrMatching};
-use crate::types::{
-    parse_transaction, Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS,
-};
+use crate::types::{Itemset, MinerRun, MiningResult, Support, JVM_TREE_VISIT_UNITS};
 use yafim_cluster::{FxHashSet, Lines, SimCluster};
 use yafim_mapreduce::{Emitter, MapReduceJob, MrRunner};
 
@@ -61,7 +60,7 @@ impl Son {
             "SON phase 1 (local mining)",
             input,
             move |_off, lines: &Lines, em: &mut Emitter<Itemset, u64>, w| {
-                let local: Vec<Vec<u32>> = lines.iter().map(parse_transaction).collect();
+                let local = transactions(lines);
                 // Scale the threshold to the split share, rounding *down* so
                 // no globally frequent itemset can be missed.
                 let local_sup =

@@ -146,6 +146,23 @@ impl Phase2Plan {
     fn projects(self) -> bool {
         self != Phase2Plan::Paper
     }
+
+    /// What pass 2's memory guards price per task under this plan, for
+    /// `n_dense` frequent items over `lines` lines in `partitions` tasks:
+    /// the triangle array, and the columnar arena when the plan may build
+    /// one. A plan steps its counter down when either exceeds the per-task
+    /// limit; the paper plan reserves neither (`None`).
+    pub fn pass2_footprint(
+        self,
+        n_dense: usize,
+        lines: usize,
+        partitions: usize,
+    ) -> Option<(u64, Option<u64>)> {
+        let columns = self == Phase2Plan::Bitmap && bitmap_fits(n_dense, lines, partitions);
+        let arena = columns.then(|| bitmap_footprint(n_dense, lines, partitions));
+        self.projects()
+            .then(|| (triangle_footprint(n_dense), arena))
+    }
 }
 
 /// The structure that counts one Phase-II pass, as picked by
@@ -389,8 +406,8 @@ impl Yafim {
         // instead. `Some(estimated per-task arena bytes)` when it may run.
         let n_dense = encoder.as_ref().map_or(0, |e| e.len());
         let lines = file.num_lines();
-        let bitmap_arena = (plan == Phase2Plan::Bitmap && bitmap_fits(n_dense, lines, partitions))
-            .then(|| bitmap_footprint(n_dense, lines, partitions));
+        let footprint = plan.pass2_footprint(n_dense, lines, partitions);
+        let bitmap_arena = footprint.and_then(|(_, arena)| arena);
         if plan == Phase2Plan::Bitmap && bitmap_arena.is_none() {
             metrics.note_engine(&EngineCounters {
                 bitmap_fallbacks: 1,
@@ -1004,16 +1021,11 @@ fn rows_of(part: &[TxBlock]) -> impl Iterator<Item = &[Item]> {
     part.iter().flat_map(TxBlock::rows)
 }
 
-/// One split's lines as one block, a row per line: a line without items
-/// stays a row, as it stayed a transaction. An item takes two bytes of the
-/// split's text at least: one reservation covers every `scan_line`'s own.
+/// One split's lines as blocks, a row per line: views of the loaded
+/// input's arenas, nothing copied (a file put as text is parsed, a line
+/// without items staying a row, as it stayed a transaction).
 fn parse_lines(part: &[Lines], _: &TaskContext) -> Vec<TxBlock> {
-    let items = part.iter().map(|lines| lines.text().len() / 2 + 1).sum();
-    TxBlock::build(slice_records(part) as usize, items, |block| {
-        for line in part.iter().flat_map(Lines::iter) {
-            block.push_row(0, |row| yafim_data::scan_line(line, row));
-        }
-    })
+    part.iter().flat_map(TxBlock::of_lines).collect()
 }
 
 /// Pass 1 over one partition: each distinct item with its count, ascending,

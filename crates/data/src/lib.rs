@@ -24,7 +24,8 @@
 //! * `medical` — medical-case generator with comorbidity structure
 //!   (for the §V.D application, Fig. 6).
 //! * `profiles` — the Table I dataset profiles, pre-tuned.
-//! * `io` — `.dat` text round-tripping and dataset replication (sizeup).
+//! * `io` — `.dat` text round-tripping, the loader's row arenas and dataset
+//!   replication (sizeup).
 
 mod dense;
 mod io;
@@ -35,7 +36,8 @@ pub mod rng;
 
 pub use dense::{DenseConfig, DenseGenerator};
 pub use io::{
-    from_lines, read_canonical_text, read_dat, replicate, scan_line, to_lines, to_text, write_dat,
+    from_lines, read_dat, read_rows, render_line, replicate, scan_line, to_lines, to_text,
+    write_dat, Rows,
 };
 pub use medical::{MedicalConfig, MedicalGenerator};
 pub use profiles::{DatasetProfile, PaperDataset};

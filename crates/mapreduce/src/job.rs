@@ -86,7 +86,7 @@ impl<KM: MrKey, VM: MrValue, KO: MrValue, VO: MrValue> MapReduceJob<KM, VM, KO, 
     ) -> Self {
         let per_line = move |start: u64, lines: &Lines, em: &mut Emitter<KM, VM>, w: &mut _| {
             for (j, line) in lines.iter().enumerate() {
-                mapper(start + j as u64, line, em, w);
+                mapper(start + j as u64, &line, em, w);
             }
         };
         Self::new_per_unit(name, input, per_line, reducer)

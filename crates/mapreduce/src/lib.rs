@@ -149,7 +149,7 @@ mod tests {
         let result = runner.run(job).unwrap();
         let f = result.output_file.expect("output file");
         assert!(c.hdfs().exists("out/part"));
-        let mut lines: Vec<&str> = f.lines().iter().collect();
+        let mut lines: Vec<_> = f.lines().iter().collect();
         lines.sort();
         assert_eq!(lines, ["x\t2", "y\t1"]);
     }

@@ -295,7 +295,7 @@ fn run_subset_count(
             .expect("job commits")
             .lines()
             .text()
-            .to_owned(),
+            .into_owned(),
         format!("{snapshot:?}"),
         c.metrics().now().as_secs().to_bits(),
         (

@@ -609,11 +609,12 @@ pub(crate) struct HdfsTextRdd<T: Data> {
     pub(crate) elements: fn(Lines) -> Pipe<'static, T>,
 }
 
-/// A `String` per line, made as the consumer pulls it.
+/// A `String` per line, made as the consumer pulls it (rendered, for a
+/// file of rows).
 pub(crate) fn owned_lines(lines: Lines) -> Pipe<'static, String> {
     let indices = 0..lines.len();
     Pipe::Iter(Box::new(
-        indices.map(move |i| lines.get(i).expect("in range").to_owned()),
+        indices.map(move |i| lines.get(i).expect("in range").into_owned()),
     ))
 }
 

@@ -42,10 +42,11 @@ fn every_consumer_sees_the_lines_in_order() {
             let splits = c.text_splits("in.txt", parts).expect("written");
             assert_eq!(splits.num_partitions(), rdd.num_partitions(), "{label}");
             let whole: Vec<Lines> = splits.collect();
-            assert!(whole.iter().flat_map(Lines::iter).eq(&lines), "{label}");
+            let strs = lines.iter().map(String::as_str);
+            assert!(whole.iter().flat_map(Lines::iter).eq(strs), "{label}");
             let by_split = splits.map_partitions(|part, _| {
                 let lines = part.iter().flat_map(Lines::iter);
-                lines.map(str::len).collect()
+                lines.map(|l| l.len()).collect()
             });
             assert_eq!(by_split.collect(), lens, "{label}");
         }
@@ -65,11 +66,11 @@ fn a_whole_split_consumer_copies_nothing_and_counts_every_line() {
         let bytes = text.as_bytes().as_ptr_range();
         bytes.start as usize..bytes.end as usize
     };
-    let buffer = range(file.lines().text());
+    let buffer = range(&file.lines().text());
     let rdd = c.text_splits("in.txt", 7).expect("written");
     let total = rdd.map_partitions(move |part, _| {
         for lines in part {
-            let text = range(lines.text());
+            let text = range(&lines.text());
             assert!(buffer.start <= text.start && text.end <= buffer.end);
         }
         vec![part.iter().map(Lines::len).sum::<usize>() as u64]

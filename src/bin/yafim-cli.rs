@@ -22,7 +22,7 @@
 
 use std::process::exit;
 use yafim::cluster::{ClusterSpec, CostModel, Lines, SimCluster};
-use yafim::data::{read_canonical_text, read_dat, PaperDataset};
+use yafim::data::{read_dat, read_rows, PaperDataset};
 use yafim::{generate_rules, Miner, MinerRun, Phase2Plan, Support};
 
 /// Every command's output, a line at a time. A reader that went away
@@ -183,12 +183,13 @@ fn loaded<T>(path: &str, read: std::io::Result<T>, transactions: impl Fn(&T) -> 
     }
 }
 
-/// The input as the distributed miners take it, which only ever see text:
-/// one buffer of canonical lines, checked on as many threads as `c`'s pool
-/// has. Every cluster it is put on shares it.
+/// The input as the distributed miners take it: the file read and parsed
+/// once, in chunks on as many threads as `c`'s pool has, into row arenas
+/// and the offsets of its canonical text, which is not kept. Every cluster
+/// it is put on shares it.
 fn loaded_lines(path: &str, c: &SimCluster) -> Lines {
-    let text = read_canonical_text(path, c.pool().size());
-    loaded(path, text, |(_, offsets)| offsets.len() - 1).into()
+    let rows = read_rows(path, c.pool().size());
+    loaded(path, rows, |(_, offsets)| offsets.len() - 1).into()
 }
 
 fn cmd_generate() {

@@ -9,8 +9,7 @@ use std::process::{Command, Output};
 use yafim::cluster::Lines;
 use yafim::data::rng::StdRng;
 use yafim::data::{
-    from_lines, read_canonical_text, read_dat, to_lines, to_text, write_dat, PaperDataset,
-    Transaction,
+    from_lines, read_dat, read_rows, to_lines, to_text, write_dat, PaperDataset, Rows, Transaction,
 };
 use yafim::parse_transaction;
 
@@ -148,16 +147,24 @@ fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("yafim-ingest-{name}-{}", std::process::id()))
 }
 
-/// Is `read` (a text and its line offsets) `lines` joined with a `\n` after
-/// each? `Lines::from` is the one join loop, and it refuses offsets that do
-/// not cut its text into lines: equal texts and equal lines are equal offsets.
-fn is_joined(read: (String, Vec<u64>), lines: &[String]) -> bool {
-    let (read, joined) = (Lines::from(read), Lines::from(lines.to_vec()));
+/// Is `read` (a text or rows, and their line offsets) `lines` joined with a
+/// `\n` after each? `Lines::from` is the one join loop, and it refuses
+/// offsets that do not cut its text into lines: equal texts and equal lines
+/// are equal offsets.
+fn is_joined(read: impl Into<Lines>, lines: &[String]) -> bool {
+    let (read, joined) = (read.into(), Lines::from(lines.to_vec()));
     read.text() == joined.text() && read.iter().eq(joined.iter())
 }
 
-/// Every reader against the oracle on one file; the text reader on 1, 2 and
-/// 8 threads (which only a file of several chunks can tell apart).
+/// The loader's rows, a `Vec` each.
+fn flat(arenas: &[Rows]) -> Vec<Transaction> {
+    let rows = arenas.iter().flat_map(|rows| rows.rows(0..rows.len()));
+    rows.map(<[u32]>::to_vec).collect()
+}
+
+/// Every reader against the oracle on one file; the loader on 1, 2 and 8
+/// threads (which only a file of several chunks can tell apart): its rows
+/// are the transactions, its offsets `to_text`'s, its text the lines.
 fn assert_file_agrees(path: &Path) {
     let expected = old_read_dat(path).expect("oracle reads the file");
     assert_eq!(read_dat(path).expect("read_dat"), expected);
@@ -166,7 +173,9 @@ fn assert_file_agrees(path: &Path) {
     assert_eq!(from_lines(&lines), expected);
     assert!(is_joined(to_text(&expected), &lines));
     for threads in [1, 2, 8] {
-        let read = read_canonical_text(path, threads).expect("read_canonical_text");
+        let read = read_rows(path, threads).expect("read_rows");
+        assert_eq!(flat(&read.0), expected, "{threads} threads");
+        assert_eq!(read.1, to_text(&expected).1, "{threads} threads");
         assert!(
             is_joined(read, &lines),
             "{threads} threads on {}",
@@ -238,9 +247,9 @@ fn random_files_read_as_they_always_did() {
     write_dat(&path, &tx).expect("temp dir writable");
     assert_file_agrees(&path);
     let text = std::fs::read_to_string(&path).expect("just written");
-    let (read, offsets) = read_canonical_text(&path, 2).expect("just written");
-    assert_eq!(read, text);
-    assert_eq!(offsets.len(), tx.len() + 1);
+    let read = Lines::from(read_rows(&path, 2).expect("just written"));
+    assert_eq!(read.text(), text);
+    assert_eq!(read.len(), tx.len());
     assert_eq!(read_dat(&path).expect("just written"), tx);
     std::fs::remove_file(&path).expect("own temp file");
 }
@@ -267,12 +276,13 @@ fn files_of_many_chunks_read_the_same_on_any_number_of_threads() {
 
     std::fs::write(&path, &text).expect("temp dir writable");
     assert_file_agrees(&path);
-    let read = read_canonical_text(&path, 8).expect("just written");
-    assert!(read.0 == text && is_joined(read, &clean));
+    let read = Lines::from(read_rows(&path, 8).expect("just written"));
+    assert!(read.text() == text && is_joined(read, &clean));
 
     std::fs::write(&path, text.trim_end()).expect("temp dir writable");
     assert_file_agrees(&path);
-    assert_eq!(read_canonical_text(&path, 8).expect("just written").0, text);
+    let read = Lines::from(read_rows(&path, 8).expect("just written"));
+    assert_eq!(read.text(), text);
 
     for odd in ["9 3 3", "", "7\r", "01", "+1", "1\u{a0}2", "x"] {
         let mut lines = clean.clone();
@@ -349,13 +359,13 @@ fn empty_and_non_utf8_files_fail_the_old_way() {
     let path = temp("hostile.dat");
     std::fs::write(&path, "").expect("temp dir writable");
     assert!(read_dat(&path).expect("an empty file reads").is_empty());
-    let empty = read_canonical_text(&path, 2).expect("an empty file reads");
-    assert_eq!(empty, (String::new(), vec![0]));
+    let empty = read_rows(&path, 2).expect("an empty file reads");
+    assert_eq!(empty, (vec![], vec![0]));
     std::fs::write(&path, b"1 2 3\n4 \xff 5\n").expect("temp dir writable");
     let expected = old_read_dat(&path).expect_err("invalid UTF-8");
     for error in [
         read_dat(&path).expect_err("invalid UTF-8"),
-        read_canonical_text(&path, 2).expect_err("invalid UTF-8"),
+        read_rows(&path, 2).expect_err("invalid UTF-8"),
     ] {
         assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(error.to_string(), expected.to_string());
@@ -446,4 +456,84 @@ fn a_crlf_unsorted_duplicated_copy_mines_the_same() {
     }
     std::fs::remove_file(&clean).expect("own temp file");
     std::fs::remove_file(&messy).expect("own temp file");
+}
+
+/// The transactions as the loader leaves them in HDFS, cut into arenas at
+/// `cuts` (row indices), with their canonical offsets.
+fn rows_at(tx: &[Transaction], cuts: &[usize]) -> Lines {
+    let ends = cuts.iter().copied().chain([tx.len()]);
+    let spans = [0].into_iter().chain(cuts.iter().copied()).zip(ends);
+    let arenas = spans.map(|(from, to)| {
+        Rows::build(to - from, 0, |rows| {
+            for t in &tx[from..to] {
+                rows.push_row(0, |items| items.extend(t));
+            }
+        })
+    });
+    Lines::from((arenas.collect::<Vec<_>>(), to_text(tx).1))
+}
+
+/// Whether an input is rows (read by the loader, in one arena or cut into
+/// several off the splits' edges) or the same transactions put as text,
+/// no miner can tell: equal results, and equal manifest metrics, clean and
+/// under a node loss.
+#[test]
+fn the_backing_does_not_show_in_any_miner() {
+    use yafim::cluster::{json::JsonValue, ClusterSpec, CostModel, FaultPlan, RunManifest};
+    use yafim::cluster::{NodeId, SimCluster, SimInstant};
+    use yafim::{Miner, Support};
+    let tx = PaperDataset::Mushroom.generate_scaled(0.1);
+    let path = temp("backing.dat");
+    write_dat(&path, &tx).expect("temp dir writable");
+    let loaded = Lines::from(read_rows(&path, 2).expect("just written"));
+    std::fs::remove_file(&path).expect("own temp file");
+    let n = tx.len();
+    let backings = [
+        ("text", Lines::from(to_text(&tx))),
+        ("loaded", loaded),
+        ("three arenas", rows_at(&tx, &[n / 3 + 1, 2 * n / 3 - 5])),
+    ];
+    let lost = FaultPlan::seeded(3).lose_node_at(NodeId(1), SimInstant::from_secs(1.0));
+    let distributed = Miner::ALL.iter().filter(|m| m.is_distributed());
+    for miner in distributed {
+        for plan in [None, Some(&lost)] {
+            let mut first = None;
+            for (backing, lines) in &backings {
+                let cluster =
+                    SimCluster::new(ClusterSpec::new(4, 2, 1 << 30), CostModel::hadoop_era());
+                if let Some(plan) = plan {
+                    cluster.faults().set_plan(plan.clone());
+                }
+                cluster.hdfs().put_overwrite("in.dat", lines.clone());
+                let case = format!("{} on {backing}, plan {plan:?}", miner.name());
+                let run = miner
+                    .mine(&cluster, "in.dat", Support::Fraction(0.35))
+                    .expect(&case);
+                let empty = || JsonValue::object(Vec::new());
+                let manifest = RunManifest::capture("backing", "m", empty(), empty(), &cluster);
+                let lost = manifest.metrics["recovery.nodes_lost"];
+                assert_eq!(lost > 0.0, plan.is_some(), "{case}");
+                let seen = (run.result, format!("{:?}", manifest.metrics));
+                let first = first.get_or_insert_with(|| seen.clone());
+                assert!(seen == *first, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_empty_or_blank_file_is_no_transactions_to_every_miner() {
+    let path = temp("cli-blank.dat");
+    let shown = path.display();
+    for text in ["", "\n", " \t\r\n\n\u{a0}\r\n"] {
+        std::fs::write(&path, text).expect("temp dir writable");
+        for miner in ["spark", "mapreduce", "son", "pfp", "sequential"] {
+            assert_eq!(
+                refusal(&mine(&path, &["--miner", miner])),
+                (format!("{shown}: no transactions found"), Some(1)),
+                "{miner} on {text:?}"
+            );
+        }
+    }
+    std::fs::remove_file(&path).expect("own temp file");
 }
